@@ -1,19 +1,18 @@
 (* Benchmark harness: regenerates every figure of the paper's evaluation
    (Figures 6, 7, 8), the protocol-comparison table implied by §4's
-   opening claim, and the CBT trade-off discussion of §5 — plus bechamel
-   micro-benchmarks of the computational kernels (one per table/figure).
+   opening claim, and the CBT trade-off discussion of §5.
 
    Usage: main.exe [fig6] [fig7] [fig8] [compare] [cbt] [ablation] [hierarchy]
-   [extra] [micro] [quick] [--domains N] [--json FILE]
+   [extra] [quick] [--domains N] [--json FILE] [--csv FILE]
    With no section argument, everything runs.  [quick] shrinks the seed
    set (3 instead of 10 graphs per size) for a fast smoke run.
    [--domains N] spreads the figure sweeps' (size × seed) cells over N
    OCaml domains via Runner.Pool; every table is byte-identical for any
-   N (the timing-reporting sections — ablation's host-time columns and
-   the bechamel micro-benchmarks — report wall clock by design and vary
-   run to run regardless of N).  [--json FILE] additionally records
-   per-figure cell timings, speedup vs the sequential estimate, and
-   commit/seed metadata — the BENCH_dgmc.json perf trajectory. *)
+   N (only ablation's host-time columns report wall clock, by design,
+   and vary run to run regardless of N).  [--json FILE] additionally
+   records per-figure cell timings, speedup vs the sequential estimate,
+   commit/seed metadata and the phase table of one instrumented probe
+   run — the BENCH_dgmc.json perf trajectory. *)
 
 let quick = ref false
 
@@ -327,110 +326,11 @@ let extra () =
          ])
        (Experiments.Extra.mc_independence ~seeds:(seeds ()) ()))
 
-(* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks: the computational kernel behind each
-   table/figure, measured in wall-clock time per run. *)
-
-let micro () =
-  heading "Micro-benchmarks (bechamel, monotonic clock)";
-  let open Bechamel in
-  let graph = Experiments.Harness.graph_for ~seed:1 ~n:100 in
-  let members =
-    let rng = Sim.Rng.create 7 in
-    Sim.Rng.sample rng 10 (List.init 100 (fun i -> i))
-  in
-  let mc_members =
-    Dgmc.Member.of_list (List.map (fun x -> (x, Dgmc.Member.Both)) members)
-  in
-  let stamp_a = Dgmc.Timestamp.of_array (Array.init 100 (fun i -> i mod 5)) in
-  let stamp_b = Dgmc.Timestamp.of_array (Array.init 100 (fun i -> (i + 1) mod 5)) in
-  let tests =
-    [
-      (* Figure 6/7 kernel: one bursty D-GMC run on a small network. *)
-      Test.make ~name:"fig6/7 kernel: bursty run (n=20)"
-        (Staged.stage (fun () ->
-             ignore
-               (Experiments.Harness.bursty_run ~seed:1 ~n:20
-                  ~config:Dgmc.Config.atm_lan ~members:10 ())));
-      (* Figure 8 kernel: sparse-event run. *)
-      Test.make ~name:"fig8 kernel: poisson run (n=20, 10 events)"
-        (Staged.stage (fun () ->
-             ignore
-               (Experiments.Harness.poisson_run ~seed:1 ~n:20
-                  ~config:Dgmc.Config.atm_lan ~events:10 ~gap_rounds:50.0 ())));
-      (* Comparison kernels: the per-switch work each protocol repeats. *)
-      Test.make ~name:"steiner kmb (n=100, 10 members)"
-        (Staged.stage (fun () -> ignore (Mctree.Steiner.kmb graph members)));
-      Test.make ~name:"steiner sph (n=100, 10 members)"
-        (Staged.stage (fun () -> ignore (Mctree.Steiner.sph graph members)));
-      Test.make ~name:"spt (n=100, 10 receivers)"
-        (Staged.stage (fun () ->
-             ignore
-               (Mctree.Spt.source_rooted graph ~root:(List.hd members)
-                  ~receivers:(List.tl members))));
-      Test.make ~name:"incremental join (n=100)"
-        (Staged.stage
-           (let tree = Mctree.Steiner.sph graph (List.tl members) in
-            fun () ->
-              ignore (Mctree.Incremental.join graph tree (List.hd members))));
-      Test.make ~name:"compute proposal (protocol entry point)"
-        (Staged.stage (fun () ->
-             ignore
-               (Dgmc.Compute.topology Dgmc.Config.atm_lan Dgmc.Mc_id.Symmetric
-                  graph mc_members ~self:0 ~current:None)));
-      (* Timestamp machinery: the per-LSA cost of the D-GMC bookkeeping. *)
-      Test.make ~name:"timestamp merge (n=100)"
-        (Staged.stage (fun () -> ignore (Dgmc.Timestamp.merge stamp_a stamp_b)));
-      Test.make ~name:"timestamp geq (n=100)"
-        (Staged.stage (fun () -> ignore (Dgmc.Timestamp.geq stamp_a stamp_b)));
-      (* CBT kernel: one leave+join grafting cycle. *)
-      Test.make ~name:"cbt join+leave (n=100)"
-        (Staged.stage
-           (let cbt = Baselines.Cbt.create ~graph ~core:(List.hd members) () in
-            List.iter (Baselines.Cbt.join cbt) (List.tl members);
-            fun () ->
-              Baselines.Cbt.leave cbt (List.nth members 3);
-              Baselines.Cbt.join cbt (List.nth members 3)));
-    ]
-  in
-  let ols =
-    Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let instance = Toolkit.Instance.monotonic_clock in
-  let cfg =
-    Benchmark.cfg ~limit:200
-      ~quota:(Time.second (if !quick then 0.25 else 0.5))
-      ~kde:None ()
-  in
-  let raw = Benchmark.all cfg [ instance ] (Test.make_grouped ~name:"micro" tests) in
-  let results = Analyze.all ols instance raw in
-  let rows = ref [] in
-  Hashtbl.iter
-    (fun name ols_result ->
-      let nanos =
-        match Analyze.OLS.estimates ols_result with
-        | Some (est :: _) -> est
-        | Some [] | None -> nan
-      in
-      rows := (name, nanos) :: !rows)
-    results;
-  let pretty ns =
-    if Float.is_nan ns then "n/a"
-    else if ns >= 1e9 then Printf.sprintf "%.3f s" (ns /. 1e9)
-    else if ns >= 1e6 then Printf.sprintf "%.3f ms" (ns /. 1e6)
-    else if ns >= 1e3 then Printf.sprintf "%.3f us" (ns /. 1e3)
-    else Printf.sprintf "%.0f ns" ns
-  in
-  Metrics.Table.print
-    ~align:[ Metrics.Table.Left ]
-    ~headers:[ "benchmark"; "time/run" ]
-    (List.sort Stdlib.compare !rows |> List.map (fun (n, v) -> [ n; pretty v ]))
-
 let usage () =
   prerr_endline
     "usage: main.exe [SECTION...] [quick] [--domains N] [--json FILE] [--csv \
      FILE]\n\
-     sections: fig6 fig7 fig8 compare cbt ablation hierarchy extra micro";
+     sections: fig6 fig7 fig8 compare cbt ablation hierarchy extra";
   exit 2
 
 let () =
@@ -477,7 +377,6 @@ let () =
   if want "ablation" then ablation ();
   if want "hierarchy" then hierarchy ();
   if want "extra" then extra ();
-  if want "micro" then micro ();
   (if !json <> None || !csv <> None then begin
      (* The flight-recorder probe: one pinned, fully instrumented run of
         the reference kernel (bursty burst on atm_lan, master seed).  All

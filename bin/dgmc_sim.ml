@@ -654,18 +654,17 @@ let search_main ~mode ~graph_spec ~regime ~mcs_spec ~race ~setup ~target_spec
     | "wan" -> Dgmc.Config.wan
     | r -> search_usage (Printf.sprintf "unknown regime %S (atm or wan)" r)
   in
-  let config =
+  let inject =
     match inject_bug with
-    | None -> base
-    | Some "stale-senders" ->
-      { base with Dgmc.Config.flag_stale_senders = false }
-    | Some "asymmetric-tree" ->
-      { base with Dgmc.Config.span_secondary_senders = false }
+    | None -> None
+    | Some "stale-senders" -> Some Dgmc.Config.Skip_stale_sender_flag
+    | Some "asymmetric-tree" -> Some Dgmc.Config.Skip_secondary_senders
     | Some b ->
       search_usage
         (Printf.sprintf
            "unknown bug %S (stale-senders or asymmetric-tree)" b)
   in
+  let config = { base with Dgmc.Config.inject } in
   let mcs =
     String.split_on_char ',' mcs_spec
     |> List.map String.trim

@@ -42,12 +42,12 @@ let scratch config kind image members ~self =
          sender-only second member used to be left off the tree, which
          the agreement check rightly rejects).  The pre-fix behaviour —
          terminals drawn from the receiver roles only — stays available
-         behind [span_secondary_senders = false] so the guided scenario
-         search can re-derive the minimal counterexample. *)
+         behind [inject = Some Skip_secondary_senders] so the guided
+         scenario search can re-derive the minimal counterexample. *)
       let receivers =
-        if config.Config.span_secondary_senders then
-          List.filter (fun x -> x <> root) ids
-        else List.filter (fun x -> x <> root) (Member.receivers members)
+        if Config.injects config Config.Skip_secondary_senders then
+          List.filter (fun x -> x <> root) (Member.receivers members)
+        else List.filter (fun x -> x <> root) ids
       in
       try Mctree.Spt.source_rooted image ~root ~receivers
       with Failure _ -> (

@@ -1,5 +1,7 @@
 type steiner = Kmb | Sph
 
+type bug = Skip_stale_withdrawal | Skip_stale_sender_flag | Skip_secondary_senders
+
 type t = {
   tc : float;
   t_hop : float;
@@ -8,9 +10,7 @@ type t = {
   steiner : steiner;
   incremental : bool;
   drift_threshold : float;
-  withdraw_stale_proposals : bool;
-  flag_stale_senders : bool;
-  span_secondary_senders : bool;
+  inject : bug option;
   resync_quorum : int;
   resync_deadline_hops : float;
   health : Health.Config.t option;
@@ -33,14 +33,20 @@ let atm_lan =
     steiner = Sph;
     incremental = true;
     drift_threshold = 1.5;
-    withdraw_stale_proposals = true;
-    flag_stale_senders = true;
-    span_secondary_senders = true;
+    inject = None;
     resync_quorum = 1;
     resync_deadline_hops =
       derived_resync_deadline_hops Lsr.Flooding.default_reliability;
     health = None;
   }
+
+let injects t bug =
+  match (t.inject, bug) with
+  | Some Skip_stale_withdrawal, Skip_stale_withdrawal
+  | Some Skip_stale_sender_flag, Skip_stale_sender_flag
+  | Some Skip_secondary_senders, Skip_secondary_senders ->
+    true
+  | (None | Some _), _ -> false
 
 let wan = { atm_lan with tc = 100e-6; t_hop = 5e-3 }
 

@@ -8,6 +8,21 @@
 
 type steiner = Kmb | Sph
 
+(** A historical protocol bug that the [inject] field re-introduces, so
+    the {!module:Check} model checker and guided search can show they
+    still catch it:
+    - [Skip_stale_withdrawal]: [EventHandler] floods and installs a
+      proposal even when [R] advanced during its computation (Figure 4
+      lines 11-13 skipped).  Exhaustively shown to {e self-heal} on small
+      configurations, because acceptance is gated on [stamp >= E].
+    - [Skip_stale_sender_flag]: [ReceiveLSA] does not arm
+      [make_proposal_flag] when the sender missed this switch's local
+      events (Figure 5), so two concurrent joins can disagree forever.
+    - [Skip_secondary_senders]: the from-scratch asymmetric tree spans
+      only the receivers, leaving a sender-only member off it — the bug
+      the protocol fuzzer first found. *)
+type bug = Skip_stale_withdrawal | Skip_stale_sender_flag | Skip_secondary_senders
+
 type t = {
   tc : float;  (** Topology-computation latency at a switch (seconds). *)
   t_hop : float;  (** Per-hop LSA transmission time (seconds). *)
@@ -29,39 +44,9 @@ type t = {
       (** Incrementally maintained trees are recomputed from scratch
           when their cost exceeds this multiple of a fresh heuristic
           tree's cost (§3.5's "deviates significantly"). *)
-  withdraw_stale_proposals : bool;
-      (** Fault-injection knob, [true] in every preset.  When [false],
-          [EventHandler] skips the paper's stale-proposal withdrawal
-          (Figure 4 lines 11-13) and floods/installs a proposal even
-          when [R] advanced during its computation.  The {!module:Check}
-          model checker exhaustively verified that on small
-          configurations this fault {e self-heals}: acceptance is gated
-          on [stamp >= E], so stale proposals are rejected wherever they
-          could mislead, and their stale stamps set the receiver's
-          recompute flag.  Never disable it in a real run — it exists
-          for that experiment (and skipping it still wastes floods). *)
-  flag_stale_senders : bool;
-      (** Fault-injection knob, [true] in every preset.  When [false],
-          [ReceiveLSA] skips the step that arms [make_proposal_flag]
-          upon receiving an LSA whose sender provably did not know this
-          switch's local events (Figure 5: the received stamp is behind
-          the receiver's own event count).  That step is what guarantees
-          someone recomputes after concurrent events collide, so
-          disabling it lets two concurrent joins settle into permanent
-          topology disagreement — the {!module:Check} model checker
-          catches it with a minimal counterexample.  Never disable it in
-          a real run. *)
-  span_secondary_senders : bool;
-      (** Fault-injection knob, [true] in every preset.  When [false],
-          the from-scratch asymmetric computation reverts to the
-          historical (pre-fix) behaviour: only role-[Receiver]/[Both]
-          members become terminals of the source-rooted tree, so a
-          sender-only second member is left off the topology entirely and
-          cannot inject traffic — the asymmetric-tree bug the protocol
-          fuzzer originally found, kept re-injectable so the guided
-          scenario search ({!module:Check}'s [Search]) can prove it still
-          rediscovers the minimal counterexample.  Never disable it in a
-          real run. *)
+  inject : bug option;
+      (** Fault injection (see {!bug}).  [None] in every preset; never set
+          it in a real run. *)
   resync_quorum : int;
       (** Crash-recovery resynchronisation: number of completed neighbor
           exchanges (delta applied, or the transport gave the neighbor
@@ -99,6 +84,9 @@ val atm_lan : t
 val wan : t
 (** Experiment-2 regime: communication dominates computation
     ([t_hop = 5 ms], [tc = 100 µs]). *)
+
+val injects : t -> bug -> bool
+(** [injects t bug] is [t.inject = Some bug]. *)
 
 val round_length : t -> graph:Net.Graph.t -> float
 (** [tf + tc] for the given network (paper §4.1). *)

@@ -107,9 +107,8 @@ val faults : t -> Faults.Plan.t option
 val add_observer : t -> (unit -> unit) -> unit
 (** Register a callback invoked after every protocol state change at any
     switch (member list or topology installed, state deleted).  Used by
-    layers built on the protocol's complete-knowledge model, e.g.
-    {!Election.Leader} monitors.  Observers must not inject events
-    synchronously; schedule through the engine instead. *)
+    the runtime invariant monitor ([Check.Monitor]).  Observers must not
+    inject events synchronously; schedule through the engine instead. *)
 
 val graph : t -> Net.Graph.t
 (** The real (ground-truth) topology. *)

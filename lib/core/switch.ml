@@ -303,10 +303,9 @@ and event_completion t mc (st : Mc_state.t) (comp : Mc_state.computation) =
     metric t "switch.computations";
     if
       Timestamp.equal comp.old_r st.r
-      (* Fault injection (Config.withdraw_stale_proposals = false): treat
-         a stale result as valid — the protocol bug the model checker
-         exists to catch. *)
-      || not t.config.Config.withdraw_stale_proposals
+      (* Fault injection: treat a stale result as valid — the protocol
+         bug the model checker exists to catch. *)
+      || Config.injects t.config Config.Skip_stale_withdrawal
     then begin
       (* Line 7-10: proposal still valid — flood it and adopt it.  The
          member snapshot corresponds to [old_r] (= R, no events arrived
@@ -436,10 +435,10 @@ let process_lsa t (st : Mc_state.t) (lsa : Mc_lsa.t) candidate =
   | Some _ | None ->
     (* The sender's stamp is behind our own event count: it computed (or
        refrained) without knowing our events, so we owe the network a
-       proposal.  (Config.flag_stale_senders = false suppresses this —
+       proposal.  (Injecting [Skip_stale_sender_flag] suppresses this —
        the fault the model checker demonstrates against.) *)
     if
-      t.config.Config.flag_stale_senders
+      (not (Config.injects t.config Config.Skip_stale_sender_flag))
       && Timestamp.get st.r t.id > Timestamp.get lsa.stamp t.id
     then st.flag <- true
 

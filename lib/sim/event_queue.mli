@@ -18,7 +18,9 @@ val schedule : 'a t -> time:float -> 'a -> handle
     [Invalid_argument] on a non-finite time. *)
 
 val cancel : handle -> unit
-(** Cancel the entry; popping will silently skip it.  Idempotent. *)
+(** Cancel the entry; popping will silently skip it.  Idempotent.  A
+    cancel that arrives after the entry fired, or after {!clear}, leaves
+    {!length} unchanged. *)
 
 val is_cancelled : handle -> bool
 
@@ -31,7 +33,7 @@ val peek_time : 'a t -> float option
     encountered along the way. *)
 
 val length : 'a t -> int
-(** Number of live (non-cancelled) entries. *)
+(** Number of live (non-cancelled) entries.  O(1). *)
 
 val is_empty : 'a t -> bool
 

@@ -73,7 +73,9 @@ let test_broken_variant_caught () =
   (* Disable Figure 5's flag-on-stale-stamp step: when concurrent events
      collide, no switch any longer realises its proposal was computed in
      ignorance, so the network settles into permanent disagreement. *)
-  let config = { Dgmc.Config.atm_lan with flag_stale_senders = false } in
+  let config =
+    { Dgmc.Config.atm_lan with inject = Some Dgmc.Config.Skip_stale_sender_flag }
+  in
   let o =
     Check.Explore.run (base_scenario ~config ~setup:[] ~race:[ join 0; join 2 ] ())
   in
@@ -100,7 +102,7 @@ let test_no_withdrawal_self_heals () =
      model-checking result — and the reason the checker must also carry
      a variant it does catch (above). *)
   let config =
-    { Dgmc.Config.atm_lan with withdraw_stale_proposals = false }
+    { Dgmc.Config.atm_lan with inject = Some Dgmc.Config.Skip_stale_withdrawal }
   in
   let o =
     Check.Explore.run (base_scenario ~config ~setup:[] ~race:[ join 0; join 2 ] ())
@@ -400,15 +402,15 @@ let test_fuzz_acceptance_case () =
    historical bugs (pinned by the shrinker regressions below); the
    acceptance bar for backward search is sequences no longer than
    these. *)
-let fuzzer_shrunk_stale_senders = 8 (* seed 1030, flag_stale_senders=false *)
+let fuzzer_shrunk_stale_senders = 8 (* seed 1030, Skip_stale_sender_flag *)
 
-let fuzzer_shrunk_asymmetric_tree = 2 (* seed 1027, span_secondary_senders=false *)
+let fuzzer_shrunk_asymmetric_tree = 2 (* seed 1027, Skip_secondary_senders *)
 
 let stale_senders_config =
-  { Dgmc.Config.atm_lan with flag_stale_senders = false }
+  { Dgmc.Config.atm_lan with inject = Some Dgmc.Config.Skip_stale_sender_flag }
 
 let asymmetric_tree_config =
-  { Dgmc.Config.atm_lan with span_secondary_senders = false }
+  { Dgmc.Config.atm_lan with inject = Some Dgmc.Config.Skip_secondary_senders }
 
 let render_backward b = Format.asprintf "%a" Check.Search.pp_backward b
 
@@ -480,10 +482,7 @@ let test_search_forward_is_guided () =
 let reinject config case =
   { case with Check.Fuzz.config =
       { case.Check.Fuzz.config with
-        Dgmc.Config.flag_stale_senders =
-          config.Dgmc.Config.flag_stale_senders;
-        span_secondary_senders = config.Dgmc.Config.span_secondary_senders;
-      } }
+        Dgmc.Config.inject = config.Dgmc.Config.inject } }
 
 let shrink_regression ~seed ~config ~expected_len =
   let case = reinject config (Check.Fuzz.case_of_seed seed) in

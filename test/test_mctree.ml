@@ -364,96 +364,6 @@ let test_delivery_loads () =
   check Alcotest.int "max load" 2 (Mctree.Delivery.max_load loads);
   check Alcotest.int "each link loaded" 3 (Hashtbl.length loads)
 
-(* ------------------------------------------------------------------ *)
-(* Algorithm registry *)
-
-let test_algo_lookup () =
-  check Alcotest.bool "kmb" true (Mctree.Algo.of_string "kmb" <> None);
-  check Alcotest.bool "sph" true (Mctree.Algo.of_string "sph" <> None);
-  check Alcotest.bool "spt" true (Mctree.Algo.of_string "spt" <> None);
-  check Alcotest.bool "unknown" true (Mctree.Algo.of_string "nope" = None);
-  check Alcotest.int "registry size" 3 (List.length Mctree.Algo.all)
-
-let test_algo_all_compute_valid () =
-  let g = random_graph 9 30 in
-  let members = [ 3; 11; 20; 27 ] in
-  List.iter
-    (fun (a : Mctree.Algo.t) ->
-      let t = a.compute g members in
-      check Alcotest.bool
-        (a.name ^ " computes valid topology")
-        true
-        (Mctree.Tree.is_valid_mc_topology g t))
-    Mctree.Algo.all
-
-(* ------------------------------------------------------------------ *)
-(* Forest (multi-sender asymmetric) *)
-
-let test_forest_build () =
-  let g = grid () in
-  let f = Mctree.Forest.build g ~senders:[ 0; 8 ] ~receivers:[ 2; 6 ] in
-  check Alcotest.(list int) "senders" [ 0; 8 ] (Mctree.Forest.senders f);
-  check Alcotest.(list int) "receivers" [ 2; 6 ] (Mctree.Forest.receivers f);
-  List.iter
-    (fun s ->
-      let tree = Mctree.Forest.tree_of f ~sender:s in
-      check Alcotest.bool "valid" true (Mctree.Tree.is_valid_mc_topology g tree);
-      (* SPT invariant per sender. *)
-      List.iter
-        (fun (receiver, delay) ->
-          check Alcotest.(float 1e-9) "spt delay"
-            (Net.Dijkstra.distance g s receiver)
-            delay)
-        (Mctree.Spt.receivers_cost g tree ~root:s))
-    [ 0; 8 ]
-
-let test_forest_receiver_churn () =
-  let g = grid () in
-  let f = Mctree.Forest.build g ~senders:[ 0 ] ~receivers:[ 2 ] in
-  let f = Mctree.Forest.add_receiver g f 8 in
-  check Alcotest.(list int) "receiver added" [ 2; 8 ] (Mctree.Forest.receivers f);
-  let tree = Mctree.Forest.tree_of f ~sender:0 in
-  check Alcotest.bool "8 spanned" true (Mctree.Tree.is_terminal tree 8);
-  check Alcotest.(float 1e-9) "spt preserved" (Net.Dijkstra.distance g 0 8)
-    (List.assoc 8 (Mctree.Spt.receivers_cost g tree ~root:0));
-  let f = Mctree.Forest.remove_receiver g f 8 in
-  let tree = Mctree.Forest.tree_of f ~sender:0 in
-  check Alcotest.bool "8 pruned" false (Mctree.Tree.mem_node tree 8)
-
-let test_forest_sender_churn () =
-  let g = grid () in
-  let f = Mctree.Forest.build g ~senders:[ 0 ] ~receivers:[ 4 ] in
-  let f = Mctree.Forest.add_sender g f 8 in
-  check Alcotest.(list int) "two senders" [ 0; 8 ] (Mctree.Forest.senders f);
-  let f = Mctree.Forest.remove_sender f 0 in
-  check Alcotest.(list int) "one left" [ 8 ] (Mctree.Forest.senders f);
-  Alcotest.check_raises "tree_of removed sender" Not_found (fun () ->
-      ignore (Mctree.Forest.tree_of f ~sender:0))
-
-let test_forest_costs_and_loads () =
-  let g = Net.Topo_gen.line 4 in
-  (* Senders at both ends, receiver in the middle: the two SPTs overlap
-     on nothing (0-1-2 vs 3-2). *)
-  let f = Mctree.Forest.build g ~senders:[ 0; 3 ] ~receivers:[ 2 ] in
-  check Alcotest.(float 1e-9) "total cost" 3.0 (Mctree.Forest.total_cost g f);
-  let occ = Mctree.Forest.link_occurrences f in
-  check
-    Alcotest.(list (pair (pair int int) int))
-    "occurrences" [ ((0, 1), 1); ((1, 2), 1); ((2, 3), 1) ] occ;
-  let report = Mctree.Forest.deliver g f ~sender:0 in
-  check Alcotest.(list int) "delivery from 0" [ 2 ]
-    (List.map (fun (d : Mctree.Delivery.delivery) -> d.receiver) report.deliveries)
-
-let test_forest_overlapping_roles () =
-  let g = grid () in
-  (* A switch that is both sender and receiver. *)
-  let f = Mctree.Forest.build g ~senders:[ 0; 4 ] ~receivers:[ 4; 8 ] in
-  let t0 = Mctree.Forest.tree_of f ~sender:0 in
-  check Alcotest.bool "sender 0 reaches receiver 4" true
-    (Mctree.Tree.is_terminal t0 4);
-  let t4 = Mctree.Forest.tree_of f ~sender:4 in
-  check Alcotest.bool "4's own tree spans 8" true (Mctree.Tree.is_terminal t4 8)
-
 let () =
   Alcotest.run "mctree"
     [
@@ -520,20 +430,5 @@ let () =
           Alcotest.test_case "two-stage on-tree sender" `Quick
             test_delivery_two_stage_on_tree;
           Alcotest.test_case "load accounting" `Quick test_delivery_loads;
-        ] );
-      ( "algo",
-        [
-          Alcotest.test_case "lookup" `Quick test_algo_lookup;
-          Alcotest.test_case "all compute valid trees" `Quick
-            test_algo_all_compute_valid;
-        ] );
-      ( "forest",
-        [
-          Alcotest.test_case "build" `Quick test_forest_build;
-          Alcotest.test_case "receiver churn" `Quick test_forest_receiver_churn;
-          Alcotest.test_case "sender churn" `Quick test_forest_sender_churn;
-          Alcotest.test_case "costs and loads" `Quick test_forest_costs_and_loads;
-          Alcotest.test_case "overlapping roles" `Quick
-            test_forest_overlapping_roles;
         ] );
     ]

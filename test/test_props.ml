@@ -473,91 +473,6 @@ let prop_hierarchy_global_tree_valid =
         && Mctree.Tree.Int_set.elements (Mctree.Tree.terminals tree) = members)
 
 (* ------------------------------------------------------------------ *)
-(* Data-plane properties *)
-
-let prop_dataplane_conservation =
-  QCheck2.Test.make
-    ~name:"dataplane: every packet is delivered or dropped (single link)"
-    ~count:60
-    ~print:(fun (n, cap) -> Printf.sprintf "packets=%d queue=%d" n cap)
-    QCheck2.Gen.(pair (int_range 1 60) (int_range 1 16))
-    (fun (n, cap) ->
-      let engine = Sim.Engine.create () in
-      let graph = Net.Topo_gen.line 2 in
-      let fw =
-        Dataplane.Forwarder.create ~engine ~graph ~bandwidth:1e6
-          ~queue_capacity:cap ()
-      in
-      let tree = Mctree.Steiner.sph graph [ 0; 1 ] in
-      let delivered = ref 0 in
-      for _ = 1 to n do
-        Dataplane.Forwarder.multicast fw ~tree ~src:0 ~size_bits:1000.0
-          ~on_deliver:(fun ~receiver:_ ~at:_ -> incr delivered)
-      done;
-      Sim.Engine.run engine;
-      !delivered + Dataplane.Forwarder.packets_dropped fw = n
-      && !delivered = min n cap)
-
-let prop_dataplane_fifo_order =
-  QCheck2.Test.make ~name:"dataplane: FIFO per link" ~count:40
-    ~print:string_of_int
-    QCheck2.Gen.(int_range 2 30)
-    (fun n ->
-      let engine = Sim.Engine.create () in
-      let graph = Net.Topo_gen.line 2 in
-      let fw =
-        Dataplane.Forwarder.create ~engine ~graph ~bandwidth:1e6
-          ~queue_capacity:64 ()
-      in
-      let tree = Mctree.Steiner.sph graph [ 0; 1 ] in
-      let order = ref [] in
-      for i = 1 to n do
-        Dataplane.Forwarder.multicast fw ~tree ~src:0 ~size_bits:1000.0
-          ~on_deliver:(fun ~receiver:_ ~at:_ -> order := i :: !order)
-      done;
-      Sim.Engine.run engine;
-      List.rev !order = List.init n (fun i -> i + 1))
-
-(* ------------------------------------------------------------------ *)
-(* QoS properties *)
-
-let prop_qos_never_oversubscribes =
-  QCheck2.Test.make ~name:"qos: reservations never exceed capacity" ~count:60
-    ~print:(fun (seed, k) -> Printf.sprintf "seed=%d ops=%d" seed k)
-    QCheck2.Gen.(pair (int_range 1 5000) (int_range 1 40))
-    (fun (seed, k) ->
-      let g = Experiments.Harness.graph_for ~seed:(seed mod 20) ~n:20 in
-      let cap = Qos.Capacity.create g ~default_capacity:10.0 in
-      let rng = Sim.Rng.create seed in
-      let live = ref [] in
-      let ok = ref true in
-      for key = 1 to k do
-        (if !live <> [] && Sim.Rng.bool rng then begin
-           let victim = Sim.Rng.pick rng !live in
-           Qos.Admission.release cap ~key:victim;
-           live := List.filter (fun x -> x <> victim) !live
-         end
-         else
-           let members =
-             Dgmc.Member.of_list
-               (List.map
-                  (fun x -> (x, Dgmc.Member.Both))
-                  (Sim.Rng.sample rng
-                     (2 + Sim.Rng.int rng 4)
-                     (List.init 20 (fun i -> i))))
-           in
-           match
-             Qos.Admission.admit cap ~key ~kind:Dgmc.Mc_id.Symmetric
-               ~bandwidth:(1.0 +. Sim.Rng.float rng 5.0)
-               ~members
-           with
-           | Ok _ -> live := key :: !live
-           | Error _ -> ());
-        if Qos.Capacity.max_utilization cap > 1.0 +. 1e-9 then ok := false
-      done;
-      !ok)
-
-(* ------------------------------------------------------------------ *)
 (* Guided-search properties *)
 
 (* Small two-join race scenarios over a handful of tiny topologies —
@@ -680,7 +595,10 @@ let prop_search_finds_iff_explore_finds =
     (fun (c, broken) ->
       let config =
         if broken then
-          { Dgmc.Config.atm_lan with Dgmc.Config.flag_stale_senders = false }
+          {
+            Dgmc.Config.atm_lan with
+            Dgmc.Config.inject = Some Dgmc.Config.Skip_stale_sender_flag;
+          }
         else Dgmc.Config.atm_lan
       in
       let _, scenario = search_scenario_of ~config c in
@@ -702,7 +620,10 @@ let prop_search_domains_identical =
     (fun (c, broken) ->
       let config =
         if broken then
-          { Dgmc.Config.atm_lan with Dgmc.Config.flag_stale_senders = false }
+          {
+            Dgmc.Config.atm_lan with
+            Dgmc.Config.inject = Some Dgmc.Config.Skip_stale_sender_flag;
+          }
         else Dgmc.Config.atm_lan
       in
       let _, scenario = search_scenario_of ~config c in
@@ -857,12 +778,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_hierarchy_random_churn;
           QCheck_alcotest.to_alcotest prop_hierarchy_global_tree_valid;
         ] );
-      ( "dataplane",
-        [
-          QCheck_alcotest.to_alcotest prop_dataplane_conservation;
-          QCheck_alcotest.to_alcotest prop_dataplane_fifo_order;
-        ] );
-      ("qos", [ QCheck_alcotest.to_alcotest prop_qos_never_oversubscribes ]);
       ( "health",
         [
           QCheck_alcotest.to_alcotest prop_phi_tolerance_monotone_in_jitter;

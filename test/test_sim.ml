@@ -82,26 +82,90 @@ let test_queue_fifo_ties () =
   check Alcotest.(list string) "FIFO among equal times"
     [ "first"; "second"; "third" ] order
 
+(* Reference for [Event_queue.length]: a mirror heap of every scheduled
+   entry, popped and cleared in step with the queue, counted by filtering
+   [Heap.to_sorted_list] for entries not cancelled — the original O(n)
+   definition of [length]. *)
+type 'a mirrored = {
+  q : 'a Event_queue.t;
+  mirror : (float * int * Event_queue.handle) Heap.t;
+  mutable seq : int;
+}
+
+let mirrored () =
+  {
+    q = Event_queue.create ();
+    mirror =
+      Heap.create ~cmp:(fun (t1, s1, _) (t2, s2, _) ->
+          match Float.compare t1 t2 with 0 -> Int.compare s1 s2 | c -> c);
+    seq = 0;
+  }
+
+let m_schedule m ~time x =
+  let h = Event_queue.schedule m.q ~time x in
+  Heap.add m.mirror (time, m.seq, h);
+  m.seq <- m.seq + 1;
+  h
+
+let m_pop m =
+  let rec drop_cancelled () =
+    match Heap.pop m.mirror with
+    | Some (_, _, h) when Event_queue.is_cancelled h -> drop_cancelled ()
+    | Some _ | None -> ()
+  in
+  drop_cancelled ();
+  Event_queue.pop m.q
+
+let m_clear m =
+  Event_queue.clear m.q;
+  Heap.clear m.mirror
+
+let check_length what expected m =
+  let reference =
+    List.length
+      (List.filter
+         (fun (_, _, h) -> not (Event_queue.is_cancelled h))
+         (Heap.to_sorted_list m.mirror))
+  in
+  check Alcotest.int (what ^ " (reference)") expected reference;
+  check Alcotest.int what reference (Event_queue.length m.q)
+
 let test_queue_cancellation () =
-  let q = Event_queue.create () in
-  ignore (Event_queue.schedule q ~time:1.0 "keep1");
-  let h = Event_queue.schedule q ~time:2.0 "cancelled" in
-  ignore (Event_queue.schedule q ~time:3.0 "keep2");
+  let m = mirrored () in
+  ignore (m_schedule m ~time:1.0 "keep1");
+  let h = m_schedule m ~time:2.0 "cancelled" in
+  ignore (m_schedule m ~time:3.0 "keep2");
   Event_queue.cancel h;
   check Alcotest.bool "is_cancelled" true (Event_queue.is_cancelled h);
-  check Alcotest.int "length excludes cancelled" 2 (Event_queue.length q);
-  let order =
-    List.init 2 (fun _ -> snd (Option.get (Event_queue.pop q)))
-  in
+  check_length "length excludes cancelled" 2 m;
+  let first = m_schedule m ~time:0.5 "first" in
+  check Alcotest.(option (pair (float 0.0) string)) "earliest fires"
+    (Some (0.5, "first")) (m_pop m);
+  Event_queue.cancel first;
+  check_length "cancel after firing leaves length" 2 m;
+  let order = List.init 2 (fun _ -> snd (Option.get (m_pop m))) in
   check Alcotest.(list string) "cancelled skipped" [ "keep1"; "keep2" ] order;
-  check Alcotest.bool "drained" true (Event_queue.is_empty q)
+  check_length "drained" 0 m;
+  check Alcotest.bool "drained" true (Event_queue.is_empty m.q);
+  let stale = m_schedule m ~time:4.0 "cleared" in
+  m_clear m;
+  ignore (m_schedule m ~time:5.0 "after clear");
+  Event_queue.cancel stale;
+  check_length "cancel after clear leaves length" 1 m;
+  check Alcotest.(option (pair (float 0.0) string)) "survivor fires"
+    (Some (5.0, "after clear")) (m_pop m)
 
 let test_queue_cancel_idempotent () =
-  let q = Event_queue.create () in
-  let h = Event_queue.schedule q ~time:1.0 () in
+  let m = mirrored () in
+  let h = m_schedule m ~time:1.0 () in
+  ignore (m_schedule m ~time:2.0 ());
   Event_queue.cancel h;
   Event_queue.cancel h;
-  check Alcotest.(option (pair (float 0.0) unit)) "empty" None (Event_queue.pop q)
+  check_length "second cancel leaves length" 1 m;
+  check Alcotest.(option (pair (float 0.0) unit)) "live entry" (Some (2.0, ()))
+    (m_pop m);
+  check Alcotest.(option (pair (float 0.0) unit)) "empty" None (m_pop m);
+  check_length "empty" 0 m
 
 let test_queue_peek_time () =
   let q = Event_queue.create () in
