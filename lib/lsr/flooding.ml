@@ -188,8 +188,7 @@ let rec receive t lsa ~at:switch ~from ~fid =
     Hashtbl.replace t.seen.(switch) key ();
     deliver_traced t lsa ~switch ~source:from ~fid (fun did ->
         (* Forward on every live link except the arrival link. *)
-        List.iter
-          (fun (next, _) ->
+        Net.Graph.iter_neighbors t.graph switch (fun next _ ->
             if next <> from then begin
               t.messages <- t.messages + 1;
               bump t ~switch "flood.messages";
@@ -197,8 +196,7 @@ let rec receive t lsa ~at:switch ~from ~fid =
                 (send_data t ~src:switch ~dst:next ~retransmit:false
                    ~parent:did lsa (fun fid ->
                      receive t lsa ~at:next ~from:switch ~fid))
-            end)
-          (Net.Graph.neighbors t.graph switch))
+            end))
   end
 
 (* ------------------------------------------------------------------ *)
@@ -334,11 +332,9 @@ and receive_reliable t lsa ~at:switch ~from ~fid =
   if not (Hashtbl.mem t.seen.(switch) key) then begin
     Hashtbl.replace t.seen.(switch) key ();
     deliver_traced t lsa ~switch ~source:from ~fid (fun did ->
-        List.iter
-          (fun (next, _) ->
+        Net.Graph.iter_neighbors t.graph switch (fun next _ ->
             if next <> from then
-              send_reliable t ~src:switch ~dst:next ~parent:did lsa)
-          (Net.Graph.neighbors t.graph switch))
+              send_reliable t ~src:switch ~dst:next ~parent:did lsa))
   end
 
 (* Unicast terminal delivery: ack and dedup like a flood hop, but never
@@ -384,19 +380,16 @@ let flood_impl t lsa =
   match t.mode with
   | Hop_by_hop ->
     Hashtbl.replace t.seen.(origin) (Lsa.id lsa) ();
-    List.iter
-      (fun (next, _) ->
+    Net.Graph.iter_neighbors t.graph origin (fun next _ ->
         t.messages <- t.messages + 1;
         bump t ~switch:origin "flood.messages";
         ignore
           (send_data t ~src:origin ~dst:next ~retransmit:false ~parent lsa
              (fun fid -> receive t lsa ~at:next ~from:origin ~fid)))
-      (Net.Graph.neighbors t.graph origin)
   | Reliable ->
     Hashtbl.replace t.seen.(origin) (Lsa.id lsa) ();
-    List.iter
-      (fun (next, _) -> send_reliable t ~src:origin ~dst:next ~parent lsa)
-      (Net.Graph.neighbors t.graph origin)
+    Net.Graph.iter_neighbors t.graph origin (fun next _ ->
+        send_reliable t ~src:origin ~dst:next ~parent lsa)
   | Ideal ->
     let hops = Net.Bfs.hops t.graph origin in
     Array.iteri

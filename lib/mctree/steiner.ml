@@ -80,36 +80,36 @@ let sph_impl g terminals =
   | [] -> assert false (* check_terminals rejects the empty set *)
   | [ only ] -> Tree.of_terminals [ only ]
   | seed :: rest ->
-    let tree = ref (Tree.of_terminals terminals) in
-    let in_tree = ref (Tree.Int_set.singleton seed) in
-    let remaining = ref rest in
-    while !remaining <> [] do
-      (* Attach the remaining terminal closest to the current tree.  One
-         Dijkstra per remaining terminal; tree nodes act as targets. *)
-      let best = ref None in
-      List.iter
-        (fun t ->
-          let r = Net.Dijkstra.run g t in
-          Tree.Int_set.iter
-            (fun v ->
-              let d = r.dist.(v) in
-              let better =
-                match !best with Some (_, _, d') -> d < d' | None -> true
-              in
-              if Float.is_finite d && better then
-                match Net.Dijkstra.path_of_result r ~src:t ~dst:v with
-                | Some p -> best := Some (t, p, d)
-                | None -> ())
-            !in_tree)
-        !remaining;
-      match !best with
-      | None -> failwith "Steiner.sph: terminals not mutually reachable"
-      | Some (t, path, _) ->
-        tree := Tree.add_path !tree path;
-        List.iter (fun v -> in_tree := Tree.Int_set.add v !in_tree) path;
-        remaining := List.filter (fun x -> x <> t) !remaining
-    done;
-    Tree.prune !tree
+    (* One Dijkstra per non-seed terminal, run once up front: the graph
+       is fixed for the call, so each attachment step only rescans the
+       stored distances against the grown tree. *)
+    let rec attach tree in_tree = function
+      | [] -> Tree.prune tree
+      | remaining ->
+        (* Attach the remaining terminal closest to the current tree; tree
+           nodes act as targets. *)
+        let best = ref None in
+        List.iter
+          (fun ((_, (r : Net.Dijkstra.result)) as entry) ->
+            Tree.Int_set.iter
+              (fun v ->
+                let d = r.dist.(v) in
+                let better =
+                  match !best with Some (_, _, d') -> d < d' | None -> true
+                in
+                if Float.is_finite d && better then best := Some (entry, v, d))
+              in_tree)
+          remaining;
+        (match !best with
+        | None -> failwith "Steiner.sph: terminals not mutually reachable"
+        | Some ((t, r), v, _) ->
+          let path = Option.get (Net.Dijkstra.path_of_result r ~src:t ~dst:v) in
+          attach (Tree.add_path tree path)
+            (List.fold_left (fun s x -> Tree.Int_set.add x s) in_tree path)
+            (List.filter (fun (x, _) -> x <> t) remaining))
+    in
+    attach (Tree.of_terminals terminals) (Tree.Int_set.singleton seed)
+      (List.map (fun t -> (t, Net.Dijkstra.run g t)) rest)
 
 let sph g terminals =
   let ph = Metrics.Phase.ambient () in

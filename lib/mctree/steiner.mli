@@ -18,11 +18,14 @@
 
 val kmb : Net.Graph.t -> int list -> Tree.t
 (** [kmb g terminals] — KMB heuristic.  [terminals] must be non-empty,
-    within range and duplicate-free. *)
+    within range and duplicate-free.  Costs [k] Dijkstra runs for [k]
+    terminals (one per terminal, for the metric closure). *)
 
 val sph : Net.Graph.t -> int list -> Tree.t
 (** [sph g terminals] — shortest-path heuristic, seeded at the smallest
-    terminal id for determinism. *)
+    terminal id for determinism.  Costs [k - 1] Dijkstra runs for [k]
+    terminals: one per non-seed terminal, kept for the whole call and
+    rescanned at every attachment step. *)
 
 val lower_bound : Net.Graph.t -> int list -> float
 (** A cheap lower bound on the optimal Steiner tree cost: the maximum of

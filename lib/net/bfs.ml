@@ -6,13 +6,11 @@ let hops g src =
   Queue.add src queue;
   while not (Queue.is_empty queue) do
     let u = Queue.pop queue in
-    List.iter
-      (fun (v, _) ->
+    Graph.iter_neighbors g u (fun v _ ->
         if dist.(v) = max_int then begin
           dist.(v) <- dist.(u) + 1;
           Queue.add v queue
         end)
-      (Graph.neighbors g u)
   done;
   dist
 

@@ -1,21 +1,31 @@
 (** Single-source shortest paths over live links (Dijkstra's algorithm).
 
-    Weights are the graph's link costs.  This powers the simulated
-    unicast routing tables ({!Lsr.Unicast}) and every multicast tree
-    algorithm in [Mctree]. *)
+    Weights are the graph's link costs.  This powers every multicast
+    tree algorithm in [Mctree] and the baselines' core selection and
+    join routing. *)
 
 type result = {
   dist : float array;  (** [dist.(v)] is the cost from the source to [v];
                            [infinity] when unreachable. *)
-  pred : int option array;
+  pred : int array;
       (** [pred.(v)] is [v]'s predecessor on a shortest path from the
-          source; [None] for the source itself and unreachable nodes. *)
+          source; [-1] for the source itself and unreachable nodes. *)
 }
 
 val run : Graph.t -> int -> result
 (** [run g src] computes shortest paths from [src] to all nodes.
-    Deterministic: among equal-cost paths the one through the
-    lowest-numbered relaxing edge encountered first is kept. *)
+
+    Deterministic.  Relaxation is strict, so among equal-cost paths
+    [v] keeps the predecessor that was {e settled} first at [v]'s final
+    distance.  Nodes at equal distance settle in the order a binary heap
+    keyed on distance alone yields them ([Sim.Heap]'s sift rules:
+    strict comparisons, left child before right, last slot moved to the
+    root on pop); neighbours are relaxed in ascending id order.
+
+    Allocates the two result arrays, a bitmap and the heap's two arrays
+    (about [4n] words for [n] nodes; the heap doubles in the rare run
+    that holds more than [n] entries at once), and nothing per heap
+    operation or relaxation. *)
 
 val distance : Graph.t -> int -> int -> float
 (** Cost of a shortest path, [infinity] if unreachable. *)

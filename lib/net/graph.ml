@@ -10,7 +10,7 @@ type t = {
   (* Sorted adjacency rows (neighbour id ascending), built lazily from
      [adj] and invalidated by [add_edge] only: [set_link] mutates the
      shared [link] records the rows reference, so [up] reads stay live.
-     The cache keeps the sort out of hot loops — [neighbors] is called
+     The cache keeps the sort out of hot loops — [iter_neighbors] runs
      per settled node inside Dijkstra — while giving every enumeration a
      deterministic order. *)
   mutable rows : (int * link) list option array;
@@ -81,6 +81,19 @@ let set_link t u v ~up =
 let neighbors t u =
   check_node t u;
   List.filter_map (fun (v, l) -> if l.up then Some (v, l.w) else None) (row t u)
+
+(* Written as its own recursion rather than [List.iter] over a closure so
+   a walk allocates nothing: this is the inner loop of Dijkstra and of
+   every flooding hop. *)
+let rec iter_live f = function
+  | [] -> ()
+  | (v, l) :: rest ->
+    if l.up then f v l.w;
+    iter_live f rest
+
+let iter_neighbors t u f =
+  check_node t u;
+  iter_live f (row t u)
 
 let degree t u =
   check_node t u;

@@ -45,6 +45,13 @@ val neighbors : t -> int -> (int * float) list
 (** Live neighbours of a node with the connecting link's weight, in
     ascending node order. *)
 
+val iter_neighbors : t -> int -> (int -> float -> unit) -> unit
+(** [iter_neighbors g u f] calls [f v w] for each live neighbour [v] of
+    [u] with the link's weight [w], in the same ascending order as
+    {!neighbors}, without building a list.  A link's state is read when
+    the walk reaches it, so a link [f] takes down before the walk gets
+    there is skipped.  Allocates nothing. *)
+
 val degree : t -> int -> int
 (** Number of live incident links. *)
 

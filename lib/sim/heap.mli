@@ -2,8 +2,7 @@
 
     The heap is polymorphic in its element type; the ordering is fixed at
     creation time by a [cmp] function ([cmp a b < 0] means [a] is closer to
-    the top).  Used by {!Event_queue} as the simulation calendar, and by
-    {!Net.Dijkstra} / {!Net.Mst} as a priority queue. *)
+    the top).  Used by {!Event_queue} as the simulation calendar. *)
 
 type 'a t
 

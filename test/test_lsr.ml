@@ -1,5 +1,5 @@
 (* Tests for the link-state routing substrate (lib/lsr): LSA envelopes,
-   flooding, the link-state database, and unicast routing tables. *)
+   flooding and the link-state database. *)
 
 let check = Alcotest.check
 
@@ -209,54 +209,6 @@ let test_lsdb_unknown_link_ignored () =
   Lsr.Lsdb.apply db { u = 0; v = 2; up = false; version = 1 };
   check Alcotest.int "graph unchanged" 2 (Net.Graph.n_edges (Lsr.Lsdb.graph db))
 
-(* ------------------------------------------------------------------ *)
-(* Unicast *)
-
-let house () =
-  Net.Graph.of_edges 5
-    [ (0, 1, 1.0); (1, 2, 1.0); (0, 3, 4.0); (2, 4, 1.0); (3, 4, 1.0) ]
-
-let test_unicast_next_hop () =
-  let t = Lsr.Unicast.compute (house ()) in
-  check Alcotest.(option int) "first hop 0->4" (Some 1)
-    (Lsr.Unicast.next_hop t ~src:0 ~dst:4);
-  check Alcotest.(option int) "self" None (Lsr.Unicast.next_hop t ~src:2 ~dst:2)
-
-let test_unicast_route () =
-  let t = Lsr.Unicast.compute (house ()) in
-  check
-    Alcotest.(option (list int))
-    "route" (Some [ 0; 1; 2; 4 ])
-    (Lsr.Unicast.route t ~src:0 ~dst:4);
-  check Alcotest.(float 1e-9) "distance" 3.0 (Lsr.Unicast.distance t ~src:0 ~dst:4)
-
-let test_unicast_unreachable () =
-  let g = Net.Graph.of_edges 3 [ (0, 1, 1.0) ] in
-  let t = Lsr.Unicast.compute g in
-  check Alcotest.(option int) "no hop" None (Lsr.Unicast.next_hop t ~src:0 ~dst:2);
-  check Alcotest.bool "infinite distance" true
-    (Lsr.Unicast.distance t ~src:0 ~dst:2 = infinity)
-
-let test_unicast_hop_chain_consistent () =
-  (* Following next hops from any src reaches dst in finite steps. *)
-  let g = Net.Topo_gen.grid ~rows:3 ~cols:3 () in
-  let t = Lsr.Unicast.compute g in
-  for src = 0 to 8 do
-    for dst = 0 to 8 do
-      if src <> dst then begin
-        let rec walk node steps =
-          if steps > 9 then Alcotest.fail "routing loop"
-          else if node = dst then steps
-          else
-            match Lsr.Unicast.next_hop t ~src:node ~dst with
-            | Some hop -> walk hop (steps + 1)
-            | None -> Alcotest.fail "dead end"
-        in
-        ignore (walk src 0)
-      end
-    done
-  done
-
 let () =
   Alcotest.run "lsr"
     [
@@ -294,13 +246,5 @@ let () =
           Alcotest.test_case "entries export" `Quick test_lsdb_entries;
           Alcotest.test_case "unknown link ignored" `Quick
             test_lsdb_unknown_link_ignored;
-        ] );
-      ( "unicast",
-        [
-          Alcotest.test_case "next hop" `Quick test_unicast_next_hop;
-          Alcotest.test_case "route and distance" `Quick test_unicast_route;
-          Alcotest.test_case "unreachable" `Quick test_unicast_unreachable;
-          Alcotest.test_case "hop chains consistent" `Quick
-            test_unicast_hop_chain_consistent;
         ] );
     ]

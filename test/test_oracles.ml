@@ -6,7 +6,9 @@
    - the Steiner heuristics vs the EXACT optimum on small instances
      (Hakimi enumeration: the optimal Steiner tree is the cheapest MST
      of an induced subgraph over terminals ∪ S for some Steiner set S);
-   - unicast next-hops vs the distance-decrease characterisation. *)
+   - shortest-path first hops vs the distance-decrease characterisation;
+   - the flat-array Dijkstra and memoised SPH vs the boxed-heap kernel
+     and quadratic SPH they replaced (exact equality, ties included). *)
 
 let check = Alcotest.check
 
@@ -145,28 +147,203 @@ let test_exact_oracle_sanity () =
     (exact_steiner_cost g2 [ 0; 7 ])
 
 (* ------------------------------------------------------------------ *)
-(* Unicast next-hop characterisation *)
+(* Next-hop characterisation *)
 
 let test_next_hop_decreases_distance () =
-  (* u's next hop h toward d satisfies dist(h, d) = dist(u, d) - w(u, h):
-     the defining property of shortest-path forwarding. *)
+  (* The first hop h on u's shortest path toward d satisfies
+     dist(h, d) = dist(u, d) - w(u, h): the defining property of
+     shortest-path forwarding. *)
   for seed = 1 to 8 do
     let g = random_graph seed 20 in
-    let t = Lsr.Unicast.compute g in
+    let dist = Net.Dijkstra.all_pairs g in
     for u = 0 to 19 do
+      let r = Net.Dijkstra.run g u in
       for d = 0 to 19 do
         if u <> d then
-          match Lsr.Unicast.next_hop t ~src:u ~dst:d with
-          | Some h ->
-            let expected =
-              Lsr.Unicast.distance t ~src:u ~dst:d -. Net.Graph.weight g u h
-            in
-            if Float.abs (Lsr.Unicast.distance t ~src:h ~dst:d -. expected) > 1e-9
-            then Alcotest.failf "seed %d: bad next hop %d->%d via %d" seed u d h
-          | None -> Alcotest.failf "seed %d: unreachable %d->%d" seed u d
+          match Net.Dijkstra.path_of_result r ~src:u ~dst:d with
+          | Some (_ :: h :: _) ->
+            let expected = dist.(u).(d) -. Net.Graph.weight g u h in
+            if Float.abs (dist.(h).(d) -. expected) > 1e-9 then
+              Alcotest.failf "seed %d: bad next hop %d->%d via %d" seed u d h
+          | _ -> Alcotest.failf "seed %d: unreachable %d->%d" seed u d
       done
     done
   done
+
+(* ------------------------------------------------------------------ *)
+(* Differential oracles: the flat-array kernel and the memoised SPH
+   against the boxed-heap Dijkstra and quadratic SPH they replaced,
+   kept verbatim.  Equality is exact — same distances, same
+   predecessors, same trees — so any change in tie order shows. *)
+
+let reference_dijkstra g src =
+  let n = Net.Graph.n_nodes g in
+  let dist = Array.make n infinity in
+  let pred = Array.make n None in
+  let settled = Array.make n false in
+  dist.(src) <- 0.0;
+  let heap = Sim.Heap.create ~cmp:(fun (da, _) (db, _) -> Float.compare da db) in
+  Sim.Heap.add heap (0.0, src);
+  let rec loop () =
+    match Sim.Heap.pop heap with
+    | None -> ()
+    | Some (d, u) ->
+      if not settled.(u) then begin
+        settled.(u) <- true;
+        let relax (v, w) =
+          let candidate = d +. w in
+          if candidate < dist.(v) then begin
+            dist.(v) <- candidate;
+            pred.(v) <- Some u;
+            Sim.Heap.add heap (candidate, v)
+          end
+        in
+        List.iter relax (Net.Graph.neighbors g u)
+      end;
+      loop ()
+  in
+  loop ();
+  (dist, pred)
+
+let reference_path (dist, pred) ~src ~dst =
+  if not (Float.is_finite dist.(dst)) then None
+  else begin
+    let rec walk v acc =
+      if v = src then v :: acc
+      else
+        match pred.(v) with
+        | Some p -> walk p (v :: acc)
+        | None -> assert false (* finite distance implies a pred chain *)
+    in
+    Some (walk dst [])
+  end
+
+let reference_sph g terminals =
+  let terminals = List.sort_uniq Int.compare terminals in
+  match terminals with
+  | [] -> assert false
+  | [ only ] -> Mctree.Tree.of_terminals [ only ]
+  | seed :: rest ->
+    let tree = ref (Mctree.Tree.of_terminals terminals) in
+    let in_tree = ref (Mctree.Tree.Int_set.singleton seed) in
+    let remaining = ref rest in
+    while !remaining <> [] do
+      let best = ref None in
+      List.iter
+        (fun t ->
+          let r = reference_dijkstra g t in
+          Mctree.Tree.Int_set.iter
+            (fun v ->
+              let d = (fst r).(v) in
+              let better =
+                match !best with Some (_, _, d') -> d < d' | None -> true
+              in
+              if Float.is_finite d && better then
+                match reference_path r ~src:t ~dst:v with
+                | Some p -> best := Some (t, p, d)
+                | None -> ())
+            !in_tree)
+        !remaining;
+      match !best with
+      | None -> failwith "Steiner.sph: terminals not mutually reachable"
+      | Some (t, path, _) ->
+        tree := Mctree.Tree.add_path !tree path;
+        List.iter (fun v -> in_tree := Mctree.Tree.Int_set.add v !in_tree) path;
+        remaining := List.filter (fun x -> x <> t) !remaining
+    done;
+    Mctree.Tree.prune !tree
+
+(* Random Waxman graphs plus tie-heavy unit-weight shapes, each also with
+   roughly a fifth of its links set down. *)
+let differential_graphs () =
+  let unit_er seed n =
+    Net.Topo_gen.erdos_renyi (Sim.Rng.create seed) ~n ~min_weight:1.0
+      ~max_weight:1.0 ()
+  in
+  let base =
+    List.concat
+      [
+        List.init 8 (fun i ->
+            ( Printf.sprintf "waxman seed %d" (i + 1),
+              random_graph (i + 1) (12 + (6 * i)) ));
+        [
+          ("ring 8", Net.Topo_gen.ring 8);
+          ("ring 11", Net.Topo_gen.ring 11);
+          ("grid 3x4", Net.Topo_gen.grid ~rows:3 ~cols:4 ());
+          ("grid 5x5", Net.Topo_gen.grid ~rows:5 ~cols:5 ());
+          ("complete 7", Net.Topo_gen.complete 7);
+        ];
+        List.init 6 (fun i ->
+            ( Printf.sprintf "unit erdos-renyi seed %d" (i + 1),
+              unit_er (i + 1) (10 + (5 * i)) ));
+      ]
+  in
+  let with_downs i (name, g) =
+    let g = Net.Graph.copy g in
+    let rng = Sim.Rng.create (100 + i) in
+    List.iter
+      (fun (e : Net.Graph.edge) ->
+        if Sim.Rng.float rng 1.0 < 0.2 then
+          Net.Graph.set_link g e.u e.v ~up:false)
+      (Net.Graph.edges g);
+    (name ^ " with links down", g)
+  in
+  base @ List.mapi with_downs base
+
+let test_dijkstra_vs_boxed_heap () =
+  List.iter
+    (fun (name, g) ->
+      for src = 0 to Net.Graph.n_nodes g - 1 do
+        let r = Net.Dijkstra.run g src in
+        let dist, pred = reference_dijkstra g src in
+        Array.iteri
+          (fun v d ->
+            if not (Float.equal d r.dist.(v)) then
+              Alcotest.failf "%s, src %d: dist to %d is %h, reference %h" name
+                src v r.dist.(v) d;
+            let p = Option.value pred.(v) ~default:(-1) in
+            if p <> r.pred.(v) then
+              Alcotest.failf "%s, src %d: pred of %d is %d, reference %d" name
+                src v r.pred.(v) p)
+          dist
+      done)
+    (differential_graphs ())
+
+let test_sph_vs_quadratic () =
+  let outcome f g terminals =
+    match f g terminals with
+    | tree -> Ok tree
+    | exception Failure msg -> Error msg
+  in
+  List.iteri
+    (fun i (name, g) ->
+      let n = Net.Graph.n_nodes g in
+      let rng = Sim.Rng.create (200 + i) in
+      for k = 2 to Int.min n 10 do
+        let terminals = Sim.Rng.sample rng k (List.init n (fun v -> v)) in
+        match
+          (outcome Mctree.Steiner.sph g terminals, outcome reference_sph g terminals)
+        with
+        | Ok a, Ok b ->
+          if not (Mctree.Tree.equal a b) then
+            Alcotest.failf "%s, %d terminals: trees differ" name k
+        | Error a, Error b -> check Alcotest.string name b a
+        | Ok _, Error _ | Error _, Ok _ ->
+          Alcotest.failf "%s, %d terminals: one side failed" name k
+      done)
+    (differential_graphs ())
+
+let test_dijkstra_allocation_bound () =
+  let n = 200 in
+  let g = random_graph 7 n in
+  (* The first run builds the graph's cached adjacency rows. *)
+  ignore (Net.Dijkstra.run g 0);
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (Net.Dijkstra.run g 0));
+  let words = int_of_float (Gc.minor_words () -. before) in
+  let bound = (8 * n) + 64 in
+  if words > bound then
+    Alcotest.failf "one run allocated %d minor words (bound %d)" words bound
 
 let () =
   Alcotest.run "oracles"
@@ -177,12 +354,18 @@ let () =
             test_dijkstra_vs_bellman_ford;
           Alcotest.test_case "next-hop characterisation" `Quick
             test_next_hop_decreases_distance;
+          Alcotest.test_case "dijkstra vs boxed-heap reference" `Quick
+            test_dijkstra_vs_boxed_heap;
+          Alcotest.test_case "dijkstra allocation bound" `Quick
+            test_dijkstra_allocation_bound;
         ] );
       ( "mst",
         [ Alcotest.test_case "kruskal vs prim" `Quick test_kruskal_vs_prim ] );
       ( "steiner",
         [
           Alcotest.test_case "oracle sanity" `Quick test_exact_oracle_sanity;
+          Alcotest.test_case "sph vs quadratic reference" `Quick
+            test_sph_vs_quadratic;
           Alcotest.test_case "heuristics vs exact optimum" `Slow
             test_heuristics_vs_exact_steiner;
         ] );
