@@ -24,13 +24,27 @@ type totals = {
   messages : int;
 }
 
+module Member_map = Map.Make (Dgmc.Member)
+
+(* Trees already computed on graph version [version], per MC and member
+   set.  While the graph is connected a from-scratch computation never
+   reads [~self] (the partition fallback is the only reader), so every
+   switch holding the same members gets the same tree.  Entries live
+   until the graph version moves. *)
+type memo = {
+  mutable version : int;
+  mutable connected : bool;
+  trees : Mctree.Tree.t Member_map.t Mc_table.t;
+}
+
 type t = {
   engine : Sim.Engine.t;
   graph : Net.Graph.t;
-  config : Dgmc.Config.t;
+  config : Dgmc.Config.t;  (** With [incremental = false]. *)
   flooding : membership_lsa Lsr.Flooding.t;
   seqs : Lsr.Lsa.Seq.counter array;
   states : mc_state Mc_table.t array;  (** Per switch. *)
+  memo : memo;
   mutable events : int;
   mutable computations : int;
 }
@@ -43,25 +57,46 @@ let state_of t switch mc =
     Mc_table.replace t.states.(switch) mc st;
     st
 
+let compute t switch mc members =
+  Dgmc.Compute.topology t.config mc.Dgmc.Mc_id.kind t.graph members ~self:switch
+    ~current:None
+
+let memoised t switch mc members =
+  let memo = t.memo in
+  let version = Net.Graph.version t.graph in
+  if version <> memo.version then begin
+    Mc_table.reset memo.trees;
+    memo.version <- version;
+    memo.connected <- Net.Bfs.is_connected t.graph
+  end;
+  if not memo.connected then compute t switch mc members
+  else
+    let trees =
+      Option.value ~default:Member_map.empty (Mc_table.find_opt memo.trees mc)
+    in
+    match Member_map.find_opt members trees with
+    | Some tree -> tree
+    | None ->
+      let tree = compute t switch mc members in
+      Mc_table.replace memo.trees mc (Member_map.add members tree trees);
+      tree
+
 (* Every switch recomputes from scratch on every membership LSA: this is
-   precisely the redundancy D-GMC removes, so no incremental shortcuts
-   here. *)
+   precisely the redundancy D-GMC removes, and [tc] and [computations]
+   charge it in full.  The simulator itself computes each (graph version,
+   MC, member set) tree once and hands every switch that shared tree. *)
 let recompute t switch mc (st : mc_state) =
   ignore
     (Sim.Engine.schedule t.engine ~delay:t.config.Dgmc.Config.tc (fun () ->
          t.computations <- t.computations + 1;
-         st.topology <-
-           Dgmc.Compute.topology
-             { t.config with Dgmc.Config.incremental = false }
-             mc.Dgmc.Mc_id.kind t.graph st.members ~self:switch ~current:None))
+         st.topology <- memoised t switch mc st.members))
 
 let apply_change st change src =
   match change with
   | `Join role -> st.members <- Dgmc.Member.join st.members src role
   | `Leave -> st.members <- Dgmc.Member.leave st.members src
 
-let create ~graph ~config ?(trace = Sim.Trace.disabled) () =
-  ignore trace;
+let create ~graph ~config () =
   let n = Net.Graph.n_nodes graph in
   if n < 2 then invalid_arg "Brute_force.create: need at least 2 switches";
   let engine = Sim.Engine.create () in
@@ -84,10 +119,11 @@ let create ~graph ~config ?(trace = Sim.Trace.disabled) () =
     {
       engine;
       graph;
-      config;
+      config = { config with Dgmc.Config.incremental = false };
       flooding;
       seqs = Array.init n (fun _ -> Lsr.Lsa.Seq.create ());
       states;
+      memo = { version = -1; connected = false; trees = Mc_table.create 4 };
       events = 0;
       computations = 0;
     }

@@ -11,12 +11,21 @@
 
     The same simulation engine, flooding substrate and topology
     algorithms as D-GMC are used, so the counters are directly
-    comparable. *)
+    comparable.
+
+    The simulated cost is charged in full: every switch schedules its
+    own computation [tc] after each membership LSA, [computations]
+    counts one per switch per LSA, and each switch stores its own
+    topology.  The simulator's CPU work is not repeated, though: while
+    the graph is connected, the tree for a given ({!Net.Graph.version},
+    MC, member set) is computed once and shared by every switch that
+    asks for it (trees are immutable).  On a partitioned graph each
+    switch computes its own, since the result then depends on which side
+    it is on. *)
 
 type t
 
-val create :
-  graph:Net.Graph.t -> config:Dgmc.Config.t -> ?trace:Sim.Trace.t -> unit -> t
+val create : graph:Net.Graph.t -> config:Dgmc.Config.t -> unit -> t
 
 val engine : t -> Sim.Engine.t
 

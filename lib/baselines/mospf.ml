@@ -40,12 +40,9 @@ let apply_membership router { src; group; change } =
   Hashtbl.replace router.members group updated;
   (* A membership change invalidates every cached entry of the group:
      the next datagram recomputes (RFC 1584 behaviour). *)
-  (* dgmc-analyze: allow iteration-order — per-key membership test; the set
-     of removed keys does not depend on enumeration order *)
-  Hashtbl.iter
-    (fun ((_, g) as key) _ ->
-      if Int.equal g group then Hashtbl.remove router.cache key)
-    (Hashtbl.copy router.cache)
+  Hashtbl.filter_map_inplace
+    (fun (_, g) tree -> if Int.equal g group then None else Some tree)
+    router.cache
 
 let create ~graph ~config () =
   let n = Net.Graph.n_nodes graph in

@@ -35,6 +35,24 @@ let of_list list =
 
 let equal a b = Int_map.equal (fun (x : role) y -> x = y) a b
 
+let role_rank = function Sender -> 0 | Receiver -> 1 | Both -> 2
+
+let compare_role x y = Int.compare (role_rank x) (role_rank y)
+
+(* [Int_map.compare] allocates an enumeration of both maps per call.
+   Memo lookups mostly compare equal sets, so that case is settled first
+   by lookups, which allocate only the closure. *)
+let same_bindings a b =
+  Int_map.cardinal a = Int_map.cardinal b
+  && Int_map.for_all
+       (fun x r ->
+         match Int_map.find x b with
+         | r' -> compare_role r r' = 0
+         | exception Not_found -> false)
+       a
+
+let compare a b = if same_bindings a b then 0 else Int_map.compare compare_role a b
+
 let role_to_string = function
   | Sender -> "sender"
   | Receiver -> "receiver"

@@ -39,6 +39,10 @@ val of_list : (int * role) list -> t
 
 val equal : t -> t -> bool
 
+val compare : t -> t -> int
+(** Total order consistent with {!equal}, for keying maps on member
+    sets. *)
+
 val role_to_string : role -> string
 
 val pp : Format.formatter -> t -> unit

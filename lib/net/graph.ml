@@ -14,6 +14,10 @@ type t = {
      per settled node inside Dijkstra — while giving every enumeration a
      deterministic order. *)
   mutable rows : (int * link) list option array;
+  (* Bumped by every mutation that can change a computed route: an added
+     edge, or a link whose state actually flips.  Consumers that memoise
+     results over the graph key them on this. *)
+  mutable version : int;
 }
 
 let create n =
@@ -22,9 +26,12 @@ let create n =
     n;
     adj = Array.init n (fun _ -> Hashtbl.create 4);
     rows = Array.make n None;
+    version = 0;
   }
 
 let n_nodes t = t.n
+
+let version t = t.version
 
 let check_node t x =
   if x < 0 || x >= t.n then
@@ -42,7 +49,8 @@ let add_edge t u v ~weight =
   Hashtbl.replace t.adj.(u) v link;
   Hashtbl.replace t.adj.(v) u link;
   t.rows.(u) <- None;
-  t.rows.(v) <- None
+  t.rows.(v) <- None;
+  t.version <- t.version + 1
 
 let row t u =
   match t.rows.(u) with
@@ -75,7 +83,11 @@ let link_is_up t u v =
 
 let set_link t u v ~up =
   match find_link t u v with
-  | Some l -> l.up <- up
+  | Some l ->
+    if not (Bool.equal l.up up) then begin
+      l.up <- up;
+      t.version <- t.version + 1
+    end
   | None -> raise Not_found
 
 let neighbors t u =
@@ -136,6 +148,7 @@ let copy t =
       add_edge fresh e.u e.v ~weight:e.weight;
       if not up then set_link fresh e.u e.v ~up:false)
     (all_edges t);
+  fresh.version <- 0;
   fresh
 
 let equal a b =

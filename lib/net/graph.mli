@@ -20,9 +20,18 @@ val of_edges : int -> (int * int * float) list -> t
     weights. *)
 
 val copy : t -> t
-(** Independent deep copy (mutations do not propagate). *)
+(** Independent deep copy (mutations do not propagate).  The copy's
+    {!version} starts at [0]. *)
 
 val n_nodes : t -> int
+
+val version : t -> int
+(** Mutation counter: [0] for a fresh graph, then bumped by every
+    {!add_edge} and by every {!set_link} that flips a link's state.  A
+    {!set_link} to the link's current state and all reads leave it
+    unchanged.  Two equal versions of the same graph value therefore
+    describe the same live topology, so results computed over the graph
+    may be memoised under its version. *)
 
 val add_edge : t -> int -> int -> weight:float -> unit
 (** Adds an (up) edge.  Raises [Invalid_argument] if the edge exists,
@@ -38,7 +47,8 @@ val link_is_up : t -> int -> int -> bool
 (** [true] iff the edge exists and is up. *)
 
 val set_link : t -> int -> int -> up:bool -> unit
-(** Change the operational state of an existing edge.
+(** Change the operational state of an existing edge; bumps {!version}
+    only when the state changes.
     Raises [Not_found] if the edge does not exist. *)
 
 val neighbors : t -> int -> (int * float) list

@@ -64,6 +64,139 @@ let test_brute_reset_counters () =
   check Alcotest.int "events reset" 0 t.events;
   check Alcotest.int "computations reset" 0 t.computations
 
+(* The simulator computes each (graph version, MC, member set) tree once
+   and shares it; these tests pin that every switch still ends up with
+   exactly the tree it would have computed alone, on the graph as it is
+   when the computation fires. *)
+
+let check_exact ~what graph bf mc members =
+  for switch = 0 to Net.Graph.n_nodes graph - 1 do
+    let own =
+      Dgmc.Compute.topology Dgmc.Config.atm_lan mc.Dgmc.Mc_id.kind graph members
+        ~self:switch ~current:None
+    in
+    match Baselines.Brute_force.topology bf ~switch mc with
+    | Some tree when Mctree.Tree.equal tree own -> ()
+    | Some _ -> Alcotest.failf "%s: switch %d holds a tree it would not compute" what switch
+    | None -> Alcotest.failf "%s: switch %d has no topology" what switch
+  done
+
+(* Takes down the first link of [tree] whose loss leaves [graph]
+   connected. *)
+let cut_tree_link graph tree =
+  match
+    List.find_opt
+      (fun (u, v) ->
+        Net.Graph.set_link graph u v ~up:false;
+        let connected = Net.Bfs.is_connected graph in
+        Net.Graph.set_link graph u v ~up:true;
+        connected)
+      (Mctree.Tree.edges tree)
+  with
+  | Some (u, v) -> Net.Graph.set_link graph u v ~up:false
+  | None -> Alcotest.fail "every tree link is a bridge"
+
+(* Cuts every link of the first candidate whose loss splits [graph] into
+   exactly that switch and one other component, and returns it. *)
+let isolate graph candidates =
+  let set x links ~up = List.iter (fun v -> Net.Graph.set_link graph x v ~up) links in
+  let cut_alone x =
+    let links = List.map fst (Net.Graph.neighbors graph x) in
+    set x links ~up:false;
+    let alone = List.length (Net.Bfs.components graph) = 2 in
+    if not alone then set x links ~up:true;
+    alone
+  in
+  match List.find_opt cut_alone candidates with
+  | Some x -> x
+  | None -> Alcotest.fail "no member can be cut off alone"
+
+let test_brute_memo_exact_waxman () =
+  let config = Dgmc.Config.atm_lan in
+  List.iter
+    (fun (seed, n, kind) ->
+      let what = Printf.sprintf "seed %d, n=%d, %s" seed n (Dgmc.Mc_id.kind_to_string kind) in
+      let graph = Experiments.Harness.graph_for ~seed ~n in
+      let mc = Dgmc.Mc_id.make kind 1 in
+      let bf = Baselines.Brute_force.create ~graph ~config () in
+      let window = Lsr.Flooding.flood_diameter ~graph ~t_hop:config.t_hop in
+      let joins =
+        Workload.Bursty.joins (Sim.Rng.create seed) ~n ~mc ~members:10 ~window ()
+        |> List.filter_map (fun (e : Workload.Events.t) ->
+               match e.action with
+               | Workload.Events.Join { switch; role; _ } -> Some (e.time, switch, role)
+               | _ -> None)
+      in
+      List.iter
+        (fun (at, switch, role) -> Baselines.Brute_force.schedule_join bf ~at ~switch mc role)
+        joins;
+      let members = Dgmc.Member.of_list (List.map (fun (_, s, r) -> (s, r)) joins) in
+      let rejoin switch =
+        Baselines.Brute_force.join bf ~switch mc
+          (Option.get (Dgmc.Member.role members switch))
+      in
+      Baselines.Brute_force.run bf;
+      check_exact ~what:(what ^ ", burst") graph bf mc members;
+      (* A tree link fails and a member re-joins with its old role: the
+         member set repeats, on a new graph version. *)
+      let ids = Dgmc.Member.ids members in
+      cut_tree_link graph (Option.get (Baselines.Brute_force.topology bf ~switch:0 mc));
+      rejoin (List.hd ids);
+      Baselines.Brute_force.run bf;
+      check_exact ~what:(what ^ ", after a link failure") graph bf mc members;
+      (* A member is cut off: each side of the partition keeps its own
+         tree. *)
+      let x = isolate graph ids in
+      rejoin x;
+      rejoin (List.find (fun y -> y <> x) ids);
+      Baselines.Brute_force.run bf;
+      check_exact ~what:(what ^ ", partitioned") graph bf mc members)
+    [
+      (1, 20, Dgmc.Mc_id.Symmetric);
+      (2, 40, Dgmc.Mc_id.Symmetric);
+      (3, 60, Dgmc.Mc_id.Symmetric);
+      (4, 30, Dgmc.Mc_id.Asymmetric);
+      (5, 50, Dgmc.Mc_id.Receiver_only);
+    ]
+
+let test_brute_memo_follows_set_link () =
+  let graph = grid33 () in
+  let bf = Baselines.Brute_force.create ~graph ~config:Dgmc.Config.atm_lan () in
+  Baselines.Brute_force.join bf ~switch:0 mc Dgmc.Member.Both;
+  Baselines.Brute_force.join bf ~switch:8 mc Dgmc.Member.Both;
+  Baselines.Brute_force.run bf;
+  let before = Option.get (Baselines.Brute_force.topology bf ~switch:4 mc) in
+  let u, v = List.hd (Mctree.Tree.edges before) in
+  Net.Graph.set_link graph u v ~up:false;
+  (* Same member set as before the failure. *)
+  Baselines.Brute_force.join bf ~switch:0 mc Dgmc.Member.Both;
+  Baselines.Brute_force.run bf;
+  let members = Dgmc.Member.of_list [ (0, Both); (8, Both) ] in
+  check_exact ~what:"grid after set_link" graph bf mc members;
+  check Alcotest.bool "tree avoids the failed link" true
+    (Mctree.Tree.is_valid_mc_topology graph
+       (Option.get (Baselines.Brute_force.topology bf ~switch:4 mc)))
+
+let test_brute_memo_partition () =
+  let graph = grid33 () in
+  let bf = Baselines.Brute_force.create ~graph ~config:Dgmc.Config.atm_lan () in
+  List.iter (fun s -> Baselines.Brute_force.join bf ~switch:s mc Dgmc.Member.Both) [ 0; 2; 6; 8 ];
+  Baselines.Brute_force.run bf;
+  (* Split off the left column {0, 3, 6}, then one member per side
+     re-joins so every switch recomputes the same member set. *)
+  List.iter (fun (u, v) -> Net.Graph.set_link graph u v ~up:false) [ (0, 1); (3, 4); (6, 7) ];
+  Baselines.Brute_force.join bf ~switch:0 mc Dgmc.Member.Both;
+  Baselines.Brute_force.join bf ~switch:8 mc Dgmc.Member.Both;
+  Baselines.Brute_force.run bf;
+  let members = Dgmc.Member.of_list (List.map (fun s -> (s, Dgmc.Member.Both)) [ 0; 2; 6; 8 ]) in
+  check_exact ~what:"partitioned grid" graph bf mc members;
+  let terminals switch =
+    Mctree.Tree.Int_set.elements
+      (Mctree.Tree.terminals (Option.get (Baselines.Brute_force.topology bf ~switch mc)))
+  in
+  check Alcotest.(list int) "left side" [ 0; 6 ] (terminals 3);
+  check Alcotest.(list int) "right side" [ 2; 8 ] (terminals 4)
+
 (* ------------------------------------------------------------------ *)
 (* MOSPF *)
 
@@ -269,6 +402,12 @@ let () =
           Alcotest.test_case "converges" `Quick test_brute_converges;
           Alcotest.test_case "leave" `Quick test_brute_leave;
           Alcotest.test_case "counter reset" `Quick test_brute_reset_counters;
+          Alcotest.test_case "shared trees exact on Waxman graphs" `Quick
+            test_brute_memo_exact_waxman;
+          Alcotest.test_case "shared trees follow set_link" `Quick
+            test_brute_memo_follows_set_link;
+          Alcotest.test_case "shared trees respect partitions" `Quick
+            test_brute_memo_partition;
         ] );
       ( "mospf",
         [

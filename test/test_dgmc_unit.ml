@@ -172,6 +172,35 @@ let test_member_equal () =
   let c = Dgmc.Member.of_list [ (1, Dgmc.Member.Both); (2, Dgmc.Member.Both) ] in
   check Alcotest.bool "roles matter" false (Dgmc.Member.equal a c)
 
+let test_member_compare () =
+  let module M = Dgmc.Member in
+  let sets =
+    [
+      M.empty;
+      M.of_list [ (1, Both) ];
+      M.of_list [ (1, Sender) ];
+      M.of_list [ (1, Both); (2, Sender) ];
+      M.of_list [ (2, Sender); (1, Both) ];
+      M.of_list [ (1, Both); (2, Both) ];
+      M.of_list [ (1, Both); (3, Sender) ];
+      M.of_list [ (0, Receiver); (1, Both); (2, Sender) ];
+    ]
+  in
+  let sign x = Int.compare x 0 in
+  List.iter
+    (fun a ->
+      List.iter
+        (fun b ->
+          check Alcotest.bool "zero iff equal" (M.equal a b) (M.compare a b = 0);
+          check Alcotest.int "antisymmetric" (sign (M.compare a b)) (-sign (M.compare b a));
+          List.iter
+            (fun c ->
+              if M.compare a b <= 0 && M.compare b c <= 0 then
+                check Alcotest.bool "transitive" true (M.compare a c <= 0))
+            sets)
+        sets)
+    sets
+
 let test_member_leave_absent () =
   let m = Dgmc.Member.of_list [ (1, Dgmc.Member.Both) ] in
   check Alcotest.bool "leave absent is noop" true
@@ -342,6 +371,7 @@ let () =
           Alcotest.test_case "basics" `Quick test_member_basic;
           Alcotest.test_case "role overwrite" `Quick test_member_role_overwrite;
           Alcotest.test_case "equality" `Quick test_member_equal;
+          Alcotest.test_case "total order" `Quick test_member_compare;
           Alcotest.test_case "leave absent" `Quick test_member_leave_absent;
         ] );
       ("mc-lsa", [ Alcotest.test_case "predicates" `Quick test_mc_lsa_predicates ]);

@@ -79,6 +79,32 @@ let test_graph_copy_independent () =
   check Alcotest.bool "original unaffected" true (Net.Graph.link_is_up g 0 1);
   check Alcotest.bool "copy changed" false (Net.Graph.link_is_up g' 0 1)
 
+let test_graph_version () =
+  let g = Net.Graph.create 3 in
+  let version = Alcotest.(check int) in
+  version "fresh graph" 0 (Net.Graph.version g);
+  Net.Graph.add_edge g 0 1 ~weight:1.0;
+  Net.Graph.add_edge g 1 2 ~weight:2.0;
+  version "add_edge bumps" 2 (Net.Graph.version g);
+  Net.Graph.set_link g 0 1 ~up:false;
+  version "set_link flip bumps" 3 (Net.Graph.version g);
+  Net.Graph.set_link g 0 1 ~up:false;
+  Net.Graph.set_link g 1 2 ~up:true;
+  version "set_link to current state" 3 (Net.Graph.version g);
+  ignore (Net.Graph.neighbors g 1);
+  Net.Graph.iter_neighbors g 1 (fun _ _ -> ());
+  ignore (Net.Graph.edges g);
+  ignore (Net.Graph.all_edges g);
+  ignore (Net.Graph.degree g 1);
+  ignore (Net.Graph.link_is_up g 0 1);
+  version "reads" 3 (Net.Graph.version g);
+  Net.Graph.set_link g 0 1 ~up:true;
+  version "flip back bumps" 4 (Net.Graph.version g);
+  let g' = Net.Graph.copy g in
+  version "copy starts at 0" 0 (Net.Graph.version g');
+  Net.Graph.set_link g' 0 1 ~up:false;
+  version "copy mutations stay in the copy" 4 (Net.Graph.version g)
+
 let test_graph_equal () =
   let a = house () and b = house () in
   check Alcotest.bool "equal copies" true (Net.Graph.equal a b);
@@ -428,6 +454,7 @@ let () =
           Alcotest.test_case "link state" `Quick test_graph_link_state;
           Alcotest.test_case "validation" `Quick test_graph_validation;
           Alcotest.test_case "copy independence" `Quick test_graph_copy_independent;
+          Alcotest.test_case "version counter" `Quick test_graph_version;
           Alcotest.test_case "equality" `Quick test_graph_equal;
           Alcotest.test_case "edge listings" `Quick test_graph_edges_listing;
         ] );
