@@ -3,7 +3,7 @@
    opening claim, and the CBT trade-off discussion of §5.
 
    Usage: main.exe [fig6] [fig7] [fig8] [compare] [cbt] [ablation] [hierarchy]
-   [extra] [quick] [--domains N] [--json FILE] [--csv FILE]
+   [extra] [quick] [--domains N] [--json FILE]
    With no section argument, everything runs.  [quick] shrinks the seed
    set (3 instead of 10 graphs per size) for a fast smoke run.
    [--domains N] spreads the figure sweeps' (size × seed) cells over N
@@ -11,8 +11,9 @@
    N (only ablation's host-time columns report wall clock, by design,
    and vary run to run regardless of N).  [--json FILE] additionally
    records per-figure cell timings, speedup vs the sequential estimate,
-   commit/seed metadata and the phase table of one instrumented probe
-   run — the BENCH_dgmc.json perf trajectory. *)
+   commit/seed metadata and the protocol counters of a pinned registry
+   run — the BENCH_dgmc.json perf trajectory.  Where the time goes,
+   layer by layer, is the ledger's traced table (bench/ledger). *)
 
 let quick = ref false
 
@@ -328,14 +329,12 @@ let extra () =
 
 let usage () =
   prerr_endline
-    "usage: main.exe [SECTION...] [quick] [--domains N] [--json FILE] [--csv \
-     FILE]\n\
+    "usage: main.exe [SECTION...] [quick] [--domains N] [--json FILE]\n\
      sections: fig6 fig7 fig8 compare cbt ablation hierarchy extra";
   exit 2
 
 let () =
   let json = ref None in
-  let csv = ref None in
   let rec parse = function
     | [] -> []
     | "quick" :: rest ->
@@ -352,10 +351,6 @@ let () =
       json := Some v;
       parse rest
     | [ "--json" ] -> usage ()
-    | "--csv" :: v :: rest ->
-      csv := Some v;
-      parse rest
-    | [ "--csv" ] -> usage ()
     | a :: rest when String.length a >= 2 && String.sub a 0 2 = "--" -> (
       match String.index_opt a '=' with
       | Some i ->
@@ -377,92 +372,37 @@ let () =
   if want "ablation" then ablation ();
   if want "hierarchy" then hierarchy ();
   if want "extra" then extra ();
-  (if !json <> None || !csv <> None then begin
-     (* The flight-recorder probe: one pinned, fully instrumented run of
-        the reference kernel (bursty burst on atm_lan, master seed).  All
-        of registry counters, windowed series, trace-derived SLIs ride on
-        simulated time, so they are deterministic for the seed — the
-        bench differ holds them exact.  The phase table is host
-        wall/alloc and informational. *)
-     let registry = Metrics.Registry.create () in
-     (match !json with
-     | None -> ()
-     | Some _ ->
-       (* pool.task_* histograms from a parallel batch; workers record
-          protocol counters through per-domain child registries that the
-          pool merges deterministically at join. *)
-       let (_ : Experiments.Harness.run Runner.Pool.timed list), _ =
-         Runner.Pool.map_registered ~domains:!domains ~metrics:registry
-           (fun ?metrics seed ->
-             Experiments.Harness.bursty_run ?metrics ~seed ~n:20
-               ~config:Dgmc.Config.atm_lan ~members:10 ())
-           [ 1; 2; 3; 4 ]
-       in
-       ());
-     let trace = Sim.Trace.create () in
-     let series = Metrics.Series.create ~bucket:1e-3 ~cap:512 () in
-     let phase = Metrics.Phase.create () in
-     Metrics.Phase.set_ambient phase;
-     ignore
-       (Experiments.Harness.bursty_run ~trace ~metrics:registry ~series
-          ~seed:master_seed ~n:20 ~config:Dgmc.Config.atm_lan ~members:10 ());
-     Metrics.Phase.set_ambient Metrics.Phase.disabled;
-     (* SLI sessionization gap: two protocol rounds of the probe network
-        — long enough to hold one reconfiguration together, short enough
-        to separate the burst from any later event. *)
-     let gap =
-       2.0
-       *. Dgmc.Config.round_length Dgmc.Config.atm_lan
-            ~graph:(Experiments.Harness.graph_for ~seed:master_seed ~n:20)
-     in
-     let sli =
-       Metrics.Sli.summarize ~gap
-         (Report.Run_report.sli_of_trace (Sim.Trace.entries trace))
-     in
-     (match !csv with
-     | None -> ()
-     | Some path ->
-       Metrics.Csv.write ~path
-         ~headers:
-           [
-             "record"; "name"; "switch"; "start_s"; "end_s"; "count"; "sum";
-             "min"; "max"; "last";
-           ]
-         (Metrics.Series.csv_rows series @ Metrics.Sli.csv_rows sli);
-       Printf.printf "telemetry csv written to %s\n" path);
-     match !json with
-     | None -> ()
-     | Some path ->
-       let meta =
-         {
-           Metrics.Bench.commit = commit ();
-           master_seed;
-           domains = !domains;
-           quick = !quick;
-         }
-       in
-       Metrics.Bench.write ~path ~meta
-         ~metrics:(Metrics.Registry.snapshot registry)
-         ~series ~sli ~phase
-         (List.rev !bench_sections);
-       print_string "phase attribution (probe run):\n";
-       Metrics.Table.print
-         ~align:[ Metrics.Table.Left ]
-         ~headers:[ "phase"; "calls"; "wall"; "self"; "minor words" ]
-         (List.map
-            (fun (r : Metrics.Phase.row) ->
-              [
-                r.r_name;
-                string_of_int r.r_calls;
-                (* dgmc-analyze: allow float-format — human-facing table;
-                   the JSON record keeps full precision *)
-                Printf.sprintf "%.3f ms" (1e3 *. r.r_wall_s);
-                (* dgmc-analyze: allow float-format — human-facing table *)
-                Printf.sprintf "%.3f ms" (1e3 *. r.r_self_wall_s);
-                (* dgmc-analyze: allow float-format — human-facing table *)
-                Printf.sprintf "%.0f" r.r_minor_words;
-              ])
-            (Metrics.Phase.snapshot phase));
-       Printf.printf "bench record written to %s\n" path
-   end);
+  (match !json with
+  | None -> ()
+  | Some path ->
+    (* The record's [metrics] section.  A parallel batch of bursty runs on
+       atm_lan fills the pool.task_* histograms, and its workers record
+       protocol counters through per-domain child registries that the
+       pool merges deterministically at join; one more run at the master
+       seed records on the calling domain.  Counters ride on simulated
+       time, so they are exact for the seed and the bench differ holds
+       them so. *)
+    let registry = Metrics.Registry.create () in
+    let (_ : Experiments.Harness.run Runner.Pool.timed list), _ =
+      Runner.Pool.map_registered ~domains:!domains ~metrics:registry
+        (fun ?metrics seed ->
+          Experiments.Harness.bursty_run ?metrics ~seed ~n:20
+            ~config:Dgmc.Config.atm_lan ~members:10 ())
+        [ 1; 2; 3; 4 ]
+    in
+    ignore
+      (Experiments.Harness.bursty_run ~metrics:registry ~seed:master_seed ~n:20
+         ~config:Dgmc.Config.atm_lan ~members:10 ());
+    let meta =
+      {
+        Metrics.Bench.commit = commit ();
+        master_seed;
+        domains = !domains;
+        quick = !quick;
+      }
+    in
+    Metrics.Bench.write ~path ~meta
+      ~metrics:(Metrics.Registry.snapshot registry)
+      (List.rev !bench_sections);
+    Printf.printf "bench record written to %s\n" path);
   print_newline ()

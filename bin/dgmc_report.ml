@@ -1,11 +1,10 @@
-(* dgmc_report — render a run's flight-recorder data into one report.
+(* dgmc_report — render a run's trace into one report.
 
    Reads a dgmc-trace/1 JSONL capture, reduces it to the reconfiguration
    SLIs (convergence-latency and control-cost windows), and renders a
-   markdown (default) or dgmc-report/1 JSON document.  With --bench, a
-   dgmc-bench/1 file's phase-attribution table is embedded, so one
-   artifact answers both "what did the protocol do" and "where did the
-   time go". *)
+   markdown (default) or dgmc-report/1 JSON document: what the protocol
+   did.  Where the host time went is the bench ledger's traced per-layer
+   table (bench/ledger). *)
 
 open Cmdliner
 
@@ -16,36 +15,12 @@ let load_trace path =
     Printf.eprintf "%s: %s\n" path msg;
     exit 2
 
-let load_bench = function
-  | None -> None
-  | Some path -> (
-    let ic = open_in path in
-    let contents =
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    in
-    match Sim.Json.parse contents with
-    | Ok j -> Some j
-    | Error msg ->
-      Printf.eprintf "%s: %s\n" path msg;
-      exit 2)
-
 let trace_arg =
   Arg.(
     required
     & pos 0 (some file) None
     & info [] ~docv:"TRACE"
         ~doc:"JSONL trace (schema dgmc-trace/1) from dgmc_sim --trace.")
-
-let bench_arg =
-  Arg.(
-    value
-    & opt (some file) None
-    & info [ "bench" ] ~docv:"FILE"
-        ~doc:
-          "dgmc-bench/1 document whose phase-attribution table (and raw \
-           contents, in JSON mode) the report embeds.")
 
 let gap_arg =
   Arg.(
@@ -71,10 +46,9 @@ let output_arg =
         ~doc:"Write the report to $(docv) instead of standard output.")
 
 let () =
-  let doc = "Render trace + bench telemetry into a run report" in
-  let run trace_file bench_file gap json output =
+  let doc = "Render a trace into a run report" in
+  let run trace_file gap json output =
     let a = load_trace trace_file in
-    let bench = load_bench bench_file in
     let gap =
       match gap with
       | Some g ->
@@ -86,8 +60,8 @@ let () =
       | None -> Report.Run_report.default_gap a.Sim.Trace.a_entries
     in
     let body =
-      if json then Report.Run_report.json ?bench ~gap a
-      else Report.Run_report.markdown ?bench ~gap a
+      if json then Report.Run_report.json ~gap a
+      else Report.Run_report.markdown ~gap a
     in
     match output with
     | None -> print_string body
@@ -98,6 +72,6 @@ let () =
         (fun () -> output_string oc body)
   in
   let term =
-    Term.(const run $ trace_arg $ bench_arg $ gap_arg $ json_arg $ output_arg)
+    Term.(const run $ trace_arg $ gap_arg $ json_arg $ output_arg)
   in
   exit (Cmd.eval (Cmd.v (Cmd.info "dgmc_report" ~version:"1.0.0" ~doc) term))

@@ -84,7 +84,7 @@ type t = {
           during resynchronisation. *)
   truth : Member.t Mc_table.t;  (** Ground-truth membership per MC. *)
   trace : Sim.Trace.t;
-  metrics : Metrics.Registry.t option;
+  metrics : Metrics.Registry.t;
   mutable events : int;
   mutable mc_floodings : int;
   mutable link_floodings : int;
@@ -93,14 +93,9 @@ type t = {
   mutable observers : (unit -> unit) list;
 }
 
-let bump t name =
-  match t.metrics with
-  | Some m -> Metrics.Registry.incr m name
-  | None -> ()
-
 let flood_link_event t ~from (ev : Lsr.Lsdb.link_event) =
   t.link_floodings <- t.link_floodings + 1;
-  bump t "protocol.link_floodings";
+  Metrics.Registry.incr t.metrics "protocol.link_floodings";
   let seq = Lsr.Lsa.Seq.next t.seqs.(from) in
   let lsa = Lsr.Lsa.make ~origin:from ~seq (Link ev) in
   if Sim.Trace.enabled t.trace then begin
@@ -121,7 +116,8 @@ let flood_link_event t ~from (ev : Lsr.Lsdb.link_event) =
   end
   else Lsr.Flooding.flood t.flooding lsa
 
-let create ~graph ~config ?faults ?(trace = Sim.Trace.disabled) ?metrics
+let create ~graph ~config ?faults ?(trace = Sim.Trace.disabled)
+    ?(metrics = Metrics.Registry.disabled)
     ?(series = Metrics.Series.disabled) () =
   let n = Net.Graph.n_nodes graph in
   if n < 2 then invalid_arg "Protocol.create: need at least 2 switches";
@@ -131,7 +127,7 @@ let create ~graph ~config ?faults ?(trace = Sim.Trace.disabled) ?metrics
   let engine = Sim.Engine.create () in
   let switches =
     Array.init n (fun id ->
-        Switch.create ~id ~n ~config ~engine ~graph ~trace ?metrics ())
+        Switch.create ~id ~n ~config ~engine ~graph ~trace ~metrics ())
   in
   let deliver ~switch (lsa : payload Lsr.Lsa.t) =
     match lsa.payload with
@@ -143,7 +139,7 @@ let create ~graph ~config ?faults ?(trace = Sim.Trace.disabled) ?metrics
     match faults with
     | None -> None
     | Some plan ->
-      Faults.Plan.instrument plan ~trace ?metrics ();
+      Faults.Plan.instrument plan ~trace ~metrics ();
       Some
         (fun ~src ~dst ~base_delay ->
           Faults.Plan.transmit plan ~src ~dst ~now:(Sim.Engine.now engine)
@@ -152,7 +148,7 @@ let create ~graph ~config ?faults ?(trace = Sim.Trace.disabled) ?metrics
   let flooding =
     Lsr.Flooding.create ~engine ~graph ~t_hop:config.Config.t_hop
       ~mode:config.Config.flood_mode ~reliability:config.Config.reliability
-      ?transmit ~trace ?metrics ~series ~deliver ()
+      ?transmit ~trace ~metrics ~series ~deliver ()
   in
   (* Flight-recorder probe: one engine-level sample per executed event.
      Installed only when the series is live — the disabled engine path
@@ -202,16 +198,11 @@ let create ~graph ~config ?faults ?(trace = Sim.Trace.disabled) ?metrics
       observers = [];
     }
   in
-  let bump name =
-    match metrics with
-    | Some m -> Metrics.Registry.incr m name
-    | None -> ()
-  in
   Array.iteri
     (fun id sw ->
       Switch.set_flood sw (fun (mc_lsa : Mc_lsa.t) ->
           net.mc_floodings <- net.mc_floodings + 1;
-          bump "protocol.mc_floodings";
+          Metrics.Registry.incr metrics "protocol.mc_floodings";
           let seq = Lsr.Lsa.Seq.next net.seqs.(id) in
           let lsa = Lsr.Lsa.make ~origin:id ~seq (Mc mc_lsa) in
           if Sim.Trace.enabled trace then begin
@@ -233,7 +224,7 @@ let create ~graph ~config ?faults ?(trace = Sim.Trace.disabled) ?metrics
           else Lsr.Flooding.flood net.flooding lsa);
       Switch.set_flood_link sw (fun ev -> flood_link_event net ~from:id ev);
       Switch.set_send_resync sw (fun ~peer msg ->
-          bump "protocol.resync_messages";
+          Metrics.Registry.incr metrics "protocol.resync_messages";
           let seq = Lsr.Lsa.Seq.next net.seqs.(id) in
           let lsa = Lsr.Lsa.make ~origin:id ~seq (Resync msg) in
           (* Only the recoverer's summary needs a failure signal: a lost
@@ -323,16 +314,6 @@ let create ~graph ~config ?faults ?(trace = Sim.Trace.disabled) ?metrics
   (match config.Config.health with
   | None -> ()
   | Some hc ->
-    let mbump ?switch name =
-      match metrics with
-      | Some m -> Metrics.Registry.incr m ?switch name
-      | None -> ()
-    in
-    let mobserve ?switch name v =
-      match metrics with
-      | Some m -> Metrics.Registry.observe m ?switch name v
-      | None -> ()
-    in
     let crash_windows =
       match faults with
       | Some plan -> Faults.Plan.crash_windows plan
@@ -394,7 +375,7 @@ let create ~graph ~config ?faults ?(trace = Sim.Trace.disabled) ?metrics
       let at = Sim.Engine.now engine in
       if not (crashed i at) then begin
         h.hs_hellos_sent <- h.hs_hellos_sent + 1;
-        mbump ~switch:i "health.hellos_sent";
+        Metrics.Registry.incr metrics ~switch:i "health.hellos_sent";
         let delays =
           match transmit with
           | Some f -> f ~src:i ~dst:peer ~base_delay:config.Config.t_hop
@@ -408,7 +389,8 @@ let create ~graph ~config ?faults ?(trace = Sim.Trace.disabled) ?metrics
                      let at = Sim.Engine.now engine in
                      if not (crashed peer at) then begin
                        h.hs_hellos_received <- h.hs_hellos_received + 1;
-                       mbump ~switch:peer "health.hellos_received";
+                       Metrics.Registry.incr metrics ~switch:peer
+                         "health.hellos_received";
                        Health.Hello.on_hello h.agents.(peer) ~from:i
                      end
                    end)))
@@ -447,8 +429,9 @@ let create ~graph ~config ?faults ?(trace = Sim.Trace.disabled) ?metrics
       in
       if up then begin
         h.hs_recoveries <- h.hs_recoveries + 1;
-        mbump ~switch:i "health.recoveries";
-        mobserve ~switch:i "health.recovery_latency" latency
+        Metrics.Registry.incr metrics ~switch:i "health.recoveries";
+        Metrics.Registry.observe metrics ~switch:i "health.recovery_latency"
+          latency
       end
       else begin
         (* Retransmitting into a dead adjacency is pointless; cancel the
@@ -456,13 +439,14 @@ let create ~graph ~config ?faults ?(trace = Sim.Trace.disabled) ?metrics
         ignore (Lsr.Flooding.abandon_link flooding ~src:i ~dst:peer);
         if spurious then begin
           h.hs_false_positives <- h.hs_false_positives + 1;
-          mbump ~switch:i "health.false_positives"
+          Metrics.Registry.incr metrics ~switch:i "health.false_positives"
         end
         else begin
           h.hs_detections <- h.hs_detections + 1;
           h.hs_latencies <- latency :: h.hs_latencies;
-          mbump ~switch:i "health.detections";
-          mobserve ~switch:i "health.detection_latency" latency
+          Metrics.Registry.incr metrics ~switch:i "health.detections";
+          Metrics.Registry.observe metrics ~switch:i "health.detection_latency"
+            latency
         end
       end;
       if Sim.Trace.enabled trace then
@@ -484,7 +468,7 @@ let create ~graph ~config ?faults ?(trace = Sim.Trace.disabled) ?metrics
             ~send:(fun ~peer -> send i ~peer)
             ~declare:(fun ~peer ~up -> declare i ~peer ~up)
             ~on_suppress:(fun ~peer ~resumed ->
-              mbump ~switch:i
+              Metrics.Registry.incr metrics ~switch:i
                 (if resumed then "health.unsuppressions"
                  else "health.suppressions");
               if Sim.Trace.enabled trace then
@@ -524,7 +508,7 @@ let switch t i = t.switches.(i)
 
 let note_event t =
   t.events <- t.events + 1;
-  bump t "protocol.events";
+  Metrics.Registry.incr t.metrics "protocol.events";
   if t.first_event = None then t.first_event <- Some (Sim.Engine.now t.engine)
 
 let check_switch t i =

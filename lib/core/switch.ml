@@ -55,11 +55,14 @@ type t = {
           when the session finishes. *)
   stats : stats;
   trace : Sim.Trace.t;
-  metrics : Metrics.Registry.t option;
+  metrics : Metrics.Registry.t;
+  label : int option;
+      (** [Some id], built once: the per-switch metric label, so recording
+          into a disabled registry allocates nothing. *)
 }
 
-let create ~id ~n ~config ~engine ~graph ?(trace = Sim.Trace.disabled) ?metrics
-    () =
+let create ~id ~n ~config ~engine ~graph ?(trace = Sim.Trace.disabled)
+    ?(metrics = Metrics.Registry.disabled) () =
   {
     id;
     n;
@@ -90,6 +93,7 @@ let create ~id ~n ~config ~engine ~graph ?(trace = Sim.Trace.disabled) ?metrics
       };
     trace;
     metrics;
+    label = Some id;
   }
 
 let id t = t.id
@@ -115,16 +119,6 @@ let traced t = Sim.Trace.enabled t.trace
    payload inside a [traced t] guard so the hot path stays one branch. *)
 let emit t ?parent event =
   Sim.Trace.emit t.trace ~time:(Sim.Engine.now t.engine) ?parent event
-
-let metric t name =
-  match t.metrics with
-  | Some m -> Metrics.Registry.incr m ~switch:t.id name
-  | None -> ()
-
-let metric_observe t name v =
-  match t.metrics with
-  | Some m -> Metrics.Registry.observe m ~switch:t.id name v
-  | None -> ()
 
 let mc_str mc = Format.asprintf "%a" Mc_id.pp mc
 
@@ -182,10 +176,11 @@ let flood_lsa t mc ~event ~proposal ?members ~stamp () =
   (match proposal with
   | Some _ ->
     t.stats.proposals_flooded <- t.stats.proposals_flooded + 1;
-    metric t "switch.proposals_flooded"
+    Metrics.Registry.incr t.metrics ?switch:t.label "switch.proposals_flooded"
   | None ->
     t.stats.event_lsas_flooded <- t.stats.event_lsas_flooded + 1;
-    metric t "switch.event_lsas_flooded");
+    Metrics.Registry.incr t.metrics ?switch:t.label
+      "switch.event_lsas_flooded");
   t.flood (Mc_lsa.make ~src:t.id ~event ~mc ?proposal ?members ~stamp ())
 
 (* A proposal computed before a link failure can be installed after it:
@@ -217,7 +212,7 @@ let remove_computation (st : Mc_state.t) comp =
 let rec install t (st : Mc_state.t) mc ~stamp ~tree =
   st.c <- stamp;
   st.topology <- tree;
-  metric t "switch.installs";
+  Metrics.Registry.incr t.metrics ?switch:t.label "switch.installs";
   if traced t then
     ignore
       (emit t
@@ -300,7 +295,7 @@ and event_completion t mc (st : Mc_state.t) (comp : Mc_state.computation) =
   remove_computation st comp;
   if state_current t mc st then begin
     t.stats.computations <- t.stats.computations + 1;
-    metric t "switch.computations";
+    Metrics.Registry.incr t.metrics ?switch:t.label "switch.computations";
     if
       Timestamp.equal comp.old_r st.r
       (* Fault injection: treat a stale result as valid — the protocol
@@ -332,7 +327,8 @@ and event_completion t mc (st : Mc_state.t) (comp : Mc_state.computation) =
       (* Lines 11-13: R advanced during the computation — withdraw, but
          the event itself must still be advertised. *)
       t.stats.computations_withdrawn <- t.stats.computations_withdrawn + 1;
-      metric t "switch.computations_withdrawn";
+      Metrics.Registry.incr t.metrics ?switch:t.label
+        "switch.computations_withdrawn";
       let pid =
         if traced t then
           emit t ~parent:comp.trace_id
@@ -465,7 +461,8 @@ let rec run_invocation t mc (st : Mc_state.t) =
       in
       if replaces then begin
         t.stats.proposals_accepted <- t.stats.proposals_accepted + 1;
-        metric t "switch.proposals_accepted";
+        Metrics.Registry.incr t.metrics ?switch:t.label
+          "switch.proposals_accepted";
         install t st mc ~stamp ~tree
       end
     | None -> ()
@@ -508,7 +505,7 @@ and triggered_completion t mc (st : Mc_state.t) (comp : Mc_state.computation) =
     st.triggered <- None;
     if state_current t mc st then begin
       t.stats.computations <- t.stats.computations + 1;
-      metric t "switch.computations";
+      Metrics.Registry.incr t.metrics ?switch:t.label "switch.computations";
       if Queue.is_empty st.mailbox && Timestamp.equal comp.old_r st.r then begin
         (* Lines 23-27: still up to date — flood, install, expect no
            more. *)
@@ -535,7 +532,8 @@ and triggered_completion t mc (st : Mc_state.t) (comp : Mc_state.computation) =
       else begin
         (* Lines 28-30: obsolete — withdraw silently. *)
         t.stats.computations_withdrawn <- t.stats.computations_withdrawn + 1;
-        metric t "switch.computations_withdrawn"
+        Metrics.Registry.incr t.metrics ?switch:t.label
+          "switch.computations_withdrawn"
       end;
       if not (Queue.is_empty st.mailbox) then run_invocation t mc st
       else maybe_delete t mc st
@@ -704,14 +702,15 @@ let receive_now t lsa =
 
 let receive t lsa =
   t.stats.lsas_received <- t.stats.lsas_received + 1;
-  metric t "switch.lsas_received";
+  Metrics.Registry.incr t.metrics ?switch:t.label "switch.lsas_received";
   match t.resync_session with
   | Some _ ->
     (* RESYNCING: normal MC handling is suspended so the switch never
        computes or proposes on partially reconciled state.  The LSA is
        replayed in arrival order when the session finishes. *)
     tracef t "resync" "sw%d defers %a while resyncing" t.id Mc_lsa.pp lsa;
-    metric t "switch.resync_deferred_lsas";
+    Metrics.Registry.incr t.metrics ?switch:t.label
+      "switch.resync_deferred_lsas";
     Queue.push lsa t.deferred
   | None -> receive_now t lsa
 
@@ -784,10 +783,11 @@ let finish_resync t ~reason =
     t.resync_session <- None;
     tracef t "resync" "sw%d session %d finished (%s) after %d exchange(s)" t.id
       s.rs_id reason s.rs_completed;
-    metric t
+    Metrics.Registry.incr t.metrics ?switch:t.label
       (if s.rs_completed >= s.rs_quorum then "switch.resyncs_completed"
        else "switch.resyncs_degraded");
-    metric_observe t "switch.resync_duration_s"
+    Metrics.Registry.observe t.metrics ?switch:t.label
+      "switch.resync_duration_s"
       (Sim.Engine.now t.engine -. s.rs_started);
     (* Replay LSAs that arrived during the exchange, in arrival order.
        [resync_session] is already [None], so replay goes through the
@@ -829,7 +829,7 @@ let resync_transport_failed t ~peer =
     if List.exists (fun p -> p = peer) s.rs_outstanding then begin
       s.rs_outstanding <- List.filter (fun p -> p <> peer) s.rs_outstanding;
       tracef t "resync" "sw%d gives up on neighbor sw%d" t.id peer;
-      metric t "switch.resync_giveups";
+      Metrics.Registry.incr t.metrics ?switch:t.label "switch.resync_giveups";
       (* The quorum may have become unreachable: every neighbor resolved
          (delta or giveup) yet fewer than [rs_quorum] deltas arrived. *)
       if s.rs_outstanding = [] then finish_resync t ~reason:"exhausted"
@@ -848,13 +848,13 @@ let begin_resync_impl t =
   | None -> ());
   t.resync_seq <- t.resync_seq + 1;
   let sid = t.resync_seq in
-  metric t "switch.resyncs_started";
+  Metrics.Registry.incr t.metrics ?switch:t.label "switch.resyncs_started";
   (* [Net.Graph.neighbors] yields live neighbors only — by this switch's
      own (possibly stale) image, which is exactly the set it can try. *)
   match List.map fst (Net.Graph.neighbors (Lsr.Lsdb.graph t.lsdb) t.id) with
   | [] ->
     tracef t "resync" "sw%d recovers with no live neighbors (degraded)" t.id;
-    metric t "switch.resyncs_degraded"
+    Metrics.Registry.incr t.metrics ?switch:t.label "switch.resyncs_degraded"
   | neighbors ->
     let quorum =
       max 1 (min t.config.Config.resync_quorum (List.length neighbors))
@@ -888,7 +888,8 @@ let begin_resync_impl t =
           else -1
         in
         Sim.Trace.with_context t.trace rid (fun () ->
-            metric t "switch.resync_summaries_sent";
+            Metrics.Registry.incr t.metrics ?switch:t.label
+              "switch.resync_summaries_sent";
             t.send_resync ~peer:nb summary))
       neighbors
 
@@ -1016,13 +1017,14 @@ let answer_summary t ~session ~peer (sum_links : Lsr.Lsdb.link_event list)
   in
   (* Reply even when empty: the recoverer counts the exchange toward its
      quorum either way. *)
-  metric t "switch.resync_deltas_sent";
+  Metrics.Registry.incr t.metrics ?switch:t.label "switch.resync_deltas_sent";
   t.send_resync ~peer (Resync.Delta { session; origin = t.id; links; mcs })
 
 let receive_resync_impl t msg =
   match msg with
   | Resync.Summary { session; origin = peer; links; mcs } ->
-    metric t "switch.resync_summaries_received";
+    Metrics.Registry.incr t.metrics ?switch:t.label
+      "switch.resync_summaries_received";
     let rid =
       if traced t then emit t (Resync { switch = t.id; peer; mc = "" }) else -1
     in
@@ -1038,7 +1040,8 @@ let receive_resync_impl t msg =
     | Some s
       when s.rs_id = session && List.exists (fun p -> p = peer) s.rs_outstanding
       ->
-      metric t "switch.resync_deltas_applied";
+      Metrics.Registry.incr t.metrics ?switch:t.label
+        "switch.resync_deltas_applied";
       let rid =
         if traced t then emit t (Resync { switch = t.id; peer; mc = "" })
         else -1
@@ -1055,7 +1058,8 @@ let receive_resync_impl t msg =
          duplicate delivery.  Everything it carries was either applied
          already or will be re-learned; dropping is safe. *)
       tracef t "resync" "sw%d drops stale resync delta from sw%d" t.id peer;
-      metric t "switch.resync_stale_deltas")
+      Metrics.Registry.incr t.metrics ?switch:t.label
+        "switch.resync_stale_deltas")
 
 let receive_resync t msg =
   let ph = Metrics.Phase.ambient () in

@@ -55,7 +55,7 @@ type 'a t = {
   transmit : transmit;
   deliver : switch:int -> 'a Lsa.t -> unit;
   trace : Sim.Trace.t;
-  metrics : Metrics.Registry.t option;
+  metrics : Metrics.Registry.t;
   series : Metrics.Series.t;
   seen : (int * int, unit) Hashtbl.t array;
       (** Per switch: (origin, seq) pairs already received. *)
@@ -74,7 +74,7 @@ let default_transmit ~src:_ ~dst:_ ~base_delay = [ base_delay ]
 
 let create ~engine ~graph ~t_hop ?(mode = Hop_by_hop)
     ?(reliability = default_reliability) ?(transmit = default_transmit)
-    ?(trace = Sim.Trace.disabled) ?metrics
+    ?(trace = Sim.Trace.disabled) ?(metrics = Metrics.Registry.disabled)
     ?(series = Metrics.Series.disabled) ~deliver () =
   if t_hop <= 0.0 then invalid_arg "Flooding.create: t_hop must be positive";
   if reliability.rto <= 2.0 then
@@ -105,10 +105,11 @@ let create ~engine ~graph ~t_hop ?(mode = Hop_by_hop)
     abandoned = 0;
   }
 
-let bump t ?switch name =
-  match t.metrics with
-  | Some m -> Metrics.Registry.incr m ?switch name
-  | None -> ()
+(* Only [Reliable] acknowledges: it alone acks data copies, keeps
+   retransmit state and deduplicates unicast arrivals. *)
+let acked t = match t.mode with Reliable -> true | Hop_by_hop | Ideal -> false
+
+let no_giveup () = ()
 
 let traced t = Sim.Trace.enabled t.trace
 
@@ -125,10 +126,6 @@ let transmit_copies t ~src ~dst k =
              if Net.Graph.link_is_up t.graph src dst then k ())))
     (t.transmit ~src ~dst ~base_delay:t.t_hop)
 
-(* Trace + schedule the copies of one data transmission; returns the
-   forward's trace id (-1 untraced).  [k fid] runs per copy that arrives
-   over a live link; fault losses and mid-flight link failures leave
-   [Lsa_dropped] children on the forward event instead. *)
 (* Flight-recorder sampling.  Both sites are guarded on [Series.enabled]
    at the call site — the guard is one field read, and the float
    arguments ([now t], the pending count) would otherwise box even when
@@ -140,7 +137,16 @@ let record_inflight t =
   Metrics.Series.add t.series ~name:"flood.inflight_rtx" ~time:(now t)
     (float_of_int (Hashtbl.length t.pending))
 
+(* Count (first copies only), trace and schedule the copies of one data
+   transmission; returns the forward's trace id (-1 untraced).  [k fid]
+   runs per copy that arrives over a live link; fault losses and
+   mid-flight link failures leave [Lsa_dropped] children on the forward
+   event instead. *)
 let send_data t ~src ~dst ~retransmit ~parent lsa k =
+  if not retransmit then begin
+    t.messages <- t.messages + 1;
+    Metrics.Registry.incr t.metrics ~switch:src "flood.messages"
+  end;
   if Metrics.Series.enabled t.series then record_lsa t;
   let origin = lsa.Lsa.origin and seq = lsa.Lsa.seq in
   let fid =
@@ -180,27 +186,7 @@ let deliver_traced t lsa ~switch ~source ~fid k =
       k did)
 
 (* ------------------------------------------------------------------ *)
-(* Hop-by-hop (fire and forget) *)
-
-let rec receive t lsa ~at:switch ~from ~fid =
-  let key = Lsa.id lsa in
-  if not (Hashtbl.mem t.seen.(switch) key) then begin
-    Hashtbl.replace t.seen.(switch) key ();
-    deliver_traced t lsa ~switch ~source:from ~fid (fun did ->
-        (* Forward on every live link except the arrival link. *)
-        Net.Graph.iter_neighbors t.graph switch (fun next _ ->
-            if next <> from then begin
-              t.messages <- t.messages + 1;
-              bump t ~switch "flood.messages";
-              ignore
-                (send_data t ~src:switch ~dst:next ~retransmit:false
-                   ~parent:did lsa (fun fid ->
-                     receive t lsa ~at:next ~from:switch ~fid))
-            end))
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Reliable (ack + retransmit) *)
+(* Retransmit state (Reliable) *)
 
 (* Abandon one pending transfer: age the entry out, account, leave the
    trace breadcrumb, and fire its giveup callback.  Both callers remove
@@ -212,7 +198,7 @@ let drop_pending t key rtx ~reason =
   Hashtbl.remove t.pending key;
   if Metrics.Series.enabled t.series then record_inflight t;
   t.abandoned <- t.abandoned + 1;
-  bump t ~switch:src "flood.abandoned";
+  Metrics.Registry.incr t.metrics ~switch:src "flood.abandoned";
   if traced t then
     ignore
       (Sim.Trace.emit t.trace ~time:(now t) ~parent:rtx.rtx_first
@@ -244,15 +230,9 @@ let note_rtt t ~src ~dst sample =
   | Some est ->
     est.rttvar <- (0.75 *. est.rttvar) +. (0.25 *. Float.abs (est.srtt -. sample));
     est.srtt <- (0.875 *. est.srtt) +. (0.125 *. sample));
-  bump t ~switch:src "flood.rtt_samples";
-  match t.metrics with
-  | Some m -> Metrics.Registry.observe m ~switch:src "flood.rtt" sample
-  | None -> ()
+  Metrics.Registry.incr t.metrics ~switch:src "flood.rtt_samples";
+  Metrics.Registry.observe t.metrics ~switch:src "flood.rtt" sample
 
-(* [arrive fid] runs per data copy landing over a live link (flood
-   forwarding or unicast terminal delivery); the giveup stored in the
-   entry fires once when retries are exhausted — unicast
-   resynchronisation uses it to count a neighbor exchange as failed. *)
 let rec arm_retransmit t key lsa rtx ~arrive =
   let src, dst, _ = key in
   rtx.rtx_handle <-
@@ -268,7 +248,8 @@ let rec arm_retransmit t key lsa rtx ~arrive =
              else begin
                rtx.tries <- rtx.tries + 1;
                t.rtx_count <- t.rtx_count + 1;
-               bump t ~switch:src "flood.retransmissions";
+               Metrics.Registry.incr t.metrics ~switch:src
+                 "flood.retransmissions";
                ignore
                  (send_data t ~src ~dst ~retransmit:true ~parent:rtx.rtx_first
                     lsa arrive);
@@ -277,40 +258,7 @@ let rec arm_retransmit t key lsa rtx ~arrive =
                arm_retransmit t key lsa rtx ~arrive
              end))
 
-and start_reliable t ~src ~dst ~parent ~arrive ~on_giveup lsa =
-  let key = (src, dst, Lsa.id lsa) in
-  if not (Hashtbl.mem t.pending key) then begin
-    t.messages <- t.messages + 1;
-    bump t ~switch:src "flood.messages";
-    let fid = send_data t ~src ~dst ~retransmit:false ~parent lsa arrive in
-    let rtx =
-      {
-        rtx_handle = None;
-        tries = 0;
-        timeout = initial_rto t ~src ~dst;
-        rtx_first = fid;
-        rtx_sent_at = now t;
-        rtx_origin = lsa.Lsa.origin;
-        rtx_seq = lsa.Lsa.seq;
-        rtx_giveup = on_giveup;
-      }
-    in
-    Hashtbl.add t.pending key rtx;
-    if Metrics.Series.enabled t.series then record_inflight t;
-    arm_retransmit t key lsa rtx ~arrive
-  end
-
-and send_reliable t ~src ~dst ~parent lsa =
-  start_reliable t ~src ~dst ~parent lsa
-    ~arrive:(fun fid -> receive_reliable t lsa ~at:dst ~from:src ~fid)
-    ~on_giveup:(fun () -> ())
-
-and send_ack t ~src ~dst key =
-  t.acks <- t.acks + 1;
-  bump t ~switch:src "flood.acks";
-  transmit_copies t ~src ~dst (fun () -> ack_received t key)
-
-and ack_received t key =
+let ack_received t key =
   match Hashtbl.find_opt t.pending key with
   | Some rtx ->
     Option.iter Sim.Engine.cancel rtx.rtx_handle;
@@ -324,79 +272,104 @@ and ack_received t key =
     end
   | None -> ()  (* late duplicate ack, or the sender already gave up *)
 
-and receive_reliable t lsa ~at:switch ~from ~fid =
-  (* Every arriving copy is acked, duplicates included: this copy may be
-     a retransmission whose predecessor's ack was lost. *)
-  send_ack t ~src:switch ~dst:from (from, switch, Lsa.id lsa);
-  let key = Lsa.id lsa in
-  if not (Hashtbl.mem t.seen.(switch) key) then begin
-    Hashtbl.replace t.seen.(switch) key ();
-    deliver_traced t lsa ~switch ~source:from ~fid (fun did ->
-        Net.Graph.iter_neighbors t.graph switch (fun next _ ->
-            if next <> from then
-              send_reliable t ~src:switch ~dst:next ~parent:did lsa))
+let send_ack t ~src ~dst key =
+  t.acks <- t.acks + 1;
+  Metrics.Registry.incr t.metrics ~switch:src "flood.acks";
+  transmit_copies t ~src ~dst (fun () -> ack_received t key)
+
+(* ------------------------------------------------------------------ *)
+(* The per-hop transport (Hop_by_hop and Reliable) *)
+
+(* One transfer of [lsa] over the link [src → dst]: the first data copy,
+   and [arrive fid] per copy landing over a live link.  In [Reliable]
+   mode the transfer is also recorded in [pending] and its retransmit
+   timer armed, and a transfer still awaiting its ack is not restarted;
+   [on_giveup] fires once if the retries run out — unicast
+   resynchronisation uses it to count a neighbor exchange as failed. *)
+let transfer t ~src ~dst ~parent ~on_giveup ~arrive lsa =
+  if not (acked t) then
+    ignore (send_data t ~src ~dst ~retransmit:false ~parent lsa arrive)
+  else begin
+    let key = (src, dst, Lsa.id lsa) in
+    if not (Hashtbl.mem t.pending key) then begin
+      let fid = send_data t ~src ~dst ~retransmit:false ~parent lsa arrive in
+      let rtx =
+        {
+          rtx_handle = None;
+          tries = 0;
+          timeout = initial_rto t ~src ~dst;
+          rtx_first = fid;
+          rtx_sent_at = now t;
+          rtx_origin = lsa.Lsa.origin;
+          rtx_seq = lsa.Lsa.seq;
+          rtx_giveup = on_giveup;
+        }
+      in
+      Hashtbl.add t.pending key rtx;
+      if Metrics.Series.enabled t.series then record_inflight t;
+      arm_retransmit t key lsa rtx ~arrive
+    end
   end
 
-(* Unicast terminal delivery: ack and dedup like a flood hop, but never
-   forward — the payload is addressed to [switch] alone. *)
-and receive_unicast t lsa ~at:switch ~from ~fid =
-  send_ack t ~src:switch ~dst:from (from, switch, Lsa.id lsa);
-  let key = Lsa.id lsa in
-  if not (Hashtbl.mem t.seen.(switch) key) then begin
-    Hashtbl.replace t.seen.(switch) key ();
+(* One data copy arriving at [switch] from [from].  In [Reliable] mode
+   every copy is acked, duplicates included: it may be a retransmission
+   whose predecessor's ack was lost.  A flooded copy ([forward]) is
+   delivered on first receipt only, then forwarded on every live link
+   except the arrival link.  A unicast copy is never forwarded, and only
+   [Reliable] deduplicates it: a hop-by-hop unicast delivers every copy
+   that arrives. *)
+let rec receive t lsa ~at:switch ~from ~forward ~fid =
+  let acked = acked t in
+  if acked then send_ack t ~src:switch ~dst:from (from, switch, Lsa.id lsa);
+  if not (forward || acked) then
     deliver_traced t lsa ~switch ~source:from ~fid (fun _ -> ())
+  else begin
+    let key = Lsa.id lsa in
+    if not (Hashtbl.mem t.seen.(switch) key) then begin
+      Hashtbl.replace t.seen.(switch) key ();
+      if forward then
+        deliver_traced t lsa ~switch ~source:from ~fid (fun did ->
+            Net.Graph.iter_neighbors t.graph switch (fun next _ ->
+                if next <> from then
+                  transfer t ~src:switch ~dst:next ~parent:did
+                    ~on_giveup:no_giveup lsa ~arrive:(fun fid ->
+                      receive t lsa ~at:next ~from:switch ~forward:true ~fid)))
+      else deliver_traced t lsa ~switch ~source:from ~fid (fun _ -> ())
+    end
   end
 
 (* ------------------------------------------------------------------ *)
 
-let send t ~src ~dst ?(on_giveup = fun () -> ()) lsa =
+let send t ~src ~dst ?(on_giveup = no_giveup) lsa =
   if not (Net.Graph.has_edge t.graph src dst) then
     invalid_arg (Printf.sprintf "Flooding.send: no link (%d, %d)" src dst);
   let parent = Sim.Trace.context t.trace in
-  match t.mode with
-  | Reliable ->
-    Hashtbl.replace t.seen.(src) (Lsa.id lsa) ();
-    start_reliable t ~src ~dst ~parent lsa
-      ~arrive:(fun fid -> receive_unicast t lsa ~at:dst ~from:src ~fid)
-      ~on_giveup
-  | Hop_by_hop | Ideal ->
-    (* Fire and forget: one copy, lost if the link is down at arrival.
-       No acks means no giveup signal either — callers needing liveness
-       under these modes must rely on their own deadlines. *)
-    t.messages <- t.messages + 1;
-    bump t ~switch:src "flood.messages";
-    ignore
-      (send_data t ~src ~dst ~retransmit:false ~parent lsa (fun fid ->
-           deliver_traced t lsa ~switch:dst ~source:src ~fid (fun _ -> ())))
+  if acked t then Hashtbl.replace t.seen.(src) (Lsa.id lsa) ();
+  transfer t ~src ~dst ~parent ~on_giveup lsa ~arrive:(fun fid ->
+      receive t lsa ~at:dst ~from:src ~forward:false ~fid)
 
 let flood_impl t lsa =
   t.floods <- t.floods + 1;
   let origin = lsa.Lsa.origin in
-  bump t ~switch:origin "flood.floods";
+  Metrics.Registry.incr t.metrics ~switch:origin "flood.floods";
   (* The ambient context at flood time (normally the Lsa_originated
      event) roots the whole propagation tree; it must be captured here
      because the per-copy callbacks run later, under other contexts. *)
   let parent = Sim.Trace.context t.trace in
   match t.mode with
-  | Hop_by_hop ->
+  | Hop_by_hop | Reliable ->
     Hashtbl.replace t.seen.(origin) (Lsa.id lsa) ();
     Net.Graph.iter_neighbors t.graph origin (fun next _ ->
-        t.messages <- t.messages + 1;
-        bump t ~switch:origin "flood.messages";
-        ignore
-          (send_data t ~src:origin ~dst:next ~retransmit:false ~parent lsa
-             (fun fid -> receive t lsa ~at:next ~from:origin ~fid)))
-  | Reliable ->
-    Hashtbl.replace t.seen.(origin) (Lsa.id lsa) ();
-    Net.Graph.iter_neighbors t.graph origin (fun next _ ->
-        send_reliable t ~src:origin ~dst:next ~parent lsa)
+        transfer t ~src:origin ~dst:next ~parent ~on_giveup:no_giveup lsa
+          ~arrive:(fun fid ->
+            receive t lsa ~at:next ~from:origin ~forward:true ~fid))
   | Ideal ->
     let hops = Net.Bfs.hops t.graph origin in
     Array.iteri
       (fun switch h ->
         if switch <> origin && h <> max_int then begin
           t.messages <- t.messages + 1;
-          bump t ~switch:origin "flood.messages";
+          Metrics.Registry.incr t.metrics ~switch:origin "flood.messages";
           ignore
             (Sim.Engine.schedule t.engine
                ~delay:(float_of_int h *. t.t_hop)

@@ -1,27 +1,28 @@
 (** Flooding of LSAs over the network, with an optional reliable mode.
 
-    The default mode propagates hop by hop: each switch, on first receipt
-    of an (origin, seq) pair, delivers the LSA locally and forwards it on
-    every live incident link except the arrival link, each hop taking
-    [t_hop] of simulated time.  This is classic LSR flooding; an LSA
-    reaches a switch after (hop distance × [t_hop]), and a partitioned
-    switch does not receive it at all.
+    [Hop_by_hop] and [Reliable] share one per-hop transport.  Each
+    switch, on first receipt of an (origin, seq) pair, delivers the LSA
+    locally and forwards it on every live incident link except the
+    arrival link, each hop taking [t_hop] of simulated time.  This is
+    classic LSR flooding; an LSA reaches a switch after (hop distance ×
+    [t_hop]), and a partitioned switch does not receive it at all.
+
+    The two modes differ only in whether acks are on.  [Hop_by_hop]
+    (the default) fires and forgets each per-link copy.  [Reliable]
+    hardens the same transport for lossy delivery: the receiver acks
+    every data copy it gets, and the sender retransmits on a capped
+    exponential backoff until acked or a retry budget is exhausted (so a
+    dead neighbor times out cleanly instead of being retried forever);
+    per-destination retransmit state ages out on ack or on retry
+    exhaustion.  Duplicate-suppression on (origin, seq) makes [deliver]
+    fire once per switch however many copies arrive.  Under the default
+    (transparent) [transmit] hook the data-message schedule of the two
+    modes is identical; the acks ride on top.
 
     [Ideal] mode schedules deliveries directly at hop-distance times,
     computed when the flood starts — faster to simulate and identical in
     delivery times on a static graph; it differs only under mid-flood
     topology changes.
-
-    [Reliable] mode is hop-by-hop flooding hardened for lossy delivery:
-    every per-link data transmission is acknowledged by the receiver, and
-    the sender retransmits on a capped exponential backoff until acked or
-    a retry budget is exhausted (so a dead neighbor times out cleanly
-    instead of being retried forever).  Duplicate-suppression on
-    (origin, seq) guarantees [deliver] still fires exactly once per
-    switch however many copies arrive; per-destination retransmit state
-    ages out on ack or on retry exhaustion.  Under the default
-    (transparent) [transmit] hook its data-message schedule is exactly
-    [Hop_by_hop]'s; the acks ride on top.
 
     {b Fault injection.}  All per-link transmissions — [Hop_by_hop] and
     [Reliable] data, and [Reliable] acks — pass through the [transmit]
@@ -125,11 +126,13 @@ val send : 'a t -> src:int -> dst:int -> ?on_giveup:(unit -> unit) ->
     ([Invalid_argument] otherwise); whether that link is {e up} is
     checked at each copy's arrival time, like any transmission.
 
-    In [Reliable] mode the full ack/retransmit/backoff machinery of the
-    mode applies to the single hop, the receiver acks and deduplicates on
-    [Lsa.id] but never forwards, and [on_giveup] fires once if the retry
-    budget is exhausted without an ack.  In [Hop_by_hop] and [Ideal]
-    modes the copy is fire-and-forget and [on_giveup] never fires —
+    The hop goes through the same per-hop transport as a flood, but the
+    receiver never forwards.  In [Reliable] mode the ack/retransmit/
+    backoff machinery applies, the receiver deduplicates on [Lsa.id],
+    and [on_giveup] fires once if the retry budget is exhausted without
+    an ack.  In [Hop_by_hop] and [Ideal] modes the copy is
+    fire-and-forget: every copy that arrives is delivered (a duplicating
+    [transmit] hook delivers twice), and [on_giveup] never fires —
     callers needing liveness there must keep their own deadline. *)
 
 val floods_started : 'a t -> int

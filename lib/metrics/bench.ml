@@ -49,22 +49,14 @@ let section_json s =
     (num (speedup ~seq:s.seq_estimate_s ~elapsed:s.elapsed_s))
     s.domains cells
 
-let to_string ~meta ?metrics ?series ?sli ?phase sections =
+let to_string ~meta ?metrics sections =
   let elapsed = List.fold_left (fun a s -> a +. s.elapsed_s) 0.0 sections in
   let seq = List.fold_left (fun a s -> a +. s.seq_estimate_s) 0.0 sections in
-  let field name body = Printf.sprintf "  \"%s\": %s,\n" name body in
-  let opt_field name render = function
+  let metrics_field =
+    match metrics with
     | None -> ""
-    | Some v -> field name (render v)
+    | Some m -> Printf.sprintf "  \"metrics\": %s,\n" (Registry.snapshot_json m)
   in
-  let metrics_field = opt_field "metrics" Registry.snapshot_json metrics in
-  (* Telemetry sections of the flight recorder: windowed series and SLI
-     windows are simulation-time data (byte-identical for a fixed seed at
-     any --domains); the phase table is host wall/alloc attribution and
-     varies run to run by nature. *)
-  let series_field = opt_field "series" Series.to_json series in
-  let sli_field = opt_field "sli" Sli.to_json sli in
-  let phase_field = opt_field "phase" Phase.to_json phase in
   Printf.sprintf
     {|{
   "schema": "dgmc-bench/1",
@@ -75,7 +67,7 @@ let to_string ~meta ?metrics ?series ?sli ?phase sections =
   "elapsed_s": %s,
   "seq_estimate_s": %s,
   "speedup_vs_sequential": %s,
-%s%s%s%s  "figures": [
+%s  "figures": [
 %s
   ]
 }
@@ -83,12 +75,11 @@ let to_string ~meta ?metrics ?series ?sli ?phase sections =
     (escape meta.commit) meta.master_seed meta.domains meta.quick (num elapsed)
     (num seq)
     (num (speedup ~seq ~elapsed))
-    metrics_field series_field sli_field phase_field
+    metrics_field
     (String.concat ",\n" (List.map section_json sections))
 
-let write ~path ~meta ?metrics ?series ?sli ?phase sections =
+let write ~path ~meta ?metrics sections =
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (to_string ~meta ?metrics ?series ?sli ?phase sections))
+    (fun () -> output_string oc (to_string ~meta ?metrics sections))

@@ -32,29 +32,10 @@ type meta = {
   quick : bool;
 }
 
-val to_string :
-  meta:meta ->
-  ?metrics:Registry.snapshot ->
-  ?series:Series.t ->
-  ?sli:Sli.summary ->
-  ?phase:Phase.t ->
-  section list ->
-  string
+val to_string : meta:meta -> ?metrics:Registry.snapshot -> section list -> string
 (** The full JSON document, with run-level elapsed/speedup aggregated
     over the sections.  [metrics], when given, serializes a
-    {!Registry.snapshot} as an additional [metrics] section; [series],
-    [sli] and [phase] likewise embed the flight-recorder telemetry
-    ({!Series.to_json}, {!Sli.to_json}, {!Phase.to_json}).  Series and
-    SLI data are simulation-time figures — byte-identical for a fixed
-    seed at any domain count; the phase table reports host wall/alloc
-    and varies run to run (diff tooling treats it as informational). *)
+    {!Registry.snapshot} as an additional [metrics] section. *)
 
 val write :
-  path:string ->
-  meta:meta ->
-  ?metrics:Registry.snapshot ->
-  ?series:Series.t ->
-  ?sli:Sli.summary ->
-  ?phase:Phase.t ->
-  section list ->
-  unit
+  path:string -> meta:meta -> ?metrics:Registry.snapshot -> section list -> unit

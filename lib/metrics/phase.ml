@@ -140,16 +140,3 @@ let snapshot t =
            r_minor_words = c.c_minor;
            r_self_minor_words = Float.max 0.0 (c.c_minor -. c.c_child_minor);
          })
-
-let row_json r =
-  Printf.sprintf
-    "{\"phase\": \"%s\", \"calls\": %d, \"wall_s\": %s, \"self_wall_s\": %s, \
-     \"minor_words\": %s, \"self_minor_words\": %s}"
-    (Jsonf.escape r.r_name) r.r_calls (Jsonf.num r.r_wall_s)
-    (Jsonf.num r.r_self_wall_s) (Jsonf.num r.r_minor_words)
-    (Jsonf.num r.r_self_minor_words)
-
-let to_json t =
-  Printf.sprintf "{\"unbalanced\": %d, \"phases\": [\n      %s\n    ]}"
-    t.unbalanced
-    (String.concat ",\n      " (List.map row_json (snapshot t)))

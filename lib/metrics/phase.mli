@@ -85,9 +85,3 @@ type row = {
 
 val snapshot : t -> row list
 (** One row per phase name, sorted by name. *)
-
-val to_json : t -> string
-(** A JSON object [{"unbalanced": n, "phases": [...]}] — embedded by
-    {!Bench} as the [phase] section of [dgmc-bench/1].  Wall and
-    allocation figures vary run to run by nature; diff tooling treats
-    them as informational. *)

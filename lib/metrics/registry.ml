@@ -17,9 +17,15 @@ type cell = Counter of int ref | Gauge of float ref | Hist of hist
 
 type key = { name : string; switch : int option }
 
-type t = { cells : (key, cell) Hashtbl.t; owner : int }
+type t = { on : bool; cells : (key, cell) Hashtbl.t; owner : int }
 
-let create () = { cells = Hashtbl.create 64; owner = (Domain.self () :> int) }
+(* Never mutated: every recording call returns on [on = false] before it
+   reaches the cell table or the owner check, so the one shared value is
+   safe to record into from any domain. *)
+let disabled = { on = false; cells = Hashtbl.create 1; owner = -1 }
+
+let create () =
+  { on = true; cells = Hashtbl.create 64; owner = (Domain.self () :> int) }
 
 let is_empty t = Hashtbl.length t.cells = 0
 
@@ -58,55 +64,58 @@ let wrong_kind name want got =
        (kind_name got) want)
 
 let incr t ?switch ?(by = 1) name =
-  match
-    cell_of t ?switch name
-      ~make:(fun () -> Counter (ref 0))
-      ~check:(function Counter _ -> () | c -> wrong_kind name "counter" c)
-  with
-  | Counter r -> r := !r + by
-  | _ -> assert false
+  if t.on then
+    match
+      cell_of t ?switch name
+        ~make:(fun () -> Counter (ref 0))
+        ~check:(function Counter _ -> () | c -> wrong_kind name "counter" c)
+    with
+    | Counter r -> r := !r + by
+    | _ -> assert false
 
 let set_gauge t ?switch name v =
-  match
-    cell_of t ?switch name
-      ~make:(fun () -> Gauge (ref 0.0))
-      ~check:(function Gauge _ -> () | c -> wrong_kind name "gauge" c)
-  with
-  | Gauge r -> r := v
-  | _ -> assert false
+  if t.on then
+    match
+      cell_of t ?switch name
+        ~make:(fun () -> Gauge (ref 0.0))
+        ~check:(function Gauge _ -> () | c -> wrong_kind name "gauge" c)
+    with
+    | Gauge r -> r := v
+    | _ -> assert false
 
 let bucket_of v = int_of_float (Float.floor (Float.log v /. log_base))
 
 let bucket_mid i = Float.exp ((float_of_int i +. 0.5) *. log_base)
 
 let observe t ?switch name v =
-  match
-    cell_of t ?switch name
-      ~make:(fun () ->
-        Hist
-          {
-            h_n = 0;
-            h_sum = 0.0;
-            h_lo = Float.infinity;
-            h_hi = Float.neg_infinity;
-            nonpos = 0;
-            buckets = Hashtbl.create 16;
-          })
-      ~check:(function Hist _ -> () | c -> wrong_kind name "histogram" c)
-  with
-  | Hist h ->
-    h.h_n <- h.h_n + 1;
-    h.h_sum <- h.h_sum +. v;
-    if v < h.h_lo then h.h_lo <- v;
-    if v > h.h_hi then h.h_hi <- v;
-    if v <= 0.0 then h.nonpos <- h.nonpos + 1
-    else begin
-      let b = bucket_of v in
-      match Hashtbl.find_opt h.buckets b with
-      | Some r -> r := !r + 1
-      | None -> Hashtbl.replace h.buckets b (ref 1)
-    end
-  | _ -> assert false
+  if t.on then
+    match
+      cell_of t ?switch name
+        ~make:(fun () ->
+          Hist
+            {
+              h_n = 0;
+              h_sum = 0.0;
+              h_lo = Float.infinity;
+              h_hi = Float.neg_infinity;
+              nonpos = 0;
+              buckets = Hashtbl.create 16;
+            })
+        ~check:(function Hist _ -> () | c -> wrong_kind name "histogram" c)
+    with
+    | Hist h ->
+      h.h_n <- h.h_n + 1;
+      h.h_sum <- h.h_sum +. v;
+      if v < h.h_lo then h.h_lo <- v;
+      if v > h.h_hi then h.h_hi <- v;
+      if v <= 0.0 then h.nonpos <- h.nonpos + 1
+      else begin
+        let b = bucket_of v in
+        match Hashtbl.find_opt h.buckets b with
+        | Some r -> r := !r + 1
+        | None -> Hashtbl.replace h.buckets b (ref 1)
+      end
+    | _ -> assert false
 
 let counter_value t ?switch name =
   match Hashtbl.find_opt t.cells { name; switch } with
@@ -226,52 +235,54 @@ let snapshot t =
    schedule was; iteration over the source is sorted so even error
    surfacing (kind mismatches) is stable. *)
 let merge ~into src =
-  check_owner into;
-  let cells =
-    Hashtbl.fold (fun key cell acc -> (key, cell) :: acc) src.cells []
-    |> List.sort (fun (a, _) (b, _) -> compare_key a b)
-  in
-  List.iter
-    (fun (k, c) ->
-      match c with
-      | Counter r -> incr into ?switch:k.switch ~by:!r k.name
-      | Gauge r ->
-        let v =
-          match gauge_value into ?switch:k.switch k.name with
-          | Some old -> Float.max old !r
-          | None -> !r
-        in
-        set_gauge into ?switch:k.switch k.name v
-      | Hist h -> (
-        match
-          cell_of into ?switch:k.switch k.name
-            ~make:(fun () ->
-              Hist
-                {
-                  h_n = 0;
-                  h_sum = 0.0;
-                  h_lo = Float.infinity;
-                  h_hi = Float.neg_infinity;
-                  nonpos = 0;
-                  buckets = Hashtbl.create 16;
-                })
-            ~check:(function
-              | Hist _ -> () | c -> wrong_kind k.name "histogram" c)
-        with
-        | Hist dst ->
-          dst.h_n <- dst.h_n + h.h_n;
-          dst.h_sum <- dst.h_sum +. h.h_sum;
-          if h.h_lo < dst.h_lo then dst.h_lo <- h.h_lo;
-          if h.h_hi > dst.h_hi then dst.h_hi <- h.h_hi;
-          dst.nonpos <- dst.nonpos + h.nonpos;
-          Hashtbl.fold (fun b r acc -> (b, !r) :: acc) h.buckets []
-          |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-          |> List.iter (fun (b, n) ->
-                 match Hashtbl.find_opt dst.buckets b with
-                 | Some r -> r := !r + n
-                 | None -> Hashtbl.replace dst.buckets b (ref n))
-        | _ -> assert false))
-    cells
+  if into.on then begin
+    check_owner into;
+    let cells =
+      Hashtbl.fold (fun key cell acc -> (key, cell) :: acc) src.cells []
+      |> List.sort (fun (a, _) (b, _) -> compare_key a b)
+    in
+    List.iter
+      (fun (k, c) ->
+        match c with
+        | Counter r -> incr into ?switch:k.switch ~by:!r k.name
+        | Gauge r ->
+          let v =
+            match gauge_value into ?switch:k.switch k.name with
+            | Some old -> Float.max old !r
+            | None -> !r
+          in
+          set_gauge into ?switch:k.switch k.name v
+        | Hist h -> (
+          match
+            cell_of into ?switch:k.switch k.name
+              ~make:(fun () ->
+                Hist
+                  {
+                    h_n = 0;
+                    h_sum = 0.0;
+                    h_lo = Float.infinity;
+                    h_hi = Float.neg_infinity;
+                    nonpos = 0;
+                    buckets = Hashtbl.create 16;
+                  })
+              ~check:(function
+                | Hist _ -> () | c -> wrong_kind k.name "histogram" c)
+          with
+          | Hist dst ->
+            dst.h_n <- dst.h_n + h.h_n;
+            dst.h_sum <- dst.h_sum +. h.h_sum;
+            if h.h_lo < dst.h_lo then dst.h_lo <- h.h_lo;
+            if h.h_hi > dst.h_hi then dst.h_hi <- h.h_hi;
+            dst.nonpos <- dst.nonpos + h.nonpos;
+            Hashtbl.fold (fun b r acc -> (b, !r) :: acc) h.buckets []
+            |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+            |> List.iter (fun (b, n) ->
+                   match Hashtbl.find_opt dst.buckets b with
+                   | Some r -> r := !r + n
+                   | None -> Hashtbl.replace dst.buckets b (ref n))
+          | _ -> assert false))
+      cells
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Rendering *)

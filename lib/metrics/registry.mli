@@ -18,9 +18,19 @@
     observes task stats after collecting them on the calling domain).
 
     {!snapshot} ordering is deterministic (sorted by name, then label),
-    so rendered output is stable across runs and domain counts. *)
+    so rendered output is stable across runs and domain counts.
+
+    The discipline mirrors [Sim.Trace]: {!disabled} is a shared registry
+    that records nothing, so instrumented code records unconditionally
+    and an uninstrumented run pays one branch per call. *)
 
 type t
+
+val disabled : t
+(** A shared registry that drops everything.  {!incr}, {!set_gauge} and
+    {!observe} on it return before the owner check and allocate nothing,
+    so it may be recorded into from any domain; {!merge} into it is a
+    no-op.  It always reads as empty. *)
 
 val create : unit -> t
 

@@ -45,8 +45,6 @@ let enabled t = t.on
 
 let bucket_width t = t.width
 
-let capacity t = t.cap
-
 let bucket_index t time = int_of_float (Float.floor (time /. t.width))
 
 let fresh_series t =
@@ -165,52 +163,3 @@ let lines t =
            l_late = s.s_late;
            l_points = points_of t s;
          })
-
-let is_empty t = Hashtbl.length t.tbl = 0
-
-(* ------------------------------------------------------------------ *)
-(* Rendering *)
-
-let point_json p =
-  Printf.sprintf
-    {|{"bucket": %d, "time_s": %s, "count": %d, "sum": %s, "min": %s, "max": %s, "last": %s}|}
-    p.p_bucket (Jsonf.num p.p_time) p.p_count (Jsonf.num p.p_sum)
-    (Jsonf.num p.p_min) (Jsonf.num p.p_max) (Jsonf.num p.p_last)
-
-let line_json l =
-  Printf.sprintf
-    "{\"name\": \"%s\", \"switch\": %s, \"evicted\": %d, \"late\": %d, \
-     \"points\": [%s]}"
-    (Jsonf.escape l.l_name)
-    (match l.l_switch with Some s -> string_of_int s | None -> "null")
-    l.l_evicted l.l_late
-    (String.concat ", " (List.map point_json l.l_points))
-
-let to_json t =
-  Printf.sprintf
-    "{\"bucket_s\": %s, \"cap\": %d, \"series\": [\n      %s\n    ]}"
-    (Jsonf.num t.width) t.cap
-    (String.concat ",\n      " (List.map line_json (lines t)))
-
-let csv_rows t =
-  List.concat_map
-    (fun l ->
-      let switch =
-        match l.l_switch with Some s -> string_of_int s | None -> ""
-      in
-      List.map
-        (fun p ->
-          [
-            "series";
-            l.l_name;
-            switch;
-            Jsonf.num p.p_time;
-            Jsonf.num (p.p_time +. t.width);
-            string_of_int p.p_count;
-            Jsonf.num p.p_sum;
-            Jsonf.num p.p_min;
-            Jsonf.num p.p_max;
-            Jsonf.num p.p_last;
-          ])
-        l.l_points)
-    (lines t)

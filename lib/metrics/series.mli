@@ -37,8 +37,6 @@ val enabled : t -> bool
 
 val bucket_width : t -> float
 
-val capacity : t -> int
-
 val bucket_index : t -> float -> int
 (** The bucket a sample at the given time lands in:
     [floor (time / bucket_width)]. *)
@@ -69,18 +67,3 @@ type line = {
 val lines : t -> line list
 (** Every series, sorted by (name, switch label) then bucket index —
     deterministic regardless of insertion order. *)
-
-val is_empty : t -> bool
-
-(** {2 Rendering} *)
-
-val to_json : t -> string
-(** A JSON object [{"bucket_s": w, "cap": n, "series": [...]}] — embedded
-    by {!Bench} as the [series] section of [dgmc-bench/1].  Floats render
-    round-trip exact ({!Jsonf.num}), so deterministic inputs yield
-    byte-identical output. *)
-
-val csv_rows : t -> string list list
-(** One row per retained bucket, under the shared telemetry CSV header
-    [record,name,switch,start_s,end_s,count,sum,min,max,last] with
-    [record = "series"]. *)

@@ -152,20 +152,3 @@ let to_json s =
     (Jsonf.num s.s_gap) s.s_unconverged (dist_json s.s_latency)
     (dist_json s.s_control)
     (String.concat ",\n      " (List.map window_json s.s_windows))
-
-let csv_rows s =
-  List.map
-    (fun w ->
-      [
-        "sli-window";
-        w.w_mc;
-        "";
-        Jsonf.num w.w_start;
-        Jsonf.num w.w_end;
-        string_of_int w.w_installs;
-        string_of_int w.w_control;
-        string_of_int w.w_anchors;
-        Jsonf.num (latency w);
-        "";
-      ])
-    s.s_windows

@@ -72,11 +72,5 @@ type summary = {
 val summarize : gap:float -> obs list -> summary
 
 val to_json : summary -> string
-(** A JSON object embedded by {!Bench} as the [sli] section of
-    [dgmc-bench/1]; floats round-trip exact. *)
-
-val csv_rows : summary -> string list list
-(** One row per window under the shared telemetry CSV header
-    [record,name,switch,start_s,end_s,count,sum,min,max,last], mapped as
-    [record = "sli-window"], [name] = MC, [count] = installs,
-    [sum] = control messages, [min] = anchors, [max] = latency. *)
+(** A JSON object embedded by [Report.Run_report] as the [sli] section
+    of [dgmc-report/1]; floats round-trip exact. *)

@@ -82,31 +82,6 @@ let dropped_note (a : Sim.Trace.archive) =
      windows below understate the run (raise the trace cap)"
     a.a_dropped
 
-let phase_table_of_bench bench =
-  let open Sim.Json in
-  match Option.bind (member "phase" bench) (member "phases") with
-  | Some (Arr rows) when rows <> [] ->
-    let b = Buffer.create 512 in
-    Buffer.add_string b
-      "| phase | calls | wall s | self wall s | minor words | self minor |\n";
-    Buffer.add_string b "|---|---:|---:|---:|---:|---:|\n";
-    List.iter
-      (fun row ->
-        let str k = Option.bind (member k row) to_string in
-        let fl k = Option.bind (member k row) to_float in
-        let cell = function Some f -> num f | None -> "-" in
-        Buffer.add_string b
-          (Printf.sprintf "| %s | %s | %s | %s | %s | %s |\n"
-             (Option.value ~default:"?" (str "phase"))
-             (cell (fl "calls"))
-             (cell (fl "wall_s"))
-             (cell (fl "self_wall_s"))
-             (cell (fl "minor_words"))
-             (cell (fl "self_minor_words"))))
-      rows;
-    Some (Buffer.contents b)
-  | _ -> None
-
 (* Per-directed-link fault aggregation from [Fault_injected] events —
    the trace-side view of [Faults.Plan.link_counters] (capped at the
    trace ring size, unlike the plan's exact totals). *)
@@ -187,7 +162,7 @@ let dist_row label (d : Metrics.Sli.dist) =
   Printf.sprintf "| %s | %d | %s | %s | %s | %s | %s |\n" label d.d_count
     (num d.d_mean) (num d.d_p50) (num d.d_p90) (num d.d_p99) (num d.d_max)
 
-let markdown ?bench ~gap (a : Sim.Trace.archive) =
+let markdown ~gap (a : Sim.Trace.archive) =
   let b = Buffer.create 4096 in
   let out fmt = Printf.ksprintf (Buffer.add_string b) fmt in
   let entries = a.a_entries in
@@ -254,60 +229,15 @@ let markdown ?bench ~gap (a : Sim.Trace.archive) =
          (num (percentile ls 0.99))
          (num (List.nth ls (n - 1)))
    end);
-  (match Option.bind bench phase_table_of_bench with
-  | Some table ->
-    out "## Phase attribution (bench)\n\n";
-    Buffer.add_string b table;
-    out "\n"
-  | None -> ());
   Buffer.contents b
 
-let render_json j =
-  let b = Buffer.create 1024 in
-  let rec go j =
-    match (j : Sim.Json.t) with
-    | Null -> Buffer.add_string b "null"
-    | Bool v -> Buffer.add_string b (string_of_bool v)
-    | Num f -> Buffer.add_string b (Sim.Json.number f)
-    | Str s ->
-      Buffer.add_char b '"';
-      Buffer.add_string b (Sim.Json.escape s);
-      Buffer.add_char b '"'
-    | Arr xs ->
-      Buffer.add_char b '[';
-      List.iteri
-        (fun i x ->
-          if i > 0 then Buffer.add_string b ", ";
-          go x)
-        xs;
-      Buffer.add_char b ']'
-    | Obj kvs ->
-      Buffer.add_char b '{';
-      List.iteri
-        (fun i (k, v) ->
-          if i > 0 then Buffer.add_string b ", ";
-          Buffer.add_char b '"';
-          Buffer.add_string b (Sim.Json.escape k);
-          Buffer.add_string b "\": ";
-          go v)
-        kvs;
-      Buffer.add_char b '}'
-  in
-  go j;
-  Buffer.contents b
-
-let json ?bench ~gap (a : Sim.Trace.archive) =
+let json ~gap (a : Sim.Trace.archive) =
   let entries = a.a_entries in
   let summary = Metrics.Sli.summarize ~gap (sli_of_trace entries) in
   let note =
     if a.a_dropped > 0 then
       Printf.sprintf ",\n    \"note\": \"%s\"" (Metrics.Jsonf.escape (dropped_note a))
     else ""
-  in
-  let bench_field =
-    match bench with
-    | Some (Sim.Json.Obj _ as b) -> render_json b
-    | Some _ | None -> "null"
   in
   let faults_field =
     match fault_links entries with
@@ -350,10 +280,9 @@ let json ?bench ~gap (a : Sim.Trace.archive) =
   },
   "sli": %s,
   "faults_by_link": %s,
-  "detection": %s,
-  "bench": %s
+  "detection": %s
 }
 |}
     a.a_emitted (List.length entries) a.a_dropped note
     (Metrics.Sli.to_json summary)
-    faults_field detection_field bench_field
+    faults_field detection_field

@@ -6,8 +6,7 @@
     which count as control cost (MC-LSA originations and their per-link
     forwards, retransmissions included), and which close it (topology
     installs).  On top of it, {!markdown} and {!json} render a full run
-    report from a trace archive, optionally embedding a [dgmc-bench/1]
-    document's phase-attribution table. *)
+    report from a trace archive. *)
 
 val sli_of_trace : Sim.Trace.entry list -> Metrics.Sli.obs list
 (** Reduce trace entries (oldest first, as {!Sim.Trace.entries} and
@@ -25,22 +24,17 @@ val span : Sim.Trace.entry list -> float
 (** Simulated time covered: last entry time minus first, [0.] when
     empty. *)
 
-val render_json : Sim.Json.t -> string
-(** Compact re-rendering of a parsed JSON value (round-trip floats). *)
-
-val markdown : ?bench:Sim.Json.t -> gap:float -> Sim.Trace.archive -> string
+val markdown : gap:float -> Sim.Trace.archive -> string
 (** The report as markdown: trace inventory (with an eviction warning
     when the ring buffer dropped events), per-category counts, SLI
     window and distribution tables, a per-link fault-injection table
-    (from [Fault_injected] events), a link-health detection-latency
-    section (from [Link_detected] events), and — when [bench] is a
-    parsed [dgmc-bench/1] document carrying a [phase] section — the
-    phase-attribution table.  Trace-empty sections are omitted. *)
+    (from [Fault_injected] events) and a link-health detection-latency
+    section (from [Link_detected] events).  Trace-empty sections are
+    omitted. *)
 
-val json : ?bench:Sim.Json.t -> gap:float -> Sim.Trace.archive -> string
+val json : gap:float -> Sim.Trace.archive -> string
 (** The same report under schema [dgmc-report/1]: trace counters (plus
     a machine-readable [note] field if and only if events were
     evicted), the {!Metrics.Sli.to_json} summary, [faults_by_link]
-    ([[]] when the trace has no fault events), [detection] ([null]
-    without link-health events), and the raw [bench] document ([null]
-    when absent). *)
+    ([[]] when the trace has no fault events) and [detection] ([null]
+    without link-health events). *)

@@ -163,6 +163,27 @@ let test_lossless_reliable_matches_hop_by_hop () =
   check Alcotest.int "nothing abandoned" 0
     (Lsr.Flooding.deliveries_abandoned rel)
 
+let test_unicast_duplicates_by_mode () =
+  (* One transport, acks on or off: under a hook that doubles every data
+     copy, a hop-by-hop unicast delivers both copies (no dedup, no acks),
+     while a reliable one deduplicates to a single delivery. *)
+  let graph = Net.Topo_gen.line 2 in
+  let transmit ~src:_ ~dst:_ ~base_delay = [ base_delay; base_delay ] in
+  let run mode =
+    let f, engine, log = make graph ~t_hop:1.0 ~transmit ~mode in
+    Lsr.Flooding.send f ~src:0 ~dst:1 (Lsr.Lsa.make ~origin:0 ~seq:0 ());
+    Sim.Engine.run engine;
+    (f, List.length !log)
+  in
+  let hop, hop_delivered = run Lsr.Flooding.Hop_by_hop in
+  let rel, rel_delivered = run Lsr.Flooding.Reliable in
+  check Alcotest.int "hop-by-hop delivers every copy" 2 hop_delivered;
+  check Alcotest.int "hop-by-hop sends no acks" 0 (Lsr.Flooding.acks_sent hop);
+  check Alcotest.int "reliable delivers one" 1 rel_delivered;
+  check Alcotest.int "reliable acks both copies" 2 (Lsr.Flooding.acks_sent rel);
+  check Alcotest.(pair int int) "one first copy either way" (1, 1)
+    (Lsr.Flooding.messages_sent hop, Lsr.Flooding.messages_sent rel)
+
 let test_giveup_once_crash_window_closes_mid_backoff () =
   (* Regression: a unicast transfer whose destination is crashed for the
      whole retry schedule must fire on_giveup exactly once — including
@@ -311,6 +332,9 @@ let () =
             test_exactly_once_under_duplication;
           Alcotest.test_case "lossless reliable = hop-by-hop modulo acks"
             `Quick test_lossless_reliable_matches_hop_by_hop;
+          Alcotest.test_case "duplicated unicast: hop-by-hop delivers every \
+                              copy, reliable one"
+            `Quick test_unicast_duplicates_by_mode;
           Alcotest.test_case "giveup fires once when a crash window closes \
                               mid-backoff"
             `Quick test_giveup_once_crash_window_closes_mid_backoff;

@@ -225,6 +225,31 @@ let test_disabled_zero_alloc () =
   let allocated = Gc.allocated_bytes () -. a0 -. baseline in
   check (float 0.0) "zero bytes over 1000 disabled records" 0.0 allocated
 
+let test_disabled_registry_any_domain () =
+  (* Figure sweeps record into the shared disabled registry from worker
+     domains: it must skip the owner check and allocate nothing there. *)
+  let r = Metrics.Registry.disabled in
+  let allocated =
+    Domain.join
+      (Domain.spawn (fun () ->
+           Metrics.Registry.incr r "warm";
+           let baseline =
+             let a = Gc.allocated_bytes () in
+             Gc.allocated_bytes () -. a
+           in
+           let a0 = Gc.allocated_bytes () in
+           for _ = 1 to 1000 do
+             Metrics.Registry.incr r "no counter here";
+             Metrics.Registry.incr r ~switch:3 ~by:2 "no counter here";
+             Metrics.Registry.observe r "no histogram here" 1.5;
+             Metrics.Registry.set_gauge r "no gauge here" 2.5
+           done;
+           Gc.allocated_bytes () -. a0 -. baseline))
+  in
+  check (float 0.0) "zero bytes over 1000 records from a worker domain" 0.0
+    allocated;
+  check bool "nothing recorded" true (Metrics.Registry.is_empty r)
+
 (* ------------------------------------------------------------------ *)
 (* Registry: merge oracle and pool integration *)
 
@@ -294,14 +319,15 @@ let test_harness_transparency () =
           Experiments.Harness.bursty_run ~trace ~metrics:reg ~series ~seed:5
             ~n:10 ~config:Dgmc.Config.atm_lan ~members:5 ())
     in
-    (run, Metrics.Series.to_json series)
+    (run, Metrics.Series.lines series)
   in
   let run1, series1 = instrumented () in
   let run2, series2 = instrumented () in
   check bool "full telemetry never changes the measured run" true
     (plain = run1);
   check bool "instrumented runs agree with each other" true (run1 = run2);
-  check string "series content is deterministic" series1 series2
+  check bool "series recorded" true (series1 <> []);
+  check bool "series content is deterministic" true (series1 = series2)
 
 (* ------------------------------------------------------------------ *)
 (* Bench diff: the regression gate *)
@@ -383,6 +409,16 @@ let test_bench_diff_tolerance_boundary () =
   check bool "+20% within a widened tolerance" false
     (Report.Bench_diff.failed (diff ~wall_tol:0.25 base beyond))
 
+let test_bench_diff_floor_small_section () =
+  check bool "+20% on a 0.02 s section is under the 0.05 s floor" false
+    (Report.Bench_diff.failed
+       (diff [ section "fig6" 0.02 ] [ section "fig6" 0.024 ]))
+
+let test_bench_diff_floor_large_section () =
+  check bool "+20% on a 1 s section is over the 0.05 s floor" true
+    (Report.Bench_diff.failed
+       (diff [ section "fig6" 1.0 ] [ section "fig6" 1.2 ]))
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -413,6 +449,8 @@ let () =
         [
           test_case "disabled telemetry allocates nothing" `Quick
             test_disabled_zero_alloc;
+          test_case "disabled registry records from any domain" `Quick
+            test_disabled_registry_any_domain;
         ] );
       ( "registry",
         [
@@ -438,5 +476,9 @@ let () =
             test_bench_diff_cell_set_exact;
           test_case "wall tolerance boundary" `Quick
             test_bench_diff_tolerance_boundary;
+          test_case "wall floor passes a small section" `Quick
+            test_bench_diff_floor_small_section;
+          test_case "wall floor still fails a large section" `Quick
+            test_bench_diff_floor_large_section;
         ] );
     ]
