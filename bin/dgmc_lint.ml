@@ -1,8 +1,9 @@
 (* dgmc_lint — static checks for .dgmc scenario scripts.
 
-   Reports every problem in every given file in compiler-style
-   file:line: form, or as dgmc-analyze/1 diagnostic records with
-   [--json] so the same tooling consumes analyzer and lint output.
+   Reports every malformed line and semantic problem in every given
+   file in compiler-style file:line: form, or as dgmc-analyze/1
+   diagnostic records with [--json] so the same tooling consumes
+   analyzer and lint output.
    Exit status: 0 when no file has errors (warnings allowed), 1 when
    any lint error was found, 2 when a file could not be read. *)
 
@@ -65,11 +66,12 @@ let run files quiet json =
   let records = ref [] in
   List.iter
     (fun file ->
-      match Check.Scenario_lint.lint_file file with
+      match Workload.Script.read_file file with
       | Error msg ->
         Printf.eprintf "%s: cannot read: %s\n" file msg;
         io_failed := true
-      | Ok diags ->
+      | Ok text ->
+        let diags = Check.Scenario_lint.lint text in
         n_errors := !n_errors + Check.Scenario_lint.errors diags;
         n_warnings := !n_warnings + Check.Scenario_lint.warnings diags;
         records := !records @ List.map (diag_of ~file) diags;

@@ -2,25 +2,19 @@ type severity = Error | Warning
 
 type diagnostic = { line : int; severity : severity; message : string }
 
-(* Fully-resolved events for the semantic (timeline-replay) pass. *)
-type act =
-  | Join of { switch : int; mc : int }
-  | Leave of { switch : int; mc : int }
-  | Link of { u : int; v : int; up : bool }
+module Script = Workload.Script
+module Events = Workload.Events
 
-let tokens line =
-  String.split_on_char ' ' line
-  |> List.concat_map (String.split_on_char '\t')
-  |> List.filter (fun s -> s <> "")
-
-let opt_value opts key =
-  List.find_map
-    (fun tok ->
-      match String.index_opt tok '=' with
-      | Some i when String.sub tok 0 i = key ->
-        Some (String.sub tok (i + 1) (String.length tok - i - 1))
-      | _ -> None)
-    opts
+(* The same event as far as the run is concerned: a role does not make
+   a second join of the same switch to the same MC any less redundant. *)
+let same_action a b =
+  match (a, b) with
+  | Events.Join a, Events.Join b -> a.switch = b.switch && Dgmc.Mc_id.equal a.mc b.mc
+  | Events.Leave a, Events.Leave b -> a.switch = b.switch && Dgmc.Mc_id.equal a.mc b.mc
+  | Events.Link_down (u, v), Events.Link_down (u', v')
+  | Events.Link_up (u, v), Events.Link_up (u', v') ->
+    u = u' && v = v'
+  | _ -> false
 
 let lint text =
   let diags = ref [] in
@@ -31,241 +25,69 @@ let lint text =
   in
   let err line fmt = emit Error line fmt in
   let warn line fmt = emit Warning line fmt in
+  let malformed = ref false in
   let graph = ref None in
-  let graph_declared = ref false in
+  let config = ref None in
   let faults_declared = ref false in
-  let config = ref Dgmc.Config.atm_lan in
-  let mcs = ref [] in (* (decl line, id, kind) — in declaration order *)
+  let mcs = ref [] in (* (decl line, id) — in declaration order *)
   let used = ref [] in (* mc ids referenced by some event *)
-  let events = ref [] in (* (line, time, rounds?, act) — file order *)
+  let events = ref [] in (* (line, (time, rounds?), action) — file order *)
   let churns = ref [] in (* (line, churn_directive) — file order *)
   let health_decl = ref None in (* (line, health_directive) *)
-  let parse_int line what s =
-    match int_of_string_opt s with
-    | Some v -> Some v
-    | None ->
-      err line "%s: expected an integer, got %S" what s;
-      None
-  in
-  (* Mirrors Workload.Script.check_opts, but reports every offender. *)
-  let check_opts line ~allowed opts =
-    List.iter
-      (fun tok ->
-        match String.index_opt tok '=' with
-        | None -> err line "unexpected token %S (options are key=value)" tok
-        | Some i ->
-          let key = String.sub tok 0 i in
-          if not (List.mem key allowed) then
-            err line "unknown option %S (allowed: %s)" key
-              (String.concat ", " allowed))
-      opts
-  in
-  let find_mc line opts =
-    match opt_value opts "mc" with
-    | None ->
-      err line "event needs mc=<id>";
-      None
-    | Some id_s -> (
-      match parse_int line "mc id" id_s with
-      | None -> None
-      | Some id ->
-        if not (List.exists (fun (_, i, _) -> i = id) !mcs) then begin
-          err line "mc %d not declared (use a 'mc %d <type>' line first)" id
-            id;
-          None
-        end
-        else begin
-          used := id :: !used;
-          Some id
-        end)
-  in
-  (* The declared MCs as Mc_id values (only those with a valid kind) —
-     what the shared churn parser resolves mc= against. *)
-  let declared_mc_ids () =
-    List.filter_map
-      (fun (_, id, kind) ->
-        match kind with
-        | "symmetric" -> Some (Dgmc.Mc_id.make Symmetric id)
-        | "receiver-only" -> Some (Dgmc.Mc_id.make Receiver_only id)
-        | "asymmetric" -> Some (Dgmc.Mc_id.make Asymmetric id)
-        | _ -> None)
-      !mcs
-  in
-  (* ---- pass 1: line-by-line structure ---- *)
-  List.iteri
-    (fun i raw ->
-      let line = i + 1 in
-      let body =
-        match String.index_opt raw '#' with
-        | Some j -> String.sub raw 0 j
-        | None -> raw
-      in
-      match tokens body with
-      | [] -> ()
-      | "graph" :: args ->
-        if !graph_declared then
+  (* ---- pass 1: what each line says (Script.directives) ---- *)
+  List.iter
+    (fun (line, parsed) ->
+      match parsed with
+      | Stdlib.Error m ->
+        malformed := true;
+        err line "%s" m
+      | Ok (Script.Graph g) ->
+        if Option.is_some !graph then
           warn line "duplicate 'graph' directive overrides the previous one";
-        graph_declared := true;
-        (match Workload.Script.graph_of_args ~line args with
-        | Ok g -> graph := Some g
-        | Error m ->
-          err line "%s" m;
-          (* the semantic pass is skipped: no graph to check against *)
-          graph := None)
-      | "config" :: args -> (
-        match args with
-        | [ "atm" ] -> config := Dgmc.Config.atm_lan
-        | [ "wan" ] -> config := Dgmc.Config.wan
-        | _ ->
-          err line "config: expected 'atm' or 'wan', got %S"
-            (String.concat " " args))
-      | "faults" :: args -> (
+        graph := Some g
+      | Ok (Script.Config c) ->
+        if Option.is_some !config then
+          warn line "duplicate 'config' directive overrides the previous one";
+        config := Some c
+      | Ok (Script.Faults (spec, _)) ->
         if !faults_declared then
           warn line "duplicate 'faults' directive overrides the previous one";
         faults_declared := true;
-        match Workload.Script.faults_of_args ~line args with
-        | Ok (spec, _) ->
-          if Faults.Plan.spec_is_transparent spec then
-            warn line
-              "fault plan injects nothing (all probabilities and delays \
-               are zero)"
-        | Error m -> err line "%s" m)
-      | [ "mc"; id; kind ] ->
-        (match parse_int line "mc id" id with
-        | None -> ()
-        | Some id ->
-          if List.exists (fun (_, i, _) -> i = id) !mcs then
-            err line "mc %d declared twice" id
-          else mcs := !mcs @ [ (line, id, kind) ]);
-        if not (List.mem kind [ "symmetric"; "receiver-only"; "asymmetric" ])
-        then err line "unknown MC type %S" kind
-      | "mc" :: _ -> err line "mc: expected 'mc <id> <type>'"
-      | "at" :: time :: action ->
-        let time =
-          let rounds =
-            String.length time > 1 && time.[String.length time - 1] = 'r'
-          in
-          let body =
-            if rounds then String.sub time 0 (String.length time - 1)
-            else time
-          in
-          match float_of_string_opt body with
-          | Some v when v >= 0.0 -> Some (v, rounds)
-          | Some _ ->
-            err line "time must be non-negative";
-            None
-          | None ->
-            err line "bad time literal %S" time;
-            None
-        in
-        let act =
-          match action with
-          | "join" :: sw :: opts ->
-            check_opts line ~allowed:[ "mc"; "role" ] opts;
-            (match opt_value opts "role" with
-            | Some r when not (List.mem r [ "sender"; "receiver"; "both" ])
-              ->
-              err line "unknown role %S" r
-            | _ -> ());
-            let sw = parse_int line "switch" sw in
-            let mc = find_mc line opts in
-            (match (sw, mc) with
-            | Some switch, Some mc -> Some (Join { switch; mc })
-            | _ -> None)
-          | "leave" :: sw :: opts -> (
-            check_opts line ~allowed:[ "mc" ] opts;
-            let sw = parse_int line "switch" sw in
-            let mc = find_mc line opts in
-            match (sw, mc) with
-            | Some switch, Some mc -> Some (Leave { switch; mc })
-            | _ -> None)
-          | [ ("linkdown" | "linkup") ] | [ ("linkdown" | "linkup"); _ ] ->
-            err line "%s: expected two switch ids" (List.hd action);
-            None
-          | [ ("linkdown" | "linkup") as verb; u; v ] -> (
-            match (parse_int line "u" u, parse_int line "v" v) with
-            | Some u, Some v ->
-              Some (Link { u; v; up = verb = "linkup" })
-            | _ -> None)
-          | verb :: _ ->
-            err line "unknown event %S" verb;
-            None
-          | [] ->
-            err line "at: missing event";
-            None
-        in
-        (match (time, act) with
-        | Some (v, rounds), Some act ->
-          events := !events @ [ (line, v, rounds, act) ]
-        | _ -> ())
-      | [ "at" ] -> err line "at: missing time and event"
-      | "health" :: opts -> (
-        if !health_decl <> None then
+        if Faults.Plan.spec_is_transparent spec then
+          warn line
+            "fault plan injects nothing (all probabilities and delays are \
+             zero)"
+      | Ok (Script.Mc m) -> mcs := !mcs @ [ (line, m.id) ]
+      | Ok (Script.At (time, action)) ->
+        (match action with
+        | Events.Join { mc; _ } | Events.Leave { mc; _ } ->
+          used := mc.id :: !used
+        | Events.Link_down _ | Events.Link_up _ -> ());
+        events := !events @ [ (line, time, action) ]
+      | Ok (Script.Churn d) ->
+        used := d.churn_mc.id :: !used;
+        churns := !churns @ [ (line, d) ]
+      | Ok (Script.Health d) ->
+        if Option.is_some !health_decl then
           warn line "duplicate 'health' directive overrides the previous one";
-        check_opts line ~allowed:Workload.Script.health_allowed_keys opts;
-        let known =
-          List.filter
-            (fun tok ->
-              match String.index_opt tok '=' with
-              | Some i ->
-                List.mem (String.sub tok 0 i)
-                  Workload.Script.health_allowed_keys
-              | None -> false)
-            opts
-        in
-        match Workload.Script.health_of_args ~line known with
-        | Ok d -> health_decl := Some (line, d)
-        | Error m -> err line "%s" m)
-      | "churn" :: opts -> (
-        (* Report every bad key here, then hand only the known ones to
-           the shared parser (which stops at the first problem). *)
-        check_opts line ~allowed:Workload.Script.churn_allowed_keys opts;
-        let known =
-          List.filter
-            (fun tok ->
-              match String.index_opt tok '=' with
-              | Some i ->
-                List.mem (String.sub tok 0 i)
-                  Workload.Script.churn_allowed_keys
-              | None -> false)
-            opts
-        in
-        match
-          Workload.Script.churn_of_args ~line ~mcs:(declared_mc_ids ()) known
-        with
-        | Ok d ->
-          used := d.Workload.Script.churn_mc.id :: !used;
-          churns := !churns @ [ (line, d) ]
-        | Error m -> err line "%s" m)
-      | verb :: _ -> err line "unknown directive %S" verb)
-    (String.split_on_char '\n' text);
+        health_decl := Some (line, d))
+    (Script.directives text);
   (* ---- pass 2: semantics over the resolved timeline ---- *)
   (match !graph with
-  | None -> if not !graph_declared then err 0 "missing 'graph' directive"
+  | None ->
+    (* Script.parse reports the first malformed line before this. *)
+    if not !malformed then err 0 "missing 'graph' directive"
   | Some g ->
-    let n = Net.Graph.n_nodes g in
-    let round = Dgmc.Config.round_length !config ~graph:g in
+    let config = Option.value !config ~default:Dgmc.Config.atm_lan in
+    let round = Dgmc.Config.round_length config ~graph:g in
     let resolved =
       List.filter_map
-        (fun (line, v, rounds, act) ->
-          let time = if rounds then v *. round else v in
-          let ok =
-            match act with
-            | Join { switch; _ } | Leave { switch; _ } ->
-              if switch < 0 || switch >= n then begin
-                err line "switch %d out of range (graph has %d switches)"
-                  switch n;
-                false
-              end
-              else true
-            | Link { u; v; _ } ->
-              if not (Net.Graph.has_edge g u v) then begin
-                err line "no link (%d, %d) in the graph" u v;
-                false
-              end
-              else true
-          in
-          if ok then Some (line, time, act) else None)
+        (fun (line, (v, rounds), action) ->
+          match Script.check_target g action with
+          | Ok () -> Some (line, (if rounds then v *. round else v), action)
+          | Stdlib.Error m ->
+            err line "%s" m;
+            None)
         !events
     in
     (* Monotone file order: later lines should not move back in time. *)
@@ -283,45 +105,29 @@ let lint text =
          None resolved);
     (* Exact duplicates. *)
     let rec dup_scan = function
-      | [] -> []
+      | [] -> ()
       | (line, time, act) :: rest ->
         (match
-           List.find_opt (fun (_, t, a) -> t = time && a = act) rest
+           List.find_opt
+             (fun (_, t, a) -> Float.equal t time && same_action a act)
+             rest
          with
         | Some (line', _, _) ->
           err line' "duplicate event (same time and action as line %d)" line
         | None -> ());
         dup_scan rest
     in
-    ignore (dup_scan resolved);
+    dup_scan resolved;
     (* Churn directives expand deterministically; an expansion the graph
        cannot host is an error, and the expanded events join the replay
        below so scripted events are checked against churn-held state. *)
     let churn_resolved =
       List.concat_map
         (fun (line, d) ->
-          match
-            Workload.Churn.generate
-              (Sim.Rng.create d.Workload.Script.churn_seed)
-              ~graph:g
-              (Workload.Script.churn_spec ~graph:g ~config:!config d)
-          with
-          | evs ->
-            List.map
-              (fun (e : Workload.Events.t) ->
-                let act =
-                  match e.action with
-                  | Workload.Events.Join { switch; mc; _ } ->
-                    Join { switch; mc = mc.id }
-                  | Workload.Events.Leave { switch; mc } ->
-                    Leave { switch; mc = mc.id }
-                  | Workload.Events.Link_down (u, v) ->
-                    Link { u; v; up = false }
-                  | Workload.Events.Link_up (u, v) -> Link { u; v; up = true }
-                in
-                (line, e.time, act))
-              evs
-          | exception Invalid_argument m ->
+          match Script.churn_events ~graph:g ~config d with
+          | Ok evs ->
+            List.map (fun (e : Events.t) -> (line, e.time, e.action)) evs
+          | Stdlib.Error m ->
             err line "%s" m;
             [])
         !churns
@@ -335,26 +141,29 @@ let lint text =
     in
     let member = Hashtbl.create 16 in (* (mc, switch) -> () *)
     let link_down = Hashtbl.create 16 in (* (u, v) with u < v *)
+    let link line u v ~up =
+      let key = (min u v, max u v) in
+      let down = Hashtbl.mem link_down key in
+      if up && not down then warn line "link (%d, %d) is already up" u v
+      else if (not up) && down then
+        warn line "link (%d, %d) is already down" u v;
+      if up then Hashtbl.remove link_down key
+      else Hashtbl.replace link_down key ()
+    in
     List.iter
-      (fun (line, _, act) ->
-        match act with
-        | Join { switch; mc } -> Hashtbl.replace member (mc, switch) ()
-        | Leave { switch; mc } ->
-          if not (Hashtbl.mem member (mc, switch)) then
+      (fun (line, _, action) ->
+        match action with
+        | Events.Join { switch; mc; _ } ->
+          Hashtbl.replace member (mc.Dgmc.Mc_id.id, switch) ()
+        | Events.Leave { switch; mc } ->
+          if not (Hashtbl.mem member (mc.id, switch)) then
             err line
               "leave without a preceding join (switch %d is not a member \
                of mc %d at this time)"
-              switch mc
-          else Hashtbl.remove member (mc, switch)
-        | Link { u; v; up } ->
-          let key = (min u v, max u v) in
-          let down = Hashtbl.mem link_down key in
-          if up && not down then
-            warn line "link (%d, %d) is already up" u v
-          else if (not up) && down then
-            warn line "link (%d, %d) is already down" u v;
-          if up then Hashtbl.remove link_down key
-          else Hashtbl.replace link_down key ())
+              switch mc.id
+          else Hashtbl.remove member (mc.id, switch)
+        | Events.Link_down (u, v) -> link line u v ~up:false
+        | Events.Link_up (u, v) -> link line u v ~up:true)
       timeline;
     (* A health directive must resolve to a valid configuration against
        this graph and regime — the same resolution Script.parse does. *)
@@ -364,39 +173,30 @@ let lint text =
       let last_event =
         List.fold_left (fun acc (_, t, _) -> Float.max acc t) 0.0 timeline
       in
-      let hc =
-        Workload.Script.health_config ~graph:g ~config:!config ~last_event d
-      in
+      let hc = Script.health_config ~graph:g ~config ~last_event d in
       (match Health.Config.validate hc with
       | Ok () -> ()
-      | Error m -> err hline "%s" m);
+      | Stdlib.Error m -> err hline "%s" m);
       if
         not
           (List.exists
-             (fun (_, _, act) ->
-               match act with Link _ -> true | _ -> false)
+             (fun (_, _, action) ->
+               match action with
+               | Events.Link_down _ | Events.Link_up _ -> true
+               | Events.Join _ | Events.Leave _ -> false)
              timeline)
       then
         warn hline
           "health directive but no scripted link events: the detectors \
            have nothing to discover");
   List.iter
-    (fun (line, id, _) ->
+    (fun (line, id) ->
       if not (List.mem id !used) then
         warn line "mc %d declared but never used by any event" id)
     !mcs;
   List.stable_sort
     (fun a b -> Int.compare a.line b.line)
     (List.rev !diags)
-
-let lint_file path =
-  match open_in path with
-  | exception Sys_error e -> Stdlib.Error e
-  | ic ->
-    let len = in_channel_length ic in
-    let text = really_input_string ic len in
-    close_in ic;
-    Stdlib.Ok (lint text)
 
 let errors diags =
   List.length (List.filter (fun d -> d.severity = Error) diags)

@@ -47,7 +47,7 @@ let parse_int lineno what s =
   | Some v -> v
   | None -> fail lineno "%s: expected an integer, got %S" what s
 
-let parse_graph lineno args =
+let generate_graph lineno args =
   let num = parse_int lineno "graph size" in
   match args with
   | [ "waxman"; n ] -> Net.Topo_gen.waxman (Sim.Rng.create 1) ~n:(num n) ~target_degree:3.5 ()
@@ -66,6 +66,16 @@ let parse_graph lineno args =
   | [ "complete"; n ] -> Net.Topo_gen.complete (num n)
   | kind :: _ -> fail lineno "unknown graph kind %S" kind
   | [] -> fail lineno "graph: missing arguments"
+
+(* The generators reject sizes they cannot build; a one-node graph they
+   accept, the protocol does not. *)
+let parse_graph lineno args =
+  match generate_graph lineno args with
+  | exception Invalid_argument m -> fail lineno "%s" m
+  | g when Net.Graph.n_nodes g < 2 ->
+    fail lineno "graph has %d switch; a scenario needs at least 2"
+      (Net.Graph.n_nodes g)
+  | g -> g
 
 let parse_config lineno = function
   | [ "atm" ] -> Dgmc.Config.atm_lan
@@ -111,6 +121,42 @@ let graph_of_args ~line args =
   match parse_graph line args with
   | g -> Ok g
   | exception Parse_error (_, m) -> Error m
+
+let parse_action lineno mcs = function
+  | "join" :: sw :: opts ->
+    check_opts lineno ~allowed:[ "mc"; "role" ] opts;
+    let sw = parse_int lineno "switch" sw in
+    let mc = find_mc lineno mcs opts in
+    let role =
+      match opt_value opts "role" with
+      | Some r -> parse_role lineno r
+      | None -> default_role mc.kind
+    in
+    Events.Join { switch = sw; mc; role }
+  | "leave" :: sw :: opts ->
+    check_opts lineno ~allowed:[ "mc" ] opts;
+    Events.Leave
+      { switch = parse_int lineno "switch" sw; mc = find_mc lineno mcs opts }
+  | [ "linkdown"; u; v ] ->
+    Events.Link_down (parse_int lineno "u" u, parse_int lineno "v" v)
+  | [ "linkup"; u; v ] ->
+    Events.Link_up (parse_int lineno "u" u, parse_int lineno "v" v)
+  | (("linkdown" | "linkup") as verb) :: ([] | [ _ ]) ->
+    fail lineno "%s: expected two switch ids" verb
+  | verb :: _ -> fail lineno "unknown event %S" verb
+  | [] -> fail lineno "at: missing event"
+
+(* Join/leave targets and link endpoints are checked against the final
+   graph, once every line is read. *)
+let check_target graph = function
+  | Events.Join { switch; _ } | Events.Leave { switch; _ } ->
+    let n = Net.Graph.n_nodes graph in
+    if switch < 0 || switch >= n then
+      Error (Printf.sprintf "switch %d out of range (graph has %d switches)" switch n)
+    else Ok ()
+  | Events.Link_down (u, v) | Events.Link_up (u, v) ->
+    if Net.Graph.has_edge graph u v then Ok ()
+    else Error (Printf.sprintf "no link (%d, %d) in the graph" u v)
 
 type churn_directive = {
   churn_mc : Dgmc.Mc_id.t;
@@ -159,11 +205,6 @@ let parse_churn lineno mcs opts =
     churn_seed = int_opt "seed" 1;
   }
 
-let churn_of_args ~line ~mcs args =
-  match parse_churn line mcs args with
-  | d -> Ok d
-  | exception Parse_error (_, m) -> Error m
-
 let churn_spec ~graph ~config d =
   let round = Dgmc.Config.round_length config ~graph in
   let resolve (v, rounds) = if rounds then v *. round else v in
@@ -179,6 +220,13 @@ let churn_spec ~graph ~config d =
     wave_period =
       (match d.churn_wave_period with Some wp -> resolve wp | None -> period);
   }
+
+let churn_events ~graph ~config d =
+  match
+    Churn.generate (Sim.Rng.create d.churn_seed) ~graph (churn_spec ~graph ~config d)
+  with
+  | evs -> Ok evs
+  | exception Invalid_argument m -> Error m
 
 (* "health period=0.5r detector=k:3 damp=on pace=0.2r" — link-health
    layer configuration; time-valued options take the same second/round
@@ -313,28 +361,75 @@ let health_config ~graph ~config ~last_event d =
   { partial with Health.Config.horizon }
 
 (* "faults drop=0.3 dup=0.1 seed=7" — fault keys go to Faults.Plan's
-   parser; [seed] is handled here.  Shared with the linter. *)
-let faults_of_args ~line args =
-  match
-    let seed = ref 1 in
-    let fault_args =
-      List.filter
-        (fun tok ->
-          match String.index_opt tok '=' with
-          | Some i when String.sub tok 0 i = "seed" ->
-            seed :=
-              parse_int line "seed"
-                (String.sub tok (i + 1) (String.length tok - i - 1));
-            false
-          | _ -> true)
-        args
-    in
-    match Faults.Plan.spec_of_string (String.concat "," fault_args) with
-    | Ok spec -> Ok (spec, !seed)
-    | Error m -> raise (Parse_error (line, m))
-  with
-  | result -> result
-  | exception Parse_error (_, m) -> Error m
+   parser; [seed] is handled here. *)
+let parse_faults lineno args =
+  let seeds, fault_args =
+    List.partition (String.starts_with ~prefix:"seed=") args
+  in
+  let seed =
+    List.fold_left
+      (fun _ tok -> parse_int lineno "seed" (String.sub tok 5 (String.length tok - 5)))
+      1 seeds
+  in
+  match Faults.Plan.spec_of_string (String.concat "," fault_args) with
+  | Ok spec -> (spec, seed)
+  | Error m -> fail lineno "%s" m
+
+type directive =
+  | Graph of Net.Graph.t
+  | Config of Dgmc.Config.t
+  | Faults of Faults.Plan.spec * int
+  | Mc of Dgmc.Mc_id.t
+  | At of (float * bool) * Events.action
+  | Churn of churn_directive
+  | Health of health_directive
+
+(* [mcs]: the MCs declared on earlier lines, which [mc=] resolves
+   against. *)
+let parse_directive lineno mcs verb args =
+  match (verb, args) with
+  | "graph", args -> Graph (parse_graph lineno args)
+  | "config", args -> Config (parse_config lineno args)
+  | "faults", args ->
+    let spec, seed = parse_faults lineno args in
+    Faults (spec, seed)
+  | "mc", [ id; kind ] ->
+    let id = parse_int lineno "mc id" id in
+    if List.exists (fun (m : Dgmc.Mc_id.t) -> m.id = id) mcs then
+      fail lineno "mc %d declared twice" id;
+    Mc (Dgmc.Mc_id.make (parse_kind lineno kind) id)
+  | "mc", _ -> fail lineno "mc: expected 'mc <id> <type>'"
+  | "at", [] -> fail lineno "at: missing time and event"
+  | "at", time :: action ->
+    let time = parse_time lineno time in
+    At (time, parse_action lineno mcs action)
+  | "churn", opts -> Churn (parse_churn lineno mcs opts)
+  | "health", opts -> Health (parse_health lineno opts)
+  | verb, _ -> fail lineno "unknown directive %S" verb
+
+let directives text =
+  let mcs = ref [] in
+  String.split_on_char '\n' text
+  |> List.mapi (fun i raw ->
+         let lineno = i + 1 in
+         let line =
+           match String.index_opt raw '#' with
+           | Some j -> String.sub raw 0 j
+           | None -> raw
+         in
+         match tokens line with
+         | [] -> None
+         | verb :: args ->
+           let parsed =
+             match parse_directive lineno !mcs verb args with
+             | Mc m as d ->
+               mcs := m :: !mcs;
+               Ok d
+             | d -> Ok d
+             | exception Parse_error (_, m) -> Error m
+           in
+           Some (lineno, parsed))
+  |> List.filter_map Fun.id
 
 let parse text =
   try
@@ -344,105 +439,53 @@ let parse text =
     let fault_seed = ref 1 in
     let mcs = ref [] in
     let health = ref None in
-    (* (time, rounds?, action builder) — resolved once graph+config known. *)
+    (* (line, (time, rounds?), action) — resolved once graph+config known. *)
     let events = ref [] in
     (* churn directives expand once the graph and round length are known. *)
     let churns = ref [] in
-    List.iteri
-      (fun i raw ->
-        let lineno = i + 1 in
-        let line =
-          match String.index_opt raw '#' with
-          | Some j -> String.sub raw 0 j
-          | None -> raw
-        in
-        match tokens line with
-        | [] -> ()
-        | "graph" :: args -> graph := Some (parse_graph lineno args)
-        | "config" :: args -> config := parse_config lineno args
-        | "faults" :: args -> (
-          match faults_of_args ~line:lineno args with
-          | Ok (spec, seed) ->
-            faults := Some spec;
-            fault_seed := seed
-          | Error m -> fail lineno "%s" m)
-        | [ "mc"; id; kind ] ->
-          let id = parse_int lineno "mc id" id in
-          if List.exists (fun (m : Dgmc.Mc_id.t) -> m.id = id) !mcs then
-            fail lineno "mc %d declared twice" id;
-          mcs := Dgmc.Mc_id.make (parse_kind lineno kind) id :: !mcs
-        | "at" :: time :: action ->
-          let time = parse_time lineno time in
-          let act =
-            match action with
-            | "join" :: sw :: opts ->
-              check_opts lineno ~allowed:[ "mc"; "role" ] opts;
-              let sw = parse_int lineno "switch" sw in
-              let mc = find_mc lineno !mcs opts in
-              let role =
-                match opt_value opts "role" with
-                | Some r -> parse_role lineno r
-                | None -> default_role mc.kind
-              in
-              Events.Join { switch = sw; mc; role }
-            | "leave" :: sw :: opts ->
-              check_opts lineno ~allowed:[ "mc" ] opts;
-              Events.Leave
-                {
-                  switch = parse_int lineno "switch" sw;
-                  mc = find_mc lineno !mcs opts;
-                }
-            | [ "linkdown"; u; v ] ->
-              Events.Link_down (parse_int lineno "u" u, parse_int lineno "v" v)
-            | [ "linkup"; u; v ] ->
-              Events.Link_up (parse_int lineno "u" u, parse_int lineno "v" v)
-            | verb :: _ -> fail lineno "unknown event %S" verb
-            | [] -> fail lineno "at: missing event"
-          in
-          events := (lineno, time, act) :: !events
-        | "churn" :: opts -> churns := (lineno, parse_churn lineno !mcs opts) :: !churns
-        | "health" :: opts -> health := Some (parse_health lineno opts)
-        | verb :: _ -> fail lineno "unknown directive %S" verb)
-      (String.split_on_char '\n' text);
+    List.iter
+      (fun (lineno, d) ->
+        match d with
+        | Error m -> fail lineno "%s" m
+        | Ok (Graph g) -> graph := Some g
+        | Ok (Config c) -> config := c
+        | Ok (Faults (spec, seed)) ->
+          faults := Some spec;
+          fault_seed := seed
+        | Ok (Mc m) -> mcs := m :: !mcs
+        | Ok (At (time, action)) -> events := (lineno, time, action) :: !events
+        | Ok (Churn d) -> churns := (lineno, d) :: !churns
+        | Ok (Health d) -> health := Some d)
+      (directives text);
     let graph =
       match !graph with
       | Some g -> g
       | None -> raise (Parse_error (0, "missing 'graph' directive"))
     in
     let config = !config in
-    (* Validate event targets against the graph, reporting the offending
-       line. *)
-    let n = Net.Graph.n_nodes graph in
+    let events = List.rev !events in
+    (* Event targets need the final graph, so they are checked last. *)
     List.iter
       (fun (lineno, _, action) ->
-        match action with
-        | Events.Join { switch; _ } | Events.Leave { switch; _ } ->
-          if switch < 0 || switch >= n then
-            fail lineno "switch %d out of range (graph has %d switches)" switch n
-        | Events.Link_down (u, v) | Events.Link_up (u, v) ->
-          if not (Net.Graph.has_edge graph u v) then
-            fail lineno "no link (%d, %d) in the graph" u v)
-      !events;
+        match check_target graph action with
+        | Ok () -> ()
+        | Error m -> fail lineno "%s" m)
+      events;
     let round = Dgmc.Config.round_length config ~graph in
     let churn_events =
       List.concat_map
         (fun (lineno, d) ->
-          match
-            Churn.generate
-              (Sim.Rng.create d.churn_seed)
-              ~graph
-              (churn_spec ~graph ~config d)
-          with
-          | evs -> evs
-          | exception Invalid_argument m -> fail lineno "%s" m)
+          match churn_events ~graph ~config d with
+          | Ok evs -> evs
+          | Error m -> fail lineno "%s" m)
         (List.rev !churns)
     in
     let scripted =
-      List.rev_map
+      List.map
         (fun (_, (v, rounds), action) ->
           let time = if rounds then v *. round else v in
           { Events.time; action })
-        !events
+        events
     in
     let events = Events.sort (scripted @ churn_events) in
     let health =
@@ -464,14 +507,12 @@ let parse text =
   with Parse_error (line, msg) ->
     Error (if line = 0 then msg else Printf.sprintf "line %d: %s" line msg)
 
-let load path =
-  match open_in path with
+let read_file path =
+  match In_channel.with_open_text path In_channel.input_all with
+  | text -> Ok text
   | exception Sys_error e -> Error e
-  | ic ->
-    let len = in_channel_length ic in
-    let text = really_input_string ic len in
-    close_in ic;
-    parse text
+
+let load path = Result.bind (read_file path) parse
 
 let build ?trace ?metrics t =
   (* A scenario with faults needs reliable flooding: the lossless modes

@@ -31,7 +31,12 @@
     Times with the [r] suffix are multiples of the protocol round
     ([Tf + Tc]) of the scripted graph and regime; [churn]'s [period],
     [start] and [wave-period] take the same literals ([period] defaults
-    to [1r], [wave-period] to [period]). *)
+    to [1r], [wave-period] to [period]).
+
+    This module is the one parser of the format: {!directives} parses
+    each line, {!parse} resolves the lines into a runnable {!t}, and
+    [Check.Scenario_lint] replays the same lines for its semantic
+    checks. *)
 
 type t = {
   graph : Net.Graph.t;
@@ -48,19 +53,10 @@ type t = {
           the hello detectors must discover. *)
 }
 
-val parse : string -> (t, string) result
-(** Parse a script from its text.  The error carries the line number and
-    a description. *)
-
 val graph_of_args : line:int -> string list -> (Net.Graph.t, string) result
 (** Build the graph a [graph] directive's arguments denote (e.g.
-    [["ring"; "6"]]).  Shared with the scenario linter ([Check.
-    Scenario_lint]) so linting and running agree on the network. *)
-
-val faults_of_args :
-  line:int -> string list -> (Faults.Plan.spec * int, string) result
-(** Parse a [faults] directive's arguments (e.g. [["drop=0.3"; "seed=7"]])
-    into a fault spec and plan seed.  Shared with the linter. *)
+    [["ring"; "6"]]).  A size the generator rejects, or a graph of fewer
+    than two switches, is an [Error]. *)
 
 type churn_directive = {
   churn_mc : Dgmc.Mc_id.t;
@@ -76,22 +72,15 @@ type churn_directive = {
 (** A [churn] directive as written — times unresolved, since the round
     length needs the graph and regime. *)
 
-val churn_allowed_keys : string list
-(** The option keys a [churn] directive accepts. *)
-
-val churn_of_args :
-  line:int ->
-  mcs:Dgmc.Mc_id.t list ->
-  string list ->
-  (churn_directive, string) result
-(** Parse a [churn] directive's [key=value] arguments against the MCs
-    declared so far.  Shared with the linter. *)
-
-val churn_spec :
-  graph:Net.Graph.t -> config:Dgmc.Config.t -> churn_directive -> Churn.spec
+val churn_events :
+  graph:Net.Graph.t ->
+  config:Dgmc.Config.t ->
+  churn_directive ->
+  (Events.t list, string) result
 (** Resolve the directive's round-denominated times against the graph
-    and regime.  [Churn.generate] with [Sim.Rng.create churn_seed] then
-    yields exactly the events {!parse} appends. *)
+    and regime and expand it with [Churn.generate] seeded by
+    [churn_seed]: exactly the events {!parse} appends.  [Error] when the
+    graph cannot host the expansion. *)
 
 type health_directive = {
   h_period : float * bool;  (** (value, round-denominated?). *)
@@ -109,14 +98,11 @@ type health_directive = {
 }
 (** A [health] directive as written — times unresolved. *)
 
-val health_allowed_keys : string list
-(** The option keys a [health] directive accepts. *)
-
 val health_of_args :
   line:int -> string list -> (health_directive, string) result
 (** Parse a [health] directive's [key=value] arguments (defaults:
     [period=0.5r], [detector=k:3], no damping, no pacing).  Shared with
-    the linter and the CLI's [--health] flag. *)
+    the CLI's [--health] flag. *)
 
 val last_event_time : Events.t list -> float
 (** Time of the latest event, 0 when the list is empty — the anchor for
@@ -132,8 +118,40 @@ val health_config :
     no explicit horizon was given, it is placed past [last_event] by
     three detection bounds plus ten rounds of convergence slack. *)
 
+type directive =
+  | Graph of Net.Graph.t
+  | Config of Dgmc.Config.t
+  | Faults of Faults.Plan.spec * int  (** Fault spec and plan seed. *)
+  | Mc of Dgmc.Mc_id.t
+  | At of (float * bool) * Events.action
+      (** (time, round-denominated?) and the event, whose switch and
+          link are not yet checked against the graph. *)
+  | Churn of churn_directive
+  | Health of health_directive
+(** One line of a script, parsed but not yet resolved against the graph
+    and regime (which later lines may still set). *)
+
+val directives : string -> (int * (directive, string) result) list
+(** Every non-blank line's 1-based number with its directive, or the
+    first problem on that line.  A malformed line does not stop the
+    lines after it; [mc=] resolves against the MCs declared by earlier
+    well-formed [mc] lines. *)
+
+val check_target : Net.Graph.t -> Events.action -> (unit, string) result
+(** A join/leave switch must be a node of the graph and a link event's
+    endpoints one of its edges. *)
+
+val parse : string -> (t, string) result
+(** Parse a script from its text.  The error is the first malformed
+    line of {!directives}, else a missing [graph], else the first event
+    {!check_target} rejects, else the first [churn] the graph cannot
+    host — as ["line N: message"]. *)
+
+val read_file : string -> (string, string) result
+(** A file's contents; [Error] is the I/O failure. *)
+
 val load : string -> (t, string) result
-(** Read and parse a file. *)
+(** {!read_file}, then {!parse}. *)
 
 val build :
   ?trace:Sim.Trace.t -> ?metrics:Metrics.Registry.t -> t -> Dgmc.Protocol.t

@@ -607,6 +607,74 @@ let test_lint_health_directive () =
   Alcotest.(check bool) "…but warns that there is nothing to detect" true
     (Check.Scenario_lint.warnings no_links > 0)
 
+let test_lint_duplicate_config () =
+  let diags =
+    Check.Scenario_lint.lint
+      "graph ring 4\nconfig atm\nconfig wan\nmc 1 symmetric\nat 0 join 0 mc=1\n"
+  in
+  Alcotest.(check (list (pair int bool))) "second config warns" [ (3, false) ]
+    (List.map
+       (fun (d : Check.Scenario_lint.diagnostic) ->
+         (d.line, d.severity = Check.Scenario_lint.Error))
+       diags)
+
+(* Malformed scripts: [Script.parse] fails with "line N: M", and the
+   linter's first error is that same line and message — one parser. *)
+let malformed_corpus =
+  let decl = "graph ring 6\nmc 1 symmetric\n" in
+  [
+    (* truncated directives *)
+    ("graph", 1, "graph: missing arguments");
+    ("graph ring 6\nmc 1", 2, "mc: expected 'mc <id> <type>'");
+    (decl ^ "at", 3, "at: missing time and event");
+    (decl ^ "at 0", 3, "at: missing event");
+    (decl ^ "at 0 linkdown 1", 3, "linkdown: expected two switch ids");
+    (* out-of-range values *)
+    ("graph ring 6\nfaults drop=2", 2,
+     "drop must be a probability in [0, 1], got 2");
+    (decl ^ "at -1 join 0 mc=1", 3, "time must be non-negative");
+    (decl ^ "at 0 join 99 mc=1", 3,
+     "switch 99 out of range (graph has 6 switches)");
+    ("graph ring 2", 1, "Topo_gen.ring: need at least 3 nodes");
+    ("graph waxman 0", 1, "Topo_gen.waxman: n must be positive");
+    ("graph grid 0 3", 1, "Topo_gen.grid: empty grid");
+    ("graph grid 1 1", 1, "graph has 1 switch; a scenario needs at least 2");
+    ("graph waxman 1", 1, "graph has 1 switch; a scenario needs at least 2");
+    (* duplicate declarations *)
+    (decl ^ "mc 1 asymmetric", 3, "mc 1 declared twice");
+    (* unknown keys, non-integer values *)
+    (decl ^ "churn mc=1 members=2 bogus=1", 3,
+     "unknown option \"bogus\" (allowed: mc, members, moves, period, start, \
+      waves, wave-links, wave-period, seed)");
+    (decl ^ "health perod=1r", 3,
+     "unknown option \"perod\" (allowed: period, grace, detector, reup, \
+      damp, damp-penalty, damp-suppress, damp-reuse, damp-half-life, pace, \
+      pace-cap, horizon)");
+    (decl ^ "at 0 join 0 mc=one", 3, "mc id: expected an integer, got \"one\"");
+  ]
+
+let test_malformed_corpus () =
+  List.iter
+    (fun (text, line, message) ->
+      let name = String.escaped text in
+      (match Workload.Script.parse text with
+      | Ok _ -> Alcotest.failf "%s: parsed" name
+      | Error e ->
+        Alcotest.(check string) (name ^ ": parse")
+          (Printf.sprintf "line %d: %s" line message)
+          e);
+      match
+        List.find_opt
+          (fun (d : Check.Scenario_lint.diagnostic) ->
+            d.severity = Check.Scenario_lint.Error)
+          (Check.Scenario_lint.lint text)
+      with
+      | None -> Alcotest.failf "%s: lints clean" name
+      | Some d ->
+        Alcotest.(check (pair int string)) (name ^ ": lint") (line, message)
+          (d.line, d.message))
+    malformed_corpus
+
 (* --- the abstract hello model, exhaustively explored --- *)
 
 (* K_missed 2 → detection proven by round 3; damping (when on) suppresses
@@ -854,6 +922,10 @@ let () =
           Alcotest.test_case "missing graph" `Quick test_lint_missing_graph;
           Alcotest.test_case "health directive" `Quick
             test_lint_health_directive;
+          Alcotest.test_case "duplicate config warns" `Quick
+            test_lint_duplicate_config;
+          Alcotest.test_case "malformed corpus: parse and lint agree" `Quick
+            test_malformed_corpus;
         ] );
       ( "hello-model",
         [

@@ -15,9 +15,10 @@ let scenario_files () =
 
 let run_scenario file () =
   let path = Filename.concat scenario_dir file in
-  (match Check.Scenario_lint.lint_file path with
-  | Stdlib.Error msg -> Alcotest.failf "%s: %s" file msg
-  | Stdlib.Ok diags ->
+  (match Workload.Script.read_file path with
+  | Error msg -> Alcotest.failf "%s: %s" file msg
+  | Ok text ->
+    let diags = Check.Scenario_lint.lint text in
     if Check.Scenario_lint.errors diags > 0 then
       Alcotest.failf "%s: lint errors:\n%s" file
         (String.concat "\n"
