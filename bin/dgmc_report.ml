@@ -1,19 +1,16 @@
-(* dgmc_report — render a run's trace into one report.
+(* dgmc_report — the reader of dgmc-trace/1 captures.
 
-   Reads a dgmc-trace/1 JSONL capture, reduces it to the reconfiguration
-   SLIs (convergence-latency and control-cost windows), and renders a
-   markdown (default) or dgmc-report/1 JSON document: what the protocol
-   did.  Where the host time went is the bench ledger's traced per-layer
-   table (bench/ledger). *)
+   By default renders a capture into one run report: the
+   reconfiguration SLIs (convergence-latency and control-cost windows),
+   fault and detection tables, as markdown or dgmc-report/1 JSON.  The
+   analyzer modes answer the questions a diverged or slow run raises:
+   what happened overall (--summary), how each MC's installed topology
+   evolved (--convergence), where a switch's view departed from the
+   network's (--divergence), and what caused an event (--chain).  Where
+   the host time went is the bench ledger's traced per-layer table
+   (bench/ledger). *)
 
 open Cmdliner
-
-let load_trace path =
-  match Sim.Trace.read_jsonl ~path with
-  | Ok a -> a
-  | Error msg ->
-    Printf.eprintf "%s: %s\n" path msg;
-    exit 2
 
 let trace_arg =
   Arg.(
@@ -45,33 +42,101 @@ let output_arg =
     & info [ "o"; "output" ] ~docv:"FILE"
         ~doc:"Write the report to $(docv) instead of standard output.")
 
+let chain_arg =
+  Arg.(
+    value
+    & opt (some int) None
+    & info [ "chain" ] ~docv:"ID"
+        ~doc:
+          "Print the causal ancestry of event $(docv), root first: the \
+           chain of originations, forwards and deliveries that led to it \
+           (exit 1 when the trace does not hold it).")
+
+let convergence_arg =
+  Arg.(
+    value & flag
+    & info [ "convergence" ]
+        ~doc:
+          "Per-MC install timeline: every Topology_installed event, then \
+           whether the final views agree.")
+
+let divergence_arg =
+  Arg.(
+    value & flag
+    & info [ "divergence" ]
+        ~doc:
+          "Per-MC divergence report: the majority final view, each switch \
+           that ends elsewhere, and the first install event it missed \
+           (exit 1 when any MC diverged).")
+
+let summary_arg =
+  Arg.(
+    value & flag
+    & info [ "summary" ]
+        ~doc:
+          "Event counts by category and switch, per-MC install totals.")
+
+let write output body =
+  match output with
+  | None -> print_string body
+  | Some path ->
+    let oc = open_out path in
+    Fun.protect
+      ~finally:(fun () -> close_out oc)
+      (fun () -> output_string oc body)
+
+let fail code msg =
+  prerr_endline msg;
+  code
+
 let () =
-  let doc = "Render a trace into a run report" in
-  let run trace_file gap json output =
-    let a = load_trace trace_file in
-    let gap =
-      match gap with
-      | Some g ->
-        if not (Float.is_finite g && g > 0.0) then begin
-          prerr_endline "dgmc_report: --gap must be positive";
-          exit 2
-        end;
-        g
-      | None -> Report.Run_report.default_gap a.Sim.Trace.a_entries
-    in
-    let body =
-      if json then Report.Run_report.json ~gap a
-      else Report.Run_report.markdown ~gap a
-    in
-    match output with
-    | None -> print_string body
-    | Some path ->
-      let oc = open_out path in
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () -> output_string oc body)
+  let doc = "Report on and analyze dgmc-trace/1 causal traces" in
+  let run trace_file gap json output chain_id conv div summ =
+    let analyzer = Option.is_some chain_id || conv || div || summ in
+    let modes = [ Option.is_some chain_id; conv; div; summ; json ] in
+    if List.length (List.filter Fun.id modes) > 1 then
+      fail 2
+        "dgmc_report: --chain, --convergence, --divergence, --summary and \
+         --json are mutually exclusive"
+    else if analyzer && Option.is_some gap then
+      fail 2 "dgmc_report: --gap applies to the run report only"
+    else
+      match Report.Run_report.load trace_file with
+      | Error msg -> fail 2 msg
+      | Ok a -> (
+        if analyzer && a.a_dropped > 0 then
+          prerr_endline ("warning: " ^ Report.Run_report.dropped_note a);
+        let emit code body =
+          write output body;
+          code
+        in
+        match chain_id with
+        | Some id -> (
+          match Report.Run_report.chain a id with
+          | Ok body -> emit 0 body
+          | Error msg -> fail 1 msg)
+        | None when conv -> emit 0 (Report.Run_report.convergence a)
+        | None when div ->
+          let body, diverged = Report.Run_report.divergence a in
+          emit (if diverged then 1 else 0) body
+        | None when summ -> emit 0 (Report.Run_report.trace_summary a)
+        | None -> (
+          match gap with
+          | Some g when not (Float.is_finite g && g > 0.0) ->
+            fail 2 "dgmc_report: --gap must be positive"
+          | _ ->
+            let gap =
+              match gap with
+              | Some g -> g
+              | None -> Report.Run_report.default_gap a.a_entries
+            in
+            emit 0
+              (if json then Report.Run_report.json ~gap a
+               else Report.Run_report.markdown ~gap a)))
   in
   let term =
-    Term.(const run $ trace_arg $ gap_arg $ json_arg $ output_arg)
+    Term.(
+      const run $ trace_arg $ gap_arg $ json_arg $ output_arg $ chain_arg
+      $ convergence_arg $ divergence_arg $ summary_arg)
   in
-  exit (Cmd.eval (Cmd.v (Cmd.info "dgmc_report" ~version:"1.0.0" ~doc) term))
+  exit (Cmd.eval' (Cmd.v (Cmd.info "dgmc_report" ~version:"1.0.0" ~doc) term))

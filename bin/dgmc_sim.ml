@@ -49,7 +49,7 @@ let trace_file_arg =
            (origination, per-link forwards, deliveries, drops), topology \
            computations and installs, fault injections — and write it as \
            JSON Lines (schema dgmc-trace/1) to $(docv), ready for \
-           $(b,dgmc_trace).  '-' prints the human-readable timeline to \
+           $(b,dgmc_report).  '-' prints the human-readable timeline to \
            stdout instead.")
 
 let trace_cats_arg =
@@ -461,17 +461,7 @@ let script_cmd =
       (match Dgmc.Protocol.health_summary net with
       | None -> ()
       | Some h ->
-        let p99 =
-          match h.Dgmc.Protocol.h_latencies with
-          | [] -> 0.0
-          | ls ->
-            let n = List.length ls in
-            let idx =
-              min (n - 1)
-                (max 0 (int_of_float (ceil (0.99 *. float_of_int n)) - 1))
-            in
-            List.nth ls idx
-        in
+        let p99 = Metrics.Stats.nearest_rank h.Dgmc.Protocol.h_latencies 0.99 in
         Format.printf
           "health: hellos=%d detections=%d recoveries=%d false-positives=%d \
            flaps=%d suppressed-now=%d@."

@@ -48,5 +48,13 @@ let percentile xs p =
     sorted.(lo) +. (frac *. (sorted.(hi) -. sorted.(lo)))
   end
 
+let nearest_rank sorted q =
+  match sorted with
+  | [] -> 0.0
+  | _ ->
+    let n = List.length sorted in
+    let rank = int_of_float (ceil (q *. float_of_int n)) in
+    List.nth sorted (min (n - 1) (max 0 (rank - 1)))
+
 (* dgmc-analyze: allow float-format — table/console summary, not schema output *)
 let pp_summary ppf s = Format.fprintf ppf "%.3f ± %.3f" s.mean s.ci95

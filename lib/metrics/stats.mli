@@ -31,5 +31,10 @@ val percentile : float list -> float -> float
 (** [percentile xs p] for [p] in [\[0, 100\]], by linear interpolation
     on the sorted sample. *)
 
+val nearest_rank : float list -> float -> float
+(** [nearest_rank sorted q] for [q] in [\[0, 1\]]: the [ceil (q * n)]-th
+    smallest of an ascending [sorted] sample of size [n] (rank clamped
+    to [\[1, n\]]), no interpolation; [0.] on the empty sample. *)
+
 val pp_summary : Format.formatter -> summary -> unit
 (** Renders as ["mean ± ci"]. *)

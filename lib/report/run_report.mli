@@ -1,28 +1,82 @@
-(** Run reports: trace → SLI reduction and markdown/JSON rendering.
+(** The one reader of [dgmc-trace/1] captures.
 
-    This module holds the protocol-specific adapter that
-    {!Metrics.Sli} deliberately lacks: which [dgmc-trace/1] events
-    anchor a reconfiguration window (local membership/link events),
-    which count as control cost (MC-LSA originations and their per-link
-    forwards, retransmissions included), and which close it (topology
-    installs).  On top of it, {!markdown} and {!json} render a full run
-    report from a trace archive. *)
+    Every view of a trace is built here and returned as text: the run
+    report ({!markdown}, {!json}) with its reconfiguration SLIs, and the
+    analyzer modes {!trace_summary}, {!convergence}, {!divergence} and
+    {!chain}.  They share one loader, one per-category count, one time
+    span, one eviction note and one per-MC reduction of topology
+    installs to each switch's final view. *)
 
-val sli_of_trace : Sim.Trace.entry list -> Metrics.Sli.obs list
-(** Reduce trace entries (oldest first, as {!Sim.Trace.entries} and
-    archives yield them) to SLI observations in the same order.
-    Anchors: [Compute_started] with an ["event:"]-prefixed trigger, and
-    non-proposal MC-LSA originations announcing an event.  Control: MC
-    originations plus every [Lsa_forwarded] copy of one.  Installs:
-    [Topology_installed]. *)
+val load : string -> (Sim.Trace.archive, string) result
+(** Read a JSONL capture; [Error] reads ["PATH: line N: reason"] (or
+    ["PATH: reason"] when the file cannot be read). *)
+
+val span : Sim.Trace.entry list -> float * float
+(** First and latest simulated time of the entries; [(0., 0.)] when
+    empty. *)
 
 val default_gap : Sim.Trace.entry list -> float
 (** Sessionization gap when the caller has none: 1/20 of the trace's
     simulated span, or [1.0] when the span is degenerate. *)
 
-val span : Sim.Trace.entry list -> float
-(** Simulated time covered: last entry time minus first, [0.] when
-    empty. *)
+val dropped_note : Sim.Trace.archive -> string
+(** The warning every view carries when the ring buffer evicted
+    events. *)
+
+(** {2 Reconfiguration SLIs}
+
+    Each MC's trace entries are sessionized by a time gap (entries
+    closer than [gap] belong to the same {e window}).  A window must
+    contain an {e anchor} — a [Compute_started] with an
+    ["event:"]-prefixed trigger, or a non-proposal MC-LSA origination
+    announcing an event — and opens at its first anchor.  It closes at
+    its last [Topology_installed].  Control cost is every MC-LSA
+    origination plus every [Lsa_forwarded] copy of one, retransmissions
+    included.  The window population yields convergence-latency and
+    control-cost distributions with exact p50/p90/p99
+    ({!Metrics.Stats.percentile}).  All inputs are simulated times, so
+    summaries of deterministic runs are byte-identical across domain
+    counts. *)
+
+type window = {
+  w_mc : string;
+  w_start : float;  (** First anchor of the session. *)
+  w_end : float;
+      (** Last install at or after the first anchor; [w_start] when the
+          window never converged. *)
+  w_anchors : int;
+  w_installs : int;
+  w_control : int;  (** Control messages from the anchor on. *)
+}
+
+val latency : window -> float
+(** [w_end -. w_start]; [0.] for an unconverged window. *)
+
+val converged : window -> bool
+(** At least one install. *)
+
+type dist = {
+  d_count : int;
+  d_mean : float;
+  d_p50 : float;
+  d_p90 : float;
+  d_p99 : float;
+  d_max : float;
+}
+
+type summary = {
+  s_gap : float;
+  s_windows : window list;  (** By MC name, then window start. *)
+  s_latency : dist;  (** Convergence latency, over converged windows. *)
+  s_control : dist;  (** Control messages per window, over all windows. *)
+  s_unconverged : int;  (** Windows with an anchor but no install. *)
+}
+
+val sli : gap:float -> Sim.Trace.entry list -> summary
+(** Entry order is irrelevant except between equal times, which keep
+    it.  [gap] must be positive and finite. *)
+
+(** {2 Run report} *)
 
 val markdown : gap:float -> Sim.Trace.archive -> string
 (** The report as markdown: trace inventory (with an eviction warning
@@ -35,6 +89,28 @@ val markdown : gap:float -> Sim.Trace.archive -> string
 val json : gap:float -> Sim.Trace.archive -> string
 (** The same report under schema [dgmc-report/1]: trace counters (plus
     a machine-readable [note] field if and only if events were
-    evicted), the {!Metrics.Sli.to_json} summary, [faults_by_link]
-    ([[]] when the trace has no fault events) and [detection] ([null]
-    without link-health events). *)
+    evicted), the [sli] summary, [faults_by_link] ([[]] when the trace
+    has no fault events) and [detection] ([null] without link-health
+    events). *)
+
+(** {2 Analyzer modes} *)
+
+val trace_summary : Sim.Trace.archive -> string
+(** Event counts by category and by switch, the time span, and per MC
+    its install count, installing switches and distinct final views. *)
+
+val convergence : Sim.Trace.archive -> string
+(** Per MC, every topology install in trace order, then whether the
+    installing switches' final views agree. *)
+
+val divergence : Sim.Trace.archive -> string * bool
+(** Per MC, the majority final view (most switches; ties to the
+    lexicographically smaller view) and, for each switch that ends
+    elsewhere, the first later install it missed, the LSA copies dropped
+    towards it and its crash/recover times.  The flag is [true] when any
+    MC diverged. *)
+
+val chain : Sim.Trace.archive -> int -> (string, string) result
+(** The causal ancestry of an event id, root first, one
+    {!Sim.Trace.pp_entry} line each; [Error] when the id is not in the
+    trace. *)

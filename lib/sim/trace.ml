@@ -504,13 +504,16 @@ let event_of_json json =
   | kind -> failwith (Printf.sprintf "unknown event kind %S" kind)
 
 let of_jsonl text =
+  (* Blank lines are skipped but still counted: errors name the
+     physical line. *)
   let lines =
     String.split_on_char '\n' text
-    |> List.filter (fun l -> not (String.equal (String.trim l) ""))
+    |> List.mapi (fun i l -> (i + 1, l))
+    |> List.filter (fun (_, l) -> not (String.equal (String.trim l) ""))
   in
   match lines with
   | [] -> Error "empty trace"
-  | header :: rest -> (
+  | (header_line, header) :: rest -> (
     let parse_line lineno line k =
       match Json.parse line with
       | Error e -> Error (Printf.sprintf "line %d: %s" lineno e)
@@ -520,7 +523,7 @@ let of_jsonl text =
         | exception Failure e -> Error (Printf.sprintf "line %d: %s" lineno e))
     in
     let header_result =
-      parse_line 1 header (fun json ->
+      parse_line header_line header (fun json ->
           let s = get "schema" Json.to_string json in
           if not (String.equal s schema) then
             failwith (Printf.sprintf "unsupported schema %S (want %S)" s schema);
@@ -529,9 +532,9 @@ let of_jsonl text =
     match header_result with
     | Error _ as e -> e
     | Ok (a_emitted, a_dropped) -> (
-      let rec go lineno acc = function
+      let rec go acc = function
         | [] -> Ok { a_emitted; a_dropped; a_entries = List.rev acc }
-        | line :: rest -> (
+        | (lineno, line) :: rest -> (
           let entry =
             parse_line lineno line (fun json ->
                 {
@@ -543,9 +546,9 @@ let of_jsonl text =
           in
           match entry with
           | Error _ as e -> e
-          | Ok e -> go (lineno + 1) (e :: acc) rest)
+          | Ok e -> go (e :: acc) rest)
       in
-      go 2 [] rest))
+      go [] rest))
 
 let read_jsonl ~path =
   match In_channel.with_open_text path In_channel.input_all with

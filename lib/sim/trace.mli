@@ -166,7 +166,8 @@ val to_jsonl : t -> string
 val write_jsonl : t -> path:string -> unit
 
 val of_jsonl : string -> (archive, string) result
-(** Parse what {!to_jsonl} produced; [Error] carries the offending line
-    number and reason. *)
+(** Parse what {!to_jsonl} produced; blank lines are skipped.  [Error]
+    reads ["line N: reason"], N the offending physical line (blank lines
+    counted, from 1). *)
 
 val read_jsonl : path:string -> (archive, string) result

@@ -63,6 +63,20 @@ let test_percentile_validation () =
     (Invalid_argument "Stats.percentile: p out of range") (fun () ->
       ignore (Metrics.Stats.percentile [ 1.0 ] 101.0))
 
+let test_nearest_rank () =
+  let rank = Metrics.Stats.nearest_rank in
+  let feq = Alcotest.(float 0.0) in
+  let xs = List.init 100 (fun i -> float_of_int (i + 1)) in
+  check feq "p50 of 1..100" 50.0 (rank xs 0.50);
+  check feq "p90 of 1..100" 90.0 (rank xs 0.90);
+  check feq "p99 of 1..100" 99.0 (rank xs 0.99);
+  check feq "p100 of 1..100" 100.0 (rank xs 1.0);
+  check feq "rank rounds up" 2.0 (rank xs 0.011);
+  check feq "rank 0 clamps to the minimum" 1.0 (rank xs 0.0);
+  check feq "singleton" 7.0 (rank [ 7.0 ] 0.99);
+  check feq "singleton p0" 7.0 (rank [ 7.0 ] 0.0);
+  check feq "empty" 0.0 (rank [] 0.99)
+
 let test_pp_summary () =
   let s = Metrics.Stats.summarize [ 1.0; 2.0; 3.0 ] in
   let str = Format.asprintf "%a" Metrics.Stats.pp_summary s in
@@ -271,6 +285,7 @@ let () =
           Alcotest.test_case "percentile" `Quick test_percentile;
           Alcotest.test_case "percentile validation" `Quick
             test_percentile_validation;
+          Alcotest.test_case "nearest rank" `Quick test_nearest_rank;
           Alcotest.test_case "pp_summary" `Quick test_pp_summary;
         ] );
       ( "registry",

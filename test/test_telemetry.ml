@@ -74,27 +74,44 @@ let test_series_per_switch_keys () =
 (* ------------------------------------------------------------------ *)
 (* SLI: sessionization oracle *)
 
-let obs =
-  [
-    (* MC a: one converged window, then an unconverged one after a gap *)
-    Metrics.Sli.anchor ~mc:"a" ~time:0.0;
-    Metrics.Sli.control ~mc:"a" ~time:0.1;
-    Metrics.Sli.control ~mc:"a" ~time:0.2;
-    Metrics.Sli.install ~mc:"a" ~time:0.3;
-    Metrics.Sli.anchor ~mc:"a" ~time:5.0;
-    Metrics.Sli.control ~mc:"a" ~time:5.1;
-    (* MC b: control before the anchor must not count *)
-    Metrics.Sli.control ~mc:"b" ~time:0.0;
-    Metrics.Sli.anchor ~mc:"b" ~time:0.1;
-    Metrics.Sli.install ~mc:"b" ~time:0.5;
-    Metrics.Sli.install ~mc:"b" ~time:0.9;
-  ]
+(* Synthetic trace entries, one SLI role each: a local event's
+   computation anchors a window, a proposal origination is control
+   traffic, an install closes the window. *)
+let anchor mc =
+  Sim.Trace.Compute_started
+    { switch = 0; mc; trigger = "event:join:both"; r = [||] }
+
+let control mc =
+  Sim.Trace.Lsa_originated
+    { switch = 0; mc; seq = 0; ev = "none"; proposal = true; stamp = [||] }
+
+let install mc =
+  Sim.Trace.Topology_installed
+    { switch = 0; mc; r = [||]; e = [||]; c = [||]; members = ""; tree = "" }
+
+let entries =
+  List.mapi
+    (fun id (time, event) -> { Sim.Trace.id; parent = -1; time; event })
+    [
+      (* MC a: one converged window, then an unconverged one after a gap *)
+      (0.0, anchor "a");
+      (0.1, control "a");
+      (0.2, control "a");
+      (0.3, install "a");
+      (5.0, anchor "a");
+      (5.1, control "a");
+      (* MC b: control before the anchor must not count *)
+      (0.0, control "b");
+      (0.1, anchor "b");
+      (0.5, install "b");
+      (0.9, install "b");
+    ]
 
 let test_sli_windows_oracle () =
-  let ws = Metrics.Sli.windows ~gap:1.0 obs in
+  let ws = (Report.Run_report.sli ~gap:1.0 entries).s_windows in
   check int "three windows" 3 (List.length ws);
   let w mc i =
-    List.nth (List.filter (fun w -> w.Metrics.Sli.w_mc = mc) ws) i
+    List.nth (List.filter (fun w -> w.Report.Run_report.w_mc = mc) ws) i
   in
   let a0 = w "a" 0 in
   check feps "a0 start" 0.0 a0.w_start;
@@ -102,10 +119,10 @@ let test_sli_windows_oracle () =
   check int "a0 anchors" 1 a0.w_anchors;
   check int "a0 installs" 1 a0.w_installs;
   check int "a0 control" 2 a0.w_control;
-  check feps "a0 latency" 0.3 (Metrics.Sli.latency a0);
+  check feps "a0 latency" 0.3 (Report.Run_report.latency a0);
   let a1 = w "a" 1 in
-  check bool "a1 unconverged" false (Metrics.Sli.converged a1);
-  check feps "a1 latency" 0.0 (Metrics.Sli.latency a1);
+  check bool "a1 unconverged" false (Report.Run_report.converged a1);
+  check feps "a1 latency" 0.0 (Report.Run_report.latency a1);
   check int "a1 control" 1 a1.w_control;
   let b0 = w "b" 0 in
   check feps "b0 start (first anchor)" 0.1 b0.w_start;
@@ -114,7 +131,7 @@ let test_sli_windows_oracle () =
   check int "b0 control excludes pre-anchor" 0 b0.w_control
 
 let test_sli_summary_oracle () =
-  let s = Metrics.Sli.summarize ~gap:1.0 obs in
+  let s = Report.Run_report.sli ~gap:1.0 entries in
   check int "unconverged count" 1 s.s_unconverged;
   (* Latency over converged windows only: [0.3; 0.8]. *)
   check int "latency count" 2 s.s_latency.d_count;
@@ -133,14 +150,13 @@ let test_sli_of_scripted_run () =
     (Experiments.Harness.bursty_run ~trace ~seed:7 ~n:10
        ~config:Dgmc.Config.atm_lan ~members:5 ());
   let entries = Sim.Trace.entries trace in
-  let sli_obs = Report.Run_report.sli_of_trace entries in
   (* A gap wider than the whole run keeps each MC in one session, so
      window totals must equal whole-trace totals. *)
-  let gap = Report.Run_report.span entries +. 1.0 in
-  let s = Metrics.Sli.summarize ~gap sli_obs in
+  let t0, t1 = Report.Run_report.span entries in
+  let s = Report.Run_report.sli ~gap:(t1 -. t0 +. 1.0) entries in
   check int "one window per MC" 1 (List.length s.s_windows);
   let w = List.nth s.s_windows 0 in
-  check bool "burst converged" true (Metrics.Sli.converged w);
+  check bool "burst converged" true (Report.Run_report.converged w);
   let installs_in_trace =
     List.length
       (List.filter
@@ -152,7 +168,7 @@ let test_sli_of_scripted_run () =
   in
   check int "window installs = trace installs" installs_in_trace w.w_installs;
   check bool "control messages counted" true (w.w_control > 0);
-  check bool "positive latency" true (Metrics.Sli.latency w > 0.0)
+  check bool "positive latency" true (Report.Run_report.latency w > 0.0)
 
 (* ------------------------------------------------------------------ *)
 (* Phase attribution *)

@@ -176,21 +176,47 @@ let test_clear () =
   let id = Sim.Trace.emit t ~time:0.0 (Note { category = "n"; message = "y" }) in
   check Alcotest.int "ids restart" 0 id
 
+(* Malformed captures: each fails with the physical line of its first
+   bad line and the reason. *)
 let test_of_jsonl_rejects_garbage () =
-  (match Sim.Trace.of_jsonl "" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "empty input accepted");
-  (match Sim.Trace.of_jsonl "{\"schema\":\"dgmc-trace/9\",\"emitted\":0,\"dropped\":0}\n" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "wrong schema accepted");
-  match
-    Sim.Trace.of_jsonl
-      "{\"schema\":\"dgmc-trace/1\",\"emitted\":1,\"dropped\":0}\nnot json\n"
-  with
-  | Error msg ->
-    check Alcotest.bool "error names the line" true
-      (String.length msg > 0 && String.contains msg '2')
-  | Ok _ -> Alcotest.fail "garbage entry accepted"
+  let header = {|{"schema":"dgmc-trace/1","emitted":2,"dropped":0}|} in
+  let crash = {|{"id":0,"parent":-1,"t":0,"kind":"crash","switch":1}|} in
+  List.iter
+    (fun (name, text, want) ->
+      match Sim.Trace.of_jsonl text with
+      | Ok _ -> Alcotest.failf "%s: accepted" name
+      | Error msg -> check Alcotest.string name want msg)
+    [
+      ("empty input", "", "empty trace");
+      ( "garbage entry",
+        String.concat "\n" [ header; "not json"; "" ],
+        "line 2: expected null at offset 0" );
+      ( "truncated last line",
+        String.concat "\n" [ header; crash; {|{"id":1,"parent":0,"t":0.5,"ki|} ],
+        "line 3: unterminated string at offset 30" );
+      ( "bad schema",
+        {|{"schema":"dgmc-trace/9","emitted":0,"dropped":0}|} ^ "\n",
+        {|line 1: unsupported schema "dgmc-trace/9" (want "dgmc-trace/1")|} );
+      ( "missing field",
+        String.concat "\n"
+          [ header; {|{"id":0,"parent":-1,"kind":"crash","switch":1}|}; "" ],
+        {|line 2: missing or ill-typed field "t"|} );
+      ( "unknown kind",
+        String.concat "\n"
+          [ header; crash; {|{"id":1,"parent":-1,"t":1,"kind":"teleport"}|}; "" ],
+        {|line 3: unknown event kind "teleport"|} );
+      ( "non-integer vector element",
+        String.concat "\n"
+          [
+            header;
+            {|{"id":0,"parent":-1,"t":0,"kind":"compute-started","switch":0,"mc":"m","trigger":"x","r":[0,1.5]}|};
+            "";
+          ],
+        {|line 2: non-integer in vector "r"|} );
+      ( "bad line after blank lines",
+        String.concat "\n" [ header; ""; ""; "{bad"; "" ],
+        {|line 4: expected '"' at offset 1|} );
+    ]
 
 let () =
   Alcotest.run "trace"
