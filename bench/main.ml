@@ -91,25 +91,10 @@ let heading title =
   Printf.printf "%s\n" title;
   Printf.printf "================================================================\n"
 
-let ci (s : Metrics.Stats.summary) = Metrics.Table.cell_ci ~mean:s.mean ~ci:s.ci95
-
 let print_bursty title note (r : Experiments.Figures.bursty_result) =
   heading title;
   print_endline note;
-  let row (n, p) =
-    let f = List.assoc n r.floodings.points in
-    let c = List.assoc n r.convergence.points in
-    [ string_of_int n; ci p; ci f; ci c ]
-  in
-  Metrics.Table.print
-    ~headers:
-      [
-        "switches";
-        "(a) proposals/event";
-        "(b) floodings/event";
-        "(c) convergence (rounds)";
-      ]
-    (List.map row r.proposals.points);
+  Metrics.Table.print_table (Experiments.Figures.bursty_table r);
   Printf.printf "all runs converged to network-wide agreement: %b\n" r.all_converged
 
 let fig6 () =
@@ -134,13 +119,7 @@ let fig8 () =
      rounds;\n events handled individually => both ratios stay minimal)";
   let r = Experiments.Figures.fig8 ~domains:!domains ~seeds:(seeds ()) () in
   record "fig8" r.Experiments.Figures.n_timing;
-  let row (n, p) =
-    let f = List.assoc n r.n_floodings.points in
-    [ string_of_int n; ci p; ci f ]
-  in
-  Metrics.Table.print
-    ~headers:[ "switches"; "(a) proposals/event"; "(b) floodings/event" ]
-    (List.map row r.n_proposals.points);
+  Metrics.Table.print_table (Experiments.Figures.normal_table r);
   Printf.printf "all runs converged to network-wide agreement: %b\n"
     r.n_all_converged
 
@@ -154,30 +133,7 @@ let compare () =
     Experiments.Figures.compare_protocols ~domains:!domains ~seeds:(seeds ()) ()
   in
   record "compare" c.Experiments.Figures.c_timing;
-  let row n =
-    let get (s : Experiments.Figures.series) = ci (List.assoc n s.points) in
-    [
-      string_of_int n;
-      get c.dgmc_computations;
-      get c.brute_computations;
-      get c.mospf_computations;
-      get c.dgmc_floodings;
-      get c.brute_floodings;
-      get c.mospf_floodings;
-    ]
-  in
-  Metrics.Table.print
-    ~headers:
-      [
-        "switches";
-        "dgmc comp/ev";
-        "brute comp/ev";
-        "mospf comp/ev";
-        "dgmc flood/ev";
-        "brute flood/ev";
-        "mospf flood/ev";
-      ]
-    (List.map row c.c_sizes)
+  Metrics.Table.print_table (Experiments.Figures.comparison_table c)
 
 let cbt () =
   heading "CBT trade-off (paper 5) - shared-tree traffic concentration";
@@ -186,31 +142,8 @@ let cbt () =
      trees\n carry every packet on every tree link, per-source trees spread \
      the load;\n CBT cost/delay depend on a core placement the network \
      cannot really pick)";
-  let rows = Experiments.Figures.cbt_comparison () in
-  Metrics.Table.print
-    ~align:[ Metrics.Table.Left ]
-    ~headers:
-      [
-        "configuration";
-        "tree cost";
-        "max link load";
-        "mean link load";
-        "links used";
-        "mean delay";
-        "control msgs";
-      ]
-    (List.map
-       (fun (r : Experiments.Figures.cbt_row) ->
-         [
-           r.strategy;
-           Metrics.Table.cell_f r.tree_cost;
-           string_of_int r.max_link_load;
-           Metrics.Table.cell_f r.mean_link_load;
-           string_of_int r.links_used;
-           Metrics.Table.cell_f r.mean_delay;
-           string_of_int r.control_messages;
-         ])
-       rows)
+  Metrics.Table.print_table
+    (Experiments.Figures.cbt_table (Experiments.Figures.cbt_comparison ()))
 
 let ablation () =
   heading "Ablations - design choices called out in DESIGN.md";
@@ -272,29 +205,11 @@ let hierarchy () =
   print_endline " confined to 3 areas; 'reach' = switches receiving signaling per";
   print_endline " event: flat D-GMC floods all n switches, the hierarchy floods";
   print_endline " one area plus the logical level when area membership flips)";
-  let rows =
-    Experiments.Scale.hier_vs_flat ~domains:!domains
-      ~seeds:(if !quick then [ 1; 2 ] else [ 1; 2; 3; 4; 5 ])
-      ()
-  in
-  Metrics.Table.print
-    ~align:[ Metrics.Table.Left ]
-    ~headers:
-      [
-        "protocol"; "switches"; "floodings/event"; "messages/event";
-        "reach/event"; "converged";
-      ]
-    (List.map
-       (fun (r : Experiments.Scale.row) ->
-         [
-           r.protocol;
-           string_of_int r.n;
-           Metrics.Table.cell_f r.floodings_per_event;
-           Metrics.Table.cell_f r.messages_per_event;
-           Metrics.Table.cell_f r.reach_per_event;
-           string_of_bool r.converged;
-         ])
-       rows)
+  Metrics.Table.print_table
+    (Experiments.Scale.table
+       (Experiments.Scale.hier_vs_flat ~domains:!domains
+          ~seeds:(if !quick then [ 1; 2 ] else [ 1; 2; 3; 4; 5 ])
+          ()))
 
 let extra () =
   heading "Extension experiments - axes the paper implies but does not sweep";
@@ -306,9 +221,9 @@ let extra () =
        (fun (r : Experiments.Extra.burst_row) ->
          [
            string_of_int r.members;
-           ci r.proposals_per_event;
-           ci r.floodings_per_event;
-           ci r.convergence_rounds;
+           Experiments.Figures.ci r.proposals_per_event;
+           Experiments.Figures.ci r.floodings_per_event;
+           Experiments.Figures.ci r.convergence_rounds;
            string_of_bool r.all_converged;
          ])
        (Experiments.Extra.burst_size ~seeds:(seeds ()) ()));
@@ -321,8 +236,8 @@ let extra () =
        (fun (r : Experiments.Extra.independence_row) ->
          [
            string_of_int r.mcs;
-           ci r.per_mc_computations;
-           ci r.per_mc_floodings;
+           Experiments.Figures.ci r.per_mc_computations;
+           Experiments.Figures.ci r.per_mc_floodings;
            string_of_bool r.i_all_converged;
          ])
        (Experiments.Extra.mc_independence ~seeds:(seeds ()) ()))

@@ -23,18 +23,18 @@ let members_arg =
 
 let seeds_of count = List.init count (fun i -> i + 1)
 
-let ci (s : Metrics.Stats.summary) = Metrics.Table.cell_ci ~mean:s.mean ~ci:s.ci95
-
 let csv_arg =
   Arg.(
     value
     & opt (some string) None
     & info [ "csv" ] ~docv:"FILE" ~doc:"Also write the table as CSV to $(docv).")
 
-let maybe_csv path ~headers rows =
-  match path with
-  | Some path -> Metrics.Csv.write ~path ~headers rows
-  | None -> ()
+(* A figure's table, as bench/main prints it, and its CSV export. *)
+let print_table ?csv (t : Metrics.Table.t) =
+  Metrics.Table.print_table t;
+  Option.iter
+    (fun path -> Metrics.Csv.write ~path ~headers:t.headers t.rows)
+    csv
 
 (* ------------------------------------------------------------------ *)
 (* Structured tracing (shared by run / script / fuzz) *)
@@ -88,22 +88,7 @@ let finish_trace trace file =
 (* fig6 / fig7 *)
 
 let print_bursty csv (r : Experiments.Figures.bursty_result) =
-  let headers =
-    [ "switches"; "proposals/event"; "floodings/event"; "convergence (rounds)" ]
-  in
-  let rows =
-    List.map
-      (fun (n, p) ->
-        [
-          string_of_int n;
-          ci p;
-          ci (List.assoc n r.floodings.points);
-          ci (List.assoc n r.convergence.points);
-        ])
-      r.proposals.points
-  in
-  Metrics.Table.print ~headers rows;
-  maybe_csv csv ~headers rows;
+  print_table ?csv (Experiments.Figures.bursty_table r);
   Printf.printf "all runs converged: %b\n" r.all_converged
 
 let fig6_cmd =
@@ -140,15 +125,7 @@ let fig8_cmd =
     let r =
       Experiments.Figures.fig8 ~sizes ~seeds:(seeds_of graphs) ~events ~gap_rounds ()
     in
-    let headers = [ "switches"; "proposals/event"; "floodings/event" ] in
-    let rows =
-      List.map
-        (fun (n, p) ->
-          [ string_of_int n; ci p; ci (List.assoc n r.n_floodings.points) ])
-        r.n_proposals.points
-    in
-    Metrics.Table.print ~headers rows;
-    maybe_csv csv ~headers rows;
+    print_table ?csv (Experiments.Figures.normal_table r);
     Printf.printf "all runs converged: %b\n" r.n_all_converged
   in
   Cmd.v
@@ -167,19 +144,7 @@ let compare_cmd =
       Experiments.Figures.compare_protocols ~sizes ~seeds:(seeds_of graphs)
         ~members ~sources ()
     in
-    Metrics.Table.print
-      ~headers:
-        [ "switches"; "dgmc comp/ev"; "brute comp/ev"; "mospf comp/ev" ]
-      (List.map
-         (fun n ->
-           let get (s : Experiments.Figures.series) = ci (List.assoc n s.points) in
-           [
-             string_of_int n;
-             get c.dgmc_computations;
-             get c.brute_computations;
-             get c.mospf_computations;
-           ])
-         c.c_sizes)
+    print_table (Experiments.Figures.comparison_table c)
   in
   Cmd.v
     (Cmd.info "compare"
@@ -199,26 +164,9 @@ let cbt_cmd =
   in
   let seed_arg = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Graph seed.") in
   let run n receivers senders seed =
-    let rows = Experiments.Figures.cbt_comparison ~seed ~n ~receivers ~senders () in
-    Metrics.Table.print
-      ~align:[ Metrics.Table.Left ]
-      ~headers:
-        [
-          "configuration"; "tree cost"; "max load"; "mean load"; "links";
-          "mean delay"; "ctrl msgs";
-        ]
-      (List.map
-         (fun (r : Experiments.Figures.cbt_row) ->
-           [
-             r.strategy;
-             Metrics.Table.cell_f r.tree_cost;
-             string_of_int r.max_link_load;
-             Metrics.Table.cell_f r.mean_link_load;
-             string_of_int r.links_used;
-             Metrics.Table.cell_f r.mean_delay;
-             string_of_int r.control_messages;
-           ])
-         rows)
+    print_table
+      (Experiments.Figures.cbt_table
+         (Experiments.Figures.cbt_comparison ~seed ~n ~receivers ~senders ()))
   in
   Cmd.v
     (Cmd.info "cbt" ~doc:"CBT trade-off: shared-tree traffic concentration.")
@@ -236,25 +184,10 @@ let hierarchy_cmd =
     Arg.(value & opt int 20 & info [ "events" ] ~doc:"Membership events.")
   in
   let run areas per_area events graphs =
-    let rows =
-      Experiments.Scale.hier_vs_flat ~seeds:(seeds_of graphs) ~areas ~per_area
-        ~events ()
-    in
-    Metrics.Table.print
-      ~align:[ Metrics.Table.Left ]
-      ~headers:
-        [ "protocol"; "switches"; "floodings/ev"; "messages/ev"; "reach/ev"; "ok" ]
-      (List.map
-         (fun (r : Experiments.Scale.row) ->
-           [
-             r.protocol;
-             string_of_int r.n;
-             Metrics.Table.cell_f r.floodings_per_event;
-             Metrics.Table.cell_f r.messages_per_event;
-             Metrics.Table.cell_f r.reach_per_event;
-             string_of_bool r.converged;
-           ])
-         rows)
+    print_table
+      (Experiments.Scale.table
+         (Experiments.Scale.hier_vs_flat ~seeds:(seeds_of graphs) ~areas
+            ~per_area ~events ()))
   in
   Cmd.v
     (Cmd.info "hierarchy"

@@ -41,10 +41,6 @@ let head_path e =
   | Pexp_apply (f, _) -> path_of_expr f
   | _ -> path_of_expr e
 
-let starts_with ~prefix s =
-  String.length s >= String.length prefix
-  && String.sub s 0 (String.length prefix) = prefix
-
 let line_col (loc : Location.t) =
   let p = loc.loc_start in
   (p.pos_lnum, p.pos_cnum - p.pos_bol)
@@ -285,7 +281,7 @@ let pool_entry_points path =
       prefix = "Pool"
       || (String.length prefix >= 5
          && String.sub prefix (String.length prefix - 5) 5 = ".Pool")
-      || starts_with ~prefix:"Runner.Pool" path
+      || String.starts_with ~prefix:"Runner.Pool" path
     in
     (pool && List.mem last [ "map"; "map_timed"; "run"; "run_batch" ])
     || path = "Domain.spawn"
@@ -294,9 +290,9 @@ let pool_entry_points path =
 let dls_guarded refs =
   List.exists
     (fun r ->
-      starts_with ~prefix:"Domain.DLS" r
-      || starts_with ~prefix:"Mutex." r
-      || starts_with ~prefix:"Atomic." r)
+      String.starts_with ~prefix:"Domain.DLS" r
+      || String.starts_with ~prefix:"Mutex." r
+      || String.starts_with ~prefix:"Atomic." r)
     refs
 
 (* ------------------------------------------------------------------ *)
@@ -369,8 +365,8 @@ let check env ~enabled file =
     | Pexp_ident { txt; loc } -> (
       let p = path_of_lid txt in
       if on Rules.Nondet_source then begin
-        if starts_with ~prefix:"Random." p
-           && not (starts_with ~prefix:"Random.State." p)
+        if String.starts_with ~prefix:"Random." p
+           && not (String.starts_with ~prefix:"Random.State." p)
         then
           add ~loc Rules.Nondet_source
             (Printf.sprintf

@@ -47,6 +47,25 @@ let check_state h =
         ~spurious:(Harness.health_spurious h)
         (Harness.health_adjacencies h)
 
+let step h act =
+  let before = Array.map Invariant.installed_stamps (Harness.switches h) in
+  let desc = Harness.describe h act in
+  Harness.apply h act;
+  let monotone =
+    Array.to_list
+      (Array.mapi
+         (fun i sw -> Invariant.check_monotone ~id:i ~before:before.(i) sw)
+         (Harness.switches h))
+    |> List.concat
+  in
+  (desc, check_state h @ monotone)
+
+let check_terminal h =
+  Invariant.check_terminal ~graph:(Harness.graph h) ~truth:(Harness.truth h)
+    (Harness.switches h)
+  @ Invariant.check_health_terminal ~suppressed:(Harness.suppressed_links h)
+      (Harness.switches h)
+
 (* No partial-order reduction here, deliberately.  The tempting
    persistent set — all enabled actions of one switch d — is unsound in
    this system: a Complete at another switch can flood a FRESH message
@@ -57,8 +76,7 @@ let check_state h =
    C stamp) would be silently lost.  Exhaustiveness over the deduped
    state graph is the whole point of this checker; the per-edge replay
    is kept cheap instead (see Harness.first_enabled). *)
-let run ?(strategy = `Bfs) ?(max_states = 200_000) ?(max_depth = 10_000)
-    scenario =
+let run ?(max_states = 200_000) ?(max_depth = 10_000) scenario =
   let seen = Hashtbl.create 4096 in
   let states = ref 0 in
   let transitions = ref 0 in
@@ -66,22 +84,6 @@ let run ?(strategy = `Bfs) ?(max_states = 200_000) ?(max_depth = 10_000)
   let truncated = ref false in
   let violation = ref None in
   let queue = Queue.create () in
-  let stack = ref [] in
-  let push item =
-    match strategy with
-    | `Bfs -> Queue.add item queue
-    | `Dfs -> stack := item :: !stack
-  in
-  let pop () =
-    match strategy with
-    | `Bfs -> if Queue.is_empty queue then None else Some (Queue.pop queue)
-    | `Dfs -> (
-      match !stack with
-      | [] -> None
-      | x :: rest ->
-        stack := rest;
-        Some x)
-  in
   let report descs viols =
     violation :=
       Some
@@ -100,18 +102,12 @@ let run ?(strategy = `Bfs) ?(max_states = 200_000) ?(max_depth = 10_000)
       else
         match Harness.enabled h with
         | [] ->
-          let tv =
-            Invariant.check_terminal ~graph:(Harness.graph h)
-              ~truth:(Harness.truth h) (Harness.switches h)
-            @ Invariant.check_health_terminal
-                ~suppressed:(Harness.suppressed_links h)
-                (Harness.switches h)
-          in
+          let tv = check_terminal h in
           if tv <> [] then report (descs @ [ "(terminal state)" ]) tv
           else incr terminals
         | acts ->
           if List.length prefix >= max_depth then truncated := true
-          else push (prefix, acts)
+          else Queue.add (prefix, acts) queue
     end
   in
   let h0, _ = build scenario [] in
@@ -120,7 +116,7 @@ let run ?(strategy = `Bfs) ?(max_states = 200_000) ?(max_depth = 10_000)
   | viols -> report [ "(initial state, before any race delivery)" ] viols);
   let rec loop () =
     if !violation = None then
-      match pop () with
+      match Queue.take_opt queue with
       | None -> ()
       | Some (prefix, acts) ->
         List.iter
@@ -128,21 +124,8 @@ let run ?(strategy = `Bfs) ?(max_states = 200_000) ?(max_depth = 10_000)
             if !violation = None then begin
               incr transitions;
               let h, descs = build scenario prefix in
-              let before =
-                Array.map Invariant.installed_stamps (Harness.switches h)
-              in
-              let desc = Harness.describe h act in
-              Harness.apply h act;
+              let desc, viols = step h act in
               let descs = descs @ [ desc ] in
-              let viols =
-                check_state h
-                @ (Array.to_list
-                     (Array.mapi
-                        (fun i sw ->
-                          Invariant.check_monotone ~id:i ~before:before.(i) sw)
-                        (Harness.switches h))
-                  |> List.concat)
-              in
               if viols <> [] then report descs viols
               else examine h (prefix @ [ act ]) descs
             end)

@@ -6,7 +6,7 @@
     per-state laws and C-monotonicity on every transition, the terminal
     laws (agreement, ground truth, quiescence) at every terminal state.
 
-    {b Exploration.}  Breadth-first by default, so the first violation
+    {b Exploration.}  Breadth-first, so the first violation
     found comes with a minimal-length counterexample trace.  States are
     deduplicated by their canonical {!Harness.digest}; since
     {!Dgmc.Switch.t} is not cloneable, each state is reconstructed by
@@ -55,13 +55,25 @@ val check_state : Harness.t -> Invariant.violation list
     switch — the check applied at each visited state by both this
     checker and {!Search}. *)
 
+val step : Harness.t -> Harness.action -> string * Invariant.violation list
+(** [step h act] applies [act] to [h] and checks the per-edge laws:
+    {!check_state} on the successor plus {!Invariant.check_monotone} of
+    every switch across the action.  Returns the action's
+    {!Harness.describe} rendering (taken before it is applied) with the
+    violations.  Every explored edge of this checker and {!Search} goes
+    through here. *)
+
+val check_terminal : Harness.t -> Invariant.violation list
+(** The terminal laws at a state with nothing enabled:
+    {!Invariant.check_terminal} against the harness's ground truth plus
+    {!Invariant.check_health_terminal} over its suppressed links. *)
+
 val run :
-  ?strategy:[ `Bfs | `Dfs ] ->
   ?max_states:int ->
   ?max_depth:int ->
   scenario ->
   outcome
-(** Explore the scenario.  Defaults: [`Bfs], [max_states = 200_000],
+(** Explore the scenario breadth-first.  Defaults: [max_states = 200_000],
     [max_depth = 10_000].  The per-state invariants are also checked on
     the settled base state before the race is injected
     ([Invalid_argument] if the setup itself cannot settle).

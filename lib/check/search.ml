@@ -44,14 +44,11 @@ let kind_equal a b =
     true
   | (Symmetric | Receiver_only | Asymmetric), _ -> false
 
-let is_prefix ~prefix s =
-  String.length prefix <= String.length s
-  && String.equal prefix (String.sub s 0 (String.length prefix))
-
 (* A target law is matched by prefix, so "agreement" covers both
    agreement-members and agreement-topology. *)
 let matches target (v : Invariant.violation) =
-  (String.equal target.law "any" || is_prefix ~prefix:target.law v.law)
+  (String.equal target.law "any"
+  || String.starts_with ~prefix:target.law v.law)
   &&
   match (target.kind, v.mc) with
   | None, _ -> true
@@ -199,27 +196,11 @@ let check_edges target scenario (prefix, acts) =
   List.map
     (fun act ->
       let h, descs = Explore.build scenario prefix in
-      let before = Array.map Invariant.installed_stamps (Harness.switches h) in
-      let desc = Harness.describe h act in
-      Harness.apply h act;
+      let desc, viols = Explore.step h act in
       let trace = descs @ [ desc ] in
-      let viols =
-        Explore.check_state h
-        @ (Array.to_list
-             (Array.mapi
-                (fun i sw ->
-                  Invariant.check_monotone ~id:i ~before:before.(i) sw)
-                (Harness.switches h))
-          |> List.concat)
-      in
       let enabled = Harness.enabled h in
       let terminal_viols =
-        if enabled = [] && viols = [] then
-          Invariant.check_terminal ~graph:(Harness.graph h)
-            ~truth:(Harness.truth h) (Harness.switches h)
-          @ Invariant.check_health_terminal
-              ~suppressed:(Harness.suppressed_links h) (Harness.switches h)
-        else []
+        if enabled = [] && viols = [] then Explore.check_terminal h else []
       in
       let all = viols @ terminal_viols in
       {
@@ -282,13 +263,7 @@ let forward ?(target = any) ?(max_states = 50_000) ?(max_depth = 10_000)
   let enabled0 = Harness.enabled h0 in
   let viols0 =
     Explore.check_state h0
-    @
-    if enabled0 = [] then
-      Invariant.check_terminal ~graph:(Harness.graph h0)
-        ~truth:(Harness.truth h0) (Harness.switches h0)
-      @ Invariant.check_health_terminal
-          ~suppressed:(Harness.suppressed_links h0) (Harness.switches h0)
-    else []
+    @ if enabled0 = [] then Explore.check_terminal h0 else []
   in
   let digest0 = Harness.digest h0 in
   (match List.filter (matches target) viols0 with

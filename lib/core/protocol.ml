@@ -74,6 +74,7 @@ type t = {
   faults : Faults.Plan.t option;
   switches : Switch.t array;
   flooding : payload Lsr.Flooding.t;
+  flood : payload Lsr.Lsa.t -> unit;  (** The flooding transport. *)
   mutable health : health_state option;
   seqs : Lsr.Lsa.Seq.counter array;
   link_versions : int Link_tbl.t;
@@ -93,28 +94,61 @@ type t = {
   mutable observers : (unit -> unit) list;
 }
 
+let originated ~switch ~seq = function
+  | Mc m ->
+    Sim.Trace.Lsa_originated
+      {
+        switch;
+        mc = Format.asprintf "%a" Mc_id.pp m.Mc_lsa.mc;
+        seq;
+        ev = Mc_lsa.event_to_string m.event;
+        proposal = m.proposal <> None;
+        stamp = Timestamp.to_array m.stamp;
+      }
+  | Link ev ->
+    Lsa_originated
+      {
+        switch;
+        mc = "";
+        seq;
+        ev = (if ev.up then "link-up" else "link-down");
+        proposal = false;
+        stamp = [||];
+      }
+  | Resync msg ->
+    Lsa_originated
+      {
+        switch;
+        mc = "";
+        seq;
+        ev =
+          (match msg with
+          | Resync.Summary _ -> "resync-summary"
+          | Resync.Delta _ -> "resync-delta");
+        proposal = false;
+        stamp = [||];
+      }
+
+(* Every LSA a switch sends starts here: stamp it with the origin's next
+   sequence number and hand it to [send].  A traced run first records
+   the origination (its payload built only then) and sends in that
+   event's causal context.  Every [send] is a closure built once per
+   switch, so the untraced path allocates nothing beyond the LSA. *)
+let originate t ~from payload send =
+  let seq = Lsr.Lsa.Seq.next t.seqs.(from) in
+  let lsa = Lsr.Lsa.make ~origin:from ~seq payload in
+  if Sim.Trace.enabled t.trace then
+    let oid =
+      Sim.Trace.emit t.trace ~time:(Sim.Engine.now t.engine)
+        (originated ~switch:from ~seq payload)
+    in
+    Sim.Trace.with_context t.trace oid (fun () -> send lsa)
+  else send lsa
+
 let flood_link_event t ~from (ev : Lsr.Lsdb.link_event) =
   t.link_floodings <- t.link_floodings + 1;
   Metrics.Registry.incr t.metrics "protocol.link_floodings";
-  let seq = Lsr.Lsa.Seq.next t.seqs.(from) in
-  let lsa = Lsr.Lsa.make ~origin:from ~seq (Link ev) in
-  if Sim.Trace.enabled t.trace then begin
-    let oid =
-      Sim.Trace.emit t.trace ~time:(Sim.Engine.now t.engine)
-        (Lsa_originated
-           {
-             switch = from;
-             mc = "";
-             seq;
-             ev = (if ev.up then "link-up" else "link-down");
-             proposal = false;
-             stamp = [||];
-           })
-    in
-    Sim.Trace.with_context t.trace oid (fun () ->
-        Lsr.Flooding.flood t.flooding lsa)
-  end
-  else Lsr.Flooding.flood t.flooding lsa
+  originate t ~from (Link ev) t.flood
 
 let create ~graph ~config ?faults ?(trace = Sim.Trace.disabled)
     ?(metrics = Metrics.Registry.disabled)
@@ -184,6 +218,7 @@ let create ~graph ~config ?faults ?(trace = Sim.Trace.disabled)
       faults;
       switches;
       flooding;
+      flood = (fun lsa -> Lsr.Flooding.flood flooding lsa);
       health = None;
       seqs = Array.init n (fun _ -> Lsr.Lsa.Seq.create ());
       link_versions = Link_tbl.create 16;
@@ -203,58 +238,36 @@ let create ~graph ~config ?faults ?(trace = Sim.Trace.disabled)
       Switch.set_flood sw (fun (mc_lsa : Mc_lsa.t) ->
           net.mc_floodings <- net.mc_floodings + 1;
           Metrics.Registry.incr metrics "protocol.mc_floodings";
-          let seq = Lsr.Lsa.Seq.next net.seqs.(id) in
-          let lsa = Lsr.Lsa.make ~origin:id ~seq (Mc mc_lsa) in
-          if Sim.Trace.enabled trace then begin
-            let oid =
-              Sim.Trace.emit trace ~time:(Sim.Engine.now engine)
-                (Lsa_originated
-                   {
-                     switch = id;
-                     mc = Format.asprintf "%a" Mc_id.pp mc_lsa.mc;
-                     seq;
-                     ev = Mc_lsa.event_to_string mc_lsa.event;
-                     proposal = mc_lsa.proposal <> None;
-                     stamp = Timestamp.to_array mc_lsa.stamp;
-                   })
-            in
-            Sim.Trace.with_context trace oid (fun () ->
-                Lsr.Flooding.flood net.flooding lsa)
-          end
-          else Lsr.Flooding.flood net.flooding lsa);
+          originate net ~from:id (Mc mc_lsa) net.flood);
       Switch.set_flood_link sw (fun ev -> flood_link_event net ~from:id ev);
+      let unicast peer (lsa : payload Lsr.Lsa.t) =
+        (* Only the recoverer's summary needs a failure signal: a lost
+           delta is covered by the recoverer's session deadline. *)
+        let on_giveup =
+          match lsa.payload with
+          | Resync (Resync.Summary _) ->
+            fun () -> Switch.resync_transport_failed sw ~peer
+          | Resync (Resync.Delta _) | Mc _ | Link _ -> fun () -> ()
+        in
+        Lsr.Flooding.send flooding ~src:id ~dst:peer ~on_giveup lsa
+      in
+      (* One transport per incident link, built at the switch's first
+         resync, so that a resync message allocates no closure of its
+         own and a run without crashes builds none. *)
+      let unicasts =
+        lazy
+          (List.filter_map
+             (fun peer ->
+               if Net.Graph.has_edge graph id peer then
+                 Some (peer, unicast peer)
+               else None)
+             (List.init n Fun.id))
+      in
       Switch.set_send_resync sw (fun ~peer msg ->
           Metrics.Registry.incr metrics "protocol.resync_messages";
-          let seq = Lsr.Lsa.Seq.next net.seqs.(id) in
-          let lsa = Lsr.Lsa.make ~origin:id ~seq (Resync msg) in
-          (* Only the recoverer's summary needs a failure signal: a lost
-             delta is covered by the recoverer's session deadline. *)
-          let on_giveup =
-            match msg with
-            | Resync.Summary _ ->
-              fun () -> Switch.resync_transport_failed sw ~peer
-            | Resync.Delta _ -> fun () -> ()
-          in
-          if Sim.Trace.enabled trace then begin
-            let oid =
-              Sim.Trace.emit trace ~time:(Sim.Engine.now engine)
-                (Lsa_originated
-                   {
-                     switch = id;
-                     mc = "";
-                     seq;
-                     ev =
-                       (match msg with
-                       | Resync.Summary _ -> "resync-summary"
-                       | Resync.Delta _ -> "resync-delta");
-                     proposal = false;
-                     stamp = [||];
-                   })
-            in
-            Sim.Trace.with_context trace oid (fun () ->
-                Lsr.Flooding.send net.flooding ~src:id ~dst:peer ~on_giveup lsa)
-          end
-          else Lsr.Flooding.send net.flooding ~src:id ~dst:peer ~on_giveup lsa);
+          (* Switch ids are ints: physical equality is equality. *)
+          originate net ~from:id (Resync msg)
+            (List.assq peer (Lazy.force unicasts)));
       Switch.set_on_change sw (fun () ->
           net.last_change <- Some (Sim.Engine.now engine);
           List.iter (fun f -> f ()) net.observers))

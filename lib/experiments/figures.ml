@@ -300,3 +300,71 @@ let cbt_comparison ?(seed = 1) ?(n = 60) ?(receivers = 12) ?(senders = 6)
     cbt_with (Baselines.Core_select.random (Sim.Rng.create (seed + 77)) graph)
       "cbt (random core)";
   ]
+
+let ci (s : Metrics.Stats.summary) = Metrics.Table.cell_ci ~mean:s.mean ~ci:s.ci95
+
+(* One row per point of [lead]: the size, then [lead]'s cell and each
+   other series' cell at that size. *)
+let size_rows (lead : series) others =
+  List.map
+    (fun (n, p) ->
+      string_of_int n :: ci p
+      :: List.map (fun (s : series) -> ci (List.assoc n s.points)) others)
+    lead.points
+
+let bursty_table (r : bursty_result) =
+  {
+    Metrics.Table.align = [];
+    headers =
+      [
+        "switches"; "(a) proposals/event"; "(b) floodings/event";
+        "(c) convergence (rounds)";
+      ];
+    rows = size_rows r.proposals [ r.floodings; r.convergence ];
+  }
+
+let normal_table (r : normal_result) =
+  {
+    Metrics.Table.align = [];
+    headers = [ "switches"; "(a) proposals/event"; "(b) floodings/event" ];
+    rows = size_rows r.n_proposals [ r.n_floodings ];
+  }
+
+let comparison_table (c : comparison) =
+  {
+    Metrics.Table.align = [];
+    headers =
+      [
+        "switches"; "dgmc comp/ev"; "brute comp/ev"; "mospf comp/ev";
+        "dgmc flood/ev"; "brute flood/ev"; "mospf flood/ev";
+      ];
+    rows =
+      size_rows c.dgmc_computations
+        [
+          c.brute_computations; c.mospf_computations; c.dgmc_floodings;
+          c.brute_floodings; c.mospf_floodings;
+        ];
+  }
+
+let cbt_table rows =
+  {
+    Metrics.Table.align = [ Metrics.Table.Left ];
+    headers =
+      [
+        "configuration"; "tree cost"; "max link load"; "mean link load";
+        "links used"; "mean delay"; "control msgs";
+      ];
+    rows =
+      List.map
+        (fun r ->
+          [
+            r.strategy;
+            Metrics.Table.cell_f r.tree_cost;
+            string_of_int r.max_link_load;
+            Metrics.Table.cell_f r.mean_link_load;
+            string_of_int r.links_used;
+            Metrics.Table.cell_f r.mean_delay;
+            string_of_int r.control_messages;
+          ])
+        rows;
+  }

@@ -2,8 +2,9 @@
 
     Each function reproduces one evaluation artifact as data series —
     mean ± 95% CI over the seed set at each network size, exactly the
-    reduction the paper plots.  Rendering to text tables is left to the
-    callers (bench harness and CLI).
+    reduction the paper plots.  Each result also has its text table
+    here ({!bursty_table} and friends), so the bench harness and
+    [dgmc_sim] print and export the same rows under the same headers.
 
     Defaults follow DESIGN.md's reconstruction of the paper's setup:
     sizes 20–100 step 20, 10 random graphs per size, 10-member bursts. *)
@@ -114,3 +115,25 @@ val cbt_comparison :
 (** §5's CBT trade-off: the D-GMC receiver-only shared tree vs. CBT
     trees under different core placements, loaded with the same packet
     batch from off-tree senders. *)
+
+(** {1 Tables}
+
+    Headers and rows of each artifact's table, as the bench harness and
+    [dgmc_sim] print them. *)
+
+val ci : Metrics.Stats.summary -> string
+(** A ["mean ± ci95"] cell. *)
+
+val bursty_table : bursty_result -> Metrics.Table.t
+(** Figures 6 and 7: switches, then (a) proposals, (b) floodings and
+    (c) convergence per size. *)
+
+val normal_table : normal_result -> Metrics.Table.t
+(** Figure 8: switches, then (a) proposals and (b) floodings per size. *)
+
+val comparison_table : comparison -> Metrics.Table.t
+(** Computations then floodings per event for D-GMC, brute force and
+    MOSPF, per size. *)
+
+val cbt_table : cbt_row list -> Metrics.Table.t
+(** One left-aligned row per configuration. *)

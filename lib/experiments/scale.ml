@@ -120,3 +120,25 @@ let hier_vs_flat ?domains ?(seeds = [ 1; 2; 3; 4; 5 ]) ?(areas = 10)
     reduce "flat" (List.map fst samples);
     reduce "hierarchical" (List.map snd samples);
   ]
+
+let table rows =
+  {
+    Metrics.Table.align = [ Metrics.Table.Left ];
+    headers =
+      [
+        "protocol"; "switches"; "floodings/event"; "messages/event";
+        "reach/event"; "converged";
+      ];
+    rows =
+      List.map
+        (fun r ->
+          [
+            r.protocol;
+            string_of_int r.n;
+            Metrics.Table.cell_f r.floodings_per_event;
+            Metrics.Table.cell_f r.messages_per_event;
+            Metrics.Table.cell_f r.reach_per_event;
+            string_of_bool r.converged;
+          ])
+        rows;
+  }

@@ -32,3 +32,6 @@ val hier_vs_flat :
 (** Defaults: 10 areas × 20 switches (n = 200), 20 sparse membership
     events confined to 3 areas, seeds 1-5.  [domains] (default 1) runs
     one seed per pool task; the rows are identical for any value. *)
+
+val table : row list -> Metrics.Table.t
+(** The hierarchy table: one left-aligned row per protocol. *)

@@ -1,5 +1,7 @@
 type align = Left | Right
 
+type t = { align : align list; headers : string list; rows : string list list }
+
 let cell_f x =
   (* dgmc-analyze: allow float-format — console table cell, not schema output *)
   let s = Printf.sprintf "%.3f" x in
@@ -47,3 +49,5 @@ let render ?align ~headers rows =
 let print ?align ~headers rows =
   print_string (render ?align ~headers rows);
   print_newline ()
+
+let print_table t = print ~align:t.align ~headers:t.headers t.rows

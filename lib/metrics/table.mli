@@ -6,6 +6,10 @@
 
 type align = Left | Right
 
+type t = { align : align list; headers : string list; rows : string list list }
+(** A table as data, so one builder feeds the text rendering and a CSV
+    export alike. *)
+
 val render :
   ?align:align list ->
   headers:string list ->
@@ -18,6 +22,9 @@ val render :
 val print :
   ?align:align list -> headers:string list -> string list list -> unit
 (** {!render} to stdout, followed by a newline. *)
+
+val print_table : t -> unit
+(** {!print} of a {!t}. *)
 
 val cell_f : float -> string
 (** Format a float compactly ([%.3f] with trailing-zero trim). *)

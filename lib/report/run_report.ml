@@ -6,10 +6,6 @@
    dgmc_report binary only picks the mode, the exit code and where the
    text goes. *)
 
-let starts_with ~prefix s =
-  String.length s >= String.length prefix
-  && String.sub s 0 (String.length prefix) = prefix
-
 (* ------------------------------------------------------------------ *)
 (* Shared trace helpers *)
 
@@ -139,7 +135,7 @@ let marks entries =
         if (not proposal) && ev <> "none" then push mc time Anchor;
         push mc time Control
       | Compute_started { mc; trigger; _ }
-        when mc <> "" && starts_with ~prefix:"event:" trigger ->
+        when mc <> "" && String.starts_with ~prefix:"event:" trigger ->
         push mc time Anchor
       | Lsa_forwarded { origin; seq; _ } -> (
         match Hashtbl.find_opt mc_of (origin, seq) with
@@ -287,9 +283,9 @@ let fault_links entries =
         in
         if fault = "drop" then f.f_drops <- f.f_drops + 1
         else if fault = "duplicate" then f.f_dups <- f.f_dups + 1
-        else if starts_with ~prefix:"reorder" fault then
+        else if String.starts_with ~prefix:"reorder" fault then
           f.f_reorders <- f.f_reorders + 1
-        else if starts_with ~prefix:"blocked" fault then
+        else if String.starts_with ~prefix:"blocked" fault then
           f.f_blocked <- f.f_blocked + 1
       | _ -> ())
     entries;

@@ -514,7 +514,7 @@ let read_file path =
 
 let load path = Result.bind (read_file path) parse
 
-let build ?trace ?metrics t =
+let build ?trace t =
   (* A scenario with faults needs reliable flooding: the lossless modes
      have no recovery from an injected drop, and the run would diverge
      for reasons that say nothing about the protocol. *)
@@ -530,13 +530,11 @@ let build ?trace ?metrics t =
     | None -> config
     | Some hc -> { config with Dgmc.Config.health = Some hc }
   in
-  let net =
-    Dgmc.Protocol.create ~graph:t.graph ~config ?faults ?trace ?metrics ()
-  in
+  let net = Dgmc.Protocol.create ~graph:t.graph ~config ?faults ?trace () in
   Events.apply_dgmc net t.events;
   net
 
-let run ?trace ?metrics t =
-  let net = build ?trace ?metrics t in
+let run t =
+  let net = build t in
   Dgmc.Protocol.run net;
   net

@@ -153,14 +153,12 @@ val read_file : string -> (string, string) result
 val load : string -> (t, string) result
 (** {!read_file}, then {!parse}. *)
 
-val build :
-  ?trace:Sim.Trace.t -> ?metrics:Metrics.Registry.t -> t -> Dgmc.Protocol.t
+val build : ?trace:Sim.Trace.t -> t -> Dgmc.Protocol.t
 (** Create the protocol instance and schedule every event {e without}
     running — so callers can attach observers (e.g. [Check.Monitor])
     before the first transition, then [Dgmc.Protocol.run] it.
-    [trace]/[metrics] are forwarded to {!Dgmc.Protocol.create}. *)
+    [trace] is forwarded to {!Dgmc.Protocol.create}. *)
 
-val run :
-  ?trace:Sim.Trace.t -> ?metrics:Metrics.Registry.t -> t -> Dgmc.Protocol.t
+val run : t -> Dgmc.Protocol.t
 (** Build the protocol instance, schedule every event, and run to
     quiescence. *)

@@ -15,6 +15,15 @@ let join switch = Check.Harness.Join { switch; mc = mc1; role = Dgmc.Member.Both
 let base_scenario ?(config = Dgmc.Config.atm_lan) ~setup ~race () =
   { Check.Explore.graph = Net.Topo_gen.ring 4; config; setup; race }
 
+(* The exact size of an exhaustive exploration.  The law set decides
+   which states are cut short, so a change to the per-edge or terminal
+   laws, or to the walker, shows up here as a count change. *)
+let check_counts (states, transitions, terminals) (o : Check.Explore.outcome)
+    =
+  Alcotest.(check (triple int int int))
+    "states / transitions / terminals" (states, transitions, terminals)
+    (o.states, o.transitions, o.terminals)
+
 (* --- exhaustive exploration of the correct protocol --- *)
 
 let test_two_concurrent_joins () =
@@ -29,7 +38,8 @@ let test_two_concurrent_joins () =
   Alcotest.(check bool) "exploration complete" true o.complete;
   Alcotest.(check bool) "reached terminal states" true (o.terminals > 0);
   Alcotest.(check bool) "exploration covers many interleavings" true
-    (o.states > 10)
+    (o.states > 10);
+  check_counts (1047, 3266, 1) o
 
 let test_join_vs_link_failure () =
   (* Settle two members first, find a link their agreed tree uses, then
@@ -65,7 +75,8 @@ let test_join_vs_link_failure () =
       (String.concat "\n" v.trace)
   | None -> ());
   Alcotest.(check bool) "exploration complete" true o.complete;
-  Alcotest.(check bool) "reached terminal states" true (o.terminals > 0)
+  Alcotest.(check bool) "reached terminal states" true (o.terminals > 0);
+  check_counts (106076, 439939, 4) o
 
 (* --- the checker catches a broken protocol variant --- *)
 
@@ -90,7 +101,13 @@ let test_broken_variant_caught () =
        minimal trace (%d steps):@."
       v.message (List.length v.trace);
     List.iteri (fun i d -> Format.printf "  %2d. %s@." (i + 1) d) v.trace;
-    Alcotest.(check bool) "counterexample has a trace" true (v.trace <> [])
+    Alcotest.(check bool) "counterexample has a trace" true (v.trace <> []);
+    Alcotest.(check int) "minimal trace length" 9 (List.length v.trace);
+    Alcotest.(check (list string)) "violated laws"
+      [ "pending-duty"; "agreement-topology"; "terminals-match" ]
+      (List.map
+         (fun line -> String.sub line 1 (String.index line ']' - 1))
+         (String.split_on_char '\n' v.message))
 
 let test_no_withdrawal_self_heals () =
   (* The other fault knob: skipping Figure 4's stale-proposal withdrawal
@@ -114,7 +131,8 @@ let test_no_withdrawal_self_heals () =
       "expected self-healing, got: %s\ntrace:\n%s" v.message
       (String.concat "\n" v.trace)
   | None -> ());
-  Alcotest.(check bool) "exploration complete" true o.complete
+  Alcotest.(check bool) "exploration complete" true o.complete;
+  check_counts (1047, 3266, 1) o
 
 (* --- crash-recovery resynchronisation, exhaustively --- *)
 
@@ -143,7 +161,8 @@ let test_crash_recover_interleavings () =
   Alcotest.(check bool) "exploration complete" true o.complete;
   Alcotest.(check bool) "reached terminal states" true (o.terminals > 0);
   Alcotest.(check bool) "exploration covers many interleavings" true
-    (o.states > 10)
+    (o.states > 10);
+  check_counts (161, 501, 1) o
 
 let test_crash_overlapping_crash () =
   (* Two overlapping outages: when 1 recovers, its neighbor 2 is still
@@ -171,7 +190,8 @@ let test_crash_overlapping_crash () =
       (String.concat "\n" v.trace)
   | None -> ());
   Alcotest.(check bool) "exploration complete" true o.complete;
-  Alcotest.(check bool) "reached terminal states" true (o.terminals > 0)
+  Alcotest.(check bool) "reached terminal states" true (o.terminals > 0);
+  check_counts (2505, 10485, 1) o
 
 (* --- resynchronisation message codec --- *)
 
@@ -731,7 +751,8 @@ let test_hello_fault_free_no_false_positive () =
       (String.concat "\n" v.trace)
   | None -> ());
   Alcotest.(check bool) "exploration complete" true o.complete;
-  Alcotest.(check bool) "reached terminal states" true (o.terminals > 0)
+  Alcotest.(check bool) "reached terminal states" true (o.terminals > 0);
+  check_counts (5, 5, 1) o
 
 let test_hello_detection_proven () =
   (* Law "hello-detect": in every interleaving of a link failure with
@@ -763,6 +784,7 @@ let test_hello_detection_proven () =
       (String.concat "\n" v.trace)
   | None -> ());
   Alcotest.(check bool) "exploration complete" true o.complete;
+  check_counts (16, 32, 1) o;
   (* And concretely, on the deterministic schedule: silence for
      a_detect_rounds flips both endpoint beliefs, with zero spurious
      declarations. *)
@@ -854,7 +876,8 @@ let test_hello_crash_detection_legitimate () =
     Alcotest.failf "unexpected violation: %s\ntrace:\n%s" v.message
       (String.concat "\n" v.trace)
   | None -> ());
-  Alcotest.(check bool) "exploration complete" true o.complete
+  Alcotest.(check bool) "exploration complete" true o.complete;
+  check_counts (4, 4, 1) o
 
 let () =
   Alcotest.run "check"
