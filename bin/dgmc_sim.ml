@@ -351,9 +351,7 @@ let script_cmd =
       in
       let trace = make_trace trace_file trace_cats in
       let net = Workload.Script.build ~trace script in
-      let monitor =
-        if check then Some (Check.Monitor.attach ~trace net) else None
-      in
+      let monitor = if check then Some (Check.Monitor.attach net) else None in
       Dgmc.Protocol.run net;
       Option.iter Check.Monitor.check_terminal monitor;
       finish_trace trace trace_file;

@@ -250,7 +250,7 @@ let run_events ?(trace = Sim.Trace.disabled) case events =
       ~graph:(Net.Graph.copy case.graph)
       ~config:case.config ~faults:plan ~trace ()
   in
-  let monitor = Monitor.attach ~trace net in
+  let monitor = Monitor.attach net in
   Workload.Events.apply_dgmc net events;
   Dgmc.Protocol.run net ~max_events:max_engine_events;
   let problems = ref [] in

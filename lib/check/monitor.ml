@@ -2,7 +2,6 @@ let cap = 100
 
 type t = {
   net : Dgmc.Protocol.t;
-  trace : Sim.Trace.t;
   mutable sweeps : int;
   mutable boundary_pending : bool;
       (* a delay-0 boundary sweep is already in the engine's calendar *)
@@ -19,10 +18,11 @@ let record t v =
   if (not (Hashtbl.mem t.seen s)) && Hashtbl.length t.seen < cap then begin
     Hashtbl.add t.seen s ();
     t.violations <- s :: t.violations;
-    if Sim.Trace.enabled t.trace then
+    let engine = Dgmc.Protocol.engine t.net in
+    let trace = Sim.Engine.trace engine in
+    if Sim.Trace.enabled trace then
       ignore
-        (Sim.Trace.emit t.trace
-           ~time:(Sim.Engine.now (Dgmc.Protocol.engine t.net))
+        (Sim.Trace.emit trace ~time:(Sim.Engine.now engine)
            (Note { category = "violation"; message = s }))
   end
 
@@ -67,11 +67,10 @@ let sweep ~boundary t =
       (Hashtbl.copy t.history)
   done
 
-let attach ?(trace = Sim.Trace.disabled) net =
+let attach net =
   let t =
     {
       net;
-      trace;
       sweeps = 0;
       boundary_pending = false;
       seen = Hashtbl.create 16;

@@ -18,10 +18,11 @@
 
 type t
 
-val attach : ?trace:Sim.Trace.t -> Dgmc.Protocol.t -> t
+val attach : Dgmc.Protocol.t -> t
 (** Register on the protocol's observer hook and sweep once
-    immediately.  An enabled [trace] receives each first-seen violation
-    as a ["violation"] note at the simulated time it was detected, so a
+    immediately.  When the protocol's engine carries an enabled trace
+    ({!Sim.Engine.trace}), each first-seen violation is written to it as
+    a ["violation"] note at the simulated time it was detected, so a
     captured trace places invariant breakage on the causal timeline. *)
 
 val sweeps : t -> int

@@ -158,10 +158,9 @@ let create ~graph ~config ?faults ?(trace = Sim.Trace.disabled)
   (match Config.validate config with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Protocol.create: " ^ msg));
-  let engine = Sim.Engine.create () in
+  let engine = Sim.Engine.create ~trace ~metrics () in
   let switches =
-    Array.init n (fun id ->
-        Switch.create ~id ~n ~config ~engine ~graph ~trace ~metrics ())
+    Array.init n (fun id -> Switch.create ~id ~n ~config ~engine ~graph ())
   in
   let deliver ~switch (lsa : payload Lsr.Lsa.t) =
     match lsa.payload with
@@ -173,7 +172,7 @@ let create ~graph ~config ?faults ?(trace = Sim.Trace.disabled)
     match faults with
     | None -> None
     | Some plan ->
-      Faults.Plan.instrument plan ~trace ~metrics ();
+      Faults.Plan.instrument plan engine;
       Some
         (fun ~src ~dst ~base_delay ->
           Faults.Plan.transmit plan ~src ~dst ~now:(Sim.Engine.now engine)
@@ -182,34 +181,17 @@ let create ~graph ~config ?faults ?(trace = Sim.Trace.disabled)
   let flooding =
     Lsr.Flooding.create ~engine ~graph ~t_hop:config.Config.t_hop
       ~mode:config.Config.flood_mode ~reliability:config.Config.reliability
-      ?transmit ~trace ~metrics ~series ~deliver ()
+      ?transmit ~deliver ()
   in
-  (* Flight-recorder probe: one engine-level sample per executed event.
-     Installed only when the series is live — the disabled engine path
-     stays a single [None] branch — and it only observes: reading the
-     clock, the calendar length, and per-switch LSDB sizes can neither
-     schedule events nor perturb protocol state, so figure output stays
-     byte-identical with recording on.  LSDB sizes are sampled once per
-     bucket boundary (first event at or past it), not per event. *)
-  if Metrics.Series.enabled series then begin
-    let width = Metrics.Series.bucket_width series in
-    let last_bucket = ref min_int in
+  (* Flight-recorder probe: the calendar depth after every executed
+     event.  Installed only when the series is live — the disabled engine
+     path stays a single [None] branch — and it only observes, so figure
+     output stays byte-identical with recording on. *)
+  if Metrics.Series.enabled series then
     Sim.Engine.set_probe engine (fun () ->
-        let now = Sim.Engine.now engine in
-        Metrics.Series.add series ~name:"engine.events" ~time:now 1.0;
-        Metrics.Series.add series ~name:"engine.queue_depth" ~time:now
-          (float_of_int (Sim.Engine.pending engine));
-        let bucket = int_of_float (Float.floor (now /. width)) in
-        if bucket <> !last_bucket then begin
-          last_bucket := bucket;
-          Array.iter
-            (fun sw ->
-              Metrics.Series.add series ~switch:(Switch.id sw)
-                ~name:"switch.lsdb_entries" ~time:now
-                (float_of_int (Switch.lsdb_changed_count sw)))
-            switches
-        end)
-  end;
+        Metrics.Series.add series ~name:"engine.queue_depth"
+          ~time:(Sim.Engine.now engine)
+          (float_of_int (Sim.Engine.pending engine)));
   let net =
     {
       engine;

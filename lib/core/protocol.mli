@@ -76,7 +76,10 @@ val create :
     [config.flood_mode = Reliable], or floods will silently lose LSAs
     and the network will not converge.
 
-    An enabled [trace] captures the full causal story of a run: every
+    [trace] and [metrics] are handed once to the run's engine
+    ({!Sim.Engine.create}); every switch, the flooding layer, the fault
+    plan and an attached [Check.Monitor] read them from there.  An
+    enabled [trace] captures the full causal story of a run: every
     flood starts with an [Lsa_originated] event (MC LSAs carry the MC
     id, advertised event and R stamp; link LSAs carry ["link-up"] /
     ["link-down"]), and the per-hop forwarding, delivery, protocol
@@ -91,15 +94,13 @@ val create :
     [faults.*] names.
 
     An enabled [series] turns on the flight recorder: an engine probe
-    samples [engine.events] (executed events per bucket) and
-    [engine.queue_depth] after every event, [switch.lsdb_entries] per
-    switch once per bucket boundary, and the flooding layer contributes
-    [flood.lsas] and [flood.inflight_rtx] (see {!Lsr.Flooding.create}).
-    The probe only observes — the event calendar, protocol state and
-    figure output are byte-identical with recording on or off — and a
-    disabled series leaves the engine probe uninstalled entirely. *)
+    samples [engine.queue_depth] after every executed event.  The probe
+    only observes — the event calendar, protocol state and figure output
+    are byte-identical with recording on or off — and a disabled series
+    leaves the engine probe uninstalled entirely. *)
 
 val engine : t -> Sim.Engine.t
+(** The run's engine, which holds its trace and registry. *)
 
 val faults : t -> Faults.Plan.t option
 (** The fault plan delivery runs under, if any. *)

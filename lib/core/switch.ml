@@ -61,8 +61,7 @@ type t = {
           into a disabled registry allocates nothing. *)
 }
 
-let create ~id ~n ~config ~engine ~graph ?(trace = Sim.Trace.disabled)
-    ?(metrics = Metrics.Registry.disabled) () =
+let create ~id ~n ~config ~engine ~graph () =
   {
     id;
     n;
@@ -91,8 +90,8 @@ let create ~id ~n ~config ~engine ~graph ?(trace = Sim.Trace.disabled)
         proposals_accepted = 0;
         lsas_received = 0;
       };
-    trace;
-    metrics;
+    trace = Sim.Engine.trace engine;
+    metrics = Sim.Engine.metrics engine;
     label = Some id;
   }
 
@@ -1074,8 +1073,6 @@ let receive_resync t msg =
 (* Introspection *)
 
 let lsdb_entries t = Lsr.Lsdb.entries t.lsdb
-
-let lsdb_changed_count t = Lsr.Lsdb.changed_count t.lsdb
 
 let mc_ids t =
   Mc_table.fold (fun mc _ acc -> mc :: acc) t.mcs []

@@ -31,21 +31,21 @@ val create :
   config:Config.t ->
   engine:Sim.Engine.t ->
   graph:Net.Graph.t ->
-  ?trace:Sim.Trace.t ->
-  ?metrics:Metrics.Registry.t ->
   unit ->
   t
 (** [graph] seeds the switch's private link-state image (a deep copy).
+    The switch records into [engine]'s sinks ({!Sim.Engine.trace} and
+    {!Sim.Engine.metrics}).
 
-    An enabled [trace] receives structured events for every protocol
+    An enabled trace receives structured events for every protocol
     transition: [Compute_started] when a topology computation begins
     (trigger [event:<v>] for [EventHandler], [receive-lsa] for the
     triggered entity), [Proposal_made] at completion (with [withdrawn]
     set when the result was stale), [Topology_installed] whenever [C]
     and the installed tree change (carrying the full R/E/C vectors,
     member list and tree), and [Resync] per MC pulled from a peer; the
-    flooding and adoption these cause are linked to them causally.
-    [metrics] mirrors {!stats} into [switch.*] counters labelled with
+    flooding and adoption these cause are linked to them causally.  The
+    registry mirrors {!stats} into [switch.*] counters labelled with
     this switch's id. *)
 
 val id : t -> int
@@ -59,10 +59,6 @@ val lsdb_entries : t -> Lsr.Lsdb.link_event list
 (** Versioned link entries of the image ({!Lsr.Lsdb.entries}): the
     version knowledge behind [image], which up/down flags alone do not
     capture (the model checker hashes it; resynchronisation ships it). *)
-
-val lsdb_changed_count : t -> int
-(** [List.length (lsdb_entries t)] in O(1) without allocation — the
-    per-switch LSDB-size figure the flight recorder samples. *)
 
 val set_flood : t -> (Mc_lsa.t -> unit) -> unit
 (** Install the flooding callback.  Must be called before any event. *)

@@ -106,11 +106,7 @@ type fault_kind =
   | Crash_block of int
   | Partition_block
 
-type event = { time : float; src : int; dst : int; fault : fault_kind }
-
 type window = { w_from : float; w_until : float }
-
-let trace_cap = 100_000
 
 type t = {
   rng : Sim.Rng.t;
@@ -129,8 +125,6 @@ type t = {
   mutable c_reordered : int;
   mutable c_blocked_crash : int;
   mutable c_blocked_partition : int;
-  mutable events : event list;  (* newest first *)
-  mutable n_events : int;
   mutable sim_trace : Sim.Trace.t;
   mutable metrics : Metrics.Registry.t;
 }
@@ -154,15 +148,13 @@ let create ?(spec = spec_default) ~seed () =
     c_reordered = 0;
     c_blocked_crash = 0;
     c_blocked_partition = 0;
-    events = [];
-    n_events = 0;
     sim_trace = Sim.Trace.disabled;
     metrics = Metrics.Registry.disabled;
   }
 
-let instrument t ?trace ?metrics () =
-  Option.iter (fun tr -> t.sim_trace <- tr) trace;
-  Option.iter (fun m -> t.metrics <- m) metrics
+let instrument t engine =
+  t.sim_trace <- Sim.Engine.trace engine;
+  t.metrics <- Sim.Engine.metrics engine
 
 let seed t = t.plan_seed
 
@@ -232,17 +224,12 @@ let metric_of_fault = function
   | Crash_block _ -> "faults.blocked_crash"
   | Partition_block -> "faults.blocked_partition"
 
-let record t ev =
-  if t.n_events < trace_cap then begin
-    t.events <- ev :: t.events;
-    t.n_events <- t.n_events + 1
-  end;
-  Metrics.Registry.incr t.metrics (metric_of_fault ev.fault);
+let record t ~now ~src ~dst fault =
+  Metrics.Registry.incr t.metrics (metric_of_fault fault);
   if Sim.Trace.enabled t.sim_trace then
     ignore
-      (Sim.Trace.emit t.sim_trace ~time:ev.time
-         (Fault_injected
-            { src = ev.src; dst = ev.dst; fault = fault_label ev.fault }))
+      (Sim.Trace.emit t.sim_trace ~time:now
+         (Fault_injected { src; dst; fault = fault_label fault }))
 
 let link_spec t src dst =
   match Hashtbl.find_opt t.link_specs (min src dst, max src dst) with
@@ -276,13 +263,13 @@ let transmit t ~src ~dst ~now ~base_delay =
     let who = if crashed t src now then src else dst in
     t.c_blocked_crash <- t.c_blocked_crash + 1;
     la.a_blocked <- la.a_blocked + 1;
-    record t { time = now; src; dst; fault = Crash_block who };
+    record t ~now ~src ~dst (Crash_block who);
     []
   end
   else if separated t src dst now then begin
     t.c_blocked_partition <- t.c_blocked_partition + 1;
     la.a_blocked <- la.a_blocked + 1;
-    record t { time = now; src; dst; fault = Partition_block };
+    record t ~now ~src ~dst Partition_block;
     []
   end
   else begin
@@ -296,7 +283,7 @@ let transmit t ~src ~dst ~now ~base_delay =
     if dropped then begin
       t.c_dropped <- t.c_dropped + 1;
       la.a_dropped <- la.a_dropped + 1;
-      record t { time = now; src; dst; fault = Drop };
+      record t ~now ~src ~dst Drop;
       []
     end
     else begin
@@ -314,7 +301,7 @@ let transmit t ~src ~dst ~now ~base_delay =
           in
           t.c_reordered <- t.c_reordered + 1;
           la.a_reordered <- la.a_reordered + 1;
-          record t { time = now; src; dst; fault = Reorder extra };
+          record t ~now ~src ~dst (Reorder extra);
           d +. extra
         end
         else d
@@ -325,7 +312,7 @@ let transmit t ~src ~dst ~now ~base_delay =
       if duplicated then begin
         t.c_duplicated <- t.c_duplicated + 1;
         la.a_duplicated <- la.a_duplicated + 1;
-        record t { time = now; src; dst; fault = Duplicate };
+        record t ~now ~src ~dst Duplicate;
         let second = copy () in
         t.c_delivered <- t.c_delivered + 2;
         Metrics.Registry.incr t.metrics ~by:2 "faults.delivered";
@@ -366,8 +353,6 @@ let link_counters t =
   |> List.sort (fun ((a1, a2), _) ((b1, b2), _) ->
          match Int.compare a1 b1 with 0 -> Int.compare a2 b2 | c -> c)
 
-let trace t = List.rev t.events
-
 let crash_windows t =
   List.rev_map (fun (s, w) -> (s, (w.w_from, w.w_until))) t.crashes
 
@@ -382,16 +367,3 @@ let partition_windows t =
     t.partitions
 
 let pp_spec ppf s = Format.pp_print_string ppf (spec_to_string s)
-
-let pp_event ppf { time; src; dst; fault } =
-  let kind =
-    match fault with
-    | Drop -> "drop"
-    | Duplicate -> "duplicate"
-    (* dgmc-analyze: allow float-format — human-readable event printer *)
-    | Reorder extra -> Printf.sprintf "reorder(+%g)" extra
-    | Crash_block who -> Printf.sprintf "blocked(crash %d)" who
-    | Partition_block -> "blocked(partition)"
-  in
-  (* dgmc-analyze: allow float-format — human-readable event printer *)
-  Format.fprintf ppf "@[<h>%.6g %d->%d %s@]" time src dst kind

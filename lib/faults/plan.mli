@@ -11,9 +11,9 @@
 
     Everything is deterministic: a plan built from the same seed and
     subjected to the same sequence of {!transmit} calls (which a seeded
-    simulation guarantees) makes identical decisions and records an
-    identical fault trace.  That is what makes a fuzz failure replayable
-    from its printed seed.
+    simulation guarantees) makes identical decisions and counts identical
+    faults.  That is what makes a fuzz failure replayable from its
+    printed seed.
 
     Probabilistic faults (drop/duplicate/reorder/jitter) are memoryless
     and never end; scheduled faults (crashes, partitions) are windows in
@@ -65,11 +65,10 @@ val create : ?spec:spec -> seed:int -> unit -> t
 
 val seed : t -> int
 
-val instrument :
-  t -> ?trace:Sim.Trace.t -> ?metrics:Metrics.Registry.t -> unit -> unit
-(** Attach observability sinks (only the arguments given are replaced).
-    With a trace, every injected fault additionally emits a
-    [Fault_injected] event; with a registry, the counters are mirrored
+val instrument : t -> Sim.Engine.t -> unit
+(** Record into the engine's sinks ({!Sim.Engine.trace} and
+    {!Sim.Engine.metrics}): with an enabled trace, every injected fault
+    emits a [Fault_injected] event; the registry mirrors the counters
     into [faults.*] metrics.  {!Protocol.create} calls this on the plan
     it is handed. *)
 
@@ -109,7 +108,8 @@ val transmit :
     with fault-free delivery delay [base_delay] ([> 0]).  Returns the
     delay of every copy to deliver: [[]] when lost or blocked, one
     element normally, two when duplicated.  Delays are [>= base_delay].
-    Counters and the fault trace are updated as a side effect. *)
+    Counters (and the instrumented trace) are updated as a side
+    effect. *)
 
 (** {1 Accounting} *)
 
@@ -135,23 +135,6 @@ type link_counters = {
 
 val link_counters : t -> ((int * int) * link_counters) list
 (** Exact per-directed-link fault accounting as [((src, dst), counts)],
-    sorted by [(src, dst)] — every pair that ever transmitted appears.
-    Unlike {!trace}, never capped. *)
-
-type fault_kind =
-  | Drop
-  | Duplicate
-  | Reorder of float  (** Extra delay added. *)
-  | Crash_block of int  (** The crashed endpoint. *)
-  | Partition_block
-
-type event = { time : float; src : int; dst : int; fault : fault_kind }
-
-val trace : t -> event list
-(** Every injected fault in injection order (clean deliveries are not
-    recorded).  Capped at 100_000 entries; {!counters} keeps exact
-    totals regardless. *)
-
-val pp_event : Format.formatter -> event -> unit
+    sorted by [(src, dst)] — every pair that ever transmitted appears. *)
 
 val pp_spec : Format.formatter -> spec -> unit

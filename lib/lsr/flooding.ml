@@ -56,7 +56,6 @@ type 'a t = {
   deliver : switch:int -> 'a Lsa.t -> unit;
   trace : Sim.Trace.t;
   metrics : Metrics.Registry.t;
-  series : Metrics.Series.t;
   seen : (int * int, unit) Hashtbl.t array;
       (** Per switch: (origin, seq) pairs already received. *)
   pending : (int * int * (int * int), rtx) Hashtbl.t;
@@ -74,8 +73,7 @@ let default_transmit ~src:_ ~dst:_ ~base_delay = [ base_delay ]
 
 let create ~engine ~graph ~t_hop ?(mode = Hop_by_hop)
     ?(reliability = default_reliability) ?(transmit = default_transmit)
-    ?(trace = Sim.Trace.disabled) ?(metrics = Metrics.Registry.disabled)
-    ?(series = Metrics.Series.disabled) ~deliver () =
+    ~deliver () =
   if t_hop <= 0.0 then invalid_arg "Flooding.create: t_hop must be positive";
   if reliability.rto <= 2.0 then
     invalid_arg
@@ -92,9 +90,8 @@ let create ~engine ~graph ~t_hop ?(mode = Hop_by_hop)
     rel = reliability;
     transmit;
     deliver;
-    trace;
-    metrics;
-    series;
+    trace = Sim.Engine.trace engine;
+    metrics = Sim.Engine.metrics engine;
     seen = Array.init (Net.Graph.n_nodes graph) (fun _ -> Hashtbl.create 64);
     pending = Hashtbl.create 64;
     rtt = Hashtbl.create 16;
@@ -126,17 +123,6 @@ let transmit_copies t ~src ~dst k =
              if Net.Graph.link_is_up t.graph src dst then k ())))
     (t.transmit ~src ~dst ~base_delay:t.t_hop)
 
-(* Flight-recorder sampling.  Both sites are guarded on [Series.enabled]
-   at the call site — the guard is one field read, and the float
-   arguments ([now t], the pending count) would otherwise box even when
-   recording is off. *)
-let record_lsa t =
-  Metrics.Series.add t.series ~name:"flood.lsas" ~time:(now t) 1.0
-
-let record_inflight t =
-  Metrics.Series.add t.series ~name:"flood.inflight_rtx" ~time:(now t)
-    (float_of_int (Hashtbl.length t.pending))
-
 (* Count (first copies only), trace and schedule the copies of one data
    transmission; returns the forward's trace id (-1 untraced).  [k fid]
    runs per copy that arrives over a live link; fault losses and
@@ -147,7 +133,6 @@ let send_data t ~src ~dst ~retransmit ~parent lsa k =
     t.messages <- t.messages + 1;
     Metrics.Registry.incr t.metrics ~switch:src "flood.messages"
   end;
-  if Metrics.Series.enabled t.series then record_lsa t;
   let origin = lsa.Lsa.origin and seq = lsa.Lsa.seq in
   let fid =
     if traced t then
@@ -196,7 +181,6 @@ let deliver_traced t lsa ~switch ~source ~fid k =
 let drop_pending t key rtx ~reason =
   let src, dst, _ = key in
   Hashtbl.remove t.pending key;
-  if Metrics.Series.enabled t.series then record_inflight t;
   t.abandoned <- t.abandoned + 1;
   Metrics.Registry.incr t.metrics ~switch:src "flood.abandoned";
   if traced t then
@@ -263,7 +247,6 @@ let ack_received t key =
   | Some rtx ->
     Option.iter Sim.Engine.cancel rtx.rtx_handle;
     Hashtbl.remove t.pending key;
-    if Metrics.Series.enabled t.series then record_inflight t;
     (* Karn's rule: only transfers acked without any retransmission
        yield an RTT sample — after a retry the ack is ambiguous. *)
     if t.rel.adaptive && rtx.tries = 0 then begin
@@ -306,7 +289,6 @@ let transfer t ~src ~dst ~parent ~on_giveup ~arrive lsa =
         }
       in
       Hashtbl.add t.pending key rtx;
-      if Metrics.Series.enabled t.series then record_inflight t;
       arm_retransmit t key lsa rtx ~arrive
     end
   end

@@ -84,35 +84,24 @@ val create :
   ?mode:mode ->
   ?reliability:reliability ->
   ?transmit:transmit ->
-  ?trace:Sim.Trace.t ->
-  ?metrics:Metrics.Registry.t ->
-  ?series:Metrics.Series.t ->
   deliver:(switch:int -> 'a Lsa.t -> unit) ->
   unit ->
   'a t
 (** [deliver] is invoked once per switch (except the origin) per flooded
     LSA, at the simulated arrival time.  [t_hop] must be positive.
 
-    {b Observability.}  With an enabled [trace], every per-link data
-    transmission emits [Lsa_forwarded] (with [retransmit] set on reliable
-    retries), every first receipt emits [Lsa_delivered], and losses emit
-    [Lsa_dropped] with the reason ([fault] for injected loss, [link-down]
-    for mid-flight link failure, [abandoned] for an exhausted reliable
-    transfer).  Causal parents link each event to the transmission that
-    caused it, and the ambient trace context at {!flood} time (normally
-    the origination event) roots the tree; [deliver] runs under the
-    delivery's context so protocol reactions chain on.  With [metrics],
-    the per-instance counters are mirrored into [flood.*] counters
-    labelled by the sending switch.
-
-    With an enabled [series], the flight recorder samples two windowed
-    time-series in simulated time: [flood.lsas] (one point per data
-    transmission, retransmissions included — bucket counts give LSAs per
-    tick) and [flood.inflight_rtx] (the reliable-mode in-flight
-    retransmit-table size, sampled at every arm/ack/abandon transition —
-    bucket [last] gives the depth profile).  All recording sites are
-    guarded on [Metrics.Series.enabled], so a disabled series costs one
-    field read per site and allocates nothing. *)
+    {b Observability.}  Flooding records into [engine]'s sinks
+    ({!Sim.Engine.trace} and {!Sim.Engine.metrics}).  With an enabled
+    trace, every per-link data transmission emits [Lsa_forwarded] (with
+    [retransmit] set on reliable retries), every first receipt emits
+    [Lsa_delivered], and losses emit [Lsa_dropped] with the reason
+    ([fault] for injected loss, [link-down] for mid-flight link failure,
+    [abandoned] for an exhausted reliable transfer).  Causal parents link
+    each event to the transmission that caused it, and the ambient trace
+    context at {!flood} time (normally the origination event) roots the
+    tree; [deliver] runs under the delivery's context so protocol
+    reactions chain on.  The registry mirrors the per-instance counters
+    into [flood.*] counters labelled by the sending switch. *)
 
 val flood : 'a t -> 'a Lsa.t -> unit
 (** Start flooding from the LSA's origin at the current simulated time.

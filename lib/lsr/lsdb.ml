@@ -37,5 +37,3 @@ let pp_link_event ppf { u; v; up; version } =
   Format.fprintf ppf "link(%d, %d) %s v%d" u v
     (if up then "up" else "down")
     version
-
-let changed_count t = Link_tbl.length t.versions

@@ -47,8 +47,3 @@ val entries : t -> link_event list
     are in boot state on both sides and need no exchange. *)
 
 val pp_link_event : Format.formatter -> link_event -> unit
-
-val changed_count : t -> int
-(** Number of links this image holds versioned (non-boot) state for —
-    the size figure the flight recorder samples per switch.  O(1), no
-    allocation: it reads the version-table length, unlike {!entries}. *)

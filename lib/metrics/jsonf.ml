@@ -1,15 +1,14 @@
-(* Shared JSON fragment rendering for the machine-diffed outputs of this
-   library (dgmc-bench/1 and the telemetry sections embedded in it).
-   Mirrors Sim.Json.number/escape; Metrics deliberately has no dependency
-   on Sim. *)
+(* The one JSON float and string renderer: every hand-written JSON
+   writer in the repo (dgmc-bench/1, dgmc-trace/1, the report and the
+   analyzer) goes through it, [Sim.Json] included. *)
 
 let num f =
   if Float.is_integer f && Float.abs f < 1e15 then
     (* dgmc-analyze: allow float-format — %.0f on an exactly-integral float
-       below 2^53 round-trips *)
+       below 2^53 round-trips; non-integral values take the %.17g branch *)
     Printf.sprintf "%.0f" f
   else if Float.is_finite f then Printf.sprintf "%.17g" f
-  else "0"
+  else "null"
 
 let escape s =
   let b = Buffer.create (String.length s + 2) in
@@ -19,6 +18,7 @@ let escape s =
       | '"' -> Buffer.add_string b "\\\""
       | '\\' -> Buffer.add_string b "\\\\"
       | '\n' -> Buffer.add_string b "\\n"
+      | '\r' -> Buffer.add_string b "\\r"
       | '\t' -> Buffer.add_string b "\\t"
       | c when Char.code c < 0x20 ->
         Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))

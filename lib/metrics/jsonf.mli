@@ -1,12 +1,11 @@
-(** Shared JSON fragment helpers for the machine-diffed outputs of this
-    library.  Kept here (rather than depending on [Sim.Json]) because
-    Metrics deliberately has no dependency on Sim. *)
+(** JSON fragment rendering shared by every hand-written JSON writer in
+    the repo; [Sim.Json.number]/[Sim.Json.escape] are these functions. *)
 
 val num : float -> string
 (** Round-trip float rendering: integral floats below 2{^53} print as
-    integers, everything else as [%.17g] (non-finite values as ["0"]) —
-    so a printed value parses back to the same float and the JSON stays
-    byte-diffable. *)
+    integers, other finite values as [%.17g], so a printed value parses
+    back to the same float and the JSON stays byte-diffable.  Non-finite
+    values render as [null]. *)
 
 val escape : string -> string
 (** Escape a string for inclusion between JSON double quotes. *)

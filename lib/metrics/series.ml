@@ -43,8 +43,6 @@ let create ?(bucket = 1.0) ?(cap = 512) () =
 
 let enabled t = t.on
 
-let bucket_width t = t.width
-
 let bucket_index t time = int_of_float (Float.floor (time /. t.width))
 
 let fresh_series t =

@@ -3,7 +3,7 @@
 
     Where {!Registry} aggregates over a whole run, a [Series.t] keeps
     {e when} things happened: each sample is routed to the bucket
-    [floor (time / bucket_width)] of its (name, switch) series, and each
+    [floor (time / bucket)] of its (name, switch) series, and each
     bucket accumulates count / sum / min / max / last.  Consumers derive
     rates (count per bucket) or levels (last / max per bucket) as they
     see fit.
@@ -35,11 +35,9 @@ val enabled : t -> bool
 (** [true] unless the series is {!disabled}.  Guard sample construction
     with this so the disabled hot path stays one branch. *)
 
-val bucket_width : t -> float
-
 val bucket_index : t -> float -> int
 (** The bucket a sample at the given time lands in:
-    [floor (time / bucket_width)]. *)
+    [floor (time / bucket)]. *)
 
 val add : t -> ?switch:int -> name:string -> time:float -> float -> unit
 (** Record one sample at a simulated time.  No-op on {!disabled}. *)
@@ -48,7 +46,7 @@ val add : t -> ?switch:int -> name:string -> time:float -> float -> unit
 
 type point = {
   p_bucket : int;
-  p_time : float;  (** Bucket start time, [p_bucket * bucket_width]. *)
+  p_time : float;  (** Bucket start time, [p_bucket * bucket]. *)
   p_count : int;
   p_sum : float;
   p_min : float;

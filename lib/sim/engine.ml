@@ -8,16 +8,25 @@ type t = {
   mutable probe : (unit -> unit) option;
       (* Telemetry hook run after each executed event; [None] (the
          default) costs one pattern-match branch per step. *)
+  trace : Trace.t;
+  metrics : Metrics.Registry.t;
 }
 
-let create () =
+let create ?(trace = Trace.disabled) ?(metrics = Metrics.Registry.disabled) ()
+    =
   {
     queue = Event_queue.create ();
     clock = 0.0;
     executed = 0;
     stop_requested = false;
     probe = None;
+    trace;
+    metrics;
   }
+
+let trace t = t.trace
+
+let metrics t = t.metrics
 
 let now t = t.clock
 

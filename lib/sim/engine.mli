@@ -7,6 +7,11 @@
     because D-GMC switches only react to message arrivals, local events and
     computation completions.
 
+    The engine also holds the run's two telemetry sinks, so every layer
+    built over it — switches, flooding, the fault plan, the invariant
+    monitor — records into the same trace and registry without being
+    handed them separately.
+
     Typical use:
     {[
       let eng = Engine.create () in
@@ -18,8 +23,16 @@ type t
 
 type handle = Event_queue.handle
 
-val create : unit -> t
-(** A fresh engine with clock at [0.0]. *)
+val create : ?trace:Trace.t -> ?metrics:Metrics.Registry.t -> unit -> t
+(** A fresh engine with clock at [0.0].  [trace] and [metrics] (default
+    {!Trace.disabled} and {!Metrics.Registry.disabled}) are the run's
+    sinks: everything scheduled on this engine records into them. *)
+
+val trace : t -> Trace.t
+(** The run's trace, as given to {!create}. *)
+
+val metrics : t -> Metrics.Registry.t
+(** The run's registry, as given to {!create}. *)
 
 val now : t -> float
 (** Current virtual time. *)

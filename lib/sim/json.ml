@@ -11,29 +11,9 @@ exception Malformed of string
 (* ------------------------------------------------------------------ *)
 (* Printing helpers (shared by every hand-rolled JSON writer) *)
 
-let escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+let escape = Metrics.Jsonf.escape
 
-let number f =
-  if Float.is_integer f && Float.abs f < 1e15 then
-    (* dgmc-analyze: allow float-format — %.0f on an exactly-integral float
-       below 2^53 round-trips; non-integral values take the %.17g branch *)
-    Printf.sprintf "%.0f" f
-  else if Float.is_finite f then Printf.sprintf "%.17g" f
-  else "null"
+let number = Metrics.Jsonf.num
 
 (* ------------------------------------------------------------------ *)
 (* Parsing: recursive descent over the input string *)

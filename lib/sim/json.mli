@@ -19,12 +19,13 @@ val parse : string -> (t, string) result
 (** Parse one complete JSON value; trailing non-whitespace is an error. *)
 
 val escape : string -> string
-(** Escape a string's content for embedding between double quotes. *)
+(** Escape a string's content for embedding between double quotes
+    ({!Metrics.Jsonf.escape}). *)
 
 val number : float -> string
 (** Render a float: integral values without a fraction part, others with
     17 significant digits so parsing recovers the exact bits.  Non-finite
-    values render as [null]. *)
+    values render as [null] ({!Metrics.Jsonf.num}). *)
 
 val member : string -> t -> t option
 (** [member key json] — field lookup on objects, [None] otherwise. *)

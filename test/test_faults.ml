@@ -17,7 +17,9 @@ let drive plan =
     let copies = Faults.Plan.transmit plan ~src ~dst ~now ~base_delay:1.0 in
     deliveries := (i, copies) :: !deliveries
   done;
-  (List.rev !deliveries, Faults.Plan.counters plan, Faults.Plan.trace plan)
+  ( List.rev !deliveries,
+    Faults.Plan.counters plan,
+    Faults.Plan.link_counters plan )
 
 let lossy_spec =
   {
@@ -30,18 +32,18 @@ let lossy_spec =
 
 let test_same_seed_same_trace () =
   let run () = drive (Faults.Plan.create ~spec:lossy_spec ~seed:7 ()) in
-  let d1, c1, t1 = run () in
-  let d2, c2, t2 = run () in
+  let d1, c1, l1 = run () in
+  let d2, c2, l2 = run () in
   check Alcotest.bool "identical delivery decisions" true (d1 = d2);
   check Alcotest.bool "identical counters" true (c1 = c2);
-  check Alcotest.bool "identical fault trace" true (t1 = t2);
+  check Alcotest.bool "identical per-link counters" true (l1 = l2);
   check Alcotest.bool "faults actually fired" true
-    (c1.Faults.Plan.dropped > 0 && c1.duplicated > 0 && t1 <> [])
+    (c1.Faults.Plan.dropped > 0 && c1.duplicated > 0 && c1.reordered > 0)
 
 let test_different_seed_different_trace () =
-  let _, _, t1 = drive (Faults.Plan.create ~spec:lossy_spec ~seed:7 ()) in
-  let _, _, t2 = drive (Faults.Plan.create ~spec:lossy_spec ~seed:8 ()) in
-  check Alcotest.bool "seeds decorrelate the stream" true (t1 <> t2)
+  let d1, _, _ = drive (Faults.Plan.create ~spec:lossy_spec ~seed:7 ()) in
+  let d2, _, _ = drive (Faults.Plan.create ~spec:lossy_spec ~seed:8 ()) in
+  check Alcotest.bool "seeds decorrelate the stream" true (d1 <> d2)
 
 (* ------------------------------------------------------------------ *)
 (* Rates *)
@@ -119,7 +121,15 @@ let test_transparent_plan_is_invisible () =
   done;
   let c = Faults.Plan.counters plan in
   check Alcotest.int "nothing dropped" 0 c.Faults.Plan.dropped;
-  check Alcotest.int "no trace" 0 (List.length (Faults.Plan.trace plan))
+  check Alcotest.(list int) "every fault counter is 0" [ 0; 0; 0; 0; 0 ]
+    [ c.dropped; c.duplicated; c.reordered; c.blocked_crash;
+      c.blocked_partition ];
+  List.iter
+    (fun (_, (lc : Faults.Plan.link_counters)) ->
+      check Alcotest.(list int) "every per-link fault counter is 0"
+        [ 0; 0; 0; 0 ]
+        [ lc.l_dropped; lc.l_duplicated; lc.l_reordered; lc.l_blocked ])
+    (Faults.Plan.link_counters plan)
 
 (* ------------------------------------------------------------------ *)
 (* Scheduled windows *)

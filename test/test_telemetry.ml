@@ -320,6 +320,86 @@ let test_pool_map_registered () =
 (* ------------------------------------------------------------------ *)
 (* Telemetry is transparent to the measured run *)
 
+(* One [Protocol.create ~faults ~trace ~metrics] over lossy reliable
+   flooding: the engine carries both sinks to every layer, so each layer
+   leaves its own trace events and counters. *)
+let check_wiring_reaches_every_layer () =
+  let trace = Sim.Trace.create () in
+  let metrics = Metrics.Registry.create () in
+  let faults =
+    Faults.Plan.create
+      ~spec:
+        {
+          Faults.Plan.spec_default with
+          drop = 0.2;
+          duplicate = 0.1;
+          reorder = 0.1;
+        }
+      ~seed:3 ()
+  in
+  let config =
+    { Dgmc.Config.atm_lan with flood_mode = Lsr.Flooding.Reliable }
+  in
+  let net =
+    Dgmc.Protocol.create ~graph:(Net.Topo_gen.ring 8) ~config ~faults ~trace
+      ~metrics ()
+  in
+  let mc = Dgmc.Mc_id.make Symmetric 1 in
+  List.iter
+    (fun sw -> Dgmc.Protocol.schedule_join net ~at:0.0 ~switch:sw mc Both)
+    [ 0; 3; 5 ];
+  Dgmc.Protocol.run net;
+  List.iter
+    (fun (layer, cat) ->
+      check bool
+        (Printf.sprintf "%s records %s events" layer cat)
+        true
+        (Sim.Trace.count_category trace cat > 0))
+    [
+      ("protocol", "flood");
+      ("flooding", "forward");
+      ("flooding", "deliver");
+      ("switch", "compute");
+      ("switch", "install");
+      ("fault plan", "fault");
+    ];
+  let counters = (Metrics.Registry.snapshot metrics).counters in
+  List.iter
+    (fun prefix ->
+      check bool (prefix ^ "* counters recorded") true
+        (List.exists
+           (fun ((k : Metrics.Registry.key), _) ->
+             String.starts_with ~prefix k.name)
+           counters))
+    [ "protocol."; "switch."; "flood."; "faults." ]
+
+(* A monitor attached with no trace argument still writes its violation
+   notes into the trace the protocol was created with. *)
+let check_monitor_writes_to_run_trace () =
+  let trace = Sim.Trace.create () in
+  let config =
+    {
+      Dgmc.Config.atm_lan with
+      inject = Some Dgmc.Config.Skip_stale_sender_flag;
+    }
+  in
+  let net =
+    Dgmc.Protocol.create ~graph:(Net.Topo_gen.ring 4) ~config ~trace ()
+  in
+  let monitor = Check.Monitor.attach net in
+  let mc = Dgmc.Mc_id.make Symmetric 1 in
+  (* Two concurrent joins: without the stale-sender flag the switches
+     end disagreeing, which the monitor's agreement law reports. *)
+  Dgmc.Protocol.schedule_join net ~at:0.0 ~switch:0 mc Both;
+  Dgmc.Protocol.schedule_join net ~at:0.0 ~switch:2 mc Both;
+  Dgmc.Protocol.run net;
+  Check.Monitor.check_terminal monitor;
+  check bool "the injected bug violates a law" false
+    (Check.Monitor.ok monitor);
+  check int "one violation note per violation"
+    (List.length (Check.Monitor.violations monitor))
+    (Sim.Trace.count_category trace "violation")
+
 let test_harness_transparency () =
   let plain =
     Experiments.Harness.bursty_run ~seed:5 ~n:10 ~config:Dgmc.Config.atm_lan
@@ -342,8 +422,13 @@ let test_harness_transparency () =
   check bool "full telemetry never changes the measured run" true
     (plain = run1);
   check bool "instrumented runs agree with each other" true (run1 = run2);
-  check bool "series recorded" true (series1 <> []);
-  check bool "series content is deterministic" true (series1 = series2)
+  check
+    (list string)
+    "the series records only the calendar depth" [ "engine.queue_depth" ]
+    (List.map (fun (l : Metrics.Series.line) -> l.l_name) series1);
+  check bool "series content is deterministic" true (series1 = series2);
+  check_wiring_reaches_every_layer ();
+  check_monitor_writes_to_run_trace ()
 
 (* ------------------------------------------------------------------ *)
 (* Bench diff: the regression gate *)
