@@ -105,7 +105,7 @@ let add_snapshot b (s : Dgmc.Switch.mc_snapshot) =
     (fun i x ->
       if i > 0 then Buffer.add_char b ',';
       add_int b x)
-    s.snap_membership_seen;
+    (Dgmc.Timestamp.to_array s.snap_membership_seen);
   Buffer.add_string b ";box=[";
   List.iteri
     (fun i l ->

@@ -141,12 +141,15 @@ let unicast t origin dst msg =
     end
 
 let create ~graph ~config () =
+  (* The switches' boot image and the ground truth the harness mutates
+     are two separate copies of the scenario's graph. *)
+  let boot = Lsr.Lsdb.boot graph in
   let graph = Net.Graph.copy graph in
   let n = Net.Graph.n_nodes graph in
   let engines = Array.init n (fun _ -> Sim.Engine.create ()) in
   let switches =
     Array.init n (fun id ->
-        Dgmc.Switch.create ~id ~n ~config ~engine:engines.(id) ~graph ())
+        Dgmc.Switch.create ~id ~n ~config ~engine:engines.(id) ~boot ())
   in
   let health =
     Option.map

@@ -36,7 +36,9 @@ let check_snapshot ~boundary id (s : Switch.mc_snapshot) =
       (v "R<=E"
          (Printf.sprintf "received count R=%s exceeds expected E=%s"
             (stamp s.snap_r) (stamp s.snap_e)));
-  Array.iteri
+  (* Only a positive cursor can exceed R, so the nonzero walk checks the
+     whole dense view, in the same index order. *)
+  Timestamp.iter_nonzero
     (fun i seen ->
       if seen > Timestamp.get s.snap_r i then
         push

@@ -16,7 +16,7 @@ type t = {
   mutable flag : bool;
   mutable members : Member.t;
   mutable topology : Mctree.Tree.t;
-  mutable membership_seen : int array;
+  mutable membership_seen : Timestamp.t;
   mailbox : Mc_lsa.t Queue.t;
   mutable event_computations : computation list;
   mutable triggered : computation option;
@@ -30,7 +30,7 @@ let create ~n =
     flag = false;
     members = Member.empty;
     topology = Mctree.Tree.empty;
-    membership_seen = Array.make n 0;
+    membership_seen = Timestamp.zero n;
     mailbox = Queue.create ();
     event_computations = [];
     triggered = None;

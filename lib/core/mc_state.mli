@@ -29,11 +29,13 @@ type t = {
   mutable flag : bool;  (** [make_proposal_flag]. *)
   mutable members : Member.t;
   mutable topology : Mctree.Tree.t;
-  mutable membership_seen : int array;
-      (** [membership_seen.(s)] is the highest [T\[s\]] among membership
-          LSAs from [s] whose join/leave has been applied; stale
-          (reordered) membership LSAs still count as events but do not
-          regress the member list. *)
+  mutable membership_seen : Timestamp.t;
+      (** Component [s] is the highest [T\[s\]] among membership LSAs
+          from [s] whose join/leave has been applied; stale (reordered)
+          membership LSAs still count as events but do not regress the
+          member list.  A per-source max cursor, so a stamp: it only
+          ever rises by {!Timestamp.raise_to} and {!Timestamp.merge},
+          and it holds only the sources that issued membership events. *)
   mailbox : Mc_lsa.t Queue.t;
   mutable event_computations : computation list;
       (** In-flight [EventHandler()] computations, any number (the
@@ -46,7 +48,8 @@ type t = {
 
 val create : n:int -> t
 (** Fresh state for an n-switch network: zero timestamps, no members,
-    empty topology. *)
+    empty topology.  Allocates O(1) words whatever [n] is: the zero
+    stamps hold no components. *)
 
 val cancel_computations : t -> unit
 (** Cancel every scheduled completion.  The protocol itself never needs

@@ -159,8 +159,11 @@ let create ~graph ~config ?faults ?(trace = Sim.Trace.disabled)
   | Ok () -> ()
   | Error msg -> invalid_arg ("Protocol.create: " ^ msg));
   let engine = Sim.Engine.create ~trace ~metrics () in
+  (* One boot image for the whole run, apart from [graph], which link
+     events mutate as ground truth. *)
+  let boot = Lsr.Lsdb.boot graph in
   let switches =
-    Array.init n (fun id -> Switch.create ~id ~n ~config ~engine ~graph ())
+    Array.init n (fun id -> Switch.create ~id ~n ~config ~engine ~boot ())
   in
   let deliver ~switch (lsa : payload Lsr.Lsa.t) =
     match lsa.payload with

@@ -12,7 +12,7 @@ type mc_export = {
   exp_e : Timestamp.t;
   exp_c : Timestamp.t;
   exp_members : Member.t;
-  exp_membership_seen : int array;
+  exp_membership_seen : Timestamp.t;
   exp_topology : Mctree.Tree.t;
 }
 
@@ -50,8 +50,7 @@ let equal_export a b =
   && Timestamp.equal a.exp_e b.exp_e
   && Timestamp.equal a.exp_c b.exp_c
   && Member.equal a.exp_members b.exp_members
-  && Array.length a.exp_membership_seen = Array.length b.exp_membership_seen
-  && Array.for_all2 Int.equal a.exp_membership_seen b.exp_membership_seen
+  && Timestamp.equal a.exp_membership_seen b.exp_membership_seen
   && Mctree.Tree.equal a.exp_topology b.exp_topology
 
 let equal_link (a : Lsr.Lsdb.link_event) (b : Lsr.Lsdb.link_event) =
@@ -88,12 +87,6 @@ let stamp_to_string ts =
 let stamp_of_string s =
   Timestamp.of_array
     (Array.of_list (List.map int_of_string (String.split_on_char ',' s)))
-
-let seen_to_string seen =
-  String.concat "," (Array.to_list (Array.map string_of_int seen))
-
-let seen_of_string s =
-  Array.of_list (List.map int_of_string (String.split_on_char ',' s))
 
 let members_to_string m =
   match Member.ids m with
@@ -168,7 +161,7 @@ let to_string msg =
           (Mc_id.kind_to_string e.exp_mc.kind)
           e.exp_mc.id (stamp_to_string e.exp_r) (stamp_to_string e.exp_e)
           (stamp_to_string e.exp_c)
-          (seen_to_string e.exp_membership_seen)
+          (stamp_to_string e.exp_membership_seen)
           (members_to_string e.exp_members)
           (Mctree.Tree.fingerprint e.exp_topology))
       mcs);
@@ -240,7 +233,7 @@ let of_string s =
                     exp_r = stamp_of_string r;
                     exp_e = stamp_of_string e;
                     exp_c = stamp_of_string c;
-                    exp_membership_seen = seen_of_string seen;
+                    exp_membership_seen = stamp_of_string seen;
                     exp_members = members_of_string members;
                     exp_topology = tree_of_string tree;
                   }

@@ -40,7 +40,7 @@ type mc_export = {
   exp_e : Timestamp.t;
   exp_c : Timestamp.t;
   exp_members : Member.t;
-  exp_membership_seen : int array;
+  exp_membership_seen : Timestamp.t;
   exp_topology : Mctree.Tree.t;
 }
 (** One MC's full transferable state in a delta.  A tombstoned MC

@@ -36,7 +36,7 @@ type t = {
   engine : Sim.Engine.t;
   lsdb : Lsr.Lsdb.t;
   mcs : Mc_state.t Mc_table.t;
-  tombstones : (Timestamp.t * Timestamp.t * int array) Mc_table.t;
+  tombstones : (Timestamp.t * Timestamp.t * Timestamp.t) Mc_table.t;
       (** (R, E, membership_seen) captured when an MC's state is deleted.
           Deletion frees the member list and topology, but event
           numbering must survive: a leave racing with a remote join can
@@ -61,13 +61,13 @@ type t = {
           into a disabled registry allocates nothing. *)
 }
 
-let create ~id ~n ~config ~engine ~graph () =
+let create ~id ~n ~config ~engine ~boot () =
   {
     id;
     n;
     config;
     engine;
-    lsdb = Lsr.Lsdb.create graph;
+    lsdb = Lsr.Lsdb.create boot;
     mcs = Mc_table.create 8;
     tombstones = Mc_table.create 8;
     flood = (fun _ -> failwith "Switch: flood callback not installed");
@@ -136,7 +136,7 @@ let get_or_create t mc =
     | Some (r, e, seen) ->
       st.r <- r;
       st.e <- Timestamp.merge e r;
-      Array.blit seen 0 st.membership_seen 0 t.n
+      st.membership_seen <- seen
     | None -> ());
     Mc_table.replace t.mcs mc st;
     st
@@ -160,8 +160,7 @@ let maybe_delete t mc (st : Mc_state.t) =
     && st.triggered = None
   then begin
     tracef t "mc-delete" "%a deleted" Mc_id.pp mc;
-    Mc_table.replace t.tombstones mc
-      (st.r, st.e, Array.copy st.membership_seen);
+    Mc_table.replace t.tombstones mc (st.r, st.e, st.membership_seen);
     Mc_table.remove t.mcs mc;
     (* Deletion is a state change observers care about (e.g. hierarchy
        leaders watching the logical level). *)
@@ -247,7 +246,8 @@ and event_handler t mc event =
      incarnations because recreation resumes from the tombstone. *)
   st.r <- Timestamp.bump st.r t.id;
   st.e <- Timestamp.bump st.e t.id;
-  st.membership_seen.(t.id) <- Timestamp.get st.r t.id;
+  st.membership_seen <-
+    Timestamp.raise_to st.membership_seen t.id (Timestamp.get st.r t.id);
   if Timestamp.geq st.r st.e then begin
     (* Lines 3-5: no outstanding LSAs — compute a proposal.  The result
        is fixed by the inputs now; validity is re-checked at +Tc. *)
@@ -364,8 +364,8 @@ let process_lsa t (st : Mc_state.t) (lsa : Mc_lsa.t) candidate =
        applied over a newer one. *)
     if Mc_lsa.is_membership_event lsa then begin
       let seq = Timestamp.get lsa.stamp s in
-      if seq > st.membership_seen.(s) then begin
-        st.membership_seen.(s) <- seq;
+      if seq > Timestamp.get st.membership_seen s then begin
+        st.membership_seen <- Timestamp.raise_to st.membership_seen s seq;
         tracef t "member" "sw%d applies %s from %d seq %d" t.id
           (Mc_lsa.event_to_string lsa.event) s seq;
         (match lsa.event with
@@ -376,7 +376,8 @@ let process_lsa t (st : Mc_state.t) (lsa : Mc_lsa.t) candidate =
       end
       else
         tracef t "member" "sw%d SKIPS stale %s from %d seq %d (seen %d)" t.id
-          (Mc_lsa.event_to_string lsa.event) s seq st.membership_seen.(s)
+          (Mc_lsa.event_to_string lsa.event) s seq
+          (Timestamp.get st.membership_seen s)
     end
   end;
   (* Line 10: learn what to expect. *)
@@ -397,11 +398,7 @@ let process_lsa t (st : Mc_state.t) (lsa : Mc_lsa.t) candidate =
       st.members <- snapshot;
       t.on_change ()
     end;
-    Array.iteri
-      (fun i seen ->
-        let promised = Timestamp.get lsa.stamp i in
-        if promised > seen then st.membership_seen.(i) <- promised)
-      st.membership_seen;
+    st.membership_seen <- Timestamp.merge st.membership_seen lsa.stamp;
     st.r <- Timestamp.merge st.r lsa.stamp
   | Some _ | None -> ());
   (* Lines 11-17: accept an up-to-date proposal, or detect that the
@@ -627,11 +624,13 @@ let resync t ~peer =
             st.r <- merged_r;
             (* Adopt the peer's per-source membership knowledge where it
                is newer; its member entry for source [s] reflects all of
-               [s]'s events up to pst.membership_seen.(s). *)
-            Array.iteri
+               [s]'s events up to component [s] of pst.membership_seen.
+               Only positive cursors can be newer than ours. *)
+            Timestamp.iter_nonzero
               (fun src peer_seen ->
-                if peer_seen > st.membership_seen.(src) then begin
-                  st.membership_seen.(src) <- peer_seen;
+                if peer_seen > Timestamp.get st.membership_seen src then begin
+                  st.membership_seen <-
+                    Timestamp.raise_to st.membership_seen src peer_seen;
                   (match Member.role pst.members src with
                   | Some role -> st.members <- Member.join st.members src role
                   | None -> st.members <- Member.leave st.members src);
@@ -911,10 +910,11 @@ let apply_export t (e : Resync.mc_export) =
   st.e <- Timestamp.merge st.e e.exp_e;
   if learned then begin
     st.r <- merged_r;
-    Array.iteri
+    Timestamp.iter_nonzero
       (fun src peer_seen ->
-        if peer_seen > st.membership_seen.(src) then begin
-          st.membership_seen.(src) <- peer_seen;
+        if peer_seen > Timestamp.get st.membership_seen src then begin
+          st.membership_seen <-
+            Timestamp.raise_to st.membership_seen src peer_seen;
           (match Member.role e.exp_members src with
           | Some role -> st.members <- Member.join st.members src role
           | None -> st.members <- Member.leave st.members src);
@@ -975,7 +975,7 @@ let answer_summary t ~session ~peer (sum_links : Lsr.Lsdb.link_event list)
             exp_e = st.e;
             exp_c = st.c;
             exp_members = st.members;
-            exp_membership_seen = Array.copy st.membership_seen;
+            exp_membership_seen = st.membership_seen;
             exp_topology = st.topology;
           }
           :: acc
@@ -1004,7 +1004,7 @@ let answer_summary t ~session ~peer (sum_links : Lsr.Lsdb.link_event list)
               exp_e = e;
               exp_c = Timestamp.zero t.n;
               exp_members = Member.empty;
-              exp_membership_seen = Array.copy seen;
+              exp_membership_seen = seen;
               exp_topology = Mctree.Tree.empty;
             }
             :: acc
@@ -1108,7 +1108,7 @@ type mc_snapshot = {
   snap_flag : bool;
   snap_members : Member.t;
   snap_topology : Mctree.Tree.t;
-  snap_membership_seen : int array;
+  snap_membership_seen : Timestamp.t;
   snap_mailbox : Mc_lsa.t list;
   snap_computations : Timestamp.t list;
   snap_triggered : Timestamp.t option;
@@ -1125,7 +1125,7 @@ let snapshots t =
         snap_flag = st.flag;
         snap_members = st.members;
         snap_topology = st.topology;
-        snap_membership_seen = Array.copy st.membership_seen;
+        snap_membership_seen = st.membership_seen;
         snap_mailbox = List.of_seq (Queue.to_seq st.mailbox);
         snap_computations =
           List.map (fun (c : Mc_state.computation) -> c.old_r) st.event_computations;

@@ -30,10 +30,12 @@ val create :
   n:int ->
   config:Config.t ->
   engine:Sim.Engine.t ->
-  graph:Net.Graph.t ->
+  boot:Lsr.Lsdb.boot ->
   unit ->
   t
-(** [graph] seeds the switch's private link-state image (a deep copy).
+(** [boot] seeds the switch's link-state image ({!Lsr.Lsdb.create}:
+    shared with the run's other switches until this one applies a link
+    change).
     The switch records into [engine]'s sinks ({!Sim.Engine.trace} and
     {!Sim.Engine.metrics}).
 
@@ -182,7 +184,7 @@ type mc_snapshot = {
   snap_flag : bool;  (** The paper's [make_proposal_flag]. *)
   snap_members : Member.t;
   snap_topology : Mctree.Tree.t;
-  snap_membership_seen : int array;
+  snap_membership_seen : Timestamp.t;
       (** Per-source index of the newest membership event applied. *)
   snap_mailbox : Mc_lsa.t list;  (** Queued LSAs, arrival order. *)
   snap_computations : Timestamp.t list;

@@ -8,7 +8,20 @@
 
     Values are immutable: protocol state updates replace whole
     timestamps, which makes the saved-[old_R]-versus-current-[R]
-    comparisons of the paper's algorithms trivially safe. *)
+    comparisons of the paper's algorithms trivially safe.
+
+    {b Dense semantics, sparse storage.}  Every operation is specified
+    over the dense n-component view above, and {!pp}, {!to_array} and
+    {!compare_total} render or order exactly that view.  Storage keeps
+    only the positive components, as (switch, count) pairs in ascending
+    switch order with an implicit n: only the few switches that
+    originate events for an MC ever count anything (paper §3), so a
+    stamp costs what the protocol uses, not n.  {!zero} holds no pairs,
+    and every operation except {!of_array}, {!to_array} and {!pp} runs
+    in time linear in the number of nonzero components (plus a log
+    factor for a single-component lookup) whatever n is.  An operation
+    whose result equals one of its arguments may return that argument
+    itself. *)
 
 type t
 
@@ -45,18 +58,26 @@ val order : t -> t -> [ `Eq | `Lt | `Gt | `Concurrent ]
 (** Full classification under the partial order. *)
 
 val compare_total : t -> t -> int
-(** Lexicographic comparison — an arbitrary {e total} order extending
-    [equal], for use as a deterministic tie-breaker (e.g. canonical state
+(** Lexicographic comparison of the dense views (at the first differing
+    component the larger count wins, so a stamp with a positive
+    component where the other has zero is greater) — an arbitrary
+    {e total} order extending [equal], for use as a deterministic tie-breaker (e.g. canonical state
     hashing in the model checker).  Unrelated to the causal partial
     order: concurrent stamps still compare unequal, consistently. *)
 
 val sum : t -> int
 (** Total number of events counted — handy in tests and traces. *)
 
+val iter_nonzero : (int -> int -> unit) -> t -> unit
+(** [iter_nonzero f t] calls [f x (get t x)] for every component [x]
+    with a positive count, in ascending [x]: the dense view's walk with
+    the zeros skipped. *)
+
 val of_array : int array -> t
-(** Copies; components must be non-negative. *)
+(** The stamp with this dense view; components must be non-negative
+    and the array non-empty.  O(n). *)
 
 val to_array : t -> int array
-(** Fresh copy. *)
+(** The dense view, as a fresh array.  O(n). *)
 
 val pp : Format.formatter -> t -> unit

@@ -144,13 +144,15 @@ let rec create ~graph ~partition ~config ?logical_t_hop () =
     match logical_t_hop with Some x -> x | None -> 3.0 *. config.Dgmc.Config.t_hop
   in
   let engine = Sim.Engine.create () in
+  let area_boots = Array.map Lsr.Lsdb.boot area_graphs in
   let switches =
     Array.init n (fun id ->
-        Dgmc.Switch.create ~id ~n ~config ~engine ~graph:area_graphs.(area_of.(id)) ())
+        Dgmc.Switch.create ~id ~n ~config ~engine ~boot:area_boots.(area_of.(id)) ())
   in
+  let logical_boot = Lsr.Lsdb.boot logical_graph in
   let logical_switches =
     Array.init k (fun id ->
-        Dgmc.Switch.create ~id ~n:k ~config ~engine ~graph:logical_graph ())
+        Dgmc.Switch.create ~id ~n:k ~config ~engine ~boot:logical_boot ())
   in
   let area_floodings =
     Array.init k (fun a ->

@@ -8,9 +8,19 @@ module Link_tbl = Hashtbl.Make (struct
   let hash (a, b) = (a * 1000003) lxor b
 end)
 
-type t = { image : Net.Graph.t; versions : int Link_tbl.t }
+type boot = Net.Graph.t
 
-let create g = { image = Net.Graph.copy g; versions = Link_tbl.create 16 }
+let boot g = Net.Graph.copy g
+
+type t = {
+  mutable image : Net.Graph.t;
+  mutable shared : bool;
+      (* [image] is still the run's boot image, read by every database
+         that has not flipped a link yet; the first flip copies it. *)
+  versions : int Link_tbl.t;
+}
+
+let create boot = { image = boot; shared = true; versions = Link_tbl.create 16 }
 
 let graph t = t.image
 
@@ -22,7 +32,13 @@ let version t ~u ~v =
 let apply t { u; v; up; version = ver } =
   if Net.Graph.has_edge t.image u v && ver > version t ~u ~v then begin
     Link_tbl.replace t.versions (key u v) ver;
-    Net.Graph.set_link t.image u v ~up
+    if not (Bool.equal (Net.Graph.link_is_up t.image u v) up) then begin
+      if t.shared then begin
+        t.image <- Net.Graph.copy t.image;
+        t.shared <- false
+      end;
+      Net.Graph.set_link t.image u v ~up
+    end
   end
 
 let entries t =

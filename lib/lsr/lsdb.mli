@@ -4,8 +4,15 @@
     Under link-state routing every switch maintains a complete picture of
     the topology, learned from flooded link-event LSAs (paper §1).  A
     switch's D-GMC topology computations run against {e its own} image —
-    which may briefly lag reality while link events propagate — so each
-    simulated switch owns an independent copy of the graph.
+    which may briefly lag reality while link events propagate.
+
+    Images are copy-on-write.  A run makes one {!boot} image, a private
+    copy of the ground-truth graph, and every database {!create}d from
+    it reads that one graph (and its sorted adjacency rows) until the
+    first {!apply} that flips a link's state; only then does the
+    database take its own copy.  Setting up n switches therefore costs
+    one graph copy, not n, and a switch that never learns a link change
+    never pays for one.
 
     Link events are {e versioned}: a link's state changes are totally
     ordered in real time, so the driver stamps the n-th change of a link
@@ -20,18 +27,32 @@ type link_event = { u : int; v : int; up : bool; version : int }
     (the paper's event description [D]).  [version] is the per-link
     monotone change counter assigned by the detecting side. *)
 
+type boot
+(** A boot image: the converged unicast database switches start from.
+    No database mutates it, so one serves every switch of a run.  It is
+    mutable state all the same (its adjacency rows are built lazily), so
+    a run must not share it with runs on other domains. *)
+
+val boot : Net.Graph.t -> boot
+(** [boot g] is a private deep copy of [g]: later changes to [g] (the
+    ground truth a simulation mutates) never reach a database. *)
+
 type t
 
-val create : Net.Graph.t -> t
-(** [create g] — local image initialised to a deep copy of [g] (switches
-    boot with a converged unicast database; every link starts at
-    version 0). *)
+val create : boot -> t
+(** A database whose image is the boot image (switches boot with a
+    converged unicast database; every link starts at version 0).  O(1):
+    the image is shared until this database first flips a link. *)
 
 val graph : t -> Net.Graph.t
-(** The switch's current image.  Callers must not mutate it. *)
+(** The switch's current image: the boot image itself until the first
+    flipping {!apply}, a private copy from then on.  Callers must not
+    mutate it, nor hold it across an [apply]. *)
 
 val apply : t -> link_event -> unit
-(** Update the image.  Unknown links are ignored (robustness against
+(** Update the image.  An event that changes a link's state copies a
+    still-shared image first; one that only raises the link's version
+    leaves the image shared.  Unknown links are ignored (robustness against
     reordered information about links this image never had); events whose
     [version] does not exceed the last applied version for the link are
     ignored (stale or duplicate knowledge). *)

@@ -245,7 +245,7 @@ let sample_delta =
             exp_members =
               Dgmc.Member.of_list
                 [ (0, Dgmc.Member.Both); (2, Dgmc.Member.Receiver) ];
-            exp_membership_seen = [| 2; 0; 2; 0 |];
+            exp_membership_seen = Dgmc.Timestamp.of_array [| 2; 0; 2; 0 |];
             exp_topology = tree_of_fp "T{0-1,1-2|0,2}";
           };
           (* A tombstone export: accounting survives, no members/tree. *)
@@ -255,7 +255,7 @@ let sample_delta =
             exp_e = Dgmc.Timestamp.of_array [| 0; 2; 0; 0 |];
             exp_c = Dgmc.Timestamp.of_array [| 0; 0; 0; 0 |];
             exp_members = Dgmc.Member.empty;
-            exp_membership_seen = [| 0; 2; 0; 0 |];
+            exp_membership_seen = Dgmc.Timestamp.of_array [| 0; 2; 0; 0 |];
             exp_topology = Mctree.Tree.empty;
           };
         ];

@@ -20,7 +20,7 @@ let harness ?(id = 5) () =
   let engine = Sim.Engine.create () in
   let sw =
     Dgmc.Switch.create ~id ~n:6 ~config:Dgmc.Config.atm_lan ~engine
-      ~graph:(grid ()) ()
+      ~boot:(Lsr.Lsdb.boot (grid ())) ()
   in
   let flooded = ref [] in
   Dgmc.Switch.set_flood sw (fun lsa -> flooded := lsa :: !flooded);
@@ -291,7 +291,7 @@ let test_flood_callback_required () =
   let engine = Sim.Engine.create () in
   let sw =
     Dgmc.Switch.create ~id:0 ~n:6 ~config:Dgmc.Config.atm_lan ~engine
-      ~graph:(grid ()) ()
+      ~boot:(Lsr.Lsdb.boot (grid ())) ()
   in
   Dgmc.Switch.host_join sw mc Dgmc.Member.Both;
   Alcotest.check_raises "uninstalled flood callback"

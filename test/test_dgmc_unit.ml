@@ -61,6 +61,60 @@ let test_stamp_to_array_copies () =
   arr.(0) <- 99;
   check Alcotest.int "immutability preserved" 1 (Dgmc.Timestamp.get a 0)
 
+(* Words allocated by [f ()], minor and direct-to-major together: an
+   array above the minor heap's size limit skips the minor heap, so
+   [Gc.minor_words] alone would not see a return to dense n-length
+   storage.  The cost of the measurement itself is subtracted. *)
+let words_allocated f =
+  let total () =
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  let t0 = total () in
+  let t1 = total () in
+  let r = f () in
+  let t2 = total () in
+  ignore (Sys.opaque_identity r);
+  t2 -. t1 -. (t1 -. t0)
+
+(* A stamp costs its nonzero components, not n: at n = 100_000 with at
+   most four counting switches, each operation allocates a few words. *)
+let test_stamp_sparse_at_scale () =
+  let n = 100_000 in
+  let module T = Dgmc.Timestamp in
+  let z = T.zero n in
+  let a = T.bump (T.bump (T.raise_to z 99_999 3) 7) 50_000 in
+  let b = T.raise_to (T.bump z 12) 50_000 5 in
+  let cheap label f =
+    let w = words_allocated f in
+    if w >= 64. then
+      Alcotest.failf "%s allocated %d words at n = %d (limit 64)" label
+        (int_of_float w) n
+  in
+  cheap "bump" (fun () -> T.bump a 3);
+  cheap "raise_to" (fun () -> T.raise_to a 7 9);
+  cheap "merge" (fun () -> T.merge a b);
+  cheap "geq" (fun () -> T.geq a b);
+  check Alcotest.int "bump" 1 (T.get (T.bump a 3) 3);
+  check Alcotest.int "raise_to" 9 (T.get (T.raise_to a 7 9) 7);
+  let m = T.merge a b in
+  check
+    Alcotest.(list (pair int int))
+    "merge"
+    [ (7, 1); (12, 1); (50_000, 5); (99_999, 3) ]
+    (List.filter_map
+       (fun x -> if T.get m x > 0 then Some (x, T.get m x) else None)
+       [ 3; 7; 12; 50_000; 99_999 ]);
+  check Alcotest.bool "geq" false (T.geq a b);
+  check Alcotest.int "sum" 10 (T.sum m)
+
+let test_mc_state_create_is_constant () =
+  let n = 100_000 in
+  let w = words_allocated (fun () -> Dgmc.Mc_state.create ~n) in
+  if w >= 64. then
+    Alcotest.failf "Mc_state.create ~n:%d allocated %d words (limit 64)" n
+      (int_of_float w)
+
 (* qcheck: lattice and partial-order laws. *)
 let stamp_gen =
   QCheck2.Gen.(
@@ -357,6 +411,9 @@ let () =
           Alcotest.test_case "ordering" `Quick test_stamp_order;
           Alcotest.test_case "validation" `Quick test_stamp_validation;
           Alcotest.test_case "to_array copies" `Quick test_stamp_to_array_copies;
+          Alcotest.test_case "sparse at n = 100000" `Quick test_stamp_sparse_at_scale;
+          Alcotest.test_case "mc state create is O(1)" `Quick
+            test_mc_state_create_is_constant;
           QCheck_alcotest.to_alcotest prop_merge_commutative;
           QCheck_alcotest.to_alcotest prop_merge_associative;
           QCheck_alcotest.to_alcotest prop_merge_idempotent;

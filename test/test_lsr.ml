@@ -146,16 +146,59 @@ let test_flooding_rejects_bad_t_hop () =
 (* ------------------------------------------------------------------ *)
 (* Lsdb *)
 
+(* Every image is isolated from the ground truth and from every other
+   switch's image, although databases booted together share one graph
+   until they diverge. *)
 let test_lsdb_isolated_copy () =
   let g = Net.Topo_gen.line 3 in
-  let db = Lsr.Lsdb.create g in
+  let boot = Lsr.Lsdb.boot g in
+  let a = Lsr.Lsdb.create boot and b = Lsr.Lsdb.create boot in
+  (* The ground truth is not the boot image. *)
   Net.Graph.set_link g 0 1 ~up:false;
   check Alcotest.bool "image unaffected by real graph" true
-    (Net.Graph.link_is_up (Lsr.Lsdb.graph db) 0 1)
+    (Net.Graph.link_is_up (Lsr.Lsdb.graph a) 0 1);
+  check Alcotest.bool "databases booted together share one image" true
+    (Lsr.Lsdb.graph a == Lsr.Lsdb.graph b);
+  (* A version-only apply (the link is already up) keeps sharing. *)
+  Lsr.Lsdb.apply a { u = 1; v = 2; up = true; version = 1 };
+  check Alcotest.bool "version-only apply keeps the shared image" true
+    (Lsr.Lsdb.graph a == Lsr.Lsdb.graph b);
+  check Alcotest.int "version-only apply recorded" 1
+    (Lsr.Lsdb.version a ~u:1 ~v:2);
+  (* A flip copies first: the sibling and the boot image stay put. *)
+  Lsr.Lsdb.apply a { u = 0; v = 1; up = false; version = 1 };
+  check Alcotest.bool "flip applied" false
+    (Net.Graph.link_is_up (Lsr.Lsdb.graph a) 0 1);
+  check Alcotest.bool "flip took a private image" false
+    (Lsr.Lsdb.graph a == Lsr.Lsdb.graph b);
+  check Alcotest.bool "sibling unaffected" true
+    (Net.Graph.link_is_up (Lsr.Lsdb.graph b) 0 1);
+  let late = Lsr.Lsdb.create boot in
+  check Alcotest.bool "boot image unaffected" true
+    (Net.Graph.link_is_up (Lsr.Lsdb.graph late) 0 1);
+  check Alcotest.bool "sibling still on the boot image" true
+    (Lsr.Lsdb.graph b == Lsr.Lsdb.graph late);
+  (* Version bookkeeping is per database. *)
+  check Alcotest.int "flipping version" 1 (Lsr.Lsdb.version a ~u:0 ~v:1);
+  check Alcotest.int "sibling version" 0 (Lsr.Lsdb.version b ~u:0 ~v:1);
+  check
+    Alcotest.(list (triple int int bool))
+    "entries"
+    [ (0, 1, false); (1, 2, true) ]
+    (List.map
+       (fun (e : Lsr.Lsdb.link_event) -> (e.u, e.v, e.up))
+       (Lsr.Lsdb.entries a));
+  check Alcotest.int "sibling entries" 0 (List.length (Lsr.Lsdb.entries b));
+  (* A private image stays private: the next flip mutates it in place. *)
+  let own = Lsr.Lsdb.graph a in
+  Lsr.Lsdb.apply a { u = 0; v = 1; up = true; version = 2 };
+  check Alcotest.bool "private image reused" true (Lsr.Lsdb.graph a == own);
+  check Alcotest.bool "flip back applied" true
+    (Net.Graph.link_is_up (Lsr.Lsdb.graph a) 0 1)
 
 let test_lsdb_apply () =
   let g = Net.Topo_gen.line 3 in
-  let db = Lsr.Lsdb.create g in
+  let db = Lsr.Lsdb.create (Lsr.Lsdb.boot g) in
   Lsr.Lsdb.apply db { u = 0; v = 1; up = false; version = 1 };
   check Alcotest.bool "down applied" false
     (Net.Graph.link_is_up (Lsr.Lsdb.graph db) 0 1);
@@ -165,7 +208,7 @@ let test_lsdb_apply () =
 
 let test_lsdb_version_gating () =
   let g = Net.Topo_gen.line 3 in
-  let db = Lsr.Lsdb.create g in
+  let db = Lsr.Lsdb.create (Lsr.Lsdb.boot g) in
   check Alcotest.int "boot version" 0 (Lsr.Lsdb.version db ~u:0 ~v:1);
   Lsr.Lsdb.apply db { u = 0; v = 1; up = false; version = 2 };
   check Alcotest.int "version recorded" 2 (Lsr.Lsdb.version db ~u:0 ~v:1);
@@ -185,7 +228,7 @@ let test_lsdb_version_gating () =
 
 let test_lsdb_entries () =
   let g = Net.Topo_gen.line 3 in
-  let db = Lsr.Lsdb.create g in
+  let db = Lsr.Lsdb.create (Lsr.Lsdb.boot g) in
   check
     (Alcotest.list Alcotest.int)
     "boot entries empty" []
@@ -205,7 +248,7 @@ let test_lsdb_entries () =
 
 let test_lsdb_unknown_link_ignored () =
   let g = Net.Topo_gen.line 3 in
-  let db = Lsr.Lsdb.create g in
+  let db = Lsr.Lsdb.create (Lsr.Lsdb.boot g) in
   Lsr.Lsdb.apply db { u = 0; v = 2; up = false; version = 1 };
   check Alcotest.int "graph unchanged" 2 (Net.Graph.n_edges (Lsr.Lsdb.graph db))
 

@@ -158,134 +158,411 @@ let prop_deterministic_replay =
       | _ -> false)
 
 (* ------------------------------------------------------------------ *)
+(* Dense timestamp oracle
+
+   The dense [int array] implementation [Dgmc.Timestamp] had before it
+   stored only its nonzero components, kept as a reference: same
+   interface, same error texts, the obvious O(n) algorithms.  The
+   algebra laws below run against both, and the equivalence property
+   drives both through the same random operations. *)
+
+module type STAMP = sig
+  type t
+
+  val zero : int -> t
+  val size : t -> int
+  val get : t -> int -> int
+  val bump : t -> int -> t
+  val raise_to : t -> int -> int -> t
+  val merge : t -> t -> t
+  val geq : t -> t -> bool
+  val gt : t -> t -> bool
+  val equal : t -> t -> bool
+  val order : t -> t -> [ `Eq | `Lt | `Gt | `Concurrent ]
+  val compare_total : t -> t -> int
+  val sum : t -> int
+  val iter_nonzero : (int -> int -> unit) -> t -> unit
+  val of_array : int array -> t
+  val to_array : t -> int array
+  val pp : Format.formatter -> t -> unit
+end
+
+module Dense_stamp : STAMP = struct
+  type t = int array
+
+  let zero n =
+    if n <= 0 then invalid_arg "Timestamp.zero: size must be positive";
+    Array.make n 0
+
+  let size = Array.length
+
+  let get t x =
+    if x < 0 || x >= Array.length t then
+      invalid_arg "Timestamp.get: out of range";
+    t.(x)
+
+  let bump t x =
+    if x < 0 || x >= Array.length t then
+      invalid_arg "Timestamp.bump: out of range";
+    let copy = Array.copy t in
+    copy.(x) <- copy.(x) + 1;
+    copy
+
+  let raise_to t x v =
+    if x < 0 || x >= Array.length t then
+      invalid_arg "Timestamp.raise_to: out of range";
+    if v <= t.(x) then t
+    else begin
+      let copy = Array.copy t in
+      copy.(x) <- v;
+      copy
+    end
+
+  let check_sizes a b =
+    if Array.length a <> Array.length b then
+      invalid_arg "Timestamp: size mismatch"
+
+  let merge a b =
+    check_sizes a b;
+    Array.mapi (fun i ai -> max ai b.(i)) a
+
+  let geq a b =
+    check_sizes a b;
+    Array.for_all2 (fun x y -> x >= y) a b
+
+  let equal a b =
+    check_sizes a b;
+    Array.for_all2 Int.equal a b
+
+  let gt a b = geq a b && not (equal a b)
+
+  let order a b =
+    match (geq a b, geq b a) with
+    | true, true -> `Eq
+    | true, false -> `Gt
+    | false, true -> `Lt
+    | false, false -> `Concurrent
+
+  let compare_total a b =
+    check_sizes a b;
+    let n = Array.length a in
+    let rec go i =
+      if i >= n then 0
+      else
+        let c = Int.compare a.(i) b.(i) in
+        if c <> 0 then c else go (i + 1)
+    in
+    go 0
+
+  let sum t = Array.fold_left ( + ) 0 t
+
+  let iter_nonzero f t = Array.iteri (fun x c -> if c > 0 then f x c) t
+
+  let of_array a =
+    Array.iter
+      (fun x -> if x < 0 then invalid_arg "Timestamp.of_array: negative")
+      a;
+    if Array.length a = 0 then invalid_arg "Timestamp.of_array: empty";
+    Array.copy a
+
+  let to_array t = Array.copy t
+
+  let pp ppf t =
+    Format.fprintf ppf "(%a)"
+      (Format.pp_print_seq
+         ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ",")
+         Format.pp_print_int)
+      (Array.to_seq t)
+end
+
+(* ------------------------------------------------------------------ *)
 (* Timestamp algebra properties
 
    The vector-timestamp laws the protocol's reconciliation — and the
    parallel runner's deterministic merge of per-cell results — lean on:
    [geq] is a partial order, [compare_total] a total order consistent
-   with it, and [merge] a commutative, idempotent least upper bound. *)
+   with it, and [merge] a commutative, idempotent least upper bound.
+   [label] prefixes every test name. *)
 
-let pp_stamps ts =
-  String.concat " "
-    (List.map (fun t -> Format.asprintf "%a" Dgmc.Timestamp.pp t) ts)
+module Stamp_laws (T : STAMP) (L : sig
+  val label : string
+end) =
+struct
+  let name law = L.label ^ ": " ^ law
 
-(* [k] same-size random stamps, entries 0..4 (small enough that equal
-   and comparable pairs actually occur). *)
-let stamps_gen k =
-  QCheck2.Gen.(
-    int_range 1 6 >>= fun size ->
-    map
-      (fun arrays -> List.map Dgmc.Timestamp.of_array arrays)
-      (list_repeat k (array_size (return size) (int_range 0 4))))
+  let pp_stamps ts =
+    String.concat " " (List.map (fun t -> Format.asprintf "%a" T.pp t) ts)
 
-(* A pair (a, b) with b pointwise <= a, so the geq-related branches are
-   exercised on every sample rather than by luck. *)
-let dominated_pair_gen =
-  QCheck2.Gen.(
-    int_range 1 6 >>= fun size ->
-    map
-      (fun (a, cuts) ->
-        let b = Array.mapi (fun i x -> max 0 (x - cuts.(i))) a in
-        (Dgmc.Timestamp.of_array a, Dgmc.Timestamp.of_array b))
-      (pair
-         (array_size (return size) (int_range 0 4))
-         (array_size (return size) (int_range 0 4))))
-
-let prop_geq_reflexive =
-  QCheck2.Test.make ~name:"timestamp: geq is reflexive" ~count:200
-    ~print:(fun ts -> pp_stamps ts)
-    (stamps_gen 1)
-    (function
-      | [ a ] -> Dgmc.Timestamp.geq a a
-      | _ -> false)
-
-let prop_geq_antisymmetric =
-  QCheck2.Test.make ~name:"timestamp: geq both ways iff equal" ~count:400
-    ~print:pp_stamps (stamps_gen 2)
-    (function
-      | [ a; b ] ->
-        Dgmc.Timestamp.(geq a b && geq b a) = Dgmc.Timestamp.equal a b
-      | _ -> false)
-
-let prop_geq_transitive =
-  QCheck2.Test.make ~name:"timestamp: geq is transitive" ~count:400
-    ~print:(fun ((a, b), cuts) ->
-      pp_stamps [ a; b ] ^ Printf.sprintf " cuts=%d" (Array.length cuts))
+  (* [k] same-size random stamps, entries 0..4 (small enough that equal
+     and comparable pairs actually occur). *)
+  let stamps_gen k =
     QCheck2.Gen.(
-      dominated_pair_gen >>= fun (a, b) ->
+      int_range 1 6 >>= fun size ->
       map
-        (fun cuts -> ((a, b), cuts))
-        (array_size (return (Dgmc.Timestamp.size a)) (int_range 0 4)))
-    (fun ((a, b), cuts) ->
-      (* c pointwise <= b <= a: the chain must collapse. *)
-      let c =
-        Dgmc.Timestamp.of_array
-          (Array.mapi
-             (fun i x -> max 0 (x - cuts.(i)))
-             (Dgmc.Timestamp.to_array b))
-      in
-      Dgmc.Timestamp.(geq a b && geq b c && geq a c))
+        (fun arrays -> List.map T.of_array arrays)
+        (list_repeat k (array_size (return size) (int_range 0 4))))
 
-let prop_compare_total_consistent_with_geq =
-  QCheck2.Test.make
-    ~name:"timestamp: compare_total is a total order refining geq" ~count:400
-    ~print:pp_stamps (stamps_gen 3)
-    (function
-      | [ a; b; c ] ->
-        let ct = Dgmc.Timestamp.compare_total in
-        (* Zero exactly on equality. *)
-        (ct a b = 0) = Dgmc.Timestamp.equal a b
-        (* Antisymmetric. *)
-        && compare (ct a b) 0 = compare 0 (ct b a)
-        (* Transitive. *)
-        && ((not (ct a b <= 0 && ct b c <= 0)) || ct a c <= 0)
-        (* Refines the partial order: strict domination sorts after. *)
-        && ((not (Dgmc.Timestamp.gt a b)) || ct a b > 0)
-      | _ -> false)
-
-let prop_merge_idempotent_commutative_associative =
-  QCheck2.Test.make ~name:"timestamp: merge laws (idem, comm, assoc)"
-    ~count:400 ~print:pp_stamps (stamps_gen 3)
-    (function
-      | [ a; b; c ] ->
-        let open Dgmc.Timestamp in
-        equal (merge a a) a
-        && equal (merge a b) (merge b a)
-        && equal (merge (merge a b) c) (merge a (merge b c))
-      | _ -> false)
-
-let prop_merge_is_least_upper_bound =
-  QCheck2.Test.make ~name:"timestamp: merge is the least upper bound"
-    ~count:400
-    ~print:(fun (ts, _) -> pp_stamps ts)
+  (* A pair (a, b) with b pointwise <= a, so the geq-related branches are
+     exercised on every sample rather than by luck. *)
+  let dominated_pair_gen =
     QCheck2.Gen.(
-      stamps_gen 2 >>= fun ts ->
+      int_range 1 6 >>= fun size ->
       map
-        (fun lift -> (ts, lift))
-        (array_size (return (Dgmc.Timestamp.size (List.hd ts))) (int_range 0 3)))
-    (fun (ts, lift) ->
-      match ts with
-      | [ a; b ] ->
-        let m = Dgmc.Timestamp.merge a b in
-        (* Upper bound of both ... *)
-        Dgmc.Timestamp.(geq m a && geq m b)
-        (* ... below every independently constructed upper bound. *)
-        &&
-        let u =
-          Dgmc.Timestamp.of_array
-            (Array.init (Dgmc.Timestamp.size a) (fun i ->
-                 max (Dgmc.Timestamp.get a i) (Dgmc.Timestamp.get b i)
-                 + lift.(i)))
+        (fun (a, cuts) ->
+          let b = Array.mapi (fun i x -> max 0 (x - cuts.(i))) a in
+          (T.of_array a, T.of_array b))
+        (pair
+           (array_size (return size) (int_range 0 4))
+           (array_size (return size) (int_range 0 4))))
+
+  let geq_reflexive =
+    QCheck2.Test.make ~name:(name "geq is reflexive") ~count:200
+      ~print:(fun ts -> pp_stamps ts)
+      (stamps_gen 1)
+      (function [ a ] -> T.geq a a | _ -> false)
+
+  let geq_antisymmetric =
+    QCheck2.Test.make ~name:(name "geq both ways iff equal") ~count:400
+      ~print:pp_stamps (stamps_gen 2)
+      (function
+        | [ a; b ] -> Bool.equal (T.geq a b && T.geq b a) (T.equal a b)
+        | _ -> false)
+
+  let geq_transitive =
+    QCheck2.Test.make ~name:(name "geq is transitive") ~count:400
+      ~print:(fun ((a, b), cuts) ->
+        pp_stamps [ a; b ] ^ Printf.sprintf " cuts=%d" (Array.length cuts))
+      QCheck2.Gen.(
+        dominated_pair_gen >>= fun (a, b) ->
+        map
+          (fun cuts -> ((a, b), cuts))
+          (array_size (return (T.size a)) (int_range 0 4)))
+      (fun ((a, b), cuts) ->
+        (* c pointwise <= b <= a: the chain must collapse. *)
+        let c =
+          T.of_array
+            (Array.mapi (fun i x -> max 0 (x - cuts.(i))) (T.to_array b))
         in
-        Dgmc.Timestamp.geq u m
-      | _ -> false)
+        T.geq a b && T.geq b c && T.geq a c)
 
-let prop_merge_absorbs_dominated =
-  QCheck2.Test.make ~name:"timestamp: merge with a dominated stamp is identity"
-    ~count:400
-    ~print:(fun (a, b) -> pp_stamps [ a; b ])
-    dominated_pair_gen
-    (fun (a, b) -> Dgmc.Timestamp.(equal (merge a b) a && equal (merge b a) a))
+  let compare_total_consistent_with_geq =
+    QCheck2.Test.make
+      ~name:(name "compare_total is a total order refining geq") ~count:400
+      ~print:pp_stamps (stamps_gen 3)
+      (function
+        | [ a; b; c ] ->
+          let ct = T.compare_total in
+          (* Zero exactly on equality. *)
+          Bool.equal (ct a b = 0) (T.equal a b)
+          (* Antisymmetric. *)
+          && Int.equal (Int.compare (ct a b) 0) (Int.compare 0 (ct b a))
+          (* Transitive. *)
+          && ((not (ct a b <= 0 && ct b c <= 0)) || ct a c <= 0)
+          (* Refines the partial order: strict domination sorts after. *)
+          && ((not (T.gt a b)) || ct a b > 0)
+        | _ -> false)
+
+  let merge_idempotent_commutative_associative =
+    QCheck2.Test.make ~name:(name "merge laws (idem, comm, assoc)") ~count:400
+      ~print:pp_stamps (stamps_gen 3)
+      (function
+        | [ a; b; c ] ->
+          T.equal (T.merge a a) a
+          && T.equal (T.merge a b) (T.merge b a)
+          && T.equal (T.merge (T.merge a b) c) (T.merge a (T.merge b c))
+        | _ -> false)
+
+  let merge_is_least_upper_bound =
+    QCheck2.Test.make ~name:(name "merge is the least upper bound") ~count:400
+      ~print:(fun (ts, _) -> pp_stamps ts)
+      QCheck2.Gen.(
+        stamps_gen 2 >>= fun ts ->
+        map
+          (fun lift -> (ts, lift))
+          (array_size (return (T.size (List.hd ts))) (int_range 0 3)))
+      (fun (ts, lift) ->
+        match ts with
+        | [ a; b ] ->
+          let m = T.merge a b in
+          (* Upper bound of both ... *)
+          T.geq m a && T.geq m b
+          (* ... below every independently constructed upper bound. *)
+          &&
+          let u =
+            T.of_array
+              (Array.init (T.size a) (fun i ->
+                   max (T.get a i) (T.get b i) + lift.(i)))
+          in
+          T.geq u m
+        | _ -> false)
+
+  let merge_absorbs_dominated =
+    QCheck2.Test.make ~name:(name "merge with a dominated stamp is identity")
+      ~count:400
+      ~print:(fun (a, b) -> pp_stamps [ a; b ])
+      dominated_pair_gen
+      (fun (a, b) -> T.equal (T.merge a b) a && T.equal (T.merge b a) a)
+
+  let tests =
+    List.map QCheck_alcotest.to_alcotest
+      [
+        geq_reflexive;
+        geq_antisymmetric;
+        geq_transitive;
+        compare_total_consistent_with_geq;
+        merge_idempotent_commutative_associative;
+        merge_is_least_upper_bound;
+        merge_absorbs_dominated;
+      ]
+end
+
+module Sparse_laws =
+  Stamp_laws
+    (Dgmc.Timestamp)
+    (struct
+      let label = "timestamp"
+    end)
+
+module Dense_laws =
+  Stamp_laws
+    (Dense_stamp)
+    (struct
+      let label = "dense oracle"
+    end)
+
+(* Sparse vs dense: three registers per implementation, driven by the
+   same random operations.  Out-of-range switches, negative loads and
+   size-mismatched merges are generated on purpose, so the error texts
+   are compared too: an operation either succeeds in both (and both
+   registers take the result) or raises the same [Invalid_argument] in
+   both.  After every step every observable of every register and pair
+   must agree. *)
+type stamp_op =
+  | Bump of int * int  (** register, switch *)
+  | Raise of int * int * int  (** register, switch, value *)
+  | Merge of int * int * int  (** destination, left, right *)
+  | Load of int * int array  (** [of_array] into a register *)
+  | Mismatch of int  (** merge with a stamp one component larger *)
+
+let pp_stamp_op = function
+  | Bump (r, x) -> Printf.sprintf "bump r%d %d" r x
+  | Raise (r, x, v) -> Printf.sprintf "raise r%d %d %d" r x v
+  | Merge (r, a, b) -> Printf.sprintf "r%d := merge r%d r%d" r a b
+  | Load (r, a) ->
+    Printf.sprintf "load r%d [%s]" r
+      (String.concat ";" (Array.to_list (Array.map string_of_int a)))
+  | Mismatch r -> Printf.sprintf "mismatch r%d" r
+
+let stamp_ops_gen =
+  QCheck2.Gen.(
+    int_range 1 40 >>= fun n ->
+    let reg = int_range 0 2 and switch = int_range (-1) n in
+    let dense =
+      array_size (return n) (frequency [ (8, return 0); (3, int_range 1 5) ])
+    in
+    let negative =
+      map2
+        (fun a i ->
+          let a = Array.copy a in
+          a.(i) <- -1;
+          a)
+        dense (int_range 0 (n - 1))
+    in
+    let op =
+      frequency
+        [
+          (5, map2 (fun r x -> Bump (r, x)) reg switch);
+          (3, map3 (fun r x v -> Raise (r, x, v)) reg switch (int_range (-2) 9));
+          (4, map3 (fun r a b -> Merge (r, a, b)) reg reg reg);
+          (2, map2 (fun r a -> Load (r, a)) reg dense);
+          (1, map2 (fun r a -> Load (r, a)) reg negative);
+          (1, map (fun r -> Mismatch r) reg);
+        ]
+    in
+    map (fun ops -> (n, ops)) (list_size (int_range 1 40) op))
+
+module Observe (T : STAMP) = struct
+  let outcome f =
+    match f () with
+    | v -> "ok " ^ v
+    | exception Invalid_argument m -> "invalid " ^ m
+
+  let step regs n = function
+    | Bump (r, x) -> outcome (fun () -> regs.(r) <- T.bump regs.(r) x; "")
+    | Raise (r, x, v) ->
+      outcome (fun () -> regs.(r) <- T.raise_to regs.(r) x v; "")
+    | Merge (r, a, b) ->
+      outcome (fun () -> regs.(r) <- T.merge regs.(a) regs.(b); "")
+    | Load (r, a) -> outcome (fun () -> regs.(r) <- T.of_array a; "")
+    | Mismatch r ->
+      outcome (fun () -> ignore (T.merge regs.(r) (T.zero (n + 1))); "")
+
+  let order_name a b =
+    match T.order a b with
+    | `Eq -> "eq"
+    | `Lt -> "lt"
+    | `Gt -> "gt"
+    | `Concurrent -> "concurrent"
+
+  (* Everything observable about the registers, as text. *)
+  let view regs n =
+    let per_reg =
+      Array.to_list regs
+      |> List.concat_map (fun t ->
+             let gets =
+               List.init (n + 2) (fun i ->
+                   outcome (fun () -> string_of_int (T.get t (i - 1))))
+             in
+             let nonzero = Buffer.create 16 in
+             T.iter_nonzero
+               (fun x c -> Printf.bprintf nonzero "%d:%d " x c)
+               t;
+             let dense = Array.map string_of_int (T.to_array t) in
+             [
+               Format.asprintf "%a" T.pp t;
+               String.concat "," (Array.to_list dense);
+               string_of_int (T.sum t);
+               string_of_int (T.size t);
+               Buffer.contents nonzero;
+             ]
+             @ gets)
+    in
+    let per_pair =
+      List.concat_map
+        (fun a ->
+          List.concat_map
+            (fun b ->
+              [
+                string_of_bool (T.geq a b);
+                string_of_bool (T.gt a b);
+                string_of_bool (T.equal a b);
+                order_name a b;
+                string_of_int (T.compare_total a b);
+              ])
+            (Array.to_list regs))
+        (Array.to_list regs)
+    in
+    per_reg @ per_pair
+
+  let run (n, ops) =
+    let regs = Array.make 3 (T.zero n) in
+    regs.(1) <- T.bump (T.bump regs.(1) (n - 1)) 0;
+    List.concat_map (fun op -> step regs n op :: view regs n) ops
+end
+
+module Sparse_observe = Observe (Dgmc.Timestamp)
+module Dense_observe = Observe (Dense_stamp)
+
+let prop_sparse_matches_dense_oracle =
+  QCheck2.Test.make ~name:"timestamp: sparse agrees with the dense oracle"
+    ~count:300
+    ~print:(fun (n, ops) ->
+      Printf.sprintf "n=%d [%s]" n
+        (String.concat "; " (List.map pp_stamp_op ops)))
+    stamp_ops_gen
+    (fun case ->
+      List.equal String.equal (Sparse_observe.run case)
+        (Dense_observe.run case))
 
 (* ------------------------------------------------------------------ *)
 (* Tree algorithm properties *)
@@ -754,15 +1031,9 @@ let () =
             `Quick test_pinned_stale_image_scenario;
         ] );
       ( "timestamps",
-        [
-          QCheck_alcotest.to_alcotest prop_geq_reflexive;
-          QCheck_alcotest.to_alcotest prop_geq_antisymmetric;
-          QCheck_alcotest.to_alcotest prop_geq_transitive;
-          QCheck_alcotest.to_alcotest prop_compare_total_consistent_with_geq;
-          QCheck_alcotest.to_alcotest prop_merge_idempotent_commutative_associative;
-          QCheck_alcotest.to_alcotest prop_merge_is_least_upper_bound;
-          QCheck_alcotest.to_alcotest prop_merge_absorbs_dominated;
-        ] );
+        Sparse_laws.tests
+        @ [ QCheck_alcotest.to_alcotest prop_sparse_matches_dense_oracle ]
+        @ Dense_laws.tests );
       ( "trees",
         [
           QCheck_alcotest.to_alcotest prop_steiner_heuristics_valid;
