@@ -403,11 +403,7 @@ let script_cmd =
         Format.printf
           "health: p99-detection=%.6f bound=%.6f within-bound=%b@." p99
           h.h_bound
-          (p99 <= h.h_bound);
-        if h.h_pacer_emitted + h.h_pacer_coalesced + h.h_pacer_forced > 0 then
-          Format.printf
-            "health: pacer emitted=%d coalesced=%d forced=%d@."
-            h.h_pacer_emitted h.h_pacer_coalesced h.h_pacer_forced);
+          (p99 <= h.h_bound));
       (match monitor with
       | Some m ->
         (match Check.Monitor.violations m with

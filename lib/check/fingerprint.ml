@@ -143,23 +143,19 @@ let add_switch b sw =
       if i > 0 then Buffer.add_char b ',';
       add_link_event b ev)
     (Dgmc.Switch.lsdb_entries sw);
-  (* Crash-recovery session: its id/outstanding/quorum gate which deltas
-     apply, and deferred LSAs replay at finish. *)
+  (* Crash-recovery session: its id and outstanding neighbors gate which
+     deltas apply, and deferred LSAs replay at finish. *)
   Buffer.add_string b "|rs=";
   (match Dgmc.Switch.resync_state sw with
   | None -> Buffer.add_char b '-'
-  | Some (sid, outstanding, completed, quorum) ->
+  | Some (sid, outstanding) ->
     add_int b sid;
     Buffer.add_char b ':';
     List.iteri
       (fun i p ->
         if i > 0 then Buffer.add_char b ',';
         add_int b p)
-      outstanding;
-    Buffer.add_char b ':';
-    add_int b completed;
-    Buffer.add_char b '/';
-    add_int b quorum);
+      outstanding);
   Buffer.add_string b "|defer=[";
   List.iteri
     (fun i l ->

@@ -87,7 +87,7 @@ let score h =
             :: !pairs)
         (Dgmc.Switch.snapshots sw);
       (match Dgmc.Switch.resync_state sw with
-      | Some (_, outstanding, _, _) ->
+      | Some (_, outstanding) ->
         resync_depth := !resync_depth + List.length outstanding
       | None -> ());
       deferred := !deferred + List.length (Dgmc.Switch.deferred_lsas sw))
@@ -506,6 +506,9 @@ let eval_candidate ~target ~per_candidate_states ~graph ~config ~setup race =
 
 let chunk_size = 16
 
+(* Total candidates one backward search may enumerate. *)
+let max_candidates = 50_000
+
 let rec chunks k = function
   | [] -> []
   | xs ->
@@ -518,7 +521,7 @@ let rec chunks k = function
     c :: chunks k rest
 
 let backward ?(target = any) ?(max_len = 4) ?(per_candidate_states = 20_000)
-    ?(max_candidates = 50_000) ?domains ~graph ~config
+    ?domains ~graph ~config
     ?(setup = ([] : Harness.event list)) ~mcs () =
   let evaluated = ref 0 in
   let truncated = ref false in

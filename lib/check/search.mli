@@ -134,7 +134,6 @@ val backward :
   ?target:target ->
   ?max_len:int ->
   ?per_candidate_states:int ->
-  ?max_candidates:int ->
   ?domains:int ->
   graph:Net.Graph.t ->
   config:Dgmc.Config.t ->
@@ -149,9 +148,8 @@ val backward :
     in fixed chunks of 16 over [domains] and the first failure in
     enumeration order wins, so the result is byte-identical at any
     domain count.  [setup] events are injected and settled before each
-    candidate's race ([[]] by default); [max_candidates] (default
-    50_000) bounds the total enumeration, setting {!b_truncated} when
-    hit. *)
+    candidate's race ([[]] by default).  The total enumeration is
+    bounded at 50_000 candidates, setting {!b_truncated} when hit. *)
 
 (** {1 Event rendering and parsing} *)
 

@@ -14,11 +14,6 @@ let reachable_subset image ~self ids =
   let ok = Net.Bfs.reachable image self in
   List.filter (fun x -> ok.(x)) ids
 
-let steiner config image terminals =
-  match config.Config.steiner with
-  | Config.Kmb -> Mctree.Steiner.kmb image terminals
-  | Config.Sph -> Mctree.Steiner.sph image terminals
-
 let scratch config kind image members ~self =
   set_last_incremental false;
   let ids = Member.ids members in
@@ -27,11 +22,11 @@ let scratch config kind image members ~self =
   | _ -> (
     match (kind : Mc_id.kind) with
     | Symmetric | Receiver_only -> (
-      try steiner config image ids
+      try Mctree.Steiner.sph image ids
       with Failure _ -> (
         match reachable_subset image ~self ids with
         | [] -> Mctree.Tree.empty
-        | reachable -> steiner config image reachable))
+        | reachable -> Mctree.Steiner.sph image reachable))
     | Asymmetric -> (
       let root =
         match Member.senders members with r :: _ -> r | [] -> List.hd ids

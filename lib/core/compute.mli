@@ -9,8 +9,8 @@
     - shared trees (symmetric, receiver-only) are updated incrementally
       — repair dead branches, graft joined members, prune left members —
       unless the current tree is unusable or has drifted past the
-      configured threshold, in which case the configured Steiner
-      heuristic runs from scratch.
+      configured threshold, in which case the SPH Steiner heuristic
+      ({!Mctree.Steiner.sph}) runs from scratch.
 
     When some members are unreachable on the switch's network image (a
     partition, which the paper leaves to future work), the computation

@@ -1,5 +1,3 @@
-type steiner = Kmb | Sph
-
 type bug = Skip_stale_withdrawal | Skip_stale_sender_flag | Skip_secondary_senders
 
 type t = {
@@ -7,11 +5,9 @@ type t = {
   t_hop : float;
   flood_mode : Lsr.Flooding.mode;
   reliability : Lsr.Flooding.reliability;
-  steiner : steiner;
   incremental : bool;
   drift_threshold : float;
   inject : bug option;
-  resync_quorum : int;
   resync_deadline_hops : float;
   health : Health.Config.t option;
 }
@@ -30,11 +26,9 @@ let atm_lan =
     t_hop = 4e-6;
     flood_mode = Lsr.Flooding.Hop_by_hop;
     reliability = Lsr.Flooding.default_reliability;
-    steiner = Sph;
     incremental = true;
     drift_threshold = 1.5;
     inject = None;
-    resync_quorum = 1;
     resync_deadline_hops =
       derived_resync_deadline_hops Lsr.Flooding.default_reliability;
     health = None;
@@ -63,22 +57,13 @@ let validate t =
        Printf.sprintf
          "resync_deadline_hops (%g) is below the reliable transport's \
           worst-case giveup span (%g hop times for rto=%g rto_max=%g \
-          max_retries=%d%s): a resync session could expire while its \
+          max_retries=%d): a resync session could expire while its \
           transport still retries; raise the deadline or shrink the \
           retry budget"
          t.resync_deadline_hops span t.reliability.Lsr.Flooding.rto
          t.reliability.Lsr.Flooding.rto_max
-         t.reliability.Lsr.Flooding.max_retries
-         (if t.reliability.Lsr.Flooding.adaptive then ", adaptive" else ""))
+         t.reliability.Lsr.Flooding.max_retries)
   else
     match t.health with
     | None -> Ok ()
     | Some h -> Health.Config.validate h
-
-let pp ppf t =
-  (* dgmc-analyze: allow float-format — human-readable config echo, not schema output *)
-  Format.fprintf ppf
-    "@[<h>config(tc=%gs, t_hop=%gs, steiner=%s, incremental=%b, drift=%g)@]"
-    t.tc t.t_hop
-    (match t.steiner with Kmb -> "kmb" | Sph -> "sph")
-    t.incremental t.drift_threshold

@@ -6,8 +6,6 @@
     are provided.  A {e round} is [tf + tc] and is the unit in which
     convergence time is reported. *)
 
-type steiner = Kmb | Sph
-
 (** A historical protocol bug that the [inject] field re-introduces, so
     the {!module:Check} model checker and guided search can show they
     still catch it:
@@ -32,33 +30,27 @@ type t = {
           {!Faults.Plan} that can lose or reorder messages. *)
   reliability : Lsr.Flooding.reliability;
       (** Reliable-mode parameters handed to {!Lsr.Flooding.create}
-          ({!Lsr.Flooding.default_reliability} in every preset; set
-          [adaptive] for the Jacobson/Karn per-neighbor RTO). *)
-  steiner : steiner;
-      (** From-scratch heuristic for shared trees (symmetric and
-          receiver-only MCs). *)
+          ({!Lsr.Flooding.default_reliability} in every preset). *)
   incremental : bool;
       (** Use incremental branch add/remove when possible (§3.5);
           [false] forces every computation from scratch. *)
   drift_threshold : float;
       (** Incrementally maintained trees are recomputed from scratch
-          when their cost exceeds this multiple of a fresh heuristic
-          tree's cost (§3.5's "deviates significantly"). *)
+          when their cost exceeds this multiple of a fresh SPH tree's
+          cost (§3.5's "deviates significantly").  From-scratch shared
+          trees (symmetric and receiver-only MCs) are always SPH
+          ({!Mctree.Steiner.sph}). *)
   inject : bug option;
       (** Fault injection (see {!bug}).  [None] in every preset; never set
           it in a real run. *)
-  resync_quorum : int;
-      (** Crash-recovery resynchronisation: number of completed neighbor
-          exchanges (delta applied, or the transport gave the neighbor
-          up) required before the recovering switch re-enters normal MC
-          handling.  Clamped to the number of live neighbors at recovery
-          time; a partitioned recoverer with no live neighbors finishes
-          degraded immediately.  Default 1: any single up-to-date
-          neighbor's delta carries the full missed history, because
-          every LSA reached every live switch. *)
   resync_deadline_hops : float;
       (** Crash-recovery resynchronisation: overall deadline for the
-          exchange, as a multiple of [t_hop].  On expiry the switch
+          exchange, as a multiple of [t_hop].  The exchange finishes as
+          soon as one neighbor's delta is applied (it carries the full
+          missed history, because every LSA reached every live switch);
+          a recoverer with no live neighbor finishes degraded at once,
+          and one whose every neighbor exchange fails finishes degraded
+          when the last one does.  On expiry the switch
           re-enters normal handling with whatever it has (degraded
           finish).  Must be at least the reliable transport's worst-case
           giveup span ({!Lsr.Flooding.giveup_span_hops}; {!validate}
@@ -67,7 +59,7 @@ type t = {
           512 hop times under the defaults — no longer hand-tuned. *)
   health : Health.Config.t option;
       (** Opt-in link-health layer (hello-based failure detection, flap
-          damping, LSA pacing — DESIGN.md §3f).  [None] in every preset:
+          damping — DESIGN.md §3f).  [None] in every preset:
           without it scripted link events are applied to switch images
           directly; with it they only change ground truth and switches
           must detect them. *)
@@ -93,9 +85,6 @@ val round_length : t -> graph:Net.Graph.t -> float
 
 val validate : t -> (unit, string) result
 (** Cross-field sanity: [resync_deadline_hops] must cover the reliable
-    transport's worst-case giveup span for the configured [reliability]
-    (adaptive RTO widens the span — it may start every backoff at
-    [rto_max]), and an enabled [health] section must itself validate.
+    transport's worst-case giveup span for the configured [reliability],
+    and an enabled [health] section must itself validate.
     {!Protocol.create} enforces this. *)
-
-val pp : Format.formatter -> t -> unit

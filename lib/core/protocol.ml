@@ -36,12 +36,10 @@ end)
 (* Link-health layer state (opt-in, [Config.health]).  When present,
    scripted and fault-plan link changes touch ground truth only — the
    hello agents must discover them, and the declaring switch originates
-   the link LSAs itself (paced when pacing is configured). *)
+   the link LSAs itself. *)
 type health_state = {
   hc : Health.Config.t;
   mutable agents : Health.Hello.t array;
-  pacers : Lsr.Lsdb.link_event Health.Pacer.t array;
-      (* Per switch when pacing is on; [[||]] otherwise. *)
   truth_changed : float Link_tbl.t;
       (* Last ground-truth change instant per link — detection-latency
          base.  Crashes use the window bounds instead (see [truth_down]). *)
@@ -62,9 +60,6 @@ type health_summary = {
   h_suppressed : int;
   h_hellos : int;
   h_flaps : int;
-  h_pacer_emitted : int;
-  h_pacer_coalesced : int;
-  h_pacer_forced : int;
 }
 
 type t = {
@@ -340,22 +335,10 @@ let create ~graph ~config ?faults ?(trace = Sim.Trace.disabled)
           else None)
         all_edges
     in
-    let pacers =
-      match hc.Health.Config.pacing with
-      | None -> [||]
-      | Some p ->
-        Array.init n (fun i ->
-            Health.Pacer.create ~engine
-              ~min_interval:p.Health.Config.p_min_interval
-              ~cap:p.Health.Config.p_cap
-              ~emit:(fun _key ev -> flood_link_event net ~from:i ev)
-              ())
-    in
     let h =
       {
         hc;
         agents = [||];
-        pacers;
         truth_changed = Link_tbl.create 16;
         hs_detections = 0;
         hs_recoveries = 0;
@@ -397,8 +380,7 @@ let create ~graph ~config ?faults ?(trace = Sim.Trace.disabled)
     in
     (* A detector verdict: the switch's belief about an incident link
        changed.  Version the event, judge it against ground truth, tell
-       the switch, and originate the link LSA — directly or through the
-       pacer. *)
+       the switch, and originate the link LSA. *)
     let declare i ~peer ~up =
       let at = Sim.Engine.now engine in
       let lo, hi = if i < peer then (i, peer) else (peer, i) in
@@ -452,9 +434,7 @@ let create ~graph ~config ?faults ?(trace = Sim.Trace.disabled)
           (Sim.Trace.emit trace ~time:at
              (Sim.Trace.Link_detected { switch = i; peer; up; latency; spurious }));
       Switch.link_event switches.(i) ev ~detector:true;
-      if Array.length h.pacers > 0 then
-        Health.Pacer.submit h.pacers.(i) ~key:(lo, hi) ev
-      else flood_link_event net ~from:i ev;
+      flood_link_event net ~from:i ev;
       if up then
         ignore
           (Sim.Engine.schedule engine ~delay:config.Config.t_hop (fun () ->
@@ -729,14 +709,6 @@ let health_summary t =
       let flaps =
         Array.fold_left (fun acc a -> acc + Health.Hello.flaps a) 0 h.agents
       in
-      let pe, pc, pf =
-        Array.fold_left
-          (fun (e, c, f) p ->
-            ( e + Health.Pacer.emitted p,
-              c + Health.Pacer.coalesced p,
-              f + Health.Pacer.forced p ))
-          (0, 0, 0) h.pacers
-      in
       {
         h_detections = h.hs_detections;
         h_recoveries = h.hs_recoveries;
@@ -746,9 +718,6 @@ let health_summary t =
         h_suppressed = suppressed;
         h_hellos = h.hs_hellos_sent;
         h_flaps = flaps;
-        h_pacer_emitted = pe;
-        h_pacer_coalesced = pc;
-        h_pacer_forced = pf;
       })
     t.health
 

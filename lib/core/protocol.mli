@@ -51,9 +51,6 @@ type health_summary = {
   h_suppressed : int;  (** Adjacency directions suppressed right now. *)
   h_hellos : int;  (** Hellos put on the wire. *)
   h_flaps : int;  (** Down declarations across all agents. *)
-  h_pacer_emitted : int;
-  h_pacer_coalesced : int;
-  h_pacer_forced : int;
 }
 
 type t

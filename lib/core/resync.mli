@@ -15,8 +15,8 @@
       with newer versions, and full per-MC state exports where the
       neighbor knows events the summary's R does not cover (or holds a
       different same-stamp tree);
-    - the recoverer applies deltas and finishes once
-      [Config.resync_quorum] exchanges complete.
+    - the recoverer applies the first delta to arrive and finishes: one
+      up-to-date neighbor carries the full missed history.
 
     Messages ride the regular {!Lsr.Flooding} transport in unicast mode
     ({!Lsr.Flooding.send}), so under faults they get the Reliable mode's

@@ -17,14 +17,11 @@ type stats = {
 
 (* One in-flight crash-recovery resynchronisation exchange (see
    [begin_resync]).  The switch stays in this state — deferring normal
-   MC-LSA handling — until [rs_quorum] neighbor exchanges complete, every
-   neighbor resolves (delta applied or transport giveup), or the deadline
-   fires. *)
+   MC-LSA handling — until one neighbor's delta is applied, every
+   neighbor resolves by transport giveup, or the deadline fires. *)
 type resync_session = {
   rs_id : int;  (** Session id echoed by deltas (stale deltas ignored). *)
   mutable rs_outstanding : int list;  (** Neighbors not yet resolved. *)
-  mutable rs_completed : int;  (** Deltas applied. *)
-  rs_quorum : int;
   mutable rs_deadline : Sim.Engine.handle option;
   rs_started : float;  (** Simulated start time, for the duration SLI. *)
 }
@@ -599,61 +596,82 @@ let revalidate_installs t ~peer =
     (Mc_table.fold (fun mc _ acc -> mc :: acc) t.mcs []
     |> List.sort Mc_id.compare)
 
+(* A switch's state for [mc] as a delta ships it. *)
+let export mc (st : Mc_state.t) =
+  {
+    Resync.exp_mc = mc;
+    exp_r = st.r;
+    exp_e = st.e;
+    exp_c = st.c;
+    exp_members = st.members;
+    exp_membership_seen = st.membership_seen;
+    exp_topology = st.topology;
+  }
+
+(* The one adoption rule of both database exchanges: merge [E], and when
+   the export's [R] teaches something new, run [adopt st k] where [k]
+   merges [R], takes the export's membership where its per-source
+   cursors are newer, installs its topology when based on newer state
+   (same acceptance rule as for received proposals) and sets the
+   recompute flag.  [adopt] lets the pairwise exchange wrap [k] in its
+   trace context and re-propose at once; a delta defers re-proposal to
+   [finish_resync] (a later delta in the same session could supersede
+   this one). *)
+let apply_export t ~adopt (e : Resync.mc_export) =
+  let st = get_or_create t e.exp_mc in
+  let merged_r = Timestamp.merge st.r e.exp_r in
+  st.e <- Timestamp.merge st.e e.exp_e;
+  if not (Timestamp.equal merged_r st.r) then
+    adopt st (fun () ->
+        (* Merge R before adopting the export's membership cursors: each
+           cursor is covered by the export's R, so observers fired from
+           the loop below never see a cursor ahead of R. *)
+        st.r <- merged_r;
+        (* The export's member entry for source [s] reflects all of
+           [s]'s events up to component [s] of its membership cursor.
+           Only positive cursors can be newer than ours. *)
+        Timestamp.iter_nonzero
+          (fun src peer_seen ->
+            if peer_seen > Timestamp.get st.membership_seen src then begin
+              st.membership_seen <-
+                Timestamp.raise_to st.membership_seen src peer_seen;
+              (match Member.role e.exp_members src with
+              | Some role -> st.members <- Member.join st.members src role
+              | None -> st.members <- Member.leave st.members src);
+              t.on_change ()
+            end)
+          e.exp_membership_seen;
+        if
+          Timestamp.gt e.exp_c st.c
+          || (Timestamp.equal e.exp_c st.c
+             && Mctree.Tree.compare e.exp_topology st.topology < 0)
+        then install t st e.exp_mc ~stamp:e.exp_c ~tree:e.exp_topology;
+        st.flag <- true)
+
 let resync t ~peer =
   (* Phase 1: merge the peer's link-state image. *)
   let image_changed =
     merge_links t ~source:peer.id (Lsr.Lsdb.entries peer.lsdb)
   in
-  (* Phase 2: merge the peer's per-MC state. *)
+  (* Phase 2: merge the peer's per-MC state, as a delta from it would. *)
   Mc_table.iter
-    (fun mc (pst : Mc_state.t) ->
-      let st = get_or_create t mc in
-      let merged_r = Timestamp.merge st.r pst.r in
-      let learned = not (Timestamp.equal merged_r st.r) in
-      st.e <- Timestamp.merge st.e pst.e;
-      if learned then begin
-        let rid =
-          if traced t then
-            emit t (Resync { switch = t.id; peer = peer.id; mc = mc_str mc })
-          else -1
-        in
-        Sim.Trace.with_context t.trace rid (fun () ->
-            (* Merge R before adopting the peer's membership cursors: each
-               cursor is covered by the peer's R, so observers fired from
-               the loop below never see a cursor ahead of R. *)
-            st.r <- merged_r;
-            (* Adopt the peer's per-source membership knowledge where it
-               is newer; its member entry for source [s] reflects all of
-               [s]'s events up to component [s] of pst.membership_seen.
-               Only positive cursors can be newer than ours. *)
-            Timestamp.iter_nonzero
-              (fun src peer_seen ->
-                if peer_seen > Timestamp.get st.membership_seen src then begin
-                  st.membership_seen <-
-                    Timestamp.raise_to st.membership_seen src peer_seen;
-                  (match Member.role pst.members src with
-                  | Some role -> st.members <- Member.join st.members src role
-                  | None -> st.members <- Member.leave st.members src);
-                  t.on_change ()
-                end)
-              pst.membership_seen;
-            (* Adopt the peer's installed topology when based on newer
-               state (same acceptance rule as for received proposals). *)
-            if
-              Timestamp.gt pst.c st.c
-              || (Timestamp.equal pst.c st.c
-                 && Mctree.Tree.compare pst.topology st.topology < 0)
-            then install t st mc ~stamp:pst.c ~tree:pst.topology;
-            st.flag <- true;
-            (* Reflood even when the adopted topology already covers R
-               (R = C): adopting silently would strand every switch
-               BEHIND this one — they never see what this exchange
-               learned, and nobody else will re-flood it (the peer's
-               original flood died at the severed link).  The extra
-               proposal is idempotent for up-to-date receivers. *)
-            if st.triggered = None && Timestamp.geq st.r st.e then
-              start_triggered t mc st)
-      end)
+    (fun mc pst ->
+      apply_export t (export mc pst) ~adopt:(fun st k ->
+          let rid =
+            if traced t then
+              emit t (Resync { switch = t.id; peer = peer.id; mc = mc_str mc })
+            else -1
+          in
+          Sim.Trace.with_context t.trace rid (fun () ->
+              k ();
+              (* Reflood even when the adopted topology already covers R
+                 (R = C): adopting silently would strand every switch
+                 BEHIND this one — they never see what this exchange
+                 learned, and nobody else will re-flood it (the peer's
+                 original flood died at the severed link).  The extra
+                 proposal is idempotent for up-to-date receivers. *)
+              if st.triggered = None && Timestamp.geq st.r st.e then
+                start_triggered t mc st)))
     peer.mcs;
   (* Phase 3: re-propose wherever the merged image contradicts an
      install (the peer may never have been a member of the MC). *)
@@ -728,9 +746,7 @@ let deferred_lsas t = List.of_seq (Queue.to_seq t.deferred)
 
 let resync_state t =
   Option.map
-    (fun s ->
-      (s.rs_id, List.sort Int.compare s.rs_outstanding, s.rs_completed,
-       s.rs_quorum))
+    (fun s -> (s.rs_id, List.sort Int.compare s.rs_outstanding))
     t.resync_session
 
 let build_summary t session =
@@ -773,16 +789,17 @@ let build_summary t session =
         List.sort (fun a b -> Mc_id.compare a.Resync.sum_mc b.Resync.sum_mc) all;
     }
 
+(* [reason] is ["delta"] when a neighbor's delta was applied — the only
+   completed finish — else ["exhausted"] or ["deadline"] (degraded). *)
 let finish_resync t ~reason =
   match t.resync_session with
   | None -> ()
   | Some s ->
     Option.iter Sim.Engine.cancel s.rs_deadline;
     t.resync_session <- None;
-    tracef t "resync" "sw%d session %d finished (%s) after %d exchange(s)" t.id
-      s.rs_id reason s.rs_completed;
+    tracef t "resync" "sw%d session %d finished (%s)" t.id s.rs_id reason;
     Metrics.Registry.incr t.metrics ?switch:t.label
-      (if s.rs_completed >= s.rs_quorum then "switch.resyncs_completed"
+      (if String.equal reason "delta" then "switch.resyncs_completed"
        else "switch.resyncs_degraded");
     Metrics.Registry.observe t.metrics ?switch:t.label
       "switch.resync_duration_s"
@@ -828,8 +845,7 @@ let resync_transport_failed t ~peer =
       s.rs_outstanding <- List.filter (fun p -> p <> peer) s.rs_outstanding;
       tracef t "resync" "sw%d gives up on neighbor sw%d" t.id peer;
       Metrics.Registry.incr t.metrics ?switch:t.label "switch.resync_giveups";
-      (* The quorum may have become unreachable: every neighbor resolved
-         (delta or giveup) yet fewer than [rs_quorum] deltas arrived. *)
+      (* Every neighbor gave up without a delta. *)
       if s.rs_outstanding = [] then finish_resync t ~reason:"exhausted"
     end
 
@@ -854,15 +870,10 @@ let begin_resync_impl t =
     tracef t "resync" "sw%d recovers with no live neighbors (degraded)" t.id;
     Metrics.Registry.incr t.metrics ?switch:t.label "switch.resyncs_degraded"
   | neighbors ->
-    let quorum =
-      max 1 (min t.config.Config.resync_quorum (List.length neighbors))
-    in
     let s =
       {
         rs_id = sid;
         rs_outstanding = neighbors;
-        rs_completed = 0;
-        rs_quorum = quorum;
         rs_deadline = None;
         rs_started = Sim.Engine.now t.engine;
       }
@@ -899,35 +910,6 @@ let begin_resync t =
   | exception e ->
     Metrics.Phase.leave ph;
     raise e
-
-(* Apply one exported MC state from a delta.  Mirrors the pairwise
-   [resync] phase 2, except re-proposal is deferred to [finish_resync]
-   (a later delta in the same session could supersede this one). *)
-let apply_export t (e : Resync.mc_export) =
-  let st = get_or_create t e.exp_mc in
-  let merged_r = Timestamp.merge st.r e.exp_r in
-  let learned = not (Timestamp.equal merged_r st.r) in
-  st.e <- Timestamp.merge st.e e.exp_e;
-  if learned then begin
-    st.r <- merged_r;
-    Timestamp.iter_nonzero
-      (fun src peer_seen ->
-        if peer_seen > Timestamp.get st.membership_seen src then begin
-          st.membership_seen <-
-            Timestamp.raise_to st.membership_seen src peer_seen;
-          (match Member.role e.exp_members src with
-          | Some role -> st.members <- Member.join st.members src role
-          | None -> st.members <- Member.leave st.members src);
-          t.on_change ()
-        end)
-      e.exp_membership_seen;
-    if
-      Timestamp.gt e.exp_c st.c
-      || (Timestamp.equal e.exp_c st.c
-         && Mctree.Tree.compare e.exp_topology st.topology < 0)
-    then install t st e.exp_mc ~stamp:e.exp_c ~tree:e.exp_topology;
-    st.flag <- true
-  end
 
 (* Stateless delta responder: ship link entries strictly newer than the
    summary's and full exports for every MC where this switch knows
@@ -968,18 +950,7 @@ let answer_summary t ~session ~peer (sum_links : Lsr.Lsdb.link_event list)
                     (String.equal s.sum_tree_fp
                        (Mctree.Tree.fingerprint st.topology)))
         in
-        if behind then
-          {
-            Resync.exp_mc = mc;
-            exp_r = st.r;
-            exp_e = st.e;
-            exp_c = st.c;
-            exp_members = st.members;
-            exp_membership_seen = st.membership_seen;
-            exp_topology = st.topology;
-          }
-          :: acc
-        else acc)
+        if behind then export mc st :: acc else acc)
       t.mcs []
   in
   (* Tombstoned MCs: the recoverer may have missed the leaves that
@@ -1014,8 +985,7 @@ let answer_summary t ~session ~peer (sum_links : Lsr.Lsdb.link_event list)
   let mcs =
     List.sort (fun a b -> Mc_id.compare a.Resync.exp_mc b.Resync.exp_mc) all
   in
-  (* Reply even when empty: the recoverer counts the exchange toward its
-     quorum either way. *)
+  (* Reply even when empty: any delta completes the recoverer's session. *)
   Metrics.Registry.incr t.metrics ?switch:t.label "switch.resync_deltas_sent";
   t.send_resync ~peer (Resync.Delta { session; origin = t.id; links; mcs })
 
@@ -1047,11 +1017,8 @@ let receive_resync_impl t msg =
       in
       Sim.Trace.with_context t.trace rid (fun () ->
           ignore (merge_links t ~source:peer links);
-          List.iter (apply_export t) mcs);
-      s.rs_outstanding <- List.filter (fun p -> p <> peer) s.rs_outstanding;
-      s.rs_completed <- s.rs_completed + 1;
-      if s.rs_completed >= s.rs_quorum then finish_resync t ~reason:"quorum"
-      else if s.rs_outstanding = [] then finish_resync t ~reason:"exhausted"
+          List.iter (apply_export t ~adopt:(fun _ k -> k ())) mcs);
+      finish_resync t ~reason:"delta"
     | Some _ | None ->
       (* Stale: from a superseded session, after the deadline fired, or a
          duplicate delivery.  Everything it carries was either applied

@@ -108,11 +108,12 @@ val resync : t -> peer:t -> unit
     an OSPF database exchange when an adjacency forms.  Three phases:
     merge the peer's versioned link-state image (adopted link events are
     re-flooded via {!set_flood_link} so switches behind this one learn
-    them too); for every MC the peer tracks, merge its [R]/[E] vectors,
-    adopt its per-source membership knowledge where newer, adopt its
-    topology where based on newer state, and — when anything new was
-    learned — schedule a topology computation whose proposal refloods
-    the reconciled state; finally, if the image changed, re-propose for
+    them too); for every MC the peer tracks, apply the state a
+    {!Resync.Delta} from the peer would carry — the same adoption rule:
+    merge its [R]/[E] vectors, adopt its per-source membership knowledge
+    where newer, adopt its topology where based on newer state — and,
+    when anything new was learned, schedule a topology computation at
+    once whose proposal refloods the reconciled state; finally, if the image changed, re-propose for
     every MC whose installed topology the merged image contradicts.  The
     paper leaves network partitioning "for further study"; this is the
     missing piece that lets the two sides of a healed partition
@@ -125,9 +126,9 @@ val begin_resync : t -> unit
     switch's databases (via {!set_send_resync}) to every neighbor its
     image shows live, and suspend normal MC-LSA handling — LSAs received
     meanwhile are deferred and replayed in arrival order when the session
-    finishes.  The session finishes when [Config.resync_quorum] neighbor
-    deltas have been applied, when every neighbor has resolved (delta or
-    transport giveup), or when [Config.resync_deadline_hops × t_hop]
+    finishes.  The session finishes when one neighbor's delta has been
+    applied, when every neighbor has resolved by transport giveup, or
+    when [Config.resync_deadline_hops × t_hop]
     elapses; on finish, deferred LSAs are replayed and a topology
     computation is scheduled for every MC the reconciled state flagged.
     With no live neighbors the switch finishes degraded immediately.
@@ -145,15 +146,15 @@ val receive_resync : t -> Resync.msg -> unit
 val resync_transport_failed : t -> peer:int -> unit
 (** The unicast transport gave up delivering to [peer] (its retransmit
     budget exhausted — the neighbor is crashed or unreachable).  Resolves
-    the neighbor without counting it toward the quorum; finishes the
-    session degraded once no outstanding neighbor remains. *)
+    the neighbor; finishes the session degraded once no outstanding
+    neighbor remains. *)
 
 val resyncing : t -> bool
 (** A resynchronisation session is in flight. *)
 
-val resync_state : t -> (int * int list * int * int) option
-(** [(session id, outstanding neighbors (sorted), completed exchanges,
-    quorum)] of the in-flight session — model-checker state-hash fodder. *)
+val resync_state : t -> (int * int list) option
+(** [(session id, outstanding neighbors (sorted))] of the in-flight
+    session — model-checker state-hash fodder. *)
 
 val deferred_lsas : t -> Mc_lsa.t list
 (** MC LSAs deferred by the in-flight (or a finished-degraded) session,

@@ -65,8 +65,7 @@ type heuristic_row = {
   mean_time_us : float;
 }
 
-let steiner_heuristics ?(seeds = Figures.default_seeds) ?(n = 60)
-    ?(member_counts = [ 5; 10; 20 ]) () =
+let steiner_heuristics ?(seeds = Figures.default_seeds) ?(n = 60) () =
   List.concat_map
     (fun count ->
       List.map
@@ -101,7 +100,7 @@ let steiner_heuristics ?(seeds = Figures.default_seeds) ?(n = 60)
             mean_time_us = Metrics.Stats.mean !times;
           })
         [ ("kmb", Mctree.Steiner.kmb); ("sph", Mctree.Steiner.sph) ])
-    member_counts
+    [ 5; 10; 20 ]
 
 type drift_row = {
   threshold : float;
@@ -109,8 +108,7 @@ type drift_row = {
   d_converged : bool;
 }
 
-let drift_threshold ?(seeds = Figures.default_seeds) ?(n = 40)
-    ?(thresholds = [ 1.05; 1.2; 1.5; 2.0; 10.0 ]) () =
+let drift_threshold ?(seeds = Figures.default_seeds) ?(n = 40) () =
   List.map
     (fun threshold ->
       let config = { Dgmc.Config.atm_lan with drift_threshold = threshold } in
@@ -122,7 +120,7 @@ let drift_threshold ?(seeds = Figures.default_seeds) ?(n = 40)
         final_cost_ratio = Metrics.Stats.mean (List.map fst results);
         d_converged = List.for_all snd results;
       })
-    thresholds
+    [ 1.05; 1.2; 1.5; 2.0; 10.0 ]
 
 type flooding_row = {
   mode : string;

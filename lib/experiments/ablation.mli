@@ -31,9 +31,8 @@ type heuristic_row = {
   mean_time_us : float;  (** Mean wall-clock per computation. *)
 }
 
-val steiner_heuristics :
-  ?seeds:int list -> ?n:int -> ?member_counts:int list -> unit -> heuristic_row list
-(** KMB vs SPH cost and cpu across member-set sizes. *)
+val steiner_heuristics : ?seeds:int list -> ?n:int -> unit -> heuristic_row list
+(** KMB vs SPH cost and cpu across member-set sizes 5, 10 and 20. *)
 
 type drift_row = {
   threshold : float;
@@ -41,9 +40,9 @@ type drift_row = {
   d_converged : bool;
 }
 
-val drift_threshold :
-  ?seeds:int list -> ?n:int -> ?thresholds:float list -> unit -> drift_row list
-(** Sweep of the drift threshold over a churn-heavy session. *)
+val drift_threshold : ?seeds:int list -> ?n:int -> unit -> drift_row list
+(** Sweep of the drift threshold (1.05, 1.2, 1.5, 2 and 10) over a
+    churn-heavy session. *)
 
 type flooding_row = {
   mode : string;

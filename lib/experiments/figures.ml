@@ -211,8 +211,10 @@ type cbt_row = {
   control_messages : int;
 }
 
-let cbt_comparison ?(seed = 1) ?(n = 60) ?(receivers = 12) ?(senders = 6)
-    ?(packets_per_sender = 5) () =
+(* Packets each sender injects into the tree under test. *)
+let packets_per_sender = 5
+
+let cbt_comparison ?(seed = 1) ?(n = 60) ?(receivers = 12) ?(senders = 6) () =
   let graph = Harness.graph_for ~seed ~n in
   let rng = Sim.Rng.create (seed lxor 0x9e3779b9) in
   let all = List.init n (fun i -> i) in

@@ -110,11 +110,10 @@ type cbt_row = {
 }
 
 val cbt_comparison :
-  ?seed:int -> ?n:int -> ?receivers:int -> ?senders:int -> ?packets_per_sender:int ->
-  unit -> cbt_row list
+  ?seed:int -> ?n:int -> ?receivers:int -> ?senders:int -> unit -> cbt_row list
 (** §5's CBT trade-off: the D-GMC receiver-only shared tree vs. CBT
-    trees under different core placements, loaded with the same packet
-    batch from off-tree senders. *)
+    trees under different core placements, loaded with the same batch
+    of five packets per off-tree sender. *)
 
 (** {1 Tables}
 

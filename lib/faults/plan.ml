@@ -112,7 +112,6 @@ type t = {
   rng : Sim.Rng.t;
   plan_seed : int;
   spec : spec;
-  link_specs : (int * int, spec) Hashtbl.t;  (* key (min, max) *)
   link_accs : (int * int, link_acc) Hashtbl.t;  (* key (src, dst), directed *)
   mutable crashes : (int * window) list;
   mutable partitions : (bool array * window) list;
@@ -137,7 +136,6 @@ let create ?(spec = spec_default) ~seed () =
     rng = Sim.Rng.create seed;
     plan_seed = seed;
     spec;
-    link_specs = Hashtbl.create 8;
     link_accs = Hashtbl.create 32;
     crashes = [];
     partitions = [];
@@ -157,14 +155,6 @@ let instrument t engine =
   t.metrics <- Sim.Engine.metrics engine
 
 let seed t = t.plan_seed
-
-let default_spec t = t.spec
-
-let set_link_spec t u v spec =
-  (match check_spec spec with
-  | Ok _ -> ()
-  | Error m -> invalid_arg ("Faults.Plan.set_link_spec: " ^ m));
-  Hashtbl.replace t.link_specs (min u v, max u v) spec
 
 let window ~who ~from_ ~until =
   if not (from_ >= 0.0 && until >= from_ && until < infinity) then
@@ -231,11 +221,6 @@ let record t ~now ~src ~dst fault =
       (Sim.Trace.emit t.sim_trace ~time:now
          (Fault_injected { src; dst; fault = fault_label fault }))
 
-let link_spec t src dst =
-  match Hashtbl.find_opt t.link_specs (min src dst, max src dst) with
-  | Some s -> s
-  | None -> t.spec
-
 let link_acc t src dst =
   match Hashtbl.find_opt t.link_accs (src, dst) with
   | Some a -> a
@@ -273,7 +258,7 @@ let transmit t ~src ~dst ~now ~base_delay =
     []
   end
   else begin
-    let spec = link_spec t src dst in
+    let spec = t.spec in
     (* One probability draw per potential fault, in a fixed order, so
        the stream stays aligned across specs that differ only in their
        probabilities. *)

@@ -72,11 +72,6 @@ val instrument : t -> Sim.Engine.t -> unit
     into [faults.*] metrics.  {!Protocol.create} calls this on the plan
     it is handed. *)
 
-val default_spec : t -> spec
-
-val set_link_spec : t -> int -> int -> spec -> unit
-(** Override the spec for one undirected link (both directions). *)
-
 val crash_switch : t -> switch:int -> from_:float -> until:float -> unit
 (** The switch is fail-silent during [[from_, until)): every transmission
     to or from it is blocked.  Protocol state survives (the model is a

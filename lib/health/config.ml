@@ -5,22 +5,19 @@ type damping = {
   d_half_life : float;
 }
 
-type pacing = { p_min_interval : float; p_cap : int }
-
 type t = {
   period : float;
   grace : float;
   detector : Detector.kind;
   reup : int;
   damping : damping option;
-  pacing : pacing option;
   horizon : float;
 }
 
 let make ~period ?grace ?(detector = Detector.K_missed 3) ?(reup = 2) ?damping
-    ?pacing ~horizon () =
+    ~horizon () =
   let grace = match grace with Some g -> g | None -> period /. 2.0 in
-  { period; grace; detector; reup; damping; pacing; horizon }
+  { period; grace; detector; reup; damping; horizon }
 
 let validate t =
   if not (Float.is_finite t.period && t.period > 0.0) then
@@ -46,16 +43,8 @@ let validate t =
     with
     | Detector.K_missed k, _ when k < 1 ->
       Error "health detector k must be >= 1"
-    | Detector.Phi { window; threshold }, _
-      when window < 1 || not (Float.is_finite threshold && threshold >= 0.0) ->
-      Error "health phi detector needs window >= 1 and threshold >= 0"
     | _, Some (Error e) -> Error ("health " ^ e)
-    | _, (Some (Ok ()) | None) -> (
-      match t.pacing with
-      | Some p when not (Float.is_finite p.p_min_interval && p.p_min_interval >= 0.0) ->
-        Error "health pacing interval must be >= 0 and finite"
-      | Some p when p.p_cap < 1 -> Error "health pacing cap must be >= 1"
-      | Some _ | None -> Ok ())
+    | _, (Some (Ok ()) | None) -> Ok ()
 
 let detect_bound t =
   Detector.max_timeout t.detector ~period:t.period ~grace:t.grace +. t.period
@@ -86,26 +75,15 @@ let abstract t =
   }
 
 let describe t =
-  let det =
-    match t.detector with
-    | Detector.K_missed k -> Printf.sprintf "k-missed=%d" k
-    | Detector.Phi { window; threshold } ->
-      (* dgmc-analyze: allow float-format — human-readable config summary *)
-      Printf.sprintf "phi(window=%d, threshold=%g)" window threshold
-  in
+  let (Detector.K_missed k) = t.detector in
   (* dgmc-analyze: allow float-format — human-readable config summary *)
   Printf.sprintf
-    "hello period %gs grace %gs detector %s reup %d%s%s horizon %gs" t.period
-    t.grace det t.reup
+    "hello period %gs grace %gs detector k-missed=%d reup %d%s horizon %gs"
+    t.period t.grace k t.reup
     (match t.damping with
     | None -> ""
     | Some d ->
       (* dgmc-analyze: allow float-format — human-readable config summary *)
       Printf.sprintf " damping(penalty %g suppress %g reuse %g half-life %gs)"
         d.d_penalty d.d_suppress d.d_reuse d.d_half_life)
-    (match t.pacing with
-    | None -> ""
-    | Some p ->
-      (* dgmc-analyze: allow float-format — human-readable config summary *)
-      Printf.sprintf " pacing(%gs cap %d)" p.p_min_interval p.p_cap)
     t.horizon

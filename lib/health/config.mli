@@ -13,15 +13,12 @@ type damping = {
   d_half_life : float;  (** Seconds. *)
 }
 
-type pacing = { p_min_interval : float; p_cap : int }
-
 type t = {
   period : float;  (** Hello period, seconds. *)
   grace : float;  (** Transit allowance added to every tolerance, seconds. *)
   detector : Detector.kind;
   reup : int;  (** Consecutive hellos heard before re-declaring up. *)
   damping : damping option;
-  pacing : pacing option;
   horizon : float;
       (** Absolute simulated time after which hello emission (and
           down-verdict evaluation) stops, so runs still quiesce.  Pick it
@@ -35,12 +32,11 @@ val make :
   ?detector:Detector.kind ->
   ?reup:int ->
   ?damping:damping ->
-  ?pacing:pacing ->
   horizon:float ->
   unit ->
   t
 (** Defaults: [grace = period / 2], [detector = K_missed 3],
-    [reup = 2], no damping, no pacing. *)
+    [reup = 2], no damping. *)
 
 val validate : t -> (unit, string) result
 

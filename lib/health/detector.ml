@@ -1,83 +1,23 @@
-type kind =
-  | K_missed of int
-  | Phi of { window : int; threshold : float }
+type kind = K_missed of int
 
-let phi_cap_mult = 8.0
+let max_timeout (K_missed k) ~period ~grace = (float_of_int k *. period) +. grace
 
-let clamp lo hi x = Float.min hi (Float.max lo x)
+type t = { timeout : float; mutable last : float }
 
-let phi_timeout ~period ~grace ~threshold intervals =
-  let mean =
-    match intervals with
-    | [] -> period
-    | xs -> List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs)
-  in
-  let mad =
-    match intervals with
-    | [] -> 0.0
-    | xs ->
-      List.fold_left (fun acc x -> acc +. Float.abs (x -. mean)) 0.0 xs
-      /. float_of_int (List.length xs)
-  in
-  clamp (2.0 *. period) (phi_cap_mult *. period)
-    ((2.0 *. mean) +. (threshold *. mad))
-  +. grace
-
-type t = {
-  kind : kind;
-  period : float;
-  grace : float;
-  mutable last : float;
-  mutable intervals : float list;  (* newest first, length <= window *)
-  mutable n_intervals : int;
-}
-
-let create kind ~period ~grace ~start =
-  (match kind with
-  | K_missed k when k < 1 -> invalid_arg "Detector.create: k must be >= 1"
-  | Phi { window; threshold } when window < 1 || threshold < 0.0 ->
-    invalid_arg "Detector.create: phi window >= 1 and threshold >= 0 required"
-  | K_missed _ | Phi _ -> ());
+let create (K_missed k as kind) ~period ~grace ~start =
+  if k < 1 then invalid_arg "Detector.create: k must be >= 1";
   if period <= 0.0 then invalid_arg "Detector.create: period must be positive";
   if grace < 0.0 then invalid_arg "Detector.create: grace must be >= 0";
-  { kind; period; grace; last = start; intervals = []; n_intervals = 0 }
+  { timeout = max_timeout kind ~period ~grace; last = start }
 
-let kind t = t.kind
+let note_arrival t ~now = t.last <- Float.max t.last now
 
-let take n xs =
-  let rec go n = function
-    | x :: rest when n > 0 -> x :: go (n - 1) rest
-    | _ -> []
-  in
-  go n xs
+let timeout t = t.timeout
 
-let note_arrival t ~now =
-  (match t.kind with
-  | K_missed _ -> ()
-  | Phi { window; _ } ->
-    let sample = Float.max 0.0 (now -. t.last) in
-    t.intervals <- sample :: take (window - 1) t.intervals;
-    t.n_intervals <- min window (t.n_intervals + 1));
-  t.last <- Float.max t.last now
-
-let timeout t =
-  match t.kind with
-  | K_missed k -> (float_of_int k *. t.period) +. t.grace
-  | Phi { threshold; _ } ->
-    phi_timeout ~period:t.period ~grace:t.grace ~threshold t.intervals
-
-let deadline t = t.last +. timeout t
+let deadline t = t.last +. t.timeout
 
 let down t ~now = now >= deadline t
 
-let reset t ~now =
-  t.last <- now;
-  t.intervals <- [];
-  t.n_intervals <- 0
+let reset t ~now = t.last <- now
 
-let max_timeout kind ~period ~grace =
-  match kind with
-  | K_missed k -> (float_of_int k *. period) +. grace
-  | Phi _ -> (phi_cap_mult *. period) +. grace
-
-let abstract_rounds = function K_missed k -> k + 1 | Phi _ -> 3
+let abstract_rounds (K_missed k) = k + 1

@@ -4,54 +4,25 @@
     a neighbor's hellos) and answers a single question: how long may the
     line stay silent before the neighbor is declared unreachable?
 
-    Two variants:
-
-    - {!K_missed}[ k]: the classic OLSR-style rule — silence longer than
-      [k] hello periods (plus a grace allowance for transit time) means
-      down.  The tolerance is constant.
-    - {!Phi}: an adaptive, phi-accrual-style rule — the tolerance is
-      derived from the observed inter-arrival distribution (mean plus
-      [threshold] mean absolute deviations over a sliding [window] of
-      samples), so a jittery path earns a longer timeout than a quiet
-      one.  The tolerance is clamped to [[2, phi_cap_mult]] hello
-      periods, so detection latency stays bounded no matter what the
-      samples say.
+    The rule is the classic OLSR-style one: silence longer than [k]
+    hello periods (plus a grace allowance for transit time) means down.
+    The tolerance is constant.
 
     All state advances on simulated time supplied by the caller; the
     module never reads a clock, so detection is deterministic. *)
 
-type kind =
-  | K_missed of int  (** Down after [k] consecutive missed hellos. *)
-  | Phi of { window : int; threshold : float }
-      (** Adaptive tolerance from inter-arrival jitter: a sliding window
-          of [window] samples, tolerance [2·mean + threshold·mad],
-          clamped (see {!phi_timeout}). *)
-
-val phi_cap_mult : float
-(** Upper clamp for the adaptive tolerance, in hello periods (8.0). *)
-
-val phi_timeout :
-  period:float -> grace:float -> threshold:float -> float list -> float
-(** [phi_timeout ~period ~grace ~threshold intervals] is the silence
-    tolerance the {!Phi} detector derives from the observed inter-arrival
-    [intervals]: [clamp (2·mean + threshold·mad) [2·period,
-    phi_cap_mult·period] + grace], where [mad] is the mean absolute
-    deviation and an empty window falls back to [mean = period].
-    Exposed pure so the monotonicity property (more jitter never shrinks
-    the tolerance) is directly testable. *)
+type kind = K_missed of int  (** Down after [k] consecutive missed hellos. *)
 
 type t
 
 val create : kind -> period:float -> grace:float -> start:float -> t
 (** A fresh detector that treats [start] as the last heard-from time. *)
 
-val kind : t -> kind
-
 val note_arrival : t -> now:float -> unit
 (** Record a hello arrival at simulated time [now]. *)
 
 val timeout : t -> float
-(** Current silence tolerance in seconds (≥ period + grace always). *)
+(** Silence tolerance in seconds: [k·period + grace]. *)
 
 val deadline : t -> float
 (** Absolute time at which continued silence becomes a down verdict:
@@ -62,16 +33,14 @@ val down : t -> now:float -> bool
 (** [now >= deadline t]: the adjacency has been silent too long. *)
 
 val reset : t -> now:float -> unit
-(** Forget the past: treat [now] as the last arrival and drop the jitter
-    window.  Used when an interface leaves administrative suppression —
-    stale silence must not instantly re-fire the detector. *)
+(** Forget the past: treat [now] as the last arrival.  Used when an
+    interface leaves administrative suppression — stale silence must not
+    instantly re-fire the detector. *)
 
 val max_timeout : kind -> period:float -> grace:float -> float
-(** Worst-case silence tolerance the [kind] can ever report — the static
-    ingredient of the configured detection bound. *)
+(** The silence tolerance the [kind] reports — the static ingredient of
+    the configured detection bound. *)
 
 val abstract_rounds : kind -> int
 (** Hello rounds of total silence after which the abstract model-checker
-    detector must have declared down (zero-jitter schedule): [k + 1] for
-    {!K_missed}[ k], [3] for {!Phi} (clean-window tolerance is two
-    periods). *)
+    detector must have declared down (zero-jitter schedule): [k + 1]. *)

@@ -118,7 +118,7 @@ let build_logical graph area_of k =
     edge_map;
   (logical, edge_map)
 
-let rec create ~graph ~partition ~config ?logical_t_hop () =
+let rec create ~graph ~partition ~config () =
   validate_partition graph partition;
   let n = Net.Graph.n_nodes graph in
   let k = Array.length partition in
@@ -140,9 +140,6 @@ let rec create ~graph ~partition ~config ?logical_t_hop () =
         partition.(a))
     area_graphs;
   let logical_graph, edge_map = build_logical graph area_of k in
-  let logical_t_hop =
-    match logical_t_hop with Some x -> x | None -> 3.0 *. config.Dgmc.Config.t_hop
-  in
   let engine = Sim.Engine.create () in
   let area_boots = Array.map Lsr.Lsdb.boot area_graphs in
   let switches =
@@ -162,7 +159,9 @@ let rec create ~graph ~partition ~config ?logical_t_hop () =
           ())
   in
   let logical_flooding =
-    Lsr.Flooding.create ~engine ~graph:logical_graph ~t_hop:logical_t_hop
+    (* A logical LSA crosses several real hops. *)
+    Lsr.Flooding.create ~engine ~graph:logical_graph
+      ~t_hop:(3.0 *. config.Dgmc.Config.t_hop)
       ~mode:config.Dgmc.Config.flood_mode
       ~deliver:(fun ~switch lsa ->
         Dgmc.Switch.receive logical_switches.(switch) lsa.payload)

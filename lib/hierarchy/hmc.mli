@@ -38,16 +38,15 @@ val create :
   graph:Net.Graph.t ->
   partition:int list array ->
   config:Dgmc.Config.t ->
-  ?logical_t_hop:float ->
   unit ->
   t
 (** [create ~graph ~partition ~config ()] — [partition.(a)] lists area
     [a]'s switches; areas must be non-empty, disjoint, cover the graph,
     and each induce a connected subgraph.  Every pair of areas used by
     the logical level must be joined by at least one real link; the
-    cheapest such link realises the logical edge.  [logical_t_hop]
-    (default [3 *. config.t_hop]) is the per-hop delay of logical-level
-    flooding (logical LSAs traverse several real hops). *)
+    cheapest such link realises the logical edge.  Logical-level
+    flooding takes [3 *. config.t_hop] per hop (logical LSAs traverse
+    several real hops). *)
 
 val engine : t -> Sim.Engine.t
 

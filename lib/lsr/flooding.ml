@@ -4,23 +4,19 @@ type reliability = {
   rto : float;
   rto_max : float;
   max_retries : int;
-  adaptive : bool;
 }
 
-let default_reliability =
-  { rto = 4.0; rto_max = 64.0; max_retries = 10; adaptive = false }
+let default_reliability = { rto = 4.0; rto_max = 64.0; max_retries = 10 }
 
 (* Worst-case simulated time (in t_hop multiples) between a transfer's
    first transmission and its giveup: the sum of all max_retries + 1
-   waits, each double the last up to rto_max.  Adaptive mode may start
-   anywhere in [rto, rto_max], so its worst case starts at the cap. *)
+   waits, each double the last up to rto_max. *)
 let giveup_span_hops rel =
-  let initial = if rel.adaptive then rel.rto_max else rel.rto in
   let rec go timeout i acc =
     if i > rel.max_retries then acc
     else go (Float.min (2.0 *. timeout) rel.rto_max) (i + 1) (acc +. timeout)
   in
-  go initial 0 0.0
+  go rel.rto 0 0.0
 
 type transmit = src:int -> dst:int -> base_delay:float -> float list
 
@@ -33,7 +29,6 @@ type rtx = {
   mutable tries : int;
   mutable timeout : float;
   rtx_first : int;
-  rtx_sent_at : float;  (* first transmission time — the RTT sample base *)
   rtx_origin : int;
   rtx_seq : int;
   rtx_giveup : unit -> unit;
@@ -42,9 +37,6 @@ type rtx = {
          uses; removal from [pending] before either call site fires it
          makes exactly-once structural. *)
 }
-
-(* Jacobson/Karn smoothed RTT state for one directed adjacency. *)
-type rtt_est = { mutable srtt : float; mutable rttvar : float }
 
 type 'a t = {
   engine : Sim.Engine.t;
@@ -60,8 +52,6 @@ type 'a t = {
       (** Per switch: (origin, seq) pairs already received. *)
   pending : (int * int * (int * int), rtx) Hashtbl.t;
       (** Reliable mode: (src, dst, lsa id) transfers awaiting an ack. *)
-  rtt : (int * int, rtt_est) Hashtbl.t;
-      (** Adaptive reliable mode: per directed adjacency SRTT/RTTVAR. *)
   mutable floods : int;
   mutable messages : int;
   mutable acks : int;
@@ -94,7 +84,6 @@ let create ~engine ~graph ~t_hop ?(mode = Hop_by_hop)
     metrics = Sim.Engine.metrics engine;
     seen = Array.init (Net.Graph.n_nodes graph) (fun _ -> Hashtbl.create 64);
     pending = Hashtbl.create 64;
-    rtt = Hashtbl.create 16;
     floods = 0;
     messages = 0;
     acks = 0;
@@ -190,33 +179,6 @@ let drop_pending t key rtx ~reason =
             { src; dst; origin = rtx.rtx_origin; seq = rtx.rtx_seq; reason }));
   rtx.rtx_giveup ()
 
-(* Initial retransmit timeout for a fresh transfer.  The static mode uses
-   the configured rto; adaptive mode uses the Jacobson estimate
-   srtt + 4·rttvar for the destination when samples exist, clamped into
-   [rto, rto_max] so the configured bounds still hold. *)
-let initial_rto t ~src ~dst =
-  let floor_ = t.rel.rto *. t.t_hop in
-  if not t.rel.adaptive then floor_
-  else
-    match Hashtbl.find_opt t.rtt (src, dst) with
-    | None -> floor_
-    | Some est ->
-      Float.max floor_
-        (Float.min
-           (est.srtt +. (4.0 *. est.rttvar))
-           (t.rel.rto_max *. t.t_hop))
-
-(* Fold one ack round-trip sample into the estimator (RFC 6298 smoothing:
-   rttvar ← 3/4·rttvar + 1/4·|srtt − s|, srtt ← 7/8·srtt + 1/8·s). *)
-let note_rtt t ~src ~dst sample =
-  (match Hashtbl.find_opt t.rtt (src, dst) with
-  | None -> Hashtbl.replace t.rtt (src, dst) { srtt = sample; rttvar = sample /. 2.0 }
-  | Some est ->
-    est.rttvar <- (0.75 *. est.rttvar) +. (0.25 *. Float.abs (est.srtt -. sample));
-    est.srtt <- (0.875 *. est.srtt) +. (0.125 *. sample));
-  Metrics.Registry.incr t.metrics ~switch:src "flood.rtt_samples";
-  Metrics.Registry.observe t.metrics ~switch:src "flood.rtt" sample
-
 let rec arm_retransmit t key lsa rtx ~arrive =
   let src, dst, _ = key in
   rtx.rtx_handle <-
@@ -246,13 +208,7 @@ let ack_received t key =
   match Hashtbl.find_opt t.pending key with
   | Some rtx ->
     Option.iter Sim.Engine.cancel rtx.rtx_handle;
-    Hashtbl.remove t.pending key;
-    (* Karn's rule: only transfers acked without any retransmission
-       yield an RTT sample — after a retry the ack is ambiguous. *)
-    if t.rel.adaptive && rtx.tries = 0 then begin
-      let src, dst, _ = key in
-      note_rtt t ~src ~dst (now t -. rtx.rtx_sent_at)
-    end
+    Hashtbl.remove t.pending key
   | None -> ()  (* late duplicate ack, or the sender already gave up *)
 
 let send_ack t ~src ~dst key =
@@ -280,9 +236,8 @@ let transfer t ~src ~dst ~parent ~on_giveup ~arrive lsa =
         {
           rtx_handle = None;
           tries = 0;
-          timeout = initial_rto t ~src ~dst;
+          timeout = t.rel.rto *. t.t_hop;
           rtx_first = fid;
-          rtx_sent_at = now t;
           rtx_origin = lsa.Lsa.origin;
           rtx_seq = lsa.Lsa.seq;
           rtx_giveup = on_giveup;
@@ -404,11 +359,6 @@ let abandon_link t ~src ~dst =
       | None -> ())
     keys;
   List.length keys
-
-let rtt_estimate t ~src ~dst =
-  Option.map
-    (fun est -> (est.srtt, est.rttvar))
-    (Hashtbl.find_opt t.rtt (src, dst))
 
 let reset_counters t =
   t.floods <- 0;

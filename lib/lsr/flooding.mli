@@ -47,29 +47,20 @@ type reliability = {
   rto : float;
       (** Initial retransmit timeout, as a multiple of [t_hop].  Must
           exceed [2] (a round trip) to avoid spurious retransmissions on
-          a clean link.  In adaptive mode this is the {e floor} of the
-          per-destination estimate. *)
+          a clean link. *)
   rto_max : float;  (** Backoff cap, as a multiple of [t_hop]. *)
   max_retries : int;
       (** Retransmissions per (link, LSA) before the sender gives up. *)
-  adaptive : bool;
-      (** When set, the initial timeout of each transfer is the
-          Jacobson/Karn estimate for its destination — srtt + 4·rttvar
-          from ack round-trip samples (RFC 6298 smoothing, samples taken
-          only from transfers acked without a retransmission, per Karn's
-          rule) — clamped into [[rto, rto_max]] hop times.  The doubling
-          backoff and the cap apply unchanged on top. *)
 }
 
 val default_reliability : reliability
-(** [rto = 4], [rto_max = 64], [max_retries = 10], [adaptive = false]. *)
+(** [rto = 4], [rto_max = 64], [max_retries = 10]. *)
 
 val giveup_span_hops : reliability -> float
 (** Worst-case simulated time, in [t_hop] multiples, between a transfer's
     first transmission and its giveup: the sum of the [max_retries + 1]
     timeout waits under doubling capped at [rto_max] (508 under the
-    defaults).  Adaptive mode may start a transfer at the cap, so its
-    worst case sums from [rto_max].  {!Config.resync_deadline_hops}
+    defaults).  {!Config.resync_deadline_hops}
     validation derives from this — a resync session must outlive its
     slowest possible transport attempt. *)
 
@@ -154,10 +145,6 @@ val abandon_link : 'a t -> src:int -> dst:int -> int
     [neighbor-down], and fires its [on_giveup] exactly once (a transfer
     already acked or timed out is untouched).  Returns the number of
     transfers cancelled.  Giveups fire in (origin, seq) order. *)
-
-val rtt_estimate : 'a t -> src:int -> dst:int -> (float * float) option
-(** Adaptive reliable mode: the current [(srtt, rttvar)] for the directed
-    adjacency, in seconds; [None] before the first sample. *)
 
 val reset_counters : 'a t -> unit
 

@@ -76,4 +76,4 @@ let drift g tree =
     if fresh_cost <= 0.0 then 1.0 else Tree.cost g tree /. fresh_cost
   end
 
-let needs_recompute ?(threshold = 1.5) g tree = drift g tree > threshold
+let needs_recompute ~threshold g tree = drift g tree > threshold

@@ -30,6 +30,6 @@ val drift : Net.Graph.t -> Tree.t -> float
     the heuristic, larger = worse).  [1.0] for trees with fewer than two
     terminals. *)
 
-val needs_recompute : ?threshold:float -> Net.Graph.t -> Tree.t -> bool
-(** [true] when {!drift} exceeds [threshold] (default [1.5]) — the
-    paper's "deviates significantly from an optimal" trigger. *)
+val needs_recompute : threshold:float -> Net.Graph.t -> Tree.t -> bool
+(** [true] when {!drift} exceeds [threshold] — the paper's "deviates
+    significantly from an optimal" trigger. *)

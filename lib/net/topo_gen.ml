@@ -31,7 +31,10 @@ let connect_components g positions weight_of =
   ignore positions;
   join ()
 
-let waxman rng ~n ?(alpha = 0.25) ?(beta = 0.2) ?(scale = 10.0) ?target_degree () =
+let waxman rng ~n ?target_degree () =
+  (* Edge-probability scale, distance decay, and the factor turning
+     distances into edge weights. *)
+  let alpha = 0.25 and beta = 0.2 and scale = 10.0 in
   if n < 1 then invalid_arg "Topo_gen.waxman: n must be positive";
   let pos = Array.init n (fun _ ->
       let x = Sim.Rng.float rng 1.0 in
@@ -76,12 +79,10 @@ let waxman rng ~n ?(alpha = 0.25) ?(beta = 0.2) ?(scale = 10.0) ?target_degree (
   connect_components g (Some pos) weight_of;
   g
 
-let clustered rng ~areas ~per_area ?(inter_links = 2) ?(target_degree = 3.5)
-    ?(inter_weight = 20.0) () =
+let clustered rng ~areas ~per_area ?(inter_links = 2) ?(target_degree = 3.5) () =
   if areas < 2 then invalid_arg "Topo_gen.clustered: need at least 2 areas";
   if per_area < 2 then invalid_arg "Topo_gen.clustered: need at least 2 per area";
   if inter_links < 1 then invalid_arg "Topo_gen.clustered: need inter links";
-  if inter_weight <= 0.0 then invalid_arg "Topo_gen.clustered: bad inter weight";
   let n = areas * per_area in
   let g = Graph.create n in
   let partition =
@@ -108,17 +109,18 @@ let clustered rng ~areas ~per_area ?(inter_links = 2) ?(target_degree = 3.5)
       let v = (b * per_area) + Sim.Rng.int rng per_area in
       if (not (Graph.has_edge g u v)) && not (List.mem (u, v) !picked) then begin
         picked := (u, v) :: !picked;
-        Graph.add_edge g u v ~weight:inter_weight
+        Graph.add_edge g u v ~weight:20.0
       end
     done
   done;
   (g, partition)
 
-let erdos_renyi rng ~n ?p ?(min_weight = 1.0) ?(max_weight = 10.0) () =
+let erdos_renyi rng ~n ?(min_weight = 1.0) ?(max_weight = 10.0) () =
   if n < 1 then invalid_arg "Topo_gen.erdos_renyi: n must be positive";
   if min_weight <= 0.0 || max_weight < min_weight then
     invalid_arg "Topo_gen.erdos_renyi: bad weight range";
-  let p = match p with Some p -> p | None -> 3.0 /. float_of_int n in
+  (* Mean degree about 3. *)
+  let p = 3.0 /. float_of_int n in
   let g = Graph.create n in
   let draw_weight () =
     if max_weight = min_weight then min_weight

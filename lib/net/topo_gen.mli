@@ -11,9 +11,6 @@
 val waxman :
   Sim.Rng.t ->
   n:int ->
-  ?alpha:float ->
-  ?beta:float ->
-  ?scale:float ->
   ?target_degree:float ->
   unit ->
   Graph.t
@@ -23,7 +20,7 @@ val waxman :
     and [l] the maximum pairwise distance.  Edge weight is
     [scale * d(u,v)].  Components are then connected by their closest
     node pairs so the result is always connected.
-    Defaults: [alpha = 0.25], [beta = 0.2], [scale = 10.0].
+    Here [alpha = 0.25], [beta = 0.2] and [scale = 10.0].
 
     In the plain model the mean degree grows with [n]; passing
     [target_degree] overrides [alpha] with the value that makes the
@@ -37,7 +34,6 @@ val clustered :
   per_area:int ->
   ?inter_links:int ->
   ?target_degree:float ->
-  ?inter_weight:float ->
   unit ->
   Graph.t * int list array
 (** A two-level topology for hierarchical-routing experiments: [areas]
@@ -46,14 +42,13 @@ val clustered :
     areas on a ring of areas — dense inside, sparse between, like an
     internetwork of domains.  Node ids are contiguous per area
     ([area k] owns [k*per_area .. (k+1)*per_area - 1]); the returned
-    array lists each area's switches.  [inter_weight] (default [20.0])
-    is the inter-area link cost. *)
+    array lists each area's switches.  An inter-area link costs [20.0]. *)
 
 val erdos_renyi :
-  Sim.Rng.t -> n:int -> ?p:float -> ?min_weight:float -> ?max_weight:float -> unit -> Graph.t
-(** G(n, p) with uniform random weights in [[min_weight, max_weight]],
-    made connected the same way.  Defaults: [p = 3.0 /. float n] (mean
-    degree ≈ 3), weights in [[1, 10]]. *)
+  Sim.Rng.t -> n:int -> ?min_weight:float -> ?max_weight:float -> unit -> Graph.t
+(** G(n, p) with [p = 3.0 /. float n] (mean degree ≈ 3) and uniform
+    random weights in [[min_weight, max_weight]] (default [[1, 10]]),
+    made connected the same way. *)
 
 val ring : ?weight:float -> int -> Graph.t
 (** Cycle on [n >= 3] nodes; every edge has the given weight

@@ -44,8 +44,7 @@ type event =
 type entry = { id : int; parent : int; time : float; event : event }
 
 type t = {
-  keep : bool;
-  echo : bool;
+  on : bool;  (* [false] only for {!disabled} *)
   cap : int;
   cats : string list option;
   mutable buf : entry array;
@@ -58,11 +57,10 @@ type t = {
 
 let default_cap = 1_000_000
 
-let create ?(keep = true) ?(echo = false) ?(cap = default_cap) ?cats () =
+let create ?(cap = default_cap) ?cats () =
   if cap < 1 then invalid_arg "Trace.create: cap must be positive";
   {
-    keep;
-    echo;
+    on = true;
     cap;
     cats;
     buf = [||];
@@ -75,8 +73,7 @@ let create ?(keep = true) ?(echo = false) ?(cap = default_cap) ?cats () =
 
 let disabled =
   {
-    keep = false;
-    echo = false;
+    on = false;
     cap = 1;
     cats = None;
     buf = [||];
@@ -87,7 +84,7 @@ let disabled =
     ctx = -1;
   }
 
-let enabled t = t.keep || t.echo
+let enabled t = t.on
 
 let category = function
   | Lsa_originated _ -> "flood"
@@ -203,8 +200,7 @@ let emit t ~time ?parent event =
     t.next_id <- id + 1;
     let parent = match parent with Some p -> p | None -> t.ctx in
     let e = { id; parent; time; event } in
-    if t.echo then Format.eprintf "%a@." pp_entry e;
-    if t.keep && retains t event then push t e;
+    if retains t event then push t e;
     id
   end
 

@@ -87,11 +87,8 @@ type entry = { id : int; parent : int; time : float; event : event }
 
 type t
 
-val create :
-  ?keep:bool -> ?echo:bool -> ?cap:int -> ?cats:string list -> unit -> t
-(** [create ()] — [keep] retains entries in memory (default [true]);
-    [echo] additionally prints each entry to stderr as it is emitted
-    (default [false]); [cap] bounds retained entries (default
+val create : ?cap:int -> ?cats:string list -> unit -> t
+(** [create ()] retains entries in memory; [cap] bounds them (default
     [1_000_000], ring-buffer eviction); [cats] restricts {e retention} to
     the given categories (ids are still assigned to filtered-out events,
     so causal parents stay meaningful). *)
@@ -100,7 +97,7 @@ val disabled : t
 (** A shared trace that drops everything. *)
 
 val enabled : t -> bool
-(** [true] when the trace retains or echoes entries.  Guard event
+(** [true] for every trace but {!disabled}.  Guard event
     construction with this so disabled traces cost one branch. *)
 
 val category : event -> string

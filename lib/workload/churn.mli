@@ -24,11 +24,11 @@ type spec = {
   mc : Dgmc.Mc_id.t;
   members : int;  (** Walkers (1 to n; below n when [moves > 0]). *)
   moves : int;  (** Total attachment-point handovers. *)
-  period : float;  (** Arrival window and per-move spacing, seconds. *)
+  period : float;  (** Arrival window and gap between moves, seconds. *)
   start : float;  (** Schedule origin. *)
   waves : int;  (** Link-fade waves (0 for membership churn only). *)
   wave_links : int;  (** Links fading per wave. *)
-  wave_period : float;  (** Wave spacing; each fade heals at half. *)
+  wave_period : float;  (** Gap between waves; each fade heals at half. *)
 }
 
 val generate : Sim.Rng.t -> graph:Net.Graph.t -> spec -> Events.t list

@@ -228,7 +228,7 @@ let churn_events ~graph ~config d =
   | evs -> Ok evs
   | exception Invalid_argument m -> Error m
 
-(* "health period=0.5r detector=k:3 damp=on pace=0.2r" — link-health
+(* "health period=0.5r detector=k:3 damp=on" — link-health
    layer configuration; time-valued options take the same second/round
    literals as [at].  Resolution to a [Health.Config.t] waits until the
    graph and regime (hence round length) and the full event list (hence
@@ -243,15 +243,12 @@ type health_directive = {
   h_damp_suppress : float;
   h_damp_reuse : float;
   h_damp_half_life : (float * bool) option;
-  h_pace : (float * bool) option;
-  h_pace_cap : int;
   h_horizon : (float * bool) option;
 }
 
 let health_allowed_keys =
   [ "period"; "grace"; "detector"; "reup"; "damp"; "damp-penalty";
-    "damp-suppress"; "damp-reuse"; "damp-half-life"; "pace"; "pace-cap";
-    "horizon" ]
+    "damp-suppress"; "damp-reuse"; "damp-half-life"; "horizon" ]
 
 let parse_float lineno what s =
   match float_of_string_opt s with
@@ -261,14 +258,7 @@ let parse_float lineno what s =
 let parse_detector lineno s =
   match String.split_on_char ':' s with
   | [ ("k" | "k-missed"); k ] -> Health.Detector.K_missed (parse_int lineno "detector k" k)
-  | [ "phi"; window; threshold ] ->
-    Health.Detector.Phi
-      {
-        window = parse_int lineno "phi window" window;
-        threshold = parse_float lineno "phi threshold" threshold;
-      }
-  | _ ->
-    fail lineno "unknown detector %S (use k:<n> or phi:<window>:<threshold>)" s
+  | _ -> fail lineno "unknown detector %S (use k:<n>)" s
 
 let parse_health lineno opts =
   check_opts lineno ~allowed:health_allowed_keys opts;
@@ -305,11 +295,6 @@ let parse_health lineno opts =
     h_damp_suppress = float_opt "damp-suppress" 3.0;
     h_damp_reuse = float_opt "damp-reuse" 0.75;
     h_damp_half_life = time_opt "damp-half-life";
-    h_pace = time_opt "pace";
-    h_pace_cap =
-      (match opt_value opts "pace-cap" with
-      | Some s -> parse_int lineno "pace-cap" s
-      | None -> 16);
     h_horizon = time_opt "horizon";
   }
 
@@ -338,16 +323,10 @@ let health_config ~graph ~config ~last_event d =
         }
     else None
   in
-  let pacing =
-    Option.map
-      (fun mi ->
-        { Health.Config.p_min_interval = resolve mi; p_cap = d.h_pace_cap })
-      d.h_pace
-  in
   let partial =
     Health.Config.make ~period:(resolve d.h_period)
       ?grace:(Option.map resolve d.h_grace) ~detector:d.h_detector
-      ?reup:d.h_reup ?damping ?pacing ~horizon:1.0 ()
+      ?reup:d.h_reup ?damping ~horizon:1.0 ()
   in
   let horizon =
     match d.h_horizon with

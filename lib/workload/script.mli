@@ -13,6 +13,11 @@
     # optional fault plan; its presence switches flooding to Reliable
     faults drop=0.3 dup=0.1 reorder=0.2 jitter=0.5 seed=7
 
+    # optional link-health layer: switches detect link events through
+    # hello silence (keys: period grace detector=k:<n> reup damp=on|off
+    # damp-penalty damp-suppress damp-reuse damp-half-life horizon)
+    health period=0.5r detector=k:3 damp=on
+
     # connections: id and type
     mc 1 symmetric                # or: receiver-only | asymmetric
 
@@ -31,7 +36,8 @@
     Times with the [r] suffix are multiples of the protocol round
     ([Tf + Tc]) of the scripted graph and regime; [churn]'s [period],
     [start] and [wave-period] take the same literals ([period] defaults
-    to [1r], [wave-period] to [period]).
+    to [1r], [wave-period] to [period]), as do [health]'s [period],
+    [grace], [damp-half-life] and [horizon].
 
     This module is the one parser of the format: {!directives} parses
     each line, {!parse} resolves the lines into a runnable {!t}, and
@@ -92,8 +98,6 @@ type health_directive = {
   h_damp_suppress : float;
   h_damp_reuse : float;
   h_damp_half_life : (float * bool) option;  (** [None]: 4 rounds. *)
-  h_pace : (float * bool) option;  (** Min-interval; presence enables pacing. *)
-  h_pace_cap : int;
   h_horizon : (float * bool) option;  (** [None]: derived from the events. *)
 }
 (** A [health] directive as written — times unresolved. *)
@@ -101,7 +105,7 @@ type health_directive = {
 val health_of_args :
   line:int -> string list -> (health_directive, string) result
 (** Parse a [health] directive's [key=value] arguments (defaults:
-    [period=0.5r], [detector=k:3], no damping, no pacing).  Shared with
+    [period=0.5r], [detector=k:3], no damping).  Shared with
     the CLI's [--health] flag. *)
 
 val last_event_time : Events.t list -> float

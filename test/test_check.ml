@@ -640,6 +640,10 @@ let test_lint_duplicate_config () =
 
 (* Malformed scripts: [Script.parse] fails with "line N: M", and the
    linter's first error is that same line and message — one parser. *)
+let health_keys =
+  "period, grace, detector, reup, damp, damp-penalty, damp-suppress, \
+   damp-reuse, damp-half-life, horizon"
+
 let malformed_corpus =
   let decl = "graph ring 6\nmc 1 symmetric\n" in
   [
@@ -667,10 +671,50 @@ let malformed_corpus =
      "unknown option \"bogus\" (allowed: mc, members, moves, period, start, \
       waves, wave-links, wave-period, seed)");
     (decl ^ "health perod=1r", 3,
-     "unknown option \"perod\" (allowed: period, grace, detector, reup, \
-      damp, damp-penalty, damp-suppress, damp-reuse, damp-half-life, pace, \
-      pace-cap, horizon)");
+     "unknown option \"perod\" (allowed: " ^ health_keys ^ ")");
     (decl ^ "at 0 join 0 mc=one", 3, "mc id: expected an integer, got \"one\"");
+    (* every rejection of the config directive *)
+    ("graph ring 6\nconfig", 2, "config: expected 'atm' or 'wan', got \"\"");
+    ("graph ring 6\nconfig lan", 2,
+     "config: expected 'atm' or 'wan', got \"lan\"");
+    ("graph ring 6\nconfig atm wan", 2,
+     "config: expected 'atm' or 'wan', got \"atm wan\"");
+    (* every rejection of the faults directive *)
+    ("graph ring 6\nfaults drop", 2, "expected key=value, got \"drop\"");
+    ("graph ring 6\nfaults drop=x", 2, "drop: expected a number, got \"x\"");
+    ("graph ring 6\nfaults loss=0.1", 2,
+     "unknown fault key \"loss\" (allowed: drop, dup, reorder, jitter, span)");
+    ("graph ring 6\nfaults dup=1.5", 2,
+     "dup must be a probability in [0, 1], got 1.5");
+    ("graph ring 6\nfaults reorder=-0.1", 2,
+     "reorder must be a probability in [0, 1], got -0.1");
+    ("graph ring 6\nfaults span=-1", 2,
+     "span must be non-negative and finite, got -1");
+    ("graph ring 6\nfaults jitter=inf", 2,
+     "jitter must be non-negative and finite, got inf");
+    ("graph ring 6\nfaults drop=0.1 seed=x", 2,
+     "seed: expected an integer, got \"x\"");
+    (* every rejection of the health directive, removed keys included *)
+    (decl ^ "health period", 3,
+     "unexpected token \"period\" (options are key=value)");
+    (decl ^ "health pace=1r", 3,
+     "unknown option \"pace\" (allowed: " ^ health_keys ^ ")");
+    (decl ^ "health pace-cap=4", 3,
+     "unknown option \"pace-cap\" (allowed: " ^ health_keys ^ ")");
+    (decl ^ "health detector=phi:8:4", 3,
+     "unknown detector \"phi:8:4\" (use k:<n>)");
+    (decl ^ "health detector=k:x", 3, "detector k: expected an integer, got \"x\"");
+    (decl ^ "health period=-1", 3, "time must be non-negative");
+    (decl ^ "health grace=soon", 3, "bad time literal \"soon\"");
+    (decl ^ "health horizon=xr", 3, "bad time literal \"xr\"");
+    (decl ^ "health damp-half-life=-2r", 3, "time must be non-negative");
+    (decl ^ "health reup=two", 3, "reup: expected an integer, got \"two\"");
+    (decl ^ "health damp=yes", 3, "damp: expected on or off, got \"yes\"");
+    (decl ^ "health damp-penalty=x", 3,
+     "damp-penalty: expected a number, got \"x\"");
+    (decl ^ "health damp-suppress=x", 3,
+     "damp-suppress: expected a number, got \"x\"");
+    (decl ^ "health damp-reuse=x", 3, "damp-reuse: expected a number, got \"x\"");
   ]
 
 let test_malformed_corpus () =

@@ -262,61 +262,6 @@ let test_abandon_link_cancels_pending_once () =
   check Alcotest.int "no pending state left" 0
     (Lsr.Flooding.pending_retransmits f)
 
-let test_adaptive_rtt_estimate_converges () =
-  (* Adaptive reliable mode: on a clean link the Jacobson/Karn estimate
-     converges to the actual round trip and no spurious retransmission
-     fires. *)
-  let graph = Net.Topo_gen.line 2 in
-  let reliability =
-    { Lsr.Flooding.default_reliability with adaptive = true }
-  in
-  let f, engine, _log = make graph ~t_hop:1.0 ~reliability in
-  check Alcotest.bool "no estimate before the first sample" true
-    (Lsr.Flooding.rtt_estimate f ~src:0 ~dst:1 = None);
-  for seq = 0 to 7 do
-    ignore
-      (Sim.Engine.schedule engine
-         ~delay:(10.0 *. float_of_int seq)
-         (fun () ->
-           Lsr.Flooding.send f ~src:0 ~dst:1 (Lsr.Lsa.make ~origin:0 ~seq ())))
-  done;
-  Sim.Engine.run engine;
-  (match Lsr.Flooding.rtt_estimate f ~src:0 ~dst:1 with
-  | None -> Alcotest.fail "no RTT estimate after eight clean transfers"
-  | Some (srtt, rttvar) ->
-    (* Data hop + ack hop = 2 hop-times exactly on a fault-free line. *)
-    check Alcotest.bool "srtt converged to the round trip" true
-      (Float.abs (srtt -. 2.0) < 0.01);
-    check Alcotest.bool "rttvar collapsed on a jitter-free link" true
-      (rttvar < 1.0));
-  check Alcotest.int "no spurious retransmission" 0
-    (Lsr.Flooding.retransmissions f)
-
-let test_adaptive_karn_rule () =
-  (* Karn's rule: a transfer that needed a retransmission contributes no
-     RTT sample (its ack is ambiguous). *)
-  let graph = Net.Topo_gen.line 2 in
-  let first = ref true in
-  let transmit ~src:_ ~dst ~base_delay =
-    (* Drop the very first data copy (towards 1); everything after —
-       including acks (towards 0) — is clean. *)
-    if !first && dst = 1 then begin
-      first := false;
-      []
-    end
-    else [ base_delay ]
-  in
-  let reliability =
-    { Lsr.Flooding.default_reliability with adaptive = true }
-  in
-  let f, engine, log = make graph ~t_hop:1.0 ~transmit ~reliability in
-  Lsr.Flooding.send f ~src:0 ~dst:1 (Lsr.Lsa.make ~origin:0 ~seq:0 ());
-  Sim.Engine.run engine;
-  check Alcotest.int "delivered on the retransmission" 1 (List.length !log);
-  check Alcotest.int "one retransmission" 1 (Lsr.Flooding.retransmissions f);
-  check Alcotest.bool "no sample from a retransmitted transfer" true
-    (Lsr.Flooding.rtt_estimate f ~src:0 ~dst:1 = None)
-
 let () =
   Alcotest.run "flooding_reliable"
     [
@@ -340,10 +285,5 @@ let () =
             `Quick test_giveup_once_crash_window_closes_mid_backoff;
           Alcotest.test_case "abandon_link cancels pending state exactly once"
             `Quick test_abandon_link_cancels_pending_once;
-          Alcotest.test_case "adaptive RTO estimate converges on a clean link"
-            `Quick test_adaptive_rtt_estimate_converges;
-          Alcotest.test_case "Karn's rule: no sample from retransmitted \
-                              transfers"
-            `Quick test_adaptive_karn_rule;
         ] );
     ]

@@ -1,5 +1,5 @@
-(* The adaptive link-health layer: detector timeouts, flap damping,
-   origination pacing, configuration validation, and the full
+(* The link-health layer: detector timeouts, flap damping,
+   configuration validation, and the full
    protocol-level loop — scripted link events as ground truth that the
    hello detectors must discover, within the configured bound and with
    zero false positives. *)
@@ -29,34 +29,6 @@ let test_k_missed_deadline () =
   check Alcotest.bool "fresh after reset" false
     (Health.Detector.down det ~now:13.0)
 
-let test_phi_adapts_to_jitter () =
-  let kind = Health.Detector.Phi { window = 8; threshold = 4.0 } in
-  let quiet =
-    Health.Detector.create kind ~period:1.0 ~grace:0.0 ~start:0.0
-  in
-  let jittery =
-    Health.Detector.create kind ~period:1.0 ~grace:0.0 ~start:0.0
-  in
-  (* Same mean inter-arrival (1.0), very different spread. *)
-  List.iteri
-    (fun i _ -> Health.Detector.note_arrival quiet ~now:(float_of_int (i + 1)))
-    [ (); (); (); (); (); () ];
-  List.iter
-    (fun now -> Health.Detector.note_arrival jittery ~now)
-    [ 0.2; 2.0; 2.2; 4.0; 4.2; 6.0 ];
-  check Alcotest.bool "jittery path earns a longer tolerance" true
-    (Health.Detector.timeout jittery > Health.Detector.timeout quiet);
-  (* Both stay inside the configured clamp. *)
-  let inside d =
-    let t = Health.Detector.timeout d in
-    t >= 2.0 && t <= Health.Detector.phi_cap_mult
-  in
-  check Alcotest.bool "quiet tolerance clamped" true (inside quiet);
-  check Alcotest.bool "jittery tolerance clamped" true (inside jittery);
-  check Alcotest.bool "tolerance never exceeds the static bound" true
-    (Health.Detector.timeout jittery
-    <= Health.Detector.max_timeout kind ~period:1.0 ~grace:0.0)
-
 (* ------------------------------------------------------------------ *)
 (* Damping *)
 
@@ -84,59 +56,6 @@ let test_damping_lifecycle () =
     check Alcotest.bool "readmitted after" false
       (Health.Damping.suppressed d ~now:(rt +. 0.01)));
   check Alcotest.int "all flaps counted" 3 (Health.Damping.flaps d)
-
-(* ------------------------------------------------------------------ *)
-(* Pacer *)
-
-let test_pacer_coalesces_and_flushes_final_state () =
-  let engine = Sim.Engine.create () in
-  let emitted = ref [] in
-  let p =
-    Health.Pacer.create ~engine ~min_interval:1.0 ~cap:4
-      ~emit:(fun key v -> emitted := (key, v, Sim.Engine.now engine) :: !emitted)
-      ()
-  in
-  (* Three rapid submissions for one key: first passes, the middle one
-     parks, the last replaces it — only the final state flushes. *)
-  ignore
-    (Sim.Engine.schedule engine ~delay:0.0 (fun () ->
-         Health.Pacer.submit p ~key:(1, 2) "down";
-         Health.Pacer.submit p ~key:(1, 2) "up";
-         Health.Pacer.submit p ~key:(1, 2) "down2"));
-  Sim.Engine.run engine;
-  let log = List.rev !emitted in
-  check Alcotest.int "two emissions" 2 (List.length log);
-  (match log with
-  | [ ((1, 2), "down", t0); ((1, 2), "down2", t1) ] ->
-    check (Alcotest.float 1e-9) "first immediately" 0.0 t0;
-    check Alcotest.bool "flush after the hold-down" true (t1 >= 1.0)
-  | _ -> Alcotest.fail "unexpected emission sequence");
-  check Alcotest.int "intermediate state shed" 1 (Health.Pacer.coalesced p);
-  check Alcotest.int "nothing parked at quiescence" 0 (Health.Pacer.pending p)
-
-let test_pacer_cap_forces_passthrough () =
-  let engine = Sim.Engine.create () in
-  let emitted = ref 0 in
-  let p =
-    Health.Pacer.create ~engine ~min_interval:10.0 ~cap:2
-      ~emit:(fun _ _ -> incr emitted)
-      ()
-  in
-  ignore
-    (Sim.Engine.schedule engine ~delay:0.0 (fun () ->
-         (* Each key's first submission emits; the second parks it.  With
-            cap 2, a third parked key is refused: its submission passes
-            through immediately instead. *)
-         List.iter
-           (fun key ->
-             Health.Pacer.submit p ~key "a";
-             Health.Pacer.submit p ~key "b")
-           [ (0, 1); (1, 2); (2, 3) ]));
-  Sim.Engine.run engine;
-  check Alcotest.int "one forced pass-through" 1 (Health.Pacer.forced p);
-  (* 3 immediate + 1 forced + 2 flushed. *)
-  check Alcotest.int "every final state emitted" 6 !emitted;
-  check Alcotest.int "queue drained" 0 (Health.Pacer.pending p)
 
 (* ------------------------------------------------------------------ *)
 (* Config validation *)
@@ -228,14 +147,14 @@ let test_resync_deadline_derived_and_validated () =
 
 let mc = Dgmc.Mc_id.make Dgmc.Mc_id.Symmetric 1
 
-let health_cfg ?damping ?pacing ~horizon () =
-  Health.Config.make ~period:0.0005 ?damping ?pacing ~horizon ()
+let health_cfg ?damping ~horizon () =
+  Health.Config.make ~period:0.0005 ?damping ~horizon ()
 
 (* A grid conference; the harness downs a link at [t_down] as ground
    truth only, so the detectors must discover it. *)
-let run_detection ?damping ?pacing () =
+let run_detection ?damping () =
   let graph = Net.Topo_gen.grid ~rows:3 ~cols:3 () in
-  let hc = health_cfg ?damping ?pacing ~horizon:0.08 () in
+  let hc = health_cfg ?damping ~horizon:0.08 () in
   let config = { Dgmc.Config.atm_lan with Dgmc.Config.health = Some hc } in
   let metrics = Metrics.Registry.create () in
   let net = Dgmc.Protocol.create ~graph ~config ~metrics () in
@@ -280,20 +199,6 @@ let test_detection_within_bound_no_false_positives () =
       h.Dgmc.Protocol.h_detections
       (total "health.detections")
 
-let test_pacer_under_churn () =
-  let net, _metrics, _hc =
-    run_detection
-      ~pacing:{ Health.Config.p_min_interval = 0.002; p_cap = 8 }
-      ()
-  in
-  match Dgmc.Protocol.health_summary net with
-  | None -> Alcotest.fail "health layer not engaged"
-  | Some h ->
-    check Alcotest.bool "paced originations flowed" true
-      (h.Dgmc.Protocol.h_pacer_emitted > 0);
-    check Alcotest.bool "network still converged under pacing" true
-      (Dgmc.Protocol.divergence net mc = [])
-
 let test_health_run_deterministic () =
   let digest () =
     let net, _, _ = run_detection () in
@@ -317,20 +222,11 @@ let () =
         [
           Alcotest.test_case "k-missed deadline arithmetic" `Quick
             test_k_missed_deadline;
-          Alcotest.test_case "phi adapts to jitter within clamps" `Quick
-            test_phi_adapts_to_jitter;
         ] );
       ( "damping",
         [
           Alcotest.test_case "suppress/reuse lifecycle" `Quick
             test_damping_lifecycle;
-        ] );
-      ( "pacer",
-        [
-          Alcotest.test_case "coalesces and flushes final state" `Quick
-            test_pacer_coalesces_and_flushes_final_state;
-          Alcotest.test_case "bounded queue degrades to pass-through" `Quick
-            test_pacer_cap_forces_passthrough;
         ] );
       ( "config",
         [
@@ -345,8 +241,6 @@ let () =
         [
           Alcotest.test_case "detection within bound, zero false positives"
             `Quick test_detection_within_bound_no_false_positives;
-          Alcotest.test_case "pacing keeps the network convergent" `Quick
-            test_pacer_under_churn;
           Alcotest.test_case "byte-identical health telemetry across runs"
             `Quick test_health_run_deterministic;
         ] );

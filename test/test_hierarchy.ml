@@ -221,21 +221,6 @@ let test_reset_counters () =
   check Alcotest.int "gateway instructions" 0 t.gateway_instructions;
   check Alcotest.int "computations" 0 t.computations
 
-let test_logical_t_hop_parameter () =
-  (* A slower logical level must not affect correctness, only timing. *)
-  let rng = Sim.Rng.create 5 in
-  let graph, partition = Net.Topo_gen.clustered rng ~areas:4 ~per_area:8 () in
-  let h =
-    Hierarchy.Hmc.create ~graph ~partition ~config:Dgmc.Config.atm_lan
-      ~logical_t_hop:(50.0 *. Dgmc.Config.atm_lan.t_hop)
-      ()
-  in
-  List.iter
-    (fun s -> Hierarchy.Hmc.join h ~switch:s mc Dgmc.Member.Both)
-    [ List.nth partition.(0) 1; List.nth partition.(2) 1 ];
-  Hierarchy.Hmc.run h;
-  assert_converged "slow logical level" h
-
 let () =
   Alcotest.run "hierarchy"
     [
@@ -262,6 +247,5 @@ let () =
           Alcotest.test_case "signaling stays local" `Quick
             test_signaling_stays_local;
           Alcotest.test_case "counter reset" `Quick test_reset_counters;
-          Alcotest.test_case "logical t_hop" `Quick test_logical_t_hop_parameter;
         ] );
     ]

@@ -298,9 +298,11 @@ let test_incremental_drift () =
       [ (0, 3); (3, 6); (6, 7); (7, 8); (8, 5); (5, 2) ]
   in
   check Alcotest.bool "detour detected" true (Mctree.Incremental.drift g bad > 2.0);
-  check Alcotest.bool "needs recompute" true (Mctree.Incremental.needs_recompute g bad);
+  let threshold = Dgmc.Config.default.drift_threshold in
+  check Alcotest.bool "needs recompute" true
+    (Mctree.Incremental.needs_recompute ~threshold g bad);
   check Alcotest.bool "good tree does not" false
-    (Mctree.Incremental.needs_recompute g good)
+    (Mctree.Incremental.needs_recompute ~threshold g good)
 
 (* ------------------------------------------------------------------ *)
 (* Delivery *)

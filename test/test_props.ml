@@ -914,37 +914,6 @@ let prop_search_domains_identical =
 (* ------------------------------------------------------------------ *)
 (* Link health: detector and damping properties *)
 
-let pp_floats fs =
-  "["
-  ^ String.concat "; "
-      (* dgmc-analyze: allow float-format — counterexample printers *)
-      (List.map (Printf.sprintf "%g") fs)
-  ^ "]"
-
-let prop_phi_tolerance_monotone_in_jitter =
-  (* Amplifying the deviations of the inter-arrival samples around their
-     mean (same mean, larger MAD) never shrinks the phi tolerance: a
-     jittery path earns at least the quiet path's timeout. *)
-  QCheck2.Test.make
-    ~name:"health: phi tolerance never shrinks as jitter grows" ~count:300
-    ~print:(fun (intervals, c, threshold, period, grace) ->
-      (* dgmc-analyze: allow float-format — counterexample printer *)
-      Printf.sprintf "intervals=%s c=%g threshold=%g period=%g grace=%g"
-        (pp_floats intervals) c threshold period grace)
-    QCheck2.Gen.(
-      tup5
-        (list_size (int_range 1 8) (float_range 0.1 3.0))
-        (float_range 1.0 5.0) (float_range 0.0 8.0) (float_range 0.1 2.0)
-        (float_range 0.01 1.0))
-    (fun (intervals, c, threshold, period, grace) ->
-      let mean =
-        List.fold_left ( +. ) 0.0 intervals
-        /. float_of_int (List.length intervals)
-      in
-      let amplified = List.map (fun x -> mean +. (c *. (x -. mean))) intervals in
-      Health.Detector.phi_timeout ~period ~grace ~threshold amplified
-      >= Health.Detector.phi_timeout ~period ~grace ~threshold intervals)
-
 let prop_k_missed_safe_under_k_minus_1_losses =
   (* Runs of at most k-1 consecutive missed hellos never fire a
      K_missed k detector: at every arrival instant the verdict is still
@@ -1051,7 +1020,6 @@ let () =
         ] );
       ( "health",
         [
-          QCheck_alcotest.to_alcotest prop_phi_tolerance_monotone_in_jitter;
           QCheck_alcotest.to_alcotest prop_k_missed_safe_under_k_minus_1_losses;
           QCheck_alcotest.to_alcotest
             prop_damping_decays_to_reuse_in_bounded_time;

@@ -424,7 +424,7 @@ let test_script_health_directive () =
     {|
 graph grid 3 3
 mc 1 symmetric
-health period=0.5r detector=phi:8:4 reup=3 damp-penalty=1 damp-suppress=2 damp-reuse=0.5 pace=1r pace-cap=4
+health period=0.5r detector=k:4 reup=3 damp-penalty=1 damp-suppress=2 damp-reuse=0.5
 at 0 join 0 mc=1
 at 0 join 8 mc=1
 at 2r linkdown 4 5
@@ -441,20 +441,12 @@ at 5r linkup 4 5
       check (Alcotest.float 1e-9) "period resolved in rounds" (0.5 *. round)
         hc.Health.Config.period;
       (match hc.Health.Config.detector with
-      | Health.Detector.Phi { window = 8; threshold } ->
-        check (Alcotest.float 1e-9) "phi threshold" 4.0 threshold
-      | _ -> Alcotest.fail "detector spec not honoured");
+      | Health.Detector.K_missed k -> check Alcotest.int "detector k" 4 k);
       check Alcotest.int "reup" 3 hc.Health.Config.reup;
       (match hc.Health.Config.damping with
       | Some d ->
         check (Alcotest.float 1e-9) "suppress" 2.0 d.Health.Config.d_suppress
       | None -> Alcotest.fail "damp-* keys must enable damping");
-      (match hc.Health.Config.pacing with
-      | Some p ->
-        check (Alcotest.float 1e-9) "pace interval" round
-          p.Health.Config.p_min_interval;
-        check Alcotest.int "pace cap" 4 p.Health.Config.p_cap
-      | None -> Alcotest.fail "pace= must enable pacing");
       check Alcotest.bool "derived horizon past the last event" true
         (hc.Health.Config.horizon > 5.0 *. round);
       (* The layer is actually engaged and the run converges. *)
