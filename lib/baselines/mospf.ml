@@ -124,9 +124,6 @@ and forward t tree ~src ~group ~router ~parent =
 
 let send_packet t ~src ~group = packet_at t ~src ~group ~router:src ~parent:None
 
-let schedule_packet t ~at ~src ~group =
-  ignore (Sim.Engine.schedule_at t.engine ~time:at (fun () -> send_packet t ~src ~group))
-
 let run ?until ?max_events t = Sim.Engine.run ?until ?max_events t.engine
 
 let totals t =

@@ -42,8 +42,6 @@ val send_packet : t -> src:int -> group:int -> unit
     source-rooted tree; every router whose (src, group) cache entry is
     missing or stale pays a [tc]-long computation before forwarding. *)
 
-val schedule_packet : t -> at:float -> src:int -> group:int -> unit
-
 val run : ?until:float -> ?max_events:int -> t -> unit
 
 (** {1 Measurements} *)

@@ -61,7 +61,7 @@ let step h act =
   (desc, check_state h @ monotone)
 
 let check_terminal h =
-  Invariant.check_terminal ~graph:(Harness.graph h) ~truth:(Harness.truth h)
+  Dgmc.Terminal.check ~graph:(Harness.graph h) ~truth:(Harness.truth h)
     (Harness.switches h)
   @ Invariant.check_health_terminal ~suppressed:(Harness.suppressed_links h)
       (Harness.switches h)
@@ -88,7 +88,7 @@ let run ?(max_states = 200_000) ?(max_depth = 10_000) scenario =
     violation :=
       Some
         {
-          message = String.concat "\n" (List.map Invariant.to_string viols);
+          message = String.concat "\n" (List.map Dgmc.Terminal.to_string viols);
           trace = descs;
         }
   in

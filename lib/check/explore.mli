@@ -65,7 +65,7 @@ val step : Harness.t -> Harness.action -> string * Invariant.violation list
 
 val check_terminal : Harness.t -> Invariant.violation list
 (** The terminal laws at a state with nothing enabled:
-    {!Invariant.check_terminal} against the harness's ground truth plus
+    {!Dgmc.Terminal.check} against the harness's ground truth plus
     {!Invariant.check_health_terminal} over its suppressed links. *)
 
 val run :

@@ -169,11 +169,9 @@ let via size f x =
   f b x;
   Buffer.contents b
 
-let timestamp = via 16 add_timestamp
 let members = via 32 add_members
 let tree = via 48 add_tree
 let mc_id = via 16 add_mc_id
 let mc_lsa = via 96 add_mc_lsa
 let link_event = via 24 add_link_event
 let graph_links = via 64 add_graph_links
-let switch = via 512 add_switch

@@ -9,8 +9,6 @@
     here sorts its components and prints through deterministic
     pretty-printers. *)
 
-val timestamp : Dgmc.Timestamp.t -> string
-
 val members : Dgmc.Member.t -> string
 (** Ascending [id:role] pairs. *)
 
@@ -30,10 +28,8 @@ val graph_links : Net.Graph.t -> string
 (** The up/down state of every edge (weights are static, so state is the
     only varying part of a link-state image). *)
 
-val switch : Dgmc.Switch.t -> string
-(** Complete protocol state of one switch: every MC snapshot (sorted by
-    MC id) plus the link-state image. *)
-
 val add_switch : Buffer.t -> Dgmc.Switch.t -> unit
-(** As {!switch}, appended to a buffer — the model checker digests every
-    replayed edge, so the hot path avoids intermediate strings. *)
+(** Complete protocol state of one switch — every MC snapshot (sorted by
+    MC id) plus the link-state image — appended to a buffer: the model
+    checker digests every replayed edge, so the hot path avoids
+    intermediate strings. *)

@@ -253,27 +253,20 @@ let run_events ?(trace = Sim.Trace.disabled) case events =
   let monitor = Monitor.attach net in
   Workload.Events.apply_dgmc net events;
   Dgmc.Protocol.run net ~max_events:max_engine_events;
-  let problems = ref [] in
-  if Sim.Engine.pending (Dgmc.Protocol.engine net) > 0 then
-    problems :=
+  let problems =
+    if Sim.Engine.pending (Dgmc.Protocol.engine net) > 0 then
       [
         Printf.sprintf
           "run did not quiesce within %d engine events (retransmission \
            storm or livelock?)"
           max_engine_events;
       ]
-  else begin
-    Monitor.check_terminal monitor;
-    problems :=
-      List.concat_map
-        (fun mc ->
-          List.map
-            (fun reason -> Format.asprintf "%a: %s" Dgmc.Mc_id.pp mc reason)
-            (Dgmc.Protocol.divergence net mc))
-        case.mcs
-      @ Monitor.violations monitor
-  end;
-  match !problems with
+    else begin
+      Monitor.check_terminal monitor;
+      Monitor.violations monitor
+    end
+  in
+  match problems with
   | [] ->
     Ok
       {

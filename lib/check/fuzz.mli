@@ -44,7 +44,9 @@ type stats = {
 
 type failure = {
   f_case : case;
-  f_problems : string list;  (** Violations and divergence reasons. *)
+  f_problems : string list;
+      (** The monitor's violations, terminal laws included, or the
+          livelock report. *)
   f_shrunk : Workload.Events.t list;
       (** Minimal failing sub-workload of [f_case.events]. *)
   f_shrink_runs : int;  (** Simulations spent shrinking. *)
@@ -76,8 +78,9 @@ val case_of_seed :
 
 val run_case : ?trace:Sim.Trace.t -> case -> (stats, string list) result
 (** Execute one case end to end.  [Error problems] lists every invariant
-    violation and divergence reason; deterministic — equal cases yield
-    equal results.
+    violation the monitor recorded, the terminal laws
+    ({!Monitor.check_terminal}) included, or reports that the run did
+    not quiesce; deterministic — equal cases yield equal results.
 
     An enabled [trace] captures the run's full causal event record —
     LSA provenance, per-switch installs, fault injections, and any

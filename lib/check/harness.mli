@@ -82,8 +82,6 @@ val create : graph:Net.Graph.t -> config:Dgmc.Config.t -> unit -> t
     touch ground truth only, and {!event.Hello_round}s drive the
     abstract detectors that must discover them. *)
 
-val n_switches : t -> int
-
 val switches : t -> Dgmc.Switch.t array
 
 val graph : t -> Net.Graph.t
@@ -144,8 +142,6 @@ type adjacency_view = {
       (** Hello rounds since the adjacency's ground truth last changed
           while the watcher was alive. *)
 }
-
-val health_enabled : t -> bool
 
 val health_adjacencies : t -> adjacency_view list
 (** Every directed adjacency's abstract detector state, sorted by

@@ -1,24 +1,12 @@
 module Timestamp = Dgmc.Timestamp
 module Switch = Dgmc.Switch
 
-type violation = {
+type violation = Dgmc.Terminal.violation = {
   switch : int option;
   mc : Dgmc.Mc_id.t option;
   law : string;
   detail : string;
 }
-
-let pp ppf v =
-  Format.fprintf ppf "[%s]" v.law;
-  (match v.switch with
-  | Some s -> Format.fprintf ppf " switch %d" s
-  | None -> Format.fprintf ppf " network");
-  (match v.mc with
-  | Some m -> Format.fprintf ppf " %a" Dgmc.Mc_id.pp m
-  | None -> ());
-  Format.fprintf ppf ": %s" v.detail
-
-let to_string v = Format.asprintf "%a" pp v
 
 let stamp ts = Format.asprintf "%a" Timestamp.pp ts
 
@@ -89,18 +77,6 @@ let check_monotone ~id ~before sw =
             })
     (Switch.snapshots sw)
 
-(* Collect every MC any switch holds state for, plus the ground-truth MCs
-   (so an MC wrongly deleted everywhere is still examined). *)
-let all_mcs ~truth switches =
-  let add acc mc =
-    if List.exists (Dgmc.Mc_id.equal mc) acc then acc else mc :: acc
-  in
-  let acc = List.fold_left (fun acc (mc, _) -> add acc mc) [] truth in
-  Array.fold_left
-    (fun acc sw -> List.fold_left add acc (Switch.mc_ids sw))
-    acc switches
-  |> List.sort Dgmc.Mc_id.compare
-
 (* ------------------------------------------------------------------ *)
 (* Link-health laws (over the harness's abstract hello model) *)
 
@@ -166,96 +142,3 @@ let check_health_terminal ~suppressed switches =
           (Switch.snapshots sw))
       switches;
     List.rev !out
-
-let check_terminal ~graph ~truth switches =
-  let out = ref [] in
-  let push x = out := x :: !out in
-  let viol ?switch ?mc law detail = push { switch; mc; law; detail } in
-  List.iter
-    (fun mc ->
-      let truth_members =
-        match List.find_opt (fun (m, _) -> Dgmc.Mc_id.equal m mc) truth with
-        | Some (_, members) -> members
-        | None -> Dgmc.Member.empty
-      in
-      (* Per-switch terminal laws, and gather the holders of state. *)
-      let holders = ref [] in
-      Array.iteri
-        (fun id sw ->
-          if not (Switch.quiescent sw mc) then
-            viol ~switch:id ~mc "quiescent"
-              "terminal state but mailbox or computation still pending";
-          match
-            List.find_opt
-              (fun (s : Switch.mc_snapshot) -> Dgmc.Mc_id.equal s.snap_mc mc)
-              (Switch.snapshots sw)
-          with
-          | None -> ()
-          | Some s ->
-            holders := (id, s) :: !holders;
-            if not (Timestamp.equal s.snap_r s.snap_e) then
-              viol ~switch:id ~mc "terminal-R=E"
-                (Printf.sprintf
-                   "promised events never accounted: R=%s, E=%s"
-                   (stamp s.snap_r) (stamp s.snap_e));
-            if
-              s.snap_flag
-              && Timestamp.geq s.snap_r s.snap_e
-              && Timestamp.gt s.snap_r s.snap_c
-            then
-              viol ~switch:id ~mc "pending-duty"
-                (Printf.sprintf
-                   "make_proposal_flag set with R=%s > C=%s and nothing in \
-                    flight: a recomputation is owed but will never run"
-                   (stamp s.snap_r) (stamp s.snap_c)))
-        switches;
-      let holders = List.rev !holders in
-      (* Network-wide agreement among holders. *)
-      (match holders with
-      | [] ->
-        if not (Dgmc.Member.is_empty truth_members) then
-          viol ~mc "truth-members"
-            (Format.asprintf
-               "no switch holds state but the real member set is %a"
-               Dgmc.Member.pp truth_members)
-      | (id0, s0) :: rest ->
-        List.iter
-          (fun (id, (s : Switch.mc_snapshot)) ->
-            if not (Dgmc.Member.equal s.snap_members s0.snap_members) then
-              viol ~switch:id ~mc "agreement-members"
-                (Format.asprintf "member list %a disagrees with switch %d's %a"
-                   Dgmc.Member.pp s.snap_members id0 Dgmc.Member.pp
-                   s0.snap_members);
-            if not (Mctree.Tree.equal s.snap_topology s0.snap_topology) then
-              viol ~switch:id ~mc "agreement-topology"
-                (Format.asprintf "topology %a disagrees with switch %d's %a"
-                   Mctree.Tree.pp s.snap_topology id0 Mctree.Tree.pp
-                   s0.snap_topology))
-          rest;
-        if not (Dgmc.Member.equal s0.snap_members truth_members) then
-          viol ~switch:id0 ~mc "truth-members"
-            (Format.asprintf "agreed member list %a but the real one is %a"
-               Dgmc.Member.pp s0.snap_members Dgmc.Member.pp truth_members);
-        if not (Dgmc.Member.is_empty truth_members) then begin
-          if not (Mctree.Tree.is_valid_mc_topology graph s0.snap_topology)
-          then
-            viol ~switch:id0 ~mc "valid-topology"
-              (Format.asprintf
-                 "agreed topology %a is not a valid embedded spanning tree"
-                 Mctree.Tree.pp s0.snap_topology);
-          let term_ids =
-            Mctree.Tree.Int_set.elements
-              (Mctree.Tree.terminals s0.snap_topology)
-          in
-          if term_ids <> Dgmc.Member.ids truth_members then
-            viol ~switch:id0 ~mc "terminals-match"
-              (Format.asprintf
-                 "agreed topology terminals %a do not match the real member \
-                  set %a"
-                 (Format.pp_print_list
-                    ~pp_sep:(fun ppf () -> Format.fprintf ppf ",")
-                    Format.pp_print_int)
-                 term_ids Dgmc.Member.pp truth_members)
-        end))
-    (all_mcs ~truth switches);
-  List.rev !out

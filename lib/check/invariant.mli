@@ -23,26 +23,18 @@
       installed over it.
 
     {b Terminal laws} — must hold when no message or computation is in
-    flight anywhere:
-    - network-wide agreement on member list and topology;
-    - agreement with the injected ground truth;
-    - the agreed topology is a valid embedded tree spanning the member
-      set;
-    - [R = E] at every switch holding state (every promised LSA was
-      delivered and accounted);
-    - no abandoned proposal duty ([flag] set with [R >= E], [R > C]
-      would mean the protocol stopped with a recomputation owed). *)
+    flight anywhere — live in {!Dgmc.Terminal}, which every judge of
+    convergence shares; this module adds only the terminal link-health
+    law {!check_health_terminal}. *)
 
-type violation = {
+type violation = Dgmc.Terminal.violation = {
   switch : int option;  (** Offending switch, when attributable. *)
   mc : Dgmc.Mc_id.t option;
   law : string;  (** Short law name, e.g. ["C<=R"]. *)
   detail : string;
 }
-
-val to_string : violation -> string
-
-val pp : Format.formatter -> violation -> unit
+(** The terminal laws' type, so every law renders through
+    {!Dgmc.Terminal.to_string}. *)
 
 val check_switch : ?boundary:bool -> id:int -> Dgmc.Switch.t -> violation list
 (** All per-state laws over every MC snapshot of one switch.
@@ -67,14 +59,6 @@ val check_monotone :
     now, the new [C] must be [>=] the old one under the causal partial
     order.  (An MC deleted and recreated restarts its history; callers
     drop its [before] entry.) *)
-
-val check_terminal :
-  graph:Net.Graph.t ->
-  truth:(Dgmc.Mc_id.t * Dgmc.Member.t) list ->
-  Dgmc.Switch.t array ->
-  violation list
-(** All terminal laws over the whole network.  [graph] is the real
-    (ground-truth) topology, [truth] the injected membership per MC. *)
 
 val check_health_state :
   detect_rounds:int ->

@@ -7,14 +7,14 @@ type t = {
       (* a delay-0 boundary sweep is already in the engine's calendar *)
   seen : (string, unit) Hashtbl.t;  (* dedup of rendered violations *)
   mutable violations : string list;  (* reverse first-seen order *)
-  history : (int * Dgmc.Mc_id.t, Dgmc.Timestamp.t) Hashtbl.t;
-      (* last observed C per (switch, mc); entries dropped when the MC's
-         state is deleted, because a recreated incarnation restarts its
-         installed-state basis from zero. *)
+  history : (Dgmc.Mc_id.t * Dgmc.Timestamp.t) list array;
+      (* per switch, the C of each MC it held at the last sweep: an MC
+         absent from a sweep loses its entry, because a recreated
+         incarnation restarts its installed-state basis from zero. *)
 }
 
 let record t v =
-  let s = Invariant.to_string v in
+  let s = Dgmc.Terminal.to_string v in
   if (not (Hashtbl.mem t.seen s)) && Hashtbl.length t.seen < cap then begin
     Hashtbl.add t.seen s ();
     t.violations <- s :: t.violations;
@@ -28,43 +28,12 @@ let record t v =
 
 let sweep ~boundary t =
   t.sweeps <- t.sweeps + 1;
-  let n = Dgmc.Protocol.n_switches t.net in
-  for id = 0 to n - 1 do
+  for id = 0 to Array.length t.history - 1 do
     let sw = Dgmc.Protocol.switch t.net id in
     List.iter (record t) (Invariant.check_switch ~boundary ~id sw);
-    let snaps = Dgmc.Switch.snapshots sw in
-    (* C-monotonicity against the last sweep, then refresh the history:
-       present MCs update their entry, absent ones lose it. *)
-    List.iter
-      (fun (s : Dgmc.Switch.mc_snapshot) ->
-        (match Hashtbl.find_opt t.history (id, s.snap_mc) with
-        | Some old_c when not (Dgmc.Timestamp.geq s.snap_c old_c) ->
-          record t
-            {
-              Invariant.switch = Some id;
-              mc = Some s.snap_mc;
-              law = "C-monotone";
-              detail =
-                Format.asprintf
-                  "installed-state basis regressed from C=%a to C=%a"
-                  Dgmc.Timestamp.pp old_c Dgmc.Timestamp.pp s.snap_c;
-            }
-        | _ -> ());
-        Hashtbl.replace t.history (id, s.snap_mc) s.snap_c)
-      snaps;
-    (* dgmc-analyze: allow iteration-order — per-key membership test; the
-       set of removed keys does not depend on enumeration order *)
-    Hashtbl.iter
-      (fun ((id', mc) as key) _ ->
-        if
-          id' = id
-          && not
-               (List.exists
-                  (fun (s : Dgmc.Switch.mc_snapshot) ->
-                    Dgmc.Mc_id.equal s.snap_mc mc)
-                  snaps)
-        then Hashtbl.remove t.history key)
-      (Hashtbl.copy t.history)
+    List.iter (record t)
+      (Invariant.check_monotone ~id ~before:t.history.(id) sw);
+    t.history.(id) <- Invariant.installed_stamps sw
   done
 
 let attach net =
@@ -75,7 +44,7 @@ let attach net =
       boundary_pending = false;
       seen = Hashtbl.create 16;
       violations = [];
-      history = Hashtbl.create 64;
+      history = Array.make (Dgmc.Protocol.n_switches net) [];
     }
   in
   (* Observers fire mid-action (e.g. between the R raise and the E merge
@@ -105,18 +74,7 @@ let ok t = t.violations = []
 let check_terminal t =
   let n = Dgmc.Protocol.n_switches t.net in
   let switches = Array.init n (Dgmc.Protocol.switch t.net) in
-  (* Ground truth: the real graph; membership is not tracked by the
-     protocol façade per se, so recover it from the agreement the
-     terminal laws themselves verify — callers that know the intended
-     membership should prefer Explore or Protocol.converged.  Here we
-     check the membership-independent terminal laws only. *)
-  List.iter (record t)
-    (List.filter
-       (fun (v : Invariant.violation) ->
-         v.law <> "truth-members" && v.law <> "terminals-match"
-         && v.law <> "valid-topology")
-       (Invariant.check_terminal ~graph:(Dgmc.Protocol.graph t.net) ~truth:[]
-          switches));
+  List.iter (record t) (Dgmc.Protocol.terminal_violations t.net);
   (* With the link-health layer on, a quiesced network must not keep a
      damping-suppressed link inside any installed tree. *)
   let suppressed =

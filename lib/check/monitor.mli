@@ -34,9 +34,12 @@ val violations : t -> string list
 val ok : t -> bool
 
 val check_terminal : t -> unit
-(** After the run has quiesced, additionally apply the terminal laws
-    (agreement, ground truth, R=E) — see {!Invariant.check_terminal}.
-    Any failures join {!violations}. *)
+(** After the run has quiesced, additionally apply every terminal law:
+    both {!Dgmc.Terminal} groups (agreement and ground truth) for every
+    MC, against the protocol's own truth
+    ({!Dgmc.Protocol.terminal_violations}), then the link-health law
+    {!Invariant.check_health_terminal} over the damping-suppressed
+    links.  Any failures join {!violations}. *)
 
 val assert_ok : t -> unit
 (** Raise [Failure] with a readable report unless {!ok}.  Intended for

@@ -32,11 +32,6 @@ let target_of_string s =
             receiver-only or asymmetric)"
            kind_s))
 
-let target_to_string t =
-  match t.kind with
-  | None -> t.law
-  | Some k -> t.law ^ "@" ^ Dgmc.Mc_id.kind_to_string k
-
 let kind_equal a b =
   match ((a : Dgmc.Mc_id.kind), (b : Dgmc.Mc_id.kind)) with
   | Symmetric, Symmetric | Receiver_only, Receiver_only
@@ -221,7 +216,7 @@ let render_found ~depth ~digest ~trace ~terminal viols =
     laws =
       List.sort_uniq String.compare
         (List.map (fun (v : Invariant.violation) -> v.law) viols);
-    message = String.concat "\n" (List.map Invariant.to_string viols);
+    message = String.concat "\n" (List.map Dgmc.Terminal.to_string viols);
     trace;
     depth;
     state_digest = digest;

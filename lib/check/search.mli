@@ -57,8 +57,6 @@ val target_of_string : string -> (target, string) result
 (** Parse ["law"] or ["law\@kind"] with kind one of [symmetric],
     [receiver-only], [asymmetric]. *)
 
-val target_to_string : target -> string
-
 val matches : target -> Invariant.violation -> bool
 
 (** {1 The violation-distance heuristic} *)

@@ -36,14 +36,6 @@ let create ~n =
     triggered = None;
   }
 
-let cancel_computations t =
-  List.iter (fun c -> Sim.Engine.cancel c.handle) t.event_computations;
-  t.event_computations <- [];
-  (match t.triggered with
-  | Some c -> Sim.Engine.cancel c.handle
-  | None -> ());
-  t.triggered <- None
-
 let pp ppf t =
   Format.fprintf ppf
     "@[<v>R=%a@,E=%a@,C=%a@,flag=%b members=%a@,topology=%a@,mailbox=%d \

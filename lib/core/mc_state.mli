@@ -51,10 +51,4 @@ val create : n:int -> t
     empty topology.  Allocates O(1) words whatever [n] is: the zero
     stamps hold no components. *)
 
-val cancel_computations : t -> unit
-(** Cancel every scheduled completion.  The protocol itself never needs
-    this — deletion waits for in-flight computations (see
-    [Switch.maybe_delete]) — but embedders tearing a switch down
-    mid-simulation do. *)
-
 val pp : Format.formatter -> t -> unit

@@ -628,68 +628,28 @@ let convergence_rounds t =
 (* ------------------------------------------------------------------ *)
 (* Agreement *)
 
-let states t mc =
-  Array.to_list t.switches
-  |> List.filter_map (fun sw ->
-         match (Switch.members sw mc, Switch.topology sw mc) with
-         | Some m, Some tree -> Some (Switch.id sw, m, tree)
-         | _ -> None)
+let violations t mc =
+  Terminal.agreement mc t.switches
+  @ Terminal.against_truth ~graph:t.graph ~members:(truth_members t mc) mc
+      t.switches
 
-let divergence t mc =
-  let problems = ref [] in
-  let report fmt = Format.kasprintf (fun s -> problems := s :: !problems) fmt in
-  (match states t mc with
-  | [] -> ()
-  | (ref_id, ref_members, ref_tree) :: rest ->
-    List.iter
-      (fun (id, m, tree) ->
-        if not (Member.equal m ref_members) then
-          report "switch %d member list differs from switch %d" id ref_id;
-        if not (Mctree.Tree.equal tree ref_tree) then
-          report "switch %d topology differs from switch %d" id ref_id)
-      rest;
-    let truth = truth_members t mc in
-    if not (Member.equal ref_members truth) then
-      report "member lists do not match injected ground truth";
-    if not (Member.is_empty truth) then begin
-      if not (Mctree.Tree.is_valid_mc_topology t.graph ref_tree) then
-        report "agreed topology is not a valid embedded tree";
-      let terminals = Mctree.Tree.Int_set.elements (Mctree.Tree.terminals ref_tree) in
-      if terminals <> Member.ids truth then
-        report "agreed topology terminals do not match the member set"
-    end);
-  Array.iter
-    (fun sw ->
-      if not (Switch.quiescent sw mc) then
-        report "switch %d still has pending work" (Switch.id sw))
-    t.switches;
-  List.rev !problems
+let terminal_violations t =
+  let truth =
+    Mc_table.fold (fun mc members acc -> (mc, members) :: acc) t.truth []
+  in
+  Terminal.check ~graph:t.graph ~truth t.switches
 
-let converged t mc = divergence t mc = []
+let divergence t mc = List.map Terminal.to_string (violations t mc)
+
+let converged t mc = violations t mc = []
 
 let agreed_topology t mc =
-  match states t mc with
-  | (_, _, tree) :: _ when converged t mc -> Some tree
-  | _ -> None
+  if converged t mc then
+    Array.find_map (fun sw -> Switch.topology sw mc) t.switches
+  else None
 
 let converged_among t mc ids =
-  let sub =
-    List.filter_map
-      (fun i ->
-        let sw = t.switches.(i) in
-        match (Switch.members sw mc, Switch.topology sw mc) with
-        | Some m, Some tree -> Some (m, tree)
-        | _ -> None)
-      ids
-  in
-  List.for_all (fun i -> Switch.quiescent t.switches.(i) mc) ids
-  &&
-  match sub with
-  | [] -> true
-  | (m0, t0) :: rest ->
-    List.for_all
-      (fun (m, tree) -> Member.equal m m0 && Mctree.Tree.equal tree t0)
-      rest
+  Terminal.agreement mc (Array.of_list (List.map (switch t) ids)) = []
 
 (* ------------------------------------------------------------------ *)
 (* Link-health observability *)

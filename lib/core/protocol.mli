@@ -186,23 +186,33 @@ val health_views : t -> (int * (int * bool * bool) list) list
 (** {1 Agreement} *)
 
 val converged : t -> Mc_id.t -> bool
-(** Every switch holding state for the MC agrees on the member list and
-    the topology, every such topology is valid for the real graph and
-    the real member set, and no mailbox or computation is pending.
-    Vacuously true when no switch holds state. *)
+(** No {!Terminal} law is violated for the MC: the agreement group over
+    every switch ([quiescent], [terminal-R=E], [pending-duty],
+    [agreement-members], [agreement-topology]) and the ground-truth
+    group ([truth-members], [valid-topology], [terminals-match]) against
+    the real graph and the member set the injected joins and leaves
+    produced.  True when no switch holds state and the real member set
+    is empty. *)
 
 val divergence : t -> Mc_id.t -> string list
-(** Human-readable reasons why {!converged} is false (empty when true) —
-    for tests and debugging. *)
+(** The violations {!converged} looks for, rendered with
+    {!Terminal.to_string} in law order (empty when it holds) — for
+    tests, debugging and [dgmc_sim script]'s [DIVERGED:] line. *)
+
+val terminal_violations : t -> Terminal.violation list
+(** Both {!Terminal} groups for every MC a switch holds state for or an
+    injected event named ({!Terminal.check}, MC order) — what the
+    runtime monitor applies once the run has quiesced. *)
 
 val agreed_topology : t -> Mc_id.t -> Mctree.Tree.t option
 (** The common topology when {!converged} holds and at least one switch
     has state. *)
 
 val converged_among : t -> Mc_id.t -> int list -> bool
-(** Mutual agreement (member lists, topologies, quiescence) restricted
-    to the given switches, without the ground-truth and validity checks.
-    This is the meaningful property when the network has partitioned —
-    global agreement is unattainable then (the paper leaves partitions
-    to future work), but every switch {e within} one partition side must
+(** Only the {!Terminal} agreement group ([quiescent], [terminal-R=E],
+    [pending-duty], [agreement-members], [agreement-topology]) over the
+    given switches, without the ground-truth group.  This is the
+    meaningful property when the network has partitioned — global
+    agreement is unattainable then (the paper leaves partitions to
+    future work), but every switch {e within} one partition side must
     still agree. *)

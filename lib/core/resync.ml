@@ -251,5 +251,3 @@ let of_string s =
       | _ -> failwith "Resync: unknown message header")
   in
   try Ok (parse ()) with Failure m -> Error m
-
-let pp ppf msg = Format.pp_print_string ppf (to_string msg)

@@ -81,5 +81,3 @@ val to_string : msg -> string
 
 val of_string : string -> (msg, string) result
 (** [Error reason] on malformed input; never raises. *)
-
-val pp : Format.formatter -> msg -> unit

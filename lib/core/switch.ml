@@ -1054,6 +1054,9 @@ let topology t mc =
 let stamps t mc =
   Option.map (fun (st : Mc_state.t) -> (st.r, st.e, st.c)) (get_state t mc)
 
+let proposal_flag t mc =
+  match get_state t mc with Some st -> st.flag | None -> false
+
 let quiescent t mc =
   Option.is_none t.resync_session
   && Queue.fold

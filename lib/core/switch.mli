@@ -172,6 +172,9 @@ val topology : t -> Mc_id.t -> Mctree.Tree.t option
 val stamps : t -> Mc_id.t -> (Timestamp.t * Timestamp.t * Timestamp.t) option
 (** [(R, E, C)]. *)
 
+val proposal_flag : t -> Mc_id.t -> bool
+(** The paper's [make_proposal_flag] ([false] when no state exists). *)
+
 val quiescent : t -> Mc_id.t -> bool
 (** No pending computations, an empty mailbox for the MC, no deferred
     LSA touching it, and no resynchronisation session in flight

@@ -350,5 +350,3 @@ let partition_windows t =
       done;
       (!side, (w.w_from, w.w_until)))
     t.partitions
-
-let pp_spec ppf s = Format.pp_print_string ppf (spec_to_string s)

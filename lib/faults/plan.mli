@@ -131,5 +131,3 @@ type link_counters = {
 val link_counters : t -> ((int * int) * link_counters) list
 (** Exact per-directed-link fault accounting as [((src, dst), counts)],
     sorted by [(src, dst)] — every pair that ever transmitted appears. *)
-
-val pp_spec : Format.formatter -> spec -> unit

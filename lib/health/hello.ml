@@ -17,7 +17,6 @@ type t = {
   declare : peer:int -> up:bool -> unit;
   on_suppress : peer:int -> resumed:bool -> unit;
   mutable n_flaps : int;
-  mutable n_suppressions : int;
   mutable paused : bool;
 }
 
@@ -54,7 +53,7 @@ let create ~engine ~config ~self ~peers ~send ~declare
     |> Array.of_list
   in
   { engine; cfg = config; self; nbs; send; declare; on_suppress;
-    n_flaps = 0; n_suppressions = 0; paused = false }
+    n_flaps = 0; paused = false }
 
 let find t peer =
   let rec go i =
@@ -91,7 +90,6 @@ and check t nb () =
           Damping.flap damp ~now;
           if Damping.suppressed damp ~now then begin
             nb.suppress_flag <- true;
-            t.n_suppressions <- t.n_suppressions + 1;
             t.on_suppress ~peer:nb.peer ~resumed:false;
             arm_unsuppress t nb damp
           end
@@ -177,9 +175,6 @@ let on_hello t ~from =
       arm_check t nb
     end
 
-let believed_up t ~peer =
-  match find t peer with Some nb -> nb.up | None -> false
-
 let suppressed t ~peer =
   match find t peer with Some nb -> nb.suppress_flag | None -> false
 
@@ -187,5 +182,3 @@ let view t =
   Array.to_list (Array.map (fun nb -> (nb.peer, nb.up, nb.suppress_flag)) t.nbs)
 
 let flaps t = t.n_flaps
-
-let suppressions t = t.n_suppressions

@@ -47,8 +47,6 @@ val resume : t -> unit
     silence accumulated while down must not instantly fire them) and
     resume the hello schedule on its next tick. *)
 
-val believed_up : t -> peer:int -> bool
-
 val suppressed : t -> peer:int -> bool
 
 val view : t -> (int * bool * bool) list
@@ -56,6 +54,3 @@ val view : t -> (int * bool * bool) list
 
 val flaps : t -> int
 (** Total down declarations made by this agent. *)
-
-val suppressions : t -> int
-(** Adjacencies this agent has placed into suppression (cumulative). *)

@@ -27,7 +27,6 @@ type t = {
   area_of : int array;
   leaders : int array;
   (* Intra level: one D-GMC flooding scope per area, full switch set. *)
-  area_graphs : Net.Graph.t array;
   switches : Dgmc.Switch.t array;
   area_floodings : Dgmc.Mc_lsa.t Lsr.Flooding.t array;
   seqs : Lsr.Lsa.Seq.counter array;
@@ -118,6 +117,9 @@ let build_logical graph area_of k =
     edge_map;
   (logical, edge_map)
 
+let members_of table mc =
+  Option.value ~default:Int_set.empty (Mc_table.find_opt table mc)
+
 let rec create ~graph ~partition ~config () =
   validate_partition graph partition;
   let n = Net.Graph.n_nodes graph in
@@ -175,7 +177,6 @@ let rec create ~graph ~partition ~config () =
       partition;
       area_of;
       leaders = Array.map (fun members -> List.fold_left min max_int members) partition;
-      area_graphs;
       switches;
       area_floodings;
       seqs = Array.init n (fun _ -> Lsr.Lsa.Seq.create ());
@@ -253,10 +254,7 @@ and leader_check t a =
         | Some ltree -> derive_gateways t a ltree
         | None -> Int_set.empty
       in
-      let current =
-        Option.value ~default:Int_set.empty
-          (Mc_table.find_opt t.gateways.(a) mc)
-      in
+      let current = members_of t.gateways.(a) mc in
       if not (Int_set.equal wanted current) then begin
         Mc_table.replace t.gateways.(a) mc wanted;
         (* Leader → gateway control messages, one hop of delay each. *)
@@ -275,11 +273,8 @@ and leader_check t a =
                  (fun () ->
                    (* Only withdraw the gateway role if no host at [g] is
                       a real member. *)
-                   let real =
-                     Option.value ~default:Int_set.empty
-                       (Mc_table.find_opt t.host_members.(a) mc)
-                   in
-                   if not (Int_set.mem g real) then
+                   if not (Int_set.mem g (members_of t.host_members.(a) mc))
+                   then
                      Dgmc.Switch.host_leave t.switches.(g) mc)))
           (Int_set.diff current wanted)
       end)
@@ -289,9 +284,7 @@ and leader_check t a =
 (* Host events *)
 
 let logical_membership_update t a mc =
-  let real =
-    Option.value ~default:Int_set.empty (Mc_table.find_opt t.host_members.(a) mc)
-  in
+  let real = members_of t.host_members.(a) mc in
   let joined =
     Option.value ~default:false (Mc_table.find_opt t.logical_joined.(a) mc)
   in
@@ -310,9 +303,7 @@ let join t ~switch mc role =
   t.events <- t.events + 1;
   Mc_table.replace t.registry mc ();
   let a = t.area_of.(switch) in
-  let real =
-    Option.value ~default:Int_set.empty (Mc_table.find_opt t.host_members.(a) mc)
-  in
+  let real = members_of t.host_members.(a) mc in
   Mc_table.replace t.host_members.(a) mc (Int_set.add switch real);
   Dgmc.Switch.host_join t.switches.(switch) mc role;
   (* The ingress switch notifies its leader (one hop). *)
@@ -325,14 +316,10 @@ let leave t ~switch mc =
     invalid_arg "Hmc.leave: switch out of range";
   t.events <- t.events + 1;
   let a = t.area_of.(switch) in
-  let real =
-    Option.value ~default:Int_set.empty (Mc_table.find_opt t.host_members.(a) mc)
-  in
+  let real = members_of t.host_members.(a) mc in
   Mc_table.replace t.host_members.(a) mc (Int_set.remove switch real);
   (* The switch stays in the MC if it still serves as a gateway. *)
-  let gw =
-    Option.value ~default:Int_set.empty (Mc_table.find_opt t.gateways.(a) mc)
-  in
+  let gw = members_of t.gateways.(a) mc in
   if not (Int_set.mem switch gw) then Dgmc.Switch.host_leave t.switches.(switch) mc;
   ignore
     (Sim.Engine.schedule t.engine ~delay:t.config.Dgmc.Config.t_hop (fun () ->
@@ -401,193 +388,114 @@ let reset_counters t =
 (* ------------------------------------------------------------------ *)
 (* Agreement *)
 
+let area_switches t members =
+  Array.of_list (List.map (fun s -> t.switches.(s)) members)
+
+let first_topology mc switches =
+  Array.find_map (fun sw -> Dgmc.Switch.topology sw mc) switches
+
+(* The global tree: every area's tree plus the real link under each edge
+   of the logical tree (each the first holder's, so the agreed one once
+   converged), with the real members as terminals; and the logical edges
+   that map to no real link.  [divergence] validates what [global_tree]
+   returns. *)
+let stitch t mc =
+  let union = ref Mctree.Tree.empty in
+  let add (u, v) = union := Mctree.Tree.add_edge !union u v in
+  Array.iter
+    (fun members ->
+      Option.iter
+        (fun tree -> List.iter add (Mctree.Tree.edges tree))
+        (first_topology mc (area_switches t members)))
+    t.partition;
+  let unmapped =
+    match first_topology mc t.logical_switches with
+    | None -> []
+    | Some ltree ->
+      List.filter
+        (fun (x, y) ->
+          match Hashtbl.find_opt t.edge_map (min x y, max x y) with
+          | Some link ->
+            add link;
+            false
+          | None -> true)
+        (Mctree.Tree.edges ltree)
+  in
+  let members =
+    Array.to_list t.host_members
+    |> List.concat_map (fun table -> Int_set.elements (members_of table mc))
+    |> List.sort Int.compare
+  in
+  (Mctree.Tree.with_terminals !union members, unmapped)
+
 let divergence t mc =
   let problems = ref [] in
   let report fmt = Format.kasprintf (fun s -> problems := s :: !problems) fmt in
+  let report_violations =
+    List.iter (fun v -> problems := Dgmc.Terminal.to_string v :: !problems)
+  in
   let member_areas =
     List.filter
-      (fun a ->
-        not
-          (Int_set.is_empty
-             (Option.value ~default:Int_set.empty
-                (Mc_table.find_opt t.host_members.(a) mc))))
+      (fun a -> not (Int_set.is_empty (members_of t.host_members.(a) mc)))
       (List.init (n_areas t) (fun a -> a))
   in
-  (* Logical level agreement. *)
-  let logical_states =
-    Array.to_list t.logical_switches
-    |> List.filter_map (fun sw ->
-           match (Dgmc.Switch.members sw mc, Dgmc.Switch.topology sw mc) with
-           | Some m, Some tree -> Some (Dgmc.Switch.id sw, m, tree)
-           | _ -> None)
+  (* Logical level: agreement, and its members are the areas holding
+     real members. *)
+  report_violations (Dgmc.Terminal.agreement mc t.logical_switches);
+  let logical_tree = first_topology mc t.logical_switches in
+  let logical_members =
+    Array.find_map (fun sw -> Dgmc.Switch.members sw mc) t.logical_switches
   in
-  let logical_tree =
-    match logical_states with
-    | [] ->
-      if member_areas <> [] then report "no logical state but areas have members";
-      None
-    | (a0, m0, t0) :: rest ->
-      List.iter
-        (fun (a, m, tree) ->
-          if not (Dgmc.Member.equal m m0) then
-            report "logical members differ between areas %d and %d" a a0;
-          if not (Mctree.Tree.equal tree t0) then
-            report "logical topology differs between areas %d and %d" a a0)
-        rest;
-      if Dgmc.Member.ids m0 <> member_areas then
-        report "logical membership does not match the areas holding members";
-      if member_areas <> [] && not (Mctree.Tree.is_valid_mc_topology t.logical_graph t0)
-      then report "logical topology is not a valid tree of areas";
-      Some t0
-  in
-  Array.iter
-    (fun sw ->
-      if not (Dgmc.Switch.quiescent sw mc) then
-        report "logical node %d has pending work" (Dgmc.Switch.id sw))
-    t.logical_switches;
-  (* Per-area agreement and expected member sets. *)
-  let area_trees = Array.make (n_areas t) None in
+  if Option.fold ~none:[] ~some:Dgmc.Member.ids logical_members <> member_areas
+  then report "logical membership does not match the areas holding members";
+  (* Per area: agreement, and its members are its hosts plus gateways. *)
   Array.iteri
     (fun a members ->
-      let states =
-        List.filter_map
-          (fun s ->
-            match
-              ( Dgmc.Switch.members t.switches.(s) mc,
-                Dgmc.Switch.topology t.switches.(s) mc )
-            with
-            | Some m, Some tree -> Some (s, m, tree)
-            | _ -> None)
-          members
-      in
-      List.iter
-        (fun s ->
-          if not (Dgmc.Switch.quiescent t.switches.(s) mc) then
-            report "switch %d has pending work" s)
-        members;
-      match states with
-      | [] -> ()
-      | (s0, m0, t0) :: rest ->
-        List.iter
-          (fun (s, m, tree) ->
-            if not (Dgmc.Member.equal m m0) then
-              report "area %d: members differ at switches %d and %d" a s s0;
-            if not (Mctree.Tree.equal tree t0) then
-              report "area %d: topology differs at switches %d and %d" a s s0)
-          rest;
-        let real =
-          Option.value ~default:Int_set.empty
-            (Mc_table.find_opt t.host_members.(a) mc)
+      let switches = area_switches t members in
+      report_violations (Dgmc.Terminal.agreement mc switches);
+      match Array.find_map (fun sw -> Dgmc.Switch.members sw mc) switches with
+      | None -> ()
+      | Some m0 ->
+        let expected =
+          Int_set.elements
+            (Int_set.union
+               (members_of t.host_members.(a) mc)
+               (members_of t.gateways.(a) mc))
         in
-        let gw =
-          Option.value ~default:Int_set.empty (Mc_table.find_opt t.gateways.(a) mc)
-        in
-        let expected = Int_set.elements (Int_set.union real gw) in
         if Dgmc.Member.ids m0 <> expected then
-          report "area %d: member list does not match hosts + gateways" a;
-        if expected <> [] then begin
-          if not (Mctree.Tree.is_valid_mc_topology t.area_graphs.(a) t0) then
-            report "area %d: invalid intra-area topology" a;
-          area_trees.(a) <- Some t0
-        end)
+          report "area %d: member list does not match hosts + gateways" a)
     t.partition;
   (* Gateways must match the agreed logical tree. *)
-  (match logical_tree with
-  | Some ltree ->
-    Array.iteri
-      (fun a _ ->
-        let wanted = derive_gateways t a ltree in
-        let current =
-          Option.value ~default:Int_set.empty (Mc_table.find_opt t.gateways.(a) mc)
-        in
-        if not (Int_set.equal wanted current) then
-          report "area %d: gateway set does not match the logical tree" a)
-      t.partition
-  | None ->
-    Array.iteri
-      (fun a _ ->
-        let current =
-          Option.value ~default:Int_set.empty (Mc_table.find_opt t.gateways.(a) mc)
-        in
+  Array.iteri
+    (fun a _ ->
+      let current = members_of t.gateways.(a) mc in
+      match logical_tree with
+      | Some ltree ->
+        if not (Int_set.equal (derive_gateways t a ltree) current) then
+          report "area %d: gateway set does not match the logical tree" a
+      | None ->
         if not (Int_set.is_empty current) then
           report "area %d: stale gateways with no logical MC" a)
-      t.partition);
-  (* Stitch and validate the global tree. *)
-  (if member_areas <> [] then
-     match logical_tree with
-     | None -> ()
-     | Some ltree ->
-       let union = ref (Mctree.Tree.empty) in
-       Array.iter
-         (fun tree_opt ->
-           match tree_opt with
-           | Some tree ->
-             List.iter
-               (fun (u, v) -> union := Mctree.Tree.add_edge !union u v)
-               (Mctree.Tree.edges tree)
-           | None -> ())
-         area_trees;
-       List.iter
-         (fun (x, y) ->
-           match Hashtbl.find_opt t.edge_map (min x y, max x y) with
-           | Some (u, v) -> union := Mctree.Tree.add_edge !union u v
-           | None -> report "logical edge (%d, %d) has no mapped link" x y)
-         (Mctree.Tree.edges ltree);
-       let all_members =
-         List.concat_map
-           (fun a ->
-             Int_set.elements
-               (Option.value ~default:Int_set.empty
-                  (Mc_table.find_opt t.host_members.(a) mc)))
-           member_areas
-         |> List.sort Int.compare
-       in
-       let global = Mctree.Tree.with_terminals !union all_members in
-       if not (Mctree.Tree.is_tree global) then report "stitched global graph has a cycle";
-       if not (Mctree.Tree.spans_terminals global) then
-         report "stitched global tree does not span all members";
-       if not (Mctree.Tree.is_embedded t.graph global) then
-         report "stitched global tree uses dead links");
+    t.partition;
+  (* The stitched global tree. *)
+  (if member_areas <> [] && Option.is_some logical_tree then
+     let global, unmapped = stitch t mc in
+     List.iter
+       (fun (x, y) -> report "logical edge (%d, %d) has no mapped link" x y)
+       unmapped;
+     if not (Mctree.Tree.is_tree global) then
+       report "stitched global graph has a cycle";
+     if not (Mctree.Tree.spans_terminals global) then
+       report "stitched global tree does not span all members";
+     if not (Mctree.Tree.is_embedded t.graph global) then
+       report "stitched global tree uses dead links");
   List.rev !problems
 
 let converged t mc = divergence t mc = []
 
 let global_tree t mc =
   if not (converged t mc) then None
-  else begin
-    let union = ref Mctree.Tree.empty in
-    Array.iteri
-      (fun a members ->
-        ignore a;
-        match members with
-        | s :: _ -> (
-          match Dgmc.Switch.topology t.switches.(s) mc with
-          | Some tree ->
-            List.iter
-              (fun (u, v) -> union := Mctree.Tree.add_edge !union u v)
-              (Mctree.Tree.edges tree)
-          | None -> ())
-        | [] -> ())
-      t.partition;
-    (match
-       Array.to_list t.logical_switches
-       |> List.find_map (fun sw -> Dgmc.Switch.topology sw mc)
-     with
-    | Some ltree ->
-      List.iter
-        (fun (x, y) ->
-          match Hashtbl.find_opt t.edge_map (min x y, max x y) with
-          | Some (u, v) -> union := Mctree.Tree.add_edge !union u v
-          | None -> ())
-        (Mctree.Tree.edges ltree)
-    | None -> ());
-    let members =
-      Array.to_list t.host_members
-      |> List.concat_map (fun table ->
-             match Mc_table.find_opt table mc with
-             | Some set -> Int_set.elements set
-             | None -> [])
-      |> List.sort Int.compare
-    in
-    if members = [] then None else Some (Mctree.Tree.with_terminals !union members)
-  end
+  else
+    let global, _ = stitch t mc in
+    if Mctree.Tree.Int_set.is_empty (Mctree.Tree.terminals global) then None
+    else Some global

@@ -100,9 +100,11 @@ val global_tree : t -> Dgmc.Mc_id.t -> Mctree.Tree.t option
     while inconsistent. *)
 
 val divergence : t -> Dgmc.Mc_id.t -> string list
-(** Reasons the hierarchy has not converged: per-area disagreement,
-    logical-level disagreement, logical membership not matching which
-    areas hold real members, gateway sets not matching the logical
-    tree, or an invalid stitched global tree. *)
+(** Reasons the hierarchy has not converged: a violation of the
+    {!Dgmc.Terminal} agreement group within an area or among the
+    logical nodes, an area's member ids not matching its hosts plus
+    gateways, logical member ids not matching the areas that hold real
+    members, gateway sets not matching the logical tree, or an invalid
+    stitched global tree. *)
 
 val converged : t -> Dgmc.Mc_id.t -> bool

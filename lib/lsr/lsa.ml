@@ -6,10 +6,6 @@ let id t = (t.origin, t.seq)
 
 let map f t = { origin = t.origin; seq = t.seq; payload = f t.payload }
 
-let pp pp_payload ppf t =
-  Format.fprintf ppf "@[<h>lsa(origin=%d, seq=%d, %a)@]" t.origin t.seq
-    pp_payload t.payload
-
 module Seq = struct
   type counter = { mutable next_value : int }
 

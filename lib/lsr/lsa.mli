@@ -16,8 +16,6 @@ val id : 'a t -> int * int
 
 val map : ('a -> 'b) -> 'a t -> 'b t
 
-val pp : (Format.formatter -> 'a -> unit) -> Format.formatter -> 'a t -> unit
-
 (** Per-switch sequence-number allocator. *)
 module Seq : sig
   type counter

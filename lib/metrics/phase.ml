@@ -34,8 +34,6 @@ let disabled =
 let create () =
   { on = true; cells = Hashtbl.create 16; stack = []; unbalanced = 0 }
 
-let enabled t = t.on
-
 let cell_of t name =
   match Hashtbl.find_opt t.cells name with
   | Some c -> c
@@ -84,16 +82,6 @@ let leave t =
         parent.f_child_minor <- parent.f_child_minor +. minor
       | [] -> ())
   end
-
-let span t name f =
-  enter t name;
-  match f () with
-  | v ->
-    leave t;
-    v
-  | exception e ->
-    leave t;
-    raise e
 
 let unbalanced_leaves t = t.unbalanced
 

@@ -21,8 +21,8 @@
         | exception e -> Metrics.Phase.leave ph; raise e
     ]}
 
-    rather than {!span} (whose thunk would allocate a closure even when
-    profiling is off).
+    (a thunk-taking wrapper would allocate a closure even when profiling
+    is off).
 
     Wall times are host-clock measurements: they vary run to run and are
     {e reported}, never fed back into simulation state, so determinism
@@ -40,8 +40,6 @@ val disabled : t
 
 val create : unit -> t
 
-val enabled : t -> bool
-
 val enter : t -> string -> unit
 (** Open a phase.  No-op (one branch, zero allocation) on {!disabled}. *)
 
@@ -50,11 +48,6 @@ val leave : t -> unit
     phase's cell (and to its parent's child totals).  A [leave] with no
     open phase is counted in {!unbalanced_leaves} rather than raising —
     a profiling bug must never kill a run. *)
-
-val span : t -> string -> (unit -> 'a) -> 'a
-(** [span t name f] = {!enter}; [f ()]; {!leave} (also on exceptions).
-    Convenience for cold paths and tests; the thunk allocates, so hot
-    kernels use the explicit pattern above instead. *)
 
 val unbalanced_leaves : t -> int
 

@@ -287,10 +287,6 @@ let merge ~into src =
 (* ------------------------------------------------------------------ *)
 (* Rendering *)
 
-(* dgmc-analyze: allow float-format — console rendering only; JSON goes
-   through [json_num] below *)
-let num f = if Float.is_finite f then Printf.sprintf "%.6g" f else "0"
-
 (* Round-trip float rendering for the JSON snapshot. *)
 let json_num = Jsonf.num
 
@@ -325,24 +321,3 @@ let snapshot_json s =
     ]
   }|}
     (list counter s.counters) (list gauge s.gauges) (list histo s.histograms)
-
-let key_label k =
-  match k.switch with
-  | None -> k.name
-  | Some s -> Printf.sprintf "%s{switch=%d}" k.name s
-
-let pp ppf t =
-  let s = snapshot t in
-  List.iter
-    (fun (k, v) -> Format.fprintf ppf "counter %-42s %d@." (key_label k) v)
-    s.counters;
-  List.iter
-    (fun (k, v) -> Format.fprintf ppf "gauge   %-42s %s@." (key_label k) (num v))
-    s.gauges;
-  List.iter
-    (fun (k, h) ->
-      Format.fprintf ppf
-        "hist    %-42s n=%d sum=%s min=%s p50=%s p90=%s p99=%s max=%s@."
-        (key_label k) h.h_count (num h.h_sum) (num h.h_min) (num h.h_p50)
-        (num h.h_p90) (num h.h_p99) (num h.h_max))
-    s.histograms

@@ -103,6 +103,3 @@ val snapshot_json : snapshot -> string
 (** A JSON object [{"counters": [...], "gauges": [...], "histograms":
     [...]}] — embedded by {!Bench} as the [metrics] section of
     [dgmc-bench/1]. *)
-
-val pp : Format.formatter -> t -> unit
-(** Human-readable dump, one line per cell, deterministic order. *)

@@ -16,9 +16,3 @@ let hops path = max 0 (List.length path - 1)
 let mem_edge path u v =
   List.exists (fun (a, b) -> (a = u && b = v) || (a = v && b = u)) (edges path)
 
-let pp ppf path =
-  Format.fprintf ppf "@[<h>%a@]"
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.pp_print_string ppf " -> ")
-       Format.pp_print_int)
-    path

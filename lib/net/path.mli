@@ -20,5 +20,3 @@ val edges : t -> (int * int) list
 
 val mem_edge : t -> int -> int -> bool
 (** [true] iff the (undirected) edge appears in the path. *)
-
-val pp : Format.formatter -> t -> unit

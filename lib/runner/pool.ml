@@ -13,8 +13,6 @@ type batch = {
   domains : int;
 }
 
-let default_domains () = Domain.recommended_domain_count ()
-
 (* ------------------------------------------------------------------ *)
 (* Scheduling: block-per-worker with back-end stealing.
 

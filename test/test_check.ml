@@ -353,6 +353,29 @@ let test_monitor_crash_resync () =
     Alcotest.failf "diverged after crash recovery: %s"
       (String.concat "; " reasons)
 
+let test_monitor_judges_ground_truth () =
+  (* The asymmetric-tree bug re-injected, with the two sender joins that
+     backward search finds for it: every switch ends up agreeing on a
+     tree whose terminals miss a sender.  Only the ground-truth group of
+     the terminal laws sees that, so the monitor must apply it. *)
+  let mc = Dgmc.Mc_id.make Asymmetric 1 in
+  let config =
+    { Dgmc.Config.atm_lan with inject = Some Dgmc.Config.Skip_secondary_senders }
+  in
+  let net = Dgmc.Protocol.create ~graph:(Net.Topo_gen.ring 4) ~config () in
+  let m = Check.Monitor.attach net in
+  Dgmc.Protocol.schedule_join net ~at:0.0 ~switch:0 mc Dgmc.Member.Sender;
+  Dgmc.Protocol.schedule_join net ~at:0.0 ~switch:1 mc Dgmc.Member.Sender;
+  Dgmc.Protocol.run net;
+  Alcotest.(check bool) "the switches agree" true
+    (Dgmc.Protocol.converged_among net mc [ 0; 1; 2; 3 ]);
+  Check.Monitor.check_terminal m;
+  Alcotest.(check (list string)) "monitor records terminals-match"
+    [ "[terminals-match]" ]
+    (List.map
+       (fun v -> List.hd (String.split_on_char ' ' v))
+       (Check.Monitor.violations m))
+
 (* --- fuzzer regression seeds --- *)
 
 (* Pinned seeds whose generated cases exercise distinct fault machinery:
@@ -955,6 +978,8 @@ let () =
           Alcotest.test_case "clean lifecycle run" `Quick test_monitor_clean_run;
           Alcotest.test_case "crash-window run resynchronises" `Quick
             test_monitor_crash_resync;
+          Alcotest.test_case "agreed tree missing a member" `Quick
+            test_monitor_judges_ground_truth;
         ] );
       ( "fuzz",
         [
