@@ -187,12 +187,10 @@ let flood_lsa t mc ~event ~proposal ?members ~stamp () =
    checking sufficient network-wide. *)
 let tree_uses_dead_incident_link t tree =
   let img = Lsr.Lsdb.graph t.lsdb in
-  List.exists
-    (fun (u, v) ->
-      (u = t.id || v = t.id)
-      && Net.Graph.has_edge img u v
-      && not (Net.Graph.link_is_up img u v))
-    (Mctree.Tree.edges tree)
+  Mctree.Tree.Int_set.exists
+    (fun v ->
+      Net.Graph.has_edge img t.id v && not (Net.Graph.link_is_up img t.id v))
+    (Mctree.Tree.neighbors tree t.id)
 
 let compute_proposal t (st : Mc_state.t) (mc : Mc_id.t) =
   Compute.topology t.config mc.kind (Lsr.Lsdb.graph t.lsdb) st.members
@@ -363,15 +361,16 @@ let process_lsa t (st : Mc_state.t) (lsa : Mc_lsa.t) candidate =
       let seq = Timestamp.get lsa.stamp s in
       if seq > Timestamp.get st.membership_seen s then begin
         st.membership_seen <- Timestamp.raise_to st.membership_seen s seq;
-        tracef t "member" "sw%d applies %s from %d seq %d" t.id
-          (Mc_lsa.event_to_string lsa.event) s seq;
+        if traced t then
+          tracef t "member" "sw%d applies %s from %d seq %d" t.id
+            (Mc_lsa.event_to_string lsa.event) s seq;
         (match lsa.event with
         | Mc_lsa.Join role -> st.members <- Member.join st.members s role
         | Mc_lsa.Leave -> st.members <- Member.leave st.members s
         | Mc_lsa.Link | Mc_lsa.No_event -> ());
         t.on_change ()
       end
-      else
+      else if traced t then
         tracef t "member" "sw%d SKIPS stale %s from %d seq %d (seen %d)" t.id
           (Mc_lsa.event_to_string lsa.event) s seq
           (Timestamp.get st.membership_seen s)
@@ -386,12 +385,14 @@ let process_lsa t (st : Mc_state.t) (lsa : Mc_lsa.t) candidate =
   (match lsa.members with
   | Some snapshot when Timestamp.geq lsa.stamp st.e ->
     if not (Member.equal st.members snapshot) then begin
-      tracef t "adopt" "sw%d adopts snapshot %s from src %d stamp %s E=%s R=%s (was %s)"
-        t.id (Format.asprintf "%a" Member.pp snapshot) lsa.src
-        (Format.asprintf "%a" Timestamp.pp lsa.stamp)
-        (Format.asprintf "%a" Timestamp.pp st.e)
-        (Format.asprintf "%a" Timestamp.pp st.r)
-        (Format.asprintf "%a" Member.pp st.members);
+      if traced t then
+        tracef t "adopt"
+          "sw%d adopts snapshot %s from src %d stamp %s E=%s R=%s (was %s)"
+          t.id (Format.asprintf "%a" Member.pp snapshot) lsa.src
+          (Format.asprintf "%a" Timestamp.pp lsa.stamp)
+          (Format.asprintf "%a" Timestamp.pp st.e)
+          (Format.asprintf "%a" Timestamp.pp st.r)
+          (Format.asprintf "%a" Member.pp st.members);
       st.members <- snapshot;
       t.on_change ()
     end;

@@ -1,18 +1,38 @@
 module Int_set = Set.Make (Int)
 module Int_map = Map.Make (Int)
 
-type t = { terminals : Int_set.t; adj : Int_set.t Int_map.t }
+(* The canonical form: the terminals ascending, and the edges as
+   interleaved pairs [| u0; v0; u1; v1; ... |] with [u < v], ascending
+   by (u, v).  Built on a tree value's first use and kept, so every
+   later comparison, fingerprint and edge walk reads arrays. *)
+type form = { f_terminals : int array; f_edges : int array }
 
-let empty = { terminals = Int_set.empty; adj = Int_map.empty }
+(* [form] is a plain memo, not a [Lazy.t]: cells on several domains may
+   race to build it, and both writes store equal values. *)
+type t = {
+  terminals : Int_set.t;
+  adj : Int_set.t Int_map.t;
+  mutable form : form option;
+}
 
-let of_terminals ts = { empty with terminals = Int_set.of_list ts }
+(* The only constructor: a fresh value never carries another's form. *)
+let make terminals adj = { terminals; adj; form = None }
+
+let empty =
+  {
+    terminals = Int_set.empty;
+    adj = Int_map.empty;
+    form = Some { f_terminals = [||]; f_edges = [||] };
+  }
+
+let of_terminals ts = make (Int_set.of_list ts) Int_map.empty
 
 let neighbors t u = Option.value ~default:Int_set.empty (Int_map.find_opt u t.adj)
 
 let add_edge t u v =
   if u = v then invalid_arg "Tree.add_edge: self-loop";
   let attach a b adj = Int_map.add a (Int_set.add b (Option.value ~default:Int_set.empty (Int_map.find_opt a adj))) adj in
-  { t with adj = attach u v (attach v u t.adj) }
+  make t.terminals (attach u v (attach v u t.adj))
 
 let remove_edge t u v =
   let detach a b adj =
@@ -22,17 +42,17 @@ let remove_edge t u v =
       let set = Int_set.remove b set in
       if Int_set.is_empty set then Int_map.remove a adj else Int_map.add a set adj
   in
-  { t with adj = detach u v (detach v u t.adj) }
+  make t.terminals (detach u v (detach v u t.adj))
 
 let rec add_path t = function
   | [] | [ _ ] -> t
   | u :: (v :: _ as rest) -> add_path (add_edge t u v) rest
 
-let add_terminal t x = { t with terminals = Int_set.add x t.terminals }
+let add_terminal t x = make (Int_set.add x t.terminals) t.adj
 
-let remove_terminal t x = { t with terminals = Int_set.remove x t.terminals }
+let remove_terminal t x = make (Int_set.remove x t.terminals) t.adj
 
-let with_terminals t ts = { t with terminals = Int_set.of_list ts }
+let with_terminals t ts = make (Int_set.of_list ts) t.adj
 
 let of_edges ~terminals edges =
   List.fold_left
@@ -47,14 +67,42 @@ let nodes t =
 let compare_edge (u1, v1) (u2, v2) =
   match Int.compare u1 u2 with 0 -> Int.compare v1 v2 | c -> c
 
-let edges t =
-  Int_map.fold
-    (fun u nbrs acc ->
-      Int_set.fold (fun v acc -> if u < v then (u, v) :: acc else acc) nbrs acc)
-    t.adj []
-  |> List.sort compare_edge
+(* Every edge sits in [adj] under both endpoints, so walking the map
+   ascending and keeping [u < v] yields the pairs already sorted. *)
+let build_form t =
+  let f_terminals = Array.make (Int_set.cardinal t.terminals) 0 in
+  let i = ref 0 in
+  Int_set.iter (fun x -> f_terminals.(!i) <- x; incr i) t.terminals;
+  let degrees = Int_map.fold (fun _ nbrs acc -> acc + Int_set.cardinal nbrs) t.adj 0 in
+  let f_edges = Array.make degrees 0 in
+  let i = ref 0 in
+  Int_map.iter
+    (fun u nbrs ->
+      Int_set.iter
+        (fun v ->
+          if u < v then begin
+            f_edges.(!i) <- u;
+            f_edges.(!i + 1) <- v;
+            i := !i + 2
+          end)
+        nbrs)
+    t.adj;
+  { f_terminals; f_edges }
 
-let n_edges t = List.length (edges t)
+let form t =
+  match t.form with
+  | Some f -> f
+  | None ->
+    let f = build_form t in
+    t.form <- Some f;
+    f
+
+let edges t =
+  let a = (form t).f_edges in
+  let rec go i acc = if i < 0 then acc else go (i - 2) ((a.(i), a.(i + 1)) :: acc) in
+  go (Array.length a - 2) []
+
+let n_edges t = Array.length (form t).f_edges / 2
 
 let mem_edge t u v = Int_set.mem v (neighbors t u)
 
@@ -65,7 +113,12 @@ let is_terminal t x = Int_set.mem x t.terminals
 let degree t u = Int_set.cardinal (neighbors t u)
 
 let cost g t =
-  List.fold_left (fun acc (u, v) -> acc +. Net.Graph.weight g u v) 0.0 (edges t)
+  let a = (form t).f_edges in
+  let acc = ref 0.0 in
+  for i = 0 to (Array.length a / 2) - 1 do
+    acc := !acc +. Net.Graph.weight g a.(2 * i) a.((2 * i) + 1)
+  done;
+  !acc
 
 (* Nodes incident to at least one edge. *)
 let edge_nodes t = Int_map.fold (fun u _ acc -> Int_set.add u acc) t.adj Int_set.empty
@@ -102,7 +155,13 @@ let spans_terminals t =
     && Int_set.subset t.terminals (component_of t first)
 
 let is_embedded g t =
-  List.for_all (fun (u, v) -> Net.Graph.link_is_up g u v) (edges t)
+  let a = (form t).f_edges in
+  let up = ref true and i = ref 0 in
+  while !up && !i < Array.length a do
+    up := Net.Graph.link_is_up g a.(!i) a.(!i + 1);
+    i := !i + 2
+  done;
+  !up
 
 let is_valid_mc_topology g t =
   is_tree t && spans_terminals t && is_embedded g t
@@ -161,28 +220,42 @@ let dfs_order t ~root =
   visit root;
   List.rev !order
 
+(* Lexicographic, a proper prefix first: the order of [Int_set.compare]
+   on the terminals and of [List.compare compare_edge] on the edges. *)
+let rec compare_ints_from (a : int array) (b : int array) i =
+  if i = Array.length a then if i = Array.length b then 0 else -1
+  else if i = Array.length b then 1
+  else
+    match Int.compare a.(i) b.(i) with
+    | 0 -> compare_ints_from a b (i + 1)
+    | c -> c
+
 let compare a b =
-  let c = Int_set.compare a.terminals b.terminals in
-  if c <> 0 then c else List.compare compare_edge (edges a) (edges b)
+  if a == b then 0
+  else
+    let fa = form a and fb = form b in
+    match compare_ints_from fa.f_terminals fb.f_terminals 0 with
+    | 0 -> compare_ints_from fa.f_edges fb.f_edges 0
+    | c -> c
 
 let equal a b = compare a b = 0
 
 let fingerprint t =
+  let f = form t in
   let b = Buffer.create 48 in
   Buffer.add_string b "T{";
-  List.iteri
-    (fun i (u, v) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (string_of_int u);
-      Buffer.add_char b '-';
-      Buffer.add_string b (string_of_int v))
-    (edges t);
+  for i = 0 to (Array.length f.f_edges / 2) - 1 do
+    if i > 0 then Buffer.add_char b ',';
+    Buffer.add_string b (string_of_int f.f_edges.(2 * i));
+    Buffer.add_char b '-';
+    Buffer.add_string b (string_of_int f.f_edges.((2 * i) + 1))
+  done;
   Buffer.add_char b '|';
-  List.iteri
+  Array.iteri
     (fun i n ->
       if i > 0 then Buffer.add_char b ',';
       Buffer.add_string b (string_of_int n))
-    (Int_set.elements t.terminals);
+    f.f_terminals;
   Buffer.add_char b '}';
   Buffer.contents b
 

@@ -15,6 +15,10 @@ module Int_set : Set.S with type elt = int
 module Int_map : Map.S with type key = int
 
 type t
+(** Compare and hash trees only with {!equal} and {!compare}: a value
+    carries a memo filled on first use, so polymorphic [=], [compare]
+    and [Hashtbl.hash] on a tree, or on anything holding one, depend on
+    whether the memo is filled, not only on the tree. *)
 
 val empty : t
 (** No edges, no terminals. *)
@@ -121,8 +125,16 @@ val of_fingerprint : string -> t option
 (** Parse a {!fingerprint} back; [None] on malformed input.
     [of_fingerprint (fingerprint t)] reconstructs a tree equal to [t]. *)
 
-val equal : t -> t -> bool
-
 val compare : t -> t -> int
+(** Total order: the terminal sets compared as ascending sequences, then
+    the {!edges} lists, each lexicographically with a proper prefix
+    first.  Every switch breaks equal-stamp proposal ties with it, so
+    the order is part of the protocol.  Each tree builds its sorted
+    terminals and edges once, on first use, as two int arrays; after
+    that a comparison costs O(size) and allocates nothing (O(1) when
+    both arguments are the same value). *)
+
+val equal : t -> t -> bool
+(** [compare a b = 0]: same terminals and same edges. *)
 
 val pp : Format.formatter -> t -> unit

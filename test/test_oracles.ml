@@ -345,6 +345,30 @@ let test_dijkstra_allocation_bound () =
   if words > bound then
     Alcotest.failf "one run allocated %d minor words (bound %d)" words bound
 
+(* Once both trees have their canonical form, the tie-break's compare
+   and the agreement checks' equal read arrays and allocate nothing. *)
+let test_tree_compare_allocation_bound () =
+  let build () =
+    Mctree.Tree.add_path
+      (Mctree.Tree.of_terminals [ 0; 50; 100 ])
+      (List.init 101 (fun v -> v))
+  in
+  let a = build () and b = build () in
+  if a == b || Mctree.Tree.n_edges a <> 100 then
+    Alcotest.fail "expected two distinct 100-edge trees";
+  ignore (Mctree.Tree.compare a b);
+  let baseline =
+    let before = Gc.minor_words () in
+    Gc.minor_words () -. before
+  in
+  let before = Gc.minor_words () in
+  let c = Sys.opaque_identity (Mctree.Tree.compare a b) in
+  let e = Sys.opaque_identity (Mctree.Tree.equal a b) in
+  let words = int_of_float (Gc.minor_words () -. before -. baseline) in
+  check Alcotest.int "compare" 0 c;
+  check Alcotest.bool "equal" true e;
+  check Alcotest.int "minor words for compare + equal" 0 words
+
 let () =
   Alcotest.run "oracles"
     [
@@ -361,6 +385,11 @@ let () =
         ] );
       ( "mst",
         [ Alcotest.test_case "kruskal vs prim" `Quick test_kruskal_vs_prim ] );
+      ( "trees",
+        [
+          Alcotest.test_case "tree compare allocation bound" `Quick
+            test_tree_compare_allocation_bound;
+        ] );
       ( "steiner",
         [
           Alcotest.test_case "oracle sanity" `Quick test_exact_oracle_sanity;
