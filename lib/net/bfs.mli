@@ -17,11 +17,14 @@ val is_connected : Graph.t -> bool
 
 val components : Graph.t -> int list list
 (** Connected components over live links, each sorted ascending; the list
-    of components is sorted by smallest member. *)
+    of components is sorted by smallest member.  One O(n + m) pass. *)
 
 val eccentricity : Graph.t -> int -> int
 (** Greatest hop distance from the node to any reachable node. *)
 
 val hop_diameter : Graph.t -> int
 (** Greatest hop distance between any two mutually reachable nodes; [0]
-    for graphs with fewer than two nodes. *)
+    for graphs with fewer than two nodes.  Computed once per
+    {!Graph.version} of the graph: an [n]-source search over a flat copy
+    of the live links, then cached until an edge is added or a link
+    flips. *)

@@ -18,6 +18,10 @@ type t = {
      edge, or a link whose state actually flips.  Consumers that memoise
      results over the graph key them on this. *)
   mutable version : int;
+  (* [Bfs.hop_diameter]'s last result and the version it was computed at,
+     one immutable pair so a reader never matches a value to the wrong
+     version. *)
+  mutable hop_diameter : int * int;
 }
 
 let create n =
@@ -27,11 +31,21 @@ let create n =
     adj = Array.init n (fun _ -> Hashtbl.create 4);
     rows = Array.make n None;
     version = 0;
+    hop_diameter = (-1, 0);
   }
 
 let n_nodes t = t.n
 
 let version t = t.version
+
+let memo_hop_diameter t compute =
+  let version, value = t.hop_diameter in
+  if version = t.version then value
+  else begin
+    let value = compute t in
+    t.hop_diameter <- (t.version, value);
+    value
+  end
 
 let check_node t x =
   if x < 0 || x >= t.n then

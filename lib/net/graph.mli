@@ -33,6 +33,11 @@ val version : t -> int
     describe the same live topology, so results computed over the graph
     may be memoised under its version. *)
 
+val memo_hop_diameter : t -> (t -> int) -> int
+(** [memo_hop_diameter g compute] is [compute g], evaluated at most once
+    per {!version}: the cache behind {!Bfs.hop_diameter}.  A racing
+    second evaluation stores an equal value. *)
+
 val add_edge : t -> int -> int -> weight:float -> unit
 (** Adds an (up) edge.  Raises [Invalid_argument] if the edge exists,
     [u = v], a node is out of range, or [weight <= 0]. *)

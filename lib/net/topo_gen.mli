@@ -48,7 +48,21 @@ val erdos_renyi :
   Sim.Rng.t -> n:int -> ?min_weight:float -> ?max_weight:float -> unit -> Graph.t
 (** G(n, p) with [p = 3.0 /. float n] (mean degree ≈ 3) and uniform
     random weights in [[min_weight, max_weight]] (default [[1, 10]]),
-    made connected the same way. *)
+    made connected by {!connect_components} with every pair equally
+    cheap: node [0] is joined to the smallest member of each other
+    component, and each joining edge draws its weight like the rest. *)
+
+val connect_components :
+  Graph.t -> cost:(int -> int -> float) -> weight:(int -> int -> float) -> unit
+(** The joining step of the random generators.  While [g] is
+    disconnected over live links, add an edge [u -- v] between the two
+    nodes in different components with the least [cost u v], ties going
+    to the first pair in scan order: components by smallest member, [u]
+    ascending in the earlier component, then [v] ascending through the
+    later components in turn.  [cost] must be symmetric.  The edge's
+    weight is [weight u v], called once per added edge in joining order.
+    One O(n{^2}) pass, then a sort of the [k(k-1)/2] pairs of the [k]
+    components; a run of equal costs is rescanned once per edge it adds. *)
 
 val ring : ?weight:float -> int -> Graph.t
 (** Cycle on [n >= 3] nodes; every edge has the given weight

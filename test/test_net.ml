@@ -176,6 +176,18 @@ let test_bfs_diameter () =
   check Alcotest.int "complete diameter" 1
     (Net.Bfs.hop_diameter (Net.Topo_gen.complete 5))
 
+let test_bfs_diameter_memo () =
+  let g = Net.Topo_gen.ring 8 in
+  check Alcotest.int "ring 8" 4 (Net.Bfs.hop_diameter g);
+  Net.Graph.set_link g 0 1 ~up:false;
+  check Alcotest.int "one link cut" 7 (Net.Bfs.hop_diameter g);
+  Net.Graph.set_link g 0 1 ~up:true;
+  check Alcotest.int "link restored" 4 (Net.Bfs.hop_diameter g);
+  Net.Graph.add_edge g 0 4 ~weight:1.0;
+  check Alcotest.int "one chord" 4 (Net.Bfs.hop_diameter g);
+  Net.Graph.add_edge g 2 6 ~weight:1.0;
+  check Alcotest.int "two chords" 3 (Net.Bfs.hop_diameter g)
+
 let test_bfs_eccentricity () =
   let g = Net.Topo_gen.line 5 in
   check Alcotest.int "end node" 4 (Net.Bfs.eccentricity g 0);
@@ -467,6 +479,8 @@ let () =
           Alcotest.test_case "connectivity after failures" `Quick
             test_bfs_connectivity_after_failure;
           Alcotest.test_case "diameters" `Quick test_bfs_diameter;
+          Alcotest.test_case "diameter cache follows the version" `Quick
+            test_bfs_diameter_memo;
           Alcotest.test_case "eccentricity" `Quick test_bfs_eccentricity;
         ] );
       ( "dijkstra",

@@ -823,6 +823,203 @@ let prop_mst_spans_and_sized =
       let mst = Net.Mst.kruskal g in
       List.length mst = n - 1 && Net.Mst.spans g mst)
 
+(* ------------------------------------------------------------------ *)
+(* Topology generators against their original loops *)
+
+(* The generators as first written: three distance passes over boxed
+   points, and a joining step that rescans every cross-component pair
+   once per added edge.  Every committed figure's graphs come from this
+   code, so the fast generators must reproduce it edge for edge. *)
+module Topo_oracle = struct
+  let components g =
+    let n = Net.Graph.n_nodes g in
+    let seen = Array.make n false in
+    let comps = ref [] in
+    for src = 0 to n - 1 do
+      if not seen.(src) then begin
+        let members = ref [] in
+        let r = Net.Bfs.reachable g src in
+        for v = 0 to n - 1 do
+          if r.(v) then begin
+            seen.(v) <- true;
+            members := v :: !members
+          end
+        done;
+        comps := List.rev !members :: !comps
+      end
+    done;
+    List.rev !comps
+
+  let connect_components g weight_of =
+    let rec join () =
+      match components g with
+      | [] | [ _ ] -> ()
+      | comps ->
+        let best = ref None in
+        let consider u v =
+          let w = weight_of u v in
+          match !best with
+          | Some (_, _, w') when w' <= w -> ()
+          | _ -> best := Some (u, v, w)
+        in
+        let rec pairs = function
+          | [] -> ()
+          | comp :: rest ->
+            List.iter
+              (fun u ->
+                List.iter (fun comp' -> List.iter (fun v -> consider u v) comp') rest)
+              comp;
+            pairs rest
+        in
+        pairs comps;
+        (match !best with
+        | Some (u, v, w) -> Net.Graph.add_edge g u v ~weight:w
+        | None -> assert false);
+        join ()
+    in
+    join ()
+
+  let waxman rng ~n ?target_degree () =
+    let alpha = 0.25 and beta = 0.2 and scale = 10.0 in
+    let pos = Array.init n (fun _ ->
+        let x = Sim.Rng.float rng 1.0 in
+        let y = Sim.Rng.float rng 1.0 in
+        (x, y))
+    in
+    let dist u v =
+      let xu, yu = pos.(u) and xv, yv = pos.(v) in
+      sqrt (((xu -. xv) ** 2.0) +. ((yu -. yv) ** 2.0))
+    in
+    let l = ref 0.0 in
+    for u = 0 to n - 1 do
+      for v = u + 1 to n - 1 do
+        if dist u v > !l then l := dist u v
+      done
+    done;
+    let l = if !l = 0.0 then 1.0 else !l in
+    let alpha =
+      match target_degree with
+      | None -> alpha
+      | Some degree ->
+        let sum = ref 0.0 in
+        for u = 0 to n - 1 do
+          for v = u + 1 to n - 1 do
+            sum := !sum +. exp (-.dist u v /. (beta *. l))
+          done
+        done;
+        if !sum <= 0.0 then alpha
+        else Float.min 1.0 (float_of_int n *. degree /. (2.0 *. !sum))
+    in
+    let g = Net.Graph.create n in
+    let weight_of u v = Float.max 1e-6 (scale *. dist u v) in
+    for u = 0 to n - 1 do
+      for v = u + 1 to n - 1 do
+        let p = alpha *. exp (-.dist u v /. (beta *. l)) in
+        if Sim.Rng.float rng 1.0 < p then Net.Graph.add_edge g u v ~weight:(weight_of u v)
+      done
+    done;
+    connect_components g weight_of;
+    g
+
+  (* Unit weights only: then the original drew no weight at all, and its
+     graphs are the ones the fast generator must keep. *)
+  let erdos_renyi_unit rng ~n =
+    let p = 3.0 /. float_of_int n in
+    let g = Net.Graph.create n in
+    for u = 0 to n - 1 do
+      for v = u + 1 to n - 1 do
+        if Sim.Rng.float rng 1.0 < p then Net.Graph.add_edge g u v ~weight:1.0
+      done
+    done;
+    connect_components g (fun _ _ -> 1.0);
+    g
+end
+
+let same_graph a b =
+  Net.Graph.equal a b
+  && String.equal (Format.asprintf "%a" Net.Graph.pp a) (Format.asprintf "%a" Net.Graph.pp b)
+
+let oracle_sizes = [ 2; 3; 5; 10; 20; 37; 50; 100; 200; 400 ]
+
+let test_generators_match_oracle () =
+  for seed = 1 to 60 do
+    List.iter
+      (fun n ->
+        List.iter
+          (fun (name, target_degree) ->
+            let fast = Net.Topo_gen.waxman (Sim.Rng.create seed) ~n ?target_degree () in
+            let slow = Topo_oracle.waxman (Sim.Rng.create seed) ~n ?target_degree () in
+            if not (same_graph fast slow) then
+              Alcotest.failf "waxman %s differs at seed=%d n=%d" name seed n)
+          ([ ("plain", None); ("degree 3.5", Some 3.5) ]
+          (* Sparse draws leave many components, where the rescan loop
+             costs O(k n^2): keep them to the smaller sizes. *)
+          @ if n <= 100 then [ ("degree 1.0", Some 1.0) ] else []);
+        let fast =
+          Net.Topo_gen.erdos_renyi (Sim.Rng.create seed) ~n ~min_weight:1.0
+            ~max_weight:1.0 ()
+        in
+        let slow = Topo_oracle.erdos_renyi_unit (Sim.Rng.create seed) ~n in
+        if not (same_graph fast slow) then
+          Alcotest.failf "unit erdos-renyi differs at seed=%d n=%d" seed n)
+      oracle_sizes
+  done
+
+(* Small integer costs make ties the rule, so the joining order rests on
+   the scan-order tie-break, including pairs whose earlier component
+   changes as components merge. *)
+let prop_connect_ties_match_oracle =
+  QCheck2.Test.make ~name:"joining step matches the rescan loop under ties"
+    ~count:300
+    ~print:(fun (seed, n, levels) ->
+      Printf.sprintf "seed=%d n=%d levels=%d" seed n levels)
+    QCheck2.Gen.(triple (int_range 1 10000) (int_range 2 40) (int_range 1 4))
+    (fun (seed, n, levels) ->
+      let rng = Sim.Rng.create seed in
+      let draw () =
+        let g = Net.Graph.create n in
+        for u = 0 to n - 1 do
+          for v = u + 1 to n - 1 do
+            if Sim.Rng.float rng 1.0 < 1.2 /. float_of_int n then
+              Net.Graph.add_edge g u v ~weight:1.0
+          done
+        done;
+        g
+      in
+      let fast = draw () in
+      let slow = Net.Graph.copy fast in
+      let cost u v =
+        let a = Int.min u v and b = Int.max u v in
+        float_of_int (1 + (((a * 31) + (b * 17) + seed) mod levels))
+      in
+      Net.Topo_gen.connect_components fast ~cost ~weight:cost;
+      Topo_oracle.connect_components slow cost;
+      Net.Bfs.is_connected fast && same_graph fast slow)
+
+(* The cached flat-array sweep against the plain definition: the largest
+   finite hop count over every source's search. *)
+let prop_hop_diameter_matches_searches =
+  QCheck2.Test.make ~name:"hop diameter is the largest finite hop count"
+    ~count:100
+    ~print:(fun (seed, n) -> Printf.sprintf "seed=%d n=%d" seed n)
+    QCheck2.Gen.(pair (int_range 1 10000) (int_range 2 60))
+    (fun (seed, n) ->
+      let g = Experiments.Harness.graph_for ~seed ~n in
+      let rng = Sim.Rng.create seed in
+      List.iter
+        (fun (e : Net.Graph.edge) ->
+          if Sim.Rng.int rng 5 = 0 then Net.Graph.set_link g e.u e.v ~up:false)
+        (Net.Graph.edges g);
+      let expected =
+        List.fold_left
+          (fun acc src ->
+            Array.fold_left
+              (fun acc d -> if d <> max_int && d > acc then d else acc)
+              acc (Net.Bfs.hops g src))
+          0 (List.init n Fun.id)
+      in
+      Net.Bfs.hop_diameter g = expected)
+
 let prop_flooding_covers_connected_graph =
   QCheck2.Test.make ~name:"flooding reaches every switch exactly once"
     ~count:60
@@ -1177,6 +1374,13 @@ let () =
           QCheck_alcotest.to_alcotest prop_spt_matches_dijkstra;
           QCheck_alcotest.to_alcotest prop_mst_spans_and_sized;
           QCheck_alcotest.to_alcotest prop_tree_form_matches_oracle;
+        ] );
+      ( "topology",
+        [
+          Alcotest.test_case "generators match the original loops" `Quick
+            test_generators_match_oracle;
+          QCheck_alcotest.to_alcotest prop_connect_ties_match_oracle;
+          QCheck_alcotest.to_alcotest prop_hop_diameter_matches_searches;
         ] );
       ( "flooding",
         [ QCheck_alcotest.to_alcotest prop_flooding_covers_connected_graph ] );
