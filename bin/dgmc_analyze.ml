@@ -2,7 +2,8 @@
 
    Walks the repo's own OCaml sources (AST-level, compiler-libs) for
    the rule catalogue in DESIGN.md §5: nondet-source, iteration-order,
-   poly-compare, float-format, domain-unsafe-capture.  Findings not
+   poly-compare, float-format, domain-unsafe-capture, and
+   unused-export (an .mli val no other scanned file names).  Findings not
    covered by a per-site suppression comment or the committed baseline
    fail the run.
 

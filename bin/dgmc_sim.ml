@@ -9,17 +9,57 @@ open Cmdliner
 (* ------------------------------------------------------------------ *)
 (* Shared options *)
 
+(* The figure options are checked as they are parsed: a value the
+   figures cannot run is a usage error (exit 124) that names the option,
+   not an exception from deep inside a sweep. *)
+let int_at_least lo =
+  let parse s =
+    match int_of_string_opt s with
+    | Some v when v >= lo -> Ok v
+    | Some v -> Error (Printf.sprintf "must be at least %d, got %d" lo v)
+    | None -> Error (Printf.sprintf "invalid value '%s', expected an integer" s)
+  in
+  Arg.conv' (parse, Format.pp_print_int)
+
+let positive_float =
+  let parse s =
+    match float_of_string_opt s with
+    | Some v when v > 0.0 && Float.is_finite v -> Ok v
+    | Some _ -> Error (Printf.sprintf "must be a positive number, got %s" s)
+    | None -> Error (Printf.sprintf "invalid value '%s', expected a number" s)
+  in
+  Arg.conv' (parse, Format.pp_print_float)
+
+(* Every network size: a protocol run needs two switches. *)
+let size = int_at_least 2
+
 let sizes_arg =
-  let doc = "Comma-separated network sizes to sweep." in
-  Arg.(value & opt (list int) Experiments.Figures.default_sizes & info [ "sizes" ] ~doc)
+  let doc = "Comma-separated network sizes to sweep (each at least 2)." in
+  Arg.(value & opt (list size) Experiments.Figures.default_sizes & info [ "sizes" ] ~doc)
 
 let seeds_arg =
   let doc = "Number of random graphs (seeds 1..N) per size." in
-  Arg.(value & opt int 10 & info [ "graphs" ] ~doc)
+  Arg.(value & opt (int_at_least 1) 10 & info [ "graphs" ] ~doc)
 
 let members_arg =
-  let doc = "Members joining in each burst." in
-  Arg.(value & opt int 10 & info [ "members" ] ~doc)
+  let doc = "Members joining in each burst (at most the smallest size)." in
+  Arg.(value & opt (int_at_least 1) 10 & info [ "members" ] ~doc)
+
+(* A burst cannot hold more members than the smallest network has
+   switches. *)
+let sizes_members_arg =
+  let check sizes members =
+    let smallest = List.fold_left min max_int sizes in
+    if members <= smallest then `Ok (sizes, members)
+    else
+      `Error
+        ( true,
+          Printf.sprintf
+            "option '--members': must be at most the smallest --sizes value \
+             (%d), got %d"
+            smallest members )
+  in
+  Term.(ret (const check $ sizes_arg $ members_arg))
 
 let seeds_of count = List.init count (fun i -> i + 1)
 
@@ -92,22 +132,22 @@ let print_bursty csv (r : Experiments.Figures.bursty_result) =
   Printf.printf "all runs converged: %b\n" r.all_converged
 
 let fig6_cmd =
-  let run sizes graphs members csv =
+  let run (sizes, members) graphs csv =
     print_bursty csv
       (Experiments.Figures.fig6 ~sizes ~seeds:(seeds_of graphs) ~members ())
   in
   Cmd.v
     (Cmd.info "fig6" ~doc:"Experiment 1: bursty events, computation dominates.")
-    Term.(const run $ sizes_arg $ seeds_arg $ members_arg $ csv_arg)
+    Term.(const run $ sizes_members_arg $ seeds_arg $ csv_arg)
 
 let fig7_cmd =
-  let run sizes graphs members csv =
+  let run (sizes, members) graphs csv =
     print_bursty csv
       (Experiments.Figures.fig7 ~sizes ~seeds:(seeds_of graphs) ~members ())
   in
   Cmd.v
     (Cmd.info "fig7" ~doc:"Experiment 2: bursty events, communication dominates.")
-    Term.(const run $ sizes_arg $ seeds_arg $ members_arg $ csv_arg)
+    Term.(const run $ sizes_members_arg $ seeds_arg $ csv_arg)
 
 (* ------------------------------------------------------------------ *)
 (* fig8 *)
@@ -118,8 +158,8 @@ let fig8_cmd =
   in
   let gap_arg =
     Arg.(
-      value & opt float 50.0
-      & info [ "gap" ] ~doc:"Mean inter-event gap, in protocol rounds.")
+      value & opt positive_float 50.0
+      & info [ "gap" ] ~doc:"Mean inter-event gap, in protocol rounds (positive).")
   in
   let run sizes graphs events gap_rounds csv =
     let r =
@@ -139,7 +179,7 @@ let compare_cmd =
   let sources_arg =
     Arg.(value & opt int 3 & info [ "sources" ] ~doc:"Active MOSPF sources.")
   in
-  let run sizes graphs members sources =
+  let run (sizes, members) graphs sources =
     let c =
       Experiments.Figures.compare_protocols ~sizes ~seeds:(seeds_of graphs)
         ~members ~sources ()
@@ -149,15 +189,17 @@ let compare_cmd =
   Cmd.v
     (Cmd.info "compare"
        ~doc:"Per-event cost: D-GMC vs brute-force LSR vs MOSPF.")
-    Term.(const run $ sizes_arg $ seeds_arg $ members_arg $ sources_arg)
+    Term.(const run $ sizes_members_arg $ seeds_arg $ sources_arg)
 
 (* ------------------------------------------------------------------ *)
 (* cbt *)
 
 let cbt_cmd =
-  let n_arg = Arg.(value & opt int 60 & info [ "n" ] ~doc:"Network size.") in
+  let n_arg =
+    Arg.(value & opt size 60 & info [ "n" ] ~doc:"Network size (at least 2).")
+  in
   let receivers_arg =
-    Arg.(value & opt int 12 & info [ "receivers" ] ~doc:"Receiver count.")
+    Arg.(value & opt (int_at_least 1) 12 & info [ "receivers" ] ~doc:"Receiver count.")
   in
   let senders_arg =
     Arg.(value & opt int 6 & info [ "senders" ] ~doc:"Off-tree sender count.")
@@ -176,9 +218,11 @@ let cbt_cmd =
 (* hierarchy *)
 
 let hierarchy_cmd =
-  let areas_arg = Arg.(value & opt int 10 & info [ "areas" ] ~doc:"Number of areas.") in
+  let areas_arg =
+    Arg.(value & opt size 10 & info [ "areas" ] ~doc:"Number of areas (at least 2).")
+  in
   let per_area_arg =
-    Arg.(value & opt int 20 & info [ "per-area" ] ~doc:"Switches per area.")
+    Arg.(value & opt size 20 & info [ "per-area" ] ~doc:"Switches per area (at least 2).")
   in
   let events_arg =
     Arg.(value & opt int 20 & info [ "events" ] ~doc:"Membership events.")
@@ -776,8 +820,8 @@ let default_term =
       & info [ "target-invariant" ]
           ~doc:
             "Invariant to hunt: a law-name prefix, optionally \
-             $(b,law\\@kind) (e.g. $(b,agreement), \
-             $(b,terminals-match\\@asymmetric)); $(b,any) matches all.")
+             $(b,law@kind) (e.g. $(b,agreement), \
+             $(b,terminals-match@asymmetric)); $(b,any) matches all.")
   in
   let max_states_arg =
     Arg.(

@@ -23,7 +23,7 @@ let () =
     (Net.Graph.n_nodes graph) (Net.Graph.n_edges graph)
     (Net.Bfs.hop_diameter graph);
 
-  let net = Dgmc.Protocol.create ~graph ~config:Dgmc.Config.default () in
+  let net = Dgmc.Protocol.create ~graph ~config:Dgmc.Config.atm_lan () in
 
   (* 1. A symmetric MC — every member can speak and listen (Figure 1a).
      Five switches join in one burst; D-GMC converges on a shared

@@ -16,8 +16,6 @@ type t = {
   message : string;
 }
 
-val severity_name : severity -> string
-
 val compare : t -> t -> int
 (** Order by (file, line, col, rule, message) — the stable output
     order. *)

@@ -14,7 +14,7 @@ let skip_dir name =
   name = "_build" || name = "analysis_fixtures"
   || (String.length name > 0 && name.[0] = '.')
 
-let gather_files paths =
+let gather suffix paths =
   let out = ref [] in
   let rec walk p =
     if Sys.is_directory p then
@@ -24,46 +24,59 @@ let gather_files paths =
           if Sys.is_directory child then begin
             if not (skip_dir entry) then walk child
           end
-          else if Filename.check_suffix entry ".ml" then out := child :: !out)
+          else if Filename.check_suffix entry suffix then out := child :: !out)
         (Sys.readdir p)
-    else if Filename.check_suffix p ".ml" then out := p :: !out
+    else if Filename.check_suffix p suffix then out := p :: !out
     else ()
   in
   List.iter walk paths;
   List.sort_uniq String.compare !out
+
+let gather_files = gather ".ml"
 
 (* ------------------------------------------------------------------ *)
 
 let analyze ?(enabled = fun _ -> true) paths =
   let files = List.map Scan.load (gather_files paths) in
   let env = Scan.env_of files in
+  (* The unused-export rule is the one cross-file pass: interfaces
+     against every implementation's references. *)
+  let interfaces, callers =
+    if enabled Rules.Unused_export then
+      (List.map Exports.load_interface (gather ".mli" paths), Exports.callers files)
+    else ([], Exports.callers [])
+  in
   let suppressed = ref 0 in
   let unused = ref [] in
+  let keep path sup diags =
+    let kept =
+      List.filter
+        (fun (d : Diag.t) ->
+          if
+            d.rule = Rules.name Rules.Parse_error
+            || d.rule = "suppression-syntax"
+          then true (* not suppressible *)
+          else if Suppress.covers sup ~rule:d.rule ~line:d.line then begin
+            incr suppressed;
+            false
+          end
+          else true)
+        diags
+    in
+    List.iter (fun s -> unused := (path, s) :: !unused) (Suppress.unused sup);
+    kept
+  in
   let raw =
     List.concat_map
-      (fun (f : Scan.file) ->
-        let kept =
-          List.filter
-            (fun (d : Diag.t) ->
-              if
-                d.rule = Rules.name Rules.Parse_error
-                || d.rule = "suppression-syntax"
-              then true (* not suppressible *)
-              else if Suppress.covers f.sup ~rule:d.rule ~line:d.line then begin
-                incr suppressed;
-                false
-              end
-              else true)
-            (Scan.check env ~enabled f)
-        in
-        List.iter
-          (fun s -> unused := (f.path, s) :: !unused)
-          (Suppress.unused f.sup);
-        kept)
+      (fun (f : Scan.file) -> keep f.path f.sup (Scan.check env ~enabled f))
       files
+    @ List.concat_map
+        (fun (i : Exports.interface) ->
+          keep i.path i.sup (Exports.check callers i))
+        interfaces
   in
   let sorted = List.sort Diag.compare raw in
-  (sorted, !suppressed, List.length files, List.rev !unused)
+  (sorted, !suppressed, List.length files + List.length interfaces, List.rev !unused)
 
 let against_baseline baseline (sorted, suppressed, files_scanned, unused) =
   (* Findings are sorted, so same (file, rule) groups are contiguous in

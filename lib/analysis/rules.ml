@@ -4,6 +4,7 @@ type id =
   | Poly_compare
   | Float_format
   | Domain_unsafe_capture
+  | Unused_export
   | Parse_error
 
 let all =
@@ -13,6 +14,7 @@ let all =
     Poly_compare;
     Float_format;
     Domain_unsafe_capture;
+    Unused_export;
     Parse_error;
   ]
 
@@ -22,6 +24,7 @@ let name = function
   | Poly_compare -> "poly-compare"
   | Float_format -> "float-format"
   | Domain_unsafe_capture -> "domain-unsafe-capture"
+  | Unused_export -> "unused-export"
   | Parse_error -> "parse-error"
 
 let of_name s =
@@ -31,6 +34,7 @@ let of_name s =
   | "poly-compare" -> Some Poly_compare
   | "float-format" -> Some Float_format
   | "domain-unsafe-capture" -> Some Domain_unsafe_capture
+  | "unused-export" -> Some Unused_export
   | "parse-error" -> Some Parse_error
   | _ -> None
 
@@ -48,4 +52,7 @@ let describe = function
   | Domain_unsafe_capture ->
     "top-level mutable state captured by a closure passed to Runner.Pool or \
      Domain.spawn without Domain.DLS / Mutex / Atomic"
+  | Unused_export ->
+    "val in a scanned .mli that no other scanned file references as \
+     Module.name (tests count as callers)"
   | Parse_error -> "source file does not parse"

@@ -12,6 +12,7 @@ type id =
   | Poly_compare
   | Float_format
   | Domain_unsafe_capture
+  | Unused_export
   | Parse_error
 
 val all : id list

@@ -107,35 +107,39 @@ let modname_of_path path =
   String.capitalize_ascii
     (Filename.remove_extension (Filename.basename path))
 
-let load path =
+let read parser path =
   let source =
     let ic = open_in_bin path in
     Fun.protect
       ~finally:(fun () -> close_in ic)
       (fun () -> really_input_string ic (in_channel_length ic))
   in
+  let lexbuf = Lexing.from_string source in
+  Location.init lexbuf path;
+  match parser lexbuf with
+  | ast -> (source, Ok ast)
+  | exception exn ->
+    let line =
+      match exn with
+      | Syntaxerr.Error _ -> lexbuf.lex_curr_p.pos_lnum
+      | _ -> 0
+    in
+    ( source,
+      Error
+        {
+          Diag.file = path;
+          line;
+          col = 0;
+          rule = Rules.name Rules.Parse_error;
+          severity = Diag.Error;
+          message = Printexc.to_string exn;
+        } )
+
+let load path =
+  let source, parsed = read Parse.implementation path in
   let sup = Suppress.scan source in
   let structure, parse_error =
-    let lexbuf = Lexing.from_string source in
-    Location.init lexbuf path;
-    match Parse.implementation lexbuf with
-    | s -> (s, None)
-    | exception exn ->
-      let line =
-        match exn with
-        | Syntaxerr.Error _ -> lexbuf.lex_curr_p.pos_lnum
-        | _ -> 0
-      in
-      ( [],
-        Some
-          {
-            Diag.file = path;
-            line;
-            col = 0;
-            rule = Rules.name Rules.Parse_error;
-            severity = Diag.Error;
-            message = Printexc.to_string exn;
-          } )
+    match parsed with Ok s -> (s, None) | Error d -> ([], Some d)
   in
   let tops = top_level_bindings structure in
   let top_mutables =
@@ -283,7 +287,7 @@ let pool_entry_points path =
          && String.sub prefix (String.length prefix - 5) 5 = ".Pool")
       || String.starts_with ~prefix:"Runner.Pool" path
     in
-    (pool && List.mem last [ "map"; "map_timed"; "run"; "run_batch" ])
+    (pool && List.mem last [ "map"; "map_timed"; "map_registered" ])
     || path = "Domain.spawn"
   | None -> false
 

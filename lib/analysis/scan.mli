@@ -26,6 +26,13 @@ type env
     set, so a closure in one module capturing another module's global is
     caught. *)
 
+val read : (Lexing.lexbuf -> 'a) -> string -> string * ('a, Diag.t) result
+(** [read parser path]: the file's source, and its parse tree or the
+    [parse-error] diagnostic (never raised). *)
+
+val modname_of_path : string -> string
+(** Capitalized basename — the module a source file defines. *)
+
 val load : string -> file
 (** Read and parse one [.ml] file.  Parse failures are recorded as a
     [parse-error] diagnostic, not raised. *)

@@ -19,11 +19,7 @@ let create ~graph ~core () =
     messages = 0;
   }
 
-let core t = t.core
-
 let tree t = t.tree
-
-let members t = Int_set.elements t.members
 
 let is_member t x = Int_set.mem x t.members
 
@@ -61,24 +57,6 @@ let join t x =
   let ph = Metrics.Phase.ambient () in
   Metrics.Phase.enter ph "cbt.compute";
   match join_impl t x with
-  | () -> Metrics.Phase.leave ph
-  | exception e ->
-    Metrics.Phase.leave ph;
-    raise e
-
-let leave_impl t x =
-  if Int_set.mem x t.members then begin
-    t.members <- Int_set.remove x t.members;
-    let before = Mctree.Tree.n_edges t.tree in
-    t.tree <- Mctree.Tree.prune (Mctree.Tree.remove_terminal t.tree x) ;
-    (* One prune message per branch link torn down. *)
-    t.messages <- t.messages + (before - Mctree.Tree.n_edges t.tree)
-  end
-
-let leave t x =
-  let ph = Metrics.Phase.ambient () in
-  Metrics.Phase.enter ph "cbt.compute";
-  match leave_impl t x with
   | () -> Metrics.Phase.leave ph
   | exception e ->
     Metrics.Phase.leave ph;
@@ -131,30 +109,4 @@ let deliver t ~src =
             (unicast_links @ inner.links_used);
         contact = Some contact;
       }
-  end
-
-let handle_link_down t u v =
-  if Mctree.Tree.mem_edge t.tree u v then begin
-    let live =
-      List.fold_left
-        (fun tr (a, b) ->
-          if Net.Graph.link_is_up t.graph a b then tr
-          else Mctree.Tree.remove_edge tr a b)
-        t.tree (Mctree.Tree.edges t.tree)
-    in
-    (* Keep the core-side fragment; downstream members re-join through
-       live unicast routes. *)
-    let keep = Int_set.of_list (Mctree.Tree.dfs_order live ~root:t.core) in
-    let kept_edges =
-      List.filter
-        (fun (a, b) -> Int_set.mem a keep && Int_set.mem b keep)
-        (Mctree.Tree.edges live)
-    in
-    let survivors = Int_set.elements (Int_set.inter t.members keep) in
-    t.tree <-
-      Mctree.Tree.of_edges ~terminals:(t.core :: survivors) kept_edges
-      |> Mctree.Tree.prune;
-    let orphans = Int_set.elements (Int_set.diff t.members keep) in
-    t.members <- Int_set.of_list survivors;
-    List.iter (fun x -> try join t x with Failure _ -> ()) orphans
   end

@@ -4,8 +4,7 @@
     distinguished {e core} switch.  A joining switch sends a join
     request hop-by-hop along the unicast route toward the core; the
     request stops at the first on-tree switch and the traversed path is
-    grafted.  Leaving prunes the branch back to the nearest fork, member
-    or core.  There is no flooding and no topology computation — only
+    grafted.  There is no flooding and no topology computation — only
     unicast forwarding state — which is CBT's advantage; its documented
     drawbacks, reproduced by this model and measured in the benchmarks,
     are {e traffic concentration} around the core and the {e core
@@ -23,31 +22,20 @@ val create : graph:Net.Graph.t -> core:int -> unit -> t
 (** A fresh group anchored at [core].  The core is on the tree from the
     start (RFC-style primary core). *)
 
-val core : t -> int
-
 val tree : t -> Mctree.Tree.t
 (** Current shared tree; terminals are the member switches (plus the
     core, which anchors the tree even when memberless). *)
 
-val members : t -> int list
-
 val is_member : t -> int -> bool
+(** A switch that joined, whether or not it relayed before. *)
 
 val join : t -> int -> unit
 (** Graft the switch; no-op when already a member.  Counts one control
     message per hop of the join request (and its ack back). *)
 
-val leave : t -> int -> unit
-(** Prune; no-op when not a member. *)
-
 val control_messages : t -> int
-(** Join/prune messages sent so far (hop-granular). *)
+(** Join messages sent so far (hop-granular, acks included). *)
 
 val deliver : t -> src:int -> Mctree.Delivery.report
 (** Send one data packet from [src]: unicast toward the core to the
     first on-tree switch, then along the tree. *)
-
-val handle_link_down : t -> int -> int -> unit
-(** React to a link failure: downstream members whose path to the core
-    died re-join through live routes (the flush-and-rejoin recovery of
-    CBT).  Counts the control messages this costs. *)

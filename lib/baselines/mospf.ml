@@ -135,13 +135,5 @@ let totals t =
     packets_forwarded = t.packets_forwarded;
   }
 
-let reset_counters t =
-  t.events <- 0;
-  t.computations <- 0;
-  t.packets_forwarded <- 0;
-  Lsr.Flooding.reset_counters t.flooding
-
 let members t ~switch ~group =
   Int_set.elements (members_of t.routers.(switch) group)
-
-let cache_size t ~switch = Hashtbl.length t.routers.(switch).cache

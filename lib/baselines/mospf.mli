@@ -29,8 +29,6 @@ val engine : t -> Sim.Engine.t
 
 val join : t -> switch:int -> group:int -> unit
 
-val leave : t -> switch:int -> group:int -> unit
-
 val schedule_join : t -> at:float -> switch:int -> group:int -> unit
 
 val schedule_leave : t -> at:float -> switch:int -> group:int -> unit
@@ -56,10 +54,5 @@ type totals = {
 
 val totals : t -> totals
 
-val reset_counters : t -> unit
-
 val members : t -> switch:int -> group:int -> int list
 (** The member list router [switch] currently holds, ascending. *)
-
-val cache_size : t -> switch:int -> int
-(** Live (S, G) routing-cache entries at the router. *)

@@ -50,14 +50,9 @@ type target = {
           match. *)
 }
 
-val any : target
-(** Every violation matches. *)
-
 val target_of_string : string -> (target, string) result
 (** Parse ["law"] or ["law\@kind"] with kind one of [symmetric],
     [receiver-only], [asymmetric]. *)
-
-val matches : target -> Invariant.violation -> bool
 
 (** {1 The violation-distance heuristic} *)
 
@@ -76,8 +71,6 @@ type score = {
           over switches. *)
   deferred : int;  (** LSAs deferred by in-flight resyncs, summed. *)
 }
-
-val score : Harness.t -> score
 
 (** {1 Forward search} *)
 
@@ -151,13 +144,12 @@ val backward :
 
 (** {1 Event rendering and parsing} *)
 
-val event_line : int -> Harness.event -> string
-(** ["[<tick>] join switch=0 mc#1(symmetric) (both)"] — {!Check.Fuzz}'s
-    shrunk-workload line format with the sequence index as the tick
-    (the harness is untimed: interleaving order {e is} the timing);
-    [crash switch=i] / [recover switch=i] extend the vocabulary. *)
-
 val event_lines : Harness.event list -> string list
+(** One ["[<tick>] join switch=0 mc#1(symmetric) (both)"] line per
+    event — {!Check.Fuzz}'s shrunk-workload line format with the
+    sequence index as the tick (the harness is untimed: interleaving
+    order {e is} the timing); [crash switch=i] / [recover switch=i]
+    extend the vocabulary. *)
 
 val events_of_string :
   mcs:Dgmc.Mc_id.t list -> string -> (Harness.event list, string) result
@@ -166,8 +158,6 @@ val events_of_string :
     default their role by MC kind (asymmetric defaults to [sender]). *)
 
 (** {1 Reporting} *)
-
-val pp_found : Format.formatter -> found -> unit
 
 val pp_forward : Format.formatter -> forward_outcome -> unit
 

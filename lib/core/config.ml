@@ -44,8 +44,6 @@ let injects t bug =
 
 let wan = { atm_lan with tc = 100e-6; t_hop = 5e-3 }
 
-let default = atm_lan
-
 let round_length t ~graph =
   Lsr.Flooding.flood_diameter ~graph ~t_hop:t.t_hop +. t.tc
 

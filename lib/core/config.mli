@@ -65,9 +65,6 @@ type t = {
           must detect them. *)
 }
 
-val default : t
-(** [atm_lan] with hop-by-hop flooding. *)
-
 val atm_lan : t
 (** Experiment-1 regime: computation dominates communication
     ([t_hop = 4 µs], [tc = 400 µs]), from the authors' ATM testbed

@@ -35,13 +35,3 @@ let create ~n =
     event_computations = [];
     triggered = None;
   }
-
-let pp ppf t =
-  Format.fprintf ppf
-    "@[<v>R=%a@,E=%a@,C=%a@,flag=%b members=%a@,topology=%a@,mailbox=%d \
-     event-comps=%d triggered=%b@]"
-    Timestamp.pp t.r Timestamp.pp t.e Timestamp.pp t.c t.flag Member.pp
-    t.members Mctree.Tree.pp t.topology
-    (Queue.length t.mailbox)
-    (List.length t.event_computations)
-    (t.triggered <> None)

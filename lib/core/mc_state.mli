@@ -50,5 +50,3 @@ val create : n:int -> t
 (** Fresh state for an n-switch network: zero timestamps, no members,
     empty topology.  Allocates O(1) words whatever [n] is: the zero
     stamps hold no components. *)
-
-val pp : Format.formatter -> t -> unit

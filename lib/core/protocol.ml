@@ -473,8 +473,6 @@ let add_observer t f = t.observers <- t.observers @ [ f ]
 
 let graph t = t.graph
 
-let config t = t.config
-
 let faults t = t.faults
 
 let n_switches t = Array.length t.switches

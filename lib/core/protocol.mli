@@ -6,7 +6,7 @@
     {[
       let rng = Sim.Rng.create 42 in
       let g = Net.Topo_gen.waxman rng ~n:40 () in
-      let net = Protocol.create ~graph:g ~config:Config.default () in
+      let net = Protocol.create ~graph:g ~config:Config.atm_lan () in
       let mc = Mc_id.make Symmetric 1 in
       Protocol.schedule_join net ~at:0.0 ~switch:3 mc Member.Both;
       Protocol.schedule_join net ~at:0.0 ~switch:17 mc Member.Both;
@@ -110,8 +110,6 @@ val add_observer : t -> (unit -> unit) -> unit
 
 val graph : t -> Net.Graph.t
 (** The real (ground-truth) topology. *)
-
-val config : t -> Config.t
 
 val n_switches : t -> int
 

@@ -30,10 +30,6 @@ type msg =
       mcs : mc_export list;
     }
 
-let session = function Summary { session; _ } | Delta { session; _ } -> session
-
-let origin = function Summary { origin; _ } | Delta { origin; _ } -> origin
-
 (* ------------------------------------------------------------------ *)
 (* Equality (round-trip tests and harness dedup) *)
 

@@ -62,15 +62,7 @@ type msg =
       mcs : mc_export list;
     }
 
-val session : msg -> int
-
-val origin : msg -> int
-
 val equal : msg -> msg -> bool
-
-val equal_export : mc_export -> mc_export -> bool
-
-val equal_summary : mc_summary -> mc_summary -> bool
 
 (** {1 Wire codec}
 

@@ -741,8 +741,6 @@ let receive t lsa =
    their deltas, and only then replays the MC LSAs that arrived while it
    was reconciling. *)
 
-let resyncing t = Option.is_some t.resync_session
-
 let deferred_lsas t = List.of_seq (Queue.to_seq t.deferred)
 
 let resync_state t =

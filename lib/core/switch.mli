@@ -149,9 +149,6 @@ val resync_transport_failed : t -> peer:int -> unit
     the neighbor; finishes the session degraded once no outstanding
     neighbor remains. *)
 
-val resyncing : t -> bool
-(** A resynchronisation session is in flight. *)
-
 val resync_state : t -> (int * int list) option
 (** [(session id, outstanding neighbors (sorted))] of the in-flight
     session — model-checker state-hash fodder. *)

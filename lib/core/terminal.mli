@@ -44,8 +44,6 @@ val to_string : violation -> string
 (** ["[law] switch S mc: detail"] (["network"] when no switch is
     attributable). *)
 
-val pp : Format.formatter -> violation -> unit
-
 val agreement : Mc_id.t -> Switch.t array -> violation list
 (** The agreement group over the given switches. *)
 

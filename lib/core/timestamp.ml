@@ -129,32 +129,6 @@ let equal a b =
 
 let gt a b = geq a b && not (equal a b)
 
-let order a b =
-  match (geq a b, geq b a) with
-  | true, true -> `Eq
-  | true, false -> `Gt
-  | false, true -> `Lt
-  | false, false -> `Concurrent
-
-(* Lexicographic over the dense view: the first index where the two
-   differ decides, and that is always the lowest switch holding a pair
-   in one stamp whose count the other does not match. *)
-let rec lex pa pb i j =
-  let la = Array.length pa and lb = Array.length pb in
-  if i >= la then if j >= lb then 0 else -1
-  else if j >= lb then 1
-  else
-    let sa = pa.(i) and sb = pb.(j) in
-    if sa < sb then 1
-    else if sb < sa then -1
-    else
-      let c = Int.compare pa.(i + 1) pb.(j + 1) in
-      if c <> 0 then c else lex pa pb (i + 2) (j + 2)
-
-let compare_total a b =
-  check_sizes a b;
-  lex a.pairs b.pairs 0 0
-
 let iter_nonzero f t =
   for j = 0 to (Array.length t.pairs / 2) - 1 do
     f t.pairs.(2 * j) t.pairs.((2 * j) + 1)

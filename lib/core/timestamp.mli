@@ -11,8 +11,8 @@
     comparisons of the paper's algorithms trivially safe.
 
     {b Dense semantics, sparse storage.}  Every operation is specified
-    over the dense n-component view above, and {!pp}, {!to_array} and
-    {!compare_total} render or order exactly that view.  Storage keeps
+    over the dense n-component view above, and {!pp} and {!to_array}
+    render exactly that view.  Storage keeps
     only the positive components, as (switch, count) pairs in ascending
     switch order with an implicit n: only the few switches that
     originate events for an MC ever count anything (paper §3), so a
@@ -53,17 +53,6 @@ val gt : t -> t -> bool
 (** Strict: [geq a b] and [a <> b]. *)
 
 val equal : t -> t -> bool
-
-val order : t -> t -> [ `Eq | `Lt | `Gt | `Concurrent ]
-(** Full classification under the partial order. *)
-
-val compare_total : t -> t -> int
-(** Lexicographic comparison of the dense views (at the first differing
-    component the larger count wins, so a stamp with a positive
-    component where the other has zero is greater) — an arbitrary
-    {e total} order extending [equal], for use as a deterministic tie-breaker (e.g. canonical state
-    hashing in the model checker).  Unrelated to the causal partial
-    order: concurrent stamps still compare unequal, consistently. *)
 
 val sum : t -> int
 (** Total number of events counted — handy in tests and traces. *)

@@ -154,8 +154,6 @@ let instrument t engine =
   t.sim_trace <- Sim.Engine.trace engine;
   t.metrics <- Sim.Engine.metrics engine
 
-let seed t = t.plan_seed
-
 let window ~who ~from_ ~until =
   if not (from_ >= 0.0 && until >= from_ && until < infinity) then
     invalid_arg

@@ -63,8 +63,6 @@ val create : ?spec:spec -> seed:int -> unit -> t
 (** A fresh plan applying [spec] (default {!spec_default}) to every
     link, drawing from a private generator seeded with [seed]. *)
 
-val seed : t -> int
-
 val instrument : t -> Sim.Engine.t -> unit
 (** Record into the engine's sinks ({!Sim.Engine.trace} and
     {!Sim.Engine.metrics}): with an enabled trace, every injected fault

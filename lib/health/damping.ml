@@ -41,10 +41,6 @@ let flap t ~now =
   t.n_flaps <- t.n_flaps + 1;
   if t.figure >= t.cfg.suppress then t.is_suppressed <- true
 
-let penalty t ~now =
-  decay t ~now;
-  t.figure
-
 let suppressed t ~now =
   decay t ~now;
   t.is_suppressed

@@ -29,9 +29,6 @@ val create : config -> t
 val flap : t -> now:float -> unit
 (** Charge one down transition at time [now]. *)
 
-val penalty : t -> now:float -> float
-(** The decayed figure of merit at [now]. *)
-
 val suppressed : t -> now:float -> bool
 (** Whether the link is suppressed at [now] (decaying first, so a long
     calm period observed through this call lifts suppression). *)

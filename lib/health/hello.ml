@@ -175,9 +175,6 @@ let on_hello t ~from =
       arm_check t nb
     end
 
-let suppressed t ~peer =
-  match find t peer with Some nb -> nb.suppress_flag | None -> false
-
 let view t =
   Array.to_list (Array.map (fun nb -> (nb.peer, nb.up, nb.suppress_flag)) t.nbs)
 

@@ -47,8 +47,6 @@ val resume : t -> unit
     silence accumulated while down must not instantly fire them) and
     resume the hello schedule on its next tick. *)
 
-val suppressed : t -> peer:int -> bool
-
 val view : t -> (int * bool * bool) list
 (** [(peer, believed_up, suppressed)] per adjacency, ascending peer. *)
 

@@ -49,12 +49,6 @@ type t = {
   mutable gateway_instructions : int;
 }
 
-let engine t = t.engine
-
-let n_areas t = Array.length t.partition
-
-let area_of t s = t.area_of.(s)
-
 let leader t a = t.leaders.(a)
 
 let logical_graph t = t.logical_graph
@@ -437,7 +431,7 @@ let divergence t mc =
   let member_areas =
     List.filter
       (fun a -> not (Int_set.is_empty (members_of t.host_members.(a) mc)))
-      (List.init (n_areas t) (fun a -> a))
+      (List.init (Array.length t.partition) (fun a -> a))
   in
   (* Logical level: agreement, and its members are the areas holding
      real members. *)

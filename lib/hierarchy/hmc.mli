@@ -48,12 +48,6 @@ val create :
     flooding takes [3 *. config.t_hop] per hop (logical LSAs traverse
     several real hops). *)
 
-val engine : t -> Sim.Engine.t
-
-val n_areas : t -> int
-
-val area_of : t -> int -> int
-
 val leader : t -> int -> int
 (** The designated leader switch of an area. *)
 

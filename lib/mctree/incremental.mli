@@ -24,12 +24,8 @@ val repair : Net.Graph.t -> Tree.t -> Tree.t option
     reconnect the fragments along cheapest live paths.  [None] when the
     terminals are no longer mutually reachable (network partition). *)
 
-val drift : Net.Graph.t -> Tree.t -> float
-(** [drift g tree] — ratio of the tree's cost to the cost of a fresh
-    {!Steiner.sph} tree over the same terminals ([1.0] = optimal w.r.t.
-    the heuristic, larger = worse).  [1.0] for trees with fewer than two
-    terminals. *)
-
 val needs_recompute : threshold:float -> Net.Graph.t -> Tree.t -> bool
-(** [true] when {!drift} exceeds [threshold] — the paper's "deviates
+(** [true] when the tree's drift — its cost over the cost of a fresh
+    {!Steiner.sph} tree on the same terminals, [1.0] below two
+    terminals — exceeds [threshold]: the paper's "deviates
     significantly from an optimal" trigger. *)

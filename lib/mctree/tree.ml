@@ -110,8 +110,6 @@ let mem_node t x = Int_map.mem x t.adj || Int_set.mem x t.terminals
 
 let is_terminal t x = Int_set.mem x t.terminals
 
-let degree t u = Int_set.cardinal (neighbors t u)
-
 let cost g t =
   let a = (form t).f_edges in
   let acc = ref 0.0 in

@@ -74,8 +74,6 @@ val is_terminal : t -> int -> bool
 
 val neighbors : t -> int -> Int_set.t
 
-val degree : t -> int -> int
-
 val cost : Net.Graph.t -> t -> float
 (** Sum of the tree edges' weights in the graph.
     Raises [Not_found] if an edge is absent from the graph. *)

@@ -85,8 +85,6 @@ let leave t =
 
 let unbalanced_leaves t = t.unbalanced
 
-let depth t = List.length t.stack
-
 (* ------------------------------------------------------------------ *)
 (* Ambient probe: kernels deep in the call graph (Dijkstra, Steiner, …)
    have no [t] parameter to thread; they read the domain-local ambient

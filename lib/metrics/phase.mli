@@ -51,9 +51,6 @@ val leave : t -> unit
 
 val unbalanced_leaves : t -> int
 
-val depth : t -> int
-(** Number of currently open phases. *)
-
 (** {2 Ambient probe} *)
 
 val ambient : unit -> t

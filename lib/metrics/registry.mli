@@ -51,8 +51,6 @@ val observe : t -> ?switch:int -> string -> float -> unit
 val counter_value : t -> ?switch:int -> string -> int
 (** [0] for a counter that was never bumped. *)
 
-val gauge_value : t -> ?switch:int -> string -> float option
-
 type histogram = {
   h_count : int;
   h_sum : float;

@@ -35,10 +35,6 @@ val enabled : t -> bool
 (** [true] unless the series is {!disabled}.  Guard sample construction
     with this so the disabled hot path stays one branch. *)
 
-val bucket_index : t -> float -> int
-(** The bucket a sample at the given time lands in:
-    [floor (time / bucket)]. *)
-
 val add : t -> ?switch:int -> name:string -> time:float -> float -> unit
 (** Record one sample at a simulated time.  No-op on {!disabled}. *)
 

@@ -125,9 +125,8 @@ let degree t u =
   check_node t u;
   List.fold_left (fun acc (_, l) -> if l.up then acc + 1 else acc) 0 (row t u)
 
-(* Every enumeration goes through the sorted rows, so every consumer —
-   including non-associative accumulators such as [total_weight]'s float
-   sum via [fold_edges] — sees a deterministic edge order. *)
+(* Every enumeration goes through the sorted rows, so every consumer sees
+   a deterministic edge order. *)
 let fold_all f t init =
   let acc = ref init in
   for u = 0 to t.n - 1 do
@@ -149,11 +148,6 @@ let all_edges t =
   |> List.sort (fun (a, _) (b, _) -> compare_endpoints a b)
 
 let n_edges t = fold_all (fun _ up acc -> if up then acc + 1 else acc) t 0
-
-let fold_edges f t init =
-  fold_all (fun e up acc -> if up then f e acc else acc) t init
-
-let total_weight t = fold_edges (fun e acc -> acc +. e.weight) t 0.0
 
 let copy t =
   let fresh = create t.n in

@@ -79,12 +79,6 @@ val all_edges : t -> (edge * bool) list
 val n_edges : t -> int
 (** Number of live edges. *)
 
-val fold_edges : (edge -> 'a -> 'a) -> t -> 'a -> 'a
-(** Fold over live edges. *)
-
-val total_weight : t -> float
-(** Sum of live edge weights. *)
-
 val equal : t -> t -> bool
 (** Same node count, same edges with equal weights and states. *)
 

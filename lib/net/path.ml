@@ -12,7 +12,3 @@ let cost g path =
   List.fold_left (fun acc (u, v) -> acc +. Graph.weight g u v) 0.0 (edges path)
 
 let hops path = max 0 (List.length path - 1)
-
-let mem_edge path u v =
-  List.exists (fun (a, b) -> (a = u && b = v) || (a = v && b = u)) (edges path)
-

@@ -17,6 +17,3 @@ val hops : t -> int
 
 val edges : t -> (int * int) list
 (** Consecutive pairs, in path order. *)
-
-val mem_edge : t -> int -> int -> bool
-(** [true] iff the (undirected) edge appears in the path. *)

@@ -267,14 +267,3 @@ let complete ?(weight = 1.0) n =
     done
   done;
   g
-
-let binary_tree ?(weight = 1.0) n =
-  check_weight weight;
-  if n < 1 then invalid_arg "Topo_gen.binary_tree: need at least 1 node";
-  let g = Graph.create n in
-  for i = 0 to n - 1 do
-    let left = (2 * i) + 1 and right = (2 * i) + 2 in
-    if left < n then Graph.add_edge g i left ~weight;
-    if right < n then Graph.add_edge g i right ~weight
-  done;
-  g

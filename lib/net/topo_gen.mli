@@ -79,7 +79,3 @@ val grid : ?weight:float -> rows:int -> cols:int -> unit -> Graph.t
 
 val complete : ?weight:float -> int -> Graph.t
 (** Complete graph on [n >= 2] nodes. *)
-
-val binary_tree : ?weight:float -> int -> Graph.t
-(** Complete binary tree shape on [n >= 1] nodes (node [i]'s children are
-    [2i+1], [2i+2]). *)

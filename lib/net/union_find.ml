@@ -22,6 +22,4 @@ let union t a b =
     true
   end
 
-let same t a b = find t a = find t b
-
 let n_sets t = t.sets

@@ -12,7 +12,5 @@ val find : t -> int -> int
 val union : t -> int -> int -> bool
 (** Merge the two sets.  Returns [false] if they were already one set. *)
 
-val same : t -> int -> int -> bool
-
 val n_sets : t -> int
 (** Number of disjoint sets remaining. *)

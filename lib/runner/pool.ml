@@ -193,13 +193,10 @@ let run_batch_gen ?(domains = 1) ?metrics tasks =
 let run_batch ?domains ?metrics tasks =
   run_batch_gen ?domains ?metrics (Array.map (fun f _reg -> f ()) tasks)
 
-let run ?domains ?metrics tasks =
-  let timed, _ = run_batch ?domains ?metrics tasks in
-  Array.map (fun t -> t.value) timed
-
 let map ?domains ?metrics f xs =
   let tasks = Array.of_list (List.map (fun x () -> f x) xs) in
-  Array.to_list (run ?domains ?metrics tasks)
+  let timed, _ = run_batch ?domains ?metrics tasks in
+  Array.to_list (Array.map (fun t -> t.value) timed)
 
 let map_timed ?domains ?metrics f xs =
   let tasks = Array.of_list (List.map (fun x () -> f x) xs) in

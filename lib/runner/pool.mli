@@ -43,23 +43,19 @@ type batch = {
   domains : int;  (** Worker count actually used. *)
 }
 
-val run :
-  ?domains:int -> ?metrics:Metrics.Registry.t -> (unit -> 'a) array -> 'a array
-(** [run ~domains tasks] evaluates every task and returns the results
-    in task order.  [domains] defaults to [1]; it is capped at the task
-    count.  If any task raises, the batch is still drained and the
-    exception of the lowest-indexed failing task is re-raised.
+val map :
+  ?domains:int -> ?metrics:Metrics.Registry.t -> ('a -> 'b) -> 'a list ->
+  'b list
+(** [map ~domains f xs] is [List.map f xs] with the applications spread
+    over [domains] workers; result order follows [xs].  [domains]
+    defaults to [1]; it is capped at the task count.  If any task
+    raises, the batch is still drained and the exception of the
+    lowest-indexed failing task is re-raised.
 
     [metrics] receives one [pool.task_wall_s] and [pool.task_alloc_bytes]
     histogram observation per task.  The registry is {e not} domain-safe,
     so observations happen on the calling domain after the join, from the
     already-collected per-task stats. *)
-
-val map :
-  ?domains:int -> ?metrics:Metrics.Registry.t -> ('a -> 'b) -> 'a list ->
-  'b list
-(** [map ~domains f xs] is [List.map f xs] with the applications spread
-    over [domains] workers; result order follows [xs]. *)
 
 val map_timed :
   ?domains:int -> ?metrics:Metrics.Registry.t -> ('a -> 'b) -> 'a list ->

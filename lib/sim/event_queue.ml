@@ -68,8 +68,6 @@ let rec peek_time q =
 
 let length q = q.counter.live
 
-let is_empty q = length q = 0
-
 let clear q =
   Heap.clear q.heap;
   q.counter <- { live = 0 }

@@ -35,6 +35,4 @@ val peek_time : 'a t -> float option
 val length : 'a t -> int
 (** Number of live (non-cancelled) entries.  O(1). *)
 
-val is_empty : 'a t -> bool
-
 val clear : 'a t -> unit

@@ -6,10 +6,6 @@ type 'a t = {
 
 let create ~cmp = { cmp; data = [||]; size = 0 }
 
-let length h = h.size
-
-let is_empty h = h.size = 0
-
 let grow h x =
   (* The array slots beyond [size] hold arbitrary previously-stored values;
      [x] is only used to seed a fresh backing array. *)
@@ -74,15 +70,3 @@ let pop_exn h =
   | None -> invalid_arg "Heap.pop_exn: empty heap"
 
 let clear h = h.size <- 0
-
-let to_sorted_list h =
-  let copy = { h with data = Array.sub h.data 0 h.size } in
-  let rec drain acc =
-    match pop copy with None -> List.rev acc | Some x -> drain (x :: acc)
-  in
-  drain []
-
-let of_list ~cmp xs =
-  let h = create ~cmp in
-  List.iter (add h) xs;
-  h

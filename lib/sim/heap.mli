@@ -9,11 +9,6 @@ type 'a t
 val create : cmp:('a -> 'a -> int) -> 'a t
 (** [create ~cmp] is an empty heap ordered by [cmp]. *)
 
-val length : 'a t -> int
-(** Number of elements currently stored. *)
-
-val is_empty : 'a t -> bool
-
 val add : 'a t -> 'a -> unit
 (** [add h x] inserts [x].  O(log n). *)
 
@@ -28,9 +23,3 @@ val pop_exn : 'a t -> 'a
 
 val clear : 'a t -> unit
 (** Remove all elements. *)
-
-val to_sorted_list : 'a t -> 'a list
-(** Non-destructively list all elements in ascending order.  O(n log n);
-    intended for tests and debugging. *)
-
-val of_list : cmp:('a -> 'a -> int) -> 'a list -> 'a t

@@ -62,10 +62,6 @@ let pick t = function
   | [] -> invalid_arg "Rng.pick: empty list"
   | xs -> List.nth xs (int t (List.length xs))
 
-let pick_array t a =
-  if Array.length a = 0 then invalid_arg "Rng.pick_array: empty array";
-  a.(int t (Array.length a))
-
 let shuffle t a =
   for i = Array.length a - 1 downto 1 do
     let j = int t (i + 1) in

@@ -10,13 +10,6 @@ let sort list = List.stable_sort (fun a b -> Float.compare a.time b.time) list
 
 let count = List.length
 
-let is_membership e =
-  match e.action with
-  | Join _ | Leave _ -> true
-  | Link_down _ | Link_up _ -> false
-
-let membership_count list = List.length (List.filter is_membership list)
-
 let span = function
   | [] | [ _ ] -> 0.0
   | list ->

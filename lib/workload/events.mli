@@ -19,9 +19,6 @@ val sort : t list -> t list
 
 val count : t list -> int
 
-val membership_count : t list -> int
-(** Join/leave events only. *)
-
 val span : t list -> float
 (** Latest event time minus earliest (0 for fewer than two events). *)
 

@@ -154,6 +154,43 @@ let test_gather_skips_fixtures () =
         Alcotest.failf "gather_files leaked fixture %s" f)
     files
 
+(* unused-export is the one cross-file rule, so it gets its own two-file
+   corpus, written to a scratch directory: an interface with one export
+   per way of naming it, and a caller. *)
+let test_unused_export () =
+  let dir = Filename.temp_dir "dgmc_analyze_exports" "" in
+  let write name text =
+    let oc = open_out (Filename.concat dir name) in
+    output_string oc text;
+    close_out oc
+  in
+  write "widget.mli"
+    "val used : int\nval opened : int\nval aliased : int\nval unused : int\n\
+     val chained : int\nval shadowed : int\n";
+  (* The interface's own implementation naming [unused] does not count. *)
+  write "widget.ml"
+    "let used = 1\nlet opened = 2\nlet aliased = 3\nlet unused = 4\n\
+     let chained = 5\nlet shadowed = 6\nlet _ = unused\n";
+  (* [U] reaches [Widget] through [W]; the local [T] names [Widget] in
+     one place and [String] in a later one. *)
+  write "caller.ml"
+    "let a = Widget.used\nlet b = Widget.(opened)\nmodule W = Widget\n\
+     let c = W.aliased\nmodule U = W\nlet d = U.chained\n\
+     let e = let module T = Widget in T.shadowed\n\
+     let f = let module T = String in T.length\n";
+  let enabled r = match r with Rules.Unused_export -> true | _ -> false in
+  let r = Driver.run ~enabled ~baseline:Baseline.empty [ dir ] in
+  List.iter (fun f -> Sys.remove (Filename.concat dir f)) (Array.to_list (Sys.readdir dir));
+  Sys.rmdir dir;
+  match r.Driver.diags with
+  | [ ((d : Diag.t), Driver.New) ] ->
+    Alcotest.(check string) "rule" "unused-export" d.rule;
+    Alcotest.(check string) "file" (Filename.concat dir "widget.mli") d.file;
+    Alcotest.(check int) "line of the unused val" 4 d.line;
+    Alcotest.(check bool) "names the export" true
+      (contains_sub d.message "`Widget.unused`")
+  | l -> Alcotest.failf "expected 1 unused-export finding, got %d" (List.length l)
+
 let test_rule_toggle () =
   let enabled r = match r with Rules.Nondet_source -> true | _ -> false in
   let r = Driver.run ~enabled ~baseline:Baseline.empty [ fixtures_dir ] in
@@ -250,8 +287,11 @@ let test_baseline_self_check () =
         match Baseline.load "dgmc-analyze-baseline.json" with
         | Error e -> Alcotest.failf "committed baseline: %s" e
         | Ok b ->
-          let r = Driver.run ~baseline:b [ "lib" ] in
-          Alcotest.(check int) "lib/ is analyzer-clean vs the baseline" 0
+          (* CI's path set: the unused-export rule counts every caller,
+             tests included, so a narrower scan would report the
+             test-only accessors as unused. *)
+          let r = Driver.run ~baseline:b [ "lib"; "bin"; "bench"; "test" ] in
+          Alcotest.(check int) "the tree is analyzer-clean vs the baseline" 0
             (Driver.new_count r))
 
 (* ------------------------------------------------------------------ *)
@@ -286,6 +326,8 @@ let () =
           Alcotest.test_case "corpus accounting" `Quick test_driver_corpus;
           Alcotest.test_case "gather skips the corpus" `Quick
             test_gather_skips_fixtures;
+          Alcotest.test_case "unused-export across files" `Quick
+            test_unused_export;
           Alcotest.test_case "rule toggling" `Quick test_rule_toggle;
           Alcotest.test_case "baseline round trip" `Quick
             test_baseline_roundtrip;

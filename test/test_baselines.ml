@@ -260,17 +260,6 @@ let test_mospf_membership_change_invalidates () =
   check Alcotest.bool "caches flushed => recomputation" true
     ((Baselines.Mospf.totals m).computations > after_first)
 
-let test_mospf_cache_size () =
-  let graph = grid33 () in
-  let m = Baselines.Mospf.create ~graph ~config:Dgmc.Config.atm_lan () in
-  Baselines.Mospf.join m ~switch:8 ~group:1;
-  Baselines.Mospf.run m;
-  check Alcotest.int "cold cache" 0 (Baselines.Mospf.cache_size m ~switch:0);
-  Baselines.Mospf.send_packet m ~src:0 ~group:1;
-  Baselines.Mospf.run m;
-  check Alcotest.int "entry cached at source router" 1
-    (Baselines.Mospf.cache_size m ~switch:0)
-
 (* ------------------------------------------------------------------ *)
 (* CBT *)
 
@@ -303,27 +292,6 @@ let test_cbt_join_idempotent () =
   Baselines.Cbt.join cbt 2;
   check Alcotest.int "re-join is a no-op" msgs (Baselines.Cbt.control_messages cbt)
 
-let test_cbt_leave_prunes () =
-  let graph = Net.Topo_gen.line 5 in
-  let cbt = Baselines.Cbt.create ~graph ~core:0 () in
-  Baselines.Cbt.join cbt 2;
-  Baselines.Cbt.join cbt 4;
-  Baselines.Cbt.leave cbt 4;
-  check Alcotest.(list (pair int int)) "pruned back to member 2"
-    [ (0, 1); (1, 2) ]
-    (Mctree.Tree.edges (Baselines.Cbt.tree cbt));
-  check Alcotest.(list int) "members" [ 2 ] (Baselines.Cbt.members cbt)
-
-let test_cbt_leave_keeps_relay () =
-  let graph = Net.Topo_gen.line 5 in
-  let cbt = Baselines.Cbt.create ~graph ~core:0 () in
-  Baselines.Cbt.join cbt 2;
-  Baselines.Cbt.join cbt 4;
-  (* 2 leaves but still relays 4's branch. *)
-  Baselines.Cbt.leave cbt 2;
-  check Alcotest.int "tree unchanged in size" 4
-    (Mctree.Tree.n_edges (Baselines.Cbt.tree cbt))
-
 let test_cbt_deliver_reaches_members () =
   let graph = grid33 () in
   let cbt = Baselines.Cbt.create ~graph ~core:4 () in
@@ -337,19 +305,6 @@ let test_cbt_deliver_reaches_members () =
     let route = Option.get (Net.Dijkstra.path graph ~src:2 ~dst:4) in
     check Alcotest.bool "contact on core-ward route" true (List.mem c route)
   | None -> Alcotest.fail "two-stage delivery must name a contact"
-
-let test_cbt_link_down_rejoins () =
-  let graph = grid33 () in
-  let cbt = Baselines.Cbt.create ~graph ~core:0 () in
-  List.iter (Baselines.Cbt.join cbt) [ 6; 8 ];
-  let tree = Baselines.Cbt.tree cbt in
-  let u, v = List.hd (Mctree.Tree.edges tree) in
-  Net.Graph.set_link graph u v ~up:false;
-  Baselines.Cbt.handle_link_down cbt u v;
-  let tree' = Baselines.Cbt.tree cbt in
-  check Alcotest.bool "valid after recovery" true
-    (Mctree.Tree.is_valid_mc_topology graph tree');
-  check Alcotest.(list int) "members kept" [ 6; 8 ] (Baselines.Cbt.members cbt)
 
 let test_cbt_core_unreachable () =
   let graph = Net.Graph.of_edges 4 [ (0, 1, 1.0); (2, 3, 1.0) ] in
@@ -418,7 +373,6 @@ let () =
           Alcotest.test_case "cache hits" `Quick test_mospf_cache_hit_no_recompute;
           Alcotest.test_case "invalidation on change" `Quick
             test_mospf_membership_change_invalidates;
-          Alcotest.test_case "cache size" `Quick test_mospf_cache_size;
         ] );
       ( "cbt",
         [
@@ -426,10 +380,7 @@ let () =
             test_cbt_join_grafts_toward_core;
           Alcotest.test_case "join stops at tree" `Quick test_cbt_join_stops_at_tree;
           Alcotest.test_case "join idempotent" `Quick test_cbt_join_idempotent;
-          Alcotest.test_case "leave prunes" `Quick test_cbt_leave_prunes;
-          Alcotest.test_case "leave keeps relay" `Quick test_cbt_leave_keeps_relay;
           Alcotest.test_case "delivery" `Quick test_cbt_deliver_reaches_members;
-          Alcotest.test_case "link-down recovery" `Quick test_cbt_link_down_rejoins;
           Alcotest.test_case "core unreachable" `Quick test_cbt_core_unreachable;
         ] );
       ( "core-select",

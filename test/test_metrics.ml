@@ -97,8 +97,8 @@ let test_registry_counters () =
   check Alcotest.int "absent counter reads 0" 0
     (Metrics.Registry.counter_value r "never");
   Metrics.Registry.set_gauge r "g" 2.5;
-  check Alcotest.(option (float 1e-9)) "gauge" (Some 2.5)
-    (Metrics.Registry.gauge_value r "g");
+  check Alcotest.(list (float 1e-9)) "gauge" [ 2.5 ]
+    (List.map snd (Metrics.Registry.snapshot r).gauges);
   Alcotest.check_raises "kind clash"
     (Invalid_argument "Metrics.Registry: a is a counter, not a gauge")
     (fun () -> Metrics.Registry.set_gauge r "a" 1.0)

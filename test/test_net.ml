@@ -121,8 +121,7 @@ let test_graph_edges_listing () =
       check Alcotest.bool "u < v" true (e.u < e.v))
     live;
   check Alcotest.int "all listing includes down" 5
-    (List.length (Net.Graph.all_edges g));
-  check Alcotest.(float 0.01) "total weight live" 7.0 (Net.Graph.total_weight g)
+    (List.length (Net.Graph.all_edges g))
 
 (* ------------------------------------------------------------------ *)
 (* Union-find *)
@@ -134,8 +133,9 @@ let test_union_find () =
   check Alcotest.bool "redundant union" false (Net.Union_find.union uf 1 0);
   ignore (Net.Union_find.union uf 2 3);
   ignore (Net.Union_find.union uf 0 3);
-  check Alcotest.bool "transitive" true (Net.Union_find.same uf 1 2);
-  check Alcotest.bool "separate" false (Net.Union_find.same uf 0 4);
+  let find = Net.Union_find.find uf in
+  check Alcotest.bool "transitive" true (Int.equal (find 1) (find 2));
+  check Alcotest.bool "separate" false (Int.equal (find 0) (find 4));
   check Alcotest.int "set count" 3 (Net.Union_find.n_sets uf)
 
 (* ------------------------------------------------------------------ *)
@@ -374,8 +374,6 @@ let test_topo_regular_shapes () =
     (Net.Graph.n_edges (Net.Topo_gen.complete 6));
   check Alcotest.int "grid edges" 12
     (Net.Graph.n_edges (Net.Topo_gen.grid ~rows:3 ~cols:3 ()));
-  check Alcotest.int "binary tree edges" 6
-    (Net.Graph.n_edges (Net.Topo_gen.binary_tree 7));
   List.iter
     (fun g -> check Alcotest.bool "connected" true (Net.Bfs.is_connected g))
     [
@@ -384,7 +382,6 @@ let test_topo_regular_shapes () =
       Net.Topo_gen.star 6;
       Net.Topo_gen.complete 6;
       Net.Topo_gen.grid ~rows:3 ~cols:4 ();
-      Net.Topo_gen.binary_tree 10;
     ]
 
 let test_topo_grid_structure () =
@@ -410,9 +407,7 @@ let test_path_operations () =
   check Alcotest.int "hops" 3 (Net.Path.hops p);
   check
     Alcotest.(list (pair int int))
-    "edges" [ (0, 1); (1, 2); (2, 4) ] (Net.Path.edges p);
-  check Alcotest.bool "mem_edge undirected" true (Net.Path.mem_edge p 2 1);
-  check Alcotest.bool "mem_edge absent" false (Net.Path.mem_edge p 0 4)
+    "edges" [ (0, 1); (1, 2); (2, 4) ] (Net.Path.edges p)
 
 let test_path_invalid_cases () =
   let g = house () in

@@ -178,8 +178,6 @@ module type STAMP = sig
   val geq : t -> t -> bool
   val gt : t -> t -> bool
   val equal : t -> t -> bool
-  val order : t -> t -> [ `Eq | `Lt | `Gt | `Concurrent ]
-  val compare_total : t -> t -> int
   val sum : t -> int
   val iter_nonzero : (int -> int -> unit) -> t -> unit
   val of_array : int array -> t
@@ -236,24 +234,6 @@ module Dense_stamp : STAMP = struct
 
   let gt a b = geq a b && not (equal a b)
 
-  let order a b =
-    match (geq a b, geq b a) with
-    | true, true -> `Eq
-    | true, false -> `Gt
-    | false, true -> `Lt
-    | false, false -> `Concurrent
-
-  let compare_total a b =
-    check_sizes a b;
-    let n = Array.length a in
-    let rec go i =
-      if i >= n then 0
-      else
-        let c = Int.compare a.(i) b.(i) in
-        if c <> 0 then c else go (i + 1)
-    in
-    go 0
-
   let sum t = Array.fold_left ( + ) 0 t
 
   let iter_nonzero f t = Array.iteri (fun x c -> if c > 0 then f x c) t
@@ -280,8 +260,8 @@ end
 
    The vector-timestamp laws the protocol's reconciliation — and the
    parallel runner's deterministic merge of per-cell results — lean on:
-   [geq] is a partial order, [compare_total] a total order consistent
-   with it, and [merge] a commutative, idempotent least upper bound.
+   [geq] is a partial order and [merge] a commutative, idempotent least
+   upper bound.
    [label] prefixes every test name. *)
 
 module Stamp_laws (T : STAMP) (L : sig
@@ -345,23 +325,6 @@ struct
         in
         T.geq a b && T.geq b c && T.geq a c)
 
-  let compare_total_consistent_with_geq =
-    QCheck2.Test.make
-      ~name:(name "compare_total is a total order refining geq") ~count:400
-      ~print:pp_stamps (stamps_gen 3)
-      (function
-        | [ a; b; c ] ->
-          let ct = T.compare_total in
-          (* Zero exactly on equality. *)
-          Bool.equal (ct a b = 0) (T.equal a b)
-          (* Antisymmetric. *)
-          && Int.equal (Int.compare (ct a b) 0) (Int.compare 0 (ct b a))
-          (* Transitive. *)
-          && ((not (ct a b <= 0 && ct b c <= 0)) || ct a c <= 0)
-          (* Refines the partial order: strict domination sorts after. *)
-          && ((not (T.gt a b)) || ct a b > 0)
-        | _ -> false)
-
   let merge_idempotent_commutative_associative =
     QCheck2.Test.make ~name:(name "merge laws (idem, comm, assoc)") ~count:400
       ~print:pp_stamps (stamps_gen 3)
@@ -409,7 +372,6 @@ struct
         geq_reflexive;
         geq_antisymmetric;
         geq_transitive;
-        compare_total_consistent_with_geq;
         merge_idempotent_commutative_associative;
         merge_is_least_upper_bound;
         merge_absorbs_dominated;
@@ -497,13 +459,6 @@ module Observe (T : STAMP) = struct
     | Mismatch r ->
       outcome (fun () -> ignore (T.merge regs.(r) (T.zero (n + 1))); "")
 
-  let order_name a b =
-    match T.order a b with
-    | `Eq -> "eq"
-    | `Lt -> "lt"
-    | `Gt -> "gt"
-    | `Concurrent -> "concurrent"
-
   (* Everything observable about the registers, as text. *)
   let view regs n =
     let per_reg =
@@ -536,8 +491,6 @@ module Observe (T : STAMP) = struct
                 string_of_bool (T.geq a b);
                 string_of_bool (T.gt a b);
                 string_of_bool (T.equal a b);
-                order_name a b;
-                string_of_int (T.compare_total a b);
               ])
             (Array.to_list regs))
         (Array.to_list regs)

@@ -207,7 +207,10 @@ let test_phase_unbalanced_leave () =
   let p = Metrics.Phase.create () in
   Metrics.Phase.leave p;
   check int "counted, not raised" 1 (Metrics.Phase.unbalanced_leaves p);
-  check int "nothing open" 0 (Metrics.Phase.depth p)
+  (* Nothing was left open: a balanced pair adds no mismatch. *)
+  Metrics.Phase.enter p "x";
+  Metrics.Phase.leave p;
+  check int "nothing open" 1 (Metrics.Phase.unbalanced_leaves p)
 
 let test_phase_ambient () =
   let p = Metrics.Phase.create () in

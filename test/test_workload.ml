@@ -41,7 +41,6 @@ let test_events_counts_and_span () =
     ]
   in
   check Alcotest.int "count" 3 (Workload.Events.count events);
-  check Alcotest.int "membership count" 2 (Workload.Events.membership_count events);
   check Alcotest.(float 1e-9) "span" 5.0 (Workload.Events.span events)
 
 let test_events_mcs () =
