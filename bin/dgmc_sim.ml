@@ -419,7 +419,8 @@ let script_cmd =
         script.mcs;
       let t = Dgmc.Protocol.totals net in
       Format.printf
-        "events %d, computations %d (%d withdrawn), MC floodings %d, link          floodings %d, messages %d@."
+        "events %d, computations %d (%d withdrawn), MC floodings %d, link \
+         floodings %d, messages %d@."
         t.events t.computations t.computations_withdrawn t.mc_floodings
         t.link_floodings t.messages;
       (match Dgmc.Protocol.faults net with
@@ -584,21 +585,6 @@ let search_usage m =
   prerr_endline ("dgmc_sim --search: " ^ m);
   exit 2
 
-(* An event list in the syntax --race/--setup accept
-   (Check.Search.events_of_string), for composing repro lines. *)
-let search_event_arg (ev : Check.Harness.event) =
-  match ev with
-  | Check.Harness.Join { switch; mc; role } ->
-    Printf.sprintf "join %d mc=%d role=%s" switch mc.Dgmc.Mc_id.id
-      (Dgmc.Member.role_to_string role)
-  | Check.Harness.Leave { switch; mc } ->
-    Printf.sprintf "leave %d mc=%d" switch mc.Dgmc.Mc_id.id
-  | Check.Harness.Link_down (u, v) -> Printf.sprintf "down %d %d" u v
-  | Check.Harness.Link_up (u, v) -> Printf.sprintf "up %d %d" u v
-  | Check.Harness.Crash i -> Printf.sprintf "crash %d" i
-  | Check.Harness.Recover i -> Printf.sprintf "recover %d" i
-  | Check.Harness.Hello_round -> "hello"
-
 let search_main ~mode ~graph_spec ~regime ~mcs_spec ~race ~setup ~target_spec
     ~max_states ~max_depth ~max_len ~inject_bug ~domains =
   let graph =
@@ -630,12 +616,10 @@ let search_main ~mode ~graph_spec ~regime ~mcs_spec ~race ~setup ~target_spec
     String.split_on_char ',' mcs_spec
     |> List.map String.trim
     |> List.filter (fun s -> s <> "")
-    |> List.mapi (fun i kind ->
-           match kind with
-           | "symmetric" -> Dgmc.Mc_id.make Symmetric (i + 1)
-           | "receiver-only" -> Dgmc.Mc_id.make Receiver_only (i + 1)
-           | "asymmetric" -> Dgmc.Mc_id.make Asymmetric (i + 1)
-           | k -> search_usage (Printf.sprintf "unknown MC kind %S" k))
+    |> List.mapi (fun i k ->
+           match Dgmc.Mc_id.kind_of_string k with
+           | Some kind -> Dgmc.Mc_id.make kind (i + 1)
+           | None -> search_usage (Printf.sprintf "unknown MC kind %S" k))
   in
   if mcs = [] then search_usage "--mcs needs at least one MC kind";
   let target =
@@ -664,10 +648,8 @@ let search_main ~mode ~graph_spec ~regime ~mcs_spec ~race ~setup ~target_spec
         (match setup with
         | [] -> ""
         | evs ->
-          Printf.sprintf " --setup %S"
-            (String.concat "; " (List.map search_event_arg evs)));
-        Printf.sprintf " --race %S"
-          (String.concat "; " (List.map search_event_arg events));
+          Printf.sprintf " --setup %S" (Check.Search.events_to_string evs));
+        Printf.sprintf " --race %S" (Check.Search.events_to_string events);
         (match target_spec with
         | "any" -> ""
         | t -> " --target-invariant " ^ t);
@@ -804,8 +786,9 @@ let default_term =
       & info [ "race" ]
           ~doc:
             "Concurrent events for --search forward, e.g. $(b,\"join 0 \
-             mc=1; join 2 mc=1\") (verbs: join, leave, down, up, crash, \
-             recover).")
+             mc=1; join 2 mc=1\"): script $(b,at) events \
+             (join, leave, linkdown, linkup; same options and role \
+             defaults) plus crash, recover and hello.")
   in
   let setup_arg =
     Arg.(

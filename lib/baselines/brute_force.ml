@@ -162,11 +162,6 @@ let totals t =
     messages = Lsr.Flooding.messages_sent t.flooding;
   }
 
-let reset_counters t =
-  t.events <- 0;
-  t.computations <- 0;
-  Lsr.Flooding.reset_counters t.flooding
-
 let topology t ~switch mc =
   Option.map (fun st -> st.topology) (Mc_table.find_opt t.states.(switch) mc)
 

@@ -53,8 +53,6 @@ type totals = {
 
 val totals : t -> totals
 
-val reset_counters : t -> unit
-
 val converged : t -> Dgmc.Mc_id.t -> bool
 (** All switches agree on members and topology for the MC. *)
 

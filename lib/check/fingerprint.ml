@@ -30,22 +30,7 @@ let add_members b m =
         | None -> "?"))
     (Dgmc.Member.ids m)
 
-let add_tree b t =
-  Buffer.add_string b "T{";
-  List.iteri
-    (fun i (u, v) ->
-      if i > 0 then Buffer.add_char b ',';
-      add_int b u;
-      Buffer.add_char b '-';
-      add_int b v)
-    (Mctree.Tree.edges t);
-  Buffer.add_char b '|';
-  List.iteri
-    (fun i n ->
-      if i > 0 then Buffer.add_char b ',';
-      add_int b n)
-    (Mctree.Tree.Int_set.elements (Mctree.Tree.terminals t));
-  Buffer.add_char b '}'
+let add_tree b t = Buffer.add_string b (Mctree.Tree.fingerprint t)
 
 let add_mc_lsa b (l : Dgmc.Mc_lsa.t) =
   Buffer.add_string b "mc(";
@@ -170,7 +155,6 @@ let via size f x =
   Buffer.contents b
 
 let members = via 32 add_members
-let tree = via 48 add_tree
 let mc_id = via 16 add_mc_id
 let mc_lsa = via 96 add_mc_lsa
 let link_event = via 24 add_link_event

@@ -12,9 +12,6 @@
 val members : Dgmc.Member.t -> string
 (** Ascending [id:role] pairs. *)
 
-val tree : Mctree.Tree.t -> string
-(** Sorted edge list plus sorted terminal set. *)
-
 val mc_id : Dgmc.Mc_id.t -> string
 
 val mc_lsa : Dgmc.Mc_lsa.t -> string

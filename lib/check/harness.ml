@@ -14,10 +14,7 @@ type payload =
   | Resync of Dgmc.Resync.msg  (* unicast: exactly one pending entry *)
 
 type event =
-  | Join of { switch : int; mc : Dgmc.Mc_id.t; role : Dgmc.Member.role }
-  | Leave of { switch : int; mc : Dgmc.Mc_id.t }
-  | Link_down of int * int
-  | Link_up of int * int
+  | Action of Workload.Events.action
   | Crash of int
   | Recover of int
   | Hello_round
@@ -305,10 +302,10 @@ let hello_round t h =
 
 let inject t ev =
   match ev with
-  | Join { switch; mc; role } ->
+  | Action (Join { switch; mc; role }) ->
     set_truth t mc (Dgmc.Member.join (truth_members t mc) switch role);
     Dgmc.Switch.host_join t.switches.(switch) mc role
-  | Leave { switch; mc } ->
+  | Action (Leave { switch; mc }) ->
     set_truth t mc (Dgmc.Member.leave (truth_members t mc) switch);
     Dgmc.Switch.host_leave t.switches.(switch) mc
   | Hello_round -> (
@@ -316,8 +313,8 @@ let inject t ev =
     | None ->
       invalid_arg "Harness: Hello_round requires a config with health set"
     | Some h -> hello_round t h)
-  | Link_down (u, v) | Link_up (u, v) -> (
-    let up = match ev with Link_up _ -> true | _ -> false in
+  | Action ((Link_down (u, v) | Link_up (u, v)) as a) -> (
+    let up = match a with Link_up _ -> true | _ -> false in
     Net.Graph.set_link t.net_graph u v ~up;
     match t.health with
     | Some h ->

@@ -49,10 +49,8 @@ type payload =
       (** Unicast: pooled with exactly one destination. *)
 
 type event =
-  | Join of { switch : int; mc : Dgmc.Mc_id.t; role : Dgmc.Member.role }
-  | Leave of { switch : int; mc : Dgmc.Mc_id.t }
-  | Link_down of int * int
-  | Link_up of int * int
+  | Action of Workload.Events.action
+      (** A membership or link event, as a workload schedules it. *)
   | Crash of int  (** Begin a forwarding-plane outage at the switch. *)
   | Recover of int
       (** End the outage; the switch enters RESYNCING
@@ -78,9 +76,9 @@ val create : graph:Net.Graph.t -> config:Dgmc.Config.t -> unit -> t
 (** Fresh network; [graph] is copied (the harness owns the ground
     truth).  When [config.health] is set, the harness runs the
     round-granular abstraction of the link-health layer
-    ({!Health.Config.abstract}): {!event.Link_down}/{!event.Link_up}
-    touch ground truth only, and {!event.Hello_round}s drive the
-    abstract detectors that must discover them. *)
+    ({!Health.Config.abstract}): link events touch ground truth only,
+    and {!event.Hello_round}s drive the abstract detectors that must
+    discover them. *)
 
 val switches : t -> Dgmc.Switch.t array
 

@@ -11,19 +11,13 @@ type target = { law : string; kind : Dgmc.Mc_id.kind option }
 
 let any = { law = "any"; kind = None }
 
-let kind_of_string = function
-  | "symmetric" -> Some Dgmc.Mc_id.Symmetric
-  | "receiver-only" -> Some Dgmc.Mc_id.Receiver_only
-  | "asymmetric" -> Some Dgmc.Mc_id.Asymmetric
-  | _ -> None
-
 let target_of_string s =
   match String.index_opt s '@' with
   | None -> Ok { law = s; kind = None }
   | Some i -> (
     let law = String.sub s 0 i in
     let kind_s = String.sub s (i + 1) (String.length s - i - 1) in
-    match kind_of_string kind_s with
+    match Dgmc.Mc_id.kind_of_string kind_s with
     | Some k -> Ok { law; kind = Some k }
     | None ->
       Error
@@ -78,7 +72,7 @@ let score h =
             ( Fingerprint.mc_id s.snap_mc,
               Fingerprint.members s.snap_members
               ^ "/"
-              ^ Fingerprint.tree s.snap_topology )
+              ^ Mctree.Tree.fingerprint s.snap_topology )
             :: !pairs)
         (Dgmc.Switch.snapshots sw);
       (match Dgmc.Switch.resync_state sw with
@@ -355,9 +349,9 @@ let mem_pair xs (a, b) = List.exists (fun (x, y) -> x = a && y = b) xs
 
 let apply_event st (ev : Harness.event) =
   match ev with
-  | Harness.Join { switch; mc; _ } ->
+  | Harness.Action (Join { switch; mc; _ }) ->
     { st with ws_members = (mc.Dgmc.Mc_id.id, switch) :: st.ws_members }
-  | Harness.Leave { switch; mc } ->
+  | Harness.Action (Leave { switch; mc }) ->
     {
       st with
       ws_members =
@@ -365,9 +359,9 @@ let apply_event st (ev : Harness.event) =
           (fun (m, s) -> not (m = mc.Dgmc.Mc_id.id && s = switch))
           st.ws_members;
     }
-  | Harness.Link_down (u, v) ->
+  | Harness.Action (Link_down (u, v)) ->
     { st with ws_down = (min u v, max u v) :: st.ws_down }
-  | Harness.Link_up (u, v) ->
+  | Harness.Action (Link_up (u, v)) ->
     let key = (min u v, max u v) in
     {
       st with
@@ -397,7 +391,7 @@ let successors ~graph ~mcs st =
             if mem_pair st.ws_members (mc.id, switch) then []
             else
               List.map
-                (fun role -> Harness.Join { switch; mc; role })
+                (fun role -> Harness.Action (Join { switch; mc; role }))
                 (roles_for mc.kind))
           (List.init n Fun.id))
       mcs
@@ -407,7 +401,8 @@ let successors ~graph ~mcs st =
       (fun (mc : Dgmc.Mc_id.t) ->
         List.filter_map
           (fun (m, switch) ->
-            if m = mc.id then Some (Harness.Leave { switch; mc }) else None)
+            if m = mc.id then Some (Harness.Action (Leave { switch; mc }))
+            else None)
           (List.sort
              (fun (m1, s1) (m2, s2) ->
                let c = Int.compare m1 m2 in
@@ -426,14 +421,14 @@ let successors ~graph ~mcs st =
     List.filter_map
       (fun (e : Net.Graph.edge) ->
         if mem_pair st.ws_down (min e.u e.v, max e.u e.v) then None
-        else Some (Harness.Link_down (e.u, e.v)))
+        else Some (Harness.Action (Link_down (e.u, e.v))))
       edges
   in
   let ups =
     List.filter_map
       (fun (e : Net.Graph.edge) ->
         if mem_pair st.ws_down (min e.u e.v, max e.u e.v) then
-          Some (Harness.Link_up (e.u, e.v))
+          Some (Harness.Action (Link_up (e.u, e.v)))
         else None)
       edges
   in
@@ -564,110 +559,56 @@ let backward ?(target = any) ?(max_len = 4) ?(per_candidate_states = 20_000)
 (* Event rendering and parsing *)
 
 (* One line per fault event in Check.Fuzz's shrunk-workload format
-   ("[<time>] <event>", cf. Workload.Events.pp), with the sequence
-   index as the tick: the harness is untimed — the explored
-   interleavings are the timing — so the tick is placement, not
-   seconds.  crash/recover extend the fuzzer's vocabulary. *)
+   (Workload.Events.pp), with the sequence index as the time: the
+   harness is untimed — the explored interleavings are the timing — so
+   the tick is placement, not seconds.  crash/recover extend the
+   fuzzer's vocabulary. *)
 let event_line i (ev : Harness.event) =
-  let describe =
-    match ev with
-    | Harness.Join { switch; mc; role } ->
-      Format.asprintf "join switch=%d %a (%s)" switch Dgmc.Mc_id.pp mc
-        (Dgmc.Member.role_to_string role)
-    | Harness.Leave { switch; mc } ->
-      Format.asprintf "leave switch=%d %a" switch Dgmc.Mc_id.pp mc
-    | Harness.Link_down (u, v) -> Printf.sprintf "link-down (%d, %d)" u v
-    | Harness.Link_up (u, v) -> Printf.sprintf "link-up (%d, %d)" u v
-    | Harness.Crash i -> Printf.sprintf "crash switch=%d" i
-    | Harness.Recover i -> Printf.sprintf "recover switch=%d" i
-    | Harness.Hello_round -> "hello-round"
-  in
-  Printf.sprintf "[%d] %s" i describe
+  match ev with
+  | Harness.Action action ->
+    Format.asprintf "%a" Workload.Events.pp { time = float_of_int i; action }
+  | Harness.Crash s -> Printf.sprintf "[%d] crash switch=%d" i s
+  | Harness.Recover s -> Printf.sprintf "[%d] recover switch=%d" i s
+  | Harness.Hello_round -> Printf.sprintf "[%d] hello-round" i
 
 let event_lines events = List.mapi event_line events
 
-(* Parse a semicolon-separated event list, e.g.
-   "join 0 mc=1; join 2 mc=1 role=sender; crash 3; recover 3".
-   Verbs: join, leave, linkdown/down, linkup/up, crash, recover. *)
-let events_of_string ~mcs s =
-  let ( let* ) = Result.bind in
-  let int_of what tok =
+(* A semicolon-separated event list: the script's event syntax
+   (Workload.Script.action_of_string) plus the harness-only verbs. *)
+let event_of_string ~mcs part =
+  let at_switch tok event =
     match int_of_string_opt tok with
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "%s: expected an integer, got %S" what tok)
+    | Some s -> Ok (event s)
+    | None -> Error (Printf.sprintf "switch: expected an integer, got %S" tok)
   in
-  let opt_value opts key =
-    List.find_map
-      (fun tok ->
-        match String.index_opt tok '=' with
-        | Some i when String.equal (String.sub tok 0 i) key ->
-          Some (String.sub tok (i + 1) (String.length tok - i - 1))
-        | _ -> None)
-      opts
-  in
-  let find_mc opts =
-    match opt_value opts "mc" with
-    | None -> Error "event needs mc=<id>"
-    | Some id_s -> (
-      let* id = int_of "mc id" id_s in
-      match List.find_opt (fun (m : Dgmc.Mc_id.t) -> m.id = id) mcs with
-      | Some m -> Ok m
-      | None -> Error (Printf.sprintf "mc %d not declared" id))
-  in
-  let parse_one part =
-    let toks =
-      String.split_on_char ' ' part |> List.filter (fun t -> t <> "")
-    in
-    match toks with
-    | "join" :: sw :: opts ->
-      let* switch = int_of "switch" sw in
-      let* mc = find_mc opts in
-      let* role =
-        match opt_value opts "role" with
-        | None -> (
-          match mc.kind with
-          | Dgmc.Mc_id.Symmetric -> Ok Dgmc.Member.Both
-          | Dgmc.Mc_id.Receiver_only -> Ok Dgmc.Member.Receiver
-          | Dgmc.Mc_id.Asymmetric -> Ok Dgmc.Member.Sender)
-        | Some "sender" -> Ok Dgmc.Member.Sender
-        | Some "receiver" -> Ok Dgmc.Member.Receiver
-        | Some "both" -> Ok Dgmc.Member.Both
-        | Some r -> Error (Printf.sprintf "unknown role %S" r)
-      in
-      Ok (Harness.Join { switch; mc; role })
-    | "leave" :: sw :: opts ->
-      let* switch = int_of "switch" sw in
-      let* mc = find_mc opts in
-      Ok (Harness.Leave { switch; mc })
-    | [ ("linkdown" | "down"); u; v ] ->
-      let* u = int_of "u" u in
-      let* v = int_of "v" v in
-      Ok (Harness.Link_down (u, v))
-    | [ ("linkup" | "up"); u; v ] ->
-      let* u = int_of "u" u in
-      let* v = int_of "v" v in
-      Ok (Harness.Link_up (u, v))
-    | [ "crash"; sw ] ->
-      let* switch = int_of "switch" sw in
-      Ok (Harness.Crash switch)
-    | [ "recover"; sw ] ->
-      let* switch = int_of "switch" sw in
-      Ok (Harness.Recover switch)
-    | [ ("hello-round" | "hello") ] -> Ok Harness.Hello_round
-    | verb :: _ -> Error (Printf.sprintf "unknown event %S" verb)
-    | [] -> Error "empty event"
-  in
-  let parts =
-    String.split_on_char ';' s
-    |> List.map String.trim
-    |> List.filter (fun p -> p <> "")
-  in
-  List.fold_left
-    (fun acc part ->
-      let* events = acc in
-      let* ev = parse_one part in
-      Ok (events @ [ ev ]))
-    (Ok []) parts
+  match String.split_on_char ' ' part |> List.filter (fun t -> t <> "") with
+  | [ "crash"; sw ] -> at_switch sw (fun s -> Harness.Crash s)
+  | [ "recover"; sw ] -> at_switch sw (fun s -> Harness.Recover s)
+  | [ "hello" ] -> Ok Harness.Hello_round
+  | _ ->
+    Result.map
+      (fun a -> Harness.Action a)
+      (Workload.Script.action_of_string ~mcs part)
+
+let events_of_string ~mcs s =
+  String.split_on_char ';' s
+  |> List.map String.trim
+  |> List.filter (fun p -> p <> "")
+  |> List.fold_left
+       (fun acc part ->
+         Result.bind acc (fun events ->
+             Result.map (fun ev -> ev :: events) (event_of_string ~mcs part)))
+       (Ok [])
+  |> Result.map List.rev
+
+let event_to_string = function
+  | Harness.Action a -> Workload.Script.action_to_string a
+  | Harness.Crash s -> Printf.sprintf "crash %d" s
+  | Harness.Recover s -> Printf.sprintf "recover %d" s
+  | Harness.Hello_round -> "hello"
+
+let events_to_string events =
+  String.concat "; " (List.map event_to_string events)
 
 (* ------------------------------------------------------------------ *)
 (* Reporting *)

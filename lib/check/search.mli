@@ -146,16 +146,26 @@ val backward :
 
 val event_lines : Harness.event list -> string list
 (** One ["[<tick>] join switch=0 mc#1(symmetric) (both)"] line per
-    event — {!Check.Fuzz}'s shrunk-workload line format with the
-    sequence index as the tick (the harness is untimed: interleaving
-    order {e is} the timing); [crash switch=i] / [recover switch=i]
-    extend the vocabulary. *)
+    event — {!Workload.Events.pp}, {!Check.Fuzz}'s shrunk-workload line
+    format, with the sequence index as the tick (the harness is untimed:
+    interleaving order {e is} the timing); [crash switch=i] /
+    [recover switch=i] / [hello-round] extend the vocabulary. *)
 
 val events_of_string :
   mcs:Dgmc.Mc_id.t list -> string -> (Harness.event list, string) result
 (** Parse a semicolon-separated event list, e.g.
-    ["join 0 mc=1; crash 3; recover 3; down 0 1; up 0 1"].  Joins
-    default their role by MC kind (asymmetric defaults to [sender]). *)
+    ["join 0 mc=1; crash 3; recover 3; linkdown 0 1; linkup 0 1"].
+    Each event is a script event read by
+    {!Workload.Script.action_of_string} — same verbs, options, role
+    defaults (an asymmetric join without [role=] is a receiver) and
+    error messages — or one of the harness-only verbs [crash <switch>],
+    [recover <switch>] and [hello] ({!Harness.Hello_round}).  The first
+    bad event is an [Error] naming its token. *)
+
+val events_to_string : Harness.event list -> string
+(** Inverse of {!events_of_string}, through
+    {!Workload.Script.action_to_string}: what a repro line passes to
+    [--race] or [--setup]. *)
 
 (** {1 Reporting} *)
 

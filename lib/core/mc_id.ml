@@ -19,4 +19,10 @@ let kind_to_string = function
   | Receiver_only -> "receiver-only"
   | Asymmetric -> "asymmetric"
 
+let kind_of_string = function
+  | "symmetric" -> Some Symmetric
+  | "receiver-only" -> Some Receiver_only
+  | "asymmetric" -> Some Asymmetric
+  | _ -> None
+
 let pp ppf t = Format.fprintf ppf "mc#%d(%s)" t.id (kind_to_string t.kind)

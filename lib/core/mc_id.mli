@@ -26,4 +26,7 @@ val hash : t -> int
 
 val kind_to_string : kind -> string
 
+val kind_of_string : string -> kind option
+(** Inverse of {!kind_to_string}; [None] for any other word. *)
+
 val pp : Format.formatter -> t -> unit

@@ -58,6 +58,12 @@ let role_to_string = function
   | Receiver -> "receiver"
   | Both -> "both"
 
+let role_of_string = function
+  | "sender" -> Some Sender
+  | "receiver" -> Some Receiver
+  | "both" -> Some Both
+  | _ -> None
+
 let pp ppf t =
   Format.fprintf ppf "{%a}"
     (Format.pp_print_list

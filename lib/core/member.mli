@@ -45,4 +45,7 @@ val compare : t -> t -> int
 
 val role_to_string : role -> string
 
+val role_of_string : string -> role option
+(** Inverse of {!role_to_string}; [None] for any other word. *)
+
 val pp : Format.formatter -> t -> unit

@@ -62,14 +62,6 @@ type msg =
       mcs : mc_export list;
     }
 
-val equal : msg -> msg -> bool
-
-(** {1 Wire codec}
-
-    Compact line-oriented text encoding; {!of_string} inverts
-    {!to_string} exactly (pinned by round-trip tests). *)
-
 val to_string : msg -> string
-
-val of_string : string -> (msg, string) result
-(** [Error reason] on malformed input; never raises. *)
+(** Compact line-oriented rendering, one header line then one line per
+    link entry and per MC record; equal messages render equally. *)

@@ -4,8 +4,6 @@ let make ~origin ~seq payload = { origin; seq; payload }
 
 let id t = (t.origin, t.seq)
 
-let map f t = { origin = t.origin; seq = t.seq; payload = f t.payload }
-
 module Seq = struct
   type counter = { mutable next_value : int }
 

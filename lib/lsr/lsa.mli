@@ -14,8 +14,6 @@ val make : origin:int -> seq:int -> 'a -> 'a t
 val id : 'a t -> int * int
 (** The (origin, seq) identity used for duplicate suppression. *)
 
-val map : ('a -> 'b) -> 'a t -> 'b t
-
 (** Per-switch sequence-number allocator. *)
 module Seq : sig
   type counter

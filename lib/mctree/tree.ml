@@ -257,32 +257,6 @@ let fingerprint t =
   Buffer.add_char b '}';
   Buffer.contents b
 
-let of_fingerprint s =
-  let len = String.length s in
-  if len < 4 || not (String.equal (String.sub s 0 2) "T{") || s.[len - 1] <> '}'
-  then None
-  else
-    match String.index_opt s '|' with
-    | None -> None
-    | Some bar -> (
-      let edges_s = String.sub s 2 (bar - 2) in
-      let terms_s = String.sub s (bar + 1) (len - bar - 2) in
-      let fields str =
-        if String.length str = 0 then [] else String.split_on_char ',' str
-      in
-      try
-        let parsed_edges =
-          List.map
-            (fun e ->
-              match String.split_on_char '-' e with
-              | [ u; v ] -> (int_of_string u, int_of_string v)
-              | _ -> failwith "Tree.of_fingerprint: malformed edge")
-            (fields edges_s)
-        in
-        let terminals = List.map int_of_string (fields terms_s) in
-        Some (of_edges ~terminals parsed_edges)
-      with Failure _ | Invalid_argument _ -> None)
-
 let pp ppf t =
   let pp_set ppf s =
     Format.fprintf ppf "{%a}"

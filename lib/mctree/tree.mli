@@ -116,12 +116,8 @@ val fingerprint : t -> string
 (** Compact canonical rendering ["T{u-v,…|t1,…}"] — equal trees produce
     equal strings.  Used as the per-MC tree digest in database
     resynchronisation summaries (a neighbor compares fingerprints instead
-    of shipping whole trees) and by {!Check.Fingerprint}'s state
-    hashing, which renders the same format. *)
-
-val of_fingerprint : string -> t option
-(** Parse a {!fingerprint} back; [None] on malformed input.
-    [of_fingerprint (fingerprint t)] reconstructs a tree equal to [t]. *)
+    of shipping whole trees) and in {!Check.Fingerprint}'s state
+    hashing. *)
 
 val compare : t -> t -> int
 (** Total order: the terminal sets compared as ascending sequences, then

@@ -36,5 +36,3 @@ val nearest_rank : float list -> float -> float
     smallest of an ascending [sorted] sample of size [n] (rank clamped
     to [\[1, n\]]), no interpolation; [0.] on the empty sample. *)
 
-val pp_summary : Format.formatter -> summary -> unit
-(** Renders as ["mean ± ci"]. *)

@@ -61,11 +61,6 @@ let components g =
   done;
   Array.to_list comps
 
-let eccentricity g src =
-  Array.fold_left
-    (fun acc d -> if d <> max_int && d > acc then d else acc)
-    0 (hops g src)
-
 (* The live links as flat adjacency (CSR): [targets.(offsets.(u)) ..
    targets.(offsets.(u + 1) - 1)] are [u]'s live neighbours.  Each source's
    search marks the nodes it reaches with its own id in [stamp], so no

@@ -19,9 +19,6 @@ val components : Graph.t -> int list list
 (** Connected components over live links, each sorted ascending; the list
     of components is sorted by smallest member.  One O(n + m) pass. *)
 
-val eccentricity : Graph.t -> int -> int
-(** Greatest hop distance from the node to any reachable node. *)
-
 val hop_diameter : Graph.t -> int
 (** Greatest hop distance between any two mutually reachable nodes; [0]
     for graphs with fewer than two nodes.  Computed once per

@@ -190,17 +190,17 @@ let run_batch_gen ?(domains = 1) ?metrics tasks =
   observe_stats metrics timed;
   (timed, { elapsed_s; seq_estimate_s; domains = workers })
 
-let run_batch ?domains ?metrics tasks =
-  run_batch_gen ?domains ?metrics (Array.map (fun f _reg -> f ()) tasks)
+let run_batch ?domains tasks =
+  run_batch_gen ?domains (Array.map (fun f _reg -> f ()) tasks)
 
-let map ?domains ?metrics f xs =
+let map ?domains f xs =
   let tasks = Array.of_list (List.map (fun x () -> f x) xs) in
-  let timed, _ = run_batch ?domains ?metrics tasks in
+  let timed, _ = run_batch ?domains tasks in
   Array.to_list (Array.map (fun t -> t.value) timed)
 
-let map_timed ?domains ?metrics f xs =
+let map_timed ?domains f xs =
   let tasks = Array.of_list (List.map (fun x () -> f x) xs) in
-  let timed, batch = run_batch ?domains ?metrics tasks in
+  let timed, batch = run_batch ?domains tasks in
   (Array.to_list timed, batch)
 
 let map_registered ?domains ~metrics f xs =

@@ -43,23 +43,15 @@ type batch = {
   domains : int;  (** Worker count actually used. *)
 }
 
-val map :
-  ?domains:int -> ?metrics:Metrics.Registry.t -> ('a -> 'b) -> 'a list ->
-  'b list
+val map : ?domains:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [map ~domains f xs] is [List.map f xs] with the applications spread
     over [domains] workers; result order follows [xs].  [domains]
     defaults to [1]; it is capped at the task count.  If any task
     raises, the batch is still drained and the exception of the
-    lowest-indexed failing task is re-raised.
-
-    [metrics] receives one [pool.task_wall_s] and [pool.task_alloc_bytes]
-    histogram observation per task.  The registry is {e not} domain-safe,
-    so observations happen on the calling domain after the join, from the
-    already-collected per-task stats. *)
+    lowest-indexed failing task is re-raised. *)
 
 val map_timed :
-  ?domains:int -> ?metrics:Metrics.Registry.t -> ('a -> 'b) -> 'a list ->
-  'b timed list * batch
+  ?domains:int -> ('a -> 'b) -> 'a list -> 'b timed list * batch
 (** [map] plus per-task wall-clock/allocation counters and whole-batch
     timing, for benchmark reporting. *)
 
@@ -75,8 +67,10 @@ val map_registered :
     domain-pinned) and passes it to every task it runs as [?metrics];
     after all workers join, the quiescent children are merged into
     [metrics] in worker-slot order ({!Metrics.Registry.merge}: counters
-    add, histograms merge bucket-exactly), followed by the usual
-    post-join [pool.task_*] observations.  Since tasks are deterministic
+    add, histograms merge bucket-exactly), followed by one
+    [pool.task_wall_s] and [pool.task_alloc_bytes] histogram observation
+    per task, made on the calling domain from the collected stats (the
+    registry is {e not} domain-safe).  Since tasks are deterministic
     functions of their input and merging commutes, the merged counters
     and histograms are identical at any domain count and under any
     stealing schedule; gauges merge by max and are only schedule-free

@@ -4,7 +4,6 @@ type t = {
   queue : (unit -> unit) Event_queue.t;
   mutable clock : float;
   mutable executed : int;
-  mutable stop_requested : bool;
   mutable probe : (unit -> unit) option;
       (* Telemetry hook run after each executed event; [None] (the
          default) costs one pattern-match branch per step. *)
@@ -18,7 +17,6 @@ let create ?(trace = Trace.disabled) ?(metrics = Metrics.Registry.disabled) ()
     queue = Event_queue.create ();
     clock = 0.0;
     executed = 0;
-    stop_requested = false;
     probe = None;
     trace;
     metrics;
@@ -60,11 +58,10 @@ let step t =
     true
 
 let run ?until ?max_events t =
-  t.stop_requested <- false;
   let budget = ref (match max_events with Some n -> n | None -> max_int) in
   let continue = ref true in
   while !continue do
-    if t.stop_requested || !budget = 0 then continue := false
+    if !budget = 0 then continue := false
     else
       match Event_queue.peek_time t.queue with
       | None -> continue := false
@@ -77,10 +74,3 @@ let run ?until ?max_events t =
           ignore (step t);
           decr budget)
   done
-
-let stop t = t.stop_requested <- true
-
-let reset t =
-  Event_queue.clear t.queue;
-  t.clock <- 0.0;
-  t.stop_requested <- false

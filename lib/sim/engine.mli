@@ -74,9 +74,3 @@ val set_probe : t -> (unit -> unit) -> unit
 val clear_probe : t -> unit
 (** Remove the installed probe, if any. *)
 
-val stop : t -> unit
-(** Request that [run] return after the action currently executing. *)
-
-val reset : t -> unit
-(** Drop all pending events and reset the clock to [0.0].  Counters are
-    preserved so long-lived harnesses can keep global totals. *)

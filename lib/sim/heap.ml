@@ -64,9 +64,4 @@ let pop h =
     Some top
   end
 
-let pop_exn h =
-  match pop h with
-  | Some x -> x
-  | None -> invalid_arg "Heap.pop_exn: empty heap"
-
 let clear h = h.size <- 0

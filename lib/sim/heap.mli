@@ -18,8 +18,5 @@ val peek : 'a t -> 'a option
 val pop : 'a t -> 'a option
 (** Remove and return the smallest element.  O(log n). *)
 
-val pop_exn : 'a t -> 'a
-(** Like {!pop} but raises [Invalid_argument] on an empty heap. *)
-
 val clear : 'a t -> unit
 (** Remove all elements. *)

@@ -44,9 +44,6 @@ val exponential : t -> mean:float -> float
 val pick : t -> 'a list -> 'a
 (** Uniform element of a non-empty list. *)
 
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher–Yates shuffle. *)
-
 val sample : t -> int -> 'a list -> 'a list
 (** [sample t k xs] is [k] distinct elements of [xs] chosen uniformly
     (all of [xs] if [k >= List.length xs]).  Order is unspecified. *)

@@ -248,14 +248,6 @@ let emitted t = t.next_id
 
 let dropped t = t.evicted
 
-let clear t =
-  t.buf <- [||];
-  t.start <- 0;
-  t.len <- 0;
-  t.next_id <- 0;
-  t.evicted <- 0;
-  t.ctx <- -1
-
 (* ------------------------------------------------------------------ *)
 (* JSONL: schema dgmc-trace/1 *)
 

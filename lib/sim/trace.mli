@@ -144,9 +144,6 @@ val emitted : t -> int
 val dropped : t -> int
 (** Retained-then-evicted entries (ring-buffer overflow). *)
 
-val clear : t -> unit
-(** Forget everything: entries, ids, context, drop count. *)
-
 val message : event -> string
 (** One-line human rendering of the payload. *)
 

@@ -17,15 +17,6 @@ let span = function
     List.fold_left Float.max neg_infinity times
     -. List.fold_left Float.min infinity times
 
-let mcs list =
-  List.filter_map
-    (fun e ->
-      match e.action with
-      | Join { mc; _ } | Leave { mc; _ } -> Some mc
-      | Link_down _ | Link_up _ -> None)
-    list
-  |> List.sort_uniq Dgmc.Mc_id.compare
-
 let apply_dgmc net list =
   List.iter
     (fun e ->

@@ -22,9 +22,6 @@ val count : t list -> int
 val span : t list -> float
 (** Latest event time minus earliest (0 for fewer than two events). *)
 
-val mcs : t list -> Dgmc.Mc_id.t list
-(** Every MC mentioned, sorted, without duplicates. *)
-
 val apply_dgmc : Dgmc.Protocol.t -> t list -> unit
 (** Schedule every event on the protocol's engine.  Link events are
     applied to the protocol's real graph at their scheduled time. *)

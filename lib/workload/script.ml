@@ -82,18 +82,6 @@ let parse_config lineno = function
   | [ "wan" ] -> Dgmc.Config.wan
   | args -> fail lineno "config: expected 'atm' or 'wan', got %S" (String.concat " " args)
 
-let parse_kind lineno = function
-  | "symmetric" -> Dgmc.Mc_id.Symmetric
-  | "receiver-only" -> Dgmc.Mc_id.Receiver_only
-  | "asymmetric" -> Dgmc.Mc_id.Asymmetric
-  | s -> fail lineno "unknown MC type %S" s
-
-let parse_role lineno = function
-  | "sender" -> Dgmc.Member.Sender
-  | "receiver" -> Dgmc.Member.Receiver
-  | "both" -> Dgmc.Member.Both
-  | s -> fail lineno "unknown role %S" s
-
 let default_role = function
   | Dgmc.Mc_id.Symmetric -> Dgmc.Member.Both
   | Dgmc.Mc_id.Receiver_only -> Dgmc.Member.Receiver
@@ -129,7 +117,10 @@ let parse_action lineno mcs = function
     let mc = find_mc lineno mcs opts in
     let role =
       match opt_value opts "role" with
-      | Some r -> parse_role lineno r
+      | Some r -> (
+        match Dgmc.Member.role_of_string r with
+        | Some role -> role
+        | None -> fail lineno "unknown role %S" r)
       | None -> default_role mc.kind
     in
     Events.Join { switch = sw; mc; role }
@@ -145,6 +136,19 @@ let parse_action lineno mcs = function
     fail lineno "%s: expected two switch ids" verb
   | verb :: _ -> fail lineno "unknown event %S" verb
   | [] -> fail lineno "at: missing event"
+
+let action_of_string ~mcs s =
+  match parse_action 0 mcs (tokens s) with
+  | a -> Ok a
+  | exception Parse_error (_, m) -> Error m
+
+let action_to_string = function
+  | Events.Join { switch; mc; role } ->
+    Printf.sprintf "join %d mc=%d role=%s" switch mc.id
+      (Dgmc.Member.role_to_string role)
+  | Events.Leave { switch; mc } -> Printf.sprintf "leave %d mc=%d" switch mc.id
+  | Events.Link_down (u, v) -> Printf.sprintf "linkdown %d %d" u v
+  | Events.Link_up (u, v) -> Printf.sprintf "linkup %d %d" u v
 
 (* Join/leave targets and link endpoints are checked against the final
    graph, once every line is read. *)
@@ -376,7 +380,9 @@ let parse_directive lineno mcs verb args =
     let id = parse_int lineno "mc id" id in
     if List.exists (fun (m : Dgmc.Mc_id.t) -> m.id = id) mcs then
       fail lineno "mc %d declared twice" id;
-    Mc (Dgmc.Mc_id.make (parse_kind lineno kind) id)
+    (match Dgmc.Mc_id.kind_of_string kind with
+    | Some k -> Mc (Dgmc.Mc_id.make k id)
+    | None -> fail lineno "unknown MC type %S" kind)
   | "mc", _ -> fail lineno "mc: expected 'mc <id> <type>'"
   | "at", [] -> fail lineno "at: missing time and event"
   | "at", time :: action ->

@@ -141,6 +141,20 @@ val directives : string -> (int * (directive, string) result) list
     lines after it; [mc=] resolves against the MCs declared by earlier
     well-formed [mc] lines. *)
 
+val action_of_string :
+  mcs:Dgmc.Mc_id.t list -> string -> (Events.action, string) result
+(** Read one event as an [at] line writes it after the time, e.g.
+    ["join 3 mc=1 role=sender"], ["leave 3 mc=1"], ["linkdown 2 7"]:
+    the same rules, defaults and messages as a script line.  [mc=]
+    resolves against [mcs]; a join without [role=] takes its MC kind's
+    default (a symmetric member is [both], any other a [receiver]);
+    an unknown verb or option is an [Error] naming it. *)
+
+val action_to_string : Events.action -> string
+(** Inverse of {!action_of_string}: joins always spell out their role,
+    so [action_of_string ~mcs (action_to_string a)] is [Ok a] whenever
+    [a]'s MC is in [mcs]. *)
+
 val check_target : Net.Graph.t -> Events.action -> (unit, string) result
 (** A join/leave switch must be a node of the graph and a link event's
     endpoints one of its edges. *)

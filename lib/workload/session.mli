@@ -32,6 +32,3 @@ val lifecycle :
 val all : phases -> Events.t list
 (** The three phases concatenated in time order. *)
 
-val members_after : Events.t list -> int list
-(** The member set implied by replaying a schedule's join/leave events
-    (sorted).  Useful to seed the next phase or check ground truth. *)

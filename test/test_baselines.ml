@@ -54,16 +54,6 @@ let test_brute_leave () =
   check Alcotest.(list int) "member left" [ 0 ]
     (Mctree.Tree.Int_set.elements (Mctree.Tree.terminals tree))
 
-let test_brute_reset_counters () =
-  let graph = grid33 () in
-  let bf = Baselines.Brute_force.create ~graph ~config:Dgmc.Config.atm_lan () in
-  Baselines.Brute_force.join bf ~switch:0 mc Dgmc.Member.Both;
-  Baselines.Brute_force.run bf;
-  Baselines.Brute_force.reset_counters bf;
-  let t = Baselines.Brute_force.totals bf in
-  check Alcotest.int "events reset" 0 t.events;
-  check Alcotest.int "computations reset" 0 t.computations
-
 (* The simulator computes each (graph version, MC, member set) tree once
    and shares it; these tests pin that every switch still ends up with
    exactly the tree it would have computed alone, on the graph as it is
@@ -356,7 +346,6 @@ let () =
             test_brute_computations_scale_with_n;
           Alcotest.test_case "converges" `Quick test_brute_converges;
           Alcotest.test_case "leave" `Quick test_brute_leave;
-          Alcotest.test_case "counter reset" `Quick test_brute_reset_counters;
           Alcotest.test_case "shared trees exact on Waxman graphs" `Quick
             test_brute_memo_exact_waxman;
           Alcotest.test_case "shared trees follow set_link" `Quick

@@ -10,7 +10,8 @@
 
 let mc1 = Dgmc.Mc_id.make Symmetric 1
 
-let join switch = Check.Harness.Join { switch; mc = mc1; role = Dgmc.Member.Both }
+let join switch =
+  Check.Harness.Action (Join { switch; mc = mc1; role = Dgmc.Member.Both })
 
 let base_scenario ?(config = Dgmc.Config.atm_lan) ~setup ~race () =
   { Check.Explore.graph = Net.Topo_gen.ring 4; config; setup; race }
@@ -64,7 +65,7 @@ let test_join_vs_link_failure () =
   let scenario =
     base_scenario
       ~setup:[ join 0; join 2 ]
-      ~race:[ join 1; Check.Harness.Link_down (u, v) ]
+      ~race:[ join 1; Check.Harness.Action (Link_down (u, v)) ]
       ()
   in
   let o = Check.Explore.run scenario in
@@ -193,115 +194,23 @@ let test_crash_overlapping_crash () =
   Alcotest.(check bool) "reached terminal states" true (o.terminals > 0);
   check_counts (2505, 10485, 1) o
 
-(* --- resynchronisation message codec --- *)
+(* --- tree fingerprint --- *)
 
-let tree_of_fp fp =
-  match Mctree.Tree.of_fingerprint fp with
-  | Some t -> t
-  | None -> Alcotest.failf "bad tree fingerprint %S" fp
-
-let sample_summary =
-  Dgmc.Resync.Summary
-    {
-      session = 3;
-      origin = 1;
-      links =
-        [
-          { Lsr.Lsdb.u = 0; v = 1; up = false; version = 2 };
-          { Lsr.Lsdb.u = 1; v = 2; up = true; version = 5 };
-        ];
-      mcs =
-        [
-          {
-            Dgmc.Resync.sum_mc = mc1;
-            sum_r = Dgmc.Timestamp.of_array [| 2; 0; 1; 0 |];
-            sum_e = Dgmc.Timestamp.of_array [| 2; 0; 1; 0 |];
-            sum_c = Dgmc.Timestamp.of_array [| 1; 0; 1; 0 |];
-            sum_tree_fp = "T{0-1,1-2|0,2}";
-          };
-          {
-            Dgmc.Resync.sum_mc = Dgmc.Mc_id.make Receiver_only 7;
-            sum_r = Dgmc.Timestamp.of_array [| 0; 0; 0; 0 |];
-            sum_e = Dgmc.Timestamp.of_array [| 0; 1; 0; 0 |];
-            sum_c = Dgmc.Timestamp.of_array [| 0; 0; 0; 0 |];
-            sum_tree_fp = "T{|}";
-          };
-        ];
-    }
-
-let sample_delta =
-  Dgmc.Resync.Delta
-    {
-      session = 3;
-      origin = 2;
-      links = [ { Lsr.Lsdb.u = 2; v = 3; up = true; version = 4 } ];
-      mcs =
-        [
-          {
-            Dgmc.Resync.exp_mc = mc1;
-            exp_r = Dgmc.Timestamp.of_array [| 2; 0; 2; 0 |];
-            exp_e = Dgmc.Timestamp.of_array [| 2; 0; 2; 0 |];
-            exp_c = Dgmc.Timestamp.of_array [| 2; 0; 2; 0 |];
-            exp_members =
-              Dgmc.Member.of_list
-                [ (0, Dgmc.Member.Both); (2, Dgmc.Member.Receiver) ];
-            exp_membership_seen = Dgmc.Timestamp.of_array [| 2; 0; 2; 0 |];
-            exp_topology = tree_of_fp "T{0-1,1-2|0,2}";
-          };
-          (* A tombstone export: accounting survives, no members/tree. *)
-          {
-            Dgmc.Resync.exp_mc = Dgmc.Mc_id.make Asymmetric 9;
-            exp_r = Dgmc.Timestamp.of_array [| 0; 2; 0; 0 |];
-            exp_e = Dgmc.Timestamp.of_array [| 0; 2; 0; 0 |];
-            exp_c = Dgmc.Timestamp.of_array [| 0; 0; 0; 0 |];
-            exp_members = Dgmc.Member.empty;
-            exp_membership_seen = Dgmc.Timestamp.of_array [| 0; 2; 0; 0 |];
-            exp_topology = Mctree.Tree.empty;
-          };
-        ];
-    }
-
-let test_resync_codec_round_trip () =
+let test_tree_fingerprint_canonical () =
+  (* Mctree.Tree.fingerprint is the one tree rendering: resync summaries
+     compare trees by it and the model checker's state digests embed it.
+     Edge order and orientation must not show through. *)
   List.iter
-    (fun (what, msg) ->
-      match Dgmc.Resync.of_string (Dgmc.Resync.to_string msg) with
-      | Ok decoded ->
-        Alcotest.(check bool)
-          ("round-trip of the " ^ what)
-          true
-          (Dgmc.Resync.equal msg decoded)
-      | Error reason -> Alcotest.failf "decode failed: %s" reason)
-    [ ("summary", sample_summary); ("delta", sample_delta) ]
-
-let test_resync_codec_rejects_malformed () =
-  List.iter
-    (fun text ->
-      match Dgmc.Resync.of_string text with
-      | Error _ -> ()
-      | Ok _ -> Alcotest.failf "accepted malformed input %S" text)
-    [
-      "";
-      "hello 1 2";
-      "summary 1";
-      "summary 1 2\nlink 0 1 sideways 3";
-      "summary 1 2\nmc symmetric x 1 1 1 T{|}";
-      "delta 1 2\nexport symmetric 1 1,0 1,0 1,0 0,0 0:captain T{|}";
-      "delta 1 2\nexport symmetric 1 1,0 1,0 1,0 0,0 - T{0-1|";
-    ]
-
-let test_tree_fingerprint_matches_check () =
-  (* Mctree.Tree.fingerprint (the wire form) and Check.Fingerprint.tree
-     (the model checker's state-hash form) must never drift apart: resync
-     summaries compare trees by the former, exploration dedups states by
-     the latter. *)
-  List.iter
-    (fun fp ->
-      let t = tree_of_fp fp in
+    (fun (terminals, edges, expected) ->
       Alcotest.(check string)
-        (Printf.sprintf "fingerprint forms agree on %s" fp)
-        (Check.Fingerprint.tree t)
-        (Mctree.Tree.fingerprint t))
-    [ "T{|}"; "T{0-1|0,1}"; "T{0-1,1-2,2-5|0,2,5}" ]
+        (Printf.sprintf "fingerprint %s" expected)
+        expected
+        (Mctree.Tree.fingerprint (Mctree.Tree.of_edges ~terminals edges)))
+    [
+      ([], [], "T{|}");
+      ([ 1; 0 ], [ (1, 0) ], "T{0-1|0,1}");
+      ([ 5; 0; 2 ], [ (5, 2); (1, 2); (0, 1) ], "T{0-1,1-2,2-5|0,2,5}");
+    ]
 
 (* --- runtime monitor on a full protocol run --- *)
 
@@ -501,6 +410,55 @@ let test_search_rediscovers_asymmetric_tree () =
         "[1] join switch=1 mc#1(asymmetric) (sender)";
       ]
     ~fuzzer_len:fuzzer_shrunk_asymmetric_tree ()
+
+(* --race/--setup read script events plus the harness-only verbs, and
+   the writer repro lines use reads back to the same events.  The
+   script-level rejections (misspelt options, the old link verbs) are
+   pinned in test_workload and search_usage_error.expected. *)
+let contains s sub =
+  let n = String.length s and k = String.length sub in
+  let rec go i = i + k <= n && (String.sub s i k = sub || go (i + 1)) in
+  go 0
+
+let test_search_event_syntax () =
+  let asym = Dgmc.Mc_id.make Asymmetric 2 in
+  let mcs = [ mc1; asym ] in
+  let text = "join 0 mc=1; join 1 mc=2; crash 3; recover 3; hello; linkdown 0 1" in
+  match Check.Search.events_of_string ~mcs text with
+  | Error m -> Alcotest.failf "rejected %S: %s" text m
+  | Ok events ->
+    Alcotest.(check (list string))
+      "rendered"
+      [
+        "[0] join switch=0 mc#1(symmetric) (both)";
+        "[1] join switch=1 mc#2(asymmetric) (receiver)";
+        "[2] crash switch=3";
+        "[3] recover switch=3";
+        "[4] hello-round";
+        "[5] link-down (0, 1)";
+      ]
+      (Check.Search.event_lines events);
+    Alcotest.(check string)
+      "written with explicit roles"
+      "join 0 mc=1 role=both; join 1 mc=2 role=receiver; crash 3; recover 3; \
+       hello; linkdown 0 1"
+      (Check.Search.events_to_string events);
+    Alcotest.(check (result (list string) string))
+      "reads back"
+      (Ok (Check.Search.event_lines events))
+      (Result.map Check.Search.event_lines
+         (Check.Search.events_of_string ~mcs
+            (Check.Search.events_to_string events)));
+    List.iter
+      (fun (bad, token) ->
+        match Check.Search.events_of_string ~mcs bad with
+        | Ok _ -> Alcotest.failf "accepted %S" bad
+        | Error m ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%S names %s" m token)
+            true
+            (contains m token))
+      [ ("hello-round", "\"hello-round\""); ("crash x", "\"x\"") ]
 
 let test_search_forward_is_guided () =
   (* Best-first with the violation-distance heuristic reaches the
@@ -838,7 +796,7 @@ let test_hello_detection_proven () =
   let scenario =
     hello_scenario ~setup:[ join 0; join 2 ]
       ~race:
-        (Check.Harness.Link_down (0, 1)
+        (Check.Harness.Action (Link_down (0, 1))
         :: List.init (rounds + 1) (fun _ -> Check.Harness.Hello_round))
       ()
   in
@@ -861,7 +819,7 @@ let test_hello_detection_proven () =
   Check.Harness.inject h (join 0);
   Check.Harness.inject h (join 2);
   Check.Harness.settle h;
-  Check.Harness.inject h (Check.Harness.Link_down (0, 1));
+  Check.Harness.inject h (Check.Harness.Action (Link_down (0, 1)));
   for _ = 1 to rounds do
     Check.Harness.inject h Check.Harness.Hello_round
   done;
@@ -891,7 +849,7 @@ let test_hello_damping_suppress_and_readmit () =
   Check.Harness.inject h (join 0);
   Check.Harness.inject h (join 2);
   Check.Harness.settle h;
-  Check.Harness.inject h (Check.Harness.Link_down (0, 1));
+  Check.Harness.inject h (Check.Harness.Action (Link_down (0, 1)));
   for _ = 1 to 3 do
     Check.Harness.inject h Check.Harness.Hello_round
   done;
@@ -910,7 +868,7 @@ let test_hello_damping_suppress_and_readmit () =
   Alcotest.(check int) "no tree uses the suppressed link" 0
     (List.length violations);
   (* Heal the link; one calm round readmits, two arrivals re-up. *)
-  Check.Harness.inject h (Check.Harness.Link_up (0, 1));
+  Check.Harness.inject h (Check.Harness.Action (Link_up (0, 1)));
   for _ = 1 to 4 do
     Check.Harness.inject h Check.Harness.Hello_round
   done;
@@ -965,12 +923,8 @@ let () =
         ] );
       ( "resync",
         [
-          Alcotest.test_case "codec round-trips" `Quick
-            test_resync_codec_round_trip;
-          Alcotest.test_case "codec rejects malformed input" `Quick
-            test_resync_codec_rejects_malformed;
           Alcotest.test_case "tree fingerprint forms agree" `Quick
-            test_tree_fingerprint_matches_check;
+            test_tree_fingerprint_canonical;
         ] );
       ( "monitor",
         [
@@ -999,6 +953,8 @@ let () =
             `Slow test_search_rediscovers_asymmetric_tree;
           Alcotest.test_case "forward search is guided, not exhaustive"
             `Quick test_search_forward_is_guided;
+          Alcotest.test_case "event syntax is the script's" `Quick
+            test_search_event_syntax;
           Alcotest.test_case "shrinker minimises timing (stale-senders)"
             `Slow test_shrink_minimises_timing_stale_senders;
           Alcotest.test_case "shrinker minimises timing (asymmetric-tree)"

@@ -11,12 +11,6 @@ let test_lsa_identity () =
   check Alcotest.(pair int int) "id" (3, 7) (Lsr.Lsa.id lsa);
   check Alcotest.string "payload" "payload" lsa.payload
 
-let test_lsa_map () =
-  let lsa = Lsr.Lsa.make ~origin:1 ~seq:2 21 in
-  let doubled = Lsr.Lsa.map (fun x -> x * 2) lsa in
-  check Alcotest.int "mapped" 42 doubled.payload;
-  check Alcotest.(pair int int) "identity preserved" (1, 2) (Lsr.Lsa.id doubled)
-
 let test_lsa_seq_counter () =
   let c = Lsr.Lsa.Seq.create () in
   check Alcotest.(list int) "monotone from zero" [ 0; 1; 2; 3 ]
@@ -258,7 +252,6 @@ let () =
       ( "lsa",
         [
           Alcotest.test_case "identity" `Quick test_lsa_identity;
-          Alcotest.test_case "map" `Quick test_lsa_map;
           Alcotest.test_case "sequence counter" `Quick test_lsa_seq_counter;
         ] );
       ( "flooding",

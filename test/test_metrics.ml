@@ -77,11 +77,6 @@ let test_nearest_rank () =
   check feq "singleton p0" 7.0 (rank [ 7.0 ] 0.0);
   check feq "empty" 0.0 (rank [] 0.99)
 
-let test_pp_summary () =
-  let s = Metrics.Stats.summarize [ 1.0; 2.0; 3.0 ] in
-  let str = Format.asprintf "%a" Metrics.Stats.pp_summary s in
-  check Alcotest.bool "format" true (String.length str > 0 && String.contains str '-' = false)
-
 (* ------------------------------------------------------------------ *)
 (* Registry *)
 
@@ -286,7 +281,6 @@ let () =
           Alcotest.test_case "percentile validation" `Quick
             test_percentile_validation;
           Alcotest.test_case "nearest rank" `Quick test_nearest_rank;
-          Alcotest.test_case "pp_summary" `Quick test_pp_summary;
         ] );
       ( "registry",
         [

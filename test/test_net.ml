@@ -188,11 +188,6 @@ let test_bfs_diameter_memo () =
   Net.Graph.add_edge g 2 6 ~weight:1.0;
   check Alcotest.int "two chords" 3 (Net.Bfs.hop_diameter g)
 
-let test_bfs_eccentricity () =
-  let g = Net.Topo_gen.line 5 in
-  check Alcotest.int "end node" 4 (Net.Bfs.eccentricity g 0);
-  check Alcotest.int "middle node" 2 (Net.Bfs.eccentricity g 2)
-
 (* ------------------------------------------------------------------ *)
 (* Dijkstra *)
 
@@ -476,7 +471,6 @@ let () =
           Alcotest.test_case "diameters" `Quick test_bfs_diameter;
           Alcotest.test_case "diameter cache follows the version" `Quick
             test_bfs_diameter_memo;
-          Alcotest.test_case "eccentricity" `Quick test_bfs_eccentricity;
         ] );
       ( "dijkstra",
         [

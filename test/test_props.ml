@@ -564,7 +564,7 @@ type tree_act =
   | T_remove_terminal of int
   | T_with_terminals of int list
   | T_prune
-  | T_of_fingerprint
+  | T_of_edges  (** rebuild through the bulk constructor *)
   | T_force of int  (** which accessor builds the form *)
 
 type tree_op = { dst : int; src : int; act : tree_act }
@@ -580,7 +580,7 @@ let pp_tree_op { dst; src; act } =
     | T_remove_terminal x -> Printf.sprintf "remove_terminal %d" x
     | T_with_terminals l -> Printf.sprintf "with_terminals [%s]" (ints l)
     | T_prune -> "prune"
-    | T_of_fingerprint -> "of_fingerprint"
+    | T_of_edges -> "of_edges"
     | T_force k -> Printf.sprintf "force #%d" k
   in
   Printf.sprintf "r%d := %s r%d" dst body src
@@ -616,7 +616,7 @@ let tree_ops_gen =
           (2, map (fun x -> T_remove_terminal x) node);
           (1, map (fun l -> T_with_terminals l) nodes);
           (1, return T_prune);
-          (1, return T_of_fingerprint);
+          (1, return T_of_edges);
           (4, map (fun k -> T_force k) (int_range 0 4));
         ]
     in
@@ -663,8 +663,11 @@ let run_tree_ops ops =
       | T_remove_terminal x -> set (T.remove_terminal t x)
       | T_with_terminals l -> set (T.with_terminals t l)
       | T_prune -> set (T.prune t)
-      | T_of_fingerprint ->
-        set (Option.get (T.of_fingerprint (Tree_oracle.fingerprint t)))
+      | T_of_edges ->
+        set
+          (T.of_edges
+             ~terminals:(T.Int_set.elements (T.terminals t))
+             (Tree_oracle.edges t))
       | T_force k ->
         (* Build [src]'s form through one accessor, then check it. *)
         (match k with
@@ -1085,7 +1088,9 @@ let search_scenario_of ?(config = Dgmc.Config.atm_lan) (gi, a, b) =
   let n = Net.Graph.n_nodes graph in
   let a = a mod n in
   let b = if b mod n = a then (a + 1) mod n else b mod n in
-  let join switch = Check.Harness.Join { switch; mc; role = Dgmc.Member.Both } in
+  let join switch =
+    Check.Harness.Action (Join { switch; mc; role = Dgmc.Member.Both })
+  in
   ( Printf.sprintf "%s joins=%d,%d" name a b,
     { Check.Explore.graph; config; setup = []; race = [ join a; join b ] } )
 

@@ -20,20 +20,14 @@ let test_heap_empty () =
 let test_heap_ordering () =
   let h = heap_of ~cmp:compare [ 5; 3; 8; 1; 9; 2 ] in
   check Alcotest.(option int) "peek min" (Some 1) (Heap.peek h);
-  let drained = List.init 6 (fun _ -> Heap.pop_exn h) in
+  let drained = List.init 6 (fun _ -> Option.get (Heap.pop h)) in
   check Alcotest.(list int) "sorted drain" [ 1; 2; 3; 5; 8; 9 ] drained;
   check Alcotest.(option int) "drained" None (Heap.pop h)
 
 let test_heap_duplicates () =
   let h = heap_of ~cmp:compare [ 2; 2; 1; 1; 3 ] in
-  let drained = List.init 5 (fun _ -> Heap.pop_exn h) in
+  let drained = List.init 5 (fun _ -> Option.get (Heap.pop h)) in
   check Alcotest.(list int) "duplicates kept" [ 1; 1; 2; 2; 3 ] drained
-
-let test_heap_pop_exn_empty () =
-  let h = Heap.create ~cmp:compare in
-  Alcotest.check_raises "pop_exn raises"
-    (Invalid_argument "Heap.pop_exn: empty heap") (fun () ->
-      ignore (Heap.pop_exn h))
 
 let test_heap_custom_order () =
   (* Max-heap via inverted comparison. *)
@@ -53,7 +47,7 @@ let test_heap_random_sort () =
     let size = 1 + Rng.int rng 200 in
     let values = List.init size (fun _ -> Rng.int rng 1000) in
     let h = heap_of ~cmp:compare values in
-    let drained = List.init size (fun _ -> Heap.pop_exn h) in
+    let drained = List.init size (fun _ -> Option.get (Heap.pop h)) in
     check Alcotest.(list int) "heapsort equals List.sort"
       (List.sort compare values) drained
   done
@@ -253,17 +247,6 @@ let test_engine_cancel () =
   Engine.run eng;
   check Alcotest.int "cancelled action skipped" 0 !hits
 
-let test_engine_stop () =
-  let eng = Engine.create () in
-  let hits = ref 0 in
-  ignore
-    (Engine.schedule eng ~delay:1.0 (fun () ->
-         incr hits;
-         Engine.stop eng));
-  ignore (Engine.schedule eng ~delay:2.0 (fun () -> incr hits));
-  Engine.run eng;
-  check Alcotest.int "stopped after first" 1 !hits
-
 let test_engine_step () =
   let eng = Engine.create () in
   let hits = ref 0 in
@@ -271,15 +254,6 @@ let test_engine_step () =
   check Alcotest.bool "step executes" true (Engine.step eng);
   check Alcotest.bool "no more" false (Engine.step eng);
   check Alcotest.int "one hit" 1 !hits
-
-let test_engine_reset () =
-  let eng = Engine.create () in
-  ignore (Engine.schedule eng ~delay:5.0 (fun () -> ()));
-  Engine.run eng;
-  Engine.reset eng;
-  check Alcotest.(float 0.0) "clock reset" 0.0 (Engine.now eng);
-  check Alcotest.int "queue cleared" 0 (Engine.pending eng);
-  check Alcotest.int "counter preserved" 1 (Engine.events_executed eng)
 
 let test_engine_rejects_negative_delay () =
   let eng = Engine.create () in
@@ -365,16 +339,6 @@ let test_rng_sample_all () =
   let xs = [ 1; 2; 3 ] in
   check Alcotest.(list int) "k >= len returns all" xs (Rng.sample r 5 xs)
 
-let test_rng_shuffle_permutation () =
-  let r = Rng.create 17 in
-  let a = Array.init 30 (fun i -> i) in
-  Rng.shuffle r a;
-  check
-    Alcotest.(list int)
-    "same multiset"
-    (List.init 30 (fun i -> i))
-    (List.sort compare (Array.to_list a))
-
 let test_rng_pick_singleton () =
   let r = Rng.create 19 in
   check Alcotest.int "singleton" 42 (Rng.pick r [ 42 ])
@@ -425,12 +389,6 @@ let test_trace_recordf_lazy () =
   check Alcotest.int "nothing retained" 0 (Trace.count Trace.disabled);
   check Alcotest.int "argument evaluated once" 1 !expensive_calls
 
-let test_trace_clear () =
-  let t = Trace.create () in
-  Trace.record t ~time:1.0 ~category:"a" "x";
-  Trace.clear t;
-  check Alcotest.int "cleared" 0 (Trace.count t)
-
 let () =
   Alcotest.run "sim"
     [
@@ -439,7 +397,6 @@ let () =
           Alcotest.test_case "empty heap" `Quick test_heap_empty;
           Alcotest.test_case "ordering" `Quick test_heap_ordering;
           Alcotest.test_case "duplicates" `Quick test_heap_duplicates;
-          Alcotest.test_case "pop_exn on empty" `Quick test_heap_pop_exn_empty;
           Alcotest.test_case "custom order" `Quick test_heap_custom_order;
           Alcotest.test_case "clear" `Quick test_heap_clear;
           Alcotest.test_case "random heapsort" `Quick test_heap_random_sort;
@@ -464,9 +421,7 @@ let () =
             test_engine_until_boundary;
           Alcotest.test_case "run ~max_events" `Quick test_engine_max_events;
           Alcotest.test_case "cancel" `Quick test_engine_cancel;
-          Alcotest.test_case "stop" `Quick test_engine_stop;
           Alcotest.test_case "step" `Quick test_engine_step;
-          Alcotest.test_case "reset" `Quick test_engine_reset;
           Alcotest.test_case "rejects negative delay" `Quick
             test_engine_rejects_negative_delay;
           Alcotest.test_case "schedule_at in the past" `Quick
@@ -483,8 +438,6 @@ let () =
           Alcotest.test_case "exponential mean" `Quick test_rng_exponential_mean;
           Alcotest.test_case "sample distinct" `Quick test_rng_sample_distinct;
           Alcotest.test_case "sample all" `Quick test_rng_sample_all;
-          Alcotest.test_case "shuffle permutation" `Quick
-            test_rng_shuffle_permutation;
           Alcotest.test_case "pick singleton" `Quick test_rng_pick_singleton;
           Alcotest.test_case "invalid arguments" `Quick test_rng_invalid_args;
         ] );
@@ -493,6 +446,5 @@ let () =
           Alcotest.test_case "records" `Quick test_trace_records;
           Alcotest.test_case "disabled" `Quick test_trace_disabled;
           Alcotest.test_case "recordf" `Quick test_trace_recordf_lazy;
-          Alcotest.test_case "clear" `Quick test_trace_clear;
         ] );
     ]

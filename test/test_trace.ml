@@ -162,20 +162,6 @@ let test_disabled_recordf_zero_alloc () =
   check Alcotest.(float 0.0) "zero bytes over 1000 disabled records" 0.0
     allocated
 
-let test_clear () =
-  let t = Sim.Trace.create ~cap:4 () in
-  for i = 0 to 9 do
-    ignore
-      (Sim.Trace.emit t ~time:(float_of_int i)
-         (Note { category = "n"; message = "x" }))
-  done;
-  Sim.Trace.clear t;
-  check Alcotest.int "no entries" 0 (Sim.Trace.count t);
-  check Alcotest.int "no ids" 0 (Sim.Trace.emitted t);
-  check Alcotest.int "no drops" 0 (Sim.Trace.dropped t);
-  let id = Sim.Trace.emit t ~time:0.0 (Note { category = "n"; message = "y" }) in
-  check Alcotest.int "ids restart" 0 id
-
 (* Malformed captures: each fails with the physical line of its first
    bad line and the reason. *)
 let test_of_jsonl_rejects_garbage () =
@@ -233,7 +219,6 @@ let () =
         [
           Alcotest.test_case "ring cap and dropped" `Quick test_ring_buffer_cap;
           Alcotest.test_case "category filter" `Quick test_category_filter;
-          Alcotest.test_case "clear" `Quick test_clear;
         ] );
       ( "causality",
         [

@@ -43,22 +43,6 @@ let test_events_counts_and_span () =
   check Alcotest.int "count" 3 (Workload.Events.count events);
   check Alcotest.(float 1e-9) "span" 5.0 (Workload.Events.span events)
 
-let test_events_mcs () =
-  let events =
-    [
-      {
-        Workload.Events.time = 0.0;
-        action = Workload.Events.Join { switch = 0; mc = mc_sym; role = Dgmc.Member.Both };
-      };
-      {
-        Workload.Events.time = 0.0;
-        action = Workload.Events.Join { switch = 1; mc = mc_recv; role = Dgmc.Member.Receiver };
-      };
-      { Workload.Events.time = 1.0; action = Workload.Events.Leave { switch = 0; mc = mc_sym } };
-    ]
-  in
-  check Alcotest.int "distinct mcs" 2 (List.length (Workload.Events.mcs events))
-
 let test_events_apply_dgmc () =
   let graph = Net.Topo_gen.grid ~rows:3 ~cols:3 () in
   let net = Dgmc.Protocol.create ~graph ~config:Dgmc.Config.atm_lan () in
@@ -255,6 +239,18 @@ let test_poisson_gap_scale () =
 (* ------------------------------------------------------------------ *)
 (* Session *)
 
+(* The member set a schedule leaves behind, replayed in time order. *)
+let members_after events =
+  List.fold_left
+    (fun members (e : Workload.Events.t) ->
+      match e.action with
+      | Workload.Events.Join { switch; _ } ->
+        List.sort_uniq Int.compare (switch :: members)
+      | Workload.Events.Leave { switch; _ } ->
+        List.filter (fun x -> x <> switch) members
+      | Workload.Events.Link_down _ | Workload.Events.Link_up _ -> members)
+    [] (Workload.Events.sort events)
+
 let test_session_phases () =
   let rng = Sim.Rng.create 13 in
   let phases =
@@ -265,12 +261,12 @@ let test_session_phases () =
   check Alcotest.int "arrivals" 8 (List.length phases.arrivals);
   check Alcotest.int "churn" 10 (List.length phases.churn);
   (* Departures drain exactly the members alive after churn. *)
-  let alive = Workload.Session.members_after (phases.arrivals @ phases.churn) in
+  let alive = members_after (phases.arrivals @ phases.churn) in
   check Alcotest.int "departures = survivors" (List.length alive)
     (List.length phases.departures);
   (* Whole lifecycle ends with nobody. *)
   check Alcotest.(list int) "empty at the end" []
-    (Workload.Session.members_after (Workload.Session.all phases))
+    (members_after (Workload.Session.all phases))
 
 let test_session_phase_ordering () =
   let rng = Sim.Rng.create 14 in
@@ -289,17 +285,6 @@ let test_session_phase_ordering () =
     (max_time phases.arrivals <= min_time phases.churn);
   check Alcotest.bool "churn before departures" true
     (max_time phases.churn <= min_time phases.departures)
-
-let test_session_members_after () =
-  let mk time action = { Workload.Events.time; action } in
-  let events =
-    [
-      mk 0.0 (Workload.Events.Join { switch = 1; mc = mc_sym; role = Dgmc.Member.Both });
-      mk 1.0 (Workload.Events.Join { switch = 2; mc = mc_sym; role = Dgmc.Member.Both });
-      mk 2.0 (Workload.Events.Leave { switch = 1; mc = mc_sym });
-    ]
-  in
-  check Alcotest.(list int) "replay" [ 2 ] (Workload.Session.members_after events)
 
 let test_session_runs_to_convergence () =
   let graph = Experiments.Harness.graph_for ~seed:3 ~n:25 in
@@ -418,6 +403,72 @@ let test_script_errors () =
   expect_error "graph ring 6\nmc 1 symmetric\nat 0 join 0 mc=1\nat 1 linkdown 0 3"
     "line 4:"
 
+(* The event reader that [at] lines use, exported for --race/--setup,
+   and the writer repro lines compose with. *)
+let script_mcs = [ mc_sym; mc_recv; mc_asym ]
+
+let action_gen =
+  QCheck2.Gen.(
+    let switch = int_range 0 20 in
+    let mc = oneofl script_mcs in
+    oneof
+      [
+        map3
+          (fun switch mc role -> Workload.Events.Join { switch; mc; role })
+          switch mc
+          (oneofl Dgmc.Member.[ Sender; Receiver; Both ]);
+        map2 (fun switch mc -> Workload.Events.Leave { switch; mc }) switch mc;
+        map2 (fun u v -> Workload.Events.Link_down (u, v)) switch switch;
+        map2 (fun u v -> Workload.Events.Link_up (u, v)) switch switch;
+      ])
+
+let action_equal (a : Workload.Events.action) (b : Workload.Events.action) =
+  let role = Dgmc.Member.role_to_string in
+  match (a, b) with
+  | Join a, Join b ->
+    a.switch = b.switch && Dgmc.Mc_id.equal a.mc b.mc
+    && String.equal (role a.role) (role b.role)
+  | Leave a, Leave b -> a.switch = b.switch && Dgmc.Mc_id.equal a.mc b.mc
+  | Link_down (u, v), Link_down (u', v') | Link_up (u, v), Link_up (u', v') ->
+    u = u' && v = v'
+  | (Join _ | Leave _ | Link_down _ | Link_up _), _ -> false
+
+let prop_action_round_trip =
+  QCheck2.Test.make ~name:"reading the writer's event returns it" ~count:500
+    ~print:Workload.Script.action_to_string action_gen (fun a ->
+      match
+        Workload.Script.action_of_string ~mcs:script_mcs
+          (Workload.Script.action_to_string a)
+      with
+      | Ok b -> action_equal a b
+      | Error _ -> false)
+
+let test_action_reader () =
+  let read = Workload.Script.action_of_string ~mcs:script_mcs in
+  let role_of s =
+    match read s with
+    | Ok (Workload.Events.Join { role; _ }) ->
+      Some (Dgmc.Member.role_to_string role)
+    | Ok _ | Error _ -> None
+  in
+  let role = Alcotest.(option string) in
+  check role "symmetric default is both" (Some "both") (role_of "join 0 mc=1");
+  check role "receiver-only default is receiver" (Some "receiver")
+    (role_of "join 0 mc=2");
+  check role "asymmetric default is receiver" (Some "receiver")
+    (role_of "join 0 mc=3");
+  check role "explicit role" (Some "sender") (role_of "join 0 mc=3 role=sender");
+  check
+    Alcotest.(result reject string)
+    "misspelt option"
+    (Error {|unknown option "rol" (allowed: mc, role)|})
+    (Result.map ignore (read "join 0 mc=3 rol=sender"));
+  check
+    Alcotest.(result reject string)
+    "link verbs are linkdown/linkup"
+    (Error {|unknown event "down"|})
+    (Result.map ignore (read "down 0 1"))
+
 let test_script_health_directive () =
   let text =
     {|
@@ -530,7 +581,6 @@ let () =
         [
           Alcotest.test_case "stable sort" `Quick test_events_sort_stable;
           Alcotest.test_case "counts and span" `Quick test_events_counts_and_span;
-          Alcotest.test_case "mcs listing" `Quick test_events_mcs;
           Alcotest.test_case "apply to dgmc" `Quick test_events_apply_dgmc;
         ] );
       ( "bursty",
@@ -557,7 +607,6 @@ let () =
         [
           Alcotest.test_case "phases" `Quick test_session_phases;
           Alcotest.test_case "phase ordering" `Quick test_session_phase_ordering;
-          Alcotest.test_case "members_after" `Quick test_session_members_after;
           Alcotest.test_case "lifecycle converges" `Quick
             test_session_runs_to_convergence;
         ] );
@@ -568,6 +617,8 @@ let () =
             test_script_runs_to_convergence;
           Alcotest.test_case "roles" `Quick test_script_roles;
           Alcotest.test_case "errors" `Quick test_script_errors;
+          Alcotest.test_case "event reader" `Quick test_action_reader;
+          QCheck_alcotest.to_alcotest prop_action_round_trip;
           Alcotest.test_case "health directive" `Quick
             test_script_health_directive;
           Alcotest.test_case "shipped scenarios under detectors" `Quick
