@@ -1,18 +1,5 @@
 module Int_set = Set.Make (Int)
 
-module Link_tbl = Hashtbl.Make (struct
-  type t = int * int
-
-  let equal (a, b) (c, d) = Int.equal a c && Int.equal b d
-
-  let hash (a, b) = (a * 1000003) lxor b
-end)
-
-type payload =
-  | Mc of Dgmc.Mc_lsa.t
-  | Link of Lsr.Lsdb.link_event
-  | Resync of Dgmc.Resync.msg  (* unicast: exactly one pending entry *)
-
 type event =
   | Action of Workload.Events.action
   | Crash of int
@@ -50,7 +37,7 @@ type action = Deliver of { dst : int; msg : int } | Complete of int
 
 type msg = {
   origin : int;
-  payload : payload;
+  payload : Dgmc.Switch.payload;  (* a [Resync] has exactly one pending entry *)
   past : Int_set.t;
       (* Ids the origin had delivered or flooded when this was flooded:
          every one of them causally precedes this message at every
@@ -69,9 +56,7 @@ type t = {
   known : Int_set.t array;
       (* Per switch: causal context = delivered ids, their pasts, and own
          floods.  Becomes the [past] of this switch's next flood. *)
-  link_versions : int Link_tbl.t;
-      (* Ground-truth per-link change counter, mirroring
-         Protocol.link_change's version assignment. *)
+  clock : Lsr.Lsdb.clock;  (* ground-truth link versions *)
   crashed : bool array;
       (* Forwarding-plane outage, mirroring Faults.Plan's crash windows:
          a crashed switch neither sends nor receives (messages are LOST,
@@ -90,7 +75,7 @@ let msg_exn t id =
   | Some m -> m
   | None -> invalid_arg (Printf.sprintf "Harness: unknown message %d" id)
 
-let payload_fp = function
+let payload_fp : Dgmc.Switch.payload -> string = function
   | Mc l -> Fingerprint.mc_lsa l
   | Link e -> Fingerprint.link_event e
   | Resync m ->
@@ -133,7 +118,7 @@ let unicast t origin dst msg =
         Dgmc.Switch.resync_transport_failed t.switches.(origin) ~peer:dst
       | Dgmc.Resync.Delta _ -> ())
     else begin
-      let id = record t origin (Resync msg) in
+      let id = record t origin (Dgmc.Switch.Resync msg) in
       t.pending <- t.pending @ [ (dst, id) ]
     end
 
@@ -183,7 +168,7 @@ let create ~graph ~config () =
       next_id = 0;
       pending = [];
       known = Array.make n Int_set.empty;
-      link_versions = Link_tbl.create 16;
+      clock = Lsr.Lsdb.clock ();
       crashed = Array.make n false;
       truth = [];
       health;
@@ -191,8 +176,8 @@ let create ~graph ~config () =
   in
   Array.iteri
     (fun i sw ->
-      Dgmc.Switch.set_flood sw (fun lsa -> flood t i (Mc lsa));
-      Dgmc.Switch.set_flood_link sw (fun ev -> flood t i (Link ev));
+      Dgmc.Switch.set_flood sw (fun lsa -> flood t i (Dgmc.Switch.Mc lsa));
+      Dgmc.Switch.set_flood_link sw (fun ev -> flood t i (Dgmc.Switch.Link ev));
       Dgmc.Switch.set_send_resync sw (fun ~peer msg -> unicast t i peer msg))
     switches;
   t
@@ -217,17 +202,11 @@ let set_truth t mc members =
     |> List.sort (fun (a, _) (b, _) -> Dgmc.Mc_id.compare a b)
 
 (* A belief change at [hl.watcher] about its adjacency to [hl.hl_peer]:
-   version the event (same counter Protocol.link_change uses), judge a
-   down verdict against ground truth, tell the switch, flood the link
-   LSA, and apply abstract damping. *)
+   judge a down verdict against ground truth, let the switch detect the
+   versioned change, and apply abstract damping. *)
 let health_declare t h (hl : health_link) ~up =
   let w = hl.watcher and p = hl.hl_peer in
-  let lo = min w p and hi = max w p in
-  let version =
-    1 + Option.value ~default:0 (Link_tbl.find_opt t.link_versions (lo, hi))
-  in
-  Link_tbl.replace t.link_versions (lo, hi) version;
-  let link_ev = { Lsr.Lsdb.u = w; v = p; up; version } in
+  let link_ev = Lsr.Lsdb.stamp t.clock w p ~up in
   hl.hl_up <- up;
   if not up then begin
     hl.hl_flaps <- hl.hl_flaps + 1;
@@ -237,8 +216,7 @@ let health_declare t h (hl : health_link) ~up =
           "switch %d declared its link to %d down against ground truth" w p
         :: h.hspurious
   end;
-  Dgmc.Switch.link_event t.switches.(w) link_ev ~detector:true;
-  flood t w (Link link_ev);
+  Dgmc.Switch.detect t.switches.(w) link_ev;
   if not up then
     match h.habs.Health.Config.a_suppress_flaps with
     | Some k when hl.hl_flaps >= k ->
@@ -328,19 +306,12 @@ let inject t ev =
           then hl.hl_truth_rounds <- 0)
         h.hlinks
     | None ->
+      (* Both endpoints detect, the higher one first, as under
+         Dgmc.Protocol. *)
       let lo = min u v and hi = max u v in
-      let version =
-        1 + Option.value ~default:0 (Link_tbl.find_opt t.link_versions (lo, hi))
-      in
-      Link_tbl.replace t.link_versions (lo, hi) version;
-      let link_ev = { Lsr.Lsdb.u = lo; v = hi; up; version } in
-      (* Same order as Protocol.link_change: the higher endpoint detects
-         and floods first, then the lower one. *)
-      List.iter
-        (fun d ->
-          Dgmc.Switch.link_event t.switches.(d) link_ev ~detector:true;
-          flood t d (Link link_ev))
-        [ hi; lo ])
+      let link_ev = Lsr.Lsdb.stamp t.clock lo hi ~up in
+      Dgmc.Switch.detect t.switches.(hi) link_ev;
+      Dgmc.Switch.detect t.switches.(lo) link_ev)
   | Crash i ->
     if t.crashed.(i) then invalid_arg "Harness: switch already crashed";
     t.crashed.(i) <- true;
@@ -476,10 +447,7 @@ let apply t action =
       invalid_arg "Harness.apply: delivery not causally enabled";
     remove_pending t dst msg;
     t.known.(dst) <- Int_set.add msg (Int_set.union t.known.(dst) m.past);
-    (match m.payload with
-    | Mc lsa -> Dgmc.Switch.receive t.switches.(dst) lsa
-    | Link ev -> Dgmc.Switch.link_event t.switches.(dst) ev ~detector:false
-    | Resync msg -> Dgmc.Switch.receive_resync t.switches.(dst) msg)
+    Dgmc.Switch.deliver t.switches.(dst) m.payload
   | Complete i ->
     if not (Sim.Engine.step t.engines.(i)) then
       invalid_arg "Harness.apply: no computation pending at switch"

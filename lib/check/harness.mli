@@ -5,7 +5,9 @@
     need to drive a network of {!Dgmc.Switch} instances through {e
     chosen} delivery orders: the harness intercepts every flood into a
     pending-message pool and exposes the enabled next steps as explicit
-    {!action}s.
+    {!action}s.  The switches' own code decides what a delivery or a
+    detection does ({!Dgmc.Switch.deliver}, {!Dgmc.Switch.detect}); the
+    harness only chooses the order.
 
     {b Causal delivery.}  Arbitrary pool orderings would be too
     permissive: under real hop-by-hop flooding an LSA flooded {e as a
@@ -42,12 +44,6 @@
     resynchronisation extension is not modelled ({!Crash}/{!Recover}
     cover the crash-recovery exchange instead). *)
 
-type payload =
-  | Mc of Dgmc.Mc_lsa.t
-  | Link of Lsr.Lsdb.link_event
-  | Resync of Dgmc.Resync.msg
-      (** Unicast: pooled with exactly one destination. *)
-
 type event =
   | Action of Workload.Events.action
       (** A membership or link event, as a workload schedules it. *)
@@ -61,9 +57,9 @@ type event =
           Every directed adjacency either hears a hello — possible iff
           the link is up, the sender is alive and neither direction is
           suppressed — or counts a miss; detectors declare down after
-          [a_detect_rounds] misses and the declaring switch floods the
-          link LSA itself, exactly as {!Dgmc.Protocol} does under
-          [Config.health]. *)
+          [a_detect_rounds] misses and the declaring switch alone
+          detects the change ({!Dgmc.Switch.detect}), as under
+          {!Dgmc.Protocol} with [Config.health]. *)
 
 type action =
   | Deliver of { dst : int; msg : int }
@@ -89,8 +85,10 @@ val truth : t -> (Dgmc.Mc_id.t * Dgmc.Member.t) list
 (** Ground-truth membership per MC, from injected joins/leaves. *)
 
 val inject : t -> event -> unit
-(** Apply a local event, mirroring {!Dgmc.Protocol}'s order for link
-    events (higher endpoint detects and floods first). *)
+(** Apply a local event.  A link event is stamped by the harness's
+    ground-truth {!Lsr.Lsdb.clock} and handed to {!Dgmc.Switch.detect}
+    at both endpoints, higher one first (or, with [config.health], only
+    changes ground truth). *)
 
 val pending_count : t -> int
 (** Pending work items: pooled (destination, message) deliveries plus

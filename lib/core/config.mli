@@ -43,20 +43,6 @@ type t = {
   inject : bug option;
       (** Fault injection (see {!bug}).  [None] in every preset; never set
           it in a real run. *)
-  resync_deadline_hops : float;
-      (** Crash-recovery resynchronisation: overall deadline for the
-          exchange, as a multiple of [t_hop].  The exchange finishes as
-          soon as one neighbor's delta is applied (it carries the full
-          missed history, because every LSA reached every live switch);
-          a recoverer with no live neighbor finishes degraded at once,
-          and one whose every neighbor exchange fails finishes degraded
-          when the last one does.  On expiry the switch
-          re-enters normal handling with whatever it has (degraded
-          finish).  Must be at least the reliable transport's worst-case
-          giveup span ({!Lsr.Flooding.giveup_span_hops}; {!validate}
-          rejects configs that violate this).  The preset value is
-          {e derived} from the preset reliability — span + one rto,
-          512 hop times under the defaults — no longer hand-tuned. *)
   health : Health.Config.t option;
       (** Opt-in link-health layer (hello-based failure detection, flap
           damping — DESIGN.md §3f).  [None] in every preset:
@@ -80,8 +66,20 @@ val injects : t -> bug -> bool
 val round_length : t -> graph:Net.Graph.t -> float
 (** [tf + tc] for the given network (paper §4.1). *)
 
+val resync_deadline_hops : t -> float
+(** Crash-recovery resynchronisation: overall deadline for the exchange,
+    as a multiple of [t_hop].  The exchange finishes as soon as one
+    neighbor's delta is applied (it carries the full missed history,
+    because every LSA reached every live switch); a recoverer with no
+    live neighbor finishes degraded at once, and one whose every
+    neighbor exchange fails finishes degraded when the last one does.
+    On expiry the switch re-enters normal handling with whatever it has
+    (degraded finish).  Derived from [reliability], not stored: the
+    reliable transport's worst-case giveup span
+    ({!Lsr.Flooding.giveup_span_hops}) plus one rto, so a
+    transport-failed neighbor always resolves first — 512 hop times
+    under the defaults. *)
+
 val validate : t -> (unit, string) result
-(** Cross-field sanity: [resync_deadline_hops] must cover the reliable
-    transport's worst-case giveup span for the configured [reliability],
-    and an enabled [health] section must itself validate.
+(** An enabled [health] section must itself validate.
     {!Protocol.create} enforces this. *)

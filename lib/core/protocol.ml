@@ -1,9 +1,3 @@
-type payload =
-  | Mc of Mc_lsa.t
-  | Link of Lsr.Lsdb.link_event
-  | Resync of Resync.msg
-      (** Unicast crash-recovery exchange (never flooded). *)
-
 type totals = {
   events : int;
   computations : int;
@@ -25,14 +19,6 @@ module Mc_table = Hashtbl.Make (struct
   let hash = Mc_id.hash
 end)
 
-module Link_tbl = Hashtbl.Make (struct
-  type t = int * int
-
-  let equal (a, b) (c, d) = Int.equal a c && Int.equal b d
-
-  let hash (a, b) = (a * 1000003) lxor b
-end)
-
 (* Link-health layer state (opt-in, [Config.health]).  When present,
    scripted and fault-plan link changes touch ground truth only — the
    hello agents must discover them, and the declaring switch originates
@@ -40,7 +26,7 @@ end)
 type health_state = {
   hc : Health.Config.t;
   mutable agents : Health.Hello.t array;
-  truth_changed : float Link_tbl.t;
+  truth_changed : float Lsr.Lsdb.Link_tbl.t;
       (* Last ground-truth change instant per link — detection-latency
          base.  Crashes use the window bounds instead (see [truth_down]). *)
   mutable hs_detections : int;  (* down verdicts matching ground truth *)
@@ -68,16 +54,11 @@ type t = {
   config : Config.t;
   faults : Faults.Plan.t option;
   switches : Switch.t array;
-  flooding : payload Lsr.Flooding.t;
-  flood : payload Lsr.Lsa.t -> unit;  (** The flooding transport. *)
+  flooding : Switch.payload Lsr.Flooding.t;
+  flood : Switch.payload Lsr.Lsa.t -> unit;  (** The flooding transport. *)
   mutable health : health_state option;
   seqs : Lsr.Lsa.Seq.counter array;
-  link_versions : int Link_tbl.t;
-      (** Ground-truth per-link change counter: a link's state changes
-          are totally ordered in real time, so the n-th change of a link
-          is stamped version n — both detecting endpoints flood the same
-          versioned event, and {!Lsr.Lsdb} images merge by per-link max
-          during resynchronisation. *)
+  clock : Lsr.Lsdb.clock;  (** Ground-truth link versions. *)
   truth : Member.t Mc_table.t;  (** Ground-truth membership per MC. *)
   trace : Sim.Trace.t;
   metrics : Metrics.Registry.t;
@@ -89,7 +70,7 @@ type t = {
   mutable observers : (unit -> unit) list;
 }
 
-let originated ~switch ~seq = function
+let originated ~switch ~seq : Switch.payload -> _ = function
   | Mc m ->
     Sim.Trace.Lsa_originated
       {
@@ -143,7 +124,7 @@ let originate t ~from payload send =
 let flood_link_event t ~from (ev : Lsr.Lsdb.link_event) =
   t.link_floodings <- t.link_floodings + 1;
   Metrics.Registry.incr t.metrics "protocol.link_floodings";
-  originate t ~from (Link ev) t.flood
+  originate t ~from (Switch.Link ev) t.flood
 
 let create ~graph ~config ?faults ?(trace = Sim.Trace.disabled)
     ?(metrics = Metrics.Registry.disabled)
@@ -160,11 +141,8 @@ let create ~graph ~config ?faults ?(trace = Sim.Trace.disabled)
   let switches =
     Array.init n (fun id -> Switch.create ~id ~n ~config ~engine ~boot ())
   in
-  let deliver ~switch (lsa : payload Lsr.Lsa.t) =
-    match lsa.payload with
-    | Mc mc_lsa -> Switch.receive switches.(switch) mc_lsa
-    | Link ev -> Switch.link_event switches.(switch) ev ~detector:false
-    | Resync msg -> Switch.receive_resync switches.(switch) msg
+  let deliver ~switch (lsa : Switch.payload Lsr.Lsa.t) =
+    Switch.deliver switches.(switch) lsa.payload
   in
   let transmit =
     match faults with
@@ -201,7 +179,7 @@ let create ~graph ~config ?faults ?(trace = Sim.Trace.disabled)
       flood = (fun lsa -> Lsr.Flooding.flood flooding lsa);
       health = None;
       seqs = Array.init n (fun _ -> Lsr.Lsa.Seq.create ());
-      link_versions = Link_tbl.create 16;
+      clock = Lsr.Lsdb.clock ();
       truth = Mc_table.create 8;
       trace;
       metrics;
@@ -218,9 +196,9 @@ let create ~graph ~config ?faults ?(trace = Sim.Trace.disabled)
       Switch.set_flood sw (fun (mc_lsa : Mc_lsa.t) ->
           net.mc_floodings <- net.mc_floodings + 1;
           Metrics.Registry.incr metrics "protocol.mc_floodings";
-          originate net ~from:id (Mc mc_lsa) net.flood);
+          originate net ~from:id (Switch.Mc mc_lsa) net.flood);
       Switch.set_flood_link sw (fun ev -> flood_link_event net ~from:id ev);
-      let unicast peer (lsa : payload Lsr.Lsa.t) =
+      let unicast peer (lsa : Switch.payload Lsr.Lsa.t) =
         (* Only the recoverer's summary needs a failure signal: a lost
            delta is covered by the recoverer's session deadline. *)
         let on_giveup =
@@ -246,7 +224,7 @@ let create ~graph ~config ?faults ?(trace = Sim.Trace.disabled)
       Switch.set_send_resync sw (fun ~peer msg ->
           Metrics.Registry.incr metrics "protocol.resync_messages";
           (* Switch ids are ints: physical equality is equality. *)
-          originate net ~from:id (Resync msg)
+          originate net ~from:id (Switch.Resync msg)
             (List.assq peer (Lazy.force unicasts)));
       Switch.set_on_change sw (fun () ->
           net.last_change <- Some (Sim.Engine.now engine);
@@ -307,24 +285,13 @@ let create ~graph ~config ?faults ?(trace = Sim.Trace.disabled)
   (match config.Config.health with
   | None -> ()
   | Some hc ->
-    let crash_windows =
-      match faults with
-      | Some plan -> Faults.Plan.crash_windows plan
-      | None -> []
-    in
-    let crashed sw at =
-      List.exists
-        (fun (s, (from_, until)) -> s = sw && at >= from_ && at < until)
-        crash_windows
-    in
-    (* When the peer is inside a crash window, the instant it opened:
+    (* When a switch is inside a crash window, the instant it opened:
        silence from a crashed switch is a genuine failure with the
        window's start as its ground-truth change time. *)
-    let crash_since peer at =
-      List.fold_left
-        (fun acc (s, (from_, until)) ->
-          if s = peer && at >= from_ && at < until then Some from_ else acc)
-        None crash_windows
+    let down_since sw at =
+      match faults with
+      | Some plan -> Faults.Plan.down_since plan ~switch:sw at
+      | None -> None
     in
     let all_edges = Net.Graph.all_edges graph in
     let adjacency i =
@@ -339,7 +306,7 @@ let create ~graph ~config ?faults ?(trace = Sim.Trace.disabled)
       {
         hc;
         agents = [||];
-        truth_changed = Link_tbl.create 16;
+        truth_changed = Lsr.Lsdb.Link_tbl.create 16;
         hs_detections = 0;
         hs_recoveries = 0;
         hs_false_positives = 0;
@@ -354,7 +321,7 @@ let create ~graph ~config ?faults ?(trace = Sim.Trace.disabled)
        and the receiver being alive {e at delivery time}. *)
     let send i ~peer =
       let at = Sim.Engine.now engine in
-      if not (crashed i at) then begin
+      if Option.is_none (down_since i at) then begin
         h.hs_hellos_sent <- h.hs_hellos_sent + 1;
         Metrics.Registry.incr metrics ~switch:i "health.hellos_sent";
         let delays =
@@ -368,7 +335,7 @@ let create ~graph ~config ?faults ?(trace = Sim.Trace.disabled)
               (Sim.Engine.schedule engine ~delay (fun () ->
                    if Net.Graph.link_is_up graph i peer then begin
                      let at = Sim.Engine.now engine in
-                     if not (crashed peer at) then begin
+                     if Option.is_none (down_since peer at) then begin
                        h.hs_hellos_received <- h.hs_hellos_received + 1;
                        Metrics.Registry.incr metrics ~switch:peer
                          "health.hellos_received";
@@ -384,23 +351,18 @@ let create ~graph ~config ?faults ?(trace = Sim.Trace.disabled)
     let declare i ~peer ~up =
       let at = Sim.Engine.now engine in
       let lo, hi = if i < peer then (i, peer) else (peer, i) in
-      let version =
-        1 + Option.value ~default:0 (Link_tbl.find_opt net.link_versions (lo, hi))
-      in
-      Link_tbl.replace net.link_versions (lo, hi) version;
-      let ev = { Lsr.Lsdb.u = i; v = peer; up; version } in
+      let ev = Lsr.Lsdb.stamp net.clock i peer ~up in
+      let last_change = Lsr.Lsdb.Link_tbl.find_opt h.truth_changed (lo, hi) in
       let truth_since =
         if not (Net.Graph.link_is_up graph i peer) then
-          Some (Option.value ~default:0.0 (Link_tbl.find_opt h.truth_changed (lo, hi)))
-        else crash_since peer at
+          Some (Option.value ~default:0.0 last_change)
+        else down_since peer at
       in
       let latency, spurious =
         if up then
           (* Up verdicts rest on hellos that genuinely arrived; measure
              recovery latency from the last ground-truth change. *)
-          ( (match Link_tbl.find_opt h.truth_changed (lo, hi) with
-            | Some since -> at -. since
-            | None -> 0.0),
+          ( (match last_change with Some since -> at -. since | None -> 0.0),
             false )
         else
           match truth_since with
@@ -433,8 +395,7 @@ let create ~graph ~config ?faults ?(trace = Sim.Trace.disabled)
         ignore
           (Sim.Trace.emit trace ~time:at
              (Sim.Trace.Link_detected { switch = i; peer; up; latency; spurious }));
-      Switch.link_event switches.(i) ev ~detector:true;
-      flood_link_event net ~from:i ev;
+      Switch.detect switches.(i) ev;
       if up then
         ignore
           (Sim.Engine.schedule engine ~delay:config.Config.t_hop (fun () ->
@@ -464,7 +425,9 @@ let create ~graph ~config ?faults ?(trace = Sim.Trace.disabled)
         ignore
           (Sim.Engine.schedule_at engine ~time:until (fun () ->
                Health.Hello.resume h.agents.(sw))))
-      crash_windows);
+      (match faults with
+      | Some plan -> Faults.Plan.crash_windows plan
+      | None -> []));
   net
 
 let engine t = t.engine
@@ -518,26 +481,20 @@ let link_change t u v ~up =
        told, nothing is flooded — the hello agents must discover it, and
        detection latency is measured from this instant. *)
     let now = Sim.Engine.now t.engine in
-    Link_tbl.replace h.truth_changed (lo, hi) now;
+    Lsr.Lsdb.Link_tbl.replace h.truth_changed (lo, hi) now;
     if Sim.Trace.enabled t.trace then
       Sim.Trace.recordf t.trace ~time:now ~category:"truth"
         "link %d-%d ground truth now %s (detectors must discover it)" lo hi
         (if up then "up" else "down")
   | None ->
-  let version =
-    1 + Option.value ~default:0 (Link_tbl.find_opt t.link_versions (lo, hi))
-  in
-  Link_tbl.replace t.link_versions (lo, hi) version;
-  let ev = { Lsr.Lsdb.u; v; up; version } in
+  let ev = Lsr.Lsdb.stamp t.clock u v ~up in
   (* Both endpoints detect the change: each updates its image, floods a
      non-MC LSA, and raises the MC link events for the connections whose
      topology used the link (the paper's Figure 2 draws one detecting
      switch; detection at both ends is what keeps BOTH sides of the cut
      repairing when the failure splits the network). *)
-  Switch.link_event t.switches.(hi) ev ~detector:true;
-  flood_link_event t ~from:hi ev;
-  Switch.link_event t.switches.(lo) ev ~detector:true;
-  flood_link_event t ~from:lo ev;
+  Switch.detect t.switches.(hi) ev;
+  Switch.detect t.switches.(lo) ev;
   (* A recovered adjacency triggers an MC database exchange between its
      endpoints (one hop of delay), so the two sides of a healed
      partition reconcile — see Switch.resync. *)
@@ -595,16 +552,7 @@ let totals t =
   }
 
 let reset_counters t =
-  Array.iter
-    (fun sw ->
-      let s = Switch.stats sw in
-      s.Switch.computations <- 0;
-      s.Switch.computations_withdrawn <- 0;
-      s.Switch.proposals_flooded <- 0;
-      s.Switch.event_lsas_flooded <- 0;
-      s.Switch.proposals_accepted <- 0;
-      s.Switch.lsas_received <- 0)
-    t.switches;
+  Array.iter Switch.reset_stats t.switches;
   Lsr.Flooding.reset_counters t.flooding;
   t.events <- 0;
   t.mc_floodings <- 0;

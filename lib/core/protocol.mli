@@ -14,14 +14,6 @@
       assert (Protocol.converged net mc)
     ]} *)
 
-type payload =
-  | Mc of Mc_lsa.t  (** An MC LSA ([F = mc]). *)
-  | Link of Lsr.Lsdb.link_event  (** A non-MC LSA ([F = ¬mc]). *)
-  | Resync of Resync.msg
-      (** A crash-recovery resynchronisation message, unicast between
-          neighbors via {!Lsr.Flooding.send} — never flooded (extension;
-          see {!Switch.begin_resync}). *)
-
 type totals = {
   events : int;  (** Local events injected (join/leave/link per MC). *)
   computations : int;  (** Topology computations completed, network-wide. *)

@@ -10,10 +10,13 @@ type stats = {
   mutable computations : int;
   mutable computations_withdrawn : int;
   mutable proposals_flooded : int;
-  mutable event_lsas_flooded : int;
   mutable proposals_accepted : int;
-  mutable lsas_received : int;
 }
+
+type payload =
+  | Mc of Mc_lsa.t
+  | Link of Lsr.Lsdb.link_event
+  | Resync of Resync.msg
 
 (* One in-flight crash-recovery resynchronisation exchange (see
    [begin_resync]).  The switch stays in this state — deferring normal
@@ -83,9 +86,7 @@ let create ~id ~n ~config ~engine ~boot () =
         computations = 0;
         computations_withdrawn = 0;
         proposals_flooded = 0;
-        event_lsas_flooded = 0;
         proposals_accepted = 0;
-        lsas_received = 0;
       };
     trace = Sim.Engine.trace engine;
     metrics = Sim.Engine.metrics engine;
@@ -95,6 +96,12 @@ let create ~id ~n ~config ~engine ~boot () =
 let id t = t.id
 
 let stats t = t.stats
+
+let reset_stats t =
+  t.stats.computations <- 0;
+  t.stats.computations_withdrawn <- 0;
+  t.stats.proposals_flooded <- 0;
+  t.stats.proposals_accepted <- 0
 
 let image t = Lsr.Lsdb.graph t.lsdb
 
@@ -173,7 +180,6 @@ let flood_lsa t mc ~event ~proposal ?members ~stamp () =
     t.stats.proposals_flooded <- t.stats.proposals_flooded + 1;
     Metrics.Registry.incr t.metrics ?switch:t.label "switch.proposals_flooded"
   | None ->
-    t.stats.event_lsas_flooded <- t.stats.event_lsas_flooded + 1;
     Metrics.Registry.incr t.metrics ?switch:t.label
       "switch.event_lsas_flooded");
   t.flood (Mc_lsa.make ~src:t.id ~event ~mc ?proposal ?members ~stamp ())
@@ -685,9 +691,9 @@ let host_join t mc role = event_handler t mc (Mc_lsa.Join role)
 
 let host_leave t mc = event_handler t mc Mc_lsa.Leave
 
-let link_event t (ev : Lsr.Lsdb.link_event) ~detector =
+let detect t (ev : Lsr.Lsdb.link_event) =
   Lsr.Lsdb.apply t.lsdb ev;
-  if detector && not ev.up then begin
+  if not ev.up then begin
     let affected =
       Mc_table.fold
         (fun mc (st : Mc_state.t) acc ->
@@ -697,7 +703,8 @@ let link_event t (ev : Lsr.Lsdb.link_event) ~detector =
     in
     (* One MC LSA per affected connection (paper Figure 2). *)
     List.iter (fun mc -> event_handler t mc Mc_lsa.Link) affected
-  end
+  end;
+  t.flood_link ev
 
 let receive_now t lsa =
   match get_state t lsa.Mc_lsa.mc with
@@ -718,7 +725,6 @@ let receive_now t lsa =
     if st.triggered = None then run_invocation t lsa.Mc_lsa.mc st
 
 let receive t lsa =
-  t.stats.lsas_received <- t.stats.lsas_received + 1;
   Metrics.Registry.incr t.metrics ?switch:t.label "switch.lsas_received";
   match t.resync_session with
   | Some _ ->
@@ -883,7 +889,7 @@ let begin_resync_impl t =
     s.rs_deadline <-
       Some
         (Sim.Engine.schedule t.engine
-           ~delay:(t.config.Config.resync_deadline_hops *. t.config.Config.t_hop)
+           ~delay:(Config.resync_deadline_hops t.config *. t.config.Config.t_hop)
            (fun () ->
              match t.resync_session with
              | Some s' when s'.rs_id = sid -> finish_resync t ~reason:"deadline"
@@ -1034,6 +1040,11 @@ let receive_resync t msg =
   | exception e ->
     Metrics.Phase.leave ph;
     raise e
+
+let deliver t = function
+  | Mc lsa -> receive t lsa
+  | Link ev -> Lsr.Lsdb.apply t.lsdb ev
+  | Resync msg -> receive_resync t msg
 
 (* ------------------------------------------------------------------ *)
 (* Introspection *)

@@ -8,20 +8,29 @@
     [old_R] against the live [R] at completion and withdraw proposals that
     became stale, exactly as the paper prescribes.
 
-    A switch never floods LSAs itself: it calls the [flood] callback
-    installed by {!Protocol}, which wraps the payload in an {!Lsr.Lsa.t}
-    envelope and runs the shared flooding machinery. *)
+    A switch is the one owner of how it reacts to the network: its
+    driver ({!Protocol}, or the model checker's harness) hands it every
+    received payload through {!deliver} and every change it notices on
+    an incident link through {!detect}.  It never touches a wire itself:
+    what it sends goes out through the callbacks its driver installs
+    ({!set_flood}, {!set_flood_link}, {!set_send_resync}). *)
 
-type stats = {
+type stats = private {
   mutable computations : int;
       (** Topology computations completed (proposals per event metric). *)
   mutable computations_withdrawn : int;
       (** Completed computations whose proposal was withdrawn. *)
   mutable proposals_flooded : int;
-  mutable event_lsas_flooded : int;  (** MC LSAs flooded without proposal. *)
   mutable proposals_accepted : int;  (** Received proposals installed. *)
-  mutable lsas_received : int;
 }
+
+(** What a switch receives: the payload of an {!Lsr.Lsa.t}. *)
+type payload =
+  | Mc of Mc_lsa.t  (** An MC LSA ([F = mc]). *)
+  | Link of Lsr.Lsdb.link_event  (** A non-MC LSA ([F = ¬mc]). *)
+  | Resync of Resync.msg
+      (** A crash-recovery resynchronisation message, unicast between
+          neighbors — never flooded (extension; see {!begin_resync}). *)
 
 type t
 
@@ -54,6 +63,9 @@ val id : t -> int
 
 val stats : t -> stats
 
+val reset_stats : t -> unit
+(** Zero {!stats} (the [switch.*] registry counters keep counting). *)
+
 val image : t -> Net.Graph.t
 (** The switch's current link-state image. *)
 
@@ -66,13 +78,15 @@ val set_flood : t -> (Mc_lsa.t -> unit) -> unit
 (** Install the flooding callback.  Must be called before any event. *)
 
 val set_flood_link : t -> (Lsr.Lsdb.link_event -> unit) -> unit
-(** Install the link-event re-flooding callback, used by {!resync} to
-    re-disseminate link knowledge adopted from a peer (version gating at
-    receivers makes duplicates no-ops).  Defaults to a no-op. *)
+(** Install the link-event flooding callback: {!detect} floods what the
+    switch noticed, and {!resync} re-disseminates link knowledge adopted
+    from a peer (version gating at receivers makes duplicates no-ops).
+    Defaults to a no-op. *)
 
 val set_send_resync : t -> (peer:int -> Resync.msg -> unit) -> unit
 (** Install the unicast transport for crash-recovery resynchronisation
-    messages ({!begin_resync}/{!receive_resync}).  Defaults to raising:
+    messages ({!begin_resync}, and the [Resync] payloads {!deliver}
+    answers).  Defaults to raising:
     only {!Protocol} (and the {!module:Check} harness) wire it, and a
     switch only uses it when a crash recovery is injected. *)
 
@@ -88,18 +102,26 @@ val host_join : t -> Mc_id.t -> Member.role -> unit
 val host_leave : t -> Mc_id.t -> unit
 (** The switch's last interested host leaves. *)
 
-val link_event : t -> Lsr.Lsdb.link_event -> detector:bool -> unit
-(** Apply a link status change to the local image (version-gated; see
-    {!Lsr.Lsdb.apply}).  When [detector] is true (the link is incident to
-    this switch, which noticed the change) and the link went down,
-    [EventHandler] runs for every MC whose current local topology uses
-    the link (paper Figure 2). *)
+val detect : t -> Lsr.Lsdb.link_event -> unit
+(** This switch noticed a change of one of its incident links (paper
+    Figure 2): apply the versioned event ({!Lsr.Lsdb.stamp}) to the local
+    image, run [EventHandler] for every MC whose current local topology
+    uses the link when it went down, and flood the event as a non-MC LSA
+    through {!set_flood_link}. *)
 
-(** {1 LSA reception (ReceiveLSA)} *)
+(** {1 Reception} *)
 
-val receive : t -> Mc_lsa.t -> unit
-(** Deliver one MC LSA into the mailbox; triggers a [ReceiveLSA()]
-    invocation unless one is mid-computation. *)
+val deliver : t -> payload -> unit
+(** Hand the switch one received payload.  An MC LSA enters the mailbox
+    and triggers a [ReceiveLSA()] invocation unless one is
+    mid-computation (or, while RESYNCING, is deferred).  A link event
+    updates the image (version-gated; see {!Lsr.Lsdb.apply}) without
+    running [EventHandler]: only the incident switches {!detect}.  A
+    [Summary] is answered statelessly with a [Delta] of everything the
+    summary proves its origin is behind on (newer link versions are also
+    adopted and re-flooded locally).  A [Delta] is applied only when it
+    echoes the live session's id and comes from a still-outstanding
+    neighbor; anything else is dropped as stale. *)
 
 (** {1 Database resynchronisation (extension)} *)
 
@@ -128,20 +150,12 @@ val begin_resync : t -> unit
     meanwhile are deferred and replayed in arrival order when the session
     finishes.  The session finishes when one neighbor's delta has been
     applied, when every neighbor has resolved by transport giveup, or
-    when [Config.resync_deadline_hops × t_hop]
+    when {!Config.resync_deadline_hops} [× t_hop]
     elapses; on finish, deferred LSAs are replayed and a topology
     computation is scheduled for every MC the reconciled state flagged.
     With no live neighbors the switch finishes degraded immediately.
     Calling this while a session is in flight supersedes it (the crash
     recurred); deferred LSAs survive the restart. *)
-
-val receive_resync : t -> Resync.msg -> unit
-(** Deliver one resynchronisation message.  A [Summary] is answered
-    statelessly with a [Delta] of everything the summary proves its
-    origin is behind on (newer link versions are also adopted and
-    re-flooded locally).  A [Delta] is applied only when it echoes the
-    live session's id and comes from a still-outstanding neighbor;
-    anything else is dropped as stale. *)
 
 val resync_transport_failed : t -> peer:int -> unit
 (** The unicast transport gave up delivering to [peer] (its retransmit

@@ -27,23 +27,29 @@ let measure net mcs =
     converged = List.for_all (Dgmc.Protocol.converged net) mcs;
   }
 
-let bursty_run ?trace ?metrics ?series ~seed ~n ~config ~members () =
+(* The burst of experiments 1 and 2, the same for every protocol:
+   [members] joins of a fresh symmetric MC within one flooding-diameter
+   window (at least [tc]). *)
+let burst ~seed ~n ~config ~members =
   let graph = graph_for ~seed ~n in
-  let net = Dgmc.Protocol.create ~graph ~config ?trace ?metrics ?series () in
   let mc = Dgmc.Mc_id.make Dgmc.Mc_id.Symmetric 1 in
   let rng = Sim.Rng.create (seed lxor 0x5bd1e995) in
   let window =
     Float.max config.Dgmc.Config.tc
       (Lsr.Flooding.flood_diameter ~graph ~t_hop:config.Dgmc.Config.t_hop)
   in
-  let events = Workload.Bursty.joins rng ~n ~mc ~members ~window () in
+  (graph, mc, Workload.Bursty.joins rng ~n ~mc ~members ~window ())
+
+let bursty_run ?trace ?metrics ?series ~seed ~n ~config ~members () =
+  let graph, mc, events = burst ~seed ~n ~config ~members in
+  let net = Dgmc.Protocol.create ~graph ~config ?trace ?metrics ?series () in
   Workload.Events.apply_dgmc net events;
   Dgmc.Protocol.run net;
   measure net [ mc ]
 
-let poisson_run ?trace ?metrics ?series ~seed ~n ~config ~events ~gap_rounds () =
+let poisson_run ?trace ~seed ~n ~config ~events ~gap_rounds () =
   let graph = graph_for ~seed ~n in
-  let net = Dgmc.Protocol.create ~graph ~config ?trace ?metrics ?series () in
+  let net = Dgmc.Protocol.create ~graph ~config ?trace () in
   let mc = Dgmc.Mc_id.make Dgmc.Mc_id.Symmetric 1 in
   let rng = Sim.Rng.create (seed lxor 0x2545f491) in
   (* Establish a 5-member MC first; that setup is not measured. *)
@@ -66,15 +72,8 @@ let poisson_run ?trace ?metrics ?series ~seed ~n ~config ~events ~gap_rounds () 
   measure net [ mc ]
 
 let brute_force_bursty_run ~seed ~n ~config ~members =
-  let graph = graph_for ~seed ~n in
+  let graph, mc, events = burst ~seed ~n ~config ~members in
   let bf = Baselines.Brute_force.create ~graph ~config () in
-  let mc = Dgmc.Mc_id.make Dgmc.Mc_id.Symmetric 1 in
-  let rng = Sim.Rng.create (seed lxor 0x5bd1e995) in
-  let window =
-    Float.max config.Dgmc.Config.tc
-      (Lsr.Flooding.flood_diameter ~graph ~t_hop:config.Dgmc.Config.t_hop)
-  in
-  let events = Workload.Bursty.joins rng ~n ~mc ~members ~window () in
   List.iter
     (fun (e : Workload.Events.t) ->
       match e.action with
@@ -100,16 +99,9 @@ let brute_force_bursty_run ~seed ~n ~config ~members =
   }
 
 let mospf_bursty_run ~seed ~n ~config ~members ~sources =
-  let graph = graph_for ~seed ~n in
+  let graph, _, events = burst ~seed ~n ~config ~members in
   let m = Baselines.Mospf.create ~graph ~config () in
-  let mc = Dgmc.Mc_id.make Dgmc.Mc_id.Symmetric 1 in
   let group = 1 in
-  let rng = Sim.Rng.create (seed lxor 0x5bd1e995) in
-  let window =
-    Float.max config.Dgmc.Config.tc
-      (Lsr.Flooding.flood_diameter ~graph ~t_hop:config.Dgmc.Config.t_hop)
-  in
-  let events = Workload.Bursty.joins rng ~n ~mc ~members ~window () in
   let member_switches =
     List.filter_map
       (fun (e : Workload.Events.t) ->

@@ -40,8 +40,6 @@ val bursty_run :
 
 val poisson_run :
   ?trace:Sim.Trace.t ->
-  ?metrics:Metrics.Registry.t ->
-  ?series:Metrics.Series.t ->
   seed:int ->
   n:int ->
   config:Dgmc.Config.t ->
@@ -51,7 +49,8 @@ val poisson_run :
   run
 (** Experiment 3: an MC with 5 established members (set up and excluded
     from the measurement) churns through [events] membership events with
-    mean inter-arrival [gap_rounds] rounds. *)
+    mean inter-arrival [gap_rounds] rounds.  [trace] is forwarded to
+    {!Dgmc.Protocol.create}. *)
 
 val brute_force_bursty_run :
   seed:int -> n:int -> config:Dgmc.Config.t -> members:int -> run

@@ -28,12 +28,12 @@ type t = {
   leaders : int array;
   (* Intra level: one D-GMC flooding scope per area, full switch set. *)
   switches : Dgmc.Switch.t array;
-  area_floodings : Dgmc.Mc_lsa.t Lsr.Flooding.t array;
+  area_floodings : Dgmc.Switch.payload Lsr.Flooding.t array;
   seqs : Lsr.Lsa.Seq.counter array;
   (* Logical level: one D-GMC node per area. *)
   logical_graph : Net.Graph.t;
   logical_switches : Dgmc.Switch.t array;
-  logical_flooding : Dgmc.Mc_lsa.t Lsr.Flooding.t;
+  logical_flooding : Dgmc.Switch.payload Lsr.Flooding.t;
   logical_seqs : Lsr.Lsa.Seq.counter array;
   edge_map : (int * int, int * int) Hashtbl.t;
       (** logical (a, b) with a < b → cheapest real link (u, v), u ∈ a. *)
@@ -151,7 +151,7 @@ let rec create ~graph ~partition ~config () =
     Array.init k (fun a ->
         Lsr.Flooding.create ~engine ~graph:area_graphs.(a)
           ~t_hop:config.Dgmc.Config.t_hop ~mode:config.Dgmc.Config.flood_mode
-          ~deliver:(fun ~switch lsa -> Dgmc.Switch.receive switches.(switch) lsa.payload)
+          ~deliver:(fun ~switch lsa -> Dgmc.Switch.deliver switches.(switch) lsa.payload)
           ())
   in
   let logical_flooding =
@@ -160,7 +160,7 @@ let rec create ~graph ~partition ~config () =
       ~t_hop:(3.0 *. config.Dgmc.Config.t_hop)
       ~mode:config.Dgmc.Config.flood_mode
       ~deliver:(fun ~switch lsa ->
-        Dgmc.Switch.receive logical_switches.(switch) lsa.payload)
+        Dgmc.Switch.deliver logical_switches.(switch) lsa.payload)
       ()
   in
   let t =
@@ -198,7 +198,7 @@ let rec create ~graph ~partition ~config () =
           let a = t.area_of.(id) in
           let seq = Lsr.Lsa.Seq.next t.seqs.(id) in
           Lsr.Flooding.flood t.area_floodings.(a)
-            (Lsr.Lsa.make ~origin:id ~seq mc_lsa)))
+            (Lsr.Lsa.make ~origin:id ~seq (Dgmc.Switch.Mc mc_lsa))))
     switches;
   (* Wire the logical level; any logical state change wakes the area's
      leader to re-derive gateways. *)
@@ -207,7 +207,8 @@ let rec create ~graph ~partition ~config () =
       Dgmc.Switch.set_flood sw (fun mc_lsa ->
           t.logical_flood_count <- t.logical_flood_count + 1;
           let seq = Lsr.Lsa.Seq.next t.logical_seqs.(a) in
-          Lsr.Flooding.flood t.logical_flooding (Lsr.Lsa.make ~origin:a ~seq mc_lsa));
+          Lsr.Flooding.flood t.logical_flooding
+            (Lsr.Lsa.make ~origin:a ~seq (Dgmc.Switch.Mc mc_lsa)));
       Dgmc.Switch.set_on_change sw (fun () -> schedule_leader_check t a))
     logical_switches;
   t
@@ -361,17 +362,8 @@ let totals t =
   }
 
 let reset_counters t =
-  let reset_switch sw =
-    let s = Dgmc.Switch.stats sw in
-    s.Dgmc.Switch.computations <- 0;
-    s.Dgmc.Switch.computations_withdrawn <- 0;
-    s.Dgmc.Switch.proposals_flooded <- 0;
-    s.Dgmc.Switch.event_lsas_flooded <- 0;
-    s.Dgmc.Switch.proposals_accepted <- 0;
-    s.Dgmc.Switch.lsas_received <- 0
-  in
-  Array.iter reset_switch t.switches;
-  Array.iter reset_switch t.logical_switches;
+  Array.iter Dgmc.Switch.reset_stats t.switches;
+  Array.iter Dgmc.Switch.reset_stats t.logical_switches;
   Array.iter Lsr.Flooding.reset_counters t.area_floodings;
   Lsr.Flooding.reset_counters t.logical_flooding;
   t.events <- 0;

@@ -60,9 +60,8 @@ val giveup_span_hops : reliability -> float
 (** Worst-case simulated time, in [t_hop] multiples, between a transfer's
     first transmission and its giveup: the sum of the [max_retries + 1]
     timeout waits under doubling capped at [rto_max] (508 under the
-    defaults).  {!Config.resync_deadline_hops}
-    validation derives from this — a resync session must outlive its
-    slowest possible transport attempt. *)
+    defaults).  {!Config.resync_deadline_hops} derives from this — a
+    resync session must outlive its slowest possible transport attempt. *)
 
 type transmit = src:int -> dst:int -> base_delay:float -> float list
 

@@ -41,6 +41,16 @@ let apply t { u; v; up; version = ver } =
     end
   end
 
+type clock = int Link_tbl.t
+
+let clock () = Link_tbl.create 16
+
+let stamp c u v ~up =
+  let k = key u v in
+  let version = 1 + Option.value ~default:0 (Link_tbl.find_opt c k) in
+  Link_tbl.replace c k version;
+  { u; v; up; version }
+
 let entries t =
   Link_tbl.fold
     (fun (u, v) ver acc ->

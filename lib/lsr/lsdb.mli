@@ -16,16 +16,19 @@
 
     Link events are {e versioned}: a link's state changes are totally
     ordered in real time, so the driver stamps the n-th change of a link
-    with version n.  The database applies an event only when its version
-    exceeds the last one applied for that link, which makes merging two
-    images (database resynchronisation after a healed partition or a
-    crash recovery) a simple per-link max — duplicates and stale
-    re-floods are no-ops. *)
+    with version n ({!stamp}).  The database applies an event only when
+    its version exceeds the last one applied for that link, which makes
+    merging two images (database resynchronisation after a healed
+    partition or a crash recovery) a simple per-link max — duplicates
+    and stale re-floods are no-ops. *)
 
 type link_event = { u : int; v : int; up : bool; version : int }
 (** Payload of a non-MC LSA: the operational state change of one link
     (the paper's event description [D]).  [version] is the per-link
     monotone change counter assigned by the detecting side. *)
+
+module Link_tbl : Hashtbl.S with type key = int * int
+(** Tables keyed on a link as its ordered [(lo, hi)] endpoint pair. *)
 
 type boot
 (** A boot image: the converged unicast database switches start from.
@@ -60,6 +63,19 @@ val apply : t -> link_event -> unit
 val version : t -> u:int -> v:int -> int
 (** Last applied version for link [(u, v)]; 0 if no event was ever
     applied. *)
+
+type clock
+(** The ground-truth change counter of every link. *)
+
+val clock : unit -> clock
+(** A clock at which every link is at version 0. *)
+
+val stamp : clock -> int -> int -> up:bool -> link_event
+(** [stamp c u v ~up] is the next change of the link between [u] and
+    [v], in either orientation: its version is one above the last one
+    [c] stamped for that link.  The event keeps the given [(u, v)]
+    orientation.  Both endpoints of a change detect the same stamped
+    event, and databases merge by per-link max ({!apply}). *)
 
 val entries : t -> link_event list
 (** Every link this image has applied an event for, with its current

@@ -1,7 +1,5 @@
 (* Live-entry count, shared by a queue and the handles it created so
-   that [cancel], which sees only a handle, can keep it exact.  [clear]
-   gives the queue a fresh counter: handles created before it then update
-   the orphaned one and can no longer change the queue's [length]. *)
+   that [cancel], which sees only a handle, can keep it exact. *)
 type counter = { mutable live : int }
 
 type state = Queued | Retired | Cancelled
@@ -13,7 +11,7 @@ type 'a entry = { time : float; seq : int; payload : 'a; handle : handle }
 type 'a t = {
   heap : 'a entry Heap.t;
   mutable next_seq : int;
-  mutable counter : counter;
+  counter : counter;
 }
 
 let compare_entry a b =
@@ -67,7 +65,3 @@ let rec peek_time q =
     else Some e.time
 
 let length q = q.counter.live
-
-let clear q =
-  Heap.clear q.heap;
-  q.counter <- { live = 0 }

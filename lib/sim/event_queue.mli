@@ -19,8 +19,8 @@ val schedule : 'a t -> time:float -> 'a -> handle
 
 val cancel : handle -> unit
 (** Cancel the entry; popping will silently skip it.  Idempotent.  A
-    cancel that arrives after the entry fired, or after {!clear}, leaves
-    {!length} unchanged. *)
+    cancel that arrives after the entry fired leaves {!length}
+    unchanged. *)
 
 val is_cancelled : handle -> bool
 
@@ -34,5 +34,3 @@ val peek_time : 'a t -> float option
 
 val length : 'a t -> int
 (** Number of live (non-cancelled) entries.  O(1). *)
-
-val clear : 'a t -> unit

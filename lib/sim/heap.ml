@@ -63,5 +63,3 @@ let pop h =
     end;
     Some top
   end
-
-let clear h = h.size <- 0

@@ -17,6 +17,3 @@ val peek : 'a t -> 'a option
 
 val pop : 'a t -> 'a option
 (** Remove and return the smallest element.  O(log n). *)
-
-val clear : 'a t -> unit
-(** Remove all elements. *)

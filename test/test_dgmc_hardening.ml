@@ -250,7 +250,7 @@ let test_equal_stamp_tiebreak_is_order_independent () =
         ~event:(if src = 0 then Dgmc.Mc_lsa.Join Dgmc.Member.Both else Dgmc.Mc_lsa.Join Dgmc.Member.Both)
         ~mc ~proposal:tree ~members ~stamp ()
     in
-    List.iter (Dgmc.Switch.receive sw)
+    List.iter (fun l -> Dgmc.Switch.deliver sw (Mc l))
       (match order with
       | `AB -> [ lsa 0 tree_a; lsa 1 tree_b ]
       | `BA -> [ lsa 0 tree_b; lsa 1 tree_a ]);

@@ -28,6 +28,8 @@ let harness ?(id = 5) () =
 
 let floods h = List.rev !(h.flooded)
 
+let receive sw lsa = Dgmc.Switch.deliver sw (Dgmc.Switch.Mc lsa)
+
 let stamp l = Dgmc.Timestamp.of_array (Array.of_list l)
 
 let join_lsa ?proposal ?members ~src ~stamp:s () =
@@ -60,7 +62,7 @@ let test_event_with_outstanding_defers () =
   let h = harness () in
   (* Teach the switch to expect an event from switch 0 it has not seen:
      an LSA from switch 1 whose stamp covers one event of switch 0. *)
-  Dgmc.Switch.receive h.sw (join_lsa ~src:1 ~stamp:(stamp [ 1; 1; 0; 0; 0; 0 ]) ());
+  receive h.sw (join_lsa ~src:1 ~stamp:(stamp [ 1; 1; 0; 0; 0; 0 ]) ());
   Sim.Engine.run h.engine;
   let before = List.length (floods h) in
   Dgmc.Switch.host_join h.sw mc Dgmc.Member.Both;
@@ -76,7 +78,7 @@ let test_withdrawn_event_computation_still_advertises () =
   Dgmc.Switch.host_join h.sw mc Dgmc.Member.Both;
   (* Before Tc elapses, an event from elsewhere arrives and is consumed,
      advancing R. *)
-  Dgmc.Switch.receive h.sw (join_lsa ~src:2 ~stamp:(stamp [ 0; 0; 1; 0; 0; 0 ]) ());
+  receive h.sw (join_lsa ~src:2 ~stamp:(stamp [ 0; 0; 1; 0; 0; 0 ]) ());
   Sim.Engine.run h.engine;
   let own_event_lsas =
     List.filter
@@ -104,7 +106,7 @@ let test_link_event_only_for_affected_mcs () =
         (fun acc m -> Dgmc.Timestamp.bump acc m)
         (Dgmc.Timestamp.zero 6) members_ids
     in
-    Dgmc.Switch.receive h.sw
+    receive h.sw
       (Dgmc.Mc_lsa.make ~src:(List.hd members_ids)
          ~event:(Dgmc.Mc_lsa.Join Dgmc.Member.Both) ~mc:target_mc ~proposal:tree
          ~members ~stamp:s ())
@@ -114,9 +116,7 @@ let test_link_event_only_for_affected_mcs () =
   Sim.Engine.run h.engine;
   let before = List.length (floods h) in
   (* Link (0, 1) fails; only [mc] is affected. *)
-  Dgmc.Switch.link_event h.sw
-    { Lsr.Lsdb.u = 0; v = 1; up = false; version = 1 }
-    ~detector:true;
+  Dgmc.Switch.detect h.sw { Lsr.Lsdb.u = 0; v = 1; up = false; version = 1 };
   Sim.Engine.run h.engine;
   let new_lsas = List.filteri (fun i _ -> i >= before) (floods h) in
   check Alcotest.int "one MC link LSA" 1 (List.length new_lsas);
@@ -126,9 +126,8 @@ let test_link_event_only_for_affected_mcs () =
 
 let test_link_event_non_detector_is_silent () =
   let h = harness () in
-  Dgmc.Switch.link_event h.sw
-    { Lsr.Lsdb.u = 0; v = 1; up = false; version = 1 }
-    ~detector:false;
+  Dgmc.Switch.deliver h.sw
+    (Link { Lsr.Lsdb.u = 0; v = 1; up = false; version = 1 });
   Sim.Engine.run h.engine;
   check Alcotest.int "nothing flooded" 0 (List.length (floods h));
   check Alcotest.bool "image updated" false
@@ -142,7 +141,7 @@ let test_accepts_up_to_date_proposal () =
   let h = harness () in
   let tree = Mctree.Tree.of_edges ~terminals:[ 0 ] [] in
   let members = Dgmc.Member.of_list [ (0, Dgmc.Member.Both) ] in
-  Dgmc.Switch.receive h.sw
+  receive h.sw
     (join_lsa ~src:0 ~proposal:tree ~members ~stamp:(stamp [ 1; 0; 0; 0; 0; 0 ]) ());
   Sim.Engine.run h.engine;
   check Alcotest.bool "topology installed" true
@@ -156,12 +155,12 @@ let test_rejects_stale_proposal () =
      installed. *)
   let h = harness () in
   (* First learn (via an event LSA) that switch 0 has had 2 events. *)
-  Dgmc.Switch.receive h.sw (join_lsa ~src:0 ~stamp:(stamp [ 2; 0; 0; 0; 0; 0 ]) ());
+  receive h.sw (join_lsa ~src:0 ~stamp:(stamp [ 2; 0; 0; 0; 0; 0 ]) ());
   Sim.Engine.run h.engine;
   let installed_before = Dgmc.Switch.topology h.sw mc in
   (* Now a proposal based on only 1 event of switch 0 arrives late. *)
   let stale_tree = Mctree.Tree.of_edges ~terminals:[ 0; 1 ] [ (0, 1) ] in
-  Dgmc.Switch.receive h.sw
+  receive h.sw
     (proposal_lsa ~src:1 ~tree:stale_tree
        ~members:(Dgmc.Member.of_list [ (0, Dgmc.Member.Both) ])
        ~stamp:(stamp [ 1; 0; 0; 0; 0; 0 ]) ());
@@ -179,7 +178,7 @@ let test_inconsistency_triggers_own_proposal () =
   Sim.Engine.run h.engine;
   let before = List.length (floods h) in
   (* An event LSA from switch 0 that does not know our event. *)
-  Dgmc.Switch.receive h.sw (join_lsa ~src:0 ~stamp:(stamp [ 1; 0; 0; 0; 0; 0 ]) ());
+  receive h.sw (join_lsa ~src:0 ~stamp:(stamp [ 1; 0; 0; 0; 0; 0 ]) ());
   Sim.Engine.run h.engine;
   let new_lsas = List.filteri (fun i _ -> i >= before) (floods h) in
   (match new_lsas with
@@ -196,7 +195,7 @@ let test_consistent_event_does_not_trigger () =
   (* An event LSA whose stamp covers all our events sets no flag: we
      wait for the sender's (or someone's) proposal instead. *)
   let h = harness () in
-  Dgmc.Switch.receive h.sw (join_lsa ~src:0 ~stamp:(stamp [ 1; 0; 0; 0; 0; 0 ]) ());
+  receive h.sw (join_lsa ~src:0 ~stamp:(stamp [ 1; 0; 0; 0; 0; 0 ]) ());
   Sim.Engine.run h.engine;
   check Alcotest.int "no computation at a mere bystander" 0
     (Dgmc.Switch.stats h.sw).computations;
@@ -214,7 +213,7 @@ let test_r_gt_c_suppresses_duplicate_proposal () =
   (* A bare LSA with an all-zero stamp: it does not know our event, so
      the flag is set (line 15) — but R has not advanced beyond C, so
      line 19's R > C forbids recomputing for the same event set. *)
-  Dgmc.Switch.receive h.sw
+  receive h.sw
     (Dgmc.Mc_lsa.make ~src:0 ~event:Dgmc.Mc_lsa.No_event ~mc
        ~stamp:(stamp [ 0; 0; 0; 0; 0; 0 ]) ());
   Sim.Engine.run h.engine;
@@ -230,13 +229,13 @@ let test_triggered_withdrawn_when_mailbox_nonempty () =
   Dgmc.Switch.host_join h.sw mc Dgmc.Member.Both;
   Sim.Engine.run h.engine;
   (* Trigger a computation via an inconsistent event LSA... *)
-  Dgmc.Switch.receive h.sw (join_lsa ~src:0 ~stamp:(stamp [ 1; 0; 0; 0; 0; 0 ]) ());
+  receive h.sw (join_lsa ~src:0 ~stamp:(stamp [ 1; 0; 0; 0; 0; 0 ]) ());
   (* ...and land another LSA before Tc elapses (the triggered
      computation is pending; the mailbox accumulates). *)
   ignore
     (Sim.Engine.schedule h.engine ~delay:(Dgmc.Config.atm_lan.tc /. 2.0)
        (fun () ->
-         Dgmc.Switch.receive h.sw
+         receive h.sw
            (join_lsa ~src:1 ~stamp:(stamp [ 1; 1; 0; 0; 0; 0 ]) ())));
   Sim.Engine.run h.engine;
   let s = Dgmc.Switch.stats h.sw in
@@ -254,7 +253,7 @@ let test_triggered_withdrawn_when_mailbox_nonempty () =
 
 let test_unknown_mc_bare_proposal_dropped () =
   let h = harness () in
-  Dgmc.Switch.receive h.sw
+  receive h.sw
     (proposal_lsa ~src:0
        ~tree:(Mctree.Tree.of_terminals [ 0 ])
        ~members:(Dgmc.Member.of_list [ (0, Dgmc.Member.Both) ])
@@ -264,7 +263,7 @@ let test_unknown_mc_bare_proposal_dropped () =
 
 let test_event_lsa_creates_state () =
   let h = harness () in
-  Dgmc.Switch.receive h.sw (join_lsa ~src:0 ~stamp:(stamp [ 1; 0; 0; 0; 0; 0 ]) ());
+  receive h.sw (join_lsa ~src:0 ~stamp:(stamp [ 1; 0; 0; 0; 0; 0 ]) ());
   Sim.Engine.run h.engine;
   match Dgmc.Switch.members h.sw mc with
   | Some m -> check Alcotest.(list int) "member recorded" [ 0 ] (Dgmc.Member.ids m)
@@ -275,11 +274,11 @@ let test_stale_membership_not_applied_backwards () =
      as an event but does not roll the member list back. *)
   let h = harness () in
   (* Newer LSA first: switch 0's SECOND event, a join. *)
-  Dgmc.Switch.receive h.sw (join_lsa ~src:0 ~stamp:(stamp [ 2; 0; 0; 0; 0; 0 ]) ());
+  receive h.sw (join_lsa ~src:0 ~stamp:(stamp [ 2; 0; 0; 0; 0; 0 ]) ());
   Sim.Engine.run h.engine;
   (* Older LSA late: switch 0's FIRST event was a leave... which would
      remove it if applied. *)
-  Dgmc.Switch.receive h.sw
+  receive h.sw
     (Dgmc.Mc_lsa.make ~src:0 ~event:Dgmc.Mc_lsa.Leave ~mc
        ~stamp:(stamp [ 1; 0; 0; 0; 0; 0 ]) ());
   Sim.Engine.run h.engine;

@@ -220,6 +220,19 @@ let test_lsdb_version_gating () =
   (* Endpoint order is normalised. *)
   check Alcotest.int "symmetric lookup" 3 (Lsr.Lsdb.version db ~u:1 ~v:0)
 
+(* The ground-truth clock versions each link's changes in order, counts
+   the two orientations of a link as one, and keeps the caller's. *)
+let test_lsdb_clock () =
+  let c = Lsr.Lsdb.clock () in
+  let first = Lsr.Lsdb.stamp c 1 0 ~up:false in
+  check Alcotest.(triple int int bool) "orientation kept" (1, 0, false)
+    (first.u, first.v, first.up);
+  check Alcotest.int "first change" 1 first.version;
+  check Alcotest.int "one link either way" 2
+    (Lsr.Lsdb.stamp c 0 1 ~up:true).version;
+  check Alcotest.int "links counted apart" 1
+    (Lsr.Lsdb.stamp c 1 2 ~up:false).version
+
 let test_lsdb_entries () =
   let g = Net.Topo_gen.line 3 in
   let db = Lsr.Lsdb.create (Lsr.Lsdb.boot g) in
@@ -279,6 +292,7 @@ let () =
           Alcotest.test_case "isolated copy" `Quick test_lsdb_isolated_copy;
           Alcotest.test_case "apply events" `Quick test_lsdb_apply;
           Alcotest.test_case "version gating" `Quick test_lsdb_version_gating;
+          Alcotest.test_case "link clock" `Quick test_lsdb_clock;
           Alcotest.test_case "entries export" `Quick test_lsdb_entries;
           Alcotest.test_case "unknown link ignored" `Quick
             test_lsdb_unknown_link_ignored;

@@ -34,13 +34,6 @@ let test_heap_custom_order () =
   let h = heap_of ~cmp:(fun a b -> compare b a) [ 4; 7; 1 ] in
   check Alcotest.(option int) "max first" (Some 7) (Heap.pop h)
 
-let test_heap_clear () =
-  let h = heap_of ~cmp:compare [ 1; 2 ] in
-  Heap.clear h;
-  check Alcotest.(option int) "cleared" None (Heap.peek h);
-  Heap.add h 9;
-  check Alcotest.(option int) "usable after clear" (Some 9) (Heap.pop h)
-
 let test_heap_random_sort () =
   let rng = Rng.create 99 in
   for _ = 1 to 20 do
@@ -75,9 +68,9 @@ let test_queue_fifo_ties () =
     [ "first"; "second"; "third" ] order
 
 (* Reference for [Event_queue.length]: a mirror list of every scheduled
-   entry in (time, insertion) order, popped and cleared in step with the
-   queue, counted by filtering for entries not cancelled — the original
-   O(n) definition of [length]. *)
+   entry in (time, insertion) order, popped in step with the queue,
+   counted by filtering for entries not cancelled — the original O(n)
+   definition of [length]. *)
 type 'a mirrored = {
   q : 'a Event_queue.t;
   mutable mirror : (float * int * Event_queue.handle) list;
@@ -104,10 +97,6 @@ let m_pop m =
   m.mirror <- drop_cancelled m.mirror;
   Event_queue.pop m.q
 
-let m_clear m =
-  Event_queue.clear m.q;
-  m.mirror <- []
-
 let check_length what expected m =
   let reference =
     List.length
@@ -131,14 +120,7 @@ let test_queue_cancellation () =
   check_length "cancel after firing leaves length" 2 m;
   let order = List.init 2 (fun _ -> snd (Option.get (m_pop m))) in
   check Alcotest.(list string) "cancelled skipped" [ "keep1"; "keep2" ] order;
-  check_length "drained" 0 m;
-  let stale = m_schedule m ~time:4.0 "cleared" in
-  m_clear m;
-  ignore (m_schedule m ~time:5.0 "after clear");
-  Event_queue.cancel stale;
-  check_length "cancel after clear leaves length" 1 m;
-  check Alcotest.(option (pair (float 0.0) string)) "survivor fires"
-    (Some (5.0, "after clear")) (m_pop m)
+  check_length "drained" 0 m
 
 let test_queue_cancel_idempotent () =
   let m = mirrored () in
@@ -398,7 +380,6 @@ let () =
           Alcotest.test_case "ordering" `Quick test_heap_ordering;
           Alcotest.test_case "duplicates" `Quick test_heap_duplicates;
           Alcotest.test_case "custom order" `Quick test_heap_custom_order;
-          Alcotest.test_case "clear" `Quick test_heap_clear;
           Alcotest.test_case "random heapsort" `Quick test_heap_random_sort;
         ] );
       ( "event-queue",
