@@ -1,11 +1,3 @@
-module Mc_table = Hashtbl.Make (struct
-  type t = Dgmc.Mc_id.t
-
-  let equal = Dgmc.Mc_id.equal
-
-  let hash = Dgmc.Mc_id.hash
-end)
-
 type membership_lsa = {
   src : int;
   mc : Dgmc.Mc_id.t;
@@ -34,7 +26,7 @@ module Member_map = Map.Make (Dgmc.Member)
 type memo = {
   mutable version : int;
   mutable connected : bool;
-  trees : Mctree.Tree.t Member_map.t Mc_table.t;
+  trees : Mctree.Tree.t Member_map.t Dgmc.Mc_id.Tbl.t;
 }
 
 type t = {
@@ -43,18 +35,18 @@ type t = {
   config : Dgmc.Config.t;  (** With [incremental = false]. *)
   flooding : membership_lsa Lsr.Flooding.t;
   seqs : Lsr.Lsa.Seq.counter array;
-  states : mc_state Mc_table.t array;  (** Per switch. *)
+  states : mc_state Dgmc.Mc_id.Tbl.t array;  (** Per switch. *)
   memo : memo;
   mutable events : int;
   mutable computations : int;
 }
 
 let state_of t switch mc =
-  match Mc_table.find_opt t.states.(switch) mc with
+  match Dgmc.Mc_id.Tbl.find_opt t.states.(switch) mc with
   | Some st -> st
   | None ->
     let st = { members = Dgmc.Member.empty; topology = Mctree.Tree.empty } in
-    Mc_table.replace t.states.(switch) mc st;
+    Dgmc.Mc_id.Tbl.replace t.states.(switch) mc st;
     st
 
 let compute t switch mc members =
@@ -65,20 +57,21 @@ let memoised t switch mc members =
   let memo = t.memo in
   let version = Net.Graph.version t.graph in
   if version <> memo.version then begin
-    Mc_table.reset memo.trees;
+    Dgmc.Mc_id.Tbl.reset memo.trees;
     memo.version <- version;
     memo.connected <- Net.Bfs.is_connected t.graph
   end;
   if not memo.connected then compute t switch mc members
   else
     let trees =
-      Option.value ~default:Member_map.empty (Mc_table.find_opt memo.trees mc)
+      Option.value ~default:Member_map.empty
+        (Dgmc.Mc_id.Tbl.find_opt memo.trees mc)
     in
     match Member_map.find_opt members trees with
     | Some tree -> tree
     | None ->
       let tree = compute t switch mc members in
-      Mc_table.replace memo.trees mc (Member_map.add members tree trees);
+      Dgmc.Mc_id.Tbl.replace memo.trees mc (Member_map.add members tree trees);
       tree
 
 (* Every switch recomputes from scratch on every membership LSA: this is
@@ -100,7 +93,7 @@ let create ~graph ~config () =
   let n = Net.Graph.n_nodes graph in
   if n < 2 then invalid_arg "Brute_force.create: need at least 2 switches";
   let engine = Sim.Engine.create () in
-  let states = Array.init n (fun _ -> Mc_table.create 4) in
+  let states = Array.init n (fun _ -> Dgmc.Mc_id.Tbl.create 4) in
   let holder = ref None in
   let deliver ~switch (lsa : membership_lsa Lsr.Lsa.t) =
     match !holder with
@@ -123,7 +116,8 @@ let create ~graph ~config () =
       flooding;
       seqs = Array.init n (fun _ -> Lsr.Lsa.Seq.create ());
       states;
-      memo = { version = -1; connected = false; trees = Mc_table.create 4 };
+      memo =
+        { version = -1; connected = false; trees = Dgmc.Mc_id.Tbl.create 4 };
       events = 0;
       computations = 0;
     }
@@ -163,13 +157,15 @@ let totals t =
   }
 
 let topology t ~switch mc =
-  Option.map (fun st -> st.topology) (Mc_table.find_opt t.states.(switch) mc)
+  Option.map
+    (fun st -> st.topology)
+    (Dgmc.Mc_id.Tbl.find_opt t.states.(switch) mc)
 
 let converged t mc =
   let reference = ref None in
   Array.for_all
     (fun table ->
-      match Mc_table.find_opt table mc with
+      match Dgmc.Mc_id.Tbl.find_opt table mc with
       | None -> true
       | Some st -> (
         match !reference with

@@ -14,6 +14,14 @@ let equal a b = compare a b = 0
 
 let hash t = (t.id * 4) + kind_rank t.kind
 
+module Tbl = Hashtbl.Make (struct
+  type nonrec t = t
+
+  let equal = equal
+
+  let hash = hash
+end)
+
 let kind_to_string = function
   | Symmetric -> "symmetric"
   | Receiver_only -> "receiver-only"

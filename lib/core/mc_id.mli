@@ -22,7 +22,14 @@ val equal : t -> t -> bool
 
 val compare : t -> t -> int
 
-val hash : t -> int
+module Tbl : Hashtbl.S with type key = t
+(** The one MC-keyed hash table.  Its hash is [4 × id + kind], so which
+    bucket an MC lands in, and with it the order [iter] and [fold] visit
+    MCs, is fixed by the ids and the table's initial size alone.  Some
+    outputs depend on that order (the switch's link-failure detection
+    and pairwise resynchronisation walk their tables in it), so the hash
+    and the callers' initial sizes are part of what pinned fixtures
+    pin. *)
 
 val kind_to_string : kind -> string
 

@@ -11,14 +11,6 @@ type totals = {
   retransmissions : int;
 }
 
-module Mc_table = Hashtbl.Make (struct
-  type t = Mc_id.t
-
-  let equal = Mc_id.equal
-
-  let hash = Mc_id.hash
-end)
-
 (* Link-health layer state (opt-in, [Config.health]).  When present,
    scripted and fault-plan link changes touch ground truth only — the
    hello agents must discover them, and the declaring switch originates
@@ -59,7 +51,7 @@ type t = {
   mutable health : health_state option;
   seqs : Lsr.Lsa.Seq.counter array;
   clock : Lsr.Lsdb.clock;  (** Ground-truth link versions. *)
-  truth : Member.t Mc_table.t;  (** Ground-truth membership per MC. *)
+  truth : Member.t Mc_id.Tbl.t;  (** Ground-truth membership per MC. *)
   trace : Sim.Trace.t;
   metrics : Metrics.Registry.t;
   mutable events : int;
@@ -180,7 +172,7 @@ let create ~graph ~config ?faults ?(trace = Sim.Trace.disabled)
       health = None;
       seqs = Array.init n (fun _ -> Lsr.Lsa.Seq.create ());
       clock = Lsr.Lsdb.clock ();
-      truth = Mc_table.create 8;
+      truth = Mc_id.Tbl.create 8;
       trace;
       metrics;
       events = 0;
@@ -455,18 +447,18 @@ let check_switch t i =
     invalid_arg (Printf.sprintf "Protocol: switch %d out of range" i)
 
 let truth_members t mc =
-  Option.value ~default:Member.empty (Mc_table.find_opt t.truth mc)
+  Option.value ~default:Member.empty (Mc_id.Tbl.find_opt t.truth mc)
 
 let join t ~switch:i mc role =
   check_switch t i;
   note_event t;
-  Mc_table.replace t.truth mc (Member.join (truth_members t mc) i role);
+  Mc_id.Tbl.replace t.truth mc (Member.join (truth_members t mc) i role);
   Switch.host_join t.switches.(i) mc role
 
 let leave t ~switch:i mc =
   check_switch t i;
   note_event t;
-  Mc_table.replace t.truth mc (Member.leave (truth_members t mc) i);
+  Mc_id.Tbl.replace t.truth mc (Member.leave (truth_members t mc) i);
   Switch.host_leave t.switches.(i) mc
 
 let link_change t u v ~up =
@@ -581,7 +573,7 @@ let violations t mc =
 
 let terminal_violations t =
   let truth =
-    Mc_table.fold (fun mc members acc -> (mc, members) :: acc) t.truth []
+    Mc_id.Tbl.fold (fun mc members acc -> (mc, members) :: acc) t.truth []
   in
   Terminal.check ~graph:t.graph ~truth t.switches
 

@@ -1,11 +1,3 @@
-module Mc_table = Hashtbl.Make (struct
-  type t = Mc_id.t
-
-  let equal = Mc_id.equal
-
-  let hash = Mc_id.hash
-end)
-
 type stats = {
   mutable computations : int;
   mutable computations_withdrawn : int;
@@ -35,8 +27,8 @@ type t = {
   config : Config.t;
   engine : Sim.Engine.t;
   lsdb : Lsr.Lsdb.t;
-  mcs : Mc_state.t Mc_table.t;
-  tombstones : (Timestamp.t * Timestamp.t * Timestamp.t) Mc_table.t;
+  mcs : Mc_state.t Mc_id.Tbl.t;
+  tombstones : (Timestamp.t * Timestamp.t * Timestamp.t) Mc_id.Tbl.t;
       (** (R, E, membership_seen) captured when an MC's state is deleted.
           Deletion frees the member list and topology, but event
           numbering must survive: a leave racing with a remote join can
@@ -68,8 +60,8 @@ let create ~id ~n ~config ~engine ~boot () =
     config;
     engine;
     lsdb = Lsr.Lsdb.create boot;
-    mcs = Mc_table.create 8;
-    tombstones = Mc_table.create 8;
+    mcs = Mc_id.Tbl.create 8;
+    tombstones = Mc_id.Tbl.create 8;
     flood = (fun _ -> failwith "Switch: flood callback not installed");
     (* Defaults to a no-op (unlike [flood]): only resynchronisation
        re-disseminates link events, and standalone switches in unit
@@ -128,27 +120,30 @@ let mc_str mc = Format.asprintf "%a" Mc_id.pp mc
 (* ------------------------------------------------------------------ *)
 (* State table *)
 
-let get_state t mc = Mc_table.find_opt t.mcs mc
+let get_state t mc = Mc_id.Tbl.find_opt t.mcs mc
+
+let mc_ids t =
+  Mc_id.Tbl.fold (fun mc _ acc -> mc :: acc) t.mcs [] |> List.sort Mc_id.compare
 
 let get_or_create t mc =
-  match Mc_table.find_opt t.mcs mc with
+  match Mc_id.Tbl.find_opt t.mcs mc with
   | Some st -> st
   | None ->
     let st = Mc_state.create ~n:t.n in
     (* Resume event numbering where the previous incarnation left off. *)
-    (match Mc_table.find_opt t.tombstones mc with
+    (match Mc_id.Tbl.find_opt t.tombstones mc with
     | Some (r, e, seen) ->
       st.r <- r;
       st.e <- Timestamp.merge e r;
       st.membership_seen <- seen
     | None -> ());
-    Mc_table.replace t.mcs mc st;
+    Mc_id.Tbl.replace t.mcs mc st;
     st
 
 (* A completion callback may fire after its state was deleted (and
    possibly recreated); physical equality identifies the incarnation. *)
 let state_current t mc st =
-  match Mc_table.find_opt t.mcs mc with Some s -> s == st | None -> false
+  match Mc_id.Tbl.find_opt t.mcs mc with Some s -> s == st | None -> false
 
 (* MC destruction (paper §3.4): drop the state once the member list is
    empty — guarded so that no promised LSAs, queued LSAs or in-flight
@@ -164,8 +159,8 @@ let maybe_delete t mc (st : Mc_state.t) =
     && st.triggered = None
   then begin
     tracef t "mc-delete" "%a deleted" Mc_id.pp mc;
-    Mc_table.replace t.tombstones mc (st.r, st.e, st.membership_seen);
-    Mc_table.remove t.mcs mc;
+    Mc_id.Tbl.replace t.tombstones mc (st.r, st.e, st.membership_seen);
+    Mc_id.Tbl.remove t.mcs mc;
     (* Deletion is a state change observers care about (e.g. hierarchy
        leaders watching the logical level). *)
     t.on_change ()
@@ -201,6 +196,67 @@ let tree_uses_dead_incident_link t tree =
 let compute_proposal t (st : Mc_state.t) (mc : Mc_id.t) =
   Compute.topology t.config mc.kind (Lsr.Lsdb.graph t.lsdb) st.members
     ~self:t.id ~current:(Some st.topology)
+
+(* Start a computation for either entity (Figure 4 lines 3-5, Figure 5
+   lines 20-21): the proposal is fixed by the inputs now, and [finish]
+   re-checks it against the live R at +Tc.  [event] is [No_event] for
+   the triggered entity. *)
+let launch t mc (st : Mc_state.t) ~event finish =
+  let old_r = st.r in
+  let proposal = compute_proposal t st mc in
+  let trace_id =
+    if traced t then
+      emit t
+        (Compute_started
+           {
+             switch = t.id;
+             mc = mc_str mc;
+             trigger =
+               (match event with
+               | Mc_lsa.No_event -> "receive-lsa"
+               | ev -> "event:" ^ Mc_lsa.event_to_string ev);
+             r = Timestamp.to_array old_r;
+           })
+    else -1
+  in
+  let rec comp =
+    lazy
+      ({
+         old_r;
+         event;
+         proposal;
+         handle =
+           Sim.Engine.schedule t.engine ~delay:t.config.tc (fun () ->
+               finish t mc st (Lazy.force comp));
+         trace_id;
+       }
+        : Mc_state.computation)
+  in
+  Lazy.force comp
+
+(* Count a completed computation, and whether it was withdrawn stale. *)
+let count_completion t ~withdrawn =
+  t.stats.computations <- t.stats.computations + 1;
+  Metrics.Registry.incr t.metrics ?switch:t.label "switch.computations";
+  if withdrawn then begin
+    t.stats.computations_withdrawn <- t.stats.computations_withdrawn + 1;
+    Metrics.Registry.incr t.metrics ?switch:t.label
+      "switch.computations_withdrawn"
+  end
+
+(* [Proposal_made] for a completed computation; its id is the context
+   of what the completion floods. *)
+let proposal_made t mc (comp : Mc_state.computation) ~withdrawn =
+  if traced t then
+    emit t ~parent:comp.trace_id
+      (Proposal_made
+         {
+           switch = t.id;
+           mc = mc_str mc;
+           withdrawn;
+           stamp = Timestamp.to_array comp.old_r;
+         })
+  else -1
 
 (* ------------------------------------------------------------------ *)
 (* EventHandler (Figure 4) *)
@@ -249,39 +305,10 @@ and event_handler t mc event =
   st.e <- Timestamp.bump st.e t.id;
   st.membership_seen <-
     Timestamp.raise_to st.membership_seen t.id (Timestamp.get st.r t.id);
-  if Timestamp.geq st.r st.e then begin
-    (* Lines 3-5: no outstanding LSAs — compute a proposal.  The result
-       is fixed by the inputs now; validity is re-checked at +Tc. *)
-    let old_r = st.r in
-    let proposal = compute_proposal t st mc in
-    let trace_id =
-      if traced t then
-        emit t
-          (Compute_started
-             {
-               switch = t.id;
-               mc = mc_str mc;
-               trigger = "event:" ^ Mc_lsa.event_to_string event;
-               r = Timestamp.to_array old_r;
-             })
-      else -1
-    in
-    let rec comp =
-      lazy
-        ({
-           old_r;
-           event;
-           proposal;
-           handle =
-             Sim.Engine.schedule t.engine ~delay:t.config.tc (fun () ->
-                 event_completion t mc st (Lazy.force comp));
-           trace_id;
-         }
-          : Mc_state.computation)
-    in
-    let comp = Lazy.force comp in
-    st.event_computations <- st.event_computations @ [ comp ]
-  end
+  if Timestamp.geq st.r st.e then
+    (* Lines 3-5: no outstanding LSAs — compute a proposal. *)
+    st.event_computations <-
+      st.event_computations @ [ launch t mc st ~event event_completion ]
   else begin
     (* Lines 15-17: outstanding LSAs — flood the bare event and defer the
        proposal decision to ReceiveLSA. *)
@@ -294,57 +321,31 @@ and event_handler t mc event =
 and event_completion t mc (st : Mc_state.t) (comp : Mc_state.computation) =
   remove_computation st comp;
   if state_current t mc st then begin
-    t.stats.computations <- t.stats.computations + 1;
-    Metrics.Registry.incr t.metrics ?switch:t.label "switch.computations";
-    if
-      Timestamp.equal comp.old_r st.r
-      (* Fault injection: treat a stale result as valid — the protocol
-         bug the model checker exists to catch. *)
-      || Config.injects t.config Config.Skip_stale_withdrawal
-    then begin
-      (* Line 7-10: proposal still valid — flood it and adopt it.  The
-         member snapshot corresponds to [old_r] (= R, no events arrived
-         during the computation). *)
-      let pid =
-        if traced t then
-          emit t ~parent:comp.trace_id
-            (Proposal_made
-               {
-                 switch = t.id;
-                 mc = mc_str mc;
-                 withdrawn = false;
-                 stamp = Timestamp.to_array comp.old_r;
-               })
-        else -1
-      in
-      Sim.Trace.with_context t.trace pid (fun () ->
+    let withdrawn =
+      not
+        (Timestamp.equal comp.old_r st.r
+        (* Fault injection: treat a stale result as valid — the protocol
+           bug the model checker exists to catch. *)
+        || Config.injects t.config Config.Skip_stale_withdrawal)
+    in
+    count_completion t ~withdrawn;
+    Sim.Trace.with_context t.trace (proposal_made t mc comp ~withdrawn)
+      (fun () ->
+        if withdrawn then begin
+          (* Lines 11-13: R advanced during the computation — withdraw,
+             but the event itself must still be advertised. *)
+          flood_lsa t mc ~event:comp.event ~proposal:None ~stamp:comp.old_r ();
+          st.flag <- true
+        end
+        else begin
+          (* Lines 7-10: proposal still valid — flood it and adopt it.
+             The member snapshot corresponds to [old_r] (= R, no events
+             arrived during the computation). *)
           flood_lsa t mc ~event:comp.event ~proposal:(Some comp.proposal)
             ~members:st.members ~stamp:comp.old_r ();
           st.flag <- false;
-          install t st mc ~stamp:comp.old_r ~tree:comp.proposal)
-    end
-    else begin
-      (* Lines 11-13: R advanced during the computation — withdraw, but
-         the event itself must still be advertised. *)
-      t.stats.computations_withdrawn <- t.stats.computations_withdrawn + 1;
-      Metrics.Registry.incr t.metrics ?switch:t.label
-        "switch.computations_withdrawn";
-      let pid =
-        if traced t then
-          emit t ~parent:comp.trace_id
-            (Proposal_made
-               {
-                 switch = t.id;
-                 mc = mc_str mc;
-                 withdrawn = true;
-                 stamp = Timestamp.to_array comp.old_r;
-               })
-        else -1
-      in
-      Sim.Trace.with_context t.trace pid (fun () ->
-          flood_lsa t mc ~event:comp.event ~proposal:None ~stamp:comp.old_r ());
-      st.flag <- true
-    end;
+          install t st mc ~stamp:comp.old_r ~tree:comp.proposal
+        end);
     maybe_delete t mc st
   end
 
@@ -470,71 +471,30 @@ let rec run_invocation t mc (st : Mc_state.t) =
   maybe_delete t mc st
 
 and start_triggered t mc (st : Mc_state.t) =
-  let old_r = st.r in
-  let proposal = compute_proposal t st mc in
-  let trace_id =
-    if traced t then
-      emit t
-        (Compute_started
-           {
-             switch = t.id;
-             mc = mc_str mc;
-             trigger = "receive-lsa";
-             r = Timestamp.to_array old_r;
-           })
-    else -1
-  in
-  let rec comp =
-    lazy
-      ({
-         old_r;
-         event = Mc_lsa.No_event;
-         proposal;
-         handle =
-           Sim.Engine.schedule t.engine ~delay:t.config.tc (fun () ->
-               triggered_completion t mc st (Lazy.force comp));
-         trace_id;
-       }
-        : Mc_state.computation)
-  in
-  st.triggered <- Some (Lazy.force comp)
+  st.triggered <-
+    Some (launch t mc st ~event:Mc_lsa.No_event triggered_completion)
 
 (* Lines 22-31, run at computation completion. *)
 and triggered_completion t mc (st : Mc_state.t) (comp : Mc_state.computation) =
   if st.triggered <> None then begin
     st.triggered <- None;
     if state_current t mc st then begin
-      t.stats.computations <- t.stats.computations + 1;
-      Metrics.Registry.incr t.metrics ?switch:t.label "switch.computations";
-      if Queue.is_empty st.mailbox && Timestamp.equal comp.old_r st.r then begin
-        (* Lines 23-27: still up to date — flood, install, expect no
-           more. *)
-        let pid =
-          if traced t then
-            emit t ~parent:comp.trace_id
-              (Proposal_made
-                 {
-                   switch = t.id;
-                   mc = mc_str mc;
-                   withdrawn = false;
-                   stamp = Timestamp.to_array comp.old_r;
-                 })
-          else -1
-        in
-        Sim.Trace.with_context t.trace pid (fun () ->
+      let withdrawn =
+        not (Queue.is_empty st.mailbox && Timestamp.equal comp.old_r st.r)
+      in
+      count_completion t ~withdrawn;
+      (* Lines 23-27: still up to date — flood, install, expect no more.
+         Lines 28-30: obsolete — withdraw silently. *)
+      if not withdrawn then
+        Sim.Trace.with_context t.trace
+          (proposal_made t mc comp ~withdrawn:false)
+          (fun () ->
             flood_lsa t mc ~event:Mc_lsa.No_event
               ~proposal:(Some comp.proposal) ~members:st.members
               ~stamp:comp.old_r ();
             st.e <- comp.old_r;
             st.flag <- false;
-            install t st mc ~stamp:comp.old_r ~tree:comp.proposal)
-      end
-      else begin
-        (* Lines 28-30: obsolete — withdraw silently. *)
-        t.stats.computations_withdrawn <- t.stats.computations_withdrawn + 1;
-        Metrics.Registry.incr t.metrics ?switch:t.label
-          "switch.computations_withdrawn"
-      end;
+            install t st mc ~stamp:comp.old_r ~tree:comp.proposal);
       if not (Queue.is_empty st.mailbox) then run_invocation t mc st
       else maybe_delete t mc st
     end
@@ -542,6 +502,29 @@ and triggered_completion t mc (st : Mc_state.t) (comp : Mc_state.computation) =
 
 (* ------------------------------------------------------------------ *)
 (* Database resynchronisation (extension; see mli) *)
+
+(* Run [f] under a fresh [Resync] event: per MC, or for a session
+   message when [mc] is absent. *)
+let under_resync t ~peer ?mc f =
+  let rid =
+    if traced t then
+      emit t
+        (Resync
+           {
+             switch = t.id;
+             peer;
+             mc = (match mc with Some mc -> mc_str mc | None -> "");
+           })
+    else -1
+  in
+  Sim.Trace.with_context t.trace rid f
+
+(* Re-propose for [mc] under a [Resync] event: raise the flag and start
+   a triggered computation. *)
+let repropose t ~peer mc (st : Mc_state.t) =
+  under_resync t ~peer ~mc (fun () ->
+      st.flag <- true;
+      start_triggered t mc st)
 
 (* An installed topology is contradicted by the switch's (possibly just
    merged) image when it is no longer a valid embedded tree or no longer
@@ -591,17 +574,9 @@ let revalidate_installs t ~peer =
         when st.triggered = None
              && Timestamp.geq st.r st.e
              && topology_stale t st ->
-        let rid =
-          if traced t then
-            emit t (Resync { switch = t.id; peer; mc = mc_str mc })
-          else -1
-        in
-        Sim.Trace.with_context t.trace rid (fun () ->
-            st.flag <- true;
-            start_triggered t mc st)
+        repropose t ~peer mc st
       | Some _ | None -> ())
-    (Mc_table.fold (fun mc _ acc -> mc :: acc) t.mcs []
-    |> List.sort Mc_id.compare)
+    (mc_ids t)
 
 (* A switch's state for [mc] as a delta ships it. *)
 let export mc (st : Mc_state.t) =
@@ -661,15 +636,10 @@ let resync t ~peer =
     merge_links t ~source:peer.id (Lsr.Lsdb.entries peer.lsdb)
   in
   (* Phase 2: merge the peer's per-MC state, as a delta from it would. *)
-  Mc_table.iter
+  Mc_id.Tbl.iter
     (fun mc pst ->
       apply_export t (export mc pst) ~adopt:(fun st k ->
-          let rid =
-            if traced t then
-              emit t (Resync { switch = t.id; peer = peer.id; mc = mc_str mc })
-            else -1
-          in
-          Sim.Trace.with_context t.trace rid (fun () ->
+          under_resync t ~peer:peer.id ~mc (fun () ->
               k ();
               (* Reflood even when the adopted topology already covers R
                  (R = C): adopting silently would strand every switch
@@ -695,7 +665,7 @@ let detect t (ev : Lsr.Lsdb.link_event) =
   Lsr.Lsdb.apply t.lsdb ev;
   if not ev.up then begin
     let affected =
-      Mc_table.fold
+      Mc_id.Tbl.fold
         (fun mc (st : Mc_state.t) acc ->
           if Mctree.Tree.mem_edge st.topology ev.u ev.v then mc :: acc
           else acc)
@@ -754,44 +724,47 @@ let resync_state t =
     (fun s -> (s.rs_id, List.sort Int.compare s.rs_outstanding))
     t.resync_session
 
-let build_summary t session =
-  let live =
-    Mc_table.fold
-      (fun mc (st : Mc_state.t) acc ->
+(* Everything this switch can export, sorted by MC: its live states,
+   then each tombstone without one, whose surviving event numbering
+   ships with an empty member list and tree — a summary of it lets a
+   neighbor still holding the MC push it back, and a delta of it replays
+   the leaves that emptied the MC. *)
+let exports t =
+  let live = Mc_id.Tbl.fold (fun mc st acc -> export mc st :: acc) t.mcs [] in
+  Mc_id.Tbl.fold
+    (fun mc (r, e, seen) acc ->
+      if Mc_id.Tbl.mem t.mcs mc then acc
+      else
         {
-          Resync.sum_mc = mc;
-          sum_r = st.r;
-          sum_e = st.e;
-          sum_c = st.c;
-          sum_tree_fp = Mctree.Tree.fingerprint st.topology;
+          Resync.exp_mc = mc;
+          exp_r = r;
+          exp_e = e;
+          exp_c = Timestamp.zero t.n;
+          exp_members = Member.empty;
+          exp_membership_seen = seen;
+          exp_topology = Mctree.Tree.empty;
         }
         :: acc)
-      t.mcs []
-  in
-  (* Tombstones carry surviving event numbering; summarising them lets a
-     neighbor that still holds live state for the MC push it back. *)
-  let all =
-    Mc_table.fold
-      (fun mc (r, e, _) acc ->
-        if Mc_table.mem t.mcs mc then acc
-        else
-          {
-            Resync.sum_mc = mc;
-            sum_r = r;
-            sum_e = e;
-            sum_c = Timestamp.zero t.n;
-            sum_tree_fp = Mctree.Tree.fingerprint Mctree.Tree.empty;
-          }
-          :: acc)
-      t.tombstones live
-  in
+    t.tombstones live
+  |> List.sort (fun a b -> Mc_id.compare a.Resync.exp_mc b.Resync.exp_mc)
+
+let build_summary t session =
   Resync.Summary
     {
       session;
       origin = t.id;
       links = Lsr.Lsdb.entries t.lsdb;
       mcs =
-        List.sort (fun a b -> Mc_id.compare a.Resync.sum_mc b.Resync.sum_mc) all;
+        List.map
+          (fun (x : Resync.mc_export) ->
+            {
+              Resync.sum_mc = x.exp_mc;
+              sum_r = x.exp_r;
+              sum_e = x.exp_e;
+              sum_c = x.exp_c;
+              sum_tree_fp = Mctree.Tree.fingerprint x.exp_topology;
+            })
+          (exports t);
     }
 
 (* [reason] is ["delta"] when a neighbor's delta was applied — the only
@@ -827,20 +800,10 @@ let finish_resync t ~reason =
             st.triggered = None
             && Timestamp.geq st.r st.e
             && (st.flag || topology_stale t st)
-          then begin
-            let rid =
-              if traced t then
-                emit t (Resync { switch = t.id; peer = t.id; mc = mc_str mc })
-              else -1
-            in
-            Sim.Trace.with_context t.trace rid (fun () ->
-                st.flag <- true;
-                start_triggered t mc st)
-          end;
+          then repropose t ~peer:t.id mc st;
           maybe_delete t mc st
         | None -> ())
-      (Mc_table.fold (fun mc _ acc -> mc :: acc) t.mcs []
-      |> List.sort Mc_id.compare)
+      (mc_ids t)
 
 let resync_transport_failed t ~peer =
   match t.resync_session with
@@ -897,11 +860,7 @@ let begin_resync_impl t =
     let summary = build_summary t sid in
     List.iter
       (fun nb ->
-        let rid =
-          if traced t then emit t (Resync { switch = t.id; peer = nb; mc = "" })
-          else -1
-        in
-        Sim.Trace.with_context t.trace rid (fun () ->
+        under_resync t ~peer:nb (fun () ->
             Metrics.Registry.incr t.metrics ?switch:t.label
               "switch.resync_summaries_sent";
             t.send_resync ~peer:nb summary))
@@ -940,56 +899,21 @@ let answer_summary t ~session ~peer (sum_links : Lsr.Lsdb.link_event list)
   let summary_of mc =
     List.find_opt (fun s -> Mc_id.equal s.Resync.sum_mc mc) sum_mcs
   in
-  let live =
-    Mc_table.fold
-      (fun mc (st : Mc_state.t) acc ->
-        let behind =
-          match summary_of mc with
-          | None -> true
-          | Some s ->
-            (not (Timestamp.geq s.sum_r st.r))
-            || (not (Timestamp.geq s.sum_e st.e))
-            || Timestamp.gt st.c s.sum_c
-            || (Timestamp.equal st.c s.sum_c
+  let behind (x : Resync.mc_export) =
+    match summary_of x.exp_mc with
+    | None -> true
+    | Some s ->
+      (not (Timestamp.geq s.sum_r x.exp_r))
+      || (not (Timestamp.geq s.sum_e x.exp_e))
+      (* A tombstone compares only R and E. *)
+      || (Mc_id.Tbl.mem t.mcs x.exp_mc
+         && (Timestamp.gt x.exp_c s.sum_c
+            || (Timestamp.equal x.exp_c s.sum_c
                && not
                     (String.equal s.sum_tree_fp
-                       (Mctree.Tree.fingerprint st.topology)))
-        in
-        if behind then export mc st :: acc else acc)
-      t.mcs []
+                       (Mctree.Tree.fingerprint x.exp_topology)))))
   in
-  (* Tombstoned MCs: the recoverer may have missed the leaves that
-     emptied the MC; exporting the surviving accounting with an empty
-     member list replays them. *)
-  let all =
-    Mc_table.fold
-      (fun mc (r, e, seen) acc ->
-        if Mc_table.mem t.mcs mc then acc
-        else
-          let behind =
-            match summary_of mc with
-            | None -> true
-            | Some s ->
-              (not (Timestamp.geq s.sum_r r))
-              || not (Timestamp.geq s.sum_e e)
-          in
-          if behind then
-            {
-              Resync.exp_mc = mc;
-              exp_r = r;
-              exp_e = e;
-              exp_c = Timestamp.zero t.n;
-              exp_members = Member.empty;
-              exp_membership_seen = seen;
-              exp_topology = Mctree.Tree.empty;
-            }
-            :: acc
-          else acc)
-      t.tombstones live
-  in
-  let mcs =
-    List.sort (fun a b -> Mc_id.compare a.Resync.exp_mc b.Resync.exp_mc) all
-  in
+  let mcs = List.filter behind (exports t) in
   (* Reply even when empty: any delta completes the recoverer's session. *)
   Metrics.Registry.incr t.metrics ?switch:t.label "switch.resync_deltas_sent";
   t.send_resync ~peer (Resync.Delta { session; origin = t.id; links; mcs })
@@ -999,10 +923,7 @@ let receive_resync_impl t msg =
   | Resync.Summary { session; origin = peer; links; mcs } ->
     Metrics.Registry.incr t.metrics ?switch:t.label
       "switch.resync_summaries_received";
-    let rid =
-      if traced t then emit t (Resync { switch = t.id; peer; mc = "" }) else -1
-    in
-    Sim.Trace.with_context t.trace rid (fun () ->
+    under_resync t ~peer (fun () ->
         (* The recoverer's own incident links may have changed during its
            outage, and their floods died with it: adopt (and re-flood)
            anything newer its summary proves, then revalidate installs
@@ -1016,11 +937,7 @@ let receive_resync_impl t msg =
       ->
       Metrics.Registry.incr t.metrics ?switch:t.label
         "switch.resync_deltas_applied";
-      let rid =
-        if traced t then emit t (Resync { switch = t.id; peer; mc = "" })
-        else -1
-      in
-      Sim.Trace.with_context t.trace rid (fun () ->
+      under_resync t ~peer (fun () ->
           ignore (merge_links t ~source:peer links);
           List.iter (apply_export t ~adopt:(fun _ k -> k ())) mcs);
       finish_resync t ~reason:"delta"
@@ -1050,10 +967,6 @@ let deliver t = function
 (* Introspection *)
 
 let lsdb_entries t = Lsr.Lsdb.entries t.lsdb
-
-let mc_ids t =
-  Mc_table.fold (fun mc _ acc -> mc :: acc) t.mcs []
-  |> List.sort Mc_id.compare
 
 let members t mc =
   Option.map (fun (st : Mc_state.t) -> st.members) (get_state t mc)
@@ -1095,8 +1008,9 @@ type mc_snapshot = {
 }
 
 let snapshots t =
-  Mc_table.fold
-    (fun mc (st : Mc_state.t) acc ->
+  List.map
+    (fun mc ->
+      let st = Mc_id.Tbl.find t.mcs mc in
       {
         snap_mc = mc;
         snap_r = st.r;
@@ -1111,7 +1025,5 @@ let snapshots t =
           List.map (fun (c : Mc_state.computation) -> c.old_r) st.event_computations;
         snap_triggered =
           Option.map (fun (c : Mc_state.computation) -> c.old_r) st.triggered;
-      }
-      :: acc)
-    t.mcs []
-  |> List.sort (fun a b -> Mc_id.compare a.snap_mc b.snap_mc)
+      })
+    (mc_ids t)

@@ -81,24 +81,6 @@ type counters = {
   blocked_partition : int;
 }
 
-type link_counters = {
-  l_transmissions : int;
-  l_dropped : int;
-  l_duplicated : int;
-  l_reordered : int;
-  l_blocked : int;
-}
-
-(* Mutable accumulator behind {!link_counters} — one per directed
-   (src, dst) pair that ever transmitted. *)
-type link_acc = {
-  mutable a_transmissions : int;
-  mutable a_dropped : int;
-  mutable a_duplicated : int;
-  mutable a_reordered : int;
-  mutable a_blocked : int;
-}
-
 type fault_kind =
   | Drop
   | Duplicate
@@ -112,7 +94,6 @@ type t = {
   rng : Sim.Rng.t;
   plan_seed : int;
   spec : spec;
-  link_accs : (int * int, link_acc) Hashtbl.t;  (* key (src, dst), directed *)
   mutable crashes : (int * window) list;
   mutable partitions : (bool array * window) list;
       (* membership is precomputed up to the largest id mentioned;
@@ -136,7 +117,6 @@ let create ?(spec = spec_default) ~seed () =
     rng = Sim.Rng.create seed;
     plan_seed = seed;
     spec;
-    link_accs = Hashtbl.create 32;
     crashes = [];
     partitions = [];
     c_transmissions = 0;
@@ -225,39 +205,19 @@ let record t ~now ~src ~dst fault =
       (Sim.Trace.emit t.sim_trace ~time:now
          (Fault_injected { src; dst; fault = fault_label fault }))
 
-let link_acc t src dst =
-  match Hashtbl.find_opt t.link_accs (src, dst) with
-  | Some a -> a
-  | None ->
-    let a =
-      {
-        a_transmissions = 0;
-        a_dropped = 0;
-        a_duplicated = 0;
-        a_reordered = 0;
-        a_blocked = 0;
-      }
-    in
-    Hashtbl.add t.link_accs (src, dst) a;
-    a
-
 let transmit t ~src ~dst ~now ~base_delay =
   if not (base_delay > 0.0) then
     invalid_arg "Faults.Plan.transmit: base_delay must be positive";
   t.c_transmissions <- t.c_transmissions + 1;
-  let la = link_acc t src dst in
-  la.a_transmissions <- la.a_transmissions + 1;
   Metrics.Registry.incr t.metrics "faults.transmissions";
   if crashed t src now || crashed t dst now then begin
     let who = if crashed t src now then src else dst in
     t.c_blocked_crash <- t.c_blocked_crash + 1;
-    la.a_blocked <- la.a_blocked + 1;
     record t ~now ~src ~dst (Crash_block who);
     []
   end
   else if separated t src dst now then begin
     t.c_blocked_partition <- t.c_blocked_partition + 1;
-    la.a_blocked <- la.a_blocked + 1;
     record t ~now ~src ~dst Partition_block;
     []
   end
@@ -271,7 +231,6 @@ let transmit t ~src ~dst ~now ~base_delay =
     let duplicated = draw () < spec.duplicate in
     if dropped then begin
       t.c_dropped <- t.c_dropped + 1;
-      la.a_dropped <- la.a_dropped + 1;
       record t ~now ~src ~dst Drop;
       []
     end
@@ -289,7 +248,6 @@ let transmit t ~src ~dst ~now ~base_delay =
             else 0.0
           in
           t.c_reordered <- t.c_reordered + 1;
-          la.a_reordered <- la.a_reordered + 1;
           record t ~now ~src ~dst (Reorder extra);
           d +. extra
         end
@@ -300,7 +258,6 @@ let transmit t ~src ~dst ~now ~base_delay =
       let first = copy () in
       if duplicated then begin
         t.c_duplicated <- t.c_duplicated + 1;
-        la.a_duplicated <- la.a_duplicated + 1;
         record t ~now ~src ~dst Duplicate;
         let second = copy () in
         t.c_delivered <- t.c_delivered + 2;
@@ -325,22 +282,6 @@ let counters t =
     blocked_crash = t.c_blocked_crash;
     blocked_partition = t.c_blocked_partition;
   }
-
-let link_counters t =
-  Hashtbl.fold
-    (fun key a acc ->
-      ( key,
-        {
-          l_transmissions = a.a_transmissions;
-          l_dropped = a.a_dropped;
-          l_duplicated = a.a_duplicated;
-          l_reordered = a.a_reordered;
-          l_blocked = a.a_blocked;
-        } )
-      :: acc)
-    t.link_accs []
-  |> List.sort (fun ((a1, a2), _) ((b1, b2), _) ->
-         match Int.compare a1 b1 with 0 -> Int.compare a2 b2 | c -> c)
 
 let crash_windows t =
   List.rev_map (fun (s, w) -> (s, (w.w_from, w.w_until))) t.crashes

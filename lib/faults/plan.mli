@@ -121,15 +121,3 @@ type counters = {
 }
 
 val counters : t -> counters
-
-type link_counters = {
-  l_transmissions : int;
-  l_dropped : int;
-  l_duplicated : int;
-  l_reordered : int;
-  l_blocked : int;  (** Crash- plus partition-blocked transmissions. *)
-}
-
-val link_counters : t -> ((int * int) * link_counters) list
-(** Exact per-directed-link fault accounting as [((src, dst), counts)],
-    sorted by [(src, dst)] — every pair that ever transmitted appears. *)

@@ -8,14 +8,13 @@ type damping = {
 type t = {
   period : float;
   grace : float;
-  detector : Detector.kind;
+  detector : int;
   reup : int;
   damping : damping option;
   horizon : float;
 }
 
-let make ~period ?grace ?(detector = Detector.K_missed 3) ?(reup = 2) ?damping
-    ~horizon () =
+let make ~period ?grace ?(detector = 3) ?(reup = 2) ?damping ~horizon () =
   let grace = match grace with Some g -> g | None -> period /. 2.0 in
   { period; grace; detector; reup; damping; horizon }
 
@@ -27,27 +26,22 @@ let validate t =
   else if t.reup < 1 then Error "health reup must be >= 1"
   else if not (Float.is_finite t.horizon && t.horizon > 0.0) then
     Error "health horizon must be positive and finite"
+  else if t.detector < 1 then Error "health detector k must be >= 1"
   else
-    match
-      ( t.detector,
-        Option.map
-          (fun d ->
-            Damping.validate
-              {
-                Damping.penalty = d.d_penalty;
-                suppress = d.d_suppress;
-                reuse = d.d_reuse;
-                half_life = d.d_half_life;
-              })
-          t.damping )
-    with
-    | Detector.K_missed k, _ when k < 1 ->
-      Error "health detector k must be >= 1"
-    | _, Some (Error e) -> Error ("health " ^ e)
-    | _, (Some (Ok ()) | None) -> Ok ()
+    match t.damping with
+    | None -> Ok ()
+    | Some d ->
+      Damping.validate
+        {
+          Damping.penalty = d.d_penalty;
+          suppress = d.d_suppress;
+          reuse = d.d_reuse;
+          half_life = d.d_half_life;
+        }
+      |> Result.map_error (fun e -> "health " ^ e)
 
 let detect_bound t =
-  Detector.max_timeout t.detector ~period:t.period ~grace:t.grace +. t.period
+  Detector.max_timeout ~k:t.detector ~period:t.period ~grace:t.grace +. t.period
 
 type abstract = {
   a_detect_rounds : int;
@@ -57,7 +51,7 @@ type abstract = {
 
 let abstract t =
   {
-    a_detect_rounds = Detector.abstract_rounds t.detector;
+    a_detect_rounds = Detector.abstract_rounds ~k:t.detector;
     a_suppress_flaps =
       Option.map
         (fun d -> max 1 (int_of_float (ceil (d.d_suppress /. d.d_penalty))))
@@ -75,11 +69,10 @@ let abstract t =
   }
 
 let describe t =
-  let (Detector.K_missed k) = t.detector in
   (* dgmc-analyze: allow float-format — human-readable config summary *)
   Printf.sprintf
     "hello period %gs grace %gs detector k-missed=%d reup %d%s horizon %gs"
-    t.period t.grace k t.reup
+    t.period t.grace t.detector t.reup
     (match t.damping with
     | None -> ""
     | Some d ->

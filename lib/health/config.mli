@@ -16,7 +16,7 @@ type damping = {
 type t = {
   period : float;  (** Hello period, seconds. *)
   grace : float;  (** Transit allowance added to every tolerance, seconds. *)
-  detector : Detector.kind;
+  detector : int;  (** Consecutive missed hellos before down ([k]). *)
   reup : int;  (** Consecutive hellos heard before re-declaring up. *)
   damping : damping option;
   horizon : float;
@@ -29,13 +29,13 @@ type t = {
 val make :
   period:float ->
   ?grace:float ->
-  ?detector:Detector.kind ->
+  ?detector:int ->
   ?reup:int ->
   ?damping:damping ->
   horizon:float ->
   unit ->
   t
-(** Defaults: [grace = period / 2], [detector = K_missed 3],
+(** Defaults: [grace = period / 2], [detector = 3],
     [reup = 2], no damping. *)
 
 val validate : t -> (unit, string) result

@@ -1,14 +1,12 @@
-type kind = K_missed of int
-
-let max_timeout (K_missed k) ~period ~grace = (float_of_int k *. period) +. grace
+let max_timeout ~k ~period ~grace = (float_of_int k *. period) +. grace
 
 type t = { timeout : float; mutable last : float }
 
-let create (K_missed k as kind) ~period ~grace ~start =
+let create ~k ~period ~grace ~start =
   if k < 1 then invalid_arg "Detector.create: k must be >= 1";
   if period <= 0.0 then invalid_arg "Detector.create: period must be positive";
   if grace < 0.0 then invalid_arg "Detector.create: grace must be >= 0";
-  { timeout = max_timeout kind ~period ~grace; last = start }
+  { timeout = max_timeout ~k ~period ~grace; last = start }
 
 let note_arrival t ~now = t.last <- Float.max t.last now
 
@@ -20,4 +18,4 @@ let down t ~now = now >= deadline t
 
 let reset t ~now = t.last <- now
 
-let abstract_rounds (K_missed k) = k + 1
+let abstract_rounds ~k = k + 1

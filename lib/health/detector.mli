@@ -11,12 +11,11 @@
     All state advances on simulated time supplied by the caller; the
     module never reads a clock, so detection is deterministic. *)
 
-type kind = K_missed of int  (** Down after [k] consecutive missed hellos. *)
-
 type t
 
-val create : kind -> period:float -> grace:float -> start:float -> t
-(** A fresh detector that treats [start] as the last heard-from time. *)
+val create : k:int -> period:float -> grace:float -> start:float -> t
+(** A fresh detector, down after [k] consecutive missed hellos, that
+    treats [start] as the last heard-from time. *)
 
 val note_arrival : t -> now:float -> unit
 (** Record a hello arrival at simulated time [now]. *)
@@ -37,10 +36,10 @@ val reset : t -> now:float -> unit
     interface leaves administrative suppression — stale silence must not
     instantly re-fire the detector. *)
 
-val max_timeout : kind -> period:float -> grace:float -> float
-(** The silence tolerance the [kind] reports — the static ingredient of
-    the configured detection bound. *)
+val max_timeout : k:int -> period:float -> grace:float -> float
+(** The silence tolerance a [k]-missed detector reports — the static
+    ingredient of the configured detection bound. *)
 
-val abstract_rounds : kind -> int
+val abstract_rounds : k:int -> int
 (** Hello rounds of total silence after which the abstract model-checker
     detector must have declared down (zero-jitter schedule): [k + 1]. *)

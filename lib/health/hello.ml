@@ -32,7 +32,7 @@ let create ~engine ~config ~self ~peers ~send ~declare
            {
              peer;
              det =
-               Detector.create config.Config.detector
+               Detector.create ~k:config.Config.detector
                  ~period:config.Config.period ~grace:config.Config.grace ~start;
              damp =
                Option.map

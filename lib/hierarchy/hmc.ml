@@ -1,13 +1,5 @@
 module Int_set = Set.Make (Int)
 
-module Mc_table = Hashtbl.Make (struct
-  type t = Dgmc.Mc_id.t
-
-  let equal = Dgmc.Mc_id.equal
-
-  let hash = Dgmc.Mc_id.hash
-end)
-
 type totals = {
   events : int;
   intra_floodings : int;
@@ -38,14 +30,14 @@ type t = {
   edge_map : (int * int, int * int) Hashtbl.t;
       (** logical (a, b) with a < b → cheapest real link (u, v), u ∈ a. *)
   (* Leader bookkeeping. *)
-  registry : unit Mc_table.t;  (** every MC id ever seen *)
-  host_members : Int_set.t Mc_table.t array;  (** per area: real members *)
-  logical_joined : bool Mc_table.t array;
-  gateways : Int_set.t Mc_table.t array;  (** per area: instructed gateways *)
+  registry : unit Dgmc.Mc_id.Tbl.t;  (** every MC id ever seen *)
+  host_members : Int_set.t Dgmc.Mc_id.Tbl.t array;
+      (** per area: real members *)
+  logical_joined : bool Dgmc.Mc_id.Tbl.t array;
+  gateways : Int_set.t Dgmc.Mc_id.Tbl.t array;
+      (** per area: instructed gateways *)
   check_pending : bool array;
   mutable events : int;
-  mutable intra_flood_count : int;
-  mutable logical_flood_count : int;
   mutable gateway_instructions : int;
 }
 
@@ -112,7 +104,7 @@ let build_logical graph area_of k =
   (logical, edge_map)
 
 let members_of table mc =
-  Option.value ~default:Int_set.empty (Mc_table.find_opt table mc)
+  Option.value ~default:Int_set.empty (Dgmc.Mc_id.Tbl.find_opt table mc)
 
 let rec create ~graph ~partition ~config () =
   validate_partition graph partition;
@@ -179,14 +171,12 @@ let rec create ~graph ~partition ~config () =
       logical_flooding;
       logical_seqs = Array.init k (fun _ -> Lsr.Lsa.Seq.create ());
       edge_map;
-      registry = Mc_table.create 4;
-      host_members = Array.init k (fun _ -> Mc_table.create 4);
-      logical_joined = Array.init k (fun _ -> Mc_table.create 4);
-      gateways = Array.init k (fun _ -> Mc_table.create 4);
+      registry = Dgmc.Mc_id.Tbl.create 4;
+      host_members = Array.init k (fun _ -> Dgmc.Mc_id.Tbl.create 4);
+      logical_joined = Array.init k (fun _ -> Dgmc.Mc_id.Tbl.create 4);
+      gateways = Array.init k (fun _ -> Dgmc.Mc_id.Tbl.create 4);
       check_pending = Array.make k false;
       events = 0;
-      intra_flood_count = 0;
-      logical_flood_count = 0;
       gateway_instructions = 0;
     }
   in
@@ -194,7 +184,6 @@ let rec create ~graph ~partition ~config () =
   Array.iteri
     (fun id sw ->
       Dgmc.Switch.set_flood sw (fun mc_lsa ->
-          t.intra_flood_count <- t.intra_flood_count + 1;
           let a = t.area_of.(id) in
           let seq = Lsr.Lsa.Seq.next t.seqs.(id) in
           Lsr.Flooding.flood t.area_floodings.(a)
@@ -205,7 +194,6 @@ let rec create ~graph ~partition ~config () =
   Array.iteri
     (fun a sw ->
       Dgmc.Switch.set_flood sw (fun mc_lsa ->
-          t.logical_flood_count <- t.logical_flood_count + 1;
           let seq = Lsr.Lsa.Seq.next t.logical_seqs.(a) in
           Lsr.Flooding.flood t.logical_flooding
             (Lsr.Lsa.make ~origin:a ~seq (Dgmc.Switch.Mc mc_lsa)));
@@ -242,7 +230,7 @@ and derive_gateways t a ltree =
 
 and leader_check t a =
   t.check_pending.(a) <- false;
-  Mc_table.iter
+  Dgmc.Mc_id.Tbl.iter
     (fun mc () ->
       let wanted =
         match Dgmc.Switch.topology t.logical_switches.(a) mc with
@@ -251,7 +239,7 @@ and leader_check t a =
       in
       let current = members_of t.gateways.(a) mc in
       if not (Int_set.equal wanted current) then begin
-        Mc_table.replace t.gateways.(a) mc wanted;
+        Dgmc.Mc_id.Tbl.replace t.gateways.(a) mc wanted;
         (* Leader → gateway control messages, one hop of delay each. *)
         Int_set.iter
           (fun g ->
@@ -281,14 +269,15 @@ and leader_check t a =
 let logical_membership_update t a mc =
   let real = members_of t.host_members.(a) mc in
   let joined =
-    Option.value ~default:false (Mc_table.find_opt t.logical_joined.(a) mc)
+    Option.value ~default:false
+      (Dgmc.Mc_id.Tbl.find_opt t.logical_joined.(a) mc)
   in
   if (not (Int_set.is_empty real)) && not joined then begin
-    Mc_table.replace t.logical_joined.(a) mc true;
+    Dgmc.Mc_id.Tbl.replace t.logical_joined.(a) mc true;
     Dgmc.Switch.host_join t.logical_switches.(a) mc Dgmc.Member.Both
   end
   else if Int_set.is_empty real && joined then begin
-    Mc_table.replace t.logical_joined.(a) mc false;
+    Dgmc.Mc_id.Tbl.replace t.logical_joined.(a) mc false;
     Dgmc.Switch.host_leave t.logical_switches.(a) mc
   end
 
@@ -296,10 +285,10 @@ let join t ~switch mc role =
   if switch < 0 || switch >= Array.length t.switches then
     invalid_arg "Hmc.join: switch out of range";
   t.events <- t.events + 1;
-  Mc_table.replace t.registry mc ();
+  Dgmc.Mc_id.Tbl.replace t.registry mc ();
   let a = t.area_of.(switch) in
   let real = members_of t.host_members.(a) mc in
-  Mc_table.replace t.host_members.(a) mc (Int_set.add switch real);
+  Dgmc.Mc_id.Tbl.replace t.host_members.(a) mc (Int_set.add switch real);
   Dgmc.Switch.host_join t.switches.(switch) mc role;
   (* The ingress switch notifies its leader (one hop). *)
   ignore
@@ -312,7 +301,7 @@ let leave t ~switch mc =
   t.events <- t.events + 1;
   let a = t.area_of.(switch) in
   let real = members_of t.host_members.(a) mc in
-  Mc_table.replace t.host_members.(a) mc (Int_set.remove switch real);
+  Dgmc.Mc_id.Tbl.replace t.host_members.(a) mc (Int_set.remove switch real);
   (* The switch stays in the MC if it still serves as a gateway. *)
   let gw = members_of t.gateways.(a) mc in
   if not (Int_set.mem switch gw) then Dgmc.Switch.host_leave t.switches.(switch) mc;
@@ -342,18 +331,20 @@ let totals t =
   let intra_messages =
     Array.fold_left (fun acc f -> acc + Lsr.Flooding.messages_sent f) 0 t.area_floodings
   in
-  let touched = ref 0 in
+  let intra_floodings = ref 0 and touched = ref 0 in
   Array.iteri
     (fun a f ->
-      if Lsr.Flooding.floods_started f > 0 then
-        touched := !touched + List.length t.partition.(a))
+      let floods = Lsr.Flooding.floods_started f in
+      intra_floodings := !intra_floodings + floods;
+      if floods > 0 then touched := !touched + List.length t.partition.(a))
     t.area_floodings;
-  if Lsr.Flooding.floods_started t.logical_flooding > 0 then
+  let logical_floodings = Lsr.Flooding.floods_started t.logical_flooding in
+  if logical_floodings > 0 then
     touched := !touched + Array.length t.logical_switches;
   {
     events = t.events;
-    intra_floodings = t.intra_flood_count;
-    logical_floodings = t.logical_flood_count;
+    intra_floodings = !intra_floodings;
+    logical_floodings;
     intra_messages;
     logical_messages = Lsr.Flooding.messages_sent t.logical_flooding;
     computations = !computations;
@@ -367,8 +358,6 @@ let reset_counters t =
   Array.iter Lsr.Flooding.reset_counters t.area_floodings;
   Lsr.Flooding.reset_counters t.logical_flooding;
   t.events <- 0;
-  t.intra_flood_count <- 0;
-  t.logical_flood_count <- 0;
   t.gateway_instructions <- 0
 
 (* ------------------------------------------------------------------ *)

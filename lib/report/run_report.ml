@@ -255,9 +255,9 @@ let sli ~gap entries =
    JSON form uses round-trip rendering *)
 let num f = if Float.is_finite f then Printf.sprintf "%.6g" f else "nan"
 
-(* Per-directed-link fault aggregation from [Fault_injected] events —
-   the trace-side view of [Faults.Plan.link_counters] (capped at the
-   trace ring size, unlike the plan's exact totals). *)
+(* Per-directed-link fault aggregation from [Fault_injected] events
+   (capped at the trace ring size, unlike the plan's exact aggregate
+   [Faults.Plan.counters]). *)
 type link_faults = {
   mutable f_drops : int;
   mutable f_dups : int;

@@ -240,7 +240,7 @@ let churn_events ~graph ~config d =
 type health_directive = {
   h_period : float * bool;
   h_grace : (float * bool) option;
-  h_detector : Health.Detector.kind;
+  h_detector : int;
   h_reup : int option;
   h_damping : bool;
   h_damp_penalty : float;
@@ -261,7 +261,7 @@ let parse_float lineno what s =
 
 let parse_detector lineno s =
   match String.split_on_char ':' s with
-  | [ ("k" | "k-missed"); k ] -> Health.Detector.K_missed (parse_int lineno "detector k" k)
+  | [ ("k" | "k-missed"); k ] -> parse_int lineno "detector k" k
   | _ -> fail lineno "unknown detector %S (use k:<n>)" s
 
 let parse_health lineno opts =
@@ -292,7 +292,7 @@ let parse_health lineno opts =
     h_detector =
       (match opt_value opts "detector" with
       | Some s -> parse_detector lineno s
-      | None -> Health.Detector.K_missed 3);
+      | None -> 3);
     h_reup = Option.map (parse_int lineno "reup") (opt_value opts "reup");
     h_damping = damping;
     h_damp_penalty = float_opt "damp-penalty" 1.0;

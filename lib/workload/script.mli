@@ -91,7 +91,7 @@ val churn_events :
 type health_directive = {
   h_period : float * bool;  (** (value, round-denominated?). *)
   h_grace : (float * bool) option;
-  h_detector : Health.Detector.kind;
+  h_detector : int;  (** Missed hellos before down. *)
   h_reup : int option;
   h_damping : bool;
   h_damp_penalty : float;

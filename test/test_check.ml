@@ -721,8 +721,8 @@ let test_malformed_corpus () =
 
 (* --- the abstract hello model, exhaustively explored --- *)
 
-(* K_missed 2 → detection proven by round 3; damping (when on) suppresses
-   at the first flap and readmits after one calm round. *)
+(* k = 2 missed hellos → detection proven by round 3; damping (when on)
+   suppresses at the first flap and readmits after one calm round. *)
 let hello_config ?damping () =
   let damping =
     if Option.value damping ~default:false then
@@ -735,7 +735,7 @@ let hello_config ?damping () =
         }
     else None
   in
-  Health.Config.make ~period:0.001 ~detector:(Health.Detector.K_missed 2)
+  Health.Config.make ~period:0.001 ~detector:2
     ?damping ~horizon:1.0 ()
 
 let health_atm ?damping () =

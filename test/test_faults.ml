@@ -17,9 +17,7 @@ let drive plan =
     let copies = Faults.Plan.transmit plan ~src ~dst ~now ~base_delay:1.0 in
     deliveries := (i, copies) :: !deliveries
   done;
-  ( List.rev !deliveries,
-    Faults.Plan.counters plan,
-    Faults.Plan.link_counters plan )
+  (List.rev !deliveries, Faults.Plan.counters plan)
 
 let lossy_spec =
   {
@@ -32,17 +30,16 @@ let lossy_spec =
 
 let test_same_seed_same_trace () =
   let run () = drive (Faults.Plan.create ~spec:lossy_spec ~seed:7 ()) in
-  let d1, c1, l1 = run () in
-  let d2, c2, l2 = run () in
+  let d1, c1 = run () in
+  let d2, c2 = run () in
   check Alcotest.bool "identical delivery decisions" true (d1 = d2);
   check Alcotest.bool "identical counters" true (c1 = c2);
-  check Alcotest.bool "identical per-link counters" true (l1 = l2);
   check Alcotest.bool "faults actually fired" true
     (c1.Faults.Plan.dropped > 0 && c1.duplicated > 0 && c1.reordered > 0)
 
 let test_different_seed_different_trace () =
-  let d1, _, _ = drive (Faults.Plan.create ~spec:lossy_spec ~seed:7 ()) in
-  let d2, _, _ = drive (Faults.Plan.create ~spec:lossy_spec ~seed:8 ()) in
+  let d1, _ = drive (Faults.Plan.create ~spec:lossy_spec ~seed:7 ()) in
+  let d2, _ = drive (Faults.Plan.create ~spec:lossy_spec ~seed:8 ()) in
   check Alcotest.bool "seeds decorrelate the stream" true (d1 <> d2)
 
 (* ------------------------------------------------------------------ *)
@@ -67,49 +64,6 @@ let test_counters_match_rates () =
     (n - c.dropped + c.duplicated)
     c.delivered
 
-(* Per-link totals are exact, directed, sorted, and sum to the
-   aggregate counters — the invariant dgmc_report's per-link fault
-   table relies on. *)
-let test_link_counters_sum_to_aggregate () =
-  let plan = Faults.Plan.create ~spec:lossy_spec ~seed:11 () in
-  Faults.Plan.crash_switch plan ~switch:3 ~from_:10.0 ~until:40.0;
-  for i = 0 to 4_999 do
-    let src = i mod 5 and dst = (i + 1 + (i mod 3)) mod 5 in
-    if src <> dst then
-      ignore
-        (Faults.Plan.transmit plan ~src ~dst ~now:(float_of_int i *. 0.05)
-           ~base_delay:1.0)
-  done;
-  let agg = Faults.Plan.counters plan in
-  let per_link = Faults.Plan.link_counters plan in
-  check Alcotest.bool "several links recorded" true (List.length per_link > 1);
-  let sum f = List.fold_left (fun acc (_, lc) -> acc + f lc) 0 per_link in
-  check Alcotest.int "transmissions sum" agg.Faults.Plan.transmissions
-    (sum (fun lc -> lc.Faults.Plan.l_transmissions));
-  check Alcotest.int "drops sum" agg.dropped
-    (sum (fun lc -> lc.Faults.Plan.l_dropped));
-  check Alcotest.int "duplicates sum" agg.duplicated
-    (sum (fun lc -> lc.Faults.Plan.l_duplicated));
-  check Alcotest.int "reorders sum" agg.reordered
-    (sum (fun lc -> lc.Faults.Plan.l_reordered));
-  let blocked = sum (fun lc -> lc.Faults.Plan.l_blocked) in
-  check Alcotest.bool "crash window blocked some transmissions" true
-    (blocked > 0);
-  (* Directed: traffic flowed both ways on some pair, and the two
-     directions are distinct keys. *)
-  check Alcotest.bool "directed keys" true
-    (List.exists
-       (fun ((a, b), _) -> List.mem_assoc (b, a) per_link)
-       per_link);
-  let keys = List.map fst per_link in
-  let sorted =
-    List.sort
-      (fun (a, b) (c, d) ->
-        match Int.compare a c with 0 -> Int.compare b d | n -> n)
-      keys
-  in
-  check Alcotest.bool "sorted output" true (keys = sorted)
-
 let test_transparent_plan_is_invisible () =
   let plan = Faults.Plan.create ~seed:1 () in
   for i = 0 to 99 do
@@ -123,13 +77,7 @@ let test_transparent_plan_is_invisible () =
   check Alcotest.int "nothing dropped" 0 c.Faults.Plan.dropped;
   check Alcotest.(list int) "every fault counter is 0" [ 0; 0; 0; 0; 0 ]
     [ c.dropped; c.duplicated; c.reordered; c.blocked_crash;
-      c.blocked_partition ];
-  List.iter
-    (fun (_, (lc : Faults.Plan.link_counters)) ->
-      check Alcotest.(list int) "every per-link fault counter is 0"
-        [ 0; 0; 0; 0 ]
-        [ lc.l_dropped; lc.l_duplicated; lc.l_reordered; lc.l_blocked ])
-    (Faults.Plan.link_counters plan)
+      c.blocked_partition ]
 
 (* ------------------------------------------------------------------ *)
 (* Scheduled windows *)
@@ -219,8 +167,6 @@ let () =
         [
           Alcotest.test_case "counters match configured rates" `Quick
             test_counters_match_rates;
-          Alcotest.test_case "link counters sum to aggregate" `Quick
-            test_link_counters_sum_to_aggregate;
           Alcotest.test_case "transparent plan is invisible" `Quick
             test_transparent_plan_is_invisible;
         ] );

@@ -11,8 +11,7 @@ let check = Alcotest.check
 
 let test_k_missed_deadline () =
   let det =
-    Health.Detector.create (Health.Detector.K_missed 3) ~period:1.0 ~grace:0.5
-      ~start:0.0
+    Health.Detector.create ~k:3 ~period:1.0 ~grace:0.5 ~start:0.0
   in
   check (Alcotest.float 1e-9) "timeout = k periods + grace" 3.5
     (Health.Detector.timeout det);
@@ -103,7 +102,7 @@ let test_config_validation () =
 let test_config_abstract_mapping () =
   let hc =
     Health.Config.make ~period:0.5
-      ~detector:(Health.Detector.K_missed 3)
+      ~detector:3
       ~damping:
         {
           Health.Config.d_penalty = 1.0;

@@ -1237,7 +1237,7 @@ let prop_search_domains_identical =
 
 let prop_k_missed_safe_under_k_minus_1_losses =
   (* Runs of at most k-1 consecutive missed hellos never fire a
-     K_missed k detector: at every arrival instant the verdict is still
+     k-missed detector: at every arrival instant the verdict is still
      up. *)
   QCheck2.Test.make
     ~name:"health: k-missed never fires on <= k-1 consecutive losses"
@@ -1254,8 +1254,7 @@ let prop_k_missed_safe_under_k_minus_1_losses =
         (float_range 0.1 2.0) (float_range 0.01 1.0))
     (fun (k, runs, period, grace) ->
       let det =
-        Health.Detector.create (Health.Detector.K_missed k) ~period ~grace
-          ~start:0.0
+        Health.Detector.create ~k ~period ~grace ~start:0.0
       in
       let now = ref 0.0 in
       List.for_all

@@ -490,8 +490,7 @@ at 5r linkup 4 5
       let round = Dgmc.Config.round_length s.config ~graph:s.graph in
       check (Alcotest.float 1e-9) "period resolved in rounds" (0.5 *. round)
         hc.Health.Config.period;
-      (match hc.Health.Config.detector with
-      | Health.Detector.K_missed k -> check Alcotest.int "detector k" 4 k);
+      check Alcotest.int "detector k" 4 hc.Health.Config.detector;
       check Alcotest.int "reup" 3 hc.Health.Config.reup;
       (match hc.Health.Config.damping with
       | Some d ->
