@@ -667,7 +667,7 @@ let search_main ~mode ~graph_spec ~regime ~mcs_spec ~race ~setup ~target_spec
       Check.Search.forward ~target ~max_states ~max_depth ~domains scenario
     in
     Format.printf "%a@." Check.Search.pp_forward o;
-    (match o.f_found with
+    (match o.found with
     | None -> ()
     | Some _ ->
       Printf.printf "reproduce: %s\n" (repro race);

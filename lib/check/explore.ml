@@ -5,14 +5,21 @@ type scenario = {
   race : Harness.event list;
 }
 
-type violation = { message : string; trace : string list }
+type found = {
+  laws : string list;
+  message : string;
+  trace : string list;
+  depth : int;
+  state_digest : string;
+}
 
 type outcome = {
   states : int;
   transitions : int;
   terminals : int;
+  other_violations : int;
   complete : bool;
-  violation : violation option;
+  found : found option;
 }
 
 (* Rebuild the state reached by [prefix]: the harness is deterministic
@@ -47,6 +54,8 @@ let check_state h =
         ~spurious:(Harness.health_spurious h)
         (Harness.health_adjacencies h)
 
+(* Apply [act] and check the per-edge laws: the per-state catalogue on
+   the successor plus C-monotonicity of every switch across the action. *)
 let step h act =
   let before = Array.map Invariant.installed_stamps (Harness.switches h) in
   let desc = Harness.describe h act in
@@ -66,6 +75,84 @@ let check_terminal h =
   @ Invariant.check_health_terminal ~suppressed:(Harness.suppressed_links h)
       (Harness.switches h)
 
+(* A reached state, computed inside a (possibly parallel) expansion
+   task: everything the sequential merge needs to dedup, report or
+   queue it.  [violations] are the edge's laws or, when those hold and
+   nothing is enabled, the terminal laws ([terminal] then says which). *)
+type reached = {
+  prefix : Harness.action list;
+  r_trace : string list;  (* rendered actions, initial state to here *)
+  digest : string;
+  key : int list * string;
+  enabled : Harness.action list;
+  violations : Invariant.violation list;
+  terminal : bool;
+}
+
+let reach ~order h ~digest ~prefix ~trace viols =
+  let enabled = Harness.enabled h in
+  let terminal_viols =
+    if enabled = [] && viols = [] then check_terminal h else []
+  in
+  {
+    prefix;
+    r_trace = trace;
+    digest;
+    key = order ~depth:(List.length prefix) ~digest h;
+    enabled;
+    violations = viols @ terminal_viols;
+    terminal = terminal_viols <> [];
+  }
+
+(* A clean edge into a state admitted before this wave is [None]: that
+   state's laws held when it was admitted, so only the transition
+   counts.  [seen] is only read while a wave's tasks run. *)
+let expand ~order ~seen scenario (prefix, acts) =
+  List.map
+    (fun act ->
+      let h, descs = build scenario prefix in
+      let desc, viols = step h act in
+      let digest = Harness.digest h in
+      if viols = [] && Hashtbl.mem seen digest then None
+      else
+        Some
+          (reach ~order h ~digest ~prefix:(prefix @ [ act ])
+             ~trace:(descs @ [ desc ]) viols))
+    acts
+
+let found_of r viols =
+  {
+    laws =
+      List.sort_uniq String.compare
+        (List.map (fun (v : Invariant.violation) -> v.law) viols);
+    message = String.concat "\n" (List.map Dgmc.Terminal.to_string viols);
+    trace =
+      (if r.terminal then r.r_trace @ [ "(terminal state)" ] else r.r_trace);
+    depth = List.length r.prefix;
+    state_digest = r.digest;
+  }
+
+(* Frontier keys: the caller's priority ints, then its tie string, then
+   the admission number (the state count), so equal keys pop first-in
+   first-out. *)
+module Frontier = Map.Make (struct
+  type t = int list * string * int
+
+  let compare (p1, t1, n1) (p2, t2, n2) =
+    let c = List.compare Int.compare p1 p2 in
+    if c <> 0 then c
+    else
+      let c = String.compare t1 t2 in
+      if c <> 0 then c else Int.compare n1 n2
+end)
+
+(* The wave width is a fixed property of the algorithm, NOT of the
+   domain count: every run — sequential or parallel — pops the same
+   wave_size best frontier entries, expands them as independent pure
+   tasks, and merges the results in wave order.  That is what makes the
+   outcome byte-identical at any [domains]. *)
+let wave_size = 8
+
 (* No partial-order reduction here, deliberately.  The tempting
    persistent set — all enabled actions of one switch d — is unsound in
    this system: a Complete at another switch can flood a FRESH message
@@ -76,78 +163,97 @@ let check_terminal h =
    C stamp) would be silently lost.  Exhaustiveness over the deduped
    state graph is the whole point of this checker; the per-edge replay
    is kept cheap instead (see Harness.first_enabled). *)
-let run ?(max_states = 200_000) ?(max_depth = 10_000) scenario =
+let walk ~hit ~order ~max_states ~max_depth ?domains scenario =
   let seen = Hashtbl.create 4096 in
   let states = ref 0 in
   let transitions = ref 0 in
   let terminals = ref 0 in
+  let others = ref 0 in
   let truncated = ref false in
-  let violation = ref None in
-  let queue = Queue.create () in
-  let report descs viols =
-    violation :=
-      Some
-        {
-          message = String.concat "\n" (List.map Dgmc.Terminal.to_string viols);
-          trace = descs;
-        }
-  in
-  (* A freshly materialised state: dedup, check, classify. *)
-  let examine h prefix descs =
-    let d = Harness.digest h in
-    if not (Hashtbl.mem seen d) then begin
-      Hashtbl.add seen d ();
-      incr states;
-      if !states > max_states then truncated := true
-      else
-        match Harness.enabled h with
-        | [] ->
-          let tv = check_terminal h in
-          if tv <> [] then report (descs @ [ "(terminal state)" ]) tv
-          else incr terminals
-        | acts ->
-          if List.length prefix >= max_depth then truncated := true
-          else Queue.add (prefix, acts) queue
-    end
+  let found = ref None in
+  let frontier = ref Frontier.empty in
+  (* A hit stops the walk; any other violation is counted and not
+     expanded; a clean state is deduped, counted and classified. *)
+  let merge r =
+    match List.filter hit r.violations with
+    | _ :: _ as hits -> found := Some (found_of r hits)
+    | [] when r.violations <> [] -> incr others
+    | [] ->
+      if not (Hashtbl.mem seen r.digest) then begin
+        Hashtbl.add seen r.digest ();
+        incr states;
+        if !states > max_states then truncated := true
+        else if r.enabled = [] then incr terminals
+        else if List.length r.prefix >= max_depth then truncated := true
+        else
+          let prio, tie = r.key in
+          frontier :=
+            Frontier.add (prio, tie, !states) (r.prefix, r.enabled) !frontier
+      end
   in
   let h0, _ = build scenario [] in
-  (match check_state h0 with
-  | [] -> examine h0 [] []
-  | viols -> report [ "(initial state, before any race delivery)" ] viols);
+  merge
+    (reach ~order h0 ~digest:(Harness.digest h0) ~prefix:[]
+       ~trace:[ "(initial state, before any race delivery)" ]
+       (check_state h0));
   let rec loop () =
-    if !violation = None then
-      match Queue.take_opt queue with
-      | None -> ()
-      | Some (prefix, acts) ->
-        List.iter
-          (fun act ->
-            if !violation = None then begin
-              incr transitions;
-              let h, descs = build scenario prefix in
-              let desc, viols = step h act in
-              let descs = descs @ [ desc ] in
-              if viols <> [] then report descs viols
-              else examine h (prefix @ [ act ]) descs
-            end)
-          acts;
-        loop ()
+    if !found = None && not (Frontier.is_empty !frontier) then begin
+      (* Pop the best wave_size entries... *)
+      let wave = ref [] in
+      for _ = 1 to wave_size do
+        match Frontier.min_binding_opt !frontier with
+        | None -> ()
+        | Some (k, entry) ->
+          frontier := Frontier.remove k !frontier;
+          wave := entry :: !wave
+      done;
+      (* ... expand them as pure tasks (deterministic replay), and merge
+         sequentially in wave order: the first hit in (wave, enabled)
+         order wins regardless of which domain computed it. *)
+      List.iter
+        (List.iter (fun r ->
+             if !found = None then begin
+               incr transitions;
+               Option.iter merge r
+             end))
+        (Runner.Pool.map ?domains
+           (expand ~order ~seen scenario)
+           (List.rev !wave));
+      loop ()
+    end
   in
   loop ();
   {
     states = !states;
     transitions = !transitions;
     terminals = !terminals;
-    complete = !violation = None && not !truncated;
-    violation = !violation;
+    other_violations = !others;
+    complete = !found = None && (not !truncated) && !others = 0;
+    found = !found;
   }
+
+let run ?(max_states = 200_000) ?(max_depth = 10_000) scenario =
+  walk ~hit:(fun _ -> true)
+    ~order:(fun ~depth:_ ~digest:_ _ -> ([], ""))
+    ~max_states ~max_depth scenario
+
+let pp_found ppf f =
+  Format.fprintf ppf "@[<v>VIOLATION (depth %d): %s@,state digest %s@,%s@,"
+    f.depth
+    (String.concat ", " f.laws)
+    (Digest.to_hex f.state_digest)
+    f.message;
+  Format.fprintf ppf "trace (%d steps):@," (List.length f.trace);
+  List.iteri (fun i d -> Format.fprintf ppf "  %2d. %s@," (i + 1) d) f.trace;
+  Format.fprintf ppf "@]"
 
 let pp_outcome ppf o =
   Format.fprintf ppf "%d states, %d transitions, %d terminal states%s"
     o.states o.transitions o.terminals
     (if o.complete then " (exhaustive)" else " (bounded)");
-  match o.violation with
-  | None -> Format.fprintf ppf "; no invariant violations"
-  | Some v ->
-    Format.fprintf ppf "@.VIOLATION: %s@.trace (%d steps):@." v.message
-      (List.length v.trace);
-    List.iteri (fun i d -> Format.fprintf ppf "  %2d. %s@." (i + 1) d) v.trace
+  if o.other_violations > 0 then
+    Format.fprintf ppf "; %d off-target violating state(s) not expanded"
+      o.other_violations;
+  match o.found with
+  | None -> Format.fprintf ppf "; no matching invariant violation"
+  | Some f -> Format.fprintf ppf "@.%a" pp_found f

@@ -6,12 +6,15 @@
     per-state laws and C-monotonicity on every transition, the terminal
     laws (agreement, ground truth, quiescence) at every terminal state.
 
-    {b Exploration.}  Breadth-first, so the first violation
-    found comes with a minimal-length counterexample trace.  States are
-    deduplicated by their canonical {!Harness.digest}; since
-    {!Dgmc.Switch.t} is not cloneable, each state is reconstructed by
-    replaying its action prefix from the initial state (sound because
-    the harness is deterministic for a fixed action sequence).
+    {b One walk, two orders.}  {!walk} expands a frontier of states in
+    fixed-width waves, deduplicating by the canonical {!Harness.digest}.
+    Since {!Dgmc.Switch.t} is not cloneable, each state is reconstructed
+    by replaying its action prefix from the initial state (sound because
+    the harness is deterministic for a fixed action sequence).  Its
+    caller picks the frontier order and which violations stop it: {!run}
+    pops in admission order (breadth-first, so the first violation comes
+    with a minimal-length trace) and stops at any law; {!Search.forward}
+    pops by a violation-distance heuristic and stops at its target.
 
     {b Scenario shape.}  [setup] events are injected and deterministically
     drained first ({!Harness.settle}) to reach a converged base state;
@@ -25,21 +28,27 @@ type scenario = {
   race : Harness.event list;  (** Injected concurrently, then explored. *)
 }
 
-type violation = {
-  message : string;  (** The violated laws, rendered. *)
+type found = {
+  laws : string list;  (** The hit's violated laws, sorted, deduped. *)
+  message : string;  (** The hit's violations, rendered. *)
   trace : string list;
       (** Human-readable action sequence from the post-race initial
-          state to the violating state (minimal under BFS). *)
+          state to the violating state (minimal under {!run}). *)
+  depth : int;  (** Actions from the post-race state. *)
+  state_digest : string;  (** {!Harness.digest} of the violating state. *)
 }
 
 type outcome = {
   states : int;  (** Distinct states visited. *)
   transitions : int;  (** Edges expanded. *)
   terminals : int;  (** Distinct terminal states reached. *)
+  other_violations : int;
+      (** Violating states whose laws were not a hit: counted, reported
+          by {!pp_outcome}, but not expanded. *)
   complete : bool;
       (** Whole reachable space covered — no bound was hit and no
           violation cut the search short. *)
-  violation : violation option;  (** First violation found, if any. *)
+  found : found option;  (** The first hit, if any. *)
 }
 
 val build : scenario -> Harness.action list -> Harness.t * string list
@@ -47,40 +56,39 @@ val build : scenario -> Harness.action list -> Harness.t * string list
     harness, inject and settle [setup], inject [race], then replay the
     prefix, collecting each action's {!Harness.describe} rendering.
     Deterministic — two builds of the same prefix are digest-identical —
-    which is what lets both this checker and {!Search} substitute replay
-    for cloning. *)
+    which is what lets {!walk} substitute replay for cloning. *)
 
-val check_state : Harness.t -> Invariant.violation list
-(** The per-state law catalogue ({!Invariant.check_switch}) over every
-    switch — the check applied at each visited state by both this
-    checker and {!Search}. *)
-
-val step : Harness.t -> Harness.action -> string * Invariant.violation list
-(** [step h act] applies [act] to [h] and checks the per-edge laws:
-    {!check_state} on the successor plus {!Invariant.check_monotone} of
-    every switch across the action.  Returns the action's
-    {!Harness.describe} rendering (taken before it is applied) with the
-    violations.  Every explored edge of this checker and {!Search} goes
-    through here. *)
-
-val check_terminal : Harness.t -> Invariant.violation list
-(** The terminal laws at a state with nothing enabled:
-    {!Dgmc.Terminal.check} against the harness's ground truth plus
-    {!Invariant.check_health_terminal} over its suppressed links. *)
+val walk :
+  hit:(Invariant.violation -> bool) ->
+  order:(depth:int -> digest:string -> Harness.t -> int list * string) ->
+  max_states:int ->
+  max_depth:int ->
+  ?domains:int ->
+  scenario ->
+  outcome
+(** The frontier loop.  A reached state's key is its [order] (priority
+    ints compared lexicographically, then the tie string) followed by
+    its admission number; the walk pops the 8 smallest keys, expands
+    them as pure tasks over a {!Runner.Pool} of [domains] (default 1),
+    and merges the edges in wave order.  A state whose violations
+    include a [hit] stops the walk; one with only other violations is
+    counted and not expanded.  The wave width does not depend on
+    [domains], so the outcome is byte-identical at any domain count.
+    [Invalid_argument] if the setup itself cannot settle. *)
 
 val run :
   ?max_states:int ->
   ?max_depth:int ->
   scenario ->
   outcome
-(** Explore the scenario breadth-first.  Defaults: [max_states = 200_000],
-    [max_depth = 10_000].  The per-state invariants are also checked on
-    the settled base state before the race is injected
-    ([Invalid_argument] if the setup itself cannot settle).
+(** {!walk} breadth-first, every law a hit.  Defaults:
+    [max_states = 200_000], [max_depth = 10_000].
 
     No partial-order reduction is applied: the state space is covered in
     full, up to the interchangeability dedup of {!Harness.enabled} and
     the canonical-digest dedup of states (both of which only merge
     provably indistinguishable successors). *)
+
+val pp_found : Format.formatter -> found -> unit
 
 val pp_outcome : Format.formatter -> outcome -> unit

@@ -1,8 +1,8 @@
 (* Guided forward/backward fault-scenario search (ROADMAP: Helmy–Estrin
-   style systematic testing).  Forward mode is a best-first walk of the
-   same deduped state graph Explore covers exhaustively; backward mode
-   enumerates fault sequences shortest-first and forward-checks each, so
-   the first hit is a minimal repro. *)
+   style systematic testing).  Forward mode is Explore's walk in a
+   best-first order with a target; backward mode enumerates fault
+   sequences shortest-first and forward-checks each, so the first hit is
+   a minimal repro. *)
 
 (* ------------------------------------------------------------------ *)
 (* Targets *)
@@ -45,18 +45,22 @@ let matches target (v : Invariant.violation) =
   | Some k, Some mc -> kind_equal k mc.Dgmc.Mc_id.kind
 
 (* ------------------------------------------------------------------ *)
-(* Violation-distance heuristic *)
+(* Forward search: the violation-distance heuristic *)
 
 type score = {
   bound : int;
-      (* Harness.pending_count: provable lower bound on actions left to
-         any terminal state. *)
+      (* Harness.pending_count: admissible-consistent lower bound on the
+         actions left to any terminal state (each action retires exactly
+         one pending item). *)
   discord : int;
-      (* Divergent installed-state fingerprint classes, summed over
-         MCs: for each MC, the number of distinct (members, topology)
-         snapshots across its holders minus one.  0 = full agreement. *)
-  resync_depth : int;  (* Outstanding resynchronisation peers, summed. *)
-  deferred : int;  (* Deferred mid-resync LSAs, summed. *)
+      (* Per MC, the number of distinct (member list, installed
+         topology) fingerprint classes across the switches holding
+         state, minus one — summed.  0 means installed-state
+         agreement. *)
+  resync_depth : int;
+      (* Outstanding crash-recovery resynchronisation peers, summed over
+         switches. *)
+  deferred : int;  (* LSAs deferred by in-flight resyncs, summed. *)
 }
 
 let score h =
@@ -100,226 +104,18 @@ let score h =
     deferred = !deferred;
   }
 
-(* ------------------------------------------------------------------ *)
-(* Forward search *)
-
-type found = {
-  laws : string list;  (* Matching law names, deduplicated. *)
-  message : string;  (* Matching violations, rendered. *)
-  trace : string list;
-  depth : int;
-  state_digest : string;  (* Harness digest of the violating state. *)
-}
-
-type forward_outcome = {
-  f_states : int;
-  f_transitions : int;
-  f_terminals : int;
-  f_other_violations : int;
-      (* Violating states whose laws did not match the target; recorded
-         but neither reported as hits nor expanded. *)
-  f_complete : bool;
-  f_found : found option;
-}
-
-(* Frontier keys: pop order is the violation-distance heuristic.
-   [bound] ascending is the admissible primary key (closest to a
-   checkable terminal first); the divergence evidence — discord, resync
-   depth, deferred queue — breaks ties descending (most evidence
+(* Pop order: [bound] ascending is the admissible primary key (closest
+   to a checkable terminal first); the divergence evidence — discord,
+   resync depth, deferred queue — breaks ties descending (most evidence
    first); depth then digest make the order total and deterministic. *)
-module Key = struct
-  type t = {
-    k_bound : int;
-    k_discord : int;
-    k_resync : int;
-    k_deferred : int;
-    k_depth : int;
-    k_digest : string;
-  }
-
-  let compare a b =
-    let c = Int.compare a.k_bound b.k_bound in
-    if c <> 0 then c
-    else
-      let c = Int.compare b.k_discord a.k_discord in
-      if c <> 0 then c
-      else
-        let c = Int.compare b.k_resync a.k_resync in
-        if c <> 0 then c
-        else
-          let c = Int.compare b.k_deferred a.k_deferred in
-          if c <> 0 then c
-          else
-            let c = Int.compare a.k_depth b.k_depth in
-            if c <> 0 then c else String.compare a.k_digest b.k_digest
-end
-
-module Frontier = Map.Make (Key)
-
-let key_of ~score:s ~depth ~digest =
-  {
-    Key.k_bound = s.bound;
-    k_discord = s.discord;
-    k_resync = s.resync_depth;
-    k_deferred = s.deferred;
-    k_depth = depth;
-    k_digest = digest;
-  }
-
-(* One explored edge, computed inside a (possibly parallel) expansion
-   task.  Everything the sequential merge needs to dedup, report or
-   push is precomputed here; actions survive the replay because the
-   harness is deterministic for a fixed prefix. *)
-type edge = {
-  e_prefix : Harness.action list;  (* parent prefix @ [act] *)
-  e_trace : string list;  (* rendered actions, initial state to child *)
-  e_digest : string;
-  e_score : score;
-  e_enabled : Harness.action list;  (* child's enabled actions *)
-  e_matching : Invariant.violation list;
-  e_all_violations : int;
-  e_terminal_marker : bool;  (* violations found at a terminal state *)
-}
-
-let check_edges target scenario (prefix, acts) =
-  List.map
-    (fun act ->
-      let h, descs = Explore.build scenario prefix in
-      let desc, viols = Explore.step h act in
-      let trace = descs @ [ desc ] in
-      let enabled = Harness.enabled h in
-      let terminal_viols =
-        if enabled = [] && viols = [] then Explore.check_terminal h else []
-      in
-      let all = viols @ terminal_viols in
-      {
-        e_prefix = prefix @ [ act ];
-        e_trace = trace;
-        e_digest = Harness.digest h;
-        e_score = score h;
-        e_enabled = enabled;
-        e_matching = List.filter (matches target) all;
-        e_all_violations = List.length all;
-        e_terminal_marker = terminal_viols <> [];
-      })
-    acts
-
-let render_found ~depth ~digest ~trace ~terminal viols =
-  let trace = if terminal then trace @ [ "(terminal state)" ] else trace in
-  {
-    laws =
-      List.sort_uniq String.compare
-        (List.map (fun (v : Invariant.violation) -> v.law) viols);
-    message = String.concat "\n" (List.map Dgmc.Terminal.to_string viols);
-    trace;
-    depth;
-    state_digest = digest;
-  }
-
-(* The wave width is a fixed property of the algorithm, NOT of the
-   domain count: every run — sequential or parallel — pops the same
-   wave_size best frontier entries, expands them as independent pure
-   tasks, and merges the results in wave order.  That is what makes the
-   outcome byte-identical at any --domains. *)
-let wave_size = 8
+let heuristic ~depth ~digest h =
+  let s = score h in
+  ([ s.bound; -s.discord; -s.resync_depth; -s.deferred; depth ], digest)
 
 let forward ?(target = any) ?(max_states = 50_000) ?(max_depth = 10_000)
-    ?domains (scenario : Explore.scenario) =
-  let seen = Hashtbl.create 4096 in
-  let states = ref 0 in
-  let transitions = ref 0 in
-  let terminals = ref 0 in
-  let others = ref 0 in
-  let truncated = ref false in
-  let found = ref None in
-  let frontier = ref Frontier.empty in
-  let admit ~digest ~score:s ~depth ~prefix ~enabled =
-    if not (Hashtbl.mem seen digest) then begin
-      Hashtbl.add seen digest ();
-      incr states;
-      if !states > max_states then truncated := true
-      else if enabled = [] then incr terminals
-      else if depth >= max_depth then truncated := true
-      else
-        frontier :=
-          Frontier.add (key_of ~score:s ~depth ~digest) (prefix, enabled)
-            !frontier
-    end
-  in
-  (* Initial state: per-state laws first (mirroring Explore), then the
-     terminal laws if the race produced nothing to deliver. *)
-  let h0, _ = Explore.build scenario [] in
-  let enabled0 = Harness.enabled h0 in
-  let viols0 =
-    Explore.check_state h0
-    @ if enabled0 = [] then Explore.check_terminal h0 else []
-  in
-  let digest0 = Harness.digest h0 in
-  (match List.filter (matches target) viols0 with
-  | [] ->
-    if viols0 <> [] then incr others
-    else admit ~digest:digest0 ~score:(score h0) ~depth:0 ~prefix:[]
-        ~enabled:enabled0
-  | matching ->
-    found :=
-      Some
-        (render_found ~depth:0 ~digest:digest0
-           ~trace:[ "(initial state, before any race delivery)" ]
-           ~terminal:(enabled0 = []) matching));
-  let rec loop () =
-    if !found = None && not (Frontier.is_empty !frontier) then begin
-      (* Pop the best wave_size entries... *)
-      let wave = ref [] in
-      for _ = 1 to wave_size do
-        match Frontier.min_binding_opt !frontier with
-        | None -> ()
-        | Some (k, entry) ->
-          frontier := Frontier.remove k !frontier;
-          wave := entry :: !wave
-      done;
-      let wave = List.rev !wave in
-      (* ... expand them as pure tasks (deterministic replay), ... *)
-      let results =
-        Runner.Pool.map ?domains (check_edges target scenario) wave
-      in
-      (* ... and merge sequentially in wave order: the first matching
-         violation in (wave, enabled) order wins regardless of which
-         domain computed it. *)
-      List.iter
-        (fun edges ->
-          List.iter
-            (fun e ->
-              if !found = None then begin
-                incr transitions;
-                match e.e_matching with
-                | _ :: _ ->
-                  found :=
-                    Some
-                      (render_found
-                         ~depth:(List.length e.e_prefix)
-                         ~digest:e.e_digest ~trace:e.e_trace
-                         ~terminal:e.e_terminal_marker e.e_matching)
-                | [] ->
-                  if e.e_all_violations > 0 then incr others
-                  else
-                    admit ~digest:e.e_digest ~score:e.e_score
-                      ~depth:(List.length e.e_prefix) ~prefix:e.e_prefix
-                      ~enabled:e.e_enabled
-              end)
-            edges)
-        results;
-      loop ()
-    end
-  in
-  loop ();
-  {
-    f_states = !states;
-    f_transitions = !transitions;
-    f_terminals = !terminals;
-    f_other_violations = !others;
-    f_complete = !found = None && (not !truncated) && !others = 0;
-    f_found = !found;
-  }
+    ?domains scenario =
+  Explore.walk ~hit:(matches target) ~order:heuristic ~max_states ~max_depth
+    ?domains scenario
 
 (* ------------------------------------------------------------------ *)
 (* Backward search: minimal fault sequences *)
@@ -328,7 +124,7 @@ type backward_outcome = {
   b_candidates : int;  (* Well-formed healed sequences evaluated. *)
   b_max_len : int;
   b_truncated : bool;  (* Candidate budget hit before exhaustion. *)
-  b_found : (Harness.event list * found) option;
+  b_found : (Harness.event list * Explore.found) option;
       (* Shortest reproducing fault sequence, first in enumeration
          order among those of its length. *)
 }
@@ -492,7 +288,7 @@ let candidates_of_length ~graph ~mcs ~setup ~budget len =
 let eval_candidate ~target ~per_candidate_states ~graph ~config ~setup race =
   (forward ~target ~max_states:per_candidate_states ~domains:1
      { Explore.graph; config; setup; race })
-    .f_found
+    .found
 
 let chunk_size = 16
 
@@ -613,27 +409,7 @@ let events_to_string events =
 (* ------------------------------------------------------------------ *)
 (* Reporting *)
 
-let pp_found ppf f =
-  Format.fprintf ppf "@[<v>VIOLATION (depth %d): %s@,state digest %s@,%s@,"
-    f.depth
-    (String.concat ", " f.laws)
-    (Digest.to_hex f.state_digest)
-    f.message;
-  Format.fprintf ppf "trace (%d steps):@," (List.length f.trace);
-  List.iteri (fun i d -> Format.fprintf ppf "  %2d. %s@," (i + 1) d) f.trace;
-  Format.fprintf ppf "@]"
-
-let pp_forward ppf o =
-  Format.fprintf ppf
-    "forward search: %d states, %d transitions, %d terminal states%s"
-    o.f_states o.f_transitions o.f_terminals
-    (if o.f_complete then " (exhaustive)" else " (bounded)");
-  if o.f_other_violations > 0 then
-    Format.fprintf ppf "; %d off-target violating state(s) not expanded"
-      o.f_other_violations;
-  match o.f_found with
-  | None -> Format.fprintf ppf "; no matching invariant violation"
-  | Some f -> Format.fprintf ppf "@.%a" pp_found f
+let pp_forward ppf o = Format.fprintf ppf "forward search: %a" Explore.pp_outcome o
 
 let pp_backward ppf o =
   Format.fprintf ppf "backward search: %d candidate sequence(s) to length %d%s"
@@ -649,4 +425,4 @@ let pp_backward ppf o =
     List.iter
       (fun line -> Format.fprintf ppf "  %s@." line)
       (event_lines events);
-    Format.fprintf ppf "%a" pp_found f
+    Format.fprintf ppf "%a" Explore.pp_found f

@@ -8,17 +8,18 @@
     (see PAPERS.md), on top of the same {!Harness} event model and the
     same deduped state graph:
 
-    {b Forward} ({!forward}): best-first search from an initial topology
-    toward a violation of a {!target} invariant.  The frontier is
-    ordered by a violation-distance heuristic: the primary key is
-    {!Harness.pending_count} — a provable, consistent lower bound on the
-    actions separating the state from any terminal state, where the
-    agreement laws are checked — and ties break toward states with more
-    divergence evidence (disagreeing per-MC installed-state fingerprint
-    classes, outstanding resynchronisation peers, deferred mid-resync
-    LSAs).  States are deduplicated by canonical {!Harness.digest}
-    exactly as in {!Explore}, so with no bound hit an empty-handed
-    forward search is as conclusive as an exhaustive one.
+    {b Forward} ({!forward}): {!Explore.walk} from an initial topology
+    toward a violation of a {!target} invariant, in best-first order.
+    The frontier is ordered by a violation-distance heuristic: the
+    primary key is {!Harness.pending_count} — a provable, consistent
+    lower bound on the actions separating the state from any terminal
+    state, where the agreement laws are checked — and ties break toward
+    states with more divergence evidence (disagreeing per-MC
+    installed-state fingerprint classes, outstanding resynchronisation
+    peers, deferred mid-resync LSAs), then toward shallower states, then
+    by digest.  The walk, its digest dedup and its outcome are
+    {!Explore.run}'s, so with no bound hit an empty-handed forward
+    search is as conclusive as an exhaustive one, with the same counts.
 
     {b Backward} ({!backward}): from a target invariant (a known
     violation's law, optionally narrowed to an MC kind), search for a
@@ -54,47 +55,7 @@ val target_of_string : string -> (target, string) result
 (** Parse ["law"] or ["law\@kind"] with kind one of [symmetric],
     [receiver-only], [asymmetric]. *)
 
-(** {1 The violation-distance heuristic} *)
-
-type score = {
-  bound : int;
-      (** {!Harness.pending_count}: admissible-consistent lower bound on
-          the actions left to any terminal state (each action retires
-          exactly one pending item). *)
-  discord : int;
-      (** Per MC, the number of distinct (member list, installed
-          topology) fingerprint classes across the switches holding
-          state, minus one — summed.  0 means installed-state
-          agreement. *)
-  resync_depth : int;
-      (** Outstanding crash-recovery resynchronisation peers, summed
-          over switches. *)
-  deferred : int;  (** LSAs deferred by in-flight resyncs, summed. *)
-}
-
 (** {1 Forward search} *)
-
-type found = {
-  laws : string list;  (** Matching violated laws, sorted, deduped. *)
-  message : string;  (** The matching violations, rendered. *)
-  trace : string list;  (** Action sequence from the post-race state. *)
-  depth : int;  (** Actions from the post-race state. *)
-  state_digest : string;  (** {!Harness.digest} of the violating state. *)
-}
-
-type forward_outcome = {
-  f_states : int;
-  f_transitions : int;
-  f_terminals : int;
-  f_other_violations : int;
-      (** Violating states whose laws missed the target: counted,
-          reported in {!pp_forward}, but neither returned as the hit nor
-          expanded further. *)
-  f_complete : bool;
-      (** No violation, no bound hit, no off-target violation: the whole
-          deduped reachable space was covered. *)
-  f_found : found option;
-}
 
 val forward :
   ?target:target ->
@@ -102,12 +63,11 @@ val forward :
   ?max_depth:int ->
   ?domains:int ->
   Explore.scenario ->
-  forward_outcome
-(** Best-first search of the scenario's post-race state space.
-    Defaults: [target = any], [max_states = 50_000],
-    [max_depth = 10_000], [domains = 1].  The frontier is expanded in
-    fixed-width waves (8 entries) regardless of [domains], so the
-    outcome is byte-identical at any domain count. *)
+  Explore.outcome
+(** {!Explore.walk} in best-first order, stopping at the first
+    violation that matches [target]; violations off the target count in
+    the outcome's [other_violations].  Defaults: [target = any],
+    [max_states = 50_000], [max_depth = 10_000], [domains = 1]. *)
 
 (** {1 Backward search} *)
 
@@ -115,7 +75,7 @@ type backward_outcome = {
   b_candidates : int;  (** Healed candidate sequences evaluated. *)
   b_max_len : int;
   b_truncated : bool;  (** The candidate budget cut enumeration short. *)
-  b_found : (Harness.event list * found) option;
+  b_found : (Harness.event list * Explore.found) option;
       (** The shortest reproducing fault sequence — first in the fixed
           enumeration order among those of minimal length — and the
           violation its forward check reached. *)
@@ -169,6 +129,6 @@ val events_to_string : Harness.event list -> string
 
 (** {1 Reporting} *)
 
-val pp_forward : Format.formatter -> forward_outcome -> unit
+val pp_forward : Format.formatter -> Explore.outcome -> unit
 
 val pp_backward : Format.formatter -> backward_outcome -> unit

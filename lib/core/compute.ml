@@ -1,12 +1,3 @@
-(* Domain-local so parallel experiment runners (Runner.Pool) don't race
-   on this introspection flag; each task observes its own last
-   computation. *)
-let last_incremental_key = Domain.DLS.new_key (fun () -> ref false)
-
-let set_last_incremental v = Domain.DLS.get last_incremental_key := v
-
-let was_incremental () = !(Domain.DLS.get last_incremental_key)
-
 (* Restrict member ids to the image component containing the computing
    switch, so that a partitioned network still yields a usable topology
    for the side this switch lives on. *)
@@ -15,7 +6,6 @@ let reachable_subset image ~self ids =
   List.filter (fun x -> ok.(x)) ids
 
 let scratch config kind image members ~self =
-  set_last_incremental false;
   let ids = Member.ids members in
   match ids with
   | [] -> Mctree.Tree.empty
@@ -81,18 +71,12 @@ let incremental config kind image members ~self current =
         && not
              (Mctree.Incremental.needs_recompute
                 ~threshold:config.Config.drift_threshold image grown)
-      then begin
-        set_last_incremental true;
-        grown
-      end
+      then grown
       else scratch config kind image members ~self
     with Failure _ -> scratch config kind image members ~self)
 
 let topology_impl config kind image members ~self ~current =
-  if Member.is_empty members then begin
-    set_last_incremental false;
-    Mctree.Tree.empty
-  end
+  if Member.is_empty members then Mctree.Tree.empty
   else
     match (kind : Mc_id.kind) with
     | Asymmetric -> scratch config kind image members ~self

@@ -28,7 +28,3 @@ val topology :
 (** [topology config kind image members ~self ~current] is the proposal
     switch [self] computes from its local image.  Empty membership
     yields {!Mctree.Tree.empty}. *)
-
-val was_incremental : unit -> bool
-(** [true] when the most recent {!topology} call on this domain took the
-    incremental path — exposed for tests and ablation benchmarks. *)

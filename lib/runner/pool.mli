@@ -20,9 +20,7 @@
     to within one task without the overhead of per-task queues.
 
     Tasks must not share mutable state.  All protocol state in this
-    repository is per-run ([Protocol.create] per task); the only
-    process-global mutable — [Dgmc.Compute.was_incremental] — is
-    domain-local storage. *)
+    repository is per-run ([Protocol.create] per task). *)
 
 type stats = {
   task : int;  (** Task index within the batch. *)

@@ -31,7 +31,7 @@ let test_two_concurrent_joins () =
   let scenario = base_scenario ~setup:[] ~race:[ join 0; join 2 ] () in
   let o = Check.Explore.run scenario in
   Format.printf "two-joins: %a@." Check.Explore.pp_outcome o;
-  (match o.violation with
+  (match o.found with
   | Some v ->
     Alcotest.failf "unexpected violation: %s\ntrace:\n%s" v.message
       (String.concat "\n" v.trace)
@@ -70,7 +70,7 @@ let test_join_vs_link_failure () =
   in
   let o = Check.Explore.run scenario in
   Format.printf "join-vs-linkdown (%d,%d): %a@." u v Check.Explore.pp_outcome o;
-  (match o.violation with
+  (match o.found with
   | Some v ->
     Alcotest.failf "unexpected violation: %s\ntrace:\n%s" v.message
       (String.concat "\n" v.trace)
@@ -91,7 +91,7 @@ let test_broken_variant_caught () =
   let o =
     Check.Explore.run (base_scenario ~config ~setup:[] ~race:[ join 0; join 2 ] ())
   in
-  match o.violation with
+  match o.found with
   | None ->
     Alcotest.fail
       "disabling the stale-sender recompute flag was not caught by the checker"
@@ -126,7 +126,7 @@ let test_no_withdrawal_self_heals () =
     Check.Explore.run (base_scenario ~config ~setup:[] ~race:[ join 0; join 2 ] ())
   in
   Format.printf "no-withdrawal (2 joins): %a@." Check.Explore.pp_outcome o;
-  (match o.violation with
+  (match o.found with
   | Some v ->
     Alcotest.failf
       "expected self-healing, got: %s\ntrace:\n%s" v.message
@@ -154,7 +154,7 @@ let test_crash_recover_interleavings () =
   in
   let o = Check.Explore.run scenario in
   Format.printf "crash-recover vs join: %a@." Check.Explore.pp_outcome o;
-  (match o.violation with
+  (match o.found with
   | Some v ->
     Alcotest.failf "unexpected violation: %s\ntrace:\n%s" v.message
       (String.concat "\n" v.trace)
@@ -185,7 +185,7 @@ let test_crash_overlapping_crash () =
   in
   let o = Check.Explore.run scenario in
   Format.printf "overlapping crashes: %a@." Check.Explore.pp_outcome o;
-  (match o.violation with
+  (match o.found with
   | Some v ->
     Alcotest.failf "unexpected violation: %s\ntrace:\n%s" v.message
       (String.concat "\n" v.trace)
@@ -385,7 +385,7 @@ let backward_rediscovery ~config ~mcs ~expected_lines ~fuzzer_len () =
       (List.length events <= fuzzer_len);
     Alcotest.(check bool)
       "the violation names at least one law" true
-      (found.Check.Search.laws <> []));
+      (found.Check.Explore.laws <> []));
   let r1 = render_backward b in
   Alcotest.(check string) "domains 2 byte-identical" r1
     (render_backward (search 2));
@@ -469,13 +469,13 @@ let test_search_forward_is_guided () =
       ~race:[ join 0; join 2 ] ()
   in
   let o = Check.Search.forward scenario in
-  (match o.Check.Search.f_found with
+  (match o.Check.Explore.found with
   | None -> Alcotest.fail "guided forward search missed the violation"
   | Some f ->
     Alcotest.(check bool) "trace reaches the violating state" true
-      (f.Check.Search.depth > 0));
+      (f.Check.Explore.depth > 0));
   Alcotest.(check bool) "guided: well under the exhaustive state count" true
-    (o.Check.Search.f_states < 200)
+    (o.Check.Explore.states < 200)
 
 (* --- shrinker timing minimisation --- *)
 
@@ -769,7 +769,7 @@ let test_hello_fault_free_no_false_positive () =
   in
   let o = Check.Explore.run scenario in
   Format.printf "hello fault-free: %a@." Check.Explore.pp_outcome o;
-  (match o.violation with
+  (match o.found with
   | Some v ->
     Alcotest.failf "unexpected violation: %s\ntrace:\n%s" v.message
       (String.concat "\n" v.trace)
@@ -802,7 +802,7 @@ let test_hello_detection_proven () =
   in
   let o = Check.Explore.run scenario in
   Format.printf "hello detect: %a@." Check.Explore.pp_outcome o;
-  (match o.violation with
+  (match o.found with
   | Some v ->
     Alcotest.failf "unexpected violation: %s\ntrace:\n%s" v.message
       (String.concat "\n" v.trace)
@@ -895,7 +895,7 @@ let test_hello_crash_detection_legitimate () =
   in
   let o = Check.Explore.run scenario in
   Format.printf "hello crash: %a@." Check.Explore.pp_outcome o;
-  (match o.violation with
+  (match o.found with
   | Some v ->
     Alcotest.failf "unexpected violation: %s\ntrace:\n%s" v.message
       (String.concat "\n" v.trace)

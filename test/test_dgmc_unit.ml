@@ -315,7 +315,8 @@ let test_compute_symmetric_scratch () =
       ~self:0 ~current:None
   in
   check Alcotest.bool "valid" true (Mctree.Tree.is_valid_mc_topology g t);
-  check Alcotest.bool "from scratch" false (Dgmc.Compute.was_incremental ())
+  check Alcotest.bool "from scratch" true
+    (Mctree.Tree.equal t (Mctree.Steiner.sph g [ 0; 2; 6; 8 ]))
 
 let test_compute_asymmetric_root () =
   let g = Net.Topo_gen.grid ~rows:3 ~cols:3 () in
@@ -337,21 +338,25 @@ let test_compute_asymmetric_root () =
         delay)
     (Mctree.Spt.receivers_cost g t ~root:5)
 
+(* On the 3x3 grid, 3 joining {0, 4} tells the two paths apart by
+   value: the incremental graft keeps the tree 0-1-4 and hangs 3 off 0,
+   while SPH from scratch routes through 3. *)
 let test_compute_incremental_join_used () =
   let g = Net.Topo_gen.grid ~rows:3 ~cols:3 () in
   let current =
     Dgmc.Compute.topology Dgmc.Config.atm_lan Dgmc.Mc_id.Symmetric g
-      (members_of [ 0; 2 ] Dgmc.Member.Both)
+      (members_of [ 0; 4 ] Dgmc.Member.Both)
       ~self:0 ~current:None
   in
   let t =
     Dgmc.Compute.topology Dgmc.Config.atm_lan Dgmc.Mc_id.Symmetric g
-      (members_of [ 0; 2; 8 ] Dgmc.Member.Both)
+      (members_of [ 0; 3; 4 ] Dgmc.Member.Both)
       ~self:0 ~current:(Some current)
   in
-  check Alcotest.bool "incremental path taken" true (Dgmc.Compute.was_incremental ());
+  check Alcotest.(list (pair int int)) "incremental path taken"
+    [ (0, 1); (0, 3); (1, 4) ] (Mctree.Tree.edges t);
   check Alcotest.bool "valid" true (Mctree.Tree.is_valid_mc_topology g t);
-  check Alcotest.(list int) "terminals" [ 0; 2; 8 ]
+  check Alcotest.(list int) "terminals" [ 0; 3; 4 ]
     (Mctree.Tree.Int_set.elements (Mctree.Tree.terminals t))
 
 let test_compute_incremental_disabled () =
@@ -359,14 +364,16 @@ let test_compute_incremental_disabled () =
   let config = { Dgmc.Config.atm_lan with incremental = false } in
   let current =
     Dgmc.Compute.topology config Dgmc.Mc_id.Symmetric g
-      (members_of [ 0; 2 ] Dgmc.Member.Both)
+      (members_of [ 0; 4 ] Dgmc.Member.Both)
       ~self:0 ~current:None
   in
-  ignore
-    (Dgmc.Compute.topology config Dgmc.Mc_id.Symmetric g
-       (members_of [ 0; 2; 8 ] Dgmc.Member.Both)
-       ~self:0 ~current:(Some current));
-  check Alcotest.bool "scratch when disabled" false (Dgmc.Compute.was_incremental ())
+  let t =
+    Dgmc.Compute.topology config Dgmc.Mc_id.Symmetric g
+      (members_of [ 0; 3; 4 ] Dgmc.Member.Both)
+      ~self:0 ~current:(Some current)
+  in
+  check Alcotest.(list (pair int int)) "scratch when disabled"
+    [ (0, 3); (3, 4) ] (Mctree.Tree.edges t)
 
 let test_compute_leave_and_repair () =
   let g = Net.Topo_gen.grid ~rows:3 ~cols:3 () in

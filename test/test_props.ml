@@ -1184,7 +1184,9 @@ let prop_search_heuristic_admissible_consistent =
 let prop_search_finds_iff_explore_finds =
   (* Digest-dedup soundness: the guided search reports a violation
      exactly when the exhaustive checker does — deduplication never
-     drops the (only) path into a reachable violating state. *)
+     drops the (only) path into a reachable violating state — and when
+     both cover the whole space they count the same states, transitions
+     and terminals. *)
   QCheck2.Test.make
     ~name:"search: forward agrees with exhaustive exploration" ~count:6
     ~print:(fun (c, broken) ->
@@ -1202,12 +1204,17 @@ let prop_search_finds_iff_explore_finds =
       let _, scenario = search_scenario_of ~config c in
       let guided = Check.Search.forward scenario in
       let exhaustive = Check.Explore.run scenario in
-      (match guided.Check.Search.f_found with
+      let counts (o : Check.Explore.outcome) =
+        (o.states, o.transitions, o.terminals)
+      in
+      (match guided.Check.Explore.found with
        | Some _ -> true
        | None -> false)
-      = (match exhaustive.Check.Explore.violation with
+      = (match exhaustive.Check.Explore.found with
          | Some _ -> true
-         | None -> false))
+         | None -> false)
+      && ((not (guided.complete && exhaustive.complete))
+         || counts guided = counts exhaustive))
 
 let prop_search_domains_identical =
   QCheck2.Test.make
