@@ -184,20 +184,7 @@ let ablation () =
            Metrics.Table.cell_f r.final_cost_ratio;
            string_of_bool r.d_converged;
          ])
-       (Experiments.Ablation.drift_threshold ~seeds:(seeds ()) ()));
-  print_endline "\n[d] flooding simulation mode (n = 80, 12-member burst)";
-  Metrics.Table.print
-    ~align:[ Metrics.Table.Left ]
-    ~headers:[ "mode"; "same outcome"; "host time"; "engine events" ]
-    (List.map
-       (fun (r : Experiments.Ablation.flooding_row) ->
-         [
-           r.mode;
-           string_of_bool r.same_topology_as_hop_by_hop;
-           Printf.sprintf "%.1f ms" r.wall_time_ms;
-           string_of_int r.sim_events;
-         ])
-       (Experiments.Ablation.flooding_modes ()))
+       (Experiments.Ablation.drift_threshold ~seeds:(seeds ()) ()))
 
 let hierarchy () =
   heading "Hierarchical D-GMC - the paper's scalability extension (2)";

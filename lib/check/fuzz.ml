@@ -283,20 +283,87 @@ let run_case ?trace case = run_events ?trace case case.events
 
 let max_shrink_runs = 200
 
-(* Greedy one-event removal to a fixed point: deterministic, and every
-   probe is a full (cheap, seeded) simulation of the same case with a
-   sub-workload. *)
-let shrink case =
+(* The laws a failure breaks: the "[law]" tag of each problem, or the
+   whole line for the livelock report, which is its own tag. *)
+let law_tags problems =
+  List.sort_uniq String.compare
+    (List.map
+       (fun p ->
+         match String.index_opt p ']' with
+         | Some i when p.[0] = '[' -> String.sub p 0 (i + 1)
+         | _ -> p)
+       problems)
+
+let link u v = (min u v, max u v)
+
+(* The generator's workload shape: every join is of a non-member, every
+   leave of a member, and every downed link is up again by the end. *)
+let well_formed events =
+  let members = Hashtbl.create 16 and down = Hashtbl.create 4 in
+  List.for_all
+    (fun (e : Workload.Events.t) ->
+      match e.action with
+      | Join { switch; mc; _ } ->
+        let key = (switch, mc.Dgmc.Mc_id.id) in
+        (not (Hashtbl.mem members key)) && (Hashtbl.replace members key (); true)
+      | Leave { switch; mc } ->
+        let key = (switch, mc.Dgmc.Mc_id.id) in
+        Hashtbl.mem members key && (Hashtbl.remove members key; true)
+      | Link_down (u, v) -> Hashtbl.replace down (link u v) (); true
+      | Link_up (u, v) -> Hashtbl.remove down (link u v); true)
+    events
+  && Hashtbl.length down = 0
+
+(* [b] undoes [a]: the leave of a join, the link-up of a link-down. *)
+let undoes (a : Workload.Events.action) (b : Workload.Events.action) =
+  match (a, b) with
+  | Join j, Leave l -> j.switch = l.switch && j.mc.id = l.mc.id
+  | Link_down (u, v), Link_up (x, y) -> link u v = link x y
+  | _ -> false
+
+(* The removable units of a workload, as event positions, in order of
+   their first event: a join or a link-down together with the first
+   later event that undoes it.  A leave or a link-up never goes alone. *)
+let units events =
+  let arr = Array.of_list events in
+  List.concat
+    (List.mapi
+       (fun i (e : Workload.Events.t) ->
+         match e.action with
+         | Leave _ | Link_up _ -> []
+         | Join _ | Link_down _ ->
+           let rec partner j =
+             if j >= Array.length arr then []
+             else if undoes e.action arr.(j).Workload.Events.action then [ j ]
+             else partner (j + 1)
+           in
+           [ i :: partner (i + 1) ])
+       events)
+
+(* Greedy unit removal, then timing: deterministic, and every probe is a
+   full (cheap, seeded) simulation of the same case with a
+   sub-workload.  A candidate counts only if it keeps the generator's
+   shape and fails with the same laws, so shrinking can neither leave a
+   partition unhealed nor drift onto a different bug. *)
+let shrink case problems =
+  let target = law_tags problems in
   let runs = ref 0 in
-  let fails events =
-    incr runs;
-    match run_events case events with Ok _ -> false | Error _ -> true
+  let fails_alike events =
+    well_formed events
+    && begin
+         incr runs;
+         match run_events case events with
+         | Ok _ -> false
+         | Error ps -> law_tags ps = target
+       end
   in
-  let rec pass events i =
-    if !runs >= max_shrink_runs || i >= List.length events then events
+  let rec pass events k =
+    let us = units events in
+    if !runs >= max_shrink_runs || k >= List.length us then events
     else
-      let candidate = List.filteri (fun j _ -> j <> i) events in
-      if fails candidate then pass candidate i else pass events (i + 1)
+      let drop = List.nth us k in
+      let candidate = List.filteri (fun j _ -> not (List.mem j drop)) events in
+      if fails_alike candidate then pass candidate k else pass events (k + 1)
   in
   (* Timing pass, left to right: pull each surviving event back to its
      predecessor's time (the first to 0), keeping the change only if the
@@ -308,18 +375,18 @@ let shrink case =
   let rec time_pass events i =
     if !runs >= max_shrink_runs || i >= List.length events then events
     else begin
-      let target =
+      let earlier =
         if i = 0 then 0.0 else (List.nth events (i - 1)).Workload.Events.time
       in
       let e_i = List.nth events i in
-      if e_i.Workload.Events.time <= target then time_pass events (i + 1)
+      if e_i.Workload.Events.time <= earlier then time_pass events (i + 1)
       else
         let candidate =
           List.mapi
-            (fun j e -> if j = i then { e with Workload.Events.time = target } else e)
+            (fun j e -> if j = i then { e with Workload.Events.time = earlier } else e)
             events
         in
-        if fails candidate then time_pass candidate (i + 1)
+        if fails_alike candidate then time_pass candidate (i + 1)
         else time_pass events (i + 1)
     end
   in
@@ -346,7 +413,7 @@ let run ?n_max ?mcs_max ?events_max ?health ?domains ?(progress = ignore)
         match run_case case with
         | Ok s -> Ok s
         | Error problems ->
-          let f_shrunk, f_shrink_runs = shrink case in
+          let f_shrunk, f_shrink_runs = shrink case problems in
           Error { f_case = case; f_problems = problems; f_shrunk; f_shrink_runs })
       seeds
   in

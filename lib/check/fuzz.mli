@@ -18,8 +18,9 @@
     the paper leaves to protocol-level link events and database
     resynchronisation).
 
-    On failure the workload is shrunk (greedy event removal, re-running
-    the deterministic case each time) and the failure report carries a
+    On failure the workload is shrunk (greedy removal of join/leave and
+    link-down/link-up units, re-running the deterministic case each
+    time) and the failure report carries a
     replayable reproduction line: the same seed regenerates the same
     case, byte for byte. *)
 
@@ -90,14 +91,18 @@ val run_case : ?trace:Sim.Trace.t -> case -> (stats, string list) result
     to keeping the newest events instead of exhausting memory.  Tracing
     never changes the simulated run: same seed, same outcome. *)
 
-val shrink : case -> Workload.Events.t list * int
-(** Greedy one-event removal to a fixed point, then a timing pass that
-    pulls each surviving event back to its predecessor's time (the first
-    to 0) wherever the failure survives: returns a sub-workload that
-    still fails (assuming the case itself fails) from which no single
-    event can be removed — and in which no single gap remains — without
-    the failure disappearing, plus the number of probe runs spent (both
-    passes share one cap of 200 probe runs).  Deterministic. *)
+val shrink : case -> string list -> Workload.Events.t list * int
+(** [shrink case problems] shrinks a failing case whose run reported
+    [problems].  Greedy removal of whole units — a join with its
+    matching leave, a link-down with the link-up that heals it; a leave
+    or a link-up never goes alone — then a timing pass that pulls each
+    surviving event back to its predecessor's time (the first to 0).  A
+    candidate is kept only if every join in it is of a non-member, every
+    leave of a member, every downed link is healed, and it fails with
+    the same set of [\[law\]] tags as [problems] (a run that does not
+    quiesce is its own tag).  Returns the shrunk workload and the number
+    of probe runs spent (both passes share one cap of 200).
+    Deterministic. *)
 
 val run :
   ?n_max:int ->

@@ -25,8 +25,8 @@ type t = {
   tc : float;  (** Topology-computation latency at a switch (seconds). *)
   t_hop : float;  (** Per-hop LSA transmission time (seconds). *)
   flood_mode : Lsr.Flooding.mode;
-      (** [Hop_by_hop] (default) and [Ideal] assume lossless delivery;
-          use [Reliable] (ack + retransmit) when running under a
+      (** [Hop_by_hop] (default) assumes lossless delivery; use
+          [Reliable] (ack + retransmit) when running under a
           {!Faults.Plan} that can lose or reorder messages. *)
   reliability : Lsr.Flooding.reliability;
       (** Reliable-mode parameters handed to {!Lsr.Flooding.create}

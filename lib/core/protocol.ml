@@ -26,7 +26,6 @@ type health_state = {
   mutable hs_false_positives : int;
   mutable hs_latencies : float list;  (* down-detection latencies *)
   mutable hs_hellos_sent : int;
-  mutable hs_hellos_received : int;
 }
 
 type health_summary = {
@@ -100,8 +99,10 @@ let originated ~switch ~seq : Switch.payload -> _ = function
 (* Every LSA a switch sends starts here: stamp it with the origin's next
    sequence number and hand it to [send].  A traced run first records
    the origination (its payload built only then) and sends in that
-   event's causal context.  Every [send] is a closure built once per
-   switch, so the untraced path allocates nothing beyond the LSA. *)
+   event's causal context.  Floods go through one closure built at
+   creation, so an untraced flood allocates nothing beyond the LSA; a
+   resync unicast, sent only by crash recovery, builds its [send] per
+   message. *)
 let originate t ~from payload send =
   let seq = Lsr.Lsa.Seq.next t.seqs.(from) in
   let lsa = Lsr.Lsa.make ~origin:from ~seq payload in
@@ -190,34 +191,17 @@ let create ~graph ~config ?faults ?(trace = Sim.Trace.disabled)
           Metrics.Registry.incr metrics "protocol.mc_floodings";
           originate net ~from:id (Switch.Mc mc_lsa) net.flood);
       Switch.set_flood_link sw (fun ev -> flood_link_event net ~from:id ev);
-      let unicast peer (lsa : Switch.payload Lsr.Lsa.t) =
-        (* Only the recoverer's summary needs a failure signal: a lost
-           delta is covered by the recoverer's session deadline. *)
-        let on_giveup =
-          match lsa.payload with
-          | Resync (Resync.Summary _) ->
-            fun () -> Switch.resync_transport_failed sw ~peer
-          | Resync (Resync.Delta _) | Mc _ | Link _ -> fun () -> ()
-        in
-        Lsr.Flooding.send flooding ~src:id ~dst:peer ~on_giveup lsa
-      in
-      (* One transport per incident link, built at the switch's first
-         resync, so that a resync message allocates no closure of its
-         own and a run without crashes builds none. *)
-      let unicasts =
-        lazy
-          (List.filter_map
-             (fun peer ->
-               if Net.Graph.has_edge graph id peer then
-                 Some (peer, unicast peer)
-               else None)
-             (List.init n Fun.id))
-      in
       Switch.set_send_resync sw (fun ~peer msg ->
           Metrics.Registry.incr metrics "protocol.resync_messages";
-          (* Switch ids are ints: physical equality is equality. *)
+          (* Only the recoverer's summary needs a failure signal: a lost
+             delta is covered by the recoverer's session deadline. *)
+          let on_giveup =
+            match msg with
+            | Resync.Summary _ -> fun () -> Switch.resync_transport_failed sw ~peer
+            | Resync.Delta _ -> fun () -> ()
+          in
           originate net ~from:id (Switch.Resync msg)
-            (List.assq peer (Lazy.force unicasts)));
+            (Lsr.Flooding.send flooding ~src:id ~dst:peer ~on_giveup));
       Switch.set_on_change sw (fun () ->
           net.last_change <- Some (Sim.Engine.now engine);
           List.iter (fun f -> f ()) net.observers))
@@ -304,7 +288,6 @@ let create ~graph ~config ?faults ?(trace = Sim.Trace.disabled)
         hs_false_positives = 0;
         hs_latencies = [];
         hs_hellos_sent = 0;
-        hs_hellos_received = 0;
       }
     in
     (* One hello on the wire, subject to the same fault plan as LSAs:
@@ -328,7 +311,6 @@ let create ~graph ~config ?faults ?(trace = Sim.Trace.disabled)
                    if Net.Graph.link_is_up graph i peer then begin
                      let at = Sim.Engine.now engine in
                      if Option.is_none (down_since peer at) then begin
-                       h.hs_hellos_received <- h.hs_hellos_received + 1;
                        Metrics.Registry.incr metrics ~switch:peer
                          "health.hellos_received";
                        Health.Hello.on_hello h.agents.(peer) ~from:i

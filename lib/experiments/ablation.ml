@@ -121,51 +121,3 @@ let drift_threshold ?(seeds = Figures.default_seeds) ?(n = 40) () =
         d_converged = List.for_all snd results;
       })
     [ 1.05; 1.2; 1.5; 2.0; 10.0 ]
-
-type flooding_row = {
-  mode : string;
-  same_topology_as_hop_by_hop : bool;
-  wall_time_ms : float;
-  sim_events : int;
-}
-
-let flooding_modes ?(seed = 1) ?(n = 80) () =
-  let run mode =
-    let config = { Dgmc.Config.atm_lan with flood_mode = mode } in
-    let graph = Harness.graph_for ~seed ~n in
-    let net = Dgmc.Protocol.create ~graph ~config () in
-    let rng = Sim.Rng.create (seed * 17) in
-    let round = Dgmc.Config.round_length config ~graph in
-    Workload.Events.apply_dgmc net
-      (Workload.Bursty.joins rng ~n ~mc ~members:12 ~window:round ());
-    (* dgmc-analyze: allow nondet-source — CPU-time measurement of the run *)
-    let t0 = Sys.time () in
-    Dgmc.Protocol.run net;
-    (* dgmc-analyze: allow nondet-source — CPU-time measurement *)
-    let elapsed = (Sys.time () -. t0) *. 1e3 in
-    ( Dgmc.Protocol.agreed_topology net mc,
-      elapsed,
-      Sim.Engine.events_executed (Dgmc.Protocol.engine net) )
-  in
-  let topo_h, time_h, events_h = run Lsr.Flooding.Hop_by_hop in
-  let topo_i, time_i, events_i = run Lsr.Flooding.Ideal in
-  let same =
-    match (topo_h, topo_i) with
-    | Some a, Some b -> Mctree.Tree.equal a b
-    | None, None -> true
-    | _ -> false
-  in
-  [
-    {
-      mode = "hop-by-hop";
-      same_topology_as_hop_by_hop = true;
-      wall_time_ms = time_h;
-      sim_events = events_h;
-    };
-    {
-      mode = "ideal";
-      same_topology_as_hop_by_hop = same;
-      wall_time_ms = time_i;
-      sim_events = events_i;
-    };
-  ]

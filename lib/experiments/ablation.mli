@@ -7,9 +7,7 @@
     - §3.5 incremental updates vs from-scratch computation — tree quality
       given up for the cheaper updates;
     - KMB vs SPH Steiner heuristics — cost/cpu trade-off;
-    - the drift threshold triggering from-scratch recomputation;
-    - hop-by-hop vs ideal flooding simulation — outcome equivalence and
-      simulator speed. *)
+    - the drift threshold triggering from-scratch recomputation. *)
 
 type incremental_row = {
   label : string;  (** "incremental" or "from-scratch". *)
@@ -43,14 +41,3 @@ type drift_row = {
 val drift_threshold : ?seeds:int list -> ?n:int -> unit -> drift_row list
 (** Sweep of the drift threshold (1.05, 1.2, 1.5, 2 and 10) over a
     churn-heavy session. *)
-
-type flooding_row = {
-  mode : string;
-  same_topology_as_hop_by_hop : bool;
-  wall_time_ms : float;  (** Host time to simulate the scenario. *)
-  sim_events : int;  (** Engine events executed. *)
-}
-
-val flooding_modes : ?seed:int -> ?n:int -> unit -> flooding_row list
-(** Hop-by-hop vs ideal flooding on the same bursty scenario: identical
-    protocol outcome on a static topology, different simulation cost. *)

@@ -1,4 +1,4 @@
-type mode = Hop_by_hop | Ideal | Reliable
+type mode = Hop_by_hop | Reliable
 
 type reliability = {
   rto : float;
@@ -93,7 +93,7 @@ let create ~engine ~graph ~t_hop ?(mode = Hop_by_hop)
 
 (* Only [Reliable] acknowledges: it alone acks data copies, keeps
    retransmit state and deduplicates unicast arrivals. *)
-let acked t = match t.mode with Reliable -> true | Hop_by_hop | Ideal -> false
+let acked t = match t.mode with Reliable -> true | Hop_by_hop -> false
 
 let no_giveup () = ()
 
@@ -217,7 +217,7 @@ let send_ack t ~src ~dst key =
   transmit_copies t ~src ~dst (fun () -> ack_received t key)
 
 (* ------------------------------------------------------------------ *)
-(* The per-hop transport (Hop_by_hop and Reliable) *)
+(* The per-hop transport *)
 
 (* One transfer of [lsa] over the link [src → dst]: the first data copy,
    and [arrive fid] per copy landing over a live link.  In [Reliable]
@@ -293,28 +293,11 @@ let flood_impl t lsa =
      event) roots the whole propagation tree; it must be captured here
      because the per-copy callbacks run later, under other contexts. *)
   let parent = Sim.Trace.context t.trace in
-  match t.mode with
-  | Hop_by_hop | Reliable ->
-    Hashtbl.replace t.seen.(origin) (Lsa.id lsa) ();
-    Net.Graph.iter_neighbors t.graph origin (fun next _ ->
-        transfer t ~src:origin ~dst:next ~parent ~on_giveup:no_giveup lsa
-          ~arrive:(fun fid ->
-            receive t lsa ~at:next ~from:origin ~forward:true ~fid))
-  | Ideal ->
-    let hops = Net.Bfs.hops t.graph origin in
-    Array.iteri
-      (fun switch h ->
-        if switch <> origin && h <> max_int then begin
-          t.messages <- t.messages + 1;
-          Metrics.Registry.incr t.metrics ~switch:origin "flood.messages";
-          ignore
-            (Sim.Engine.schedule t.engine
-               ~delay:(float_of_int h *. t.t_hop)
-               (fun () ->
-                 deliver_traced t lsa ~switch ~source:origin ~fid:parent
-                   (fun _ -> ())))
-        end)
-      hops
+  Hashtbl.replace t.seen.(origin) (Lsa.id lsa) ();
+  Net.Graph.iter_neighbors t.graph origin (fun next _ ->
+      transfer t ~src:origin ~dst:next ~parent ~on_giveup:no_giveup lsa
+        ~arrive:(fun fid ->
+          receive t lsa ~at:next ~from:origin ~forward:true ~fid))
 
 let flood t lsa =
   let ph = Metrics.Phase.ambient () in

@@ -19,18 +19,12 @@
     (transparent) [transmit] hook the data-message schedule of the two
     modes is identical; the acks ride on top.
 
-    [Ideal] mode schedules deliveries directly at hop-distance times,
-    computed when the flood starts — faster to simulate and identical in
-    delivery times on a static graph; it differs only under mid-flood
-    topology changes.
-
     {b Fault injection.}  All per-link transmissions — [Hop_by_hop] and
     [Reliable] data, and [Reliable] acks — pass through the [transmit]
     hook, which maps one submitted transmission to the delivery delays of
     its copies ([[]] = lost).  Plug [Faults.Plan.transmit] in to subject
     the flood to loss, duplication, reordering, jitter, crashes and
     partitions; the default hook delivers one copy after [base_delay].
-    [Ideal] mode bypasses links entirely and ignores the hook.
 
     {b Counters.}  The instance keeps the signaling-overhead counters the
     paper's evaluation reports — flooding operations and first-copy
@@ -41,7 +35,7 @@
     {!messages_sent}, with reliability's cost isolated in the ack and
     retransmission counters. *)
 
-type mode = Hop_by_hop | Ideal | Reliable
+type mode = Hop_by_hop | Reliable
 
 type reliability = {
   rto : float;
@@ -109,21 +103,20 @@ val send : 'a t -> src:int -> dst:int -> ?on_giveup:(unit -> unit) ->
     receiver never forwards.  In [Reliable] mode the ack/retransmit/
     backoff machinery applies, the receiver deduplicates on [Lsa.id],
     and [on_giveup] fires once if the retry budget is exhausted without
-    an ack.  In [Hop_by_hop] and [Ideal] modes the copy is
-    fire-and-forget: every copy that arrives is delivered (a duplicating
-    [transmit] hook delivers twice), and [on_giveup] never fires —
-    callers needing liveness there must keep their own deadline. *)
+    an ack.  In [Hop_by_hop] mode the copy is fire-and-forget: every
+    copy that arrives is delivered (a duplicating [transmit] hook
+    delivers twice), and [on_giveup] never fires — callers needing
+    liveness there must keep their own deadline. *)
 
 val floods_started : 'a t -> int
 (** Number of {!flood} calls. *)
 
 val messages_sent : 'a t -> int
-(** First-copy data transmissions per link (hop-by-hop and reliable
-    modes) or deliveries (ideal mode).  Retransmissions and acks are
-    counted separately so this figure is comparable across modes. *)
+(** First-copy data transmissions per link.  Retransmissions and acks
+    are counted separately so this figure is comparable across modes. *)
 
 val acks_sent : 'a t -> int
-(** Reliable mode: acknowledgements submitted (0 in other modes). *)
+(** Reliable mode: acknowledgements submitted (0 in [Hop_by_hop]). *)
 
 val retransmissions : 'a t -> int
 (** Reliable mode: data copies retransmitted after a timeout. *)

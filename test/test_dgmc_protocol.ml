@@ -486,17 +486,6 @@ let test_wan_regime_converges () =
   Dgmc.Protocol.run net;
   assert_converged net mc_sym
 
-let test_ideal_flooding_mode_converges () =
-  let config =
-    { Dgmc.Config.atm_lan with flood_mode = Lsr.Flooding.Ideal }
-  in
-  let net = make_net ~config (grid33 ()) in
-  List.iter
-    (fun s -> Dgmc.Protocol.schedule_join net ~at:0.0 ~switch:s mc_sym Dgmc.Member.Both)
-    [ 0; 2; 4; 6; 8 ];
-  Dgmc.Protocol.run net;
-  assert_converged net mc_sym
-
 let () =
   Alcotest.run "dgmc-protocol"
     [
@@ -557,7 +546,5 @@ let () =
             test_quiescent_reports_pending_work;
           Alcotest.test_case "tracing" `Quick test_trace_records_protocol_activity;
           Alcotest.test_case "wan regime" `Quick test_wan_regime_converges;
-          Alcotest.test_case "ideal flooding mode" `Quick
-            test_ideal_flooding_mode_converges;
         ] );
     ]

@@ -270,14 +270,6 @@ let test_extra_independence_flat () =
       < 0.75)
   | _ -> Alcotest.fail "expected two rows"
 
-let test_ablation_flooding_modes_agree () =
-  let rows = Experiments.Ablation.flooding_modes ~seed:2 ~n:30 () in
-  List.iter
-    (fun (r : Experiments.Ablation.flooding_row) ->
-      check Alcotest.bool (r.mode ^ " same outcome") true
-        r.same_topology_as_hop_by_hop)
-    rows
-
 let test_ablation_incremental_converges () =
   let rows =
     Experiments.Ablation.incremental_vs_scratch ~seeds:[ 1 ] ~n:20 ~churn_events:6 ()
@@ -332,8 +324,6 @@ let () =
           Alcotest.test_case "burst sweep" `Quick test_extra_burst_sweep;
           Alcotest.test_case "per-MC independence" `Quick
             test_extra_independence_flat;
-          Alcotest.test_case "flooding modes agree" `Quick
-            test_ablation_flooding_modes_agree;
           Alcotest.test_case "incremental ablation" `Quick
             test_ablation_incremental_converges;
         ] );

@@ -23,13 +23,13 @@ let test_lsa_seq_counter () =
 
 type received = { switch : int; time : float }
 
-let flood_once ?(mode = Lsr.Flooding.Hop_by_hop) graph ~origin ~t_hop =
+let flood_once graph ~origin ~t_hop =
   let engine = Sim.Engine.create () in
   let log = ref [] in
   let deliver ~switch _lsa =
     log := { switch; time = Sim.Engine.now engine } :: !log
   in
-  let f = Lsr.Flooding.create ~engine ~graph ~t_hop ~mode ~deliver () in
+  let f = Lsr.Flooding.create ~engine ~graph ~t_hop ~deliver () in
   Lsr.Flooding.flood f (Lsr.Lsa.make ~origin ~seq:0 ());
   Sim.Engine.run engine;
   (f, List.rev !log)
@@ -54,17 +54,6 @@ let test_flooding_arrival_times_are_hops () =
         (2.0 *. float_of_int hops.(r.switch))
         r.time)
     log
-
-let test_flooding_ideal_matches_hop_by_hop_times () =
-  let g = Net.Topo_gen.grid ~rows:3 ~cols:4 () in
-  let _, log_h = flood_once g ~origin:0 ~t_hop:1.0 in
-  let _, log_i = flood_once ~mode:Lsr.Flooding.Ideal g ~origin:0 ~t_hop:1.0 in
-  let arrivals log =
-    List.sort compare (List.map (fun r -> (r.switch, r.time)) log)
-  in
-  check
-    Alcotest.(list (pair int (float 1e-9)))
-    "same delivery schedule" (arrivals log_h) (arrivals log_i)
 
 let test_flooding_counters () =
   let g = Net.Topo_gen.line 4 in
@@ -273,8 +262,6 @@ let () =
             test_flooding_reaches_everyone_once;
           Alcotest.test_case "arrival times" `Quick
             test_flooding_arrival_times_are_hops;
-          Alcotest.test_case "ideal mode equivalence" `Quick
-            test_flooding_ideal_matches_hop_by_hop_times;
           Alcotest.test_case "counters" `Quick test_flooding_counters;
           Alcotest.test_case "ring message count" `Quick
             test_flooding_ring_message_count;
