@@ -37,16 +37,7 @@ let record name (t : Experiments.Figures.timing) =
       elapsed_s = t.Experiments.Figures.elapsed_s;
       seq_estimate_s = t.Experiments.Figures.seq_estimate_s;
       domains = t.Experiments.Figures.domains_used;
-      cells =
-        List.map
-          (fun (c : Experiments.Figures.cell_time) ->
-            {
-              Metrics.Bench.series = c.Experiments.Figures.ct_series;
-              size = c.Experiments.Figures.ct_size;
-              seed = c.Experiments.Figures.ct_seed;
-              wall_s = c.Experiments.Figures.ct_wall_s;
-            })
-          t.Experiments.Figures.cells;
+      cells = t.Experiments.Figures.cells;
     }
     :: !bench_sections
 

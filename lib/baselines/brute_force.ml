@@ -146,7 +146,7 @@ let schedule_join t ~at ~switch mc role =
 let schedule_leave t ~at ~switch mc =
   ignore (Sim.Engine.schedule_at t.engine ~time:at (fun () -> leave t ~switch mc))
 
-let run ?until ?max_events t = Sim.Engine.run ?until ?max_events t.engine
+let run t = Sim.Engine.run t.engine
 
 let totals t =
   {

@@ -40,7 +40,7 @@ val schedule_join :
 
 val schedule_leave : t -> at:float -> switch:int -> Dgmc.Mc_id.t -> unit
 
-val run : ?until:float -> ?max_events:int -> t -> unit
+val run : t -> unit
 
 (** {1 Measurements (same meanings as {!Dgmc.Protocol.totals})} *)
 

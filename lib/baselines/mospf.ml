@@ -124,7 +124,7 @@ and forward t tree ~src ~group ~router ~parent =
 
 let send_packet t ~src ~group = packet_at t ~src ~group ~router:src ~parent:None
 
-let run ?until ?max_events t = Sim.Engine.run ?until ?max_events t.engine
+let run t = Sim.Engine.run t.engine
 
 let totals t =
   {

@@ -40,7 +40,7 @@ val send_packet : t -> src:int -> group:int -> unit
     source-rooted tree; every router whose (src, group) cache entry is
     missing or stale pays a [tc]-long computation before forwarding. *)
 
-val run : ?until:float -> ?max_events:int -> t -> unit
+val run : t -> unit
 
 (** {1 Measurements} *)
 

@@ -41,18 +41,8 @@ let build scenario prefix =
   (h, descs)
 
 let check_state h =
-  let base =
-    Array.to_list (Harness.switches h)
-    |> List.concat_map (fun sw ->
-           Invariant.check_switch ~id:(Dgmc.Switch.id sw) sw)
-  in
-  match Harness.health_detect_rounds h with
-  | None -> base
-  | Some detect_rounds ->
-    base
-    @ Invariant.check_health_state ~detect_rounds
-        ~spurious:(Harness.health_spurious h)
-        (Harness.health_adjacencies h)
+  Array.to_list (Harness.switches h)
+  |> List.concat_map (fun sw -> Invariant.check_switch ~id:(Dgmc.Switch.id sw) sw)
 
 (* Apply [act] and check the per-edge laws: the per-state catalogue on
    the successor plus C-monotonicity of every switch across the action. *)
@@ -72,8 +62,6 @@ let step h act =
 let check_terminal h =
   Dgmc.Terminal.check ~graph:(Harness.graph h) ~truth:(Harness.truth h)
     (Harness.switches h)
-  @ Invariant.check_health_terminal ~suppressed:(Harness.suppressed_links h)
-      (Harness.switches h)
 
 (* A reached state, computed inside a (possibly parallel) expansion
    task: everything the sequential merge needs to dedup, report or
@@ -232,10 +220,10 @@ let walk ~hit ~order ~max_states ~max_depth ?domains scenario =
     found = !found;
   }
 
-let run ?(max_states = 200_000) ?(max_depth = 10_000) scenario =
+let run scenario =
   walk ~hit:(fun _ -> true)
     ~order:(fun ~depth:_ ~digest:_ _ -> ([], ""))
-    ~max_states ~max_depth scenario
+    ~max_states:200_000 ~max_depth:10_000 scenario
 
 let pp_found ppf f =
   Format.fprintf ppf "@[<v>VIOLATION (depth %d): %s@,state digest %s@,%s@,"

@@ -76,13 +76,9 @@ val walk :
     [domains], so the outcome is byte-identical at any domain count.
     [Invalid_argument] if the setup itself cannot settle. *)
 
-val run :
-  ?max_states:int ->
-  ?max_depth:int ->
-  scenario ->
-  outcome
-(** {!walk} breadth-first, every law a hit.  Defaults:
-    [max_states = 200_000], [max_depth = 10_000].
+val run : scenario -> outcome
+(** {!walk} breadth-first, every law a hit, bounded at 200_000 states
+    and depth 10_000.
 
     No partial-order reduction is applied: the state space is covered in
     full, up to the interchangeability dedup of {!Harness.enabled} and

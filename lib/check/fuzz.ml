@@ -164,9 +164,10 @@ let case_of_seed ?(n_max = default_n_max) ?(mcs_max = default_mcs_max)
         Hashtbl.remove joined (mc.Dgmc.Mc_id.id, sw);
         emit time (Workload.Events.Leave { switch = sw; mc }))
     | _ ->
-      (* Fail a live link and schedule its restoration; at most two
-         concurrent failures keeps runs from degenerating into a fully
-         dark network. *)
+      (* Fail a link and schedule its restoration.  [down] is never
+         pruned (a restored link stays listed), so a case fails at most
+         two distinct links in total — they need not overlap in time —
+         which keeps runs from degenerating into a dark network. *)
       if List.length !down < 2 then begin
         let live =
           List.filter

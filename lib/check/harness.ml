@@ -4,34 +4,6 @@ type event =
   | Action of Workload.Events.action
   | Crash of int
   | Recover of int
-  | Hello_round
-
-(* Round-granular abstraction of one hello agent's view of one directed
-   adjacency (DESIGN.md §3f): real sim-time detector deadlines become
-   "misses >= a_detect_rounds", damping penalty decay becomes
-   "a_reuse_rounds calm rounds lift suppression".  State is mutable and
-   part of the digest. *)
-type health_link = {
-  watcher : int;
-  hl_peer : int;
-  mutable hl_up : bool;  (* the watcher's belief *)
-  mutable hl_misses : int;  (* consecutive silent rounds *)
-  mutable hl_streak : int;  (* consecutive arrivals while believed down *)
-  mutable hl_flaps : int;  (* cumulative down declarations *)
-  mutable hl_suppressed : bool;
-  mutable hl_calm : int;  (* suppressed rounds so far *)
-  mutable hl_truth_rounds : int;
-      (* Rounds since the adjacency's ground truth last changed (or the
-         watcher recovered) — the clock the detection-bound law reads. *)
-}
-
-type health = {
-  hcfg : Health.Config.t;
-  habs : Health.Config.abstract;
-  hlinks : health_link array;  (* sorted by (watcher, peer) *)
-  mutable hspurious : string list;
-      (* Down declarations made against ground truth, newest first. *)
-}
 
 type action = Deliver of { dst : int; msg : int } | Complete of int
 
@@ -62,13 +34,7 @@ type t = {
          a crashed switch neither sends nor receives (messages are LOST,
          not queued), but its protocol state and computations survive. *)
   mutable truth : (Dgmc.Mc_id.t * Dgmc.Member.t) list;
-  health : health option;
-      (* Present iff [config.health] was set: link events touch ground
-         truth only and {!Hello_round}s drive the abstract detectors. *)
 }
-
-let compare_pairs (a, b) (c, d) =
-  match Int.compare a c with 0 -> Int.compare b d | r -> r
 
 let msg_exn t id =
   match Hashtbl.find_opt t.msgs id with
@@ -123,6 +89,8 @@ let unicast t origin dst msg =
     end
 
 let create ~graph ~config () =
+  if Option.is_some config.Dgmc.Config.health then
+    invalid_arg "Harness.create: the link-health layer is not modelled";
   (* The switches' boot image and the ground truth the harness mutates
      are two separate copies of the scenario's graph. *)
   let boot = Lsr.Lsdb.boot graph in
@@ -132,31 +100,6 @@ let create ~graph ~config () =
   let switches =
     Array.init n (fun id ->
         Dgmc.Switch.create ~id ~n ~config ~engine:engines.(id) ~boot ())
-  in
-  let health =
-    Option.map
-      (fun hcfg ->
-        let hlinks =
-          Net.Graph.all_edges graph
-          |> List.concat_map (fun ((e : Net.Graph.edge), _) ->
-                 [ (e.Net.Graph.u, e.Net.Graph.v); (e.Net.Graph.v, e.Net.Graph.u) ])
-          |> List.sort compare_pairs
-          |> List.map (fun (watcher, peer) ->
-                 {
-                   watcher;
-                   hl_peer = peer;
-                   hl_up = true;
-                   hl_misses = 0;
-                   hl_streak = 0;
-                   hl_flaps = 0;
-                   hl_suppressed = false;
-                   hl_calm = 0;
-                   hl_truth_rounds = 0;
-                 })
-          |> Array.of_list
-        in
-        { hcfg; habs = Health.Config.abstract hcfg; hlinks; hspurious = [] })
-      config.Dgmc.Config.health
   in
   let t =
     {
@@ -171,7 +114,6 @@ let create ~graph ~config () =
       clock = Lsr.Lsdb.clock ();
       crashed = Array.make n false;
       truth = [];
-      health;
     }
   in
   Array.iteri
@@ -201,83 +143,6 @@ let set_truth t mc members =
     :: List.filter (fun (m, _) -> not (Dgmc.Mc_id.equal m mc)) t.truth
     |> List.sort (fun (a, _) (b, _) -> Dgmc.Mc_id.compare a b)
 
-(* A belief change at [hl.watcher] about its adjacency to [hl.hl_peer]:
-   judge a down verdict against ground truth, let the switch detect the
-   versioned change, and apply abstract damping. *)
-let health_declare t h (hl : health_link) ~up =
-  let w = hl.watcher and p = hl.hl_peer in
-  let link_ev = Lsr.Lsdb.stamp t.clock w p ~up in
-  hl.hl_up <- up;
-  if not up then begin
-    hl.hl_flaps <- hl.hl_flaps + 1;
-    if Net.Graph.link_is_up t.net_graph w p && not t.crashed.(p) then
-      h.hspurious <-
-        Printf.sprintf
-          "switch %d declared its link to %d down against ground truth" w p
-        :: h.hspurious
-  end;
-  Dgmc.Switch.detect t.switches.(w) link_ev;
-  if not up then
-    match h.habs.Health.Config.a_suppress_flaps with
-    | Some k when hl.hl_flaps >= k ->
-      hl.hl_suppressed <- true;
-      hl.hl_calm <- 0
-    | _ -> ()
-
-(* One abstract hello round, every directed adjacency in deterministic
-   order.  An arrival happens iff ground truth allows it: link up,
-   sender alive, and neither direction suppressed (a suppressed
-   interface neither sends nor listens).  A crashed watcher is paused —
-   its detectors restart fresh, as Hello.resume does. *)
-let hello_round t h =
-  Array.iter
-    (fun hl ->
-      let w = hl.watcher and p = hl.hl_peer in
-      if t.crashed.(w) then begin
-        hl.hl_misses <- 0;
-        hl.hl_streak <- 0;
-        hl.hl_truth_rounds <- 0
-      end
-      else begin
-        hl.hl_truth_rounds <- hl.hl_truth_rounds + 1;
-        if hl.hl_suppressed then begin
-          hl.hl_calm <- hl.hl_calm + 1;
-          if hl.hl_calm >= h.habs.Health.Config.a_reuse_rounds then begin
-            hl.hl_suppressed <- false;
-            hl.hl_misses <- 0;
-            hl.hl_streak <- 0
-          end
-        end
-        else
-          let reverse_suppressed =
-            Array.exists
-              (fun o -> o.watcher = p && o.hl_peer = w && o.hl_suppressed)
-              h.hlinks
-          in
-          let arrival =
-            Net.Graph.link_is_up t.net_graph w p
-            && (not t.crashed.(p))
-            && not reverse_suppressed
-          in
-          if arrival then begin
-            hl.hl_misses <- 0;
-            if not hl.hl_up then begin
-              hl.hl_streak <- hl.hl_streak + 1;
-              if hl.hl_streak >= h.hcfg.Health.Config.reup then begin
-                hl.hl_streak <- 0;
-                health_declare t h hl ~up:true
-              end
-            end
-          end
-          else begin
-            hl.hl_streak <- 0;
-            hl.hl_misses <- hl.hl_misses + 1;
-            if hl.hl_up && hl.hl_misses >= h.habs.Health.Config.a_detect_rounds
-            then health_declare t h hl ~up:false
-          end
-      end)
-    h.hlinks
-
 let inject t ev =
   match ev with
   | Action (Join { switch; mc; role }) ->
@@ -286,44 +151,18 @@ let inject t ev =
   | Action (Leave { switch; mc }) ->
     set_truth t mc (Dgmc.Member.leave (truth_members t mc) switch);
     Dgmc.Switch.host_leave t.switches.(switch) mc
-  | Hello_round -> (
-    match t.health with
-    | None ->
-      invalid_arg "Harness: Hello_round requires a config with health set"
-    | Some h -> hello_round t h)
-  | Action ((Link_down (u, v) | Link_up (u, v)) as a) -> (
+  | Action ((Link_down (u, v) | Link_up (u, v)) as a) ->
     let up = match a with Link_up _ -> true | _ -> false in
     Net.Graph.set_link t.net_graph u v ~up;
-    match t.health with
-    | Some h ->
-      (* Ground truth only: the detectors must discover the change over
-         the coming hello rounds. *)
-      Array.iter
-        (fun hl ->
-          if
-            (hl.watcher = u && hl.hl_peer = v)
-            || (hl.watcher = v && hl.hl_peer = u)
-          then hl.hl_truth_rounds <- 0)
-        h.hlinks
-    | None ->
-      (* Both endpoints detect, the higher one first, as under
-         Dgmc.Protocol. *)
-      let lo = min u v and hi = max u v in
-      let link_ev = Lsr.Lsdb.stamp t.clock lo hi ~up in
-      Dgmc.Switch.detect t.switches.(hi) link_ev;
-      Dgmc.Switch.detect t.switches.(lo) link_ev)
+    (* Both endpoints detect, the higher one first, as under
+       Dgmc.Protocol. *)
+    let lo = min u v and hi = max u v in
+    let link_ev = Lsr.Lsdb.stamp t.clock lo hi ~up in
+    Dgmc.Switch.detect t.switches.(hi) link_ev;
+    Dgmc.Switch.detect t.switches.(lo) link_ev
   | Crash i ->
     if t.crashed.(i) then invalid_arg "Harness: switch already crashed";
     t.crashed.(i) <- true;
-    (match t.health with
-    | Some h ->
-      (* The crash is a ground-truth change for everyone watching i, and
-         freezes i's own sensing clocks. *)
-      Array.iter
-        (fun hl ->
-          if hl.hl_peer = i || hl.watcher = i then hl.hl_truth_rounds <- 0)
-        h.hlinks
-    | None -> ());
     (* Everything in flight to or from the crashed switch is lost, as
        under Faults.Plan (transmissions blocked both ways).  A lost
        summary resolves to the transport giveup its sender would
@@ -345,20 +184,6 @@ let inject t ev =
   | Recover i ->
     if not t.crashed.(i) then invalid_arg "Harness: switch not crashed";
     t.crashed.(i) <- false;
-    (match t.health with
-    | Some h ->
-      Array.iter
-        (fun hl ->
-          (* The recoverer resumes with fresh detectors; its return is a
-             ground-truth change for everyone watching it. *)
-          if hl.watcher = i then begin
-            hl.hl_misses <- 0;
-            hl.hl_streak <- 0;
-            hl.hl_truth_rounds <- 0
-          end;
-          if hl.hl_peer = i then hl.hl_truth_rounds <- 0)
-        h.hlinks
-    | None -> ());
     Dgmc.Switch.begin_resync t.switches.(i)
 
 let pending_to t =
@@ -531,71 +356,8 @@ let digest t =
   Buffer.add_string b "crashed=";
   Array.iter (fun c -> Buffer.add_char b (if c then '1' else '0')) t.crashed;
   Buffer.add_char b '\n';
-  (match t.health with
-  | None -> ()
-  | Some h ->
-    Array.iter
-      (fun hl ->
-        Buffer.add_string b
-          (Printf.sprintf "h%d>%d=%b|%d|%d|%d|%b|%d|%d\n" hl.watcher
-             hl.hl_peer hl.hl_up hl.hl_misses hl.hl_streak hl.hl_flaps
-             hl.hl_suppressed hl.hl_calm hl.hl_truth_rounds))
-      h.hlinks;
-    Buffer.add_string b
-      (Printf.sprintf "hspurious=%d\n" (List.length h.hspurious)));
   Buffer.add_string b (Fingerprint.graph_links t.net_graph);
   Digest.string (Buffer.contents b)
-
-(* ------------------------------------------------------------------ *)
-(* Link-health observation (abstract model; see DESIGN.md §3f) *)
-
-type adjacency_view = {
-  av_watcher : int;
-  av_peer : int;
-  av_up : bool;  (* the watcher's belief *)
-  av_suppressed : bool;
-  av_truth_down : bool;
-      (* Ground truth: the adjacency is unusable (link down or peer
-         crashed). *)
-  av_stable_rounds : int;
-      (* Hello rounds since the adjacency's truth last changed while the
-         watcher was alive. *)
-}
-
-
-let health_adjacencies t =
-  match t.health with
-  | None -> []
-  | Some h ->
-    Array.to_list h.hlinks
-    |> List.map (fun hl ->
-           {
-             av_watcher = hl.watcher;
-             av_peer = hl.hl_peer;
-             av_up = hl.hl_up;
-             av_suppressed = hl.hl_suppressed;
-             av_truth_down =
-               (not (Net.Graph.link_is_up t.net_graph hl.watcher hl.hl_peer))
-               || t.crashed.(hl.hl_peer);
-             av_stable_rounds = hl.hl_truth_rounds;
-           })
-
-let health_spurious t =
-  match t.health with None -> [] | Some h -> List.rev h.hspurious
-
-let health_detect_rounds t =
-  Option.map (fun h -> h.habs.Health.Config.a_detect_rounds) t.health
-
-let suppressed_links t =
-  match t.health with
-  | None -> []
-  | Some h ->
-    Array.to_list h.hlinks
-    |> List.filter_map (fun hl ->
-           if hl.hl_suppressed then
-             Some (min hl.watcher hl.hl_peer, max hl.watcher hl.hl_peer)
-           else None)
-    |> List.sort_uniq compare_pairs
 
 let describe t action =
   match action with

@@ -40,9 +40,12 @@
 
     Limitations (documented, deliberate): floods reach every live
     switch (no partitions — link up/down only changes images and
-    triggers [EventHandler]), and the link-up pairwise database
+    triggers [EventHandler]), the link-up pairwise database
     resynchronisation extension is not modelled ({!Crash}/{!Recover}
-    cover the crash-recovery exchange instead). *)
+    cover the crash-recovery exchange instead), and neither is the
+    link-health layer: a link event reaches both endpoints at once, as
+    the LSR layer reports it in the paper, and {!create} rejects a
+    config with [health] set. *)
 
 type event =
   | Action of Workload.Events.action
@@ -51,15 +54,6 @@ type event =
   | Recover of int
       (** End the outage; the switch enters RESYNCING
           ({!Dgmc.Switch.begin_resync}). *)
-  | Hello_round
-      (** Advance the abstract link-health layer by one hello round
-          (requires [config.health]; [Invalid_argument] otherwise).
-          Every directed adjacency either hears a hello — possible iff
-          the link is up, the sender is alive and neither direction is
-          suppressed — or counts a miss; detectors declare down after
-          [a_detect_rounds] misses and the declaring switch alone
-          detects the change ({!Dgmc.Switch.detect}), as under
-          {!Dgmc.Protocol} with [Config.health]. *)
 
 type action =
   | Deliver of { dst : int; msg : int }
@@ -70,11 +64,7 @@ type t
 
 val create : graph:Net.Graph.t -> config:Dgmc.Config.t -> unit -> t
 (** Fresh network; [graph] is copied (the harness owns the ground
-    truth).  When [config.health] is set, the harness runs the
-    round-granular abstraction of the link-health layer
-    ({!Health.Config.abstract}): link events touch ground truth only,
-    and {!event.Hello_round}s drive the abstract detectors that must
-    discover them. *)
+    truth).  Raises [Invalid_argument] when [config.health] is set. *)
 
 val switches : t -> Dgmc.Switch.t array
 
@@ -87,8 +77,7 @@ val truth : t -> (Dgmc.Mc_id.t * Dgmc.Member.t) list
 val inject : t -> event -> unit
 (** Apply a local event.  A link event is stamped by the harness's
     ground-truth {!Lsr.Lsdb.clock} and handed to {!Dgmc.Switch.detect}
-    at both endpoints, higher one first (or, with [config.health], only
-    changes ground truth). *)
+    at both endpoints, higher one first. *)
 
 val pending_count : t -> int
 (** Pending work items: pooled (destination, message) deliveries plus
@@ -122,35 +111,3 @@ val digest : t -> string
 
 val describe : t -> action -> string
 (** Human-readable rendering for counterexample traces. *)
-
-(** {2 Link-health observation}
-
-    All of these are empty/[None] unless the config had [health] set. *)
-
-type adjacency_view = {
-  av_watcher : int;
-  av_peer : int;
-  av_up : bool;  (** The watcher's belief about the adjacency. *)
-  av_suppressed : bool;
-  av_truth_down : bool;
-      (** Ground truth: link down or peer inside an outage. *)
-  av_stable_rounds : int;
-      (** Hello rounds since the adjacency's ground truth last changed
-          while the watcher was alive. *)
-}
-
-val health_adjacencies : t -> adjacency_view list
-(** Every directed adjacency's abstract detector state, sorted by
-    (watcher, peer). *)
-
-val health_spurious : t -> string list
-(** Down declarations that contradicted ground truth at declaration
-    time, oldest first.  Any entry is a false positive — the abstract
-    model loses no hellos, so this list must stay empty. *)
-
-val health_detect_rounds : t -> int option
-(** [a_detect_rounds] of the abstract detector, when health is on. *)
-
-val suppressed_links : t -> (int * int) list
-(** Links at least one of whose directions is currently
-    damping-suppressed, normalised [(lo, hi)], sorted, deduplicated. *)

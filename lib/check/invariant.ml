@@ -77,43 +77,6 @@ let check_monotone ~id ~before sw =
             })
     (Switch.snapshots sw)
 
-(* ------------------------------------------------------------------ *)
-(* Link-health laws (over the harness's abstract hello model) *)
-
-let check_health_state ~detect_rounds ~spurious adjacencies =
-  let out = ref [] in
-  let push x = out := x :: !out in
-  (* The abstract model loses no hellos, so any down declaration made
-     while ground truth said the adjacency was usable is a detector
-     false positive — on every schedule, not just fault-free ones. *)
-  List.iter
-    (fun msg ->
-      push { switch = None; mc = None; law = "hello-false-positive"; detail = msg })
-    spurious;
-  (* Every persistent failure is detected within the configured bound:
-     once an adjacency has been truth-down for [detect_rounds] hello
-     rounds with its watcher alive, the watcher must believe it down. *)
-  List.iter
-    (fun (a : Harness.adjacency_view) ->
-      if
-        a.av_truth_down && a.av_up
-        && (not a.av_suppressed)
-        && a.av_stable_rounds >= detect_rounds
-      then
-        push
-          {
-            switch = Some a.av_watcher;
-            mc = None;
-            law = "hello-detect";
-            detail =
-              Printf.sprintf
-                "adjacency to %d truth-down for %d hello rounds (bound %d) \
-                 but still believed up"
-                a.av_peer a.av_stable_rounds detect_rounds;
-          })
-    adjacencies;
-  List.rev !out
-
 let check_health_terminal ~suppressed switches =
   match suppressed with
   | [] -> []

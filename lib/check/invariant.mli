@@ -60,18 +60,6 @@ val check_monotone :
     order.  (An MC deleted and recreated restarts its history; callers
     drop its [before] entry.) *)
 
-val check_health_state :
-  detect_rounds:int ->
-  spurious:string list ->
-  Harness.adjacency_view list ->
-  violation list
-(** Link-health per-state laws over the harness's abstract hello model:
-    - [hello-false-positive] — a recorded down declaration contradicted
-      ground truth (the abstract model loses no hellos, so there is no
-      legitimate cause);
-    - [hello-detect] — an adjacency truth-down for [detect_rounds]
-      hello rounds with a live watcher is still believed up. *)
-
 val check_health_terminal :
   suppressed:(int * int) list -> Dgmc.Switch.t array -> violation list
 (** Terminal link-health law [suppress-install]: no installed topology

@@ -166,7 +166,6 @@ let apply_event st (ev : Harness.event) =
   | Harness.Crash i -> { st with ws_crashed = i :: st.ws_crashed }
   | Harness.Recover i ->
     { st with ws_crashed = List.filter (fun j -> j <> i) st.ws_crashed }
-  | Harness.Hello_round -> st
 
 let roles_for = function
   | Dgmc.Mc_id.Symmetric -> [ Dgmc.Member.Both ]
@@ -365,7 +364,6 @@ let event_line i (ev : Harness.event) =
     Format.asprintf "%a" Workload.Events.pp { time = float_of_int i; action }
   | Harness.Crash s -> Printf.sprintf "[%d] crash switch=%d" i s
   | Harness.Recover s -> Printf.sprintf "[%d] recover switch=%d" i s
-  | Harness.Hello_round -> Printf.sprintf "[%d] hello-round" i
 
 let event_lines events = List.mapi event_line events
 
@@ -380,7 +378,6 @@ let event_of_string ~mcs part =
   match String.split_on_char ' ' part |> List.filter (fun t -> t <> "") with
   | [ "crash"; sw ] -> at_switch sw (fun s -> Harness.Crash s)
   | [ "recover"; sw ] -> at_switch sw (fun s -> Harness.Recover s)
-  | [ "hello" ] -> Ok Harness.Hello_round
   | _ ->
     Result.map
       (fun a -> Harness.Action a)
@@ -401,7 +398,6 @@ let event_to_string = function
   | Harness.Action a -> Workload.Script.action_to_string a
   | Harness.Crash s -> Printf.sprintf "crash %d" s
   | Harness.Recover s -> Printf.sprintf "recover %d" s
-  | Harness.Hello_round -> "hello"
 
 let events_to_string events =
   String.concat "; " (List.map event_to_string events)

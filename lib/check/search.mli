@@ -108,8 +108,8 @@ val event_lines : Harness.event list -> string list
 (** One ["[<tick>] join switch=0 mc#1(symmetric) (both)"] line per
     event — {!Workload.Events.pp}, {!Check.Fuzz}'s shrunk-workload line
     format, with the sequence index as the tick (the harness is untimed:
-    interleaving order {e is} the timing); [crash switch=i] /
-    [recover switch=i] / [hello-round] extend the vocabulary. *)
+    interleaving order {e is} the timing); [crash switch=i] and
+    [recover switch=i] extend the vocabulary. *)
 
 val events_of_string :
   mcs:Dgmc.Mc_id.t list -> string -> (Harness.event list, string) result
@@ -118,9 +118,9 @@ val events_of_string :
     Each event is a script event read by
     {!Workload.Script.action_of_string} — same verbs, options, role
     defaults (an asymmetric join without [role=] is a receiver) and
-    error messages — or one of the harness-only verbs [crash <switch>],
-    [recover <switch>] and [hello] ({!Harness.Hello_round}).  The first
-    bad event is an [Error] naming its token. *)
+    error messages — or one of the harness-only verbs [crash <switch>]
+    and [recover <switch>].  The first bad event is an [Error] naming
+    its token. *)
 
 val events_to_string : Harness.event list -> string
 (** Inverse of {!events_of_string}, through

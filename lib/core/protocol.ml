@@ -497,7 +497,7 @@ let schedule_link_up t ~at u v =
 (* ------------------------------------------------------------------ *)
 (* Running and measurements *)
 
-let run ?until ?max_events t = Sim.Engine.run ?until ?max_events t.engine
+let run ?max_events t = Sim.Engine.run ?max_events t.engine
 
 let totals t =
   let computations = ref 0

@@ -141,8 +141,9 @@ val schedule_link_up : t -> at:float -> int -> int -> unit
 
 (** {1 Running} *)
 
-val run : ?until:float -> ?max_events:int -> t -> unit
-(** Advance the simulation until quiescence (or the given bounds). *)
+val run : ?max_events:int -> t -> unit
+(** Advance the simulation until quiescence, or until [max_events]
+    events have run. *)
 
 (** {1 Measurements} *)
 

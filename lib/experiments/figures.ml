@@ -3,18 +3,11 @@ type series = {
   points : (int * Metrics.Stats.summary) list;
 }
 
-type cell_time = {
-  ct_series : string;
-  ct_size : int;
-  ct_seed : int;
-  ct_wall_s : float;
-}
-
 type timing = {
   elapsed_s : float;
   seq_estimate_s : float;
   domains_used : int;
-  cells : cell_time list;
+  cells : Metrics.Bench.cell list;
 }
 
 type bursty_result = {
@@ -60,10 +53,10 @@ let sweep_cells ?domains ~series_label ~sizes ~seeds run =
         List.map
           (fun ((n, seed), (t : _ Runner.Pool.timed)) ->
             {
-              ct_series = series_label;
-              ct_size = n;
-              ct_seed = seed;
-              ct_wall_s = t.Runner.Pool.stats.Runner.Pool.wall_s;
+              Metrics.Bench.series = series_label;
+              size = n;
+              seed;
+              wall_s = t.Runner.Pool.stats.Runner.Pool.wall_s;
             })
           tagged;
     }
@@ -79,26 +72,30 @@ let merge_timings ts =
     cells = List.concat_map (fun t -> t.cells) ts;
   }
 
+(* One per-run metric of a sweep, reduced per size to mean ± CI. *)
+let series label extract by_size =
+  {
+    label;
+    points =
+      List.map
+        (fun (n, rs) -> (n, Metrics.Stats.summarize (List.map extract rs)))
+        by_size;
+  }
+
 let bursty ?domains config ~sizes ~seeds ~members =
   let runs, timing =
     sweep_cells ?domains ~series_label:"dgmc" ~sizes ~seeds
       (fun ~seed ~n -> Harness.bursty_run ~seed ~n ~config ~members ())
   in
-  let series label extract =
-    {
-      label;
-      points =
-        List.map
-          (fun (n, rs) -> (n, Metrics.Stats.summarize (List.map extract rs)))
-          runs;
-    }
-  in
   {
-    proposals = series "proposals/event" (fun r -> r.Harness.computations_per_event);
-    floodings = series "floodings/event" (fun r -> r.Harness.floodings_per_event);
+    proposals =
+      series "proposals/event" (fun r -> r.Harness.computations_per_event) runs;
+    floodings =
+      series "floodings/event" (fun r -> r.Harness.floodings_per_event) runs;
     convergence =
-      series "convergence (rounds)" (fun r ->
-          Option.value ~default:0.0 r.Harness.convergence_rounds);
+      series "convergence (rounds)"
+        (fun r -> Option.value ~default:0.0 r.Harness.convergence_rounds)
+        runs;
     all_converged =
       List.for_all
         (fun (_, rs) -> List.for_all (fun r -> r.Harness.converged) rs)
@@ -128,18 +125,11 @@ let fig8 ?domains ?(sizes = default_sizes) ?(seeds = default_seeds)
     sweep_cells ?domains ~series_label:"dgmc" ~sizes ~seeds
       (fun ~seed ~n -> Harness.poisson_run ~seed ~n ~config ~events ~gap_rounds ())
   in
-  let series label extract =
-    {
-      label;
-      points =
-        List.map
-          (fun (n, rs) -> (n, Metrics.Stats.summarize (List.map extract rs)))
-          runs;
-    }
-  in
   {
-    n_proposals = series "proposals/event" (fun r -> r.Harness.computations_per_event);
-    n_floodings = series "floodings/event" (fun r -> r.Harness.floodings_per_event);
+    n_proposals =
+      series "proposals/event" (fun r -> r.Harness.computations_per_event) runs;
+    n_floodings =
+      series "floodings/event" (fun r -> r.Harness.floodings_per_event) runs;
     n_all_converged =
       List.for_all
         (fun (_, rs) -> List.for_all (fun r -> r.Harness.converged) rs)
@@ -167,17 +157,8 @@ let compare_protocols ?domains ?(sizes = default_sizes)
       sweep_cells ?domains ~series_label:label ~sizes ~seeds runner
     in
     timings := timing :: !timings;
-    let reduce extract =
-      {
-        label;
-        points =
-          List.map
-            (fun (n, rs) -> (n, Metrics.Stats.summarize (List.map extract rs)))
-            per_size;
-      }
-    in
-    ( reduce (fun r -> r.Harness.computations_per_event),
-      reduce (fun r -> r.Harness.floodings_per_event) )
+    ( series label (fun r -> r.Harness.computations_per_event) per_size,
+      series label (fun r -> r.Harness.floodings_per_event) per_size )
   in
   let dgmc_c, dgmc_f =
     sweep "dgmc" (fun ~seed ~n -> Harness.bursty_run ~seed ~n ~config ~members ())

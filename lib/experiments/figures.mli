@@ -14,20 +14,15 @@ type series = {
   points : (int * Metrics.Stats.summary) list;  (** (network size, summary). *)
 }
 
-type cell_time = {
-  ct_series : string;  (** Which sweep the cell belongs to (protocol). *)
-  ct_size : int;  (** Network size of the cell. *)
-  ct_seed : int;  (** Graph seed of the cell. *)
-  ct_wall_s : float;  (** Wall-clock seconds spent simulating the cell. *)
-}
-
 type timing = {
   elapsed_s : float;  (** Wall clock for the whole sweep. *)
   seq_estimate_s : float;
       (** Sum of per-cell wall times — the sequential estimate, so
           speedup = [seq_estimate_s /. elapsed_s]. *)
   domains_used : int;
-  cells : cell_time list;
+  cells : Metrics.Bench.cell list;
+      (** One per (sweep × size × seed) cell, as the bench record
+          stores it. *)
 }
 (** Where the time went.  Timings are the only part of a result that is
     {e not} deterministic; every data series is byte-identical for any

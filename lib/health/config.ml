@@ -43,31 +43,6 @@ let validate t =
 let detect_bound t =
   Detector.max_timeout ~k:t.detector ~period:t.period ~grace:t.grace +. t.period
 
-type abstract = {
-  a_detect_rounds : int;
-  a_suppress_flaps : int option;
-  a_reuse_rounds : int;
-}
-
-let abstract t =
-  {
-    a_detect_rounds = Detector.abstract_rounds ~k:t.detector;
-    a_suppress_flaps =
-      Option.map
-        (fun d -> max 1 (int_of_float (ceil (d.d_suppress /. d.d_penalty))))
-        t.damping;
-    a_reuse_rounds =
-      (match t.damping with
-      | None -> 1
-      | Some d ->
-        max 1
-          (int_of_float
-             (ceil
-                (d.d_half_life
-                 *. Float.log2 (d.d_suppress /. d.d_reuse)
-                 /. t.period))));
-  }
-
 let describe t =
   (* dgmc-analyze: allow float-format — human-readable config summary *)
   Printf.sprintf

@@ -46,19 +46,5 @@ val detect_bound : t -> float
     detector's maximum silence tolerance plus one period of send phase.
     The CI gate holds the observed p99 under this. *)
 
-type abstract = {
-  a_detect_rounds : int;
-      (** Hello rounds of silence after which the abstract (model
-          checker) detector must have declared down. *)
-  a_suppress_flaps : int option;
-      (** Down declarations that trigger suppression, when damping on. *)
-  a_reuse_rounds : int;
-      (** Calm hello rounds after which abstract suppression lifts. *)
-}
-
-val abstract : t -> abstract
-(** The round-granular abstraction of this configuration that the
-    {!module:Check} harness model-checks (see DESIGN.md §3f). *)
-
 val describe : t -> string
 (** One-line human summary for run headers. *)

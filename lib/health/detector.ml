@@ -17,5 +17,3 @@ let deadline t = t.last +. t.timeout
 let down t ~now = now >= deadline t
 
 let reset t ~now = t.last <- now
-
-let abstract_rounds ~k = k + 1

@@ -39,7 +39,3 @@ val reset : t -> now:float -> unit
 val max_timeout : k:int -> period:float -> grace:float -> float
 (** The silence tolerance a [k]-missed detector reports — the static
     ingredient of the configured detection bound. *)
-
-val abstract_rounds : k:int -> int
-(** Hello rounds of total silence after which the abstract model-checker
-    detector must have declared down (zero-jitter schedule): [k + 1]. *)

@@ -1,10 +1,10 @@
 let mem_undirected list u v =
   List.exists (fun (a, b) -> (a = u && b = v) || (a = v && b = u)) list
 
-let graph ?(highlight = []) ?(mark = []) ?(name = "network") g =
+let graph ?(highlight = []) ?(mark = []) g =
   let buf = Buffer.create 1024 in
   let out fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  out "graph %s {\n" name;
+  out "graph network {\n";
   out "  node [shape=circle, fontsize=10];\n";
   for v = 0 to Graph.n_nodes g - 1 do
     if List.mem v mark then

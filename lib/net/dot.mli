@@ -8,7 +8,6 @@
 val graph :
   ?highlight:(int * int) list ->
   ?mark:int list ->
-  ?name:string ->
   Graph.t ->
   string
 (** [graph g] is a DOT [graph] document with one node per switch and one

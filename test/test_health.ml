@@ -99,27 +99,6 @@ let test_config_validation () =
   check Alcotest.bool "non-positive horizon rejected" true
     (rejected { ok with Health.Config.horizon = 0.0 })
 
-let test_config_abstract_mapping () =
-  let hc =
-    Health.Config.make ~period:0.5
-      ~detector:3
-      ~damping:
-        {
-          Health.Config.d_penalty = 1.0;
-          d_suppress = 3.0;
-          d_reuse = 0.75;
-          d_half_life = 2.0;
-        }
-      ~horizon:100.0 ()
-  in
-  let a = Health.Config.abstract hc in
-  check Alcotest.int "k-missed 3 detects by round 4" 4
-    a.Health.Config.a_detect_rounds;
-  check (Alcotest.option Alcotest.int) "ceil(suppress/penalty) flaps" (Some 3)
-    a.Health.Config.a_suppress_flaps;
-  check Alcotest.bool "readmission rounds positive" true
-    (a.Health.Config.a_reuse_rounds > 0)
-
 (* The resync deadline is derived from the reliable transport's worst
    case: a session outlives every transport attempt it waits on. *)
 let test_resync_deadline_derived_and_validated () =
@@ -224,8 +203,6 @@ let () =
         [
           Alcotest.test_case "validation rejects bad fields" `Quick
             test_config_validation;
-          Alcotest.test_case "abstract model mapping" `Quick
-            test_config_abstract_mapping;
           Alcotest.test_case "resync deadline derived from give-up span"
             `Quick test_resync_deadline_derived_and_validated;
         ] );
