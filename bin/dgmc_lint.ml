@@ -28,7 +28,7 @@ let json_arg =
 
 (* Scenario diagnostics in the record shape every dgmc linter shares
    (Analysis.Diag), so the CI gate and dashboards parse one format. *)
-let diag_of ~file (d : Check.Scenario_lint.diagnostic) =
+let diag_of ~file (d : Workload.Script.diagnostic) =
   {
     Analysis.Diag.file;
     line = d.line;
@@ -36,8 +36,8 @@ let diag_of ~file (d : Check.Scenario_lint.diagnostic) =
     rule = "scenario-lint";
     severity =
       (match d.severity with
-      | Check.Scenario_lint.Error -> Analysis.Diag.Error
-      | Check.Scenario_lint.Warning -> Analysis.Diag.Warning);
+      | Workload.Script.Error -> Analysis.Diag.Error
+      | Workload.Script.Warning -> Analysis.Diag.Warning);
     message = d.message;
   }
 
@@ -71,15 +71,15 @@ let run files quiet json =
         Printf.eprintf "%s: cannot read: %s\n" file msg;
         io_failed := true
       | Ok text ->
-        let diags = Check.Scenario_lint.lint text in
-        n_errors := !n_errors + Check.Scenario_lint.errors diags;
-        n_warnings := !n_warnings + Check.Scenario_lint.warnings diags;
+        let diags = Workload.Script.lint text in
+        n_errors := !n_errors + Workload.Script.errors diags;
+        n_warnings := !n_warnings + Workload.Script.warnings diags;
         records := !records @ List.map (diag_of ~file) diags;
         if not json_to_stdout then
           List.iter
-            (fun (d : Check.Scenario_lint.diagnostic) ->
-              if d.severity = Check.Scenario_lint.Error || not quiet then
-                print_endline (Check.Scenario_lint.render ~file d))
+            (fun (d : Workload.Script.diagnostic) ->
+              if d.severity = Workload.Script.Error || not quiet then
+                print_endline (Workload.Script.render ~file d))
             diags)
     files;
   (match json with

@@ -367,31 +367,15 @@ let script_cmd =
         match health_spec with
         | None -> script
         | Some s -> (
-          let args =
-            String.split_on_char ',' s
-            |> List.concat_map (String.split_on_char ' ')
-            |> List.filter (fun t -> t <> "")
-          in
-          match Workload.Script.health_of_args ~line:0 args with
+          match
+            Workload.Script.health_of_spec ~graph:script.Workload.Script.graph
+              ~config:script.Workload.Script.config
+              ~events:script.Workload.Script.events s
+          with
+          | Ok hc -> { script with Workload.Script.health = Some hc }
           | Error msg ->
             Printf.eprintf "--health: %s\n" msg;
-            exit 2
-          | Ok d ->
-            let hc =
-              Workload.Script.health_config
-                ~graph:script.Workload.Script.graph
-                ~config:script.Workload.Script.config
-                ~last_event:
-                  (Workload.Script.last_event_time
-                     script.Workload.Script.events)
-                d
-            in
-            (match Health.Config.validate hc with
-            | Ok () -> ()
-            | Error msg ->
-              Printf.eprintf "--health: %s\n" msg;
-              exit 2);
-            { script with Workload.Script.health = Some hc })
+            exit 2)
       in
       let trace = make_trace trace_file trace_cats in
       let net = Workload.Script.build ~trace script in
@@ -788,7 +772,7 @@ let default_term =
             "Concurrent events for --search forward, e.g. $(b,\"join 0 \
              mc=1; join 2 mc=1\"): script $(b,at) events \
              (join, leave, linkdown, linkup; same options and role \
-             defaults) plus crash, recover and hello.")
+             defaults) plus crash and recover.")
   in
   let setup_arg =
     Arg.(

@@ -113,16 +113,13 @@ let case_of_seed ?(n_max = default_n_max) ?(mcs_max = default_mcs_max)
      (the terminal agreement demanded afterwards is only meaningful on
      the healed network). *)
   let n_events = Sim.Rng.range work_rng 5 (max 5 events_max) in
-  let joined = Hashtbl.create 16 in (* (mc id, switch) -> () *)
+  let shape = ref Workload.Events.empty_shape in
   let join_order = Hashtbl.create 4 in (* mc id -> joins so far *)
-  let down = ref [] in (* (u, v) currently down, with scheduled heal *)
+  let failed = ref [] in (* (u, v) failed so far, each with its heal *)
   let events = ref [] in
-  let emit time action = events := { Workload.Events.time; action } :: !events in
-  let members_of mc =
-    Hashtbl.fold
-      (fun (m, sw) () acc -> if Int.equal m mc then sw :: acc else acc)
-      joined []
-    |> List.sort Int.compare
+  let emit time action =
+    shape := fst (Workload.Events.step !shape action);
+    events := { Workload.Events.time; action } :: !events
   in
   let role_for (mc : Dgmc.Mc_id.t) =
     match mc.kind with
@@ -142,9 +139,10 @@ let case_of_seed ?(n_max = default_n_max) ?(mcs_max = default_mcs_max)
     match Sim.Rng.int work_rng 100 with
     | p when p < 55 ->
       (* join at a switch not yet a member of this MC *)
+      let members = Workload.Events.members !shape mc in
       let candidates =
         List.filter
-          (fun sw -> not (Hashtbl.mem joined (mc.Dgmc.Mc_id.id, sw)))
+          (fun sw -> not (List.mem sw members))
           (List.init n Fun.id)
       in
       (match candidates with
@@ -152,27 +150,25 @@ let case_of_seed ?(n_max = default_n_max) ?(mcs_max = default_mcs_max)
       | _ ->
         let sw = Sim.Rng.pick work_rng candidates in
         let role = role_for mc in
-        Hashtbl.replace joined (mc.Dgmc.Mc_id.id, sw) ();
         Hashtbl.replace join_order mc.Dgmc.Mc_id.id
           (1 + Option.value ~default:0 (Hashtbl.find_opt join_order mc.Dgmc.Mc_id.id));
         emit time (Workload.Events.Join { switch = sw; mc; role }))
     | p when p < 80 -> (
-      match members_of mc.Dgmc.Mc_id.id with
+      match Workload.Events.members !shape mc with
       | [] -> ()
       | members ->
         let sw = Sim.Rng.pick work_rng members in
-        Hashtbl.remove joined (mc.Dgmc.Mc_id.id, sw);
         emit time (Workload.Events.Leave { switch = sw; mc }))
     | _ ->
-      (* Fail a link and schedule its restoration.  [down] is never
+      (* Fail a link and schedule its restoration.  [failed] is never
          pruned (a restored link stays listed), so a case fails at most
          two distinct links in total — they need not overlap in time —
          which keeps runs from degenerating into a dark network. *)
-      if List.length !down < 2 then begin
+      if List.length !failed < 2 then begin
         let live =
           List.filter
             (fun (e : Net.Graph.edge) ->
-              not (List.mem (e.u, e.v) !down))
+              not (List.mem (e.u, e.v) !failed))
             (Net.Graph.edges graph)
         in
         match live with
@@ -180,7 +176,7 @@ let case_of_seed ?(n_max = default_n_max) ?(mcs_max = default_mcs_max)
         | _ ->
           let e = Sim.Rng.pick work_rng live in
           let heal = time +. (0.5 +. Sim.Rng.float work_rng 2.5) *. round in
-          down := (e.Net.Graph.u, e.Net.Graph.v) :: !down;
+          failed := (e.Net.Graph.u, e.Net.Graph.v) :: !failed;
           emit time (Workload.Events.Link_down (e.Net.Graph.u, e.Net.Graph.v));
           emit heal (Workload.Events.Link_up (e.Net.Graph.u, e.Net.Graph.v))
       end
@@ -210,15 +206,12 @@ let case_of_seed ?(n_max = default_n_max) ?(mcs_max = default_mcs_max)
        and jitter stay) and crash/partition windows are stripped —
        sustained hello silence would otherwise be a TRUE detection the
        terminal laws cannot distinguish from a stale believed-down. *)
-    let directive =
-      match Workload.Script.health_of_args ~line:0 [] with
-      | Ok d -> d
-      | Error e -> invalid_arg ("fuzz health defaults: " ^ e)
-    in
     let hc =
-      Workload.Script.health_config ~graph ~config
-        ~last_event:(Workload.Script.last_event_time case.events)
-        directive
+      match
+        Workload.Script.health_of_spec ~graph ~config ~events:case.events ""
+      with
+      | Ok hc -> hc
+      | Error e -> invalid_arg ("fuzz health defaults: " ^ e)
     in
     {
       case with
@@ -297,24 +290,6 @@ let law_tags problems =
 
 let link u v = (min u v, max u v)
 
-(* The generator's workload shape: every join is of a non-member, every
-   leave of a member, and every downed link is up again by the end. *)
-let well_formed events =
-  let members = Hashtbl.create 16 and down = Hashtbl.create 4 in
-  List.for_all
-    (fun (e : Workload.Events.t) ->
-      match e.action with
-      | Join { switch; mc; _ } ->
-        let key = (switch, mc.Dgmc.Mc_id.id) in
-        (not (Hashtbl.mem members key)) && (Hashtbl.replace members key (); true)
-      | Leave { switch; mc } ->
-        let key = (switch, mc.Dgmc.Mc_id.id) in
-        Hashtbl.mem members key && (Hashtbl.remove members key; true)
-      | Link_down (u, v) -> Hashtbl.replace down (link u v) (); true
-      | Link_up (u, v) -> Hashtbl.remove down (link u v); true)
-    events
-  && Hashtbl.length down = 0
-
 (* [b] undoes [a]: the leave of a join, the link-up of a link-down. *)
 let undoes (a : Workload.Events.action) (b : Workload.Events.action) =
   match (a, b) with
@@ -350,7 +325,7 @@ let shrink case problems =
   let target = law_tags problems in
   let runs = ref 0 in
   let fails_alike events =
-    well_formed events
+    Workload.Events.well_formed events
     && begin
          incr runs;
          match run_events case events with

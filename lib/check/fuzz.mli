@@ -97,8 +97,9 @@ val shrink : case -> string list -> Workload.Events.t list * int
     matching leave, a link-down with the link-up that heals it; a leave
     or a link-up never goes alone — then a timing pass that pulls each
     surviving event back to its predecessor's time (the first to 0).  A
-    candidate is kept only if every join in it is of a non-member, every
-    leave of a member, every downed link is healed, and it fails with
+    candidate is kept only if it is {!Workload.Events.well_formed} (every
+    join of a non-member, every leave of a member, every downed link
+    healed) and it fails with
     the same set of [\[law\]] tags as [problems] (a run that does not
     quiesce is its own tag).  Returns the shrunk workload and the number
     of probe runs spent (both passes share one cap of 200).

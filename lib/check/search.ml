@@ -134,38 +134,17 @@ type backward_outcome = {
    after join, recover after crash, link-up after link-down), and only
    sequences that END healed are evaluated — the terminal laws demand
    agreement, which is only fair once every fault is lifted.  A durable
-   partition is expressed as the set of link-downs that cut it. *)
-type wstate = {
-  ws_members : (int * int) list;  (* (mc id, switch) *)
-  ws_down : (int * int) list;  (* (u, v) with u < v *)
-  ws_crashed : int list;
-}
-
-let mem_pair xs (a, b) = List.exists (fun (x, y) -> x = a && y = b) xs
+   partition is expressed as the set of link-downs that cut it.  Members
+   and down links are the workload's shape (Workload.Events.step); only
+   crashes are the harness's own. *)
+type wstate = { shape : Workload.Events.shape; crashed : int list }
 
 let apply_event st (ev : Harness.event) =
   match ev with
-  | Harness.Action (Join { switch; mc; _ }) ->
-    { st with ws_members = (mc.Dgmc.Mc_id.id, switch) :: st.ws_members }
-  | Harness.Action (Leave { switch; mc }) ->
-    {
-      st with
-      ws_members =
-        List.filter
-          (fun (m, s) -> not (m = mc.Dgmc.Mc_id.id && s = switch))
-          st.ws_members;
-    }
-  | Harness.Action (Link_down (u, v)) ->
-    { st with ws_down = (min u v, max u v) :: st.ws_down }
-  | Harness.Action (Link_up (u, v)) ->
-    let key = (min u v, max u v) in
-    {
-      st with
-      ws_down = List.filter (fun (x, y) -> not (x = fst key && y = snd key)) st.ws_down;
-    }
-  | Harness.Crash i -> { st with ws_crashed = i :: st.ws_crashed }
+  | Harness.Action a -> { st with shape = fst (Workload.Events.step st.shape a) }
+  | Harness.Crash i -> { st with crashed = i :: st.crashed }
   | Harness.Recover i ->
-    { st with ws_crashed = List.filter (fun j -> j <> i) st.ws_crashed }
+    { st with crashed = List.filter (fun j -> j <> i) st.crashed }
 
 let roles_for = function
   | Dgmc.Mc_id.Symmetric -> [ Dgmc.Member.Both ]
@@ -181,9 +160,10 @@ let successors ~graph ~mcs st =
   let joins =
     List.concat_map
       (fun (mc : Dgmc.Mc_id.t) ->
+        let members = Workload.Events.members st.shape mc in
         List.concat_map
           (fun switch ->
-            if mem_pair st.ws_members (mc.id, switch) then []
+            if List.mem switch members then []
             else
               List.map
                 (fun role -> Harness.Action (Join { switch; mc; role }))
@@ -193,16 +173,10 @@ let successors ~graph ~mcs st =
   in
   let leaves =
     List.concat_map
-      (fun (mc : Dgmc.Mc_id.t) ->
-        List.filter_map
-          (fun (m, switch) ->
-            if m = mc.id then Some (Harness.Action (Leave { switch; mc }))
-            else None)
-          (List.sort
-             (fun (m1, s1) (m2, s2) ->
-               let c = Int.compare m1 m2 in
-               if c <> 0 then c else Int.compare s1 s2)
-             st.ws_members))
+      (fun mc ->
+        List.map
+          (fun switch -> Harness.Action (Leave { switch; mc }))
+          (Workload.Events.members st.shape mc))
       mcs
   in
   let edges =
@@ -212,47 +186,31 @@ let successors ~graph ~mcs st =
         if c <> 0 then c else Int.compare e1.v e2.v)
       (Net.Graph.edges graph)
   in
-  let downs =
-    List.filter_map
+  let downs, ups =
+    List.partition_map
       (fun (e : Net.Graph.edge) ->
-        if mem_pair st.ws_down (min e.u e.v, max e.u e.v) then None
-        else Some (Harness.Action (Link_down (e.u, e.v))))
+        if Workload.Events.is_down st.shape e.u e.v then
+          Right (Harness.Action (Link_up (e.u, e.v)))
+        else Left (Harness.Action (Link_down (e.u, e.v))))
       edges
   in
-  let ups =
-    List.filter_map
-      (fun (e : Net.Graph.edge) ->
-        if mem_pair st.ws_down (min e.u e.v, max e.u e.v) then
-          Some (Harness.Action (Link_up (e.u, e.v)))
-        else None)
-      edges
-  in
-  let crashes =
-    List.filter_map
+  let crashes, recovers =
+    List.partition_map
       (fun i ->
-        if List.exists (fun j -> j = i) st.ws_crashed then None
-        else Some (Harness.Crash i))
-      (List.init n Fun.id)
-  in
-  let recovers =
-    List.filter_map
-      (fun i ->
-        if List.exists (fun j -> j = i) st.ws_crashed then
-          Some (Harness.Recover i)
-        else None)
+        if List.mem i st.crashed then Right (Harness.Recover i)
+        else Left (Harness.Crash i))
       (List.init n Fun.id)
   in
   joins @ leaves @ downs @ ups @ crashes @ recovers
 
-let healed st = st.ws_down = [] && st.ws_crashed = []
-
 (* Steps still owed before the sequence can end healed: each downed
    link needs its link-up, each crashed switch its recover. *)
-let heal_debt st = List.length st.ws_down + List.length st.ws_crashed
+let heal_debt st =
+  Workload.Events.down_count st.shape + List.length st.crashed
 
 let initial_wstate setup =
   List.fold_left apply_event
-    { ws_members = []; ws_down = []; ws_crashed = [] }
+    { shape = Workload.Events.empty_shape; crashed = [] }
     setup
 
 (* All well-formed, healed-at-the-end candidate sequences of exactly
@@ -265,7 +223,7 @@ let candidates_of_length ~graph ~mcs ~setup ~budget len =
   let rec go acc_rev st remaining =
     if !truncated then ()
     else if remaining = 0 then begin
-      if healed st then
+      if heal_debt st = 0 then
         if !count >= budget then truncated := true
         else begin
           incr count;

@@ -40,3 +40,63 @@ let pp ppf e =
   in
   (* dgmc-analyze: allow float-format — human-readable event listing *)
   Format.fprintf ppf "@[<h>[%g] %s@]" e.time describe
+
+(* Shape replay: (mc id, switch) memberships and (u, v) down links with
+   u < v, as persistent sets so a search can branch on any prefix. *)
+module Pairs = Set.Make (struct
+  type t = int * int
+
+  let compare (a, b) (c, d) =
+    match Int.compare a c with 0 -> Int.compare b d | n -> n
+end)
+
+type shape = { members : Pairs.t; down : Pairs.t }
+
+type misstep = Join_of_member | Leave_of_non_member | Already_down | Already_up
+
+let empty_shape = { members = Pairs.empty; down = Pairs.empty }
+
+let link u v = (min u v, max u v)
+
+let step s action =
+  (* Set membership ends as [add] says; it was already so is the misstep. *)
+  let flip set key ~add bad =
+    let was = Pairs.mem key set in
+    ( (if add then Pairs.add key set else Pairs.remove key set),
+      if Bool.equal was add then Some bad else None )
+  in
+  match action with
+  | Join { switch; mc; _ } ->
+    let members, m = flip s.members (mc.id, switch) ~add:true Join_of_member in
+    ({ s with members }, m)
+  | Leave { switch; mc } ->
+    let members, m =
+      flip s.members (mc.id, switch) ~add:false Leave_of_non_member
+    in
+    ({ s with members }, m)
+  | Link_down (u, v) ->
+    let down, m = flip s.down (link u v) ~add:true Already_down in
+    ({ s with down }, m)
+  | Link_up (u, v) ->
+    let down, m = flip s.down (link u v) ~add:false Already_up in
+    ({ s with down }, m)
+
+let members s (mc : Dgmc.Mc_id.t) =
+  Pairs.fold
+    (fun (m, switch) acc -> if m = mc.id then switch :: acc else acc)
+    s.members []
+  |> List.rev
+
+let is_down s u v = Pairs.mem (link u v) s.down
+
+let down_count s = Pairs.cardinal s.down
+
+let well_formed list =
+  let rec go s = function
+    | [] -> Pairs.is_empty s.down
+    | e :: rest -> (
+      match step s e.action with
+      | _, Some (Join_of_member | Leave_of_non_member) -> false
+      | s, (None | Some (Already_down | Already_up)) -> go s rest)
+  in
+  go empty_shape list

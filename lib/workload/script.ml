@@ -96,6 +96,9 @@ let parse_time lineno s =
   | Some _ -> fail lineno "time must be non-negative"
   | None -> fail lineno "bad time literal %S" s
 
+(* A parsed time literal in seconds, once the round length is known. *)
+let seconds ~round (v, rounds) = if rounds then v *. round else v
+
 let find_mc lineno mcs opts =
   match opt_value opts "mc" with
   | None -> fail lineno "event needs mc=<id>"
@@ -209,9 +212,8 @@ let parse_churn lineno mcs opts =
     churn_seed = int_opt "seed" 1;
   }
 
-let churn_spec ~graph ~config d =
-  let round = Dgmc.Config.round_length config ~graph in
-  let resolve (v, rounds) = if rounds then v *. round else v in
+let churn_spec ~round d =
+  let resolve = seconds ~round in
   let period = resolve d.churn_period in
   {
     Churn.mc = d.churn_mc;
@@ -225,10 +227,8 @@ let churn_spec ~graph ~config d =
       (match d.churn_wave_period with Some wp -> resolve wp | None -> period);
   }
 
-let churn_events ~graph ~config d =
-  match
-    Churn.generate (Sim.Rng.create d.churn_seed) ~graph (churn_spec ~graph ~config d)
-  with
+let churn_events ~graph ~round d =
+  match Churn.generate (Sim.Rng.create d.churn_seed) ~graph (churn_spec ~round d) with
   | evs -> Ok evs
   | exception Invalid_argument m -> Error m
 
@@ -302,17 +302,10 @@ let parse_health lineno opts =
     h_horizon = time_opt "horizon";
   }
 
-let health_of_args ~line args =
-  match parse_health line args with
-  | d -> Ok d
-  | exception Parse_error (_, m) -> Error m
-
-let last_event_time events =
-  List.fold_left (fun acc (e : Events.t) -> Float.max acc e.time) 0.0 events
-
-let health_config ~graph ~config ~last_event d =
-  let round = Dgmc.Config.round_length config ~graph in
-  let resolve (v, rounds) = if rounds then v *. round else v in
+(* Resolve round-denominated times, then validate: an invalid value is
+   a located error here rather than a crash in Protocol.create. *)
+let health_config ~round ~last_event d =
+  let resolve = seconds ~round in
   let damping =
     if d.h_damping then
       Some
@@ -341,7 +334,19 @@ let health_config ~graph ~config ~last_event d =
          up through reup hellos), then quiescence. *)
       last_event +. (3.0 *. Health.Config.detect_bound partial) +. (10.0 *. round)
   in
-  { partial with Health.Config.horizon }
+  let hc = { partial with Health.Config.horizon } in
+  Result.map (fun () -> hc) (Health.Config.validate hc)
+
+let last_event_time events =
+  List.fold_left (fun acc (e : Events.t) -> Float.max acc e.time) 0.0 events
+
+let health_of_spec ~graph ~config ~events spec =
+  match parse_health 0 (List.concat_map tokens (String.split_on_char ',' spec)) with
+  | exception Parse_error (_, m) -> Error m
+  | d ->
+    health_config
+      ~round:(Dgmc.Config.round_length config ~graph)
+      ~last_event:(last_event_time events) d
 
 (* "faults drop=0.3 dup=0.1 seed=7" — fault keys go to Faults.Plan's
    parser; [seed] is handled here. *)
@@ -416,81 +421,242 @@ let directives text =
            Some (lineno, parsed))
   |> List.filter_map Fun.id
 
+type severity = Error | Warning
+
+type diagnostic = { line : int; severity : severity; message : string }
+
+(* The same event as far as the run is concerned: a role does not make
+   a second join of the same switch to the same MC any less redundant. *)
+let same_action a b =
+  match (a, b) with
+  | Events.Join a, Events.Join b -> a.switch = b.switch && Dgmc.Mc_id.equal a.mc b.mc
+  | Events.Leave a, Events.Leave b -> a.switch = b.switch && Dgmc.Mc_id.equal a.mc b.mc
+  | Events.Link_down (u, v), Events.Link_down (u', v')
+  | Events.Link_up (u, v), Events.Link_up (u', v') ->
+    u = u' && v = v'
+  | _ -> false
+
+let count severity diags =
+  List.length (List.filter (fun d -> d.severity = severity) diags)
+
+let errors = count Error
+
+let warnings = count Warning
+
+(* The one resolution pass: every diagnostic, sorted by line, and the
+   runnable script when none of them is an error. *)
+let resolve text =
+  let diags = ref [] in
+  let emit severity line fmt =
+    Printf.ksprintf
+      (fun message -> diags := { line; severity; message } :: !diags)
+      fmt
+  in
+  let err line fmt = emit Error line fmt in
+  let warn line fmt = emit Warning line fmt in
+  let malformed = ref false in
+  let graph = ref None in
+  let config = ref None in
+  let faults = ref None in (* (spec, seed) *)
+  let mcs = ref [] in (* (decl line, mc) — reversed *)
+  let used = ref [] in (* mc ids referenced by some event *)
+  let events = ref [] in (* (line, (time, rounds?), action) — reversed *)
+  let churns = ref [] in (* (line, churn_directive) — reversed *)
+  let health_decl = ref None in (* (line, health_directive) *)
+  (* ---- what each line says ---- *)
+  List.iter
+    (fun (line, parsed) ->
+      match parsed with
+      | Stdlib.Error m ->
+        malformed := true;
+        err line "%s" m
+      | Ok (Graph g) ->
+        if Option.is_some !graph then
+          warn line "duplicate 'graph' directive overrides the previous one";
+        graph := Some g
+      | Ok (Config c) ->
+        if Option.is_some !config then
+          warn line "duplicate 'config' directive overrides the previous one";
+        config := Some c
+      | Ok (Faults (spec, seed)) ->
+        if Option.is_some !faults then
+          warn line "duplicate 'faults' directive overrides the previous one";
+        faults := Some (spec, seed);
+        if Faults.Plan.spec_is_transparent spec then
+          warn line
+            "fault plan injects nothing (all probabilities and delays are \
+             zero)"
+      | Ok (Mc m) -> mcs := (line, m) :: !mcs
+      | Ok (At (time, action)) ->
+        (match action with
+        | Events.Join { mc; _ } | Events.Leave { mc; _ } ->
+          used := mc.id :: !used
+        | Events.Link_down _ | Events.Link_up _ -> ());
+        events := (line, time, action) :: !events
+      | Ok (Churn d) ->
+        used := d.churn_mc.id :: !used;
+        churns := (line, d) :: !churns
+      | Ok (Health d) ->
+        if Option.is_some !health_decl then
+          warn line "duplicate 'health' directive overrides the previous one";
+        health_decl := Some (line, d))
+    (directives text);
+  (* ---- the timeline they resolve to ---- *)
+  let script =
+    match !graph with
+    | None ->
+      (* A malformed line may be the missing graph; it is reported. *)
+      if not !malformed then err 0 "missing 'graph' directive";
+      None
+    | Some g ->
+      let config = Option.value !config ~default:Dgmc.Config.atm_lan in
+      let round = Dgmc.Config.round_length config ~graph:g in
+      (* Event targets need the final graph, so they are checked here. *)
+      let scripted =
+        List.filter_map
+          (fun (line, time, action) ->
+            match check_target g action with
+            | Ok () -> Some (line, seconds ~round time, action)
+            | Stdlib.Error m ->
+              err line "%s" m;
+              None)
+          (List.rev !events)
+      in
+      (* Monotone file order: later lines should not move back in time. *)
+      ignore
+        (List.fold_left
+           (fun prev (line, time, _) ->
+             (match prev with
+             | Some (pline, ptime) when time < ptime ->
+               warn line
+                 "event time moves backwards (earlier than line %d); events \
+                  still run in time order"
+                 pline
+             | _ -> ());
+             Some (line, time))
+           None scripted);
+      let rec dup_scan = function
+        | [] -> ()
+        | (line, time, act) :: rest ->
+          (match
+             List.find_opt
+               (fun (_, t, a) -> Float.equal t time && same_action a act)
+               rest
+           with
+          | Some (line', _, _) ->
+            err line' "duplicate event (same time and action as line %d)" line
+          | None -> ());
+          dup_scan rest
+      in
+      dup_scan scripted;
+      (* Churn expands deterministically, after the scripted events;
+         its events join the replay, so scripted events are checked
+         against churn-held state. *)
+      let churned =
+        List.concat_map
+          (fun (line, d) ->
+            match churn_events ~graph:g ~round d with
+            | Ok evs ->
+              List.map (fun (e : Events.t) -> (line, e.time, e.action)) evs
+            | Stdlib.Error m ->
+              err line "%s" m;
+              [])
+          (List.rev !churns)
+      in
+      (* Time order, stable on ties, as Events.sort. *)
+      let timeline =
+        List.stable_sort
+          (fun (_, t1, _) (_, t2, _) -> Float.compare t1 t2)
+          (scripted @ churned)
+      in
+      ignore
+        (List.fold_left
+           (fun shape (line, _, action) ->
+             let shape, misstep = Events.step shape action in
+             (match (misstep, action) with
+             | Some Events.Leave_of_non_member, Events.Leave { switch; mc } ->
+               err line
+                 "leave without a preceding join (switch %d is not a member \
+                  of mc %d at this time)"
+                 switch mc.id
+             | Some Events.Already_down, Events.Link_down (u, v) ->
+               warn line "link (%d, %d) is already down" u v
+             | Some Events.Already_up, Events.Link_up (u, v) ->
+               warn line "link (%d, %d) is already up" u v
+             | _ -> ());
+             shape)
+           Events.empty_shape timeline);
+      let events =
+        List.map (fun (_, time, action) -> { Events.time; action }) timeline
+      in
+      let health =
+        Option.bind !health_decl (fun (line, d) ->
+            let hc =
+              match
+                health_config ~round ~last_event:(last_event_time events) d
+              with
+              | Ok hc -> Some hc
+              | Stdlib.Error m ->
+                err line "%s" m;
+                None
+            in
+            if
+              not
+                (List.exists
+                   (fun (e : Events.t) ->
+                     match e.action with
+                     | Events.Link_down _ | Events.Link_up _ -> true
+                     | Events.Join _ | Events.Leave _ -> false)
+                   events)
+            then
+              warn line
+                "health directive but no scripted link events: the \
+                 detectors have nothing to discover";
+            hc)
+      in
+      Some
+        {
+          graph = g;
+          config;
+          mcs = List.rev_map snd !mcs;
+          events;
+          faults = Option.map fst !faults;
+          fault_seed = Option.fold ~none:1 ~some:snd !faults;
+          health;
+        }
+  in
+  List.iter
+    (fun (line, (m : Dgmc.Mc_id.t)) ->
+      if not (List.mem m.id !used) then
+        warn line "mc %d declared but never used by any event" m.id)
+    (List.rev !mcs);
+  let diags =
+    List.stable_sort (fun a b -> Int.compare a.line b.line) (List.rev !diags)
+  in
+  (diags, if errors diags = 0 then script else None)
+
+let lint text = fst (resolve text)
+
 let parse text =
-  try
-    let graph = ref None in
-    let config = ref Dgmc.Config.atm_lan in
-    let faults = ref None in
-    let fault_seed = ref 1 in
-    let mcs = ref [] in
-    let health = ref None in
-    (* (line, (time, rounds?), action) — resolved once graph+config known. *)
-    let events = ref [] in
-    (* churn directives expand once the graph and round length are known. *)
-    let churns = ref [] in
-    List.iter
-      (fun (lineno, d) ->
-        match d with
-        | Error m -> fail lineno "%s" m
-        | Ok (Graph g) -> graph := Some g
-        | Ok (Config c) -> config := c
-        | Ok (Faults (spec, seed)) ->
-          faults := Some spec;
-          fault_seed := seed
-        | Ok (Mc m) -> mcs := m :: !mcs
-        | Ok (At (time, action)) -> events := (lineno, time, action) :: !events
-        | Ok (Churn d) -> churns := (lineno, d) :: !churns
-        | Ok (Health d) -> health := Some d)
-      (directives text);
-    let graph =
-      match !graph with
-      | Some g -> g
-      | None -> raise (Parse_error (0, "missing 'graph' directive"))
-    in
-    let config = !config in
-    let events = List.rev !events in
-    (* Event targets need the final graph, so they are checked last. *)
-    List.iter
-      (fun (lineno, _, action) ->
-        match check_target graph action with
-        | Ok () -> ()
-        | Error m -> fail lineno "%s" m)
-      events;
-    let round = Dgmc.Config.round_length config ~graph in
-    let churn_events =
-      List.concat_map
-        (fun (lineno, d) ->
-          match churn_events ~graph ~config d with
-          | Ok evs -> evs
-          | Error m -> fail lineno "%s" m)
-        (List.rev !churns)
-    in
-    let scripted =
-      List.map
-        (fun (_, (v, rounds), action) ->
-          let time = if rounds then v *. round else v in
-          { Events.time; action })
-        events
-    in
-    let events = Events.sort (scripted @ churn_events) in
-    let health =
-      Option.map
-        (fun d ->
-          health_config ~graph ~config ~last_event:(last_event_time events) d)
-        !health
-    in
-    Ok
-      {
-        graph;
-        config;
-        mcs = List.rev !mcs;
-        events;
-        faults = !faults;
-        fault_seed = !fault_seed;
-        health;
-      }
-  with Parse_error (line, msg) ->
-    Error (if line = 0 then msg else Printf.sprintf "line %d: %s" line msg)
+  match resolve text with
+  | _, Some t -> Ok t
+  | diags, None ->
+    let d = List.find (fun d -> d.severity = Error) diags in
+    Stdlib.Error
+      (if d.line = 0 then d.message
+       else Printf.sprintf "line %d: %s" d.line d.message)
+
+let render ?file d =
+  let prefix =
+    match (file, d.line) with
+    | Some f, 0 -> f ^ ": "
+    | Some f, l -> Printf.sprintf "%s:%d: " f l
+    | None, 0 -> ""
+    | None, l -> Printf.sprintf "line %d: " l
+  in
+  Printf.sprintf "%s%s: %s" prefix
+    (match d.severity with Error -> "error" | Warning -> "warning")
+    d.message
 
 let read_file path =
   match In_channel.with_open_text path In_channel.input_all with

@@ -39,10 +39,10 @@
     to [1r], [wave-period] to [period]), as do [health]'s [period],
     [grace], [damp-half-life] and [horizon].
 
-    This module is the one parser of the format: {!directives} parses
-    each line, {!parse} resolves the lines into a runnable {!t}, and
-    [Check.Scenario_lint] replays the same lines for its semantic
-    checks. *)
+    This module is the one reader of the format: one pass parses each
+    line and resolves the lines against the graph and regime; {!lint}
+    reports every problem that pass finds, and {!parse} returns the
+    runnable {!t} exactly when none of them is an error. *)
 
 type t = {
   graph : Net.Graph.t;
@@ -64,82 +64,21 @@ val graph_of_args : line:int -> string list -> (Net.Graph.t, string) result
     [["ring"; "6"]]).  A size the generator rejects, or a graph of fewer
     than two switches, is an [Error]. *)
 
-type churn_directive = {
-  churn_mc : Dgmc.Mc_id.t;
-  churn_members : int;
-  churn_moves : int;
-  churn_period : float * bool;  (** (value, round-denominated?). *)
-  churn_start : float * bool;
-  churn_waves : int;
-  churn_wave_links : int;
-  churn_wave_period : (float * bool) option;  (** [None]: one [period]. *)
-  churn_seed : int;
-}
-(** A [churn] directive as written — times unresolved, since the round
-    length needs the graph and regime. *)
-
-val churn_events :
+val health_of_spec :
   graph:Net.Graph.t ->
   config:Dgmc.Config.t ->
-  churn_directive ->
-  (Events.t list, string) result
-(** Resolve the directive's round-denominated times against the graph
-    and regime and expand it with [Churn.generate] seeded by
-    [churn_seed]: exactly the events {!parse} appends.  [Error] when the
-    graph cannot host the expansion. *)
-
-type health_directive = {
-  h_period : float * bool;  (** (value, round-denominated?). *)
-  h_grace : (float * bool) option;
-  h_detector : int;  (** Missed hellos before down. *)
-  h_reup : int option;
-  h_damping : bool;
-  h_damp_penalty : float;
-  h_damp_suppress : float;
-  h_damp_reuse : float;
-  h_damp_half_life : (float * bool) option;  (** [None]: 4 rounds. *)
-  h_horizon : (float * bool) option;  (** [None]: derived from the events. *)
-}
-(** A [health] directive as written — times unresolved. *)
-
-val health_of_args :
-  line:int -> string list -> (health_directive, string) result
-(** Parse a [health] directive's [key=value] arguments (defaults:
-    [period=0.5r], [detector=k:3], no damping).  Shared with
-    the CLI's [--health] flag. *)
-
-val last_event_time : Events.t list -> float
-(** Time of the latest event, 0 when the list is empty — the anchor for
-    {!health_config}'s derived horizon. *)
-
-val health_config :
-  graph:Net.Graph.t ->
-  config:Dgmc.Config.t ->
-  last_event:float ->
-  health_directive ->
-  Health.Config.t
-(** Resolve round-denominated times against the graph and regime.  When
-    no explicit horizon was given, it is placed past [last_event] by
-    three detection bounds plus ten rounds of convergence slack. *)
-
-type directive =
-  | Graph of Net.Graph.t
-  | Config of Dgmc.Config.t
-  | Faults of Faults.Plan.spec * int  (** Fault spec and plan seed. *)
-  | Mc of Dgmc.Mc_id.t
-  | At of (float * bool) * Events.action
-      (** (time, round-denominated?) and the event, whose switch and
-          link are not yet checked against the graph. *)
-  | Churn of churn_directive
-  | Health of health_directive
-(** One line of a script, parsed but not yet resolved against the graph
-    and regime (which later lines may still set). *)
-
-val directives : string -> (int * (directive, string) result) list
-(** Every non-blank line's 1-based number with its directive, or the
-    first problem on that line.  A malformed line does not stop the
-    lines after it; [mc=] resolves against the MCs declared by earlier
-    well-formed [mc] lines. *)
+  events:Events.t list ->
+  string ->
+  (Health.Config.t, string) result
+(** The link-health configuration a [health] directive's options
+    denote, given as one string of [key=value] options separated by
+    commas or spaces ([""] for every default: [period=0.5r],
+    [detector=k:3], no damping).  Round-denominated times resolve
+    against the graph and regime; without a [horizon] the layer stops
+    past the last of [events] by three detection bounds plus ten rounds
+    of convergence slack.  The result is validated: this is how
+    {!parse} resolves a [health] line, and how the CLI's [--health] and
+    the fuzzer's health band build theirs. *)
 
 val action_of_string :
   mcs:Dgmc.Mc_id.t list -> string -> (Events.action, string) result
@@ -155,15 +94,50 @@ val action_to_string : Events.action -> string
     so [action_of_string ~mcs (action_to_string a)] is [Ok a] whenever
     [a]'s MC is in [mcs]. *)
 
-val check_target : Net.Graph.t -> Events.action -> (unit, string) result
-(** A join/leave switch must be a node of the graph and a link event's
-    endpoints one of its edges. *)
+type severity = Error | Warning
+
+type diagnostic = { line : int; severity : severity; message : string }
+(** [line] is 1-based; [0] means the file as a whole. *)
+
+val lint : string -> diagnostic list
+(** Every problem in a script's text, sorted by line, without running
+    anything.  Each malformed line reports its first problem; the lines
+    that did parse are then resolved and their timeline replayed
+    ({!Events.step}).
+
+    {b Errors} (the script is wrong; {!parse} rejects it):
+    - every malformed line: unknown directives, events or options, stray
+      non-[key=value] tokens, malformed arguments, a graph its generator
+      rejects or with fewer than two switches, an MC id used before (or
+      without) its [mc] declaration or declared twice;
+    - a missing [graph] directive (when every line parses);
+    - a [join]/[leave] switch id outside the graph's node range, or a
+      [linkdown]/[linkup] on a link the graph does not have;
+    - a [churn] expansion the graph cannot host, or a [health]
+      directive that resolves to an invalid configuration;
+    - a [leave] with no preceding [join] for that switch and MC;
+    - two events identical in resolved time and action.
+
+    {b Warnings} (legal but suspicious):
+    - event times that go backwards in file order;
+    - [linkdown] on an already-down link / [linkup] on an already-up
+      link at that point of the timeline;
+    - an MC declared but never used by any event;
+    - duplicate [graph]/[config]/[faults]/[health] directives (the later
+      one wins), and a [faults] plan that injects nothing;
+    - a [health] directive with no link events to detect. *)
+
+val errors : diagnostic list -> int
+
+val warnings : diagnostic list -> int
+
+val render : ?file:string -> diagnostic -> string
+(** ["file:line: error: message"] — the conventional compiler format. *)
 
 val parse : string -> (t, string) result
-(** Parse a script from its text.  The error is the first malformed
-    line of {!directives}, else a missing [graph], else the first event
-    {!check_target} rejects, else the first [churn] the graph cannot
-    host — as ["line N: message"]. *)
+(** Parse and resolve a script: [Ok] exactly when {!lint} reports no
+    error, else the first error in line order as ["line N: message"]
+    (a missing [graph] has no line). *)
 
 val read_file : string -> (string, string) result
 (** A file's contents; [Error] is the I/O failure. *)

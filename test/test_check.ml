@@ -591,13 +591,27 @@ let test_shrink_keeps_workload_shape () =
           (law_tags problems) (law_tags ps))
     [ (37, false); (27, true) ]
 
+(* The generator and the shape judge agree: every generated workload,
+   in either band, is well-formed and ends healed. *)
+let test_generated_workloads_well_formed () =
+  List.iter
+    (fun health ->
+      for seed = 1 to 400 do
+        let case = Check.Fuzz.case_of_seed ~health seed in
+        if not (Workload.Events.well_formed case.events) then
+          Alcotest.failf "seed %d%s: workload is not well-formed and healed"
+            seed
+            (if health then " (health band)" else "")
+      done)
+    [ false; true ]
+
 (* --- linter unit tests --- *)
 
 let lint_lines text =
   List.map
-    (fun (d : Check.Scenario_lint.diagnostic) ->
-      (d.line, d.severity = Check.Scenario_lint.Error))
-    (Check.Scenario_lint.lint text)
+    (fun (d : Workload.Script.diagnostic) ->
+      (d.line, d.severity = Workload.Script.Error))
+    (Workload.Script.lint text)
 
 let test_lint_clean () =
   let text =
@@ -642,49 +656,49 @@ let test_lint_warnings () =
         "at 3 linkup 0 1";  (* already up -> warning *)
       ]
   in
-  let diags = Check.Scenario_lint.lint text in
-  Alcotest.(check int) "no errors" 0 (Check.Scenario_lint.errors diags);
-  Alcotest.(check int) "three warnings" 3 (Check.Scenario_lint.warnings diags)
+  let diags = Workload.Script.lint text in
+  Alcotest.(check int) "no errors" 0 (Workload.Script.errors diags);
+  Alcotest.(check int) "three warnings" 3 (Workload.Script.warnings diags)
 
 let test_lint_missing_graph () =
-  let diags = Check.Scenario_lint.lint "config atm\nmc 1 symmetric\n" in
+  let diags = Workload.Script.lint "config atm\nmc 1 symmetric\n" in
   Alcotest.(check bool) "missing graph is an error" true
-    (Check.Scenario_lint.errors diags > 0)
+    (Workload.Script.errors diags > 0)
 
 let test_lint_health_directive () =
-  let lint lines = Check.Scenario_lint.lint (String.concat "\n" lines) in
+  let lint lines = Workload.Script.lint (String.concat "\n" lines) in
   let base = [ "graph line 3"; "mc 1 symmetric"; "at 0 join 0 mc=1" ] in
   let clean =
     lint (base @ [ "health period=0.5r detector=k:3"; "at 1r linkdown 0 1" ])
   in
   Alcotest.(check int) "valid health directive lints clean" 0
-    (Check.Scenario_lint.errors clean);
+    (Workload.Script.errors clean);
   let bad_key = lint (base @ [ "health perod=0.5r" ]) in
   Alcotest.(check bool) "unknown key is an error" true
-    (Check.Scenario_lint.errors bad_key > 0);
+    (Workload.Script.errors bad_key > 0);
   let bad_detector = lint (base @ [ "health detector=banana" ]) in
   Alcotest.(check bool) "unparseable detector is an error" true
-    (Check.Scenario_lint.errors bad_detector > 0);
+    (Workload.Script.errors bad_detector > 0);
   let bad_damping =
     lint (base @ [ "health damp-suppress=0.1 damp-reuse=0.5" ])
   in
   Alcotest.(check bool) "suppress below reuse fails semantic validation" true
-    (Check.Scenario_lint.errors bad_damping > 0);
+    (Workload.Script.errors bad_damping > 0);
   let no_links = lint (base @ [ "health period=0.5r" ]) in
   Alcotest.(check int) "health without link events is not an error" 0
-    (Check.Scenario_lint.errors no_links);
+    (Workload.Script.errors no_links);
   Alcotest.(check bool) "…but warns that there is nothing to detect" true
-    (Check.Scenario_lint.warnings no_links > 0)
+    (Workload.Script.warnings no_links > 0)
 
 let test_lint_duplicate_config () =
   let diags =
-    Check.Scenario_lint.lint
+    Workload.Script.lint
       "graph ring 4\nconfig atm\nconfig wan\nmc 1 symmetric\nat 0 join 0 mc=1\n"
   in
   Alcotest.(check (list (pair int bool))) "second config warns" [ (3, false) ]
     (List.map
-       (fun (d : Check.Scenario_lint.diagnostic) ->
-         (d.line, d.severity = Check.Scenario_lint.Error))
+       (fun (d : Workload.Script.diagnostic) ->
+         (d.line, d.severity = Workload.Script.Error))
        diags)
 
 (* Malformed scripts: [Script.parse] fails with "line N: M", and the
@@ -764,6 +778,10 @@ let malformed_corpus =
     (decl ^ "health damp-suppress=x", 3,
      "damp-suppress: expected a number, got \"x\"");
     (decl ^ "health damp-reuse=x", 3, "damp-reuse: expected a number, got \"x\"");
+    (* health values that parse but do not validate *)
+    (decl ^ "health detector=k:0", 3, "health detector k must be >= 1");
+    (decl ^ "health damp=on damp-reuse=4 damp-suppress=3", 3,
+     "health damping suppress threshold must exceed the reuse threshold");
   ]
 
 let test_malformed_corpus () =
@@ -778,9 +796,9 @@ let test_malformed_corpus () =
           e);
       match
         List.find_opt
-          (fun (d : Check.Scenario_lint.diagnostic) ->
-            d.severity = Check.Scenario_lint.Error)
-          (Check.Scenario_lint.lint text)
+          (fun (d : Workload.Script.diagnostic) ->
+            d.severity = Workload.Script.Error)
+          (Workload.Script.lint text)
       with
       | None -> Alcotest.failf "%s: lints clean" name
       | Some d ->
@@ -846,6 +864,8 @@ let () =
             test_fuzz_acceptance_case;
           Alcotest.test_case "shrunk repros are healed and fail alike" `Quick
             test_shrink_keeps_workload_shape;
+          Alcotest.test_case "generated workloads are well-formed" `Quick
+            test_generated_workloads_well_formed;
         ] );
       ( "search",
         [

@@ -18,11 +18,11 @@ let run_scenario file () =
   (match Workload.Script.read_file path with
   | Error msg -> Alcotest.failf "%s: %s" file msg
   | Ok text ->
-    let diags = Check.Scenario_lint.lint text in
-    if Check.Scenario_lint.errors diags > 0 then
+    let diags = Workload.Script.lint text in
+    if Workload.Script.errors diags > 0 then
       Alcotest.failf "%s: lint errors:\n%s" file
         (String.concat "\n"
-           (List.map (Check.Scenario_lint.render ~file) diags)));
+           (List.map (Workload.Script.render ~file) diags)));
   match Workload.Script.load path with
   | Error msg -> Alcotest.failf "%s: parse error: %s" file msg
   | Ok script ->

@@ -529,18 +529,13 @@ let test_shipped_scenarios_with_detectors () =
       match Workload.Script.load path with
       | Error e -> Alcotest.failf "%s: %s" file e
       | Ok s ->
-        let d =
-          match
-            Workload.Script.health_of_args ~line:0
-              [ "period=0.5r"; "detector=k:3" ]
-          with
-          | Ok d -> d
-          | Error e -> Alcotest.failf "health args: %s" e
-        in
         let hc =
-          Workload.Script.health_config ~graph:s.graph ~config:s.config
-            ~last_event:(Workload.Script.last_event_time s.events)
-            d
+          match
+            Workload.Script.health_of_spec ~graph:s.graph ~config:s.config
+              ~events:s.events "period=0.5r detector=k:3"
+          with
+          | Ok hc -> hc
+          | Error e -> Alcotest.failf "health args: %s" e
         in
         let s = { s with Workload.Script.health = Some hc } in
         let net = Workload.Script.build s in
