@@ -32,9 +32,11 @@ module Link_tbl : Hashtbl.S with type key = int * int
 
 type boot
 (** A boot image: the converged unicast database switches start from.
-    No database mutates it, so one serves every switch of a run.  It is
-    mutable state all the same (its adjacency rows are built lazily), so
-    a run must not share it with runs on other domains. *)
+    No database mutates it, so one serves every switch of a run, and so
+    do its memoised shortest-path searches ({!Net.Dijkstra.run}).  It is
+    mutable state all the same (its adjacency rows and search memo are
+    filled lazily), so a run must not share it with runs on other
+    domains. *)
 
 val boot : Net.Graph.t -> boot
 (** [boot g] is a private deep copy of [g]: later changes to [g] (the

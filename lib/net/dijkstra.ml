@@ -103,19 +103,24 @@ let run_impl g src =
   done;
   { dist; pred }
 
-(* Phase attribution reads the ambient recorder; the wrapper is written
-   out (no closure) so a disabled recorder costs two branches and zero
-   allocation per call. *)
-let run g src =
+(* A miss runs the search inside its phase; a hit costs no phase enter
+   or leave, so [net.dijkstra.calls] counts searches actually run.  The
+   wrapper is written out (no closure) so a disabled recorder costs two
+   branches and zero allocation per search. *)
+let search g src =
   let ph = Metrics.Phase.ambient () in
   Metrics.Phase.enter ph "net.dijkstra";
   match run_impl g src with
   | r ->
     Metrics.Phase.leave ph;
-    r
+    (r.dist, r.pred)
   | exception e ->
     Metrics.Phase.leave ph;
     raise e
+
+let run g src =
+  let dist, pred = Graph.memo_search g src search in
+  { dist; pred }
 
 let distance g src dst = (run g src).dist.(dst)
 

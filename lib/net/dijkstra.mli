@@ -22,10 +22,20 @@ val run : Graph.t -> int -> result
     strict comparisons, left child before right, last slot moved to the
     root on pop); neighbours are relaxed in ascending id order.
 
-    Allocates the two result arrays, a bitmap and the heap's two arrays
-    (about [4n] words for [n] nodes; the heap doubles in the rare run
-    that holds more than [n] entries at once), and nothing per heap
-    operation or relaxation. *)
+    Memoised per (graph, {!Graph.version}, [src]) through
+    {!Graph.memo_search}: every call at the same version and source
+    returns the {e same} [dist] and [pred] arrays, shared by all
+    callers.  A result is therefore read-only: no caller may write to
+    its arrays.  Only a miss runs the search, inside the
+    [net.dijkstra] phase, so that phase's call count is the number of
+    searches actually run.
+
+    A miss allocates the two result arrays, a bitmap and the heap's two
+    arrays (about [4n] words for [n] nodes; the heap doubles in the
+    rare run that holds more than [n] entries at once), plus the [n]
+    memo slots on the first search at a new version, and nothing per
+    heap operation or relaxation.  A hit allocates only the three-word
+    result record. *)
 
 val distance : Graph.t -> int -> int -> float
 (** Cost of a shortest path, [infinity] if unreachable. *)
@@ -38,4 +48,5 @@ val path_of_result : result -> src:int -> dst:int -> int list option
 (** Extract a path from a precomputed {!result}. *)
 
 val all_pairs : Graph.t -> float array array
-(** [all_pairs g] is the full distance matrix ([n] Dijkstra runs). *)
+(** [all_pairs g] is the full distance matrix ([n] Dijkstra runs, all
+    kept in [g]'s memo until its version moves). *)

@@ -22,7 +22,15 @@ type t = {
      one immutable pair so a reader never matches a value to the wrong
      version. *)
   mutable hop_diameter : int * int;
+  (* [Dijkstra.run]'s results by source and the version they hold for,
+     again one immutable pair.  A mutation drops them ([bump]); the slots
+     are allocated by the first search at the new version.  [-1] is no
+     graph's version, so a fresh graph or {!copy} (version [0]) starts
+     with an empty memo. *)
+  mutable searches : int * (float array * int array) option array;
 }
+
+let no_searches = (-1, [||])
 
 let create n =
   if n < 0 then invalid_arg "Graph.create: negative node count";
@@ -32,6 +40,7 @@ let create n =
     rows = Array.make n None;
     version = 0;
     hop_diameter = (-1, 0);
+    searches = no_searches;
   }
 
 let n_nodes t = t.n
@@ -46,6 +55,31 @@ let memo_hop_diameter t compute =
     t.hop_diameter <- (t.version, value);
     value
   end
+
+(* Domains racing on one unmutated graph may each allocate the slots or
+   run a search; the losing write stores an equal value. *)
+let memo_search t src compute =
+  let version, slots = t.searches in
+  let slots =
+    if version = t.version then slots
+    else begin
+      let slots = Array.make t.n None in
+      t.searches <- (t.version, slots);
+      slots
+    end
+  in
+  match slots.(src) with
+  | Some r -> r
+  | None ->
+    let r = compute t src in
+    slots.(src) <- Some r;
+    r
+
+(* Dropping the old version's searches at once frees results no reader
+   can match again, rather than holding them until the next search. *)
+let bump t =
+  t.version <- t.version + 1;
+  t.searches <- no_searches
 
 let check_node t x =
   if x < 0 || x >= t.n then
@@ -64,7 +98,7 @@ let add_edge t u v ~weight =
   Hashtbl.replace t.adj.(v) u link;
   t.rows.(u) <- None;
   t.rows.(v) <- None;
-  t.version <- t.version + 1
+  bump t
 
 let row t u =
   match t.rows.(u) with
@@ -100,7 +134,7 @@ let set_link t u v ~up =
   | Some l ->
     if not (Bool.equal l.up up) then begin
       l.up <- up;
-      t.version <- t.version + 1
+      bump t
     end
   | None -> raise Not_found
 

@@ -21,7 +21,8 @@ val of_edges : int -> (int * int * float) list -> t
 
 val copy : t -> t
 (** Independent deep copy (mutations do not propagate).  The copy's
-    {!version} starts at [0]. *)
+    {!version} starts at [0] and its {!memo_search} memo starts empty:
+    it never answers with a result computed over [t]. *)
 
 val n_nodes : t -> int
 
@@ -37,6 +38,19 @@ val memo_hop_diameter : t -> (t -> int) -> int
 (** [memo_hop_diameter g compute] is [compute g], evaluated at most once
     per {!version}: the cache behind {!Bfs.hop_diameter}.  A racing
     second evaluation stores an equal value. *)
+
+val memo_search :
+  t ->
+  int ->
+  (t -> int -> float array * int array) ->
+  float array * int array
+(** [memo_search g src compute] is [compute g src], evaluated at most
+    once per ({!version}, [src]): the memo behind {!Dijkstra.run}.  The
+    stored result is returned to every later caller at the same version,
+    so it must never be mutated.  A mutation that moves the version
+    drops every stored result; the first search at the new version
+    allocates [n] empty slots.  Domains racing on one unmutated graph
+    store equal values. *)
 
 val add_edge : t -> int -> int -> weight:float -> unit
 (** Adds an (up) edge.  Raises [Invalid_argument] if the edge exists,

@@ -264,6 +264,41 @@ let test_dijkstra_all_pairs_symmetric () =
     check Alcotest.(float 0.0) "diagonal" 0.0 d.(u).(u)
   done
 
+(* Two domains search one shared graph from every source, in opposite
+   orders, racing to allocate a version's memo slots and to fill each
+   slot.  A racing write stores an equal value, so each domain's results
+   equal a single-domain run.  Every round moves the version first; the
+   graph is not mutated while the domains run. *)
+let test_dijkstra_memo_domain_race () =
+  let n = 400 in
+  let g = Net.Topo_gen.waxman (Sim.Rng.create 71) ~n () in
+  (* Build the cached adjacency rows up front, so only the memo races. *)
+  ignore (Net.Graph.n_edges g);
+  let edges = Array.of_list (Net.Graph.edges g) in
+  let same (a : Net.Dijkstra.result) (b : Net.Dijkstra.result) =
+    Array.for_all2 Float.equal a.dist b.dist
+    && Array.for_all2 Int.equal a.pred b.pred
+  in
+  for round = 0 to 3 do
+    let e = edges.(round * 7 mod Array.length edges) in
+    Net.Graph.set_link g e.u e.v ~up:false;
+    let single = Array.init n (Net.Dijkstra.run (Net.Graph.copy g)) in
+    let raced =
+      Runner.Pool.map ~domains:2
+        (fun descending ->
+          List.init n (fun i ->
+              let src = if descending then n - 1 - i else i in
+              (src, Net.Dijkstra.run g src)))
+        [ false; true ]
+    in
+    List.iter
+      (List.iter (fun (src, r) ->
+           if not (same single.(src) r) then
+             Alcotest.failf "round %d, source %d: raced search differs" round
+               src))
+      raced
+  done
+
 (* ------------------------------------------------------------------ *)
 (* MST *)
 
@@ -486,6 +521,8 @@ let () =
             test_dijkstra_unit_weights_match_bfs;
           Alcotest.test_case "all-pairs symmetric" `Quick
             test_dijkstra_all_pairs_symmetric;
+          Alcotest.test_case "memo shared by racing domains" `Quick
+            test_dijkstra_memo_domain_race;
         ] );
       ( "mst",
         [

@@ -333,17 +333,35 @@ let test_sph_vs_quadratic () =
       done)
     (differential_graphs ())
 
+(* [Dijkstra.run] is memoised per graph version, so the timed search
+   must be a miss: after a warm-up run builds the cached adjacency rows,
+   taking a link down and up again leaves rows and topology as they were
+   but moves the version.  A hit must then cost only its result record. *)
 let test_dijkstra_allocation_bound () =
   let n = 200 in
   let g = random_graph 7 n in
-  (* The first run builds the graph's cached adjacency rows. *)
   ignore (Net.Dijkstra.run g 0);
-  let before = Gc.minor_words () in
-  ignore (Sys.opaque_identity (Net.Dijkstra.run g 0));
-  let words = int_of_float (Gc.minor_words () -. before) in
+  let e = List.hd (Net.Graph.edges g) in
+  Net.Graph.set_link g e.u e.v ~up:false;
+  Net.Graph.set_link g e.u e.v ~up:true;
+  let baseline =
+    let before = Gc.minor_words () in
+    Gc.minor_words () -. before
+  in
+  let timed_run () =
+    let before = Gc.minor_words () in
+    ignore (Sys.opaque_identity (Net.Dijkstra.run g 0));
+    int_of_float (Gc.minor_words () -. before -. baseline)
+  in
+  let miss = timed_run () in
   let bound = (8 * n) + 64 in
-  if words > bound then
-    Alcotest.failf "one run allocated %d minor words (bound %d)" words bound
+  if miss > bound then
+    Alcotest.failf "one search allocated %d minor words (bound %d)" miss bound;
+  (* The result arrays alone are over [2n] words: the run searched. *)
+  if miss < 2 * n then
+    Alcotest.failf "the timed run allocated %d minor words: not a search" miss;
+  let hit = timed_run () in
+  if hit > 4 then Alcotest.failf "a memo hit allocated %d minor words" hit
 
 (* Once both trees have their canonical form, the tie-break's compare
    and the agreement checks' equal read arrays and allocate nothing. *)

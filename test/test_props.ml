@@ -976,6 +976,92 @@ let prop_hop_diameter_matches_searches =
       in
       Net.Bfs.hop_diameter g = expected)
 
+(* The search memo against fresh searches: after every mutation, each
+   source's memoised result equals a search over a copy, whose memo
+   starts empty.  Steps flip a link, flip one and restore it (the same
+   topology at a new version), set a link to its current state (no new
+   version), or add an edge. *)
+let same_search (a : Net.Dijkstra.result) (b : Net.Dijkstra.result) =
+  Array.for_all2 Float.equal a.dist b.dist
+  && Array.for_all2 Int.equal a.pred b.pred
+
+let memo_matches_fresh g =
+  List.for_all
+    (fun src ->
+      same_search (Net.Dijkstra.run g src)
+        (Net.Dijkstra.run (Net.Graph.copy g) src))
+    (List.init (Net.Graph.n_nodes g) Fun.id)
+
+let prop_search_memo_matches_fresh =
+  QCheck2.Test.make ~name:"memoised searches equal fresh searches" ~count:60
+    ~print:(fun (seed, n, steps) ->
+      Printf.sprintf "seed=%d n=%d steps=[%s]" seed n
+        (String.concat "; " (List.map string_of_int steps)))
+    QCheck2.Gen.(
+      triple (int_range 1 10000) (int_range 2 30)
+        (list_size (int_range 1 12) (int_range 0 9999)))
+    (fun (seed, n, steps) ->
+      let g = Net.Topo_gen.waxman (Sim.Rng.create seed) ~n () in
+      memo_matches_fresh g
+      && List.for_all
+           (fun k ->
+             let all = Array.of_list (Net.Graph.all_edges g) in
+             let e, up = all.(k / 4 mod Array.length all) in
+             let mid_ok =
+               match k mod 4 with
+               | 0 ->
+                 Net.Graph.set_link g e.u e.v ~up:(not up);
+                 true
+               | 1 ->
+                 Net.Graph.set_link g e.u e.v ~up:(not up);
+                 let ok = memo_matches_fresh g in
+                 Net.Graph.set_link g e.u e.v ~up;
+                 ok
+               | 2 ->
+                 Net.Graph.set_link g e.u e.v ~up;
+                 true
+               | _ ->
+                 let u = k / 4 mod n and v = k / 7 mod n in
+                 if u <> v && not (Net.Graph.has_edge g u v) then
+                   Net.Graph.add_edge g u v
+                     ~weight:(float_of_int (1 + (k mod 13)));
+                 true
+             in
+             mid_ok && memo_matches_fresh g)
+           steps)
+
+(* Copy-on-write images: a database that flips a link answers for its
+   own topology, while one still on the boot image keeps the boot
+   image's results. *)
+let prop_search_memo_follows_lsdb_images =
+  QCheck2.Test.make ~name:"memoised searches follow Lsdb images" ~count:60
+    ~print:(fun (seed, n) -> Printf.sprintf "seed=%d n=%d" seed n)
+    QCheck2.Gen.(pair (int_range 1 10000) (int_range 3 30))
+    (fun (seed, n) ->
+      let boot =
+        Lsr.Lsdb.boot (Net.Topo_gen.waxman (Sim.Rng.create seed) ~n ())
+      in
+      let flipper = Lsr.Lsdb.create boot and reader = Lsr.Lsdb.create boot in
+      let sources = List.init n Fun.id in
+      let before =
+        List.map (Net.Dijkstra.run (Lsr.Lsdb.graph reader)) sources
+      in
+      (* A tree link of source 0's search: taking it down must change
+         that search's predecessor at its far end. *)
+      let r0 = List.hd before in
+      match List.find_opt (fun v -> r0.pred.(v) >= 0) sources with
+      | None -> true
+      | Some v ->
+        let u = r0.pred.(v) in
+        Lsr.Lsdb.apply flipper { Lsr.Lsdb.u; v; up = false; version = 1 };
+        let own = Lsr.Lsdb.graph flipper in
+        (Net.Dijkstra.run own 0).pred.(v) <> u
+        && memo_matches_fresh own
+        && List.for_all2
+             (fun src r ->
+               same_search r (Net.Dijkstra.run (Lsr.Lsdb.graph reader) src))
+             sources before)
+
 let prop_flooding_covers_connected_graph =
   QCheck2.Test.make ~name:"flooding reaches every switch exactly once"
     ~count:60
@@ -1345,6 +1431,8 @@ let () =
             test_generators_match_oracle;
           QCheck_alcotest.to_alcotest prop_connect_ties_match_oracle;
           QCheck_alcotest.to_alcotest prop_hop_diameter_matches_searches;
+          QCheck_alcotest.to_alcotest prop_search_memo_matches_fresh;
+          QCheck_alcotest.to_alcotest prop_search_memo_follows_lsdb_images;
         ] );
       ( "flooding",
         [ QCheck_alcotest.to_alcotest prop_flooding_covers_connected_graph ] );
