@@ -23,22 +23,26 @@ type outcome = {
 }
 
 (* Rebuild the state reached by [prefix]: the harness is deterministic
-   for a fixed action sequence, so replay substitutes for cloning.
-   Returns the live harness and the rendered action descriptions. *)
+   for a fixed action sequence, so replay substitutes for cloning. *)
 let build scenario prefix =
   let h = Harness.create ~graph:scenario.graph ~config:scenario.config () in
   List.iter (Harness.inject h) scenario.setup;
   Harness.settle h;
   List.iter (Harness.inject h) scenario.race;
-  let descs =
-    List.map
-      (fun a ->
-        let d = Harness.describe h a in
-        Harness.apply h a;
-        d)
-      prefix
-  in
-  (h, descs)
+  List.iter (Harness.apply h) prefix;
+  h
+
+(* The rendered trace of [prefix], by one more replay: each action is
+   described in the state it applies to.  Only a reported state needs
+   it. *)
+let render scenario prefix =
+  let h = build scenario [] in
+  List.map
+    (fun a ->
+      let d = Harness.describe h a in
+      Harness.apply h a;
+      d)
+    prefix
 
 let check_state h =
   Array.to_list (Harness.switches h)
@@ -48,7 +52,6 @@ let check_state h =
    the successor plus C-monotonicity of every switch across the action. *)
 let step h act =
   let before = Array.map Invariant.installed_stamps (Harness.switches h) in
-  let desc = Harness.describe h act in
   Harness.apply h act;
   let monotone =
     Array.to_list
@@ -57,7 +60,7 @@ let step h act =
          (Harness.switches h))
     |> List.concat
   in
-  (desc, check_state h @ monotone)
+  check_state h @ monotone
 
 let check_terminal h =
   Dgmc.Terminal.check ~graph:(Harness.graph h) ~truth:(Harness.truth h)
@@ -69,7 +72,6 @@ let check_terminal h =
    nothing is enabled, the terminal laws ([terminal] then says which). *)
 type reached = {
   prefix : Harness.action list;
-  r_trace : string list;  (* rendered actions, initial state to here *)
   digest : string;
   key : int list * string;
   enabled : Harness.action list;
@@ -77,14 +79,13 @@ type reached = {
   terminal : bool;
 }
 
-let reach ~order h ~digest ~prefix ~trace viols =
+let reach ~order h ~digest ~prefix viols =
   let enabled = Harness.enabled h in
   let terminal_viols =
     if enabled = [] && viols = [] then check_terminal h else []
   in
   {
     prefix;
-    r_trace = trace;
     digest;
     key = order ~depth:(List.length prefix) ~digest h;
     enabled;
@@ -98,24 +99,25 @@ let reach ~order h ~digest ~prefix ~trace viols =
 let expand ~order ~seen scenario (prefix, acts) =
   List.map
     (fun act ->
-      let h, descs = build scenario prefix in
-      let desc, viols = step h act in
+      let h = build scenario prefix in
+      let viols = step h act in
       let digest = Harness.digest h in
       if viols = [] && Hashtbl.mem seen digest then None
-      else
-        Some
-          (reach ~order h ~digest ~prefix:(prefix @ [ act ])
-             ~trace:(descs @ [ desc ]) viols))
+      else Some (reach ~order h ~digest ~prefix:(prefix @ [ act ]) viols))
     acts
 
-let found_of r viols =
+let found_of scenario r viols =
+  let trace =
+    match r.prefix with
+    | [] -> [ "(initial state, before any race delivery)" ]
+    | prefix -> render scenario prefix
+  in
   {
     laws =
       List.sort_uniq String.compare
         (List.map (fun (v : Invariant.violation) -> v.law) viols);
     message = String.concat "\n" (List.map Dgmc.Terminal.to_string viols);
-    trace =
-      (if r.terminal then r.r_trace @ [ "(terminal state)" ] else r.r_trace);
+    trace = (if r.terminal then trace @ [ "(terminal state)" ] else trace);
     depth = List.length r.prefix;
     state_digest = r.digest;
   }
@@ -164,7 +166,7 @@ let walk ~hit ~order ~max_states ~max_depth ?domains scenario =
      expanded; a clean state is deduped, counted and classified. *)
   let merge r =
     match List.filter hit r.violations with
-    | _ :: _ as hits -> found := Some (found_of r hits)
+    | _ :: _ as hits -> found := Some (found_of scenario r hits)
     | [] when r.violations <> [] -> incr others
     | [] ->
       if not (Hashtbl.mem seen r.digest) then begin
@@ -179,11 +181,9 @@ let walk ~hit ~order ~max_states ~max_depth ?domains scenario =
             Frontier.add (prio, tie, !states) (r.prefix, r.enabled) !frontier
       end
   in
-  let h0, _ = build scenario [] in
+  let h0 = build scenario [] in
   merge
-    (reach ~order h0 ~digest:(Harness.digest h0) ~prefix:[]
-       ~trace:[ "(initial state, before any race delivery)" ]
-       (check_state h0));
+    (reach ~order h0 ~digest:(Harness.digest h0) ~prefix:[] (check_state h0));
   let rec loop () =
     if !found = None && not (Frontier.is_empty !frontier) then begin
       (* Pop the best wave_size entries... *)

@@ -51,12 +51,13 @@ type outcome = {
   found : found option;  (** The first hit, if any. *)
 }
 
-val build : scenario -> Harness.action list -> Harness.t * string list
+val build : scenario -> Harness.action list -> Harness.t
 (** Materialise the state reached by an action prefix: create the
     harness, inject and settle [setup], inject [race], then replay the
-    prefix, collecting each action's {!Harness.describe} rendering.
-    Deterministic — two builds of the same prefix are digest-identical —
-    which is what lets {!walk} substitute replay for cloning. *)
+    prefix.  Deterministic — two builds of the same prefix are
+    digest-identical — which is what lets {!walk} substitute replay for
+    cloning.  Nothing is rendered: {!walk} renders only the reported
+    state's trace ({!Harness.describe}), by one more replay. *)
 
 val walk :
   hit:(Invariant.violation -> bool) ->

@@ -2,7 +2,6 @@ type computation = {
   old_r : Timestamp.t;
   event : Mc_lsa.event;
   proposal : Mctree.Tree.t;
-  handle : Sim.Engine.handle;
   trace_id : int;
       (** The [Compute_started] trace event, or [-1] untraced — the
           completion fires from an engine timer, where the ambient trace

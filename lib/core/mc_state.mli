@@ -15,7 +15,6 @@ type computation = {
   proposal : Mctree.Tree.t;
       (** Result — fixed by the inputs at start time; the protocol
           decides at completion whether it is still valid to flood. *)
-  handle : Sim.Engine.handle;  (** Scheduled completion, cancellable. *)
   trace_id : int;
       (** Trace id of the [Compute_started] event ([-1] untraced) — the
           completion fires from an engine timer where the ambient trace

@@ -219,20 +219,11 @@ let launch t mc (st : Mc_state.t) ~event finish =
            })
     else -1
   in
-  let rec comp =
-    lazy
-      ({
-         old_r;
-         event;
-         proposal;
-         handle =
-           Sim.Engine.schedule t.engine ~delay:t.config.tc (fun () ->
-               finish t mc st (Lazy.force comp));
-         trace_id;
-       }
-        : Mc_state.computation)
-  in
-  Lazy.force comp
+  let comp : Mc_state.computation = { old_r; event; proposal; trace_id } in
+  ignore
+    (Sim.Engine.schedule t.engine ~delay:t.config.tc (fun () ->
+         finish t mc st comp));
+  comp
 
 (* Count a completed computation, and whether it was withdrawn stale. *)
 let count_completion t ~withdrawn =

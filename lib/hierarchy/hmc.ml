@@ -8,21 +8,18 @@ type totals = {
   logical_messages : int;
   computations : int;
   gateway_instructions : int;
-  switches_touched : int;
 }
 
 type t = {
-  engine : Sim.Engine.t;
   graph : Net.Graph.t;
   config : Dgmc.Config.t;
   partition : int list array;
   area_of : int array;
   leaders : int array;
-  (* Intra level: one D-GMC flooding scope per area, full switch set. *)
-  switches : Dgmc.Switch.t array;
-  area_floodings : Dgmc.Switch.payload Lsr.Flooding.t array;
-  seqs : Lsr.Lsa.Seq.counter array;
-  (* Logical level: one D-GMC node per area. *)
+  (* Intra level: one D-GMC network over every intra-area link, so each
+     area is one component of its graph and floods stay inside it. *)
+  intra : Dgmc.Protocol.t;
+  (* Logical level: one D-GMC node per area, on the intra engine. *)
   logical_graph : Net.Graph.t;
   logical_switches : Dgmc.Switch.t array;
   logical_flooding : Dgmc.Switch.payload Lsr.Flooding.t;
@@ -40,6 +37,8 @@ type t = {
   mutable events : int;
   mutable gateway_instructions : int;
 }
+
+let engine t = Dgmc.Protocol.engine t.intra
 
 let leader t a = t.leaders.(a)
 
@@ -66,12 +65,11 @@ let validate_partition graph partition =
   if not (Array.for_all (fun b -> b) seen) then
     invalid_arg "Hmc: partition does not cover the graph"
 
-let build_area_graph graph area_of a =
-  let n = Net.Graph.n_nodes graph in
-  let g = Net.Graph.create n in
+let build_intra_graph graph area_of =
+  let g = Net.Graph.create (Net.Graph.n_nodes graph) in
   List.iter
     (fun (e : Net.Graph.edge) ->
-      if area_of.(e.u) = a && area_of.(e.v) = a then
+      if area_of.(e.u) = area_of.(e.v) then
         Net.Graph.add_edge g e.u e.v ~weight:e.weight)
     (Net.Graph.edges graph);
   g
@@ -108,6 +106,8 @@ let members_of table mc =
 
 let rec create ~graph ~partition ~config () =
   validate_partition graph partition;
+  if Option.is_some config.Dgmc.Config.health then
+    invalid_arg "Hmc.create: the link-health layer is not supported";
   let n = Net.Graph.n_nodes graph in
   let k = Array.length partition in
   if k < 2 then invalid_arg "Hmc: need at least 2 areas";
@@ -115,36 +115,24 @@ let rec create ~graph ~partition ~config () =
   Array.iteri
     (fun a members -> List.iter (fun s -> area_of.(s) <- a) members)
     partition;
-  let area_graphs = Array.init k (build_area_graph graph area_of) in
+  let intra_graph = build_intra_graph graph area_of in
+  (* Each area must be connected inside the intra graph. *)
   Array.iteri
-    (fun a g ->
-      (* Connectivity check restricted to the area's switches. *)
-      let seed = List.hd partition.(a) in
-      let reach = Net.Bfs.reachable g seed in
+    (fun a members ->
+      let reach = Net.Bfs.reachable intra_graph (List.hd members) in
       List.iter
         (fun s ->
           if not reach.(s) then
             invalid_arg (Printf.sprintf "Hmc: area %d is not connected" a))
-        partition.(a))
-    area_graphs;
+        members)
+    partition;
   let logical_graph, edge_map = build_logical graph area_of k in
-  let engine = Sim.Engine.create () in
-  let area_boots = Array.map Lsr.Lsdb.boot area_graphs in
-  let switches =
-    Array.init n (fun id ->
-        Dgmc.Switch.create ~id ~n ~config ~engine ~boot:area_boots.(area_of.(id)) ())
-  in
+  let intra = Dgmc.Protocol.create ~graph:intra_graph ~config () in
+  let engine = Dgmc.Protocol.engine intra in
   let logical_boot = Lsr.Lsdb.boot logical_graph in
   let logical_switches =
     Array.init k (fun id ->
         Dgmc.Switch.create ~id ~n:k ~config ~engine ~boot:logical_boot ())
-  in
-  let area_floodings =
-    Array.init k (fun a ->
-        Lsr.Flooding.create ~engine ~graph:area_graphs.(a)
-          ~t_hop:config.Dgmc.Config.t_hop ~mode:config.Dgmc.Config.flood_mode
-          ~deliver:(fun ~switch lsa -> Dgmc.Switch.deliver switches.(switch) lsa.payload)
-          ())
   in
   let logical_flooding =
     (* A logical LSA crosses several real hops. *)
@@ -157,15 +145,12 @@ let rec create ~graph ~partition ~config () =
   in
   let t =
     {
-      engine;
       graph;
       config;
       partition;
       area_of;
       leaders = Array.map (fun members -> List.fold_left min max_int members) partition;
-      switches;
-      area_floodings;
-      seqs = Array.init n (fun _ -> Lsr.Lsa.Seq.create ());
+      intra;
       logical_graph;
       logical_switches;
       logical_flooding;
@@ -180,15 +165,6 @@ let rec create ~graph ~partition ~config () =
       gateway_instructions = 0;
     }
   in
-  (* Wire intra-area flooding. *)
-  Array.iteri
-    (fun id sw ->
-      Dgmc.Switch.set_flood sw (fun mc_lsa ->
-          let a = t.area_of.(id) in
-          let seq = Lsr.Lsa.Seq.next t.seqs.(id) in
-          Lsr.Flooding.flood t.area_floodings.(a)
-            (Lsr.Lsa.make ~origin:id ~seq (Dgmc.Switch.Mc mc_lsa))))
-    switches;
   (* Wire the logical level; any logical state change wakes the area's
      leader to re-derive gateways. *)
   Array.iteri
@@ -208,7 +184,7 @@ and schedule_leader_check t a =
   if not t.check_pending.(a) then begin
     t.check_pending.(a) <- true;
     ignore
-      (Sim.Engine.schedule t.engine ~delay:t.config.Dgmc.Config.t_hop (fun () ->
+      (Sim.Engine.schedule (engine t) ~delay:t.config.Dgmc.Config.t_hop (fun () ->
            leader_check t a))
   end
 
@@ -245,20 +221,22 @@ and leader_check t a =
           (fun g ->
             t.gateway_instructions <- t.gateway_instructions + 1;
             ignore
-              (Sim.Engine.schedule t.engine ~delay:t.config.Dgmc.Config.t_hop
-                 (fun () -> Dgmc.Switch.host_join t.switches.(g) mc Dgmc.Member.Both)))
+              (Sim.Engine.schedule (engine t) ~delay:t.config.Dgmc.Config.t_hop
+                 (fun () ->
+                   Dgmc.Switch.host_join (Dgmc.Protocol.switch t.intra g) mc
+                     Dgmc.Member.Both)))
           (Int_set.diff wanted current);
         Int_set.iter
           (fun g ->
             t.gateway_instructions <- t.gateway_instructions + 1;
             ignore
-              (Sim.Engine.schedule t.engine ~delay:t.config.Dgmc.Config.t_hop
+              (Sim.Engine.schedule (engine t) ~delay:t.config.Dgmc.Config.t_hop
                  (fun () ->
                    (* Only withdraw the gateway role if no host at [g] is
                       a real member. *)
                    if not (Int_set.mem g (members_of t.host_members.(a) mc))
                    then
-                     Dgmc.Switch.host_leave t.switches.(g) mc)))
+                     Dgmc.Switch.host_leave (Dgmc.Protocol.switch t.intra g) mc)))
           (Int_set.diff current wanted)
       end)
     t.registry
@@ -282,21 +260,21 @@ let logical_membership_update t a mc =
   end
 
 let join t ~switch mc role =
-  if switch < 0 || switch >= Array.length t.switches then
+  if switch < 0 || switch >= Array.length t.area_of then
     invalid_arg "Hmc.join: switch out of range";
   t.events <- t.events + 1;
   Dgmc.Mc_id.Tbl.replace t.registry mc ();
   let a = t.area_of.(switch) in
   let real = members_of t.host_members.(a) mc in
   Dgmc.Mc_id.Tbl.replace t.host_members.(a) mc (Int_set.add switch real);
-  Dgmc.Switch.host_join t.switches.(switch) mc role;
+  Dgmc.Switch.host_join (Dgmc.Protocol.switch t.intra switch) mc role;
   (* The ingress switch notifies its leader (one hop). *)
   ignore
-    (Sim.Engine.schedule t.engine ~delay:t.config.Dgmc.Config.t_hop (fun () ->
+    (Sim.Engine.schedule (engine t) ~delay:t.config.Dgmc.Config.t_hop (fun () ->
          logical_membership_update t a mc))
 
 let leave t ~switch mc =
-  if switch < 0 || switch >= Array.length t.switches then
+  if switch < 0 || switch >= Array.length t.area_of then
     invalid_arg "Hmc.leave: switch out of range";
   t.events <- t.events + 1;
   let a = t.area_of.(switch) in
@@ -304,58 +282,43 @@ let leave t ~switch mc =
   Dgmc.Mc_id.Tbl.replace t.host_members.(a) mc (Int_set.remove switch real);
   (* The switch stays in the MC if it still serves as a gateway. *)
   let gw = members_of t.gateways.(a) mc in
-  if not (Int_set.mem switch gw) then Dgmc.Switch.host_leave t.switches.(switch) mc;
+  if not (Int_set.mem switch gw) then
+    Dgmc.Switch.host_leave (Dgmc.Protocol.switch t.intra switch) mc;
   ignore
-    (Sim.Engine.schedule t.engine ~delay:t.config.Dgmc.Config.t_hop (fun () ->
+    (Sim.Engine.schedule (engine t) ~delay:t.config.Dgmc.Config.t_hop (fun () ->
          logical_membership_update t a mc))
 
 let schedule_join t ~at ~switch mc role =
-  ignore (Sim.Engine.schedule_at t.engine ~time:at (fun () -> join t ~switch mc role))
+  ignore (Sim.Engine.schedule_at (engine t) ~time:at (fun () -> join t ~switch mc role))
 
 let schedule_leave t ~at ~switch mc =
-  ignore (Sim.Engine.schedule_at t.engine ~time:at (fun () -> leave t ~switch mc))
+  ignore (Sim.Engine.schedule_at (engine t) ~time:at (fun () -> leave t ~switch mc))
 
-let run t = Sim.Engine.run t.engine
+let run t = Dgmc.Protocol.run t.intra
 
 (* ------------------------------------------------------------------ *)
 (* Measurements *)
 
 let totals t =
-  let computations = ref 0 in
-  Array.iter
-    (fun sw -> computations := !computations + (Dgmc.Switch.stats sw).computations)
-    t.switches;
-  Array.iter
-    (fun sw -> computations := !computations + (Dgmc.Switch.stats sw).computations)
-    t.logical_switches;
-  let intra_messages =
-    Array.fold_left (fun acc f -> acc + Lsr.Flooding.messages_sent f) 0 t.area_floodings
+  let intra = Dgmc.Protocol.totals t.intra in
+  let logical_computations =
+    Array.fold_left
+      (fun acc sw -> acc + (Dgmc.Switch.stats sw).computations)
+      0 t.logical_switches
   in
-  let intra_floodings = ref 0 and touched = ref 0 in
-  Array.iteri
-    (fun a f ->
-      let floods = Lsr.Flooding.floods_started f in
-      intra_floodings := !intra_floodings + floods;
-      if floods > 0 then touched := !touched + List.length t.partition.(a))
-    t.area_floodings;
-  let logical_floodings = Lsr.Flooding.floods_started t.logical_flooding in
-  if logical_floodings > 0 then
-    touched := !touched + Array.length t.logical_switches;
   {
     events = t.events;
-    intra_floodings = !intra_floodings;
-    logical_floodings;
-    intra_messages;
+    intra_floodings = intra.mc_floodings;
+    logical_floodings = Lsr.Flooding.floods_started t.logical_flooding;
+    intra_messages = intra.messages;
     logical_messages = Lsr.Flooding.messages_sent t.logical_flooding;
-    computations = !computations;
+    computations = intra.computations + logical_computations;
     gateway_instructions = t.gateway_instructions;
-    switches_touched = !touched;
   }
 
 let reset_counters t =
-  Array.iter Dgmc.Switch.reset_stats t.switches;
+  Dgmc.Protocol.reset_counters t.intra;
   Array.iter Dgmc.Switch.reset_stats t.logical_switches;
-  Array.iter Lsr.Flooding.reset_counters t.area_floodings;
   Lsr.Flooding.reset_counters t.logical_flooding;
   t.events <- 0;
   t.gateway_instructions <- 0
@@ -364,7 +327,7 @@ let reset_counters t =
 (* Agreement *)
 
 let area_switches t members =
-  Array.of_list (List.map (fun s -> t.switches.(s)) members)
+  Array.of_list (List.map (Dgmc.Protocol.switch t.intra) members)
 
 let first_topology mc switches =
   Array.find_map (fun sw -> Dgmc.Switch.topology sw mc) switches

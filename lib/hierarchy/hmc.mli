@@ -10,7 +10,11 @@
     This module is that extension, in the PNNI two-level style:
 
     - switches are statically grouped into {e areas}; every area runs
-      the plain D-GMC protocol internally, flooding scoped to the area;
+      the plain D-GMC protocol internally: one {!Dgmc.Protocol} over
+      every intra-area link and no inter-area link, so each area is a
+      component of its graph.  Floods cannot leave an area, and though
+      every switch image holds all areas' links, every tree a switch
+      computes stays inside its own area;
     - a {e logical network} with one node per area (connected where real
       inter-area links exist) runs a second D-GMC instance among
       designated {e area leaders} (lowest switch id — a leader-election
@@ -29,8 +33,9 @@
 
     Scope (documented restrictions): the area partition and inter-area
     links are static (no inter-area link failures; intra-area topology
-    events would be handled by the per-area D-GMC but are not wired to
-    an injection API here), and leaders are designated, not elected. *)
+    events would be handled by the intra-area {!Dgmc.Protocol} but are
+    not wired to an injection API here), leaders are designated, not
+    elected, and the link-health layer is not run. *)
 
 type t
 
@@ -46,7 +51,7 @@ val create :
     the logical level must be joined by at least one real link; the
     cheapest such link realises the logical edge.  Logical-level
     flooding takes [3 *. config.t_hop] per hop (logical LSAs traverse
-    several real hops). *)
+    several real hops).  [Invalid_argument] if [config.health] is set. *)
 
 val leader : t -> int -> int
 (** The designated leader switch of an area. *)
@@ -70,16 +75,12 @@ val run : t -> unit
 
 type totals = {
   events : int;  (** Host join/leave events injected. *)
-  intra_floodings : int;  (** Area-scoped MC LSA floods. *)
+  intra_floodings : int;  (** The intra {!Dgmc.Protocol}'s [mc_floodings]. *)
   logical_floodings : int;  (** Logical-level MC LSA floods. *)
-  intra_messages : int;  (** Link transmissions inside areas. *)
+  intra_messages : int;  (** The intra {!Dgmc.Protocol}'s [messages]. *)
   logical_messages : int;  (** Logical-level link transmissions. *)
   computations : int;  (** Topology computations, both levels. *)
   gateway_instructions : int;  (** Leader→gateway join/leave commands. *)
-  switches_touched : int;
-      (** Upper bound on distinct switches that processed any signaling:
-          area sizes of areas that flooded, plus leaders.  The flat
-          protocol touches all n switches on every event. *)
 }
 
 val totals : t -> totals

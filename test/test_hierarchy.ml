@@ -63,7 +63,16 @@ let test_create_validation () =
       ignore
         (Hierarchy.Hmc.create ~graph
            ~partition:[| [ 0; 1; 2 ]; [ 4; 5; 6 ] |]
-           ~config:Dgmc.Config.atm_lan ()))
+           ~config:Dgmc.Config.atm_lan ()));
+  let hc = Health.Config.make ~period:0.0005 ~horizon:0.08 () in
+  Alcotest.check_raises "health layer"
+    (Invalid_argument "Hmc.create: the link-health layer is not supported")
+    (fun () ->
+      ignore
+        (Hierarchy.Hmc.create ~graph
+           ~partition:[| [ 0; 1; 2; 3 ]; [ 4; 5; 6; 7 ] |]
+           ~config:{ Dgmc.Config.atm_lan with Dgmc.Config.health = Some hc }
+           ()))
 
 let test_logical_graph_built () =
   let _, partition, h = make () in
@@ -191,7 +200,7 @@ let test_churn_convergence () =
 let test_signaling_stays_local () =
   (* An event in area 0, with the MC confined to areas 0 and 1, must not
      flood areas 2 and 3 — the scalability claim. *)
-  let _, partition, h = make ~areas:4 ~per_area:8 () in
+  let graph, partition, h = make ~areas:4 ~per_area:8 () in
   let pick a i = List.nth partition.(a) i in
   List.iter
     (fun s -> Hierarchy.Hmc.join h ~switch:s mc Dgmc.Member.Both)
@@ -206,8 +215,22 @@ let test_signaling_stays_local () =
   assert_converged "local join" h;
   let totals = Hierarchy.Hmc.totals h in
   check Alcotest.int "no logical signaling" 0 totals.logical_floodings;
-  check Alcotest.bool "intra signaling only in one area" true
-    (totals.switches_touched <= List.length partition.(0))
+  check Alcotest.bool "the join flooded" true (totals.intra_floodings > 0);
+  (* A hop-by-hop flood over a connected area of |V| switches and |E|
+     links costs 2|E| - (|V| - 1) transmissions: every switch forwards
+     on each link but the one it first heard on, the origin on all.  So
+     every intra message was one of area 0's floods. *)
+  let in_area0 s = List.mem s partition.(0) in
+  let area_links =
+    List.length
+      (List.filter
+         (fun (e : Net.Graph.edge) -> in_area0 e.u && in_area0 e.v)
+         (Net.Graph.edges graph))
+  in
+  check Alcotest.int "intra signaling only in area 0"
+    (totals.intra_floodings
+    * ((2 * area_links) - (List.length partition.(0) - 1)))
+    totals.intra_messages
 
 let test_reset_counters () =
   let _, partition, h = make () in

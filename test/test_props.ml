@@ -1190,17 +1190,17 @@ let enumerate_state_graph scenario =
   let seen = Hashtbl.create 64 in
   let states = ref [] in (* (digest, bound, succs) in discovery order *)
   let queue = Queue.create () in
-  let h0, _ = Check.Explore.build scenario [] in
+  let h0 = Check.Explore.build scenario [] in
   Hashtbl.replace seen (Check.Harness.digest h0) ();
   Queue.add ([], Check.Harness.digest h0) queue;
   while not (Queue.is_empty queue) do
     let prefix, dg = Queue.pop queue in
-    let h, _ = Check.Explore.build scenario prefix in
+    let h = Check.Explore.build scenario prefix in
     let bound = Check.Harness.pending_count h in
     let succs =
       List.map
         (fun a ->
-          let h', _ = Check.Explore.build scenario (prefix @ [ a ]) in
+          let h' = Check.Explore.build scenario (prefix @ [ a ]) in
           let d' = Check.Harness.digest h' in
           if not (Hashtbl.mem seen d') then begin
             Hashtbl.replace seen d' ();
