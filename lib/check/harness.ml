@@ -118,9 +118,10 @@ let create ~graph ~config () =
   in
   Array.iteri
     (fun i sw ->
-      Dgmc.Switch.set_flood sw (fun lsa -> flood t i (Dgmc.Switch.Mc lsa));
-      Dgmc.Switch.set_flood_link sw (fun ev -> flood t i (Dgmc.Switch.Link ev));
-      Dgmc.Switch.set_send_resync sw (fun ~peer msg -> unicast t i peer msg))
+      Dgmc.Switch.connect sw (function
+        | Flood payload -> flood t i payload
+        | Send { peer; msg } -> unicast t i peer msg
+        | Changed -> ()))
     switches;
   t
 
@@ -154,12 +155,8 @@ let inject t ev =
   | Action ((Link_down (u, v) | Link_up (u, v)) as a) ->
     let up = match a with Link_up _ -> true | _ -> false in
     Net.Graph.set_link t.net_graph u v ~up;
-    (* Both endpoints detect, the higher one first, as under
-       Dgmc.Protocol. *)
-    let lo = min u v and hi = max u v in
-    let link_ev = Lsr.Lsdb.stamp t.clock lo hi ~up in
-    Dgmc.Switch.detect t.switches.(hi) link_ev;
-    Dgmc.Switch.detect t.switches.(lo) link_ev
+    Dgmc.Switch.detect_link t.switches
+      (Lsr.Lsdb.stamp t.clock (min u v) (max u v) ~up)
   | Crash i ->
     if t.crashed.(i) then invalid_arg "Harness: switch already crashed";
     t.crashed.(i) <- true;

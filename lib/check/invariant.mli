@@ -41,7 +41,7 @@ val check_switch : ?boundary:bool -> id:int -> Dgmc.Switch.t -> violation list
 
     [boundary] (default [true]) states whether the switch is known to be
     between protocol actions.  [R <= E] only holds there: within one
-    [ReceiveLSA] step, [R] is raised (and [on_change] observers run)
+    [ReceiveLSA] step, [R] is raised (and [Changed] observers run)
     before [E] is merged with the same stamp.  Observers sweeping
     mid-action must pass [~boundary:false], which skips that law; the
     other laws hold at every observation point. *)

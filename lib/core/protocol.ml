@@ -100,9 +100,9 @@ let originated ~switch ~seq : Switch.payload -> _ = function
    sequence number and hand it to [send].  A traced run first records
    the origination (its payload built only then) and sends in that
    event's causal context.  Floods go through one closure built at
-   creation, so an untraced flood allocates nothing beyond the LSA; a
-   resync unicast, sent only by crash recovery, builds its [send] per
-   message. *)
+   creation, so an untraced flood allocates nothing beyond the switch's
+   output and the LSA; a resync unicast, sent only by crash recovery,
+   builds its [send] per message. *)
 let originate t ~from payload send =
   let seq = Lsr.Lsa.Seq.next t.seqs.(from) in
   let lsa = Lsr.Lsa.make ~origin:from ~seq payload in
@@ -114,10 +114,35 @@ let originate t ~from payload send =
     Sim.Trace.with_context t.trace oid (fun () -> send lsa)
   else send lsa
 
-let flood_link_event t ~from (ev : Lsr.Lsdb.link_event) =
-  t.link_floodings <- t.link_floodings + 1;
-  Metrics.Registry.incr t.metrics "protocol.link_floodings";
-  originate t ~from (Switch.Link ev) t.flood
+(* Carry out one output of switch [from]: count and originate a flood,
+   unicast a resynchronisation message, or note a change for the
+   convergence clock and the observers. *)
+let output t ~from : Switch.output -> unit = function
+  | Flood payload ->
+    (match payload with
+    | Mc _ ->
+      t.mc_floodings <- t.mc_floodings + 1;
+      Metrics.Registry.incr t.metrics "protocol.mc_floodings"
+    | Link _ ->
+      t.link_floodings <- t.link_floodings + 1;
+      Metrics.Registry.incr t.metrics "protocol.link_floodings"
+    | Resync _ -> invalid_arg "Protocol: a resync message is never flooded");
+    originate t ~from payload t.flood
+  | Send { peer; msg } ->
+    Metrics.Registry.incr t.metrics "protocol.resync_messages";
+    (* Only the recoverer's summary needs a failure signal: a lost delta
+       is covered by the recoverer's session deadline. *)
+    let on_giveup =
+      match msg with
+      | Resync.Summary _ ->
+        fun () -> Switch.resync_transport_failed t.switches.(from) ~peer
+      | Resync.Delta _ -> fun () -> ()
+    in
+    originate t ~from (Switch.Resync msg)
+      (Lsr.Flooding.send t.flooding ~src:from ~dst:peer ~on_giveup)
+  | Changed ->
+    t.last_change <- Some (Sim.Engine.now t.engine);
+    List.iter (fun f -> f ()) t.observers
 
 let create ~graph ~config ?faults ?(trace = Sim.Trace.disabled)
     ?(metrics = Metrics.Registry.disabled)
@@ -184,28 +209,7 @@ let create ~graph ~config ?faults ?(trace = Sim.Trace.disabled)
       observers = [];
     }
   in
-  Array.iteri
-    (fun id sw ->
-      Switch.set_flood sw (fun (mc_lsa : Mc_lsa.t) ->
-          net.mc_floodings <- net.mc_floodings + 1;
-          Metrics.Registry.incr metrics "protocol.mc_floodings";
-          originate net ~from:id (Switch.Mc mc_lsa) net.flood);
-      Switch.set_flood_link sw (fun ev -> flood_link_event net ~from:id ev);
-      Switch.set_send_resync sw (fun ~peer msg ->
-          Metrics.Registry.incr metrics "protocol.resync_messages";
-          (* Only the recoverer's summary needs a failure signal: a lost
-             delta is covered by the recoverer's session deadline. *)
-          let on_giveup =
-            match msg with
-            | Resync.Summary _ -> fun () -> Switch.resync_transport_failed sw ~peer
-            | Resync.Delta _ -> fun () -> ()
-          in
-          originate net ~from:id (Switch.Resync msg)
-            (Lsr.Flooding.send flooding ~src:id ~dst:peer ~on_giveup));
-      Switch.set_on_change sw (fun () ->
-          net.last_change <- Some (Sim.Engine.now engine);
-          List.iter (fun f -> f ()) net.observers))
-    switches;
+  Array.iteri (fun id sw -> Switch.connect sw (output net ~from:id)) switches;
   (* Crash recovery: at each crash window's close the switch's forwarding
      plane returns, but every LSA flooded meanwhile is gone for good —
      the plan dropped deliveries to it and floods from it.  Schedule the
@@ -461,14 +465,7 @@ let link_change t u v ~up =
         "link %d-%d ground truth now %s (detectors must discover it)" lo hi
         (if up then "up" else "down")
   | None ->
-  let ev = Lsr.Lsdb.stamp t.clock u v ~up in
-  (* Both endpoints detect the change: each updates its image, floods a
-     non-MC LSA, and raises the MC link events for the connections whose
-     topology used the link (the paper's Figure 2 draws one detecting
-     switch; detection at both ends is what keeps BOTH sides of the cut
-     repairing when the failure splits the network). *)
-  Switch.detect t.switches.(hi) ev;
-  Switch.detect t.switches.(lo) ev;
+  Switch.detect_link t.switches (Lsr.Lsdb.stamp t.clock u v ~up);
   (* A recovered adjacency triggers an MC database exchange between its
      endpoints (one hop of delay), so the two sides of a healed
      partition reconcile — see Switch.resync. *)

@@ -10,6 +10,11 @@ type payload =
   | Link of Lsr.Lsdb.link_event
   | Resync of Resync.msg
 
+type output =
+  | Flood of payload
+  | Send of { peer : int; msg : Resync.msg }
+  | Changed
+
 (* One in-flight crash-recovery resynchronisation exchange (see
    [begin_resync]).  The switch stays in this state — deferring normal
    MC-LSA handling — until one neighbor's delta is applied, every
@@ -36,10 +41,7 @@ type t = {
           restarted its counters from zero, its events would read as
           stale (and merged E promises could never be met).  Recreation
           resumes from the tombstone. *)
-  mutable flood : Mc_lsa.t -> unit;
-  mutable flood_link : Lsr.Lsdb.link_event -> unit;
-  mutable send_resync : peer:int -> Resync.msg -> unit;
-  mutable on_change : unit -> unit;
+  mutable sink : output -> unit;
   mutable resync_session : resync_session option;
   mutable resync_seq : int;  (** Fresh session ids. *)
   deferred : Mc_lsa.t Queue.t;
@@ -62,14 +64,7 @@ let create ~id ~n ~config ~engine ~boot () =
     lsdb = Lsr.Lsdb.create boot;
     mcs = Mc_id.Tbl.create 8;
     tombstones = Mc_id.Tbl.create 8;
-    flood = (fun _ -> failwith "Switch: flood callback not installed");
-    (* Defaults to a no-op (unlike [flood]): only resynchronisation
-       re-disseminates link events, and standalone switches in unit
-       tests never resync. *)
-    flood_link = (fun _ -> ());
-    send_resync =
-      (fun ~peer:_ _ -> failwith "Switch: send_resync callback not installed");
-    on_change = (fun () -> ());
+    sink = (fun _ -> invalid_arg "Switch: not connected");
     resync_session = None;
     resync_seq = 0;
     deferred = Queue.create ();
@@ -97,13 +92,7 @@ let reset_stats t =
 
 let image t = Lsr.Lsdb.graph t.lsdb
 
-let set_flood t f = t.flood <- f
-
-let set_flood_link t f = t.flood_link <- f
-
-let set_send_resync t f = t.send_resync <- f
-
-let set_on_change t f = t.on_change <- f
+let connect t sink = t.sink <- sink
 
 let tracef t category fmt =
   Sim.Trace.recordf t.trace ~time:(Sim.Engine.now t.engine) ~category fmt
@@ -163,7 +152,7 @@ let maybe_delete t mc (st : Mc_state.t) =
     Mc_id.Tbl.remove t.mcs mc;
     (* Deletion is a state change observers care about (e.g. hierarchy
        leaders watching the logical level). *)
-    t.on_change ()
+    t.sink Changed
   end
 
 (* ------------------------------------------------------------------ *)
@@ -177,7 +166,8 @@ let flood_lsa t mc ~event ~proposal ?members ~stamp () =
   | None ->
     Metrics.Registry.incr t.metrics ?switch:t.label
       "switch.event_lsas_flooded");
-  t.flood (Mc_lsa.make ~src:t.id ~event ~mc ?proposal ?members ~stamp ())
+  t.sink
+    (Flood (Mc (Mc_lsa.make ~src:t.id ~event ~mc ?proposal ?members ~stamp ())))
 
 (* A proposal computed before a link failure can be installed after it:
    the sender never saw the failure, and the usual detection (an incident
@@ -272,7 +262,7 @@ let rec install t (st : Mc_state.t) mc ~stamp ~tree =
               members = Format.asprintf "%a" Member.pp st.members;
               tree = Format.asprintf "%a" Mctree.Tree.pp tree;
             }));
-  t.on_change ();
+  t.sink Changed;
   if tree_uses_dead_incident_link t tree then begin
     tracef t "detect" "sw%d installed a tree over a dead incident link" t.id;
     event_handler t mc Mc_lsa.Link
@@ -285,10 +275,10 @@ and event_handler t mc event =
   (match event with
   | Mc_lsa.Join role ->
     st.members <- Member.join st.members t.id role;
-    t.on_change ()
+    t.sink Changed
   | Mc_lsa.Leave ->
     st.members <- Member.leave st.members t.id;
-    t.on_change ()
+    t.sink Changed
   | Mc_lsa.Link | Mc_lsa.No_event -> ());
   (* Line 1: R[x]++, E[x]++ — numbering is continuous across state
      incarnations because recreation resumes from the tombstone. *)
@@ -366,7 +356,7 @@ let process_lsa t (st : Mc_state.t) (lsa : Mc_lsa.t) candidate =
         | Mc_lsa.Join role -> st.members <- Member.join st.members s role
         | Mc_lsa.Leave -> st.members <- Member.leave st.members s
         | Mc_lsa.Link | Mc_lsa.No_event -> ());
-        t.on_change ()
+        t.sink Changed
       end
       else if traced t then
         tracef t "member" "sw%d SKIPS stale %s from %d seq %d (seen %d)" t.id
@@ -392,7 +382,7 @@ let process_lsa t (st : Mc_state.t) (lsa : Mc_lsa.t) candidate =
           (Format.asprintf "%a" Timestamp.pp st.r)
           (Format.asprintf "%a" Member.pp st.members);
       st.members <- snapshot;
-      t.on_change ()
+      t.sink Changed
     end;
     st.membership_seen <- Timestamp.merge st.membership_seen lsa.stamp;
     st.r <- Timestamp.merge st.r lsa.stamp
@@ -510,6 +500,11 @@ let under_resync t ~peer ?mc f =
   in
   Sim.Trace.with_context t.trace rid f
 
+(* No computation in flight and no LSA outstanding: the precondition
+   for re-proposing on state a resynchronisation changed. *)
+let may_repropose (st : Mc_state.t) =
+  st.triggered = None && Timestamp.geq st.r st.e
+
 (* Re-propose for [mc] under a [Resync] event: raise the flag and start
    a triggered computation. *)
 let repropose t ~peer mc (st : Mc_state.t) =
@@ -547,7 +542,7 @@ let merge_links t ~source entries =
         changed := true;
         tracef t "resync" "sw%d adopts %a from sw%d" t.id
           Lsr.Lsdb.pp_link_event ev source;
-        t.flood_link ev
+        t.sink (Flood (Link ev))
       end)
     entries;
   !changed
@@ -561,10 +556,7 @@ let revalidate_installs t ~peer =
   List.iter
     (fun mc ->
       match get_state t mc with
-      | Some st
-        when st.triggered = None
-             && Timestamp.geq st.r st.e
-             && topology_stale t st ->
+      | Some st when may_repropose st && topology_stale t st ->
         repropose t ~peer mc st
       | Some _ | None -> ())
     (mc_ids t)
@@ -611,7 +603,7 @@ let apply_export t ~adopt (e : Resync.mc_export) =
               (match Member.role e.exp_members src with
               | Some role -> st.members <- Member.join st.members src role
               | None -> st.members <- Member.leave st.members src);
-              t.on_change ()
+              t.sink Changed
             end)
           e.exp_membership_seen;
         if
@@ -638,8 +630,7 @@ let resync t ~peer =
                  learned, and nobody else will re-flood it (the peer's
                  original flood died at the severed link).  The extra
                  proposal is idempotent for up-to-date receivers. *)
-              if st.triggered = None && Timestamp.geq st.r st.e then
-                start_triggered t mc st)))
+              if may_repropose st then start_triggered t mc st)))
     peer.mcs;
   (* Phase 3: re-propose wherever the merged image contradicts an
      install (the peer may never have been a member of the MC). *)
@@ -665,7 +656,11 @@ let detect t (ev : Lsr.Lsdb.link_event) =
     (* One MC LSA per affected connection (paper Figure 2). *)
     List.iter (fun mc -> event_handler t mc Mc_lsa.Link) affected
   end;
-  t.flood_link ev
+  t.sink (Flood (Link ev))
+
+let detect_link switches (ev : Lsr.Lsdb.link_event) =
+  detect switches.(max ev.u ev.v) ev;
+  detect switches.(min ev.u ev.v) ev
 
 let receive_now t lsa =
   match get_state t lsa.Mc_lsa.mc with
@@ -787,11 +782,8 @@ let finish_resync t ~reason =
       (fun mc ->
         match get_state t mc with
         | Some st ->
-          if
-            st.triggered = None
-            && Timestamp.geq st.r st.e
-            && (st.flag || topology_stale t st)
-          then repropose t ~peer:t.id mc st;
+          if may_repropose st && (st.flag || topology_stale t st) then
+            repropose t ~peer:t.id mc st;
           maybe_delete t mc st
         | None -> ())
       (mc_ids t)
@@ -854,7 +846,7 @@ let begin_resync_impl t =
         under_resync t ~peer:nb (fun () ->
             Metrics.Registry.incr t.metrics ?switch:t.label
               "switch.resync_summaries_sent";
-            t.send_resync ~peer:nb summary))
+            t.sink (Send { peer = nb; msg = summary })))
       neighbors
 
 let begin_resync t =
@@ -907,7 +899,8 @@ let answer_summary t ~session ~peer (sum_links : Lsr.Lsdb.link_event list)
   let mcs = List.filter behind (exports t) in
   (* Reply even when empty: any delta completes the recoverer's session. *)
   Metrics.Registry.incr t.metrics ?switch:t.label "switch.resync_deltas_sent";
-  t.send_resync ~peer (Resync.Delta { session; origin = t.id; links; mcs })
+  t.sink
+    (Send { peer; msg = Resync.Delta { session; origin = t.id; links; mcs } })
 
 let receive_resync_impl t msg =
   match msg with

@@ -9,11 +9,10 @@
     became stale, exactly as the paper prescribes.
 
     A switch is the one owner of how it reacts to the network: its
-    driver ({!Protocol}, or the model checker's harness) hands it every
-    received payload through {!deliver} and every change it notices on
-    an incident link through {!detect}.  It never touches a wire itself:
-    what it sends goes out through the callbacks its driver installs
-    ({!set_flood}, {!set_flood_link}, {!set_send_resync}). *)
+    driver hands it every received payload through {!deliver} and every
+    change on an incident link through {!detect}.  It never touches a
+    wire itself: each flood, resync unicast and change signal is one
+    {!output} handed to the sink its driver {!connect}s. *)
 
 type stats = private {
   mutable computations : int;
@@ -31,6 +30,13 @@ type payload =
   | Resync of Resync.msg
       (** A crash-recovery resynchronisation message, unicast between
           neighbors — never flooded (extension; see {!begin_resync}). *)
+
+(** What a switch emits. *)
+type output =
+  | Flood of payload  (** An MC LSA, or a link event detected or adopted. *)
+  | Send of { peer : int; msg : Resync.msg }
+      (** A resynchronisation unicast to a neighbor. *)
+  | Changed  (** A topology, member list or MC state changed. *)
 
 type t
 
@@ -74,25 +80,10 @@ val lsdb_entries : t -> Lsr.Lsdb.link_event list
     version knowledge behind [image], which up/down flags alone do not
     capture (the model checker hashes it; resynchronisation ships it). *)
 
-val set_flood : t -> (Mc_lsa.t -> unit) -> unit
-(** Install the flooding callback.  Must be called before any event. *)
-
-val set_flood_link : t -> (Lsr.Lsdb.link_event -> unit) -> unit
-(** Install the link-event flooding callback: {!detect} floods what the
-    switch noticed, and {!resync} re-disseminates link knowledge adopted
-    from a peer (version gating at receivers makes duplicates no-ops).
-    Defaults to a no-op. *)
-
-val set_send_resync : t -> (peer:int -> Resync.msg -> unit) -> unit
-(** Install the unicast transport for crash-recovery resynchronisation
-    messages ({!begin_resync}, and the [Resync] payloads {!deliver}
-    answers).  Defaults to raising:
-    only {!Protocol} (and the {!module:Check} harness) wire it, and a
-    switch only uses it when a crash recovery is injected. *)
-
-val set_on_change : t -> (unit -> unit) -> unit
-(** Hook invoked whenever this switch installs a topology or updates a
-    member list — used for convergence-time measurement. *)
+val connect : t -> (output -> unit) -> unit
+(** [connect t sink]: hand every {!output} of [t] to [sink], in emission
+    order.  A switch that is not connected raises [Invalid_argument] on
+    its first output of any kind. *)
 
 (** {1 Local events (EventHandler)} *)
 
@@ -107,7 +98,13 @@ val detect : t -> Lsr.Lsdb.link_event -> unit
     Figure 2): apply the versioned event ({!Lsr.Lsdb.stamp}) to the local
     image, run [EventHandler] for every MC whose current local topology
     uses the link when it went down, and flood the event as a non-MC LSA
-    through {!set_flood_link}. *)
+    (a [Flood (Link _)] output). *)
+
+val detect_link : t array -> Lsr.Lsdb.link_event -> unit
+(** Both endpoints of the stamped link event {!detect} it, the higher id
+    first ([switches] is indexed by id).  The paper's Figure 2 draws one
+    detecting switch; detection at both ends keeps BOTH sides of a cut
+    repairing when the failure splits the network. *)
 
 (** {1 Reception} *)
 
@@ -129,8 +126,8 @@ val resync : t -> peer:t -> unit
 (** Pull the peer switch's knowledge into this switch — the analogue of
     an OSPF database exchange when an adjacency forms.  Three phases:
     merge the peer's versioned link-state image (adopted link events are
-    re-flooded via {!set_flood_link} so switches behind this one learn
-    them too); for every MC the peer tracks, apply the state a
+    re-flooded as [Flood (Link _)] outputs so switches behind this one
+    learn them too); for every MC the peer tracks, apply the state a
     {!Resync.Delta} from the peer would carry — the same adoption rule:
     merge its [R]/[E] vectors, adopt its per-source membership knowledge
     where newer, adopt its topology where based on newer state — and,
@@ -145,8 +142,8 @@ val resync : t -> peer:t -> unit
 
 val begin_resync : t -> unit
 (** Enter the RESYNCING state: unicast a {!Resync.Summary} of this
-    switch's databases (via {!set_send_resync}) to every neighbor its
-    image shows live, and suspend normal MC-LSA handling — LSAs received
+    switch's databases (a [Send] output) to every neighbor its image
+    shows live, and suspend normal MC-LSA handling — LSAs received
     meanwhile are deferred and replayed in arrival order when the session
     finishes.  The session finishes when one neighbor's delta has been
     applied, when every neighbor has resolved by transport giveup, or

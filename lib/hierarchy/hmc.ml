@@ -169,11 +169,13 @@ let rec create ~graph ~partition ~config () =
      leader to re-derive gateways. *)
   Array.iteri
     (fun a sw ->
-      Dgmc.Switch.set_flood sw (fun mc_lsa ->
+      Dgmc.Switch.connect sw (function
+        | Flood payload ->
           let seq = Lsr.Lsa.Seq.next t.logical_seqs.(a) in
           Lsr.Flooding.flood t.logical_flooding
-            (Lsr.Lsa.make ~origin:a ~seq (Dgmc.Switch.Mc mc_lsa)));
-      Dgmc.Switch.set_on_change sw (fun () -> schedule_leader_check t a))
+            (Lsr.Lsa.make ~origin:a ~seq payload)
+        | Send _ -> invalid_arg "Hmc: the logical level never resyncs"
+        | Changed -> schedule_leader_check t a))
     logical_switches;
   t
 

@@ -205,11 +205,13 @@ type dist = {
   d_max : float;
 }
 
+let empty_dist =
+  { d_count = 0; d_mean = 0.0; d_p50 = 0.0; d_p90 = 0.0; d_p99 = 0.0;
+    d_max = 0.0 }
+
 let dist_of samples =
   match samples with
-  | [] ->
-    { d_count = 0; d_mean = 0.0; d_p50 = 0.0; d_p90 = 0.0; d_p99 = 0.0;
-      d_max = 0.0 }
+  | [] -> empty_dist
   | _ ->
     {
       d_count = List.length samples;
@@ -298,8 +300,24 @@ type detection = {
   det_downs : int;  (** True down verdicts. *)
   det_ups : int;
   det_spurious : int;
-  det_latencies : float list;  (** Of the true downs, sorted ascending. *)
+  det_latency : dist;  (** Of the true downs, nearest-rank percentiles. *)
 }
+
+(* [dist_of] for an ascending sample, with nearest-rank percentiles
+   and no interpolation. *)
+let nearest_rank_dist = function
+  | [] -> empty_dist
+  | sorted ->
+    let n = List.length sorted in
+    let rank q = Metrics.Stats.nearest_rank sorted q in
+    {
+      d_count = n;
+      d_mean = Metrics.Stats.mean sorted;
+      d_p50 = rank 0.50;
+      d_p90 = rank 0.90;
+      d_p99 = rank 0.99;
+      d_max = List.nth sorted (n - 1);
+    }
 
 let detections entries =
   let downs = ref 0 and ups = ref 0 and spurious = ref 0 in
@@ -320,7 +338,7 @@ let detections entries =
     det_downs = !downs;
     det_ups = !ups;
     det_spurious = !spurious;
-    det_latencies = List.sort Float.compare !lats;
+    det_latency = nearest_rank_dist (List.sort Float.compare !lats);
   }
 
 let dist_row label d =
@@ -379,19 +397,12 @@ let markdown ~gap (a : Sim.Trace.archive) =
      out "## Link-health detection\n\n";
      out "- down verdicts: %d true, %d spurious\n" d.det_downs d.det_spurious;
      out "- up (recovery) verdicts: %d\n\n" d.det_ups;
-     match d.det_latencies with
-     | [] -> ()
-     | ls ->
-       let n = List.length ls in
-       let mean = List.fold_left ( +. ) 0.0 ls /. float_of_int n in
+     if d.det_latency.d_count > 0 then begin
        out "| figure | n | mean | p50 | p90 | p99 | max |\n";
        out "|---|---:|---:|---:|---:|---:|---:|\n";
-       out "| detection latency (s) | %d | %s | %s | %s | %s | %s |\n\n" n
-         (num mean)
-         (num (Metrics.Stats.nearest_rank ls 0.50))
-         (num (Metrics.Stats.nearest_rank ls 0.90))
-         (num (Metrics.Stats.nearest_rank ls 0.99))
-         (num (List.nth ls (n - 1)))
+       Buffer.add_string b (dist_row "detection latency (s)" d.det_latency);
+       out "\n"
+     end
    end);
   Buffer.contents b
 
@@ -443,18 +454,8 @@ let json ~gap (a : Sim.Trace.archive) =
     let d = detections entries in
     if d.det_downs + d.det_ups + d.det_spurious = 0 then "null"
     else
-      let ls = d.det_latencies in
-      let n = List.length ls in
-      let mean =
-        if n = 0 then 0.0 else List.fold_left ( +. ) 0.0 ls /. float_of_int n
-      in
-      Printf.sprintf
-        {|{"downs": %d, "ups": %d, "spurious": %d, "latency": {"count": %d, "mean": %s, "p50": %s, "p90": %s, "p99": %s, "max": %s}}|}
-        d.det_downs d.det_ups d.det_spurious n (Sim.Json.number mean)
-        (Sim.Json.number (Metrics.Stats.nearest_rank ls 0.50))
-        (Sim.Json.number (Metrics.Stats.nearest_rank ls 0.90))
-        (Sim.Json.number (Metrics.Stats.nearest_rank ls 0.99))
-        (Sim.Json.number (if n = 0 then 0.0 else List.nth ls (n - 1)))
+      Printf.sprintf {|{"downs": %d, "ups": %d, "spurious": %d, "latency": %s}|}
+        d.det_downs d.det_ups d.det_spurious (dist_json d.det_latency)
   in
   Printf.sprintf
     {|{

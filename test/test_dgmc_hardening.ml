@@ -211,7 +211,7 @@ let test_direct_resync_call () =
     Dgmc.Switch.create ~id:5 ~n:6 ~config:Dgmc.Config.atm_lan
       ~engine:(Dgmc.Protocol.engine net) ~boot:(Lsr.Lsdb.boot graph) ()
   in
-  Dgmc.Switch.set_flood blank (fun _ -> ());
+  Dgmc.Switch.connect blank ignore;
   check Alcotest.bool "blank has no state" true (Dgmc.Switch.members blank mc = None);
   Dgmc.Switch.resync blank ~peer:informed;
   (match Dgmc.Switch.members blank mc with
@@ -234,7 +234,7 @@ let test_equal_stamp_tiebreak_is_order_independent () =
       Dgmc.Switch.create ~id:5 ~n:6 ~config:Dgmc.Config.atm_lan ~engine
         ~boot:(Lsr.Lsdb.boot graph) ()
     in
-    Dgmc.Switch.set_flood sw (fun _ -> ());
+    Dgmc.Switch.connect sw ignore;
     let stamp = Dgmc.Timestamp.of_array [| 1; 1; 0; 0; 0; 0 |] in
     let members =
       Dgmc.Member.of_list [ (0, Dgmc.Member.Both); (1, Dgmc.Member.Both) ]

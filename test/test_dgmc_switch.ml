@@ -9,11 +9,11 @@ let mc = Dgmc.Mc_id.make Dgmc.Mc_id.Symmetric 1
 
 let grid () = Net.Topo_gen.grid ~rows:2 ~cols:3 ()
 
-(* A harness around one switch: captures everything it floods. *)
+(* A harness around one switch: records every output it emits. *)
 type harness = {
   engine : Sim.Engine.t;
   sw : Dgmc.Switch.t;
-  flooded : Dgmc.Mc_lsa.t list ref;
+  outputs : Dgmc.Switch.output list ref;
 }
 
 let harness ?(id = 5) () =
@@ -22,11 +22,22 @@ let harness ?(id = 5) () =
     Dgmc.Switch.create ~id ~n:6 ~config:Dgmc.Config.atm_lan ~engine
       ~boot:(Lsr.Lsdb.boot (grid ())) ()
   in
-  let flooded = ref [] in
-  Dgmc.Switch.set_flood sw (fun lsa -> flooded := lsa :: !flooded);
-  { engine; sw; flooded }
+  let outputs = ref [] in
+  Dgmc.Switch.connect sw (fun o -> outputs := o :: !outputs);
+  { engine; sw; outputs }
 
-let floods h = List.rev !(h.flooded)
+let outputs h = List.rev !(h.outputs)
+
+(* The MC LSAs among the outputs, in flooding order. *)
+let floods h =
+  List.filter_map
+    (function Dgmc.Switch.Flood (Mc lsa) -> Some lsa | _ -> None)
+    (outputs h)
+
+let link_floods h =
+  List.filter_map
+    (function Dgmc.Switch.Flood (Link ev) -> Some ev | _ -> None)
+    (outputs h)
 
 let receive sw lsa = Dgmc.Switch.deliver sw (Dgmc.Switch.Mc lsa)
 
@@ -116,20 +127,25 @@ let test_link_event_only_for_affected_mcs () =
   Sim.Engine.run h.engine;
   let before = List.length (floods h) in
   (* Link (0, 1) fails; only [mc] is affected. *)
-  Dgmc.Switch.detect h.sw { Lsr.Lsdb.u = 0; v = 1; up = false; version = 1 };
+  let down = { Lsr.Lsdb.u = 0; v = 1; up = false; version = 1 } in
+  Dgmc.Switch.detect h.sw down;
   Sim.Engine.run h.engine;
   let new_lsas = List.filteri (fun i _ -> i >= before) (floods h) in
   check Alcotest.int "one MC link LSA" 1 (List.length new_lsas);
   let lsa = List.hd new_lsas in
   check Alcotest.bool "for the affected MC" true (Dgmc.Mc_id.equal lsa.mc mc);
-  check Alcotest.bool "link event" true (lsa.event = Dgmc.Mc_lsa.Link)
+  check Alcotest.bool "link event" true (lsa.event = Dgmc.Mc_lsa.Link);
+  match link_floods h with
+  | [ ev ] ->
+    check Alcotest.bool "the detected link event flooded" true (ev == down)
+  | l -> Alcotest.failf "expected exactly one link flood, got %d" (List.length l)
 
 let test_link_event_non_detector_is_silent () =
   let h = harness () in
   Dgmc.Switch.deliver h.sw
     (Link { Lsr.Lsdb.u = 0; v = 1; up = false; version = 1 });
   Sim.Engine.run h.engine;
-  check Alcotest.int "nothing flooded" 0 (List.length (floods h));
+  check Alcotest.int "no output" 0 (List.length (outputs h));
   check Alcotest.bool "image updated" false
     (Net.Graph.link_is_up (Dgmc.Switch.image h.sw) 0 1)
 
@@ -287,16 +303,23 @@ let test_stale_membership_not_applied_backwards () =
   let r, _, _ = Option.get (Dgmc.Switch.stamps h.sw mc) in
   check Alcotest.int "both events counted" 2 (Dgmc.Timestamp.get r 0)
 
-let test_flood_callback_required () =
-  let engine = Sim.Engine.create () in
-  let sw =
-    Dgmc.Switch.create ~id:0 ~n:6 ~config:Dgmc.Config.atm_lan ~engine
-      ~boot:(Lsr.Lsdb.boot (grid ())) ()
-  in
-  Dgmc.Switch.host_join sw mc Dgmc.Member.Both;
-  Alcotest.check_raises "uninstalled flood callback"
-    (Failure "Switch: flood callback not installed") (fun () ->
-      Sim.Engine.run engine)
+let unconnected () =
+  Dgmc.Switch.create ~id:0 ~n:6 ~config:Dgmc.Config.atm_lan
+    ~engine:(Sim.Engine.create ()) ~boot:(Lsr.Lsdb.boot (grid ())) ()
+
+let not_connected = Invalid_argument "Switch: not connected"
+
+let test_sink_required () =
+  (* The join's first output is its member-list change. *)
+  Alcotest.check_raises "first output of an unconnected switch" not_connected
+    (fun () -> Dgmc.Switch.host_join (unconnected ()) mc Dgmc.Member.Both)
+
+let test_detect_requires_sink () =
+  (* No MC uses the link, so the link flood is the only output. *)
+  Alcotest.check_raises "link flood of an unconnected switch" not_connected
+    (fun () ->
+      Dgmc.Switch.detect (unconnected ())
+        { Lsr.Lsdb.u = 0; v = 1; up = false; version = 1 })
 
 let () =
   Alcotest.run "dgmc-switch"
@@ -336,5 +359,9 @@ let () =
             test_stale_membership_not_applied_backwards;
         ] );
       ( "wiring",
-        [ Alcotest.test_case "flood callback required" `Quick test_flood_callback_required ] );
+        [
+          Alcotest.test_case "output sink required" `Quick test_sink_required;
+          Alcotest.test_case "detect requires a sink" `Quick
+            test_detect_requires_sink;
+        ] );
     ]
