@@ -8,12 +8,11 @@
    set (3 instead of 10 graphs per size) for a fast smoke run.
    [--domains N] spreads the figure sweeps' (size × seed) cells over N
    OCaml domains via Runner.Pool; every table is byte-identical for any
-   N (only ablation's host-time columns report wall clock, by design,
-   and vary run to run regardless of N).  [--json FILE] additionally
-   records per-figure cell timings, speedup vs the sequential estimate,
-   commit/seed metadata and the protocol counters of a pinned registry
-   run — the BENCH_dgmc.json perf trajectory.  Where the time goes,
-   layer by layer, is the ledger's traced table (bench/ledger). *)
+   N.  [--json FILE] additionally records per-figure cell timings,
+   speedup vs the sequential estimate, commit/seed metadata and the
+   protocol counters of a pinned registry run — the BENCH_dgmc.json perf
+   trajectory.  Where the time goes, layer by layer, is the ledger's
+   traced table (bench/ledger). *)
 
 let quick = ref false
 
@@ -155,14 +154,13 @@ let ablation () =
   print_endline "\n[b] Steiner heuristic choice (n = 60)";
   Metrics.Table.print
     ~align:[ Metrics.Table.Left ]
-    ~headers:[ "heuristic"; "members"; "cost / lower bound"; "cpu time" ]
+    ~headers:[ "heuristic"; "members"; "cost / lower bound" ]
     (List.map
        (fun (r : Experiments.Ablation.heuristic_row) ->
          [
            r.algo;
            string_of_int r.members;
            Metrics.Table.cell_f r.mean_cost_vs_bound;
-           Printf.sprintf "%.0f us" r.mean_time_us;
          ])
        (Experiments.Ablation.steiner_heuristics ~seeds:(seeds ()) ()));
   print_endline "\n[c] drift threshold for from-scratch recomputation";
@@ -268,24 +266,26 @@ let () =
   (match !json with
   | None -> ()
   | Some path ->
-    (* The record's [metrics] section.  A parallel batch of bursty runs on
-       atm_lan fills the pool.task_* histograms, and its workers record
-       protocol counters through per-domain child registries that the
-       pool merges deterministically at join; one more run at the master
-       seed records on the calling domain.  Counters ride on simulated
-       time, so they are exact for the seed and the bench differ holds
-       them so. *)
+    (* The record's [metrics] section: bursty runs on atm_lan, all
+       recording into one registry on this domain.  Seeds 1-4 run as a
+       one-domain timed batch whose per-task stats fill the pool.task_*
+       histograms; one more run at the master seed follows.  Counters
+       ride on simulated time, so they are exact for the seed and the
+       bench differ holds them so. *)
     let registry = Metrics.Registry.create () in
-    let (_ : Experiments.Harness.run Runner.Pool.timed list), _ =
-      Runner.Pool.map_registered ~domains:!domains ~metrics:registry
-        (fun ?metrics seed ->
-          Experiments.Harness.bursty_run ?metrics ~seed ~n:20
-            ~config:Dgmc.Config.atm_lan ~members:10 ())
-        [ 1; 2; 3; 4 ]
+    let run seed =
+      ignore
+        (Experiments.Harness.bursty_run ~metrics:registry ~seed ~n:20
+           ~config:Dgmc.Config.atm_lan ~members:10 ())
     in
-    ignore
-      (Experiments.Harness.bursty_run ~metrics:registry ~seed:master_seed ~n:20
-         ~config:Dgmc.Config.atm_lan ~members:10 ());
+    let timed, _ = Runner.Pool.map_timed ~domains:1 run [ 1; 2; 3; 4 ] in
+    List.iter
+      (fun (t : unit Runner.Pool.timed) ->
+        Metrics.Registry.observe registry "pool.task_wall_s" t.stats.wall_s;
+        Metrics.Registry.observe registry "pool.task_alloc_bytes"
+          t.stats.alloc_bytes)
+      timed;
+    run master_seed;
     let meta =
       {
         Metrics.Bench.commit = commit ();

@@ -62,7 +62,6 @@ type heuristic_row = {
   algo : string;
   members : int;
   mean_cost_vs_bound : float;
-  mean_time_us : float;
 }
 
 let steiner_heuristics ?(seeds = Figures.default_seeds) ?(n = 60) () =
@@ -70,34 +69,27 @@ let steiner_heuristics ?(seeds = Figures.default_seeds) ?(n = 60) () =
     (fun count ->
       List.map
         (fun (name, algo) ->
-          let ratios = ref [] and times = ref [] in
-          List.iter
-            (fun seed ->
-              let graph = Harness.graph_for ~seed ~n in
-              let rng = Sim.Rng.create (seed * 733) in
-              let members = Sim.Rng.sample rng count (List.init n (fun i -> i)) in
-              let bound = Mctree.Steiner.lower_bound graph members in
-              (* Repeat enough to out-resolve Sys.time's clock ticks. *)
-              let reps = 20 in
-              (* dgmc-analyze: allow nondet-source — CPU-time measurement of
-                 the algorithm itself, reported as a timing figure *)
-              let t0 = Sys.time () in
-              let tree = algo graph members in
-              for _ = 2 to reps do
-                ignore (algo graph members)
-              done;
-              (* dgmc-analyze: allow nondet-source — CPU-time measurement *)
-              let elapsed = (Sys.time () -. t0) /. float_of_int reps in
-              times := elapsed *. 1e6 :: !times;
-              if bound > 0.0 then
-                ratios := (Mctree.Tree.cost graph tree /. bound) :: !ratios)
-            seeds;
+          (* The fold fixes the order the float sum runs in, and so the
+             table's digits: last seed first. *)
+          let ratios =
+            List.fold_left
+              (fun acc seed ->
+                let graph = Harness.graph_for ~seed ~n in
+                let rng = Sim.Rng.create (seed * 733) in
+                let members =
+                  Sim.Rng.sample rng count (List.init n (fun i -> i))
+                in
+                let bound = Mctree.Steiner.lower_bound graph members in
+                if bound > 0.0 then
+                  (Mctree.Tree.cost graph (algo graph members) /. bound) :: acc
+                else acc)
+              [] seeds
+          in
           {
             algo = name;
             members = count;
             mean_cost_vs_bound =
-              (if !ratios = [] then 1.0 else Metrics.Stats.mean !ratios);
-            mean_time_us = Metrics.Stats.mean !times;
+              (if ratios = [] then 1.0 else Metrics.Stats.mean ratios);
           })
         [ ("kmb", Mctree.Steiner.kmb); ("sph", Mctree.Steiner.sph) ])
     [ 5; 10; 20 ]

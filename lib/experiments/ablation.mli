@@ -6,7 +6,8 @@
 
     - §3.5 incremental updates vs from-scratch computation — tree quality
       given up for the cheaper updates;
-    - KMB vs SPH Steiner heuristics — cost/cpu trade-off;
+    - KMB vs SPH Steiner heuristics — tree cost against the Steiner
+      lower bound;
     - the drift threshold triggering from-scratch recomputation. *)
 
 type incremental_row = {
@@ -26,11 +27,11 @@ type heuristic_row = {
   algo : string;
   members : int;
   mean_cost_vs_bound : float;  (** Mean cost / Steiner lower bound. *)
-  mean_time_us : float;  (** Mean wall-clock per computation. *)
 }
 
 val steiner_heuristics : ?seeds:int list -> ?n:int -> unit -> heuristic_row list
-(** KMB vs SPH cost and cpu across member-set sizes 5, 10 and 20. *)
+(** KMB vs SPH cost across member-set sizes 5, 10 and 20.  Timing is
+    the ledger's business ([mctree.sph.self_s]), not this figure's. *)
 
 type drift_row = {
   threshold : float;

@@ -13,7 +13,7 @@ type hist = {
   buckets : (int, int ref) Hashtbl.t;
 }
 
-type cell = Counter of int ref | Gauge of float ref | Hist of hist
+type cell = Counter of int ref | Hist of hist
 
 type key = { name : string; switch : int option }
 
@@ -41,10 +41,7 @@ let check_owner t =
           owned by domain %d (collect on the owner domain instead)"
          self t.owner)
 
-let kind_name = function
-  | Counter _ -> "counter"
-  | Gauge _ -> "gauge"
-  | Hist _ -> "histogram"
+let kind_name = function Counter _ -> "counter" | Hist _ -> "histogram"
 
 let cell_of t ?switch name ~make ~check =
   check_owner t;
@@ -71,16 +68,6 @@ let incr t ?switch ?(by = 1) name =
         ~check:(function Counter _ -> () | c -> wrong_kind name "counter" c)
     with
     | Counter r -> r := !r + by
-    | _ -> assert false
-
-let set_gauge t ?switch name v =
-  if t.on then
-    match
-      cell_of t ?switch name
-        ~make:(fun () -> Gauge (ref 0.0))
-        ~check:(function Gauge _ -> () | c -> wrong_kind name "gauge" c)
-    with
-    | Gauge r -> r := v
     | _ -> assert false
 
 let bucket_of v = int_of_float (Float.floor (Float.log v /. log_base))
@@ -122,12 +109,6 @@ let counter_value t ?switch name =
   | Some (Counter r) -> !r
   | Some c -> wrong_kind name "counter" c
   | None -> 0
-
-let gauge_value t ?switch name =
-  match Hashtbl.find_opt t.cells { name; switch } with
-  | Some (Gauge r) -> Some !r
-  | Some c -> wrong_kind name "gauge" c
-  | None -> None
 
 let hist_quantile h q =
   if h.h_n = 0 then Float.nan
@@ -193,7 +174,6 @@ let quantile t ?switch name q =
 
 type snapshot = {
   counters : (key * int) list;
-  gauges : (key * float) list;
   histograms : (key * histogram) list;
 }
 
@@ -215,74 +195,11 @@ let snapshot t =
   {
     counters =
       List.filter_map (function k, Counter r -> Some (k, !r) | _ -> None) cells;
-    gauges =
-      List.filter_map (function k, Gauge r -> Some (k, !r) | _ -> None) cells;
     histograms =
       List.filter_map
         (function k, Hist h -> Some (k, stats_of_hist h) | _ -> None)
         cells;
   }
-
-(* ------------------------------------------------------------------ *)
-(* Merging *)
-
-(* Fold a quiescent source registry into [into]: counters add, histograms
-   merge bucket-exactly (bucket counts, n, sum and nonpos add; lo/hi take
-   min/max), and gauges combine by [Float.max] — the only order-free
-   choice short of keeping every sample.  Counter and histogram merges
-   are commutative and associative, so merging per-worker registries in
-   worker-slot order yields the same totals whatever the work-stealing
-   schedule was; iteration over the source is sorted so even error
-   surfacing (kind mismatches) is stable. *)
-let merge ~into src =
-  if into.on then begin
-    check_owner into;
-    let cells =
-      Hashtbl.fold (fun key cell acc -> (key, cell) :: acc) src.cells []
-      |> List.sort (fun (a, _) (b, _) -> compare_key a b)
-    in
-    List.iter
-      (fun (k, c) ->
-        match c with
-        | Counter r -> incr into ?switch:k.switch ~by:!r k.name
-        | Gauge r ->
-          let v =
-            match gauge_value into ?switch:k.switch k.name with
-            | Some old -> Float.max old !r
-            | None -> !r
-          in
-          set_gauge into ?switch:k.switch k.name v
-        | Hist h -> (
-          match
-            cell_of into ?switch:k.switch k.name
-              ~make:(fun () ->
-                Hist
-                  {
-                    h_n = 0;
-                    h_sum = 0.0;
-                    h_lo = Float.infinity;
-                    h_hi = Float.neg_infinity;
-                    nonpos = 0;
-                    buckets = Hashtbl.create 16;
-                  })
-              ~check:(function
-                | Hist _ -> () | c -> wrong_kind k.name "histogram" c)
-          with
-          | Hist dst ->
-            dst.h_n <- dst.h_n + h.h_n;
-            dst.h_sum <- dst.h_sum +. h.h_sum;
-            if h.h_lo < dst.h_lo then dst.h_lo <- h.h_lo;
-            if h.h_hi > dst.h_hi then dst.h_hi <- h.h_hi;
-            dst.nonpos <- dst.nonpos + h.nonpos;
-            Hashtbl.fold (fun b r acc -> (b, !r) :: acc) h.buckets []
-            |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-            |> List.iter (fun (b, n) ->
-                   match Hashtbl.find_opt dst.buckets b with
-                   | Some r -> r := !r + n
-                   | None -> Hashtbl.replace dst.buckets b (ref n))
-          | _ -> assert false))
-      cells
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Rendering *)
@@ -296,9 +213,6 @@ let key_json k =
 
 let snapshot_json s =
   let counter (k, v) = Printf.sprintf "{%s, \"value\": %d}" (key_json k) v in
-  let gauge (k, v) =
-    Printf.sprintf "{%s, \"value\": %s}" (key_json k) (json_num v)
-  in
   let histo (k, h) =
     Printf.sprintf
       "{%s, \"count\": %d, \"sum\": %s, \"min\": %s, \"max\": %s, \"p50\": %s, \
@@ -313,11 +227,8 @@ let snapshot_json s =
     "counters": [
       %s
     ],
-    "gauges": [
-      %s
-    ],
     "histograms": [
       %s
     ]
   }|}
-    (list counter s.counters) (list gauge s.gauges) (list histo s.histograms)
+    (list counter s.counters) (list histo s.histograms)

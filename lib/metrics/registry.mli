@@ -1,21 +1,21 @@
-(** Named counters, gauges, and log-scale histograms with per-switch
-    labels.
+(** Named counters and log-scale histograms with per-switch labels.
 
     A registry is a bag of metric cells keyed by [(name, switch)] — the
     [switch] label is optional, so the same name can exist both as a
-    network-wide aggregate and per switch.  Counters and gauges are
-    exact; histograms use geometric buckets with ratio [2^(1/8)] (any
+    network-wide aggregate and per switch.  Counters are exact;
+    histograms use geometric buckets with ratio [2^(1/8)] (any
     quantile is within ~4.4% relative error, exact min/max/sum/count are
     kept alongside, and quantile estimates are clamped into
     [\[min, max\]]).
 
     Cells are created on first use; using one name with two different
     metric kinds raises [Invalid_argument].  A registry is {e not}
-    domain-safe and is pinned to the domain that created it: any
-    recording call ({!incr}, {!set_gauge}, {!observe}) from another
-    domain raises [Invalid_argument] naming both domains.  Collect
-    results on worker domains and record them on the owner (the pool
-    observes task stats after collecting them on the calling domain).
+    domain-safe and is pinned to the domain that created it: a recording
+    call ({!incr}, {!observe}) from another domain raises
+    [Invalid_argument] naming both domains.  Code that records as it
+    runs must run on the owner; work spread over domains returns its
+    results and the owner records them (as [bench/main.exe --json]
+    observes the pool's per-task stats after the batch).
 
     {!snapshot} ordering is deterministic (sorted by name, then label),
     so rendered output is stable across runs and domain counts.
@@ -27,10 +27,9 @@
 type t
 
 val disabled : t
-(** A shared registry that drops everything.  {!incr}, {!set_gauge} and
-    {!observe} on it return before the owner check and allocate nothing,
-    so it may be recorded into from any domain; {!merge} into it is a
-    no-op.  It always reads as empty. *)
+(** A shared registry that drops everything.  {!incr} and {!observe} on
+    it return before the owner check and allocate nothing, so it may be
+    recorded into from any domain.  It always reads as empty. *)
 
 val create : unit -> t
 
@@ -40,8 +39,6 @@ val is_empty : t -> bool
 
 val incr : t -> ?switch:int -> ?by:int -> string -> unit
 (** Bump a counter (default [by = 1]). *)
-
-val set_gauge : t -> ?switch:int -> string -> float -> unit
 
 val observe : t -> ?switch:int -> string -> float -> unit
 (** Add one sample to a histogram. *)
@@ -67,30 +64,12 @@ val quantile : t -> ?switch:int -> string -> float -> float option
 (** [quantile t name q] for [q] in [\[0, 1\]]; [None] when the histogram
     is missing or empty. *)
 
-(** {2 Merging} *)
-
-val merge : into:t -> t -> unit
-(** [merge ~into src] folds every cell of [src] into [into]: counters
-    add, histograms merge bucket-exactly (counts/sums add, min/max take
-    the extremes), and gauges combine by [Float.max].  Counter and
-    histogram merges are commutative and associative, so per-worker
-    registries merged in worker-slot order yield deterministic totals
-    whatever the scheduling was (gauges are deterministic only when at
-    most one side set them, or under the max interpretation).
-
-    [into] must be owned by the calling domain ([Invalid_argument]
-    otherwise, as for any mutation); [src] must be quiescent — its owner
-    domain joined, as [Runner.Pool] guarantees before merging worker
-    registries.  A name carrying different cell kinds in the two
-    registries raises [Invalid_argument]. *)
-
 (** {2 Snapshots and rendering} *)
 
 type key = { name : string; switch : int option }
 
 type snapshot = {
   counters : (key * int) list;
-  gauges : (key * float) list;
   histograms : (key * histogram) list;
 }
 
@@ -98,6 +77,5 @@ val snapshot : t -> snapshot
 (** Deterministically sorted by (name, label). *)
 
 val snapshot_json : snapshot -> string
-(** A JSON object [{"counters": [...], "gauges": [...], "histograms":
-    [...]}] — embedded by {!Bench} as the [metrics] section of
+(** A JSON object [{"counters": [...], "histograms": [...]}] — embedded by {!Bench} as the [metrics] section of
     [dgmc-bench/1]. *)

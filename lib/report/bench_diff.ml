@@ -136,20 +136,19 @@ let label (name, switch) =
   | Some s -> Printf.sprintf "%s{switch=%d}" name s
 
 (* Counters compare exactly; histograms compare on sample count only
-   (sums and quantiles of the pool.task_* histograms are wall-clock);
-   gauges are informational. *)
+   (sums and quantiles of the pool.task_* histograms are wall-clock). *)
 let metrics_findings base cand =
   let index kind j =
     List.map (fun m -> (metric_key m, m)) (Option.value ~default:[] (list_of kind j))
   in
-  let compare_keyed kind ~severity ~field =
+  let compare_keyed kind ~field =
     let bi = index kind base and ci = index kind cand in
     let keys l = List.sort compare_metric_key (List.map fst l) in
     let structural =
       if keys bi <> keys ci then
         [
           {
-            severity;
+            severity = Fail;
             area = "metrics." ^ kind;
             detail =
               Printf.sprintf "%s set differs (%d vs %d entries)" kind
@@ -168,7 +167,7 @@ let metrics_findings base cand =
             | Some bv, Some cv when not (Float.equal bv cv) ->
               Some
                 {
-                  severity;
+                  severity = Fail;
                   area = "metrics." ^ kind;
                   detail =
                     Printf.sprintf "%s %s: %s %s -> %s" kind (label k) field
@@ -179,9 +178,8 @@ let metrics_findings base cand =
     in
     structural @ value_diffs
   in
-  compare_keyed "counters" ~severity:Fail ~field:"value"
-  @ compare_keyed "histograms" ~severity:Fail ~field:"count"
-  @ compare_keyed "gauges" ~severity:Info ~field:"value"
+  compare_keyed "counters" ~field:"value"
+  @ compare_keyed "histograms" ~field:"count"
 
 (* ------------------------------------------------------------------ *)
 

@@ -13,8 +13,8 @@
       also exceeds 0.05 s, an [Info] otherwise, and improvements beyond
       it are [Info].
     - {e Informational only}: meta fields (commit, seed, quick,
-      domains), gauge values, histogram float stats and sections new in
-      the candidate.
+      domains), histogram float stats and sections new in the
+      candidate.
 
     A baseline section missing from the candidate is a structural
     [Fail]. *)

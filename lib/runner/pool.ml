@@ -103,46 +103,13 @@ let raise_first results =
       | Some (Ok _, _) | None -> ())
     results
 
-(* Registry is not domain-safe: per-task stats are observed here, on the
-   calling domain, after every worker has joined. *)
-let observe_stats metrics timed =
-  match metrics with
-  | None -> ()
-  | Some m ->
-    Array.iter
-      (fun t ->
-        Metrics.Registry.observe m "pool.task_wall_s" t.stats.wall_s;
-        Metrics.Registry.observe m "pool.task_alloc_bytes" t.stats.alloc_bytes)
-      timed
-
-(* Generalized batch core: tasks receive a per-worker child registry
-   (or [None] when the batch is unmetered).  Registry is not domain-safe,
-   so a worker can never record into the caller's registry directly;
-   instead each worker slot creates a registry {e inside its own domain}
-   — making it that domain's owner — and after every worker has joined,
-   the quiescent children are folded into the parent in worker-slot
-   order, which is deterministic however the work was stolen (counter
-   and histogram merges commute; see {!Metrics.Registry.merge}). *)
-let run_batch_gen ?(domains = 1) ?metrics tasks =
+let run_batch ?(domains = 1) tasks =
   let n = Array.length tasks in
   (* dgmc-analyze: allow nondet-source — wall-clock timing of the batch *)
   let started = Unix.gettimeofday () in
   let workers = max 1 (min domains n) in
   let results = Array.make n None in
-  let children = Array.make workers None in
-  (* Called on the worker's own domain, so the child is owned there. *)
-  let child_registry slot =
-    match metrics with
-    | None -> None
-    | Some _ ->
-      let r = Metrics.Registry.create () in
-      children.(slot) <- Some r;
-      Some r
-  in
-  if workers <= 1 then begin
-    let reg = child_registry 0 in
-    Array.iteri (fun i f -> run_task (fun () -> f reg) i 0 results) tasks
-  end
+  if workers <= 1 then Array.iteri (fun i f -> run_task f i 0 results) tasks
   else begin
     let blocks =
       Array.init workers (fun k ->
@@ -152,11 +119,10 @@ let run_batch_gen ?(domains = 1) ?metrics tasks =
           { lock = Mutex.create (); next = lo; limit = hi })
     in
     let worker k =
-      let reg = child_registry k in
       let rec loop () =
         match next_task blocks k with
         | Some i ->
-          run_task (fun () -> tasks.(i) reg) i k results;
+          run_task tasks.(i) i k results;
           loop ()
         | None -> ()
       in
@@ -181,17 +147,7 @@ let run_batch_gen ?(domains = 1) ?metrics tasks =
   let seq_estimate_s =
     Array.fold_left (fun acc t -> acc +. t.stats.wall_s) 0.0 timed
   in
-  (match metrics with
-  | None -> ()
-  | Some m ->
-    Array.iter
-      (function Some c -> Metrics.Registry.merge ~into:m c | None -> ())
-      children);
-  observe_stats metrics timed;
   (timed, { elapsed_s; seq_estimate_s; domains = workers })
-
-let run_batch ?domains tasks =
-  run_batch_gen ?domains (Array.map (fun f _reg -> f ()) tasks)
 
 let map ?domains f xs =
   let tasks = Array.of_list (List.map (fun x () -> f x) xs) in
@@ -201,9 +157,4 @@ let map ?domains f xs =
 let map_timed ?domains f xs =
   let tasks = Array.of_list (List.map (fun x () -> f x) xs) in
   let timed, batch = run_batch ?domains tasks in
-  (Array.to_list timed, batch)
-
-let map_registered ?domains ~metrics f xs =
-  let tasks = Array.of_list (List.map (fun x reg -> f ?metrics:reg x) xs) in
-  let timed, batch = run_batch_gen ?domains ~metrics tasks in
   (Array.to_list timed, batch)

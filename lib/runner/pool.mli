@@ -51,25 +51,7 @@ val map : ?domains:int -> ('a -> 'b) -> 'a list -> 'b list
 val map_timed :
   ?domains:int -> ('a -> 'b) -> 'a list -> 'b timed list * batch
 (** [map] plus per-task wall-clock/allocation counters and whole-batch
-    timing, for benchmark reporting. *)
-
-val map_registered :
-  ?domains:int ->
-  metrics:Metrics.Registry.t ->
-  (?metrics:Metrics.Registry.t -> 'a -> 'b) ->
-  'a list ->
-  'b timed list * batch
-(** {!map_timed} for tasks that record metrics {e while running}.  Each
-    worker slot creates a child registry inside its own domain (so the
-    child is owned where the recording happens — {!Metrics.Registry} is
-    domain-pinned) and passes it to every task it runs as [?metrics];
-    after all workers join, the quiescent children are merged into
-    [metrics] in worker-slot order ({!Metrics.Registry.merge}: counters
-    add, histograms merge bucket-exactly), followed by one
-    [pool.task_wall_s] and [pool.task_alloc_bytes] histogram observation
-    per task, made on the calling domain from the collected stats (the
-    registry is {e not} domain-safe).  Since tasks are deterministic
-    functions of their input and merging commutes, the merged counters
-    and histograms are identical at any domain count and under any
-    stealing schedule; gauges merge by max and are only schedule-free
-    when one task sets them. *)
+    timing, for benchmark reporting.  A {!Metrics.Registry} is pinned to
+    the domain that created it, so a batch whose tasks record into the
+    caller's registry runs at [~domains:1], where every task runs on the
+    calling domain. *)

@@ -91,12 +91,9 @@ let test_registry_counters () =
     (Metrics.Registry.counter_value r ~switch:3 "a");
   check Alcotest.int "absent counter reads 0" 0
     (Metrics.Registry.counter_value r "never");
-  Metrics.Registry.set_gauge r "g" 2.5;
-  check Alcotest.(list (float 1e-9)) "gauge" [ 2.5 ]
-    (List.map snd (Metrics.Registry.snapshot r).gauges);
   Alcotest.check_raises "kind clash"
-    (Invalid_argument "Metrics.Registry: a is a counter, not a gauge")
-    (fun () -> Metrics.Registry.set_gauge r "a" 1.0)
+    (Invalid_argument "Metrics.Registry: a is a counter, not a histogram")
+    (fun () -> Metrics.Registry.observe r "a" 1.0)
 
 (* The log-scale histogram's percentiles vs the exact sorted-sample
    oracle (Metrics.Stats.percentile): geometric buckets with ratio
@@ -171,7 +168,7 @@ let test_snapshot_deterministic () =
     "sorted by name then label (aggregate first)"
     [ ("a", None); ("z", None); ("z", Some 1); ("z", Some 2) ]
     keys;
-  (* snapshot_json is valid JSON with the three arrays *)
+  (* snapshot_json is valid JSON with the two arrays *)
   match Sim.Json.parse (Metrics.Registry.snapshot_json s) with
   | Error e -> Alcotest.failf "snapshot_json does not parse: %s" e
   | Ok j ->
@@ -180,7 +177,7 @@ let test_snapshot_deterministic () =
         match Sim.Json.member k j with
         | Some (Sim.Json.Arr _) -> ()
         | _ -> Alcotest.failf "missing %s array" k)
-      [ "counters"; "gauges"; "histograms" ]
+      [ "counters"; "histograms" ]
 
 (* ------------------------------------------------------------------ *)
 (* Table *)
@@ -284,7 +281,7 @@ let () =
         ] );
       ( "registry",
         [
-          Alcotest.test_case "counters and gauges" `Quick test_registry_counters;
+          Alcotest.test_case "counters" `Quick test_registry_counters;
           Alcotest.test_case "histogram vs percentile oracle" `Quick
             test_histogram_vs_oracle;
           Alcotest.test_case "histogram edge cases" `Quick

@@ -260,65 +260,13 @@ let test_disabled_registry_any_domain () =
            for _ = 1 to 1000 do
              Metrics.Registry.incr r "no counter here";
              Metrics.Registry.incr r ~switch:3 ~by:2 "no counter here";
-             Metrics.Registry.observe r "no histogram here" 1.5;
-             Metrics.Registry.set_gauge r "no gauge here" 2.5
+             Metrics.Registry.observe r "no histogram here" 1.5
            done;
            Gc.allocated_bytes () -. a0 -. baseline))
   in
   check (float 0.0) "zero bytes over 1000 records from a worker domain" 0.0
     allocated;
   check bool "nothing recorded" true (Metrics.Registry.is_empty r)
-
-(* ------------------------------------------------------------------ *)
-(* Registry: merge oracle and pool integration *)
-
-let test_registry_merge_oracle () =
-  let a = Metrics.Registry.create () in
-  let b = Metrics.Registry.create () in
-  let direct = Metrics.Registry.create () in
-  let record r ~c ~samples =
-    Metrics.Registry.incr r ~by:c "events";
-    Metrics.Registry.incr r ~switch:3 "events";
-    List.iter (Metrics.Registry.observe r "lat") samples
-  in
-  record a ~c:2 ~samples:[ 1.0; 4.0 ];
-  record b ~c:5 ~samples:[ 2.0; 8.0; 16.0 ];
-  record direct ~c:2 ~samples:[ 1.0; 4.0 ];
-  record direct ~c:5 ~samples:[ 2.0; 8.0; 16.0 ];
-  Metrics.Registry.set_gauge b "level" 7.0;
-  Metrics.Registry.set_gauge direct "level" 7.0;
-  Metrics.Registry.merge ~into:a b;
-  check string "merged registry = direct recording"
-    (Metrics.Registry.snapshot_json (Metrics.Registry.snapshot direct))
-    (Metrics.Registry.snapshot_json (Metrics.Registry.snapshot a))
-
-let pool_counters domains =
-  let reg = Metrics.Registry.create () in
-  let (_ : Experiments.Harness.run Runner.Pool.timed list), _ =
-    Runner.Pool.map_registered ~domains ~metrics:reg
-      (fun ?metrics seed ->
-        Experiments.Harness.bursty_run ?metrics ~seed ~n:10
-          ~config:Dgmc.Config.atm_lan ~members:5 ())
-      [ 1; 2; 3; 4 ]
-  in
-  (Metrics.Registry.snapshot reg).counters
-
-let test_pool_map_registered () =
-  (* Worker tasks record protocol counters from spawned domains through
-     per-domain child registries; the merged totals must be non-empty
-     (the workers really recorded) and identical at any domain count
-     (the merge is deterministic).  Only counters are compared: the
-     pool.task_* histograms carry wall-clock values by design. *)
-  let c1 = pool_counters 1 in
-  check bool "workers recorded protocol counters" true (c1 <> []);
-  check bool "some flood counter present" true
-    (List.exists
-       (fun ((k : Metrics.Registry.key), _) -> k.name = "flood.floods")
-       c1);
-  let c2 = pool_counters 2 in
-  let c4 = pool_counters 4 in
-  check bool "counters identical at 1 vs 2 domains" true (c1 = c2);
-  check bool "counters identical at 1 vs 4 domains" true (c1 = c4)
 
 (* ------------------------------------------------------------------ *)
 (* Telemetry is transparent to the measured run *)
@@ -555,13 +503,6 @@ let () =
             test_disabled_zero_alloc;
           test_case "disabled registry records from any domain" `Quick
             test_disabled_registry_any_domain;
-        ] );
-      ( "registry",
-        [
-          test_case "merge equals direct recording" `Quick
-            test_registry_merge_oracle;
-          test_case "pool workers record via child registries" `Quick
-            test_pool_map_registered;
         ] );
       ( "transparency",
         [
