@@ -52,7 +52,7 @@ let attach net =
      mid-action-safe laws.  A coalesced delay-0 follow-up sweep lands on
      an engine-event boundary, where the full catalogue — R<=E included
      — applies. *)
-  Dgmc.Protocol.add_observer net (fun () ->
+  Dgmc.Protocol.add_observer net (fun _ ->
       sweep ~boundary:false t;
       if not t.boundary_pending then begin
         t.boundary_pending <- true;

@@ -58,7 +58,7 @@ type t = {
   mutable link_floodings : int;
   mutable first_event : float option;
   mutable last_change : float option;
-  mutable observers : (unit -> unit) list;
+  mutable observers : (int -> unit) list;
 }
 
 let originated ~switch ~seq : Switch.payload -> _ = function
@@ -114,6 +114,14 @@ let originate t ~from payload send =
     Sim.Trace.with_context t.trace oid (fun () -> send lsa)
   else send lsa
 
+(* A plain loop, not [List.iter] over a closure capturing [id], so a
+   change signal allocates nothing. *)
+let rec notify id = function
+  | [] -> ()
+  | f :: rest ->
+    f id;
+    notify id rest
+
 (* Carry out one output of switch [from]: count and originate a flood,
    unicast a resynchronisation message, or note a change for the
    convergence clock and the observers. *)
@@ -142,17 +150,24 @@ let output t ~from : Switch.output -> unit = function
       (Lsr.Flooding.send t.flooding ~src:from ~dst:peer ~on_giveup)
   | Changed ->
     t.last_change <- Some (Sim.Engine.now t.engine);
-    List.iter (fun f -> f ()) t.observers
+    notify from t.observers
 
-let create ~graph ~config ?faults ?(trace = Sim.Trace.disabled)
-    ?(metrics = Metrics.Registry.disabled)
+let create ~graph ~config ?faults ?engine ?trace ?metrics
     ?(series = Metrics.Series.disabled) () =
   let n = Net.Graph.n_nodes graph in
   if n < 2 then invalid_arg "Protocol.create: need at least 2 switches";
   (match Config.validate config with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Protocol.create: " ^ msg));
-  let engine = Sim.Engine.create ~trace ~metrics () in
+  let engine =
+    match (engine, trace, metrics) with
+    | Some engine, None, None -> engine
+    | Some _, _, _ ->
+      invalid_arg "Protocol.create: ~engine excludes ~trace and ~metrics"
+    | None, _, _ -> Sim.Engine.create ?trace ?metrics ()
+  in
+  let trace = Sim.Engine.trace engine
+  and metrics = Sim.Engine.metrics engine in
   (* One boot image for the whole run, apart from [graph], which link
      events mutate as ground truth. *)
   let boot = Lsr.Lsdb.boot graph in

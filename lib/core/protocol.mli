@@ -51,6 +51,7 @@ val create :
   graph:Net.Graph.t ->
   config:Config.t ->
   ?faults:Faults.Plan.t ->
+  ?engine:Sim.Engine.t ->
   ?trace:Sim.Trace.t ->
   ?metrics:Metrics.Registry.t ->
   ?series:Metrics.Series.t ->
@@ -64,6 +65,12 @@ val create :
     partition windows — in the engine's simulated time.  Pair it with
     [config.flood_mode = Reliable], or floods will silently lose LSAs
     and the network will not converge.
+
+    [engine] runs the network on an existing calendar instead of a fresh
+    one, so two networks share one clock ([Hierarchy.Hmc]'s intra and
+    logical levels); the network then records into that engine's trace
+    and registry, and passing [trace] or [metrics] as well is
+    [Invalid_argument].
 
     [trace] and [metrics] are handed once to the run's engine
     ({!Sim.Engine.create}); every switch, the flooding layer, the fault
@@ -94,11 +101,13 @@ val engine : t -> Sim.Engine.t
 val faults : t -> Faults.Plan.t option
 (** The fault plan delivery runs under, if any. *)
 
-val add_observer : t -> (unit -> unit) -> unit
+val add_observer : t -> (int -> unit) -> unit
 (** Register a callback invoked after every protocol state change at any
-    switch (member list or topology installed, state deleted).  Used by
-    the runtime invariant monitor ([Check.Monitor]).  Observers must not
-    inject events synchronously; schedule through the engine instead. *)
+    switch (member list or topology installed, state deleted), with the
+    id of the switch that changed.  Used by the runtime invariant
+    monitor ([Check.Monitor], which ignores the id) and by
+    [Hierarchy.Hmc] to wake an area leader.  Observers must not inject
+    events synchronously; schedule through the engine instead. *)
 
 val graph : t -> Net.Graph.t
 (** The real (ground-truth) topology. *)

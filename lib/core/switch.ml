@@ -333,6 +333,20 @@ and event_completion t mc (st : Mc_state.t) (comp : Mc_state.computation) =
 (* ------------------------------------------------------------------ *)
 (* ReceiveLSA (Figure 5) *)
 
+(* Tie-break extension: two switches holding the same event knowledge
+   can legitimately flood different trees under the SAME stamp, because
+   incremental updates (§3.5) are history-dependent.  The paper
+   implicitly assumes deterministic computation; with incremental
+   updates we restore network-wide determinism by preferring, among
+   equal-stamp proposals, the Tree.compare-minimal one — every switch
+   sees every flooded proposal, so every switch settles on the same
+   winner regardless of arrival order.  So a proposal supersedes the
+   held one when its stamp is higher, or equal with a smaller tree. *)
+let supersedes ~stamp ~tree ~held_stamp ~held_tree =
+  Timestamp.gt stamp held_stamp
+  || (Timestamp.equal stamp held_stamp
+     && Mctree.Tree.compare tree held_tree < 0)
+
 (* Lines 4-17: consume one LSA. *)
 let process_lsa t (st : Mc_state.t) (lsa : Mc_lsa.t) candidate =
   let s = lsa.src in
@@ -387,26 +401,16 @@ let process_lsa t (st : Mc_state.t) (lsa : Mc_lsa.t) candidate =
     st.membership_seen <- Timestamp.merge st.membership_seen lsa.stamp;
     st.r <- Timestamp.merge st.r lsa.stamp
   | Some _ | None -> ());
-  (* Lines 11-17: accept an up-to-date proposal, or detect that the
-     sender did not know all our local events.
-
-     Tie-break extension: two switches holding the same event knowledge
-     can legitimately flood different trees under the SAME stamp, because
-     incremental updates (§3.5) are history-dependent.  The paper
-     implicitly assumes deterministic computation; with incremental
-     updates we restore network-wide determinism by preferring, among
-     equal-stamp proposals, the Tree.compare-minimal one — every switch
-     sees every flooded proposal, so every switch settles on the same
-     winner regardless of arrival order. *)
+  (* Lines 11-17: accept an up-to-date proposal (the best one by the
+     [supersedes] tie-break), or detect that the sender did not know all
+     our local events. *)
   match lsa.proposal with
   | Some tree when Timestamp.geq lsa.stamp st.e ->
     let replaces =
       match !candidate with
       | None -> true
-      | Some (cur_tree, cur_stamp) ->
-        Timestamp.gt lsa.stamp cur_stamp
-        || (Timestamp.equal lsa.stamp cur_stamp
-            && Mctree.Tree.compare tree cur_tree < 0)
+      | Some (held_tree, held_stamp) ->
+        supersedes ~stamp:lsa.stamp ~tree ~held_stamp ~held_tree
     in
     if replaces then candidate := Some (tree, lsa.stamp);
     st.flag <- false
@@ -433,15 +437,11 @@ let rec run_invocation t mc (st : Mc_state.t) =
   else begin
     (* Lines 32-35: adopt an accepted proposal.  A candidate whose stamp
        only ties the installed topology's C replaces it solely when it
-       wins the deterministic tie-break (see process_lsa). *)
+       wins the deterministic tie-break ([supersedes]). *)
     match !candidate with
     | Some (tree, stamp) ->
-      let replaces =
-        Timestamp.gt stamp st.c
-        || (Timestamp.equal stamp st.c
-            && Mctree.Tree.compare tree st.topology < 0)
-      in
-      if replaces then begin
+      if supersedes ~stamp ~tree ~held_stamp:st.c ~held_tree:st.topology
+      then begin
         t.stats.proposals_accepted <- t.stats.proposals_accepted + 1;
         Metrics.Registry.incr t.metrics ?switch:t.label
           "switch.proposals_accepted";
@@ -607,9 +607,8 @@ let apply_export t ~adopt (e : Resync.mc_export) =
             end)
           e.exp_membership_seen;
         if
-          Timestamp.gt e.exp_c st.c
-          || (Timestamp.equal e.exp_c st.c
-             && Mctree.Tree.compare e.exp_topology st.topology < 0)
+          supersedes ~stamp:e.exp_c ~tree:e.exp_topology ~held_stamp:st.c
+            ~held_tree:st.topology
         then install t st e.exp_mc ~stamp:e.exp_c ~tree:e.exp_topology;
         st.flag <- true)
 

@@ -19,11 +19,9 @@ type t = {
   (* Intra level: one D-GMC network over every intra-area link, so each
      area is one component of its graph and floods stay inside it. *)
   intra : Dgmc.Protocol.t;
-  (* Logical level: one D-GMC node per area, on the intra engine. *)
-  logical_graph : Net.Graph.t;
-  logical_switches : Dgmc.Switch.t array;
-  logical_flooding : Dgmc.Switch.payload Lsr.Flooding.t;
-  logical_seqs : Lsr.Lsa.Seq.counter array;
+  (* Logical level: a second D-GMC network, one node per area, on the
+     intra level's engine. *)
+  logical : Dgmc.Protocol.t;
   edge_map : (int * int, int * int) Hashtbl.t;
       (** logical (a, b) with a < b → cheapest real link (u, v), u ∈ a. *)
   (* Leader bookkeeping. *)
@@ -42,10 +40,10 @@ let engine t = Dgmc.Protocol.engine t.intra
 
 let leader t a = t.leaders.(a)
 
-let logical_graph t = t.logical_graph
+let logical_graph t = Dgmc.Protocol.graph t.logical
 
 (* ------------------------------------------------------------------ *)
-(* Construction *)
+(* Areas and the logical graph *)
 
 let validate_partition graph partition =
   let n = Net.Graph.n_nodes graph in
@@ -104,96 +102,13 @@ let build_logical graph area_of k =
 let members_of table mc =
   Option.value ~default:Int_set.empty (Dgmc.Mc_id.Tbl.find_opt table mc)
 
-let rec create ~graph ~partition ~config () =
-  validate_partition graph partition;
-  if Option.is_some config.Dgmc.Config.health then
-    invalid_arg "Hmc.create: the link-health layer is not supported";
-  let n = Net.Graph.n_nodes graph in
-  let k = Array.length partition in
-  if k < 2 then invalid_arg "Hmc: need at least 2 areas";
-  let area_of = Array.make n (-1) in
-  Array.iteri
-    (fun a members -> List.iter (fun s -> area_of.(s) <- a) members)
-    partition;
-  let intra_graph = build_intra_graph graph area_of in
-  (* Each area must be connected inside the intra graph. *)
-  Array.iteri
-    (fun a members ->
-      let reach = Net.Bfs.reachable intra_graph (List.hd members) in
-      List.iter
-        (fun s ->
-          if not reach.(s) then
-            invalid_arg (Printf.sprintf "Hmc: area %d is not connected" a))
-        members)
-    partition;
-  let logical_graph, edge_map = build_logical graph area_of k in
-  let intra = Dgmc.Protocol.create ~graph:intra_graph ~config () in
-  let engine = Dgmc.Protocol.engine intra in
-  let logical_boot = Lsr.Lsdb.boot logical_graph in
-  let logical_switches =
-    Array.init k (fun id ->
-        Dgmc.Switch.create ~id ~n:k ~config ~engine ~boot:logical_boot ())
-  in
-  let logical_flooding =
-    (* A logical LSA crosses several real hops. *)
-    Lsr.Flooding.create ~engine ~graph:logical_graph
-      ~t_hop:(3.0 *. config.Dgmc.Config.t_hop)
-      ~mode:config.Dgmc.Config.flood_mode
-      ~deliver:(fun ~switch lsa ->
-        Dgmc.Switch.deliver logical_switches.(switch) lsa.payload)
-      ()
-  in
-  let t =
-    {
-      graph;
-      config;
-      partition;
-      area_of;
-      leaders = Array.map (fun members -> List.fold_left min max_int members) partition;
-      intra;
-      logical_graph;
-      logical_switches;
-      logical_flooding;
-      logical_seqs = Array.init k (fun _ -> Lsr.Lsa.Seq.create ());
-      edge_map;
-      registry = Dgmc.Mc_id.Tbl.create 4;
-      host_members = Array.init k (fun _ -> Dgmc.Mc_id.Tbl.create 4);
-      logical_joined = Array.init k (fun _ -> Dgmc.Mc_id.Tbl.create 4);
-      gateways = Array.init k (fun _ -> Dgmc.Mc_id.Tbl.create 4);
-      check_pending = Array.make k false;
-      events = 0;
-      gateway_instructions = 0;
-    }
-  in
-  (* Wire the logical level; any logical state change wakes the area's
-     leader to re-derive gateways. *)
-  Array.iteri
-    (fun a sw ->
-      Dgmc.Switch.connect sw (function
-        | Flood payload ->
-          let seq = Lsr.Lsa.Seq.next t.logical_seqs.(a) in
-          Lsr.Flooding.flood t.logical_flooding
-            (Lsr.Lsa.make ~origin:a ~seq payload)
-        | Send _ -> invalid_arg "Hmc: the logical level never resyncs"
-        | Changed -> schedule_leader_check t a))
-    logical_switches;
-  t
-
 (* ------------------------------------------------------------------ *)
 (* Leader behaviour *)
-
-and schedule_leader_check t a =
-  if not t.check_pending.(a) then begin
-    t.check_pending.(a) <- true;
-    ignore
-      (Sim.Engine.schedule (engine t) ~delay:t.config.Dgmc.Config.t_hop (fun () ->
-           leader_check t a))
-  end
 
 (* Derive the gateway switches area [a] owes to the given logical tree:
    for every logical tree edge incident to [a], the local endpoint of
    the mapped real link. *)
-and derive_gateways t a ltree =
+let derive_gateways t a ltree =
   List.fold_left
     (fun acc (x, y) ->
       if x = a || y = a then begin
@@ -206,12 +121,12 @@ and derive_gateways t a ltree =
       else acc)
     Int_set.empty (Mctree.Tree.edges ltree)
 
-and leader_check t a =
+let leader_check t a =
   t.check_pending.(a) <- false;
   Dgmc.Mc_id.Tbl.iter
     (fun mc () ->
       let wanted =
-        match Dgmc.Switch.topology t.logical_switches.(a) mc with
+        match Dgmc.Switch.topology (Dgmc.Protocol.switch t.logical a) mc with
         | Some ltree -> derive_gateways t a ltree
         | None -> Int_set.empty
       in
@@ -243,6 +158,71 @@ and leader_check t a =
       end)
     t.registry
 
+(* Any logical state change at area [a]'s node wakes its leader to
+   re-derive the gateways. *)
+let schedule_leader_check t a =
+  if not t.check_pending.(a) then begin
+    t.check_pending.(a) <- true;
+    ignore
+      (Sim.Engine.schedule (engine t) ~delay:t.config.Dgmc.Config.t_hop (fun () ->
+           leader_check t a))
+  end
+
+(* ------------------------------------------------------------------ *)
+(* Construction *)
+
+let create ~graph ~partition ~config () =
+  validate_partition graph partition;
+  if Option.is_some config.Dgmc.Config.health then
+    invalid_arg "Hmc.create: the link-health layer is not supported";
+  let n = Net.Graph.n_nodes graph in
+  let k = Array.length partition in
+  if k < 2 then invalid_arg "Hmc: need at least 2 areas";
+  let area_of = Array.make n (-1) in
+  Array.iteri
+    (fun a members -> List.iter (fun s -> area_of.(s) <- a) members)
+    partition;
+  let intra_graph = build_intra_graph graph area_of in
+  (* Each area must be connected inside the intra graph. *)
+  Array.iteri
+    (fun a members ->
+      let reach = Net.Bfs.reachable intra_graph (List.hd members) in
+      List.iter
+        (fun s ->
+          if not reach.(s) then
+            invalid_arg (Printf.sprintf "Hmc: area %d is not connected" a))
+        members)
+    partition;
+  let logical_graph, edge_map = build_logical graph area_of k in
+  let intra = Dgmc.Protocol.create ~graph:intra_graph ~config () in
+  let logical =
+    (* A logical LSA crosses several real hops. *)
+    Dgmc.Protocol.create ~graph:logical_graph
+      ~config:{ config with t_hop = 3.0 *. config.Dgmc.Config.t_hop }
+      ~engine:(Dgmc.Protocol.engine intra) ()
+  in
+  let t =
+    {
+      graph;
+      config;
+      partition;
+      area_of;
+      leaders = Array.map (fun members -> List.fold_left min max_int members) partition;
+      intra;
+      logical;
+      edge_map;
+      registry = Dgmc.Mc_id.Tbl.create 4;
+      host_members = Array.init k (fun _ -> Dgmc.Mc_id.Tbl.create 4);
+      logical_joined = Array.init k (fun _ -> Dgmc.Mc_id.Tbl.create 4);
+      gateways = Array.init k (fun _ -> Dgmc.Mc_id.Tbl.create 4);
+      check_pending = Array.make k false;
+      events = 0;
+      gateway_instructions = 0;
+    }
+  in
+  Dgmc.Protocol.add_observer logical (schedule_leader_check t);
+  t
+
 (* ------------------------------------------------------------------ *)
 (* Host events *)
 
@@ -254,11 +234,11 @@ let logical_membership_update t a mc =
   in
   if (not (Int_set.is_empty real)) && not joined then begin
     Dgmc.Mc_id.Tbl.replace t.logical_joined.(a) mc true;
-    Dgmc.Switch.host_join t.logical_switches.(a) mc Dgmc.Member.Both
+    Dgmc.Protocol.join t.logical ~switch:a mc Dgmc.Member.Both
   end
   else if Int_set.is_empty real && joined then begin
     Dgmc.Mc_id.Tbl.replace t.logical_joined.(a) mc false;
-    Dgmc.Switch.host_leave t.logical_switches.(a) mc
+    Dgmc.Protocol.leave t.logical ~switch:a mc
   end
 
 let join t ~switch mc role =
@@ -302,26 +282,21 @@ let run t = Dgmc.Protocol.run t.intra
 (* Measurements *)
 
 let totals t =
-  let intra = Dgmc.Protocol.totals t.intra in
-  let logical_computations =
-    Array.fold_left
-      (fun acc sw -> acc + (Dgmc.Switch.stats sw).computations)
-      0 t.logical_switches
-  in
+  let intra = Dgmc.Protocol.totals t.intra
+  and logical = Dgmc.Protocol.totals t.logical in
   {
     events = t.events;
     intra_floodings = intra.mc_floodings;
-    logical_floodings = Lsr.Flooding.floods_started t.logical_flooding;
+    logical_floodings = logical.mc_floodings;
     intra_messages = intra.messages;
-    logical_messages = Lsr.Flooding.messages_sent t.logical_flooding;
-    computations = intra.computations + logical_computations;
+    logical_messages = logical.messages;
+    computations = intra.computations + logical.computations;
     gateway_instructions = t.gateway_instructions;
   }
 
 let reset_counters t =
   Dgmc.Protocol.reset_counters t.intra;
-  Array.iter Dgmc.Switch.reset_stats t.logical_switches;
-  Lsr.Flooding.reset_counters t.logical_flooding;
+  Dgmc.Protocol.reset_counters t.logical;
   t.events <- 0;
   t.gateway_instructions <- 0
 
@@ -330,6 +305,9 @@ let reset_counters t =
 
 let area_switches t members =
   Array.of_list (List.map (Dgmc.Protocol.switch t.intra) members)
+
+let logical_switches t =
+  Array.init (Dgmc.Protocol.n_switches t.logical) (Dgmc.Protocol.switch t.logical)
 
 let first_topology mc switches =
   Array.find_map (fun sw -> Dgmc.Switch.topology sw mc) switches
@@ -349,7 +327,7 @@ let stitch t mc =
         (first_topology mc (area_switches t members)))
     t.partition;
   let unmapped =
-    match first_topology mc t.logical_switches with
+    match first_topology mc (logical_switches t) with
     | None -> []
     | Some ltree ->
       List.filter
@@ -379,12 +357,13 @@ let divergence t mc =
       (fun a -> not (Int_set.is_empty (members_of t.host_members.(a) mc)))
       (List.init (Array.length t.partition) (fun a -> a))
   in
-  (* Logical level: agreement, and its members are the areas holding
-     real members. *)
-  report_violations (Dgmc.Terminal.agreement mc t.logical_switches);
-  let logical_tree = first_topology mc t.logical_switches in
+  (* Logical level: converged as a network of its own, and its members
+     are the areas holding real members. *)
+  problems := List.rev_append (Dgmc.Protocol.divergence t.logical mc) !problems;
+  let logical = logical_switches t in
+  let logical_tree = first_topology mc logical in
   let logical_members =
-    Array.find_map (fun sw -> Dgmc.Switch.members sw mc) t.logical_switches
+    Array.find_map (fun sw -> Dgmc.Switch.members sw mc) logical
   in
   if Option.fold ~none:[] ~some:Dgmc.Member.ids logical_members <> member_areas
   then report "logical membership does not match the areas holding members";

@@ -16,9 +16,11 @@
       every switch image holds all areas' links, every tree a switch
       computes stays inside its own area;
     - a {e logical network} with one node per area (connected where real
-      inter-area links exist) runs a second D-GMC instance among
-      designated {e area leaders} (lowest switch id — a leader-election
-      protocol would pick one dynamically);
+      inter-area links exist) runs a second {!Dgmc.Protocol} on the first
+      one's engine, so both levels share one clock, at [3 *. t_hop] per
+      logical hop; area [a]'s node stands for its designated {e area
+      leader} (lowest switch id — a leader-election protocol would pick
+      one dynamically), whom every logical state change at [a] wakes;
     - an area joins the logical MC while it has real members; the agreed
       logical topology is a tree of areas, each logical edge mapped to a
       concrete inter-area link;
@@ -34,8 +36,11 @@
     Scope (documented restrictions): the area partition and inter-area
     links are static (no inter-area link failures; intra-area topology
     events would be handled by the intra-area {!Dgmc.Protocol} but are
-    not wired to an injection API here), leaders are designated, not
-    elected, and the link-health layer is not run. *)
+    not wired to an injection API here, and the logical level, never
+    seeing a link event, never resyncs), leaders are designated, not
+    elected, and the link-health layer is not run.  Both levels record
+    into one engine, whose sinks are disabled: the hierarchy runs
+    unobserved. *)
 
 type t
 
@@ -52,6 +57,9 @@ val create :
     cheapest such link realises the logical edge.  Logical-level
     flooding takes [3 *. config.t_hop] per hop (logical LSAs traverse
     several real hops).  [Invalid_argument] if [config.health] is set. *)
+
+val engine : t -> Sim.Engine.t
+(** The one engine both levels run on; its clock is the hierarchy's. *)
 
 val leader : t -> int -> int
 (** The designated leader switch of an area. *)
@@ -76,9 +84,9 @@ val run : t -> unit
 type totals = {
   events : int;  (** Host join/leave events injected. *)
   intra_floodings : int;  (** The intra {!Dgmc.Protocol}'s [mc_floodings]. *)
-  logical_floodings : int;  (** Logical-level MC LSA floods. *)
+  logical_floodings : int;  (** The logical {!Dgmc.Protocol}'s [mc_floodings]. *)
   intra_messages : int;  (** The intra {!Dgmc.Protocol}'s [messages]. *)
-  logical_messages : int;  (** Logical-level link transmissions. *)
+  logical_messages : int;  (** The logical {!Dgmc.Protocol}'s [messages]. *)
   computations : int;  (** Topology computations, both levels. *)
   gateway_instructions : int;  (** Leader→gateway join/leave commands. *)
 }
@@ -96,8 +104,9 @@ val global_tree : t -> Dgmc.Mc_id.t -> Mctree.Tree.t option
 
 val divergence : t -> Dgmc.Mc_id.t -> string list
 (** Reasons the hierarchy has not converged: a violation of the
-    {!Dgmc.Terminal} agreement group within an area or among the
-    logical nodes, an area's member ids not matching its hosts plus
+    {!Dgmc.Terminal} agreement group within an area, the logical
+    level's own {!Dgmc.Protocol.divergence} (both groups, against the
+    area joins and leaves the leaders made), an area's member ids not matching its hosts plus
     gateways, logical member ids not matching the areas that hold real
     members, gateway sets not matching the logical tree, or an invalid
     stitched global tree. *)

@@ -486,6 +486,53 @@ let test_wan_regime_converges () =
   Dgmc.Protocol.run net;
   assert_converged net mc_sym
 
+(* ------------------------------------------------------------------ *)
+(* Observers and shared engines *)
+
+let test_observer_receives_changed_switch () =
+  let net = make_net (grid33 ()) in
+  let ids = ref [] in
+  Dgmc.Protocol.add_observer net (fun id -> ids := id :: !ids);
+  Dgmc.Protocol.join net ~switch:7 mc_sym Dgmc.Member.Both;
+  check Alcotest.(list int) "the joining switch reports first" [ 7 ] !ids;
+  Dgmc.Protocol.run net;
+  check Alcotest.(list int) "every switch installed the MC"
+    (List.init 9 Fun.id) (List.sort_uniq Int.compare !ids)
+
+let test_shared_engine_one_clock () =
+  let a = make_net (grid33 ()) in
+  let b =
+    Dgmc.Protocol.create ~graph:(Net.Topo_gen.ring 4)
+      ~config:Dgmc.Config.atm_lan ~engine:(Dgmc.Protocol.engine a) ()
+  in
+  check Alcotest.bool "same engine" true
+    (Dgmc.Protocol.engine a == Dgmc.Protocol.engine b);
+  Dgmc.Protocol.schedule_join a ~at:0.0 ~switch:0 mc_sym Dgmc.Member.Both;
+  Dgmc.Protocol.schedule_join b ~at:1.0 ~switch:2 mc_sym Dgmc.Member.Both;
+  (* Running one network drains the shared calendar, the other's events
+     included, on one clock. *)
+  Dgmc.Protocol.run a;
+  assert_converged ~msg:"first network" a mc_sym;
+  assert_converged ~msg:"second network" b mc_sym;
+  check Alcotest.(option (float 0.0)) "second network's first event" (Some 1.0)
+    (Dgmc.Protocol.first_event_time b);
+  check Alcotest.bool "first network settled before the second began" true
+    (Option.get (Dgmc.Protocol.last_change_time a) < 1.0)
+
+let test_engine_excludes_sinks () =
+  let engine = Sim.Engine.create () in
+  let create ?trace ?metrics () =
+    ignore
+      (Dgmc.Protocol.create ~graph:(grid33 ()) ~config:Dgmc.Config.atm_lan
+         ~engine ?trace ?metrics ())
+  in
+  let rejected = Invalid_argument "Protocol.create: ~engine excludes ~trace and ~metrics" in
+  Alcotest.check_raises "with a trace" rejected (fun () ->
+      create ~trace:(Sim.Trace.create ()) ());
+  Alcotest.check_raises "with a registry" rejected (fun () ->
+      create ~metrics:(Metrics.Registry.create ()) ());
+  create ()
+
 let () =
   Alcotest.run "dgmc-protocol"
     [
@@ -546,5 +593,14 @@ let () =
             test_quiescent_reports_pending_work;
           Alcotest.test_case "tracing" `Quick test_trace_records_protocol_activity;
           Alcotest.test_case "wan regime" `Quick test_wan_regime_converges;
+        ] );
+      ( "observers",
+        [
+          Alcotest.test_case "observer gets the changed switch" `Quick
+            test_observer_receives_changed_switch;
+          Alcotest.test_case "shared engine, one clock" `Quick
+            test_shared_engine_one_clock;
+          Alcotest.test_case "engine excludes trace and metrics" `Quick
+            test_engine_excludes_sinks;
         ] );
     ]

@@ -99,7 +99,7 @@ let test_single_area_mc () =
   let totals = Hierarchy.Hmc.totals h in
   check Alcotest.int "no gateways needed" 0 totals.gateway_instructions;
   let tree = Option.get (Hierarchy.Hmc.global_tree h mc) in
-  check Alcotest.(list int) "terminals" (List.sort compare members)
+  check Alcotest.(list int) "terminals" (List.sort Int.compare members)
     (Mctree.Tree.Int_set.elements (Mctree.Tree.terminals tree))
 
 let test_cross_area_mc () =
@@ -112,7 +112,7 @@ let test_cross_area_mc () =
   let tree = Option.get (Hierarchy.Hmc.global_tree h mc) in
   check Alcotest.bool "valid stitched tree" true
     (Mctree.Tree.is_valid_mc_topology graph
-       (Mctree.Tree.with_terminals tree (List.sort compare members)));
+       (Mctree.Tree.with_terminals tree (List.sort Int.compare members)));
   let totals = Hierarchy.Hmc.totals h in
   check Alcotest.bool "gateways instructed" true (totals.gateway_instructions > 0);
   check Alcotest.bool "logical level active" true (totals.logical_floodings > 0)
@@ -142,7 +142,7 @@ let test_leave_shrinks () =
   assert_converged "after remote area emptied" h;
   let tree = Option.get (Hierarchy.Hmc.global_tree h mc) in
   check Alcotest.(list int) "terminals shrank"
-    (List.sort compare [ pick 0 1; pick 0 2 ])
+    (List.sort Int.compare [ pick 0 1; pick 0 2 ])
     (Mctree.Tree.Int_set.elements (Mctree.Tree.terminals tree))
 
 let test_full_drain () =
@@ -232,6 +232,27 @@ let test_signaling_stays_local () =
     * ((2 * area_links) - (List.length partition.(0) - 1)))
     totals.intra_messages
 
+(* One cross-area scenario, its timing and logical-level cost pinned
+   exactly: an area-2 member joins beside an area-0 one, then leaves.
+   The figures print no hierarchy timing, so only this catches a change
+   to the logical level's 3 x t_hop per hop. *)
+let test_cross_area_pinned () =
+  let _, partition, h = make () in
+  let pick a = List.nth partition.(a) 2 in
+  let now () = Printf.sprintf "%h" (Sim.Engine.now (Hierarchy.Hmc.engine h)) in
+  Hierarchy.Hmc.join h ~switch:(pick 0) mc Dgmc.Member.Both;
+  Hierarchy.Hmc.join h ~switch:(pick 2) mc Dgmc.Member.Both;
+  Hierarchy.Hmc.run h;
+  check Alcotest.string "joins quiesce at" "0x1.b75a74c09c3d1p-10" (now ());
+  Hierarchy.Hmc.leave h ~switch:(pick 2) mc;
+  Hierarchy.Hmc.run h;
+  assert_converged "pinned scenario" h;
+  check Alcotest.string "leave quiesces at" "0x1.7fc7607c419a4p-9" (now ());
+  let totals = Hierarchy.Hmc.totals h in
+  check Alcotest.int "logical floodings" 5 totals.logical_floodings;
+  check Alcotest.int "logical messages" 25 totals.logical_messages;
+  check Alcotest.int "computations" 22 totals.computations
+
 let test_reset_counters () =
   let _, partition, h = make () in
   Hierarchy.Hmc.join h ~switch:(List.nth partition.(0) 1) mc Dgmc.Member.Both;
@@ -270,5 +291,7 @@ let () =
           Alcotest.test_case "signaling stays local" `Quick
             test_signaling_stays_local;
           Alcotest.test_case "counter reset" `Quick test_reset_counters;
+          Alcotest.test_case "cross-area scenario pinned" `Quick
+            test_cross_area_pinned;
         ] );
     ]
