@@ -203,9 +203,9 @@ let case_of_seed ?(n_max = default_n_max) ?(mcs_max = default_mcs_max)
        every scripted link change themselves, so the oracle (terminal
        agreement with ground truth) is only sound when hellos cannot be
        silently eaten: message drops are zeroed (duplication, reordering
-       and jitter stay) and crash/partition windows are stripped —
-       sustained hello silence would otherwise be a TRUE detection the
-       terminal laws cannot distinguish from a stale believed-down. *)
+       and jitter stay) and crash/partition windows are stripped, which
+       [Protocol.create] requires: it rejects the health layer together
+       with a scheduled window. *)
     let hc =
       match
         Workload.Script.health_of_spec ~graph ~config ~events:case.events ""

@@ -76,32 +76,3 @@ let check_monotone ~id ~before sw =
                   (stamp old_c) (stamp s.snap_c);
             })
     (Switch.snapshots sw)
-
-let check_health_terminal ~suppressed switches =
-  match suppressed with
-  | [] -> []
-  | _ ->
-    let out = ref [] in
-    Array.iteri
-      (fun id sw ->
-        List.iter
-          (fun (s : Switch.mc_snapshot) ->
-            List.iter
-              (fun (u, v) ->
-                if Mctree.Tree.mem_edge s.snap_topology u v then
-                  out :=
-                    {
-                      switch = Some id;
-                      mc = Some s.snap_mc;
-                      law = "suppress-install";
-                      detail =
-                        Printf.sprintf
-                          "installed tree uses damping-suppressed link \
-                           (%d, %d)"
-                          u v;
-                    }
-                    :: !out)
-              suppressed)
-          (Switch.snapshots sw))
-      switches;
-    List.rev !out

@@ -24,8 +24,7 @@
 
     {b Terminal laws} — must hold when no message or computation is in
     flight anywhere — live in {!Dgmc.Terminal}, which every judge of
-    convergence shares; this module adds only the terminal link-health
-    law {!check_health_terminal}. *)
+    convergence shares. *)
 
 type violation = Dgmc.Terminal.violation = {
   switch : int option;  (** Offending switch, when attributable. *)
@@ -59,10 +58,3 @@ val check_monotone :
     now, the new [C] must be [>=] the old one under the causal partial
     order.  (An MC deleted and recreated restarts its history; callers
     drop its [before] entry.) *)
-
-val check_health_terminal :
-  suppressed:(int * int) list -> Dgmc.Switch.t array -> violation list
-(** Terminal link-health law [suppress-install]: no installed topology
-    at any switch contains a link under damping suppression.  Transient
-    states may legally keep an old tree across a suppression — the law
-    binds only once the network has quiesced. *)

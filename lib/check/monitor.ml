@@ -72,22 +72,7 @@ let violations t = List.rev t.violations
 let ok t = t.violations = []
 
 let check_terminal t =
-  let n = Dgmc.Protocol.n_switches t.net in
-  let switches = Array.init n (Dgmc.Protocol.switch t.net) in
-  List.iter (record t) (Dgmc.Protocol.terminal_violations t.net);
-  (* With the link-health layer on, a quiesced network must not keep a
-     damping-suppressed link inside any installed tree. *)
-  let suppressed =
-    Dgmc.Protocol.health_views t.net
-    |> List.concat_map (fun (i, view) ->
-           List.filter_map
-             (fun (peer, _, s) ->
-               if s then Some (min i peer, max i peer) else None)
-             view)
-    |> List.sort_uniq (fun (a, b) (c, d) ->
-           match Int.compare a c with 0 -> Int.compare b d | r -> r)
-  in
-  List.iter (record t) (Invariant.check_health_terminal ~suppressed switches)
+  List.iter (record t) (Dgmc.Protocol.terminal_violations t.net)
 
 let assert_ok t =
   if not (ok t) then

@@ -35,11 +35,10 @@ val ok : t -> bool
 
 val check_terminal : t -> unit
 (** After the run has quiesced, additionally apply every terminal law:
-    both {!Dgmc.Terminal} groups (agreement and ground truth) for every
-    MC, against the protocol's own truth
-    ({!Dgmc.Protocol.terminal_violations}), then the link-health law
-    {!Invariant.check_health_terminal} over the damping-suppressed
-    links.  Any failures join {!violations}. *)
+    the {!Dgmc.Terminal} groups for every MC, against the protocol's own
+    truth and damping-suppressed links
+    ({!Dgmc.Protocol.terminal_violations}).  Any failures join
+    {!violations}. *)
 
 val assert_ok : t -> unit
 (** Raise [Failure] with a readable report unless {!ok}.  Intended for

@@ -12,15 +12,15 @@ type totals = {
 }
 
 (* Link-health layer state (opt-in, [Config.health]).  When present,
-   scripted and fault-plan link changes touch ground truth only — the
-   hello agents must discover them, and the declaring switch originates
-   the link LSAs itself. *)
+   scripted link changes touch ground truth only — the hello agents must
+   discover them, and the declaring switch originates the link LSAs
+   itself. *)
 type health_state = {
   hc : Health.Config.t;
   mutable agents : Health.Hello.t array;
   truth_changed : float Lsr.Lsdb.Link_tbl.t;
       (* Last ground-truth change instant per link — detection-latency
-         base.  Crashes use the window bounds instead (see [truth_down]). *)
+         base. *)
   mutable hs_detections : int;  (* down verdicts matching ground truth *)
   mutable hs_recoveries : int;  (* up verdicts *)
   mutable hs_false_positives : int;
@@ -159,8 +159,21 @@ let create ~graph ~config ?faults ?engine ?trace ?metrics
   (match Config.validate config with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Protocol.create: " ^ msg));
+  (* Hellos sense links, not switches: a crash or partition window would
+     silence them over links that are up, which the verdicts, judged
+     against link ground truth alone, would count as false positives. *)
+  (match (config.Config.health, faults) with
+  | Some _, Some plan
+    when Faults.Plan.crash_windows plan <> []
+         || Faults.Plan.partition_windows plan <> [] ->
+    invalid_arg
+      "Protocol.create: the link-health layer excludes crash and partition \
+       windows"
+  | _ -> ());
   let engine =
     match (engine, trace, metrics) with
+    | Some _, None, None when Metrics.Series.enabled series ->
+      invalid_arg "Protocol.create: ~engine excludes a live ~series"
     | Some engine, None, None -> engine
     | Some _, _, _ ->
       invalid_arg "Protocol.create: ~engine excludes ~trace and ~metrics"
@@ -273,21 +286,11 @@ let create ~graph ~config ?faults ?engine ?trace ?metrics
       (Faults.Plan.partition_windows plan)
   | _ -> ());
   (* Link-health layer (opt-in).  Hello agents probe every configured
-     adjacency; scripted/fault-plan link changes become ground truth the
-     detectors must discover (see [link_change]).  Crash windows pause
-     the crashed switch's own sensing — a dead switch observes nothing —
-     and restart it with fresh detectors on recovery. *)
+     adjacency; scripted link changes become ground truth the detectors
+     must discover (see [link_change]). *)
   (match config.Config.health with
   | None -> ()
   | Some hc ->
-    (* When a switch is inside a crash window, the instant it opened:
-       silence from a crashed switch is a genuine failure with the
-       window's start as its ground-truth change time. *)
-    let down_since sw at =
-      match faults with
-      | Some plan -> Faults.Plan.down_since plan ~switch:sw at
-      | None -> None
-    in
     let all_edges = Net.Graph.all_edges graph in
     let adjacency i =
       List.filter_map
@@ -312,55 +315,42 @@ let create ~graph ~config ?faults ?engine ?trace ?metrics
     (* One hello on the wire, subject to the same fault plan as LSAs:
        drops, duplication and jitter are exactly the adversities the
        detectors must tolerate.  Arrival is gated on the link being up
-       and the receiver being alive {e at delivery time}. *)
+       {e at delivery time}. *)
     let send i ~peer =
-      let at = Sim.Engine.now engine in
-      if Option.is_none (down_since i at) then begin
-        h.hs_hellos_sent <- h.hs_hellos_sent + 1;
-        Metrics.Registry.incr metrics ~switch:i "health.hellos_sent";
-        let delays =
-          match transmit with
-          | Some f -> f ~src:i ~dst:peer ~base_delay:config.Config.t_hop
-          | None -> [ config.Config.t_hop ]
-        in
-        List.iter
-          (fun delay ->
-            ignore
-              (Sim.Engine.schedule engine ~delay (fun () ->
-                   if Net.Graph.link_is_up graph i peer then begin
-                     let at = Sim.Engine.now engine in
-                     if Option.is_none (down_since peer at) then begin
-                       Metrics.Registry.incr metrics ~switch:peer
-                         "health.hellos_received";
-                       Health.Hello.on_hello h.agents.(peer) ~from:i
-                     end
-                   end)))
-          delays
-      end
+      h.hs_hellos_sent <- h.hs_hellos_sent + 1;
+      Metrics.Registry.incr metrics ~switch:i "health.hellos_sent";
+      let delays =
+        match transmit with
+        | Some f -> f ~src:i ~dst:peer ~base_delay:config.Config.t_hop
+        | None -> [ config.Config.t_hop ]
+      in
+      List.iter
+        (fun delay ->
+          ignore
+            (Sim.Engine.schedule engine ~delay (fun () ->
+                 if Net.Graph.link_is_up graph i peer then begin
+                   Metrics.Registry.incr metrics ~switch:peer
+                     "health.hellos_received";
+                   Health.Hello.on_hello h.agents.(peer) ~from:i
+                 end)))
+        delays
     in
     (* A detector verdict: the switch's belief about an incident link
-       changed.  Version the event, judge it against ground truth, tell
-       the switch, and originate the link LSA. *)
+       changed.  Version the event, judge it against the link's ground
+       truth, tell the switch, and originate the link LSA. *)
     let declare i ~peer ~up =
       let at = Sim.Engine.now engine in
       let lo, hi = if i < peer then (i, peer) else (peer, i) in
       let ev = Lsr.Lsdb.stamp net.clock i peer ~up in
       let last_change = Lsr.Lsdb.Link_tbl.find_opt h.truth_changed (lo, hi) in
-      let truth_since =
-        if not (Net.Graph.link_is_up graph i peer) then
-          Some (Option.value ~default:0.0 last_change)
-        else down_since peer at
-      in
       let latency, spurious =
         if up then
           (* Up verdicts rest on hellos that genuinely arrived; measure
              recovery latency from the last ground-truth change. *)
           ( (match last_change with Some since -> at -. since | None -> 0.0),
             false )
-        else
-          match truth_since with
-          | Some since -> (at -. since, false)
-          | None -> (0.0, true)
+        else if Net.Graph.link_is_up graph i peer then (0.0, true)
+        else (at -. Option.value ~default:0.0 last_change, false)
       in
       if up then begin
         h.hs_recoveries <- h.hs_recoveries + 1;
@@ -406,21 +396,9 @@ let create ~graph ~config ?faults ?engine ?trace ?metrics
               if Sim.Trace.enabled trace then
                 ignore
                   (Sim.Trace.emit trace ~time:(Sim.Engine.now engine)
-                     (Sim.Trace.Link_suppressed { switch = i; peer; resumed })))
-            ());
+                     (Sim.Trace.Link_suppressed { switch = i; peer; resumed }))));
     net.health <- Some h;
-    Array.iter Health.Hello.start h.agents;
-    List.iter
-      (fun (sw, (from_, until)) ->
-        ignore
-          (Sim.Engine.schedule_at engine ~time:from_ (fun () ->
-               Health.Hello.pause h.agents.(sw)));
-        ignore
-          (Sim.Engine.schedule_at engine ~time:until (fun () ->
-               Health.Hello.resume h.agents.(sw))))
-      (match faults with
-      | Some plan -> Faults.Plan.crash_windows plan
-      | None -> []));
+    Array.iter Health.Hello.start h.agents);
   net
 
 let engine t = t.engine
@@ -565,11 +543,30 @@ let violations t mc =
   @ Terminal.against_truth ~graph:t.graph ~members:(truth_members t mc) mc
       t.switches
 
+(* The links some endpoint's hello agent holds under damping
+   suppression, each once as [(lo, hi)], ascending. *)
+let suppressed_links t =
+  match t.health with
+  | None -> []
+  | Some h ->
+    let links = ref [] in
+    Array.iteri
+      (fun i agent ->
+        List.iter
+          (fun peer -> links := (min i peer, max i peer) :: !links)
+          (Health.Hello.suppressed agent))
+      h.agents;
+    List.sort_uniq
+      (fun (a, b) (c, d) ->
+        match Int.compare a c with 0 -> Int.compare b d | r -> r)
+      !links
+
 let terminal_violations t =
   let truth =
     Mc_id.Tbl.fold (fun mc members acc -> (mc, members) :: acc) t.truth []
   in
   Terminal.check ~graph:t.graph ~truth t.switches
+  @ Terminal.suppress_install ~suppressed:(suppressed_links t) t.switches
 
 let divergence t mc = List.map Terminal.to_string (violations t mc)
 
@@ -591,11 +588,7 @@ let health_summary t =
     (fun h ->
       let suppressed =
         Array.fold_left
-          (fun acc agent ->
-            List.fold_left
-              (fun acc (_, _, s) -> if s then acc + 1 else acc)
-              acc
-              (Health.Hello.view agent))
+          (fun acc agent -> acc + List.length (Health.Hello.suppressed agent))
           0 h.agents
       in
       let flaps =
@@ -612,9 +605,3 @@ let health_summary t =
         h_flaps = flaps;
       })
     t.health
-
-let health_views t =
-  match t.health with
-  | None -> []
-  | Some h ->
-    Array.to_list (Array.mapi (fun i a -> (i, Health.Hello.view a)) h.agents)

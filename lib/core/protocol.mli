@@ -31,8 +31,8 @@ type totals = {
 
 type health_summary = {
   h_detections : int;
-      (** Down verdicts that matched ground truth (link down or peer
-          inside a crash window). *)
+      (** Down verdicts that matched ground truth: the link was down
+          when the verdict was made. *)
   h_recoveries : int;  (** Up re-declarations. *)
   h_false_positives : int;
       (** Down verdicts contradicting ground truth. *)
@@ -64,13 +64,15 @@ val create :
     given fault plan — loss, duplication, reordering, jitter, crash and
     partition windows — in the engine's simulated time.  Pair it with
     [config.flood_mode = Reliable], or floods will silently lose LSAs
-    and the network will not converge.
+    and the network will not converge.  Hellos sense links only, so a
+    plan with a crash or partition window (read here) and
+    [config.health] together are [Invalid_argument].
 
     [engine] runs the network on an existing calendar instead of a fresh
     one, so two networks share one clock ([Hierarchy.Hmc]'s intra and
     logical levels); the network then records into that engine's trace
-    and registry, and passing [trace] or [metrics] as well is
-    [Invalid_argument].
+    and registry, and passing [trace], [metrics] or an enabled [series]
+    as well is [Invalid_argument].
 
     [trace] and [metrics] are handed once to the run's engine
     ({!Sim.Engine.create}); every switch, the flooding layer, the fault
@@ -179,10 +181,6 @@ val health_summary : t -> health_summary option
 (** Aggregated link-health statistics; [None] when [Config.health] is
     unset. *)
 
-val health_views : t -> (int * (int * bool * bool) list) list
-(** Per switch, the hello agent's [(peer, believed_up, suppressed)]
-    adjacency beliefs — empty when the health layer is off. *)
-
 (** {1 Agreement} *)
 
 val converged : t -> Mc_id.t -> bool
@@ -200,9 +198,10 @@ val divergence : t -> Mc_id.t -> string list
     tests, debugging and [dgmc_sim script]'s [DIVERGED:] line. *)
 
 val terminal_violations : t -> Terminal.violation list
-(** Both {!Terminal} groups for every MC a switch holds state for or an
-    injected event named ({!Terminal.check}, MC order) — what the
-    runtime monitor applies once the run has quiesced. *)
+(** Every {!Terminal} group: {!Terminal.check} for every MC a switch
+    holds state for or an injected event named, then
+    {!Terminal.suppress_install} over the damping-suppressed links —
+    what the runtime monitor applies once the run has quiesced. *)
 
 val agreed_topology : t -> Mc_id.t -> Mctree.Tree.t option
 (** The common topology when {!converged} holds and at least one switch

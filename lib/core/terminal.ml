@@ -137,3 +137,30 @@ let check ~graph ~truth switches =
       in
       agreement mc switches @ against_truth ~graph ~members mc switches)
     mcs
+
+let suppress_install ~suppressed switches =
+  List.concat_map
+    (fun sw ->
+      List.concat_map
+        (fun mc ->
+          match Switch.topology sw mc with
+          | None -> []
+          | Some tree ->
+            List.filter_map
+              (fun (u, v) ->
+                if Mctree.Tree.mem_edge tree u v then
+                  Some
+                    {
+                      switch = Some (Switch.id sw);
+                      mc = Some mc;
+                      law = "suppress-install";
+                      detail =
+                        Printf.sprintf
+                          "installed tree uses damping-suppressed link \
+                           (%d, %d)"
+                          u v;
+                    }
+                else None)
+              suppressed)
+        (Switch.mc_ids sw))
+    (Array.to_list switches)

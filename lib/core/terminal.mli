@@ -9,7 +9,7 @@
     ([Check.Monitor]), the model checker ([Check.Explore], and through
     it [Check.Search]) and the hierarchical variant ([Hierarchy.Hmc]).
 
-    The laws come in two groups, always reported in this order.
+    The laws come in three groups, always reported in this order.
 
     {b Agreement} among a set of switches, per MC:
     - [quiescent] — no mailbox entry, computation, deferred LSA or
@@ -29,8 +29,13 @@
     - [terminals-match] — its topology's terminals are the real
       members.
 
-    Switch state is read through {!Switch.members}, {!Switch.topology},
-    {!Switch.stamps}, {!Switch.proposal_flag} and {!Switch.quiescent};
+    {b Link health}, per switch and MC ([Config.health] only):
+    - [suppress-install] — no installed topology contains a link under
+      damping suppression.
+
+    Switch state is read through {!Switch.mc_ids}, {!Switch.members},
+    {!Switch.topology}, {!Switch.stamps}, {!Switch.proposal_flag} and
+    {!Switch.quiescent};
     violations name switches by {!Switch.id}. *)
 
 type violation = {
@@ -58,6 +63,11 @@ val check :
   truth:(Mc_id.t * Member.t) list ->
   Switch.t array ->
   violation list
-(** Both groups for every MC that a switch holds state for or [truth]
-    names (an MC wrongly deleted everywhere is still examined), in MC
-    order.  An MC missing from [truth] has no real members. *)
+(** The first two groups for every MC that a switch holds state for or
+    [truth] names (an MC wrongly deleted everywhere is still examined),
+    in MC order.  An MC missing from [truth] has no real members. *)
+
+val suppress_install :
+  suppressed:(int * int) list -> Switch.t array -> violation list
+(** The link-health group over the damping-suppressed links, as
+    [(lo, hi)]. *)

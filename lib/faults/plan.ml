@@ -165,14 +165,8 @@ let quiescent_after t =
 
 let active w now = now >= w.w_from && now < w.w_until
 
-(* [t.crashes] is newest first: overlapping windows answer with the one
-   scheduled last. *)
-let down_since t ~switch now =
-  List.find_map
-    (fun (s, w) -> if s = switch && active w now then Some w.w_from else None)
-    t.crashes
-
-let crashed t sw now = Option.is_some (down_since t ~switch:sw now)
+let crashed t sw now =
+  List.exists (fun (s, w) -> s = sw && active w now) t.crashes
 
 let separated t a b now =
   let in_side membership sw =

@@ -89,10 +89,6 @@ val crash_windows : t -> (int * (float * float)) list
 (** Scheduled crashes as [(switch, (from, until))], in scheduling order —
     lets a traced run mark [Crash]/[Recover] events on the timeline. *)
 
-val down_since : t -> switch:int -> float -> float option
-(** [down_since t ~switch at] is the opening instant of the crash window
-    of [switch] that contains [at] ([None] when the switch is up then). *)
-
 val partition_windows : t -> (int list * (float * float)) list
 (** Scheduled partitions as [(side, (from, until))], in scheduling
     order. *)

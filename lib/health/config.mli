@@ -2,9 +2,10 @@
 
     The layer is strictly opt-in: a protocol instance without a health
     config behaves exactly as before (scripted link events are applied
-    to switch images directly).  With one, scripted and fault-plan link
-    changes become {e ground truth only} — switches must discover them
-    through hello silence, and originate their own link LSAs. *)
+    to switch images directly).  With one, scripted link changes become
+    {e ground truth only} — switches must discover them through hello
+    silence, and originate their own link LSAs.  The layer never runs
+    under crash or partition windows ([Dgmc.Protocol.create]). *)
 
 type damping = {
   d_penalty : float;

@@ -17,11 +17,9 @@ type t = {
   declare : peer:int -> up:bool -> unit;
   on_suppress : peer:int -> resumed:bool -> unit;
   mutable n_flaps : int;
-  mutable paused : bool;
 }
 
-let create ~engine ~config ~self ~peers ~send ~declare
-    ?(on_suppress = fun ~peer:_ ~resumed:_ -> ()) () =
+let create ~engine ~config ~self ~peers ~send ~declare ~on_suppress =
   (match Config.validate config with
   | Ok () -> ()
   | Error e -> invalid_arg ("Hello.create: " ^ e));
@@ -52,8 +50,7 @@ let create ~engine ~config ~self ~peers ~send ~declare
            })
     |> Array.of_list
   in
-  { engine; cfg = config; self; nbs; send; declare; on_suppress;
-    n_flaps = 0; paused = false }
+  { engine; cfg = config; self; nbs; send; declare; on_suppress; n_flaps = 0 }
 
 let find t peer =
   let rec go i =
@@ -76,7 +73,7 @@ let rec arm_check t nb =
 
 and check t nb () =
   nb.check <- None;
-  if (not t.paused) && not nb.suppress_flag then begin
+  if not nb.suppress_flag then begin
     let now = Sim.Engine.now t.engine in
     if Detector.down nb.det ~now then begin
       if nb.up then begin
@@ -127,10 +124,9 @@ and unsuppress t nb =
 
 let rec tick t () =
   let now = Sim.Engine.now t.engine in
-  if not t.paused then
-    Array.iter
-      (fun nb -> if not nb.suppress_flag then t.send ~peer:nb.peer)
-      t.nbs;
+  Array.iter
+    (fun nb -> if not nb.suppress_flag then t.send ~peer:nb.peer)
+    t.nbs;
   let next = now +. t.cfg.Config.period in
   if next <= t.cfg.Config.horizon then
     ignore (Sim.Engine.schedule_at t.engine ~time:next (tick t))
@@ -139,29 +135,11 @@ let start t =
   Array.iter (arm_check t) t.nbs;
   tick t ()
 
-let pause t =
-  t.paused <- true;
-  Array.iter
-    (fun nb ->
-      (match nb.check with Some h -> Sim.Engine.cancel h | None -> ());
-      nb.check <- None)
-    t.nbs
-
-let resume t =
-  let now = Sim.Engine.now t.engine in
-  t.paused <- false;
-  Array.iter
-    (fun nb ->
-      Detector.reset nb.det ~now;
-      nb.streak <- 0;
-      if not nb.suppress_flag then arm_check t nb)
-    t.nbs
-
 let on_hello t ~from =
   match find t from with
   | None -> ()
   | Some nb ->
-    if (not t.paused) && not nb.suppress_flag then begin
+    if not nb.suppress_flag then begin
       let now = Sim.Engine.now t.engine in
       Detector.note_arrival nb.det ~now;
       if not nb.up then begin
@@ -175,7 +153,9 @@ let on_hello t ~from =
       arm_check t nb
     end
 
-let view t =
-  Array.to_list (Array.map (fun nb -> (nb.peer, nb.up, nb.suppress_flag)) t.nbs)
+let suppressed t =
+  Array.fold_right
+    (fun nb acc -> if nb.suppress_flag then nb.peer :: acc else acc)
+    t.nbs []
 
 let flaps t = t.n_flaps

@@ -10,8 +10,10 @@
     suppressed interface is held down in both directions, which is what
     keeps the remote end from believing the link is usable.
 
-    All timers live on the simulation engine; emission and evaluation
-    stop at the configured horizon so runs quiesce. *)
+    The agent senses links, not switches: it has no notion of a crash
+    or partition window ([Dgmc.Protocol.create] rejects them).  All
+    timers live on the simulation engine; emission and evaluation stop
+    at the configured horizon so runs quiesce. *)
 
 type t
 
@@ -22,12 +24,12 @@ val create :
   peers:int list ->
   send:(peer:int -> unit) ->
   declare:(peer:int -> up:bool -> unit) ->
-  ?on_suppress:(peer:int -> resumed:bool -> unit) ->
-  unit ->
+  on_suppress:(peer:int -> resumed:bool -> unit) ->
   t
 (** [peers] are the switches sharing a configured (up or down) edge with
     [self]; every adjacency starts believed up with a fresh detector.
-    [declare] is invoked only on belief {e changes}. *)
+    [declare] is invoked only on belief {e changes}, [on_suppress] when
+    damping suppresses ([resumed = false]) or readmits an adjacency. *)
 
 val start : t -> unit
 (** Begin the hello schedule (first round immediately) and arm the
@@ -37,18 +39,8 @@ val on_hello : t -> from:int -> unit
 (** A hello from [from] arrived on the wire.  Ignored while the
     adjacency is suppressed (the interface is administratively down). *)
 
-val pause : t -> unit
-(** The switch crashed: stop sending hellos and disarm every down-check
-    (a dead switch observes nothing and declares nothing).  Beliefs are
-    frozen as they were. *)
-
-val resume : t -> unit
-(** The switch recovered: restart sensing with {e fresh} detectors (the
-    silence accumulated while down must not instantly fire them) and
-    resume the hello schedule on its next tick. *)
-
-val view : t -> (int * bool * bool) list
-(** [(peer, believed_up, suppressed)] per adjacency, ascending peer. *)
+val suppressed : t -> int list
+(** The peers whose adjacency is damping-suppressed now, ascending. *)
 
 val flaps : t -> int
 (** Total down declarations made by this agent. *)

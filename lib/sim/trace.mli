@@ -71,8 +71,8 @@ type event =
       peer : int;
       up : bool;
       latency : float;
-          (** Seconds since the link's (or the peer's crash window's)
-              last ground-truth change; [0] when [spurious]. *)
+          (** Seconds since the link's last ground-truth change; [0]
+              when [spurious]. *)
       spurious : bool;
           (** The verdict contradicts ground truth — a false positive. *)
     }

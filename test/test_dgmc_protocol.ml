@@ -533,6 +533,20 @@ let test_engine_excludes_sinks () =
       create ~metrics:(Metrics.Registry.create ()) ());
   create ()
 
+(* A live series would install its probe on the shared engine, replacing
+   the probe of the network that owns it. *)
+let test_engine_excludes_live_series () =
+  let engine = Sim.Engine.create () in
+  let create series =
+    ignore
+      (Dgmc.Protocol.create ~graph:(grid33 ()) ~config:Dgmc.Config.atm_lan
+         ~engine ~series ())
+  in
+  Alcotest.check_raises "with a live series"
+    (Invalid_argument "Protocol.create: ~engine excludes a live ~series")
+    (fun () -> create (Metrics.Series.create ()));
+  create Metrics.Series.disabled
+
 let () =
   Alcotest.run "dgmc-protocol"
     [
@@ -602,5 +616,7 @@ let () =
             test_shared_engine_one_clock;
           Alcotest.test_case "engine excludes trace and metrics" `Quick
             test_engine_excludes_sinks;
+          Alcotest.test_case "engine excludes a live series" `Quick
+            test_engine_excludes_live_series;
         ] );
     ]

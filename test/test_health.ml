@@ -186,6 +186,56 @@ let test_health_run_deterministic () =
   check Alcotest.bool "two identical runs, identical health telemetry" true
     (a <> "" && String.equal a b)
 
+(* Hellos sense links, not switches: a scheduled crash or partition
+   window would silence them over live links, so the protocol refuses
+   health together with any window. *)
+let create_with_plan schedule =
+  let graph = Net.Topo_gen.ring 6 in
+  let config =
+    {
+      Dgmc.Config.atm_lan with
+      Dgmc.Config.flood_mode = Lsr.Flooding.Reliable;
+      health = Some (health_cfg ~horizon:0.05 ());
+    }
+  in
+  let faults =
+    Faults.Plan.create
+      ~spec:{ Faults.Plan.spec_default with drop = 0.05; duplicate = 0.1 }
+      ~seed:5 ()
+  in
+  schedule faults;
+  Dgmc.Protocol.create ~graph ~config ~faults ()
+
+let windows_rejected =
+  Invalid_argument
+    "Protocol.create: the link-health layer excludes crash and partition \
+     windows"
+
+let test_health_rejects_crash_window () =
+  Alcotest.check_raises "crash window" windows_rejected (fun () ->
+      ignore
+        (create_with_plan (fun plan ->
+             Faults.Plan.crash_switch plan ~switch:2 ~from_:0.01 ~until:0.02)))
+
+let test_health_rejects_partition_window () =
+  Alcotest.check_raises "partition window" windows_rejected (fun () ->
+      ignore
+        (create_with_plan (fun plan ->
+             Faults.Plan.partition plan ~side:[ 0; 1; 2 ] ~from_:0.01
+               ~until:0.02)))
+
+let test_health_runs_window_free_plan () =
+  let net = create_with_plan ignore in
+  Dgmc.Protocol.join net ~switch:0 mc Dgmc.Member.Both;
+  Dgmc.Protocol.join net ~switch:3 mc Dgmc.Member.Both;
+  Dgmc.Protocol.run net;
+  match Dgmc.Protocol.health_summary net with
+  | None -> Alcotest.fail "health layer not engaged"
+  | Some h ->
+    check Alcotest.bool "hellos on the wire" true (h.Dgmc.Protocol.h_hellos > 0);
+    check Alcotest.bool "the MC converged" true
+      (Dgmc.Protocol.divergence net mc = [])
+
 let () =
   Alcotest.run "health"
     [
@@ -212,5 +262,11 @@ let () =
             `Quick test_detection_within_bound_no_false_positives;
           Alcotest.test_case "byte-identical health telemetry across runs"
             `Quick test_health_run_deterministic;
+          Alcotest.test_case "rejects a crash window" `Quick
+            test_health_rejects_crash_window;
+          Alcotest.test_case "rejects a partition window" `Quick
+            test_health_rejects_partition_window;
+          Alcotest.test_case "runs under a window-free plan" `Quick
+            test_health_runs_window_free_plan;
         ] );
     ]
