@@ -23,7 +23,7 @@ type outcome = {
 }
 
 (* Rebuild the state reached by [prefix]: the harness is deterministic
-   for a fixed action sequence, so replay substitutes for cloning. *)
+   for a fixed action sequence. *)
 let build scenario prefix =
   let h = Harness.create ~graph:scenario.graph ~config:scenario.config () in
   List.iter (Harness.inject h) scenario.setup;
@@ -93,13 +93,15 @@ let reach ~order h ~digest ~prefix viols =
     terminal = terminal_viols <> [];
   }
 
-(* A clean edge into a state admitted before this wave is [None]: that
-   state's laws held when it was admitted, so only the transition
-   counts.  [seen] is only read while a wave's tasks run. *)
+(* The popped state is rebuilt once, and each action applies to its own
+   copy of it.  A clean edge into a state admitted before this wave is
+   [None]: that state's laws held when it was admitted, so only the
+   transition counts.  [seen] is only read while a wave's tasks run. *)
 let expand ~order ~seen scenario (prefix, acts) =
+  let parent = build scenario prefix in
   List.map
     (fun act ->
-      let h = build scenario prefix in
+      let h = Harness.copy parent in
       let viols = step h act in
       let digest = Harness.digest h in
       if viols = [] && Hashtbl.mem seen digest then None
@@ -151,7 +153,7 @@ let wave_size = 8
    where it arrives at d first would never be explored, and terminal
    states differing only in which proposal a switch last installed (its
    C stamp) would be silently lost.  Exhaustiveness over the deduped
-   state graph is the whole point of this checker; the per-edge replay
+   state graph is the whole point of this checker; the per-state replay
    is kept cheap instead (see Harness.first_enabled). *)
 let walk ~hit ~order ~max_states ~max_depth ?domains scenario =
   let seen = Hashtbl.create 4096 in
@@ -195,7 +197,8 @@ let walk ~hit ~order ~max_states ~max_depth ?domains scenario =
           frontier := Frontier.remove k !frontier;
           wave := entry :: !wave
       done;
-      (* ... expand them as pure tasks (deterministic replay), and merge
+      (* ... expand them as pure tasks (deterministic replay, then a copy
+         per action), and merge
          sequentially in wave order: the first hit in (wave, enabled)
          order wins regardless of which domain computed it. *)
       List.iter

@@ -8,9 +8,11 @@
 
     {b One walk, two orders.}  {!walk} expands a frontier of states in
     fixed-width waves, deduplicating by the canonical {!Harness.digest}.
-    Since {!Dgmc.Switch.t} is not cloneable, each state is reconstructed
-    by replaying its action prefix from the initial state (sound because
-    the harness is deterministic for a fixed action sequence).  Its
+    The frontier keeps action prefixes, not states: each popped state is
+    rebuilt once by replaying its prefix from the initial state (sound
+    because the harness is deterministic for a fixed action sequence),
+    and each of its successors is a {!Harness.copy} of it with one
+    action applied.  Its
     caller picks the frontier order and which violations stop it: {!run}
     pops in admission order (breadth-first, so the first violation comes
     with a minimal-length trace) and stops at any law; {!Search.forward}
@@ -55,8 +57,8 @@ val build : scenario -> Harness.action list -> Harness.t
 (** Materialise the state reached by an action prefix: create the
     harness, inject and settle [setup], inject [race], then replay the
     prefix.  Deterministic — two builds of the same prefix are
-    digest-identical — which is what lets {!walk} substitute replay for
-    cloning.  Nothing is rendered: {!walk} renders only the reported
+    digest-identical — which is what lets {!walk} keep prefixes instead
+    of states.  Nothing is rendered: {!walk} renders only the reported
     state's trace ({!Harness.describe}), by one more replay. *)
 
 val walk :

@@ -1,4 +1,4 @@
-(* These renderers run on every edge the model checker replays —
+(* These renderers run on every edge the model checker explores —
    hundreds of thousands of times per exploration — so everything is
    Buffer-based; Format would dominate the profile. *)
 

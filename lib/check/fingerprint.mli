@@ -28,5 +28,5 @@ val graph_links : Net.Graph.t -> string
 val add_switch : Buffer.t -> Dgmc.Switch.t -> unit
 (** Complete protocol state of one switch — every MC snapshot (sorted by
     MC id) plus the link-state image — appended to a buffer: the model
-    checker digests every replayed edge, so the hot path avoids
+    checker digests every explored edge, so the hot path avoids
     intermediate strings. *)

@@ -17,11 +17,17 @@ type msg = {
   fp : string;
 }
 
+(* One switch's timers: [now] is its private clock, the due time of the
+   timer that fired last; [due] holds its pending timers by due time,
+   in start order among equal times — the order an engine of its own
+   would run them in. *)
+type timers = { now : float; due : (float * Dgmc.Switch.timer) list }
+
 type t = {
   n : int;
   net_graph : Net.Graph.t;  (* ground truth *)
   switches : Dgmc.Switch.t array;
-  engines : Sim.Engine.t array;
+  timers : timers array;
   msgs : (int, msg) Hashtbl.t;
   mutable next_id : int;
   mutable pending : (int * int) list;  (* (dst, msg id), arrival order *)
@@ -88,6 +94,30 @@ let unicast t origin dst msg =
       t.pending <- t.pending @ [ (dst, id) ]
     end
 
+let start t i timer ~delay =
+  let tm = t.timers.(i) in
+  let time = tm.now +. delay in
+  let rec insert = function
+    | ((due, _) as e) :: rest when due <= time -> e :: insert rest
+    | rest -> (time, timer) :: rest
+  in
+  t.timers.(i) <- { tm with due = insert tm.due }
+
+let cancel t i timer =
+  let tm = t.timers.(i) in
+  t.timers.(i) <- { tm with due = List.filter (fun (_, x) -> x <> timer) tm.due }
+
+let connect t =
+  Array.iteri
+    (fun i sw ->
+      Dgmc.Switch.connect sw (function
+        | Flood payload -> flood t i payload
+        | Send { peer; msg } -> unicast t i peer msg
+        | Changed -> ()
+        | Start { timer; delay } -> start t i timer ~delay
+        | Cancel timer -> cancel t i timer))
+    t.switches
+
 let create ~graph ~config () =
   if Option.is_some config.Dgmc.Config.health then
     invalid_arg "Harness.create: the link-health layer is not modelled";
@@ -96,17 +126,17 @@ let create ~graph ~config () =
   let boot = Lsr.Lsdb.boot graph in
   let graph = Net.Graph.copy graph in
   let n = Net.Graph.n_nodes graph in
-  let engines = Array.init n (fun _ -> Sim.Engine.create ()) in
-  let switches =
-    Array.init n (fun id ->
-        Dgmc.Switch.create ~id ~n ~config ~engine:engines.(id) ~boot ())
-  in
+  (* The switches read a clock that never moves: only their telemetry,
+     off here, reads it.  Their timers run on [timers]. *)
+  let engine = Sim.Engine.create () in
   let t =
     {
       n;
       net_graph = graph;
-      switches;
-      engines;
+      switches =
+        Array.init n (fun id ->
+            Dgmc.Switch.create ~id ~n ~config ~engine ~boot ());
+      timers = Array.make n { now = 0.0; due = [] };
       msgs = Hashtbl.create 64;
       next_id = 0;
       pending = [];
@@ -116,20 +146,30 @@ let create ~graph ~config () =
       truth = [];
     }
   in
-  Array.iteri
-    (fun i sw ->
-      Dgmc.Switch.connect sw (function
-        | Flood payload -> flood t i payload
-        | Send { peer; msg } -> unicast t i peer msg
-        | Changed -> ()))
-    switches;
+  connect t;
   t
+
+let copy t =
+  let c =
+    {
+      t with
+      net_graph = Net.Graph.copy t.net_graph;
+      switches = Array.map Dgmc.Switch.copy t.switches;
+      timers = Array.copy t.timers;
+      msgs = Hashtbl.copy t.msgs;
+      known = Array.copy t.known;
+      clock = Lsr.Lsdb.copy_clock t.clock;
+      crashed = Array.copy t.crashed;
+    }
+  in
+  connect c;
+  c
 
 let switches t = t.switches
 
 let pending_count t =
   List.length t.pending
-  + Array.fold_left (fun acc e -> acc + Sim.Engine.pending e) 0 t.engines
+  + Array.fold_left (fun acc tm -> acc + List.length tm.due) 0 t.timers
 let graph t = t.net_graph
 let truth t = t.truth
 
@@ -247,8 +287,7 @@ let enabled t =
   let completions =
     List.init t.n (fun i -> i)
     |> List.filter_map (fun i ->
-           if Sim.Engine.pending t.engines.(i) > 0 then Some (Complete i)
-           else None)
+           if t.timers.(i).due <> [] then Some (Complete i) else None)
   in
   deliveries @ completions
 
@@ -270,14 +309,18 @@ let apply t action =
     remove_pending t dst msg;
     t.known.(dst) <- Int_set.add msg (Int_set.union t.known.(dst) m.past);
     Dgmc.Switch.deliver t.switches.(dst) m.payload
-  | Complete i ->
-    if not (Sim.Engine.step t.engines.(i)) then
-      invalid_arg "Harness.apply: no computation pending at switch"
+  | Complete i -> (
+    match t.timers.(i).due with
+    | [] -> invalid_arg "Harness.apply: no timer pending at switch"
+    | (now, timer) :: due ->
+      t.timers.(i) <- { now; due };
+      Dgmc.Switch.fire t.switches.(i) timer)
 
 (* Same selection rule as [enabled]'s head — first causally-free
    delivery in pool order, else first switch with a pending computation
-   — but without the interchangeability signatures, which replay makes
-   hot: every explored edge re-runs the whole setup settle. *)
+   — but without the interchangeability signatures: every explored
+   state is still rebuilt by replay, setup settle included, once per
+   expansion. *)
 let first_enabled t =
   let ptol = pending_to t in
   match
@@ -290,7 +333,7 @@ let first_enabled t =
   | None ->
     let rec comp i =
       if i >= t.n then None
-      else if Sim.Engine.pending t.engines.(i) > 0 then Some (Complete i)
+      else if t.timers.(i).due <> [] then Some (Complete i)
       else comp (i + 1)
     in
     comp 0

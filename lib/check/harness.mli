@@ -21,10 +21,16 @@
     enabled only once no message of [past m] is still pending towards
     [dst].  Per-origin FIFO is the special case [own floods ∈ past].
 
-    {b Computations.}  Each switch gets a private {!Sim.Engine}, so the
-    {e completion order} of concurrent topology computations at
+    {b Computations.}  A switch's timers ({!Dgmc.Switch.Start}: topology
+    computations and resync deadlines) pool per switch, on a private
+    clock, so the {e completion order} of concurrent computations at
     different switches is also explorer-chosen ({!Complete}), while
-    completions within one switch stay FIFO, as on real hardware.
+    timers within one switch fire in due-time order, start order among
+    equal times, as on real hardware.
+
+    {b Copies.}  A switch holds no closure, so {!copy} branches a state
+    in place of rebuilding it: the explorer builds each expanded state
+    once and applies each enabled action to its own copy.
 
     {b Crashes.}  {!Crash} mirrors {!Faults.Plan}'s crash model: a
     forwarding-plane outage.  Messages in flight to or from the switch
@@ -58,13 +64,20 @@ type event =
 type action =
   | Deliver of { dst : int; msg : int }
       (** Deliver pooled message [msg] to switch [dst]. *)
-  | Complete of int  (** Finish the next pending computation at a switch. *)
+  | Complete of int
+      (** Fire the next pending timer at a switch: complete a topology
+          computation, or end a resync session at its deadline. *)
 
 type t
 
 val create : graph:Net.Graph.t -> config:Dgmc.Config.t -> unit -> t
 (** Fresh network; [graph] is copied (the harness owns the ground
     truth).  Raises [Invalid_argument] when [config.health] is set. *)
+
+val copy : t -> t
+(** An independent network in [t]'s exact state: every action applies
+    to the copy as it would to [t], with the same successor {!digest},
+    and neither sees the other's later actions. *)
 
 val switches : t -> Dgmc.Switch.t array
 
@@ -81,7 +94,8 @@ val inject : t -> event -> unit
 
 val pending_count : t -> int
 (** Pending work items: pooled (destination, message) deliveries plus
-    unfinished topology computations across all switches.  Every
+    pending timers (computations and resync deadlines) across all
+    switches.  Every
     {!action} removes exactly one such item (and may add more), so this
     is an admissible, consistent lower bound on the number of actions
     separating the state from any terminal state — the primary key of

@@ -1,11 +1,13 @@
 type computation = {
+  id : int;
   old_r : Timestamp.t;
   event : Mc_lsa.event;
   proposal : Mctree.Tree.t;
   trace_id : int;
       (** The [Compute_started] trace event, or [-1] untraced — the
-          completion fires from an engine timer, where the ambient trace
-          context is long gone, so causality is carried explicitly. *)
+          completion runs when the driver fires the computation's timer,
+          where the ambient trace context is long gone, so causality is
+          carried explicitly. *)
 }
 
 type t = {

@@ -8,6 +8,9 @@
     be consumed by [ReceiveLSA()]. *)
 
 type computation = {
+  id : int;
+      (** Unique among the switch's computations: its timer names it
+          ({!Switch.timer}). *)
   old_r : Timestamp.t;  (** [R] saved when the computation started. *)
   event : Mc_lsa.event;
       (** Event the resulting LSA advertises ([No_event] for triggered
@@ -17,8 +20,9 @@ type computation = {
           decides at completion whether it is still valid to flood. *)
   trace_id : int;
       (** Trace id of the [Compute_started] event ([-1] untraced) — the
-          completion fires from an engine timer where the ambient trace
-          context is gone, so the causal link is carried explicitly. *)
+          completion runs when the driver fires the computation's timer,
+          where the ambient trace context is gone, so the causal link is
+          carried explicitly. *)
 }
 
 type t = {

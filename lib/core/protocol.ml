@@ -45,6 +45,8 @@ type t = {
   config : Config.t;
   faults : Faults.Plan.t option;
   switches : Switch.t array;
+  deadlines : Sim.Engine.handle option array;
+      (** Each switch's live resync deadline, for its [Cancel]. *)
   flooding : Switch.payload Lsr.Flooding.t;
   flood : Switch.payload Lsr.Lsa.t -> unit;  (** The flooding transport. *)
   mutable health : health_state option;
@@ -123,8 +125,9 @@ let rec notify id = function
     notify id rest
 
 (* Carry out one output of switch [from]: count and originate a flood,
-   unicast a resynchronisation message, or note a change for the
-   convergence clock and the observers. *)
+   unicast a resynchronisation message, note a change for the
+   convergence clock and the observers, or schedule or cancel a timer
+   on the run's engine. *)
 let output t ~from : Switch.output -> unit = function
   | Flood payload ->
     (match payload with
@@ -151,6 +154,15 @@ let output t ~from : Switch.output -> unit = function
   | Changed ->
     t.last_change <- Some (Sim.Engine.now t.engine);
     notify from t.observers
+  | Start { timer; delay } -> (
+    let sw = t.switches.(from) in
+    let h = Sim.Engine.schedule t.engine ~delay (fun () -> Switch.fire sw timer) in
+    match timer with
+    | Resync_deadline _ -> t.deadlines.(from) <- Some h
+    | Compute _ -> ())
+  | Cancel _ ->
+    Option.iter Sim.Engine.cancel t.deadlines.(from);
+    t.deadlines.(from) <- None
 
 let create ~graph ~config ?faults ?engine ?trace ?metrics
     ?(series = Metrics.Series.disabled) () =
@@ -221,6 +233,7 @@ let create ~graph ~config ?faults ?engine ?trace ?metrics
       config;
       faults;
       switches;
+      deadlines = Array.make n None;
       flooding;
       flood = (fun lsa -> Lsr.Flooding.flood flooding lsa);
       health = None;
@@ -386,7 +399,7 @@ let create ~graph ~config ?faults ?engine ?trace ?metrics
     in
     h.agents <-
       Array.init n (fun i ->
-          Health.Hello.create ~engine ~config:hc ~self:i ~peers:(adjacency i)
+          Health.Hello.create ~engine ~config:hc ~peers:(adjacency i)
             ~send:(fun ~peer -> send i ~peer)
             ~declare:(fun ~peer ~up -> declare i ~peer ~up)
             ~on_suppress:(fun ~peer ~resumed ->

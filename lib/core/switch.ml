@@ -10,19 +10,23 @@ type payload =
   | Link of Lsr.Lsdb.link_event
   | Resync of Resync.msg
 
+type timer = Compute of { mc : Mc_id.t; id : int } | Resync_deadline of int
+
 type output =
   | Flood of payload
   | Send of { peer : int; msg : Resync.msg }
   | Changed
+  | Start of { timer : timer; delay : float }
+  | Cancel of timer
 
 (* One in-flight crash-recovery resynchronisation exchange (see
    [begin_resync]).  The switch stays in this state — deferring normal
    MC-LSA handling — until one neighbor's delta is applied, every
-   neighbor resolves by transport giveup, or the deadline fires. *)
+   neighbor resolves by transport giveup, or the deadline fires.
+   Immutable, so a copied switch can share it. *)
 type resync_session = {
   rs_id : int;  (** Session id echoed by deltas (stale deltas ignored). *)
-  mutable rs_outstanding : int list;  (** Neighbors not yet resolved. *)
-  mutable rs_deadline : Sim.Engine.handle option;
+  rs_outstanding : int list;  (** Neighbors not yet resolved. *)
   rs_started : float;  (** Simulated start time, for the duration SLI. *)
 }
 
@@ -44,6 +48,7 @@ type t = {
   mutable sink : output -> unit;
   mutable resync_session : resync_session option;
   mutable resync_seq : int;  (** Fresh session ids. *)
+  mutable compute_seq : int;  (** Fresh computation ids. *)
   deferred : Mc_lsa.t Queue.t;
       (** MC LSAs received while RESYNCING, replayed in arrival order
           when the session finishes. *)
@@ -55,6 +60,8 @@ type t = {
           into a disabled registry allocates nothing. *)
 }
 
+let unconnected _ = invalid_arg "Switch: not connected"
+
 let create ~id ~n ~config ~engine ~boot () =
   {
     id;
@@ -64,9 +71,10 @@ let create ~id ~n ~config ~engine ~boot () =
     lsdb = Lsr.Lsdb.create boot;
     mcs = Mc_id.Tbl.create 8;
     tombstones = Mc_id.Tbl.create 8;
-    sink = (fun _ -> invalid_arg "Switch: not connected");
+    sink = unconnected;
     resync_session = None;
     resync_seq = 0;
+    compute_seq = 0;
     deferred = Queue.create ();
     stats =
       {
@@ -93,6 +101,23 @@ let reset_stats t =
 let image t = Lsr.Lsdb.graph t.lsdb
 
 let connect t sink = t.sink <- sink
+
+(* Everything mutable is copied: the state tables keep their layout, so
+   the copy iterates its MCs in the same order as [t]. *)
+let copy t =
+  let mcs = Mc_id.Tbl.copy t.mcs in
+  Mc_id.Tbl.filter_map_inplace
+    (fun _ (st : Mc_state.t) -> Some { st with mailbox = Queue.copy st.mailbox })
+    mcs;
+  {
+    t with
+    lsdb = Lsr.Lsdb.copy t.lsdb;
+    mcs;
+    tombstones = Mc_id.Tbl.copy t.tombstones;
+    sink = unconnected;
+    deferred = Queue.copy t.deferred;
+    stats = { t.stats with computations = t.stats.computations };
+  }
 
 let tracef t category fmt =
   Sim.Trace.recordf t.trace ~time:(Sim.Engine.now t.engine) ~category fmt
@@ -129,8 +154,8 @@ let get_or_create t mc =
     Mc_id.Tbl.replace t.mcs mc st;
     st
 
-(* A completion callback may fire after its state was deleted (and
-   possibly recreated); physical equality identifies the incarnation. *)
+(* A nested handler may delete (and recreate) the state its caller
+   holds; physical equality identifies the incarnation. *)
 let state_current t mc st =
   match Mc_id.Tbl.find_opt t.mcs mc with Some s -> s == st | None -> false
 
@@ -188,10 +213,11 @@ let compute_proposal t (st : Mc_state.t) (mc : Mc_id.t) =
     ~self:t.id ~current:(Some st.topology)
 
 (* Start a computation for either entity (Figure 4 lines 3-5, Figure 5
-   lines 20-21): the proposal is fixed by the inputs now, and [finish]
-   re-checks it against the live R at +Tc.  [event] is [No_event] for
-   the triggered entity. *)
-let launch t mc (st : Mc_state.t) ~event finish =
+   lines 20-21): the proposal is fixed by the inputs now, and its
+   completion, when the driver fires the [Compute] timer [Tc] later,
+   re-checks it against the live R.  [event] is [No_event] for the
+   triggered entity. *)
+let launch t mc (st : Mc_state.t) ~event =
   let old_r = st.r in
   let proposal = compute_proposal t st mc in
   let trace_id =
@@ -209,11 +235,10 @@ let launch t mc (st : Mc_state.t) ~event finish =
            })
     else -1
   in
-  let comp : Mc_state.computation = { old_r; event; proposal; trace_id } in
-  ignore
-    (Sim.Engine.schedule t.engine ~delay:t.config.tc (fun () ->
-         finish t mc st comp));
-  comp
+  t.compute_seq <- t.compute_seq + 1;
+  let id = t.compute_seq in
+  t.sink (Start { timer = Compute { mc; id }; delay = t.config.tc });
+  { Mc_state.id; old_r; event; proposal; trace_id }
 
 (* Count a completed computation, and whether it was withdrawn stale. *)
 let count_completion t ~withdrawn =
@@ -289,7 +314,7 @@ and event_handler t mc event =
   if Timestamp.geq st.r st.e then
     (* Lines 3-5: no outstanding LSAs — compute a proposal. *)
     st.event_computations <-
-      st.event_computations @ [ launch t mc st ~event event_completion ]
+      st.event_computations @ [ launch t mc st ~event ]
   else begin
     (* Lines 15-17: outstanding LSAs — flood the bare event and defer the
        proposal decision to ReceiveLSA. *)
@@ -301,34 +326,32 @@ and event_handler t mc event =
 (* Lines 6-14, run at computation completion. *)
 and event_completion t mc (st : Mc_state.t) (comp : Mc_state.computation) =
   remove_computation st comp;
-  if state_current t mc st then begin
-    let withdrawn =
-      not
-        (Timestamp.equal comp.old_r st.r
-        (* Fault injection: treat a stale result as valid — the protocol
-           bug the model checker exists to catch. *)
-        || Config.injects t.config Config.Skip_stale_withdrawal)
-    in
-    count_completion t ~withdrawn;
-    Sim.Trace.with_context t.trace (proposal_made t mc comp ~withdrawn)
-      (fun () ->
-        if withdrawn then begin
-          (* Lines 11-13: R advanced during the computation — withdraw,
-             but the event itself must still be advertised. *)
-          flood_lsa t mc ~event:comp.event ~proposal:None ~stamp:comp.old_r ();
-          st.flag <- true
-        end
-        else begin
-          (* Lines 7-10: proposal still valid — flood it and adopt it.
-             The member snapshot corresponds to [old_r] (= R, no events
-             arrived during the computation). *)
-          flood_lsa t mc ~event:comp.event ~proposal:(Some comp.proposal)
-            ~members:st.members ~stamp:comp.old_r ();
-          st.flag <- false;
-          install t st mc ~stamp:comp.old_r ~tree:comp.proposal
-        end);
-    maybe_delete t mc st
-  end
+  let withdrawn =
+    not
+      (Timestamp.equal comp.old_r st.r
+      (* Fault injection: treat a stale result as valid — the protocol
+         bug the model checker exists to catch. *)
+      || Config.injects t.config Config.Skip_stale_withdrawal)
+  in
+  count_completion t ~withdrawn;
+  Sim.Trace.with_context t.trace (proposal_made t mc comp ~withdrawn)
+    (fun () ->
+      if withdrawn then begin
+        (* Lines 11-13: R advanced during the computation — withdraw,
+           but the event itself must still be advertised. *)
+        flood_lsa t mc ~event:comp.event ~proposal:None ~stamp:comp.old_r ();
+        st.flag <- true
+      end
+      else begin
+        (* Lines 7-10: proposal still valid — flood it and adopt it.
+           The member snapshot corresponds to [old_r] (= R, no events
+           arrived during the computation). *)
+        flood_lsa t mc ~event:comp.event ~proposal:(Some comp.proposal)
+          ~members:st.members ~stamp:comp.old_r ();
+        st.flag <- false;
+        install t st mc ~stamp:comp.old_r ~tree:comp.proposal
+      end);
+  maybe_delete t mc st
 
 (* ------------------------------------------------------------------ *)
 (* ReceiveLSA (Figure 5) *)
@@ -452,34 +475,28 @@ let rec run_invocation t mc (st : Mc_state.t) =
   maybe_delete t mc st
 
 and start_triggered t mc (st : Mc_state.t) =
-  st.triggered <-
-    Some (launch t mc st ~event:Mc_lsa.No_event triggered_completion)
+  st.triggered <- Some (launch t mc st ~event:Mc_lsa.No_event)
 
 (* Lines 22-31, run at computation completion. *)
 and triggered_completion t mc (st : Mc_state.t) (comp : Mc_state.computation) =
-  if st.triggered <> None then begin
-    st.triggered <- None;
-    if state_current t mc st then begin
-      let withdrawn =
-        not (Queue.is_empty st.mailbox && Timestamp.equal comp.old_r st.r)
-      in
-      count_completion t ~withdrawn;
-      (* Lines 23-27: still up to date — flood, install, expect no more.
-         Lines 28-30: obsolete — withdraw silently. *)
-      if not withdrawn then
-        Sim.Trace.with_context t.trace
-          (proposal_made t mc comp ~withdrawn:false)
-          (fun () ->
-            flood_lsa t mc ~event:Mc_lsa.No_event
-              ~proposal:(Some comp.proposal) ~members:st.members
-              ~stamp:comp.old_r ();
-            st.e <- comp.old_r;
-            st.flag <- false;
-            install t st mc ~stamp:comp.old_r ~tree:comp.proposal);
-      if not (Queue.is_empty st.mailbox) then run_invocation t mc st
-      else maybe_delete t mc st
-    end
-  end
+  st.triggered <- None;
+  let withdrawn =
+    not (Queue.is_empty st.mailbox && Timestamp.equal comp.old_r st.r)
+  in
+  count_completion t ~withdrawn;
+  (* Lines 23-27: still up to date — flood, install, expect no more.
+     Lines 28-30: obsolete — withdraw silently. *)
+  if not withdrawn then
+    Sim.Trace.with_context t.trace
+      (proposal_made t mc comp ~withdrawn:false)
+      (fun () ->
+        flood_lsa t mc ~event:Mc_lsa.No_event ~proposal:(Some comp.proposal)
+          ~members:st.members ~stamp:comp.old_r ();
+        st.e <- comp.old_r;
+        st.flag <- false;
+        install t st mc ~stamp:comp.old_r ~tree:comp.proposal);
+  if not (Queue.is_empty st.mailbox) then run_invocation t mc st
+  else maybe_delete t mc st
 
 (* ------------------------------------------------------------------ *)
 (* Database resynchronisation (extension; see mli) *)
@@ -758,7 +775,7 @@ let finish_resync t ~reason =
   match t.resync_session with
   | None -> ()
   | Some s ->
-    Option.iter Sim.Engine.cancel s.rs_deadline;
+    t.sink (Cancel (Resync_deadline s.rs_id));
     t.resync_session <- None;
     tracef t "resync" "sw%d session %d finished (%s)" t.id s.rs_id reason;
     Metrics.Registry.incr t.metrics ?switch:t.label
@@ -792,11 +809,12 @@ let resync_transport_failed t ~peer =
   | None -> ()
   | Some s ->
     if List.exists (fun p -> p = peer) s.rs_outstanding then begin
-      s.rs_outstanding <- List.filter (fun p -> p <> peer) s.rs_outstanding;
+      let outstanding = List.filter (fun p -> p <> peer) s.rs_outstanding in
+      t.resync_session <- Some { s with rs_outstanding = outstanding };
       tracef t "resync" "sw%d gives up on neighbor sw%d" t.id peer;
       Metrics.Registry.incr t.metrics ?switch:t.label "switch.resync_giveups";
       (* Every neighbor gave up without a delta. *)
-      if s.rs_outstanding = [] then finish_resync t ~reason:"exhausted"
+      if outstanding = [] then finish_resync t ~reason:"exhausted"
     end
 
 let begin_resync_impl t =
@@ -805,7 +823,7 @@ let begin_resync_impl t =
      restart — the queue belongs to the switch, not the session). *)
   (match t.resync_session with
   | Some s ->
-    Option.iter Sim.Engine.cancel s.rs_deadline;
+    t.sink (Cancel (Resync_deadline s.rs_id));
     t.resync_session <- None;
     tracef t "resync" "sw%d restarts resync (session %d superseded)" t.id
       s.rs_id
@@ -820,25 +838,21 @@ let begin_resync_impl t =
     tracef t "resync" "sw%d recovers with no live neighbors (degraded)" t.id;
     Metrics.Registry.incr t.metrics ?switch:t.label "switch.resyncs_degraded"
   | neighbors ->
-    let s =
-      {
-        rs_id = sid;
-        rs_outstanding = neighbors;
-        rs_deadline = None;
-        rs_started = Sim.Engine.now t.engine;
-      }
-    in
     (* Install the session before sending: under the model-checking
        harness a summary to a crashed neighbor gives up synchronously. *)
-    t.resync_session <- Some s;
-    s.rs_deadline <-
+    t.resync_session <-
       Some
-        (Sim.Engine.schedule t.engine
-           ~delay:(Config.resync_deadline_hops t.config *. t.config.Config.t_hop)
-           (fun () ->
-             match t.resync_session with
-             | Some s' when s'.rs_id = sid -> finish_resync t ~reason:"deadline"
-             | Some _ | None -> ()));
+        {
+          rs_id = sid;
+          rs_outstanding = neighbors;
+          rs_started = Sim.Engine.now t.engine;
+        };
+    t.sink
+      (Start
+         {
+           timer = Resync_deadline sid;
+           delay = Config.resync_deadline_hops t.config *. t.config.Config.t_hop;
+         });
     let summary = build_summary t sid in
     List.iter
       (fun nb ->
@@ -945,6 +959,23 @@ let deliver t = function
   | Mc lsa -> receive t lsa
   | Link ev -> Lsr.Lsdb.apply t.lsdb ev
   | Resync msg -> receive_resync t msg
+
+(* A computation is found by its id: completing one removes it, so a
+   second firing of its timer finds nothing. *)
+let fire t = function
+  | Compute { mc; id } -> (
+    match get_state t mc with
+    | None -> ()
+    | Some st -> (
+      let is_it (c : Mc_state.computation) = c.id = id in
+      match (List.find_opt is_it st.event_computations, st.triggered) with
+      | Some comp, _ -> event_completion t mc st comp
+      | None, Some comp when is_it comp -> triggered_completion t mc st comp
+      | None, (Some _ | None) -> ()))
+  | Resync_deadline session -> (
+    match t.resync_session with
+    | Some s when s.rs_id = session -> finish_resync t ~reason:"deadline"
+    | Some _ | None -> ())
 
 (* ------------------------------------------------------------------ *)
 (* Introspection *)

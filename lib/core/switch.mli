@@ -9,10 +9,12 @@
     became stale, exactly as the paper prescribes.
 
     A switch is the one owner of how it reacts to the network: its
-    driver hands it every received payload through {!deliver} and every
-    change on an incident link through {!detect}.  It never touches a
-    wire itself: each flood, resync unicast and change signal is one
-    {!output} handed to the sink its driver {!connect}s. *)
+    driver hands it every received payload through {!deliver}, every
+    change on an incident link through {!detect} and every due timer
+    through {!fire}.  It never touches a wire or a calendar itself: each
+    flood, resync unicast, change signal, timer start and timer cancel
+    is one {!output} handed to the sink its driver {!connect}s.  So a
+    switch holds no closure and {!copy} is a plain structural copy. *)
 
 type stats = private {
   mutable computations : int;
@@ -31,12 +33,27 @@ type payload =
       (** A crash-recovery resynchronisation message, unicast between
           neighbors — never flooded (extension; see {!begin_resync}). *)
 
+(** A timer a switch asks its driver to run: plain data, handed back
+    through {!fire} when due. *)
+type timer =
+  | Compute of { mc : Mc_id.t; id : int }
+      (** The completion of topology computation [id] for [mc], [Tc]
+          after it started. *)
+  | Resync_deadline of int
+      (** The deadline of crash-recovery session [id] ({!begin_resync}). *)
+
 (** What a switch emits. *)
 type output =
   | Flood of payload  (** An MC LSA, or a link event detected or adopted. *)
   | Send of { peer : int; msg : Resync.msg }
       (** A resynchronisation unicast to a neighbor. *)
   | Changed  (** A topology, member list or MC state changed. *)
+  | Start of { timer : timer; delay : float }
+      (** Fire [timer] [delay] simulated seconds from now.  Timers due at
+          the same instant fire in start order. *)
+  | Cancel of timer
+      (** Drop [timer] if still pending.  Only a resync deadline is ever
+          cancelled, when its session finishes or is superseded. *)
 
 type t
 
@@ -51,8 +68,9 @@ val create :
 (** [boot] seeds the switch's link-state image ({!Lsr.Lsdb.create}:
     shared with the run's other switches until this one applies a link
     change).
-    The switch records into [engine]'s sinks ({!Sim.Engine.trace} and
-    {!Sim.Engine.metrics}).
+    The switch reads [engine]'s clock and records into its sinks
+    ({!Sim.Engine.trace} and {!Sim.Engine.metrics}); it schedules
+    nothing on it.
 
     An enabled trace receives structured events for every protocol
     transition: [Compute_started] when a topology computation begins
@@ -84,6 +102,17 @@ val connect : t -> (output -> unit) -> unit
 (** [connect t sink]: hand every {!output} of [t] to [sink], in emission
     order.  A switch that is not connected raises [Invalid_argument] on
     its first output of any kind. *)
+
+val copy : t -> t
+(** An independent switch in [t]'s exact state: later inputs to either
+    never reach the other, and equal inputs produce equal outputs.  It
+    shares [t]'s engine and is not connected. *)
+
+val fire : t -> timer -> unit
+(** Run a due timer: complete the computation (the withdrawal check,
+    then flood and install or withdraw) or end the session at its
+    deadline.  A timer whose computation already completed or whose
+    session is no longer the live one does nothing. *)
 
 (** {1 Local events (EventHandler)} *)
 

@@ -11,7 +11,6 @@ type nb = {
 type t = {
   engine : Sim.Engine.t;
   cfg : Config.t;
-  self : int;
   nbs : nb array;  (* ascending peer order *)
   send : peer:int -> unit;
   declare : peer:int -> up:bool -> unit;
@@ -19,7 +18,7 @@ type t = {
   mutable n_flaps : int;
 }
 
-let create ~engine ~config ~self ~peers ~send ~declare ~on_suppress =
+let create ~engine ~config ~peers ~send ~declare ~on_suppress =
   (match Config.validate config with
   | Ok () -> ()
   | Error e -> invalid_arg ("Hello.create: " ^ e));
@@ -50,7 +49,7 @@ let create ~engine ~config ~self ~peers ~send ~declare ~on_suppress =
            })
     |> Array.of_list
   in
-  { engine; cfg = config; self; nbs; send; declare; on_suppress; n_flaps = 0 }
+  { engine; cfg = config; nbs; send; declare; on_suppress; n_flaps = 0 }
 
 let find t peer =
   let rec go i =

@@ -20,14 +20,13 @@ type t
 val create :
   engine:Sim.Engine.t ->
   config:Config.t ->
-  self:int ->
   peers:int list ->
   send:(peer:int -> unit) ->
   declare:(peer:int -> up:bool -> unit) ->
   on_suppress:(peer:int -> resumed:bool -> unit) ->
   t
 (** [peers] are the switches sharing a configured (up or down) edge with
-    [self]; every adjacency starts believed up with a fresh detector.
+    the agent's switch; every adjacency starts believed up with a fresh detector.
     [declare] is invoked only on belief {e changes}, [on_suppress] when
     damping suppresses ([resumed = false]) or readmits an adjacency. *)
 

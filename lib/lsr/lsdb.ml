@@ -15,14 +15,21 @@ let boot g = Net.Graph.copy g
 type t = {
   mutable image : Net.Graph.t;
   mutable shared : bool;
-      (* [image] is still the run's boot image, read by every database
-         that has not flipped a link yet; the first flip copies it. *)
+      (* [image] may be read by another database: the run's boot image
+         before this database flipped a link, or an image a {!copy}
+         shares.  The first flip copies it. *)
   versions : int Link_tbl.t;
 }
 
 let create boot = { image = boot; shared = true; versions = Link_tbl.create 16 }
 
 let graph t = t.image
+
+(* After a copy neither side owns the image: the first flip on either
+   side copies it. *)
+let copy t =
+  t.shared <- true;
+  { t with versions = Link_tbl.copy t.versions }
 
 let key u v = if u < v then (u, v) else (v, u)
 
@@ -44,6 +51,8 @@ let apply t { u; v; up; version = ver } =
 type clock = int Link_tbl.t
 
 let clock () = Link_tbl.create 16
+
+let copy_clock = Link_tbl.copy
 
 let stamp c u v ~up =
   let k = key u v in

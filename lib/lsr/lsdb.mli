@@ -54,6 +54,11 @@ val graph : t -> Net.Graph.t
     flipping {!apply}, a private copy from then on.  Callers must not
     mutate it, nor hold it across an [apply]. *)
 
+val copy : t -> t
+(** An independent database with [t]'s image and versions.  O(links
+    applied): the two share the image copy-on-write, so whichever flips
+    a link first copies it. *)
+
 val apply : t -> link_event -> unit
 (** Update the image.  An event that changes a link's state copies a
     still-shared image first; one that only raises the link's version
@@ -71,6 +76,9 @@ type clock
 
 val clock : unit -> clock
 (** A clock at which every link is at version 0. *)
+
+val copy_clock : clock -> clock
+(** [copy_clock c] is an independent clock at [c]'s versions. *)
 
 val stamp : clock -> int -> int -> up:bool -> link_event
 (** [stamp c u v ~up] is the next change of the link between [u] and

@@ -42,9 +42,9 @@ let test_two_concurrent_joins () =
     (o.states > 10);
   check_counts (1047, 3266, 1) o
 
-let test_join_vs_link_failure () =
-  (* Settle two members first, find a link their agreed tree uses, then
-     race a third join against that link's failure. *)
+(* Settle two members first, find a link their agreed tree uses, then
+   race a third join against that link's failure. *)
+let link_failure_race () =
   let graph = Net.Topo_gen.ring 4 in
   let probe =
     Check.Harness.create ~graph ~config:Dgmc.Config.atm_lan ()
@@ -62,12 +62,14 @@ let test_join_vs_link_failure () =
     | e :: _ -> e
     | [] -> Alcotest.fail "settled topology has no edges"
   in
-  let scenario =
+  ( (u, v),
     base_scenario
       ~setup:[ join 0; join 2 ]
       ~race:[ join 1; Check.Harness.Action (Link_down (u, v)) ]
-      ()
-  in
+      () )
+
+let test_join_vs_link_failure () =
+  let (u, v), scenario = link_failure_race () in
   let o = Check.Explore.run scenario in
   Format.printf "join-vs-linkdown (%d,%d): %a@." u v Check.Explore.pp_outcome o;
   (match o.found with
@@ -78,6 +80,71 @@ let test_join_vs_link_failure () =
   Alcotest.(check bool) "exploration complete" true o.complete;
   Alcotest.(check bool) "reached terminal states" true (o.terminals > 0);
   check_counts (106076, 439939, 4) o
+
+(* --- branching by copy --- *)
+
+let crash_recover_race () =
+  base_scenario
+    ~setup:[ join 0; join 2 ]
+    ~race:[ Check.Harness.Crash 1; join 3; Check.Harness.Recover 1 ]
+    ()
+
+let action_to_string = function
+  | Check.Harness.Deliver { dst; msg } -> Printf.sprintf "deliver %d to %d" msg dst
+  | Complete i -> Printf.sprintf "complete at %d" i
+
+(* Every successor of every distinct state up to depth 4, branched from
+   a copy of its parent (itself a copy, below the root), must digest as
+   a fresh replay of its prefix does, and branching must leave the
+   parent's digest and enabled actions as they were: a copy aliasing a
+   queue, a table or a mutable record of its parent fails one of the
+   two. *)
+let check_copy_matches_replay scenario =
+  let seen = Hashtbl.create 256 in
+  let edges = ref 0 in
+  let rec visit depth prefix parent =
+    let digest = Check.Harness.digest parent in
+    let enabled = List.map action_to_string (Check.Harness.enabled parent) in
+    List.iter
+      (fun act ->
+        let h = Check.Harness.copy parent in
+        Check.Harness.apply h act;
+        incr edges;
+        let prefix = prefix @ [ act ] in
+        let d = Check.Harness.digest h in
+        Alcotest.(check string)
+          "copy then apply digests as the replay"
+          (Digest.to_hex (Check.Harness.digest (Check.Explore.build scenario prefix)))
+          (Digest.to_hex d);
+        Alcotest.(check string) "parent digest unchanged" (Digest.to_hex digest)
+          (Digest.to_hex (Check.Harness.digest parent));
+        Alcotest.(check (list string)) "parent enabled unchanged" enabled
+          (List.map action_to_string (Check.Harness.enabled parent));
+        if depth < 4 && not (Hashtbl.mem seen d) then begin
+          Hashtbl.add seen d ();
+          visit (depth + 1) prefix h
+        end)
+      (Check.Harness.enabled parent)
+  in
+  visit 1 [] (Check.Explore.build scenario []);
+  Format.printf "copy vs replay: %d edges from %d states@." !edges
+    (1 + Hashtbl.length seen);
+  Alcotest.(check bool) "branched at every depth" true (!edges > 20)
+
+let test_copy_matches_replay_crash () =
+  check_copy_matches_replay (crash_recover_race ())
+
+(* With the link also healing, a switch can flip the same link twice
+   within the depth, the second time on an image it owns: a copy must
+   not flip its parent's. *)
+let test_copy_matches_replay_link_failure () =
+  let (u, v), scenario = link_failure_race () in
+  check_copy_matches_replay scenario;
+  check_copy_matches_replay
+    {
+      scenario with
+      race = scenario.race @ [ Check.Harness.Action (Link_up (u, v)) ];
+    }
 
 (* --- the checker catches a broken protocol variant --- *)
 
@@ -146,13 +213,7 @@ let test_crash_recover_interleavings () =
      join's floods and computations must end in network-wide agreement —
      exactly what the fuzzer's crash seeds (1113 et al.) sample one
      schedule of. *)
-  let scenario =
-    base_scenario
-      ~setup:[ join 0; join 2 ]
-      ~race:[ Check.Harness.Crash 1; join 3; Check.Harness.Recover 1 ]
-      ()
-  in
-  let o = Check.Explore.run scenario in
+  let o = Check.Explore.run (crash_recover_race ()) in
   Format.printf "crash-recover vs join: %a@." Check.Explore.pp_outcome o;
   (match o.found with
   | Some v ->
@@ -840,6 +901,10 @@ let () =
             test_crash_recover_interleavings;
           Alcotest.test_case "overlapping crash windows: exhaustive" `Slow
             test_crash_overlapping_crash;
+          Alcotest.test_case "copy matches replay (crash + recover)" `Quick
+            test_copy_matches_replay_crash;
+          Alcotest.test_case "copy matches replay (link failure)" `Quick
+            test_copy_matches_replay_link_failure;
         ] );
       ( "resync",
         [

@@ -9,7 +9,8 @@ let mc = Dgmc.Mc_id.make Dgmc.Mc_id.Symmetric 1
 
 let grid () = Net.Topo_gen.grid ~rows:2 ~cols:3 ()
 
-(* A harness around one switch: records every output it emits. *)
+(* A harness around one switch: records every output it emits and, as
+   Protocol does, schedules every timer it starts on the engine. *)
 type harness = {
   engine : Sim.Engine.t;
   sw : Dgmc.Switch.t;
@@ -23,7 +24,14 @@ let harness ?(id = 5) () =
       ~boot:(Lsr.Lsdb.boot (grid ())) ()
   in
   let outputs = ref [] in
-  Dgmc.Switch.connect sw (fun o -> outputs := o :: !outputs);
+  Dgmc.Switch.connect sw (fun o ->
+      outputs := o :: !outputs;
+      match o with
+      | Start { timer; delay } ->
+        ignore
+          (Sim.Engine.schedule engine ~delay (fun () ->
+               Dgmc.Switch.fire sw timer))
+      | Flood _ | Send _ | Changed | Cancel _ -> ());
   { engine; sw; outputs }
 
 let outputs h = List.rev !(h.outputs)
@@ -321,6 +329,67 @@ let test_detect_requires_sink () =
       Dgmc.Switch.detect (unconnected ())
         { Lsr.Lsdb.u = 0; v = 1; up = false; version = 1 })
 
+let test_join_starts_computation_timer () =
+  (* A join's computation is a Start output: nothing lands on the
+     engine, and nothing floods, until the driver runs the timer. *)
+  let engine = Sim.Engine.create () in
+  let sw =
+    Dgmc.Switch.create ~id:5 ~n:6 ~config:Dgmc.Config.atm_lan ~engine
+      ~boot:(Lsr.Lsdb.boot (grid ())) ()
+  in
+  let outputs = ref [] in
+  Dgmc.Switch.connect sw (fun o -> outputs := o :: !outputs);
+  Dgmc.Switch.host_join sw mc Dgmc.Member.Both;
+  let starts =
+    List.filter_map
+      (function
+        | Dgmc.Switch.Start { timer; delay } -> Some (timer, delay) | _ -> None)
+      !outputs
+  in
+  let timer =
+    match starts with
+    | [ ((Compute { mc = m; _ } as timer), delay) ] ->
+      check Alcotest.bool "for the joined MC" true (Dgmc.Mc_id.equal m mc);
+      check (Alcotest.float 0.0) "delay is Tc" Dgmc.Config.atm_lan.tc delay;
+      timer
+    | l -> Alcotest.failf "expected one Compute start, got %d" (List.length l)
+  in
+  check Alcotest.int "nothing on the engine" 0 (Sim.Engine.pending engine);
+  let mc_floods () =
+    List.filter_map
+      (function Dgmc.Switch.Flood (Mc lsa) -> Some lsa | _ -> None)
+      !outputs
+  in
+  check Alcotest.int "nothing flooded before the timer" 0
+    (List.length (mc_floods ()));
+  ignore
+    (Sim.Engine.schedule engine ~delay:Dgmc.Config.atm_lan.tc (fun () ->
+         Dgmc.Switch.fire sw timer));
+  Sim.Engine.run engine;
+  (match mc_floods () with
+  | [ lsa ] ->
+    check Alcotest.bool "floods the proposal" true
+      (Option.equal Mctree.Tree.equal lsa.proposal
+         (Dgmc.Switch.topology sw mc))
+  | l -> Alcotest.failf "expected one flood, got %d" (List.length l));
+  check Alcotest.bool "installs a tree over the member" true
+    (match Dgmc.Switch.topology sw mc with
+    | Some tree -> Mctree.Tree.Int_set.mem 5 (Mctree.Tree.terminals tree)
+    | None -> false);
+  let before = List.length !outputs in
+  let stamps = Dgmc.Switch.stamps sw mc in
+  Dgmc.Switch.fire sw timer;
+  check Alcotest.int "a second firing emits nothing" before
+    (List.length !outputs);
+  check Alcotest.int "and completes nothing" 1
+    (Dgmc.Switch.stats sw).computations;
+  check Alcotest.bool "nor moves a stamp" true
+    (Option.equal
+       (fun (r, e, c) (r', e', c') ->
+         Dgmc.Timestamp.equal r r' && Dgmc.Timestamp.equal e e'
+         && Dgmc.Timestamp.equal c c')
+       stamps (Dgmc.Switch.stamps sw mc))
+
 let () =
   Alcotest.run "dgmc-switch"
     [
@@ -363,5 +432,7 @@ let () =
           Alcotest.test_case "output sink required" `Quick test_sink_required;
           Alcotest.test_case "detect requires a sink" `Quick
             test_detect_requires_sink;
+          Alcotest.test_case "a join starts a timer the driver fires" `Quick
+            test_join_starts_computation_timer;
         ] );
     ]
