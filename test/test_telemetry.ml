@@ -322,7 +322,64 @@ let check_wiring_reaches_every_layer () =
            (fun ((k : Metrics.Registry.key), _) ->
              String.starts_with ~prefix k.name)
            counters))
-    [ "protocol."; "switch."; "flood."; "faults." ]
+    [ "protocol."; "switch."; "flood."; "faults." ];
+  (* Each fact the registry counts is the fact the layer reports: the
+     per-switch and per-source counters summed over their labels. *)
+  let sum name =
+    List.fold_left
+      (fun acc ((k : Metrics.Registry.key), v) ->
+        if String.equal k.name name then acc + v else acc)
+      0 (Metrics.Registry.snapshot metrics).counters
+  in
+  let pairs (t : Dgmc.Protocol.totals) =
+    [
+      ("switch.computations", t.computations);
+      ("switch.computations_withdrawn", t.computations_withdrawn);
+      ("switch.proposals_flooded", t.proposals_flooded);
+      ("switch.proposals_accepted", t.proposals_accepted);
+      ("protocol.events", t.events);
+      ("protocol.mc_floodings", t.mc_floodings);
+      ("protocol.link_floodings", t.link_floodings);
+      ("flood.messages", t.messages);
+      ("flood.acks", t.acks);
+      ("flood.retransmissions", t.retransmissions);
+    ]
+  in
+  let check_faults () =
+    let c = Faults.Plan.counters faults in
+    List.iter
+      (fun (name, v) -> check int (name ^ " matches the plan") v (sum name))
+      [
+        ("faults.transmissions", c.transmissions);
+        ("faults.delivered", c.delivered);
+        ("faults.dropped", c.dropped);
+        ("faults.duplicated", c.duplicated);
+        ("faults.reordered", c.reordered);
+        ("faults.blocked_crash", c.blocked_crash);
+        ("faults.blocked_partition", c.blocked_partition);
+      ]
+  in
+  let first = Dgmc.Protocol.totals net in
+  List.iter
+    (fun (name, v) -> check int (name ^ " matches the totals") v (sum name))
+    (pairs first);
+  check_faults ();
+  (* A reset restarts the totals; the registry keeps counting. *)
+  Dgmc.Protocol.reset_counters net;
+  let at = Sim.Engine.now (Dgmc.Protocol.engine net) in
+  Dgmc.Protocol.schedule_join net ~at ~switch:1 mc Both;
+  Dgmc.Protocol.schedule_leave net ~at ~switch:3 mc;
+  Dgmc.Protocol.schedule_link_down net ~at 6 7;
+  Dgmc.Protocol.run net;
+  let second = Dgmc.Protocol.totals net in
+  check int "the totals count only the second burst's events" 3 second.events;
+  check bool "the second burst floods a link event" true
+    (second.link_floodings > 0);
+  List.iter2
+    (fun (name, a) (_, b) ->
+      check int (name ^ " counts both bursts") (a + b) (sum name))
+    (pairs first) (pairs second);
+  check_faults ()
 
 (* A monitor attached with no trace argument still writes its violation
    notes into the trace the protocol was created with. *)
