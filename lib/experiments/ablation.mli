@@ -20,7 +20,7 @@ type incremental_row = {
 
 val incremental_vs_scratch :
   ?seeds:int list -> ?n:int -> ?churn_events:int -> unit -> incremental_row list
-(** Session workload (burst + churn) once with incremental updates and
+(** A burst-then-churn workload once with incremental updates and
     once forcing every computation from scratch. *)
 
 type heuristic_row = {

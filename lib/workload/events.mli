@@ -1,7 +1,7 @@
 (** Timed network-event schedules — the protocol-independent description
     of a workload.
 
-    Generators ({!Bursty}, {!Poisson}, {!Session}) produce schedules;
+    Generators ({!Bursty}, {!Poisson}) produce schedules;
     adapters inject them into a protocol instance.  Keeping the schedule
     first-class lets the same workload drive D-GMC and every baseline,
     which is what makes the comparison benchmarks fair. *)

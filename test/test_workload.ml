@@ -237,71 +237,6 @@ let test_poisson_gap_scale () =
     Alcotest.failf "mean gap off: %f" mean_gap
 
 (* ------------------------------------------------------------------ *)
-(* Session *)
-
-(* The member set a schedule leaves behind, replayed in time order. *)
-let members_after events =
-  List.fold_left
-    (fun members (e : Workload.Events.t) ->
-      match e.action with
-      | Workload.Events.Join { switch; _ } ->
-        List.sort_uniq Int.compare (switch :: members)
-      | Workload.Events.Leave { switch; _ } ->
-        List.filter (fun x -> x <> switch) members
-      | Workload.Events.Link_down _ | Workload.Events.Link_up _ -> members)
-    [] (Workload.Events.sort events)
-
-let test_session_phases () =
-  let rng = Sim.Rng.create 13 in
-  let phases =
-    Workload.Session.lifecycle rng ~n:30 ~mc:mc_sym ~participants:8
-      ~arrival_window:1.0 ~churn_events:10 ~churn_mean_gap:2.0
-      ~departure_window:1.0 ()
-  in
-  check Alcotest.int "arrivals" 8 (List.length phases.arrivals);
-  check Alcotest.int "churn" 10 (List.length phases.churn);
-  (* Departures drain exactly the members alive after churn. *)
-  let alive = members_after (phases.arrivals @ phases.churn) in
-  check Alcotest.int "departures = survivors" (List.length alive)
-    (List.length phases.departures);
-  (* Whole lifecycle ends with nobody. *)
-  check Alcotest.(list int) "empty at the end" []
-    (members_after (Workload.Session.all phases))
-
-let test_session_phase_ordering () =
-  let rng = Sim.Rng.create 14 in
-  let phases =
-    Workload.Session.lifecycle rng ~n:30 ~mc:mc_sym ~participants:5
-      ~arrival_window:1.0 ~churn_events:5 ~churn_mean_gap:2.0
-      ~departure_window:1.0 ()
-  in
-  let max_time es =
-    List.fold_left (fun a (e : Workload.Events.t) -> Float.max a e.time) 0.0 es
-  in
-  let min_time es =
-    List.fold_left (fun a (e : Workload.Events.t) -> Float.min a e.time) infinity es
-  in
-  check Alcotest.bool "arrivals before churn" true
-    (max_time phases.arrivals <= min_time phases.churn);
-  check Alcotest.bool "churn before departures" true
-    (max_time phases.churn <= min_time phases.departures)
-
-let test_session_runs_to_convergence () =
-  let graph = Experiments.Harness.graph_for ~seed:3 ~n:25 in
-  let net = Dgmc.Protocol.create ~graph ~config:Dgmc.Config.atm_lan () in
-  let rng = Sim.Rng.create 15 in
-  let round = Dgmc.Config.round_length Dgmc.Config.atm_lan ~graph in
-  let phases =
-    Workload.Session.lifecycle rng ~n:25 ~mc:mc_sym ~participants:6
-      ~arrival_window:round ~churn_events:8 ~churn_mean_gap:(10.0 *. round)
-      ~departure_window:round ()
-  in
-  Workload.Events.apply_dgmc net (Workload.Session.all phases);
-  Dgmc.Protocol.run net;
-  check Alcotest.bool "full lifecycle converges" true
-    (Dgmc.Protocol.converged net mc_sym)
-
-(* ------------------------------------------------------------------ *)
 (* Scenario scripts *)
 
 let sample_script = {|
@@ -596,13 +531,6 @@ let () =
             test_poisson_leaves_only_members;
           Alcotest.test_case "initial seeds" `Quick test_poisson_initial_seeds;
           Alcotest.test_case "gap scale" `Quick test_poisson_gap_scale;
-        ] );
-      ( "session",
-        [
-          Alcotest.test_case "phases" `Quick test_session_phases;
-          Alcotest.test_case "phase ordering" `Quick test_session_phase_ordering;
-          Alcotest.test_case "lifecycle converges" `Quick
-            test_session_runs_to_convergence;
         ] );
       ( "script",
         [
