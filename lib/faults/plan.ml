@@ -81,6 +81,30 @@ type counters = {
   blocked_partition : int;
 }
 
+(* The [faults.*] counters of the registry the plan is instrumented
+   with, one handle per field of [counters]. *)
+type counts = {
+  transmissions : Metrics.Registry.counter;
+  delivered : Metrics.Registry.counter;
+  dropped : Metrics.Registry.counter;
+  duplicated : Metrics.Registry.counter;
+  reordered : Metrics.Registry.counter;
+  blocked_crash : Metrics.Registry.counter;
+  blocked_partition : Metrics.Registry.counter;
+}
+
+let counts metrics =
+  let counter = Metrics.Registry.counter metrics in
+  {
+    transmissions = counter "faults.transmissions";
+    delivered = counter "faults.delivered";
+    dropped = counter "faults.dropped";
+    duplicated = counter "faults.duplicated";
+    reordered = counter "faults.reordered";
+    blocked_crash = counter "faults.blocked_crash";
+    blocked_partition = counter "faults.blocked_partition";
+  }
+
 type fault_kind =
   | Drop
   | Duplicate
@@ -98,15 +122,8 @@ type t = {
   mutable partitions : (bool array * window) list;
       (* membership is precomputed up to the largest id mentioned;
          switches beyond the array are outside the side *)
-  mutable c_transmissions : int;
-  mutable c_delivered : int;
-  mutable c_dropped : int;
-  mutable c_duplicated : int;
-  mutable c_reordered : int;
-  mutable c_blocked_crash : int;
-  mutable c_blocked_partition : int;
+  mutable counts : counts;
   mutable sim_trace : Sim.Trace.t;
-  mutable metrics : Metrics.Registry.t;
 }
 
 let create ?(spec = spec_default) ~seed () =
@@ -119,20 +136,13 @@ let create ?(spec = spec_default) ~seed () =
     spec;
     crashes = [];
     partitions = [];
-    c_transmissions = 0;
-    c_delivered = 0;
-    c_dropped = 0;
-    c_duplicated = 0;
-    c_reordered = 0;
-    c_blocked_crash = 0;
-    c_blocked_partition = 0;
+    counts = counts Metrics.Registry.disabled;
     sim_trace = Sim.Trace.disabled;
-    metrics = Metrics.Registry.disabled;
   }
 
 let instrument t engine =
   t.sim_trace <- Sim.Engine.trace engine;
-  t.metrics <- Sim.Engine.metrics engine
+  t.counts <- counts (Sim.Engine.metrics engine)
 
 let window ~who ~from_ ~until =
   if not (from_ >= 0.0 && until >= from_ && until < infinity) then
@@ -185,15 +195,15 @@ let fault_label = function
   | Crash_block who -> Printf.sprintf "blocked(crash %d)" who
   | Partition_block -> "blocked(partition)"
 
-let metric_of_fault = function
-  | Drop -> "faults.dropped"
-  | Duplicate -> "faults.duplicated"
-  | Reorder _ -> "faults.reordered"
-  | Crash_block _ -> "faults.blocked_crash"
-  | Partition_block -> "faults.blocked_partition"
+let counter_of_fault c = function
+  | Drop -> c.dropped
+  | Duplicate -> c.duplicated
+  | Reorder _ -> c.reordered
+  | Crash_block _ -> c.blocked_crash
+  | Partition_block -> c.blocked_partition
 
 let record t ~now ~src ~dst fault =
-  Metrics.Registry.incr t.metrics (metric_of_fault fault);
+  Metrics.Registry.bump (counter_of_fault t.counts fault);
   if Sim.Trace.enabled t.sim_trace then
     ignore
       (Sim.Trace.emit t.sim_trace ~time:now
@@ -202,16 +212,13 @@ let record t ~now ~src ~dst fault =
 let transmit t ~src ~dst ~now ~base_delay =
   if not (base_delay > 0.0) then
     invalid_arg "Faults.Plan.transmit: base_delay must be positive";
-  t.c_transmissions <- t.c_transmissions + 1;
-  Metrics.Registry.incr t.metrics "faults.transmissions";
+  Metrics.Registry.bump t.counts.transmissions;
   if crashed t src now || crashed t dst now then begin
     let who = if crashed t src now then src else dst in
-    t.c_blocked_crash <- t.c_blocked_crash + 1;
     record t ~now ~src ~dst (Crash_block who);
     []
   end
   else if separated t src dst now then begin
-    t.c_blocked_partition <- t.c_blocked_partition + 1;
     record t ~now ~src ~dst Partition_block;
     []
   end
@@ -224,7 +231,6 @@ let transmit t ~src ~dst ~now ~base_delay =
     let dropped = draw () < spec.drop in
     let duplicated = draw () < spec.duplicate in
     if dropped then begin
-      t.c_dropped <- t.c_dropped + 1;
       record t ~now ~src ~dst Drop;
       []
     end
@@ -241,40 +247,37 @@ let transmit t ~src ~dst ~now ~base_delay =
               Sim.Rng.float t.rng (spec.reorder_span *. base_delay)
             else 0.0
           in
-          t.c_reordered <- t.c_reordered + 1;
           record t ~now ~src ~dst (Reorder extra);
           d +. extra
         end
         else d
       in
-      (* Constant [~by] arguments are static data, so recording into a
-         disabled registry allocates nothing here. *)
+      (* A constant [~by] argument is static data, so bumping a
+         disabled registry's handle allocates nothing here. *)
       let first = copy () in
       if duplicated then begin
-        t.c_duplicated <- t.c_duplicated + 1;
         record t ~now ~src ~dst Duplicate;
         let second = copy () in
-        t.c_delivered <- t.c_delivered + 2;
-        Metrics.Registry.incr t.metrics ~by:2 "faults.delivered";
+        Metrics.Registry.bump ~by:2 t.counts.delivered;
         [ first; second ]
       end
       else begin
-        t.c_delivered <- t.c_delivered + 1;
-        Metrics.Registry.incr t.metrics "faults.delivered";
+        Metrics.Registry.bump t.counts.delivered;
         [ first ]
       end
     end
   end
 
-let counters t =
+let counters t : counters =
+  let c = t.counts and count = Metrics.Registry.count in
   {
-    transmissions = t.c_transmissions;
-    delivered = t.c_delivered;
-    dropped = t.c_dropped;
-    duplicated = t.c_duplicated;
-    reordered = t.c_reordered;
-    blocked_crash = t.c_blocked_crash;
-    blocked_partition = t.c_blocked_partition;
+    transmissions = count c.transmissions;
+    delivered = count c.delivered;
+    dropped = count c.dropped;
+    duplicated = count c.duplicated;
+    reordered = count c.reordered;
+    blocked_crash = count c.blocked_crash;
+    blocked_partition = count c.blocked_partition;
   }
 
 let crash_windows t =
