@@ -159,3 +159,4 @@ let mc_id = via 16 add_mc_id
 let mc_lsa = via 96 add_mc_lsa
 let link_event = via 24 add_link_event
 let graph_links = via 64 add_graph_links
+let switch = via 512 add_switch

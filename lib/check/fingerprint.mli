@@ -25,8 +25,6 @@ val graph_links : Net.Graph.t -> string
 (** The up/down state of every edge (weights are static, so state is the
     only varying part of a link-state image). *)
 
-val add_switch : Buffer.t -> Dgmc.Switch.t -> unit
-(** Complete protocol state of one switch — every MC snapshot (sorted by
-    MC id) plus the link-state image — appended to a buffer: the model
-    checker digests every explored edge, so the hot path avoids
-    intermediate strings. *)
+val switch : Dgmc.Switch.t -> string
+(** Complete protocol state of one switch: every MC snapshot (sorted by
+    MC id) plus the link-state image. *)

@@ -27,6 +27,9 @@ type t = {
   n : int;
   net_graph : Net.Graph.t;  (* ground truth *)
   switches : Dgmc.Switch.t array;
+  fps : string array;
+      (* Per switch: its rendered fingerprint, [""] once an action or
+         event may have changed it. *)
   timers : timers array;
   msgs : (int, msg) Hashtbl.t;
   mutable next_id : int;
@@ -136,6 +139,7 @@ let create ~graph ~config () =
       switches =
         Array.init n (fun id ->
             Dgmc.Switch.create ~id ~n ~config ~engine ~boot ());
+      fps = Array.make n "";
       timers = Array.make n { now = 0.0; due = [] };
       msgs = Hashtbl.create 64;
       next_id = 0;
@@ -149,12 +153,22 @@ let create ~graph ~config () =
   connect t;
   t
 
+let render_fps t =
+  Array.iteri
+    (fun i sw ->
+      if String.equal t.fps.(i) "" then t.fps.(i) <- Fingerprint.switch sw)
+    t.switches
+
+(* The copy carries [t]'s fingerprints, rendered first, so that each
+   branch re-renders only the switch its action touches. *)
 let copy t =
+  render_fps t;
   let c =
     {
       t with
       net_graph = Net.Graph.copy t.net_graph;
       switches = Array.map Dgmc.Switch.copy t.switches;
+      fps = Array.copy t.fps;
       timers = Array.copy t.timers;
       msgs = Hashtbl.copy t.msgs;
       known = Array.copy t.known;
@@ -184,7 +198,10 @@ let set_truth t mc members =
     :: List.filter (fun (m, _) -> not (Dgmc.Mc_id.equal m mc)) t.truth
     |> List.sort (fun (a, _) (b, _) -> Dgmc.Mc_id.compare a b)
 
+(* An event may touch any switch; an action touches only the one it
+   runs on (a summary it sends to a crashed peer fails back at it). *)
 let inject t ev =
+  Array.fill t.fps 0 t.n "";
   match ev with
   | Action (Join { switch; mc; role }) ->
     set_truth t mc (Dgmc.Member.join (truth_members t mc) switch role);
@@ -307,6 +324,7 @@ let apply t action =
     if not (Int_set.is_empty (Int_set.inter m.past ptol.(dst))) then
       invalid_arg "Harness.apply: delivery not causally enabled";
     remove_pending t dst msg;
+    t.fps.(dst) <- "";
     t.known.(dst) <- Int_set.add msg (Int_set.union t.known.(dst) m.past);
     Dgmc.Switch.deliver t.switches.(dst) m.payload
   | Complete i -> (
@@ -314,6 +332,7 @@ let apply t action =
     | [] -> invalid_arg "Harness.apply: no timer pending at switch"
     | (now, timer) :: due ->
       t.timers.(i) <- { now; due };
+      t.fps.(i) <- "";
       Dgmc.Switch.fire t.switches.(i) timer)
 
 (* Same selection rule as [enabled]'s head — first causally-free
@@ -354,11 +373,12 @@ let settle t =
 let digest t =
   let ptol = pending_to t in
   let b = Buffer.create 2048 in
+  render_fps t;
   Array.iter
-    (fun sw ->
-      Fingerprint.add_switch b sw;
+    (fun fp ->
+      Buffer.add_string b fp;
       Buffer.add_char b '\n')
-    t.switches;
+    t.fps;
   let pool =
     List.map
       (fun (d, id) ->

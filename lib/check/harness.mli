@@ -121,7 +121,10 @@ val digest : t -> string
     protocol state and image, the causally-relevant structure of the
     pending pool, the ground truth.  Message identities are abstracted
     (only payload content and blocking structure matter), so two
-    prefixes reaching semantically identical states collide. *)
+    prefixes reaching semantically identical states collide.  Each
+    switch's part is rendered once and kept (through {!copy} too) until
+    an action runs on that switch or an event is injected, so the
+    switches must change only through {!inject} and {!apply}. *)
 
 val describe : t -> action -> string
 (** Human-readable rendering for counterexample traces. *)

@@ -86,10 +86,10 @@ val create :
     crash windows additionally appear as [Crash]/[Recover] marks (and
     partitions as ["partition"] notes) — these extra trace entries are
     only scheduled when tracing is on, so untraced runs stay
-    byte-for-byte deterministic.  [metrics] mirrors the counters of
-    {!totals} (and the per-switch/flooding/fault internals) into a
-    {!Metrics.Registry} under [protocol.*], [switch.*], [flood.*] and
-    [faults.*] names.
+    byte-for-byte deterministic.  [metrics] is the registry every layer
+    counts in, under [protocol.*], [switch.*], [flood.*], [faults.*] and
+    [health.*] names: the counts behind {!totals} are its counter
+    handles, so the two never disagree.
 
     An enabled [series] turns on the flight recorder: an engine probe
     samples [engine.queue_depth] after every executed event.  The probe
@@ -159,11 +159,13 @@ val run : ?max_events:int -> t -> unit
 (** {1 Measurements} *)
 
 val totals : t -> totals
-(** Aggregated counters since creation (or the last {!reset_counters}). *)
+(** The counts since creation, or since the last {!reset_counters}: the
+    layers' counter handles, summed, minus the baseline the reset stored. *)
 
 val reset_counters : t -> unit
-(** Zero all counters and the activity clock, and set the measurement
-    epoch to the current simulated time.  Call between workload phases. *)
+(** Store the current counts as {!totals}' baseline and clear the
+    activity clock.  The handles, and so the registry, keep counting.
+    Call between workload phases. *)
 
 val first_event_time : t -> float option
 (** Time of the first injected event since the last reset. *)
@@ -178,8 +180,8 @@ val convergence_rounds : t -> float option
     a change have happened. *)
 
 val health_summary : t -> health_summary option
-(** Aggregated link-health statistics; [None] when [Config.health] is
-    unset. *)
+(** Aggregated link-health statistics since creation, summed over the
+    switches' [health.*] handles; [None] when [Config.health] is unset. *)
 
 (** {1 Agreement} *)
 

@@ -95,6 +95,45 @@ let test_registry_counters () =
     (Invalid_argument "Metrics.Registry: a is a counter, not a histogram")
     (fun () -> Metrics.Registry.observe r "a" 1.0)
 
+(* Handles count for their owner and sum under their key: two handles
+   and an [incr] on one key read as one counter, a handle never bumped
+   leaves no key, and a handle of the disabled registry counts alone. *)
+let test_counter_handles () =
+  let module R = Metrics.Registry in
+  let r = R.create () in
+  let a = R.counter r ~switch:1 "h" and b = R.counter r ~switch:1 "h" in
+  let idle = R.counter r "idle" in
+  check Alcotest.bool "creating handles records nothing" true (R.is_empty r);
+  R.bump a;
+  R.bump ~by:3 b;
+  R.incr r ~switch:1 "h";
+  check Alcotest.int "a handle reads its own count" 1 (R.count a);
+  check Alcotest.int "the key sums its handles and incr" 5
+    (R.counter_value r ~switch:1 "h");
+  check
+    Alcotest.(list (pair string int))
+    "one key per (name, label); no key for an idle handle"
+    [ ("h", 5) ]
+    (List.map
+       (fun ((k : R.key), v) -> (k.name, v))
+       (R.snapshot r).counters);
+  check Alcotest.int "an idle handle reads 0" 0 (R.count idle);
+  let per = R.per_switch R.disabled 3 "p" in
+  Array.iter R.bump per;
+  R.bump per.(2);
+  check Alcotest.int "disabled handles count privately" 4 (R.sum per);
+  check Alcotest.bool "the disabled registry stays empty" true
+    (R.is_empty R.disabled);
+  let raised =
+    Domain.join
+      (Domain.spawn (fun () ->
+           match R.bump a with
+           | () -> false
+           | exception Invalid_argument _ -> true))
+  in
+  check Alcotest.bool "a metered bump from another domain raises" true raised;
+  check Alcotest.int "and counts nothing" 1 (R.count a)
+
 (* The log-scale histogram's percentiles vs the exact sorted-sample
    oracle (Metrics.Stats.percentile): geometric buckets with ratio
    2^(1/8) put any quantile within ~4.4% of the true value; allow 10%. *)
@@ -282,6 +321,7 @@ let () =
       ( "registry",
         [
           Alcotest.test_case "counters" `Quick test_registry_counters;
+          Alcotest.test_case "counter handles" `Quick test_counter_handles;
           Alcotest.test_case "histogram vs percentile oracle" `Quick
             test_histogram_vs_oracle;
           Alcotest.test_case "histogram edge cases" `Quick
