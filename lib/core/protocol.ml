@@ -26,6 +26,9 @@ type health_state = {
   recoveries : Metrics.Registry.counter array;  (* up verdicts *)
   false_positives : Metrics.Registry.counter array;
   hellos_sent : Metrics.Registry.counter array;
+  hellos_received : Metrics.Registry.counter array;
+  suppressions : Metrics.Registry.counter array;
+  unsuppressions : Metrics.Registry.counter array;
   mutable latencies : float list;  (* down-detection latencies *)
 }
 
@@ -55,10 +58,10 @@ type t = {
   clock : Lsr.Lsdb.clock;  (** Ground-truth link versions. *)
   truth : Member.t Mc_id.Tbl.t;  (** Ground-truth membership per MC. *)
   trace : Sim.Trace.t;
-  metrics : Metrics.Registry.t;
   events : Metrics.Registry.counter;
   mc_floodings : Metrics.Registry.counter;
   link_floodings : Metrics.Registry.counter;
+  resync_messages : Metrics.Registry.counter;
   mutable baseline : totals;
       (** The counts at the last {!reset_counters}: the handles never
           reset, so {!totals} reads past this. *)
@@ -121,7 +124,7 @@ let output t ~from : Switch.output -> unit = function
     | Resync _ -> invalid_arg "Protocol: a resync message is never flooded");
     originate t ~from payload t.flood
   | Send { peer; msg } ->
-    Metrics.Registry.incr t.metrics "protocol.resync_messages";
+    Metrics.Registry.bump t.resync_messages;
     (* Only the recoverer's summary needs a failure signal: a lost delta
        is covered by the recoverer's session deadline. *)
     let on_giveup =
@@ -236,10 +239,11 @@ let create ~graph ~config ?faults ?engine ?trace ?metrics
       clock = Lsr.Lsdb.clock ();
       truth = Mc_id.Tbl.create 8;
       trace;
-      metrics;
       events = Metrics.Registry.counter metrics "protocol.events";
       mc_floodings = Metrics.Registry.counter metrics "protocol.mc_floodings";
       link_floodings = Metrics.Registry.counter metrics "protocol.link_floodings";
+      resync_messages =
+        Metrics.Registry.counter metrics "protocol.resync_messages";
       baseline = zero;
       first_event = None;
       last_change = None;
@@ -319,6 +323,9 @@ let create ~graph ~config ?faults ?engine ?trace ?metrics
         recoveries = per_switch "health.recoveries";
         false_positives = per_switch "health.false_positives";
         hellos_sent = per_switch "health.hellos_sent";
+        hellos_received = per_switch "health.hellos_received";
+        suppressions = per_switch "health.suppressions";
+        unsuppressions = per_switch "health.unsuppressions";
         latencies = [];
       }
     in
@@ -338,8 +345,7 @@ let create ~graph ~config ?faults ?engine ?trace ?metrics
           ignore
             (Sim.Engine.schedule engine ~delay (fun () ->
                  if Net.Graph.link_is_up graph i peer then begin
-                   Metrics.Registry.incr metrics ~switch:peer
-                     "health.hellos_received";
+                   Metrics.Registry.bump h.hellos_received.(peer);
                    Health.Hello.on_hello h.agents.(peer) ~from:i
                  end)))
         delays
@@ -394,9 +400,8 @@ let create ~graph ~config ?faults ?engine ?trace ?metrics
             ~send:(fun ~peer -> send i ~peer)
             ~declare:(fun ~peer ~up -> declare i ~peer ~up)
             ~on_suppress:(fun ~peer ~resumed ->
-              Metrics.Registry.incr metrics ~switch:i
-                (if resumed then "health.unsuppressions"
-                 else "health.suppressions");
+              Metrics.Registry.bump
+                (if resumed then h.unsuppressions.(i) else h.suppressions.(i));
               if Sim.Trace.enabled trace then
                 ignore
                   (Sim.Trace.emit trace ~time:(Sim.Engine.now engine)

@@ -3,7 +3,8 @@ type result = { dist : float array; pred : int array }
 (* Binary min-heap over two parallel arrays: unboxed distance keys and
    their nodes.  Entries are never decreased in place; an improved
    distance is pushed again and stale entries are skipped when popped.
-   The sift rules must stay [Sim.Heap]'s exactly (strict [< 0]
+   The sift rules must stay exactly those of the oracle's heap, which
+   the reference Dijkstra in [test/test_oracles.ml] uses (strict [< 0]
    comparisons, left child before right, last slot moved to the root on
    pop): they fix the order in which equal-distance nodes settle, which
    picks the predecessors on unit-weight graphs that the golden fixtures

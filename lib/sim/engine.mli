@@ -7,6 +7,11 @@
     because D-GMC switches only react to message arrivals, local events and
     computation completions.
 
+    The engine is the calendar: it keeps the scheduled actions in its own
+    binary min-heap ordered by (time, insertion order).  Scheduling is
+    O(log n), {!cancel} is O(1) (a cancelled action stays in the heap
+    and is dropped when it reaches the top), and {!pending} is O(1).
+
     The engine also holds the run's two telemetry sinks, so every layer
     built over it — switches, flooding, the fault plan, the invariant
     monitor — records into the same trace and registry without being
@@ -21,7 +26,8 @@
 
 type t
 
-type handle = Event_queue.handle
+type handle
+(** A scheduled action, for {!cancel}. *)
 
 val create : ?trace:Trace.t -> ?metrics:Metrics.Registry.t -> unit -> t
 (** A fresh engine with clock at [0.0].  [trace] and [metrics] (default
@@ -39,29 +45,27 @@ val now : t -> float
 
 val schedule : t -> delay:float -> (unit -> unit) -> handle
 (** [schedule t ~delay f] runs [f] at [now t +. delay].  [delay] must be
-    non-negative and finite. *)
+    non-negative and finite, and so must the sum; otherwise raises
+    [Invalid_argument]. *)
 
 val schedule_at : t -> time:float -> (unit -> unit) -> handle
-(** [schedule_at t ~time f] runs [f] at absolute [time], which must not be
-    in the engine's past. *)
+(** [schedule_at t ~time f] runs [f] at absolute [time], which must be
+    finite and not in the engine's past; otherwise raises
+    [Invalid_argument]. *)
 
 val cancel : handle -> unit
-(** Cancel a pending action.  No-op if it already ran. *)
+(** Cancel a pending action.  Idempotent; a no-op if it already ran. *)
 
 val pending : t -> int
-(** Number of actions still scheduled. *)
+(** Number of actions still scheduled (not run, not cancelled).  O(1). *)
 
 val events_executed : t -> int
 (** Total number of actions executed since creation. *)
 
-val run : ?until:float -> ?max_events:int -> t -> unit
-(** Execute scheduled actions in order until the calendar drains, the
-    clock would pass [until], or [max_events] actions have run.  When
-    stopped by [until], the clock is left at [until] and later events
-    remain pending. *)
-
-val step : t -> bool
-(** Execute the single next action.  Returns [false] if none was pending. *)
+val run : ?max_events:int -> t -> unit
+(** Execute scheduled actions in order until the calendar drains or
+    [max_events] actions have run.  The clock is left at the last
+    executed action's time. *)
 
 val set_probe : t -> (unit -> unit) -> unit
 (** Install a telemetry probe invoked after every executed event, with

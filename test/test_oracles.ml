@@ -176,16 +176,86 @@ let test_next_hop_decreases_distance () =
    kept verbatim.  Equality is exact — same distances, same
    predecessors, same trees — so any change in tie order shows. *)
 
+(* The oracle's heap: a binary heap ordered by a compare closure.  Its
+   sift rules (strict [< 0] comparisons, left child before right, last
+   slot moved to the root on pop) fix the order in which equal-distance
+   nodes settle, and [Net.Dijkstra]'s flat-array heap must match them. *)
+module Heap = struct
+  type 'a t = {
+    cmp : 'a -> 'a -> int;
+    mutable data : 'a array;
+    mutable size : int;
+  }
+
+  let create ~cmp = { cmp; data = [||]; size = 0 }
+
+  let grow h x =
+    (* The array slots beyond [size] hold arbitrary previously-stored values;
+       [x] is only used to seed a fresh backing array. *)
+    let capacity = Array.length h.data in
+    if h.size = capacity then
+      if capacity = 0 then h.data <- Array.make 8 x
+      else begin
+        let data = Array.make (2 * capacity) x in
+        Array.blit h.data 0 data 0 capacity;
+        h.data <- data
+      end
+
+  let swap h i j =
+    let tmp = h.data.(i) in
+    h.data.(i) <- h.data.(j);
+    h.data.(j) <- tmp
+
+  let rec sift_up h i =
+    if i > 0 then begin
+      let parent = (i - 1) / 2 in
+      if h.cmp h.data.(i) h.data.(parent) < 0 then begin
+        swap h i parent;
+        sift_up h parent
+      end
+    end
+
+  let rec sift_down h i =
+    let left = (2 * i) + 1 and right = (2 * i) + 2 in
+    let smallest = ref i in
+    if left < h.size && h.cmp h.data.(left) h.data.(!smallest) < 0 then
+      smallest := left;
+    if right < h.size && h.cmp h.data.(right) h.data.(!smallest) < 0 then
+      smallest := right;
+    if !smallest <> i then begin
+      swap h i !smallest;
+      sift_down h !smallest
+    end
+
+  let add h x =
+    grow h x;
+    h.data.(h.size) <- x;
+    h.size <- h.size + 1;
+    sift_up h (h.size - 1)
+
+  let pop h =
+    if h.size = 0 then None
+    else begin
+      let top = h.data.(0) in
+      h.size <- h.size - 1;
+      if h.size > 0 then begin
+        h.data.(0) <- h.data.(h.size);
+        sift_down h 0
+      end;
+      Some top
+    end
+end
+
 let reference_dijkstra g src =
   let n = Net.Graph.n_nodes g in
   let dist = Array.make n infinity in
   let pred = Array.make n None in
   let settled = Array.make n false in
   dist.(src) <- 0.0;
-  let heap = Sim.Heap.create ~cmp:(fun (da, _) (db, _) -> Float.compare da db) in
-  Sim.Heap.add heap (0.0, src);
+  let heap = Heap.create ~cmp:(fun (da, _) (db, _) -> Float.compare da db) in
+  Heap.add heap (0.0, src);
   let rec loop () =
-    match Sim.Heap.pop heap with
+    match Heap.pop heap with
     | None -> ()
     | Some (d, u) ->
       if not settled.(u) then begin
@@ -195,7 +265,7 @@ let reference_dijkstra g src =
           if candidate < dist.(v) then begin
             dist.(v) <- candidate;
             pred.(v) <- Some u;
-            Sim.Heap.add heap (candidate, v)
+            Heap.add heap (candidate, v)
           end
         in
         List.iter relax (Net.Graph.neighbors g u)

@@ -5,149 +5,166 @@ open Sim
 let check = Alcotest.check
 
 (* ------------------------------------------------------------------ *)
-(* Heap *)
+(* The calendar: the engine's heap order and its queue semantics,
+   through the Engine API. *)
 
-let heap_of ~cmp xs =
-  let h = Heap.create ~cmp in
-  List.iter (Heap.add h) xs;
-  h
+(* Schedule one action per time, each logging its tag and the clock;
+   run; return the log in execution order. *)
+let run_log eng tagged =
+  let log = ref [] in
+  List.iter
+    (fun (time, tag) ->
+      ignore
+        (Engine.schedule_at eng ~time (fun () ->
+             log := (Engine.now eng, tag) :: !log)))
+    tagged;
+  Engine.run eng;
+  List.rev !log
+
+let timed = Alcotest.(list (pair (float 0.0) string))
 
 let test_heap_empty () =
-  let h = Heap.create ~cmp:compare in
-  check Alcotest.(option int) "peek" None (Heap.peek h);
-  check Alcotest.(option int) "pop" None (Heap.pop h)
+  let eng = Engine.create () in
+  Engine.run eng;
+  check Alcotest.int "pending" 0 (Engine.pending eng);
+  check Alcotest.int "executed" 0 (Engine.events_executed eng);
+  check Alcotest.(float 0.0) "clock" 0.0 (Engine.now eng)
 
 let test_heap_ordering () =
-  let h = heap_of ~cmp:compare [ 5; 3; 8; 1; 9; 2 ] in
-  check Alcotest.(option int) "peek min" (Some 1) (Heap.peek h);
-  let drained = List.init 6 (fun _ -> Option.get (Heap.pop h)) in
-  check Alcotest.(list int) "sorted drain" [ 1; 2; 3; 5; 8; 9 ] drained;
-  check Alcotest.(option int) "drained" None (Heap.pop h)
+  let times = [ 5.0; 3.0; 8.0; 1.0; 9.0; 2.0 ] in
+  let log = run_log (Engine.create ()) (List.map (fun t -> (t, "")) times) in
+  check Alcotest.(list (float 0.0)) "sorted drain"
+    [ 1.0; 2.0; 3.0; 5.0; 8.0; 9.0 ] (List.map fst log)
 
 let test_heap_duplicates () =
-  let h = heap_of ~cmp:compare [ 2; 2; 1; 1; 3 ] in
-  let drained = List.init 5 (fun _ -> Option.get (Heap.pop h)) in
-  check Alcotest.(list int) "duplicates kept" [ 1; 1; 2; 2; 3 ] drained
+  let log =
+    run_log (Engine.create ())
+      [ (2.0, "a"); (2.0, "b"); (1.0, "c"); (1.0, "d"); (3.0, "e") ]
+  in
+  check timed "duplicates kept, FIFO among them"
+    [ (1.0, "c"); (1.0, "d"); (2.0, "a"); (2.0, "b"); (3.0, "e") ]
+    log
 
-let test_heap_custom_order () =
-  (* Max-heap via inverted comparison. *)
-  let h = heap_of ~cmp:(fun a b -> compare b a) [ 4; 7; 1 ] in
-  check Alcotest.(option int) "max first" (Some 7) (Heap.pop h)
+(* Random times with repeats, cancelled at random before the run and
+   from inside it.  A mirror tracks every entry's state: the execution
+   order must be the stable sort by time of the entries never
+   cancelled, and [pending] must equal the mirror's live count after
+   every event. *)
+type mirror = Live | Fired | Cancelled
 
 let test_heap_random_sort () =
   let rng = Rng.create 99 in
-  for _ = 1 to 20 do
+  for _ = 1 to 40 do
+    let eng = Engine.create () in
     let size = 1 + Rng.int rng 200 in
-    let values = List.init size (fun _ -> Rng.int rng 1000) in
-    let h = heap_of ~cmp:compare values in
-    let drained = List.init size (fun _ -> Option.get (Heap.pop h)) in
-    check Alcotest.(list int) "heapsort equals List.sort"
-      (List.sort compare values) drained
+    let times = Array.init size (fun _ -> float_of_int (Rng.int rng 20)) in
+    let state = Array.make size Live in
+    let live () =
+      Array.fold_left (fun n s -> if s = Live then n + 1 else n) 0 state
+    in
+    let order = ref [] in
+    let handles = ref [||] in
+    let cancel_random () =
+      let j = Rng.int rng size in
+      if state.(j) = Live then state.(j) <- Cancelled;
+      Engine.cancel !handles.(j)
+    in
+    let fire i () =
+      if state.(i) <> Live then Alcotest.failf "entry %d ran, but not live" i;
+      check Alcotest.(float 0.0) "clock at the entry's time" times.(i)
+        (Engine.now eng);
+      state.(i) <- Fired;
+      order := i :: !order;
+      if Rng.int rng 4 = 0 then cancel_random ()
+    in
+    handles :=
+      Array.mapi (fun i time -> Engine.schedule_at eng ~time (fire i)) times;
+    for _ = 1 to size / 4 do
+      cancel_random ()
+    done;
+    check Alcotest.int "pending before the run" (live ()) (Engine.pending eng);
+    Engine.set_probe eng (fun () ->
+        check Alcotest.int "pending after an event" (live ())
+          (Engine.pending eng));
+    Engine.run eng;
+    check Alcotest.int "drained" 0 (Engine.pending eng);
+    let uncancelled =
+      List.filter (fun i -> state.(i) = Fired) (List.init size Fun.id)
+    in
+    check Alcotest.(list int) "stable sort by time of the uncancelled"
+      (List.stable_sort
+         (fun i j -> Float.compare times.(i) times.(j))
+         uncancelled)
+      (List.rev !order)
   done
 
-(* ------------------------------------------------------------------ *)
-(* Event queue *)
-
 let test_queue_time_order () =
-  let q = Event_queue.create () in
-  ignore (Event_queue.schedule q ~time:3.0 "c");
-  ignore (Event_queue.schedule q ~time:1.0 "a");
-  ignore (Event_queue.schedule q ~time:2.0 "b");
-  let pop () = Option.get (Event_queue.pop q) in
-  check Alcotest.(pair (float 0.0) string) "first" (1.0, "a") (pop ());
-  check Alcotest.(pair (float 0.0) string) "second" (2.0, "b") (pop ());
-  check Alcotest.(pair (float 0.0) string) "third" (3.0, "c") (pop ())
+  check timed "time order"
+    [ (1.0, "a"); (2.0, "b"); (3.0, "c") ]
+    (run_log (Engine.create ()) [ (3.0, "c"); (1.0, "a"); (2.0, "b") ])
 
 let test_queue_fifo_ties () =
-  let q = Event_queue.create () in
-  ignore (Event_queue.schedule q ~time:1.0 "first");
-  ignore (Event_queue.schedule q ~time:1.0 "second");
-  ignore (Event_queue.schedule q ~time:1.0 "third");
-  let order = List.init 3 (fun _ -> snd (Option.get (Event_queue.pop q))) in
-  check Alcotest.(list string) "FIFO among equal times"
-    [ "first"; "second"; "third" ] order
-
-(* Reference for [Event_queue.length]: a mirror list of every scheduled
-   entry in (time, insertion) order, popped in step with the queue,
-   counted by filtering for entries not cancelled — the original O(n)
-   definition of [length]. *)
-type 'a mirrored = {
-  q : 'a Event_queue.t;
-  mutable mirror : (float * int * Event_queue.handle) list;
-  mutable seq : int;
-}
-
-let mirrored () = { q = Event_queue.create (); mirror = []; seq = 0 }
-
-let by_time_then_seq (t1, s1, _) (t2, s2, _) =
-  match Float.compare t1 t2 with 0 -> Int.compare s1 s2 | c -> c
-
-let m_schedule m ~time x =
-  let h = Event_queue.schedule m.q ~time x in
-  m.mirror <- List.merge by_time_then_seq m.mirror [ (time, m.seq, h) ];
-  m.seq <- m.seq + 1;
-  h
-
-let m_pop m =
-  let rec drop_cancelled = function
-    | (_, _, h) :: rest when Event_queue.is_cancelled h -> drop_cancelled rest
-    | _ :: rest -> rest
-    | [] -> []
-  in
-  m.mirror <- drop_cancelled m.mirror;
-  Event_queue.pop m.q
-
-let check_length what expected m =
-  let reference =
-    List.length
-      (List.filter (fun (_, _, h) -> not (Event_queue.is_cancelled h)) m.mirror)
-  in
-  check Alcotest.int (what ^ " (reference)") expected reference;
-  check Alcotest.int what reference (Event_queue.length m.q)
+  check timed "FIFO among equal times"
+    [ (1.0, "first"); (1.0, "second"); (1.0, "third") ]
+    (run_log (Engine.create ())
+       [ (1.0, "first"); (1.0, "second"); (1.0, "third") ])
 
 let test_queue_cancellation () =
-  let m = mirrored () in
-  ignore (m_schedule m ~time:1.0 "keep1");
-  let h = m_schedule m ~time:2.0 "cancelled" in
-  ignore (m_schedule m ~time:3.0 "keep2");
-  Event_queue.cancel h;
-  check Alcotest.bool "is_cancelled" true (Event_queue.is_cancelled h);
-  check_length "length excludes cancelled" 2 m;
-  let first = m_schedule m ~time:0.5 "first" in
-  check Alcotest.(option (pair (float 0.0) string)) "earliest fires"
-    (Some (0.5, "first")) (m_pop m);
-  Event_queue.cancel first;
-  check_length "cancel after firing leaves length" 2 m;
-  let order = List.init 2 (fun _ -> snd (Option.get (m_pop m))) in
-  check Alcotest.(list string) "cancelled skipped" [ "keep1"; "keep2" ] order;
-  check_length "drained" 0 m
+  let eng = Engine.create () in
+  let log = ref [] in
+  let add time tag =
+    Engine.schedule_at eng ~time (fun () -> log := tag :: !log)
+  in
+  ignore (add 1.0 "keep1");
+  let h = add 2.0 "cancelled" in
+  ignore (add 3.0 "keep2");
+  Engine.cancel h;
+  check Alcotest.int "pending excludes cancelled" 2 (Engine.pending eng);
+  let first = add 0.5 "first" in
+  Engine.run ~max_events:1 eng;
+  check Alcotest.(list string) "earliest fires" [ "first" ] !log;
+  Engine.cancel first;
+  check Alcotest.int "cancel after firing leaves pending" 2
+    (Engine.pending eng);
+  Engine.run eng;
+  check Alcotest.(list string) "cancelled skipped"
+    [ "first"; "keep1"; "keep2" ] (List.rev !log);
+  check Alcotest.int "drained" 0 (Engine.pending eng)
 
 let test_queue_cancel_idempotent () =
-  let m = mirrored () in
-  let h = m_schedule m ~time:1.0 () in
-  ignore (m_schedule m ~time:2.0 ());
-  Event_queue.cancel h;
-  Event_queue.cancel h;
-  check_length "second cancel leaves length" 1 m;
-  check Alcotest.(option (pair (float 0.0) unit)) "live entry" (Some (2.0, ()))
-    (m_pop m);
-  check Alcotest.(option (pair (float 0.0) unit)) "empty" None (m_pop m);
-  check_length "empty" 0 m
+  let eng = Engine.create () in
+  let h = Engine.schedule_at eng ~time:1.0 ignore in
+  ignore (Engine.schedule_at eng ~time:2.0 ignore);
+  Engine.cancel h;
+  Engine.cancel h;
+  check Alcotest.int "second cancel leaves pending" 1 (Engine.pending eng);
+  Engine.run eng;
+  check Alcotest.int "only the live entry ran" 1 (Engine.events_executed eng);
+  check Alcotest.int "empty" 0 (Engine.pending eng)
 
-let test_queue_peek_time () =
-  let q = Event_queue.create () in
-  check Alcotest.(option (float 0.0)) "empty peek" None (Event_queue.peek_time q);
-  let h = Event_queue.schedule q ~time:1.0 () in
-  ignore (Event_queue.schedule q ~time:2.0 ());
-  Event_queue.cancel h;
-  check Alcotest.(option (float 0.0)) "peek skips cancelled" (Some 2.0)
-    (Event_queue.peek_time q)
+let test_queue_cancelled_top () =
+  (* A cancelled entry at the top is dropped without running or counting
+     against [max_events]: the one event run is the live one behind it. *)
+  let eng = Engine.create () in
+  let hits = ref [] in
+  let h = Engine.schedule_at eng ~time:1.0 (fun () -> hits := 1 :: !hits) in
+  ignore (Engine.schedule_at eng ~time:2.0 (fun () -> hits := 2 :: !hits));
+  ignore (Engine.schedule_at eng ~time:3.0 (fun () -> hits := 3 :: !hits));
+  Engine.cancel h;
+  Engine.run ~max_events:1 eng;
+  check Alcotest.(list int) "live entry behind it fired" [ 2 ] !hits;
+  check Alcotest.(float 0.0) "clock at that entry" 2.0 (Engine.now eng);
+  check Alcotest.int "one left" 1 (Engine.pending eng)
 
 let test_queue_rejects_nan () =
-  let q = Event_queue.create () in
-  Alcotest.check_raises "nan time"
-    (Invalid_argument "Event_queue.schedule: non-finite time") (fun () ->
-      ignore (Event_queue.schedule q ~time:Float.nan ()))
+  let eng = Engine.create () in
+  List.iter
+    (fun time ->
+      Alcotest.check_raises "non-finite time"
+        (Invalid_argument "Engine.schedule_at: time must be finite") (fun () ->
+          ignore (Engine.schedule_at eng ~time ignore)))
+    [ Float.nan; Float.infinity ];
+  check Alcotest.int "nothing scheduled" 0 (Engine.pending eng)
 
 (* ------------------------------------------------------------------ *)
 (* Engine *)
@@ -187,31 +204,6 @@ let test_engine_zero_delay () =
   check Alcotest.int "zero-delay runs" 1 !hits;
   check Alcotest.(float 0.0) "clock unchanged" 0.0 (Engine.now eng)
 
-let test_engine_until () =
-  let eng = Engine.create () in
-  let hits = ref 0 in
-  List.iter
-    (fun d -> ignore (Engine.schedule eng ~delay:d (fun () -> incr hits)))
-    [ 1.0; 2.0; 3.0; 4.0 ];
-  Engine.run ~until:2.5 eng;
-  check Alcotest.int "only events before the horizon" 2 !hits;
-  check Alcotest.(float 0.0) "clock parked at horizon" 2.5 (Engine.now eng);
-  check Alcotest.int "later events still pending" 2 (Engine.pending eng);
-  Engine.run eng;
-  check Alcotest.int "rest run afterwards" 4 !hits
-
-let test_engine_until_boundary () =
-  (* An event scheduled exactly at the horizon still runs (only events
-     strictly beyond it wait). *)
-  let eng = Engine.create () in
-  let hits = ref [] in
-  List.iter
-    (fun d -> ignore (Engine.schedule eng ~delay:d (fun () -> hits := d :: !hits)))
-    [ 1.0; 2.0; 3.0 ];
-  Engine.run ~until:2.0 eng;
-  check Alcotest.(list (float 0.0)) "boundary inclusive" [ 1.0; 2.0 ]
-    (List.rev !hits)
-
 let test_engine_max_events () =
   let eng = Engine.create () in
   let hits = ref 0 in
@@ -229,19 +221,23 @@ let test_engine_cancel () =
   Engine.run eng;
   check Alcotest.int "cancelled action skipped" 0 !hits
 
-let test_engine_step () =
-  let eng = Engine.create () in
-  let hits = ref 0 in
-  ignore (Engine.schedule eng ~delay:1.0 (fun () -> incr hits));
-  check Alcotest.bool "step executes" true (Engine.step eng);
-  check Alcotest.bool "no more" false (Engine.step eng);
-  check Alcotest.int "one hit" 1 !hits
-
 let test_engine_rejects_negative_delay () =
   let eng = Engine.create () in
   Alcotest.check_raises "negative delay"
     (Invalid_argument "Engine.schedule: delay must be finite and non-negative")
     (fun () -> ignore (Engine.schedule eng ~delay:(-1.0) (fun () -> ())))
+
+let test_engine_delay_overflow () =
+  (* A finite delay whose sum with the clock overflows to infinity.  The
+     clock must be large enough for the sum to round up past
+     [max_float]. *)
+  let eng = Engine.create () in
+  ignore (Engine.schedule_at eng ~time:1e300 ignore);
+  Engine.run eng;
+  Alcotest.check_raises "max_float delay"
+    (Invalid_argument "Engine.schedule: now + delay overflows to infinity")
+    (fun () -> ignore (Engine.schedule eng ~delay:Float.max_float ignore));
+  check Alcotest.int "nothing scheduled" 0 (Engine.pending eng)
 
 let test_engine_schedule_at_past () =
   let eng = Engine.create () in
@@ -379,7 +375,6 @@ let () =
           Alcotest.test_case "empty heap" `Quick test_heap_empty;
           Alcotest.test_case "ordering" `Quick test_heap_ordering;
           Alcotest.test_case "duplicates" `Quick test_heap_duplicates;
-          Alcotest.test_case "custom order" `Quick test_heap_custom_order;
           Alcotest.test_case "random heapsort" `Quick test_heap_random_sort;
         ] );
       ( "event-queue",
@@ -388,7 +383,8 @@ let () =
           Alcotest.test_case "FIFO ties" `Quick test_queue_fifo_ties;
           Alcotest.test_case "cancellation" `Quick test_queue_cancellation;
           Alcotest.test_case "cancel idempotent" `Quick test_queue_cancel_idempotent;
-          Alcotest.test_case "peek_time" `Quick test_queue_peek_time;
+          Alcotest.test_case "cancelled top skipped" `Quick
+            test_queue_cancelled_top;
           Alcotest.test_case "rejects nan" `Quick test_queue_rejects_nan;
         ] );
       ( "engine",
@@ -397,14 +393,12 @@ let () =
           Alcotest.test_case "schedule during run" `Quick
             test_engine_schedule_during_run;
           Alcotest.test_case "zero delay" `Quick test_engine_zero_delay;
-          Alcotest.test_case "run ~until" `Quick test_engine_until;
-          Alcotest.test_case "until boundary inclusive" `Quick
-            test_engine_until_boundary;
           Alcotest.test_case "run ~max_events" `Quick test_engine_max_events;
           Alcotest.test_case "cancel" `Quick test_engine_cancel;
-          Alcotest.test_case "step" `Quick test_engine_step;
           Alcotest.test_case "rejects negative delay" `Quick
             test_engine_rejects_negative_delay;
+          Alcotest.test_case "delay overflow rejected" `Quick
+            test_engine_delay_overflow;
           Alcotest.test_case "schedule_at in the past" `Quick
             test_engine_schedule_at_past;
         ] );
