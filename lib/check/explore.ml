@@ -22,13 +22,26 @@ type outcome = {
   found : found option;
 }
 
-(* Rebuild the state reached by [prefix]: the harness is deterministic
-   for a fixed action sequence. *)
-let build scenario prefix =
+(* The state every walk starts from: the setup injected and settled,
+   then the race injected.  A base is only read and copied, but the
+   copies share its graphs' lazy caches, so each domain builds its
+   own. *)
+let base scenario =
   let h = Harness.create ~graph:scenario.graph ~config:scenario.config () in
   List.iter (Harness.inject h) scenario.setup;
   Harness.settle h;
   List.iter (Harness.inject h) scenario.race;
+  h
+
+let build scenario prefix =
+  let h = base scenario in
+  List.iter (Harness.apply h) prefix;
+  h
+
+(* [build] on a copy of [base]: the harness is deterministic for a fixed
+   action sequence, and a copy acts as the state it copies. *)
+let rebuild base prefix =
+  let h = Harness.copy base in
   List.iter (Harness.apply h) prefix;
   h
 
@@ -93,12 +106,13 @@ let reach ~order h ~digest ~prefix viols =
     terminal = terminal_viols <> [];
   }
 
-(* The popped state is rebuilt once, and each action applies to its own
-   copy of it.  A clean edge into a state admitted before this wave is
-   [None]: that state's laws held when it was admitted, so only the
-   transition counts.  [seen] is only read while a wave's tasks run. *)
-let expand ~order ~seen scenario (prefix, acts) =
-  let parent = build scenario prefix in
+(* The popped state is rebuilt once from [base], and each action applies
+   to its own copy of it.  A clean edge into a state admitted before
+   this wave is [None]: that state's laws held when it was admitted, so
+   only the transition counts.  [seen] is only read while a wave's tasks
+   run. *)
+let expand ~order ~seen base (prefix, acts) =
+  let parent = rebuild base prefix in
   List.map
     (fun act ->
       let h = Harness.copy parent in
@@ -145,6 +159,12 @@ end)
    outcome byte-identical at any [domains]. *)
 let wave_size = 8
 
+(* [xs] cut into [k] contiguous runs, in order, their lengths differing
+   by at most one. *)
+let chunks k xs =
+  let n = List.length xs in
+  List.init k (fun i -> List.filteri (fun j _ -> j * k / n = i) xs)
+
 (* No partial-order reduction here, deliberately.  The tempting
    persistent set — all enabled actions of one switch d — is unsound in
    this system: a Complete at another switch can flood a FRESH message
@@ -183,7 +203,7 @@ let walk ~hit ~order ~max_states ~max_depth ?domains scenario =
             Frontier.add (prio, tie, !states) (r.prefix, r.enabled) !frontier
       end
   in
-  let h0 = build scenario [] in
+  let h0 = base scenario in
   merge
     (reach ~order h0 ~digest:(Harness.digest h0) ~prefix:[] (check_state h0));
   let rec loop () =
@@ -197,19 +217,28 @@ let walk ~hit ~order ~max_states ~max_depth ?domains scenario =
           frontier := Frontier.remove k !frontier;
           wave := entry :: !wave
       done;
-      (* ... expand them as pure tasks (deterministic replay, then a copy
-         per action), and merge
-         sequentially in wave order: the first hit in (wave, enabled)
-         order wins regardless of which domain computed it. *)
+      (* ... expand them as pure tasks, one run of the wave per domain,
+         each task on a base of its own (a copy of it replayed to each
+         popped state, then a copy per action), and merge sequentially
+         in wave order: the first hit in (wave, enabled) order wins
+         regardless of which domain computed it. *)
+      let wave = List.rev !wave in
+      let tasks =
+        let domains = Option.value domains ~default:1 in
+        chunks (max 1 (min domains (List.length wave))) wave
+      in
       List.iter
-        (List.iter (fun r ->
-             if !found = None then begin
-               incr transitions;
-               Option.iter merge r
-             end))
+        (List.iter
+           (List.iter (fun r ->
+                if !found = None then begin
+                  incr transitions;
+                  Option.iter merge r
+                end)))
         (Runner.Pool.map ?domains
-           (expand ~order ~seen scenario)
-           (List.rev !wave));
+           (fun entries ->
+             let base = base scenario in
+             List.map (expand ~order ~seen base) entries)
+           tasks);
       loop ()
     end
   in

@@ -12,7 +12,8 @@ type t = {
 let make ~src ~event ~mc ?proposal ?members ~stamp () =
   { src; event; mc; proposal; members; stamp }
 
-let is_event t = t.event <> No_event
+let is_event t =
+  match t.event with Join _ | Leave | Link -> true | No_event -> false
 
 let is_membership_event t =
   match t.event with Join _ | Leave -> true | Link | No_event -> false

@@ -33,15 +33,14 @@ let receivers t =
 let of_list list =
   List.fold_left (fun t (x, r) -> join t x r) empty list
 
-let equal a b = Int_map.equal (fun (x : role) y -> x = y) a b
-
 let role_rank = function Sender -> 0 | Receiver -> 1 | Both -> 2
 
 let compare_role x y = Int.compare (role_rank x) (role_rank y)
 
-(* [Int_map.compare] allocates an enumeration of both maps per call.
-   Memo lookups mostly compare equal sets, so that case is settled first
-   by lookups, which allocate only the closure. *)
+(* [Int_map.equal] and [Int_map.compare] allocate an enumeration of both
+   maps per call.  Equality is settled by lookups instead, which allocate
+   only the closure; memo lookups mostly compare equal sets, so
+   [compare] settles that case first the same way. *)
 let same_bindings a b =
   Int_map.cardinal a = Int_map.cardinal b
   && Int_map.for_all
@@ -50,6 +49,8 @@ let same_bindings a b =
          | r' -> compare_role r r' = 0
          | exception Not_found -> false)
        a
+
+let equal a b = a == b || same_bindings a b
 
 let compare a b = if same_bindings a b then 0 else Int_map.compare compare_role a b
 

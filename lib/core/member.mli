@@ -38,6 +38,10 @@ val receivers : t -> int list
 val of_list : (int * role) list -> t
 
 val equal : t -> t -> bool
+(** Same members with the same roles.  Physically equal lists answer at
+    once; otherwise the check looks each member up in the other list,
+    which allocates only the lookup closure (no enumeration of either
+    map). *)
 
 val compare : t -> t -> int
 (** Total order consistent with {!equal}, for keying maps on member

@@ -66,7 +66,9 @@ type t = {
       (** The counts at the last {!reset_counters}: the handles never
           reset, so {!totals} reads past this. *)
   mutable first_event : float option;
-  mutable last_change : float option;
+  mutable last_change : float;
+      (** The last change signal's time, [neg_infinity] before the
+          first: kept bare so that a signal allocates nothing. *)
   mutable observers : (int -> unit) list;
 }
 
@@ -136,7 +138,7 @@ let output t ~from : Switch.output -> unit = function
     originate t ~from (Switch.Resync msg)
       (Lsr.Flooding.send t.flooding ~src:from ~dst:peer ~on_giveup)
   | Changed ->
-    t.last_change <- Some (Sim.Engine.now t.engine);
+    t.last_change <- Sim.Engine.now t.engine;
     notify from t.observers
   | Start { timer; delay } -> (
     let sw = t.switches.(from) in
@@ -246,7 +248,7 @@ let create ~graph ~config ?faults ?engine ?trace ?metrics
         Metrics.Registry.counter metrics "protocol.resync_messages";
       baseline = zero;
       first_event = None;
-      last_change = None;
+      last_change = neg_infinity;
       observers = [];
     }
   in
@@ -522,14 +524,15 @@ let totals t = counted t ~since:t.baseline
 let reset_counters t =
   t.baseline <- counted t ~since:zero;
   t.first_event <- None;
-  t.last_change <- None
+  t.last_change <- neg_infinity
 
 let first_event_time t = t.first_event
 
-let last_change_time t = t.last_change
+let last_change_time t =
+  if t.last_change = neg_infinity then None else Some t.last_change
 
 let convergence_rounds t =
-  match (t.first_event, t.last_change) with
+  match (t.first_event, last_change_time t) with
   | Some first, Some last ->
     let round = Config.round_length t.config ~graph:t.graph in
     if round <= 0.0 then None else Some ((last -. first) /. round)

@@ -395,7 +395,8 @@ let supersedes ~stamp ~tree ~held_stamp ~held_tree =
   || (Timestamp.equal stamp held_stamp
      && Mctree.Tree.compare tree held_tree < 0)
 
-(* Lines 4-17: consume one LSA. *)
+(* Lines 4-17: consume one LSA; returns the invocation's candidate
+   proposal, [candidate] or the one [lsa] carries. *)
 let process_lsa t (st : Mc_state.t) (lsa : Mc_lsa.t) candidate =
   let s = lsa.src in
   if Mc_lsa.is_event lsa then begin
@@ -454,14 +455,14 @@ let process_lsa t (st : Mc_state.t) (lsa : Mc_lsa.t) candidate =
      our local events. *)
   match lsa.proposal with
   | Some tree when Timestamp.geq lsa.stamp st.e ->
+    st.flag <- false;
     let replaces =
-      match !candidate with
+      match candidate with
       | None -> true
       | Some (held_tree, held_stamp) ->
         supersedes ~stamp:lsa.stamp ~tree ~held_stamp ~held_tree
     in
-    if replaces then candidate := Some (tree, lsa.stamp);
-    st.flag <- false
+    if replaces then Some (tree, lsa.stamp) else candidate
   | Some _ | None ->
     (* The sender's stamp is behind our own event count: it computed (or
        refrained) without knowing our events, so we owe the network a
@@ -470,23 +471,27 @@ let process_lsa t (st : Mc_state.t) (lsa : Mc_lsa.t) candidate =
     if
       (not (Config.injects t.config Config.Skip_stale_sender_flag))
       && Timestamp.get st.r t.id > Timestamp.get lsa.stamp t.id
-    then st.flag <- true
+    then st.flag <- true;
+    candidate
 
+(* Lines 3-18: drain the mailbox into the invocation's candidate. *)
+let rec drain t (st : Mc_state.t) candidate =
+  if Queue.is_empty st.mailbox then candidate
+  else drain t st (process_lsa t st (Queue.pop st.mailbox) candidate)
+
+(* Lines 1-2: the candidate proposal is local to one invocation. *)
 let rec run_invocation t mc (st : Mc_state.t) =
-  (* Lines 1-2: candidate proposal local to this invocation. *)
-  let candidate = ref None in
-  (* Lines 3-18: drain the mailbox. *)
-  while not (Queue.is_empty st.mailbox) do
-    process_lsa t st (Queue.pop st.mailbox) candidate
-  done;
-  (* Line 19: decide whether to compute. *)
+  decide t mc st (drain t st None)
+
+(* Line 19 on, once the mailbox is drained: decide whether to compute. *)
+and decide t mc (st : Mc_state.t) candidate =
   if st.flag && Timestamp.geq st.r st.e && Timestamp.gt st.r st.c then
     start_triggered t mc st
   else begin
     (* Lines 32-35: adopt an accepted proposal.  A candidate whose stamp
        only ties the installed topology's C replaces it solely when it
        wins the deterministic tie-break ([supersedes]). *)
-    match !candidate with
+    match candidate with
     | Some (tree, stamp) ->
       if supersedes ~stamp ~tree ~held_stamp:st.c ~held_tree:st.topology
       then begin
@@ -701,23 +706,30 @@ let detect_link switches (ev : Lsr.Lsdb.link_event) =
   detect switches.(max ev.u ev.v) ev;
   detect switches.(min ev.u ev.v) ev
 
+(* ReceiveLSA is activated whenever LSAs are present — unless its single
+   process is mid-computation, in which case the mailbox accumulates
+   until the completion handler re-invokes it.  An LSA reaching an empty
+   mailbox is consumed without a trip through it: pushing it and
+   draining would pop it first anyway. *)
+let activate t mc (st : Mc_state.t) lsa =
+  match st.triggered with
+  | Some _ -> Queue.push lsa st.mailbox
+  | None ->
+    if Queue.is_empty st.mailbox then
+      decide t mc st (drain t st (process_lsa t st lsa None))
+    else begin
+      Queue.push lsa st.mailbox;
+      run_invocation t mc st
+    end
+
 let receive_now t lsa =
-  match get_state t lsa.Mc_lsa.mc with
-  | None when not (Mc_lsa.is_event lsa) ->
+  let mc = lsa.Mc_lsa.mc in
+  match Mc_id.Tbl.find t.mcs mc with
+  | st -> activate t mc st lsa
+  | exception Not_found ->
     (* A bare proposal for an MC this switch holds no state for: the MC
        is already destroyed locally; ignore rather than resurrect. *)
-    ()
-  | maybe_state ->
-    let st =
-      match maybe_state with
-      | Some st -> st
-      | None -> get_or_create t lsa.Mc_lsa.mc
-    in
-    Queue.push lsa st.mailbox;
-    (* ReceiveLSA is activated whenever LSAs are present — unless its
-       single process is mid-computation, in which case the mailbox
-       accumulates until the completion handler re-invokes it. *)
-    if st.triggered = None then run_invocation t lsa.Mc_lsa.mc st
+    if Mc_lsa.is_event lsa then activate t mc (get_or_create t mc) lsa
 
 let receive t lsa =
   Metrics.Registry.bump t.counts.lsas_received;

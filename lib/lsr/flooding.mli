@@ -15,16 +15,38 @@
     dead neighbor times out cleanly instead of being retried forever);
     per-destination retransmit state ages out on ack or on retry
     exhaustion.  Duplicate-suppression on (origin, seq) makes [deliver]
-    fire once per switch however many copies arrive.  Under the default
-    (transparent) [transmit] hook the data-message schedule of the two
-    modes is identical; the acks ride on top.
+    fire once per switch however many copies arrive.  Without a
+    [transmit] hook the data-message schedule of the two modes is
+    identical; the acks ride on top.
+
+    {b Duplicate check.}  Each switch keeps, per origin it has heard
+    from, a high-water mark (one past the highest sequence number
+    received) and the gaps below it: the intervals of numbers not yet
+    received.  A number at or above the mark is new and raises it,
+    opening a gap over any numbers it skipped; a number below it is new
+    only inside a gap, which it splits.  The check is exact under any
+    reordering or duplication, and its state is one small record per
+    (switch, origin) pair plus one interval per run of numbers still
+    missing — in-order arrival opens none — instead of one entry per
+    LSA received.  Sequence numbers must be non-negative, as
+    {!Lsa.Seq} issues them.
+
+    {b Cost per message.}  A transmission reads the link's state record
+    ({!Net.Graph.link}) once when it is sent and checks it at arrival,
+    with no lookup.  Without a [transmit] hook the one copy is scheduled
+    directly, and an untraced arrival calls [deliver] and forwards
+    without a context switch, so an untraced hop-by-hop message
+    allocates only its calendar entry and arrival closure (about 24
+    words at n = 100, against 58 with a tuple-keyed table, a copy list
+    and a closure per neighbour).
 
     {b Fault injection.}  All per-link transmissions — [Hop_by_hop] and
     [Reliable] data, and [Reliable] acks — pass through the [transmit]
     hook, which maps one submitted transmission to the delivery delays of
     its copies ([[]] = lost).  Plug [Faults.Plan.transmit] in to subject
     the flood to loss, duplication, reordering, jitter, crashes and
-    partitions; the default hook delivers one copy after [base_delay].
+    partitions.  With no hook, every transmission delivers one copy
+    after [t_hop].
 
     {b Counters.}  The instance keeps the signaling-overhead counters the
     paper's evaluation reports — flooding operations and first-copy
@@ -73,6 +95,8 @@ val create :
   'a t
 (** [deliver] is invoked once per switch (except the origin) per flooded
     LSA, at the simulated arrival time.  [t_hop] must be positive.
+    Without [transmit], every transmission arrives [t_hop] later as one
+    copy.
 
     {b Observability.}  Flooding records into [engine]'s sinks
     ({!Sim.Engine.trace} and {!Sim.Engine.metrics}).  With an enabled
@@ -89,13 +113,16 @@ val create :
 
 val flood : 'a t -> 'a Lsa.t -> unit
 (** Start flooding from the LSA's origin at the current simulated time.
-    The origin is {e not} delivered its own LSA. *)
+    The origin is {e not} delivered its own LSA.  Raises
+    [Invalid_argument] when the origin is not a switch of the graph or
+    the sequence number is negative. *)
 
 val send : 'a t -> src:int -> dst:int -> ?on_giveup:(unit -> unit) ->
   'a Lsa.t -> unit
 (** Unicast one LSA to a single adjacent switch — the transport for the
     database-resynchronisation exchange (summaries and deltas are
-    addressed, not flooded).  [dst] must share a link with [src]
+    addressed, not flooded).  [dst] must share a link with [src], and
+    the LSA's origin and sequence number must be valid as for {!flood}
     ([Invalid_argument] otherwise); whether that link is {e up} is
     checked at each copy's arrival time, like any transmission.
 

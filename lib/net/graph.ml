@@ -155,6 +155,21 @@ let iter_neighbors t u f =
   check_node t u;
   iter_live f (row t u)
 
+let link t u v =
+  match find_link t u v with Some l -> l | None -> raise Not_found
+
+let is_up l = l.up
+
+let rec iter_live_links f = function
+  | [] -> ()
+  | (v, l) :: rest ->
+    if l.up then f v l;
+    iter_live_links f rest
+
+let iter_links t u f =
+  check_node t u;
+  iter_live_links f (row t u)
+
 let degree t u =
   check_node t u;
   List.fold_left (fun acc (_, l) -> if l.up then acc + 1 else acc) 0 (row t u)

@@ -81,6 +81,22 @@ val iter_neighbors : t -> int -> (int -> float -> unit) -> unit
     the walk reaches it, so a link [f] takes down before the walk gets
     there is skipped.  Allocates nothing. *)
 
+type link
+(** One edge's state record.  Both endpoints share it and {!set_link}
+    flips it in place, so a record read once reports the edge's state at
+    every later read: a transport can take it at send time and check it
+    at arrival without a second lookup. *)
+
+val link : t -> int -> int -> link
+(** The record of an existing edge, up or down.  Raises [Not_found]. *)
+
+val is_up : link -> bool
+(** The edge's current state: {!link_is_up} without the lookup. *)
+
+val iter_links : t -> int -> (int -> link -> unit) -> unit
+(** {!iter_neighbors} passing each live link's record instead of its
+    weight: same order, same read-as-reached state, no allocation. *)
+
 val degree : t -> int -> int
 (** Number of live incident links. *)
 

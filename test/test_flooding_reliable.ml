@@ -133,6 +133,77 @@ let test_exactly_once_under_duplication () =
   check Alcotest.int "14 deliveries (7 switches x 2 LSAs)" 14
     (List.length sorted)
 
+module Receipt = Set.Make (struct
+  type t = int * int * int  (* switch, origin, seq *)
+
+  let compare (s1, o1, q1) (s2, o2, q2) =
+    match Int.compare s1 s2 with
+    | 0 -> ( match Int.compare o1 o2 with 0 -> Int.compare q1 q2 | c -> c)
+    | c -> c
+end)
+
+(* Three origins each flood 40 sequence numbers a fifth of a hop apart
+   under reordering, duplication and jitter, so later numbers overtake
+   earlier ones on the way and the duplicate check opens and fills gaps
+   below its high-water marks.  [deliver] must still fire exactly once
+   per (switch, origin, seq), checked against a plain reference set. *)
+let test_exactly_once_under_reordering mode () =
+  let graph = Net.Topo_gen.waxman (Sim.Rng.create 3) ~n:12 ~target_degree:3.5 () in
+  let n = Net.Graph.n_nodes graph in
+  let spec =
+    { Faults.Plan.spec_default with duplicate = 0.3; reorder = 0.3; jitter = 0.5 }
+  in
+  let plan = Faults.Plan.create ~spec ~seed:17 () in
+  let engine_ref = ref None in
+  let transmit ~src ~dst ~base_delay =
+    faulty_transmit plan (Option.get !engine_ref) ~src ~dst ~base_delay
+  in
+  let f, engine, log = make graph ~t_hop:1.0 ~mode ~transmit in
+  engine_ref := Some engine;
+  let origins = [ 0; 5; 9 ] and per_origin = 40 in
+  List.iter
+    (fun origin ->
+      for seq = 0 to per_origin - 1 do
+        ignore
+          (Sim.Engine.schedule engine ~delay:(0.2 *. float_of_int seq)
+             (fun () -> Lsr.Flooding.flood f (Lsr.Lsa.make ~origin ~seq ())))
+      done)
+    origins;
+  Sim.Engine.run engine;
+  let receipts = List.rev_map (fun (sw, (o, q)) -> (sw, o, q)) !log in
+  let reference =
+    List.concat_map
+      (fun origin ->
+        List.concat
+          (List.init per_origin (fun seq ->
+               List.filter_map
+                 (fun sw -> if sw = origin then None else Some (sw, origin, seq))
+                 (List.init n Fun.id))))
+      origins
+    |> Receipt.of_list
+  in
+  check Alcotest.bool "every (switch, origin, seq) delivered" true
+    (Receipt.equal (Receipt.of_list receipts) reference);
+  check Alcotest.int "and each exactly once" (Receipt.cardinal reference)
+    (List.length receipts);
+  (* In delivery order, some switch got a lower seq from an origin after
+     a higher one: reordering reached the gap path. *)
+  let highest = Array.make (n * n) (-1) in
+  let overtaken =
+    List.fold_left
+      (fun acc (sw, o, q) ->
+        let k = (sw * n) + o in
+        if q < highest.(k) then acc + 1
+        else begin
+          highest.(k) <- q;
+          acc
+        end)
+      0 receipts
+  in
+  check Alcotest.bool "later seqs overtook earlier ones" true (overtaken > 0);
+  check Alcotest.bool "duplicates injected" true
+    ((Faults.Plan.counters plan).Faults.Plan.duplicated > 0)
+
 let test_lossless_reliable_matches_hop_by_hop () =
   (* Satellite: counter semantics.  Without faults, Reliable sends
      exactly Hop_by_hop's data messages; its cost is isolated in acks
@@ -275,6 +346,13 @@ let () =
             `Quick test_partitioned_switch_times_out;
           Alcotest.test_case "exactly-once deliver under duplication" `Quick
             test_exactly_once_under_duplication;
+          Alcotest.test_case "exactly-once deliver under reordering \
+                              (hop-by-hop)"
+            `Quick
+            (test_exactly_once_under_reordering Lsr.Flooding.Hop_by_hop);
+          Alcotest.test_case "exactly-once deliver under reordering (reliable)"
+            `Quick
+            (test_exactly_once_under_reordering Lsr.Flooding.Reliable);
           Alcotest.test_case "lossless reliable = hop-by-hop modulo acks"
             `Quick test_lossless_reliable_matches_hop_by_hop;
           Alcotest.test_case "duplicated unicast: hop-by-hop delivers every \

@@ -124,6 +124,54 @@ let test_flooding_rejects_bad_t_hop () =
            ~deliver:(fun ~switch:_ _ -> ())
            ()))
 
+(* Flooding checks the duplicate key's parts: an origin is a switch and
+   a sequence number is at least 0. *)
+let test_flooding_rejects_bad_lsa () =
+  let g = Net.Topo_gen.line 3 in
+  let f =
+    Lsr.Flooding.create ~engine:(Sim.Engine.create ()) ~graph:g ~t_hop:1.0
+      ~deliver:(fun ~switch:_ _ -> ())
+      ()
+  in
+  Alcotest.check_raises "origin out of range"
+    (Invalid_argument "Flooding.flood: origin 3 is not a switch") (fun () ->
+      Lsr.Flooding.flood f (Lsr.Lsa.make ~origin:3 ~seq:0 ()));
+  Alcotest.check_raises "negative seq"
+    (Invalid_argument "Flooding.send: negative sequence number") (fun () ->
+      Lsr.Flooding.send f ~src:0 ~dst:1 (Lsr.Lsa.make ~origin:0 ~seq:(-1) ()))
+
+(* An untraced hop-by-hop flood with no [transmit] hook allocates per
+   message only the calendar entry (its record and boxed time) and the
+   arrival's closure, plus one forwarding closure per first receipt.
+   The first flood from each origin is not timed: it creates the
+   per-(switch, origin) duplicate records, which later floods reuse. *)
+let test_flooding_allocation_bound () =
+  let n = 100 in
+  let g = Net.Topo_gen.waxman (Sim.Rng.create 7) ~n ~target_degree:3.5 () in
+  let engine = Sim.Engine.create () in
+  let f =
+    Lsr.Flooding.create ~engine ~graph:g ~t_hop:1.0
+      ~deliver:(fun ~switch:_ _ -> ())
+      ()
+  in
+  let flood_all seq =
+    for origin = 0 to n - 1 do
+      Lsr.Flooding.flood f (Lsr.Lsa.make ~origin ~seq ());
+      Sim.Engine.run engine
+    done
+  in
+  flood_all 0;
+  let sent = Lsr.Flooding.messages_sent f in
+  let before = Gc.minor_words () in
+  flood_all 1;
+  let words = Gc.minor_words () -. before in
+  let messages = Lsr.Flooding.messages_sent f - sent in
+  let per_message = words /. float_of_int messages in
+  if per_message > 32.0 then
+    (* dgmc-analyze: allow float-format — test failure message *)
+    Alcotest.failf "%.1f minor words per message over %d messages (bound 32)"
+      per_message messages
+
 (* ------------------------------------------------------------------ *)
 (* Lsdb *)
 
@@ -271,6 +319,10 @@ let () =
           Alcotest.test_case "flood diameter" `Quick test_flood_diameter;
           Alcotest.test_case "rejects bad t_hop" `Quick
             test_flooding_rejects_bad_t_hop;
+          Alcotest.test_case "rejects a bad origin or seq" `Quick
+            test_flooding_rejects_bad_lsa;
+          Alcotest.test_case "allocation bound per message" `Quick
+            test_flooding_allocation_bound;
         ] );
       ( "lsdb",
         [

@@ -1079,6 +1079,67 @@ let prop_flooding_covers_connected_graph =
       && Array.for_all (fun h -> h = 1) (Array.sub hits 1 (n - 1)))
 
 (* ------------------------------------------------------------------ *)
+(* Member lists *)
+
+module Int_map = Map.Make (Int)
+
+let role_gen =
+  QCheck2.Gen.oneofl Dgmc.Member.[ Sender; Receiver; Both ]
+
+let role_equal a b =
+  String.equal (Dgmc.Member.role_to_string a) (Dgmc.Member.role_to_string b)
+
+let pp_bindings l =
+  String.concat ";"
+    (List.map
+       (fun (x, r) -> Printf.sprintf "%d:%s" x (Dgmc.Member.role_to_string r))
+       l)
+
+(* Two member lists from binding lists: the second is independent
+   (mostly another cardinality), the first itself (physically equal),
+   the first rebuilt in reverse insertion order, or the first with one
+   member's role changed (same keys, other roles). *)
+let member_pair_gen =
+  QCheck2.Gen.(
+    let bindings = list_size (int_range 0 8) (pair (int_range 0 9) role_gen) in
+    triple bindings bindings (int_range 0 3) >>= fun (a, b, shape) ->
+    let b =
+      match shape with
+      | 0 -> b
+      | 1 -> a
+      | 2 -> List.rev a
+      | _ -> (
+        match a with
+        | [] -> b
+        | (x, r) :: _ ->
+          let r' =
+            match r with
+            | Dgmc.Member.Sender -> Dgmc.Member.Receiver
+            | Receiver -> Both
+            | Both -> Sender
+          in
+          a @ [ (x, r') ])
+    in
+    return (a, b, shape))
+
+let prop_member_equal_matches_map_equal =
+  QCheck2.Test.make ~name:"Member.equal matches Int_map.equal" ~count:500
+    ~print:(fun (a, b, shape) ->
+      Printf.sprintf "a=[%s] b=[%s] shape=%d" (pp_bindings a) (pp_bindings b)
+        shape)
+    member_pair_gen
+    (fun (a, b, shape) ->
+      let ma = Dgmc.Member.of_list a in
+      let mb = if shape = 1 then ma else Dgmc.Member.of_list b in
+      let reference l =
+        List.fold_left (fun m (x, r) -> Int_map.add x r m) Int_map.empty l
+      in
+      let expected = Int_map.equal role_equal (reference a) (reference b) in
+      Bool.equal (Dgmc.Member.equal ma mb) expected
+      && Bool.equal (Dgmc.Member.equal mb ma) expected
+      && Bool.equal (Dgmc.Member.compare ma mb = 0) expected)
+
+(* ------------------------------------------------------------------ *)
 (* Hierarchy properties *)
 
 type hier_case = { h_seed : int; h_areas : int; h_ops : (bool * int) list }
@@ -1436,6 +1497,8 @@ let () =
         ] );
       ( "flooding",
         [ QCheck_alcotest.to_alcotest prop_flooding_covers_connected_graph ] );
+      ( "members",
+        [ QCheck_alcotest.to_alcotest prop_member_equal_matches_map_equal ] );
       ( "hierarchy",
         [
           QCheck_alcotest.to_alcotest prop_hierarchy_random_churn;
