@@ -159,11 +159,19 @@ end)
    outcome byte-identical at any [domains]. *)
 let wave_size = 8
 
-(* [xs] cut into [k] contiguous runs, in order, their lengths differing
-   by at most one. *)
-let chunks k xs =
-  let n = List.length xs in
-  List.init k (fun i -> List.filteri (fun j _ -> j * k / n = i) xs)
+(* The base of the scenario this domain last expanded for: built on the
+   domain's first task and reused by its later ones, so the calling
+   domain settles the setup once per walk and a spawned worker once per
+   wave.  A base never crosses domains (see [base]). *)
+let domain_base = Domain.DLS.new_key (fun () -> None)
+
+let base_here scenario =
+  match Domain.DLS.get domain_base with
+  | Some (s, b) when s == scenario -> b
+  | Some _ | None ->
+    let b = base scenario in
+    Domain.DLS.set domain_base (Some (scenario, b));
+    b
 
 (* No partial-order reduction here, deliberately.  The tempting
    persistent set — all enabled actions of one switch d — is unsound in
@@ -173,8 +181,9 @@ let chunks k xs =
    where it arrives at d first would never be explored, and terminal
    states differing only in which proposal a switch last installed (its
    C stamp) would be silently lost.  Exhaustiveness over the deduped
-   state graph is the whole point of this checker; the per-state replay
-   is kept cheap instead (see Harness.first_enabled). *)
+   state graph is the whole point of this checker; the per-state cost
+   is kept down instead: one settled base per domain, and a copy of it
+   per popped state and per successor. *)
 let walk ~hit ~order ~max_states ~max_depth ?domains scenario =
   let seen = Hashtbl.create 4096 in
   let states = ref 0 in
@@ -217,32 +226,24 @@ let walk ~hit ~order ~max_states ~max_depth ?domains scenario =
           frontier := Frontier.remove k !frontier;
           wave := entry :: !wave
       done;
-      (* ... expand them as pure tasks, one run of the wave per domain,
-         each task on a base of its own (a copy of it replayed to each
-         popped state, then a copy per action), and merge sequentially
-         in wave order: the first hit in (wave, enabled) order wins
-         regardless of which domain computed it. *)
-      let wave = List.rev !wave in
-      let tasks =
-        let domains = Option.value domains ~default:1 in
-        chunks (max 1 (min domains (List.length wave))) wave
-      in
+      (* ... expand them as pure tasks (a copy of the domain's base
+         replayed to the popped state, then a copy per action), and
+         merge sequentially in wave order: the first hit in (wave,
+         enabled) order wins regardless of which domain computed it. *)
       List.iter
-        (List.iter
-           (List.iter (fun r ->
-                if !found = None then begin
-                  incr transitions;
-                  Option.iter merge r
-                end)))
+        (List.iter (fun r ->
+             if !found = None then begin
+               incr transitions;
+               Option.iter merge r
+             end))
         (Runner.Pool.map ?domains
-           (fun entries ->
-             let base = base scenario in
-             List.map (expand ~order ~seen base) entries)
-           tasks);
+           (fun entry -> expand ~order ~seen (base_here scenario) entry)
+           (List.rev !wave));
       loop ()
     end
   in
   loop ();
+  Domain.DLS.set domain_base None;
   {
     states = !states;
     transitions = !transitions;

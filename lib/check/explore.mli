@@ -58,7 +58,8 @@ val build : scenario -> Harness.action list -> Harness.t
     harness, inject and settle [setup], inject [race], then replay the
     prefix.  Deterministic — two builds of the same prefix are
     digest-identical — which is what lets {!walk} keep prefixes instead
-    of states.  {!walk} settles the scenario once per task and reaches
+    of states.  {!walk} settles the scenario once per domain (the calling
+    domain once per walk, a spawned worker once per wave) and reaches
     each popped state on a {!Harness.copy} of that base, which must be
     digest-identical to this fresh replay.  Nothing is rendered: {!walk}
     renders only the reported state's trace ({!Harness.describe}), by

@@ -337,9 +337,9 @@ let apply t action =
 
 (* Same selection rule as [enabled]'s head — first causally-free
    delivery in pool order, else first switch with a pending computation
-   — but without the interchangeability signatures: every explored
-   state is still rebuilt by replay, setup settle included, once per
-   expansion. *)
+   — but without the interchangeability signatures.  [settle] calls it
+   once per action, and the explorer settles the setup once per domain
+   and wave at most; each popped state then only replays its prefix. *)
 let first_enabled t =
   let ptol = pending_to t in
   match

@@ -708,19 +708,14 @@ let detect_link switches (ev : Lsr.Lsdb.link_event) =
 
 (* ReceiveLSA is activated whenever LSAs are present — unless its single
    process is mid-computation, in which case the mailbox accumulates
-   until the completion handler re-invokes it.  An LSA reaching an empty
-   mailbox is consumed without a trip through it: pushing it and
-   draining would pop it first anyway. *)
+   until the completion handler re-invokes it.  Only this push fills the
+   mailbox, and the completion handler drains it as it clears
+   [triggered], so an idle process always has an empty mailbox and
+   consumes the LSA directly. *)
 let activate t mc (st : Mc_state.t) lsa =
   match st.triggered with
   | Some _ -> Queue.push lsa st.mailbox
-  | None ->
-    if Queue.is_empty st.mailbox then
-      decide t mc st (drain t st (process_lsa t st lsa None))
-    else begin
-      Queue.push lsa st.mailbox;
-      run_invocation t mc st
-    end
+  | None -> decide t mc st (process_lsa t st lsa None)
 
 let receive_now t lsa =
   let mc = lsa.Mc_lsa.mc in
