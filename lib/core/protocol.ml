@@ -331,26 +331,18 @@ let create ~graph ~config ?faults ?engine ?trace ?metrics
         latencies = [];
       }
     in
-    (* One hello on the wire, subject to the same fault plan as LSAs:
-       drops, duplication and jitter are exactly the adversities the
-       detectors must tolerate.  Arrival is gated on the link being up
-       {e at delivery time}. *)
+    (* One hello on the flooding's wire, subject to the same fault plan
+       as LSAs: drops, duplication and jitter are exactly the adversities
+       the detectors must tolerate.  Arrival is gated on the link being
+       up {e at delivery time}. *)
     let send i ~peer =
       Metrics.Registry.bump h.hellos_sent.(i);
-      let delays =
-        match transmit with
-        | Some f -> f ~src:i ~dst:peer ~base_delay:config.Config.t_hop
-        | None -> [ config.Config.t_hop ]
-      in
-      List.iter
-        (fun delay ->
-          ignore
-            (Sim.Engine.schedule engine ~delay (fun () ->
-                 if Net.Graph.link_is_up graph i peer then begin
-                   Metrics.Registry.bump h.hellos_received.(peer);
-                   Health.Hello.on_hello h.agents.(peer) ~from:i
-                 end)))
-        delays
+      ignore
+        (Lsr.Flooding.wire flooding ~src:i ~dst:peer (fun () ->
+             if Net.Graph.link_is_up graph i peer then begin
+               Metrics.Registry.bump h.hellos_received.(peer);
+               Health.Hello.on_hello h.agents.(peer) ~from:i
+             end))
     in
     (* A detector verdict: the switch's belief about an incident link
        changed.  Version the event, judge it against the link's ground

@@ -33,22 +33,20 @@ type gaps = No_gap | Gap of { lo : int; hi : int; below : gaps }
    below [high] outside [gaps]. *)
 type received = { mutable high : int; mutable gaps : gaps }
 
-(* Retransmit state for one in-flight (src, dst, lsa) transfer.  Entries
-   live in [pending] and age out on ack or on retry exhaustion.
-   [rtx_first] is the trace id of the first data copy's forward event;
-   retransmissions and the final abandonment hang off it causally. *)
-type rtx = {
-  mutable rtx_handle : Sim.Engine.handle option;
+(* Retransmit state for one reliable transfer of [lsa] over [link].  A
+   directed link's transfers live in one table keyed [seq * n + origin]
+   and leave it on ack, on retry exhaustion or on {!abandon_link}; the
+   last two fire [giveup].  [first] is the trace id of the first data
+   copy's forward event: retransmissions and the giveup hang off it. *)
+type 'a rtx = {
+  lsa : 'a Lsa.t;
+  link : Net.Graph.link;
+  forward : bool;
+  first : int;
+  giveup : unit -> unit;
+  mutable timer : Sim.Engine.handle option;
   mutable tries : int;
   mutable timeout : float;
-  rtx_first : int;
-  rtx_origin : int;
-  rtx_seq : int;
-  rtx_giveup : unit -> unit;
-      (* Stored so an external cancellation ({!abandon_link}) resolves
-         the transfer through the same single giveup path the timer
-         uses; removal from [pending] before either call site fires it
-         makes exactly-once structural. *)
 }
 
 type 'a t = {
@@ -64,8 +62,9 @@ type 'a t = {
   seen : received Int_tbl.t;
       (** Keyed [switch * n + origin]: what each switch has received
           from each origin it has heard from. *)
-  pending : (int * int * (int * int), rtx) Hashtbl.t;
-      (** Reliable mode: (src, dst, lsa id) transfers awaiting an ack. *)
+  pending : 'a rtx Int_tbl.t Int_tbl.t;
+      (** Reliable mode: keyed [src * n + dst], each directed link's
+          transfers awaiting an ack. *)
   floods : Metrics.Registry.counter array;
   messages : Metrics.Registry.counter array;
   acks : Metrics.Registry.counter array;
@@ -98,17 +97,13 @@ let create ~engine ~graph ~t_hop ?(mode = Hop_by_hop)
     deliver;
     trace = Sim.Engine.trace engine;
     seen = Int_tbl.create 64;
-    pending = Hashtbl.create 64;
+    pending = Int_tbl.create 64;
     floods = per_switch "flood.floods";
     messages = per_switch "flood.messages";
     acks = per_switch "flood.acks";
     retransmitted = per_switch "flood.retransmissions";
     abandoned = per_switch "flood.abandoned";
   }
-
-(* Only [Reliable] acknowledges: it alone acks data copies, keeps
-   retransmit state and deduplicates unicast arrivals. *)
-let acked t = match t.mode with Reliable -> true | Hop_by_hop -> false
 
 let no_giveup () = ()
 
@@ -173,53 +168,68 @@ let check_lsa t fn lsa =
 (* ------------------------------------------------------------------ *)
 (* The per-hop transport *)
 
-(* Schedule every surviving copy of one ack.  The link's state is read
-   at arrival time, so a message in flight over a link that fails is
-   lost, as on a real wire. *)
-let send_ack_copies t ~src ~dst ~link k =
-  let schedule delay =
-    ignore
-      (Sim.Engine.schedule t.engine ~delay (fun () ->
-           if Net.Graph.is_up link then k ()))
-  in
+(* Schedule [arrive] for every copy of one [src → dst] transmission: the
+   [transmit] hook's copies, or one after [t_hop] without a hook.
+   [false] when the hook loses them all.  [arrive] reads the link's
+   state itself, so a message in flight over a link that fails is lost,
+   as on a real wire. *)
+let wire t ~src ~dst arrive =
   match t.transmit with
-  | None -> schedule t.t_hop
-  | Some transmit ->
-    List.iter schedule (transmit ~src ~dst ~base_delay:t.t_hop)
+  | None ->
+    ignore (Sim.Engine.schedule t.engine ~delay:t.t_hop arrive);
+    true
+  | Some transmit -> (
+    match transmit ~src ~dst ~base_delay:t.t_hop with
+    | [] -> false
+    | copies ->
+      List.iter
+        (fun delay -> ignore (Sim.Engine.schedule t.engine ~delay arrive))
+        copies;
+      true)
 
-let ack_received t key =
-  match Hashtbl.find_opt t.pending key with
-  | Some rtx ->
-    Option.iter Sim.Engine.cancel rtx.rtx_handle;
-    Hashtbl.remove t.pending key
-  | None -> ()  (* late duplicate ack, or the sender already gave up *)
+(* The reliable transfers on [src → dst], keyed {!rtx_key}. *)
+let link_pending t ~src ~dst =
+  let key = (src * t.n) + dst in
+  match Int_tbl.find t.pending key with
+  | pending -> pending
+  | exception Not_found ->
+    let pending = Int_tbl.create 8 in
+    Int_tbl.add t.pending key pending;
+    pending
 
-let send_ack t ~src ~dst ~link key =
-  Metrics.Registry.bump t.acks.(src);
-  send_ack_copies t ~src ~dst ~link (fun () -> ack_received t key)
+(* {!check_lsa} bounds the origin by [n] and the seq below by 0, so the
+   key is unique per LSA. *)
+let rtx_key t lsa = (lsa.Lsa.seq * t.n) + lsa.Lsa.origin
 
-(* Abandon one pending transfer: age the entry out, account, leave the
-   trace breadcrumb, and fire its giveup callback.  Both callers remove
-   the entry from [pending] before anything observable runs, so a
-   transfer's giveup can fire at most once however the timer and an
-   external {!abandon_link} interleave. *)
-let drop_pending t key rtx ~reason =
-  let src, dst, _ = key in
-  Hashtbl.remove t.pending key;
+let dropped t ~src ~dst ~fid lsa reason =
+  ignore
+    (Sim.Trace.emit t.trace ~time:(now t) ~parent:fid
+       (Lsa_dropped
+          { src; dst; origin = lsa.Lsa.origin; seq = lsa.Lsa.seq; reason }))
+
+(* The ack of transfer [key] on one link: cancel its timer, age it out.
+   A late duplicate ack, or one after the giveup, finds nothing. *)
+let ack_received pending key =
+  match Int_tbl.find pending key with
+  | rtx ->
+    Option.iter Sim.Engine.cancel rtx.timer;
+    Int_tbl.remove pending key
+  | exception Not_found -> ()
+
+(* Abandon one transfer: age it out, account, leave the trace breadcrumb
+   and fire its giveup.  Its timer has fired or been cancelled, and the
+   removal comes first, so a giveup fires at most once. *)
+let drop_pending t ~src ~dst pending key rtx ~reason =
+  Int_tbl.remove pending key;
   Metrics.Registry.bump t.abandoned.(src);
-  if traced t then
-    ignore
-      (Sim.Trace.emit t.trace ~time:(now t) ~parent:rtx.rtx_first
-         (Lsa_dropped
-            { src; dst; origin = rtx.rtx_origin; seq = rtx.rtx_seq; reason }));
-  rtx.rtx_giveup ()
+  if traced t then dropped t ~src ~dst ~fid:rtx.first rtx.lsa reason;
+  rtx.giveup ()
 
-(* Count (first copies only), trace and schedule the copies of one data
-   transmission over [link] ([src → dst]); returns the forward's trace
-   id (-1 untraced).  Each copy that arrives while [link] is up is
-   received at [dst]; fault losses and mid-flight link failures leave
-   [Lsa_dropped] children on the forward event instead.  Without a
-   [transmit] hook the one copy is scheduled directly. *)
+(* Count (first copies only), trace and put on the wire one data
+   transmission of [lsa] over [link] ([src → dst]); returns the
+   forward's trace id (-1 untraced).  Each copy that arrives while
+   [link] is up is received at [dst]; fault losses and mid-flight link
+   failures leave [Lsa_dropped] children on the forward event instead. *)
 let rec send_data t ~src ~dst ~link ~forward ~retransmit ~parent lsa =
   if not retransmit then Metrics.Registry.bump t.messages.(src);
   let fid =
@@ -230,96 +240,84 @@ let rec send_data t ~src ~dst ~link ~forward ~retransmit ~parent lsa =
            { src; dst; origin = lsa.Lsa.origin; seq = lsa.Lsa.seq; retransmit })
     else -1
   in
-  (match t.transmit with
-  | None -> schedule_copy t ~src ~dst ~link ~forward ~fid lsa t.t_hop
-  | Some transmit -> (
-    match transmit ~src ~dst ~base_delay:t.t_hop with
-    | [] -> if traced t then dropped t ~src ~dst ~fid lsa "fault"
-    | copies ->
-      List.iter (schedule_copy t ~src ~dst ~link ~forward ~fid lsa) copies));
+  let arrive () =
+    if Net.Graph.is_up link then
+      receive t lsa ~link ~at:dst ~from:src ~forward ~fid
+    else if traced t then dropped t ~src ~dst ~fid lsa "link-down"
+  in
+  if (not (wire t ~src ~dst arrive)) && traced t then
+    dropped t ~src ~dst ~fid lsa "fault";
   fid
 
-and schedule_copy t ~src ~dst ~link ~forward ~fid lsa delay =
-  ignore
-    (Sim.Engine.schedule t.engine ~delay (fun () ->
-         if Net.Graph.is_up link then
-           receive t lsa ~link ~at:dst ~from:src ~forward ~fid
-         else if traced t then dropped t ~src ~dst ~fid lsa "link-down"))
-
-and dropped t ~src ~dst ~fid lsa reason =
-  ignore
-    (Sim.Trace.emit t.trace ~time:(now t) ~parent:fid
-       (Lsa_dropped
-          { src; dst; origin = lsa.Lsa.origin; seq = lsa.Lsa.seq; reason }))
-
-and arm_retransmit t key lsa rtx ~link ~forward =
-  let src, dst, _ = key in
-  rtx.rtx_handle <-
+(* An ack or {!abandon_link} removes the transfer and cancels this
+   timer, so when it fires the transfer is live and unacknowledged. *)
+and arm_retransmit t ~src ~dst pending key rtx =
+  rtx.timer <-
     Some
       (Sim.Engine.schedule t.engine ~delay:rtx.timeout (fun () ->
-           (* The entry is removed the moment an ack arrives (or the
-              transfer is externally abandoned), so reaching this point
-              with it still present means the transfer is live and
-              unacknowledged. *)
-           if Hashtbl.mem t.pending key then
-             if rtx.tries >= t.rel.max_retries then
-               drop_pending t key rtx ~reason:"abandoned"
-             else begin
-               rtx.tries <- rtx.tries + 1;
-               Metrics.Registry.bump t.retransmitted.(src);
-               ignore
-                 (send_data t ~src ~dst ~link ~forward ~retransmit:true
-                    ~parent:rtx.rtx_first lsa);
-               rtx.timeout <-
-                 Float.min (2.0 *. rtx.timeout) (t.rel.rto_max *. t.t_hop);
-               arm_retransmit t key lsa rtx ~link ~forward
-             end))
+           if rtx.tries >= t.rel.max_retries then
+             drop_pending t ~src ~dst pending key rtx ~reason:"abandoned"
+           else begin
+             rtx.tries <- rtx.tries + 1;
+             Metrics.Registry.bump t.retransmitted.(src);
+             ignore
+               (send_data t ~src ~dst ~link:rtx.link ~forward:rtx.forward
+                  ~retransmit:true ~parent:rtx.first rtx.lsa);
+             rtx.timeout <-
+               Float.min (2.0 *. rtx.timeout) (t.rel.rto_max *. t.t_hop);
+             arm_retransmit t ~src ~dst pending key rtx
+           end))
 
-(* One transfer of [lsa] over [link] ([src → dst]): the first data copy,
-   received at [dst] per copy landing while the link is up ([forward]
-   says whether [dst] floods it on).  In [Reliable] mode the transfer is
-   also recorded in [pending] and its retransmit timer armed, and a
-   transfer still awaiting its ack is not restarted; [on_giveup] fires
-   once if the retries run out — unicast resynchronisation uses it to
-   count a neighbor exchange as failed. *)
+(* One transfer of [lsa] over [link] ([src → dst]): the first data copy
+   ([forward] says whether [dst] floods it on).  In [Reliable] mode the
+   transfer is also recorded in its link's table and its retransmit
+   timer armed, and a transfer still awaiting its ack is not restarted;
+   [on_giveup] fires once if the retries run out — unicast
+   resynchronisation uses it to count a neighbor exchange as failed. *)
 and transfer t ~src ~dst ~link ~parent ~on_giveup ~forward lsa =
-  if not (acked t) then
+  match t.mode with
+  | Hop_by_hop ->
     ignore (send_data t ~src ~dst ~link ~forward ~retransmit:false ~parent lsa)
-  else begin
-    let key = (src, dst, Lsa.id lsa) in
-    if not (Hashtbl.mem t.pending key) then begin
-      let fid =
+  | Reliable ->
+    let pending = link_pending t ~src ~dst and key = rtx_key t lsa in
+    if not (Int_tbl.mem pending key) then begin
+      let first =
         send_data t ~src ~dst ~link ~forward ~retransmit:false ~parent lsa
       in
       let rtx =
         {
-          rtx_handle = None;
+          lsa;
+          link;
+          forward;
+          first;
+          giveup = on_giveup;
+          timer = None;
           tries = 0;
           timeout = t.rel.rto *. t.t_hop;
-          rtx_first = fid;
-          rtx_origin = lsa.Lsa.origin;
-          rtx_seq = lsa.Lsa.seq;
-          rtx_giveup = on_giveup;
         }
       in
-      Hashtbl.add t.pending key rtx;
-      arm_retransmit t key lsa rtx ~link ~forward
+      Int_tbl.add pending key rtx;
+      arm_retransmit t ~src ~dst pending key rtx
     end
-  end
 
 (* One data copy arriving at [switch] from [from] over [link].  In
    [Reliable] mode every copy is acked, duplicates included: it may be a
-   retransmission whose predecessor's ack was lost.  A flooded copy
-   ([forward]) is delivered on first receipt only, then forwarded on
-   every live link except the arrival link.  A unicast copy is never
-   forwarded, and only [Reliable] deduplicates it: a hop-by-hop unicast
-   delivers every copy that arrives.  A traced delivery runs, forwarding
-   included, under its [Lsa_delivered] event's context. *)
+   retransmission whose predecessor's ack was lost.  Either way the LSA
+   is delivered on first receipt only; a flooded copy ([forward]) is
+   then forwarded on every live link except the arrival link.  A traced
+   delivery runs, forwarding included, under its [Lsa_delivered]
+   event's context. *)
 and receive t lsa ~link ~at:switch ~from ~forward ~fid =
-  let acked = acked t in
-  if acked then
-    send_ack t ~src:switch ~dst:from ~link (from, switch, Lsa.id lsa);
-  if (not (forward || acked)) || first_receipt t switch lsa then
+  (match t.mode with
+  | Reliable ->
+    Metrics.Registry.bump t.acks.(switch);
+    let pending = link_pending t ~src:from ~dst:switch
+    and key = rtx_key t lsa in
+    ignore
+      (wire t ~src:switch ~dst:from (fun () ->
+           if Net.Graph.is_up link then ack_received pending key))
+  | Hop_by_hop -> ());
+  if first_receipt t switch lsa then
     if traced t then begin
       let did =
         Sim.Trace.emit t.trace ~time:(now t) ~parent:fid
@@ -340,6 +338,8 @@ and receive t lsa ~link ~at:switch ~from ~forward ~fid =
       if forward then forward_from t lsa ~at:switch ~from ~parent:(-1)
     end
 
+(* Transfer [lsa] from [at] on every live link except the one to [from]
+   ([-1] at the origin: every link). *)
 and forward_from t lsa ~at ~from ~parent =
   Net.Graph.iter_links t.graph at (fun next link ->
       if next <> from then
@@ -357,7 +357,7 @@ let send t ~src ~dst ?(on_giveup = no_giveup) lsa =
   in
   check_lsa t "send" lsa;
   let parent = Sim.Trace.context t.trace in
-  if acked t then ignore (first_receipt t src lsa);
+  ignore (first_receipt t src lsa);
   transfer t ~src ~dst ~link ~parent ~on_giveup ~forward:false lsa
 
 let flood_impl t lsa =
@@ -369,9 +369,7 @@ let flood_impl t lsa =
      because the per-copy callbacks run later, under other contexts. *)
   let parent = Sim.Trace.context t.trace in
   ignore (first_receipt t origin lsa);
-  Net.Graph.iter_links t.graph origin (fun next link ->
-      transfer t ~src:origin ~dst:next ~link ~parent ~on_giveup:no_giveup
-        ~forward:true lsa)
+  forward_from t lsa ~at:origin ~from:(-1) ~parent
 
 let flood t lsa =
   let ph = Metrics.Phase.ambient () in
@@ -392,28 +390,30 @@ let retransmissions t = Metrics.Registry.sum t.retransmitted
 
 let deliveries_abandoned t = Metrics.Registry.sum t.abandoned
 
-let pending_retransmits t = Hashtbl.length t.pending
+let pending_retransmits t =
+  Int_tbl.fold (fun _ pending acc -> acc + Int_tbl.length pending) t.pending 0
 
 (* A failure detector declared [dst] unreachable from [src]: cancel every
    transfer still spinning toward it instead of letting each burn through
-   its remaining backoff.  Keys are collected then sorted, so giveup
-   callbacks fire in a deterministic order independent of hash layout. *)
+   its remaining backoff.  The link's keys are sorted by origin, then by
+   seq, so giveups fire in an order independent of hash layout. *)
 let abandon_link t ~src ~dst =
+  let pending = link_pending t ~src ~dst in
+  let by_origin a b =
+    match Int.compare (a mod t.n) (b mod t.n) with
+    | 0 -> Int.compare a b
+    | c -> c
+  in
   let keys =
-    Hashtbl.fold
-      (fun ((s, d, _) as key) _ acc ->
-        if s = src && d = dst then key :: acc else acc)
-      t.pending []
-    |> List.sort (fun (_, _, (ao, as_)) (_, _, (bo, bs)) ->
-           match Int.compare ao bo with 0 -> Int.compare as_ bs | c -> c)
+    List.sort by_origin (Int_tbl.fold (fun key _ acc -> key :: acc) pending [])
   in
   List.iter
     (fun key ->
-      match Hashtbl.find_opt t.pending key with
-      | Some rtx ->
-        Option.iter Sim.Engine.cancel rtx.rtx_handle;
-        drop_pending t key rtx ~reason:"neighbor-down"
-      | None -> ())
+      match Int_tbl.find pending key with
+      | rtx ->
+        Option.iter Sim.Engine.cancel rtx.timer;
+        drop_pending t ~src ~dst pending key rtx ~reason:"neighbor-down"
+      | exception Not_found -> ())
     keys;
   List.length keys
 

@@ -12,10 +12,11 @@
     hardens the same transport for lossy delivery: the receiver acks
     every data copy it gets, and the sender retransmits on a capped
     exponential backoff until acked or a retry budget is exhausted (so a
-    dead neighbor times out cleanly instead of being retried forever);
-    per-destination retransmit state ages out on ack or on retry
-    exhaustion.  Duplicate-suppression on (origin, seq) makes [deliver]
-    fire once per switch however many copies arrive.  Without a
+    dead neighbor times out cleanly instead of being retried forever).
+    Each directed link keeps its own table of transfers awaiting an
+    ack, which they leave on ack or on retry exhaustion.  In both modes
+    duplicate suppression on (origin, seq) makes [deliver] fire once per
+    switch however many copies arrive, flooded or unicast.  Without a
     [transmit] hook the data-message schedule of the two modes is
     identical; the acks ride on top.
 
@@ -37,16 +38,16 @@
     directly, and an untraced arrival calls [deliver] and forwards
     without a context switch, so an untraced hop-by-hop message
     allocates only its calendar entry and arrival closure (about 24
-    words at n = 100, against 58 with a tuple-keyed table, a copy list
-    and a closure per neighbour).
+    words at n = 100).  A [Reliable] message adds its ack, its transfer
+    record and its retransmit timer (about 73 words in all).
 
-    {b Fault injection.}  All per-link transmissions — [Hop_by_hop] and
-    [Reliable] data, and [Reliable] acks — pass through the [transmit]
-    hook, which maps one submitted transmission to the delivery delays of
-    its copies ([[]] = lost).  Plug [Faults.Plan.transmit] in to subject
-    the flood to loss, duplication, reordering, jitter, crashes and
-    partitions.  With no hook, every transmission delivers one copy
-    after [t_hop].
+    {b Fault injection.}  All per-link transmissions — data, acks and
+    the link-health layer's hellos — go through {!wire}, which passes
+    each to the [transmit] hook: it maps one submitted transmission to
+    the delivery delays of its copies ([[]] = lost).  Plug
+    [Faults.Plan.transmit] in to subject the flood to loss, duplication,
+    reordering, jitter, crashes and partitions.  With no hook, every
+    transmission delivers one copy after [t_hop].
 
     {b Counters.}  The instance keeps the signaling-overhead counters the
     paper's evaluation reports — flooding operations and first-copy
@@ -127,13 +128,21 @@ val send : 'a t -> src:int -> dst:int -> ?on_giveup:(unit -> unit) ->
     checked at each copy's arrival time, like any transmission.
 
     The hop goes through the same per-hop transport as a flood, but the
-    receiver never forwards.  In [Reliable] mode the ack/retransmit/
-    backoff machinery applies, the receiver deduplicates on [Lsa.id],
-    and [on_giveup] fires once if the retry budget is exhausted without
-    an ack.  In [Hop_by_hop] mode the copy is fire-and-forget: every
-    copy that arrives is delivered (a duplicating [transmit] hook
-    delivers twice), and [on_giveup] never fires — callers needing
+    receiver never forwards, and delivers the LSA on its first receipt
+    only.  In [Reliable] mode the ack/retransmit/backoff machinery
+    applies, and [on_giveup] fires once if the retry budget is
+    exhausted without an ack.  In [Hop_by_hop] mode the copy is
+    fire-and-forget and [on_giveup] never fires — callers needing
     liveness there must keep their own deadline. *)
+
+val wire : 'a t -> src:int -> dst:int -> (unit -> unit) -> bool
+(** [wire t ~src ~dst arrive] puts one transmission from [src] to [dst]
+    on the wire: [arrive] runs once per copy the [transmit] hook
+    returns, at that copy's delay, or once after [t_hop] without a hook.
+    [false] when the hook loses every copy.  [arrive] must check the
+    link itself: its state at arrival decides whether the copy got
+    through.  Data, acks and the link-health layer's hellos all ride
+    it. *)
 
 val floods_started : 'a t -> int
 (** Number of {!flood} calls. *)

@@ -19,9 +19,8 @@ type t = { on : bool; cells : (key, cell) Hashtbl.t; owner : int }
 
 and cell = Counter of counted | Hist of hist
 
-(* A counter's value: what [incr] added under its key, plus the count of
-   every handle listed there. *)
-and counted = { mutable direct : int; mutable handles : counter list }
+(* A counter's value: the count of every handle listed under its key. *)
+and counted = { mutable handles : counter list }
 
 and counter = { mutable count : int; meter : meter }
 
@@ -77,16 +76,10 @@ let wrong_kind name want got =
 
 let counted_of t ?switch name =
   match
-    cell_of t ?switch name ~make:(fun () ->
-        Counter { direct = 0; handles = [] })
+    cell_of t ?switch name ~make:(fun () -> Counter { handles = [] })
   with
   | Counter c -> c
   | c -> wrong_kind name "counter" c
-
-let incr t ?switch ?(by = 1) name =
-  if t.on then
-    let c = counted_of t ?switch name in
-    c.direct <- c.direct + by
 
 let counter t ?switch name =
   {
@@ -112,7 +105,7 @@ let per_switch t n name = Array.init n (fun switch -> counter t ~switch name)
 
 let sum = Array.fold_left (fun acc c -> acc + c.count) 0
 
-let value c = List.fold_left (fun acc h -> acc + h.count) c.direct c.handles
+let value c = List.fold_left (fun acc h -> acc + h.count) 0 c.handles
 
 let bucket_of v = int_of_float (Float.floor (Float.log v /. log_base))
 

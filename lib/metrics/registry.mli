@@ -8,15 +8,14 @@
     kept alongside, and quantile estimates are clamped into
     [\[min, max\]]).
 
-    A layer counts a fact it reads back in a {!counter} handle.  A
-    counter's value is what {!incr} added under its key plus the count
-    of every handle listed there, so two runs recording into one
-    registry sum as if they shared one cell.
+    A layer counts a fact in a {!counter} handle.  A counter's value is
+    the count of every handle listed under its key, so two runs
+    recording into one registry sum as if they shared one cell.
 
     Cells are created on first use; using one name with two different
     metric kinds raises [Invalid_argument].  A registry is {e not}
     domain-safe and is pinned to the domain that created it: a recording
-    call ({!incr}, {!observe}, or {!bump} on one of its handles) from
+    call ({!observe} or {!bump} on one of its handles) from
     another domain raises [Invalid_argument] naming both domains.  Code
     that records as it runs must run on the owner; work spread over
     domains returns its results and the owner records them (as
@@ -33,18 +32,16 @@
 type t
 
 val disabled : t
-(** A shared registry that drops everything.  {!incr} and {!observe} on
-    it return before the owner check and allocate nothing, so it may be
-    recorded into from any domain.  It always reads as empty. *)
+(** A shared registry that drops everything.  {!observe} on it returns
+    before the owner check and allocates nothing, and so does {!bump} on
+    its handles, so it may be recorded into from any domain.  It always
+    reads as empty. *)
 
 val create : unit -> t
 
 val is_empty : t -> bool
 
 (** {2 Recording} *)
-
-val incr : t -> ?switch:int -> ?by:int -> string -> unit
-(** Bump a counter (default [by = 1]). *)
 
 val observe : t -> ?switch:int -> string -> float -> unit
 (** Add one sample to a histogram. *)

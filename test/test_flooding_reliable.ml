@@ -234,10 +234,10 @@ let test_lossless_reliable_matches_hop_by_hop () =
   check Alcotest.int "nothing abandoned" 0
     (Lsr.Flooding.deliveries_abandoned rel)
 
-let test_unicast_duplicates_by_mode () =
+let test_unicast_duplicates_delivered_once () =
   (* One transport, acks on or off: under a hook that doubles every data
-     copy, a hop-by-hop unicast delivers both copies (no dedup, no acks),
-     while a reliable one deduplicates to a single delivery. *)
+     copy, a unicast is delivered once in both modes; only the reliable
+     one acks, and it acks both copies. *)
   let graph = Net.Topo_gen.line 2 in
   let transmit ~src:_ ~dst:_ ~base_delay = [ base_delay; base_delay ] in
   let run mode =
@@ -248,7 +248,7 @@ let test_unicast_duplicates_by_mode () =
   in
   let hop, hop_delivered = run Lsr.Flooding.Hop_by_hop in
   let rel, rel_delivered = run Lsr.Flooding.Reliable in
-  check Alcotest.int "hop-by-hop delivers every copy" 2 hop_delivered;
+  check Alcotest.int "hop-by-hop delivers one" 1 hop_delivered;
   check Alcotest.int "hop-by-hop sends no acks" 0 (Lsr.Flooding.acks_sent hop);
   check Alcotest.int "reliable delivers one" 1 rel_delivered;
   check Alcotest.int "reliable acks both copies" 2 (Lsr.Flooding.acks_sent rel);
@@ -333,6 +333,48 @@ let test_abandon_link_cancels_pending_once () =
   check Alcotest.int "no pending state left" 0
     (Lsr.Flooding.pending_retransmits f)
 
+let test_abandon_link_cancels_only_its_link () =
+  (* abandon_link reads one directed link's transfers: three on 0→1 are
+     cancelled, in (origin, seq) order — the reverse of their keys' order
+     (seq * n + origin) — while the one on 0→2 keeps retrying until its
+     own budget runs out. *)
+  let graph = Net.Topo_gen.star 4 in
+  let transmit ~src:_ ~dst:_ ~base_delay:_ = [] in
+  let f, engine, _ = make graph ~t_hop:1.0 ~transmit in
+  let giveups = ref [] in
+  let send ~dst (origin, seq) =
+    Lsr.Flooding.send f ~src:0 ~dst
+      ~on_giveup:(fun () -> giveups := (dst, origin, seq) :: !giveups)
+      (Lsr.Lsa.make ~origin ~seq ())
+  in
+  List.iter (send ~dst:1) [ (3, 0); (2, 1); (1, 4) ];
+  send ~dst:2 (0, 2);
+  ignore
+    (Sim.Engine.schedule engine ~delay:1.0 (fun () ->
+         check Alcotest.int "four transfers pending" 4
+           (Lsr.Flooding.pending_retransmits f);
+         check Alcotest.int "three cancelled" 3
+           (Lsr.Flooding.abandon_link f ~src:0 ~dst:1);
+         check
+           Alcotest.(list (triple int int int))
+           "giveups in (origin, seq) order"
+           [ (1, 1, 4); (1, 2, 1); (1, 3, 0) ]
+           (List.rev !giveups);
+         check Alcotest.int "three abandoned" 3
+           (Lsr.Flooding.deliveries_abandoned f);
+         check Alcotest.int "the 0→2 transfer still pending" 1
+           (Lsr.Flooding.pending_retransmits f)));
+  Sim.Engine.run engine;
+  check
+    Alcotest.(list (triple int int int))
+    "the 0→2 transfer gives up last"
+    [ (1, 1, 4); (1, 2, 1); (1, 3, 0); (2, 0, 2) ]
+    (List.rev !giveups);
+  check Alcotest.int "four abandoned in all" 4
+    (Lsr.Flooding.deliveries_abandoned f);
+  check Alcotest.int "no pending state left" 0
+    (Lsr.Flooding.pending_retransmits f)
+
 let () =
   Alcotest.run "flooding_reliable"
     [
@@ -355,13 +397,14 @@ let () =
             (test_exactly_once_under_reordering Lsr.Flooding.Reliable);
           Alcotest.test_case "lossless reliable = hop-by-hop modulo acks"
             `Quick test_lossless_reliable_matches_hop_by_hop;
-          Alcotest.test_case "duplicated unicast: hop-by-hop delivers every \
-                              copy, reliable one"
-            `Quick test_unicast_duplicates_by_mode;
+          Alcotest.test_case "duplicated unicast: delivered once in both modes"
+            `Quick test_unicast_duplicates_delivered_once;
           Alcotest.test_case "giveup fires once when a crash window closes \
                               mid-backoff"
             `Quick test_giveup_once_crash_window_closes_mid_backoff;
           Alcotest.test_case "abandon_link cancels pending state exactly once"
             `Quick test_abandon_link_cancels_pending_once;
+          Alcotest.test_case "abandon_link cancels only its own link" `Quick
+            test_abandon_link_cancels_only_its_link;
         ] );
     ]

@@ -142,35 +142,47 @@ let test_flooding_rejects_bad_lsa () =
 
 (* An untraced hop-by-hop flood with no [transmit] hook allocates per
    message only the calendar entry (its record and boxed time) and the
-   arrival's closure, plus one forwarding closure per first receipt.
-   The first flood from each origin is not timed: it creates the
-   per-(switch, origin) duplicate records, which later floods reuse. *)
+   arrival's closure, plus one forwarding closure per first receipt.  A
+   reliable one adds the ack, the transfer record and its link-table
+   entry, and the retransmit timer.  The first flood from each origin is
+   not timed: it creates the per-(switch, origin) duplicate records and
+   the per-link transfer tables, which later floods reuse. *)
 let test_flooding_allocation_bound () =
   let n = 100 in
   let g = Net.Topo_gen.waxman (Sim.Rng.create 7) ~n ~target_degree:3.5 () in
-  let engine = Sim.Engine.create () in
-  let f =
-    Lsr.Flooding.create ~engine ~graph:g ~t_hop:1.0
-      ~deliver:(fun ~switch:_ _ -> ())
-      ()
+  let per_message mode =
+    let engine = Sim.Engine.create () in
+    let f =
+      Lsr.Flooding.create ~engine ~graph:g ~t_hop:1.0 ~mode
+        ~deliver:(fun ~switch:_ _ -> ())
+        ()
+    in
+    let flood_all seq =
+      for origin = 0 to n - 1 do
+        Lsr.Flooding.flood f (Lsr.Lsa.make ~origin ~seq ());
+        Sim.Engine.run engine
+      done
+    in
+    flood_all 0;
+    let sent = Lsr.Flooding.messages_sent f in
+    let before = Gc.minor_words () in
+    flood_all 1;
+    let words = Gc.minor_words () -. before in
+    let messages = Lsr.Flooding.messages_sent f - sent in
+    (words /. float_of_int messages, messages)
   in
-  let flood_all seq =
-    for origin = 0 to n - 1 do
-      Lsr.Flooding.flood f (Lsr.Lsa.make ~origin ~seq ());
-      Sim.Engine.run engine
-    done
-  in
-  flood_all 0;
-  let sent = Lsr.Flooding.messages_sent f in
-  let before = Gc.minor_words () in
-  flood_all 1;
-  let words = Gc.minor_words () -. before in
-  let messages = Lsr.Flooding.messages_sent f - sent in
-  let per_message = words /. float_of_int messages in
-  if per_message > 32.0 then
-    (* dgmc-analyze: allow float-format — test failure message *)
-    Alcotest.failf "%.1f minor words per message over %d messages (bound 32)"
-      per_message messages
+  List.iter
+    (fun (mode, name, bound) ->
+      let words, messages = per_message mode in
+      if words > bound then
+        (* dgmc-analyze: allow float-format — test failure message *)
+        Alcotest.failf "%s: %.1f minor words per message over %d messages \
+                        (bound %.0f)"
+          name words messages bound)
+    [
+      (Lsr.Flooding.Hop_by_hop, "hop-by-hop", 32.0);
+      (Lsr.Flooding.Reliable, "reliable", 90.0);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Lsdb *)

@@ -83,9 +83,10 @@ let test_nearest_rank () =
 let test_registry_counters () =
   let r = Metrics.Registry.create () in
   check Alcotest.bool "fresh registry is empty" true (Metrics.Registry.is_empty r);
-  Metrics.Registry.incr r "a";
-  Metrics.Registry.incr r ~by:4 "a";
-  Metrics.Registry.incr r ~switch:3 "a";
+  let a = Metrics.Registry.counter r "a" in
+  Metrics.Registry.bump a;
+  Metrics.Registry.bump ~by:4 a;
+  Metrics.Registry.bump (Metrics.Registry.counter r ~switch:3 "a");
   check Alcotest.int "aggregate cell" 5 (Metrics.Registry.counter_value r "a");
   check Alcotest.int "labelled cell is separate" 1
     (Metrics.Registry.counter_value r ~switch:3 "a");
@@ -95,9 +96,9 @@ let test_registry_counters () =
     (Invalid_argument "Metrics.Registry: a is a counter, not a histogram")
     (fun () -> Metrics.Registry.observe r "a" 1.0)
 
-(* Handles count for their owner and sum under their key: two handles
-   and an [incr] on one key read as one counter, a handle never bumped
-   leaves no key, and a handle of the disabled registry counts alone. *)
+(* Handles count for their owner and sum under their key: three handles
+   on one key read as one counter, a handle never bumped leaves no key,
+   and a handle of the disabled registry counts alone. *)
 let test_counter_handles () =
   let module R = Metrics.Registry in
   let r = R.create () in
@@ -106,9 +107,9 @@ let test_counter_handles () =
   check Alcotest.bool "creating handles records nothing" true (R.is_empty r);
   R.bump a;
   R.bump ~by:3 b;
-  R.incr r ~switch:1 "h";
+  R.bump (R.counter r ~switch:1 "h");
   check Alcotest.int "a handle reads its own count" 1 (R.count a);
-  check Alcotest.int "the key sums its handles and incr" 5
+  check Alcotest.int "the key sums its handles" 5
     (R.counter_value r ~switch:1 "h");
   check
     Alcotest.(list (pair string int))
@@ -192,10 +193,10 @@ let test_histogram_edge_cases () =
 
 let test_snapshot_deterministic () =
   let r = Metrics.Registry.create () in
-  Metrics.Registry.incr r ~switch:2 "z";
-  Metrics.Registry.incr r "z";
-  Metrics.Registry.incr r ~switch:1 "z";
-  Metrics.Registry.incr r "a";
+  List.iter
+    (fun (switch, name) ->
+      Metrics.Registry.bump (Metrics.Registry.counter r ?switch name))
+    [ (Some 2, "z"); (None, "z"); (Some 1, "z"); (None, "a") ];
   let s = Metrics.Registry.snapshot r in
   let keys =
     List.map
@@ -283,19 +284,21 @@ let test_csv_write_roundtrip () =
 
 let test_owner_domain_guard () =
   let r = Metrics.Registry.create () in
-  Metrics.Registry.incr r "ok.from.owner";
+  Metrics.Registry.bump (Metrics.Registry.counter r "ok.from.owner");
   (* Mutating from a spawned domain must raise; reading back on the
      owner still works and the foreign write left no trace. *)
   let outcome =
     Domain.join
       (Domain.spawn (fun () ->
-           match Metrics.Registry.incr r "bad.from.worker" with
+           match
+             Metrics.Registry.bump (Metrics.Registry.counter r "bad.from.worker")
+           with
            | () -> `No_raise
            | exception Invalid_argument _ -> `Raised))
   in
   (match outcome with
   | `Raised -> ()
-  | `No_raise -> Alcotest.fail "cross-domain incr did not raise");
+  | `No_raise -> Alcotest.fail "cross-domain bump did not raise");
   check Alcotest.int "owner counter survives" 1
     (Metrics.Registry.counter_value r "ok.from.owner");
   check Alcotest.int "foreign counter absent" 0

@@ -251,15 +251,16 @@ let test_disabled_registry_any_domain () =
   let allocated =
     Domain.join
       (Domain.spawn (fun () ->
-           Metrics.Registry.incr r "warm";
+           let c = Metrics.Registry.counter r "no counter here" in
+           Metrics.Registry.observe r "warm" 1.5;
            let baseline =
              let a = Gc.allocated_bytes () in
              Gc.allocated_bytes () -. a
            in
            let a0 = Gc.allocated_bytes () in
            for _ = 1 to 1000 do
-             Metrics.Registry.incr r "no counter here";
-             Metrics.Registry.incr r ~switch:3 ~by:2 "no counter here";
+             Metrics.Registry.bump c;
+             Metrics.Registry.bump ~by:2 c;
              Metrics.Registry.observe r "no histogram here" 1.5
            done;
            Gc.allocated_bytes () -. a0 -. baseline))
