@@ -23,15 +23,18 @@ type t = {
   mutable triggered : computation option;
 }
 
+(* One frozen zero serves all four stamps: the first in-place update of
+   [r], [e] or [membership_seen] copies it into that field's own buffer. *)
 let create ~n =
+  let zero = Timestamp.zero n in
   {
-    r = Timestamp.zero n;
-    e = Timestamp.zero n;
-    c = Timestamp.zero n;
+    r = zero;
+    e = zero;
+    c = zero;
     flag = false;
     members = Member.empty;
     topology = Mctree.Tree.empty;
-    membership_seen = Timestamp.zero n;
+    membership_seen = zero;
     mailbox = Queue.create ();
     event_computations = [];
     triggered = None;

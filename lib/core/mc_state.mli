@@ -5,7 +5,13 @@
     (state the current topology is based on); the [make_proposal_flag]
     shared between the two protocol entities; its image of the member
     list and of the MC topology; and the mailbox of MC LSAs waiting to
-    be consumed by [ReceiveLSA()]. *)
+    be consumed by [ReceiveLSA()].
+
+    [r], [e] and [membership_seen] are the switch's owned stamps: the
+    switch updates them in place with the [Timestamp.*_owned]
+    operations and freezes each one before it leaves the record, under
+    the copy-on-write rule of {!Timestamp}.  [c] is only ever replaced
+    by stamps that are already frozen. *)
 
 type computation = {
   id : int;
@@ -37,7 +43,8 @@ type t = {
           from [s] whose join/leave has been applied; stale (reordered)
           membership LSAs still count as events but do not regress the
           member list.  A per-source max cursor, so a stamp: it only
-          ever rises by {!Timestamp.raise_to} and {!Timestamp.merge},
+          ever rises by {!Timestamp.raise_owned} and
+          {!Timestamp.merge_owned},
           and it holds only the sources that issued membership events. *)
   mailbox : Mc_lsa.t Queue.t;
   mutable event_computations : computation list;
@@ -51,5 +58,5 @@ type t = {
 
 val create : n:int -> t
 (** Fresh state for an n-switch network: zero timestamps, no members,
-    empty topology.  Allocates O(1) words whatever [n] is: the zero
-    stamps hold no components. *)
+    empty topology.  Allocates O(1) words whatever [n] is: the four
+    stamps are one frozen zero, which holds no components. *)

@@ -1,58 +1,99 @@
-module Int_map = Map.Make (Int)
-
 type role = Sender | Receiver | Both
 
-type t = role Int_map.t
+(* Sorted packed entries, one per member: [id lsl 2 lor code role].  The
+   role sits below the id, so ascending entries are ascending ids and a
+   list has exactly one representation.  Never mutated after
+   construction: [join] and [leave] copy the one short array, and return
+   their argument when nothing changes. *)
+type t = int array
 
-let empty = Int_map.empty
+let code = function Sender -> 0 | Receiver -> 1 | Both -> 2
 
-let is_empty = Int_map.is_empty
+let decode c = match c land 3 with 0 -> Sender | 1 -> Receiver | _ -> Both
 
-let cardinal = Int_map.cardinal
+let pack x role = (x lsl 2) lor code role
 
-let join t x role = Int_map.add x role t
+let id_of c = c asr 2
 
-let leave t x = Int_map.remove x t
+let empty = [||]
 
-let mem t x = Int_map.mem x t
+let is_empty t = Array.length t = 0
 
-let role t x = Int_map.find_opt x t
+let cardinal = Array.length
 
-let ids t = List.map fst (Int_map.bindings t)
+(* Index of member [x] in [t.(lo) .. t.(hi - 1)], or [lnot j] where [j]
+   is the index it would be inserted at. *)
+let rec search t x lo hi =
+  if lo >= hi then lnot lo
+  else
+    let mid = (lo + hi) / 2 in
+    let y = id_of t.(mid) in
+    if y = x then mid else if y < x then search t x (mid + 1) hi else search t x lo mid
 
-let senders t =
-  Int_map.bindings t
-  |> List.filter_map (fun (x, r) ->
-         match r with Sender | Both -> Some x | Receiver -> None)
+let find t x = search t x 0 (Array.length t)
 
-let receivers t =
-  Int_map.bindings t
-  |> List.filter_map (fun (x, r) ->
-         match r with Receiver | Both -> Some x | Sender -> None)
+let join t x role =
+  let c = pack x role and j = find t x in
+  if j >= 0 then
+    if t.(j) = c then t
+    else begin
+      let t' = Array.copy t in
+      t'.(j) <- c;
+      t'
+    end
+  else begin
+    let j = lnot j and len = Array.length t in
+    let t' = Array.make (len + 1) c in
+    Array.blit t 0 t' 0 j;
+    Array.blit t j t' (j + 1) (len - j);
+    t'
+  end
+
+let leave t x =
+  let j = find t x in
+  if j < 0 then t
+  else begin
+    let len = Array.length t in
+    let t' = Array.make (len - 1) 0 in
+    Array.blit t 0 t' 0 j;
+    Array.blit t (j + 1) t' j (len - j - 1);
+    t'
+  end
+
+let mem t x = find t x >= 0
+
+let role t x =
+  let j = find t x in
+  if j >= 0 then Some (decode t.(j)) else None
+
+let ids t = Array.fold_right (fun c acc -> id_of c :: acc) t []
+
+let with_role keep t =
+  Array.fold_right
+    (fun c acc -> if keep (decode c) then id_of c :: acc else acc)
+    t []
+
+let senders = with_role (function Sender | Both -> true | Receiver -> false)
+
+let receivers = with_role (function Receiver | Both -> true | Sender -> false)
 
 let of_list list =
   List.fold_left (fun t (x, r) -> join t x r) empty list
 
-let role_rank = function Sender -> 0 | Receiver -> 1 | Both -> 2
+(* Entries [i ..] of two lists of the same length. *)
+let rec compare_from a b i =
+  if i >= Array.length a then 0
+  else
+    let c = Int.compare a.(i) b.(i) in
+    if c <> 0 then c else compare_from a b (i + 1)
 
-let compare_role x y = Int.compare (role_rank x) (role_rank y)
+let compare a b =
+  if a == b then 0
+  else
+    let c = Int.compare (Array.length a) (Array.length b) in
+    if c <> 0 then c else compare_from a b 0
 
-(* [Int_map.equal] and [Int_map.compare] allocate an enumeration of both
-   maps per call.  Equality is settled by lookups instead, which allocate
-   only the closure; memo lookups mostly compare equal sets, so
-   [compare] settles that case first the same way. *)
-let same_bindings a b =
-  Int_map.cardinal a = Int_map.cardinal b
-  && Int_map.for_all
-       (fun x r ->
-         match Int_map.find x b with
-         | r' -> compare_role r r' = 0
-         | exception Not_found -> false)
-       a
-
-let equal a b = a == b || same_bindings a b
-
-let compare a b = if same_bindings a b then 0 else Int_map.compare compare_role a b
+let equal a b = compare a b = 0
 
 let role_to_string = function
   | Sender -> "sender"
@@ -67,7 +108,8 @@ let role_of_string = function
 
 let pp ppf t =
   Format.fprintf ppf "{%a}"
-    (Format.pp_print_list
+    (Format.pp_print_seq
        ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
-       (fun ppf (x, r) -> Format.fprintf ppf "%d:%s" x (role_to_string r)))
-    (Int_map.bindings t)
+       (fun ppf c ->
+         Format.fprintf ppf "%d:%s" (id_of c) (role_to_string (decode c))))
+    (Array.to_seq t)

@@ -14,13 +14,17 @@ val empty : t
 val is_empty : t -> bool
 
 val cardinal : t -> int
+(** O(1). *)
 
 val join : t -> int -> role -> t
 (** Add a member; joining again overwrites the role (the switch's hosts'
-    aggregate interest changed). *)
+    aggregate interest changed).  Copies the one array of the list, or
+    returns it unchanged when the member already holds [role].  Member
+    ids must lie within [min_int asr 2 .. max_int asr 2] (switch ids
+    are small naturals). *)
 
 val leave : t -> int -> t
-(** Remove a member entirely; no-op when absent. *)
+(** Remove a member entirely; returns the list unchanged when absent. *)
 
 val mem : t -> int -> bool
 
@@ -38,14 +42,17 @@ val receivers : t -> int list
 val of_list : (int * role) list -> t
 
 val equal : t -> t -> bool
-(** Same members with the same roles.  Physically equal lists answer at
-    once; otherwise the check looks each member up in the other list,
-    which allocates only the lookup closure (no enumeration of either
-    map). *)
+(** Same members with the same roles.  A list is stored packed, as the
+    ascending [int array] of its entries [id lsl 2 lor role], so each
+    list has exactly one form: physically equal lists answer at once,
+    and otherwise the check compares the two arrays' lengths and then
+    their entries in order, allocating nothing. *)
 
 val compare : t -> t -> int
 (** Total order consistent with {!equal}, for keying maps on member
-    sets. *)
+    sets: shorter lists first, then the packed entries compared
+    lexicographically, so lists of one size order by their least
+    differing member id, then role. *)
 
 val role_to_string : role -> string
 

@@ -137,11 +137,21 @@ let image t = Lsr.Lsdb.graph t.lsdb
 let connect t sink = t.sink <- sink
 
 (* Everything mutable is copied: the state tables keep their layout, so
-   the copy iterates its MCs in the same order as [t]. *)
+   the copy iterates its MCs in the same order as [t].  The owned stamps
+   are shared by both sides, so they are frozen first: the next in-place
+   update on either side copies. *)
 let copy t =
   let mcs = Mc_id.Tbl.copy t.mcs in
   Mc_id.Tbl.filter_map_inplace
-    (fun _ (st : Mc_state.t) -> Some { st with mailbox = Queue.copy st.mailbox })
+    (fun _ (st : Mc_state.t) ->
+      Some
+        {
+          st with
+          r = Timestamp.freeze st.r;
+          e = Timestamp.freeze st.e;
+          membership_seen = Timestamp.freeze st.membership_seen;
+          mailbox = Queue.copy st.mailbox;
+        })
     mcs;
   {
     t with
@@ -207,7 +217,10 @@ let maybe_delete t mc (st : Mc_state.t) =
     && st.triggered = None
   then begin
     tracef t "mc-delete" "%a deleted" Mc_id.pp mc;
-    Mc_id.Tbl.replace t.tombstones mc (st.r, st.e, st.membership_seen);
+    Mc_id.Tbl.replace t.tombstones mc
+      ( Timestamp.freeze st.r,
+        Timestamp.freeze st.e,
+        Timestamp.freeze st.membership_seen );
     Mc_id.Tbl.remove t.mcs mc;
     (* Deletion is a state change observers care about (e.g. hierarchy
        leaders watching the logical level). *)
@@ -222,7 +235,10 @@ let flood_lsa t mc ~event ~proposal ?members ~stamp () =
   | Some _ -> Metrics.Registry.bump t.counts.proposals_flooded
   | None -> Metrics.Registry.bump t.counts.event_lsas_flooded);
   t.sink
-    (Flood (Mc (Mc_lsa.make ~src:t.id ~event ~mc ?proposal ?members ~stamp ())))
+    (Flood
+       (Mc
+          (Mc_lsa.make ~src:t.id ~event ~mc ?proposal ?members
+             ~stamp:(Timestamp.freeze stamp) ())))
 
 (* A proposal computed before a link failure can be installed after it:
    the sender never saw the failure, and the usual detection (an incident
@@ -248,7 +264,7 @@ let compute_proposal t (st : Mc_state.t) (mc : Mc_id.t) =
    re-checks it against the live R.  [event] is [No_event] for the
    triggered entity. *)
 let launch t mc (st : Mc_state.t) ~event =
-  let old_r = st.r in
+  let old_r = Timestamp.freeze st.r in
   let proposal = compute_proposal t st mc in
   let trace_id =
     if traced t then
@@ -332,10 +348,10 @@ and event_handler t mc event =
   | Mc_lsa.Link | Mc_lsa.No_event -> ());
   (* Line 1: R[x]++, E[x]++ — numbering is continuous across state
      incarnations because recreation resumes from the tombstone. *)
-  st.r <- Timestamp.bump st.r t.id;
-  st.e <- Timestamp.bump st.e t.id;
+  st.r <- Timestamp.bump_owned st.r t.id;
+  st.e <- Timestamp.bump_owned st.e t.id;
   st.membership_seen <-
-    Timestamp.raise_to st.membership_seen t.id (Timestamp.get st.r t.id);
+    Timestamp.raise_owned st.membership_seen t.id (Timestamp.get st.r t.id);
   if Timestamp.geq st.r st.e then
     (* Lines 3-5: no outstanding LSAs — compute a proposal. *)
     st.event_computations <-
@@ -404,14 +420,14 @@ let process_lsa t (st : Mc_state.t) (lsa : Mc_lsa.t) candidate =
        event's index at its source, so "raise to" rather than increment —
        equivalent on in-order floods, and robust when knowledge arrived
        in aggregated form (post-partition resynchronisation). *)
-    st.r <- Timestamp.raise_to st.r s (Timestamp.get lsa.stamp s);
+    st.r <- Timestamp.raise_owned st.r s (Timestamp.get lsa.stamp s);
     (* Line 8: apply membership changes.  T[S] sequences the events of
        switch S, so a reordered stale membership LSA is counted but not
        applied over a newer one. *)
     if Mc_lsa.is_membership_event lsa then begin
       let seq = Timestamp.get lsa.stamp s in
       if seq > Timestamp.get st.membership_seen s then begin
-        st.membership_seen <- Timestamp.raise_to st.membership_seen s seq;
+        st.membership_seen <- Timestamp.raise_owned st.membership_seen s seq;
         if traced t then
           tracef t "member" "sw%d applies %s from %d seq %d" t.id
             (Mc_lsa.event_to_string lsa.event) s seq;
@@ -428,7 +444,7 @@ let process_lsa t (st : Mc_state.t) (lsa : Mc_lsa.t) candidate =
     end
   end;
   (* Line 10: learn what to expect. *)
-  st.e <- Timestamp.merge st.e lsa.stamp;
+  st.e <- Timestamp.merge_owned st.e lsa.stamp;
   (* Resynchronisation extension: an up-to-date proposal's member-list
      snapshot is authoritative for everything its stamp covers.  This is
      how a switch that missed events across a healed partition catches
@@ -447,8 +463,8 @@ let process_lsa t (st : Mc_state.t) (lsa : Mc_lsa.t) candidate =
       st.members <- snapshot;
       t.sink Changed
     end;
-    st.membership_seen <- Timestamp.merge st.membership_seen lsa.stamp;
-    st.r <- Timestamp.merge st.r lsa.stamp
+    st.membership_seen <- Timestamp.merge_owned st.membership_seen lsa.stamp;
+    st.r <- Timestamp.merge_owned st.r lsa.stamp
   | Some _ | None -> ());
   (* Lines 11-17: accept an up-to-date proposal (the best one by the
      [supersedes] tie-break), or detect that the sender did not know all
@@ -610,11 +626,11 @@ let revalidate_installs t ~peer =
 let export mc (st : Mc_state.t) =
   {
     Resync.exp_mc = mc;
-    exp_r = st.r;
-    exp_e = st.e;
+    exp_r = Timestamp.freeze st.r;
+    exp_e = Timestamp.freeze st.e;
     exp_c = st.c;
     exp_members = st.members;
-    exp_membership_seen = st.membership_seen;
+    exp_membership_seen = Timestamp.freeze st.membership_seen;
     exp_topology = st.topology;
   }
 
@@ -630,7 +646,7 @@ let export mc (st : Mc_state.t) =
 let apply_export t ~adopt (e : Resync.mc_export) =
   let st = get_or_create t e.exp_mc in
   let merged_r = Timestamp.merge st.r e.exp_r in
-  st.e <- Timestamp.merge st.e e.exp_e;
+  st.e <- Timestamp.merge_owned st.e e.exp_e;
   if not (Timestamp.equal merged_r st.r) then
     adopt st (fun () ->
         (* Merge R before adopting the export's membership cursors: each
@@ -644,7 +660,7 @@ let apply_export t ~adopt (e : Resync.mc_export) =
           (fun src peer_seen ->
             if peer_seen > Timestamp.get st.membership_seen src then begin
               st.membership_seen <-
-                Timestamp.raise_to st.membership_seen src peer_seen;
+                Timestamp.raise_owned st.membership_seen src peer_seen;
               (match Member.role e.exp_members src with
               | Some role -> st.members <- Member.join st.members src role
               | None -> st.members <- Member.leave st.members src);
@@ -1014,7 +1030,10 @@ let topology t mc =
   Option.map (fun (st : Mc_state.t) -> st.topology) (get_state t mc)
 
 let stamps t mc =
-  Option.map (fun (st : Mc_state.t) -> (st.r, st.e, st.c)) (get_state t mc)
+  Option.map
+    (fun (st : Mc_state.t) ->
+      (Timestamp.freeze st.r, Timestamp.freeze st.e, st.c))
+    (get_state t mc)
 
 let proposal_flag t mc =
   match get_state t mc with Some st -> st.flag | None -> false
@@ -1052,13 +1071,13 @@ let snapshots t =
       let st = Mc_id.Tbl.find t.mcs mc in
       {
         snap_mc = mc;
-        snap_r = st.r;
-        snap_e = st.e;
+        snap_r = Timestamp.freeze st.r;
+        snap_e = Timestamp.freeze st.e;
         snap_c = st.c;
         snap_flag = st.flag;
         snap_members = st.members;
         snap_topology = st.topology;
-        snap_membership_seen = st.membership_seen;
+        snap_membership_seen = Timestamp.freeze st.membership_seen;
         snap_mailbox = List.of_seq (Queue.to_seq st.mailbox);
         snap_computations =
           List.map (fun (c : Mc_state.computation) -> c.old_r) st.event_computations;

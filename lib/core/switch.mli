@@ -14,7 +14,7 @@
     through {!fire}.  It never touches a wire or a calendar itself: each
     flood, resync unicast, change signal, timer start and timer cancel
     is one {!output} handed to the sink its driver {!connect}s.  So a
-    switch holds no closure and {!copy} is a plain structural copy. *)
+    switch holds no closure and {!copy} is a structural copy. *)
 
 type stats = {
   computations : int;
@@ -104,7 +104,10 @@ val copy : t -> t
 (** An independent switch in [t]'s exact state: later inputs to either
     never reach the other, and equal inputs produce equal outputs.  It
     shares [t]'s engine and is not connected.  Its counts are its own
-    and start at zero: {!stats} reads what the copy itself did. *)
+    and start at zero: {!stats} reads what the copy itself did.  The
+    two share their stamps, which the copy freezes in [t] first, so an
+    in-place update on either side copies instead of writing (see
+    {!Timestamp}). *)
 
 val fire : t -> timer -> unit
 (** Run a due timer: complete the computation (the withdrawal check,
@@ -205,7 +208,8 @@ val members : t -> Mc_id.t -> Member.t option
 val topology : t -> Mc_id.t -> Mctree.Tree.t option
 
 val stamps : t -> Mc_id.t -> (Timestamp.t * Timestamp.t * Timestamp.t) option
-(** [(R, E, C)]. *)
+(** [(R, E, C)], frozen: later updates of the switch do not change
+    them. *)
 
 val proposal_flag : t -> Mc_id.t -> bool
 (** The paper's [make_proposal_flag] ([false] when no state exists). *)
@@ -239,4 +243,5 @@ type mc_snapshot = {
 
 val snapshots : t -> mc_snapshot list
 (** One snapshot per MC this switch holds state for, sorted by MC id.
-    Immutable copies throughout; holding one does not alias live state. *)
+    Immutable throughout: the stamps are frozen ({!Timestamp}), so
+    holding one does not alias live state. *)

@@ -6,9 +6,29 @@
     componentwise; D-GMC uses them to detect topology proposals based on
     incomplete or obsolete information.
 
-    Values are immutable: protocol state updates replace whole
-    timestamps, which makes the saved-[old_R]-versus-current-[R]
-    comparisons of the paper's algorithms trivially safe.
+    {b Ownership.}  A stamp is either {e frozen} or {e owned}.  Every
+    stamp the pure operations below build is frozen, and a frozen stamp
+    is never written again, so it can be shared freely: LSAs, saved
+    [old_R]s, tombstones and snapshots all hold frozen stamps, which
+    keeps the saved-[old_R]-versus-current-[R] comparisons of the
+    paper's algorithms safe.  Owned stamps exist only for a switch's own
+    [R], [E] and [membership_seen] ({!Mc_state.t}), which the
+    [*_owned] operations update in place in a growable buffer.  One
+    copy-on-write rule governs them:
+    - any owned stamp that leaves its state field is frozen first with
+      {!freeze} (an LSA's stamp, a computation's [old_R], a tombstone,
+      an export, a snapshot, and both sides of a copied switch);
+    - an in-place update never writes a frozen stamp: it copies it into
+      a fresh owned buffer with room to spare and writes that, or writes
+      an owned stamp in place when it has room;
+    - a {!merge_owned} whose other argument already dominates adopts
+      that argument, freezing it, and writes nothing.
+    An in-place operation returns the stamp the state field must hold
+    from then on: its argument, an owned copy of it, or (for
+    {!merge_owned}) its other argument.  The pure operations never
+    write their arguments, but may return one; an owned stamp passed to
+    one must be frozen first if the result is to outlive the state
+    field.
 
     {b Dense semantics, sparse storage.}  Every operation is specified
     over the dense n-component view above, and {!pp} and {!to_array}
@@ -44,6 +64,25 @@ val raise_to : t -> int -> int -> t
 val merge : t -> t -> t
 (** Componentwise maximum — the least upper bound.  This is the paper's
     "E\[i\] = max(E\[i\], T\[i\])" update.  Sizes must agree. *)
+
+val freeze : t -> t
+(** [freeze t] marks [t] frozen, so no in-place operation writes it
+    again, and returns it.  Call it on an owned stamp before the stamp
+    leaves its state field.  Allocates nothing. *)
+
+val bump_owned : t -> int -> t
+(** {!bump} in place: the same result and errors, written into [t]
+    when [t] is owned and has room, else into an owned copy. *)
+
+val raise_owned : t -> int -> int -> t
+(** {!raise_to} in place, as {!bump_owned}; returns [t] unchanged,
+    without writing, when component [x] is already at least [v]. *)
+
+val merge_owned : t -> t -> t
+(** {!merge} in place: [a] itself, unwritten, when it already covers
+    [b]; [b], frozen, when [b] covers [a]; otherwise the componentwise
+    maximum written into [a] when [a] is owned and has room, else into
+    an owned copy.  [b] is never written. *)
 
 val geq : t -> t -> bool
 (** [geq a b] is the paper's [a >= b]: every component of [a] is at least

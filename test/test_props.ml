@@ -398,13 +398,18 @@ module Dense_laws =
    are compared too: an operation either succeeds in both (and both
    registers take the result) or raises the same [Invalid_argument] in
    both.  After every step every observable of every register and pair
-   must agree. *)
+   must agree.  The sparse stamps run twice: through the pure operations
+   and through the in-place ones, where a register is the owner of its
+   stamp, a merge into another register or a [Share] freezes the source
+   first, and a register left holding a shared stamp must never see it
+   change. *)
 type stamp_op =
   | Bump of int * int  (** register, switch *)
   | Raise of int * int * int  (** register, switch, value *)
   | Merge of int * int * int  (** destination, left, right *)
   | Load of int * int array  (** [of_array] into a register *)
   | Mismatch of int  (** merge with a stamp one component larger *)
+  | Share of int * int  (** destination takes the source's stamp *)
 
 let pp_stamp_op = function
   | Bump (r, x) -> Printf.sprintf "bump r%d %d" r x
@@ -414,6 +419,7 @@ let pp_stamp_op = function
     Printf.sprintf "load r%d [%s]" r
       (String.concat ";" (Array.to_list (Array.map string_of_int a)))
   | Mismatch r -> Printf.sprintf "mismatch r%d" r
+  | Share (r, a) -> Printf.sprintf "r%d := r%d" r a
 
 let stamp_ops_gen =
   QCheck2.Gen.(
@@ -439,25 +445,55 @@ let stamp_ops_gen =
           (2, map2 (fun r a -> Load (r, a)) reg dense);
           (1, map2 (fun r a -> Load (r, a)) reg negative);
           (1, map (fun r -> Mismatch r) reg);
+          (1, map2 (fun r a -> Share (r, a)) reg reg);
         ]
     in
     map (fun ops -> (n, ops)) (list_size (int_range 1 40) op))
 
-module Observe (T : STAMP) = struct
+(* How a register takes an operation's result: [merge a b]'s result
+   replaces [a]'s register, and [share] hands a stamp to a second
+   register. *)
+module type UPDATES = sig
+  type t
+
+  val bump : t -> int -> t
+  val raise_to : t -> int -> int -> t
+  val merge : t -> t -> t
+  val share : t -> t
+end
+
+module Pure (T : STAMP) = struct
+  include T
+
+  let share = Fun.id
+end
+
+module In_place = struct
+  type t = Dgmc.Timestamp.t
+
+  let bump = Dgmc.Timestamp.bump_owned
+  let raise_to = Dgmc.Timestamp.raise_owned
+  let merge = Dgmc.Timestamp.merge_owned
+  let share = Dgmc.Timestamp.freeze
+end
+
+module Observe (T : STAMP) (U : UPDATES with type t = T.t) = struct
   let outcome f =
     match f () with
     | v -> "ok " ^ v
     | exception Invalid_argument m -> "invalid " ^ m
 
   let step regs n = function
-    | Bump (r, x) -> outcome (fun () -> regs.(r) <- T.bump regs.(r) x; "")
+    | Bump (r, x) -> outcome (fun () -> regs.(r) <- U.bump regs.(r) x; "")
     | Raise (r, x, v) ->
-      outcome (fun () -> regs.(r) <- T.raise_to regs.(r) x v; "")
+      outcome (fun () -> regs.(r) <- U.raise_to regs.(r) x v; "")
     | Merge (r, a, b) ->
-      outcome (fun () -> regs.(r) <- T.merge regs.(a) regs.(b); "")
+      let left = if r = a then regs.(a) else U.share regs.(a) in
+      outcome (fun () -> regs.(r) <- U.merge left regs.(b); "")
     | Load (r, a) -> outcome (fun () -> regs.(r) <- T.of_array a; "")
     | Mismatch r ->
-      outcome (fun () -> ignore (T.merge regs.(r) (T.zero (n + 1))); "")
+      outcome (fun () -> ignore (U.merge regs.(r) (T.zero (n + 1))); "")
+    | Share (r, a) -> outcome (fun () -> regs.(r) <- U.share regs.(a); "")
 
   (* Everything observable about the registers, as text. *)
   let view regs n =
@@ -503,8 +539,9 @@ module Observe (T : STAMP) = struct
     List.concat_map (fun op -> step regs n op :: view regs n) ops
 end
 
-module Sparse_observe = Observe (Dgmc.Timestamp)
-module Dense_observe = Observe (Dense_stamp)
+module Sparse_observe = Observe (Dgmc.Timestamp) (Pure (Dgmc.Timestamp))
+module In_place_observe = Observe (Dgmc.Timestamp) (In_place)
+module Dense_observe = Observe (Dense_stamp) (Pure (Dense_stamp))
 
 let prop_sparse_matches_dense_oracle =
   QCheck2.Test.make ~name:"timestamp: sparse agrees with the dense oracle"
@@ -514,8 +551,238 @@ let prop_sparse_matches_dense_oracle =
         (String.concat "; " (List.map pp_stamp_op ops)))
     stamp_ops_gen
     (fun case ->
-      List.equal String.equal (Sparse_observe.run case)
-        (Dense_observe.run case))
+      let dense = Dense_observe.run case in
+      List.equal String.equal (Sparse_observe.run case) dense
+      && List.equal String.equal (In_place_observe.run case) dense)
+
+(* ------------------------------------------------------------------ *)
+(* Stamp ownership at the switch
+
+   A switch updates its own R, E and membership_seen in place, so every
+   stamp it hands out must be frozen first.  Random inputs drive switch
+   0 of a 5-switch line and the copies made of it ("rigs").  Every stamp
+   handed out (an LSA's, a computation's [old_R] through a proposal or a
+   snapshot, an export in a delta, tombstones included, and
+   [Switch.stamps]) is recorded with its dense view, and after every
+   later input each must still show that view.  At the end every rig
+   must match a fresh switch replayed through the rig's own inputs, so
+   neither side of a [Switch.copy] reaches the other. *)
+
+type owner_input =
+  | Host_join of int  (** MC index *)
+  | Host_leave of int
+  | Remote of { mc : int; src : int; kind : int; lag : int; ahead : int }
+      (** An LSA from [src]: kind 0 join, 1 leave, 2 link event, 3 a
+          proposal carrying a member snapshot.  [lag] hides that many of
+          switch 0's own events from its stamp, and [ahead] claims that
+          many events of the next source the rig has not been sent yet,
+          so the rig expects more than it has received. *)
+  | Fire  (** The oldest timer the rig started. *)
+  | Read_stamps of int
+  | Read_snapshots
+  | Ask_delta  (** An empty summary from switch 1: the delta exports all. *)
+
+type owner_op = Input of int * owner_input | Copy of int  (** rig index *)
+
+let pp_owner_input = function
+  | Host_join m -> Printf.sprintf "join mc%d" m
+  | Host_leave m -> Printf.sprintf "leave mc%d" m
+  | Remote { mc; src; kind; lag; ahead } ->
+    Printf.sprintf "remote mc%d src%d kind%d lag%d ahead%d" mc src kind lag
+      ahead
+  | Fire -> "fire"
+  | Read_stamps m -> Printf.sprintf "stamps mc%d" m
+  | Read_snapshots -> "snapshots"
+  | Ask_delta -> "ask-delta"
+
+let pp_owner_op = function
+  | Input (r, i) -> Printf.sprintf "rig%d %s" r (pp_owner_input i)
+  | Copy r -> Printf.sprintf "copy rig%d" r
+
+let owner_ops_gen =
+  QCheck2.Gen.(
+    let mc = int_range 0 1 in
+    let input =
+      frequency
+        [
+          (3, map (fun m -> Host_join m) mc);
+          (2, map (fun m -> Host_leave m) mc);
+          ( 8,
+            map
+              (fun ((mc, src), (kind, lag, ahead)) ->
+                Remote { mc; src; kind; lag; ahead })
+              (pair
+                 (pair mc (int_range 1 4))
+                 (triple (int_range 0 3) (int_range 0 1) (int_range 0 1))) );
+          (5, return Fire);
+          (1, map (fun m -> Read_stamps m) mc);
+          (1, return Read_snapshots);
+          (1, return Ask_delta);
+        ]
+    in
+    let rig = int_range 0 2 in
+    list_size (int_range 1 60)
+      (frequency
+         [ (12, map2 (fun r i -> Input (r, i)) rig input); (1, map (fun r -> Copy r) rig) ]))
+
+let owner_n = 5
+
+let owner_mcs =
+  [| Dgmc.Mc_id.make Dgmc.Mc_id.Symmetric 1; Dgmc.Mc_id.make Dgmc.Mc_id.Symmetric 2 |]
+
+type rig = {
+  sw : Dgmc.Switch.t;
+  timers : Dgmc.Switch.timer Queue.t;
+  seen : int array array;
+      (** Per MC, per source: events of that source this rig was sent,
+          and (component 0) the rig's own events. *)
+  mutable inputs : owner_input list;  (** Newest first. *)
+}
+
+(* Every stamp handed out, with its dense view at hand-out time. *)
+let handed : (Dgmc.Timestamp.t * int array) list ref = ref []
+
+let hand_out stamp = handed := (stamp, Dgmc.Timestamp.to_array stamp) :: !handed
+
+let hand_out_export (x : Dgmc.Resync.mc_export) =
+  List.iter hand_out [ x.exp_r; x.exp_e; x.exp_c; x.exp_membership_seen ]
+
+let connect_rig rig =
+  Dgmc.Switch.connect rig.sw (function
+    | Start { timer; _ } -> Queue.push timer rig.timers
+    | Flood (Mc lsa) -> hand_out lsa.stamp
+    | Send { msg = Delta { mcs; _ }; _ } -> List.iter hand_out_export mcs
+    | Send { msg = Summary { mcs; _ }; _ } ->
+      List.iter
+        (fun (x : Dgmc.Resync.mc_summary) ->
+          List.iter hand_out [ x.sum_r; x.sum_e; x.sum_c ])
+        mcs
+    | Flood (Link _ | Resync _) | Changed | Cancel _ -> ())
+
+let fresh_rig () =
+  let engine = Sim.Engine.create () in
+  let sw =
+    Dgmc.Switch.create ~id:0 ~n:owner_n ~config:Dgmc.Config.atm_lan ~engine
+      ~boot:(Lsr.Lsdb.boot (Net.Topo_gen.line owner_n))
+      ()
+  in
+  let rig =
+    {
+      sw;
+      timers = Queue.create ();
+      seen = Array.init (Array.length owner_mcs) (fun _ -> Array.make owner_n 0);
+      inputs = [];
+    }
+  in
+  connect_rig rig;
+  rig
+
+let snapshot_stamps (s : Dgmc.Switch.mc_snapshot) =
+  [ s.snap_r; s.snap_e; s.snap_c; s.snap_membership_seen ]
+  @ s.snap_computations
+  @ Option.to_list s.snap_triggered
+  @ List.map (fun (lsa : Dgmc.Mc_lsa.t) -> lsa.stamp) s.snap_mailbox
+
+let apply_owner_input rig input =
+  rig.inputs <- input :: rig.inputs;
+  match input with
+  | Host_join m ->
+    rig.seen.(m).(0) <- rig.seen.(m).(0) + 1;
+    Dgmc.Switch.host_join rig.sw owner_mcs.(m) Dgmc.Member.Both
+  | Host_leave m ->
+    rig.seen.(m).(0) <- rig.seen.(m).(0) + 1;
+    Dgmc.Switch.host_leave rig.sw owner_mcs.(m)
+  | Remote { mc = m; src; kind; lag; ahead } ->
+    let seen = rig.seen.(m) in
+    if kind < 3 then seen.(src) <- seen.(src) + 1;
+    let stamp = Array.copy seen and next = 1 + (src mod (owner_n - 1)) in
+    stamp.(0) <- max 0 (stamp.(0) - lag);
+    stamp.(next) <- stamp.(next) + ahead;
+    let stamp = Dgmc.Timestamp.of_array stamp and mc = owner_mcs.(m) in
+    let lsa =
+      match kind with
+      | 0 ->
+        Dgmc.Mc_lsa.make ~src ~event:(Join Dgmc.Member.Both) ~mc ~stamp ()
+      | 1 -> Dgmc.Mc_lsa.make ~src ~event:Leave ~mc ~stamp ()
+      | 2 -> Dgmc.Mc_lsa.make ~src ~event:Link ~mc ~stamp ()
+      | _ ->
+        Dgmc.Mc_lsa.make ~src ~event:No_event ~mc
+          ~proposal:(Mctree.Tree.of_terminals [ src ])
+          ~members:(Dgmc.Member.of_list [ (src, Dgmc.Member.Both) ])
+          ~stamp ()
+    in
+    Dgmc.Switch.deliver rig.sw (Mc lsa)
+  | Fire -> (
+    match Queue.take_opt rig.timers with
+    | Some timer -> Dgmc.Switch.fire rig.sw timer
+    | None -> ())
+  | Read_stamps m -> (
+    match Dgmc.Switch.stamps rig.sw owner_mcs.(m) with
+    | Some (r, e, c) -> List.iter hand_out [ r; e; c ]
+    | None -> ())
+  | Read_snapshots ->
+    List.iter
+      (fun s -> List.iter hand_out (snapshot_stamps s))
+      (Dgmc.Switch.snapshots rig.sw)
+  | Ask_delta ->
+    Dgmc.Switch.deliver rig.sw
+      (Resync (Summary { session = 1; origin = 1; links = []; mcs = [] }))
+
+let copy_rig rig =
+  let copy =
+    {
+      sw = Dgmc.Switch.copy rig.sw;
+      timers = Queue.copy rig.timers;
+      seen = Array.map Array.copy rig.seen;
+      inputs = rig.inputs;
+    }
+  in
+  connect_rig copy;
+  copy
+
+let same_ints a b =
+  Array.length a = Array.length b && Array.for_all2 Int.equal a b
+
+(* The rig's state as text: every snapshot, dense views throughout. *)
+let render_rig rig =
+  let dense t = Format.asprintf "%a" Dgmc.Timestamp.pp t in
+  List.map
+    (fun (s : Dgmc.Switch.mc_snapshot) ->
+      String.concat " "
+        (Format.asprintf "%a %b %a %a" Dgmc.Mc_id.pp s.snap_mc s.snap_flag
+           Dgmc.Member.pp s.snap_members Mctree.Tree.pp s.snap_topology
+        :: List.map dense (snapshot_stamps s)))
+    (Dgmc.Switch.snapshots rig.sw)
+
+let prop_handed_out_stamps_never_change =
+  QCheck2.Test.make ~name:"timestamp: handed-out switch stamps never change"
+    ~count:300
+    ~print:(fun ops -> String.concat "; " (List.map pp_owner_op ops))
+    owner_ops_gen
+    (fun ops ->
+      handed := [];
+      let rigs = ref [| fresh_rig () |] in
+      let pick r = !rigs.(r mod Array.length !rigs) in
+      let intact () =
+        List.for_all
+          (fun (stamp, view) -> same_ints (Dgmc.Timestamp.to_array stamp) view)
+          !handed
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Input (r, input) -> apply_owner_input (pick r) input
+          | Copy r ->
+            if Array.length !rigs < 3 then
+              rigs := Array.append !rigs [| copy_rig (pick r) |]);
+          intact ())
+        ops
+      && Array.for_all
+           (fun rig ->
+             let replay = fresh_rig () in
+             List.iter (apply_owner_input replay) (List.rev rig.inputs);
+             List.equal String.equal (render_rig rig) (render_rig replay))
+           !rigs)
 
 (* ------------------------------------------------------------------ *)
 (* Tree canonical-form oracle
@@ -1122,22 +1389,130 @@ let member_pair_gen =
     in
     return (a, b, shape))
 
-let prop_member_equal_matches_map_equal =
-  QCheck2.Test.make ~name:"Member.equal matches Int_map.equal" ~count:500
-    ~print:(fun (a, b, shape) ->
-      Printf.sprintf "a=[%s] b=[%s] shape=%d" (pp_bindings a) (pp_bindings b)
-        shape)
-    member_pair_gen
-    (fun (a, b, shape) ->
-      let ma = Dgmc.Member.of_list a in
-      let mb = if shape = 1 then ma else Dgmc.Member.of_list b in
-      let reference l =
-        List.fold_left (fun m (x, r) -> Int_map.add x r m) Int_map.empty l
+type member_op = Join_m of int * Dgmc.Member.role | Leave_m of int
+
+let pp_member_op = function
+  | Join_m (x, r) -> Printf.sprintf "join %d:%s" x (Dgmc.Member.role_to_string r)
+  | Leave_m x -> Printf.sprintf "leave %d" x
+
+let reference_of_bindings l =
+  List.fold_left (fun m (x, r) -> Int_map.add x r m) Int_map.empty l
+
+(* Everything observable about a member list, read from the packed
+   list itself and, the same way, from its [Int_map] model. *)
+let member_view m =
+  let module M = Dgmc.Member in
+  let probe = List.init 12 (fun i -> i - 1) in
+  [
+    string_of_int (M.cardinal m);
+    string_of_bool (M.is_empty m);
+    String.concat "," (List.map string_of_int (M.ids m));
+    String.concat "," (List.map string_of_int (M.senders m));
+    String.concat "," (List.map string_of_int (M.receivers m));
+    Format.asprintf "%a" M.pp m;
+  ]
+  @ List.map
+      (fun x ->
+        Printf.sprintf "%b %s" (M.mem m x)
+          (match M.role m x with
+          | Some r -> M.role_to_string r
+          | None -> "-"))
+      probe
+
+let model_view model =
+  let bindings = Int_map.bindings model in
+  let ids_with keep =
+    List.filter_map (fun (x, r) -> if keep r then Some x else None) bindings
+  in
+  let ints l = String.concat "," (List.map string_of_int l) in
+  let probe = List.init 12 (fun i -> i - 1) in
+  [
+    string_of_int (Int_map.cardinal model);
+    string_of_bool (Int_map.is_empty model);
+    ints (List.map fst bindings);
+    ints (ids_with (function Dgmc.Member.Sender | Both -> true | Receiver -> false));
+    ints (ids_with (function Dgmc.Member.Receiver | Both -> true | Sender -> false));
+    "{"
+    ^ String.concat ", "
+        (List.map
+           (fun (x, r) -> Printf.sprintf "%d:%s" x (Dgmc.Member.role_to_string r))
+           bindings)
+    ^ "}";
+  ]
+  @ List.map
+      (fun x ->
+        Printf.sprintf "%b %s" (Int_map.mem x model)
+          (match Int_map.find_opt x model with
+          | Some r -> Dgmc.Member.role_to_string r
+          | None -> "-"))
+      probe
+
+(* The packed [Member] against an [Int_map] model.  A random join/leave
+   sequence drives both, and after every step every observable agrees.
+   Then [equal] must match the model's equality on the pair from
+   [member_pair_gen], and [compare], over the pair and every list the
+   sequence passed through, must be a total order whose zero is
+   exactly [equal]: antisymmetric, and sorting by it leaves no pair out
+   of order. *)
+let prop_member_matches_map_model =
+  QCheck2.Test.make ~name:"Member matches the Int_map model" ~count:500
+    ~print:(fun ((a, b, shape), ops) ->
+      Printf.sprintf "a=[%s] b=[%s] shape=%d ops=[%s]" (pp_bindings a)
+        (pp_bindings b) shape
+        (String.concat "; " (List.map pp_member_op ops)))
+    QCheck2.Gen.(
+      pair member_pair_gen
+        (list_size (int_range 0 20)
+           (frequency
+              [
+                (3, map2 (fun x r -> Join_m (x, r)) (int_range 0 9) role_gen);
+                (2, map (fun x -> Leave_m x) (int_range 0 9));
+              ])))
+    (fun ((a, b, shape), ops) ->
+      let module M = Dgmc.Member in
+      let step (m, model) = function
+        | Join_m (x, r) -> (M.join m x r, Int_map.add x r model)
+        | Leave_m x -> (M.leave m x, Int_map.remove x model)
       in
-      let expected = Int_map.equal role_equal (reference a) (reference b) in
-      Bool.equal (Dgmc.Member.equal ma mb) expected
-      && Bool.equal (Dgmc.Member.equal mb ma) expected
-      && Bool.equal (Dgmc.Member.compare ma mb = 0) expected)
+      let states =
+        List.rev
+          (List.fold_left
+             (fun acc op -> step (List.hd acc) op :: acc)
+             [ (M.empty, Int_map.empty) ]
+             ops)
+      in
+      let ma = M.of_list a in
+      let mb = if shape = 1 then ma else M.of_list b in
+      let expected =
+        Int_map.equal role_equal (reference_of_bindings a) (reference_of_bindings b)
+      in
+      let all =
+        (ma, reference_of_bindings a) :: (mb, reference_of_bindings b) :: states
+      in
+      let sign x = Int.compare x 0 in
+      List.for_all
+        (fun (m, model) ->
+          List.equal String.equal (member_view m) (model_view model))
+        all
+      && Bool.equal (M.equal ma mb) expected
+      && Bool.equal (M.equal mb ma) expected
+      && List.for_all
+           (fun (x, mx) ->
+             List.for_all
+               (fun (y, my) ->
+                 let same = Int_map.equal role_equal mx my in
+                 Bool.equal (M.equal x y) same
+                 && Bool.equal (M.compare x y = 0) same
+                 && sign (M.compare x y) = - sign (M.compare y x))
+               all)
+           all
+      &&
+      let rec ordered = function
+        | x :: (_ :: _ as rest) ->
+          List.for_all (fun y -> M.compare x y <= 0) rest && ordered rest
+        | [ _ ] | [] -> true
+      in
+      ordered (List.sort M.compare (List.map fst all)))
 
 (* ------------------------------------------------------------------ *)
 (* Hierarchy properties *)
@@ -1475,7 +1850,10 @@ let () =
         ] );
       ( "timestamps",
         Sparse_laws.tests
-        @ [ QCheck_alcotest.to_alcotest prop_sparse_matches_dense_oracle ]
+        @ [
+            QCheck_alcotest.to_alcotest prop_sparse_matches_dense_oracle;
+            QCheck_alcotest.to_alcotest prop_handed_out_stamps_never_change;
+          ]
         @ Dense_laws.tests );
       ( "trees",
         [
@@ -1498,7 +1876,7 @@ let () =
       ( "flooding",
         [ QCheck_alcotest.to_alcotest prop_flooding_covers_connected_graph ] );
       ( "members",
-        [ QCheck_alcotest.to_alcotest prop_member_equal_matches_map_equal ] );
+        [ QCheck_alcotest.to_alcotest prop_member_matches_map_model ] );
       ( "hierarchy",
         [
           QCheck_alcotest.to_alcotest prop_hierarchy_random_churn;
