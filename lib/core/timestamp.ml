@@ -54,33 +54,7 @@ let get t x =
   if j >= 0 then t.pairs.((2 * j) + 1) else 0
 
 (* ------------------------------------------------------------------ *)
-(* Pure operations: every result is frozen, fresh or an argument. *)
-
-let replace t j v =
-  let pairs = Array.sub t.pairs 0 t.len in
-  pairs.((2 * j) + 1) <- v;
-  frozen_of t.n pairs
-
-let insert t j x v =
-  let pairs = Array.make (t.len + 2) 0 in
-  Array.blit t.pairs 0 pairs 0 (2 * j);
-  pairs.(2 * j) <- x;
-  pairs.((2 * j) + 1) <- v;
-  Array.blit t.pairs (2 * j) pairs ((2 * j) + 2) (t.len - (2 * j));
-  frozen_of t.n pairs
-
-let bump t x =
-  check_range "Timestamp.bump: out of range" t x;
-  let j = find t x in
-  if j >= 0 then replace t j (t.pairs.((2 * j) + 1) + 1)
-  else insert t (lnot j) x 1
-
-let raise_to t x v =
-  check_range "Timestamp.raise_to: out of range" t x;
-  let j = find t x in
-  if j >= 0 then if v <= t.pairs.((2 * j) + 1) then t else replace t j v
-  else if v <= 0 then t
-  else insert t (lnot j) x v
+(* Merging *)
 
 (* Every component of [b] from pair slot [j] on is at most the matching
    one of [a] from slot [i] on; a positive component [a] lacks fails. *)
@@ -195,6 +169,11 @@ let merge_owned a b =
     out.len <- 2 * d;
     out
   end
+
+(* The pure updates are the in-place ones on a frozen argument, which
+   always write a fresh copy. *)
+let bump t x = freeze (bump_owned (freeze t) x)
+let raise_to t x v = freeze (raise_owned (freeze t) x v)
 
 (* ------------------------------------------------------------------ *)
 (* Reads *)

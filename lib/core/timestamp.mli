@@ -26,9 +26,10 @@
     An in-place operation returns the stamp the state field must hold
     from then on: its argument, an owned copy of it, or (for
     {!merge_owned}) its other argument.  The pure operations never
-    write their arguments, but may return one; an owned stamp passed to
-    one must be frozen first if the result is to outlive the state
-    field.
+    write a component of their arguments, but may return one: {!bump}
+    and {!raise_to} are the in-place operations on a frozen argument,
+    so they freeze it, and an owned stamp passed to {!merge} must be
+    frozen first if the result is to outlive the state field.
 
     {b Dense semantics, sparse storage.}  Every operation is specified
     over the dense n-component view above, and {!pp} and {!to_array}
