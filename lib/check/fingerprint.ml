@@ -128,19 +128,31 @@ let add_switch b sw =
       if i > 0 then Buffer.add_char b ',';
       add_link_event b ev)
     (Dgmc.Switch.lsdb_entries sw);
-  (* Crash-recovery session: its id and outstanding neighbors gate which
-     deltas apply, and deferred LSAs replay at finish. *)
+  (* Tombstones decide how a recreated MC numbers its events; rendered
+     only when there are any, so a tombstone-free switch renders as
+     without them. *)
+  (match Dgmc.Switch.tombstones sw with
+  | [] -> ()
+  | tombs ->
+    Buffer.add_string b "|tomb=";
+    List.iteri
+      (fun i (mc, (r, e, seen)) ->
+        if i > 0 then Buffer.add_char b ' ';
+        add_mc_id b mc;
+        Buffer.add_string b "{r=";
+        add_timestamp b r;
+        Buffer.add_string b ";e=";
+        add_timestamp b e;
+        Buffer.add_string b ";seen=";
+        add_timestamp b seen;
+        Buffer.add_char b '}')
+      tombs);
+  (* Crash-recovery session: its id gates which deltas apply, and
+     deferred LSAs replay at finish. *)
   Buffer.add_string b "|rs=";
   (match Dgmc.Switch.resync_state sw with
   | None -> Buffer.add_char b '-'
-  | Some (sid, outstanding) ->
-    add_int b sid;
-    Buffer.add_char b ':';
-    List.iteri
-      (fun i p ->
-        if i > 0 then Buffer.add_char b ',';
-        add_int b p)
-      outstanding);
+  | Some sid -> add_int b sid);
   Buffer.add_string b "|defer=[";
   List.iteri
     (fun i l ->

@@ -27,4 +27,5 @@ val graph_links : Net.Graph.t -> string
 
 val switch : Dgmc.Switch.t -> string
 (** Complete protocol state of one switch: every MC snapshot (sorted by
-    MC id) plus the link-state image. *)
+    MC id), its tombstones (when it has any), the link-state image and
+    database, and its crash-recovery session and deferred LSAs. *)

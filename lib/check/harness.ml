@@ -80,22 +80,14 @@ let flood t origin payload =
     t.pending <- t.pending @ !additions
   end
 
-(* Unicast transport for resynchronisation messages.  A send towards a
-   crashed neighbor resolves synchronously the way the reliable
-   transport eventually would: summaries report a giveup to their
-   session, deltas are simply lost (the recoverer's deadline covers
-   them). *)
+(* Unicast transport for resynchronisation messages.  A send to or
+   from a crashed switch is lost, as the reliable transport's would be
+   once its retries run out; the recoverer's deadline covers it. *)
 let unicast t origin dst msg =
-  if not t.crashed.(origin) then
-    if t.crashed.(dst) then (
-      match msg with
-      | Dgmc.Resync.Summary _ ->
-        Dgmc.Switch.resync_transport_failed t.switches.(origin) ~peer:dst
-      | Dgmc.Resync.Delta _ -> ())
-    else begin
-      let id = record t origin (Dgmc.Switch.Resync msg) in
-      t.pending <- t.pending @ [ (dst, id) ]
-    end
+  if not (t.crashed.(origin) || t.crashed.(dst)) then begin
+    let id = record t origin (Dgmc.Switch.Resync msg) in
+    t.pending <- t.pending @ [ (dst, id) ]
+  end
 
 let start t i timer ~delay =
   let tm = t.timers.(i) in
@@ -199,7 +191,7 @@ let set_truth t mc members =
     |> List.sort (fun (a, _) (b, _) -> Dgmc.Mc_id.compare a b)
 
 (* An event may touch any switch; an action touches only the one it
-   runs on (a summary it sends to a crashed peer fails back at it). *)
+   runs on. *)
 let inject t ev =
   Array.fill t.fps 0 t.n "";
   match ev with
@@ -218,23 +210,11 @@ let inject t ev =
     if t.crashed.(i) then invalid_arg "Harness: switch already crashed";
     t.crashed.(i) <- true;
     (* Everything in flight to or from the crashed switch is lost, as
-       under Faults.Plan (transmissions blocked both ways).  A lost
-       summary resolves to the transport giveup its sender would
-       eventually see. *)
-    let dropped, kept =
-      List.partition
-        (fun (d, id) -> d = i || (msg_exn t id).origin = i)
+       under Faults.Plan (transmissions blocked both ways). *)
+    t.pending <-
+      List.filter
+        (fun (d, id) -> d <> i && (msg_exn t id).origin <> i)
         t.pending
-    in
-    t.pending <- kept;
-    List.iter
-      (fun (d, id) ->
-        let m = msg_exn t id in
-        match m.payload with
-        | Resync (Dgmc.Resync.Summary _) when d = i ->
-          Dgmc.Switch.resync_transport_failed t.switches.(m.origin) ~peer:i
-        | Resync _ | Mc _ | Link _ -> ())
-      dropped
   | Recover i ->
     if not t.crashed.(i) then invalid_arg "Harness: switch not crashed";
     t.crashed.(i) <- false;

@@ -34,15 +34,15 @@
 
     {b Crashes.}  {!Crash} mirrors {!Faults.Plan}'s crash model: a
     forwarding-plane outage.  Messages in flight to or from the switch
-    are lost (a pending summary towards it resolves to the transport
-    giveup its sender would eventually see), floods occurring while it
-    is down never reach it, its own floods die at its ports — yet its
-    protocol state and running computations survive.  {!Recover} ends
-    the outage and starts the crash-recovery resynchronisation exchange
-    ({!Dgmc.Switch.begin_resync}); the summaries, deltas and deferred
-    LSA replays it produces become ordinary pool messages, so the
-    explorer drives every interleaving of recovery against live
-    traffic.
+    are lost, floods and unicasts occurring while it is down never reach
+    it, its own die at its ports — yet its protocol state and running
+    computations survive.  Nothing tells a sender its message was lost:
+    a recovering switch whose summaries all die ends its session at the
+    deadline.  {!Recover} ends the outage and starts the crash-recovery
+    resynchronisation exchange ({!Dgmc.Switch.begin_resync}); the
+    summaries, deltas and deferred LSA replays it produces become
+    ordinary pool messages, so the explorer drives every interleaving
+    of recovery against live traffic.
 
     Limitations (documented, deliberate): floods reach every live
     switch (no partitions — link up/down only changes images and

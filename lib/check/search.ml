@@ -58,8 +58,7 @@ type score = {
          state, minus one — summed.  0 means installed-state
          agreement. *)
   resync_depth : int;
-      (* Outstanding crash-recovery resynchronisation peers, summed over
-         switches. *)
+      (* Crash-recovery resynchronisation sessions in flight. *)
   deferred : int;  (* LSAs deferred by in-flight resyncs, summed. *)
 }
 
@@ -79,10 +78,7 @@ let score h =
               ^ Mctree.Tree.fingerprint s.snap_topology )
             :: !pairs)
         (Dgmc.Switch.snapshots sw);
-      (match Dgmc.Switch.resync_state sw with
-      | Some (_, outstanding) ->
-        resync_depth := !resync_depth + List.length outstanding
-      | None -> ());
+      if Option.is_some (Dgmc.Switch.resync_state sw) then incr resync_depth;
       deferred := !deferred + List.length (Dgmc.Switch.deferred_lsas sw))
     (Harness.switches h);
   let sorted =

@@ -127,16 +127,8 @@ let output t ~from : Switch.output -> unit = function
     originate t ~from payload t.flood
   | Send { peer; msg } ->
     Metrics.Registry.bump t.resync_messages;
-    (* Only the recoverer's summary needs a failure signal: a lost delta
-       is covered by the recoverer's session deadline. *)
-    let on_giveup =
-      match msg with
-      | Resync.Summary _ ->
-        fun () -> Switch.resync_transport_failed t.switches.(from) ~peer
-      | Resync.Delta _ -> fun () -> ()
-    in
     originate t ~from (Switch.Resync msg)
-      (Lsr.Flooding.send t.flooding ~src:from ~dst:peer ~on_giveup)
+      (Lsr.Flooding.send t.flooding ~src:from ~dst:peer)
   | Changed ->
     t.last_change <- Sim.Engine.now t.engine;
     notify from t.observers

@@ -15,13 +15,14 @@
       with newer versions, and full per-MC state exports where the
       neighbor knows events the summary's R does not cover (or holds a
       different same-stamp tree);
-    - the recoverer applies the first delta to arrive and finishes: one
-      up-to-date neighbor carries the full missed history.
+    - the recoverer applies the first delta echoing its session and
+      finishes: one up-to-date neighbor carries the full missed history;
+      without one, it finishes degraded at its deadline.
 
     Messages ride the regular {!Lsr.Flooding} transport in unicast mode
     ({!Lsr.Flooding.send}), so under faults they get the Reliable mode's
-    ack/retransmit/backoff for free, and a dead neighbor resolves to a
-    transport giveup rather than a hang. *)
+    ack/retransmit/backoff for free; a message to a dead neighbor is
+    lost without a word to its sender, and the deadline ends the wait. *)
 
 type mc_summary = {
   sum_mc : Mc_id.t;

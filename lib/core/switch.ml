@@ -19,7 +19,6 @@ type counts = {
   resyncs_started : Metrics.Registry.counter;
   resyncs_completed : Metrics.Registry.counter;
   resyncs_degraded : Metrics.Registry.counter;
-  resync_giveups : Metrics.Registry.counter;
   resync_summaries_sent : Metrics.Registry.counter;
   resync_summaries_received : Metrics.Registry.counter;
   resync_deltas_sent : Metrics.Registry.counter;
@@ -42,7 +41,6 @@ let counts engine id =
     resyncs_started = counter "switch.resyncs_started";
     resyncs_completed = counter "switch.resyncs_completed";
     resyncs_degraded = counter "switch.resyncs_degraded";
-    resync_giveups = counter "switch.resync_giveups";
     resync_summaries_sent = counter "switch.resync_summaries_sent";
     resync_summaries_received = counter "switch.resync_summaries_received";
     resync_deltas_sent = counter "switch.resync_deltas_sent";
@@ -66,12 +64,10 @@ type output =
 
 (* One in-flight crash-recovery resynchronisation exchange (see
    [begin_resync]).  The switch stays in this state — deferring normal
-   MC-LSA handling — until one neighbor's delta is applied, every
-   neighbor resolves by transport giveup, or the deadline fires.
-   Immutable, so a copied switch can share it. *)
+   MC-LSA handling — until a delta echoing [rs_id] is applied or the
+   deadline fires.  Immutable, so a copied switch can share it. *)
 type resync_session = {
   rs_id : int;  (** Session id echoed by deltas (stale deltas ignored). *)
-  rs_outstanding : int list;  (** Neighbors not yet resolved. *)
   rs_started : float;  (** Simulated start time, for the duration SLI. *)
 }
 
@@ -766,10 +762,7 @@ let receive t lsa =
 
 let deferred_lsas t = List.of_seq (Queue.to_seq t.deferred)
 
-let resync_state t =
-  Option.map
-    (fun s -> (s.rs_id, List.sort Int.compare s.rs_outstanding))
-    t.resync_session
+let resync_state t = Option.map (fun s -> s.rs_id) t.resync_session
 
 (* Everything this switch can export, sorted by MC: its live states,
    then each tombstone without one, whose surviving event numbering
@@ -814,8 +807,8 @@ let build_summary t session =
           (exports t);
     }
 
-(* [reason] is ["delta"] when a neighbor's delta was applied — the only
-   completed finish — else ["exhausted"] or ["deadline"] (degraded). *)
+(* [reason] is ["delta"] when a neighbor's delta was applied — the
+   completed finish — or ["deadline"] (degraded). *)
 let finish_resync t ~reason =
   match t.resync_session with
   | None -> ()
@@ -849,19 +842,6 @@ let finish_resync t ~reason =
         | None -> ())
       (mc_ids t)
 
-let resync_transport_failed t ~peer =
-  match t.resync_session with
-  | None -> ()
-  | Some s ->
-    if List.exists (fun p -> p = peer) s.rs_outstanding then begin
-      let outstanding = List.filter (fun p -> p <> peer) s.rs_outstanding in
-      t.resync_session <- Some { s with rs_outstanding = outstanding };
-      tracef t "resync" "sw%d gives up on neighbor sw%d" t.id peer;
-      Metrics.Registry.bump t.counts.resync_giveups;
-      (* Every neighbor gave up without a delta. *)
-      if outstanding = [] then finish_resync t ~reason:"exhausted"
-    end
-
 let begin_resync_impl t =
   (* A second crash window can close while an earlier session is still in
      flight; the fresh recovery supersedes it (deferred LSAs survive the
@@ -883,15 +863,8 @@ let begin_resync_impl t =
     tracef t "resync" "sw%d recovers with no live neighbors (degraded)" t.id;
     Metrics.Registry.bump t.counts.resyncs_degraded
   | neighbors ->
-    (* Install the session before sending: under the model-checking
-       harness a summary to a crashed neighbor gives up synchronously. *)
     t.resync_session <-
-      Some
-        {
-          rs_id = sid;
-          rs_outstanding = neighbors;
-          rs_started = Sim.Engine.now t.engine;
-        };
+      Some { rs_id = sid; rs_started = Sim.Engine.now t.engine };
     t.sink
       (Start
          {
@@ -972,18 +945,17 @@ let receive_resync_impl t msg =
         answer_summary t ~session ~peer links mcs)
   | Resync.Delta { session; origin = peer; links; mcs } -> (
     match t.resync_session with
-    | Some s
-      when s.rs_id = session && List.exists (fun p -> p = peer) s.rs_outstanding
-      ->
+    | Some s when s.rs_id = session ->
       Metrics.Registry.bump t.counts.resync_deltas_applied;
       under_resync t ~peer (fun () ->
           ignore (merge_links t ~source:peer links);
           List.iter (apply_export t ~adopt:(fun _ k -> k ())) mcs);
       finish_resync t ~reason:"delta"
     | Some _ | None ->
-      (* Stale: from a superseded session, after the deadline fired, or a
-         duplicate delivery.  Everything it carries was either applied
-         already or will be re-learned; dropping is safe. *)
+      (* Stale: from a superseded session — it may predate a second
+         outage — after the deadline fired, or after another neighbor's
+         delta finished the session.  Everything it carries was either
+         applied already or will be re-learned; dropping is safe. *)
       tracef t "resync" "sw%d drops stale resync delta from sw%d" t.id peer;
       Metrics.Registry.bump t.counts.resync_stale_deltas)
 
@@ -1037,6 +1009,10 @@ let stamps t mc =
 
 let proposal_flag t mc =
   match get_state t mc with Some st -> st.flag | None -> false
+
+let tombstones t =
+  Mc_id.Tbl.fold (fun mc stamps acc -> (mc, stamps) :: acc) t.tombstones []
+  |> List.sort (fun (a, _) (b, _) -> Mc_id.compare a b)
 
 let quiescent t mc =
   Option.is_none t.resync_session

@@ -147,8 +147,9 @@ val deliver : t -> payload -> unit
     [Summary] is answered statelessly with a [Delta] of everything the
     summary proves its origin is behind on (newer link versions are also
     adopted and re-flooded locally).  A [Delta] is applied only when it
-    echoes the live session's id and comes from a still-outstanding
-    neighbor; anything else is dropped as stale. *)
+    echoes the live session's id; anything else — an answer to a
+    superseded session, which may predate a second outage, or one
+    arriving after the session finished — is dropped as stale. *)
 
 (** {1 Database resynchronisation (extension)} *)
 
@@ -175,24 +176,17 @@ val begin_resync : t -> unit
     switch's databases (a [Send] output) to every neighbor its image
     shows live, and suspend normal MC-LSA handling — LSAs received
     meanwhile are deferred and replayed in arrival order when the session
-    finishes.  The session finishes when one neighbor's delta has been
-    applied, when every neighbor has resolved by transport giveup, or
-    when {!Config.resync_deadline_hops} [× t_hop]
-    elapses; on finish, deferred LSAs are replayed and a topology
-    computation is scheduled for every MC the reconciled state flagged.
+    finishes.  The session finishes when the first delta echoing it has
+    been applied, or degraded when {!Config.resync_deadline_hops}
+    [× t_hop] elapses; on finish, deferred LSAs are replayed and a
+    topology computation is scheduled for every MC the reconciled state
+    flagged.
     With no live neighbors the switch finishes degraded immediately.
     Calling this while a session is in flight supersedes it (the crash
     recurred); deferred LSAs survive the restart. *)
 
-val resync_transport_failed : t -> peer:int -> unit
-(** The unicast transport gave up delivering to [peer] (its retransmit
-    budget exhausted — the neighbor is crashed or unreachable).  Resolves
-    the neighbor; finishes the session degraded once no outstanding
-    neighbor remains. *)
-
-val resync_state : t -> (int * int list) option
-(** [(session id, outstanding neighbors (sorted))] of the in-flight
-    session — model-checker state-hash fodder. *)
+val resync_state : t -> int option
+(** The in-flight session's id — model-checker state-hash fodder. *)
 
 val deferred_lsas : t -> Mc_lsa.t list
 (** MC LSAs deferred by the in-flight (or a finished-degraded) session,
@@ -213,6 +207,13 @@ val stamps : t -> Mc_id.t -> (Timestamp.t * Timestamp.t * Timestamp.t) option
 
 val proposal_flag : t -> Mc_id.t -> bool
 (** The paper's [make_proposal_flag] ([false] when no state exists). *)
+
+val tombstones :
+  t -> (Mc_id.t * (Timestamp.t * Timestamp.t * Timestamp.t)) list
+(** [(R, E, membership_seen)] kept for each MC whose state this switch
+    has deleted at least once, sorted by MC id, frozen.  Recreating the
+    MC resumes event numbering from it, so it is protocol state even
+    while the MC is gone. *)
 
 val quiescent : t -> Mc_id.t -> bool
 (** No pending computations, an empty mailbox for the MC, no deferred

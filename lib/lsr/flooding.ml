@@ -35,15 +35,14 @@ type received = { mutable high : int; mutable gaps : gaps }
 
 (* Retransmit state for one reliable transfer of [lsa] over [link].  A
    directed link's transfers live in one table keyed [seq * n + origin]
-   and leave it on ack, on retry exhaustion or on {!abandon_link}; the
-   last two fire [giveup].  [first] is the trace id of the first data
-   copy's forward event: retransmissions and the giveup hang off it. *)
+   and leave it on ack, on retry exhaustion or on {!abandon_link}.
+   [first] is the trace id of the first data copy's forward event:
+   retransmissions and the abandonment hang off it. *)
 type 'a rtx = {
   lsa : 'a Lsa.t;
   link : Net.Graph.link;
   forward : bool;
   first : int;
-  giveup : unit -> unit;
   mutable timer : Sim.Engine.handle option;
   mutable tries : int;
   mutable timeout : float;
@@ -104,8 +103,6 @@ let create ~engine ~graph ~t_hop ?(mode = Hop_by_hop)
     retransmitted = per_switch "flood.retransmissions";
     abandoned = per_switch "flood.abandoned";
   }
-
-let no_giveup () = ()
 
 let traced t = Sim.Trace.enabled t.trace
 
@@ -208,7 +205,7 @@ let dropped t ~src ~dst ~fid lsa reason =
           { src; dst; origin = lsa.Lsa.origin; seq = lsa.Lsa.seq; reason }))
 
 (* The ack of transfer [key] on one link: cancel its timer, age it out.
-   A late duplicate ack, or one after the giveup, finds nothing. *)
+   A late duplicate ack, or one after the abandonment, finds nothing. *)
 let ack_received pending key =
   match Int_tbl.find pending key with
   | rtx ->
@@ -216,14 +213,13 @@ let ack_received pending key =
     Int_tbl.remove pending key
   | exception Not_found -> ()
 
-(* Abandon one transfer: age it out, account, leave the trace breadcrumb
-   and fire its giveup.  Its timer has fired or been cancelled, and the
-   removal comes first, so a giveup fires at most once. *)
+(* Abandon one transfer: age it out, account and leave the trace
+   breadcrumb.  Its timer has fired or been cancelled, and the removal
+   comes first, so a transfer is abandoned at most once. *)
 let drop_pending t ~src ~dst pending key rtx ~reason =
   Int_tbl.remove pending key;
   Metrics.Registry.bump t.abandoned.(src);
-  if traced t then dropped t ~src ~dst ~fid:rtx.first rtx.lsa reason;
-  rtx.giveup ()
+  if traced t then dropped t ~src ~dst ~fid:rtx.first rtx.lsa reason
 
 (* Count (first copies only), trace and put on the wire one data
    transmission of [lsa] over [link] ([src → dst]); returns the
@@ -271,10 +267,8 @@ and arm_retransmit t ~src ~dst pending key rtx =
 (* One transfer of [lsa] over [link] ([src → dst]): the first data copy
    ([forward] says whether [dst] floods it on).  In [Reliable] mode the
    transfer is also recorded in its link's table and its retransmit
-   timer armed, and a transfer still awaiting its ack is not restarted;
-   [on_giveup] fires once if the retries run out — unicast
-   resynchronisation uses it to count a neighbor exchange as failed. *)
-and transfer t ~src ~dst ~link ~parent ~on_giveup ~forward lsa =
+   timer armed, and a transfer still awaiting its ack is not restarted. *)
+and transfer t ~src ~dst ~link ~parent ~forward lsa =
   match t.mode with
   | Hop_by_hop ->
     ignore (send_data t ~src ~dst ~link ~forward ~retransmit:false ~parent lsa)
@@ -290,7 +284,6 @@ and transfer t ~src ~dst ~link ~parent ~on_giveup ~forward lsa =
           link;
           forward;
           first;
-          giveup = on_giveup;
           timer = None;
           tries = 0;
           timeout = t.rel.rto *. t.t_hop;
@@ -343,12 +336,11 @@ and receive t lsa ~link ~at:switch ~from ~forward ~fid =
 and forward_from t lsa ~at ~from ~parent =
   Net.Graph.iter_links t.graph at (fun next link ->
       if next <> from then
-        transfer t ~src:at ~dst:next ~link ~parent ~on_giveup:no_giveup
-          ~forward:true lsa)
+        transfer t ~src:at ~dst:next ~link ~parent ~forward:true lsa)
 
 (* ------------------------------------------------------------------ *)
 
-let send t ~src ~dst ?(on_giveup = no_giveup) lsa =
+let send t ~src ~dst lsa =
   let link =
     match Net.Graph.link t.graph src dst with
     | link -> link
@@ -358,7 +350,7 @@ let send t ~src ~dst ?(on_giveup = no_giveup) lsa =
   check_lsa t "send" lsa;
   let parent = Sim.Trace.context t.trace in
   ignore (first_receipt t src lsa);
-  transfer t ~src ~dst ~link ~parent ~on_giveup ~forward:false lsa
+  transfer t ~src ~dst ~link ~parent ~forward:false lsa
 
 let flood_impl t lsa =
   check_lsa t "flood" lsa;
@@ -396,7 +388,8 @@ let pending_retransmits t =
 (* A failure detector declared [dst] unreachable from [src]: cancel every
    transfer still spinning toward it instead of letting each burn through
    its remaining backoff.  The link's keys are sorted by origin, then by
-   seq, so giveups fire in an order independent of hash layout. *)
+   seq, so the [Lsa_dropped] breadcrumbs come in an order independent of
+   hash layout. *)
 let abandon_link t ~src ~dst =
   let pending = link_pending t ~src ~dst in
   let by_origin a b =

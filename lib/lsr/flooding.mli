@@ -78,7 +78,7 @@ val giveup_span_hops : reliability -> float
     first transmission and its giveup: the sum of the [max_retries + 1]
     timeout waits under doubling capped at [rto_max] (508 under the
     defaults).  {!Config.resync_deadline_hops} derives from this — a
-    resync session must outlive its slowest possible transport attempt. *)
+    resync session outlasts its slowest possible transport attempt. *)
 
 type transmit = src:int -> dst:int -> base_delay:float -> float list
 
@@ -118,8 +118,7 @@ val flood : 'a t -> 'a Lsa.t -> unit
     [Invalid_argument] when the origin is not a switch of the graph or
     the sequence number is negative. *)
 
-val send : 'a t -> src:int -> dst:int -> ?on_giveup:(unit -> unit) ->
-  'a Lsa.t -> unit
+val send : 'a t -> src:int -> dst:int -> 'a Lsa.t -> unit
 (** Unicast one LSA to a single adjacent switch — the transport for the
     database-resynchronisation exchange (summaries and deltas are
     addressed, not flooded).  [dst] must share a link with [src], and
@@ -130,10 +129,10 @@ val send : 'a t -> src:int -> dst:int -> ?on_giveup:(unit -> unit) ->
     The hop goes through the same per-hop transport as a flood, but the
     receiver never forwards, and delivers the LSA on its first receipt
     only.  In [Reliable] mode the ack/retransmit/backoff machinery
-    applies, and [on_giveup] fires once if the retry budget is
-    exhausted without an ack.  In [Hop_by_hop] mode the copy is
-    fire-and-forget and [on_giveup] never fires — callers needing
-    liveness there must keep their own deadline. *)
+    applies, and a transfer whose retry budget runs out without an ack
+    is abandoned ({!deliveries_abandoned}); in [Hop_by_hop] mode the
+    copy is fire-and-forget.  Either way the sender hears nothing of a
+    lost message: a caller needing liveness keeps its own deadline. *)
 
 val wire : 'a t -> src:int -> dst:int -> (unit -> unit) -> bool
 (** [wire t ~src ~dst arrive] puts one transmission from [src] to [dst]
@@ -169,10 +168,10 @@ val abandon_link : 'a t -> src:int -> dst:int -> int
     layer calls this when its detector declares the neighbor dead, so
     stale transfers stop retransmitting into a black hole immediately
     instead of spinning until [max_retries].  Each cancelled transfer
-    counts as abandoned, leaves an [Lsa_dropped] breadcrumb with reason
-    [neighbor-down], and fires its [on_giveup] exactly once (a transfer
-    already acked or timed out is untouched).  Returns the number of
-    transfers cancelled.  Giveups fire in (origin, seq) order. *)
+    is aged out, counts as abandoned once, and leaves an [Lsa_dropped]
+    breadcrumb with reason [neighbor-down], in (origin, seq) order (a
+    transfer already acked or timed out is untouched).  Returns the
+    number of transfers cancelled. *)
 
 val flood_diameter : graph:Net.Graph.t -> t_hop:float -> float
 (** Worst-case time for a flood to reach every switch: hop diameter of

@@ -96,15 +96,24 @@ let action_to_string = function
 (* Every successor of every distinct state up to depth 4, branched from
    a copy of its parent (itself a copy, below the root), must digest as
    a fresh replay of its prefix does, and branching must leave the
-   parent's digest and enabled actions as they were: a copy aliasing a
-   queue, a table or a mutable record of its parent fails one of the
-   two. *)
+   parent as it was: its switches re-rendered afresh (its digest reads
+   cached fingerprints, blind to a copy writing shared state) and its
+   enabled actions.  Then the parent itself takes its first action and
+   must digest as the replay does, so a parent writing what a copy
+   shares, or holding what a copy wrote, fails too. *)
 let check_copy_matches_replay scenario =
   let seen = Hashtbl.create 256 in
   let edges = ref 0 in
+  let replay_digest prefix =
+    Digest.to_hex (Check.Harness.digest (Check.Explore.build scenario prefix))
+  in
+  let rendered h =
+    Array.to_list (Array.map Check.Fingerprint.switch (Check.Harness.switches h))
+  in
   let rec visit depth prefix parent =
-    let digest = Check.Harness.digest parent in
-    let enabled = List.map action_to_string (Check.Harness.enabled parent) in
+    let switches = rendered parent in
+    let actions = Check.Harness.enabled parent in
+    let enabled = List.map action_to_string actions in
     List.iter
       (fun act ->
         let h = Check.Harness.copy parent in
@@ -113,18 +122,25 @@ let check_copy_matches_replay scenario =
         let prefix = prefix @ [ act ] in
         let d = Check.Harness.digest h in
         Alcotest.(check string)
-          "copy then apply digests as the replay"
-          (Digest.to_hex (Check.Harness.digest (Check.Explore.build scenario prefix)))
+          "copy then apply digests as the replay" (replay_digest prefix)
           (Digest.to_hex d);
-        Alcotest.(check string) "parent digest unchanged" (Digest.to_hex digest)
-          (Digest.to_hex (Check.Harness.digest parent));
+        Alcotest.(check (list string)) "parent switches unchanged" switches
+          (rendered parent);
         Alcotest.(check (list string)) "parent enabled unchanged" enabled
           (List.map action_to_string (Check.Harness.enabled parent));
         if depth < 4 && not (Hashtbl.mem seen d) then begin
           Hashtbl.add seen d ();
           visit (depth + 1) prefix h
         end)
-      (Check.Harness.enabled parent)
+      actions;
+    match actions with
+    | act :: _ ->
+      Check.Harness.apply parent act;
+      Alcotest.(check string)
+        "parent stepped after branching digests as the replay"
+        (replay_digest (prefix @ [ act ]))
+        (Digest.to_hex (Check.Harness.digest parent))
+    | [] -> ()
   in
   visit 1 [] (Check.Explore.build scenario []);
   Format.printf "copy vs replay: %d edges from %d states@." !edges
@@ -133,6 +149,14 @@ let check_copy_matches_replay scenario =
 
 let test_copy_matches_replay_crash () =
   check_copy_matches_replay (crash_recover_race ())
+
+(* The only member leaves while another switch joins: a deleted MC's
+   tombstone table must not be shared between a copy and its parent. *)
+let test_copy_matches_replay_leave_rejoin () =
+  check_copy_matches_replay
+    (base_scenario ~setup:[ join 0 ]
+       ~race:[ Check.Harness.Action (Leave { switch = 0; mc = mc1 }); join 2 ]
+       ())
 
 (* With the link also healing, a switch can flip the same link twice
    within the depth, the second time on an image it owns: a copy must
@@ -228,9 +252,9 @@ let test_crash_recover_interleavings () =
 
 let test_crash_overlapping_crash () =
   (* Two overlapping outages: when 1 recovers, its neighbor 2 is still
-     down, so one summary resolves to a synchronous transport giveup and
-     the quorum must be met by switch 0 alone; 2 then recovers into a
-     network where 1's own exchange may still be in flight. *)
+     down, so its summary to 2 is lost and only switch 0's delta (or the
+     deadline) can end 1's session; 2 then recovers into a network where
+     1's own exchange may still be in flight. *)
   let scenario =
     base_scenario
       ~setup:[ join 0; join 2 ]
@@ -272,6 +296,26 @@ let test_tree_fingerprint_canonical () =
       ([ 1; 0 ], [ (1, 0) ], "T{0-1|0,1}");
       ([ 5; 0; 2 ], [ (5, 2); (1, 2); (0, 1) ], "T{0-1,1-2,2-5|0,2,5}");
     ]
+
+(* A deleted MC leaves a tombstone whose R/E/cursors decide how a
+   recreated state numbers its events, so the state hash must tell a
+   switch that joined and left apart from one that never joined. *)
+let test_fingerprint_renders_tombstones () =
+  let h =
+    Check.Harness.create ~graph:(Net.Topo_gen.ring 4)
+      ~config:Dgmc.Config.atm_lan ()
+  in
+  let sw0 = (Check.Harness.switches h).(0) in
+  let before = Check.Fingerprint.switch sw0 in
+  Check.Harness.inject h (join 0);
+  Check.Harness.settle h;
+  Check.Harness.inject h (Check.Harness.Action (Leave { switch = 0; mc = mc1 }));
+  Check.Harness.settle h;
+  Alcotest.(check (list string)) "MC deleted" []
+    (List.map Check.Fingerprint.mc_id (Dgmc.Switch.mc_ids sw0));
+  Alcotest.(check bool) "tombstone kept" true (Dgmc.Switch.tombstones sw0 <> []);
+  Alcotest.(check bool) "fingerprint differs once tombstoned" false
+    (String.equal before (Check.Fingerprint.switch sw0))
 
 (* --- runtime monitor on a full protocol run --- *)
 
@@ -905,11 +949,15 @@ let () =
             test_copy_matches_replay_crash;
           Alcotest.test_case "copy matches replay (link failure)" `Quick
             test_copy_matches_replay_link_failure;
+          Alcotest.test_case "copy matches replay (leave + rejoin)" `Quick
+            test_copy_matches_replay_leave_rejoin;
         ] );
       ( "resync",
         [
           Alcotest.test_case "tree fingerprint forms agree" `Quick
             test_tree_fingerprint_canonical;
+          Alcotest.test_case "switch fingerprint renders tombstones" `Quick
+            test_fingerprint_renders_tombstones;
         ] );
       ( "monitor",
         [

@@ -257,8 +257,8 @@ let test_unicast_duplicates_delivered_once () =
 
 let test_giveup_once_crash_window_closes_mid_backoff () =
   (* Regression: a unicast transfer whose destination is crashed for the
-     whole retry schedule must fire on_giveup exactly once — including
-     when the crash window closes between two backoff attempts (the
+     whole retry schedule must be abandoned exactly once — and not at
+     all when the crash window closes between two backoff attempts (the
      give-up path used to be able to race a late retransmit timer). *)
   let graph = Net.Topo_gen.line 2 in
   let plan = Faults.Plan.create ~seed:4 () in
@@ -272,18 +272,17 @@ let test_giveup_once_crash_window_closes_mid_backoff () =
   let reliability = { Lsr.Flooding.default_reliability with max_retries = 3 } in
   let f, engine, log = make graph ~t_hop:1.0 ~transmit ~reliability in
   engine_ref := Some engine;
-  let giveups = ref 0 in
-  Lsr.Flooding.send f ~src:0 ~dst:1
-    ~on_giveup:(fun () -> incr giveups)
-    (Lsr.Lsa.make ~origin:0 ~seq:0 ());
+  Lsr.Flooding.send f ~src:0 ~dst:1 (Lsr.Lsa.make ~origin:0 ~seq:0 ());
   Sim.Engine.run engine;
   (* The final attempt at t=28 lands after the window closes, so the
-     transfer actually completes — and the give-up must then never fire. *)
+     transfer actually completes — and must then never count as
+     abandoned. *)
   check Alcotest.int "delivered after the window closed" 1 (List.length !log);
-  check Alcotest.int "no giveup for a completed transfer" 0 !giveups;
+  check Alcotest.int "no abandonment of a completed transfer" 0
+    (Lsr.Flooding.deliveries_abandoned f);
   check Alcotest.int "state aged out" 0 (Lsr.Flooding.pending_retransmits f);
-  (* Same schedule against a window outliving every attempt: exactly one
-     give-up, no double-fire from the abandoned timer. *)
+  (* Same schedule against a window outliving every attempt: abandoned
+     exactly once, no second count from the abandoned timer. *)
   let plan2 = Faults.Plan.create ~seed:4 () in
   Faults.Plan.crash_switch plan2 ~switch:1 ~from_:0.0 ~until:1e12;
   let engine_ref2 = ref None in
@@ -292,28 +291,21 @@ let test_giveup_once_crash_window_closes_mid_backoff () =
   in
   let f2, engine2, log2 = make graph ~t_hop:1.0 ~transmit:transmit2 ~reliability in
   engine_ref2 := Some engine2;
-  let giveups2 = ref 0 in
-  Lsr.Flooding.send f2 ~src:0 ~dst:1
-    ~on_giveup:(fun () -> incr giveups2)
-    (Lsr.Lsa.make ~origin:0 ~seq:0 ());
+  Lsr.Flooding.send f2 ~src:0 ~dst:1 (Lsr.Lsa.make ~origin:0 ~seq:0 ());
   Sim.Engine.run engine2;
   check Alcotest.int "nothing delivered" 0 (List.length !log2);
-  check Alcotest.int "on_giveup fired exactly once" 1 !giveups2;
   check Alcotest.int "abandoned counted once" 1
     (Lsr.Flooding.deliveries_abandoned f2);
   check Alcotest.int "state aged out" 0 (Lsr.Flooding.pending_retransmits f2)
 
 let test_abandon_link_cancels_pending_once () =
   (* The health layer's dead-neighbor hook: abandon_link cancels the
-     pending transfer immediately, fires its on_giveup exactly once, and
+     pending transfer immediately, counts it abandoned exactly once, and
      a second call (or the stale retransmit timer) finds nothing. *)
   let graph = Net.Topo_gen.line 2 in
   let transmit ~src:_ ~dst:_ ~base_delay:_ = [] in
   let f, engine, log = make graph ~t_hop:1.0 ~transmit in
-  let giveups = ref 0 in
-  Lsr.Flooding.send f ~src:0 ~dst:1
-    ~on_giveup:(fun () -> incr giveups)
-    (Lsr.Lsa.make ~origin:0 ~seq:0 ());
+  Lsr.Flooding.send f ~src:0 ~dst:1 (Lsr.Lsa.make ~origin:0 ~seq:0 ());
   (* Let the first transmission (and one backoff) happen, then declare
      the neighbor dead mid-flight. *)
   ignore
@@ -322,13 +314,15 @@ let test_abandon_link_cancels_pending_once () =
            (Lsr.Flooding.pending_retransmits f);
          check Alcotest.int "one transfer cancelled" 1
            (Lsr.Flooding.abandon_link f ~src:0 ~dst:1);
-         check Alcotest.int "giveup fired synchronously" 1 !giveups;
+         check Alcotest.int "abandoned synchronously" 1
+           (Lsr.Flooding.deliveries_abandoned f);
+         check Alcotest.int "no pending state left at once" 0
+           (Lsr.Flooding.pending_retransmits f);
          check Alcotest.int "second abandon finds nothing" 0
            (Lsr.Flooding.abandon_link f ~src:0 ~dst:1)));
   Sim.Engine.run engine;
   check Alcotest.int "nothing delivered" 0 (List.length !log);
-  check Alcotest.int "giveup still exactly once after the run" 1 !giveups;
-  check Alcotest.int "cancelled transfer counted abandoned" 1
+  check Alcotest.int "abandoned still exactly once after the run" 1
     (Lsr.Flooding.deliveries_abandoned f);
   check Alcotest.int "no pending state left" 0
     (Lsr.Flooding.pending_retransmits f)
@@ -337,15 +331,30 @@ let test_abandon_link_cancels_only_its_link () =
   (* abandon_link reads one directed link's transfers: three on 0→1 are
      cancelled, in (origin, seq) order — the reverse of their keys' order
      (seq * n + origin) — while the one on 0→2 keeps retrying until its
-     own budget runs out. *)
+     own budget runs out.  The order shows in the traced [Lsa_dropped]
+     breadcrumbs: (dst, origin, seq, reason). *)
   let graph = Net.Topo_gen.star 4 in
   let transmit ~src:_ ~dst:_ ~base_delay:_ = [] in
-  let f, engine, _ = make graph ~t_hop:1.0 ~transmit in
-  let giveups = ref [] in
+  let trace = Sim.Trace.create ~cats:[ "drop" ] () in
+  let engine = Sim.Engine.create ~trace () in
+  let f =
+    Lsr.Flooding.create ~engine ~graph ~t_hop:1.0 ~mode:Lsr.Flooding.Reliable
+      ~transmit ~deliver:(fun ~switch:_ _ -> ()) ()
+  in
+  (* [transmit] loses every copy ([fault] drops); the transfers' ends
+     are the [neighbor-down] and [abandoned] drops. *)
+  let giveups () =
+    List.filter_map
+      (fun (e : Sim.Trace.entry) ->
+        match e.event with
+        | Lsa_dropped { dst; origin; seq; reason; _ }
+          when reason = "neighbor-down" || reason = "abandoned" ->
+          Some ((dst, origin, seq), reason)
+        | _ -> None)
+      (Sim.Trace.entries trace)
+  in
   let send ~dst (origin, seq) =
-    Lsr.Flooding.send f ~src:0 ~dst
-      ~on_giveup:(fun () -> giveups := (dst, origin, seq) :: !giveups)
-      (Lsr.Lsa.make ~origin ~seq ())
+    Lsr.Flooding.send f ~src:0 ~dst (Lsr.Lsa.make ~origin ~seq ())
   in
   List.iter (send ~dst:1) [ (3, 0); (2, 1); (1, 4) ];
   send ~dst:2 (0, 2);
@@ -356,20 +365,29 @@ let test_abandon_link_cancels_only_its_link () =
          check Alcotest.int "three cancelled" 3
            (Lsr.Flooding.abandon_link f ~src:0 ~dst:1);
          check
-           Alcotest.(list (triple int int int))
-           "giveups in (origin, seq) order"
-           [ (1, 1, 4); (1, 2, 1); (1, 3, 0) ]
-           (List.rev !giveups);
+           Alcotest.(list (pair (triple int int int) string))
+           "abandoned in (origin, seq) order"
+           [
+             ((1, 1, 4), "neighbor-down");
+             ((1, 2, 1), "neighbor-down");
+             ((1, 3, 0), "neighbor-down");
+           ]
+           (giveups ());
          check Alcotest.int "three abandoned" 3
            (Lsr.Flooding.deliveries_abandoned f);
          check Alcotest.int "the 0→2 transfer still pending" 1
            (Lsr.Flooding.pending_retransmits f)));
   Sim.Engine.run engine;
   check
-    Alcotest.(list (triple int int int))
+    Alcotest.(list (pair (triple int int int) string))
     "the 0→2 transfer gives up last"
-    [ (1, 1, 4); (1, 2, 1); (1, 3, 0); (2, 0, 2) ]
-    (List.rev !giveups);
+    [
+      ((1, 1, 4), "neighbor-down");
+      ((1, 2, 1), "neighbor-down");
+      ((1, 3, 0), "neighbor-down");
+      ((2, 0, 2), "abandoned");
+    ]
+    (giveups ());
   check Alcotest.int "four abandoned in all" 4
     (Lsr.Flooding.deliveries_abandoned f);
   check Alcotest.int "no pending state left" 0
