@@ -33,4 +33,6 @@ let kind_of_string = function
   | "asymmetric" -> Some Asymmetric
   | _ -> None
 
-let pp ppf t = Format.fprintf ppf "mc#%d(%s)" t.id (kind_to_string t.kind)
+let to_string t = "mc#" ^ string_of_int t.id ^ "(" ^ kind_to_string t.kind ^ ")"
+
+let pp ppf t = Format.pp_print_string ppf (to_string t)

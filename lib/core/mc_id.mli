@@ -36,4 +36,9 @@ val kind_to_string : kind -> string
 val kind_of_string : string -> kind option
 (** Inverse of {!kind_to_string}; [None] for any other word. *)
 
+val to_string : t -> string
+(** The one rendering of an MC: [mc#ID(KIND)], e.g. [mc#3(symmetric)].
+    Built without [Format]: traced runs render it on every emission. *)
+
 val pp : Format.formatter -> t -> unit
+(** Prints {!to_string}. *)

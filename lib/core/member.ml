@@ -106,10 +106,17 @@ let role_of_string = function
   | "both" -> Some Both
   | _ -> None
 
-let pp ppf t =
-  Format.fprintf ppf "{%a}"
-    (Format.pp_print_seq
-       ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
-       (fun ppf c ->
-         Format.fprintf ppf "%d:%s" (id_of c) (role_to_string (decode c))))
-    (Array.to_seq t)
+let to_string t =
+  let b = Buffer.create (2 + (12 * Array.length t)) in
+  Buffer.add_char b '{';
+  Array.iteri
+    (fun i c ->
+      if i > 0 then Buffer.add_string b ", ";
+      Buffer.add_string b (string_of_int (id_of c));
+      Buffer.add_char b ':';
+      Buffer.add_string b (role_to_string (decode c)))
+    t;
+  Buffer.add_char b '}';
+  Buffer.contents b
+
+let pp ppf t = Format.pp_print_string ppf (to_string t)

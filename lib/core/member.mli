@@ -59,4 +59,10 @@ val role_to_string : role -> string
 val role_of_string : string -> role option
 (** Inverse of {!role_to_string}; [None] for any other word. *)
 
+val to_string : t -> string
+(** The one rendering of a list: [{id:role, ...}] in ascending id order,
+    e.g. [{1:sender, 4:both}], [{}] when empty.  Built with a [Buffer]
+    and no [Format], because traced runs render a list per install. *)
+
 val pp : Format.formatter -> t -> unit
+(** Prints {!to_string}. *)

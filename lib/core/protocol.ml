@@ -78,7 +78,7 @@ let originated ~switch ~seq (payload : Switch.payload) =
   let mc, ev, proposal, stamp =
     match payload with
     | Mc m ->
-      ( Format.asprintf "%a" Mc_id.pp m.Mc_lsa.mc,
+      ( Mc_id.to_string m.Mc_lsa.mc,
         Mc_lsa.event_to_string m.event,
         m.proposal <> None,
         Timestamp.to_array m.stamp )

@@ -159,8 +159,13 @@ let copy t =
     counts = counts t.engine t.id;
   }
 
+(* [tracef] is for cold paths; a hot one builds its message with plain
+   concatenation under a [traced t] guard and records it with [note]. *)
 let tracef t category fmt =
   Sim.Trace.recordf t.trace ~time:(Sim.Engine.now t.engine) ~category fmt
+
+let note t category message =
+  Sim.Trace.record t.trace ~time:(Sim.Engine.now t.engine) ~category message
 
 let traced t = Sim.Trace.enabled t.trace
 
@@ -168,8 +173,6 @@ let traced t = Sim.Trace.enabled t.trace
    payload inside a [traced t] guard so the hot path stays one branch. *)
 let emit t ?parent event =
   Sim.Trace.emit t.trace ~time:(Sim.Engine.now t.engine) ?parent event
-
-let mc_str mc = Format.asprintf "%a" Mc_id.pp mc
 
 (* ------------------------------------------------------------------ *)
 (* State table *)
@@ -268,7 +271,7 @@ let launch t mc (st : Mc_state.t) ~event =
         (Compute_started
            {
              switch = t.id;
-             mc = mc_str mc;
+             mc = Mc_id.to_string mc;
              trigger =
                (match event with
                | Mc_lsa.No_event -> "receive-lsa"
@@ -295,7 +298,7 @@ let proposal_made t mc (comp : Mc_state.computation) ~withdrawn =
       (Proposal_made
          {
            switch = t.id;
-           mc = mc_str mc;
+           mc = Mc_id.to_string mc;
            withdrawn;
            stamp = Timestamp.to_array comp.old_r;
          })
@@ -317,12 +320,12 @@ let rec install t (st : Mc_state.t) mc ~stamp ~tree =
          (Topology_installed
             {
               switch = t.id;
-              mc = mc_str mc;
+              mc = Mc_id.to_string mc;
               r = Timestamp.to_array st.r;
               e = Timestamp.to_array st.e;
               c = Timestamp.to_array stamp;
-              members = Format.asprintf "%a" Member.pp st.members;
-              tree = Format.asprintf "%a" Mctree.Tree.pp tree;
+              members = Member.to_string st.members;
+              tree = Mctree.Tree.to_string tree;
             }));
   t.sink Changed;
   if tree_uses_dead_incident_link t tree then begin
@@ -425,8 +428,10 @@ let process_lsa t (st : Mc_state.t) (lsa : Mc_lsa.t) candidate =
       if seq > Timestamp.get st.membership_seen s then begin
         st.membership_seen <- Timestamp.raise_owned st.membership_seen s seq;
         if traced t then
-          tracef t "member" "sw%d applies %s from %d seq %d" t.id
-            (Mc_lsa.event_to_string lsa.event) s seq;
+          note t "member"
+            ("sw" ^ string_of_int t.id ^ " applies "
+            ^ Mc_lsa.event_to_string lsa.event
+            ^ " from " ^ string_of_int s ^ " seq " ^ string_of_int seq);
         (match lsa.event with
         | Mc_lsa.Join role -> st.members <- Member.join st.members s role
         | Mc_lsa.Leave -> st.members <- Member.leave st.members s
@@ -434,9 +439,11 @@ let process_lsa t (st : Mc_state.t) (lsa : Mc_lsa.t) candidate =
         t.sink Changed
       end
       else if traced t then
-        tracef t "member" "sw%d SKIPS stale %s from %d seq %d (seen %d)" t.id
-          (Mc_lsa.event_to_string lsa.event) s seq
-          (Timestamp.get st.membership_seen s)
+        note t "member"
+          ("sw" ^ string_of_int t.id ^ " SKIPS stale "
+          ^ Mc_lsa.event_to_string lsa.event
+          ^ " from " ^ string_of_int s ^ " seq " ^ string_of_int seq
+          ^ " (seen " ^ string_of_int (Timestamp.get st.membership_seen s) ^ ")")
     end
   end;
   (* Line 10: learn what to expect. *)
@@ -451,11 +458,11 @@ let process_lsa t (st : Mc_state.t) (lsa : Mc_lsa.t) candidate =
       if traced t then
         tracef t "adopt"
           "sw%d adopts snapshot %s from src %d stamp %s E=%s R=%s (was %s)"
-          t.id (Format.asprintf "%a" Member.pp snapshot) lsa.src
+          t.id (Member.to_string snapshot) lsa.src
           (Format.asprintf "%a" Timestamp.pp lsa.stamp)
           (Format.asprintf "%a" Timestamp.pp st.e)
           (Format.asprintf "%a" Timestamp.pp st.r)
-          (Format.asprintf "%a" Member.pp st.members);
+          (Member.to_string st.members);
       st.members <- snapshot;
       t.sink Changed
     end;
@@ -551,7 +558,7 @@ let under_resync t ~peer ?mc f =
            {
              switch = t.id;
              peer;
-             mc = (match mc with Some mc -> mc_str mc | None -> "");
+             mc = (match mc with Some mc -> Mc_id.to_string mc | None -> "");
            })
     else -1
   in

@@ -238,35 +238,44 @@ let compare a b =
 
 let equal a b = compare a b = 0
 
+(* The renderers' pieces: [ints] with [sep] between them, and the
+   interleaved [edges] as "u-v" with [sep] between them. *)
+let add_ints b sep ints =
+  Array.iteri
+    (fun i n ->
+      if i > 0 then Buffer.add_string b sep;
+      Buffer.add_string b (string_of_int n))
+    ints
+
+let add_edges b sep edges =
+  for i = 0 to (Array.length edges / 2) - 1 do
+    if i > 0 then Buffer.add_string b sep;
+    Buffer.add_string b (string_of_int edges.(2 * i));
+    Buffer.add_char b '-';
+    Buffer.add_string b (string_of_int edges.((2 * i) + 1))
+  done
+
 let fingerprint t =
   let f = form t in
   let b = Buffer.create 48 in
   Buffer.add_string b "T{";
-  for i = 0 to (Array.length f.f_edges / 2) - 1 do
-    if i > 0 then Buffer.add_char b ',';
-    Buffer.add_string b (string_of_int f.f_edges.(2 * i));
-    Buffer.add_char b '-';
-    Buffer.add_string b (string_of_int f.f_edges.((2 * i) + 1))
-  done;
+  add_edges b "," f.f_edges;
   Buffer.add_char b '|';
-  Array.iteri
-    (fun i n ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (string_of_int n))
-    f.f_terminals;
+  add_ints b "," f.f_terminals;
   Buffer.add_char b '}';
   Buffer.contents b
 
-let pp ppf t =
-  let pp_set ppf s =
-    Format.fprintf ppf "{%a}"
-      (Format.pp_print_list
-         ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
-         Format.pp_print_int)
-      (Int_set.elements s)
-  in
-  Format.fprintf ppf "@[<h>tree terminals=%a edges=[%a]@]" pp_set t.terminals
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.pp_print_string ppf "; ")
-       (fun ppf (u, v) -> Format.fprintf ppf "%d-%d" u v))
-    (edges t)
+let to_string t =
+  let f = form t in
+  let b = Buffer.create 48 in
+  Buffer.add_string b "tree terminals={";
+  add_ints b ", " f.f_terminals;
+  Buffer.add_string b "} edges=[";
+  add_edges b "; " f.f_edges;
+  Buffer.add_char b ']';
+  Buffer.contents b
+
+(* The rendering sits in a horizontal box, as it always has: a box
+   opened past the margin's indentation limit makes an enclosing box
+   break the line before it, and pinned messages carry that break. *)
+let pp ppf t = Format.fprintf ppf "@[<h>%s@]" (to_string t)

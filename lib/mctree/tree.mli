@@ -131,4 +131,13 @@ val compare : t -> t -> int
 val equal : t -> t -> bool
 (** [compare a b = 0]: same terminals and same edges. *)
 
+val to_string : t -> string
+(** The one human rendering of a tree:
+    ["tree terminals={t1, t2} edges=[u-v; ...]"], terminals and edges
+    ascending.  Read off the canonical form with a [Buffer], without
+    [Format], because traced runs render the tree of every install. *)
+
 val pp : Format.formatter -> t -> unit
+(** Prints {!to_string} inside a horizontal box (so, like any box, it
+    moves to a new line when it would open past the formatter's
+    indentation limit inside an enclosing breaking box). *)

@@ -10,7 +10,11 @@
 
     Protocol code guards every emission with {!enabled}, so the hot path
     costs one branch when tracing is off: no payload is allocated, no id
-    is assigned.  Enabled traces retain at most [cap] entries in a ring
+    is assigned.  Payloads are built only under that guard, and on hot
+    paths (every install, origination and applied membership event)
+    without [Format]: MC ids, member lists and trees come from their
+    types' [to_string] renderers, and a hot note is a concatenated
+    string passed to {!record}.  {!recordf} is for cold paths.  Enabled traces retain at most [cap] entries in a ring
     buffer (oldest evicted first, counted by {!dropped}).
 
     Traces serialize to JSON Lines under the versioned schema
@@ -127,7 +131,8 @@ val record : t -> time:float -> category:string -> string -> unit
 val recordf :
   t -> time:float -> category:string -> ('a, Format.formatter, unit, unit) format4 -> 'a
 (** Formatted {!Note}; the format arguments are not evaluated when the
-    trace is disabled. *)
+    trace is disabled.  An enabled call renders through [Format]
+    (hundreds of words per note), so hot emission sites use {!record}. *)
 
 val entries : t -> entry list
 (** Retained entries, oldest first. *)

@@ -16,31 +16,50 @@ let initial_role (mc : Dgmc.Mc_id.t) order =
   | Dgmc.Mc_id.Asymmetric ->
     if order = 0 then Dgmc.Member.Sender else Dgmc.Member.Receiver
 
-(* Is the graph still connected with [cut] (a sorted (u, v) list, u < v)
-   removed?  Works on the static edge set — waves never overlap, so at
-   any instant only the current wave's links are down. *)
-let connected_without graph cut =
+(* The live links that can fade now, in [Net.Graph.edges] order: those
+   not in [cut] (a list of (u, v), u < v) whose loss leaves the graph
+   connected with [cut] removed too.  Those are exactly the non-bridges
+   of G - cut when G - cut is connected, and none when it is not, so one
+   depth-first pass (Tarjan's low links) answers for every link.  Works
+   on the static edge set: waves never overlap, so at any instant only
+   the current wave's links are down. *)
+let fade_candidates graph ~cut =
   let n = Net.Graph.n_nodes graph in
-  if n = 0 then true
-  else begin
-    let adj = Array.make n [] in
+  let edges = Array.of_list (Net.Graph.edges graph) in
+  let live =
+    Array.map (fun (e : Net.Graph.edge) -> not (List.mem (e.u, e.v) cut)) edges
+  in
+  (* adj.(x): (neighbour, edge index) over the live links. *)
+  let adj = Array.make n [] in
+  Array.iteri
+    (fun i (e : Net.Graph.edge) ->
+      if live.(i) then begin
+        adj.(e.u) <- (e.v, i) :: adj.(e.u);
+        adj.(e.v) <- (e.u, i) :: adj.(e.v)
+      end)
+    edges;
+  let disc = Array.make n (-1) and low = Array.make n 0 in
+  let bridge = Array.make (Array.length edges) false in
+  let clock = ref 0 in
+  let rec visit x via =
+    disc.(x) <- !clock;
+    low.(x) <- !clock;
+    incr clock;
     List.iter
-      (fun (e : Net.Graph.edge) ->
-        if not (List.mem (e.u, e.v) cut) then begin
-          adj.(e.u) <- e.v :: adj.(e.u);
-          adj.(e.v) <- e.u :: adj.(e.v)
-        end)
-      (Net.Graph.edges graph);
-    let seen = Array.make n false in
-    let rec visit i =
-      if not seen.(i) then begin
-        seen.(i) <- true;
-        List.iter visit adj.(i)
-      end
-    in
-    visit 0;
-    Array.for_all Fun.id seen
-  end
+      (fun (y, i) ->
+        if i <> via then
+          if disc.(y) < 0 then begin
+            visit y i;
+            low.(x) <- Int.min low.(x) low.(y);
+            if low.(y) > disc.(x) then bridge.(i) <- true
+          end
+          else low.(x) <- Int.min low.(x) disc.(y))
+      adj.(x)
+  in
+  if n > 0 then visit 0 (-1);
+  if !clock < n then []
+  else
+    List.filteri (fun i _ -> live.(i) && not bridge.(i)) (Array.to_list edges)
 
 let validate ~graph spec =
   let n = Net.Graph.n_nodes graph in
@@ -125,16 +144,9 @@ let generate rng ~graph spec =
     let heal = time +. (spec.wave_period /. 2.0) in
     let cut = ref [] in
     for _ = 1 to spec.wave_links do
-      let candidates =
-        List.filter
-          (fun (e : Net.Graph.edge) ->
-            (not (List.mem (e.u, e.v) !cut))
-            && connected_without graph ((e.u, e.v) :: !cut))
-          (Net.Graph.edges graph)
-      in
-      match candidates with
+      match fade_candidates graph ~cut:!cut with
       | [] -> () (* no further link can fade without partitioning *)
-      | _ ->
+      | candidates ->
         let e = Sim.Rng.pick rng candidates in
         cut := (e.u, e.v) :: !cut;
         waves :=

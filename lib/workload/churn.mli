@@ -36,3 +36,10 @@ val generate : Sim.Rng.t -> graph:Net.Graph.t -> spec -> Events.t list
     graph.  Raises [Invalid_argument] on a spec the graph cannot host
     (more walkers than switches, moves with no free switch, or
     non-positive periods). *)
+
+val fade_candidates : Net.Graph.t -> cut:(int * int) list -> Net.Graph.edge list
+(** The links a wave may fade next with the links of [cut] ((u, v)
+    pairs, u < v) already down: every live link outside [cut] whose loss
+    keeps the graph connected, in {!Net.Graph.edges} order ([[]] when the
+    graph minus [cut] is already disconnected).  One pass over the graph
+    (its bridges), however many links it has. *)

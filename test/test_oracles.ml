@@ -8,7 +8,12 @@
      of an induced subgraph over terminals ∪ S for some Steiner set S);
    - shortest-path first hops vs the distance-decrease characterisation;
    - the flat-array Dijkstra and memoised SPH vs the boxed-heap kernel
-     and quadratic SPH they replaced (exact equality, ties included). *)
+     and quadratic SPH they replaced (exact equality, ties included);
+   - the Buffer-built renderers of member lists, trees, MC ids and
+     membership notes vs the Format printers they replaced (byte
+     equality);
+   - the churn generator's one-pass bridge filter vs the per-link
+     connectivity search it replaced (same links, same order). *)
 
 let check = Alcotest.check
 
@@ -457,6 +462,226 @@ let test_tree_compare_allocation_bound () =
   check Alcotest.bool "equal" true e;
   check Alcotest.int "minor words for compare + equal" 0 words
 
+(* ------------------------------------------------------------------ *)
+(* Renderers vs the Format printers they replaced *)
+
+(* The printers as they were, verbatim but for reaching the values
+   through the public API. *)
+let reference_member_pp ppf t =
+  let entries =
+    List.map
+      (fun id -> (id, Option.get (Dgmc.Member.role t id)))
+      (Dgmc.Member.ids t)
+  in
+  Format.fprintf ppf "{%a}"
+    (Format.pp_print_seq
+       ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
+       (fun ppf (id, role) ->
+         Format.fprintf ppf "%d:%s" id (Dgmc.Member.role_to_string role)))
+    (List.to_seq entries)
+
+let reference_tree_pp ppf t =
+  let pp_set ppf s =
+    Format.fprintf ppf "{%a}"
+      (Format.pp_print_list
+         ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
+         Format.pp_print_int)
+      (Mctree.Tree.Int_set.elements s)
+  in
+  Format.fprintf ppf "@[<h>tree terminals=%a edges=[%a]@]" pp_set
+    (Mctree.Tree.terminals t)
+    (Format.pp_print_list
+       ~pp_sep:(fun ppf () -> Format.pp_print_string ppf "; ")
+       (fun ppf (u, v) -> Format.fprintf ppf "%d-%d" u v))
+    (Mctree.Tree.edges t)
+
+let reference_mc_id_pp ppf (t : Dgmc.Mc_id.t) =
+  Format.fprintf ppf "mc#%d(%s)" t.id (Dgmc.Mc_id.kind_to_string t.kind)
+
+(* [render] must equal the reference alone, and [pp] must print it like
+   the reference also mid-line, where a box opened past the indentation
+   limit breaks the line before it. *)
+let check_renderer what ~reference ~render ~pp x =
+  let want = Format.asprintf "%a" reference x in
+  check Alcotest.string what want (render x);
+  let prefix = String.make 70 '.' in
+  check Alcotest.string (what ^ " mid-line")
+    (Format.asprintf "%s %a|%a" prefix reference x reference x)
+    (Format.asprintf "%s %a|%a" prefix pp x pp x)
+
+let roles = [| Dgmc.Member.Sender; Dgmc.Member.Receiver; Dgmc.Member.Both |]
+
+let test_member_renderer () =
+  let rng = Sim.Rng.create 31 in
+  for k = 0 to 299 do
+    let size = if k = 0 then 0 else Sim.Rng.int rng 12 in
+    let span = if k mod 3 = 0 then 20 else 100_000 in
+    let m =
+      Dgmc.Member.of_list
+        (List.init size (fun _ ->
+             (Sim.Rng.int rng span, roles.(Sim.Rng.int rng 3))))
+    in
+    check_renderer (Printf.sprintf "members #%d" k) ~reference:reference_member_pp
+      ~render:Dgmc.Member.to_string ~pp:Dgmc.Member.pp m
+  done
+
+let test_tree_renderer () =
+  let rng = Sim.Rng.create 32 in
+  let nodes k span = List.init k (fun _ -> Sim.Rng.int rng span) in
+  for k = 0 to 299 do
+    let span = if k mod 2 = 0 then 12 else 5_000 in
+    let terminals n = Mctree.Tree.of_terminals (nodes (Sim.Rng.int rng n) span) in
+    let tree =
+      if k = 0 then Mctree.Tree.empty
+      else
+        match k mod 3 with
+        | 0 -> terminals 8
+        | 1 ->
+          Mctree.Tree.add_path (terminals 4)
+            (List.sort_uniq Int.compare (nodes (2 + Sim.Rng.int rng 20) span))
+        | _ ->
+          List.fold_left
+            (fun t (u, v) -> if u = v then t else Mctree.Tree.add_edge t u v)
+            (terminals 6)
+            (List.init (Sim.Rng.int rng 25) (fun _ ->
+                 (Sim.Rng.int rng span, Sim.Rng.int rng span)))
+    in
+    check_renderer (Printf.sprintf "tree #%d" k) ~reference:reference_tree_pp
+      ~render:Mctree.Tree.to_string ~pp:Mctree.Tree.pp tree
+  done
+
+let test_mc_id_renderer () =
+  let rng = Sim.Rng.create 33 in
+  List.iter
+    (fun kind ->
+      List.iter
+        (fun id ->
+          let mc = Dgmc.Mc_id.make kind id in
+          check_renderer
+            (Format.asprintf "%a" reference_mc_id_pp mc)
+            ~reference:reference_mc_id_pp ~render:Dgmc.Mc_id.to_string
+            ~pp:Dgmc.Mc_id.pp mc)
+        (0 :: 1 :: 42 :: max_int :: List.init 20 (fun _ -> Sim.Rng.int rng 1_000_000)))
+    [ Dgmc.Mc_id.Symmetric; Dgmc.Mc_id.Receiver_only; Dgmc.Mc_id.Asymmetric ]
+
+(* A switch's membership notes are concatenated, not formatted: each
+   note of two traced scenarios (churn_storm has stale skips) must read
+   back through its old format string and render to the same bytes. *)
+let test_member_notes () =
+  let dir = List.find Sys.file_exists [ "../scenarios"; "scenarios" ] in
+  let applies = ref 0 and skips = ref 0 in
+  List.iter
+    (fun file ->
+      match Workload.Script.load (Filename.concat dir file) with
+      | Error msg -> Alcotest.failf "%s: %s" file msg
+      | Ok script ->
+        let trace = Sim.Trace.create () in
+        Dgmc.Protocol.run (Workload.Script.build ~trace script);
+        List.iter
+          (fun (e : Sim.Trace.entry) ->
+            match e.event with
+            | Note { category = "member"; message } ->
+              let again =
+                match String.split_on_char ' ' message with
+                | _ :: "SKIPS" :: _ ->
+                  incr skips;
+                  Scanf.sscanf message
+                    "sw%d SKIPS stale %s@ from %d seq %d (seen %d)%!"
+                    (Printf.sprintf
+                       "sw%d SKIPS stale %s from %d seq %d (seen %d)")
+                | _ ->
+                  incr applies;
+                  Scanf.sscanf message "sw%d applies %s@ from %d seq %d%!"
+                    (Printf.sprintf "sw%d applies %s from %d seq %d")
+              in
+              check Alcotest.string file again message
+            | _ -> ())
+          (Sim.Trace.entries trace))
+    [ "churn_storm.dgmc"; "faulty_flood.dgmc" ];
+  check Alcotest.bool "applied notes seen" true (!applies > 0);
+  check Alcotest.bool "stale-skip notes seen" true (!skips > 0)
+
+(* ------------------------------------------------------------------ *)
+(* Churn wave candidates vs a connectivity search per link *)
+
+(* The filter as it was: a fresh adjacency build and DFS per link. *)
+let reference_connected_without graph cut =
+  let n = Net.Graph.n_nodes graph in
+  if n = 0 then true
+  else begin
+    let adj = Array.make n [] in
+    List.iter
+      (fun (e : Net.Graph.edge) ->
+        if not (List.mem (e.u, e.v) cut) then begin
+          adj.(e.u) <- e.v :: adj.(e.u);
+          adj.(e.v) <- e.u :: adj.(e.v)
+        end)
+      (Net.Graph.edges graph);
+    let seen = Array.make n false in
+    let rec visit i =
+      if not seen.(i) then begin
+        seen.(i) <- true;
+        List.iter visit adj.(i)
+      end
+    in
+    visit 0;
+    Array.for_all Fun.id seen
+  end
+
+let reference_fade_candidates graph cut =
+  List.filter
+    (fun (e : Net.Graph.edge) ->
+      (not (List.mem (e.u, e.v) cut))
+      && reference_connected_without graph ((e.u, e.v) :: cut))
+    (Net.Graph.edges graph)
+
+let test_fade_candidates_vs_search () =
+  let graphs =
+    List.concat
+      [
+        List.init 10 (fun i -> random_graph (40 + i) (6 + (4 * i)));
+        List.init 6 (fun i ->
+            Net.Topo_gen.erdos_renyi (Sim.Rng.create (60 + i)) ~n:(8 + (6 * i)) ());
+        [
+          Net.Topo_gen.ring 9;
+          Net.Topo_gen.line 7;
+          Net.Topo_gen.star 6;
+          Net.Topo_gen.grid ~rows:3 ~cols:5 ();
+          Net.Topo_gen.complete 6;
+          Net.Graph.create 1;
+          Net.Graph.of_edges 4 [ (0, 1, 1.0); (2, 3, 1.0) ];
+        ];
+      ]
+  in
+  let pairs l = List.map (fun (e : Net.Graph.edge) -> (e.u, e.v)) l in
+  let same g cut =
+    check
+      Alcotest.(list (pair int int))
+      (Printf.sprintf "n=%d, cut of %d" (Net.Graph.n_nodes g) (List.length cut))
+      (pairs (reference_fade_candidates g cut))
+      (pairs (Workload.Churn.fade_candidates g ~cut))
+  in
+  List.iteri
+    (fun i g ->
+      let rng = Sim.Rng.create (80 + i) in
+      let all = pairs (Net.Graph.edges g) in
+      (* A wave's own cuts: each link drawn from the candidates. *)
+      let cut = ref [] in
+      for _ = 0 to 5 do
+        same g !cut;
+        match reference_fade_candidates g !cut with
+        | [] -> ()
+        | c ->
+          let e = Sim.Rng.pick rng c in
+          cut := (e.u, e.v) :: !cut
+      done;
+      (* Arbitrary cuts, disconnecting ones included. *)
+      for _ = 1 to 10 do
+        if all <> [] then
+          same g (Sim.Rng.sample rng (1 + Sim.Rng.int rng (List.length all)) all)
+      done)
+    graphs
+
 let () =
   Alcotest.run "oracles"
     [
@@ -477,6 +702,21 @@ let () =
         [
           Alcotest.test_case "tree compare allocation bound" `Quick
             test_tree_compare_allocation_bound;
+        ] );
+      ( "renderers",
+        [
+          Alcotest.test_case "member lists vs Format printer" `Quick
+            test_member_renderer;
+          Alcotest.test_case "trees vs Format printer" `Quick test_tree_renderer;
+          Alcotest.test_case "mc ids vs Format printer" `Quick
+            test_mc_id_renderer;
+          Alcotest.test_case "membership notes vs format string" `Quick
+            test_member_notes;
+        ] );
+      ( "churn",
+        [
+          Alcotest.test_case "fade candidates vs connectivity search" `Quick
+            test_fade_candidates_vs_search;
         ] );
       ( "steiner",
         [

@@ -269,6 +269,28 @@ let test_disabled_registry_any_domain () =
     allocated;
   check bool "nothing recorded" true (Metrics.Registry.is_empty r)
 
+(* A trace costs what its payloads cost to build.  On one domain, a
+   traced Fig 6 burst (n = 100, seed 1) may allocate at most three times
+   the minor words of the same run untraced.  Rendering every install,
+   MC id and membership note through [Format] took 4.4 times; building
+   them with [Buffer] and concatenation takes 1.75. *)
+let test_trace_cost_bound () =
+  let words trace =
+    let before = Gc.minor_words () in
+    ignore
+      (Sys.opaque_identity
+         (Experiments.Harness.bursty_run ?trace ~seed:1 ~n:100
+            ~config:Dgmc.Config.atm_lan ~members:10 ()));
+    Gc.minor_words () -. before
+  in
+  let plain = words None in
+  let trace = Sim.Trace.create () in
+  let traced = words (Some trace) in
+  check bool "the run was traced" true (Sim.Trace.count trace > 1000);
+  if traced > 3.0 *. plain then
+    Alcotest.failf "traced run allocated %d minor words, over 3x the %d untraced"
+      (int_of_float traced) (int_of_float plain)
+
 (* ------------------------------------------------------------------ *)
 (* Telemetry is transparent to the measured run *)
 
@@ -561,6 +583,8 @@ let () =
             test_disabled_zero_alloc;
           test_case "disabled registry records from any domain" `Quick
             test_disabled_registry_any_domain;
+          test_case "traced burst allocates at most 3x untraced" `Quick
+            test_trace_cost_bound;
         ] );
       ( "transparency",
         [
