@@ -200,9 +200,9 @@ let create ~graph ~config ?faults ?engine ?trace ?metrics
     | Some plan ->
       Faults.Plan.instrument plan engine;
       Some
-        (fun ~src ~dst ~base_delay ->
+        (fun ~src ~dst ~base_delay delays ->
           Faults.Plan.transmit plan ~src ~dst ~now:(Sim.Engine.now engine)
-            ~base_delay)
+            ~base_delay delays)
   in
   let flooding =
     Lsr.Flooding.create ~engine ~graph ~t_hop:config.Config.t_hop

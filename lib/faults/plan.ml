@@ -105,13 +105,6 @@ let counts metrics =
     blocked_partition = counter "faults.blocked_partition";
   }
 
-type fault_kind =
-  | Drop
-  | Duplicate
-  | Reorder of float
-  | Crash_block of int
-  | Partition_block
-
 type window = { w_from : float; w_until : float }
 
 type t = {
@@ -173,97 +166,102 @@ let quiescent_after t =
   let close acc (_, w) = Float.max acc w.w_until in
   List.fold_left close (List.fold_left close 0.0 t.crashes) t.partitions
 
-let active w now = now >= w.w_from && now < w.w_until
+let[@inline] active w now = now >= w.w_from && now < w.w_until
 
-let crashed t sw now =
-  List.exists (fun (s, w) -> s = sw && active w now) t.crashes
+(* Plain recursive walks, not [List.exists]: a transmission builds no
+   closure to ask whether a window severs it. *)
+let rec crashed sw now = function
+  | [] -> false
+  | (s, w) :: rest -> (s = sw && active w now) || crashed sw now rest
 
-let separated t a b now =
-  let in_side membership sw =
-    sw < Array.length membership && membership.(sw)
+let[@inline] in_side membership sw =
+  sw < Array.length membership && membership.(sw)
+
+let rec separated a b now = function
+  | [] -> false
+  | (membership, w) :: rest ->
+    (active w now && in_side membership a <> in_side membership b)
+    || separated a b now rest
+
+let traced t = Sim.Trace.enabled t.sim_trace
+
+let emit t ~now ~src ~dst fault =
+  ignore
+    (Sim.Trace.emit t.sim_trace ~time:now (Fault_injected { src; dst; fault }))
+
+(* Count one injected fault and trace it when the plan is traced.  A
+   fault whose label is computed (a crash block's switch, a reorder's
+   hold-back) tests [traced] itself, so an untraced plan never builds
+   the label. *)
+let note t counter ~now ~src ~dst label =
+  Metrics.Registry.bump counter;
+  if traced t then emit t ~now ~src ~dst label
+
+let blocked_by_crash t ~now ~src ~dst who =
+  Metrics.Registry.bump t.counts.blocked_crash;
+  if traced t then
+    emit t ~now ~src ~dst (Printf.sprintf "blocked(crash %d)" who);
+  0
+
+(* Write one copy's delay into [delays.(i)]: the base delay, plus its
+   jitter draw when [jitter > 0], plus a reordering hold-back when the
+   reorder draw fires. *)
+let copy t ~now ~src ~dst ~base_delay delays i =
+  let spec = t.spec in
+  let d =
+    base_delay
+    +.
+    if spec.jitter > 0.0 then Sim.Rng.float t.rng (spec.jitter *. base_delay)
+    else 0.0
   in
-  List.exists
-    (fun (membership, w) ->
-      active w now && in_side membership a <> in_side membership b)
-    t.partitions
+  if spec.reorder > 0.0 && Sim.Rng.float t.rng 1.0 < spec.reorder then begin
+    let extra =
+      if spec.reorder_span > 0.0 then
+        Sim.Rng.float t.rng (spec.reorder_span *. base_delay)
+      else 0.0
+    in
+    Metrics.Registry.bump t.counts.reordered;
+    if traced t then
+      (* dgmc-analyze: allow float-format — human-readable trace label *)
+      emit t ~now ~src ~dst (Printf.sprintf "reorder(+%g)" extra);
+    delays.(i) <- d +. extra
+  end
+  else delays.(i) <- d
 
-let fault_label = function
-  | Drop -> "drop"
-  | Duplicate -> "duplicate"
-  (* dgmc-analyze: allow float-format — human-readable trace label *)
-  | Reorder extra -> Printf.sprintf "reorder(+%g)" extra
-  | Crash_block who -> Printf.sprintf "blocked(crash %d)" who
-  | Partition_block -> "blocked(partition)"
-
-let counter_of_fault c = function
-  | Drop -> c.dropped
-  | Duplicate -> c.duplicated
-  | Reorder _ -> c.reordered
-  | Crash_block _ -> c.blocked_crash
-  | Partition_block -> c.blocked_partition
-
-let record t ~now ~src ~dst fault =
-  Metrics.Registry.bump (counter_of_fault t.counts fault);
-  if Sim.Trace.enabled t.sim_trace then
-    ignore
-      (Sim.Trace.emit t.sim_trace ~time:now
-         (Fault_injected { src; dst; fault = fault_label fault }))
-
-let transmit t ~src ~dst ~now ~base_delay =
+let transmit t ~src ~dst ~now ~base_delay delays =
   if not (base_delay > 0.0) then
     invalid_arg "Faults.Plan.transmit: base_delay must be positive";
   Metrics.Registry.bump t.counts.transmissions;
-  if crashed t src now || crashed t dst now then begin
-    let who = if crashed t src now then src else dst in
-    record t ~now ~src ~dst (Crash_block who);
-    []
-  end
-  else if separated t src dst now then begin
-    record t ~now ~src ~dst Partition_block;
-    []
+  if crashed src now t.crashes then blocked_by_crash t ~now ~src ~dst src
+  else if crashed dst now t.crashes then blocked_by_crash t ~now ~src ~dst dst
+  else if separated src dst now t.partitions then begin
+    note t t.counts.blocked_partition ~now ~src ~dst "blocked(partition)";
+    0
   end
   else begin
     let spec = t.spec in
     (* One probability draw per potential fault, in a fixed order, so
        the stream stays aligned across specs that differ only in their
        probabilities. *)
-    let draw () = Sim.Rng.float t.rng 1.0 in
-    let dropped = draw () < spec.drop in
-    let duplicated = draw () < spec.duplicate in
+    let dropped = Sim.Rng.float t.rng 1.0 < spec.drop in
+    let duplicated = Sim.Rng.float t.rng 1.0 < spec.duplicate in
     if dropped then begin
-      record t ~now ~src ~dst Drop;
-      []
+      note t t.counts.dropped ~now ~src ~dst "drop";
+      0
     end
     else begin
-      let copy () =
-        let d =
-          if spec.jitter > 0.0 then
-            base_delay +. Sim.Rng.float t.rng (spec.jitter *. base_delay)
-          else base_delay
-        in
-        if spec.reorder > 0.0 && draw () < spec.reorder then begin
-          let extra =
-            if spec.reorder_span > 0.0 then
-              Sim.Rng.float t.rng (spec.reorder_span *. base_delay)
-            else 0.0
-          in
-          record t ~now ~src ~dst (Reorder extra);
-          d +. extra
-        end
-        else d
-      in
+      copy t ~now ~src ~dst ~base_delay delays 0;
       (* A constant [~by] argument is static data, so bumping a
          disabled registry's handle allocates nothing here. *)
-      let first = copy () in
       if duplicated then begin
-        record t ~now ~src ~dst Duplicate;
-        let second = copy () in
+        note t t.counts.duplicated ~now ~src ~dst "duplicate";
+        copy t ~now ~src ~dst ~base_delay delays 1;
         Metrics.Registry.bump ~by:2 t.counts.delivered;
-        [ first; second ]
+        2
       end
       else begin
         Metrics.Registry.bump t.counts.delivered;
-        [ first ]
+        1
       end
     end
   end

@@ -5,9 +5,10 @@
     from the plan's own seeded {!Sim.Rng} stream — whether the message is
     dropped, duplicated, delayed (jitter), or delayed far enough to be
     overtaken (reordering), and whether a scheduled switch crash or
-    partition window currently severs the (src, dst) pair.  The caller
-    schedules one delivery per returned delay; an empty list means the
-    message is lost.
+    partition window currently severs the (src, dst) pair.  It writes
+    the delay of each copy to deliver into a caller-owned array and
+    returns how many it wrote; the caller schedules one delivery per
+    copy, and [0] means the message is lost.
 
     Everything is deterministic: a plan built from the same seed and
     subjected to the same sequence of {!transmit} calls (which a seeded
@@ -96,13 +97,30 @@ val partition_windows : t -> (int list * (float * float)) list
 (** {1 Mediating transmissions} *)
 
 val transmit :
-  t -> src:int -> dst:int -> now:float -> base_delay:float -> float list
-(** Decide the fate of one [src → dst] transmission submitted at [now]
-    with fault-free delivery delay [base_delay] ([> 0]).  Returns the
-    delay of every copy to deliver: [[]] when lost or blocked, one
-    element normally, two when duplicated.  Delays are [>= base_delay].
-    Counters (and the instrumented trace) are updated as a side
-    effect. *)
+  t ->
+  src:int ->
+  dst:int ->
+  now:float ->
+  base_delay:float ->
+  float array ->
+  int
+(** [transmit t ~src ~dst ~now ~base_delay delays] decides the fate of
+    one [src → dst] transmission submitted at [now] with fault-free
+    delivery delay [base_delay] ([> 0]).  It writes the delay of every
+    copy to deliver into [delays.(0)], then [delays.(1)], and returns
+    the number of copies: [0] when lost or blocked, [1] normally, [2]
+    when duplicated.  [delays] must have at least two slots; the slots
+    past the returned count are left as they were.  Delays are
+    [>= base_delay].  Counters (and the instrumented trace) are updated
+    as a side effect.
+
+    The draws happen in a fixed order — drop, duplicate, then for each
+    copy its jitter, its reorder chance and its reorder span — so the
+    decisions are a function of the seed and the call sequence alone.
+    An uninstrumented or untraced plan allocates nothing here where
+    {!Sim.Rng.float} is inlined (any build but dune's [dev] profile,
+    which compiles every module [-opaque]); a fault's trace label is
+    built only when the plan's trace is enabled. *)
 
 (** {1 Accounting} *)
 

@@ -18,7 +18,7 @@ let giveup_span_hops rel =
   in
   go rel.rto 0 0.0
 
-type transmit = src:int -> dst:int -> base_delay:float -> float list
+type transmit = src:int -> dst:int -> base_delay:float -> float array -> int
 
 module Int_tbl = Hashtbl.Make (Int)
 
@@ -56,6 +56,9 @@ type 'a t = {
   mode : mode;
   rel : reliability;
   transmit : transmit option;  (** [None]: one copy after [t_hop]. *)
+  delays : float array;
+      (** The two slots the [transmit] hook writes its copies' delays
+          into; {!wire} schedules from them before the next call. *)
   deliver : switch:int -> 'a Lsa.t -> unit;
   trace : Sim.Trace.t;
   seen : received Int_tbl.t;
@@ -93,6 +96,7 @@ let create ~engine ~graph ~t_hop ?(mode = Hop_by_hop)
     mode;
     rel = reliability;
     transmit;
+    delays = Array.make 2 0.0;
     deliver;
     trace = Sim.Engine.trace engine;
     seen = Int_tbl.create 64;
@@ -175,14 +179,12 @@ let wire t ~src ~dst arrive =
   | None ->
     ignore (Sim.Engine.schedule t.engine ~delay:t.t_hop arrive);
     true
-  | Some transmit -> (
-    match transmit ~src ~dst ~base_delay:t.t_hop with
-    | [] -> false
-    | copies ->
-      List.iter
-        (fun delay -> ignore (Sim.Engine.schedule t.engine ~delay arrive))
-        copies;
-      true)
+  | Some transmit ->
+    let copies = transmit ~src ~dst ~base_delay:t.t_hop t.delays in
+    for i = 0 to copies - 1 do
+      ignore (Sim.Engine.schedule t.engine ~delay:t.delays.(i) arrive)
+    done;
+    copies > 0
 
 (* The reliable transfers on [src → dst], keyed {!rtx_key}. *)
 let link_pending t ~src ~dst =

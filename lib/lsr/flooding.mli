@@ -39,12 +39,17 @@
     without a context switch, so an untraced hop-by-hop message
     allocates only its calendar entry and arrival closure (about 24
     words at n = 100).  A [Reliable] message adds its ack, its transfer
-    record and its retransmit timer (about 73 words in all).
+    record and its retransmit timer (about 73 words in all).  A
+    [transmit] hook writes its copies' delays into the instance's own
+    two-slot array, so past the hook's own allocation (none for an
+    untraced [Faults.Plan.transmit] where its draws are inlined) each
+    copy adds only its boxed delay at its calendar entry.
 
     {b Fault injection.}  All per-link transmissions — data, acks and
     the link-health layer's hellos — go through {!wire}, which passes
     each to the [transmit] hook: it maps one submitted transmission to
-    the delivery delays of its copies ([[]] = lost).  Plug
+    the delivery delays of its copies, written into a two-slot array
+    the instance owns, and returns their number ([0] = lost).  Plug
     [Faults.Plan.transmit] in to subject the flood to loss, duplication,
     reordering, jitter, crashes and partitions.  With no hook, every
     transmission delivers one copy after [t_hop].
@@ -80,7 +85,13 @@ val giveup_span_hops : reliability -> float
     defaults).  {!Config.resync_deadline_hops} derives from this — a
     resync session outlasts its slowest possible transport attempt. *)
 
-type transmit = src:int -> dst:int -> base_delay:float -> float list
+type transmit = src:int -> dst:int -> base_delay:float -> float array -> int
+(** [transmit ~src ~dst ~base_delay delays] decides one transmission:
+    it writes the delay of each copy to deliver into [delays.(0)] and,
+    for a duplicate, [delays.(1)], and returns the number of copies
+    ([0] to [2]).  [delays] is the instance's own two-slot array, read
+    back before the next call, so the hook need not allocate; it must
+    not keep it. *)
 
 type 'a t
 

@@ -1,22 +1,32 @@
-type t = { mutable state : int64 }
+(* The SplitMix64 state lives in 8 bytes rather than a mutable [int64]
+   field: a draw reads and writes it with [Bytes.get_int64_ne] /
+   [set_int64_ne], which compile to unboxed loads and stores, so no
+   draw allocates a boxed [int64]. *)
+type t = Bytes.t
 
 (* SplitMix64 constants. *)
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create seed = { state = Int64.of_int seed }
+let of_state state =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 state;
+  t
 
-let next_int64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  let z = t.state in
+let create seed = of_state (Int64.of_int seed)
+
+(* [@inline] on the draws below lets a caller compiled with this
+   module's cross-module information (any non-dev dune profile) keep
+   their [int64] and [float] results unboxed. *)
+let[@inline] next_int64 t =
+  let z = Int64.add (Bytes.get_int64_ne t 0) golden_gamma in
+  Bytes.set_int64_ne t 0 z;
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
 let int64 = next_int64
 
-let split t =
-  let seed = next_int64 t in
-  { state = seed }
+let split t = of_state (next_int64 t)
 
 let derive ~master ~index =
   if index < 0 then invalid_arg "Rng.derive: negative index";
@@ -24,13 +34,11 @@ let derive ~master ~index =
      [index + 1] and mix once, so shard streams are independent of each
      other and of the order in which shards are executed. *)
   let t =
-    {
-      state =
-        Int64.add (Int64.of_int master)
-          (Int64.mul (Int64.of_int (index + 1)) golden_gamma);
-    }
+    of_state
+      (Int64.add (Int64.of_int master)
+         (Int64.mul (Int64.of_int (index + 1)) golden_gamma))
   in
-  { state = next_int64 t }
+  of_state (next_int64 t)
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
@@ -39,7 +47,7 @@ let int t bound =
   let r = Int64.to_int (Int64.shift_right_logical (next_int64 t) 2) in
   r mod bound
 
-let float t bound =
+let[@inline] float t bound =
   if bound <= 0. then invalid_arg "Rng.float: bound must be positive";
   (* 53 random bits mapped to [0, 1). *)
   let bits = Int64.shift_right_logical (next_int64 t) 11 in

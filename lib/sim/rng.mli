@@ -4,7 +4,15 @@
     workload generation, jitter) draws from an explicit [Rng.t] so that a
     scenario is fully reproducible from its seed.  The generator is
     SplitMix64 (Steele, Lea & Flood 2014): tiny state, good statistical
-    quality, and cheap splitting into independent streams. *)
+    quality, and cheap splitting into independent streams.
+
+    {b Allocation.}  A draw allocates nothing: the 64-bit state is
+    updated in place, unboxed, so {!int}, {!bool} and {!range} return
+    without touching the heap.  {!float} and {!int64} are inlined into
+    callers compiled with this module's cross-module information (any
+    dune profile but [dev], which compiles every module [-opaque]);
+    there their results stay unboxed too, and elsewhere each returns a
+    boxed result, as {!exponential} always does. *)
 
 type t
 

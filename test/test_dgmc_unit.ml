@@ -59,25 +59,6 @@ let test_stamp_to_array_copies () =
   arr.(0) <- 99;
   check Alcotest.int "immutability preserved" 1 (Dgmc.Timestamp.get a 0)
 
-(* Words allocated by [f ()], minor and direct-to-major together: an
-   array above the minor heap's size limit skips the minor heap, so
-   [Gc.minor_words] alone would not see a return to dense n-length
-   storage.  The minor part comes from [Gc.minor_words], which counts
-   exactly: the minor figure of [Gc.counters] reads an eighth of the
-   words on OCaml 5.1.  The cost of the measurement itself is
-   subtracted. *)
-let words_allocated f =
-  let total () =
-    let _, promoted, major = Gc.counters () in
-    Gc.minor_words () +. major -. promoted
-  in
-  let t0 = total () in
-  let t1 = total () in
-  let r = f () in
-  let t2 = total () in
-  ignore (Sys.opaque_identity r);
-  t2 -. t1 -. (t1 -. t0)
-
 (* A stamp costs its nonzero components, not n: at n = 100_000 with at
    most four counting switches, each operation allocates a few words. *)
 let test_stamp_sparse_at_scale () =
@@ -87,7 +68,7 @@ let test_stamp_sparse_at_scale () =
   let a = T.bump (T.bump (T.raise_to z 99_999 3) 7) 50_000 in
   let b = T.raise_to (T.bump z 12) 50_000 5 in
   let cheap label f =
-    let w = words_allocated f in
+    let w = Alloc.words_allocated f in
     if w >= 64. then
       Alcotest.failf "%s allocated %d words at n = %d (limit 64)" label
         (int_of_float w) n
@@ -135,7 +116,7 @@ let test_stamp_owned_in_place () =
 
 let test_mc_state_create_is_constant () =
   let n = 100_000 in
-  let w = words_allocated (fun () -> Dgmc.Mc_state.create ~n) in
+  let w = Alloc.words_allocated (fun () -> Dgmc.Mc_state.create ~n) in
   if w >= 64. then
     Alcotest.failf "Mc_state.create ~n:%d allocated %d words (limit 64)" n
       (int_of_float w)
@@ -163,7 +144,7 @@ let test_receive_event_allocation () =
   in
   Dgmc.Switch.deliver sw (join 1 [| 0; 1; 0; 0; 0; 0 |]);
   let second = join 2 [| 0; 1; 1; 0; 0; 0 |] in
-  let w = words_allocated (fun () -> Dgmc.Switch.deliver sw second) in
+  let w = Alloc.words_allocated (fun () -> Dgmc.Switch.deliver sw second) in
   let members = Option.get (Dgmc.Switch.members sw mc) in
   check Alcotest.(list int) "both joins applied" [ 1; 2 ] (Dgmc.Member.ids members);
   let r, e, _ = Option.get (Dgmc.Switch.stamps sw mc) in

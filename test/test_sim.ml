@@ -330,6 +330,89 @@ let test_rng_invalid_args () =
   Alcotest.check_raises "range inverted" (Invalid_argument "Rng.range: lo > hi")
     (fun () -> ignore (Rng.range r 5 3))
 
+(* The first outputs of every kind of draw, recorded from the
+   [mutable state : int64] implementation: a change of the state's
+   representation must leave every stream bit for bit as it was.
+   Floats are written in hexadecimal, so the comparison is exact. *)
+let test_rng_golden_stream () =
+  let first r =
+    let i64 = Rng.int64 r in
+    let i = Rng.int r 1_000_000 in
+    let f = Rng.float r 1.0 in
+    let b = List.init 8 (fun _ -> Rng.bool r) in
+    let e = Rng.exponential r ~mean:2.0 in
+    (i64, i, f, b, e)
+  in
+  let expect name (i64, i, f, b, e) r =
+    let i64', i', f', b', e' = first r in
+    check Alcotest.int64 (name ^ ": int64") i64 i64';
+    check Alcotest.int (name ^ ": int") i i';
+    check Alcotest.bool (name ^ ": float") true (Float.equal f f');
+    check Alcotest.(list bool) (name ^ ": bool") b b';
+    check Alcotest.bool (name ^ ": exponential") true (Float.equal e e')
+  in
+  expect "create 0"
+    ( -2152535657050944081L, 588925, 0x1.b1174620025p-6,
+      [ false; true; false; true; false; true; false; true ],
+      0x1.6e7292f3b06dbp+1 )
+    (Rng.create 0);
+  let r42 = Rng.create 42 in
+  expect "create 42"
+    ( -4767286540954276203L, 723072, 0x1.1d499d5c4c3e6p-2,
+      [ false; false; false; true; false; true; false; true ],
+      0x1.5bc31c26058bap+0 )
+    r42;
+  let child = Rng.split r42 in
+  expect "split"
+    ( -2214858861424239224L, 190936, 0x1.801371d44f618p-3,
+      [ false; true; false; false; false; false; true; true ],
+      0x1.4e3d339cdf1f5p+1 )
+    child;
+  expect "create 42 after the split"
+    ( -8854191821003330121L, 381239, 0x1.a0a2962a6be18p-3,
+      [ true; true; true; false; false; true; true; true ],
+      0x1.3b9dbb4ba3e9dp-3 )
+    r42;
+  expect "derive ~master:1 ~index:3"
+    ( 4611819469741994664L, 834806, 0x1.da876b0b4c934p-1,
+      [ false; true; true; false; false; false; false; true ],
+      0x1.6c7243090e333p-2 )
+    (Rng.derive ~master:1 ~index:3)
+
+(* A draw allocates nothing: the state is updated in place, unboxed.
+   Where [Rng.float] cannot be inlined into its caller (dune's dev
+   profile) its result is boxed at the return, two words. *)
+let test_rng_draws_allocate_nothing () =
+  let r = Rng.create 5 in
+  let draws = 1000 in
+  let per_draw label limit f =
+    let w = Alloc.words_allocated f /. float_of_int draws in
+    if w > limit then
+      (* dgmc-analyze: allow float-format — test failure message *)
+      Alcotest.failf "Rng.%s allocated %.2f words per draw (limit %.0f)" label
+        w limit
+  in
+  per_draw "int" 0.0 (fun () ->
+      let acc = ref 0 in
+      for _ = 1 to draws do
+        acc := !acc + Rng.int r 1000
+      done;
+      !acc);
+  per_draw "bool" 0.0 (fun () ->
+      let acc = ref 0 in
+      for _ = 1 to draws do
+        if Rng.bool r then incr acc
+      done;
+      !acc);
+  per_draw "float"
+    (if Alloc.cross_module_inlining then 0.0 else 2.0)
+    (fun () ->
+      let acc = ref 0 in
+      for _ = 1 to draws do
+        if Rng.float r 1.0 < 0.5 then incr acc
+      done;
+      !acc)
+
 (* ------------------------------------------------------------------ *)
 (* Trace *)
 
@@ -415,6 +498,9 @@ let () =
           Alcotest.test_case "sample all" `Quick test_rng_sample_all;
           Alcotest.test_case "pick singleton" `Quick test_rng_pick_singleton;
           Alcotest.test_case "invalid arguments" `Quick test_rng_invalid_args;
+          Alcotest.test_case "golden stream" `Quick test_rng_golden_stream;
+          Alcotest.test_case "draws allocate nothing" `Quick
+            test_rng_draws_allocate_nothing;
         ] );
       ( "trace",
         [
