@@ -48,6 +48,31 @@ type 'a rtx = {
   mutable timeout : float;
 }
 
+(* The copies in flight, data and acks, one slot each in parallel
+   arrays.  A slot is claimed when its copy is posted and released when
+   the copy arrives, so an arrival is a posted slot id rather than a
+   closure.  Released slots are reused last first.  A data copy's slot
+   holds its LSA, link, [src → dst] direction, kind and forward event's
+   trace id; an ack's holds the acked
+   LSA (its transfer key), the link and the ack's own direction.  The
+   LSA and link arrays are grown with the claiming copy's values as
+   filler, as there is no ['a Lsa.t] to start them with. *)
+type 'a flight = {
+  mutable lsa : 'a Lsa.t array;
+  mutable link : Net.Graph.link array;
+  mutable src : int array;
+  mutable dst : int array;
+  mutable kind : kind array;
+  mutable fid : int array;
+  mutable free : int array;  (** Released slots: a stack of [n_free]. *)
+  mutable n_free : int;
+  mutable used : int;  (** Slots [0, used) have been claimed at least once. *)
+}
+
+(* A slot's kind: a data copy the receiver floods on, a data copy it
+   does not (a unicast), or an ack. *)
+and kind = Flooded | Unicast | Ack
+
 type 'a t = {
   engine : Sim.Engine.t;
   graph : Net.Graph.t;
@@ -67,6 +92,9 @@ type 'a t = {
   pending : 'a rtx Int_tbl.t Int_tbl.t;
       (** Reliable mode: keyed [src * n + dst], each directed link's
           transfers awaiting an ack. *)
+  flight : 'a flight;
+  mutable arrival : Sim.Engine.callback;
+      (** Posted with a {!flight} slot for each copy: {!arrive}. *)
   floods : Metrics.Registry.counter array;
   messages : Metrics.Registry.counter array;
   acks : Metrics.Registry.counter array;
@@ -75,38 +103,6 @@ type 'a t = {
       (** The [flood.*] counters, one handle per origin or sending
           switch. *)
 }
-
-let create ~engine ~graph ~t_hop ?(mode = Hop_by_hop)
-    ?(reliability = default_reliability) ?transmit ~deliver () =
-  if t_hop <= 0.0 then invalid_arg "Flooding.create: t_hop must be positive";
-  if reliability.rto <= 2.0 then
-    invalid_arg
-      "Flooding.create: rto must exceed 2 hop times (one ack round trip)";
-  if reliability.rto_max < reliability.rto then
-    invalid_arg "Flooding.create: rto_max must be >= rto";
-  if reliability.max_retries < 0 then
-    invalid_arg "Flooding.create: max_retries must be non-negative";
-  let n = Net.Graph.n_nodes graph in
-  let per_switch = Metrics.Registry.per_switch (Sim.Engine.metrics engine) n in
-  {
-    engine;
-    graph;
-    n;
-    t_hop;
-    mode;
-    rel = reliability;
-    transmit;
-    delays = Array.make 2 0.0;
-    deliver;
-    trace = Sim.Engine.trace engine;
-    seen = Int_tbl.create 64;
-    pending = Int_tbl.create 64;
-    floods = per_switch "flood.floods";
-    messages = per_switch "flood.messages";
-    acks = per_switch "flood.acks";
-    retransmitted = per_switch "flood.retransmissions";
-    abandoned = per_switch "flood.abandoned";
-  }
 
 let traced t = Sim.Trace.enabled t.trace
 
@@ -169,22 +165,75 @@ let check_lsa t fn lsa =
 (* ------------------------------------------------------------------ *)
 (* The per-hop transport *)
 
-(* Schedule [arrive] for every copy of one [src → dst] transmission: the
-   [transmit] hook's copies, or one after [t_hop] without a hook.
+(* Decide one [src → dst] transmission: write the delay of each copy
+   into [t.delays] and return their number, the [transmit] hook's
+   copies or one after [t_hop] without a hook ([0]: all lost). *)
+let copies t ~src ~dst =
+  match t.transmit with
+  | None ->
+    t.delays.(0) <- t.t_hop;
+    1
+  | Some transmit -> transmit ~src ~dst ~base_delay:t.t_hop t.delays
+
+(* Schedule [arrive] for every copy of one [src → dst] transmission;
    [false] when the hook loses them all.  [arrive] reads the link's
    state itself, so a message in flight over a link that fails is lost,
    as on a real wire. *)
 let wire t ~src ~dst arrive =
-  match t.transmit with
-  | None ->
-    ignore (Sim.Engine.schedule t.engine ~delay:t.t_hop arrive);
-    true
-  | Some transmit ->
-    let copies = transmit ~src ~dst ~base_delay:t.t_hop t.delays in
-    for i = 0 to copies - 1 do
-      ignore (Sim.Engine.schedule t.engine ~delay:t.delays.(i) arrive)
-    done;
-    copies > 0
+  let n = copies t ~src ~dst in
+  for i = 0 to n - 1 do
+    ignore (Sim.Engine.schedule t.engine ~delay:t.delays.(i) arrive)
+  done;
+  n > 0
+
+let grow_flight f ~link lsa =
+  let capacity = Array.length f.src in
+  let larger = max 16 (2 * capacity) in
+  let extend a fill =
+    let b = Array.make larger fill in
+    Array.blit a 0 b 0 capacity;
+    b
+  in
+  f.lsa <- extend f.lsa lsa;
+  f.link <- extend f.link link;
+  f.src <- extend f.src 0;
+  f.dst <- extend f.dst 0;
+  f.kind <- extend f.kind Ack;
+  f.fid <- extend f.fid 0;
+  f.free <- extend f.free 0
+
+(* A slot holding one copy: a released one if any, else a fresh one. *)
+let claim t ~kind ~src ~dst ~link ~fid lsa =
+  let f = t.flight in
+  let slot =
+    if f.n_free > 0 then begin
+      f.n_free <- f.n_free - 1;
+      f.free.(f.n_free)
+    end
+    else begin
+      if f.used = Array.length f.src then grow_flight f ~link lsa;
+      f.used <- f.used + 1;
+      f.used - 1
+    end
+  in
+  f.lsa.(slot) <- lsa;
+  f.link.(slot) <- link;
+  f.src.(slot) <- src;
+  f.dst.(slot) <- dst;
+  f.kind.(slot) <- kind;
+  f.fid.(slot) <- fid;
+  slot
+
+(* {!wire} for a data copy or an ack: post {!arrive} once per copy, each
+   copy in its own slot.  The delays are posted straight from
+   [t.delays], so where [Sim.Engine.post] is inlined none is boxed. *)
+let put t ~kind ~src ~dst ~link ~fid lsa =
+  let n = copies t ~src ~dst in
+  for i = 0 to n - 1 do
+    Sim.Engine.post t.engine ~delay:t.delays.(i) t.arrival
+      (claim t ~kind ~src ~dst ~link ~fid lsa)
+  done;
+  n > 0
 
 (* The reliable transfers on [src → dst], keyed {!rtx_key}. *)
 let link_pending t ~src ~dst =
@@ -238,12 +287,8 @@ let rec send_data t ~src ~dst ~link ~forward ~retransmit ~parent lsa =
            { src; dst; origin = lsa.Lsa.origin; seq = lsa.Lsa.seq; retransmit })
     else -1
   in
-  let arrive () =
-    if Net.Graph.is_up link then
-      receive t lsa ~link ~at:dst ~from:src ~forward ~fid
-    else if traced t then dropped t ~src ~dst ~fid lsa "link-down"
-  in
-  if (not (wire t ~src ~dst arrive)) && traced t then
+  let kind = if forward then Flooded else Unicast in
+  if (not (put t ~kind ~src ~dst ~link ~fid lsa)) && traced t then
     dropped t ~src ~dst ~fid lsa "fault";
   fid
 
@@ -306,11 +351,7 @@ and receive t lsa ~link ~at:switch ~from ~forward ~fid =
   (match t.mode with
   | Reliable ->
     Metrics.Registry.bump t.acks.(switch);
-    let pending = link_pending t ~src:from ~dst:switch
-    and key = rtx_key t lsa in
-    ignore
-      (wire t ~src:switch ~dst:from (fun () ->
-           if Net.Graph.is_up link then ack_received pending key))
+    ignore (put t ~kind:Ack ~src:switch ~dst:from ~link ~fid:(-1) lsa)
   | Hop_by_hop -> ());
   if first_receipt t switch lsa then
     if traced t then begin
@@ -336,9 +377,88 @@ and receive t lsa ~link ~at:switch ~from ~forward ~fid =
 (* Transfer [lsa] from [at] on every live link except the one to [from]
    ([-1] at the origin: every link). *)
 and forward_from t lsa ~at ~from ~parent =
-  Net.Graph.iter_links t.graph at (fun next link ->
-      if next <> from then
-        transfer t ~src:at ~dst:next ~link ~parent ~forward:true lsa)
+  forward_on t lsa ~at ~from ~parent (Net.Graph.links t.graph at)
+
+(* The walk of {!forward_from} over [at]'s sorted row, its context
+   passed as arguments so that it needs no closure.  A link's state is
+   read when the walk reaches it. *)
+and forward_on t lsa ~at ~from ~parent = function
+  | [] -> ()
+  | (next, link) :: rest ->
+    if Net.Graph.is_up link && next <> from then
+      transfer t ~src:at ~dst:next ~link ~parent ~forward:true lsa;
+    forward_on t lsa ~at ~from ~parent rest
+
+(* One copy arriving: slot [slot] of the in-flight table, released
+   before the copy is handled so that its forwards can reuse it.  A
+   copy whose link went down in flight is lost, as on a real wire. *)
+let arrive t slot =
+  let f = t.flight in
+  let lsa = f.lsa.(slot)
+  and link = f.link.(slot)
+  and src = f.src.(slot)
+  and dst = f.dst.(slot)
+  and kind = f.kind.(slot)
+  and fid = f.fid.(slot) in
+  f.free.(f.n_free) <- slot;
+  f.n_free <- f.n_free + 1;
+  match kind with
+  | Ack ->
+    if Net.Graph.is_up link then
+      ack_received (link_pending t ~src:dst ~dst:src) (rtx_key t lsa)
+  | Flooded | Unicast ->
+    if Net.Graph.is_up link then
+      receive t lsa ~link ~at:dst ~from:src ~forward:(kind = Flooded) ~fid
+    else if traced t then dropped t ~src ~dst ~fid lsa "link-down"
+
+let create ~engine ~graph ~t_hop ?(mode = Hop_by_hop)
+    ?(reliability = default_reliability) ?transmit ~deliver () =
+  if t_hop <= 0.0 then invalid_arg "Flooding.create: t_hop must be positive";
+  if reliability.rto <= 2.0 then
+    invalid_arg
+      "Flooding.create: rto must exceed 2 hop times (one ack round trip)";
+  if reliability.rto_max < reliability.rto then
+    invalid_arg "Flooding.create: rto_max must be >= rto";
+  if reliability.max_retries < 0 then
+    invalid_arg "Flooding.create: max_retries must be non-negative";
+  let n = Net.Graph.n_nodes graph in
+  let per_switch = Metrics.Registry.per_switch (Sim.Engine.metrics engine) n in
+  let t =
+    {
+      engine;
+      graph;
+      n;
+      t_hop;
+      mode;
+      rel = reliability;
+      transmit;
+      delays = Array.make 2 0.0;
+      deliver;
+      trace = Sim.Engine.trace engine;
+      seen = Int_tbl.create 64;
+      pending = Int_tbl.create 64;
+      flight =
+        {
+          lsa = [||];
+          link = [||];
+          src = [||];
+          dst = [||];
+          kind = [||];
+          fid = [||];
+          free = [||];
+          n_free = 0;
+          used = 0;
+        };
+      arrival = Sim.Engine.callback ignore;
+      floods = per_switch "flood.floods";
+      messages = per_switch "flood.messages";
+      acks = per_switch "flood.acks";
+      retransmitted = per_switch "flood.retransmissions";
+      abandoned = per_switch "flood.abandoned";
+    }
+  in
+  t.arrival <- Sim.Engine.callback (arrive t);
+  t
 
 (* ------------------------------------------------------------------ *)
 

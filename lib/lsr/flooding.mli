@@ -34,22 +34,31 @@
 
     {b Cost per message.}  A transmission reads the link's state record
     ({!Net.Graph.link}) once when it is sent and checks it at arrival,
-    with no lookup.  Without a [transmit] hook the one copy is scheduled
-    directly, and an untraced arrival calls [deliver] and forwards
-    without a context switch, so an untraced hop-by-hop message
-    allocates only its calendar entry and arrival closure (about 24
-    words at n = 100).  A [Reliable] message adds its ack, its transfer
-    record and its retransmit timer (about 73 words in all).  A
-    [transmit] hook writes its copies' delays into the instance's own
-    two-slot array, so past the hook's own allocation (none for an
-    untraced [Faults.Plan.transmit] where its draws are inlined) each
-    copy adds only its boxed delay at its calendar entry.
+    with no lookup.  Every copy in flight, data or ack, takes a slot in
+    the instance's in-flight table: parallel arrays holding a data
+    copy's LSA, link, direction, kind (flooded on or not) and forward
+    event's trace id, or an ack's LSA, link and direction, with a free
+    list of released slots.  The instance builds one arrival callback
+    and {!Sim.Engine.post}s it with the slot's id for each copy, and
+    forwarding walks the sender's sorted row with a plain recursion, so
+    an untraced hop-by-hop message allocates nothing once the table and
+    the calendar have grown, where {!Sim.Engine.post} is inlined (in
+    dune's dev profile, each copy's delay is boxed to cross the call).
+    An untraced arrival calls [deliver] and forwards without a context
+    switch.  A [Reliable] message adds its
+    transfer record, its link-table entry and its retransmit timer,
+    which stays a cancellable {!Sim.Engine.schedule}d action (about 30
+    words in all).  A [transmit] hook writes its copies' delays into the
+    instance's own two-slot array (without a hook, [t_hop] is written
+    there), and each copy is posted straight from it, so the hook adds
+    only its own allocation: none for an untraced
+    [Faults.Plan.transmit] where its draws are inlined.
 
     {b Fault injection.}  All per-link transmissions — data, acks and
-    the link-health layer's hellos — go through {!wire}, which passes
-    each to the [transmit] hook: it maps one submitted transmission to
-    the delivery delays of its copies, written into a two-slot array
-    the instance owns, and returns their number ([0] = lost).  Plug
+    the link-health layer's hellos (through {!wire}) — pass through the
+    [transmit] hook: it maps one submitted transmission to the delivery
+    delays of its copies, written into a two-slot array the instance
+    owns, and returns their number ([0] = lost).  Plug
     [Faults.Plan.transmit] in to subject the flood to loss, duplication,
     reordering, jitter, crashes and partitions.  With no hook, every
     transmission delivers one copy after [t_hop].
@@ -151,8 +160,9 @@ val wire : 'a t -> src:int -> dst:int -> (unit -> unit) -> bool
     returns, at that copy's delay, or once after [t_hop] without a hook.
     [false] when the hook loses every copy.  [arrive] must check the
     link itself: its state at arrival decides whether the copy got
-    through.  Data, acks and the link-health layer's hellos all ride
-    it. *)
+    through.  The link-health layer's hellos ride it; data and acks
+    take the same path through the in-flight table instead, without a
+    closure per copy. *)
 
 val floods_started : 'a t -> int
 (** Number of {!flood} calls. *)

@@ -143,8 +143,7 @@ let neighbors t u =
   List.filter_map (fun (v, l) -> if l.up then Some (v, l.w) else None) (row t u)
 
 (* Written as its own recursion rather than [List.iter] over a closure so
-   a walk allocates nothing: this is the inner loop of Dijkstra and of
-   every flooding hop. *)
+   a walk allocates nothing: this is the inner loop of Dijkstra. *)
 let rec iter_live f = function
   | [] -> ()
   | (v, l) :: rest ->
@@ -160,15 +159,9 @@ let link t u v =
 
 let is_up l = l.up
 
-let rec iter_live_links f = function
-  | [] -> ()
-  | (v, l) :: rest ->
-    if l.up then f v l;
-    iter_live_links f rest
-
-let iter_links t u f =
+let links t u =
   check_node t u;
-  iter_live_links f (row t u)
+  row t u
 
 let degree t u =
   check_node t u;

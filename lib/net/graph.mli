@@ -93,9 +93,12 @@ val link : t -> int -> int -> link
 val is_up : link -> bool
 (** The edge's current state: {!link_is_up} without the lookup. *)
 
-val iter_links : t -> int -> (int -> link -> unit) -> unit
-(** {!iter_neighbors} passing each live link's record instead of its
-    weight: same order, same read-as-reached state, no allocation. *)
+val links : t -> int -> (int * link) list
+(** Every link of a node, up or down, with its neighbour, in the
+    ascending order of {!neighbors}: the cached row every enumeration
+    walks, returned without a copy or allocation, so a caller can walk
+    it with its own recursion instead of a closure.  The list is shared:
+    check {!is_up} on each link as the walk reaches it. *)
 
 val degree : t -> int -> int
 (** Number of live incident links. *)

@@ -1,7 +1,13 @@
+(* The calendar is a binary min-heap ordered by (time, seq), stored as
+   parallel arrays: slot [i] of the heap is [times.(i)], [seqs.(i)],
+   [entries.(i)] and [args.(i)].  Slots [0, size) hold the heap,
+   earliest at [0]; later slots are stale.  Times live unboxed in a
+   [Float.Array], so inserting or moving an entry allocates nothing. *)
 type t = {
-  mutable heap : handle array;
-      (* Slots [0, size) hold a binary min-heap of the scheduled entries,
-         earliest at [0]; later slots are stale. *)
+  mutable times : Float.Array.t;
+  mutable seqs : int array;  (* Insertion order: FIFO among equal times. *)
+  mutable entries : entry array;
+  mutable args : int array;  (* A posted callback's argument; 0 otherwise. *)
   mutable size : int;
   mutable pending : int;  (* Live entries: exact, so [pending] is O(1). *)
   mutable next_seq : int;
@@ -14,24 +20,34 @@ type t = {
   metrics : Metrics.Registry.t;
 }
 
-(* A scheduled entry is its own handle.  [live] holds until the entry
-   fires or is cancelled; a cancelled entry stays in the heap and is
-   dropped when it surfaces, and a fired one has already left it.  A
-   dead entry's [action] is replaced by [ignore], so what the action
-   captured is freed even while the heap, a stale slot or a caller's
-   handle still holds the entry. *)
-and handle = {
-  time : float;
-  seq : int;  (* Insertion order: FIFO among equal times. *)
-  mutable action : unit -> unit;
-  mutable live : bool;
-  engine : t;  (* Whose [pending] a cancel decrements. *)
-}
+(* What a slot runs.  A [Posted] callback is built once by its owner
+   and shared by every slot that posts it; it cannot be cancelled.  A
+   [Scheduled] entry is its own handle: its action is [dead] once it
+   has fired or been cancelled, so what the action captured is freed
+   even while the heap, a stale slot or a caller's handle still holds
+   the entry, and a cancelled entry is dropped when it surfaces. *)
+and entry =
+  | Posted of (int -> unit)
+  | Scheduled of {
+      mutable action : unit -> unit;
+      engine : t;  (* Whose [pending] a cancel decrements. *)
+    }
+
+type handle = entry
+
+type callback = entry
+
+let dead () = ()
+
+let vacant = Posted ignore
 
 let create ?(trace = Trace.disabled) ?(metrics = Metrics.Registry.disabled) ()
     =
   {
-    heap = [||];
+    times = Float.Array.create 0;
+    seqs = [||];
+    entries = [||];
+    args = [||];
     size = 0;
     pending = 0;
     next_seq = 0;
@@ -48,68 +64,146 @@ let metrics t = t.metrics
 
 let now t = t.clock
 
-let earlier a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
+let callback f = Posted f
 
-(* Fill the hole at [i] with [e], moving down each parent [e] precedes. *)
-let rec sift_up heap i e =
-  let parent = (i - 1) / 2 in
-  if i > 0 && earlier e heap.(parent) then begin
-    heap.(i) <- heap.(parent);
-    sift_up heap parent e
-  end
-  else heap.(i) <- e
+(* Copy heap slot [src] to slot [dst]. *)
+let[@inline] move t ~src ~dst =
+  Float.Array.unsafe_set t.times dst (Float.Array.unsafe_get t.times src);
+  t.seqs.(dst) <- t.seqs.(src);
+  t.entries.(dst) <- t.entries.(src);
+  t.args.(dst) <- t.args.(src)
 
-(* Fill the hole at [i] with [e], moving up the earlier child while it
-   precedes [e]. *)
-let rec sift_down heap size i e =
-  let left = (2 * i) + 1 in
-  if left >= size then heap.(i) <- e
-  else begin
-    let right = left + 1 in
-    let c =
-      if right < size && earlier heap.(right) heap.(left) then right else left
-    in
-    if earlier heap.(c) e then begin
-      heap.(i) <- heap.(c);
-      sift_down heap size c e
+(* Move the entry at slot [i] up past each parent it precedes.  The
+   moving entry is held in locals while the hole rises, so its time
+   stays unboxed. *)
+let sift_up t i =
+  let times = t.times and seqs = t.seqs in
+  let time = Float.Array.unsafe_get times i
+  and seq = seqs.(i)
+  and entry = t.entries.(i)
+  and arg = t.args.(i) in
+  let hole = ref i and rising = ref true in
+  while !rising && !hole > 0 do
+    let parent = (!hole - 1) / 2 in
+    let pt = Float.Array.unsafe_get times parent in
+    if time < pt || (time = pt && seq < seqs.(parent)) then begin
+      move t ~src:parent ~dst:!hole;
+      hole := parent
     end
-    else heap.(i) <- e
-  end
+    else rising := false
+  done;
+  Float.Array.unsafe_set times !hole time;
+  seqs.(!hole) <- seq;
+  t.entries.(!hole) <- entry;
+  t.args.(!hole) <- arg
 
-let insert t time action =
-  let e = { time; seq = t.next_seq; action; live = true; engine = t } in
-  let capacity = Array.length t.heap in
-  if t.size = capacity then begin
-    let heap = Array.make (max 8 (2 * capacity)) e in
-    Array.blit t.heap 0 heap 0 capacity;
-    t.heap <- heap
-  end;
-  sift_up t.heap t.size e;
-  t.size <- t.size + 1;
+(* Fill the hole at the root with the entry at slot [size] (the last
+   one, just cut off the heap), moving up the earlier child while it
+   precedes that entry. *)
+let sift_down t size =
+  let times = t.times and seqs = t.seqs in
+  let time = Float.Array.unsafe_get times size
+  and seq = seqs.(size)
+  and entry = t.entries.(size)
+  and arg = t.args.(size) in
+  let hole = ref 0 and sinking = ref true in
+  while !sinking do
+    let left = (2 * !hole) + 1 in
+    if left >= size then sinking := false
+    else begin
+      let right = left + 1 in
+      let c =
+        if right < size then begin
+          let rt = Float.Array.unsafe_get times right
+          and lt = Float.Array.unsafe_get times left in
+          if rt < lt || (rt = lt && seqs.(right) < seqs.(left)) then right
+          else left
+        end
+        else left
+      in
+      let ct = Float.Array.unsafe_get times c in
+      if ct < time || (ct = time && seqs.(c) < seq) then begin
+        move t ~src:c ~dst:!hole;
+        hole := c
+      end
+      else sinking := false
+    end
+  done;
+  Float.Array.unsafe_set times !hole time;
+  seqs.(!hole) <- seq;
+  t.entries.(!hole) <- entry;
+  t.args.(!hole) <- arg
+
+let grow t =
+  let capacity = Array.length t.seqs in
+  let larger = max 8 (2 * capacity) in
+  let times = Float.Array.create larger in
+  Float.Array.blit t.times 0 times 0 capacity;
+  let extend a fill =
+    let b = Array.make larger fill in
+    Array.blit a 0 b 0 capacity;
+    b
+  in
+  t.times <- times;
+  t.seqs <- extend t.seqs 0;
+  t.entries <- extend t.entries vacant;
+  t.args <- extend t.args 0
+
+(* Write [time] into the first free slot, growing the arrays first if
+   they are full.  Inlined into each entry point (and, with them, into
+   their callers where the build allows it), so [time] is never boxed
+   to cross a call. *)
+let[@inline] claim t time =
+  if t.size = Float.Array.length t.times then grow t;
+  Float.Array.unsafe_set t.times t.size time
+
+(* Give the slot {!claim} wrote its time into to [entry] and [arg], and
+   restore the heap. *)
+let push t entry arg =
+  let i = t.size in
+  t.seqs.(i) <- t.next_seq;
+  t.entries.(i) <- entry;
+  t.args.(i) <- arg;
+  sift_up t i;
+  t.size <- i + 1;
   t.next_seq <- t.next_seq + 1;
-  t.pending <- t.pending + 1;
-  e
+  t.pending <- t.pending + 1
 
-let schedule t ~delay f =
+(* {!claim} the slot for [now +. delay], checked as {!schedule}
+   documents; [fn] names the entry point in the error. *)
+let[@inline] claim_after t ~fn delay =
   if not (Float.is_finite delay) || delay < 0.0 then
-    invalid_arg "Engine.schedule: delay must be finite and non-negative";
+    invalid_arg (fn ^ ": delay must be finite and non-negative");
   let time = t.clock +. delay in
   if time = Float.infinity then
-    invalid_arg "Engine.schedule: now + delay overflows to infinity";
-  insert t time f
+    invalid_arg (fn ^ ": now + delay overflows to infinity");
+  claim t time
+
+let scheduled t f =
+  let h = Scheduled { action = f; engine = t } in
+  push t h 0;
+  h
+
+let[@inline] post t ~delay cb arg =
+  claim_after t ~fn:"Engine.post" delay;
+  push t cb arg
+
+let[@inline] schedule t ~delay f =
+  claim_after t ~fn:"Engine.schedule" delay;
+  scheduled t f
 
 let schedule_at t ~time f =
   if not (Float.is_finite time) then
     invalid_arg "Engine.schedule_at: time must be finite";
   if time < t.clock then invalid_arg "Engine.schedule_at: time is in the past";
-  insert t time f
+  claim t time;
+  scheduled t f
 
-let cancel h =
-  if h.live then begin
-    h.live <- false;
-    h.action <- ignore;
-    h.engine.pending <- h.engine.pending - 1
-  end
+let cancel = function
+  | Scheduled e when e.action != dead ->
+    e.action <- dead;
+    e.engine.pending <- e.engine.pending - 1
+  | Scheduled _ | Posted _ -> ()
 
 let pending t = t.pending
 
@@ -119,22 +213,38 @@ let set_probe t f = t.probe <- Some f
 
 let clear_probe t = t.probe <- None
 
+(* Start executing an entry due at [time].  The clock is a boxed field,
+   so [now] returns it without allocating; it is re-boxed only when the
+   time moves, not for each entry at the same time. *)
+let[@inline] enter t time =
+  t.pending <- t.pending - 1;
+  if time <> t.clock then t.clock <- time;
+  t.executed <- t.executed + 1
+
+let[@inline] leave t = match t.probe with None -> () | Some probe -> probe ()
+
 let run ?(max_events = max_int) t =
   let budget = ref max_events in
   while !budget <> 0 && t.size > 0 do
-    let e = t.heap.(0) in
+    let time = Float.Array.unsafe_get t.times 0
+    and entry = t.entries.(0)
+    and arg = t.args.(0) in
     let size = t.size - 1 in
     t.size <- size;
-    if size > 0 then sift_down t.heap size 0 t.heap.(size);
-    if e.live then begin
-      e.live <- false;
-      t.pending <- t.pending - 1;
-      t.clock <- e.time;
-      t.executed <- t.executed + 1;
-      let action = e.action in
-      e.action <- ignore;
-      action ();
-      (match t.probe with None -> () | Some probe -> probe ());
+    if size > 0 then sift_down t size;
+    match entry with
+    | Posted f ->
+      enter t time;
+      f arg;
+      leave t;
       decr budget
-    end
+    | Scheduled e ->
+      let action = e.action in
+      if action != dead then begin
+        e.action <- dead;
+        enter t time;
+        action ();
+        leave t;
+        decr budget
+      end
   done

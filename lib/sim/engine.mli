@@ -7,10 +7,18 @@
     because D-GMC switches only react to message arrivals, local events and
     computation completions.
 
-    The engine is the calendar: it keeps the scheduled actions in its own
-    binary min-heap ordered by (time, insertion order).  Scheduling is
+    The engine is the calendar: it keeps the scheduled entries in its
+    own binary min-heap ordered by (time, insertion order), stored as
+    parallel arrays — the times unboxed in a [Float.Array], the
+    insertion numbers, one array of entries and one of [int] arguments
+    — so placing or moving an entry allocates nothing.  An entry is
+    either a {!schedule}d action, which is its own {!handle}, or a
+    {!post}ed {!callback}, built once by its owner and run with the
+    [int] each post passes it.  Both kinds share one insertion counter,
+    so ties run in insertion order across them.  Scheduling is
     O(log n), {!cancel} is O(1) (a cancelled action stays in the heap
-    and is dropped when it reaches the top), and {!pending} is O(1).
+    and is dropped when it reaches the top, but what it captured is
+    freed at once), and {!pending} is O(1).
 
     The engine also holds the run's two telemetry sinks, so every layer
     built over it — switches, flooding, the fault plan, the invariant
@@ -27,7 +35,12 @@
 type t
 
 type handle
-(** A scheduled action, for {!cancel}. *)
+(** A scheduled action, for {!cancel}: three words, the entry the heap
+    holds. *)
+
+type callback
+(** A function the engine can run with an [int] argument, for {!post}.
+    Build it once and post it as often as needed. *)
 
 val create : ?trace:Trace.t -> ?metrics:Metrics.Registry.t -> unit -> t
 (** A fresh engine with clock at [0.0].  [trace] and [metrics] (default
@@ -53,18 +66,36 @@ val schedule_at : t -> time:float -> (unit -> unit) -> handle
     finite and not in the engine's past; otherwise raises
     [Invalid_argument]. *)
 
+val callback : (int -> unit) -> callback
+(** [callback f] wraps [f] for {!post}.  It allocates two words; build
+    one per owner, not per post. *)
+
+val post : t -> delay:float -> callback -> int -> unit
+(** [post t ~delay cb arg] runs [cb]'s function on [arg] at [now t +.
+    delay], under the same rules for [delay] as {!schedule}
+    ([Invalid_argument] otherwise).  A post cannot be cancelled and
+    returns no handle; the caller keeps whatever state [arg] names.
+    Once the calendar's arrays have grown to the run's depth, a post
+    allocates nothing: the time is computed and stored unboxed inside
+    [post], which is inlined into its callers in builds with
+    cross-module inlining (every dune profile but dev, which compiles
+    each module [-opaque]; there a computed [delay] is boxed at the
+    call, two words). *)
+
 val cancel : handle -> unit
 (** Cancel a pending action.  Idempotent; a no-op if it already ran. *)
 
 val pending : t -> int
-(** Number of actions still scheduled (not run, not cancelled).  O(1). *)
+(** Number of entries still to run: posts and scheduled actions not run
+    and not cancelled.  O(1). *)
 
 val events_executed : t -> int
-(** Total number of actions executed since creation. *)
+(** Total number of entries executed since creation, posts included;
+    a cancelled action is not counted. *)
 
 val run : ?max_events:int -> t -> unit
-(** Execute scheduled actions in order until the calendar drains or
-    [max_events] actions have run.  The clock is left at the last
+(** Execute scheduled actions and posts in order until the calendar
+    drains or [max_events] of them have run.  The clock is left at the last
     executed action's time. *)
 
 val set_probe : t -> (unit -> unit) -> unit

@@ -399,16 +399,11 @@ let test_abandon_link_cancels_only_its_link () =
   check Alcotest.int "no pending state left" 0
     (Lsr.Flooding.pending_retransmits f)
 
-(* A reliable flood through a lossy plan allocates per first-copy
-   message its data copies, acks and retransmissions (about three
-   transmissions each here): calendar entries, arrival closures, the
-   transfer record and its timer.  The fault decisions add nothing
-   where the plan's draws are inlined, and their boxed draws in dune's
-   dev profile: 106 and 136 words a message, against 326 when the
-   plan returned a list.  As in test_lsr's bound, the first flood from
-   each origin creates the duplicate records and link tables and is not
-   measured. *)
-let test_lossy_flood_allocation_bound () =
+(* Words per first-copy message of an untraced reliable flood from every
+   switch of a 100-switch graph through a lossy plan.  As in test_lsr's
+   bound, the first flood from each origin creates the duplicate
+   records, link tables and in-flight slots and is not measured. *)
+let lossy_flood_words_per_message () =
   let n = 100 in
   let graph =
     Net.Topo_gen.waxman (Sim.Rng.create 7) ~n ~target_degree:3.5 ()
@@ -439,11 +434,35 @@ let test_lossy_flood_allocation_bound () =
   let sent = Lsr.Flooding.messages_sent f in
   let words = Alloc.words_allocated (fun () -> flood_all 1) in
   let messages = Lsr.Flooding.messages_sent f - sent in
-  let per_message = words /. float_of_int messages and bound = 150.0 in
+  (words /. float_of_int messages, messages)
+
+let check_lossy_flood_words ~bound =
+  let per_message, messages = lossy_flood_words_per_message () in
   if per_message > bound then
     (* dgmc-analyze: allow float-format — test failure message *)
     Alcotest.failf "%.1f words per message over %d messages (bound %.0f)"
       per_message messages bound
+
+(* A reliable flood through a lossy plan allocates per first-copy
+   message its data copies, acks and retransmissions (about three
+   transmissions each here), the transfer record and its timer, and
+   the delivery log.  The fault decisions add nothing where the plan's
+   draws are inlined, and their boxed draws in dune's dev profile.
+   This bound dates from when each copy also allocated its calendar
+   entry and arrival closure (106 and 136 words a message, against 326
+   when the plan returned a list). *)
+let test_lossy_flood_allocation_bound () = check_lossy_flood_words ~bound:150.0
+
+(* The same flood at its cost now.  Every copy, data or ack, is posted
+   to the calendar with its in-flight slot's id, and its delay goes
+   from the hook's array into the calendar unboxed where
+   [Sim.Engine.post] is inlined: what remains is the transfer record,
+   its link-table entry, its retransmit timer and the delivery log.  In
+   dune's dev profile each copy's delay and each fault draw is boxed at
+   a call. *)
+let test_lossy_flood_copies_allocation () =
+  check_lossy_flood_words
+    ~bound:(if Alloc.cross_module_inlining then 60.0 else 100.0)
 
 let () =
   Alcotest.run "flooding_reliable"
@@ -478,5 +497,7 @@ let () =
             test_abandon_link_cancels_only_its_link;
           Alcotest.test_case "lossy flood allocation per message" `Quick
             test_lossy_flood_allocation_bound;
+          Alcotest.test_case "lossy flood copies allocate no closures" `Quick
+            test_lossy_flood_copies_allocation;
         ] );
     ]

@@ -247,6 +247,130 @@ let test_engine_schedule_at_past () =
     (Invalid_argument "Engine.schedule_at: time is in the past") (fun () ->
       ignore (Engine.schedule_at eng ~time:1.0 (fun () -> ())))
 
+(* A post places its time unboxed in the calendar and allocates nothing
+   once the arrays have grown.  The delays are computed in the loop, as
+   a transport's are: where [Engine.post] is inlined into its caller
+   the delay stays unboxed, and in dune's dev profile it is boxed at the
+   call, two words. *)
+let test_post_allocates_nothing () =
+  let eng = Engine.create () in
+  let sum = ref 0 in
+  let cb = Engine.callback (fun arg -> sum := !sum + arg) in
+  let posts = 1000 in
+  let post_all () =
+    for i = 1 to posts do
+      Engine.post eng ~delay:(float_of_int (i land 7)) cb i
+    done
+  in
+  (* Grow the arrays to the depth measured below. *)
+  post_all ();
+  Engine.run eng;
+  let w = Alloc.words_allocated post_all /. float_of_int posts in
+  let limit = if Alloc.cross_module_inlining then 0.0 else 2.0 in
+  if w > limit then
+    (* dgmc-analyze: allow float-format — test failure message *)
+    Alcotest.failf "Engine.post allocated %.2f words per post (limit %.0f)" w
+      limit;
+  check Alcotest.int "pending counts the posts" posts (Engine.pending eng);
+  Engine.run eng;
+  check Alcotest.int "every post ran with its argument"
+    (2 * posts * (posts + 1) / 2)
+    !sum
+
+(* Posts and scheduled actions draw on one insertion counter: at equal
+   times they run in the order they were placed, whichever the kind. *)
+let test_post_schedule_fifo_ties () =
+  let eng = Engine.create () in
+  let log = ref [] in
+  let cb = Engine.callback (fun i -> log := Printf.sprintf "post %d" i :: !log) in
+  let schedule tag delay =
+    ignore (Engine.schedule eng ~delay (fun () -> log := tag :: !log))
+  in
+  Engine.post eng ~delay:1.0 cb 1;
+  schedule "schedule a" 1.0;
+  Engine.post eng ~delay:0.5 cb 0;
+  Engine.post eng ~delay:1.0 cb 2;
+  schedule "schedule b" 1.0;
+  ignore
+    (Engine.schedule_at eng ~time:1.0 (fun () ->
+         log := "schedule_at c" :: !log;
+         (* Placed during the run, at the current time: after every
+            entry already due now. *)
+         Engine.post eng ~delay:0.0 cb 4;
+         schedule "schedule d" 0.0));
+  Engine.post eng ~delay:1.0 cb 3;
+  Engine.run eng;
+  check Alcotest.(list string) "insertion order among equal times"
+    [
+      "post 0";
+      "post 1";
+      "schedule a";
+      "post 2";
+      "schedule b";
+      "schedule_at c";
+      "post 3";
+      "post 4";
+      "schedule d";
+    ]
+    (List.rev !log)
+
+(* Schedule an action holding the only reference to a fresh block,
+   watched through [weak]. *)
+let[@inline never] schedule_holding eng weak =
+  let payload = Bytes.make 64 'x' in
+  Weak.set weak 0 (Some payload);
+  Engine.schedule eng ~delay:1.0 (fun () ->
+      ignore (Sys.opaque_identity payload))
+
+(* A cancelled action is dropped from the calendar only when it
+   surfaces, but what it captured is freed at the cancel. *)
+let test_cancel_frees_action () =
+  let eng = Engine.create () in
+  let weak = Weak.create 1 in
+  let h = schedule_holding eng weak in
+  ignore (Engine.schedule eng ~delay:2.0 ignore);
+  Gc.full_major ();
+  check Alcotest.bool "held while scheduled" true (Weak.check weak 0);
+  Engine.cancel h;
+  Gc.full_major ();
+  check Alcotest.bool "freed at the cancel" false (Weak.check weak 0);
+  check Alcotest.int "the other entry still pending" 1 (Engine.pending eng);
+  Engine.run eng;
+  check Alcotest.int "only it ran" 1 (Engine.events_executed eng)
+
+(* [pending] and [events_executed] count both kinds of entry exactly; a
+   cancelled action is neither counted nor seen by the probe. *)
+let test_mixed_counts () =
+  let eng = Engine.create () in
+  let cb = Engine.callback ignore in
+  let h = ref [] in
+  for i = 0 to 9 do
+    if i mod 2 = 0 then Engine.post eng ~delay:(float_of_int i) cb i
+    else h := Engine.schedule eng ~delay:(float_of_int i) ignore :: !h
+  done;
+  check Alcotest.int "five posts, five actions" 10 (Engine.pending eng);
+  (* Cancel the actions at 1 and 9: the first surfaces next to live
+     posts, the second last. *)
+  List.iter Engine.cancel [ List.nth !h 0; List.nth !h 4 ];
+  check Alcotest.int "cancels leave eight" 8 (Engine.pending eng);
+  let probed = ref [] in
+  Engine.set_probe eng (fun () ->
+      probed := (Engine.now eng, Engine.pending eng) :: !probed);
+  Engine.run ~max_events:3 eng;
+  check Alcotest.int "three executed" 3 (Engine.events_executed eng);
+  check Alcotest.int "five left" 5 (Engine.pending eng);
+  Engine.run eng;
+  check Alcotest.int "eight executed" 8 (Engine.events_executed eng);
+  check Alcotest.int "none left" 0 (Engine.pending eng);
+  check
+    Alcotest.(list (pair (float 0.0) int))
+    "probed after each live entry, never a cancelled one"
+    [
+      (0.0, 7); (2.0, 6); (3.0, 5); (4.0, 4); (5.0, 3); (6.0, 2); (7.0, 1);
+      (8.0, 0);
+    ]
+    (List.rev !probed)
+
 (* ------------------------------------------------------------------ *)
 (* Rng *)
 
@@ -484,6 +608,14 @@ let () =
             test_engine_delay_overflow;
           Alcotest.test_case "schedule_at in the past" `Quick
             test_engine_schedule_at_past;
+          Alcotest.test_case "post allocates nothing" `Quick
+            test_post_allocates_nothing;
+          Alcotest.test_case "post and schedule share FIFO ties" `Quick
+            test_post_schedule_fifo_ties;
+          Alcotest.test_case "cancel frees the action before it surfaces"
+            `Quick test_cancel_frees_action;
+          Alcotest.test_case "pending and events_executed, mixed kinds" `Quick
+            test_mixed_counts;
         ] );
       ( "rng",
         [
