@@ -147,19 +147,12 @@ let add_switch b sw =
         add_timestamp b seen;
         Buffer.add_char b '}')
       tombs);
-  (* Crash-recovery session: its id gates which deltas apply, and
-     deferred LSAs replay at finish. *)
+  (* Crash-recovery session: its id gates which deltas apply. *)
   Buffer.add_string b "|rs=";
   (match Dgmc.Switch.resync_state sw with
   | None -> Buffer.add_char b '-'
   | Some sid -> add_int b sid);
-  Buffer.add_string b "|defer=[";
-  List.iteri
-    (fun i l ->
-      if i > 0 then Buffer.add_char b ';';
-      add_mc_lsa b l)
-    (Dgmc.Switch.deferred_lsas sw);
-  Buffer.add_string b "]]"
+  Buffer.add_char b ']'
 
 let via size f x =
   let b = Buffer.create size in

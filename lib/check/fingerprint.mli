@@ -28,4 +28,4 @@ val graph_links : Net.Graph.t -> string
 val switch : Dgmc.Switch.t -> string
 (** Complete protocol state of one switch: every MC snapshot (sorted by
     MC id), its tombstones (when it has any), the link-state image and
-    database, and its crash-recovery session and deferred LSAs. *)
+    database, and its open crash-recovery session's id. *)

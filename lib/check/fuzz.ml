@@ -35,8 +35,8 @@ type outcome = {
 
 (* Scheduled fault windows must be bridgeable by reliable flooding:
    under the default reliability parameters a transfer keeps retrying
-   for [Lsr.Flooding.giveup_span_hops] hop times (508 with rto 4
-   doubling to a 64 cap over 10 retries), so any outage shorter than
+   for 508 hop times before it gives up (its 11 waits, rto 4 doubling
+   to a 64 cap: 4 + 8 + 16 + 32 + 7 x 64), so any outage shorter than
    [max_window_hops] hop times is guaranteed to be spanned by at least
    one retransmission landing after the window closes. *)
 let max_window_hops = 100.0

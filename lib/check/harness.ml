@@ -82,7 +82,8 @@ let flood t origin payload =
 
 (* Unicast transport for resynchronisation messages.  A send to or
    from a crashed switch is lost, as the reliable transport's would be
-   once its retries run out; the recoverer's deadline covers it. *)
+   once its retries run out; a recoverer whose summaries are all lost
+   keeps its session open, holding no work. *)
 let unicast t origin dst msg =
   if not (t.crashed.(origin) || t.crashed.(dst)) then begin
     let id = record t origin (Dgmc.Switch.Resync msg) in
@@ -98,10 +99,6 @@ let start t i timer ~delay =
   in
   t.timers.(i) <- { tm with due = insert tm.due }
 
-let cancel t i timer =
-  let tm = t.timers.(i) in
-  t.timers.(i) <- { tm with due = List.filter (fun (_, x) -> x <> timer) tm.due }
-
 let connect t =
   Array.iteri
     (fun i sw ->
@@ -109,8 +106,7 @@ let connect t =
         | Flood payload -> flood t i payload
         | Send { peer; msg } -> unicast t i peer msg
         | Changed -> ()
-        | Start { timer; delay } -> start t i timer ~delay
-        | Cancel timer -> cancel t i timer))
+        | Start { timer; delay } -> start t i timer ~delay))
     t.switches
 
 let create ~graph ~config () =

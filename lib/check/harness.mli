@@ -22,7 +22,7 @@
     [dst].  Per-origin FIFO is the special case [own floods ∈ past].
 
     {b Computations.}  A switch's timers ({!Dgmc.Switch.Start}: topology
-    computations and resync deadlines) pool per switch, on a private
+    computations) pool per switch, on a private
     clock, so the {e completion order} of concurrent computations at
     different switches is also explorer-chosen ({!Complete}), while
     timers within one switch fire in due-time order, start order among
@@ -37,12 +37,12 @@
     are lost, floods and unicasts occurring while it is down never reach
     it, its own die at its ports — yet its protocol state and running
     computations survive.  Nothing tells a sender its message was lost:
-    a recovering switch whose summaries all die ends its session at the
-    deadline.  {!Recover} ends the outage and starts the crash-recovery
+    a recovering switch whose summaries all die keeps its session open.
+    {!Recover} ends the outage and starts the crash-recovery
     resynchronisation exchange ({!Dgmc.Switch.begin_resync}); the
-    summaries, deltas and deferred LSA replays it produces become
-    ordinary pool messages, so the explorer drives every interleaving
-    of recovery against live traffic.
+    summaries and deltas it produces become ordinary pool messages, so
+    the explorer drives every interleaving of recovery against live
+    traffic.
 
     Limitations (documented, deliberate): floods reach every live
     switch (no partitions — link up/down only changes images and
@@ -58,7 +58,7 @@ type event =
       (** A membership or link event, as a workload schedules it. *)
   | Crash of int  (** Begin a forwarding-plane outage at the switch. *)
   | Recover of int
-      (** End the outage; the switch enters RESYNCING
+      (** End the outage; the switch opens a recovery session
           ({!Dgmc.Switch.begin_resync}). *)
 
 type action =
@@ -66,7 +66,7 @@ type action =
       (** Deliver pooled message [msg] to switch [dst]. *)
   | Complete of int
       (** Fire the next pending timer at a switch: complete a topology
-          computation, or end a resync session at its deadline. *)
+          computation. *)
 
 type t
 
@@ -94,8 +94,7 @@ val inject : t -> event -> unit
 
 val pending_count : t -> int
 (** Pending work items: pooled (destination, message) deliveries plus
-    pending timers (computations and resync deadlines) across all
-    switches.  Every
+    pending computations across all switches.  Every
     {!action} removes exactly one such item (and may add more), so this
     is an admissible, consistent lower bound on the number of actions
     separating the state from any terminal state — the primary key of

@@ -59,14 +59,12 @@ type score = {
          agreement. *)
   resync_depth : int;
       (* Crash-recovery resynchronisation sessions in flight. *)
-  deferred : int;  (* LSAs deferred by in-flight resyncs, summed. *)
 }
 
 let score h =
   let bound = Harness.pending_count h in
   let pairs = ref [] in
   let resync_depth = ref 0 in
-  let deferred = ref 0 in
   Array.iter
     (fun sw ->
       List.iter
@@ -78,8 +76,7 @@ let score h =
               ^ Mctree.Tree.fingerprint s.snap_topology )
             :: !pairs)
         (Dgmc.Switch.snapshots sw);
-      if Option.is_some (Dgmc.Switch.resync_state sw) then incr resync_depth;
-      deferred := !deferred + List.length (Dgmc.Switch.deferred_lsas sw))
+      if Option.is_some (Dgmc.Switch.resync_state sw) then incr resync_depth)
     (Harness.switches h);
   let sorted =
     List.sort_uniq
@@ -97,16 +94,15 @@ let score h =
     bound;
     discord = List.length sorted - List.length mcs;
     resync_depth = !resync_depth;
-    deferred = !deferred;
   }
 
 (* Pop order: [bound] ascending is the admissible primary key (closest
    to a checkable terminal first); the divergence evidence — discord,
-   resync depth, deferred queue — breaks ties descending (most evidence
-   first); depth then digest make the order total and deterministic. *)
+   then resync depth — breaks ties descending (most evidence first);
+   depth then digest make the order total and deterministic. *)
 let heuristic ~depth ~digest h =
   let s = score h in
-  ([ s.bound; -s.discord; -s.resync_depth; -s.deferred; depth ], digest)
+  ([ s.bound; -s.discord; -s.resync_depth; depth ], digest)
 
 let forward ?(target = any) ?(max_states = 50_000) ?(max_depth = 10_000)
     ?domains scenario =

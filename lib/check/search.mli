@@ -15,8 +15,8 @@
     lower bound on the actions separating the state from any terminal
     state, where the agreement laws are checked — and ties break toward
     states with more divergence evidence (disagreeing per-MC
-    installed-state fingerprint classes, resynchronisation sessions in
-    flight, deferred mid-resync LSAs), then toward shallower states, then
+    installed-state fingerprint classes, then resynchronisation
+    sessions in flight), then toward shallower states, then
     by digest.  The walk, its digest dedup and its outcome are
     {!Explore.run}'s, so with no bound hit an empty-handed forward
     search is as conclusive as an exhaustive one, with the same counts.

@@ -11,14 +11,6 @@ type t = {
   health : Health.Config.t option;
 }
 
-(* The resync deadline is derived, not hand-tuned: a session outlasts
-   the reliable transport's worst-case retry span, so a delta still
-   being retransmitted can land, plus one initial rto of headroom for
-   the summary leg.  Under the default reliability this is 508 + 4 = 512
-   hop times. *)
-let resync_deadline_hops t =
-  Lsr.Flooding.giveup_span_hops t.reliability +. t.reliability.Lsr.Flooding.rto
-
 let atm_lan =
   {
     tc = 400e-6;

@@ -66,18 +66,6 @@ val injects : t -> bug -> bool
 val round_length : t -> graph:Net.Graph.t -> float
 (** [tf + tc] for the given network (paper §4.1). *)
 
-val resync_deadline_hops : t -> float
-(** Crash-recovery resynchronisation: overall deadline for the exchange,
-    as a multiple of [t_hop].  The exchange finishes as soon as one
-    neighbor's delta is applied (it carries the full missed history,
-    because every LSA reached every live switch); a recoverer with no
-    live neighbor finishes degraded at once.  On expiry the switch
-    re-enters normal handling with whatever it has (degraded finish).
-    Derived from [reliability], not stored: the reliable transport's
-    worst-case retry span ({!Lsr.Flooding.giveup_span_hops}) plus one
-    rto, so a delta still being retransmitted can land before it — 512
-    hop times under the defaults. *)
-
 val validate : t -> (unit, string) result
 (** An enabled [health] section must itself validate.
     {!Protocol.create} enforces this. *)

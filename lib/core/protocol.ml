@@ -49,8 +49,6 @@ type t = {
   config : Config.t;
   faults : Faults.Plan.t option;
   switches : Switch.t array;
-  deadlines : Sim.Engine.handle option array;
-      (** Each switch's live resync deadline, for its [Cancel]. *)
   flooding : Switch.payload Lsr.Flooding.t;
   flood : Switch.payload Lsr.Lsa.t -> unit;  (** The flooding transport. *)
   mutable health : health_state option;
@@ -116,8 +114,8 @@ let rec notify id = function
 
 (* Carry out one output of switch [from]: count and originate a flood,
    unicast a resynchronisation message, note a change for the
-   convergence clock and the observers, or schedule or cancel a timer
-   on the run's engine. *)
+   convergence clock and the observers, or schedule a timer on the
+   run's engine. *)
 let output t ~from : Switch.output -> unit = function
   | Flood payload ->
     (match payload with
@@ -132,15 +130,10 @@ let output t ~from : Switch.output -> unit = function
   | Changed ->
     t.last_change <- Sim.Engine.now t.engine;
     notify from t.observers
-  | Start { timer; delay } -> (
+  | Start { timer; delay } ->
     let sw = t.switches.(from) in
-    let h = Sim.Engine.schedule t.engine ~delay (fun () -> Switch.fire sw timer) in
-    match timer with
-    | Resync_deadline _ -> t.deadlines.(from) <- Some h
-    | Compute _ -> ())
-  | Cancel _ ->
-    Option.iter Sim.Engine.cancel t.deadlines.(from);
-    t.deadlines.(from) <- None
+    ignore
+      (Sim.Engine.schedule t.engine ~delay (fun () -> Switch.fire sw timer))
 
 let zero =
   {
@@ -225,7 +218,6 @@ let create ~graph ~config ?faults ?engine ?trace ?metrics
       config;
       faults;
       switches;
-      deadlines = Array.make n None;
       flooding;
       flood = (fun lsa -> Lsr.Flooding.flood flooding lsa);
       health = None;

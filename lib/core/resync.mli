@@ -4,7 +4,7 @@
     recovery story: a switch whose forwarding plane was down for a window
     silently misses installs and diverges forever.  On recovery a switch
     therefore runs an OSPF-style database exchange with its live
-    neighbors before re-entering normal MC handling (see
+    neighbors, handling MC LSAs as they arrive meanwhile (see
     {!Switch.begin_resync} and DESIGN.md):
 
     - it unicasts a {!constructor:Summary} of everything it knows — its
@@ -16,13 +16,16 @@
       neighbor knows events the summary's R does not cover (or holds a
       different same-stamp tree);
     - the recoverer applies the first delta echoing its session and
-      finishes: one up-to-date neighbor carries the full missed history;
-      without one, it finishes degraded at its deadline.
+      finishes: one up-to-date neighbor carries the full missed history.
+      The session id gates the deltas: an answer to a superseded
+      session, or a second answer, is dropped.
 
     Messages ride the regular {!Lsr.Flooding} transport in unicast mode
     ({!Lsr.Flooding.send}), so under faults they get the Reliable mode's
     ack/retransmit/backoff for free; a message to a dead neighbor is
-    lost without a word to its sender, and the deadline ends the wait. *)
+    lost without a word to its sender.  A session whose summaries are
+    all lost never finishes, which costs nothing: it defers no LSA and
+    holds no timer, and the next recovery supersedes it. *)
 
 type mc_summary = {
   sum_mc : Mc_id.t;

@@ -15,7 +15,6 @@ type counts = {
   event_lsas_flooded : Metrics.Registry.counter;
   installs : Metrics.Registry.counter;
   lsas_received : Metrics.Registry.counter;
-  resync_deferred_lsas : Metrics.Registry.counter;
   resyncs_started : Metrics.Registry.counter;
   resyncs_completed : Metrics.Registry.counter;
   resyncs_degraded : Metrics.Registry.counter;
@@ -37,7 +36,6 @@ let counts engine id =
     event_lsas_flooded = counter "switch.event_lsas_flooded";
     installs = counter "switch.installs";
     lsas_received = counter "switch.lsas_received";
-    resync_deferred_lsas = counter "switch.resync_deferred_lsas";
     resyncs_started = counter "switch.resyncs_started";
     resyncs_completed = counter "switch.resyncs_completed";
     resyncs_degraded = counter "switch.resyncs_degraded";
@@ -53,19 +51,18 @@ type payload =
   | Link of Lsr.Lsdb.link_event
   | Resync of Resync.msg
 
-type timer = Compute of { mc : Mc_id.t; id : int } | Resync_deadline of int
+type timer = Compute of { mc : Mc_id.t; id : int }
 
 type output =
   | Flood of payload
   | Send of { peer : int; msg : Resync.msg }
   | Changed
   | Start of { timer : timer; delay : float }
-  | Cancel of timer
 
 (* One in-flight crash-recovery resynchronisation exchange (see
-   [begin_resync]).  The switch stays in this state — deferring normal
-   MC-LSA handling — until a delta echoing [rs_id] is applied or the
-   deadline fires.  Immutable, so a copied switch can share it. *)
+   [begin_resync]): open until a delta echoing [rs_id] is applied, or a
+   fresh recovery supersedes it.  Immutable, so a copied switch can
+   share it. *)
 type resync_session = {
   rs_id : int;  (** Session id echoed by deltas (stale deltas ignored). *)
   rs_started : float;  (** Simulated start time, for the duration SLI. *)
@@ -90,9 +87,6 @@ type t = {
   mutable resync_session : resync_session option;
   mutable resync_seq : int;  (** Fresh session ids. *)
   mutable compute_seq : int;  (** Fresh computation ids. *)
-  deferred : Mc_lsa.t Queue.t;
-      (** MC LSAs received while RESYNCING, replayed in arrival order
-          when the session finishes. *)
   counts : counts;
   trace : Sim.Trace.t;
 }
@@ -112,7 +106,6 @@ let create ~id ~n ~config ~engine ~boot () =
     resync_session = None;
     resync_seq = 0;
     compute_seq = 0;
-    deferred = Queue.create ();
     counts = counts engine id;
     trace = Sim.Engine.trace engine;
   }
@@ -155,7 +148,6 @@ let copy t =
     mcs;
     tombstones = Mc_id.Tbl.copy t.tombstones;
     sink = unconnected;
-    deferred = Queue.copy t.deferred;
     counts = counts t.engine t.id;
   }
 
@@ -637,6 +629,30 @@ let export mc (st : Mc_state.t) =
     exp_topology = st.topology;
   }
 
+(* Everything this switch can export, sorted by MC: its live states,
+   then each tombstone without one, whose surviving event numbering
+   ships with an empty member list and tree — a summary of it lets a
+   neighbor still holding the MC push it back, and a delta of it replays
+   the leaves that emptied the MC. *)
+let exports t =
+  let live = Mc_id.Tbl.fold (fun mc st acc -> export mc st :: acc) t.mcs [] in
+  Mc_id.Tbl.fold
+    (fun mc (r, e, seen) acc ->
+      if Mc_id.Tbl.mem t.mcs mc then acc
+      else
+        {
+          Resync.exp_mc = mc;
+          exp_r = r;
+          exp_e = e;
+          exp_c = Timestamp.zero t.n;
+          exp_members = Member.empty;
+          exp_membership_seen = seen;
+          exp_topology = Mctree.Tree.empty;
+        }
+        :: acc)
+    t.tombstones live
+  |> List.sort (fun a b -> Mc_id.compare a.Resync.exp_mc b.Resync.exp_mc)
+
 (* The one adoption rule of both database exchanges: merge [E], and when
    the export's [R] teaches something new, run [adopt st k] where [k]
    merges [R], takes the export's membership where its per-source
@@ -644,8 +660,7 @@ let export mc (st : Mc_state.t) =
    (same acceptance rule as for received proposals) and sets the
    recompute flag.  [adopt] lets the pairwise exchange wrap [k] in its
    trace context and re-propose at once; a delta defers re-proposal to
-   [finish_resync] (a later delta in the same session could supersede
-   this one). *)
+   [finish_resync], after its last export. *)
 let apply_export t ~adopt (e : Resync.mc_export) =
   let st = get_or_create t e.exp_mc in
   let merged_r = Timestamp.merge st.r e.exp_r in
@@ -681,10 +696,13 @@ let resync t ~peer =
   let image_changed =
     merge_links t ~source:peer.id (Lsr.Lsdb.entries peer.lsdb)
   in
-  (* Phase 2: merge the peer's per-MC state, as a delta from it would. *)
-  Mc_id.Tbl.iter
-    (fun mc pst ->
-      apply_export t (export mc pst) ~adopt:(fun st k ->
+  (* Phase 2: merge the peer's per-MC state, as a delta from it would:
+     its tombstones too, so a leave that emptied the MC at the peer
+     while the link was down reaches this side of it. *)
+  List.iter
+    (fun (x : Resync.mc_export) ->
+      let mc = x.exp_mc in
+      apply_export t x ~adopt:(fun st k ->
           under_resync t ~peer:peer.id ~mc (fun () ->
               k ();
               (* Reflood even when the adopted topology already covers R
@@ -694,7 +712,7 @@ let resync t ~peer =
                  original flood died at the severed link).  The extra
                  proposal is idempotent for up-to-date receivers. *)
               if may_repropose st then start_triggered t mc st)))
-    peer.mcs;
+    (exports peer);
   (* Phase 3: re-propose wherever the merged image contradicts an
      install (the peer may never have been a member of the MC). *)
   if image_changed then revalidate_installs t ~peer:peer.id
@@ -736,26 +754,28 @@ let activate t mc (st : Mc_state.t) lsa =
   | Some _ -> Queue.push lsa st.mailbox
   | None -> decide t mc st (process_lsa t st lsa None)
 
-let receive_now t lsa =
+let receive t lsa =
+  Metrics.Registry.bump t.counts.lsas_received;
   let mc = lsa.Mc_lsa.mc in
   match Mc_id.Tbl.find t.mcs mc with
   | st -> activate t mc st lsa
-  | exception Not_found ->
-    (* A bare proposal for an MC this switch holds no state for: the MC
-       is already destroyed locally; ignore rather than resurrect. *)
+  | exception Not_found -> (
     if Mc_lsa.is_event lsa then activate t mc (get_or_create t mc) lsa
-
-let receive t lsa =
-  Metrics.Registry.bump t.counts.lsas_received;
-  match t.resync_session with
-  | Some _ ->
-    (* RESYNCING: normal MC handling is suspended so the switch never
-       computes or proposes on partially reconciled state.  The LSA is
-       replayed in arrival order when the session finishes. *)
-    tracef t "resync" "sw%d defers %a while resyncing" t.id Mc_lsa.pp lsa;
-    Metrics.Registry.bump t.counts.resync_deferred_lsas;
-    Queue.push lsa t.deferred
-  | None -> receive_now t lsa
+    else
+      (* A bare proposal for an MC this switch holds no state for: the MC
+         is already destroyed locally; ignore rather than resurrect.  One
+         with an empty snapshot, up to date with the tombstone's E,
+         agrees the MC is gone and knows every event its stamp covers:
+         the tombstone takes the stamp, so a late copy of a covered join
+         reads as stale instead of re-adding its member. *)
+      match (Mc_id.Tbl.find_opt t.tombstones mc, lsa.members) with
+      | Some (r, e, seen), Some snapshot
+        when Member.is_empty snapshot && Timestamp.geq lsa.stamp e ->
+        Mc_id.Tbl.replace t.tombstones mc
+          ( Timestamp.merge r lsa.stamp,
+            Timestamp.merge e lsa.stamp,
+            Timestamp.merge seen lsa.stamp )
+      | (Some _ | None), _ -> ())
 
 (* ------------------------------------------------------------------ *)
 (* Crash-recovery resynchronisation (see resync.mli and DESIGN.md).
@@ -763,37 +783,13 @@ let receive t lsa =
    The paper has no recovery story: it assumes every LSA reaches every
    live switch.  A switch whose forwarding plane was down for a crash
    window silently missed floods and would diverge forever.  On recovery
-   it therefore summarises its databases to each live neighbor, applies
-   their deltas, and only then replays the MC LSAs that arrived while it
-   was reconciling. *)
-
-let deferred_lsas t = List.of_seq (Queue.to_seq t.deferred)
+   it therefore summarises its databases to each live neighbor and
+   applies the first delta that answers.  MC LSAs arriving meanwhile are
+   handled at once: a computation started on partial knowledge is
+   withdrawn at completion if the delta moved R under it (Figures 4-5),
+   like any other stale one. *)
 
 let resync_state t = Option.map (fun s -> s.rs_id) t.resync_session
-
-(* Everything this switch can export, sorted by MC: its live states,
-   then each tombstone without one, whose surviving event numbering
-   ships with an empty member list and tree — a summary of it lets a
-   neighbor still holding the MC push it back, and a delta of it replays
-   the leaves that emptied the MC. *)
-let exports t =
-  let live = Mc_id.Tbl.fold (fun mc st acc -> export mc st :: acc) t.mcs [] in
-  Mc_id.Tbl.fold
-    (fun mc (r, e, seen) acc ->
-      if Mc_id.Tbl.mem t.mcs mc then acc
-      else
-        {
-          Resync.exp_mc = mc;
-          exp_r = r;
-          exp_e = e;
-          exp_c = Timestamp.zero t.n;
-          exp_members = Member.empty;
-          exp_membership_seen = seen;
-          exp_topology = Mctree.Tree.empty;
-        }
-        :: acc)
-    t.tombstones live
-  |> List.sort (fun a b -> Mc_id.compare a.Resync.exp_mc b.Resync.exp_mc)
 
 let build_summary t session =
   Resync.Summary
@@ -814,48 +810,34 @@ let build_summary t session =
           (exports t);
     }
 
-(* [reason] is ["delta"] when a neighbor's delta was applied — the
-   completed finish — or ["deadline"] (degraded). *)
-let finish_resync t ~reason =
-  match t.resync_session with
-  | None -> ()
-  | Some s ->
-    t.sink (Cancel (Resync_deadline s.rs_id));
-    t.resync_session <- None;
-    tracef t "resync" "sw%d session %d finished (%s)" t.id s.rs_id reason;
-    Metrics.Registry.bump
-      (if String.equal reason "delta" then t.counts.resyncs_completed
-       else t.counts.resyncs_degraded);
-    Metrics.Registry.observe (Sim.Engine.metrics t.engine) ~switch:t.id
-      "switch.resync_duration_s"
-      (Sim.Engine.now t.engine -. s.rs_started);
-    (* Replay LSAs that arrived during the exchange, in arrival order.
-       [resync_session] is already [None], so replay goes through the
-       normal machinery and may start computations. *)
-    while not (Queue.is_empty t.deferred) do
-      receive_now t (Queue.pop t.deferred)
-    done;
-    (* Re-propose wherever the reconciled state demands it: exports set
-       the recompute flag but deliberately do not trigger mid-session
-       (a later delta could supersede); installs may also contradict the
-       merged image.  Same idempotence argument as [revalidate_installs]. *)
-    List.iter
-      (fun mc ->
-        match get_state t mc with
-        | Some st ->
-          if may_repropose st && (st.flag || topology_stale t st) then
-            repropose t ~peer:t.id mc st;
-          maybe_delete t mc st
-        | None -> ())
-      (mc_ids t)
+(* The session [s] ends with its delta applied. *)
+let finish_resync t s =
+  t.resync_session <- None;
+  tracef t "resync" "sw%d session %d finished (delta)" t.id s.rs_id;
+  Metrics.Registry.bump t.counts.resyncs_completed;
+  Metrics.Registry.observe (Sim.Engine.metrics t.engine) ~switch:t.id
+    "switch.resync_duration_s"
+    (Sim.Engine.now t.engine -. s.rs_started);
+  (* Re-propose wherever the reconciled state demands it: exports set
+     the recompute flag but do not trigger while the delta is applied
+     (a later export in it could supersede); installs may also
+     contradict the merged image.  Same idempotence argument as
+     [revalidate_installs]. *)
+  List.iter
+    (fun mc ->
+      match get_state t mc with
+      | Some st ->
+        if may_repropose st && (st.flag || topology_stale t st) then
+          repropose t ~peer:t.id mc st;
+        maybe_delete t mc st
+      | None -> ())
+    (mc_ids t)
 
 let begin_resync_impl t =
   (* A second crash window can close while an earlier session is still in
-     flight; the fresh recovery supersedes it (deferred LSAs survive the
-     restart — the queue belongs to the switch, not the session). *)
+     flight; the fresh recovery supersedes it. *)
   (match t.resync_session with
   | Some s ->
-    t.sink (Cancel (Resync_deadline s.rs_id));
     t.resync_session <- None;
     tracef t "resync" "sw%d restarts resync (session %d superseded)" t.id
       s.rs_id
@@ -872,12 +854,6 @@ let begin_resync_impl t =
   | neighbors ->
     t.resync_session <-
       Some { rs_id = sid; rs_started = Sim.Engine.now t.engine };
-    t.sink
-      (Start
-         {
-           timer = Resync_deadline sid;
-           delay = Config.resync_deadline_hops t.config *. t.config.Config.t_hop;
-         });
     let summary = build_summary t sid in
     List.iter
       (fun nb ->
@@ -957,12 +933,12 @@ let receive_resync_impl t msg =
       under_resync t ~peer (fun () ->
           ignore (merge_links t ~source:peer links);
           List.iter (apply_export t ~adopt:(fun _ k -> k ())) mcs);
-      finish_resync t ~reason:"delta"
+      finish_resync t s
     | Some _ | None ->
       (* Stale: from a superseded session — it may predate a second
-         outage — after the deadline fired, or after another neighbor's
-         delta finished the session.  Everything it carries was either
-         applied already or will be re-learned; dropping is safe. *)
+         outage — or after another neighbor's delta finished the
+         session.  Everything it carries was either applied already or
+         will be re-learned; dropping is safe. *)
       tracef t "resync" "sw%d drops stale resync delta from sw%d" t.id peer;
       Metrics.Registry.bump t.counts.resync_stale_deltas)
 
@@ -992,10 +968,6 @@ let fire t = function
       | Some comp, _ -> event_completion t mc st comp
       | None, Some comp when is_it comp -> triggered_completion t mc st comp
       | None, (Some _ | None) -> ()))
-  | Resync_deadline session -> (
-    match t.resync_session with
-    | Some s when s.rs_id = session -> finish_resync t ~reason:"deadline"
-    | Some _ | None -> ())
 
 (* ------------------------------------------------------------------ *)
 (* Introspection *)
@@ -1022,11 +994,6 @@ let tombstones t =
   |> List.sort (fun (a, _) (b, _) -> Mc_id.compare a b)
 
 let quiescent t mc =
-  Option.is_none t.resync_session
-  && Queue.fold
-       (fun acc (lsa : Mc_lsa.t) -> acc && not (Mc_id.equal lsa.mc mc))
-       true t.deferred
-  &&
   match get_state t mc with
   | None -> true
   | Some st ->

@@ -12,9 +12,9 @@
     driver hands it every received payload through {!deliver}, every
     change on an incident link through {!detect} and every due timer
     through {!fire}.  It never touches a wire or a calendar itself: each
-    flood, resync unicast, change signal, timer start and timer cancel
-    is one {!output} handed to the sink its driver {!connect}s.  So a
-    switch holds no closure and {!copy} is a structural copy. *)
+    flood, resync unicast, change signal and timer start is one
+    {!output} handed to the sink its driver {!connect}s.  So a switch
+    holds no closure and {!copy} is a structural copy. *)
 
 type stats = {
   computations : int;
@@ -34,13 +34,11 @@ type payload =
           neighbors — never flooded (extension; see {!begin_resync}). *)
 
 (** A timer a switch asks its driver to run: plain data, handed back
-    through {!fire} when due. *)
+    through {!fire} when due.  A switch never cancels one. *)
 type timer =
   | Compute of { mc : Mc_id.t; id : int }
       (** The completion of topology computation [id] for [mc], [Tc]
           after it started. *)
-  | Resync_deadline of int
-      (** The deadline of crash-recovery session [id] ({!begin_resync}). *)
 
 (** What a switch emits. *)
 type output =
@@ -51,9 +49,6 @@ type output =
   | Start of { timer : timer; delay : float }
       (** Fire [timer] [delay] simulated seconds from now.  Timers due at
           the same instant fire in start order. *)
-  | Cancel of timer
-      (** Drop [timer] if still pending.  Only a resync deadline is ever
-          cancelled, when its session finishes or is superseded. *)
 
 type t
 
@@ -111,9 +106,8 @@ val copy : t -> t
 
 val fire : t -> timer -> unit
 (** Run a due timer: complete the computation (the withdrawal check,
-    then flood and install or withdraw) or end the session at its
-    deadline.  A timer whose computation already completed or whose
-    session is no longer the live one does nothing. *)
+    then flood and install or withdraw).  A timer whose computation
+    already completed does nothing. *)
 
 (** {1 Local events (EventHandler)} *)
 
@@ -141,13 +135,17 @@ val detect_link : t array -> Lsr.Lsdb.link_event -> unit
 val deliver : t -> payload -> unit
 (** Hand the switch one received payload.  An MC LSA enters the mailbox
     and triggers a [ReceiveLSA()] invocation unless one is
-    mid-computation (or, while RESYNCING, is deferred).  A link event
+    mid-computation, also while a crash-recovery session is open.  A
+    bare proposal for an MC the switch has deleted is ignored, except
+    that one with an empty member snapshot and a stamp at least the
+    tombstone's [E] merges its stamp into the tombstone's [R], [E] and
+    membership cursors ({!tombstones}).  A link event
     updates the image (version-gated; see {!Lsr.Lsdb.apply}) without
     running [EventHandler]: only the incident switches {!detect}.  A
     [Summary] is answered statelessly with a [Delta] of everything the
     summary proves its origin is behind on (newer link versions are also
     adopted and re-flooded locally).  A [Delta] is applied only when it
-    echoes the live session's id; anything else — an answer to a
+    echoes the open session's id; anything else — an answer to a
     superseded session, which may predate a second outage, or one
     arriving after the session finished — is dropped as stale. *)
 
@@ -158,7 +156,8 @@ val resync : t -> peer:t -> unit
     an OSPF database exchange when an adjacency forms.  Three phases:
     merge the peer's versioned link-state image (adopted link events are
     re-flooded as [Flood (Link _)] outputs so switches behind this one
-    learn them too); for every MC the peer tracks, apply the state a
+    learn them too); for every MC the peer tracks or holds a tombstone
+    for, apply the state a
     {!Resync.Delta} from the peer would carry — the same adoption rule:
     merge its [R]/[E] vectors, adopt its per-source membership knowledge
     where newer, adopt its topology where based on newer state — and,
@@ -172,25 +171,22 @@ val resync : t -> peer:t -> unit
 (** {1 Crash-recovery resynchronisation (extension)} *)
 
 val begin_resync : t -> unit
-(** Enter the RESYNCING state: unicast a {!Resync.Summary} of this
+(** Open a recovery session: unicast a {!Resync.Summary} of this
     switch's databases (a [Send] output) to every neighbor its image
-    shows live, and suspend normal MC-LSA handling — LSAs received
-    meanwhile are deferred and replayed in arrival order when the session
-    finishes.  The session finishes when the first delta echoing it has
-    been applied, or degraded when {!Config.resync_deadline_hops}
-    [× t_hop] elapses; on finish, deferred LSAs are replayed and a
-    topology computation is scheduled for every MC the reconciled state
-    flagged.
-    With no live neighbors the switch finishes degraded immediately.
-    Calling this while a session is in flight supersedes it (the crash
-    recurred); deferred LSAs survive the restart. *)
+    shows live.  MC-LSA handling goes on meanwhile: a computation that
+    starts on partial knowledge is withdrawn at completion once a delta
+    moves [R] under it, as any stale computation is.  The session
+    finishes when the first delta echoing it has been applied; a
+    topology computation is then scheduled for every MC the reconciled
+    state flagged.  It has no deadline: a session whose summaries were
+    all lost stays open, blocking nothing, until a later recovery
+    supersedes it.  With no live neighbors no session opens (a degraded
+    recovery).  Calling this while a session is open supersedes it (the
+    crash recurred). *)
 
 val resync_state : t -> int option
-(** The in-flight session's id — model-checker state-hash fodder. *)
-
-val deferred_lsas : t -> Mc_lsa.t list
-(** MC LSAs deferred by the in-flight (or a finished-degraded) session,
-    in arrival order.  Empty when not resyncing. *)
+(** The open session's id — model-checker state-hash fodder: it decides
+    which delta applies. *)
 
 (** {1 Introspection} *)
 
@@ -216,9 +212,9 @@ val tombstones :
     while the MC is gone. *)
 
 val quiescent : t -> Mc_id.t -> bool
-(** No pending computations, an empty mailbox for the MC, no deferred
-    LSA touching it, and no resynchronisation session in flight
-    (vacuously true when no state exists). *)
+(** No pending computations and an empty mailbox for the MC (vacuously
+    true when no state exists).  An open recovery session does not
+    count: it holds no work. *)
 
 type mc_snapshot = {
   snap_mc : Mc_id.t;

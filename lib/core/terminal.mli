@@ -12,8 +12,8 @@
     The laws come in three groups, always reported in this order.
 
     {b Agreement} among a set of switches, per MC:
-    - [quiescent] — no mailbox entry, computation, deferred LSA or
-      resynchronisation session is pending at any switch of the set;
+    - [quiescent] — no mailbox entry or computation is pending at any
+      switch of the set (an open recovery session holds no work);
     - [terminal-R=E] — every switch holding state received every event
       it was promised;
     - [pending-duty] — no switch stopped with a recomputation owed

@@ -8,16 +8,6 @@ type reliability = {
 
 let default_reliability = { rto = 4.0; rto_max = 64.0; max_retries = 10 }
 
-(* Worst-case simulated time (in t_hop multiples) between a transfer's
-   first transmission and its giveup: the sum of all max_retries + 1
-   waits, each double the last up to rto_max. *)
-let giveup_span_hops rel =
-  let rec go timeout i acc =
-    if i > rel.max_retries then acc
-    else go (Float.min (2.0 *. timeout) rel.rto_max) (i + 1) (acc +. timeout)
-  in
-  go rel.rto 0 0.0
-
 type transmit = src:int -> dst:int -> base_delay:float -> float array -> int
 
 module Int_tbl = Hashtbl.Make (Int)

@@ -87,13 +87,6 @@ type reliability = {
 val default_reliability : reliability
 (** [rto = 4], [rto_max = 64], [max_retries = 10]. *)
 
-val giveup_span_hops : reliability -> float
-(** Worst-case simulated time, in [t_hop] multiples, between a transfer's
-    first transmission and its giveup: the sum of the [max_retries + 1]
-    timeout waits under doubling capped at [rto_max] (508 under the
-    defaults).  {!Config.resync_deadline_hops} derives from this — a
-    resync session outlasts its slowest possible transport attempt. *)
-
 type transmit = src:int -> dst:int -> base_delay:float -> float array -> int
 (** [transmit ~src ~dst ~base_delay delays] decides one transmission:
     it writes the delay of each copy to deliver into [delays.(0)] and,
@@ -152,7 +145,7 @@ val send : 'a t -> src:int -> dst:int -> 'a Lsa.t -> unit
     applies, and a transfer whose retry budget runs out without an ack
     is abandoned ({!deliveries_abandoned}); in [Hop_by_hop] mode the
     copy is fire-and-forget.  Either way the sender hears nothing of a
-    lost message: a caller needing liveness keeps its own deadline. *)
+    lost message. *)
 
 val wire : 'a t -> src:int -> dst:int -> (unit -> unit) -> bool
 (** [wire t ~src ~dst arrive] puts one transmission from [src] to [dst]

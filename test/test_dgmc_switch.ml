@@ -31,7 +31,7 @@ let harness ?(id = 5) () =
         ignore
           (Sim.Engine.schedule engine ~delay (fun () ->
                Dgmc.Switch.fire sw timer))
-      | Flood _ | Send _ | Changed | Cancel _ -> ());
+      | Flood _ | Send _ | Changed -> ());
   { engine; sw; outputs }
 
 let outputs h = List.rev !(h.outputs)
@@ -285,6 +285,52 @@ let test_unknown_mc_bare_proposal_dropped () =
   Sim.Engine.run h.engine;
   check Alcotest.bool "no state created" true (Dgmc.Switch.members h.sw mc = None)
 
+(* A deleted MC's tombstone takes the stamp of a bare proposal whose
+   empty snapshot is up to date with it: the proposer knew every event
+   the stamp covers and the MC is empty after all of them, which is what
+   adopting the snapshot into a recreated state and deleting it again
+   would leave.  A late copy of a covered join is then stale.  A
+   proposal with members, or one behind the tombstone's E, teaches the
+   tombstone nothing. *)
+let test_empty_proposal_advances_tombstone () =
+  let h = harness () in
+  let leave_lsa ~src ~stamp:s =
+    Dgmc.Mc_lsa.make ~src ~event:Dgmc.Mc_lsa.Leave ~mc ~stamp:s ()
+  in
+  receive h.sw (join_lsa ~src:0 ~stamp:(stamp [ 1; 0; 0; 0; 0; 0 ]) ());
+  receive h.sw (leave_lsa ~src:0 ~stamp:(stamp [ 2; 0; 0; 0; 0; 0 ]));
+  Sim.Engine.run h.engine;
+  let tombstone () =
+    match Dgmc.Switch.tombstones h.sw with
+    | [ (_, (r, _, seen)) ] ->
+      (Dgmc.Timestamp.to_array r, Dgmc.Timestamp.to_array seen)
+    | l -> Alcotest.failf "expected one tombstone, got %d" (List.length l)
+  in
+  check Alcotest.bool "MC deleted" true (Dgmc.Switch.members h.sw mc = None);
+  let before = tombstone () in
+  let bare ~members s =
+    proposal_lsa ~src:3 ~tree:Mctree.Tree.empty ~members ~stamp:(stamp s) ()
+  in
+  (* Switch 1 joined and left while this switch missed both floods. *)
+  receive h.sw
+    (bare ~members:(Dgmc.Member.of_list [ (3, Dgmc.Member.Both) ])
+       [ 2; 2; 0; 0; 0; 0 ]);
+  receive h.sw (bare ~members:Dgmc.Member.empty [ 1; 2; 0; 0; 0; 0 ]);
+  check
+    Alcotest.(pair (array int) (array int))
+    "no merge from members or from behind E" before (tombstone ());
+  receive h.sw (bare ~members:Dgmc.Member.empty [ 2; 2; 0; 0; 0; 0 ]);
+  check
+    Alcotest.(pair (array int) (array int))
+    "R and the cursors take the stamp"
+    ([| 2; 2; 0; 0; 0; 0 |], [| 2; 2; 0; 0; 0; 0 |])
+    (tombstone ());
+  (* A retransmitted copy of switch 1's join arrives after all. *)
+  receive h.sw (join_lsa ~src:1 ~stamp:(stamp [ 2; 1; 0; 0; 0; 0 ]) ());
+  Sim.Engine.run h.engine;
+  check Alcotest.bool "late join stays stale: MC still deleted" true
+    (Dgmc.Switch.members h.sw mc = None)
+
 let test_event_lsa_creates_state () =
   let h = harness () in
   receive h.sw (join_lsa ~src:0 ~stamp:(stamp [ 1; 0; 0; 0; 0; 0 ]) ());
@@ -422,6 +468,8 @@ let () =
             test_triggered_withdrawn_when_mailbox_nonempty;
           Alcotest.test_case "bare proposal for unknown MC dropped" `Quick
             test_unknown_mc_bare_proposal_dropped;
+          Alcotest.test_case "empty proposal advances the tombstone" `Quick
+            test_empty_proposal_advances_tombstone;
           Alcotest.test_case "event LSA creates state" `Quick
             test_event_lsa_creates_state;
           Alcotest.test_case "stale membership skipped" `Quick

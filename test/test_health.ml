@@ -99,20 +99,6 @@ let test_config_validation () =
   check Alcotest.bool "non-positive horizon rejected" true
     (rejected { ok with Health.Config.horizon = 0.0 })
 
-(* The resync deadline is derived from the reliable transport's worst
-   case: a session outlives every transport attempt it waits on. *)
-let test_resync_deadline_derived_and_validated () =
-  let config = Dgmc.Config.atm_lan in
-  check (Alcotest.float 1e-9) "preset deadline = give-up span + rto"
-    (Lsr.Flooding.giveup_span_hops config.Dgmc.Config.reliability
-    +. config.Dgmc.Config.reliability.Lsr.Flooding.rto)
-    (Dgmc.Config.resync_deadline_hops config);
-  check (Alcotest.float 1e-9) "512 hop times under the defaults" 512.0
-    (Dgmc.Config.resync_deadline_hops config);
-  match Dgmc.Config.validate config with
-  | Ok () -> ()
-  | Error m -> Alcotest.failf "preset invalid: %s" m
-
 (* ------------------------------------------------------------------ *)
 (* Protocol integration *)
 
@@ -253,8 +239,6 @@ let () =
         [
           Alcotest.test_case "validation rejects bad fields" `Quick
             test_config_validation;
-          Alcotest.test_case "resync deadline derived from give-up span"
-            `Quick test_resync_deadline_derived_and_validated;
         ] );
       ( "protocol",
         [

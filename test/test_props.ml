@@ -657,7 +657,7 @@ let connect_rig rig =
         (fun (x : Dgmc.Resync.mc_summary) ->
           List.iter hand_out [ x.sum_r; x.sum_e; x.sum_c ])
         mcs
-    | Flood (Link _ | Resync _) | Changed | Cancel _ -> ())
+    | Flood (Link _ | Resync _) | Changed -> ())
 
 let fresh_rig () =
   let engine = Sim.Engine.create () in
