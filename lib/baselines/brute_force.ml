@@ -79,10 +79,9 @@ let memoised t switch mc members =
    charge it in full.  The simulator itself computes each (graph version,
    MC, member set) tree once and hands every switch that shared tree. *)
 let recompute t switch mc (st : mc_state) =
-  ignore
-    (Sim.Engine.schedule t.engine ~delay:t.config.Dgmc.Config.tc (fun () ->
-         t.computations <- t.computations + 1;
-         st.topology <- memoised t switch mc st.members))
+  Sim.Engine.schedule t.engine ~delay:t.config.Dgmc.Config.tc (fun () ->
+      t.computations <- t.computations + 1;
+      st.topology <- memoised t switch mc st.members)
 
 let apply_change st change src =
   match change with
@@ -141,10 +140,10 @@ let join t ~switch mc role = local_event t ~switch mc (`Join role)
 let leave t ~switch mc = local_event t ~switch mc `Leave
 
 let schedule_join t ~at ~switch mc role =
-  ignore (Sim.Engine.schedule_at t.engine ~time:at (fun () -> join t ~switch mc role))
+  Sim.Engine.schedule_at t.engine ~time:at (fun () -> join t ~switch mc role)
 
 let schedule_leave t ~at ~switch mc =
-  ignore (Sim.Engine.schedule_at t.engine ~time:at (fun () -> leave t ~switch mc))
+  Sim.Engine.schedule_at t.engine ~time:at (fun () -> leave t ~switch mc)
 
 let run t = Sim.Engine.run t.engine
 

@@ -84,10 +84,10 @@ let join t ~switch ~group = membership_event t ~switch ~group `Join
 let leave t ~switch ~group = membership_event t ~switch ~group `Leave
 
 let schedule_join t ~at ~switch ~group =
-  ignore (Sim.Engine.schedule_at t.engine ~time:at (fun () -> join t ~switch ~group))
+  Sim.Engine.schedule_at t.engine ~time:at (fun () -> join t ~switch ~group)
 
 let schedule_leave t ~at ~switch ~group =
-  ignore (Sim.Engine.schedule_at t.engine ~time:at (fun () -> leave t ~switch ~group))
+  Sim.Engine.schedule_at t.engine ~time:at (fun () -> leave t ~switch ~group)
 
 (* Source-rooted tree as THIS router currently sees the group. *)
 let local_tree t router ~src ~group =
@@ -102,12 +102,11 @@ let rec packet_at t ~src ~group ~router ~parent =
   | None ->
     (* Cache miss: the datagram waits while the router computes the
        source-rooted tree — the paper's on-demand, data-driven model. *)
-    ignore
-      (Sim.Engine.schedule t.engine ~delay:t.config.Dgmc.Config.tc (fun () ->
-           t.computations <- t.computations + 1;
-           let tree = local_tree t router ~src ~group in
-           Hashtbl.replace r.cache (src, group) tree;
-           forward t tree ~src ~group ~router ~parent))
+    Sim.Engine.schedule t.engine ~delay:t.config.Dgmc.Config.tc (fun () ->
+        t.computations <- t.computations + 1;
+        let tree = local_tree t router ~src ~group in
+        Hashtbl.replace r.cache (src, group) tree;
+        forward t tree ~src ~group ~router ~parent)
 
 and forward t tree ~src ~group ~router ~parent =
   if Mctree.Tree.mem_node tree router then
@@ -115,10 +114,9 @@ and forward t tree ~src ~group ~router ~parent =
       (fun child ->
         if (match parent with Some p -> p <> child | None -> true) then begin
           t.packets_forwarded <- t.packets_forwarded + 1;
-          ignore
-            (Sim.Engine.schedule t.engine ~delay:t.config.Dgmc.Config.t_hop
-               (fun () ->
-                 packet_at t ~src ~group ~router:child ~parent:(Some router)))
+          Sim.Engine.schedule t.engine ~delay:t.config.Dgmc.Config.t_hop
+            (fun () ->
+              packet_at t ~src ~group ~router:child ~parent:(Some router))
         end)
       (Mctree.Tree.neighbors tree router)
 

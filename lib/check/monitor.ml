@@ -56,11 +56,10 @@ let attach net =
       sweep ~boundary:false t;
       if not t.boundary_pending then begin
         t.boundary_pending <- true;
-        ignore
-          (Sim.Engine.schedule (Dgmc.Protocol.engine net) ~delay:0.0
-             (fun () ->
-               t.boundary_pending <- false;
-               sweep ~boundary:true t))
+        Sim.Engine.schedule (Dgmc.Protocol.engine net) ~delay:0.0
+          (fun () ->
+            t.boundary_pending <- false;
+            sweep ~boundary:true t)
       end);
   sweep ~boundary:true t;
   t

@@ -43,6 +43,16 @@ type health_summary = {
   h_flaps : int;
 }
 
+(* The timers switches have started and that have not fired yet, one
+   slot each: the starting switch and its timer.  A slot is taken when
+   its timer starts and given back when it fires; the engine runs the
+   table's one callback with the slot's id. *)
+type timers = {
+  mutable owner : int array;
+  mutable timer : Switch.timer array;
+  ids : Sim.Slots.t;
+}
+
 type t = {
   engine : Sim.Engine.t;
   graph : Net.Graph.t;
@@ -68,6 +78,8 @@ type t = {
       (** The last change signal's time, [neg_infinity] before the
           first: kept bare so that a signal allocates nothing. *)
   mutable observers : (int -> unit) list;
+  timers : timers;
+  mutable due : Sim.Engine.callback;  (** {!fire}, posted with a slot. *)
 }
 
 (* The [Lsa_originated] event of an LSA: its MC, event and stamp for an
@@ -112,10 +124,35 @@ let rec notify id = function
     f id;
     notify id rest
 
+(* A slot holding [from]'s [timer]. *)
+let take_slot ts ~from timer =
+  let slot = Sim.Slots.take ts.ids in
+  if slot = Array.length ts.owner then begin
+    let larger = max 8 (2 * slot) in
+    let extend a fill =
+      let b = Array.make larger fill in
+      Array.blit a 0 b 0 slot;
+      b
+    in
+    ts.owner <- extend ts.owner 0;
+    ts.timer <- extend ts.timer timer
+  end;
+  ts.owner.(slot) <- from;
+  ts.timer.(slot) <- timer;
+  slot
+
+(* A started timer is due: give its slot back, then hand the timer to
+   its switch. *)
+let fire t slot =
+  let ts = t.timers in
+  let sw = t.switches.(ts.owner.(slot)) and timer = ts.timer.(slot) in
+  Sim.Slots.give_back ts.ids slot;
+  Switch.fire sw timer
+
 (* Carry out one output of switch [from]: count and originate a flood,
    unicast a resynchronisation message, note a change for the
-   convergence clock and the observers, or schedule a timer on the
-   run's engine. *)
+   convergence clock and the observers, or post a timer on the run's
+   engine. *)
 let output t ~from : Switch.output -> unit = function
   | Flood payload ->
     (match payload with
@@ -131,9 +168,7 @@ let output t ~from : Switch.output -> unit = function
     t.last_change <- Sim.Engine.now t.engine;
     notify from t.observers
   | Start { timer; delay } ->
-    let sw = t.switches.(from) in
-    ignore
-      (Sim.Engine.schedule t.engine ~delay (fun () -> Switch.fire sw timer))
+    Sim.Engine.post t.engine ~delay t.due (take_slot t.timers ~from timer)
 
 let zero =
   {
@@ -234,8 +269,11 @@ let create ~graph ~config ?faults ?engine ?trace ?metrics
       first_event = None;
       last_change = neg_infinity;
       observers = [];
+      timers = { owner = [||]; timer = [||]; ids = Sim.Slots.create () };
+      due = Sim.Engine.callback ignore;
     }
   in
+  net.due <- Sim.Engine.callback (fire net);
   Array.iteri (fun id sw -> Switch.connect sw (output net ~from:id)) switches;
   (* Crash recovery: at each crash window's close the switch's forwarding
      plane returns, but every LSA flooded meanwhile is gone for good —
@@ -246,9 +284,8 @@ let create ~graph ~config ?faults ?engine ?trace ?metrics
   | Some plan ->
     List.iter
       (fun (sw, (_, until)) ->
-        ignore
-          (Sim.Engine.schedule_at engine ~time:until (fun () ->
-               Switch.begin_resync switches.(sw))))
+        Sim.Engine.schedule_at engine ~time:until (fun () ->
+            Switch.begin_resync switches.(sw)))
       (Faults.Plan.crash_windows plan)
   | None -> ());
   (* Traced runs get the fault plan's scheduled windows marked on the
@@ -258,9 +295,8 @@ let create ~graph ~config ?faults ?engine ?trace ?metrics
   (match faults with
   | Some plan when Sim.Trace.enabled trace ->
     let mark ~time event =
-      ignore
-        (Sim.Engine.schedule_at engine ~time (fun () ->
-             ignore (Sim.Trace.emit trace ~time event)))
+      Sim.Engine.schedule_at engine ~time (fun () ->
+          ignore (Sim.Trace.emit trace ~time event))
     in
     List.iter
       (fun (sw, (from_, until)) ->
@@ -368,9 +404,8 @@ let create ~graph ~config ?faults ?engine ?trace ?metrics
              (Sim.Trace.Link_detected { switch = i; peer; up; latency; spurious }));
       Switch.detect switches.(i) ev;
       if up then
-        ignore
-          (Sim.Engine.schedule engine ~delay:config.Config.t_hop (fun () ->
-               Switch.resync switches.(i) ~peer:switches.(peer)))
+        Sim.Engine.schedule engine ~delay:config.Config.t_hop (fun () ->
+            Switch.resync switches.(i) ~peer:switches.(peer))
     in
     h.agents <-
       Array.init n (fun i ->
@@ -449,26 +484,25 @@ let link_change t u v ~up =
      endpoints (one hop of delay), so the two sides of a healed
      partition reconcile — see Switch.resync. *)
   if up then
-    ignore
-      (Sim.Engine.schedule t.engine ~delay:t.config.Config.t_hop (fun () ->
-           Switch.resync t.switches.(lo) ~peer:t.switches.(hi);
-           Switch.resync t.switches.(hi) ~peer:t.switches.(lo)))
+    Sim.Engine.schedule t.engine ~delay:t.config.Config.t_hop (fun () ->
+        Switch.resync t.switches.(lo) ~peer:t.switches.(hi);
+        Switch.resync t.switches.(hi) ~peer:t.switches.(lo))
 
 let link_down t u v = link_change t u v ~up:false
 
 let link_up t u v = link_change t u v ~up:true
 
 let schedule_join t ~at ~switch:i mc role =
-  ignore (Sim.Engine.schedule_at t.engine ~time:at (fun () -> join t ~switch:i mc role))
+  Sim.Engine.schedule_at t.engine ~time:at (fun () -> join t ~switch:i mc role)
 
 let schedule_leave t ~at ~switch:i mc =
-  ignore (Sim.Engine.schedule_at t.engine ~time:at (fun () -> leave t ~switch:i mc))
+  Sim.Engine.schedule_at t.engine ~time:at (fun () -> leave t ~switch:i mc)
 
 let schedule_link_down t ~at u v =
-  ignore (Sim.Engine.schedule_at t.engine ~time:at (fun () -> link_down t u v))
+  Sim.Engine.schedule_at t.engine ~time:at (fun () -> link_down t u v)
 
 let schedule_link_up t ~at u v =
-  ignore (Sim.Engine.schedule_at t.engine ~time:at (fun () -> link_up t u v))
+  Sim.Engine.schedule_at t.engine ~time:at (fun () -> link_up t u v)
 
 (* ------------------------------------------------------------------ *)
 (* Running and measurements *)

@@ -137,23 +137,21 @@ let leader_check t a =
         Int_set.iter
           (fun g ->
             t.gateway_instructions <- t.gateway_instructions + 1;
-            ignore
-              (Sim.Engine.schedule (engine t) ~delay:t.config.Dgmc.Config.t_hop
-                 (fun () ->
-                   Dgmc.Switch.host_join (Dgmc.Protocol.switch t.intra g) mc
-                     Dgmc.Member.Both)))
+            Sim.Engine.schedule (engine t) ~delay:t.config.Dgmc.Config.t_hop
+              (fun () ->
+                Dgmc.Switch.host_join (Dgmc.Protocol.switch t.intra g) mc
+                  Dgmc.Member.Both))
           (Int_set.diff wanted current);
         Int_set.iter
           (fun g ->
             t.gateway_instructions <- t.gateway_instructions + 1;
-            ignore
-              (Sim.Engine.schedule (engine t) ~delay:t.config.Dgmc.Config.t_hop
-                 (fun () ->
-                   (* Only withdraw the gateway role if no host at [g] is
-                      a real member. *)
-                   if not (Int_set.mem g (members_of t.host_members.(a) mc))
-                   then
-                     Dgmc.Switch.host_leave (Dgmc.Protocol.switch t.intra g) mc)))
+            Sim.Engine.schedule (engine t) ~delay:t.config.Dgmc.Config.t_hop
+              (fun () ->
+                (* Only withdraw the gateway role if no host at [g] is
+                   a real member. *)
+                if not (Int_set.mem g (members_of t.host_members.(a) mc))
+                then
+                  Dgmc.Switch.host_leave (Dgmc.Protocol.switch t.intra g) mc))
           (Int_set.diff current wanted)
       end)
     t.registry
@@ -163,9 +161,8 @@ let leader_check t a =
 let schedule_leader_check t a =
   if not t.check_pending.(a) then begin
     t.check_pending.(a) <- true;
-    ignore
-      (Sim.Engine.schedule (engine t) ~delay:t.config.Dgmc.Config.t_hop (fun () ->
-           leader_check t a))
+    Sim.Engine.schedule (engine t) ~delay:t.config.Dgmc.Config.t_hop (fun () ->
+        leader_check t a)
   end
 
 (* ------------------------------------------------------------------ *)
@@ -251,9 +248,8 @@ let join t ~switch mc role =
   Dgmc.Mc_id.Tbl.replace t.host_members.(a) mc (Int_set.add switch real);
   Dgmc.Switch.host_join (Dgmc.Protocol.switch t.intra switch) mc role;
   (* The ingress switch notifies its leader (one hop). *)
-  ignore
-    (Sim.Engine.schedule (engine t) ~delay:t.config.Dgmc.Config.t_hop (fun () ->
-         logical_membership_update t a mc))
+  Sim.Engine.schedule (engine t) ~delay:t.config.Dgmc.Config.t_hop (fun () ->
+      logical_membership_update t a mc)
 
 let leave t ~switch mc =
   if switch < 0 || switch >= Array.length t.area_of then
@@ -266,15 +262,14 @@ let leave t ~switch mc =
   let gw = members_of t.gateways.(a) mc in
   if not (Int_set.mem switch gw) then
     Dgmc.Switch.host_leave (Dgmc.Protocol.switch t.intra switch) mc;
-  ignore
-    (Sim.Engine.schedule (engine t) ~delay:t.config.Dgmc.Config.t_hop (fun () ->
-         logical_membership_update t a mc))
+  Sim.Engine.schedule (engine t) ~delay:t.config.Dgmc.Config.t_hop (fun () ->
+      logical_membership_update t a mc)
 
 let schedule_join t ~at ~switch mc role =
-  ignore (Sim.Engine.schedule_at (engine t) ~time:at (fun () -> join t ~switch mc role))
+  Sim.Engine.schedule_at (engine t) ~time:at (fun () -> join t ~switch mc role)
 
 let schedule_leave t ~at ~switch mc =
-  ignore (Sim.Engine.schedule_at (engine t) ~time:at (fun () -> leave t ~switch mc))
+  Sim.Engine.schedule_at (engine t) ~time:at (fun () -> leave t ~switch mc)
 
 let run t = Dgmc.Protocol.run t.intra
 

@@ -23,30 +23,46 @@ type gaps = No_gap | Gap of { lo : int; hi : int; below : gaps }
    below [high] outside [gaps]. *)
 type received = { mutable high : int; mutable gaps : gaps }
 
-(* Retransmit state for one reliable transfer of [lsa] over [link].  A
-   directed link's transfers live in one table keyed [seq * n + origin]
-   and leave it on ack, on retry exhaustion or on {!abandon_link}.
-   [first] is the trace id of the first data copy's forward event:
-   retransmissions and the abandonment hang off it. *)
-type 'a rtx = {
-  lsa : 'a Lsa.t;
-  link : Net.Graph.link;
-  forward : bool;
-  first : int;
-  mutable timer : Sim.Engine.handle option;
-  mutable tries : int;
-  mutable timeout : float;
+(* The reliable transfers awaiting an ack, one slot each in parallel
+   arrays with a free list, as in the in-flight table below.  A slot
+   holds the transfer's LSA, link, [src → dst] direction, kind
+   ([forward]: whether [dst] floods it on), the trace id of its first
+   data copy's forward event ([first]: retransmissions and the
+   abandonment hang off it), its retransmissions so far and its current
+   timeout.  A transfer is named by its token: the slot id packed with
+   the slot's generation ({!token}).  Its retransmit timer is a post of
+   the token, and each of its data copies carries the token for the
+   ack to echo.  An ack, retry exhaustion or {!abandon_link} ends the
+   transfer: the slot's generation is bumped and the slot freed, so
+   every token of it still in the calendar or on the wire is stale.
+   [index] finds a link's transfer of an LSA without allocating: open
+   addressing with linear probing over slot ids ([-1] empty), keyed by
+   (src, dst, origin, seq) and at most half full. *)
+type 'a transfers = {
+  mutable r_lsa : 'a Lsa.t array;
+  mutable r_link : Net.Graph.link array;
+  mutable r_src : int array;  (** [-1] on a free slot. *)
+  mutable r_dst : int array;
+  mutable forward : bool array;
+  mutable first : int array;
+  mutable tries : int array;
+  mutable timeout : Float.Array.t;
+  mutable gen : int array;
+  r_ids : Sim.Slots.t;
+  mutable index : int array;
 }
 
 (* The copies in flight, data and acks, one slot each in parallel
    arrays.  A slot is claimed when its copy is posted and released when
    the copy arrives, so an arrival is a posted slot id rather than a
    closure.  Released slots are reused last first.  A data copy's slot
-   holds its LSA, link, [src → dst] direction, kind and forward event's
-   trace id; an ack's holds the acked
-   LSA (its transfer key), the link and the ack's own direction.  The
-   LSA and link arrays are grown with the claiming copy's values as
-   filler, as there is no ['a Lsa.t] to start them with. *)
+   holds its LSA, link, [src → dst] direction, kind, forward event's
+   trace id and, in [Reliable] mode, its transfer's token (the [tid]
+   column is grown in that mode only); an ack's holds the acked LSA,
+   the link, the ack's own direction and the token it echoes.  The LSA
+   and link arrays (and the transfers') are grown with the claiming
+   copy's values as filler, as there is no ['a Lsa.t] to start them
+   with. *)
 type 'a flight = {
   mutable lsa : 'a Lsa.t array;
   mutable link : Net.Graph.link array;
@@ -54,9 +70,8 @@ type 'a flight = {
   mutable dst : int array;
   mutable kind : kind array;
   mutable fid : int array;
-  mutable free : int array;  (** Released slots: a stack of [n_free]. *)
-  mutable n_free : int;
-  mutable used : int;  (** Slots [0, used) have been claimed at least once. *)
+  mutable tid : int array;
+  ids : Sim.Slots.t;
 }
 
 (* A slot's kind: a data copy the receiver floods on, a data copy it
@@ -79,12 +94,13 @@ type 'a t = {
   seen : received Int_tbl.t;
       (** Keyed [switch * n + origin]: what each switch has received
           from each origin it has heard from. *)
-  pending : 'a rtx Int_tbl.t Int_tbl.t;
-      (** Reliable mode: keyed [src * n + dst], each directed link's
-          transfers awaiting an ack. *)
+  rtx : 'a transfers;  (** Reliable mode: the transfers awaiting an ack. *)
   flight : 'a flight;
   mutable arrival : Sim.Engine.callback;
       (** Posted with a {!flight} slot for each copy: {!arrive}. *)
+  mutable retransmit : Sim.Engine.callback;
+      (** Posted with a transfer's token for each timeout:
+          {!retransmit}, live while the token is. *)
   floods : Metrics.Registry.counter array;
   messages : Metrics.Registry.counter array;
   acks : Metrics.Registry.counter array;
@@ -172,11 +188,12 @@ let copies t ~src ~dst =
 let wire t ~src ~dst arrive =
   let n = copies t ~src ~dst in
   for i = 0 to n - 1 do
-    ignore (Sim.Engine.schedule t.engine ~delay:t.delays.(i) arrive)
+    Sim.Engine.schedule t.engine ~delay:t.delays.(i) arrive
   done;
   n > 0
 
-let grow_flight f ~link lsa =
+let grow_flight t ~link lsa =
+  let f = t.flight in
   let capacity = Array.length f.src in
   let larger = max 16 (2 * capacity) in
   let extend a fill =
@@ -190,54 +207,168 @@ let grow_flight f ~link lsa =
   f.dst <- extend f.dst 0;
   f.kind <- extend f.kind Ack;
   f.fid <- extend f.fid 0;
-  f.free <- extend f.free 0
+  if t.mode = Reliable then f.tid <- extend f.tid 0
 
 (* A slot holding one copy: a released one if any, else a fresh one. *)
-let claim t ~kind ~src ~dst ~link ~fid lsa =
+let claim t ~kind ~src ~dst ~link ~fid ~tid lsa =
   let f = t.flight in
-  let slot =
-    if f.n_free > 0 then begin
-      f.n_free <- f.n_free - 1;
-      f.free.(f.n_free)
-    end
-    else begin
-      if f.used = Array.length f.src then grow_flight f ~link lsa;
-      f.used <- f.used + 1;
-      f.used - 1
-    end
-  in
+  let slot = Sim.Slots.take f.ids in
+  if slot = Array.length f.src then grow_flight t ~link lsa;
   f.lsa.(slot) <- lsa;
   f.link.(slot) <- link;
   f.src.(slot) <- src;
   f.dst.(slot) <- dst;
   f.kind.(slot) <- kind;
   f.fid.(slot) <- fid;
+  if tid >= 0 then f.tid.(slot) <- tid;
   slot
 
 (* {!wire} for a data copy or an ack: post {!arrive} once per copy, each
    copy in its own slot.  The delays are posted straight from
    [t.delays], so where [Sim.Engine.post] is inlined none is boxed. *)
-let put t ~kind ~src ~dst ~link ~fid lsa =
+let put t ~kind ~src ~dst ~link ~fid ~tid lsa =
   let n = copies t ~src ~dst in
   for i = 0 to n - 1 do
     Sim.Engine.post t.engine ~delay:t.delays.(i) t.arrival
-      (claim t ~kind ~src ~dst ~link ~fid lsa)
+      (claim t ~kind ~src ~dst ~link ~fid ~tid lsa)
   done;
   n > 0
 
-(* The reliable transfers on [src → dst], keyed {!rtx_key}. *)
-let link_pending t ~src ~dst =
-  let key = (src * t.n) + dst in
-  match Int_tbl.find t.pending key with
-  | pending -> pending
-  | exception Not_found ->
-    let pending = Int_tbl.create 8 in
-    Int_tbl.add t.pending key pending;
-    pending
+(* ------------------------------------------------------------------ *)
+(* Reliable transfers *)
+
+(* A token packs a transfer's slot below [slot_bits] and the slot's
+   generation above them. *)
+let slot_bits = 24
+
+let slot_mask = (1 lsl slot_bits) - 1
+
+let token r slot = (r.gen.(slot) lsl slot_bits) lor slot
+
+(* Whether [tok] names a transfer still awaiting its ack: ending one
+   bumps its slot's generation. *)
+let live r tok = r.gen.(tok land slot_mask) = tok lsr slot_bits
 
 (* {!check_lsa} bounds the origin by [n] and the seq below by 0, so the
-   key is unique per LSA. *)
-let rtx_key t lsa = (lsa.Lsa.seq * t.n) + lsa.Lsa.origin
+   key is unique per transfer; a product past [max_int] wraps, which
+   only the hash sees. *)
+let home t ~src ~dst lsa =
+  let key =
+    (((((lsa.Lsa.seq * t.n) + lsa.Lsa.origin) * t.n) + src) * t.n) + dst
+  in
+  let h = key * 0x1E3779B97F4A7C15 in
+  (h lxor (h lsr 29)) land (Array.length t.rtx.index - 1)
+
+let home_of t slot =
+  let r = t.rtx in
+  home t ~src:r.r_src.(slot) ~dst:r.r_dst.(slot) r.r_lsa.(slot)
+
+(* The probes below are top-level recursions with their context as
+   arguments, so that a lookup allocates no closure. *)
+let rec place index mask slot i =
+  if index.(i) < 0 then index.(i) <- slot
+  else place index mask slot ((i + 1) land mask)
+
+let index_add t slot =
+  let index = t.rtx.index in
+  place index (Array.length index - 1) slot (home_of t slot)
+
+let rec probe r mask ~src ~dst lsa i =
+  let slot = r.index.(i) in
+  if slot < 0 then -1
+  else if
+    r.r_src.(slot) = src
+    && r.r_dst.(slot) = dst
+    && r.r_lsa.(slot).Lsa.origin = lsa.Lsa.origin
+    && r.r_lsa.(slot).Lsa.seq = lsa.Lsa.seq
+  then slot
+  else probe r mask ~src ~dst lsa ((i + 1) land mask)
+
+(* The live transfer of [lsa] on [src → dst], or [-1]. *)
+let find t ~src ~dst lsa =
+  let r = t.rtx in
+  probe r (Array.length r.index - 1) ~src ~dst lsa (home t ~src ~dst lsa)
+
+let rec locate index mask slot i =
+  if index.(i) = slot then i else locate index mask slot ((i + 1) land mask)
+
+(* Fill the hole at [hole] from the probe run after it, up to [i]: each
+   later entry whose home does not lie cyclically in (hole, i] may move
+   back into it, leaving its own place the hole. *)
+let rec shift t index mask hole i =
+  let i = (i + 1) land mask in
+  let next = index.(i) in
+  if next < 0 then index.(hole) <- -1
+  else if (i - home_of t next) land mask >= (i - hole) land mask then begin
+    index.(hole) <- next;
+    shift t index mask i i
+  end
+  else shift t index mask hole i
+
+(* Take [slot] out of the index. *)
+let index_remove t slot =
+  let index = t.rtx.index in
+  let mask = Array.length index - 1 in
+  let hole = locate index mask slot (home_of t slot) in
+  shift t index mask hole hole
+
+(* Double the index once it would pass half full, re-placing every live
+   transfer. *)
+let grow_index t =
+  let r = t.rtx in
+  r.index <- Array.make (2 * Array.length r.index) (-1);
+  for slot = 0 to Sim.Slots.used r.r_ids - 1 do
+    if r.r_src.(slot) >= 0 then index_add t slot
+  done
+
+let grow_transfers r ~link lsa =
+  let capacity = Array.length r.r_src in
+  let larger = max 16 (2 * capacity) in
+  if larger > slot_mask + 1 then
+    failwith "Flooding: too many reliable transfers awaiting an ack";
+  let extend a fill =
+    let b = Array.make larger fill in
+    Array.blit a 0 b 0 capacity;
+    b
+  in
+  r.r_lsa <- extend r.r_lsa lsa;
+  r.r_link <- extend r.r_link link;
+  r.r_src <- extend r.r_src (-1);
+  r.r_dst <- extend r.r_dst 0;
+  r.forward <- extend r.forward false;
+  r.first <- extend r.first 0;
+  r.tries <- extend r.tries 0;
+  let timeout = Float.Array.make larger 0.0 in
+  Float.Array.blit r.timeout 0 timeout 0 capacity;
+  r.timeout <- timeout;
+  r.gen <- extend r.gen 0
+
+(* A slot for a new transfer, recorded in the index; its generation is
+   the one its last transfer left. *)
+let open_transfer t ~src ~dst ~link ~forward lsa =
+  let r = t.rtx in
+  if 2 * (Sim.Slots.live r.r_ids + 1) > Array.length r.index then
+    grow_index t;
+  let slot = Sim.Slots.take r.r_ids in
+  if slot = Array.length r.r_src then grow_transfers r ~link lsa;
+  r.r_lsa.(slot) <- lsa;
+  r.r_link.(slot) <- link;
+  r.r_src.(slot) <- src;
+  r.r_dst.(slot) <- dst;
+  r.forward.(slot) <- forward;
+  r.tries.(slot) <- 0;
+  Float.Array.set r.timeout slot (t.rel.rto *. t.t_hop);
+  index_add t slot;
+  slot
+
+(* End the transfer in [slot]: out of the index, its generation bumped
+   so that its tokens go stale, the slot freed. *)
+let close_transfer t slot =
+  let r = t.rtx in
+  index_remove t slot;
+  r.gen.(slot) <- r.gen.(slot) + 1;
+  r.r_src.(slot) <- -1;
+  Sim.Slots.give_back r.r_ids slot
 
 let dropped t ~src ~dst ~fid lsa reason =
   ignore
@@ -245,29 +376,26 @@ let dropped t ~src ~dst ~fid lsa reason =
        (Lsa_dropped
           { src; dst; origin = lsa.Lsa.origin; seq = lsa.Lsa.seq; reason }))
 
-(* The ack of transfer [key] on one link: cancel its timer, age it out.
-   A late duplicate ack, or one after the abandonment, finds nothing. *)
-let ack_received pending key =
-  match Int_tbl.find pending key with
-  | rtx ->
-    Option.iter Sim.Engine.cancel rtx.timer;
-    Int_tbl.remove pending key
-  | exception Not_found -> ()
-
-(* Abandon one transfer: age it out, account and leave the trace
-   breadcrumb.  Its timer has fired or been cancelled, and the removal
-   comes first, so a transfer is abandoned at most once. *)
-let drop_pending t ~src ~dst pending key rtx ~reason =
-  Int_tbl.remove pending key;
+(* End the live transfer in [slot] unacknowledged: free it, account
+   and leave the trace breadcrumb.  Its tokens go stale with it, so a
+   transfer is abandoned at most once. *)
+let drop_transfer t slot ~reason =
+  let r = t.rtx in
+  let src = r.r_src.(slot)
+  and dst = r.r_dst.(slot)
+  and first = r.first.(slot)
+  and lsa = r.r_lsa.(slot) in
+  close_transfer t slot;
   Metrics.Registry.bump t.abandoned.(src);
-  if traced t then dropped t ~src ~dst ~fid:rtx.first rtx.lsa reason
+  if traced t then dropped t ~src ~dst ~fid:first lsa reason
 
 (* Count (first copies only), trace and put on the wire one data
-   transmission of [lsa] over [link] ([src → dst]); returns the
-   forward's trace id (-1 untraced).  Each copy that arrives while
-   [link] is up is received at [dst]; fault losses and mid-flight link
-   failures leave [Lsa_dropped] children on the forward event instead. *)
-let rec send_data t ~src ~dst ~link ~forward ~retransmit ~parent lsa =
+   transmission of [lsa] over [link] ([src → dst]), carrying its
+   transfer's token [tid]; returns the forward's trace id (-1
+   untraced).  Each copy that arrives while [link] is up is received
+   at [dst]; fault losses and mid-flight link failures leave
+   [Lsa_dropped] children on the forward event instead. *)
+let rec send_data t ~src ~dst ~link ~forward ~retransmit ~parent ~tid lsa =
   if not retransmit then Metrics.Registry.bump t.messages.(src);
   let fid =
     if traced t then
@@ -278,70 +406,68 @@ let rec send_data t ~src ~dst ~link ~forward ~retransmit ~parent lsa =
     else -1
   in
   let kind = if forward then Flooded else Unicast in
-  if (not (put t ~kind ~src ~dst ~link ~fid lsa)) && traced t then
+  if (not (put t ~kind ~src ~dst ~link ~fid ~tid lsa)) && traced t then
     dropped t ~src ~dst ~fid lsa "fault";
   fid
 
-(* An ack or {!abandon_link} removes the transfer and cancels this
-   timer, so when it fires the transfer is live and unacknowledged. *)
-and arm_retransmit t ~src ~dst pending key rtx =
-  rtx.timer <-
-    Some
-      (Sim.Engine.schedule t.engine ~delay:rtx.timeout (fun () ->
-           if rtx.tries >= t.rel.max_retries then
-             drop_pending t ~src ~dst pending key rtx ~reason:"abandoned"
-           else begin
-             rtx.tries <- rtx.tries + 1;
-             Metrics.Registry.bump t.retransmitted.(src);
-             ignore
-               (send_data t ~src ~dst ~link:rtx.link ~forward:rtx.forward
-                  ~retransmit:true ~parent:rtx.first rtx.lsa);
-             rtx.timeout <-
-               Float.min (2.0 *. rtx.timeout) (t.rel.rto_max *. t.t_hop);
-             arm_retransmit t ~src ~dst pending key rtx
-           end))
+(* The timeout of the transfer [tok] names.  The engine runs it only
+   while [tok] is live, so the transfer still awaits its ack: give up
+   once the retry budget is spent, else send the next copy and post the
+   next timeout, backed off. *)
+and retransmit t tok =
+  let r = t.rtx and slot = tok land slot_mask in
+  if r.tries.(slot) >= t.rel.max_retries then
+    drop_transfer t slot ~reason:"abandoned"
+  else begin
+    let src = r.r_src.(slot) in
+    r.tries.(slot) <- r.tries.(slot) + 1;
+    Metrics.Registry.bump t.retransmitted.(src);
+    ignore
+      (send_data t ~src ~dst:r.r_dst.(slot) ~link:r.r_link.(slot)
+         ~forward:r.forward.(slot) ~retransmit:true ~parent:r.first.(slot)
+         ~tid:tok r.r_lsa.(slot));
+    let doubled = 2.0 *. Float.Array.get r.timeout slot
+    and cap = t.rel.rto_max *. t.t_hop in
+    let timeout = if doubled <= cap then doubled else cap in
+    Float.Array.set r.timeout slot timeout;
+    Sim.Engine.post t.engine ~delay:timeout t.retransmit tok
+  end
 
 (* One transfer of [lsa] over [link] ([src → dst]): the first data copy
    ([forward] says whether [dst] floods it on).  In [Reliable] mode the
-   transfer is also recorded in its link's table and its retransmit
-   timer armed, and a transfer still awaiting its ack is not restarted. *)
+   transfer also takes a slot and posts its first timeout, and a
+   transfer still awaiting its ack is not restarted. *)
 and transfer t ~src ~dst ~link ~parent ~forward lsa =
   match t.mode with
   | Hop_by_hop ->
-    ignore (send_data t ~src ~dst ~link ~forward ~retransmit:false ~parent lsa)
+    ignore
+      (send_data t ~src ~dst ~link ~forward ~retransmit:false ~parent
+         ~tid:(-1) lsa)
   | Reliable ->
-    let pending = link_pending t ~src ~dst and key = rtx_key t lsa in
-    if not (Int_tbl.mem pending key) then begin
-      let first =
-        send_data t ~src ~dst ~link ~forward ~retransmit:false ~parent lsa
-      in
-      let rtx =
-        {
-          lsa;
-          link;
-          forward;
-          first;
-          timer = None;
-          tries = 0;
-          timeout = t.rel.rto *. t.t_hop;
-        }
-      in
-      Int_tbl.add pending key rtx;
-      arm_retransmit t ~src ~dst pending key rtx
+    if find t ~src ~dst lsa < 0 then begin
+      let slot = open_transfer t ~src ~dst ~link ~forward lsa in
+      let tok = token t.rtx slot in
+      t.rtx.first.(slot) <-
+        send_data t ~src ~dst ~link ~forward ~retransmit:false ~parent
+          ~tid:tok lsa;
+      Sim.Engine.post t.engine
+        ~delay:(Float.Array.get t.rtx.timeout slot)
+        t.retransmit tok
     end
 
 (* One data copy arriving at [switch] from [from] over [link].  In
    [Reliable] mode every copy is acked, duplicates included: it may be a
-   retransmission whose predecessor's ack was lost.  Either way the LSA
+   retransmission whose predecessor's ack was lost.  The ack echoes the
+   copy's transfer token [tid].  Either way the LSA
    is delivered on first receipt only; a flooded copy ([forward]) is
    then forwarded on every live link except the arrival link.  A traced
    delivery runs, forwarding included, under its [Lsa_delivered]
    event's context. *)
-and receive t lsa ~link ~at:switch ~from ~forward ~fid =
+and receive t lsa ~link ~at:switch ~from ~forward ~fid ~tid =
   (match t.mode with
   | Reliable ->
     Metrics.Registry.bump t.acks.(switch);
-    ignore (put t ~kind:Ack ~src:switch ~dst:from ~link ~fid:(-1) lsa)
+    ignore (put t ~kind:Ack ~src:switch ~dst:from ~link ~fid:(-1) ~tid lsa)
   | Hop_by_hop -> ());
   if first_receipt t switch lsa then
     if traced t then begin
@@ -389,16 +515,21 @@ let arrive t slot =
   and src = f.src.(slot)
   and dst = f.dst.(slot)
   and kind = f.kind.(slot)
-  and fid = f.fid.(slot) in
-  f.free.(f.n_free) <- slot;
-  f.n_free <- f.n_free + 1;
+  and fid = f.fid.(slot)
+  and tid = match t.mode with Reliable -> f.tid.(slot) | Hop_by_hop -> -1 in
+  Sim.Slots.give_back f.ids slot;
   match kind with
   | Ack ->
-    if Net.Graph.is_up link then
-      ack_received (link_pending t ~src:dst ~dst:src) (rtx_key t lsa)
+    (* The transfer's end retires its pending timeout.  A late duplicate
+       ack, or one after the abandonment, finds its token stale. *)
+    if Net.Graph.is_up link && live t.rtx tid then begin
+      close_transfer t (tid land slot_mask);
+      Sim.Engine.retire t.engine
+    end
   | Flooded | Unicast ->
     if Net.Graph.is_up link then
       receive t lsa ~link ~at:dst ~from:src ~forward:(kind = Flooded) ~fid
+        ~tid
     else if traced t then dropped t ~src ~dst ~fid lsa "link-down"
 
 let create ~engine ~graph ~t_hop ?(mode = Hop_by_hop)
@@ -426,7 +557,20 @@ let create ~engine ~graph ~t_hop ?(mode = Hop_by_hop)
       deliver;
       trace = Sim.Engine.trace engine;
       seen = Int_tbl.create 64;
-      pending = Int_tbl.create 64;
+      rtx =
+        {
+          r_lsa = [||];
+          r_link = [||];
+          r_src = [||];
+          r_dst = [||];
+          forward = [||];
+          first = [||];
+          tries = [||];
+          timeout = Float.Array.create 0;
+          gen = [||];
+          r_ids = Sim.Slots.create ();
+          index = Array.make 64 (-1);
+        };
       flight =
         {
           lsa = [||];
@@ -435,11 +579,11 @@ let create ~engine ~graph ~t_hop ?(mode = Hop_by_hop)
           dst = [||];
           kind = [||];
           fid = [||];
-          free = [||];
-          n_free = 0;
-          used = 0;
+          tid = [||];
+          ids = Sim.Slots.create ();
         };
       arrival = Sim.Engine.callback ignore;
+      retransmit = Sim.Engine.callback ignore;
       floods = per_switch "flood.floods";
       messages = per_switch "flood.messages";
       acks = per_switch "flood.acks";
@@ -448,6 +592,7 @@ let create ~engine ~graph ~t_hop ?(mode = Hop_by_hop)
     }
   in
   t.arrival <- Sim.Engine.callback (arrive t);
+  t.retransmit <- Sim.Engine.callback ~live:(live t.rtx) (retransmit t);
   t
 
 (* ------------------------------------------------------------------ *)
@@ -494,33 +639,31 @@ let retransmissions t = Metrics.Registry.sum t.retransmitted
 
 let deliveries_abandoned t = Metrics.Registry.sum t.abandoned
 
-let pending_retransmits t =
-  Int_tbl.fold (fun _ pending acc -> acc + Int_tbl.length pending) t.pending 0
+let pending_retransmits t = Sim.Slots.live t.rtx.r_ids
 
-(* A failure detector declared [dst] unreachable from [src]: cancel every
-   transfer still spinning toward it instead of letting each burn through
-   its remaining backoff.  The link's keys are sorted by origin, then by
-   seq, so the [Lsa_dropped] breadcrumbs come in an order independent of
-   hash layout. *)
+(* A failure detector declared [dst] unreachable from [src]: end every
+   transfer still spinning toward it, retiring its timeout, instead of
+   letting each burn through its remaining backoff.  The breadcrumbs
+   come in (origin, seq) order, independent of slot reuse. *)
 let abandon_link t ~src ~dst =
-  let pending = link_pending t ~src ~dst in
+  let r = t.rtx in
+  let slots = ref [] in
+  for slot = 0 to Sim.Slots.used r.r_ids - 1 do
+    if r.r_src.(slot) = src && r.r_dst.(slot) = dst then slots := slot :: !slots
+  done;
   let by_origin a b =
-    match Int.compare (a mod t.n) (b mod t.n) with
-    | 0 -> Int.compare a b
+    let la = r.r_lsa.(a) and lb = r.r_lsa.(b) in
+    match Int.compare la.Lsa.origin lb.Lsa.origin with
+    | 0 -> Int.compare la.Lsa.seq lb.Lsa.seq
     | c -> c
   in
-  let keys =
-    List.sort by_origin (Int_tbl.fold (fun key _ acc -> key :: acc) pending [])
-  in
+  let slots = List.sort by_origin !slots in
   List.iter
-    (fun key ->
-      match Int_tbl.find pending key with
-      | rtx ->
-        Option.iter Sim.Engine.cancel rtx.timer;
-        drop_pending t ~src ~dst pending key rtx ~reason:"neighbor-down"
-      | exception Not_found -> ())
-    keys;
-  List.length keys
+    (fun slot ->
+      Sim.Engine.retire t.engine;
+      drop_transfer t slot ~reason:"neighbor-down")
+    slots;
+  List.length slots
 
 let flood_diameter ~graph ~t_hop =
   float_of_int (Net.Bfs.hop_diameter graph) *. t_hop

@@ -13,8 +13,9 @@
     every data copy it gets, and the sender retransmits on a capped
     exponential backoff until acked or a retry budget is exhausted (so a
     dead neighbor times out cleanly instead of being retried forever).
-    Each directed link keeps its own table of transfers awaiting an
-    ack, which they leave on ack or on retry exhaustion.  In both modes
+    The transfers awaiting an ack hold one slot each in the instance's
+    transfer table, which they leave on ack, on retry exhaustion or on
+    {!abandon_link}; a link never has two for one LSA.  In both modes
     duplicate suppression on (origin, seq) makes [deliver] fire once per
     switch however many copies arrive, flooded or unicast.  Without a
     [transmit] hook the data-message schedule of the two modes is
@@ -45,10 +46,17 @@
     the calendar have grown, where {!Sim.Engine.post} is inlined (in
     dune's dev profile, each copy's delay is boxed to cross the call).
     An untraced arrival calls [deliver] and forwards without a context
-    switch.  A [Reliable] message adds its
-    transfer record, its link-table entry and its retransmit timer,
-    which stays a cancellable {!Sim.Engine.schedule}d action (about 30
-    words in all).  A [transmit] hook writes its copies' delays into the
+    switch.  A [Reliable] transfer adds no allocation either: it takes
+    a slot in the transfer table (parallel arrays with a free list, and
+    an open-addressing index over them for the restart check), and its
+    token — the slot's id packed with a generation number — names it
+    everywhere else.  Each retransmit timer is a {!Sim.Engine.post} of
+    the token with one callback built per instance, whose liveness
+    check rejects a token whose transfer has ended; each data copy's
+    in-flight slot carries the token, and its ack echoes it back, so an
+    ack finds its transfer without a lookup.  Ending a transfer bumps
+    its slot's generation and {!Sim.Engine.retire}s its pending timer.
+    A [transmit] hook writes its copies' delays into the
     instance's own two-slot array (without a hook, [t_hop] is written
     there), and each copy is posted straight from it, so the hook adds
     only its own allocation: none for an untraced
@@ -175,17 +183,18 @@ val deliveries_abandoned : 'a t -> int
     [max_retries] — the clean timeout for an unreachable neighbor. *)
 
 val pending_retransmits : 'a t -> int
-(** Reliable mode: (link, LSA) transfers currently awaiting an ack. *)
+(** Reliable mode: (link, LSA) transfers currently awaiting an ack.
+    O(1). *)
 
 val abandon_link : 'a t -> src:int -> dst:int -> int
 (** Cancel every pending transfer from [src] to [dst] — the link-health
     layer calls this when its detector declares the neighbor dead, so
     stale transfers stop retransmitting into a black hole immediately
     instead of spinning until [max_retries].  Each cancelled transfer
-    is aged out, counts as abandoned once, and leaves an [Lsa_dropped]
-    breadcrumb with reason [neighbor-down], in (origin, seq) order (a
-    transfer already acked or timed out is untouched).  Returns the
-    number of transfers cancelled. *)
+    is aged out, its timer retired, counts as abandoned once, and
+    leaves an [Lsa_dropped] breadcrumb with reason [neighbor-down], in
+    (origin, seq) order (a transfer already acked or timed out is
+    untouched).  Returns the number of transfers cancelled. *)
 
 val flood_diameter : graph:Net.Graph.t -> t_hop:float -> float
 (** Worst-case time for a flood to reach every switch: hop diameter of

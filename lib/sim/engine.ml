@@ -1,7 +1,7 @@
 (* The calendar is a binary min-heap ordered by (time, seq), stored as
    parallel arrays: slot [i] of the heap is [times.(i)], [seqs.(i)],
    [entries.(i)] and [args.(i)].  Slots [0, size) hold the heap,
-   earliest at [0]; later slots are stale.  Times live unboxed in a
+   earliest at [0]; later entries are [vacant].  Times live unboxed in a
    [Float.Array], so inserting or moving an entry allocates nothing. *)
 type t = {
   mutable times : Float.Array.t;
@@ -9,7 +9,8 @@ type t = {
   mutable entries : entry array;
   mutable args : int array;  (* A posted callback's argument; 0 otherwise. *)
   mutable size : int;
-  mutable pending : int;  (* Live entries: exact, so [pending] is O(1). *)
+  mutable pending : int;
+      (* Entries neither run nor retired: exact, so [pending] is O(1). *)
   mutable next_seq : int;
   mutable clock : float;
   mutable executed : int;
@@ -21,23 +22,17 @@ type t = {
 }
 
 (* What a slot runs.  A [Posted] callback is built once by its owner
-   and shared by every slot that posts it; it cannot be cancelled.  A
-   [Scheduled] entry is its own handle: its action is [dead] once it
-   has fired or been cancelled, so what the action captured is freed
-   even while the heap, a stale slot or a caller's handle still holds
-   the entry, and a cancelled entry is dropped when it surfaces. *)
+   and shared by every slot that posts it; a [Checked] one also carries
+   its owner's liveness check, asked when the slot surfaces.  A
+   [Scheduled] action is built per call.  A slot that has run, or is
+   off the heap, holds [vacant], so the calendar keeps nothing an entry
+   captured once it has surfaced. *)
 and entry =
   | Posted of (int -> unit)
-  | Scheduled of {
-      mutable action : unit -> unit;
-      engine : t;  (* Whose [pending] a cancel decrements. *)
-    }
-
-type handle = entry
+  | Checked of { live : int -> bool; run : int -> unit }
+  | Scheduled of (unit -> unit)
 
 type callback = entry
-
-let dead () = ()
 
 let vacant = Posted ignore
 
@@ -64,7 +59,8 @@ let metrics t = t.metrics
 
 let now t = t.clock
 
-let callback f = Posted f
+let callback ?live f =
+  match live with None -> Posted f | Some live -> Checked { live; run = f }
 
 (* Copy heap slot [src] to slot [dst]. *)
 let[@inline] move t ~src ~dst =
@@ -179,31 +175,33 @@ let[@inline] claim_after t ~fn delay =
     invalid_arg (fn ^ ": now + delay overflows to infinity");
   claim t time
 
-let scheduled t f =
-  let h = Scheduled { action = f; engine = t } in
-  push t h 0;
-  h
-
 let[@inline] post t ~delay cb arg =
   claim_after t ~fn:"Engine.post" delay;
   push t cb arg
 
+(* {!claim} the slot for absolute [time], checked as {!schedule_at}
+   documents. *)
+let[@inline] claim_at t ~fn time =
+  if not (Float.is_finite time) then
+    invalid_arg (fn ^ ": time must be finite");
+  if time < t.clock then invalid_arg (fn ^ ": time is in the past");
+  claim t time
+
+let[@inline] post_at t ~time cb arg =
+  claim_at t ~fn:"Engine.post_at" time;
+  push t cb arg
+
+let retire t =
+  if t.pending = 0 then invalid_arg "Engine.retire: nothing is pending";
+  t.pending <- t.pending - 1
+
 let[@inline] schedule t ~delay f =
   claim_after t ~fn:"Engine.schedule" delay;
-  scheduled t f
+  push t (Scheduled f) 0
 
 let schedule_at t ~time f =
-  if not (Float.is_finite time) then
-    invalid_arg "Engine.schedule_at: time must be finite";
-  if time < t.clock then invalid_arg "Engine.schedule_at: time is in the past";
-  claim t time;
-  scheduled t f
-
-let cancel = function
-  | Scheduled e when e.action != dead ->
-    e.action <- dead;
-    e.engine.pending <- e.engine.pending - 1
-  | Scheduled _ | Posted _ -> ()
+  claim_at t ~fn:"Engine.schedule_at" time;
+  push t (Scheduled f) 0
 
 let pending t = t.pending
 
@@ -232,19 +230,24 @@ let run ?(max_events = max_int) t =
     let size = t.size - 1 in
     t.size <- size;
     if size > 0 then sift_down t size;
+    t.entries.(size) <- vacant;
     match entry with
     | Posted f ->
       enter t time;
       f arg;
       leave t;
       decr budget
-    | Scheduled e ->
-      let action = e.action in
-      if action != dead then begin
-        e.action <- dead;
+    | Checked c ->
+      (* A stale entry was retired by its owner: it leaves no trace. *)
+      if c.live arg then begin
         enter t time;
-        action ();
+        c.run arg;
         leave t;
         decr budget
       end
+    | Scheduled f ->
+      enter t time;
+      f ();
+      leave t;
+      decr budget
   done

@@ -12,13 +12,20 @@
     parallel arrays — the times unboxed in a [Float.Array], the
     insertion numbers, one array of entries and one of [int] arguments
     — so placing or moving an entry allocates nothing.  An entry is
-    either a {!schedule}d action, which is its own {!handle}, or a
-    {!post}ed {!callback}, built once by its owner and run with the
-    [int] each post passes it.  Both kinds share one insertion counter,
-    so ties run in insertion order across them.  Scheduling is
-    O(log n), {!cancel} is O(1) (a cancelled action stays in the heap
-    and is dropped when it reaches the top, but what it captured is
-    freed at once), and {!pending} is O(1).
+    either a {!schedule}d action, a closure built per call that always
+    runs, or a {!post}ed {!callback}, built once by its owner and run
+    with the [int] each post passes it.  Both kinds share one insertion
+    counter, so ties run in insertion order across them.  Scheduling is
+    O(log n) and {!pending} is O(1).
+
+    No entry is taken back.  An owner that must call off a timer gives
+    its callback a liveness check on the [int] argument (typically a
+    slot id packed with a generation number the owner bumps) and, when
+    it makes a posted timer stale, {!retire}s it at once.  A stale
+    entry stays in the heap until it surfaces and is then dropped
+    without a trace: it does not move the clock, count in
+    {!events_executed}, use up [run ~max_events]' budget or run the
+    probe.
 
     The engine also holds the run's two telemetry sinks, so every layer
     built over it — switches, flooding, the fault plan, the invariant
@@ -28,19 +35,16 @@
     Typical use:
     {[
       let eng = Engine.create () in
-      ignore (Engine.schedule eng ~delay:1.0 (fun () -> ...));
+      Engine.schedule eng ~delay:1.0 (fun () -> ...);
       Engine.run eng
     ]} *)
 
 type t
 
-type handle
-(** A scheduled action, for {!cancel}: three words, the entry the heap
-    holds. *)
-
 type callback
-(** A function the engine can run with an [int] argument, for {!post}.
-    Build it once and post it as often as needed. *)
+(** A function the engine can run with an [int] argument, for {!post},
+    with an optional liveness check.  Build it once and post it as often
+    as needed. *)
 
 val create : ?trace:Trace.t -> ?metrics:Metrics.Registry.t -> unit -> t
 (** A fresh engine with clock at [0.0].  [trace] and [metrics] (default
@@ -56,42 +60,53 @@ val metrics : t -> Metrics.Registry.t
 val now : t -> float
 (** Current virtual time. *)
 
-val schedule : t -> delay:float -> (unit -> unit) -> handle
+val schedule : t -> delay:float -> (unit -> unit) -> unit
 (** [schedule t ~delay f] runs [f] at [now t +. delay].  [delay] must be
     non-negative and finite, and so must the sum; otherwise raises
-    [Invalid_argument]. *)
+    [Invalid_argument].  The entry costs [f]'s closure and two words. *)
 
-val schedule_at : t -> time:float -> (unit -> unit) -> handle
+val schedule_at : t -> time:float -> (unit -> unit) -> unit
 (** [schedule_at t ~time f] runs [f] at absolute [time], which must be
     finite and not in the engine's past; otherwise raises
     [Invalid_argument]. *)
 
-val callback : (int -> unit) -> callback
-(** [callback f] wraps [f] for {!post}.  It allocates two words; build
-    one per owner, not per post. *)
+val callback : ?live:(int -> bool) -> (int -> unit) -> callback
+(** [callback ?live f] wraps [f] for {!post}.  It allocates two words
+    (three with [live]); build one per owner, not per post.  With
+    [live], an entry whose argument [live] rejects when it surfaces is
+    stale: [f] does not run and the entry leaves no trace (see the
+    header).  Its owner must {!retire} it when it makes it stale. *)
 
 val post : t -> delay:float -> callback -> int -> unit
 (** [post t ~delay cb arg] runs [cb]'s function on [arg] at [now t +.
     delay], under the same rules for [delay] as {!schedule}
-    ([Invalid_argument] otherwise).  A post cannot be cancelled and
-    returns no handle; the caller keeps whatever state [arg] names.
-    Once the calendar's arrays have grown to the run's depth, a post
-    allocates nothing: the time is computed and stored unboxed inside
-    [post], which is inlined into its callers in builds with
-    cross-module inlining (every dune profile but dev, which compiles
-    each module [-opaque]; there a computed [delay] is boxed at the
-    call, two words). *)
+    ([Invalid_argument] otherwise).  A post returns nothing to keep:
+    the caller keeps whatever state [arg] names, and calls a post off
+    with [cb]'s liveness check and {!retire}.  Once the calendar's arrays
+    have grown to the run's depth, a post allocates nothing: the time
+    is computed and stored unboxed inside [post], which is inlined into
+    its callers in builds with cross-module inlining (every dune
+    profile but dev, which compiles each module [-opaque]; there a
+    computed [delay] is boxed at the call, two words). *)
 
-val cancel : handle -> unit
-(** Cancel a pending action.  Idempotent; a no-op if it already ran. *)
+val post_at : t -> time:float -> callback -> int -> unit
+(** [post_at t ~time cb arg] is {!post} at absolute [time], under the
+    rules of {!schedule_at}. *)
+
+val retire : t -> unit
+(** [retire t] tells the engine that its caller has just made one of
+    its posted entries stale: its callback's liveness check will reject
+    it.  {!pending} drops by one at once.  Call it once per entry made
+    stale before it surfaced, never for one that has run; raises
+    [Invalid_argument] when nothing is pending. *)
 
 val pending : t -> int
-(** Number of entries still to run: posts and scheduled actions not run
-    and not cancelled.  O(1). *)
+(** Number of entries still to run: posts and scheduled actions neither
+    run nor retired.  O(1). *)
 
 val events_executed : t -> int
 (** Total number of entries executed since creation, posts included;
-    a cancelled action is not counted. *)
+    a stale entry is not counted. *)
 
 val run : ?max_events:int -> t -> unit
 (** Execute scheduled actions and posts in order until the calendar
@@ -103,9 +118,8 @@ val set_probe : t -> (unit -> unit) -> unit
     the clock still at that event's time.  At most one probe is
     installed (a second call replaces the first); with none installed
     the per-event cost is a single pattern-match branch.  The probe
-    observes — it must not schedule or cancel events, and a probe that
-    raises aborts the run. *)
+    observes — it must not schedule, post or retire events, and a probe
+    that raises aborts the run. *)
 
 val clear_probe : t -> unit
 (** Remove the installed probe, if any. *)
-

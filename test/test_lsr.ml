@@ -172,9 +172,9 @@ let flood_words_per_message mode =
    in-flight slot's id, and forwarding walks the sorted row with a plain
    recursion, so a hop allocates nothing where [Sim.Engine.post] is
    inlined and its boxed delay in dune's dev profile; the clock is
-   re-boxed when an arrival moves it.  A reliable message adds its
-   transfer record and link-table entry and its retransmit timer (a
-   scheduled handle and its closure); its ack is a posted slot too. *)
+   re-boxed when an arrival moves it.  A reliable message's transfer
+   takes a slot in the transfer table and its retransmit timer is a
+   post of the transfer's token; its ack is a posted slot too. *)
 let test_flooding_allocation_bound () =
   List.iter
     (fun (mode, name, bound) ->

@@ -45,12 +45,13 @@ let test_heap_duplicates () =
     [ (1.0, "c"); (1.0, "d"); (2.0, "a"); (2.0, "b"); (3.0, "e") ]
     log
 
-(* Random times with repeats, cancelled at random before the run and
-   from inside it.  A mirror tracks every entry's state: the execution
-   order must be the stable sort by time of the entries never
-   cancelled, and [pending] must equal the mirror's live count after
-   every event. *)
-type mirror = Live | Fired | Cancelled
+(* Random times with repeats, posted with a liveness check and retired
+   at random before the run and from inside it, as an owner calls off
+   its timers.  A mirror tracks every entry's state: the execution
+   order must be the stable sort by time of the entries never retired,
+   and [pending] must equal the mirror's live count after every
+   event. *)
+type mirror = Live | Fired | Retired
 
 let test_heap_random_sort () =
   let rng = Rng.create 99 in
@@ -63,24 +64,25 @@ let test_heap_random_sort () =
       Array.fold_left (fun n s -> if s = Live then n + 1 else n) 0 state
     in
     let order = ref [] in
-    let handles = ref [||] in
-    let cancel_random () =
+    let retire_random () =
       let j = Rng.int rng size in
-      if state.(j) = Live then state.(j) <- Cancelled;
-      Engine.cancel !handles.(j)
+      if state.(j) = Live then begin
+        state.(j) <- Retired;
+        Engine.retire eng
+      end
     in
-    let fire i () =
+    let fire i =
       if state.(i) <> Live then Alcotest.failf "entry %d ran, but not live" i;
       check Alcotest.(float 0.0) "clock at the entry's time" times.(i)
         (Engine.now eng);
       state.(i) <- Fired;
       order := i :: !order;
-      if Rng.int rng 4 = 0 then cancel_random ()
+      if Rng.int rng 4 = 0 then retire_random ()
     in
-    handles :=
-      Array.mapi (fun i time -> Engine.schedule_at eng ~time (fire i)) times;
+    let cb = Engine.callback ~live:(fun i -> state.(i) = Live) fire in
+    Array.iteri (fun i time -> Engine.post_at eng ~time cb i) times;
     for _ = 1 to size / 4 do
-      cancel_random ()
+      retire_random ()
     done;
     check Alcotest.int "pending before the run" (live ()) (Engine.pending eng);
     Engine.set_probe eng (fun () ->
@@ -88,15 +90,38 @@ let test_heap_random_sort () =
           (Engine.pending eng));
     Engine.run eng;
     check Alcotest.int "drained" 0 (Engine.pending eng);
-    let uncancelled =
+    let fired =
       List.filter (fun i -> state.(i) = Fired) (List.init size Fun.id)
     in
-    check Alcotest.(list int) "stable sort by time of the uncancelled"
-      (List.stable_sort
-         (fun i j -> Float.compare times.(i) times.(j))
-         uncancelled)
+    check Alcotest.(list int) "stable sort by time of the unretired"
+      (List.stable_sort (fun i j -> Float.compare times.(i) times.(j)) fired)
       (List.rev !order)
   done
+
+(* An owner's timers, as the engine's users keep them: entry [i] is
+   posted with token [i] and is live while [live.(i)] holds; [stop]
+   calls one off, retiring it only if it has neither run nor been
+   stopped. *)
+type timers = {
+  live : bool array;
+  cb : Engine.callback;
+  stop : int -> unit;
+}
+
+let timers eng n f =
+  let live = Array.make n true in
+  let cb =
+    Engine.callback ~live:(fun i -> live.(i)) (fun i ->
+        live.(i) <- false;
+        f i)
+  in
+  let stop i =
+    if live.(i) then begin
+      live.(i) <- false;
+      Engine.retire eng
+    end
+  in
+  { live; cb; stop }
 
 let test_queue_time_order () =
   check timed "time order"
@@ -112,45 +137,51 @@ let test_queue_fifo_ties () =
 let test_queue_cancellation () =
   let eng = Engine.create () in
   let log = ref [] in
-  let add time tag =
-    Engine.schedule_at eng ~time (fun () -> log := tag :: !log)
-  in
-  ignore (add 1.0 "keep1");
-  let h = add 2.0 "cancelled" in
-  ignore (add 3.0 "keep2");
-  Engine.cancel h;
-  check Alcotest.int "pending excludes cancelled" 2 (Engine.pending eng);
-  let first = add 0.5 "first" in
+  let tags = [| "keep1"; "retired"; "keep2"; "first" |] in
+  let ts = timers eng 4 (fun i -> log := tags.(i) :: !log) in
+  Engine.post_at eng ~time:1.0 ts.cb 0;
+  Engine.post_at eng ~time:2.0 ts.cb 1;
+  Engine.post_at eng ~time:3.0 ts.cb 2;
+  ts.stop 1;
+  check Alcotest.int "pending excludes retired" 2 (Engine.pending eng);
+  Engine.post_at eng ~time:0.5 ts.cb 3;
   Engine.run ~max_events:1 eng;
   check Alcotest.(list string) "earliest fires" [ "first" ] !log;
-  Engine.cancel first;
-  check Alcotest.int "cancel after firing leaves pending" 2
+  ts.stop 3;
+  check Alcotest.int "stopping after firing leaves pending" 2
     (Engine.pending eng);
   Engine.run eng;
-  check Alcotest.(list string) "cancelled skipped"
+  check Alcotest.(list string) "retired skipped"
     [ "first"; "keep1"; "keep2" ] (List.rev !log);
   check Alcotest.int "drained" 0 (Engine.pending eng)
 
+(* The owner's stale check makes a second stop a no-op; the engine
+   itself refuses a retire with nothing pending. *)
 let test_queue_cancel_idempotent () =
   let eng = Engine.create () in
-  let h = Engine.schedule_at eng ~time:1.0 ignore in
-  ignore (Engine.schedule_at eng ~time:2.0 ignore);
-  Engine.cancel h;
-  Engine.cancel h;
-  check Alcotest.int "second cancel leaves pending" 1 (Engine.pending eng);
+  let ts = timers eng 2 ignore in
+  Engine.post_at eng ~time:1.0 ts.cb 0;
+  Engine.post_at eng ~time:2.0 ts.cb 1;
+  ts.stop 0;
+  ts.stop 0;
+  check Alcotest.int "second stop leaves pending" 1 (Engine.pending eng);
   Engine.run eng;
   check Alcotest.int "only the live entry ran" 1 (Engine.events_executed eng);
-  check Alcotest.int "empty" 0 (Engine.pending eng)
+  check Alcotest.int "empty" 0 (Engine.pending eng);
+  Alcotest.check_raises "retire with nothing pending"
+    (Invalid_argument "Engine.retire: nothing is pending") (fun () ->
+      Engine.retire eng)
 
 let test_queue_cancelled_top () =
-  (* A cancelled entry at the top is dropped without running or counting
+  (* A retired entry at the top is dropped without running or counting
      against [max_events]: the one event run is the live one behind it. *)
   let eng = Engine.create () in
   let hits = ref [] in
-  let h = Engine.schedule_at eng ~time:1.0 (fun () -> hits := 1 :: !hits) in
-  ignore (Engine.schedule_at eng ~time:2.0 (fun () -> hits := 2 :: !hits));
-  ignore (Engine.schedule_at eng ~time:3.0 (fun () -> hits := 3 :: !hits));
-  Engine.cancel h;
+  let ts = timers eng 4 (fun i -> hits := i :: !hits) in
+  Engine.post_at eng ~time:1.0 ts.cb 1;
+  Engine.post_at eng ~time:2.0 ts.cb 2;
+  Engine.post_at eng ~time:3.0 ts.cb 3;
+  ts.stop 1;
   Engine.run ~max_events:1 eng;
   check Alcotest.(list int) "live entry behind it fired" [ 2 ] !hits;
   check Alcotest.(float 0.0) "clock at that entry" 2.0 (Engine.now eng);
@@ -216,10 +247,37 @@ let test_engine_max_events () =
 let test_engine_cancel () =
   let eng = Engine.create () in
   let hits = ref 0 in
-  let h = Engine.schedule eng ~delay:1.0 (fun () -> incr hits) in
-  Engine.cancel h;
+  let ts = timers eng 1 (fun _ -> incr hits) in
+  Engine.post eng ~delay:1.0 ts.cb 0;
+  ts.stop 0;
   Engine.run eng;
-  check Alcotest.int "cancelled action skipped" 0 !hits
+  check Alcotest.int "retired post skipped" 0 !hits;
+  check Alcotest.int "not executed" 0 (Engine.events_executed eng)
+
+(* A stale entry that surfaces leaves no trace: the clock stays, it is
+   not counted, it does not use up [max_events] and the probe does not
+   see it, both alone and ahead of a live entry. *)
+let test_stale_entry_leaves_no_trace () =
+  let eng = Engine.create () in
+  let probed = ref 0 and ran = ref [] in
+  Engine.set_probe eng (fun () -> incr probed);
+  let ts = timers eng 3 (fun i -> ran := i :: !ran) in
+  Engine.post eng ~delay:1.0 ts.cb 0;
+  ts.stop 0;
+  Engine.run eng;
+  check Alcotest.(float 0.0) "clock unmoved" 0.0 (Engine.now eng);
+  check Alcotest.int "nothing executed" 0 (Engine.events_executed eng);
+  check Alcotest.int "probe unrun" 0 !probed;
+  Engine.post eng ~delay:1.0 ts.cb 1;
+  Engine.post eng ~delay:2.0 ts.cb 2;
+  ts.stop 1;
+  Engine.run ~max_events:1 eng;
+  check Alcotest.(list int) "the budget's one event is the live one" [ 2 ]
+    !ran;
+  check Alcotest.(float 0.0) "clock at the live entry" 2.0 (Engine.now eng);
+  check Alcotest.int "one executed" 1 (Engine.events_executed eng);
+  check Alcotest.int "probed once" 1 !probed;
+  check Alcotest.int "drained" 0 (Engine.pending eng)
 
 let test_engine_rejects_negative_delay () =
   let eng = Engine.create () in
@@ -314,45 +372,76 @@ let test_post_schedule_fifo_ties () =
     ]
     (List.rev !log)
 
-(* Schedule an action holding the only reference to a fresh block,
-   watched through [weak]. *)
-let[@inline never] schedule_holding eng weak =
+(* A fresh block watched through [weak]: [Some] it while the caller
+   holds it. *)
+let[@inline never] watched weak =
   let payload = Bytes.make 64 'x' in
   Weak.set weak 0 (Some payload);
-  Engine.schedule eng ~delay:1.0 (fun () ->
-      ignore (Sys.opaque_identity payload))
+  payload
 
-(* A cancelled action is dropped from the calendar only when it
-   surfaces, but what it captured is freed at the cancel. *)
+(* An owner that calls a timer off drops what the timer would have used
+   at once: the calendar holds only the post's [int], so the payload is
+   freed while the stale entry is still in the heap. *)
 let test_cancel_frees_action () =
   let eng = Engine.create () in
   let weak = Weak.create 1 in
-  let h = schedule_holding eng weak in
-  ignore (Engine.schedule eng ~delay:2.0 ignore);
+  let payloads = [| Some (watched weak) |] in
+  let ts =
+    timers eng 1 (fun i -> ignore (Sys.opaque_identity payloads.(i)))
+  in
+  Engine.post eng ~delay:1.0 ts.cb 0;
+  Engine.schedule eng ~delay:2.0 ignore;
   Gc.full_major ();
-  check Alcotest.bool "held while scheduled" true (Weak.check weak 0);
-  Engine.cancel h;
+  check Alcotest.bool "held while armed" true (Weak.check weak 0);
+  ts.stop 0;
+  payloads.(0) <- None;
   Gc.full_major ();
-  check Alcotest.bool "freed at the cancel" false (Weak.check weak 0);
+  check Alcotest.bool "freed at the retire" false (Weak.check weak 0);
   check Alcotest.int "the other entry still pending" 1 (Engine.pending eng);
   Engine.run eng;
   check Alcotest.int "only it ran" 1 (Engine.events_executed eng)
 
+(* Schedule an action holding the only reference to a watched block. *)
+let[@inline never] schedule_holding eng weak =
+  let payload = watched weak in
+  Engine.schedule eng ~delay:1.0 (fun () ->
+      ignore (Sys.opaque_identity payload))
+
+(* A scheduled action that has run is freed at once, though the heap
+   slot it ran from is not reused: the calendar keeps no closure past
+   its entry's turn. *)
+let test_run_action_freed () =
+  let eng = Engine.create () in
+  let weak = Weak.create 1 in
+  schedule_holding eng weak;
+  Engine.schedule eng ~delay:2.0 ignore;
+  Engine.run ~max_events:1 eng;
+  Gc.full_major ();
+  check Alcotest.bool "freed once run" false (Weak.check weak 0);
+  Engine.run eng;
+  schedule_holding eng weak;
+  Engine.run eng;
+  Gc.full_major ();
+  check Alcotest.bool "freed once run from the last slot" false
+    (Weak.check weak 0);
+  (* The engine stays reachable up to here. *)
+  check Alcotest.int "drained" 0 (Engine.pending eng)
+
 (* [pending] and [events_executed] count both kinds of entry exactly; a
-   cancelled action is neither counted nor seen by the probe. *)
+   retired post is neither counted nor seen by the probe. *)
 let test_mixed_counts () =
   let eng = Engine.create () in
-  let cb = Engine.callback ignore in
-  let h = ref [] in
+  let ts = timers eng 10 ignore in
   for i = 0 to 9 do
-    if i mod 2 = 0 then Engine.post eng ~delay:(float_of_int i) cb i
-    else h := Engine.schedule eng ~delay:(float_of_int i) ignore :: !h
+    if i mod 2 = 1 then Engine.post eng ~delay:(float_of_int i) ts.cb i
+    else Engine.schedule eng ~delay:(float_of_int i) ignore
   done;
   check Alcotest.int "five posts, five actions" 10 (Engine.pending eng);
-  (* Cancel the actions at 1 and 9: the first surfaces next to live
-     posts, the second last. *)
-  List.iter Engine.cancel [ List.nth !h 0; List.nth !h 4 ];
-  check Alcotest.int "cancels leave eight" 8 (Engine.pending eng);
+  (* Retire the posts at 1 and 9: the first surfaces next to live
+     actions, the second last. *)
+  ts.stop 1;
+  ts.stop 9;
+  check Alcotest.int "retires leave eight" 8 (Engine.pending eng);
   let probed = ref [] in
   Engine.set_probe eng (fun () ->
       probed := (Engine.now eng, Engine.pending eng) :: !probed);
@@ -364,12 +453,28 @@ let test_mixed_counts () =
   check Alcotest.int "none left" 0 (Engine.pending eng);
   check
     Alcotest.(list (pair (float 0.0) int))
-    "probed after each live entry, never a cancelled one"
+    "probed after each live entry, never a retired one"
     [
       (0.0, 7); (2.0, 6); (3.0, 5); (4.0, 4); (5.0, 3); (6.0, 2); (7.0, 1);
       (8.0, 0);
     ]
     (List.rev !probed)
+
+(* ------------------------------------------------------------------ *)
+(* Slots *)
+
+(* Ids given back are reused last first, fresh ids count up from 0, and
+   [live] counts the ids out. *)
+let test_slots_reuse_last_first () =
+  let ids = Slots.create () in
+  let taken = List.init 20 (fun _ -> Slots.take ids) in
+  check Alcotest.(list int) "fresh ids count up" (List.init 20 Fun.id) taken;
+  List.iter (Slots.give_back ids) [ 3; 17; 8 ];
+  check Alcotest.int "three given back" 17 (Slots.live ids);
+  check Alcotest.(list int) "reused last first, then fresh" [ 8; 17; 3; 20 ]
+    (List.init 4 (fun _ -> Slots.take ids));
+  check Alcotest.int "used" 21 (Slots.used ids);
+  check Alcotest.int "live" 21 (Slots.live ids)
 
 (* ------------------------------------------------------------------ *)
 (* Rng *)
@@ -602,6 +707,8 @@ let () =
           Alcotest.test_case "zero delay" `Quick test_engine_zero_delay;
           Alcotest.test_case "run ~max_events" `Quick test_engine_max_events;
           Alcotest.test_case "cancel" `Quick test_engine_cancel;
+          Alcotest.test_case "stale entry leaves no trace" `Quick
+            test_stale_entry_leaves_no_trace;
           Alcotest.test_case "rejects negative delay" `Quick
             test_engine_rejects_negative_delay;
           Alcotest.test_case "delay overflow rejected" `Quick
@@ -614,8 +721,15 @@ let () =
             test_post_schedule_fifo_ties;
           Alcotest.test_case "cancel frees the action before it surfaces"
             `Quick test_cancel_frees_action;
+          Alcotest.test_case "a run action is freed at once" `Quick
+            test_run_action_freed;
           Alcotest.test_case "pending and events_executed, mixed kinds" `Quick
             test_mixed_counts;
+        ] );
+      ( "slots",
+        [
+          Alcotest.test_case "reuse last first" `Quick
+            test_slots_reuse_last_first;
         ] );
       ( "rng",
         [
