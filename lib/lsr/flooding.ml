@@ -35,9 +35,9 @@ type received = { mutable high : int; mutable gaps : gaps }
    ack to echo.  An ack, retry exhaustion or {!abandon_link} ends the
    transfer: the slot's generation is bumped and the slot freed, so
    every token of it still in the calendar or on the wire is stale.
-   [index] finds a link's transfer of an LSA without allocating: open
-   addressing with linear probing over slot ids ([-1] empty), keyed by
-   (src, dst, origin, seq) and at most half full. *)
+   No lookup by LSA is needed: {!flood} and {!send} reject an LSA their
+   source has already flooded, sent or received, so no link ever
+   carries two transfers of one LSA. *)
 type 'a transfers = {
   mutable r_lsa : 'a Lsa.t array;
   mutable r_link : Net.Graph.link array;
@@ -49,7 +49,6 @@ type 'a transfers = {
   mutable timeout : Float.Array.t;
   mutable gen : int array;
   r_ids : Sim.Slots.t;
-  mutable index : int array;
 }
 
 (* The copies in flight, data and acks, one slot each in parallel
@@ -249,78 +248,6 @@ let token r slot = (r.gen.(slot) lsl slot_bits) lor slot
    bumps its slot's generation. *)
 let live r tok = r.gen.(tok land slot_mask) = tok lsr slot_bits
 
-(* {!check_lsa} bounds the origin by [n] and the seq below by 0, so the
-   key is unique per transfer; a product past [max_int] wraps, which
-   only the hash sees. *)
-let home t ~src ~dst lsa =
-  let key =
-    (((((lsa.Lsa.seq * t.n) + lsa.Lsa.origin) * t.n) + src) * t.n) + dst
-  in
-  let h = key * 0x1E3779B97F4A7C15 in
-  (h lxor (h lsr 29)) land (Array.length t.rtx.index - 1)
-
-let home_of t slot =
-  let r = t.rtx in
-  home t ~src:r.r_src.(slot) ~dst:r.r_dst.(slot) r.r_lsa.(slot)
-
-(* The probes below are top-level recursions with their context as
-   arguments, so that a lookup allocates no closure. *)
-let rec place index mask slot i =
-  if index.(i) < 0 then index.(i) <- slot
-  else place index mask slot ((i + 1) land mask)
-
-let index_add t slot =
-  let index = t.rtx.index in
-  place index (Array.length index - 1) slot (home_of t slot)
-
-let rec probe r mask ~src ~dst lsa i =
-  let slot = r.index.(i) in
-  if slot < 0 then -1
-  else if
-    r.r_src.(slot) = src
-    && r.r_dst.(slot) = dst
-    && r.r_lsa.(slot).Lsa.origin = lsa.Lsa.origin
-    && r.r_lsa.(slot).Lsa.seq = lsa.Lsa.seq
-  then slot
-  else probe r mask ~src ~dst lsa ((i + 1) land mask)
-
-(* The live transfer of [lsa] on [src → dst], or [-1]. *)
-let find t ~src ~dst lsa =
-  let r = t.rtx in
-  probe r (Array.length r.index - 1) ~src ~dst lsa (home t ~src ~dst lsa)
-
-let rec locate index mask slot i =
-  if index.(i) = slot then i else locate index mask slot ((i + 1) land mask)
-
-(* Fill the hole at [hole] from the probe run after it, up to [i]: each
-   later entry whose home does not lie cyclically in (hole, i] may move
-   back into it, leaving its own place the hole. *)
-let rec shift t index mask hole i =
-  let i = (i + 1) land mask in
-  let next = index.(i) in
-  if next < 0 then index.(hole) <- -1
-  else if (i - home_of t next) land mask >= (i - hole) land mask then begin
-    index.(hole) <- next;
-    shift t index mask i i
-  end
-  else shift t index mask hole i
-
-(* Take [slot] out of the index. *)
-let index_remove t slot =
-  let index = t.rtx.index in
-  let mask = Array.length index - 1 in
-  let hole = locate index mask slot (home_of t slot) in
-  shift t index mask hole hole
-
-(* Double the index once it would pass half full, re-placing every live
-   transfer. *)
-let grow_index t =
-  let r = t.rtx in
-  r.index <- Array.make (2 * Array.length r.index) (-1);
-  for slot = 0 to Sim.Slots.used r.r_ids - 1 do
-    if r.r_src.(slot) >= 0 then index_add t slot
-  done
-
 let grow_transfers r ~link lsa =
   let capacity = Array.length r.r_src in
   let larger = max 16 (2 * capacity) in
@@ -343,12 +270,10 @@ let grow_transfers r ~link lsa =
   r.timeout <- timeout;
   r.gen <- extend r.gen 0
 
-(* A slot for a new transfer, recorded in the index; its generation is
-   the one its last transfer left. *)
+(* A slot for a new transfer; its generation is the one its last
+   transfer left. *)
 let open_transfer t ~src ~dst ~link ~forward lsa =
   let r = t.rtx in
-  if 2 * (Sim.Slots.live r.r_ids + 1) > Array.length r.index then
-    grow_index t;
   let slot = Sim.Slots.take r.r_ids in
   if slot = Array.length r.r_src then grow_transfers r ~link lsa;
   r.r_lsa.(slot) <- lsa;
@@ -358,14 +283,12 @@ let open_transfer t ~src ~dst ~link ~forward lsa =
   r.forward.(slot) <- forward;
   r.tries.(slot) <- 0;
   Float.Array.set r.timeout slot (t.rel.rto *. t.t_hop);
-  index_add t slot;
   slot
 
-(* End the transfer in [slot]: out of the index, its generation bumped
-   so that its tokens go stale, the slot freed. *)
+(* End the transfer in [slot]: its generation bumped so that its
+   tokens go stale, the slot freed. *)
 let close_transfer t slot =
   let r = t.rtx in
-  index_remove t slot;
   r.gen.(slot) <- r.gen.(slot) + 1;
   r.r_src.(slot) <- -1;
   Sim.Slots.give_back r.r_ids slot
@@ -435,8 +358,7 @@ and retransmit t tok =
 
 (* One transfer of [lsa] over [link] ([src → dst]): the first data copy
    ([forward] says whether [dst] floods it on).  In [Reliable] mode the
-   transfer also takes a slot and posts its first timeout, and a
-   transfer still awaiting its ack is not restarted. *)
+   transfer also takes a slot and posts its first timeout. *)
 and transfer t ~src ~dst ~link ~parent ~forward lsa =
   match t.mode with
   | Hop_by_hop ->
@@ -444,16 +366,14 @@ and transfer t ~src ~dst ~link ~parent ~forward lsa =
       (send_data t ~src ~dst ~link ~forward ~retransmit:false ~parent
          ~tid:(-1) lsa)
   | Reliable ->
-    if find t ~src ~dst lsa < 0 then begin
-      let slot = open_transfer t ~src ~dst ~link ~forward lsa in
-      let tok = token t.rtx slot in
-      t.rtx.first.(slot) <-
-        send_data t ~src ~dst ~link ~forward ~retransmit:false ~parent
-          ~tid:tok lsa;
-      Sim.Engine.post t.engine
-        ~delay:(Float.Array.get t.rtx.timeout slot)
-        t.retransmit tok
-    end
+    let slot = open_transfer t ~src ~dst ~link ~forward lsa in
+    let tok = token t.rtx slot in
+    t.rtx.first.(slot) <-
+      send_data t ~src ~dst ~link ~forward ~retransmit:false ~parent ~tid:tok
+        lsa;
+    Sim.Engine.post t.engine
+      ~delay:(Float.Array.get t.rtx.timeout slot)
+      t.retransmit tok
 
 (* One data copy arriving at [switch] from [from] over [link].  In
    [Reliable] mode every copy is acked, duplicates included: it may be a
@@ -569,7 +489,6 @@ let create ~engine ~graph ~t_hop ?(mode = Hop_by_hop)
           timeout = Float.Array.create 0;
           gen = [||];
           r_ids = Sim.Slots.create ();
-          index = Array.make 64 (-1);
         };
       flight =
         {
@@ -597,6 +516,19 @@ let create ~engine ~graph ~t_hop ?(mode = Hop_by_hop)
 
 (* ------------------------------------------------------------------ *)
 
+(* Record [lsa] as received at [src], the switch that floods or sends
+   it, so that it does not forward a returning copy.  In [Reliable]
+   mode a switch floods or sends an LSA once, and never one it has
+   received: no link then carries two transfers of one LSA, so the
+   transfer table needs no lookup by LSA. *)
+let at_source t fn src lsa =
+  if (not (first_receipt t src lsa)) && t.mode = Reliable then
+    invalid_arg
+      (Printf.sprintf
+         "Flooding.%s: LSA (origin %d, seq %d) already flooded, sent or \
+          received at %d"
+         fn lsa.Lsa.origin lsa.Lsa.seq src)
+
 let send t ~src ~dst lsa =
   let link =
     match Net.Graph.link t.graph src dst with
@@ -605,19 +537,19 @@ let send t ~src ~dst lsa =
       invalid_arg (Printf.sprintf "Flooding.send: no link (%d, %d)" src dst)
   in
   check_lsa t "send" lsa;
+  at_source t "send" src lsa;
   let parent = Sim.Trace.context t.trace in
-  ignore (first_receipt t src lsa);
   transfer t ~src ~dst ~link ~parent ~forward:false lsa
 
 let flood_impl t lsa =
   check_lsa t "flood" lsa;
   let origin = lsa.Lsa.origin in
+  at_source t "flood" origin lsa;
   Metrics.Registry.bump t.floods.(origin);
   (* The ambient context at flood time (normally the Lsa_originated
      event) roots the whole propagation tree; it must be captured here
      because the per-copy callbacks run later, under other contexts. *)
   let parent = Sim.Trace.context t.trace in
-  ignore (first_receipt t origin lsa);
   forward_from t lsa ~at:origin ~from:(-1) ~parent
 
 let flood t lsa =

@@ -15,7 +15,8 @@
     dead neighbor times out cleanly instead of being retried forever).
     The transfers awaiting an ack hold one slot each in the instance's
     transfer table, which they leave on ack, on retry exhaustion or on
-    {!abandon_link}; a link never has two for one LSA.  In both modes
+    {!abandon_link}; a link never has two for one LSA, as {!flood} and
+    {!send} take each LSA once.  In both modes
     duplicate suppression on (origin, seq) makes [deliver] fire once per
     switch however many copies arrive, flooded or unicast.  Without a
     [transmit] hook the data-message schedule of the two modes is
@@ -47,10 +48,9 @@
     dune's dev profile, each copy's delay is boxed to cross the call).
     An untraced arrival calls [deliver] and forwards without a context
     switch.  A [Reliable] transfer adds no allocation either: it takes
-    a slot in the transfer table (parallel arrays with a free list, and
-    an open-addressing index over them for the restart check), and its
-    token — the slot's id packed with a generation number — names it
-    everywhere else.  Each retransmit timer is a {!Sim.Engine.post} of
+    a slot in the transfer table (parallel arrays with a free list), and
+    its token — the slot's id packed with a generation number — names
+    it everywhere else.  Each retransmit timer is a {!Sim.Engine.post} of
     the token with one callback built per instance, whose liveness
     check rejects a token whose transfer has ended; each data copy's
     in-flight slot carries the token, and its ack echoes it back, so an
@@ -137,14 +137,17 @@ val flood : 'a t -> 'a Lsa.t -> unit
 (** Start flooding from the LSA's origin at the current simulated time.
     The origin is {e not} delivered its own LSA.  Raises
     [Invalid_argument] when the origin is not a switch of the graph or
-    the sequence number is negative. *)
+    the sequence number is negative, and in [Reliable] mode when the
+    origin has already flooded, sent or received the LSA (in
+    [Hop_by_hop] mode a second flood is suppressed by every receiver). *)
 
 val send : 'a t -> src:int -> dst:int -> 'a Lsa.t -> unit
 (** Unicast one LSA to a single adjacent switch — the transport for the
     database-resynchronisation exchange (summaries and deltas are
     addressed, not flooded).  [dst] must share a link with [src], and
-    the LSA's origin and sequence number must be valid as for {!flood}
-    ([Invalid_argument] otherwise); whether that link is {e up} is
+    the LSA's origin and sequence number must be valid as for {!flood},
+    and in [Reliable] mode [src] must not have flooded, sent or received
+    the LSA before ([Invalid_argument] otherwise); whether that link is {e up} is
     checked at each copy's arrival time, like any transmission.
 
     The hop goes through the same per-hop transport as a flood, but the

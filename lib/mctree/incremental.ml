@@ -1,19 +1,21 @@
 let graft g tree x =
   (* Cheapest live path from [x] to any node of [tree] other than [x]
-     itself ([x] may already be recorded as a terminal). *)
+     itself ([x] may already be recorded as a terminal): the nearest
+     such node, the smallest id on a tie. *)
   let r = Net.Dijkstra.run g x in
-  let best = ref None in
+  let nearest = ref (-1) in
   Tree.Int_set.iter
     (fun v ->
       let d = r.dist.(v) in
-      let better = match !best with Some (_, d') -> d < d' | None -> true in
-      if v <> x && Float.is_finite d && better then
-        match Net.Dijkstra.path_of_result r ~src:x ~dst:v with
-        | Some p -> best := Some (p, d)
-        | None -> ())
+      if v <> x && Float.is_finite d && (!nearest < 0 || d < r.dist.(!nearest))
+      then nearest := v)
     (Tree.Int_set.remove x (Tree.nodes tree));
-  match !best with
-  | Some (path, _) -> Tree.add_path tree path
+  let path =
+    if !nearest < 0 then None
+    else Net.Dijkstra.path_of_result r ~src:x ~dst:!nearest
+  in
+  match path with
+  | Some path -> Tree.add_path tree path
   | None -> failwith "Incremental.join: member cannot reach the tree"
 
 let join g tree x =
@@ -37,7 +39,9 @@ let fragment t seed =
     (Tree.of_terminals [ seed ])
     (Tree.edges t)
 
-let repair g tree =
+(* Drop the dead edges and rebuild the tree from the live fragment
+   holding the least terminal. *)
+let rebuild g tree =
   let live =
     List.fold_left
       (fun t (u, v) ->
@@ -66,6 +70,16 @@ let repair g tree =
       else Some (Steiner.sph g terminals)
     with Failure _ -> (
       try Some (Steiner.sph g terminals) with Failure _ -> None))
+
+(* An intact tree needs no rebuild: its live fragment through the least
+   terminal is all of it, every terminal is already on it, and pruning
+   keeps it valid, so the rebuild would return [Tree.prune tree]. *)
+let repair g tree =
+  if
+    Tree.Int_set.cardinal (Tree.terminals tree) >= 2
+    && Tree.is_valid_mc_topology g tree
+  then Some (Tree.prune tree)
+  else rebuild g tree
 
 let drift g tree =
   let terminals = Tree.Int_set.elements (Tree.terminals tree) in

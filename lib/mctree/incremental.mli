@@ -10,8 +10,9 @@
 
 val join : Net.Graph.t -> Tree.t -> int -> Tree.t
 (** [join g tree x] — add terminal [x], grafted onto the existing tree by
-    the cheapest live path from [x] to any current tree node (greedy
-    dynamic-Steiner step of Imase & Waxman).  If the tree has no nodes
+    the cheapest live path from [x] to any current tree node, the
+    smallest such node on a tie (greedy dynamic-Steiner step of Imase &
+    Waxman).  If the tree has no nodes
     yet, the result is the single-terminal tree.  Raises [Failure] when
     [x] cannot reach the tree. *)
 
@@ -22,7 +23,12 @@ val leave : Net.Graph.t -> Tree.t -> int -> Tree.t
 val repair : Net.Graph.t -> Tree.t -> Tree.t option
 (** [repair g tree] — drop tree edges whose links are down, then
     reconnect the fragments along cheapest live paths.  [None] when the
-    terminals are no longer mutually reachable (network partition). *)
+    terminals are no longer mutually reachable (network partition).
+
+    An intact tree — two or more terminals, every edge live, already
+    {!Tree.is_valid_mc_topology} — needs no repair and comes back as
+    [Tree.prune tree], without the rebuild through its live fragment:
+    the same tree the rebuild would return. *)
 
 val needs_recompute : threshold:float -> Net.Graph.t -> Tree.t -> bool
 (** [true] when the tree's drift — its cost over the cost of a fresh

@@ -118,39 +118,64 @@ let cost g t =
   done;
   !acc
 
-(* Nodes incident to at least one edge. *)
-let edge_nodes t = Int_map.fold (fun u _ acc -> Int_set.add u acc) t.adj Int_set.empty
+(* The shape of a canonical form, from one union-find pass over its
+   edges: whether the edges form one tree (none at all qualifies) and
+   whether every terminal lies in one component.  The scratch [parent]
+   array spans the edges' ids ([-1]: no edge there yet); a terminal
+   outside it has no edge.  Distinct terminals that share a root are
+   joined by edges, so "one root" is all [spans_terminals] asks. *)
+let rec find parent x =
+  let p = parent.(x) in
+  if p = x then x
+  else begin
+    let r = find parent p in
+    parent.(x) <- r;
+    r
+  end
 
-let component_of t start =
-  let rec grow frontier seen =
-    if Int_set.is_empty frontier then seen
-    else begin
-      let next =
-        Int_set.fold
-          (fun u acc -> Int_set.union acc (Int_set.diff (neighbors t u) seen))
-          frontier Int_set.empty
-      in
-      grow next (Int_set.union seen next)
-    end
-  in
-  grow (Int_set.singleton start) (Int_set.singleton start)
+(* The root of [i]'s component, or [-1] when no edge touches [i]. *)
+let root parent i =
+  if i < 0 || i >= Array.length parent || parent.(i) < 0 then -1
+  else find parent i
 
-let is_tree t =
-  let vs = edge_nodes t in
-  Int_set.is_empty vs
-  ||
-  let n = Int_set.cardinal vs in
-  let e = n_edges t in
-  (* Connected + |E| = |V| - 1 characterises a tree. *)
-  e = n - 1 && Int_set.cardinal (component_of t (Int_set.min_elt vs)) = n
+let shape t =
+  let f = form t in
+  let e = f.f_edges and ts = f.f_terminals in
+  let n_terms = Array.length ts in
+  if Array.length e = 0 then (true, n_terms <= 1)
+  else begin
+    (* Edges are sorted by their smaller end, so [e.(0)] is the least id. *)
+    let lo = e.(0) and hi = ref e.(1) in
+    for i = 1 to (Array.length e / 2) - 1 do
+      if e.((2 * i) + 1) > !hi then hi := e.((2 * i) + 1)
+    done;
+    let parent = Array.make (!hi - lo + 1) (-1) in
+    let nodes = ref 0 and acyclic = ref true in
+    for i = 0 to (Array.length e / 2) - 1 do
+      let u = e.(2 * i) - lo and v = e.((2 * i) + 1) - lo in
+      if parent.(u) < 0 then begin parent.(u) <- u; incr nodes end;
+      if parent.(v) < 0 then begin parent.(v) <- v; incr nodes end;
+      let ru = find parent u and rv = find parent v in
+      if ru = rv then acyclic := false else parent.(ru) <- rv
+    done;
+    let is_tree = !acyclic && !nodes = (Array.length e / 2) + 1 in
+    let spans =
+      n_terms <= 1
+      ||
+      let r = root parent (ts.(0) - lo) in
+      let ok = ref (r >= 0) and k = ref 1 in
+      while !ok && !k < n_terms do
+        ok := root parent (ts.(!k) - lo) = r;
+        incr k
+      done;
+      !ok
+    in
+    (is_tree, spans)
+  end
 
-let spans_terminals t =
-  match Int_set.cardinal t.terminals with
-  | 0 | 1 -> true
-  | _ ->
-    let first = Int_set.min_elt t.terminals in
-    Int_map.mem first t.adj
-    && Int_set.subset t.terminals (component_of t first)
+let is_tree t = fst (shape t)
+
+let spans_terminals t = snd (shape t)
 
 let is_embedded g t =
   let a = (form t).f_edges in
@@ -162,7 +187,8 @@ let is_embedded g t =
   !up
 
 let is_valid_mc_topology g t =
-  is_tree t && spans_terminals t && is_embedded g t
+  let is_tree, spans = shape t in
+  is_tree && spans && is_embedded g t
 
 let prune t =
   let rec go t =

@@ -9,7 +9,11 @@
     A value of this type is not forced to be a valid tree — algorithms
     build edge sets incrementally — so {!is_tree}, {!spans_terminals} and
     {!is_embedded} exist to check the invariants tests and the protocol
-    rely on. *)
+    rely on.  They read the canonical form ({!compare}'s sorted arrays,
+    built once per value): {!is_tree} and {!spans_terminals} are one
+    union-find pass over the edges, with scratch arrays spanning the
+    edges' ids, so a check allocates O(ids spanned) words and builds no
+    set. *)
 
 module Int_set : Set.S with type elt = int
 module Int_map : Map.S with type key = int
@@ -82,19 +86,25 @@ val cost : Net.Graph.t -> t -> float
 
 val is_tree : t -> bool
 (** The edge set is acyclic and connects all its incident nodes into one
-    component (the empty edge set qualifies). *)
+    component (the empty edge set qualifies).  Decided by a union-find
+    pass over the canonical edges: no edge closes a cycle, and the
+    unions leave one component ([|E| = |V| - 1]). *)
 
 val spans_terminals : t -> bool
 (** Every terminal is a node of the tree, and all terminals lie in one
     connected component ([true] when there are 0 or 1 terminals and the
-    terminal, if any, may be edge-free). *)
+    terminal, if any, may be edge-free).  Decided by the same
+    union-find pass as {!is_tree}: every terminal's root is the least
+    terminal's, so two or more terminals fail when any of them has no
+    edge. *)
 
 val is_embedded : Net.Graph.t -> t -> bool
 (** Every tree edge is a live link of the graph. *)
 
 val is_valid_mc_topology : Net.Graph.t -> t -> bool
 (** Conjunction of {!is_tree}, {!spans_terminals} and {!is_embedded}:
-    what a correct topology proposal must satisfy. *)
+    what a correct topology proposal must satisfy.  One union-find pass
+    answers the first two; the graph is read only when both hold. *)
 
 (** {1 Transformation} *)
 

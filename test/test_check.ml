@@ -100,15 +100,34 @@ let action_to_string = function
    cached fingerprints, blind to a copy writing shared state) and its
    enabled actions.  Then the parent itself takes its first action and
    must digest as the replay does, so a parent writing what a copy
-   shares, or holding what a copy wrote, fails too. *)
+   shares, or holding what a copy wrote, fails too.
+
+   [Harness.copy] renders (and so freezes) every switch before it
+   copies, so each edge also copies the successor's switches directly
+   with [Switch.copy], steps the successor on, and only then renders
+   the switch copies against the replay: a switch copy sharing state
+   its source still writes in place shows there. *)
 let check_copy_matches_replay scenario =
   let seen = Hashtbl.create 256 in
   let edges = ref 0 in
-  let replay_digest prefix =
-    Digest.to_hex (Check.Harness.digest (Check.Explore.build scenario prefix))
+  let rendered_switches switches =
+    Array.to_list (Array.map Check.Fingerprint.switch switches)
   in
-  let rendered h =
-    Array.to_list (Array.map Check.Fingerprint.switch (Check.Harness.switches h))
+  let rendered h = rendered_switches (Check.Harness.switches h) in
+  let replay prefix = Check.Explore.build scenario prefix in
+  let replay_digest prefix = Digest.to_hex (Check.Harness.digest (replay prefix)) in
+  let switch_copies_survive parent act prefix =
+    let source = Check.Harness.copy parent in
+    Check.Harness.apply source act;
+    let copies = Array.map Dgmc.Switch.copy (Check.Harness.switches source) in
+    match Check.Harness.enabled source with
+    | next :: _ ->
+      Check.Harness.apply source next;
+      Alcotest.(check (list string))
+        "switch copies unchanged by their source's next step"
+        (rendered (replay prefix))
+        (rendered_switches copies)
+    | [] -> ()
   in
   let rec visit depth prefix parent =
     let switches = rendered parent in
@@ -120,6 +139,7 @@ let check_copy_matches_replay scenario =
         Check.Harness.apply h act;
         incr edges;
         let prefix = prefix @ [ act ] in
+        switch_copies_survive parent act prefix;
         let d = Check.Harness.digest h in
         Alcotest.(check string)
           "copy then apply digests as the replay" (replay_digest prefix)

@@ -450,6 +450,36 @@ let test_compute_partition_fallback () =
     (Mctree.Tree.Int_set.elements (Mctree.Tree.terminals t));
   check Alcotest.bool "still a tree" true (Mctree.Tree.is_tree t)
 
+(* One incremental join on an intact tree: a member joins a symmetric
+   MC whose SPH tree spans 12 of a 100-switch Waxman graph's switches.
+   The first call fills the graph's shortest-path memo and is not
+   timed; the timed repeat costs the incremental path itself: the
+   intact-tree repair, the graft, two validity checks and the drift
+   check's fresh SPH tree.  It measures 7,912 words in the dev profile
+   and 7,907 in release on OCaml 5.1 (no float crosses a module
+   boundary on this path, so the profiles agree), and the bound is
+   1.2x that.  With the validity checks back on a set-based component
+   search it measures 25,280. *)
+let test_compute_incremental_join_allocation () =
+  let g = Net.Topo_gen.waxman (Sim.Rng.create 7) ~n:100 ~target_degree:3.5 () in
+  let ids = List.init 13 (fun i -> (i * 37) mod 100) in
+  let joiner = List.hd ids and old_ids = List.tl ids in
+  let current = Mctree.Steiner.sph g old_ids in
+  let members = members_of ids Dgmc.Member.Both in
+  let join () =
+    Dgmc.Compute.topology Dgmc.Config.atm_lan Dgmc.Mc_id.Symmetric g members
+      ~self:joiner ~current:(Some current)
+  in
+  let first = join () in
+  let w = Alloc.words_allocated join in
+  check Alcotest.bool "the joiner is grafted" false
+    (Mctree.Tree.mem_node current joiner);
+  check Alcotest.bool "the incremental tree is kept" true
+    (Mctree.Tree.equal first (Mctree.Incremental.join g current joiner));
+  if w > 9_500. then
+    Alcotest.failf "an incremental join allocated %d words (bound 9500)"
+      (int_of_float w)
+
 let () =
   Alcotest.run "dgmc-unit"
     [
@@ -505,5 +535,7 @@ let () =
           Alcotest.test_case "leave and repair" `Quick test_compute_leave_and_repair;
           Alcotest.test_case "partition fallback" `Quick
             test_compute_partition_fallback;
+          Alcotest.test_case "incremental join allocation bound" `Quick
+            test_compute_incremental_join_allocation;
         ] );
     ]

@@ -521,48 +521,58 @@ let test_stale_retransmit_after_slot_reuse () =
   check Alcotest.int "no pending state left" 0
     (Lsr.Flooding.pending_retransmits f)
 
-(* A transfer still awaiting its ack is not restarted, whatever its
-   neighbours in the transfer table's index did meanwhile.  Random
-   sends and [abandon_link]s over a star's six directed links and 32
-   LSAs, every copy lost, against a reference set of live transfers: a
-   send puts a first copy on the wire only when its (link, LSA) is not
-   live, [abandon_link] ends exactly the link's live transfers, and
-   each live transfer has exactly one timeout pending. *)
+(* A transfer still awaiting its ack is not restarted: a source sends
+   an LSA once, so a second send raises and puts nothing on the wire,
+   awaiting or ended, whatever its neighbours in the transfer table did
+   meanwhile.  Random sends and [abandon_link]s over a star's six
+   directed links and 32 LSAs, every copy lost, against a reference set
+   of live transfers and of LSAs each switch has sent: a send puts one
+   first copy on the wire exactly when its source has not sent its LSA,
+   [abandon_link] ends exactly the link's live transfers, and each live
+   transfer has exactly one timeout pending. *)
 let test_awaiting_transfer_not_restarted () =
   let graph = Net.Topo_gen.star 4 in
   let transmit ~src:_ ~dst:_ ~base_delay:_ _ = 0 in
   let f, engine, _ = make graph ~t_hop:1.0 ~transmit in
-  let module Live = Set.Make (struct
-    type t = int * int * int * int
+  let module Keys = Set.Make (struct
+    type t = int list
 
-    let compare (s1, d1, o1, q1) (s2, d2, o2, q2) =
-      List.compare Int.compare [ s1; d1; o1; q1 ] [ s2; d2; o2; q2 ]
+    let compare = List.compare Int.compare
   end) in
-  let live = ref Live.empty in
+  let live = ref Keys.empty and sent = ref Keys.empty in
   let links = [| (0, 1); (0, 2); (0, 3); (1, 0); (2, 0); (3, 0) |] in
   let rng = Sim.Rng.create 23 in
   for _ = 1 to 3000 do
     let src, dst = links.(Sim.Rng.int rng (Array.length links)) in
     if Sim.Rng.int rng 8 = 0 then begin
-      let ending = Live.filter (fun (s, d, _, _) -> s = src && d = dst) !live in
+      let ending =
+        Keys.filter
+          (function s :: d :: _ -> s = src && d = dst | _ -> false)
+          !live
+      in
       check Alcotest.int "abandon_link ends the link's live transfers"
-        (Live.cardinal ending)
+        (Keys.cardinal ending)
         (Lsr.Flooding.abandon_link f ~src ~dst);
-      live := Live.diff !live ending
+      live := Keys.diff !live ending
     end
     else begin
       let origin = Sim.Rng.int rng 4 and seq = Sim.Rng.int rng 8 in
-      let key = (src, dst, origin, seq) in
-      let sent = Lsr.Flooding.messages_sent f in
-      Lsr.Flooding.send f ~src ~dst (Lsr.Lsa.make ~origin ~seq ());
-      check Alcotest.int "a first copy only when not awaiting its ack"
-        (if Live.mem key !live then 0 else 1)
-        (Lsr.Flooding.messages_sent f - sent);
-      live := Live.add key !live
+      let repeat = Keys.mem [ src; origin; seq ] !sent in
+      let before = Lsr.Flooding.messages_sent f in
+      (match Lsr.Flooding.send f ~src ~dst (Lsr.Lsa.make ~origin ~seq ()) with
+      | () ->
+        check Alcotest.bool "a first send is accepted" false repeat;
+        sent := Keys.add [ src; origin; seq ] !sent;
+        live := Keys.add [ src; dst; origin; seq ] !live
+      | exception Invalid_argument _ ->
+        check Alcotest.bool "a second send is rejected" true repeat);
+      check Alcotest.int "a first copy only on a first send"
+        (if repeat then 0 else 1)
+        (Lsr.Flooding.messages_sent f - before)
     end;
-    check Alcotest.int "live transfers" (Live.cardinal !live)
+    check Alcotest.int "live transfers" (Keys.cardinal !live)
       (Lsr.Flooding.pending_retransmits f);
-    check Alcotest.int "one timeout each" (Live.cardinal !live)
+    check Alcotest.int "one timeout each" (Keys.cardinal !live)
       (Sim.Engine.pending engine)
   done;
   Sim.Engine.run engine;
@@ -571,6 +581,31 @@ let test_awaiting_transfer_not_restarted () =
   check Alcotest.int "abandoned after its budget"
     (Lsr.Flooding.messages_sent f)
     (Lsr.Flooding.deliveries_abandoned f)
+
+(* A reliable flood takes its LSA once as well: flooding it again, or
+   sending it from a switch that received it, raises before anything
+   is counted or sent. *)
+let test_second_flood_rejected () =
+  let graph = Net.Topo_gen.line 3 in
+  let f, engine, _ = make graph ~t_hop:1.0 in
+  let lsa ~origin ~seq = Lsr.Lsa.make ~origin ~seq () in
+  Lsr.Flooding.flood f (lsa ~origin:0 ~seq:0);
+  Sim.Engine.run engine;
+  let counts () =
+    (Lsr.Flooding.floods_started f, Lsr.Flooding.messages_sent f)
+  in
+  let before = counts () in
+  Alcotest.check_raises "flooded again"
+    (Invalid_argument
+       "Flooding.flood: LSA (origin 0, seq 0) already flooded, sent or \
+        received at 0") (fun () -> Lsr.Flooding.flood f (lsa ~origin:0 ~seq:0));
+  Alcotest.check_raises "sent after a flood"
+    (Invalid_argument
+       "Flooding.send: LSA (origin 0, seq 0) already flooded, sent or \
+        received at 1") (fun () ->
+      Lsr.Flooding.send f ~src:1 ~dst:2 (lsa ~origin:0 ~seq:0));
+  check Alcotest.(pair int int) "nothing counted" before (counts ());
+  check Alcotest.int "nothing sent" 0 (Sim.Engine.pending engine)
 
 let () =
   Alcotest.run "flooding_reliable"
@@ -613,5 +648,7 @@ let () =
             test_stale_retransmit_after_slot_reuse;
           Alcotest.test_case "a transfer awaiting its ack is not restarted"
             `Quick test_awaiting_transfer_not_restarted;
+          Alcotest.test_case "a second reliable flood is rejected" `Quick
+            test_second_flood_rejected;
         ] );
     ]

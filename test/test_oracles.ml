@@ -13,7 +13,10 @@
      membership notes vs the Format printers they replaced (byte
      equality);
    - the churn generator's one-pass bridge filter vs the per-link
-     connectivity search it replaced (same links, same order). *)
+     connectivity search it replaced (same links, same order);
+   - the union-find tree predicates vs the set-based searches they
+     replaced, and incremental repair vs the repair that rebuilt every
+     tree (equal trees). *)
 
 let check = Alcotest.check
 
@@ -463,6 +466,245 @@ let test_tree_compare_allocation_bound () =
   check Alcotest.int "minor words for compare + equal" 0 words
 
 (* ------------------------------------------------------------------ *)
+(* Tree predicates and repair vs the set-based code they replaced *)
+
+(* The predicates as they were: level-by-level set unions from the
+   smallest node, reached through the public API. *)
+module Set_tree = struct
+  module T = Mctree.Tree
+
+  let edge_nodes t =
+    T.Int_set.filter
+      (fun u -> not (T.Int_set.is_empty (T.neighbors t u)))
+      (T.nodes t)
+
+  let component_of t start =
+    let rec grow frontier seen =
+      if T.Int_set.is_empty frontier then seen
+      else begin
+        let next =
+          T.Int_set.fold
+            (fun u acc ->
+              T.Int_set.union acc (T.Int_set.diff (T.neighbors t u) seen))
+            frontier T.Int_set.empty
+        in
+        grow next (T.Int_set.union seen next)
+      end
+    in
+    grow (T.Int_set.singleton start) (T.Int_set.singleton start)
+
+  let is_tree t =
+    let vs = edge_nodes t in
+    T.Int_set.is_empty vs
+    ||
+    let n = T.Int_set.cardinal vs in
+    T.n_edges t = n - 1
+    && T.Int_set.cardinal (component_of t (T.Int_set.min_elt vs)) = n
+
+  let spans_terminals t =
+    match T.Int_set.cardinal (T.terminals t) with
+    | 0 | 1 -> true
+    | _ ->
+      let first = T.Int_set.min_elt (T.terminals t) in
+      (not (T.Int_set.is_empty (T.neighbors t first)))
+      && T.Int_set.subset (T.terminals t) (component_of t first)
+
+  let is_valid_mc_topology g t =
+    is_tree t && spans_terminals t && T.is_embedded g t
+
+  (* Incremental repair as it was: a path built for every improving
+     graft candidate, and every tree rebuilt through its live fragment. *)
+  let graft g tree x =
+    let r = Net.Dijkstra.run g x in
+    let best = ref None in
+    T.Int_set.iter
+      (fun v ->
+        let d = r.dist.(v) in
+        let better = match !best with Some (_, d') -> d < d' | None -> true in
+        if v <> x && Float.is_finite d && better then
+          match Net.Dijkstra.path_of_result r ~src:x ~dst:v with
+          | Some p -> best := Some (p, d)
+          | None -> ())
+      (T.Int_set.remove x (T.nodes tree));
+    match !best with
+    | Some (path, _) -> T.add_path tree path
+    | None -> failwith "Incremental.join: member cannot reach the tree"
+
+  let fragment t seed =
+    let keep = T.Int_set.of_list (T.dfs_order t ~root:seed) in
+    List.fold_left
+      (fun acc (u, v) ->
+        if T.Int_set.mem u keep && T.Int_set.mem v keep then T.add_edge acc u v
+        else acc)
+      (T.of_terminals [ seed ])
+      (T.edges t)
+
+  let repair g tree =
+    let live =
+      List.fold_left
+        (fun t (u, v) ->
+          if Net.Graph.link_is_up g u v then t else T.remove_edge t u v)
+        tree (T.edges tree)
+    in
+    let terminals = T.Int_set.elements (T.terminals live) in
+    match terminals with
+    | [] -> Some T.empty
+    | [ only ] -> Some (T.of_terminals [ only ])
+    | seed :: rest -> (
+      try
+        let result =
+          List.fold_left
+            (fun t x ->
+              let t = if T.mem_node t x then t else graft g t x in
+              T.add_terminal t x)
+            (fragment live seed) rest
+        in
+        let result = T.prune (T.with_terminals result terminals) in
+        if is_valid_mc_topology g result then Some result
+        else Some (Mctree.Steiner.sph g terminals)
+      with Failure _ -> (
+        try Some (Mctree.Steiner.sph g terminals) with Failure _ -> None))
+end
+
+(* A complete graph on [predicate_nodes] switches (so every edge set is
+   embedded) with the links in [dead] down. *)
+let predicate_nodes = 10
+
+let complete_with_dead dead =
+  let g = Net.Topo_gen.complete predicate_nodes in
+  List.iter (fun (u, v) -> Net.Graph.set_link g u v ~up:false) dead;
+  g
+
+let predicates_agree g t =
+  let module T = Mctree.Tree in
+  Bool.equal (T.is_tree t) (Set_tree.is_tree t)
+  && Bool.equal (T.spans_terminals t) (Set_tree.spans_terminals t)
+  && Bool.equal (T.is_valid_mc_topology g t)
+       (Set_tree.is_valid_mc_topology g t)
+
+(* The shapes the predicates must tell apart, each with its expected
+   (is_tree, spans_terminals, is_valid_mc_topology) under one dead link
+   (7, 8). *)
+let test_predicate_shapes () =
+  let g = complete_with_dead [ (7, 8) ] in
+  let path = [ (0, 1); (1, 2); (2, 3) ] in
+  let cases =
+    [
+      ("empty", [], [], (true, true, true));
+      ("edge-free terminal", [ 4 ], [], (true, true, true));
+      ("two edge-free terminals", [ 4; 5 ], [], (true, false, false));
+      ("path, no terminal", [], path, (true, true, true));
+      ("path, one terminal", [ 3 ], path, (true, true, true));
+      ("path spanning", [ 0; 3 ], path, (true, true, true));
+      ("path and an edge-free terminal", [ 0; 9 ], path, (true, false, false));
+      ("edge-free least terminal", [ 0; 5; 6 ], [ (5, 6) ], (true, false, false));
+      ("cycle", [ 0; 2 ], [ (0, 1); (1, 2); (0, 2) ], (false, true, false));
+      ("forest", [ 0; 1 ], [ (0, 1); (3, 4) ], (false, true, false));
+      ("forest split", [ 0; 4 ], [ (0, 1); (3, 4) ], (false, false, false));
+      ("over a dead link", [ 6; 8 ], [ (6, 7); (7, 8) ], (true, true, false));
+    ]
+  in
+  List.iter
+    (fun (name, terminals, edges, (tree, spans, valid)) ->
+      let t = Mctree.Tree.of_edges ~terminals edges in
+      check
+        Alcotest.(triple bool bool bool)
+        name (tree, spans, valid)
+        ( Mctree.Tree.is_tree t,
+          Mctree.Tree.spans_terminals t,
+          Mctree.Tree.is_valid_mc_topology g t );
+      check Alcotest.bool (name ^ ": agrees with the set search") true
+        (predicates_agree g t))
+    cases
+
+(* Random edge sets over a few nodes (cycles and forests are common),
+   0-4 terminals drawn past the edges' nodes too (edge-free terminals),
+   and 0-3 dead links. *)
+let predicate_case_gen =
+  QCheck2.Gen.(
+    let node = int_range 0 (predicate_nodes - 1) in
+    let edge =
+      map2
+        (fun u k -> (u, (u + 1 + k) mod predicate_nodes))
+        (int_range 0 6)
+        (int_range 0 3)
+    in
+    triple
+      (list_size (int_range 0 4) node)
+      (list_size (int_range 0 9) edge)
+      (list_size (int_range 0 3) edge))
+
+let print_predicate_case (terminals, edges, dead) =
+  let ints l = String.concat "," (List.map string_of_int l) in
+  let pairs l =
+    String.concat "," (List.map (fun (u, v) -> Printf.sprintf "%d-%d" u v) l)
+  in
+  Printf.sprintf "terminals [%s] edges [%s] dead [%s]" (ints terminals)
+    (pairs edges) (pairs dead)
+
+let prop_predicates_vs_set_search =
+  QCheck2.Test.make ~name:"tree predicates agree with the set search"
+    ~count:2000 ~print:print_predicate_case predicate_case_gen
+    (fun (terminals, edges, dead) ->
+      let g = complete_with_dead dead in
+      predicates_agree g (Mctree.Tree.of_edges ~terminals edges))
+
+(* A tree on a Waxman graph: the SPH tree of 2-6 terminals, possibly
+   with an extra branch to a non-terminal (an unpruned tree), then 0-2
+   of the graph's links taken down.  [intact] keeps every link up. *)
+let repair_case_gen =
+  QCheck2.Gen.(
+    quad (int_range 1 10000) (int_range 6 20)
+      (list_size (int_range 2 6) (int_range 0 1000))
+      (pair (int_range 0 1000) (list_size (int_range 0 2) (int_range 0 1000))))
+
+let repair_case ~intact (seed, n, picks, (branch, downs)) =
+  let g = random_graph seed n in
+  let terminals = List.sort_uniq Int.compare (List.map (fun x -> x mod n) picks) in
+  let tree = Mctree.Steiner.sph g terminals in
+  let tree =
+    let spur = branch mod n in
+    if branch mod 3 = 0 || Mctree.Tree.mem_node tree spur then tree
+    else Set_tree.graft g tree spur
+  in
+  let links = Array.of_list (Net.Graph.edges g) in
+  if not intact then
+    List.iter
+      (fun k ->
+        let (e : Net.Graph.edge) = links.(k mod Array.length links) in
+        Net.Graph.set_link g e.u e.v ~up:false)
+      downs;
+  (g, tree)
+
+let print_repair_case (seed, n, picks, (branch, downs)) =
+  let ints l = String.concat "," (List.map string_of_int l) in
+  Printf.sprintf "seed %d n %d picks [%s] branch %d downs [%s]" seed n
+    (ints picks) branch (ints downs)
+
+let same_repair g tree =
+  Option.equal Mctree.Tree.equal
+    (Mctree.Incremental.repair g tree)
+    (Set_tree.repair g tree)
+
+(* The intact-tree fast path: a valid, live tree comes back pruned,
+   equal to what the rebuild made of it. *)
+let prop_repair_intact_vs_rebuild =
+  QCheck2.Test.make ~name:"repair of an intact tree equals the rebuild"
+    ~count:300 ~print:print_repair_case repair_case_gen (fun case ->
+      let g, tree = repair_case ~intact:true case in
+      Mctree.Tree.is_valid_mc_topology g tree
+      && same_repair g tree
+      && same_repair g (Mctree.Tree.prune tree))
+
+(* Every other case, dead tree links included, keeps the rebuild; only
+   the graft's single path is new there. *)
+let prop_repair_vs_rebuild =
+  QCheck2.Test.make ~name:"repair with dead links equals the rebuild"
+    ~count:300 ~print:print_repair_case repair_case_gen (fun case ->
+      let g, tree = repair_case ~intact:false case in
+      same_repair g tree)
+
+(* ------------------------------------------------------------------ *)
 (* Renderers vs the Format printers they replaced *)
 
 (* The printers as they were, verbatim but for reaching the values
@@ -702,6 +944,11 @@ let () =
         [
           Alcotest.test_case "tree compare allocation bound" `Quick
             test_tree_compare_allocation_bound;
+          Alcotest.test_case "predicates on named shapes" `Quick
+            test_predicate_shapes;
+          QCheck_alcotest.to_alcotest prop_predicates_vs_set_search;
+          QCheck_alcotest.to_alcotest prop_repair_intact_vs_rebuild;
+          QCheck_alcotest.to_alcotest prop_repair_vs_rebuild;
         ] );
       ( "renderers",
         [
