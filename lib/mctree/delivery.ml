@@ -49,20 +49,11 @@ let two_stage g tree ~src =
     { (multicast g tree ~src) with contact = Some src }
   else begin
     let r = Net.Dijkstra.run g src in
-    let best = ref None in
-    Tree.Int_set.iter
-      (fun v ->
-        let d = r.dist.(v) in
-        let better = match !best with Some (_, d') -> d < d' | None -> true in
-        if Float.is_finite d && better then
-          match Net.Dijkstra.path_of_result r ~src ~dst:v with
-          | Some p -> best := Some (p, d)
-          | None -> ())
-      (Tree.nodes tree);
-    match !best with
-    | None -> failwith "Delivery.two_stage: tree unreachable from sender"
-    | Some (path, d) ->
-      let contact = List.nth path (List.length path - 1) in
+    match Tree.nearest r tree ~except:src with
+    | -1 -> failwith "Delivery.two_stage: tree unreachable from sender"
+    | contact ->
+      let path = Option.get (Net.Dijkstra.path_of_result r ~src ~dst:contact) in
+      let d = r.dist.(contact) in
       let unicast_links = List.map (fun (u, v) -> norm u v) (Net.Path.edges path) in
       let unicast_hops = Net.Path.hops path in
       let deliveries, links =

@@ -1,27 +1,16 @@
 let graft g tree x =
-  (* Cheapest live path from [x] to any node of [tree] other than [x]
-     itself ([x] may already be recorded as a terminal): the nearest
-     such node, the smallest id on a tie. *)
+  (* Cheapest live path from [x] to the nearest node of [tree] other than
+     [x] itself ([x] may already be recorded as a terminal). *)
   let r = Net.Dijkstra.run g x in
-  let nearest = ref (-1) in
-  Tree.Int_set.iter
-    (fun v ->
-      let d = r.dist.(v) in
-      if v <> x && Float.is_finite d && (!nearest < 0 || d < r.dist.(!nearest))
-      then nearest := v)
-    (Tree.Int_set.remove x (Tree.nodes tree));
-  let path =
-    if !nearest < 0 then None
-    else Net.Dijkstra.path_of_result r ~src:x ~dst:!nearest
-  in
-  match path with
-  | Some path -> Tree.add_path tree path
-  | None -> failwith "Incremental.join: member cannot reach the tree"
+  let v = Tree.nearest r tree ~except:x in
+  if v < 0 then failwith "Incremental.join: member cannot reach the tree";
+  Tree.add_path tree (Option.get (Net.Dijkstra.path_of_result r ~src:x ~dst:v))
 
+(* Nothing to graft when [x] is already on an edge or is the only node. *)
 let join g tree x =
   let tree = Tree.add_terminal tree x in
-  if Tree.Int_set.is_empty (Tree.nodes (Tree.remove_terminal tree x)) then tree
-  else if Tree.mem_node (Tree.remove_terminal tree x) x then tree
+  let alone = (not (Tree.has_edges tree)) && Tree.Int_set.cardinal (Tree.terminals tree) = 1 in
+  if alone || not (Tree.Int_set.is_empty (Tree.neighbors tree x)) then tree
   else graft g tree x
 
 let leave _g tree x = Tree.prune (Tree.remove_terminal tree x)
@@ -81,13 +70,11 @@ let repair g tree =
   then Some (Tree.prune tree)
   else rebuild g tree
 
+(* The fresh tree's cost is read off the SPH kernel's edges: no tree is
+   built. *)
 let drift g tree =
   let terminals = Tree.Int_set.elements (Tree.terminals tree) in
-  if List.length terminals < 2 then 1.0
-  else begin
-    let fresh = Steiner.sph g terminals in
-    let fresh_cost = Tree.cost g fresh in
-    if fresh_cost <= 0.0 then 1.0 else Tree.cost g tree /. fresh_cost
-  end
+  let fresh = if List.length terminals < 2 then 0.0 else Steiner.sph_cost g terminals in
+  if fresh <= 0.0 then 1.0 else Tree.cost g tree /. fresh
 
 let needs_recompute ~threshold g tree = drift g tree > threshold

@@ -14,7 +14,9 @@ val join : Net.Graph.t -> Tree.t -> int -> Tree.t
     smallest such node on a tie (greedy dynamic-Steiner step of Imase &
     Waxman).  If the tree has no nodes
     yet, the result is the single-terminal tree.  Raises [Failure] when
-    [x] cannot reach the tree. *)
+    [x] cannot reach the tree.  Builds no node set: emptiness and
+    membership are read off the tree, and {!Tree.nearest} scans the
+    candidates. *)
 
 val leave : Net.Graph.t -> Tree.t -> int -> Tree.t
 (** [leave g tree x] — remove terminal [x] and prune the now-useless
@@ -34,4 +36,8 @@ val needs_recompute : threshold:float -> Net.Graph.t -> Tree.t -> bool
 (** [true] when the tree's drift — its cost over the cost of a fresh
     {!Steiner.sph} tree on the same terminals, [1.0] below two
     terminals — exceeds [threshold]: the paper's "deviates
-    significantly from an optimal" trigger. *)
+    significantly from an optimal" trigger.  The fresh tree is priced
+    by {!Steiner.sph_cost} and never built; its cost is bit-equal to
+    [Tree.cost] of that tree, so every decision is the one a built tree
+    gives.  Raises [Failure] when the terminals are not mutually
+    reachable, as {!Steiner.sph} does. *)

@@ -6,15 +6,24 @@ let source_rooted g ~root ~receivers =
     receivers;
   let r = Net.Dijkstra.run g root in
   let terminals = List.sort_uniq Int.compare (root :: receivers) in
-  List.fold_left
-    (fun tree dst ->
-      if dst = root then tree
-      else
-        match Net.Dijkstra.path_of_result r ~src:root ~dst with
-        | Some p -> Tree.add_path tree p
-        | None -> failwith (Printf.sprintf "Spt: receiver %d unreachable" dst))
-    (Tree.of_terminals terminals)
-    terminals
+  (* Each receiver's [pred] chain up to the first node on the tree: each
+     node joins once, by the edge to its predecessor. *)
+  let on_tree = Bytes.make n '\000' and keys = Array.make (n - 1) 0 and m = ref 0 in
+  Bytes.set on_tree root '\001';
+  List.iter
+    (fun dst ->
+      if not (Float.is_finite r.dist.(dst)) then
+        failwith (Printf.sprintf "Spt: receiver %d unreachable" dst);
+      let x = ref dst in
+      while Bytes.get on_tree !x = '\000' do
+        Bytes.set on_tree !x '\001';
+        let p = r.pred.(!x) in
+        keys.(!m) <- (Int.min p !x * n) + Int.max p !x;
+        incr m;
+        x := p
+      done)
+    terminals;
+  Tree.of_canonical_keys ~n ~terminals (Tree.canonical_keys keys !m)
 
 let depth t ~root =
   let is_parent parent v =

@@ -9,7 +9,14 @@ val source_rooted : Net.Graph.t -> root:int -> receivers:int list -> Tree.t
 (** [source_rooted g ~root ~receivers] — tree of shortest paths from
     [root] to each receiver.  The terminal set of the result is
     [root :: receivers].  Receivers already equal to [root] are allowed.
-    Raises [Failure] if some receiver is unreachable. *)
+    Raises [Failure] if some receiver is unreachable, naming the least
+    such receiver.
+
+    One Dijkstra run from [root] (memoised per graph version).  Each
+    receiver, in ascending order, walks its predecessor chain until it
+    reaches a node already on the tree; the walked edges, the union of
+    the root-to-receiver paths, build the tree once, canonical form
+    included. *)
 
 val depth : Tree.t -> root:int -> int
 (** Longest hop distance from the root to any tree node. *)

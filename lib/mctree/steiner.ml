@@ -61,12 +61,13 @@ let kmb_impl g terminals =
     in
     Tree.prune tree
 
-(* Closure-free phase wrappers; see Net.Dijkstra.run.  Dijkstra and MST
-   work inside shows up as child time of these phases. *)
-let kmb g terminals =
+(* The phase wrapper of both heuristics, closure-free ([f] is a
+   top-level function); see Net.Dijkstra.run.  Dijkstra and MST work
+   inside shows up as child time of these phases. *)
+let in_phase name f g terminals =
   let ph = Metrics.Phase.ambient () in
-  Metrics.Phase.enter ph "mctree.kmb";
-  match kmb_impl g terminals with
+  Metrics.Phase.enter ph name;
+  match f g terminals with
   | r ->
     Metrics.Phase.leave ph;
     r
@@ -74,53 +75,67 @@ let kmb g terminals =
     Metrics.Phase.leave ph;
     raise e
 
-let sph_impl g terminals =
+let kmb g terminals = in_phase "mctree.kmb" kmb_impl g terminals
+
+(* The SPH attach loop over arrays.  [near_d.(i)] and [near_v.(i)] are
+   terminal [ts.(i)]'s distance to its nearest tree node and that node,
+   the smallest id on a tie ([-1]: none reachable yet, [-2]: attached);
+   only a node joining the tree updates them.  A path reaches the tree
+   only at its end, so its edges' keys [u * n + v] ([u < v]) fit in
+   [n - 1] slots; the buffer grows if a rounding tie says otherwise. *)
+let attach g terminals =
   let terminals = check_terminals g terminals in
-  match terminals with
-  | [] -> assert false (* check_terminals rejects the empty set *)
-  | [ only ] -> Tree.of_terminals [ only ]
-  | seed :: rest ->
-    (* One Dijkstra per non-seed terminal, run once up front: the graph
-       is fixed for the call, so each attachment step only rescans the
-       stored distances against the grown tree. *)
-    let rec attach tree in_tree = function
-      | [] -> Tree.prune tree
-      | remaining ->
-        (* Attach the remaining terminal closest to the current tree; tree
-           nodes act as targets. *)
-        let best = ref None in
-        List.iter
-          (fun ((_, (r : Net.Dijkstra.result)) as entry) ->
-            Tree.Int_set.iter
-              (fun v ->
-                let d = r.dist.(v) in
-                let better =
-                  match !best with Some (_, _, d') -> d < d' | None -> true
-                in
-                if Float.is_finite d && better then best := Some (entry, v, d))
-              in_tree)
-          remaining;
-        (match !best with
-        | None -> failwith "Steiner.sph: terminals not mutually reachable"
-        | Some ((t, r), v, _) ->
-          let path = Option.get (Net.Dijkstra.path_of_result r ~src:t ~dst:v) in
-          attach (Tree.add_path tree path)
-            (List.fold_left (fun s x -> Tree.Int_set.add x s) in_tree path)
-            (List.filter (fun (x, _) -> x <> t) remaining))
-    in
-    attach (Tree.of_terminals terminals) (Tree.Int_set.singleton seed)
-      (List.map (fun t -> (t, Net.Dijkstra.run g t)) rest)
+  let n = Net.Graph.n_nodes g and ts = Array.of_list (List.tl terminals) in
+  let k = Array.length ts and rs = Array.map (Net.Dijkstra.run g) ts in
+  let near_d = Float.Array.make k infinity and near_v = Array.make k (-1) in
+  let on_tree = Bytes.make n '\000' in
+  let join w =
+    if Bytes.get on_tree w = '\000' then begin
+      Bytes.set on_tree w '\001';
+      for i = 0 to k - 1 do
+        let d = rs.(i).dist.(w) and d' = Float.Array.get near_d i in
+        if near_v.(i) > -2 && (d < d' || (d = d' && w < near_v.(i))) then begin
+          Float.Array.set near_d i d;
+          near_v.(i) <- w
+        end
+      done
+    end
+  in
+  let keys = ref (Array.make (Int.max 1 (n - 1)) 0) and m = ref 0 in
+  join (List.hd terminals);
+  for _ = 1 to k do
+    let b = ref (-1) in
+    for i = 0 to k - 1 do
+      let d = Float.Array.get near_d i in
+      if near_v.(i) >= 0 && (!b < 0 || d < Float.Array.get near_d !b) then b := i
+    done;
+    if !b < 0 then failwith "Steiner.sph: terminals not mutually reachable";
+    let t = ts.(!b) and pred = rs.(!b).pred and x = ref near_v.(!b) in
+    near_v.(!b) <- -2;
+    while !x <> t do
+      let p = pred.(!x) in
+      if !m = Array.length !keys then keys := Array.append !keys !keys;
+      !keys.(!m) <- (Int.min p !x * n) + Int.max p !x;
+      incr m;
+      join p;
+      x := p
+    done
+  done;
+  (* No non-terminal leaf is left to prune: every such node is inside a
+     shortest path, which is simple. *)
+  (terminals, Tree.canonical_keys !keys !m)
 
 let sph g terminals =
-  let ph = Metrics.Phase.ambient () in
-  Metrics.Phase.enter ph "mctree.sph";
-  match sph_impl g terminals with
-  | r ->
-    Metrics.Phase.leave ph;
-    r
-  | exception e ->
-    Metrics.Phase.leave ph;
-    raise e
+  let terminals, keys = in_phase "mctree.sph" attach g terminals in
+  Tree.of_canonical_keys ~n:(Net.Graph.n_nodes g) ~terminals keys
+
+let sph_cost g terminals =
+  let _, keys = in_phase "mctree.sph" attach g terminals in
+  let n = Net.Graph.n_nodes g and acc = ref 0.0 in
+  for i = 0 to Array.length keys - 1 do
+    acc := !acc +. Net.Graph.weight g (keys.(i) / n) (keys.(i) mod n)
+  done;
+  !acc
 
 let lower_bound g terminals =
   let terminals = check_terminals g terminals in

@@ -29,9 +29,10 @@ let of_terminals ts = make (Int_set.of_list ts) Int_map.empty
 
 let neighbors t u = Option.value ~default:Int_set.empty (Int_map.find_opt u t.adj)
 
+let attach a b adj = Int_map.add a (Int_set.add b (Option.value ~default:Int_set.empty (Int_map.find_opt a adj))) adj
+
 let add_edge t u v =
   if u = v then invalid_arg "Tree.add_edge: self-loop";
-  let attach a b adj = Int_map.add a (Int_set.add b (Option.value ~default:Int_set.empty (Int_map.find_opt a adj))) adj in
   make t.terminals (attach u v (attach v u t.adj))
 
 let remove_edge t u v =
@@ -59,7 +60,43 @@ let of_edges ~terminals edges =
     (fun t (u, v) -> add_edge t u v)
     (of_terminals terminals) edges
 
+(* A sorted copy of [keys]' first [m] entries, repeats dropped in place. *)
+let canonical_keys keys m =
+  let a = Array.sub keys 0 m in
+  Array.sort Int.compare a;
+  let len = ref (Int.min m 1) in
+  for i = 1 to m - 1 do
+    if a.(i) <> a.(!len - 1) then begin a.(!len) <- a.(i); incr len end
+  done;
+  if !len = m then a else Array.sub a 0 !len
+
+let of_canonical_keys ~n ~terminals keys =
+  let f_edges = Array.make (2 * Array.length keys) 0 and adj = ref Int_map.empty in
+  Array.iteri
+    (fun i key ->
+      let u = key / n and v = key mod n in
+      f_edges.(2 * i) <- u;
+      f_edges.((2 * i) + 1) <- v;
+      adj := attach u v (attach v u !adj))
+    keys;
+  let form = Some { f_terminals = Array.of_list terminals; f_edges } in
+  { terminals = Int_set.of_list terminals; adj = !adj; form }
+
 let terminals t = t.terminals
+
+let has_edges t = not (Int_map.is_empty t.adj)
+
+(* The edges' ends, then the terminals, without building [nodes]: a node
+   seen twice is the same candidate twice. *)
+let nearest (r : Net.Dijkstra.result) t ~except =
+  let best = ref (-1) in
+  let consider v =
+    let d = r.dist.(v) and near = if !best < 0 then infinity else r.dist.(!best) in
+    if v <> except && (d < near || (d = near && v < !best)) then best := v
+  in
+  Int_map.iter (fun u _ -> consider u) t.adj;
+  Int_set.iter consider t.terminals;
+  !best
 
 let nodes t =
   Int_map.fold (fun u _ acc -> Int_set.add u acc) t.adj t.terminals

@@ -34,6 +34,19 @@ val of_terminals : int list -> t
 val of_edges : terminals:int list -> (int * int) list -> t
 (** Build from an explicit edge list. *)
 
+val canonical_keys : int array -> int -> int array
+(** [canonical_keys keys m] — the first [m] entries of [keys], edge keys
+    [u * n + v] with [u < v < n], as a fresh array in ascending order
+    without repeats: the order of {!edges}, so a sum over it adds the
+    weights in {!cost}'s order. *)
+
+val of_canonical_keys : n:int -> terminals:int list -> int array -> t
+(** [of_canonical_keys ~n ~terminals keys] — the tree with [terminals]
+    (ascending, no repeats) and the edges [keys], a result of
+    {!canonical_keys} on an [n]-node graph.  The canonical form is
+    filled at once, from these arguments, and the tree keeps no
+    reference to [keys]. *)
+
 (** {1 Construction} *)
 
 val add_edge : t -> int -> int -> t
@@ -59,6 +72,14 @@ val terminals : t -> Int_set.t
 
 val nodes : t -> Int_set.t
 (** Every node incident to an edge, plus every terminal. *)
+
+val has_edges : t -> bool
+(** [false] when the nodes of [t] are its terminals alone. *)
+
+val nearest : Net.Dijkstra.result -> t -> except:int -> int
+(** [nearest r t ~except] — the node of [t] other than [except] at the
+    least finite distance in [r], the smallest id on a tie; [-1] when
+    there is none.  Scans the nodes without building {!nodes}. *)
 
 val compare_edge : int * int -> int * int -> int
 (** Lexicographic [Int.compare] on normalised [(lo, hi)] edges — the

@@ -16,7 +16,10 @@
      connectivity search it replaced (same links, same order);
    - the union-find tree predicates vs the set-based searches they
      replaced, and incremental repair vs the repair that rebuilt every
-     tree (equal trees). *)
+     tree (equal trees);
+   - the array SPH kernel, its cost, the pred-walk source-rooted tree
+     and the set-free incremental join vs the list-based loops they
+     replaced (equal trees, bit-equal costs, the same [Failure]s). *)
 
 let check = Alcotest.check
 
@@ -530,6 +533,14 @@ module Set_tree = struct
     | Some (path, _) -> T.add_path tree path
     | None -> failwith "Incremental.join: member cannot reach the tree"
 
+  (* Incremental join as it was: the node set built to test emptiness
+     and membership. *)
+  let join g tree x =
+    let tree = T.add_terminal tree x in
+    if T.Int_set.is_empty (T.nodes (T.remove_terminal tree x)) then tree
+    else if T.mem_node (T.remove_terminal tree x) x then tree
+    else graft g tree x
+
   let fragment t seed =
     let keep = T.Int_set.of_list (T.dfs_order t ~root:seed) in
     List.fold_left
@@ -703,6 +714,174 @@ let prop_repair_vs_rebuild =
     ~count:300 ~print:print_repair_case repair_case_gen (fun case ->
       let g, tree = repair_case ~intact:false case in
       same_repair g tree)
+
+(* ------------------------------------------------------------------ *)
+(* Array tree kernels vs the list-based loops they replaced *)
+
+module List_loops = struct
+  module T = Mctree.Tree
+
+  (* [Steiner.sph]'s attach loop as it was: each step rescans every
+     remaining terminal's distances against the whole tree set, builds
+     the winner's path as a list and adds it edge by edge; the tree is
+     pruned at the end. *)
+  let sph g terminals =
+    match List.sort_uniq Int.compare terminals with
+    | [] -> failwith "Steiner: empty terminal set"
+    | [ only ] -> T.of_terminals [ only ]
+    | seed :: rest as terminals ->
+      let rec attach tree in_tree = function
+        | [] -> T.prune tree
+        | remaining -> (
+          let best = ref None in
+          List.iter
+            (fun ((_, (r : Net.Dijkstra.result)) as entry) ->
+              T.Int_set.iter
+                (fun v ->
+                  let d = r.dist.(v) in
+                  let better =
+                    match !best with Some (_, _, d') -> d < d' | None -> true
+                  in
+                  if Float.is_finite d && better then best := Some (entry, v, d))
+                in_tree)
+            remaining;
+          match !best with
+          | None -> failwith "Steiner.sph: terminals not mutually reachable"
+          | Some ((t, r), v, _) ->
+            let path = Option.get (Net.Dijkstra.path_of_result r ~src:t ~dst:v) in
+            attach (T.add_path tree path)
+              (List.fold_left (fun s x -> T.Int_set.add x s) in_tree path)
+              (List.filter (fun (x, _) -> x <> t) remaining))
+      in
+      attach (T.of_terminals terminals) (T.Int_set.singleton seed)
+        (List.map (fun t -> (t, Net.Dijkstra.run g t)) rest)
+
+  (* [Spt.source_rooted] as it was: each receiver's whole path from the
+     root, added edge by edge. *)
+  let source_rooted g ~root ~receivers =
+    let r = Net.Dijkstra.run g root in
+    let terminals = List.sort_uniq Int.compare (root :: receivers) in
+    List.fold_left
+      (fun tree dst ->
+        if dst = root then tree
+        else
+          match Net.Dijkstra.path_of_result r ~src:root ~dst with
+          | Some p -> T.add_path tree p
+          | None -> failwith (Printf.sprintf "Spt: receiver %d unreachable" dst))
+      (T.of_terminals terminals) terminals
+end
+
+(* A graph of 4-14 switches on up to [2n] random links (so some switches
+   are cut off), weighted 1-3, where equal-cost paths are common, or
+   0.1-0.3, where a sum's value depends on its order; about a sixth of
+   the links are down.  Then 2-8 distinct terminals and one more node. *)
+type kernel_case = {
+  n : int;
+  links : (int * int * int * bool) list;
+  tenths : bool;
+  terminals : int list;
+  extra : int;
+}
+
+let kernel_case_gen =
+  QCheck2.Gen.(
+    let* n = int_range 4 14 in
+    let node = int_bound (n - 1) in
+    let* links =
+      list_size (int_range 0 (2 * n))
+        (map2 (fun (u, v, w) down -> (u, v, w, down = 0))
+           (triple node node (int_range 1 3))
+           (int_bound 5))
+    in
+    let* tenths = bool in
+    let* k = int_range 2 8 in
+    let* order = shuffle_l (List.init n Fun.id) in
+    let* extra = node in
+    return
+      { n; links; tenths; terminals = List.filteri (fun i _ -> i < k) order; extra })
+
+let print_kernel_case c =
+  let ints l = String.concat "," (List.map string_of_int l) in
+  Printf.sprintf "n %d links [%s] %s terminals [%s] extra %d" c.n
+    (String.concat ","
+       (List.map
+          (fun (u, v, w, down) ->
+            Printf.sprintf "%d-%d:%d%s" u v w (if down then "(down)" else ""))
+          c.links))
+    (if c.tenths then "tenths" else "units")
+    (ints c.terminals) c.extra
+
+let kernel_graph c =
+  let g = Net.Graph.create c.n in
+  List.iter
+    (fun (u, v, w, down) ->
+      if u <> v && not (Net.Graph.has_edge g u v) then begin
+        let w = float_of_int w in
+        Net.Graph.add_edge g u v ~weight:(if c.tenths then w /. 10.0 else w);
+        if down then Net.Graph.set_link g u v ~up:false
+      end)
+    c.links;
+  g
+
+let outcome f = match f () with v -> Ok v | exception Failure msg -> Error msg
+
+let same_tree_outcome a b =
+  match (a, b) with
+  | Ok a, Ok b -> Mctree.Tree.equal a b
+  | Error a, Error b -> String.equal a b
+  | Ok _, Error _ | Error _, Ok _ -> false
+
+let prop_sph_vs_attach_loop =
+  QCheck2.Test.make ~name:"sph kernel equals the list-based attach loop"
+    ~count:1000 ~print:print_kernel_case kernel_case_gen (fun c ->
+      let g = kernel_graph c in
+      same_tree_outcome
+        (outcome (fun () -> Mctree.Steiner.sph g c.terminals))
+        (outcome (fun () -> List_loops.sph g c.terminals)))
+
+(* The drift check's price of a fresh tree, bit for bit. *)
+let prop_sph_cost_vs_tree_cost =
+  QCheck2.Test.make ~name:"sph cost equals the reference tree's cost"
+    ~count:1000 ~print:print_kernel_case kernel_case_gen (fun c ->
+      let g = kernel_graph c in
+      match
+        ( outcome (fun () -> Mctree.Steiner.sph_cost g c.terminals),
+          outcome (fun () -> List_loops.sph g c.terminals) )
+      with
+      | Ok cost, Ok tree -> Float.equal cost (Mctree.Tree.cost g tree)
+      | Error a, Error b -> String.equal a b
+      | Ok _, Error _ | Error _, Ok _ -> false)
+
+let prop_spt_vs_path_union =
+  QCheck2.Test.make ~name:"source-rooted tree equals the union of paths"
+    ~count:1000 ~print:print_kernel_case kernel_case_gen (fun c ->
+      let g = kernel_graph c in
+      let root = c.extra and receivers = c.terminals in
+      same_tree_outcome
+        (outcome (fun () -> Mctree.Spt.source_rooted g ~root ~receivers))
+        (outcome (fun () -> List_loops.source_rooted g ~root ~receivers)))
+
+(* Joins onto the reference SPH tree of the terminals, onto that tree
+   with its least terminal dropped but its edges kept, and onto a tree
+   of one terminal. *)
+let prop_join_vs_set_join =
+  QCheck2.Test.make ~name:"incremental join equals the set-based join"
+    ~count:1000 ~print:print_kernel_case kernel_case_gen (fun c ->
+      let g = kernel_graph c in
+      let same tree x =
+        same_tree_outcome
+          (outcome (fun () -> Mctree.Incremental.join g tree x))
+          (outcome (fun () -> Set_tree.join g tree x))
+      in
+      let least = List.fold_left Int.min (List.hd c.terminals) c.terminals in
+      List.for_all
+        (fun tree ->
+          List.for_all (same tree) (c.extra :: least :: c.terminals))
+        (Mctree.Tree.of_terminals [ least ] :: Mctree.Tree.empty
+        ::
+        (match outcome (fun () -> List_loops.sph g c.terminals) with
+        | Ok t -> [ t; Mctree.Tree.remove_terminal t least ]
+        | Error _ -> [])))
 
 (* ------------------------------------------------------------------ *)
 (* Renderers vs the Format printers they replaced *)
@@ -949,6 +1128,10 @@ let () =
           QCheck_alcotest.to_alcotest prop_predicates_vs_set_search;
           QCheck_alcotest.to_alcotest prop_repair_intact_vs_rebuild;
           QCheck_alcotest.to_alcotest prop_repair_vs_rebuild;
+          QCheck_alcotest.to_alcotest prop_sph_vs_attach_loop;
+          QCheck_alcotest.to_alcotest prop_sph_cost_vs_tree_cost;
+          QCheck_alcotest.to_alcotest prop_spt_vs_path_union;
+          QCheck_alcotest.to_alcotest prop_join_vs_set_join;
         ] );
       ( "renderers",
         [
