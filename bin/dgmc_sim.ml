@@ -396,8 +396,7 @@ let script_cmd =
               print_string
                 (Net.Dot.graph
                    ~highlight:(Mctree.Tree.edges tree)
-                   ~mark:
-                     (Mctree.Tree.Int_set.elements (Mctree.Tree.terminals tree))
+                   ~mark:(Mctree.Tree.terminals tree)
                    (Dgmc.Protocol.graph net))
           | None -> Format.printf "  (no agreed topology)@.")
         script.mcs;

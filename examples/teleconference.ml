@@ -91,7 +91,7 @@ let () =
   (match Dgmc.Protocol.agreed_topology net mc with
   | Some tree ->
     Format.printf "call established: %d participants, tree cost %.2f@.@."
-      (Mctree.Tree.Int_set.cardinal (Mctree.Tree.terminals tree))
+      (Mctree.Tree.n_terminals tree)
       (Mctree.Tree.cost graph tree)
   | None -> ());
   phase_report net mc "arrivals";

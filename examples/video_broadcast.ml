@@ -54,9 +54,7 @@ let () =
      minimizes per-viewer latency; a Steiner tree minimizes total
      bandwidth.  D-GMC supports both — that is the point of its
      generality. *)
-  let members =
-    Mctree.Tree.Int_set.elements (Mctree.Tree.terminals tree')
-  in
+  let members = Mctree.Tree.terminals tree' in
   let shared = Mctree.Steiner.kmb graph members in
   let spt_delays =
     List.map snd (Mctree.Spt.receivers_cost graph tree' ~root:station)

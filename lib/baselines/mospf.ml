@@ -110,7 +110,7 @@ let rec packet_at t ~src ~group ~router ~parent =
 
 and forward t tree ~src ~group ~router ~parent =
   if Mctree.Tree.mem_node tree router then
-    Mctree.Tree.Int_set.iter
+    List.iter
       (fun child ->
         if (match parent with Some p -> p <> child | None -> true) then begin
           t.packets_forwarded <- t.packets_forwarded + 1;

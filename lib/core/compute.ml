@@ -53,7 +53,7 @@ let scratch config kind image members ~self =
 
 let incremental config kind image members ~self current =
   let ids = Member.ids members in
-  let old_ids = Mctree.Tree.Int_set.elements (Mctree.Tree.terminals current) in
+  let old_ids = Mctree.Tree.terminals current in
   let leavers = List.filter (fun x -> not (Member.mem members x)) old_ids in
   let joiners = List.filter (fun x -> not (List.mem x old_ids)) ids in
   let after_leaves =
@@ -66,13 +66,18 @@ let incremental config kind image members ~self current =
       let grown =
         List.fold_left (fun t x -> Mctree.Incremental.join image t x) repaired joiners
       in
-      if
-        Mctree.Tree.is_valid_mc_topology image grown
-        && not
-             (Mctree.Incremental.needs_recompute
-                ~threshold:config.Config.drift_threshold image grown)
-      then grown
-      else scratch config kind image members ~self
+      (* [grown]'s terminals are the members, and a valid tree proves
+         them mutually reachable, so a fresh tree from the drift check
+         is the one [scratch] would compute. *)
+      if not (Mctree.Tree.is_valid_mc_topology image grown) then
+        scratch config kind image members ~self
+      else
+        match
+          Mctree.Incremental.recompute
+            ~threshold:config.Config.drift_threshold image grown
+        with
+        | None -> grown
+        | Some fresh -> fresh
     with Failure _ -> scratch config kind image members ~self)
 
 let topology_impl config kind image members ~self ~current =
@@ -84,7 +89,7 @@ let topology_impl config kind image members ~self ~current =
       match current with
       | Some cur
         when config.Config.incremental
-             && not (Mctree.Tree.Int_set.is_empty (Mctree.Tree.terminals cur)) ->
+             && Mctree.Tree.n_terminals cur > 0 ->
         incremental config kind image members ~self cur
       | Some _ | None -> scratch config kind image members ~self)
 

@@ -239,11 +239,9 @@ let flood_lsa t mc ~event ~proposal ?members ~stamp () =
    tree edge has two endpoint switches, which makes incident-only
    checking sufficient network-wide. *)
 let tree_uses_dead_incident_link t tree =
-  let img = Lsr.Lsdb.graph t.lsdb in
-  Mctree.Tree.Int_set.exists
-    (fun v ->
-      Net.Graph.has_edge img t.id v && not (Net.Graph.link_is_up img t.id v))
-    (Mctree.Tree.neighbors tree t.id)
+  List.exists
+    (fun (v, l) -> (not (Net.Graph.is_up l)) && Mctree.Tree.mem_edge tree t.id v)
+    (Net.Graph.links (Lsr.Lsdb.graph t.lsdb) t.id)
 
 let compute_proposal t (st : Mc_state.t) (mc : Mc_id.t) =
   Compute.topology t.config mc.kind (Lsr.Lsdb.graph t.lsdb) st.members
@@ -577,8 +575,7 @@ let topology_stale t (st : Mc_state.t) =
       (not (Mctree.Tree.is_valid_mc_topology img st.topology))
       || not
            (List.equal Int.equal
-              (Mctree.Tree.Int_set.elements
-                 (Mctree.Tree.terminals st.topology))
+              (Mctree.Tree.terminals st.topology)
               (Member.ids st.members)))
 
 (* Version-gated merge of link entries into the local image.  A link

@@ -102,9 +102,7 @@ let against_truth ~graph ~members:truth mc switches =
           (Format.asprintf
              "agreed topology %a is not a valid embedded spanning tree"
              Mctree.Tree.pp t0);
-      let term_ids =
-        Mctree.Tree.Int_set.elements (Mctree.Tree.terminals t0)
-      in
+      let term_ids = Mctree.Tree.terminals t0 in
       if term_ids <> Member.ids truth then
         viol id0 "terminals-match"
           (Format.asprintf

@@ -29,9 +29,8 @@ let churn_session ~seed ~n ~churn_events config =
   Dgmc.Protocol.run net;
   let converged = Dgmc.Protocol.converged net mc in
   match Dgmc.Protocol.agreed_topology net mc with
-  | Some tree when not (Mctree.Tree.Int_set.is_empty (Mctree.Tree.terminals tree))
-    ->
-    let members = Mctree.Tree.Int_set.elements (Mctree.Tree.terminals tree) in
+  | Some tree when Mctree.Tree.n_terminals tree > 0 ->
+    let members = Mctree.Tree.terminals tree in
     let fresh = Mctree.Steiner.kmb graph members in
     let fresh_cost = Mctree.Tree.cost graph fresh in
     let ratio =

@@ -313,8 +313,8 @@ let first_topology mc switches =
    that map to no real link.  [divergence] validates what [global_tree]
    returns. *)
 let stitch t mc =
-  let union = ref Mctree.Tree.empty in
-  let add (u, v) = union := Mctree.Tree.add_edge !union u v in
+  let links = ref [] in
+  let add link = links := link :: !links in
   Array.iter
     (fun members ->
       Option.iter
@@ -339,7 +339,7 @@ let stitch t mc =
     |> List.concat_map (fun table -> Int_set.elements (members_of table mc))
     |> List.sort Int.compare
   in
-  (Mctree.Tree.with_terminals !union members, unmapped)
+  (Mctree.Tree.of_edges ~terminals:members !links, unmapped)
 
 let divergence t mc =
   let problems = ref [] in
@@ -411,5 +411,5 @@ let global_tree t mc =
   if not (converged t mc) then None
   else
     let global, _ = stitch t mc in
-    if Mctree.Tree.Int_set.is_empty (Mctree.Tree.terminals global) then None
+    if Mctree.Tree.n_terminals global = 0 then None
     else Some global

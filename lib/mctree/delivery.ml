@@ -24,7 +24,7 @@ let walk g tree ~start ~base_delay ~base_hops ~prefix_links =
   let rec visit u parent delay hops =
     if Tree.is_terminal tree u && u <> start then
       deliveries := { receiver = u; delay; hops } :: !deliveries;
-    Tree.Int_set.iter
+    List.iter
       (fun v ->
         if (match parent with Some p -> p <> v | None -> true) then begin
           links := norm u v :: !links;

@@ -32,12 +32,12 @@ val repair : Net.Graph.t -> Tree.t -> Tree.t option
     [Tree.prune tree], without the rebuild through its live fragment:
     the same tree the rebuild would return. *)
 
-val needs_recompute : threshold:float -> Net.Graph.t -> Tree.t -> bool
-(** [true] when the tree's drift — its cost over the cost of a fresh
-    {!Steiner.sph} tree on the same terminals, [1.0] below two
-    terminals — exceeds [threshold]: the paper's "deviates
-    significantly from an optimal" trigger.  The fresh tree is priced
-    by {!Steiner.sph_cost} and never built; its cost is bit-equal to
-    [Tree.cost] of that tree, so every decision is the one a built tree
-    gives.  Raises [Failure] when the terminals are not mutually
-    reachable, as {!Steiner.sph} does. *)
+val recompute : threshold:float -> Net.Graph.t -> Tree.t -> Tree.t option
+(** [recompute ~threshold g tree] — [Some fresh], the {!Steiner.sph}
+    tree on [tree]'s terminals, when [tree]'s drift — its cost over
+    [fresh]'s, [1.0] below two terminals — exceeds [threshold]: the
+    paper's "deviates significantly from an optimal" trigger.  [None]
+    otherwise.  The fresh tree priced by the check is the one handed
+    back, so a caller that installs it runs SPH once.  Raises [Failure]
+    when the terminals are not mutually reachable, as {!Steiner.sph}
+    does. *)

@@ -23,29 +23,29 @@ let source_rooted g ~root ~receivers =
         x := p
       done)
     terminals;
-  Tree.of_canonical_keys ~n ~terminals (Tree.canonical_keys keys !m)
+  Tree.of_edge_keys ~n ~terminals keys !m
 
 let depth t ~root =
   let is_parent parent v =
     match parent with Some p -> p = v | None -> false
   in
   let rec go u parent d best =
-    Tree.Int_set.fold
-      (fun v best ->
+    List.fold_left
+      (fun best v ->
         if is_parent parent v then best
         else go v (Some u) (d + 1) (max best (d + 1)))
-      (Tree.neighbors t u) best
+      best (Tree.neighbors t u)
   in
   if Tree.mem_node t root then go root None 0 0 else 0
 
 let receivers_cost g t ~root =
-  Tree.Int_set.fold
-    (fun dst acc ->
+  List.fold_left
+    (fun acc dst ->
       if dst = root then acc
       else
         match Tree.path_between t root dst with
         | Some p -> (dst, Net.Path.cost g p) :: acc
         | None -> acc)
-    (Tree.terminals t) []
+    [] (Tree.terminals t)
   |> List.sort (fun (d1, c1) (d2, c2) ->
          match Int.compare d1 d2 with 0 -> Float.compare c1 c2 | c -> c)

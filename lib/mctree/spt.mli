@@ -15,8 +15,8 @@ val source_rooted : Net.Graph.t -> root:int -> receivers:int list -> Tree.t
     One Dijkstra run from [root] (memoised per graph version).  Each
     receiver, in ascending order, walks its predecessor chain until it
     reaches a node already on the tree; the walked edges, the union of
-    the root-to-receiver paths, build the tree once, canonical form
-    included. *)
+    the root-to-receiver paths, build the tree once, by one sort of
+    their keys. *)
 
 val depth : Tree.t -> root:int -> int
 (** Longest hop distance from the root to any tree node. *)

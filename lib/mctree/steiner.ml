@@ -53,13 +53,9 @@ let kmb_impl g terminals =
     List.iter
       (fun (u, v) -> Net.Graph.add_edge sub u v ~weight:(Net.Graph.weight g u v))
       (Tree.edges expanded);
-    let tree =
-      List.fold_left
-        (fun t (e : Net.Graph.edge) -> Tree.add_edge t e.u e.v)
-        (Tree.of_terminals terminals)
-        (Net.Mst.kruskal sub)
-    in
-    Tree.prune tree
+    Tree.prune
+      (Tree.of_edges ~terminals
+         (List.map (fun (e : Net.Graph.edge) -> (e.u, e.v)) (Net.Mst.kruskal sub)))
 
 (* The phase wrapper of both heuristics, closure-free ([f] is a
    top-level function); see Net.Dijkstra.run.  Dijkstra and MST work
@@ -82,7 +78,8 @@ let kmb g terminals = in_phase "mctree.kmb" kmb_impl g terminals
    the smallest id on a tie ([-1]: none reachable yet, [-2]: attached);
    only a node joining the tree updates them.  A path reaches the tree
    only at its end, so its edges' keys [u * n + v] ([u < v]) fit in
-   [n - 1] slots; the buffer grows if a rounding tie says otherwise. *)
+   [n - 1] slots; the buffer grows if a rounding tie says otherwise.
+   One sort of the keys builds the tree. *)
 let attach g terminals =
   let terminals = check_terminals g terminals in
   let n = Net.Graph.n_nodes g and ts = Array.of_list (List.tl terminals) in
@@ -123,19 +120,9 @@ let attach g terminals =
   done;
   (* No non-terminal leaf is left to prune: every such node is inside a
      shortest path, which is simple. *)
-  (terminals, Tree.canonical_keys !keys !m)
+  Tree.of_edge_keys ~n ~terminals !keys !m
 
-let sph g terminals =
-  let terminals, keys = in_phase "mctree.sph" attach g terminals in
-  Tree.of_canonical_keys ~n:(Net.Graph.n_nodes g) ~terminals keys
-
-let sph_cost g terminals =
-  let _, keys = in_phase "mctree.sph" attach g terminals in
-  let n = Net.Graph.n_nodes g and acc = ref 0.0 in
-  for i = 0 to Array.length keys - 1 do
-    acc := !acc +. Net.Graph.weight g (keys.(i) / n) (keys.(i) mod n)
-  done;
-  !acc
+let sph g terminals = in_phase "mctree.sph" attach g terminals
 
 let lower_bound g terminals =
   let terminals = check_terminals g terminals in

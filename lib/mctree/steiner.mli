@@ -30,16 +30,10 @@ val sph : Net.Graph.t -> int list -> Tree.t
     terminals, one per non-seed terminal (memoised per graph version).
     One array kernel keeps each remaining terminal's nearest tree node
     and distance, updated only for the nodes a new path adds, walks
-    the path's predecessors into one edge buffer and builds the tree
-    once, from that buffer in canonical order.  Raises
+    the path's predecessors into one edge-key buffer and builds the
+    tree once, from that buffer sorted.  Raises
     [Failure "Steiner.sph: terminals not mutually reachable"] at the
     first step where no remaining terminal reaches the tree. *)
-
-val sph_cost : Net.Graph.t -> int list -> float
-(** [sph_cost g terminals] is [Tree.cost g (sph g terminals)], bit for
-    bit, and raises the same [Failure]s, without building the tree: the
-    same kernel's weights summed in canonical edge order, as
-    {!Tree.cost} sums them.  The drift check's price of a fresh tree. *)
 
 val lower_bound : Net.Graph.t -> int list -> float
 (** A cheap lower bound on the optimal Steiner tree cost: the maximum of

@@ -1,166 +1,179 @@
-module Int_set = Set.Make (Int)
-module Int_map = Map.Make (Int)
+(* A tree is its canonical form: the terminals ascending, and the edges
+   as interleaved pairs [| u0; v0; u1; v1; ... |] with [u < v],
+   ascending by (u, v), each pair once.  Every operation builds fresh
+   arrays; none is written after its tree is built. *)
+type t = { terminals : int array; edges : int array }
 
-(* The canonical form: the terminals ascending, and the edges as
-   interleaved pairs [| u0; v0; u1; v1; ... |] with [u < v], ascending
-   by (u, v).  Built on a tree value's first use and kept, so every
-   later comparison, fingerprint and edge walk reads arrays. *)
-type form = { f_terminals : int array; f_edges : int array }
+let empty = { terminals = [||]; edges = [||] }
 
-(* [form] is a plain memo, not a [Lazy.t]: cells on several domains may
-   race to build it, and both writes store equal values. *)
-type t = {
-  terminals : Int_set.t;
-  adj : Int_set.t Int_map.t;
-  mutable form : form option;
-}
+let sorted_ints l = Array.of_list (List.sort_uniq Int.compare l)
 
-(* The only constructor: a fresh value never carries another's form. *)
-let make terminals adj = { terminals; adj; form = None }
+let of_terminals ts = { terminals = sorted_ints ts; edges = [||] }
 
-let empty =
-  {
-    terminals = Int_set.empty;
-    adj = Int_map.empty;
-    form = Some { f_terminals = [||]; f_edges = [||] };
-  }
-
-let of_terminals ts = make (Int_set.of_list ts) Int_map.empty
-
-let neighbors t u = Option.value ~default:Int_set.empty (Int_map.find_opt u t.adj)
-
-let attach a b adj = Int_map.add a (Int_set.add b (Option.value ~default:Int_set.empty (Int_map.find_opt a adj))) adj
-
-let add_edge t u v =
+(* The key of edge [u]-[v] over [n] ids: [u * n + v] with [u < v]. *)
+let key n u v =
   if u = v then invalid_arg "Tree.add_edge: self-loop";
-  make t.terminals (attach u v (attach v u t.adj))
+  if u < 0 || v < 0 then invalid_arg "Tree.add_edge: negative node";
+  (Int.min u v * n) + Int.max u v
 
-let remove_edge t u v =
-  let detach a b adj =
-    match Int_map.find_opt a adj with
-    | None -> adj
-    | Some set ->
-      let set = Int_set.remove b set in
-      if Int_set.is_empty set then Int_map.remove a adj else Int_map.add a set adj
-  in
-  make t.terminals (detach u v (detach v u t.adj))
-
-let rec add_path t = function
-  | [] | [ _ ] -> t
-  | u :: (v :: _ as rest) -> add_path (add_edge t u v) rest
-
-let add_terminal t x = make (Int_set.add x t.terminals) t.adj
-
-let remove_terminal t x = make (Int_set.remove x t.terminals) t.adj
-
-let with_terminals t ts = make (Int_set.of_list ts) t.adj
-
-let of_edges ~terminals edges =
-  List.fold_left
-    (fun t (u, v) -> add_edge t u v)
-    (of_terminals terminals) edges
-
-(* A sorted copy of [keys]' first [m] entries, repeats dropped in place. *)
-let canonical_keys keys m =
-  let a = Array.sub keys 0 m in
+(* [keys]' first [m] entries sorted, repeats dropped, as edge pairs; a
+   full [keys] is sorted in place. *)
+let pairs_of_keys ~n keys m =
+  let a = if m = Array.length keys then keys else Array.sub keys 0 m in
   Array.sort Int.compare a;
   let len = ref (Int.min m 1) in
   for i = 1 to m - 1 do
     if a.(i) <> a.(!len - 1) then begin a.(!len) <- a.(i); incr len end
   done;
-  if !len = m then a else Array.sub a 0 !len
+  let e = Array.make (2 * !len) 0 in
+  for i = 0 to !len - 1 do
+    e.(2 * i) <- a.(i) / n;
+    e.((2 * i) + 1) <- a.(i) mod n
+  done;
+  e
 
-let of_canonical_keys ~n ~terminals keys =
-  let f_edges = Array.make (2 * Array.length keys) 0 and adj = ref Int_map.empty in
-  Array.iteri
-    (fun i key ->
-      let u = key / n and v = key mod n in
-      f_edges.(2 * i) <- u;
-      f_edges.((2 * i) + 1) <- v;
-      adj := attach u v (attach v u !adj))
-    keys;
-  let form = Some { f_terminals = Array.of_list terminals; f_edges } in
-  { terminals = Int_set.of_list terminals; adj = !adj; form }
+let of_edge_keys ~n ~terminals keys m =
+  { terminals = Array.of_list terminals; edges = pairs_of_keys ~n keys m }
 
-let terminals t = t.terminals
+(* The keys of [t]'s edges and the path's over the ids spanned, in one
+   fresh array sorted in place. *)
+let add_path t path =
+  let e = t.edges and m = Array.length t.edges / 2 in
+  let n = 1 + List.fold_left Int.max (Array.fold_left Int.max 0 e) path in
+  let keys = Array.make (m + Int.max 0 (List.length path - 1)) 0 in
+  for i = 0 to m - 1 do
+    keys.(i) <- (e.(2 * i) * n) + e.((2 * i) + 1)
+  done;
+  let rec fill i = function
+    | u :: (v :: _ as rest) ->
+      keys.(i) <- key n u v;
+      fill (i + 1) rest
+    | [] | [ _ ] -> ()
+  in
+  fill m path;
+  { t with edges = pairs_of_keys ~n keys (Array.length keys) }
 
-let has_edges t = not (Int_map.is_empty t.adj)
+let add_edge t u v = add_path t [ u; v ]
 
-(* The edges' ends, then the terminals, without building [nodes]: a node
-   seen twice is the same candidate twice. *)
+let of_edges ~terminals edges =
+  let n = 1 + List.fold_left (fun acc (u, v) -> Int.max acc (Int.max u v)) 0 edges in
+  let keys = Array.of_list (List.map (fun (u, v) -> key n u v) edges) in
+  let edges = pairs_of_keys ~n keys (Array.length keys) in
+  { terminals = sorted_ints terminals; edges }
+
+(* [t] with the edges whose index satisfies [keep]; [t] itself when
+   every edge is kept. *)
+let select t keep =
+  let e = t.edges in
+  let kept = ref 0 in
+  for i = 0 to (Array.length e / 2) - 1 do
+    if keep i then incr kept
+  done;
+  if 2 * !kept = Array.length e then t
+  else begin
+    let out = Array.make (2 * !kept) 0 and k = ref 0 in
+    for i = 0 to (Array.length e / 2) - 1 do
+      if keep i then begin
+        out.(!k) <- e.(2 * i);
+        out.(!k + 1) <- e.((2 * i) + 1);
+        k := !k + 2
+      end
+    done;
+    { t with edges = out }
+  end
+
+let filter_edges f t = select t (fun i -> f t.edges.(2 * i) t.edges.((2 * i) + 1))
+
+let remove_edge t u v =
+  let lo = Int.min u v and hi = Int.max u v in
+  filter_edges (fun a b -> a <> lo || b <> hi) t
+
+(* The index of [a]'s first entry not below [x]. *)
+let rank a x =
+  let lo = ref 0 and hi = ref (Array.length a) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if a.(mid) < x then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+let is_terminal t x =
+  let i = rank t.terminals x in
+  i < Array.length t.terminals && t.terminals.(i) = x
+
+let with_terminals t ts = { t with terminals = sorted_ints ts }
+
+let terminals t = Array.to_list t.terminals
+
+let add_terminal t x =
+  let a = t.terminals and i = rank t.terminals x in
+  if i < Array.length a && a.(i) = x then t
+  else
+    let at j = if j < i then a.(j) else if j = i then x else a.(j - 1) in
+    { t with terminals = Array.init (Array.length a + 1) at }
+
+let remove_terminal t x =
+  let a = t.terminals and i = rank t.terminals x in
+  if i = Array.length a || a.(i) <> x then t
+  else
+    let at j = a.(if j < i then j else j + 1) in
+    { t with terminals = Array.init (Array.length a - 1) at }
+
+let n_terminals t = Array.length t.terminals
+
+let has_edges t = Array.length t.edges > 0
+
+(* Scanning backwards and consing gives ascending order: the pairs
+   [(w, u)], [w < u], come first in the array, ascending by [w], and
+   then the pairs [(u, w)], ascending by [w]. *)
+let neighbors t u =
+  let e = t.edges and acc = ref [] in
+  for i = (Array.length e / 2) - 1 downto 0 do
+    if e.(2 * i) = u then acc := e.((2 * i) + 1) :: !acc
+    else if e.((2 * i) + 1) = u then acc := e.(2 * i) :: !acc
+  done;
+  !acc
+
+let rec mem_from (a : int array) x i =
+  i < Array.length a && (a.(i) = x || mem_from a x (i + 1))
+
+let mem_node t x = is_terminal t x || mem_from t.edges x 0
+
+let rec mem_pair_from (a : int array) u v i =
+  i < Array.length a && ((a.(i) = u && a.(i + 1) = v) || mem_pair_from a u v (i + 2))
+
+let mem_edge t u v = mem_pair_from t.edges (Int.min u v) (Int.max u v) 0
+
+(* The edges' ends, then the terminals: a node seen twice is the same
+   candidate twice. *)
 let nearest (r : Net.Dijkstra.result) t ~except =
   let best = ref (-1) in
   let consider v =
     let d = r.dist.(v) and near = if !best < 0 then infinity else r.dist.(!best) in
     if v <> except && (d < near || (d = near && v < !best)) then best := v
   in
-  Int_map.iter (fun u _ -> consider u) t.adj;
-  Int_set.iter consider t.terminals;
+  Array.iter consider t.edges;
+  Array.iter consider t.terminals;
   !best
-
-let nodes t =
-  Int_map.fold (fun u _ acc -> Int_set.add u acc) t.adj t.terminals
 
 let compare_edge (u1, v1) (u2, v2) =
   match Int.compare u1 u2 with 0 -> Int.compare v1 v2 | c -> c
 
-(* Every edge sits in [adj] under both endpoints, so walking the map
-   ascending and keeping [u < v] yields the pairs already sorted. *)
-let build_form t =
-  let f_terminals = Array.make (Int_set.cardinal t.terminals) 0 in
-  let i = ref 0 in
-  Int_set.iter (fun x -> f_terminals.(!i) <- x; incr i) t.terminals;
-  let degrees = Int_map.fold (fun _ nbrs acc -> acc + Int_set.cardinal nbrs) t.adj 0 in
-  let f_edges = Array.make degrees 0 in
-  let i = ref 0 in
-  Int_map.iter
-    (fun u nbrs ->
-      Int_set.iter
-        (fun v ->
-          if u < v then begin
-            f_edges.(!i) <- u;
-            f_edges.(!i + 1) <- v;
-            i := !i + 2
-          end)
-        nbrs)
-    t.adj;
-  { f_terminals; f_edges }
-
-let form t =
-  match t.form with
-  | Some f -> f
-  | None ->
-    let f = build_form t in
-    t.form <- Some f;
-    f
-
 let edges t =
-  let a = (form t).f_edges in
+  let a = t.edges in
   let rec go i acc = if i < 0 then acc else go (i - 2) ((a.(i), a.(i + 1)) :: acc) in
   go (Array.length a - 2) []
 
-let n_edges t = Array.length (form t).f_edges / 2
-
-let mem_edge t u v = Int_set.mem v (neighbors t u)
-
-let mem_node t x = Int_map.mem x t.adj || Int_set.mem x t.terminals
-
-let is_terminal t x = Int_set.mem x t.terminals
+let n_edges t = Array.length t.edges / 2
 
 let cost g t =
-  let a = (form t).f_edges in
+  let a = t.edges in
   let acc = ref 0.0 in
   for i = 0 to (Array.length a / 2) - 1 do
     acc := !acc +. Net.Graph.weight g a.(2 * i) a.((2 * i) + 1)
   done;
   !acc
 
-(* The shape of a canonical form, from one union-find pass over its
-   edges: whether the edges form one tree (none at all qualifies) and
-   whether every terminal lies in one component.  The scratch [parent]
-   array spans the edges' ids ([-1]: no edge there yet); a terminal
-   outside it has no edge.  Distinct terminals that share a root are
-   joined by edges, so "one root" is all [spans_terminals] asks. *)
 let rec find parent x =
   let p = parent.(x) in
   if p = x then x
@@ -175,27 +188,42 @@ let root parent i =
   if i < 0 || i >= Array.length parent || parent.(i) < 0 then -1
   else find parent i
 
+(* The number of ids a non-empty edge array spans: edges are sorted by
+   their smaller end, so [e.(0)] is the least. *)
+let span e =
+  let hi = ref e.(1) in
+  for i = 1 to (Array.length e / 2) - 1 do
+    if e.((2 * i) + 1) > !hi then hi := e.((2 * i) + 1)
+  done;
+  !hi - e.(0) + 1
+
+(* One union-find pass over a non-empty edge array: the scratch
+   [parent] array over the ids from [e.(0)] on ([-1]: no edge there),
+   whether no edge closed a cycle, and the number of distinct nodes. *)
+let union_find e =
+  let lo = e.(0) in
+  let parent = Array.make (span e) (-1) in
+  let nodes = ref 0 and acyclic = ref true in
+  for i = 0 to (Array.length e / 2) - 1 do
+    let u = e.(2 * i) - lo and v = e.((2 * i) + 1) - lo in
+    if parent.(u) < 0 then begin parent.(u) <- u; incr nodes end;
+    if parent.(v) < 0 then begin parent.(v) <- v; incr nodes end;
+    let ru = find parent u and rv = find parent v in
+    if ru = rv then acyclic := false else parent.(ru) <- rv
+  done;
+  (parent, !acyclic, !nodes)
+
+(* Whether the edges form one tree (none at all qualifies) and whether
+   every terminal lies in one component.  A terminal outside [parent]'s
+   span has no edge; distinct terminals that share a root are joined by
+   edges, so "one root" is all [spans_terminals] asks. *)
 let shape t =
-  let f = form t in
-  let e = f.f_edges and ts = f.f_terminals in
+  let e = t.edges and ts = t.terminals in
   let n_terms = Array.length ts in
   if Array.length e = 0 then (true, n_terms <= 1)
   else begin
-    (* Edges are sorted by their smaller end, so [e.(0)] is the least id. *)
-    let lo = e.(0) and hi = ref e.(1) in
-    for i = 1 to (Array.length e / 2) - 1 do
-      if e.((2 * i) + 1) > !hi then hi := e.((2 * i) + 1)
-    done;
-    let parent = Array.make (!hi - lo + 1) (-1) in
-    let nodes = ref 0 and acyclic = ref true in
-    for i = 0 to (Array.length e / 2) - 1 do
-      let u = e.(2 * i) - lo and v = e.((2 * i) + 1) - lo in
-      if parent.(u) < 0 then begin parent.(u) <- u; incr nodes end;
-      if parent.(v) < 0 then begin parent.(v) <- v; incr nodes end;
-      let ru = find parent u and rv = find parent v in
-      if ru = rv then acyclic := false else parent.(ru) <- rv
-    done;
-    let is_tree = !acyclic && !nodes = (Array.length e / 2) + 1 in
+    let lo = e.(0) and parent, acyclic, nodes = union_find e in
+    let is_tree = acyclic && nodes = (Array.length e / 2) + 1 in
     let spans =
       n_terms <= 1
       ||
@@ -215,7 +243,7 @@ let is_tree t = fst (shape t)
 let spans_terminals t = snd (shape t)
 
 let is_embedded g t =
-  let a = (form t).f_edges in
+  let a = t.edges in
   let up = ref true and i = ref 0 in
   while !up && !i < Array.length a do
     up := Net.Graph.link_is_up g a.(!i) a.(!i + 1);
@@ -227,62 +255,55 @@ let is_valid_mc_topology g t =
   let is_tree, spans = shape t in
   is_tree && spans && is_embedded g t
 
-let prune t =
-  let rec go t =
-    let removable =
-      Int_map.fold
-        (fun u nbrs acc ->
-          if Int_set.cardinal nbrs <= 1 && not (Int_set.mem u t.terminals) then
-            u :: acc
-          else acc)
-        t.adj []
-    in
-    if removable = [] then t
+let fragment t x =
+  let e = t.edges and alone = { terminals = [| x |]; edges = [||] } in
+  if Array.length e = 0 then alone
+  else begin
+    let lo = e.(0) and parent, _, _ = union_find e in
+    let r = root parent (x - lo) in
+    if r < 0 then alone
     else
-      go
-        (List.fold_left
-           (fun t u ->
-             Int_set.fold (fun v t -> remove_edge t u v) (neighbors t u) t)
-           t removable)
-  in
-  go t
+      select { t with terminals = alone.terminals } (fun i ->
+          find parent (e.(2 * i) - lo) = r)
+  end
+
+(* Each pass strips every edge with a non-terminal end on no other
+   edge, counted per id in one byte that stops at two, until a pass
+   strips none. *)
+let rec prune t =
+  let e = t.edges in
+  if Array.length e = 0 then t
+  else begin
+    let lo = e.(0) in
+    let seen = Bytes.make (span e) '\000' in
+    let count u = if Bytes.get seen (u - lo) = '\000' then '\001' else '\002' in
+    Array.iter (fun u -> Bytes.set seen (u - lo) (count u)) e;
+    let stray u = Bytes.get seen (u - lo) = '\001' && not (is_terminal t u) in
+    let kept = select t (fun i -> not (stray e.(2 * i) || stray e.((2 * i) + 1))) in
+    if kept == t then t else prune kept
+  end
 
 let path_between t src dst =
   if not (mem_node t src && mem_node t dst) then None
   else if src = dst then Some [ src ]
   else begin
-    (* DFS with parent tracking; the tree path is unique when it exists. *)
+    (* DFS from [src], smallest neighbour first, never straight back to
+       the parent ([-1]: none); the tree path is unique when it exists. *)
     let rec search u parent path =
       if u = dst then Some (List.rev (u :: path))
       else
-        Int_set.fold
-          (fun v found ->
+        List.fold_left
+          (fun found v ->
             match found with
             | Some _ -> found
-            | None -> (
-              match parent with
-              | Some p when p = v -> None
-              | _ -> search v (Some u) (u :: path)))
-          (neighbors t u) None
+            | None -> if v = parent then None else search v u (u :: path))
+          None (neighbors t u)
     in
-    search src None []
+    search src (-1) []
   end
 
-let dfs_order t ~root =
-  let visited = ref Int_set.empty in
-  let order = ref [] in
-  let rec visit u =
-    if not (Int_set.mem u !visited) then begin
-      visited := Int_set.add u !visited;
-      order := u :: !order;
-      Int_set.iter visit (neighbors t u)
-    end
-  in
-  visit root;
-  List.rev !order
-
-(* Lexicographic, a proper prefix first: the order of [Int_set.compare]
-   on the terminals and of [List.compare compare_edge] on the edges. *)
+(* Lexicographic, a proper prefix first: the order of [Set.compare] on
+   the terminals and of [List.compare compare_edge] on the edges. *)
 let rec compare_ints_from (a : int array) (b : int array) i =
   if i = Array.length a then if i = Array.length b then 0 else -1
   else if i = Array.length b then 1
@@ -294,9 +315,8 @@ let rec compare_ints_from (a : int array) (b : int array) i =
 let compare a b =
   if a == b then 0
   else
-    let fa = form a and fb = form b in
-    match compare_ints_from fa.f_terminals fb.f_terminals 0 with
-    | 0 -> compare_ints_from fa.f_edges fb.f_edges 0
+    match compare_ints_from a.terminals b.terminals 0 with
+    | 0 -> compare_ints_from a.edges b.edges 0
     | c -> c
 
 let equal a b = compare a b = 0
@@ -319,22 +339,20 @@ let add_edges b sep edges =
   done
 
 let fingerprint t =
-  let f = form t in
   let b = Buffer.create 48 in
   Buffer.add_string b "T{";
-  add_edges b "," f.f_edges;
+  add_edges b "," t.edges;
   Buffer.add_char b '|';
-  add_ints b "," f.f_terminals;
+  add_ints b "," t.terminals;
   Buffer.add_char b '}';
   Buffer.contents b
 
 let to_string t =
-  let f = form t in
   let b = Buffer.create 48 in
   Buffer.add_string b "tree terminals={";
-  add_ints b ", " f.f_terminals;
+  add_ints b ", " t.terminals;
   Buffer.add_string b "} edges=[";
-  add_edges b "; " f.f_edges;
+  add_edges b "; " t.edges;
   Buffer.add_char b ']';
   Buffer.contents b
 

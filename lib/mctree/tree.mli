@@ -2,27 +2,24 @@
 
     A [Tree.t] is the virtual topology of one multipoint connection — a
     set of undirected edges of the underlying network plus the set of
-    {e terminal} nodes (the connection members it must span).  Values are
-    immutable; protocol code ships them inside LSAs as topology proposals
-    and compares them for equality when checking network-wide agreement.
+    {e terminal} nodes (the connection members it must span).  Protocol
+    code ships trees inside LSAs as topology proposals and compares them
+    for equality when checking network-wide agreement.
 
     A value of this type is not forced to be a valid tree — algorithms
     build edge sets incrementally — so {!is_tree}, {!spans_terminals} and
     {!is_embedded} exist to check the invariants tests and the protocol
-    rely on.  They read the canonical form ({!compare}'s sorted arrays,
-    built once per value): {!is_tree} and {!spans_terminals} are one
-    union-find pass over the edges, with scratch arrays spanning the
-    edges' ids, so a check allocates O(ids spanned) words and builds no
-    set. *)
-
-module Int_set : Set.S with type elt = int
-module Int_map : Map.S with type key = int
+    rely on.  {!is_tree} and {!spans_terminals} are one union-find pass
+    over the edges, with scratch arrays spanning the edges' ids, so a
+    check allocates O(ids spanned) words and builds no set.  Node ids
+    are non-negative. *)
 
 type t
-(** Compare and hash trees only with {!equal} and {!compare}: a value
-    carries a memo filled on first use, so polymorphic [=], [compare]
-    and [Hashtbl.hash] on a tree, or on anything holding one, depend on
-    whether the memo is filled, not only on the tree. *)
+(** Two sorted [int array]s and nothing else: the terminals ascending,
+    and the edges as interleaved pairs [u0; v0; u1; v1; ...] with
+    [u < v], ascending by [(u, v)], each pair once.  Every operation
+    returns fresh arrays and none is written after its tree is built,
+    so trees are immutable values, safe to share across domains. *)
 
 val empty : t
 (** No edges, no terminals. *)
@@ -34,18 +31,12 @@ val of_terminals : int list -> t
 val of_edges : terminals:int list -> (int * int) list -> t
 (** Build from an explicit edge list. *)
 
-val canonical_keys : int array -> int -> int array
-(** [canonical_keys keys m] — the first [m] entries of [keys], edge keys
-    [u * n + v] with [u < v < n], as a fresh array in ascending order
-    without repeats: the order of {!edges}, so a sum over it adds the
-    weights in {!cost}'s order. *)
-
-val of_canonical_keys : n:int -> terminals:int list -> int array -> t
-(** [of_canonical_keys ~n ~terminals keys] — the tree with [terminals]
-    (ascending, no repeats) and the edges [keys], a result of
-    {!canonical_keys} on an [n]-node graph.  The canonical form is
-    filled at once, from these arguments, and the tree keeps no
-    reference to [keys]. *)
+val of_edge_keys : n:int -> terminals:int list -> int array -> int -> t
+(** [of_edge_keys ~n ~terminals keys m] — the tree with [terminals]
+    (ascending, no repeats) and the edges whose keys [u * n + v]
+    ([u < v < n]) are the first [m] entries of [keys], in any order,
+    repeats allowed: one sort of the keys builds the edge array.  The
+    tree keeps no reference to [keys], which may be left reordered. *)
 
 (** {1 Construction} *)
 
@@ -53,6 +44,10 @@ val add_edge : t -> int -> int -> t
 (** Idempotent; raises [Invalid_argument] on a self-loop. *)
 
 val remove_edge : t -> int -> int -> t
+
+val filter_edges : (int -> int -> bool) -> t -> t
+(** [filter_edges f t] — the edges [(u, v)] of [t] with [f u v], in one
+    pass over the edge array; the terminals are kept. *)
 
 val add_path : t -> int list -> t
 (** Add every consecutive edge of a node path. *)
@@ -68,10 +63,10 @@ val with_terminals : t -> int list -> t
 
 (** {1 Observation} *)
 
-val terminals : t -> Int_set.t
+val terminals : t -> int list
+(** Ascending. *)
 
-val nodes : t -> Int_set.t
-(** Every node incident to an edge, plus every terminal. *)
+val n_terminals : t -> int
 
 val has_edges : t -> bool
 (** [false] when the nodes of [t] are its terminals alone. *)
@@ -79,7 +74,7 @@ val has_edges : t -> bool
 val nearest : Net.Dijkstra.result -> t -> except:int -> int
 (** [nearest r t ~except] — the node of [t] other than [except] at the
     least finite distance in [r], the smallest id on a tie; [-1] when
-    there is none.  Scans the nodes without building {!nodes}. *)
+    there is none.  Scans the edge array and the terminals. *)
 
 val compare_edge : int * int -> int * int -> int
 (** Lexicographic [Int.compare] on normalised [(lo, hi)] edges — the
@@ -97,7 +92,9 @@ val mem_node : t -> int -> bool
 
 val is_terminal : t -> int -> bool
 
-val neighbors : t -> int -> Int_set.t
+val neighbors : t -> int -> int list
+(** The nodes sharing an edge with the given one, ascending; a scan of
+    the edge array. *)
 
 val cost : Net.Graph.t -> t -> float
 (** Sum of the tree edges' weights in the graph.
@@ -108,7 +105,7 @@ val cost : Net.Graph.t -> t -> float
 val is_tree : t -> bool
 (** The edge set is acyclic and connects all its incident nodes into one
     component (the empty edge set qualifies).  Decided by a union-find
-    pass over the canonical edges: no edge closes a cycle, and the
+    pass over the edge array: no edge closes a cycle, and the
     unions leave one component ([|E| = |V| - 1]). *)
 
 val spans_terminals : t -> bool
@@ -137,9 +134,10 @@ val path_between : t -> int -> int -> int list option
 (** The unique tree path between two tree nodes, if both are present and
     connected. *)
 
-val dfs_order : t -> root:int -> int list
-(** Nodes reachable from [root] through tree edges, in deterministic
-    depth-first order (smallest neighbour first).  [root] itself included. *)
+val fragment : t -> int -> t
+(** [fragment t x] — the edges of [t] connected to [x] (none when [x]
+    is on no edge), with [x] as the only terminal: one union-find pass
+    and one filter of the edge array. *)
 
 (** {1 Comparison and printing} *)
 
@@ -154,10 +152,9 @@ val compare : t -> t -> int
 (** Total order: the terminal sets compared as ascending sequences, then
     the {!edges} lists, each lexicographically with a proper prefix
     first.  Every switch breaks equal-stamp proposal ties with it, so
-    the order is part of the protocol.  Each tree builds its sorted
-    terminals and edges once, on first use, as two int arrays; after
-    that a comparison costs O(size) and allocates nothing (O(1) when
-    both arguments are the same value). *)
+    the order is part of the protocol.  It reads the two arrays: a
+    comparison costs O(size) and allocates nothing (O(1) when both
+    arguments are the same value). *)
 
 val equal : t -> t -> bool
 (** [compare a b = 0]: same terminals and same edges. *)
@@ -165,7 +162,7 @@ val equal : t -> t -> bool
 val to_string : t -> string
 (** The one human rendering of a tree:
     ["tree terminals={t1, t2} edges=[u-v; ...]"], terminals and edges
-    ascending.  Read off the canonical form with a [Buffer], without
+    ascending.  Read off the two arrays with a [Buffer], without
     [Format], because traced runs render the tree of every install. *)
 
 val pp : Format.formatter -> t -> unit

@@ -37,7 +37,7 @@ let test_brute_converges () =
     check Alcotest.bool "valid topology" true
       (Mctree.Tree.is_valid_mc_topology graph tree);
     check Alcotest.(list int) "terminals" [ 0; 4; 8 ]
-      (Mctree.Tree.Int_set.elements (Mctree.Tree.terminals tree))
+      (Mctree.Tree.terminals tree)
   | None -> Alcotest.fail "no topology at switch 0"
 
 let test_brute_leave () =
@@ -52,7 +52,7 @@ let test_brute_leave () =
   check Alcotest.bool "agreement" true (Baselines.Brute_force.converged bf mc);
   let tree = Option.get (Baselines.Brute_force.topology bf ~switch:4 mc) in
   check Alcotest.(list int) "member left" [ 0 ]
-    (Mctree.Tree.Int_set.elements (Mctree.Tree.terminals tree))
+    (Mctree.Tree.terminals tree)
 
 (* The simulator computes each (graph version, MC, member set) tree once
    and shares it; these tests pin that every switch still ends up with
@@ -181,8 +181,7 @@ let test_brute_memo_partition () =
   let members = Dgmc.Member.of_list (List.map (fun s -> (s, Dgmc.Member.Both)) [ 0; 2; 6; 8 ]) in
   check_exact ~what:"partitioned grid" graph bf mc members;
   let terminals switch =
-    Mctree.Tree.Int_set.elements
-      (Mctree.Tree.terminals (Option.get (Baselines.Brute_force.topology bf ~switch mc)))
+    Mctree.Tree.terminals (Option.get (Baselines.Brute_force.topology bf ~switch mc))
   in
   check Alcotest.(list int) "left side" [ 0; 6 ] (terminals 3);
   check Alcotest.(list int) "right side" [ 2; 8 ] (terminals 4)
@@ -213,10 +212,10 @@ let test_mospf_data_driven_computation () =
   Baselines.Mospf.run m;
   let t = Baselines.Mospf.totals m in
   (* Every router on the (0, 1) source tree computed once.  The SPT from
-     0 to 8 in the grid has 5 nodes on its path. *)
+     0 to 8 in the grid is a path of 4 edges and 5 nodes. *)
   let tree = Mctree.Spt.source_rooted graph ~root:0 ~receivers:[ 8 ] in
   check Alcotest.int "computations = on-tree routers"
-    (Mctree.Tree.Int_set.cardinal (Mctree.Tree.nodes tree))
+    (Mctree.Tree.n_edges tree + 1)
     t.computations;
   check Alcotest.bool "packets forwarded" true (t.packets_forwarded > 0)
 

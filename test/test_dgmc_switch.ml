@@ -420,7 +420,7 @@ let test_join_starts_computation_timer () =
   | l -> Alcotest.failf "expected one flood, got %d" (List.length l));
   check Alcotest.bool "installs a tree over the member" true
     (match Dgmc.Switch.topology sw mc with
-    | Some tree -> Mctree.Tree.Int_set.mem 5 (Mctree.Tree.terminals tree)
+    | Some tree -> Mctree.Tree.is_terminal tree 5
     | None -> false);
   let before = List.length !outputs in
   let stamps = Dgmc.Switch.stamps sw mc in

@@ -100,7 +100,7 @@ let test_single_area_mc () =
   check Alcotest.int "no gateways needed" 0 totals.gateway_instructions;
   let tree = Option.get (Hierarchy.Hmc.global_tree h mc) in
   check Alcotest.(list int) "terminals" (List.sort Int.compare members)
-    (Mctree.Tree.Int_set.elements (Mctree.Tree.terminals tree))
+    (Mctree.Tree.terminals tree)
 
 let test_cross_area_mc () =
   let graph, partition, h = make () in
@@ -143,7 +143,7 @@ let test_leave_shrinks () =
   let tree = Option.get (Hierarchy.Hmc.global_tree h mc) in
   check Alcotest.(list int) "terminals shrank"
     (List.sort Int.compare [ pick 0 1; pick 0 2 ])
-    (Mctree.Tree.Int_set.elements (Mctree.Tree.terminals tree))
+    (Mctree.Tree.terminals tree)
 
 let test_full_drain () =
   let _, partition, h = make () in

@@ -87,11 +87,6 @@ let test_tree_path_between () =
   check Alcotest.(option (list int)) "absent node" None
     (Mctree.Tree.path_between t 0 9)
 
-let test_tree_dfs_order () =
-  let t = Mctree.Tree.of_edges ~terminals:[] [ (0, 1); (0, 2); (2, 3) ] in
-  check Alcotest.(list int) "deterministic dfs" [ 0; 1; 2; 3 ]
-    (Mctree.Tree.dfs_order t ~root:0)
-
 let test_tree_cost () =
   let g = house () in
   let t = Mctree.Tree.of_edges ~terminals:[ 0; 4 ] [ (0, 1); (1, 2); (2, 4) ] in
@@ -122,7 +117,7 @@ let assert_valid_topology g terminals tree =
     (Mctree.Tree.is_valid_mc_topology g tree);
   check Alcotest.(list int) "terminal set preserved"
     (List.sort compare terminals)
-    (Mctree.Tree.Int_set.elements (Mctree.Tree.terminals tree))
+    (Mctree.Tree.terminals tree)
 
 let test_steiner_two_terminals_is_shortest_path () =
   let g = house () in
@@ -289,20 +284,26 @@ let test_incremental_repair_noop () =
 let test_incremental_drift () =
   let g = grid () in
   let good = Mctree.Steiner.sph g [ 0; 2 ] in
-  check Alcotest.bool "fresh tree has drift ~1" false
-    (Mctree.Incremental.needs_recompute ~threshold:(1.0 +. 1e-9) g good);
+  let recompute ~threshold t = Mctree.Incremental.recompute ~threshold g t in
+  check Alcotest.(option tree_t) "fresh tree has drift ~1" None
+    (recompute ~threshold:(1.0 +. 1e-9) good);
   (* A deliberately bad tree for {0, 2}: the long way around. *)
   let bad =
     Mctree.Tree.of_edges ~terminals:[ 0; 2 ]
       [ (0, 3); (3, 6); (6, 7); (7, 8); (8, 5); (5, 2) ]
   in
-  check Alcotest.bool "detour detected" true
-    (Mctree.Incremental.needs_recompute ~threshold:2.0 g bad);
+  check Alcotest.(option tree_t) "detour detected, fresh tree handed back"
+    (Some good) (recompute ~threshold:2.0 bad);
   let threshold = Dgmc.Config.atm_lan.drift_threshold in
-  check Alcotest.bool "needs recompute" true
-    (Mctree.Incremental.needs_recompute ~threshold g bad);
-  check Alcotest.bool "good tree does not" false
-    (Mctree.Incremental.needs_recompute ~threshold g good)
+  check Alcotest.(option tree_t) "needs recompute" (Some good)
+    (recompute ~threshold bad);
+  check Alcotest.(option tree_t) "good tree does not" None
+    (recompute ~threshold good);
+  let single = Mctree.Tree.of_terminals [ 4 ] in
+  check Alcotest.(option tree_t) "one terminal: drift 1.0" None
+    (recompute ~threshold:1.0 single);
+  check Alcotest.(option tree_t) "one terminal past a threshold under 1.0"
+    (Some single) (recompute ~threshold:0.5 single)
 
 (* ------------------------------------------------------------------ *)
 (* Delivery *)
@@ -381,7 +382,6 @@ let () =
           Alcotest.test_case "prune keeps terminal leaves" `Quick
             test_tree_prune_keeps_terminal_leaves;
           Alcotest.test_case "path_between" `Quick test_tree_path_between;
-          Alcotest.test_case "dfs order" `Quick test_tree_dfs_order;
           Alcotest.test_case "cost" `Quick test_tree_cost;
           Alcotest.test_case "equality and compare" `Quick
             test_tree_equality_and_compare;

@@ -19,7 +19,9 @@
      tree (equal trees);
    - the array SPH kernel, its cost, the pred-walk source-rooted tree
      and the set-free incremental join vs the list-based loops they
-     replaced (equal trees, bit-equal costs, the same [Failure]s). *)
+     replaced (equal trees, bit-equal costs, the same [Failure]s);
+   - the two-array tree vs the map-backed tree it replaced, operation
+     by operation (equal observations, the same [Invalid_argument]s). *)
 
 let check = Alcotest.check
 
@@ -182,6 +184,372 @@ let test_next_hop_decreases_distance () =
   done
 
 (* ------------------------------------------------------------------ *)
+(* The map-backed tree *)
+
+(* [Mctree.Tree] as it was before it became two sorted arrays: a
+   terminal set and an adjacency map of neighbour sets, each edge under
+   both of its ends.  The set-based references below build on it, and
+   "array tree equals the map-backed tree" runs every operation on both
+   and compares the results. *)
+module Map_tree = struct
+  module Int_set = Set.Make (Int)
+  module Int_map = Map.Make (Int)
+
+  type t = { terminals : Int_set.t; adj : Int_set.t Int_map.t }
+
+  let empty = { terminals = Int_set.empty; adj = Int_map.empty }
+
+  let of_terminals ts = { empty with terminals = Int_set.of_list ts }
+
+  let neighbors t u =
+    Option.value ~default:Int_set.empty (Int_map.find_opt u t.adj)
+
+  let attach a b adj =
+    Int_map.add a
+      (Int_set.add b (Option.value ~default:Int_set.empty (Int_map.find_opt a adj)))
+      adj
+
+  let add_edge t u v =
+    if u = v then invalid_arg "Tree.add_edge: self-loop";
+    { t with adj = attach u v (attach v u t.adj) }
+
+  let remove_edge t u v =
+    let detach a b adj =
+      match Int_map.find_opt a adj with
+      | None -> adj
+      | Some set ->
+        let set = Int_set.remove b set in
+        if Int_set.is_empty set then Int_map.remove a adj else Int_map.add a set adj
+    in
+    { t with adj = detach u v (detach v u t.adj) }
+
+  let rec add_path t = function
+    | [] | [ _ ] -> t
+    | u :: (v :: _ as rest) -> add_path (add_edge t u v) rest
+
+  let add_terminal t x = { t with terminals = Int_set.add x t.terminals }
+
+  let remove_terminal t x = { t with terminals = Int_set.remove x t.terminals }
+
+  let with_terminals t ts = { t with terminals = Int_set.of_list ts }
+
+  let of_edges ~terminals edges =
+    List.fold_left (fun t (u, v) -> add_edge t u v) (of_terminals terminals) edges
+
+  let terminals t = Int_set.elements t.terminals
+
+  let nodes t = Int_map.fold (fun u _ acc -> Int_set.add u acc) t.adj t.terminals
+
+  let has_edges t = not (Int_map.is_empty t.adj)
+
+  (* Walking the map ascending and keeping [u < v] lists the pairs in
+     ascending order (reversed by the fold). *)
+  let edges t =
+    List.rev
+      (Int_map.fold
+         (fun u nbrs acc ->
+           Int_set.fold (fun v acc -> if u < v then (u, v) :: acc else acc) nbrs acc)
+         t.adj [])
+
+  let mem_edge t u v = Int_set.mem v (neighbors t u)
+
+  let mem_node t x = Int_map.mem x t.adj || Int_set.mem x t.terminals
+
+  let is_terminal t x = Int_set.mem x t.terminals
+
+  let nearest (r : Net.Dijkstra.result) t ~except =
+    let best = ref (-1) in
+    let consider v =
+      let d = r.dist.(v) and near = if !best < 0 then infinity else r.dist.(!best) in
+      if v <> except && (d < near || (d = near && v < !best)) then best := v
+    in
+    Int_map.iter (fun u _ -> consider u) t.adj;
+    Int_set.iter consider t.terminals;
+    !best
+
+  let cost g t =
+    List.fold_left (fun acc (u, v) -> acc +. Net.Graph.weight g u v) 0.0 (edges t)
+
+  let is_embedded g t =
+    List.for_all (fun (u, v) -> Net.Graph.link_is_up g u v) (edges t)
+
+  let prune t =
+    let rec go t =
+      let removable =
+        Int_map.fold
+          (fun u nbrs acc ->
+            if Int_set.cardinal nbrs <= 1 && not (Int_set.mem u t.terminals) then
+              u :: acc
+            else acc)
+          t.adj []
+      in
+      if removable = [] then t
+      else
+        go
+          (List.fold_left
+             (fun t u -> Int_set.fold (fun v t -> remove_edge t u v) (neighbors t u) t)
+             t removable)
+    in
+    go t
+
+  let path_between t src dst =
+    if not (mem_node t src && mem_node t dst) then None
+    else if src = dst then Some [ src ]
+    else begin
+      let rec search u parent path =
+        if u = dst then Some (List.rev (u :: path))
+        else
+          Int_set.fold
+            (fun v found ->
+              match found with
+              | Some _ -> found
+              | None -> (
+                match parent with
+                | Some p when p = v -> None
+                | _ -> search v (Some u) (u :: path)))
+            (neighbors t u) None
+      in
+      search src None []
+    end
+
+  let dfs_order t ~root =
+    let visited = ref Int_set.empty in
+    let order = ref [] in
+    let rec visit u =
+      if not (Int_set.mem u !visited) then begin
+        visited := Int_set.add u !visited;
+        order := u :: !order;
+        Int_set.iter visit (neighbors t u)
+      end
+    in
+    visit root;
+    List.rev !order
+
+  let compare a b =
+    match Int_set.compare a.terminals b.terminals with
+    | 0 -> List.compare Mctree.Tree.compare_edge (edges a) (edges b)
+    | c -> c
+
+  let fingerprint t =
+    let ints sep f l = String.concat sep (List.map f l) in
+    Printf.sprintf "T{%s|%s}"
+      (ints "," (fun (u, v) -> Printf.sprintf "%d-%d" u v) (edges t))
+      (ints "," string_of_int (terminals t))
+
+  let of_tree t =
+    of_edges ~terminals:(Mctree.Tree.terminals t) (Mctree.Tree.edges t)
+
+  let to_tree t = Mctree.Tree.of_edges ~terminals:(terminals t) (edges t)
+end
+
+(* Register programs over three trees, [dst := act src], each run on
+   the array tree and on the map-backed tree.  Nodes 0-7: duplicate
+   edges, cycles and forests are common, terminals may sit off every
+   edge, removals often miss, and about one edge in ten is a self-loop,
+   which both reject. *)
+type tree_act =
+  | Of_edges of int list * (int * int) list
+  | Add_edge of int * int
+  | Remove_edge of int * int
+  | Add_path of int list
+  | Add_terminal of int
+  | Remove_terminal of int
+  | With_terminals of int list
+  | Prune
+  | Fragment of int
+  | Filter_edges of int  (** keep the edges with [(u + v) mod 3 <> k] *)
+
+type tree_op = { dst : int; src : int; act : tree_act }
+
+let tree_nodes = 8
+
+let print_tree_op { dst; src; act } =
+  let ints l = String.concat "," (List.map string_of_int l) in
+  let pairs l =
+    String.concat "," (List.map (fun (u, v) -> Printf.sprintf "%d-%d" u v) l)
+  in
+  let body =
+    match act with
+    | Of_edges (ts, es) -> Printf.sprintf "of_edges [%s] [%s]" (ints ts) (pairs es)
+    | Add_edge (u, v) -> Printf.sprintf "add_edge %d %d" u v
+    | Remove_edge (u, v) -> Printf.sprintf "remove_edge %d %d" u v
+    | Add_path p -> Printf.sprintf "add_path [%s]" (ints p)
+    | Add_terminal x -> Printf.sprintf "add_terminal %d" x
+    | Remove_terminal x -> Printf.sprintf "remove_terminal %d" x
+    | With_terminals l -> Printf.sprintf "with_terminals [%s]" (ints l)
+    | Prune -> "prune"
+    | Fragment x -> Printf.sprintf "fragment %d" x
+    | Filter_edges k -> Printf.sprintf "filter_edges %d" k
+  in
+  Printf.sprintf "r%d := %s r%d" dst body src
+
+let tree_ops_gen =
+  QCheck2.Gen.(
+    let reg = int_range 0 2 and node = int_range 0 (tree_nodes - 1) in
+    let edge =
+      frequency
+        [
+          ( 9,
+            map2
+              (fun u k -> (u, (u + k) mod tree_nodes))
+              node
+              (int_range 1 (tree_nodes - 1)) );
+          (1, map (fun u -> (u, u)) node);
+        ]
+    in
+    let nodes = list_size (int_range 0 5) node in
+    let act =
+      frequency
+        [
+          ( 1,
+            map2
+              (fun ts es -> Of_edges (ts, es))
+              nodes
+              (list_size (int_range 0 9) edge) );
+          (6, map (fun (u, v) -> Add_edge (u, v)) edge);
+          (3, map (fun (u, v) -> Remove_edge (u, v)) edge);
+          (2, map (fun p -> Add_path p) nodes);
+          (3, map (fun x -> Add_terminal x) node);
+          (2, map (fun x -> Remove_terminal x) node);
+          (1, map (fun l -> With_terminals l) nodes);
+          (2, return Prune);
+          (1, map (fun x -> Fragment x) node);
+          (1, map (fun k -> Filter_edges k) (int_range 0 2));
+        ]
+    in
+    list_size (int_range 1 40) (map3 (fun dst src act -> { dst; src; act }) reg reg act))
+
+let apply_tree act t =
+  let module T = Mctree.Tree in
+  match act with
+  | Of_edges (terminals, edges) -> T.of_edges ~terminals edges
+  | Add_edge (u, v) -> T.add_edge t u v
+  | Remove_edge (u, v) -> T.remove_edge t u v
+  | Add_path p -> T.add_path t p
+  | Add_terminal x -> T.add_terminal t x
+  | Remove_terminal x -> T.remove_terminal t x
+  | With_terminals l -> T.with_terminals t l
+  | Prune -> T.prune t
+  | Fragment x -> T.fragment t x
+  | Filter_edges k -> T.filter_edges (fun u v -> (u + v) mod 3 <> k) t
+
+(* [fragment] as [Incremental] built it, by a depth-first search and an
+   edge added at a time, and the filter as [Incremental.rebuild] made
+   it, an edge removed at a time. *)
+let apply_map act t =
+  let module T = Map_tree in
+  match act with
+  | Of_edges (terminals, edges) -> T.of_edges ~terminals edges
+  | Add_edge (u, v) -> T.add_edge t u v
+  | Remove_edge (u, v) -> T.remove_edge t u v
+  | Add_path p -> T.add_path t p
+  | Add_terminal x -> T.add_terminal t x
+  | Remove_terminal x -> T.remove_terminal t x
+  | With_terminals l -> T.with_terminals t l
+  | Prune -> T.prune t
+  | Fragment x ->
+    let keep = T.Int_set.of_list (T.dfs_order t ~root:x) in
+    List.fold_left
+      (fun acc (u, v) ->
+        if T.Int_set.mem u keep && T.Int_set.mem v keep then T.add_edge acc u v
+        else acc)
+      (T.of_terminals [ x ]) (T.edges t)
+  | Filter_edges k ->
+    List.fold_left
+      (fun acc (u, v) -> if (u + v) mod 3 <> k then acc else T.remove_edge acc u v)
+      t (T.edges t)
+
+(* Distinct, unround weights, so a different summation order would show
+   in a cost's bits. *)
+let tree_graph =
+  let g = Net.Graph.create tree_nodes in
+  for u = 0 to tree_nodes - 1 do
+    for v = u + 1 to tree_nodes - 1 do
+      Net.Graph.add_edge g u v ~weight:(1.0 /. float_of_int (3 + (u * 7) + (v * 13)))
+    done
+  done;
+  g
+
+(* Distances from 0 on a unit-weight ring of six, where equal distances
+   are common, with nodes 6 and 7 out of reach. *)
+let tree_distances =
+  let g = Net.Graph.create tree_nodes in
+  for u = 0 to 5 do
+    Net.Graph.add_edge g u ((u + 1) mod 6) ~weight:1.0
+  done;
+  Net.Dijkstra.run g 0
+
+let acyclic edges =
+  let uf = Net.Union_find.create tree_nodes in
+  List.for_all (fun (u, v) -> Net.Union_find.union uf u v) edges
+
+(* Every observation of the array tree [t] equals the map-backed [m]'s,
+   node queries over 0-8 included; [path_between] only on a forest,
+   where the map-backed search ends. *)
+let tree_agrees t m =
+  let module T = Mctree.Tree in
+  let edges = Map_tree.edges m and range = List.init (tree_nodes + 1) Fun.id in
+  List.equal (fun (a, b) (c, d) -> a = c && b = d) (T.edges t) edges
+  && List.equal Int.equal (T.terminals t) (Map_tree.terminals m)
+  && String.equal (T.fingerprint t) (Map_tree.fingerprint m)
+  && T.n_edges t = List.length edges
+  && T.n_terminals t = List.length (Map_tree.terminals m)
+  && Bool.equal (T.has_edges t) (Map_tree.has_edges m)
+  && Int64.equal
+       (Int64.bits_of_float (T.cost tree_graph t))
+       (Int64.bits_of_float (Map_tree.cost tree_graph m))
+  && List.for_all
+       (fun x ->
+         List.equal Int.equal (T.neighbors t x)
+           (Map_tree.Int_set.elements (Map_tree.neighbors m x))
+         && Bool.equal (T.mem_node t x) (Map_tree.mem_node m x)
+         && Bool.equal (T.is_terminal t x) (Map_tree.is_terminal m x)
+         && T.nearest tree_distances t ~except:x
+            = Map_tree.nearest tree_distances m ~except:x
+         && List.for_all
+              (fun y ->
+                Bool.equal (T.mem_edge t x y) (Map_tree.mem_edge m x y)
+                && ((not (acyclic edges))
+                   || Option.equal (List.equal Int.equal) (T.path_between t x y)
+                        (Map_tree.path_between m x y)))
+              range)
+       range
+
+let run_tree_ops ops =
+  let regs = Array.make 3 Mctree.Tree.empty and refs = Array.make 3 Map_tree.empty in
+  let sign c = Int.compare c 0 in
+  let compares i =
+    List.for_all
+      (fun j ->
+        sign (Mctree.Tree.compare regs.(i) regs.(j))
+        = sign (Map_tree.compare refs.(i) refs.(j))
+        && Bool.equal
+             (Mctree.Tree.equal regs.(i) regs.(j))
+             (Map_tree.compare refs.(i) refs.(j) = 0))
+      [ 0; 1; 2 ]
+  in
+  List.for_all
+    (fun { dst; src; act } ->
+      let result f x =
+        match f act x with v -> Ok v | exception Invalid_argument m -> Error m
+      in
+      (match (result apply_tree regs.(src), result apply_map refs.(src)) with
+      | Ok t, Ok m ->
+        regs.(dst) <- t;
+        refs.(dst) <- m;
+        true
+      | Error a, Error b -> String.equal a b
+      | Ok _, Error _ | Error _, Ok _ -> false)
+      && tree_agrees regs.(dst) refs.(dst)
+      && compares dst)
+    ops
+
+let prop_tree_vs_map_tree =
+  QCheck2.Test.make ~name:"array tree equals the map-backed tree" ~count:500
+    ~print:(fun ops -> String.concat "; " (List.map print_tree_op ops))
+    tree_ops_gen run_tree_ops
+
+(* ------------------------------------------------------------------ *)
 (* Differential oracles: the flat-array kernel and the memoised SPH
    against the boxed-heap Dijkstra and quadratic SPH they replaced,
    kept verbatim.  Equality is exact — same distances, same
@@ -305,15 +673,15 @@ let reference_sph g terminals =
   | [] -> assert false
   | [ only ] -> Mctree.Tree.of_terminals [ only ]
   | seed :: rest ->
-    let tree = ref (Mctree.Tree.of_terminals terminals) in
-    let in_tree = ref (Mctree.Tree.Int_set.singleton seed) in
+    let tree = ref (Map_tree.of_terminals terminals) in
+    let in_tree = ref (Map_tree.Int_set.singleton seed) in
     let remaining = ref rest in
     while !remaining <> [] do
       let best = ref None in
       List.iter
         (fun t ->
           let r = reference_dijkstra g t in
-          Mctree.Tree.Int_set.iter
+          Map_tree.Int_set.iter
             (fun v ->
               let d = (fst r).(v) in
               let better =
@@ -328,11 +696,11 @@ let reference_sph g terminals =
       match !best with
       | None -> failwith "Steiner.sph: terminals not mutually reachable"
       | Some (t, path, _) ->
-        tree := Mctree.Tree.add_path !tree path;
-        List.iter (fun v -> in_tree := Mctree.Tree.Int_set.add v !in_tree) path;
+        tree := Map_tree.add_path !tree path;
+        List.iter (fun v -> in_tree := Map_tree.Int_set.add v !in_tree) path;
         remaining := List.filter (fun x -> x <> t) !remaining
     done;
-    Mctree.Tree.prune !tree
+    Map_tree.to_tree (Map_tree.prune !tree)
 
 (* Random Waxman graphs plus tie-heavy unit-weight shapes, each also with
    roughly a fifth of its links set down. *)
@@ -444,8 +812,8 @@ let test_dijkstra_allocation_bound () =
   let hit = timed_run () in
   if hit > 4 then Alcotest.failf "a memo hit allocated %d minor words" hit
 
-(* Once both trees have their canonical form, the tie-break's compare
-   and the agreement checks' equal read arrays and allocate nothing. *)
+(* The tie-break's compare and the agreement checks' equal read the two
+   trees' arrays and allocate nothing. *)
 let test_tree_compare_allocation_bound () =
   let build () =
     Mctree.Tree.add_path
@@ -455,7 +823,6 @@ let test_tree_compare_allocation_bound () =
   let a = build () and b = build () in
   if a == b || Mctree.Tree.n_edges a <> 100 then
     Alcotest.fail "expected two distinct 100-edge trees";
-  ignore (Mctree.Tree.compare a b);
   let baseline =
     let before = Gc.minor_words () in
     Gc.minor_words () -. before
@@ -472,9 +839,9 @@ let test_tree_compare_allocation_bound () =
 (* Tree predicates and repair vs the set-based code they replaced *)
 
 (* The predicates as they were: level-by-level set unions from the
-   smallest node, reached through the public API. *)
+   smallest node, on the map-backed tree. *)
 module Set_tree = struct
-  module T = Mctree.Tree
+  module T = Map_tree
 
   let edge_nodes t =
     T.Int_set.filter
@@ -501,16 +868,16 @@ module Set_tree = struct
     T.Int_set.is_empty vs
     ||
     let n = T.Int_set.cardinal vs in
-    T.n_edges t = n - 1
+    List.length (T.edges t) = n - 1
     && T.Int_set.cardinal (component_of t (T.Int_set.min_elt vs)) = n
 
   let spans_terminals t =
-    match T.Int_set.cardinal (T.terminals t) with
+    match T.Int_set.cardinal t.T.terminals with
     | 0 | 1 -> true
     | _ ->
-      let first = T.Int_set.min_elt (T.terminals t) in
+      let first = T.Int_set.min_elt t.T.terminals in
       (not (T.Int_set.is_empty (T.neighbors t first)))
-      && T.Int_set.subset (T.terminals t) (component_of t first)
+      && T.Int_set.subset t.T.terminals (component_of t first)
 
   let is_valid_mc_topology g t =
     is_tree t && spans_terminals t && T.is_embedded g t
@@ -557,7 +924,7 @@ module Set_tree = struct
           if Net.Graph.link_is_up g u v then t else T.remove_edge t u v)
         tree (T.edges tree)
     in
-    let terminals = T.Int_set.elements (T.terminals live) in
+    let terminals = T.terminals live in
     match terminals with
     | [] -> Some T.empty
     | [ only ] -> Some (T.of_terminals [ only ])
@@ -572,9 +939,10 @@ module Set_tree = struct
         in
         let result = T.prune (T.with_terminals result terminals) in
         if is_valid_mc_topology g result then Some result
-        else Some (Mctree.Steiner.sph g terminals)
+        else Some (T.of_tree (Mctree.Steiner.sph g terminals))
       with Failure _ -> (
-        try Some (Mctree.Steiner.sph g terminals) with Failure _ -> None))
+        try Some (T.of_tree (Mctree.Steiner.sph g terminals))
+        with Failure _ -> None))
 end
 
 (* A complete graph on [predicate_nodes] switches (so every edge set is
@@ -588,10 +956,11 @@ let complete_with_dead dead =
 
 let predicates_agree g t =
   let module T = Mctree.Tree in
-  Bool.equal (T.is_tree t) (Set_tree.is_tree t)
-  && Bool.equal (T.spans_terminals t) (Set_tree.spans_terminals t)
+  let m = Map_tree.of_tree t in
+  Bool.equal (T.is_tree t) (Set_tree.is_tree m)
+  && Bool.equal (T.spans_terminals t) (Set_tree.spans_terminals m)
   && Bool.equal (T.is_valid_mc_topology g t)
-       (Set_tree.is_valid_mc_topology g t)
+       (Set_tree.is_valid_mc_topology g m)
 
 (* The shapes the predicates must tell apart, each with its expected
    (is_tree, spans_terminals, is_valid_mc_topology) under one dead link
@@ -676,7 +1045,7 @@ let repair_case ~intact (seed, n, picks, (branch, downs)) =
   let tree =
     let spur = branch mod n in
     if branch mod 3 = 0 || Mctree.Tree.mem_node tree spur then tree
-    else Set_tree.graft g tree spur
+    else Map_tree.to_tree (Set_tree.graft g (Map_tree.of_tree tree) spur)
   in
   let links = Array.of_list (Net.Graph.edges g) in
   if not intact then
@@ -695,7 +1064,7 @@ let print_repair_case (seed, n, picks, (branch, downs)) =
 let same_repair g tree =
   Option.equal Mctree.Tree.equal
     (Mctree.Incremental.repair g tree)
-    (Set_tree.repair g tree)
+    (Option.map Map_tree.to_tree (Set_tree.repair g (Map_tree.of_tree tree)))
 
 (* The intact-tree fast path: a valid, live tree comes back pruned,
    equal to what the rebuild made of it. *)
@@ -719,7 +1088,7 @@ let prop_repair_vs_rebuild =
 (* Array tree kernels vs the list-based loops they replaced *)
 
 module List_loops = struct
-  module T = Mctree.Tree
+  module T = Map_tree
 
   (* [Steiner.sph]'s attach loop as it was: each step rescans every
      remaining terminal's distances against the whole tree set, builds
@@ -825,9 +1194,10 @@ let kernel_graph c =
 
 let outcome f = match f () with v -> Ok v | exception Failure msg -> Error msg
 
+(* A tree outcome against a map-backed reference's. *)
 let same_tree_outcome a b =
   match (a, b) with
-  | Ok a, Ok b -> Mctree.Tree.equal a b
+  | Ok a, Ok b -> Mctree.Tree.equal a (Map_tree.to_tree b)
   | Error a, Error b -> String.equal a b
   | Ok _, Error _ | Error _, Ok _ -> false
 
@@ -839,16 +1209,17 @@ let prop_sph_vs_attach_loop =
         (outcome (fun () -> Mctree.Steiner.sph g c.terminals))
         (outcome (fun () -> List_loops.sph g c.terminals)))
 
-(* The drift check's price of a fresh tree, bit for bit. *)
+(* The drift check's price of a fresh tree, bit for bit: the edges
+   summed in ascending order, as the map-backed tree listed them. *)
 let prop_sph_cost_vs_tree_cost =
   QCheck2.Test.make ~name:"sph cost equals the reference tree's cost"
     ~count:1000 ~print:print_kernel_case kernel_case_gen (fun c ->
       let g = kernel_graph c in
       match
-        ( outcome (fun () -> Mctree.Steiner.sph_cost g c.terminals),
+        ( outcome (fun () -> Mctree.Tree.cost g (Mctree.Steiner.sph g c.terminals)),
           outcome (fun () -> List_loops.sph g c.terminals) )
       with
-      | Ok cost, Ok tree -> Float.equal cost (Mctree.Tree.cost g tree)
+      | Ok cost, Ok tree -> Float.equal cost (Map_tree.cost g tree)
       | Error a, Error b -> String.equal a b
       | Ok _, Error _ | Error _, Ok _ -> false)
 
@@ -871,7 +1242,7 @@ let prop_join_vs_set_join =
       let same tree x =
         same_tree_outcome
           (outcome (fun () -> Mctree.Incremental.join g tree x))
-          (outcome (fun () -> Set_tree.join g tree x))
+          (outcome (fun () -> Set_tree.join g (Map_tree.of_tree tree) x))
       in
       let least = List.fold_left Int.min (List.hd c.terminals) c.terminals in
       List.for_all
@@ -880,7 +1251,9 @@ let prop_join_vs_set_join =
         (Mctree.Tree.of_terminals [ least ] :: Mctree.Tree.empty
         ::
         (match outcome (fun () -> List_loops.sph g c.terminals) with
-        | Ok t -> [ t; Mctree.Tree.remove_terminal t least ]
+        | Ok t ->
+          let t = Map_tree.to_tree t in
+          [ t; Mctree.Tree.remove_terminal t least ]
         | Error _ -> [])))
 
 (* ------------------------------------------------------------------ *)
@@ -902,12 +1275,12 @@ let reference_member_pp ppf t =
     (List.to_seq entries)
 
 let reference_tree_pp ppf t =
-  let pp_set ppf s =
+  let pp_set ppf l =
     Format.fprintf ppf "{%a}"
       (Format.pp_print_list
          ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
          Format.pp_print_int)
-      (Mctree.Tree.Int_set.elements s)
+      l
   in
   Format.fprintf ppf "@[<h>tree terminals=%a edges=[%a]@]" pp_set
     (Mctree.Tree.terminals t)
@@ -1125,6 +1498,7 @@ let () =
             test_tree_compare_allocation_bound;
           Alcotest.test_case "predicates on named shapes" `Quick
             test_predicate_shapes;
+          QCheck_alcotest.to_alcotest prop_tree_vs_map_tree;
           QCheck_alcotest.to_alcotest prop_predicates_vs_set_search;
           QCheck_alcotest.to_alcotest prop_repair_intact_vs_rebuild;
           QCheck_alcotest.to_alcotest prop_repair_vs_rebuild;

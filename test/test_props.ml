@@ -785,175 +785,6 @@ let prop_handed_out_stamps_never_change =
            !rigs)
 
 (* ------------------------------------------------------------------ *)
-(* Tree canonical-form oracle
-
-   [Mctree.Tree] memoises each value's sorted terminals and edges and
-   answers [compare], [edges], [n_edges], [fingerprint] and [cost] from
-   them.  The oracle is the definition they replaced: edges by folding
-   the adjacency and sorting, compare as [Int_set.compare] on the
-   terminals then [List.compare compare_edge] on the edges.  Random
-   register programs derive trees from trees whose form was forced at
-   random points, so a form carried over to a changed tree would show. *)
-
-module Tree_oracle = struct
-  module T = Mctree.Tree
-
-  let edges t =
-    T.Int_set.fold
-      (fun u acc ->
-        T.Int_set.fold
-          (fun v acc -> if u < v then (u, v) :: acc else acc)
-          (T.neighbors t u) acc)
-      (T.nodes t) []
-    |> List.sort T.compare_edge
-
-  let compare a b =
-    match T.Int_set.compare (T.terminals a) (T.terminals b) with
-    | 0 -> List.compare T.compare_edge (edges a) (edges b)
-    | c -> c
-
-  let fingerprint t =
-    let ints sep f l = String.concat sep (List.map f l) in
-    Printf.sprintf "T{%s|%s}"
-      (ints "," (fun (u, v) -> Printf.sprintf "%d-%d" u v) (edges t))
-      (ints "," string_of_int (T.Int_set.elements (T.terminals t)))
-
-  let cost g t =
-    List.fold_left (fun acc (u, v) -> acc +. Net.Graph.weight g u v) 0.0
-      (edges t)
-end
-
-type tree_act =
-  | T_add_edge of int * int
-  | T_remove_edge of int * int
-  | T_add_path of int list
-  | T_add_terminal of int
-  | T_remove_terminal of int
-  | T_with_terminals of int list
-  | T_prune
-  | T_of_edges  (** rebuild through the bulk constructor *)
-  | T_force of int  (** which accessor builds the form *)
-
-type tree_op = { dst : int; src : int; act : tree_act }
-
-let pp_tree_op { dst; src; act } =
-  let ints l = String.concat "," (List.map string_of_int l) in
-  let body =
-    match act with
-    | T_add_edge (u, v) -> Printf.sprintf "add_edge %d %d" u v
-    | T_remove_edge (u, v) -> Printf.sprintf "remove_edge %d %d" u v
-    | T_add_path p -> Printf.sprintf "add_path [%s]" (ints p)
-    | T_add_terminal x -> Printf.sprintf "add_terminal %d" x
-    | T_remove_terminal x -> Printf.sprintf "remove_terminal %d" x
-    | T_with_terminals l -> Printf.sprintf "with_terminals [%s]" (ints l)
-    | T_prune -> "prune"
-    | T_of_edges -> "of_edges"
-    | T_force k -> Printf.sprintf "force #%d" k
-  in
-  Printf.sprintf "r%d := %s r%d" dst body src
-
-let tree_nodes = 8
-
-(* Distinct, unround weights so a different summation order would show
-   in the cost's bits. *)
-let tree_oracle_graph =
-  let g = Net.Graph.create tree_nodes in
-  for u = 0 to tree_nodes - 1 do
-    for v = u + 1 to tree_nodes - 1 do
-      Net.Graph.add_edge g u v ~weight:(1.0 /. float_of_int (3 + (u * 7) + (v * 13)))
-    done
-  done;
-  g
-
-let tree_ops_gen =
-  QCheck2.Gen.(
-    let reg = int_range 0 2 and node = int_range 0 (tree_nodes - 1) in
-    let edge =
-      map2 (fun u k -> (u, (u + 1 + k) mod tree_nodes)) node
-        (int_range 0 (tree_nodes - 2))
-    in
-    let nodes = list_size (int_range 0 5) node in
-    let act =
-      frequency
-        [
-          (6, map (fun (u, v) -> T_add_edge (u, v)) edge);
-          (3, map (fun (u, v) -> T_remove_edge (u, v)) edge);
-          (2, map (fun p -> T_add_path p) nodes);
-          (3, map (fun x -> T_add_terminal x) node);
-          (2, map (fun x -> T_remove_terminal x) node);
-          (1, map (fun l -> T_with_terminals l) nodes);
-          (1, return T_prune);
-          (1, return T_of_edges);
-          (4, map (fun k -> T_force k) (int_range 0 4));
-        ]
-    in
-    list_size (int_range 1 40)
-      (map3 (fun dst src act -> { dst; src; act }) reg reg act))
-
-(* Path steps whose consecutive nodes repeat would be self-loops. *)
-let rec dedup_path = function
-  | u :: (v :: _ as rest) when u = v -> dedup_path rest
-  | u :: rest -> u :: dedup_path rest
-  | [] -> []
-
-let tree_matches_oracle regs i =
-  let module T = Mctree.Tree in
-  let t = regs.(i) in
-  let same_sign a b = Int.equal (Int.compare a 0) (Int.compare b 0) in
-  List.equal
-    (fun (a, b) (c, d) -> a = c && b = d)
-    (T.edges t) (Tree_oracle.edges t)
-  && T.n_edges t = List.length (Tree_oracle.edges t)
-  && String.equal (T.fingerprint t) (Tree_oracle.fingerprint t)
-  && Int64.equal
-       (Int64.bits_of_float (T.cost tree_oracle_graph t))
-       (Int64.bits_of_float (Tree_oracle.cost tree_oracle_graph t))
-  && Array.for_all
-       (fun u ->
-         same_sign (T.compare t u) (Tree_oracle.compare t u)
-         && same_sign (T.compare u t) (Tree_oracle.compare u t)
-         && Bool.equal (T.equal t u) (Tree_oracle.compare t u = 0))
-       regs
-
-let run_tree_ops ops =
-  let module T = Mctree.Tree in
-  let regs = Array.make 3 T.empty in
-  List.for_all
-    (fun { dst; src; act } ->
-      let t = regs.(src) in
-      let set t = regs.(dst) <- t; true in
-      match act with
-      | T_add_edge (u, v) -> set (T.add_edge t u v)
-      | T_remove_edge (u, v) -> set (T.remove_edge t u v)
-      | T_add_path p -> set (T.add_path t (dedup_path p))
-      | T_add_terminal x -> set (T.add_terminal t x)
-      | T_remove_terminal x -> set (T.remove_terminal t x)
-      | T_with_terminals l -> set (T.with_terminals t l)
-      | T_prune -> set (T.prune t)
-      | T_of_edges ->
-        set
-          (T.of_edges
-             ~terminals:(T.Int_set.elements (T.terminals t))
-             (Tree_oracle.edges t))
-      | T_force k ->
-        (* Build [src]'s form through one accessor, then check it. *)
-        (match k with
-        | 0 -> ignore (T.n_edges t)
-        | 1 -> ignore (T.compare t regs.(dst))
-        | 2 -> ignore (T.fingerprint t)
-        | 3 -> ignore (T.is_tree t)
-        | _ -> ignore (T.is_embedded tree_oracle_graph t));
-        tree_matches_oracle regs src)
-    ops
-  && List.for_all (tree_matches_oracle regs) [ 0; 1; 2 ]
-
-let prop_tree_form_matches_oracle =
-  QCheck2.Test.make ~name:"tree: canonical form agrees with the list oracle"
-    ~count:500
-    ~print:(fun ops -> String.concat "; " (List.map pp_tree_op ops))
-    tree_ops_gen run_tree_ops
-
-(* ------------------------------------------------------------------ *)
 (* Tree algorithm properties *)
 
 type tree_case = { g_seed : int; g_n : int; picks : int list }
@@ -981,7 +812,7 @@ let prop_steiner_heuristics_valid =
         (fun algo ->
           let t = algo g terminals in
           Mctree.Tree.is_valid_mc_topology g t
-          && Mctree.Tree.Int_set.elements (Mctree.Tree.terminals t) = terminals)
+          && Mctree.Tree.terminals t = terminals)
         [ Mctree.Steiner.kmb; Mctree.Steiner.sph ])
 
 let prop_steiner_within_approximation_bound =
@@ -1019,7 +850,7 @@ let prop_incremental_sequence_stays_valid =
             ok :=
               !ok
               && Mctree.Tree.is_valid_mc_topology g !tree
-              && Mctree.Tree.Int_set.elements (Mctree.Tree.terminals !tree)
+              && Mctree.Tree.terminals !tree
                  = List.sort compare !members)
         (c.picks @ c.picks);
       !ok)
@@ -1588,7 +1419,7 @@ let prop_hierarchy_global_tree_valid =
       | None -> QCheck2.Test.fail_reportf "%s: no global tree" (pp_hier c)
       | Some tree ->
         Mctree.Tree.is_valid_mc_topology graph tree
-        && Mctree.Tree.Int_set.elements (Mctree.Tree.terminals tree) = members)
+        && Mctree.Tree.terminals tree = members)
 
 (* ------------------------------------------------------------------ *)
 (* Guided-search properties *)
@@ -1862,7 +1693,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_incremental_sequence_stays_valid;
           QCheck_alcotest.to_alcotest prop_spt_matches_dijkstra;
           QCheck_alcotest.to_alcotest prop_mst_spans_and_sized;
-          QCheck_alcotest.to_alcotest prop_tree_form_matches_oracle;
         ] );
       ( "topology",
         [
