@@ -6,6 +6,22 @@
 
      dune exec examples/video_broadcast.exe *)
 
+(* Each viewer's delay from the station along the tree, by viewer id,
+   and the tree's depth in hops: every leaf of an MC tree is a member,
+   so the deepest viewer is the deepest node. *)
+let deliveries graph tree ~station =
+  (Mctree.Delivery.multicast graph tree ~src:station).deliveries
+
+let depth graph tree ~station =
+  List.fold_left
+    (fun d (x : Mctree.Delivery.delivery) -> max d x.hops)
+    0 (deliveries graph tree ~station)
+
+let delays graph tree ~station =
+  List.map
+    (fun (x : Mctree.Delivery.delivery) -> x.delay)
+    (deliveries graph tree ~station)
+
 let () =
   let seed = 11 in
   let n = 50 in
@@ -27,10 +43,11 @@ let () =
   let tree = Option.get (Dgmc.Protocol.agreed_topology net mc) in
   Format.printf "source-rooted tree: cost %.2f, depth %d hops@."
     (Mctree.Tree.cost graph tree)
-    (Mctree.Spt.depth tree ~root:station);
+    (depth graph tree ~station);
   List.iter
-    (fun (viewer, delay) -> Format.printf "  viewer %2d: delay %.2f@." viewer delay)
-    (Mctree.Spt.receivers_cost graph tree ~root:station);
+    (fun (x : Mctree.Delivery.delivery) ->
+      Format.printf "  viewer %2d: delay %.2f@." x.receiver x.delay)
+    (deliveries graph tree ~station);
 
   (* Viewers churn: two leave, three join. *)
   let leavers = [ List.nth viewers 0; List.nth viewers 1 ] in
@@ -48,7 +65,7 @@ let () =
   Format.printf "@.after churn (-%d +%d viewers): cost %.2f, depth %d hops@."
     (List.length leavers) (List.length joiners)
     (Mctree.Tree.cost graph tree')
-    (Mctree.Spt.depth tree' ~root:station);
+    (depth graph tree' ~station);
 
   (* What the same audience costs on each topology style: the SPT
      minimizes per-viewer latency; a Steiner tree minimizes total
@@ -56,12 +73,8 @@ let () =
      generality. *)
   let members = Mctree.Tree.terminals tree' in
   let shared = Mctree.Steiner.kmb graph members in
-  let spt_delays =
-    List.map snd (Mctree.Spt.receivers_cost graph tree' ~root:station)
-  in
-  let shared_delays =
-    List.map snd (Mctree.Spt.receivers_cost graph shared ~root:station)
-  in
+  let spt_delays = delays graph tree' ~station in
+  let shared_delays = delays graph shared ~station in
   Format.printf "@.topology style comparison for the same audience:@.";
   Format.printf "  source-rooted: cost %6.2f   mean delay %5.2f   max delay %5.2f@."
     (Mctree.Tree.cost graph tree')

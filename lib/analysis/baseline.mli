@@ -16,10 +16,6 @@ val of_diags : Diag.t list -> t
 
 val count : t -> file:string -> rule:string -> int
 
-val to_string : t -> string
-
-val of_json : Sim.Json.t -> (t, string) result
-
 val load : string -> (t, string) result
 (** A missing file is an empty baseline, not an error. *)
 

@@ -32,12 +32,10 @@ let gather suffix paths =
   List.iter walk paths;
   List.sort_uniq String.compare !out
 
-let gather_files = gather ".ml"
-
 (* ------------------------------------------------------------------ *)
 
 let analyze ?(enabled = fun _ -> true) paths =
-  let files = List.map Scan.load (gather_files paths) in
+  let files = List.map Scan.load (gather ".ml" paths) in
   let env = Scan.env_of files in
   (* The unused-export rule is the one cross-file pass: interfaces
      against every implementation's references. *)

@@ -11,13 +11,12 @@ type result = {
       (** Suppression comments that matched no finding. *)
 }
 
-val gather_files : string list -> string list
-(** [.ml] files under the given files/directories, sorted; skips
-    [_build], hidden directories, and [analysis_fixtures] (the
-    analyzer's own deliberately-failing test corpus). *)
-
 val run :
   ?enabled:(Rules.id -> bool) -> baseline:Baseline.t -> string list -> result
+(** Analyze the [.ml] and [.mli] files under the given files and
+    directories; skips [_build], hidden directories, and
+    [analysis_fixtures] (the analyzer's own deliberately-failing test
+    corpus). *)
 
 val new_count : result -> int
 (** Findings not covered by the baseline — nonzero fails the run. *)

@@ -135,15 +135,13 @@ let local_event t ~switch mc change =
   Lsr.Flooding.flood t.flooding
     (Lsr.Lsa.make ~origin:switch ~seq { src = switch; mc; change })
 
-let join t ~switch mc role = local_event t ~switch mc (`Join role)
-
-let leave t ~switch mc = local_event t ~switch mc `Leave
-
 let schedule_join t ~at ~switch mc role =
-  Sim.Engine.schedule_at t.engine ~time:at (fun () -> join t ~switch mc role)
+  Sim.Engine.schedule_at t.engine ~time:at (fun () ->
+      local_event t ~switch mc (`Join role))
 
 let schedule_leave t ~at ~switch mc =
-  Sim.Engine.schedule_at t.engine ~time:at (fun () -> leave t ~switch mc)
+  Sim.Engine.schedule_at t.engine ~time:at (fun () ->
+      local_event t ~switch mc `Leave)
 
 let run t = Sim.Engine.run t.engine
 

@@ -21,8 +21,6 @@ let create ~graph ~core () =
 
 let tree t = t.tree
 
-let is_member t x = Int_set.mem x t.members
-
 let control_messages t = t.messages
 
 (* The unicast route from [x] toward the core, cut at the first on-tree

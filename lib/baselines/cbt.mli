@@ -26,9 +26,6 @@ val tree : t -> Mctree.Tree.t
 (** Current shared tree; terminals are the member switches (plus the
     core, which anchors the tree even when memberless). *)
 
-val is_member : t -> int -> bool
-(** A switch that joined, whether or not it relayed before. *)
-
 val join : t -> int -> unit
 (** Graft the switch; no-op when already a member.  Counts one control
     message per hop of the join request (and its ack back). *)

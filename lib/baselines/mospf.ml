@@ -79,15 +79,13 @@ let membership_event t ~switch ~group change =
   Lsr.Flooding.flood t.flooding
     (Lsr.Lsa.make ~origin:switch ~seq { src = switch; group; change })
 
-let join t ~switch ~group = membership_event t ~switch ~group `Join
-
-let leave t ~switch ~group = membership_event t ~switch ~group `Leave
-
 let schedule_join t ~at ~switch ~group =
-  Sim.Engine.schedule_at t.engine ~time:at (fun () -> join t ~switch ~group)
+  Sim.Engine.schedule_at t.engine ~time:at (fun () ->
+      membership_event t ~switch ~group `Join)
 
 let schedule_leave t ~at ~switch ~group =
-  Sim.Engine.schedule_at t.engine ~time:at (fun () -> leave t ~switch ~group)
+  Sim.Engine.schedule_at t.engine ~time:at (fun () ->
+      membership_event t ~switch ~group `Leave)
 
 (* Source-rooted tree as THIS router currently sees the group. *)
 let local_tree t router ~src ~group =

@@ -27,8 +27,6 @@ val engine : t -> Sim.Engine.t
 
 (** {1 Membership (group-membership LSAs)} *)
 
-val join : t -> switch:int -> group:int -> unit
-
 val schedule_join : t -> at:float -> switch:int -> group:int -> unit
 
 val schedule_leave : t -> at:float -> switch:int -> group:int -> unit
@@ -54,5 +52,7 @@ type totals = {
 
 val totals : t -> totals
 
+(* dgmc-analyze: allow unused-export — test_baselines "membership
+   propagates" checks the member list every router holds *)
 val members : t -> switch:int -> group:int -> int list
 (** The member list router [switch] currently holds, ascending. *)

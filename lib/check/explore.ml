@@ -33,13 +33,9 @@ let base scenario =
   List.iter (Harness.inject h) scenario.race;
   h
 
-let build scenario prefix =
-  let h = base scenario in
-  List.iter (Harness.apply h) prefix;
-  h
-
-(* [build] on a copy of [base]: the harness is deterministic for a fixed
-   action sequence, and a copy acts as the state it copies. *)
+(* A prefix replayed on a copy of [base]: the harness is deterministic
+   for a fixed action sequence, and a copy acts as the state it
+   copies. *)
 let rebuild base prefix =
   let h = Harness.copy base in
   List.iter (Harness.apply h) prefix;
@@ -49,7 +45,7 @@ let rebuild base prefix =
    described in the state it applies to.  Only a reported state needs
    it. *)
 let render scenario prefix =
-  let h = build scenario [] in
+  let h = base scenario in
   List.map
     (fun a ->
       let d = Harness.describe h a in
@@ -252,11 +248,6 @@ let walk ~hit ~order ~max_states ~max_depth ?domains scenario =
     complete = !found = None && (not !truncated) && !others = 0;
     found = !found;
   }
-
-let run scenario =
-  walk ~hit:(fun _ -> true)
-    ~order:(fun ~depth:_ ~digest:_ _ -> ([], ""))
-    ~max_states:200_000 ~max_depth:10_000 scenario
 
 let pp_found ppf f =
   Format.fprintf ppf "@[<v>VIOLATION (depth %d): %s@,state digest %s@,%s@,"

@@ -13,10 +13,11 @@
     because the harness is deterministic for a fixed action sequence),
     and each of its successors is a {!Harness.copy} of it with one
     action applied.  Its
-    caller picks the frontier order and which violations stop it: {!run}
-    pops in admission order (breadth-first, so the first violation comes
-    with a minimal-length trace) and stops at any law; {!Search.forward}
-    pops by a violation-distance heuristic and stops at its target.
+    caller picks the frontier order and which violations stop it: the
+    test suite's exhaustive runs pop in admission order (breadth-first,
+    so the first violation comes with a minimal-length trace) and stop
+    at any law; {!Search.forward} pops by a violation-distance heuristic
+    and stops at its target.
 
     {b Scenario shape.}  [setup] events are injected and deterministically
     drained first ({!Harness.settle}) to reach a converged base state;
@@ -35,7 +36,8 @@ type found = {
   message : string;  (** The hit's violations, rendered. *)
   trace : string list;
       (** Human-readable action sequence from the post-race initial
-          state to the violating state (minimal under {!run}). *)
+          state to the violating state (minimal under a breadth-first
+          order). *)
   depth : int;  (** Actions from the post-race state. *)
   state_digest : string;  (** {!Harness.digest} of the violating state. *)
 }
@@ -53,18 +55,6 @@ type outcome = {
   found : found option;  (** The first hit, if any. *)
 }
 
-val build : scenario -> Harness.action list -> Harness.t
-(** Materialise the state reached by an action prefix: create the
-    harness, inject and settle [setup], inject [race], then replay the
-    prefix.  Deterministic — two builds of the same prefix are
-    digest-identical — which is what lets {!walk} keep prefixes instead
-    of states.  {!walk} settles the scenario once per domain (the calling
-    domain once per walk, a spawned worker once per wave) and reaches
-    each popped state on a {!Harness.copy} of that base, which must be
-    digest-identical to this fresh replay.  Nothing is rendered: {!walk}
-    renders only the reported state's trace ({!Harness.describe}), by
-    one more replay. *)
-
 val walk :
   hit:(Invariant.violation -> bool) ->
   order:(depth:int -> digest:string -> Harness.t -> int list * string) ->
@@ -73,7 +63,15 @@ val walk :
   ?domains:int ->
   scenario ->
   outcome
-(** The frontier loop.  A reached state's key is its [order] (priority
+(** The frontier loop.  The harness is deterministic for a fixed action
+    sequence, so a frontier entry is an action prefix: each domain
+    settles the scenario once (the calling domain once per walk, a
+    spawned worker once per wave) and reaches each popped state on a
+    {!Harness.copy} of that base, which must digest as a fresh replay of
+    the prefix does.  Only the reported state's trace is rendered
+    ({!Harness.describe}), by one more replay.
+
+    A reached state's key is its [order] (priority
     ints compared lexicographically, then the tie string) followed by
     its admission number; the walk pops the 8 smallest keys, expands
     them as pure tasks over a {!Runner.Pool} of [domains] (default 1),
@@ -82,15 +80,6 @@ val walk :
     counted and not expanded.  The wave width does not depend on
     [domains], so the outcome is byte-identical at any domain count.
     [Invalid_argument] if the setup itself cannot settle. *)
-
-val run : scenario -> outcome
-(** {!walk} breadth-first, every law a hit, bounded at 200_000 states
-    and depth 10_000.
-
-    No partial-order reduction is applied: the state space is covered in
-    full, up to the interchangeability dedup of {!Harness.enabled} and
-    the canonical-digest dedup of states (both of which only merge
-    provably indistinguishable successors). *)
 
 val pp_found : Format.formatter -> found -> unit
 

@@ -91,6 +91,8 @@ val run_case : ?trace:Sim.Trace.t -> case -> (stats, string list) result
     to keeping the newest events instead of exhausting memory.  Tracing
     never changes the simulated run: same seed, same outcome. *)
 
+(* dgmc-analyze: allow unused-export — the test_check shrink cases check
+   the timing pass on bug-injected cases, which Fuzz.run never draws *)
 val shrink : case -> string list -> Workload.Events.t list * int
 (** [shrink case problems] shrinks a failing case whose run reported
     [problems].  Greedy removal of whole units — a join with its
@@ -124,11 +126,9 @@ val run :
     [progress] is called with every case's seed, in order, before the
     batch starts. *)
 
-val repro_line : failure -> string
-(** The command that replays the failing case, e.g.
-    ["dgmc_sim --fuzz --seed 47 --iterations 1"]. *)
-
 val pp_case : Format.formatter -> case -> unit
 
 val pp_failure : Format.formatter -> failure -> unit
-(** Full failure report: case, problems, shrunk workload, repro line. *)
+(** Full failure report: case, problems, shrunk workload, and the
+    command that replays the failing case, e.g.
+    ["reproduce: dgmc_sim --fuzz --seed 47 --iterations 1"]. *)

@@ -72,11 +72,3 @@ let ok t = t.violations = []
 
 let check_terminal t =
   List.iter (record t) (Dgmc.Protocol.terminal_violations t.net)
-
-let assert_ok t =
-  if not (ok t) then
-    failwith
-      (Printf.sprintf "invariant monitor: %d violation(s) after %d sweeps:\n%s"
-         (List.length (violations t))
-         t.sweeps
-         (String.concat "\n" (violations t)))

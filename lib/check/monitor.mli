@@ -39,7 +39,3 @@ val check_terminal : t -> unit
     truth and damping-suppressed links
     ({!Dgmc.Protocol.terminal_violations}).  Any failures join
     {!violations}. *)
-
-val assert_ok : t -> unit
-(** Raise [Failure] with a readable report unless {!ok}.  Intended for
-    tests: [let m = Monitor.attach net in ...run...; Monitor.assert_ok m]. *)

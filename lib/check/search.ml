@@ -315,8 +315,6 @@ let event_line i (ev : Harness.event) =
   | Harness.Crash s -> Printf.sprintf "[%d] crash switch=%d" i s
   | Harness.Recover s -> Printf.sprintf "[%d] recover switch=%d" i s
 
-let event_lines events = List.mapi event_line events
-
 (* A semicolon-separated event list: the script's event syntax
    (Workload.Script.action_of_string) plus the harness-only verbs. *)
 let event_of_string ~mcs part =
@@ -368,7 +366,5 @@ let pp_backward ppf o =
   | Some (events, f) ->
     Format.fprintf ppf "@.minimal fault sequence (%d event(s)):@."
       (List.length events);
-    List.iter
-      (fun line -> Format.fprintf ppf "  %s@." line)
-      (event_lines events);
+    List.iteri (fun i e -> Format.fprintf ppf "  %s@." (event_line i e)) events;
     Format.fprintf ppf "%a" Explore.pp_found f

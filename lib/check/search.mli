@@ -17,9 +17,10 @@
     states with more divergence evidence (disagreeing per-MC
     installed-state fingerprint classes, then resynchronisation
     sessions in flight), then toward shallower states, then
-    by digest.  The walk, its digest dedup and its outcome are
-    {!Explore.run}'s, so with no bound hit an empty-handed forward
-    search is as conclusive as an exhaustive one, with the same counts.
+    by digest.  The walk, its digest dedup and its outcome are those of
+    an exhaustive breadth-first {!Explore.walk}, so with no bound hit an
+    empty-handed forward search is as conclusive as an exhaustive one,
+    with the same counts.
 
     {b Backward} ({!backward}): from a target invariant (a known
     violation's law, optionally narrowed to an MC kind), search for a
@@ -31,7 +32,7 @@
     are a fair demand; a partition is the set of link-downs that cut
     it), and each candidate is checked by a bounded forward search, so
     the first hit is minimal by construction.  The result renders in
-    {!Check.Fuzz}'s shrunk-workload line format ({!event_lines}) for a
+    {!Check.Fuzz}'s shrunk-workload line format ({!pp_backward}) for a
     deterministic repro.
 
     {b Determinism.}  Both modes shard work over a {!Runner.Pool} in
@@ -102,14 +103,7 @@ val backward :
     candidate's race ([[]] by default).  The total enumeration is
     bounded at 50_000 candidates, setting {!b_truncated} when hit. *)
 
-(** {1 Event rendering and parsing} *)
-
-val event_lines : Harness.event list -> string list
-(** One ["[<tick>] join switch=0 mc#1(symmetric) (both)"] line per
-    event — {!Workload.Events.pp}, {!Check.Fuzz}'s shrunk-workload line
-    format, with the sequence index as the tick (the harness is untimed:
-    interleaving order {e is} the timing); [crash switch=i] and
-    [recover switch=i] extend the vocabulary. *)
+(** {1 Event parsing} *)
 
 val events_of_string :
   mcs:Dgmc.Mc_id.t list -> string -> (Harness.event list, string) result
@@ -132,3 +126,9 @@ val events_to_string : Harness.event list -> string
 val pp_forward : Format.formatter -> Explore.outcome -> unit
 
 val pp_backward : Format.formatter -> backward_outcome -> unit
+(** The candidate count, then the found sequence one
+    ["[<tick>] join switch=0 mc#1(symmetric) (both)"] line per event —
+    {!Workload.Events.pp}, {!Check.Fuzz}'s shrunk-workload line format,
+    with the sequence index as the tick (the harness is untimed:
+    interleaving order {e is} the timing); [crash switch=i] and
+    [recover switch=i] extend the vocabulary — and its violation. *)

@@ -488,10 +488,6 @@ let link_change t u v ~up =
         Switch.resync t.switches.(lo) ~peer:t.switches.(hi);
         Switch.resync t.switches.(hi) ~peer:t.switches.(lo))
 
-let link_down t u v = link_change t u v ~up:false
-
-let link_up t u v = link_change t u v ~up:true
-
 let schedule_join t ~at ~switch:i mc role =
   Sim.Engine.schedule_at t.engine ~time:at (fun () -> join t ~switch:i mc role)
 
@@ -499,10 +495,12 @@ let schedule_leave t ~at ~switch:i mc =
   Sim.Engine.schedule_at t.engine ~time:at (fun () -> leave t ~switch:i mc)
 
 let schedule_link_down t ~at u v =
-  Sim.Engine.schedule_at t.engine ~time:at (fun () -> link_down t u v)
+  Sim.Engine.schedule_at t.engine ~time:at (fun () ->
+      link_change t u v ~up:false)
 
 let schedule_link_up t ~at u v =
-  Sim.Engine.schedule_at t.engine ~time:at (fun () -> link_up t u v)
+  Sim.Engine.schedule_at t.engine ~time:at (fun () ->
+      link_change t u v ~up:true)
 
 (* ------------------------------------------------------------------ *)
 (* Running and measurements *)
@@ -535,8 +533,6 @@ let reset_counters t =
   t.baseline <- counted t ~since:zero;
   t.first_event <- None;
   t.last_change <- neg_infinity
-
-let first_event_time t = t.first_event
 
 let last_change_time t =
   if t.last_change = neg_infinity then None else Some t.last_change
@@ -589,9 +585,6 @@ let agreed_topology t mc =
   if converged t mc then
     Array.find_map (fun sw -> Switch.topology sw mc) t.switches
   else None
-
-let converged_among t mc ids =
-  Terminal.agreement mc (Array.of_list (List.map (switch t) ids)) = []
 
 (* ------------------------------------------------------------------ *)
 (* Link-health observability *)

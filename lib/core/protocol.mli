@@ -126,29 +126,25 @@ val join : t -> switch:int -> Mc_id.t -> Member.role -> unit
 
 val leave : t -> switch:int -> Mc_id.t -> unit
 
-val link_down : t -> int -> int -> unit
-(** Take a live link down now: the real graph changes, both endpoint
-    switches detect it, flood a non-MC LSA each, and run [EventHandler]
-    for the MCs whose local topology used the link.
-
-    With [Config.health] set, the change touches {e ground truth only}:
-    no switch is notified and nothing is flooded here — the hello agents
-    must discover the silence, and the declaring endpoints originate the
-    link LSAs themselves. *)
-
-val link_up : t -> int -> int -> unit
-(** Restore a link; endpoints flood non-MC LSAs (no MC LSAs: an MC
-    topology is never improved reactively by a link recovery).  Under
-    [Config.health], ground truth only — see {!link_down}. *)
-
 val schedule_join :
   t -> at:float -> switch:int -> Mc_id.t -> Member.role -> unit
 
 val schedule_leave : t -> at:float -> switch:int -> Mc_id.t -> unit
 
 val schedule_link_down : t -> at:float -> int -> int -> unit
+(** At [at], take a live link down: the real graph changes, both
+    endpoint switches detect it, flood a non-MC LSA each, and run
+    [EventHandler] for the MCs whose local topology used the link.
+
+    With [Config.health] set, the change touches {e ground truth only}:
+    no switch is notified and nothing is flooded here — the hello agents
+    must discover the silence, and the declaring endpoints originate the
+    link LSAs themselves. *)
 
 val schedule_link_up : t -> at:float -> int -> int -> unit
+(** At [at], restore a link; endpoints flood non-MC LSAs (no MC LSAs: an
+    MC topology is never improved reactively by a link recovery).  Under
+    [Config.health], ground truth only — see {!schedule_link_down}. *)
 
 (** {1 Running} *)
 
@@ -167,17 +163,12 @@ val reset_counters : t -> unit
     activity clock.  The handles, and so the registry, keep counting.
     Call between workload phases. *)
 
-val first_event_time : t -> float option
-(** Time of the first injected event since the last reset. *)
-
-val last_change_time : t -> float option
-(** Time of the last member-list or topology change at any switch since
-    the last reset. *)
-
 val convergence_rounds : t -> float option
 (** [(last_change - first_event) / round_length] — the paper's
-    convergence time in rounds (Figure 6(c)).  [None] until an event and
-    a change have happened. *)
+    convergence time in rounds (Figure 6(c)), from the first injected
+    event to the last member-list or topology change at any switch since
+    the last {!reset_counters}.  [None] until an event and a change have
+    happened. *)
 
 val health_summary : t -> health_summary option
 (** Aggregated link-health statistics since creation, summed over the
@@ -208,12 +199,3 @@ val terminal_violations : t -> Terminal.violation list
 val agreed_topology : t -> Mc_id.t -> Mctree.Tree.t option
 (** The common topology when {!converged} holds and at least one switch
     has state. *)
-
-val converged_among : t -> Mc_id.t -> int list -> bool
-(** Only the {!Terminal} agreement group ([quiescent], [terminal-R=E],
-    [pending-duty], [agreement-members], [agreement-topology]) over the
-    given switches, without the ground-truth group.  This is the
-    meaningful property when the network has partitioned — global
-    agreement is unattainable then (the paper leaves partitions to
-    future work), but every switch {e within} one partition side must
-    still agree. *)

@@ -5,7 +5,7 @@
     state for an MC agrees on its member list and topology, and that
     topology is valid for the real network and the real member set.
     Every judge of convergence applies the laws here: {!Protocol}'s
-    [converged], [divergence] and [converged_among], the runtime monitor
+    [converged] and [divergence], the runtime monitor
     ([Check.Monitor]), the model checker ([Check.Explore], and through
     it [Check.Search]) and the hierarchical variant ([Hierarchy.Hmc]).
 

@@ -146,13 +146,13 @@ let add_owned t j x v =
   t
 
 let bump_owned t x =
-  check_range "Timestamp.bump: out of range" t x;
+  check_range "Timestamp.bump_owned: out of range" t x;
   let j = find t x in
   if j >= 0 then set_owned t j (t.pairs.((2 * j) + 1) + 1)
   else add_owned t (lnot j) x 1
 
 let raise_owned t x v =
-  check_range "Timestamp.raise_to: out of range" t x;
+  check_range "Timestamp.raise_owned: out of range" t x;
   let j = find t x in
   if j >= 0 then if v <= t.pairs.((2 * j) + 1) then t else set_owned t j v
   else if v <= 0 then t
@@ -169,11 +169,6 @@ let merge_owned a b =
     out.len <- 2 * d;
     out
   end
-
-(* The pure updates are the in-place ones on a frozen argument, which
-   always write a fresh copy. *)
-let bump t x = freeze (bump_owned (freeze t) x)
-let raise_to t x v = freeze (raise_owned (freeze t) x v)
 
 (* ------------------------------------------------------------------ *)
 (* Reads *)
@@ -194,20 +189,6 @@ let iter_nonzero f t =
   for j = 0 to (t.len / 2) - 1 do
     f t.pairs.(2 * j) t.pairs.((2 * j) + 1)
   done
-
-let sum t =
-  let s = ref 0 in
-  iter_nonzero (fun _ c -> s := !s + c) t;
-  !s
-
-let of_array a =
-  Array.iter (fun x -> if x < 0 then invalid_arg "Timestamp.of_array: negative") a;
-  if Array.length a = 0 then invalid_arg "Timestamp.of_array: empty";
-  let pairs = ref [] in
-  for x = Array.length a - 1 downto 0 do
-    if a.(x) > 0 then pairs := x :: a.(x) :: !pairs
-  done;
-  frozen_of (Array.length a) (Array.of_list !pairs)
 
 let to_array t =
   let a = Array.make t.n 0 in

@@ -26,10 +26,10 @@
     An in-place operation returns the stamp the state field must hold
     from then on: its argument, an owned copy of it, or (for
     {!merge_owned}) its other argument.  The pure operations never
-    write a component of their arguments, but may return one: {!bump}
-    and {!raise_to} are the in-place operations on a frozen argument,
-    so they freeze it, and an owned stamp passed to {!merge} must be
-    frozen first if the result is to outlive the state field.
+    write a component of their arguments, but may return one: an owned
+    stamp passed to {!merge} must be frozen first if the result is to
+    outlive the state field, and an in-place operation on a frozen
+    stamp is the pure update (it writes a fresh copy).
 
     {b Dense semantics, sparse storage.}  Every operation is specified
     over the dense n-component view above, and {!pp} and {!to_array}
@@ -38,7 +38,7 @@
     switch order with an implicit n: only the few switches that
     originate events for an MC ever count anything (paper §3), so a
     stamp costs what the protocol uses, not n.  {!zero} holds no pairs,
-    and every operation except {!of_array}, {!to_array} and {!pp} runs
+    and every operation except {!to_array} and {!pp} runs
     in time linear in the number of nonzero components (plus a log
     factor for a single-component lookup) whatever n is.  An operation
     whose result equals one of its arguments may return that argument
@@ -54,14 +54,6 @@ val size : t -> int
 val get : t -> int -> int
 (** Component access; raises [Invalid_argument] when out of range. *)
 
-val bump : t -> int -> t
-(** [bump t x] increments component [x]. *)
-
-val raise_to : t -> int -> int -> t
-(** [raise_to t x v] sets component [x] to [max (get t x) v] — used when
-    an LSA's stamp conveys how many events its source had produced,
-    which supersedes counting arrivals one by one. *)
-
 val merge : t -> t -> t
 (** Componentwise maximum — the least upper bound.  This is the paper's
     "E\[i\] = max(E\[i\], T\[i\])" update.  Sizes must agree. *)
@@ -72,12 +64,16 @@ val freeze : t -> t
     leaves its state field.  Allocates nothing. *)
 
 val bump_owned : t -> int -> t
-(** {!bump} in place: the same result and errors, written into [t]
-    when [t] is owned and has room, else into an owned copy. *)
+(** [bump_owned t x] increments component [x], written into [t] when
+    [t] is owned and has room, else into an owned copy.  Raises
+    [Invalid_argument] when [x] is out of range. *)
 
 val raise_owned : t -> int -> int -> t
-(** {!raise_to} in place, as {!bump_owned}; returns [t] unchanged,
-    without writing, when component [x] is already at least [v]. *)
+(** [raise_owned t x v] sets component [x] to [max (get t x) v], in
+    place as {!bump_owned} — used when an LSA's stamp conveys how many
+    events its source had produced, which supersedes counting arrivals
+    one by one.  Returns [t] unchanged, without writing, when component
+    [x] is already at least [v]. *)
 
 val merge_owned : t -> t -> t
 (** {!merge} in place: [a] itself, unwritten, when it already covers
@@ -94,17 +90,10 @@ val gt : t -> t -> bool
 
 val equal : t -> t -> bool
 
-val sum : t -> int
-(** Total number of events counted — handy in tests and traces. *)
-
 val iter_nonzero : (int -> int -> unit) -> t -> unit
 (** [iter_nonzero f t] calls [f x (get t x)] for every component [x]
     with a positive count, in ascending [x]: the dense view's walk with
     the zeros skipped. *)
-
-val of_array : int array -> t
-(** The stamp with this dense view; components must be non-negative
-    and the array non-empty.  O(n). *)
 
 val to_array : t -> int array
 (** The dense view, as a fresh array.  O(n). *)

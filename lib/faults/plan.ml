@@ -162,10 +162,6 @@ let partition t ~side ~from_ ~until =
   t.partitions <-
     (membership, window ~who:"partition" ~from_ ~until) :: t.partitions
 
-let quiescent_after t =
-  let close acc (_, w) = Float.max acc w.w_until in
-  List.fold_left close (List.fold_left close 0.0 t.crashes) t.partitions
-
 let[@inline] active w now = now >= w.w_from && now < w.w_until
 
 (* Plain recursive walks, not [List.exists]: a transmission builds no

@@ -18,8 +18,8 @@
 
     Probabilistic faults (drop/duplicate/reorder/jitter) are memoryless
     and never end; scheduled faults (crashes, partitions) are windows in
-    simulated time, and {!quiescent_after} reports when the last one
-    closes — the moment after which convergence may be demanded. *)
+    simulated time ({!crash_windows}, {!partition_windows}): convergence
+    may be demanded once the last one closes. *)
 
 (** {1 Fault specification} *)
 
@@ -40,12 +40,10 @@ type spec = {
           [[0, jitter × base_delay]].  Non-negative. *)
 }
 
-val spec_default : spec
-(** The transparent spec: all probabilities and delays zero. *)
-
 val spec_of_string : string -> (spec, string) result
 (** Parse ["drop=0.3,dup=0.1,reorder=0.2,jitter=0.5,span=4"] — comma- or
-    semicolon-separated [key=value] pairs over {!spec_default}.  Keys:
+    semicolon-separated [key=value] pairs over the transparent spec
+    (all probabilities and delays zero, [span] 4).  Keys:
     [drop], [dup], [reorder], [jitter], [span].  Probabilities must lie
     in [[0, 1]], delays must be non-negative and finite. *)
 
@@ -61,7 +59,7 @@ val spec_is_transparent : spec -> bool
 type t
 
 val create : ?spec:spec -> seed:int -> unit -> t
-(** A fresh plan applying [spec] (default {!spec_default}) to every
+(** A fresh plan applying [spec] (default the transparent spec) to every
     link, drawing from a private generator seeded with [seed]. *)
 
 val instrument : t -> Sim.Engine.t -> unit
@@ -80,11 +78,6 @@ val crash_switch : t -> switch:int -> from_:float -> until:float -> unit
 val partition : t -> side:int list -> from_:float -> until:float -> unit
 (** During [[from_, until)), transmissions between a switch in [side]
     and a switch outside it are blocked in both directions. *)
-
-val quiescent_after : t -> float
-(** The close of the last scheduled crash/partition window ([0.] when
-    none are scheduled).  Probabilistic faults are memoryless and have
-    no quiescence time. *)
 
 val crash_windows : t -> (int * (float * float)) list
 (** Scheduled crashes as [(switch, (from, until))], in scheduling order —

@@ -18,14 +18,13 @@ type t = {
   mutable figure : float;  (* penalty figure as of [at] *)
   mutable at : float;
   mutable is_suppressed : bool;
-  mutable n_flaps : int;
 }
 
 let create cfg =
   (match validate cfg with
   | Ok () -> ()
   | Error e -> invalid_arg ("Damping.create: " ^ e));
-  { cfg; figure = 0.0; at = neg_infinity; is_suppressed = false; n_flaps = 0 }
+  { cfg; figure = 0.0; at = neg_infinity; is_suppressed = false }
 
 let decay t ~now =
   if now > t.at then begin
@@ -38,7 +37,6 @@ let decay t ~now =
 let flap t ~now =
   decay t ~now;
   t.figure <- t.figure +. t.cfg.penalty;
-  t.n_flaps <- t.n_flaps + 1;
   if t.figure >= t.cfg.suppress then t.is_suppressed <- true
 
 let suppressed t ~now =
@@ -51,5 +49,3 @@ let reuse_time t ~now =
   else
     (* figure · 2^(−dt / half_life) = reuse  ⇒  dt = half_life · log2 (figure / reuse) *)
     Some (t.at +. (t.cfg.half_life *. (Float.log2 (t.figure /. t.cfg.reuse))))
-
-let flaps t = t.n_flaps

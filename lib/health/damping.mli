@@ -37,5 +37,3 @@ val reuse_time : t -> now:float -> float option
 (** Absolute time at which suppression will lift if no further flap
     occurs; [None] when not suppressed. *)
 
-val flaps : t -> int
-(** Total flaps charged. *)

@@ -10,8 +10,6 @@ let create ~k ~period ~grace ~start =
 
 let note_arrival t ~now = t.last <- Float.max t.last now
 
-let timeout t = t.timeout
-
 let deadline t = t.last +. t.timeout
 
 let down t ~now = now >= deadline t

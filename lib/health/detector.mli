@@ -20,13 +20,11 @@ val create : k:int -> period:float -> grace:float -> start:float -> t
 val note_arrival : t -> now:float -> unit
 (** Record a hello arrival at simulated time [now]. *)
 
-val timeout : t -> float
-(** Silence tolerance in seconds: [k·period + grace]. *)
-
 val deadline : t -> float
 (** Absolute time at which continued silence becomes a down verdict:
-    last arrival + {!timeout}.  Recomputing it after an arrival yields a
-    later deadline; the caller re-arms its check timer from this. *)
+    last arrival + [k·period + grace].  Recomputing it after an arrival
+    yields a later deadline; the caller re-arms its check timer from
+    this. *)
 
 val down : t -> now:float -> bool
 (** [now >= deadline t]: the adjacency has been silent too long. *)

@@ -15,7 +15,6 @@ type t = {
   config : Dgmc.Config.t;
   partition : int list array;
   area_of : int array;
-  leaders : int array;
   (* Intra level: one D-GMC network over every intra-area link, so each
      area is one component of its graph and floods stay inside it. *)
   intra : Dgmc.Protocol.t;
@@ -37,8 +36,6 @@ type t = {
 }
 
 let engine t = Dgmc.Protocol.engine t.intra
-
-let leader t a = t.leaders.(a)
 
 let logical_graph t = Dgmc.Protocol.graph t.logical
 
@@ -204,7 +201,6 @@ let create ~graph ~partition ~config () =
       config;
       partition;
       area_of;
-      leaders = Array.map (fun members -> List.fold_left min max_int members) partition;
       intra;
       logical;
       edge_map;
@@ -288,12 +284,6 @@ let totals t =
     computations = intra.computations + logical.computations;
     gateway_instructions = t.gateway_instructions;
   }
-
-let reset_counters t =
-  Dgmc.Protocol.reset_counters t.intra;
-  Dgmc.Protocol.reset_counters t.logical;
-  t.events <- 0;
-  t.gateway_instructions <- 0
 
 (* ------------------------------------------------------------------ *)
 (* Agreement *)

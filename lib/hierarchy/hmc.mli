@@ -58,19 +58,16 @@ val create :
     flooding takes [3 *. config.t_hop] per hop (logical LSAs traverse
     several real hops).  [Invalid_argument] if [config.health] is set. *)
 
+(* dgmc-analyze: allow unused-export — test_hierarchy "cross-area
+   scenario pinned" checks the logical level's 3 x t_hop timing *)
 val engine : t -> Sim.Engine.t
 (** The one engine both levels run on; its clock is the hierarchy's. *)
 
-val leader : t -> int -> int
-(** The designated leader switch of an area. *)
-
+(* dgmc-analyze: allow unused-export — test_hierarchy "logical graph"
+   checks one logical node per area, connected *)
 val logical_graph : t -> Net.Graph.t
 
 (** {1 Events} *)
-
-val join : t -> switch:int -> Dgmc.Mc_id.t -> Dgmc.Member.role -> unit
-
-val leave : t -> switch:int -> Dgmc.Mc_id.t -> unit
 
 val schedule_join :
   t -> at:float -> switch:int -> Dgmc.Mc_id.t -> Dgmc.Member.role -> unit
@@ -93,22 +90,20 @@ type totals = {
 
 val totals : t -> totals
 
-val reset_counters : t -> unit
-
 (** {1 Agreement} *)
 
+(* dgmc-analyze: allow unused-export — test_hierarchy and the
+   test_props stitched-tree property check the tree {!converged} judges *)
 val global_tree : t -> Dgmc.Mc_id.t -> Mctree.Tree.t option
 (** The stitched delivery tree: union of the agreed per-area trees plus
     the mapped inter-area links of the agreed logical tree.  [None]
     while inconsistent. *)
 
-val divergence : t -> Dgmc.Mc_id.t -> string list
-(** Reasons the hierarchy has not converged: a violation of the
-    {!Dgmc.Terminal} agreement group within an area, the logical
-    level's own {!Dgmc.Protocol.divergence} (both groups, against the
-    area joins and leaves the leaders made), an area's member ids not matching its hosts plus
-    gateways, logical member ids not matching the areas that hold real
-    members, gateway sets not matching the logical tree, or an invalid
-    stitched global tree. *)
-
 val converged : t -> Dgmc.Mc_id.t -> bool
+(** No reason the hierarchy has not converged: no violation of the
+    {!Dgmc.Terminal} agreement group within an area, the logical
+    level's own {!Dgmc.Protocol.converged} (both groups, against the
+    area joins and leaves the leaders made), each area's member ids
+    matching its hosts plus gateways, the logical member ids matching
+    the areas that hold real members, gateway sets matching the logical
+    tree, and a valid stitched global tree. *)

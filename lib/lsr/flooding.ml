@@ -569,8 +569,6 @@ let acks_sent t = Metrics.Registry.sum t.acks
 
 let retransmissions t = Metrics.Registry.sum t.retransmitted
 
-let deliveries_abandoned t = Metrics.Registry.sum t.abandoned
-
 let pending_retransmits t = Sim.Slots.live t.rtx.r_ids
 
 (* A failure detector declared [dst] unreachable from [src]: end every

@@ -74,8 +74,8 @@
     {b Counters.}  The instance keeps the signaling-overhead counters the
     paper's evaluation reports — flooding operations and first-copy
     per-link data transmissions ({!messages_sent}) — plus, in reliable
-    mode, separate {!acks_sent}, {!retransmissions} and
-    {!deliveries_abandoned} counters, so the paper's figures stay
+    mode, separate {!acks_sent} and {!retransmissions} counters and a
+    per-switch [flood.abandoned] registry counter, so the paper's figures stay
     comparable across modes: lossless [Reliable] ≡ [Hop_by_hop] on
     {!messages_sent}, with reliability's cost isolated in the ack and
     retransmission counters. *)
@@ -154,7 +154,7 @@ val send : 'a t -> src:int -> dst:int -> 'a Lsa.t -> unit
     receiver never forwards, and delivers the LSA on its first receipt
     only.  In [Reliable] mode the ack/retransmit/backoff machinery
     applies, and a transfer whose retry budget runs out without an ack
-    is abandoned ({!deliveries_abandoned}); in [Hop_by_hop] mode the
+    is abandoned (counted in [flood.abandoned]); in [Hop_by_hop] mode the
     copy is fire-and-forget.  Either way the sender hears nothing of a
     lost message. *)
 
@@ -181,10 +181,8 @@ val acks_sent : 'a t -> int
 val retransmissions : 'a t -> int
 (** Reliable mode: data copies retransmitted after a timeout. *)
 
-val deliveries_abandoned : 'a t -> int
-(** Reliable mode: (link, LSA) transfers abandoned after exhausting
-    [max_retries] — the clean timeout for an unreachable neighbor. *)
-
+(* dgmc-analyze: allow unused-export — test_flooding_reliable checks
+   that every finished or abandoned transfer leaves the in-flight table *)
 val pending_retransmits : 'a t -> int
 (** Reliable mode: (link, LSA) transfers currently awaiting an ack.
     O(1). *)

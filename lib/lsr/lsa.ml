@@ -2,7 +2,6 @@ type 'a t = { origin : int; seq : int; payload : 'a }
 
 let make ~origin ~seq payload = { origin; seq; payload }
 
-let id t = (t.origin, t.seq)
 
 module Seq = struct
   type counter = { mutable next_value : int }

@@ -11,9 +11,6 @@ type 'a t = { origin : int; seq : int; payload : 'a }
 
 val make : origin:int -> seq:int -> 'a -> 'a t
 
-val id : 'a t -> int * int
-(** The (origin, seq) identity used for duplicate suppression. *)
-
 (** Per-switch sequence-number allocator. *)
 module Seq : sig
   type counter

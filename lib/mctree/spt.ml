@@ -24,28 +24,3 @@ let source_rooted g ~root ~receivers =
       done)
     terminals;
   Tree.of_edge_keys ~n ~terminals keys !m
-
-let depth t ~root =
-  let is_parent parent v =
-    match parent with Some p -> p = v | None -> false
-  in
-  let rec go u parent d best =
-    List.fold_left
-      (fun best v ->
-        if is_parent parent v then best
-        else go v (Some u) (d + 1) (max best (d + 1)))
-      best (Tree.neighbors t u)
-  in
-  if Tree.mem_node t root then go root None 0 0 else 0
-
-let receivers_cost g t ~root =
-  List.fold_left
-    (fun acc dst ->
-      if dst = root then acc
-      else
-        match Tree.path_between t root dst with
-        | Some p -> (dst, Net.Path.cost g p) :: acc
-        | None -> acc)
-    [] (Tree.terminals t)
-  |> List.sort (fun (d1, c1) (d2, c2) ->
-         match Int.compare d1 d2 with 0 -> Float.compare c1 c2 | c -> c)

@@ -17,10 +17,3 @@ val source_rooted : Net.Graph.t -> root:int -> receivers:int list -> Tree.t
     reaches a node already on the tree; the walked edges, the union of
     the root-to-receiver paths, build the tree once, by one sort of
     their keys. *)
-
-val depth : Tree.t -> root:int -> int
-(** Longest hop distance from the root to any tree node. *)
-
-val receivers_cost : Net.Graph.t -> Tree.t -> root:int -> (int * float) list
-(** Delay from the root to each terminal along tree paths (terminals
-    other than the root), sorted by node id. *)

@@ -12,8 +12,8 @@ let of_terminals ts = { terminals = sorted_ints ts; edges = [||] }
 
 (* The key of edge [u]-[v] over [n] ids: [u * n + v] with [u < v]. *)
 let key n u v =
-  if u = v then invalid_arg "Tree.add_edge: self-loop";
-  if u < 0 || v < 0 then invalid_arg "Tree.add_edge: negative node";
+  if u = v then invalid_arg "Tree: self-loop";
+  if u < 0 || v < 0 then invalid_arg "Tree: negative node";
   (Int.min u v * n) + Int.max u v
 
 (* [keys]' first [m] entries sorted, repeats dropped, as edge pairs; a
@@ -53,8 +53,6 @@ let add_path t path =
   fill m path;
   { t with edges = pairs_of_keys ~n keys (Array.length keys) }
 
-let add_edge t u v = add_path t [ u; v ]
-
 let of_edges ~terminals edges =
   let n = 1 + List.fold_left (fun acc (u, v) -> Int.max acc (Int.max u v)) 0 edges in
   let keys = Array.of_list (List.map (fun (u, v) -> key n u v) edges) in
@@ -83,10 +81,6 @@ let select t keep =
   end
 
 let filter_edges f t = select t (fun i -> f t.edges.(2 * i) t.edges.((2 * i) + 1))
-
-let remove_edge t u v =
-  let lo = Int.min u v and hi = Int.max u v in
-  filter_edges (fun a b -> a <> lo || b <> hi) t
 
 (* The index of [a]'s first entry not below [x]. *)
 let rank a x =
@@ -163,8 +157,6 @@ let edges t =
   let a = t.edges in
   let rec go i acc = if i < 0 then acc else go (i - 2) ((a.(i), a.(i + 1)) :: acc) in
   go (Array.length a - 2) []
-
-let n_edges t = Array.length t.edges / 2
 
 let cost g t =
   let a = t.edges in
@@ -281,25 +273,6 @@ let rec prune t =
     let stray u = Bytes.get seen (u - lo) = '\001' && not (is_terminal t u) in
     let kept = select t (fun i -> not (stray e.(2 * i) || stray e.((2 * i) + 1))) in
     if kept == t then t else prune kept
-  end
-
-let path_between t src dst =
-  if not (mem_node t src && mem_node t dst) then None
-  else if src = dst then Some [ src ]
-  else begin
-    (* DFS from [src], smallest neighbour first, never straight back to
-       the parent ([-1]: none); the tree path is unique when it exists. *)
-    let rec search u parent path =
-      if u = dst then Some (List.rev (u :: path))
-      else
-        List.fold_left
-          (fun found v ->
-            match found with
-            | Some _ -> found
-            | None -> if v = parent then None else search v u (u :: path))
-          None (neighbors t u)
-    in
-    search src (-1) []
   end
 
 (* Lexicographic, a proper prefix first: the order of [Set.compare] on

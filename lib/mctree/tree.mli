@@ -40,17 +40,13 @@ val of_edge_keys : n:int -> terminals:int list -> int array -> int -> t
 
 (** {1 Construction} *)
 
-val add_edge : t -> int -> int -> t
-(** Idempotent; raises [Invalid_argument] on a self-loop. *)
-
-val remove_edge : t -> int -> int -> t
-
 val filter_edges : (int -> int -> bool) -> t -> t
 (** [filter_edges f t] — the edges [(u, v)] of [t] with [f u v], in one
     pass over the edge array; the terminals are kept. *)
 
 val add_path : t -> int list -> t
-(** Add every consecutive edge of a node path. *)
+(** Add every consecutive edge of a node path; an edge already present
+    is kept once.  Raises [Invalid_argument] on a self-loop. *)
 
 val add_terminal : t -> int -> t
 
@@ -83,8 +79,6 @@ val compare_edge : int * int -> int * int -> int
 
 val edges : t -> (int * int) list
 (** Each undirected edge once, as [(u, v)] with [u < v], sorted. *)
-
-val n_edges : t -> int
 
 val mem_edge : t -> int -> int -> bool
 
@@ -129,10 +123,6 @@ val is_valid_mc_topology : Net.Graph.t -> t -> bool
 val prune : t -> t
 (** Repeatedly remove non-terminal leaves, so every remaining leaf is a
     terminal. *)
-
-val path_between : t -> int -> int -> int list option
-(** The unique tree path between two tree nodes, if both are present and
-    connected. *)
 
 val fragment : t -> int -> t
 (** [fragment t x] — the edges of [t] connected to [x] (none when [x]

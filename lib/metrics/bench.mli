@@ -32,10 +32,8 @@ type meta = {
   quick : bool;
 }
 
-val to_string : meta:meta -> ?metrics:Registry.snapshot -> section list -> string
-(** The full JSON document, with run-level elapsed/speedup aggregated
-    over the sections.  [metrics], when given, serializes a
-    {!Registry.snapshot} as an additional [metrics] section. *)
-
 val write :
   path:string -> meta:meta -> ?metrics:Registry.snapshot -> section list -> unit
+(** Write the full JSON document, with run-level elapsed/speedup
+    aggregated over the sections.  [metrics], when given, serializes a
+    {!Registry.snapshot} as an additional [metrics] section. *)

@@ -1,11 +1,7 @@
 (** Minimal CSV writing (RFC 4180 quoting) for exporting benchmark
     series to plotting tools. *)
 
-val escape : string -> string
-(** Quote a field when it contains commas, quotes or newlines. *)
-
-val render : headers:string list -> string list list -> string
-(** Header line plus one line per row, [\n]-terminated. *)
-
 val write : path:string -> headers:string list -> string list list -> unit
-(** {!render} to a file (truncating). *)
+(** Header line plus one line per row, [\n]-terminated, to a file
+    (truncating).  A field is quoted when it contains commas, quotes or
+    newlines. *)

@@ -96,12 +96,6 @@ let ambient () = !(Domain.DLS.get ambient_key)
 
 let set_ambient t = Domain.DLS.get ambient_key := t
 
-let with_ambient t f =
-  let r = Domain.DLS.get ambient_key in
-  let saved = !r in
-  r := t;
-  Fun.protect ~finally:(fun () -> r := saved) f
-
 (* ------------------------------------------------------------------ *)
 (* Snapshots *)
 

@@ -58,10 +58,6 @@ val ambient : unit -> t
 
 val set_ambient : t -> unit
 
-val with_ambient : t -> (unit -> 'a) -> 'a
-(** Run with the ambient probe set to [t], restoring the previous probe
-    afterwards (also on exceptions). *)
-
 (** {2 Snapshots} *)
 
 type row = {

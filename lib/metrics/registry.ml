@@ -43,8 +43,6 @@ let disabled = { on = false; cells = Hashtbl.create 1; owner = -1 }
 let create () =
   { on = true; cells = Hashtbl.create 64; owner = (Domain.self () :> int) }
 
-let is_empty t = Hashtbl.length t.cells = 0
-
 (* The cell table and the cells themselves are unsynchronised, so all
    mutation is pinned to the creating domain; recording from a worker
    domain is a bug (racy counts), not a best-effort degradation. *)
@@ -140,12 +138,6 @@ let observe t ?switch name v =
       end
     | c -> wrong_kind name "histogram" c
 
-let counter_value t ?switch name =
-  match Hashtbl.find_opt t.cells { name; switch } with
-  | Some (Counter c) -> value c
-  | Some c -> wrong_kind name "counter" c
-  | None -> 0
-
 let hist_quantile h q =
   if h.h_n = 0 then Float.nan
   else begin
@@ -190,20 +182,6 @@ let stats_of_hist h =
     h_p90 = hist_quantile h 0.90;
     h_p99 = hist_quantile h 0.99;
   }
-
-let histogram_stats t ?switch name =
-  match Hashtbl.find_opt t.cells { name; switch } with
-  | Some (Hist h) -> Some (stats_of_hist h)
-  | Some c -> wrong_kind name "histogram" c
-  | None -> None
-
-let quantile t ?switch name q =
-  if not (q >= 0.0 && q <= 1.0) then
-    invalid_arg "Metrics.Registry.quantile: q outside [0, 1]";
-  match Hashtbl.find_opt t.cells { name; switch } with
-  | Some (Hist h) when h.h_n > 0 -> Some (hist_quantile h q)
-  | Some (Hist _) | None -> None
-  | Some c -> wrong_kind name "histogram" c
 
 (* ------------------------------------------------------------------ *)
 (* Snapshots: deterministic order regardless of insertion history *)

@@ -34,12 +34,10 @@ type t
 val disabled : t
 (** A shared registry that drops everything.  {!observe} on it returns
     before the owner check and allocates nothing, and so does {!bump} on
-    its handles, so it may be recorded into from any domain.  It always
-    reads as empty. *)
+    its handles, so it may be recorded into from any domain.  Its
+    {!snapshot} is always empty. *)
 
 val create : unit -> t
-
-val is_empty : t -> bool
 
 (** {2 Recording} *)
 
@@ -70,9 +68,6 @@ val sum : counter array -> int
 
 (** {2 Reading} *)
 
-val counter_value : t -> ?switch:int -> string -> int
-(** [0] for a counter that was never bumped. *)
-
 type histogram = {
   h_count : int;
   h_sum : float;
@@ -82,12 +77,6 @@ type histogram = {
   h_p90 : float;
   h_p99 : float;
 }
-
-val histogram_stats : t -> ?switch:int -> string -> histogram option
-
-val quantile : t -> ?switch:int -> string -> float -> float option
-(** [quantile t name q] for [q] in [\[0, 1\]]; [None] when the histogram
-    is missing or empty. *)
 
 (** {2 Snapshots and rendering} *)
 

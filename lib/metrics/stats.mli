@@ -11,21 +11,17 @@ type summary = {
   mean : float;
   stddev : float;  (** Sample standard deviation (n-1 denominator). *)
   ci95 : float;
-      (** Half-width of the 95% confidence interval of the mean;
-          [0.] for fewer than two samples. *)
+      (** Half-width of the 95% confidence interval of the mean: the
+          two-sided 97.5th-percentile Student-t value for [n - 1]
+          degrees of freedom (exact table for df ≤ 30, 1.96 asymptote
+          beyond) times [stddev / sqrt n]; [0.] for fewer than two
+          samples. *)
 }
 
 val summarize : float list -> summary
 (** Raises [Invalid_argument] on an empty sample. *)
 
 val mean : float list -> float
-
-val stddev : float list -> float
-
-val t_critical : int -> float
-(** [t_critical df] is the two-sided 97.5th-percentile Student-t value
-    for [df] degrees of freedom (exact table for df ≤ 30, 1.96
-    asymptote beyond).  [df >= 1]. *)
 
 val percentile : float list -> float -> float
 (** [percentile xs p] for [p] in [\[0, 100\]], by linear interpolation

@@ -10,18 +10,12 @@ type t = { align : align list; headers : string list; rows : string list list }
 (** A table as data, so one builder feeds the text rendering and a CSV
     export alike. *)
 
-val render :
-  ?align:align list ->
-  headers:string list ->
-  string list list ->
-  string
-(** [render ~headers rows] lays the rows out in columns sized to the
-    widest cell, with a rule under the header.  Missing cells render
-    empty; [align] defaults to [Right] for every column. *)
-
 val print :
   ?align:align list -> headers:string list -> string list list -> unit
-(** {!render} to stdout, followed by a newline. *)
+(** [print ~headers rows] lays the rows out on stdout in columns sized
+    to the widest cell, with a rule under the header, followed by a
+    newline.  Missing cells print empty; [align] defaults to [Right] for
+    every column. *)
 
 val print_table : t -> unit
 (** {!print} of a {!t}. *)

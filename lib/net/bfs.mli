@@ -4,10 +4,6 @@
     one per-hop delay), as opposed to {!Dijkstra} weights which determine
     unicast routes. *)
 
-val hops : Graph.t -> int -> int array
-(** [hops g src] gives the hop distance from [src] to every node over live
-    links; unreachable nodes get [max_int]. *)
-
 val reachable : Graph.t -> int -> bool array
 (** Nodes reachable from the source over live links. *)
 

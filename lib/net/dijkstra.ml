@@ -123,8 +123,6 @@ let run g src =
   let dist, pred = Graph.memo_search g src search in
   { dist; pred }
 
-let distance g src dst = (run g src).dist.(dst)
-
 let path_of_result r ~src ~dst =
   if not (Float.is_finite r.dist.(dst)) then None
   else begin
@@ -142,5 +140,3 @@ let path_of_result r ~src ~dst =
 
 let path g ~src ~dst = path_of_result (run g src) ~src ~dst
 
-let all_pairs g =
-  Array.init (Graph.n_nodes g) (fun src -> (run g src).dist)

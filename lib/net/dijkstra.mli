@@ -38,16 +38,9 @@ val run : Graph.t -> int -> result
     heap operation or relaxation.  A hit allocates only the three-word
     result record. *)
 
-val distance : Graph.t -> int -> int -> float
-(** Cost of a shortest path, [infinity] if unreachable. *)
-
 val path : Graph.t -> src:int -> dst:int -> int list option
 (** Node sequence of a shortest path from [src] to [dst], inclusive of
     both; [None] when unreachable. *)
 
 val path_of_result : result -> src:int -> dst:int -> int list option
 (** Extract a path from a precomputed {!result}. *)
-
-val all_pairs : Graph.t -> float array array
-(** [all_pairs g] is the full distance matrix ([n] Dijkstra runs, all
-    kept in [g]'s memo until its version moves). *)

@@ -111,11 +111,6 @@ let row t u =
     t.rows.(u) <- Some r;
     r
 
-let of_edges n list =
-  let t = create n in
-  List.iter (fun (u, v, w) -> add_edge t u v ~weight:w) list;
-  t
-
 let find_link t u v =
   check_node t u;
   check_node t v;
@@ -200,16 +195,6 @@ let copy t =
     (all_edges t);
   fresh.version <- 0;
   fresh
-
-let equal a b =
-  a.n = b.n
-  &&
-  let ea = all_edges a and eb = all_edges b in
-  List.length ea = List.length eb
-  && List.for_all2
-       (fun (x, upx) (y, upy) ->
-         x.u = y.u && x.v = y.v && Float.equal x.weight y.weight && upx = upy)
-       ea eb
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>graph %d nodes, %d live edges" t.n (n_edges t);

@@ -14,11 +14,6 @@ type edge = { u : int; v : int; weight : float }
 val create : int -> t
 (** [create n] is an edgeless graph on nodes [0 .. n-1]. *)
 
-val of_edges : int -> (int * int * float) list -> t
-(** [of_edges n edges] builds a graph; raises [Invalid_argument] on
-    duplicate edges, self-loops, out-of-range nodes or non-positive
-    weights. *)
-
 val copy : t -> t
 (** Independent deep copy (mutations do not propagate).  The copy's
     {!version} starts at [0] and its {!memo_search} memo starts empty:
@@ -111,8 +106,5 @@ val all_edges : t -> (edge * bool) list
 
 val n_edges : t -> int
 (** Number of live edges. *)
-
-val equal : t -> t -> bool
-(** Same node count, same edges with equal weights and states. *)
 
 val pp : Format.formatter -> t -> unit

@@ -26,17 +26,6 @@ let kruskal g =
     Metrics.Phase.leave ph;
     raise e
 
-let cost edges =
-  List.fold_left (fun acc (e : Graph.edge) -> acc +. e.weight) 0.0 edges
-
-let spans g edges =
-  let n = Graph.n_nodes g in
-  n <= 1
-  ||
-  let uf = Union_find.create n in
-  List.iter (fun (e : Graph.edge) -> ignore (Union_find.union uf e.u e.v)) edges;
-  Union_find.n_sets uf = 1
-
 let mst_of_matrix_impl m =
   let n = Array.length m in
   let edges = ref [] in

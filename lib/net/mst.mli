@@ -8,12 +8,6 @@ val kruskal : Graph.t -> Graph.edge list
 (** Edges of a minimum spanning forest (a tree when the graph is
     connected).  Deterministic: ties are broken by edge endpoints. *)
 
-val cost : Graph.edge list -> float
-(** Sum of edge weights. *)
-
-val spans : Graph.t -> Graph.edge list -> bool
-(** [true] iff the edges connect every node of the graph. *)
-
 val mst_of_matrix : float array array -> (int * int * float) list
 (** Kruskal over a symmetric distance matrix (a complete graph given
     implicitly); entries of [infinity] denote absent edges.  Used on the

@@ -193,28 +193,6 @@ let clustered rng ~areas ~per_area ?(inter_links = 2) ?(target_degree = 3.5) () 
   done;
   (g, partition)
 
-let erdos_renyi rng ~n ?(min_weight = 1.0) ?(max_weight = 10.0) () =
-  if n < 1 then invalid_arg "Topo_gen.erdos_renyi: n must be positive";
-  if min_weight <= 0.0 || max_weight < min_weight then
-    invalid_arg "Topo_gen.erdos_renyi: bad weight range";
-  (* Mean degree about 3. *)
-  let p = 3.0 /. float_of_int n in
-  let g = Graph.create n in
-  let draw_weight () =
-    if max_weight = min_weight then min_weight
-    else min_weight +. Sim.Rng.float rng (max_weight -. min_weight)
-  in
-  for u = 0 to n - 1 do
-    for v = u + 1 to n - 1 do
-      if Sim.Rng.float rng 1.0 < p then Graph.add_edge g u v ~weight:(draw_weight ())
-    done
-  done;
-  (* Every pair costs the same to join, so scan order alone picks: node 0
-     is joined to each other component's smallest member, and each
-     joining edge draws its weight. *)
-  connect_components g ~cost:(fun _ _ -> 1.0) ~weight:(fun _ _ -> draw_weight ());
-  g
-
 let check_weight w = if w <= 0.0 then invalid_arg "Topo_gen: weight must be positive"
 
 let ring ?(weight = 1.0) n =

@@ -3,8 +3,8 @@
     The paper evaluates D-GMC on "randomly generated graphs" of up to 100
     switches.  We use Waxman graphs — the standard random-topology model
     of the 1990s multicast-routing literature (cf. the paper's Imase &
-    Waxman reference) — as the default, plus Erdős–Rényi and a family of
-    regular topologies for tests and examples.  All generators return
+    Waxman reference) — as the default, plus a family of regular
+    topologies for tests and examples.  All generators return
     connected graphs and draw exclusively from the supplied {!Sim.Rng.t},
     so a (generator, seed) pair fully determines the topology. *)
 
@@ -44,14 +44,9 @@ val clustered :
     ([area k] owns [k*per_area .. (k+1)*per_area - 1]); the returned
     array lists each area's switches.  An inter-area link costs [20.0]. *)
 
-val erdos_renyi :
-  Sim.Rng.t -> n:int -> ?min_weight:float -> ?max_weight:float -> unit -> Graph.t
-(** G(n, p) with [p = 3.0 /. float n] (mean degree ≈ 3) and uniform
-    random weights in [[min_weight, max_weight]] (default [[1, 10]]),
-    made connected by {!connect_components} with every pair equally
-    cheap: node [0] is joined to the smallest member of each other
-    component, and each joining edge draws its weight like the rest. *)
-
+(* dgmc-analyze: allow unused-export — test_props checks the one-pass
+   joining step against the rescan loop under the ties that waxman's
+   distinct weights never draw *)
 val connect_components :
   Graph.t -> cost:(int -> int -> float) -> weight:(int -> int -> float) -> unit
 (** The joining step of the random generators.  While [g] is

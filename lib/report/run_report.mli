@@ -11,10 +11,6 @@ val load : string -> (Sim.Trace.archive, string) result
 (** Read a JSONL capture; [Error] reads ["PATH: line N: reason"] (or
     ["PATH: reason"] when the file cannot be read). *)
 
-val span : Sim.Trace.entry list -> float * float
-(** First and latest simulated time of the entries; [(0., 0.)] when
-    empty. *)
-
 val default_gap : Sim.Trace.entry list -> float
 (** Sessionization gap when the caller has none: 1/20 of the trace's
     simulated span, or [1.0] when the span is degenerate. *)
@@ -30,51 +26,16 @@ val dropped_note : Sim.Trace.archive -> string
     contain an {e anchor} — a [Compute_started] with an
     ["event:"]-prefixed trigger, or a non-proposal MC-LSA origination
     announcing an event — and opens at its first anchor.  It closes at
-    its last [Topology_installed].  Control cost is every MC-LSA
-    origination plus every [Lsa_forwarded] copy of one, retransmissions
-    included.  The window population yields convergence-latency and
-    control-cost distributions with exact p50/p90/p99
+    its last [Topology_installed] (or at its first anchor when it never
+    converged, with latency [0.]).  Control cost is every MC-LSA
+    origination from the anchor on plus every [Lsa_forwarded] copy of
+    one, retransmissions included.  Entry order is irrelevant except
+    between equal times, which keep it.  The window population yields
+    a convergence-latency distribution over the converged windows and a
+    control-cost distribution over all, with exact p50/p90/p99
     ({!Metrics.Stats.percentile}).  All inputs are simulated times, so
     summaries of deterministic runs are byte-identical across domain
-    counts. *)
-
-type window = {
-  w_mc : string;
-  w_start : float;  (** First anchor of the session. *)
-  w_end : float;
-      (** Last install at or after the first anchor; [w_start] when the
-          window never converged. *)
-  w_anchors : int;
-  w_installs : int;
-  w_control : int;  (** Control messages from the anchor on. *)
-}
-
-val latency : window -> float
-(** [w_end -. w_start]; [0.] for an unconverged window. *)
-
-val converged : window -> bool
-(** At least one install. *)
-
-type dist = {
-  d_count : int;
-  d_mean : float;
-  d_p50 : float;
-  d_p90 : float;
-  d_p99 : float;
-  d_max : float;
-}
-
-type summary = {
-  s_gap : float;
-  s_windows : window list;  (** By MC name, then window start. *)
-  s_latency : dist;  (** Convergence latency, over converged windows. *)
-  s_control : dist;  (** Control messages per window, over all windows. *)
-  s_unconverged : int;  (** Windows with an anchor but no install. *)
-}
-
-val sli : gap:float -> Sim.Trace.entry list -> summary
-(** Entry order is irrelevant except between equal times, which keep
-    it.  [gap] must be positive and finite. *)
+    counts.  [gap] must be positive and finite. *)
 
 (** {2 Run report} *)
 

@@ -24,8 +24,6 @@ let[@inline] next_int64 t =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let int64 = next_int64
-
 let split t = of_state (next_int64 t)
 
 let derive ~master ~index =

@@ -8,11 +8,11 @@
 
     {b Allocation.}  A draw allocates nothing: the 64-bit state is
     updated in place, unboxed, so {!int}, {!bool} and {!range} return
-    without touching the heap.  {!float} and {!int64} are inlined into
-    callers compiled with this module's cross-module information (any
-    dune profile but [dev], which compiles every module [-opaque]);
-    there their results stay unboxed too, and elsewhere each returns a
-    boxed result, as {!exponential} always does. *)
+    without touching the heap.  {!float} is inlined into callers
+    compiled with this module's cross-module information (any dune
+    profile but [dev], which compiles every module [-opaque]); there its
+    result stays unboxed too, and elsewhere it returns a boxed result,
+    as {!exponential} always does. *)
 
 type t
 
@@ -30,9 +30,6 @@ val derive : master:int -> index:int -> t
     parallel runner assigning one shard per task gets the same stream
     for a task no matter which worker runs it or in what order
     (contrast {!split}, which advances shared state).  [index >= 0]. *)
-
-val int64 : t -> int64
-(** Next raw 64-bit output. *)
 
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)].  [bound] must be positive. *)

@@ -237,13 +237,6 @@ let entries t = List.init t.len (nth t)
 
 let count t = t.len
 
-let count_category t cat =
-  let n = ref 0 in
-  for i = 0 to t.len - 1 do
-    if String.equal (category (nth t i).event) cat then incr n
-  done;
-  !n
-
 let emitted t = t.next_id
 
 let dropped t = t.evicted

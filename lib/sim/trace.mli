@@ -19,7 +19,7 @@
 
     Traces serialize to JSON Lines under the versioned schema
     [dgmc-trace/1]: a header object followed by one object per entry.
-    {!of_jsonl} inverts {!to_jsonl} exactly. *)
+    {!read_jsonl} inverts {!write_jsonl} exactly. *)
 
 (** Structured payloads.  Conventions: [switch], [src], [dst], [peer]
     are switch ids; [origin]/[seq] identify an LSA instance network-wide;
@@ -140,33 +140,24 @@ val entries : t -> entry list
 val count : t -> int
 (** Number of retained entries. *)
 
-val count_category : t -> string -> int
-(** Retained entries in the given category. *)
-
-val emitted : t -> int
-(** Ids assigned so far (including filtered-out and evicted events). *)
-
 val dropped : t -> int
 (** Retained-then-evicted entries (ring-buffer overflow). *)
 
-val message : event -> string
-(** One-line human rendering of the payload. *)
-
 val pp_entry : Format.formatter -> entry -> unit
+(** One timeline line: time, id, parent, category and a human rendering
+    of the payload. *)
 
 (** {2 JSONL (schema [dgmc-trace/1])} *)
 
 type archive = { a_emitted : int; a_dropped : int; a_entries : entry list }
-(** A deserialized trace: header counters plus entries oldest first. *)
-
-val to_jsonl : t -> string
-(** Header line + one JSON object per retained entry. *)
+(** A deserialized trace: header counters ([a_emitted]: ids assigned,
+    filtered-out and evicted events included) plus entries oldest
+    first. *)
 
 val write_jsonl : t -> path:string -> unit
-
-val of_jsonl : string -> (archive, string) result
-(** Parse what {!to_jsonl} produced; blank lines are skipped.  [Error]
-    reads ["line N: reason"], N the offending physical line (blank lines
-    counted, from 1). *)
+(** Header line + one JSON object per retained entry. *)
 
 val read_jsonl : path:string -> (archive, string) result
+(** Parse what {!write_jsonl} produced; blank lines are skipped.  [Error]
+    reads ["line N: reason"], N the offending physical line (blank lines
+    counted, from 1), or the I/O failure. *)

@@ -23,35 +23,3 @@ let joins rng ~n ~mc ~members ~window ?role ?(start = 0.0) () =
       })
     chosen
   |> Events.sort
-
-let churn rng ~current ~n ~mc ~joins:n_joins ~leaves:n_leaves ~window ?(start = 0.0)
-    () =
-  if window <= 0.0 then invalid_arg "Bursty.churn: window must be positive";
-  if n_leaves > List.length current then
-    invalid_arg "Bursty.churn: more leaves than members";
-  let outsiders =
-    List.filter (fun x -> not (List.mem x current)) (List.init n (fun i -> i))
-  in
-  if n_joins > List.length outsiders then
-    invalid_arg "Bursty.churn: more joins than non-members";
-  let leavers = Sim.Rng.sample rng n_leaves current in
-  let joiners = Sim.Rng.sample rng n_joins outsiders in
-  let leave_events =
-    List.map
-      (fun switch ->
-        {
-          Events.time = start +. Sim.Rng.float rng window;
-          action = Events.Leave { switch; mc };
-        })
-      leavers
-  in
-  let join_events =
-    List.mapi
-      (fun order switch ->
-        {
-          Events.time = start +. Sim.Rng.float rng window;
-          action = Events.Join { switch; mc; role = default_role mc (order + 1) switch };
-        })
-      joiners
-  in
-  Events.sort (leave_events @ join_events)

@@ -24,19 +24,3 @@ val joins :
     role (default: [Both] for symmetric MCs, [Receiver] for
     receiver-only, first chosen switch [Sender] and the rest [Receiver]
     for asymmetric). *)
-
-val churn :
-  Sim.Rng.t ->
-  current:int list ->
-  n:int ->
-  mc:Dgmc.Mc_id.t ->
-  joins:int ->
-  leaves:int ->
-  window:float ->
-  ?start:float ->
-  unit ->
-  Events.t list
-(** A conflicting burst against an established MC: [leaves] members
-    drawn from [current] leave while [joins] non-members join, all
-    inside the window.  Raises [Invalid_argument] when there are not
-    enough members/non-members. *)

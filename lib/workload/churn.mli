@@ -37,6 +37,8 @@ val generate : Sim.Rng.t -> graph:Net.Graph.t -> spec -> Events.t list
     (more walkers than switches, moves with no free switch, or
     non-positive periods). *)
 
+(* dgmc-analyze: allow unused-export — test_oracles checks the one-pass
+   bridge scan against a per-link connectivity search on cut graphs *)
 val fade_candidates : Net.Graph.t -> cut:(int * int) list -> Net.Graph.edge list
 (** The links a wave may fade next with the links of [cut] ((u, v)
     pairs, u < v) already down: every live link outside [cut] whose loss

@@ -10,13 +10,6 @@ let sort list = List.stable_sort (fun a b -> Float.compare a.time b.time) list
 
 let count = List.length
 
-let span = function
-  | [] | [ _ ] -> 0.0
-  | list ->
-    let times = List.map (fun e -> e.time) list in
-    List.fold_left Float.max neg_infinity times
-    -. List.fold_left Float.min infinity times
-
 let apply_dgmc net list =
   List.iter
     (fun e ->

@@ -685,7 +685,3 @@ let build ?trace t =
   Events.apply_dgmc net t.events;
   net
 
-let run t =
-  let net = build t in
-  Dgmc.Protocol.run net;
-  net

@@ -41,7 +41,7 @@
 
     This module is the one reader of the format: one pass parses each
     line and resolves the lines against the graph and regime; {!lint}
-    reports every problem that pass finds, and {!parse} returns the
+    reports every problem that pass finds, and {!load} returns the
     runnable {!t} exactly when none of them is an error. *)
 
 type t = {
@@ -77,7 +77,7 @@ val health_of_spec :
     against the graph and regime; without a [horizon] the layer stops
     past the last of [events] by three detection bounds plus ten rounds
     of convergence slack.  The result is validated: this is how
-    {!parse} resolves a [health] line, and how the CLI's [--health] and
+    {!load} resolves a [health] line, and how the CLI's [--health] and
     the fuzzer's health band build theirs. *)
 
 val action_of_string :
@@ -105,7 +105,7 @@ val lint : string -> diagnostic list
     that did parse are then resolved and their timeline replayed
     ({!Events.step}).
 
-    {b Errors} (the script is wrong; {!parse} rejects it):
+    {b Errors} (the script is wrong; {!load} rejects it):
     - every malformed line: unknown directives, events or options, stray
       non-[key=value] tokens, malformed arguments, a graph its generator
       rejects or with fewer than two switches, an MC id used before (or
@@ -134,23 +134,16 @@ val warnings : diagnostic list -> int
 val render : ?file:string -> diagnostic -> string
 (** ["file:line: error: message"] — the conventional compiler format. *)
 
-val parse : string -> (t, string) result
-(** Parse and resolve a script: [Ok] exactly when {!lint} reports no
-    error, else the first error in line order as ["line N: message"]
-    (a missing [graph] has no line). *)
-
 val read_file : string -> (string, string) result
 (** A file's contents; [Error] is the I/O failure. *)
 
 val load : string -> (t, string) result
-(** {!read_file}, then {!parse}. *)
+(** {!read_file}, then parse and resolve the script: [Ok] exactly when
+    {!lint} reports no error, else the first error in line order as
+    ["line N: message"] (a missing [graph] has no line). *)
 
 val build : ?trace:Sim.Trace.t -> t -> Dgmc.Protocol.t
 (** Create the protocol instance and schedule every event {e without}
     running — so callers can attach observers (e.g. [Check.Monitor])
     before the first transition, then [Dgmc.Protocol.run] it.
     [trace] is forwarded to {!Dgmc.Protocol.create}. *)
-
-val run : t -> Dgmc.Protocol.t
-(** Build the protocol instance, schedule every event, and run to
-    quiescence. *)

@@ -146,13 +146,13 @@ let test_driver_corpus () =
 
 let test_gather_skips_fixtures () =
   (* The corpus must never leak into a normal repo-wide run. *)
-  let files = Driver.gather_files [ "." ] in
-  Alcotest.(check bool) "found some sources" true (files <> []);
+  let r = Driver.run ~baseline:Baseline.empty [ "." ] in
+  Alcotest.(check bool) "found some sources" true (r.Driver.files_scanned > 0);
   List.iter
-    (fun f ->
-      if contains_sub f fixtures_dir then
-        Alcotest.failf "gather_files leaked fixture %s" f)
-    files
+    (fun ((d : Diag.t), _) ->
+      if contains_sub d.file fixtures_dir then
+        Alcotest.failf "a run over the tests leaked fixture %s" d.file)
+    r.Driver.diags
 
 (* unused-export is the one cross-file rule, so it gets its own two-file
    corpus, written to a scratch directory: an interface with one export
@@ -207,14 +207,15 @@ let test_baseline_roundtrip () =
   let r = run_corpus () in
   let diags = List.map fst r.Driver.diags in
   let b = Baseline.of_diags diags in
-  (match Sim.Json.parse (Baseline.to_string b) with
-  | Error e -> Alcotest.failf "baseline text does not parse: %s" e
-  | Ok j -> (
-    match Baseline.of_json j with
-    | Error e -> Alcotest.failf "baseline decode: %s" e
-    | Ok b' ->
-      Alcotest.(check int) "entries survive the round trip" (List.length b)
-        (List.length b')));
+  (match
+     Oracle.with_temp_file (fun path ->
+         Baseline.save path b;
+         Baseline.load path)
+   with
+  | Error e -> Alcotest.failf "baseline decode: %s" e
+  | Ok b' ->
+    Alcotest.(check int) "entries survive the round trip" (List.length b)
+      (List.length b'));
   Alcotest.(check int) "count sees the capture findings" 2
     (Baseline.count b
        ~file:(fixture "fixture_capture.ml")

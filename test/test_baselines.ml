@@ -7,13 +7,31 @@ let mc = Dgmc.Mc_id.make Dgmc.Mc_id.Symmetric 1
 
 let grid33 () = Net.Topo_gen.grid ~rows:3 ~cols:3 ()
 
+(* Membership events at the engine's current time, through the
+   [schedule_*] entry points the figures use; each takes effect at the
+   next [run]. *)
+let bf_join bf ~switch mc role =
+  Baselines.Brute_force.schedule_join bf
+    ~at:(Sim.Engine.now (Baselines.Brute_force.engine bf))
+    ~switch mc role
+
+let bf_leave bf ~switch mc =
+  Baselines.Brute_force.schedule_leave bf
+    ~at:(Sim.Engine.now (Baselines.Brute_force.engine bf))
+    ~switch mc
+
+let mospf_join m ~switch ~group =
+  Baselines.Mospf.schedule_join m
+    ~at:(Sim.Engine.now (Baselines.Mospf.engine m))
+    ~switch ~group
+
 (* ------------------------------------------------------------------ *)
 (* Brute force *)
 
 let test_brute_computations_scale_with_n () =
   let graph = grid33 () in
   let bf = Baselines.Brute_force.create ~graph ~config:Dgmc.Config.atm_lan () in
-  Baselines.Brute_force.join bf ~switch:0 mc Dgmc.Member.Both;
+  bf_join bf ~switch:0 mc Dgmc.Member.Both;
   Baselines.Brute_force.run bf;
   let t = Baselines.Brute_force.totals bf in
   check Alcotest.int "events" 1 t.events;
@@ -43,11 +61,11 @@ let test_brute_converges () =
 let test_brute_leave () =
   let graph = grid33 () in
   let bf = Baselines.Brute_force.create ~graph ~config:Dgmc.Config.atm_lan () in
-  Baselines.Brute_force.join bf ~switch:0 mc Dgmc.Member.Both;
+  bf_join bf ~switch:0 mc Dgmc.Member.Both;
   Baselines.Brute_force.run bf;
-  Baselines.Brute_force.join bf ~switch:8 mc Dgmc.Member.Both;
+  bf_join bf ~switch:8 mc Dgmc.Member.Both;
   Baselines.Brute_force.run bf;
-  Baselines.Brute_force.leave bf ~switch:8 mc;
+  bf_leave bf ~switch:8 mc;
   Baselines.Brute_force.run bf;
   check Alcotest.bool "agreement" true (Baselines.Brute_force.converged bf mc);
   let tree = Option.get (Baselines.Brute_force.topology bf ~switch:4 mc) in
@@ -122,7 +140,7 @@ let test_brute_memo_exact_waxman () =
         joins;
       let members = Dgmc.Member.of_list (List.map (fun (_, s, r) -> (s, r)) joins) in
       let rejoin switch =
-        Baselines.Brute_force.join bf ~switch mc
+        bf_join bf ~switch mc
           (Option.get (Dgmc.Member.role members switch))
       in
       Baselines.Brute_force.run bf;
@@ -152,14 +170,14 @@ let test_brute_memo_exact_waxman () =
 let test_brute_memo_follows_set_link () =
   let graph = grid33 () in
   let bf = Baselines.Brute_force.create ~graph ~config:Dgmc.Config.atm_lan () in
-  Baselines.Brute_force.join bf ~switch:0 mc Dgmc.Member.Both;
-  Baselines.Brute_force.join bf ~switch:8 mc Dgmc.Member.Both;
+  bf_join bf ~switch:0 mc Dgmc.Member.Both;
+  bf_join bf ~switch:8 mc Dgmc.Member.Both;
   Baselines.Brute_force.run bf;
   let before = Option.get (Baselines.Brute_force.topology bf ~switch:4 mc) in
   let u, v = List.hd (Mctree.Tree.edges before) in
   Net.Graph.set_link graph u v ~up:false;
   (* Same member set as before the failure. *)
-  Baselines.Brute_force.join bf ~switch:0 mc Dgmc.Member.Both;
+  bf_join bf ~switch:0 mc Dgmc.Member.Both;
   Baselines.Brute_force.run bf;
   let members = Dgmc.Member.of_list [ (0, Both); (8, Both) ] in
   check_exact ~what:"grid after set_link" graph bf mc members;
@@ -170,13 +188,13 @@ let test_brute_memo_follows_set_link () =
 let test_brute_memo_partition () =
   let graph = grid33 () in
   let bf = Baselines.Brute_force.create ~graph ~config:Dgmc.Config.atm_lan () in
-  List.iter (fun s -> Baselines.Brute_force.join bf ~switch:s mc Dgmc.Member.Both) [ 0; 2; 6; 8 ];
+  List.iter (fun s -> bf_join bf ~switch:s mc Dgmc.Member.Both) [ 0; 2; 6; 8 ];
   Baselines.Brute_force.run bf;
   (* Split off the left column {0, 3, 6}, then one member per side
      re-joins so every switch recomputes the same member set. *)
   List.iter (fun (u, v) -> Net.Graph.set_link graph u v ~up:false) [ (0, 1); (3, 4); (6, 7) ];
-  Baselines.Brute_force.join bf ~switch:0 mc Dgmc.Member.Both;
-  Baselines.Brute_force.join bf ~switch:8 mc Dgmc.Member.Both;
+  bf_join bf ~switch:0 mc Dgmc.Member.Both;
+  bf_join bf ~switch:8 mc Dgmc.Member.Both;
   Baselines.Brute_force.run bf;
   let members = Dgmc.Member.of_list (List.map (fun s -> (s, Dgmc.Member.Both)) [ 0; 2; 6; 8 ]) in
   check_exact ~what:"partitioned grid" graph bf mc members;
@@ -192,8 +210,8 @@ let test_brute_memo_partition () =
 let test_mospf_membership_propagates () =
   let graph = grid33 () in
   let m = Baselines.Mospf.create ~graph ~config:Dgmc.Config.atm_lan () in
-  Baselines.Mospf.join m ~switch:2 ~group:1;
-  Baselines.Mospf.join m ~switch:7 ~group:1;
+  mospf_join m ~switch:2 ~group:1;
+  mospf_join m ~switch:7 ~group:1;
   Baselines.Mospf.run m;
   for sw = 0 to 8 do
     check Alcotest.(list int) "member list at every router" [ 2; 7 ]
@@ -205,8 +223,8 @@ let test_mospf_membership_propagates () =
 let test_mospf_data_driven_computation () =
   let graph = grid33 () in
   let m = Baselines.Mospf.create ~graph ~config:Dgmc.Config.atm_lan () in
-  Baselines.Mospf.join m ~switch:0 ~group:1;
-  Baselines.Mospf.join m ~switch:8 ~group:1;
+  mospf_join m ~switch:0 ~group:1;
+  mospf_join m ~switch:8 ~group:1;
   Baselines.Mospf.run m;
   Baselines.Mospf.send_packet m ~src:0 ~group:1;
   Baselines.Mospf.run m;
@@ -215,15 +233,15 @@ let test_mospf_data_driven_computation () =
      0 to 8 in the grid is a path of 4 edges and 5 nodes. *)
   let tree = Mctree.Spt.source_rooted graph ~root:0 ~receivers:[ 8 ] in
   check Alcotest.int "computations = on-tree routers"
-    (Mctree.Tree.n_edges tree + 1)
+    (List.length (Mctree.Tree.edges tree) + 1)
     t.computations;
   check Alcotest.bool "packets forwarded" true (t.packets_forwarded > 0)
 
 let test_mospf_cache_hit_no_recompute () =
   let graph = grid33 () in
   let m = Baselines.Mospf.create ~graph ~config:Dgmc.Config.atm_lan () in
-  Baselines.Mospf.join m ~switch:0 ~group:1;
-  Baselines.Mospf.join m ~switch:8 ~group:1;
+  mospf_join m ~switch:0 ~group:1;
+  mospf_join m ~switch:8 ~group:1;
   Baselines.Mospf.run m;
   Baselines.Mospf.send_packet m ~src:0 ~group:1;
   Baselines.Mospf.run m;
@@ -236,13 +254,13 @@ let test_mospf_cache_hit_no_recompute () =
 let test_mospf_membership_change_invalidates () =
   let graph = grid33 () in
   let m = Baselines.Mospf.create ~graph ~config:Dgmc.Config.atm_lan () in
-  Baselines.Mospf.join m ~switch:0 ~group:1;
-  Baselines.Mospf.join m ~switch:8 ~group:1;
+  mospf_join m ~switch:0 ~group:1;
+  mospf_join m ~switch:8 ~group:1;
   Baselines.Mospf.run m;
   Baselines.Mospf.send_packet m ~src:0 ~group:1;
   Baselines.Mospf.run m;
   let after_first = (Baselines.Mospf.totals m).computations in
-  Baselines.Mospf.join m ~switch:2 ~group:1;
+  mospf_join m ~switch:2 ~group:1;
   Baselines.Mospf.run m;
   Baselines.Mospf.send_packet m ~src:0 ~group:1;
   Baselines.Mospf.run m;
@@ -271,7 +289,10 @@ let test_cbt_join_stops_at_tree () =
   (* 2 is already an on-tree switch: joining costs nothing on the wire. *)
   Baselines.Cbt.join cbt 2;
   check Alcotest.int "no new messages" before (Baselines.Cbt.control_messages cbt);
-  check Alcotest.bool "member recorded" true (Baselines.Cbt.is_member cbt 2)
+  check Alcotest.(list int) "member recorded" [ 2; 4 ]
+    (List.map
+       (fun (d : Mctree.Delivery.delivery) -> d.receiver)
+       (Baselines.Cbt.deliver cbt ~src:0).deliveries)
 
 let test_cbt_join_idempotent () =
   let graph = Net.Topo_gen.line 3 in
@@ -296,7 +317,7 @@ let test_cbt_deliver_reaches_members () =
   | None -> Alcotest.fail "two-stage delivery must name a contact"
 
 let test_cbt_core_unreachable () =
-  let graph = Net.Graph.of_edges 4 [ (0, 1, 1.0); (2, 3, 1.0) ] in
+  let graph = Oracle.Graph.of_edges 4 [ (0, 1, 1.0); (2, 3, 1.0) ] in
   let cbt = Baselines.Cbt.create ~graph ~core:0 () in
   Alcotest.check_raises "join across partition" (Failure "Cbt: core unreachable")
     (fun () -> Baselines.Cbt.join cbt 3)

@@ -29,7 +29,7 @@ let check_counts (states, transitions, terminals) (o : Check.Explore.outcome)
 
 let test_two_concurrent_joins () =
   let scenario = base_scenario ~setup:[] ~race:[ join 0; join 2 ] () in
-  let o = Check.Explore.run scenario in
+  let o = Oracle.Explore.run scenario in
   Format.printf "two-joins: %a@." Check.Explore.pp_outcome o;
   (match o.found with
   | Some v ->
@@ -70,7 +70,7 @@ let link_failure_race () =
 
 let test_join_vs_link_failure () =
   let (u, v), scenario = link_failure_race () in
-  let o = Check.Explore.run scenario in
+  let o = Oracle.Explore.run scenario in
   Format.printf "join-vs-linkdown (%d,%d): %a@." u v Check.Explore.pp_outcome o;
   (match o.found with
   | Some v ->
@@ -114,7 +114,7 @@ let check_copy_matches_replay scenario =
     Array.to_list (Array.map Check.Fingerprint.switch switches)
   in
   let rendered h = rendered_switches (Check.Harness.switches h) in
-  let replay prefix = Check.Explore.build scenario prefix in
+  let replay prefix = Oracle.Explore.build scenario prefix in
   let replay_digest prefix = Digest.to_hex (Check.Harness.digest (replay prefix)) in
   let switch_copies_survive parent act prefix =
     let source = Check.Harness.copy parent in
@@ -162,7 +162,7 @@ let check_copy_matches_replay scenario =
         (Digest.to_hex (Check.Harness.digest parent))
     | [] -> ()
   in
-  visit 1 [] (Check.Explore.build scenario []);
+  visit 1 [] (Oracle.Explore.build scenario []);
   Format.printf "copy vs replay: %d edges from %d states@." !edges
     (1 + Hashtbl.length seen);
   Alcotest.(check bool) "branched at every depth" true (!edges > 20)
@@ -200,7 +200,7 @@ let test_broken_variant_caught () =
     { Dgmc.Config.atm_lan with inject = Some Dgmc.Config.Skip_stale_sender_flag }
   in
   let o =
-    Check.Explore.run (base_scenario ~config ~setup:[] ~race:[ join 0; join 2 ] ())
+    Oracle.Explore.run (base_scenario ~config ~setup:[] ~race:[ join 0; join 2 ] ())
   in
   match o.found with
   | None ->
@@ -234,7 +234,7 @@ let test_no_withdrawal_self_heals () =
     { Dgmc.Config.atm_lan with inject = Some Dgmc.Config.Skip_stale_withdrawal }
   in
   let o =
-    Check.Explore.run (base_scenario ~config ~setup:[] ~race:[ join 0; join 2 ] ())
+    Oracle.Explore.run (base_scenario ~config ~setup:[] ~race:[ join 0; join 2 ] ())
   in
   Format.printf "no-withdrawal (2 joins): %a@." Check.Explore.pp_outcome o;
   (match o.found with
@@ -257,7 +257,7 @@ let test_crash_recover_interleavings () =
      recovering switch handles at once, must end in network-wide
      agreement — exactly what the fuzzer's crash seeds (1113 et al.)
      sample one schedule of. *)
-  let o = Check.Explore.run (crash_recover_race ()) in
+  let o = Oracle.Explore.run (crash_recover_race ()) in
   Format.printf "crash-recover vs join: %a@." Check.Explore.pp_outcome o;
   (match o.found with
   | Some v ->
@@ -288,7 +288,7 @@ let test_crash_overlapping_crash () =
         ]
       ()
   in
-  let o = Check.Explore.run scenario in
+  let o = Oracle.Explore.run scenario in
   Format.printf "overlapping crashes: %a@." Check.Explore.pp_outcome o;
   (match o.found with
   | Some v ->
@@ -317,7 +317,7 @@ let test_crash_lost_summaries () =
         ]
       ()
   in
-  let o = Check.Explore.run scenario in
+  let o = Oracle.Explore.run scenario in
   Format.printf "every summary lost: %a@." Check.Explore.pp_outcome o;
   (match o.found with
   | Some v ->
@@ -326,7 +326,7 @@ let test_crash_lost_summaries () =
   | None -> ());
   Alcotest.(check bool) "exploration complete" true o.complete;
   check_counts (111, 257, 1) o;
-  let h = Check.Explore.build scenario [] in
+  let h = Oracle.Explore.build scenario [] in
   Check.Harness.settle h;
   Alcotest.(check bool) "switch 1's session never completes" true
     (Option.is_some (Dgmc.Switch.resync_state (Check.Harness.switches h).(1)))
@@ -339,7 +339,7 @@ let test_last_member_cut () =
   let cut = Check.Harness.Action (Link_down (2, 3))
   and heal = Check.Harness.Action (Link_up (2, 3)) in
   let o =
-    Check.Explore.run
+    Oracle.Explore.run
       {
         (base_scenario ~setup:[ join 3 ]
            ~race:
@@ -410,7 +410,7 @@ let test_monitor_clean_run () =
   Dgmc.Protocol.run net;
   Check.Monitor.check_terminal m;
   Alcotest.(check bool) "monitor swept" true (Check.Monitor.sweeps m > 0);
-  Check.Monitor.assert_ok m
+  Oracle.Monitor.assert_ok m
 
 let test_monitor_crash_resync () =
   (* Full protocol + fault plan: switch 1's outage swallows the flood of
@@ -431,12 +431,12 @@ let test_monitor_crash_resync () =
   Dgmc.Protocol.schedule_join net ~at:1.5e-3 ~switch:4 mc1 Dgmc.Member.Both;
   Dgmc.Protocol.run net;
   Check.Monitor.check_terminal m;
-  Check.Monitor.assert_ok m;
+  Oracle.Monitor.assert_ok m;
   Alcotest.(check bool) "switch 1 ran a recovery exchange" true
-    (Metrics.Registry.counter_value metrics ~switch:1 "switch.resyncs_started"
+    (Oracle.Registry.counter_value metrics ~switch:1 "switch.resyncs_started"
     > 0);
   Alcotest.(check bool) "the exchange completed with a delta" true
-    (Metrics.Registry.counter_value metrics ~switch:1
+    (Oracle.Registry.counter_value metrics ~switch:1
        "switch.resync_deltas_applied"
     > 0);
   match Dgmc.Protocol.divergence net mc1 with
@@ -460,7 +460,7 @@ let test_monitor_judges_ground_truth () =
   Dgmc.Protocol.schedule_join net ~at:0.0 ~switch:1 mc Dgmc.Member.Sender;
   Dgmc.Protocol.run net;
   Alcotest.(check bool) "the switches agree" true
-    (Dgmc.Protocol.converged_among net mc [ 0; 1; 2; 3 ]);
+    (Oracle.Protocol.converged_among net mc [ 0; 1; 2; 3 ]);
   Check.Monitor.check_terminal m;
   Alcotest.(check (list string)) "monitor records terminals-match"
     [ "[terminals-match]" ]
@@ -559,6 +559,21 @@ let asymmetric_tree_config =
 
 let render_backward b = Format.asprintf "%a" Check.Search.pp_backward b
 
+(* The event lines [Search.pp_backward] prints for a found sequence. *)
+let event_lines events =
+  let found =
+    { Check.Explore.laws = []; message = ""; trace = []; depth = 0;
+      state_digest = Digest.string "" }
+  in
+  render_backward
+    { Check.Search.b_candidates = 0; b_max_len = 0; b_truncated = false;
+      b_found = Some (events, found) }
+  |> String.split_on_char '\n'
+  |> List.filter_map (fun line ->
+         if String.starts_with ~prefix:"  [" line then
+           Some (String.sub line 2 (String.length line - 2))
+         else None)
+
 (* Backward search must rediscover a re-injected historical bug as a
    minimal fault sequence — pinned exactly, byte-identical at any
    domain count, and no longer than the fuzzer's shrunk repro. *)
@@ -573,7 +588,7 @@ let backward_rediscovery ~config ~mcs ~expected_lines ~fuzzer_len () =
   | Some (events, found) ->
     Alcotest.(check (list string))
       "pinned minimal fault sequence" expected_lines
-      (Check.Search.event_lines events);
+      (event_lines events);
     Alcotest.(check bool)
       "no longer than the fuzzer's shrunk repro" true
       (List.length events <= fuzzer_len);
@@ -630,7 +645,7 @@ let test_search_event_syntax () =
         "[3] recover switch=3";
         "[4] link-down (0, 1)";
       ]
-      (Check.Search.event_lines events);
+      (event_lines events);
     Alcotest.(check string)
       "written with explicit roles"
       "join 0 mc=1 role=both; join 1 mc=2 role=receiver; crash 3; recover 3; \
@@ -638,8 +653,8 @@ let test_search_event_syntax () =
       (Check.Search.events_to_string events);
     Alcotest.(check (result (list string) string))
       "reads back"
-      (Ok (Check.Search.event_lines events))
-      (Result.map Check.Search.event_lines
+      (Ok (event_lines events))
+      (Result.map event_lines
          (Check.Search.events_of_string ~mcs
             (Check.Search.events_to_string events)));
     List.iter
@@ -895,7 +910,7 @@ let test_lint_duplicate_config () =
          (d.line, d.severity = Workload.Script.Error))
        diags)
 
-(* Malformed scripts: [Script.parse] fails with "line N: M", and the
+(* Malformed scripts: [Script.load] fails with "line N: M", and the
    linter's first error is that same line and message — one parser. *)
 let health_keys =
   "period, grace, detector, reup, damp, damp-penalty, damp-suppress, \
@@ -982,7 +997,7 @@ let test_malformed_corpus () =
   List.iter
     (fun (text, line, message) ->
       let name = String.escaped text in
-      (match Workload.Script.parse text with
+      (match Oracle.Script.parse text with
       | Ok _ -> Alcotest.failf "%s: parsed" name
       | Error e ->
         Alcotest.(check string) (name ^ ": parse")

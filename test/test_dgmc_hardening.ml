@@ -13,7 +13,7 @@ let assert_converged name net =
 
 (* Two triangles joined by one bridge; cutting 2-3 partitions. *)
 let dumbbell () =
-  Net.Graph.of_edges 6
+  Oracle.Graph.of_edges 6
     [
       (0, 1, 1.0); (1, 2, 1.0); (0, 2, 1.0);
       (3, 4, 1.0); (4, 5, 1.0); (3, 5, 1.0);
@@ -24,16 +24,16 @@ let dumbbell () =
 (* Timestamp raise_to *)
 
 let test_raise_to () =
-  let ts = Dgmc.Timestamp.of_array in
+  let ts = Oracle.Timestamp.of_array in
   let a = ts [| 2; 0; 1 |] in
   check Alcotest.bool "raises" true
-    (Dgmc.Timestamp.equal (ts [| 2; 3; 1 |]) (Dgmc.Timestamp.raise_to a 1 3));
+    (Dgmc.Timestamp.equal (ts [| 2; 3; 1 |]) (Oracle.Timestamp.raise_to a 1 3));
   check Alcotest.bool "never lowers" true
-    (Dgmc.Timestamp.equal a (Dgmc.Timestamp.raise_to a 0 1));
+    (Dgmc.Timestamp.equal a (Oracle.Timestamp.raise_to a 0 1));
   check Alcotest.bool "equal is no-op" true
-    (Dgmc.Timestamp.equal a (Dgmc.Timestamp.raise_to a 0 2));
-  Alcotest.check_raises "range" (Invalid_argument "Timestamp.raise_to: out of range")
-    (fun () -> ignore (Dgmc.Timestamp.raise_to a 3 1))
+    (Dgmc.Timestamp.equal a (Oracle.Timestamp.raise_to a 0 2));
+  Alcotest.check_raises "range" (Invalid_argument "Timestamp.raise_owned: out of range")
+    (fun () -> ignore (Oracle.Timestamp.raise_to a 3 1))
 
 (* ------------------------------------------------------------------ *)
 (* Tombstones: event numbering survives state deletion *)
@@ -113,7 +113,7 @@ let test_snapshot_carried_on_proposals () =
     Dgmc.Mc_lsa.make ~src:0 ~event:Dgmc.Mc_lsa.No_event ~mc
       ~proposal:(Mctree.Tree.of_terminals [ 0 ])
       ~members:(Dgmc.Member.of_list [ (0, Dgmc.Member.Both) ])
-      ~stamp:(Dgmc.Timestamp.of_array [| 1; 0; 0 |])
+      ~stamp:(Oracle.Timestamp.of_array [| 1; 0; 0 |])
       ()
   in
   check Alcotest.bool "members attached" true (lsa.members <> None);
@@ -129,7 +129,7 @@ let partitioned_net () =
     (fun s -> Dgmc.Protocol.schedule_join net ~at:0.0 ~switch:s mc Dgmc.Member.Both)
     [ 0; 5 ];
   Dgmc.Protocol.run net;
-  Dgmc.Protocol.link_down net 2 3;
+  Oracle.Protocol.link_down net 2 3;
   Dgmc.Protocol.run net;
   net
 
@@ -137,7 +137,7 @@ let test_heal_without_new_events () =
   (* The pure resync case: after the cut heals, the database exchange
      alone (no further membership events) restores global agreement. *)
   let net = partitioned_net () in
-  Dgmc.Protocol.link_up net 2 3;
+  Oracle.Protocol.link_up net 2 3;
   Dgmc.Protocol.run net;
   assert_converged "heal by resync alone" net;
   let tree = Option.get (Dgmc.Protocol.agreed_topology net mc) in
@@ -153,7 +153,7 @@ let test_heal_with_membership_changes_during_partition () =
   Dgmc.Protocol.join net ~switch:4 mc Dgmc.Member.Both;
   (* right side *)
   Dgmc.Protocol.run net;
-  Dgmc.Protocol.link_up net 2 3;
+  Oracle.Protocol.link_up net 2 3;
   Dgmc.Protocol.run net;
   assert_converged "heal reconciles both sides' changes" net;
   let m = Option.get (Dgmc.Switch.members (Dgmc.Protocol.switch net 2) mc) in
@@ -165,7 +165,7 @@ let test_heal_with_leave_during_partition () =
   let net = partitioned_net () in
   Dgmc.Protocol.leave net ~switch:5 mc;
   Dgmc.Protocol.run net;
-  Dgmc.Protocol.link_up net 2 3;
+  Oracle.Protocol.link_up net 2 3;
   Dgmc.Protocol.run net;
   assert_converged "departure propagates through heal" net;
   let m = Option.get (Dgmc.Switch.members (Dgmc.Protocol.switch net 0) mc) in
@@ -187,10 +187,10 @@ let test_resync_noop_when_consistent () =
       (fun (e : Net.Graph.edge) -> not (Mctree.Tree.mem_edge before e.u e.v))
       (Net.Graph.edges graph)
   in
-  Dgmc.Protocol.link_down net offtree.u offtree.v;
+  Oracle.Protocol.link_down net offtree.u offtree.v;
   Dgmc.Protocol.run net;
   Dgmc.Protocol.reset_counters net;
-  Dgmc.Protocol.link_up net offtree.u offtree.v;
+  Oracle.Protocol.link_up net offtree.u offtree.v;
   Dgmc.Protocol.run net;
   assert_converged "still consistent" net;
   let totals = Dgmc.Protocol.totals net in
@@ -235,7 +235,7 @@ let test_equal_stamp_tiebreak_is_order_independent () =
         ~boot:(Lsr.Lsdb.boot graph) ()
     in
     Dgmc.Switch.connect sw ignore;
-    let stamp = Dgmc.Timestamp.of_array [| 1; 1; 0; 0; 0; 0 |] in
+    let stamp = Oracle.Timestamp.of_array [| 1; 1; 0; 0; 0; 0 |] in
     let members =
       Dgmc.Member.of_list [ (0, Dgmc.Member.Both); (1, Dgmc.Member.Both) ]
     in

@@ -175,9 +175,9 @@ let test_asymmetric_mc () =
   List.iter
     (fun (receiver, delay) ->
       check Alcotest.(float 1e-9) "spt distance"
-        (Net.Dijkstra.distance (Dgmc.Protocol.graph net) 4 receiver)
+        (Oracle.Dijkstra.distance (Dgmc.Protocol.graph net) 4 receiver)
         delay)
-    (Mctree.Spt.receivers_cost (Dgmc.Protocol.graph net) tree ~root:4)
+    (Oracle.Delivery.delays (Dgmc.Protocol.graph net) tree ~root:4)
 
 let test_independent_mcs () =
   let net = make_net (grid33 ()) in
@@ -207,7 +207,7 @@ let test_link_failure_repairs_topology () =
   Dgmc.Protocol.run net;
   let tree = Option.get (Dgmc.Protocol.agreed_topology net mc_sym) in
   let u, v = List.hd (Mctree.Tree.edges tree) in
-  Dgmc.Protocol.link_down net u v;
+  Oracle.Protocol.link_down net u v;
   Dgmc.Protocol.run net;
   assert_converged net mc_sym;
   let tree' = Option.get (Dgmc.Protocol.agreed_topology net mc_sym) in
@@ -229,7 +229,7 @@ let test_link_failure_off_tree_is_ignored_by_mc () =
       (Net.Graph.edges (Dgmc.Protocol.graph net))
   in
   Dgmc.Protocol.reset_counters net;
-  Dgmc.Protocol.link_down net off.u off.v;
+  Oracle.Protocol.link_down net off.u off.v;
   Dgmc.Protocol.run net;
   let t = Dgmc.Protocol.totals net in
   check Alcotest.int "non-MC LSAs flooded" 2 t.link_floodings;
@@ -245,11 +245,11 @@ let test_link_recovery_floods_but_keeps_topology () =
   Dgmc.Protocol.run net;
   let tree = Option.get (Dgmc.Protocol.agreed_topology net mc_sym) in
   let u, v = List.hd (Mctree.Tree.edges tree) in
-  Dgmc.Protocol.link_down net u v;
+  Oracle.Protocol.link_down net u v;
   Dgmc.Protocol.run net;
   let repaired = Option.get (Dgmc.Protocol.agreed_topology net mc_sym) in
   Dgmc.Protocol.reset_counters net;
-  Dgmc.Protocol.link_up net u v;
+  Oracle.Protocol.link_up net u v;
   Dgmc.Protocol.run net;
   assert_converged net mc_sym;
   let t = Dgmc.Protocol.totals net in
@@ -278,7 +278,7 @@ let test_figure2_lsa_accounting () =
   let tree = Option.get (Dgmc.Protocol.agreed_topology net (List.hd mcs)) in
   let u, v = List.hd (Mctree.Tree.edges tree) in
   Dgmc.Protocol.reset_counters net;
-  Dgmc.Protocol.link_down net u v;
+  Oracle.Protocol.link_down net u v;
   Dgmc.Protocol.run net;
   List.iter (fun m -> assert_converged ~msg:"repair" net m) mcs;
   let t = Dgmc.Protocol.totals net in
@@ -294,7 +294,7 @@ let test_figure2_lsa_accounting () =
 let test_partition_converges_per_side () =
   (* Two triangles joined by one bridge: cutting it partitions. *)
   let g =
-    Net.Graph.of_edges 6
+    Oracle.Graph.of_edges 6
       [
         (0, 1, 1.0); (1, 2, 1.0); (0, 2, 1.0);
         (3, 4, 1.0); (4, 5, 1.0); (3, 5, 1.0);
@@ -307,13 +307,13 @@ let test_partition_converges_per_side () =
     [ 0; 5 ];
   Dgmc.Protocol.run net;
   assert_converged net mc_sym;
-  Dgmc.Protocol.link_down net 2 3;
+  Oracle.Protocol.link_down net 2 3;
   Dgmc.Protocol.run net;
   (* Global agreement is impossible; each side must agree internally. *)
   check Alcotest.bool "left side agrees" true
-    (Dgmc.Protocol.converged_among net mc_sym [ 0; 1; 2 ]);
+    (Oracle.Protocol.converged_among net mc_sym [ 0; 1; 2 ]);
   check Alcotest.bool "right side agrees" true
-    (Dgmc.Protocol.converged_among net mc_sym [ 3; 4; 5 ]);
+    (Oracle.Protocol.converged_among net mc_sym [ 3; 4; 5 ]);
   (* Each side's topology must cover only its own member. *)
   let topo i =
     Option.get (Dgmc.Switch.topology (Dgmc.Protocol.switch net i) mc_sym)
@@ -325,7 +325,7 @@ let test_partition_converges_per_side () =
 
 let test_partition_heals () =
   let g =
-    Net.Graph.of_edges 6
+    Oracle.Graph.of_edges 6
       [
         (0, 1, 1.0); (1, 2, 1.0); (0, 2, 1.0);
         (3, 4, 1.0); (4, 5, 1.0); (3, 5, 1.0);
@@ -337,9 +337,9 @@ let test_partition_heals () =
     (fun s -> Dgmc.Protocol.schedule_join net ~at:0.0 ~switch:s mc_sym Dgmc.Member.Both)
     [ 0; 5 ];
   Dgmc.Protocol.run net;
-  Dgmc.Protocol.link_down net 2 3;
+  Oracle.Protocol.link_down net 2 3;
   Dgmc.Protocol.run net;
-  Dgmc.Protocol.link_up net 2 3;
+  Oracle.Protocol.link_up net 2 3;
   Dgmc.Protocol.run net;
   (* Healing the cut floods link-up non-MC LSAs; the split-brain MC
      state reconciles on the next membership event. *)
@@ -401,8 +401,7 @@ let test_counters_reset () =
   check Alcotest.int "floodings" 0 t.mc_floodings;
   check Alcotest.int "messages" 0 t.messages;
   check Alcotest.bool "clock markers cleared" true
-    (Dgmc.Protocol.first_event_time net = None
-    && Dgmc.Protocol.last_change_time net = None)
+    (Dgmc.Protocol.convergence_rounds net = None)
 
 let test_convergence_rounds_measured () =
   let net = make_net (grid33 ()) in
@@ -464,9 +463,9 @@ let test_trace_records_protocol_activity () =
   Dgmc.Protocol.join net ~switch:8 mc_sym Dgmc.Member.Both;
   Dgmc.Protocol.run net;
   check Alcotest.bool "computations traced" true
-    (Sim.Trace.count_category trace "compute" > 0);
+    (Oracle.Trace.count_category trace "compute" > 0);
   check Alcotest.bool "floods traced" true
-    (Sim.Trace.count_category trace "flood" > 0);
+    (Oracle.Trace.count_category trace "flood" > 0);
   (* Timestamps in the trace are monotone. *)
   let times =
     List.map (fun (e : Sim.Trace.entry) -> e.time) (Sim.Trace.entries trace)
@@ -476,7 +475,7 @@ let test_trace_records_protocol_activity () =
   Dgmc.Protocol.leave net ~switch:8 mc_sym;
   Dgmc.Protocol.run net;
   check Alcotest.bool "deletions traced" true
-    (Sim.Trace.count_category trace "mc-delete" > 0)
+    (Oracle.Trace.count_category trace "mc-delete" > 0)
 
 let test_wan_regime_converges () =
   let net = make_net ~config:Dgmc.Config.wan (grid33 ()) in
@@ -514,10 +513,21 @@ let test_shared_engine_one_clock () =
   Dgmc.Protocol.run a;
   assert_converged ~msg:"first network" a mc_sym;
   assert_converged ~msg:"second network" b mc_sym;
-  check Alcotest.(option (float 0.0)) "second network's first event" (Some 1.0)
-    (Dgmc.Protocol.first_event_time b);
-  check Alcotest.bool "first network settled before the second began" true
-    (Option.get (Dgmc.Protocol.last_change_time a) < 1.0)
+  (* Each network's convergence clock runs from its own first event to
+     its own last change: the same as the network joined alone at 0. *)
+  let alone graph switch =
+    let net = make_net graph in
+    Dgmc.Protocol.schedule_join net ~at:0.0 ~switch mc_sym Dgmc.Member.Both;
+    Dgmc.Protocol.run net;
+    Dgmc.Protocol.convergence_rounds net
+  in
+  check Alcotest.(option (float 1e-9)) "second network's first event"
+    (alone (Net.Topo_gen.ring 4) 2)
+    (Dgmc.Protocol.convergence_rounds b);
+  check Alcotest.(option (float 1e-9))
+    "first network settled before the second began"
+    (alone (grid33 ()) 0)
+    (Dgmc.Protocol.convergence_rounds a)
 
 let test_engine_excludes_sinks () =
   let engine = Sim.Engine.create () in

@@ -49,7 +49,7 @@ let link_floods h =
 
 let receive sw lsa = Dgmc.Switch.deliver sw (Dgmc.Switch.Mc lsa)
 
-let stamp l = Dgmc.Timestamp.of_array (Array.of_list l)
+let stamp l = Oracle.Timestamp.of_array (Array.of_list l)
 
 let join_lsa ?proposal ?members ~src ~stamp:s () =
   Dgmc.Mc_lsa.make ~src ~event:(Dgmc.Mc_lsa.Join Dgmc.Member.Both) ~mc ?proposal
@@ -122,7 +122,7 @@ let test_link_event_only_for_affected_mcs () =
     let tree = Mctree.Tree.of_edges ~terminals:members_ids tree_edges in
     let s =
       List.fold_left
-        (fun acc m -> Dgmc.Timestamp.bump acc m)
+        (fun acc m -> Oracle.Timestamp.bump acc m)
         (Dgmc.Timestamp.zero 6) members_ids
     in
     receive h.sw
@@ -209,7 +209,7 @@ let test_inconsistency_triggers_own_proposal () =
   | [ lsa ] ->
     check Alcotest.bool "triggered (no event)" false (Dgmc.Mc_lsa.is_event lsa);
     check Alcotest.bool "carries proposal" true (lsa.proposal <> None);
-    check Alcotest.int "stamp covers both events" 2 (Dgmc.Timestamp.sum lsa.stamp)
+    check Alcotest.int "stamp covers both events" 2 (Oracle.Timestamp.sum lsa.stamp)
   | l -> Alcotest.failf "expected one triggered LSA, got %d" (List.length l));
   (* E is brought up to R after flooding (line 24). *)
   let r, e, _ = Option.get (Dgmc.Switch.stamps h.sw mc) in
@@ -269,7 +269,7 @@ let test_triggered_withdrawn_when_mailbox_nonempty () =
   let final_proposals =
     List.filter
       (fun (l : Dgmc.Mc_lsa.t) ->
-        l.proposal <> None && Dgmc.Timestamp.sum l.stamp = 3)
+        l.proposal <> None && Oracle.Timestamp.sum l.stamp = 3)
       (floods h)
   in
   check Alcotest.bool "final proposal covers all events" true

@@ -4,7 +4,7 @@
 
 let check = Alcotest.check
 
-let ts = Dgmc.Timestamp.of_array
+let ts = Oracle.Timestamp.of_array
 
 let stamp_t = Alcotest.testable Dgmc.Timestamp.pp Dgmc.Timestamp.equal
 
@@ -17,14 +17,14 @@ let test_stamp_zero () =
   for i = 0 to 3 do
     check Alcotest.int "component" 0 (Dgmc.Timestamp.get z i)
   done;
-  check Alcotest.int "sum" 0 (Dgmc.Timestamp.sum z)
+  check Alcotest.int "sum" 0 (Oracle.Timestamp.sum z)
 
 let test_stamp_bump () =
   let z = Dgmc.Timestamp.zero 3 in
-  let b = Dgmc.Timestamp.bump z 1 in
+  let b = Oracle.Timestamp.bump z 1 in
   check stamp_t "bumped" (ts [| 0; 1; 0 |]) b;
   check stamp_t "original untouched" (ts [| 0; 0; 0 |]) z;
-  check Alcotest.int "sum" 1 (Dgmc.Timestamp.sum b)
+  check Alcotest.int "sum" 1 (Oracle.Timestamp.sum b)
 
 let test_stamp_merge () =
   let a = ts [| 1; 5; 0 |] and b = ts [| 3; 2; 0 |] in
@@ -63,7 +63,7 @@ let test_stamp_to_array_copies () =
    most four counting switches, each operation allocates a few words. *)
 let test_stamp_sparse_at_scale () =
   let n = 100_000 in
-  let module T = Dgmc.Timestamp in
+  let module T = Oracle.Timestamp in
   let z = T.zero n in
   let a = T.bump (T.bump (T.raise_to z 99_999 3) 7) 50_000 in
   let b = T.raise_to (T.bump z 12) 50_000 5 in
@@ -93,7 +93,7 @@ let test_stamp_sparse_at_scale () =
 (* The in-place operations write an owned stamp that has room, copy a
    frozen one, and adopt a dominating merge argument. *)
 let test_stamp_owned_in_place () =
-  let module T = Dgmc.Timestamp in
+  let module T = Oracle.Timestamp in
   let z = T.zero 4 in
   let a = T.bump_owned z 1 in
   check Alcotest.bool "a frozen zero is copied" false (a == z);
@@ -128,7 +128,7 @@ let test_mc_state_create_is_constant () =
    measured total is 2 words over the member copy, on OCaml 5.1).  The first LSA is
    not timed: it gives the state its owned stamps. *)
 let test_receive_event_allocation () =
-  let module T = Dgmc.Timestamp in
+  let module T = Oracle.Timestamp in
   let engine = Sim.Engine.create () in
   let sw =
     Dgmc.Switch.create ~id:0 ~n:6 ~config:Dgmc.Config.atm_lan ~engine
@@ -216,7 +216,7 @@ let prop_bump_strictly_increases =
   QCheck2.Test.make ~name:"bump strictly increases" ~count:200 stamp_gen
     (fun a ->
       let i = Dgmc.Timestamp.size a - 1 in
-      Dgmc.Timestamp.gt (Dgmc.Timestamp.bump a i) a)
+      Dgmc.Timestamp.gt (Oracle.Timestamp.bump a i) a)
 
 (* ------------------------------------------------------------------ *)
 (* Mc_id *)
@@ -376,9 +376,9 @@ let test_compute_asymmetric_root () =
   List.iter
     (fun (receiver, delay) ->
       check Alcotest.(float 1e-9) "spt property"
-        (Net.Dijkstra.distance g 5 receiver)
+        (Oracle.Dijkstra.distance g 5 receiver)
         delay)
-    (Mctree.Spt.receivers_cost g t ~root:5)
+    (Oracle.Delivery.delays g t ~root:5)
 
 (* On the 3x3 grid, 3 joining {0, 4} tells the two paths apart by
    value: the incremental graft keeps the tree 0-1-4 and hangs 3 off 0,
@@ -440,7 +440,7 @@ let test_compute_leave_and_repair () =
 let test_compute_partition_fallback () =
   (* Members on both sides of a cut: the computation covers the side of
      the smallest member instead of failing. *)
-  let g = Net.Graph.of_edges 4 [ (0, 1, 1.0); (2, 3, 1.0) ] in
+  let g = Oracle.Graph.of_edges 4 [ (0, 1, 1.0); (2, 3, 1.0) ] in
   let t =
     Dgmc.Compute.topology Dgmc.Config.atm_lan Dgmc.Mc_id.Symmetric g
       (members_of [ 0; 1; 3 ] Dgmc.Member.Both)
@@ -513,7 +513,7 @@ let test_compute_past_threshold () =
   in
   let scratch = topology None in
   let phase = Metrics.Phase.create () in
-  let t = Metrics.Phase.with_ambient phase (fun () -> topology (Some current)) in
+  let t = Oracle.Phase.with_ambient phase (fun () -> topology (Some current)) in
   let tree_t = Alcotest.testable Mctree.Tree.pp Mctree.Tree.equal in
   check tree_t "the scratch tree" scratch t;
   check Alcotest.bool "not the incremental join" false

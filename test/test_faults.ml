@@ -229,8 +229,9 @@ let test_partition_severs_both_ways () =
   check Alcotest.bool "after window ok" false (lost plan ~src:5 ~dst:0 ~now:20.0);
   let c = Faults.Plan.counters plan in
   check Alcotest.int "both blocks counted" 2 c.Faults.Plan.blocked_partition;
-  check (Alcotest.float 1e-9) "quiescent after the window" 20.0
-    (Faults.Plan.quiescent_after plan)
+  check Alcotest.(list (pair (list int) (pair (float 1e-9) (float 1e-9))))
+    "the window closes at 20" [ ([ 0; 1 ], (10.0, 20.0)) ]
+    (Faults.Plan.partition_windows plan)
 
 let test_crash_blocks_to_and_from () =
   let plan = Faults.Plan.create ~seed:3 () in

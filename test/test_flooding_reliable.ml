@@ -8,14 +8,21 @@ let check = Alcotest.check
 (* A flooding instance under a fault plan; returns the instance, the
    engine, and the delivery log. *)
 let make ?reliability ?transmit ?(mode = Lsr.Flooding.Reliable) graph ~t_hop =
-  let engine = Sim.Engine.create () in
+  let engine = Sim.Engine.create ~metrics:(Metrics.Registry.create ()) () in
   let log = ref [] in
-  let deliver ~switch lsa = log := (switch, Lsr.Lsa.id lsa) :: !log in
+  let deliver ~switch (lsa : _ Lsr.Lsa.t) =
+    log := (switch, (lsa.origin, lsa.seq)) :: !log
+  in
   let f =
     Lsr.Flooding.create ~engine ~graph ~t_hop ~mode ?reliability ?transmit
       ~deliver ()
   in
   (f, engine, log)
+
+(* Transfers abandoned after exhausting their retries, as the engine's
+   registry counts them. *)
+let abandoned engine =
+  Oracle.Registry.counter_total (Sim.Engine.metrics engine) "flood.abandoned"
 
 let faulty_transmit plan engine ~src ~dst ~base_delay delays =
   Faults.Plan.transmit plan ~src ~dst ~now:(Sim.Engine.now engine) ~base_delay
@@ -24,7 +31,7 @@ let faulty_transmit plan engine ~src ~dst ~base_delay delays =
 let test_all_delivered_under_loss () =
   let graph = Net.Topo_gen.waxman (Sim.Rng.create 5) ~n:15 ~target_degree:3.5 () in
   let spec =
-    { Faults.Plan.spec_default with drop = 0.3; duplicate = 0.2; reorder = 0.2 }
+    Oracle.Plan.spec "drop=0.3,dup=0.2,reorder=0.2"
   in
   let plan = Faults.Plan.create ~spec ~seed:11 () in
   let engine_ref = ref None in
@@ -65,7 +72,7 @@ let test_all_delivered_under_loss () =
   check Alcotest.int "no transfer left pending" 0
     (Lsr.Flooding.pending_retransmits f);
   check Alcotest.int "no transfer abandoned" 0
-    (Lsr.Flooding.deliveries_abandoned f)
+    (abandoned engine)
 
 let test_bounded_retransmissions () =
   (* Drop everything: the sender must give up after exactly max_retries
@@ -82,7 +89,7 @@ let test_bounded_retransmissions () =
   check Alcotest.int "exactly max_retries retransmissions" 3
     (Lsr.Flooding.retransmissions f);
   check Alcotest.int "transfer abandoned" 1
-    (Lsr.Flooding.deliveries_abandoned f);
+    (abandoned engine);
   check Alcotest.int "state aged out" 0 (Lsr.Flooding.pending_retransmits f)
 
 let test_partitioned_switch_times_out () =
@@ -104,7 +111,7 @@ let test_partitioned_switch_times_out () =
   let receivers = List.sort compare (List.map fst !log) in
   check Alcotest.(list int) "reachable switches delivered" [ 1; 2 ] receivers;
   check Alcotest.int "transfer to the dead switch abandoned" 1
-    (Lsr.Flooding.deliveries_abandoned f);
+    (abandoned engine);
   check Alcotest.int "retry state aged out" 0
     (Lsr.Flooding.pending_retransmits f);
   check Alcotest.int "full retry budget spent"
@@ -115,7 +122,7 @@ let test_exactly_once_under_duplication () =
   (* Duplicate aggressively, never drop: every data message arrives at
      least twice, yet deliver fires once per (switch, origin, seq). *)
   let graph = Net.Topo_gen.ring 8 in
-  let spec = { Faults.Plan.spec_default with duplicate = 1.0 } in
+  let spec = Oracle.Plan.spec "dup=1" in
   let plan = Faults.Plan.create ~spec ~seed:9 () in
   let engine_ref = ref None in
   let transmit ~src ~dst ~base_delay delays =
@@ -152,7 +159,7 @@ let test_exactly_once_under_reordering mode () =
   let graph = Net.Topo_gen.waxman (Sim.Rng.create 3) ~n:12 ~target_degree:3.5 () in
   let n = Net.Graph.n_nodes graph in
   let spec =
-    { Faults.Plan.spec_default with duplicate = 0.3; reorder = 0.3; jitter = 0.5 }
+    Oracle.Plan.spec "dup=0.3,reorder=0.3,jitter=0.5"
   in
   let plan = Faults.Plan.create ~spec ~seed:17 () in
   let engine_ref = ref None in
@@ -216,10 +223,10 @@ let test_lossless_reliable_matches_hop_by_hop () =
       (fun origin -> Lsr.Flooding.flood f (Lsr.Lsa.make ~origin ~seq:0 ()))
       [ 0; 5; 9 ];
     Sim.Engine.run engine;
-    (f, List.sort compare !log)
+    (f, engine, List.sort compare !log)
   in
-  let hop, hop_log = run Lsr.Flooding.Hop_by_hop in
-  let rel, rel_log = run Lsr.Flooding.Reliable in
+  let hop, _, hop_log = run Lsr.Flooding.Hop_by_hop in
+  let rel, rel_engine, rel_log = run Lsr.Flooding.Reliable in
   check Alcotest.bool "same deliveries" true (hop_log = rel_log);
   check Alcotest.int "messages_sent identical"
     (Lsr.Flooding.messages_sent hop)
@@ -233,7 +240,7 @@ let test_lossless_reliable_matches_hop_by_hop () =
   check Alcotest.int "no retransmissions without loss" 0
     (Lsr.Flooding.retransmissions rel);
   check Alcotest.int "nothing abandoned" 0
-    (Lsr.Flooding.deliveries_abandoned rel)
+    (abandoned rel_engine)
 
 let test_unicast_duplicates_delivered_once () =
   (* One transport, acks on or off: under a hook that doubles every data
@@ -284,7 +291,7 @@ let test_giveup_once_crash_window_closes_mid_backoff () =
      abandoned. *)
   check Alcotest.int "delivered after the window closed" 1 (List.length !log);
   check Alcotest.int "no abandonment of a completed transfer" 0
-    (Lsr.Flooding.deliveries_abandoned f);
+    (abandoned engine);
   check Alcotest.int "state aged out" 0 (Lsr.Flooding.pending_retransmits f);
   (* Same schedule against a window outliving every attempt: abandoned
      exactly once, no second count from the abandoned timer. *)
@@ -301,7 +308,7 @@ let test_giveup_once_crash_window_closes_mid_backoff () =
   Sim.Engine.run engine2;
   check Alcotest.int "nothing delivered" 0 (List.length !log2);
   check Alcotest.int "abandoned counted once" 1
-    (Lsr.Flooding.deliveries_abandoned f2);
+    (abandoned engine2);
   check Alcotest.int "state aged out" 0 (Lsr.Flooding.pending_retransmits f2)
 
 let test_abandon_link_cancels_pending_once () =
@@ -321,7 +328,7 @@ let test_abandon_link_cancels_pending_once () =
          check Alcotest.int "one transfer cancelled" 1
            (Lsr.Flooding.abandon_link f ~src:0 ~dst:1);
          check Alcotest.int "abandoned synchronously" 1
-           (Lsr.Flooding.deliveries_abandoned f);
+           (abandoned engine);
          check Alcotest.int "no pending state left at once" 0
            (Lsr.Flooding.pending_retransmits f);
          check Alcotest.int "second abandon finds nothing" 0
@@ -329,7 +336,7 @@ let test_abandon_link_cancels_pending_once () =
   Sim.Engine.run engine;
   check Alcotest.int "nothing delivered" 0 (List.length !log);
   check Alcotest.int "abandoned still exactly once after the run" 1
-    (Lsr.Flooding.deliveries_abandoned f);
+    (abandoned engine);
   check Alcotest.int "no pending state left" 0
     (Lsr.Flooding.pending_retransmits f)
 
@@ -342,7 +349,9 @@ let test_abandon_link_cancels_only_its_link () =
   let graph = Net.Topo_gen.star 4 in
   let transmit ~src:_ ~dst:_ ~base_delay:_ _ = 0 in
   let trace = Sim.Trace.create ~cats:[ "drop" ] () in
-  let engine = Sim.Engine.create ~trace () in
+  let engine =
+    Sim.Engine.create ~trace ~metrics:(Metrics.Registry.create ()) ()
+  in
   let f =
     Lsr.Flooding.create ~engine ~graph ~t_hop:1.0 ~mode:Lsr.Flooding.Reliable
       ~transmit ~deliver:(fun ~switch:_ _ -> ()) ()
@@ -379,8 +388,7 @@ let test_abandon_link_cancels_only_its_link () =
              ((1, 3, 0), "neighbor-down");
            ]
            (giveups ());
-         check Alcotest.int "three abandoned" 3
-           (Lsr.Flooding.deliveries_abandoned f);
+         check Alcotest.int "three abandoned" 3 (abandoned engine);
          check Alcotest.int "the 0→2 transfer still pending" 1
            (Lsr.Flooding.pending_retransmits f)));
   Sim.Engine.run engine;
@@ -395,7 +403,7 @@ let test_abandon_link_cancels_only_its_link () =
     ]
     (giveups ());
   check Alcotest.int "four abandoned in all" 4
-    (Lsr.Flooding.deliveries_abandoned f);
+    (abandoned engine);
   check Alcotest.int "no pending state left" 0
     (Lsr.Flooding.pending_retransmits f)
 
@@ -517,7 +525,7 @@ let test_stale_retransmit_after_slot_reuse () =
     Lsr.Flooding.default_reliability.max_retries
     (Lsr.Flooding.retransmissions f);
   check Alcotest.int "and was abandoned once" 1
-    (Lsr.Flooding.deliveries_abandoned f);
+    (abandoned engine);
   check Alcotest.int "no pending state left" 0
     (Lsr.Flooding.pending_retransmits f)
 
@@ -580,7 +588,7 @@ let test_awaiting_transfer_not_restarted () =
     (Lsr.Flooding.pending_retransmits f);
   check Alcotest.int "abandoned after its budget"
     (Lsr.Flooding.messages_sent f)
-    (Lsr.Flooding.deliveries_abandoned f)
+    (abandoned engine)
 
 (* A reliable flood takes its LSA once as well: flooding it again, or
    sending it from a switch that received it, raises before anything

@@ -34,7 +34,7 @@ let lifecycle_phases config seed n () =
   in
   let start = Sim.Engine.now (Dgmc.Protocol.engine net) in
   Workload.Events.apply_dgmc net
-    (Workload.Bursty.churn rng ~current ~n ~mc ~joins:3 ~leaves:3 ~window ~start ());
+    (Oracle.Bursty.churn rng ~current ~n ~mc ~joins:3 ~leaves:3 ~window ~start ());
   Dgmc.Protocol.run net;
   assert_converged "churn burst" net;
   (* Phase 3: a non-partitioning tree link fails; the topology heals. *)
@@ -49,12 +49,12 @@ let lifecycle_phases config seed n () =
   in
   (match non_bridge with
   | Some (u, v) ->
-    Dgmc.Protocol.link_down net u v;
+    Oracle.Protocol.link_down net u v;
     Dgmc.Protocol.run net;
     assert_converged "link failure" net;
     let tree' = Option.get (Dgmc.Protocol.agreed_topology net mc) in
     check Alcotest.bool "dead link evicted" false (Mctree.Tree.mem_edge tree' u v);
-    Dgmc.Protocol.link_up net u v;
+    Oracle.Protocol.link_up net u v;
     Dgmc.Protocol.run net;
     assert_converged "link recovery" net
   | None -> ());
@@ -79,7 +79,7 @@ let lifecycle_phases config seed n () =
   (* The runtime monitor swept the invariant catalogue on every state
      change across all four phases. *)
   Check.Monitor.check_terminal monitor;
-  Check.Monitor.assert_ok monitor
+  Oracle.Monitor.assert_ok monitor
 
 (* ------------------------------------------------------------------ *)
 (* Harness runs *)

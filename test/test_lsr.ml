@@ -8,7 +8,7 @@ let check = Alcotest.check
 
 let test_lsa_identity () =
   let lsa = Lsr.Lsa.make ~origin:3 ~seq:7 "payload" in
-  check Alcotest.(pair int int) "id" (3, 7) (Lsr.Lsa.id lsa);
+  check Alcotest.(pair int int) "id" (3, 7) (lsa.origin, lsa.seq);
   check Alcotest.string "payload" "payload" lsa.payload
 
 let test_lsa_seq_counter () =
@@ -47,7 +47,7 @@ let test_flooding_reaches_everyone_once () =
 let test_flooding_arrival_times_are_hops () =
   let g = Net.Topo_gen.ring 8 in
   let _, log = flood_once g ~origin:0 ~t_hop:2.0 in
-  let hops = Net.Bfs.hops g 0 in
+  let hops = Oracle.Bfs.hops g 0 in
   List.iter
     (fun r ->
       check Alcotest.(float 1e-9) "arrival = hops * t_hop"

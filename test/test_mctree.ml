@@ -5,7 +5,7 @@ let check = Alcotest.check
 let tree_t = Alcotest.testable Mctree.Tree.pp Mctree.Tree.equal
 
 let house () =
-  Net.Graph.of_edges 5
+  Oracle.Graph.of_edges 5
     [ (0, 1, 1.0); (1, 2, 1.0); (0, 3, 4.0); (2, 4, 1.0); (3, 4, 1.0) ]
 
 (* A 3x3 grid with unit weights; node ids row-major. *)
@@ -16,9 +16,11 @@ let random_graph seed n = Net.Topo_gen.waxman (Sim.Rng.create seed) ~n ~target_d
 (* ------------------------------------------------------------------ *)
 (* Tree *)
 
+let n_edges t = List.length (Mctree.Tree.edges t)
+
 let test_tree_empty () =
   let t = Mctree.Tree.empty in
-  check Alcotest.int "no edges" 0 (Mctree.Tree.n_edges t);
+  check Alcotest.int "no edges" 0 (n_edges t);
   check Alcotest.bool "is tree" true (Mctree.Tree.is_tree t);
   check Alcotest.bool "spans trivially" true (Mctree.Tree.spans_terminals t)
 
@@ -32,26 +34,26 @@ let test_tree_edges () =
   check Alcotest.bool "non-terminal" false (Mctree.Tree.is_terminal t 1)
 
 let test_tree_add_remove () =
-  let t = Mctree.Tree.add_edge Mctree.Tree.empty 3 7 in
-  let t = Mctree.Tree.add_edge t 3 7 in
-  check Alcotest.int "idempotent add" 1 (Mctree.Tree.n_edges t);
-  let t = Mctree.Tree.remove_edge t 7 3 in
-  check Alcotest.int "removed" 0 (Mctree.Tree.n_edges t);
-  Alcotest.check_raises "self loop" (Invalid_argument "Tree.add_edge: self-loop")
-    (fun () -> ignore (Mctree.Tree.add_edge Mctree.Tree.empty 1 1))
+  let t = Mctree.Tree.add_path Mctree.Tree.empty [ 3; 7 ] in
+  let t = Mctree.Tree.add_path t [ 7; 3 ] in
+  check Alcotest.int "idempotent add" 1 (n_edges t);
+  let t = Mctree.Tree.filter_edges (fun u v -> not (u = 3 && v = 7)) t in
+  check Alcotest.int "removed" 0 (n_edges t);
+  Alcotest.check_raises "self loop" (Invalid_argument "Tree: self-loop")
+    (fun () -> ignore (Mctree.Tree.add_path Mctree.Tree.empty [ 1; 1 ]))
 
 let test_tree_add_path () =
   let t = Mctree.Tree.add_path Mctree.Tree.empty [ 0; 1; 2; 3 ] in
-  check Alcotest.int "3 edges" 3 (Mctree.Tree.n_edges t);
+  check Alcotest.int "3 edges" 3 (n_edges t);
   check Alcotest.bool "is tree" true (Mctree.Tree.is_tree t)
 
 let test_tree_is_tree () =
   let path = Mctree.Tree.add_path Mctree.Tree.empty [ 0; 1; 2 ] in
   check Alcotest.bool "path is tree" true (Mctree.Tree.is_tree path);
-  let cycle = Mctree.Tree.add_edge path 2 0 in
+  let cycle = Mctree.Tree.add_path path [ 2; 0 ] in
   check Alcotest.bool "cycle is not" false (Mctree.Tree.is_tree cycle);
   let forest =
-    Mctree.Tree.add_edge (Mctree.Tree.add_edge Mctree.Tree.empty 0 1) 2 3
+    Mctree.Tree.add_path (Mctree.Tree.add_path Mctree.Tree.empty [ 0; 1 ]) [ 2; 3 ]
   in
   check Alcotest.bool "forest is not a tree" false (Mctree.Tree.is_tree forest)
 
@@ -75,17 +77,6 @@ let test_tree_prune () =
 let test_tree_prune_keeps_terminal_leaves () =
   let t = Mctree.Tree.of_edges ~terminals:[ 0; 2; 6 ] [ (0, 1); (1, 2); (1, 6) ] in
   check tree_t "terminal leaf kept" t (Mctree.Tree.prune t)
-
-let test_tree_path_between () =
-  let t =
-    Mctree.Tree.of_edges ~terminals:[ 0; 4 ] [ (0, 1); (1, 2); (2, 3); (2, 4) ]
-  in
-  check Alcotest.(option (list int)) "unique path" (Some [ 0; 1; 2; 4 ])
-    (Mctree.Tree.path_between t 0 4);
-  check Alcotest.(option (list int)) "self path" (Some [ 3 ])
-    (Mctree.Tree.path_between t 3 3);
-  check Alcotest.(option (list int)) "absent node" None
-    (Mctree.Tree.path_between t 0 9)
 
 let test_tree_cost () =
   let g = house () in
@@ -126,14 +117,14 @@ let test_steiner_two_terminals_is_shortest_path () =
       let t = algo g [ 0; 4 ] in
       assert_valid_topology g [ 0; 4 ] t;
       check Alcotest.(float 1e-9) "cost equals shortest path"
-        (Net.Dijkstra.distance g 0 4)
+        (Oracle.Dijkstra.distance g 0 4)
         (Mctree.Tree.cost g t))
     [ Mctree.Steiner.kmb; Mctree.Steiner.sph ]
 
 let test_steiner_single_terminal () =
   let g = house () in
   let t = Mctree.Steiner.kmb g [ 3 ] in
-  check Alcotest.int "no edges" 0 (Mctree.Tree.n_edges t);
+  check Alcotest.int "no edges" 0 (n_edges t);
   check Alcotest.bool "valid" true (Mctree.Tree.is_valid_mc_topology g t)
 
 let test_steiner_grid_known () =
@@ -158,7 +149,7 @@ let test_steiner_validation () =
     (fun () -> ignore (Mctree.Steiner.kmb g [ 9 ]))
 
 let test_steiner_unreachable () =
-  let g = Net.Graph.of_edges 4 [ (0, 1, 1.0); (2, 3, 1.0) ] in
+  let g = Oracle.Graph.of_edges 4 [ (0, 1, 1.0); (2, 3, 1.0) ] in
   Alcotest.check_raises "partitioned terminals"
     (Failure "Steiner: terminals not mutually reachable") (fun () ->
       ignore (Mctree.Steiner.kmb g [ 0; 2 ]))
@@ -194,9 +185,9 @@ let test_spt_distances () =
   List.iter
     (fun (receiver, delay) ->
       check Alcotest.(float 1e-9) "tree delay = shortest path"
-        (Net.Dijkstra.distance g 0 receiver)
+        (Oracle.Dijkstra.distance g 0 receiver)
         delay)
-    (Mctree.Spt.receivers_cost g t ~root:0)
+    (Oracle.Delivery.delays g t ~root:0)
 
 let test_spt_root_is_receiver () =
   let g = house () in
@@ -206,11 +197,13 @@ let test_spt_root_is_receiver () =
 let test_spt_depth () =
   let g = Net.Topo_gen.line 5 in
   let t = Mctree.Spt.source_rooted g ~root:0 ~receivers:[ 4 ] in
-  check Alcotest.int "depth" 4 (Mctree.Spt.depth t ~root:0);
-  check Alcotest.int "depth from absent root" 0 (Mctree.Spt.depth t ~root:9)
+  check Alcotest.int "depth" 4
+    (List.fold_left
+       (fun d (x : Mctree.Delivery.delivery) -> max d x.hops)
+       0 (Mctree.Delivery.multicast g t ~src:0).deliveries)
 
 let test_spt_unreachable () =
-  let g = Net.Graph.of_edges 3 [ (0, 1, 1.0) ] in
+  let g = Oracle.Graph.of_edges 3 [ (0, 1, 1.0) ] in
   Alcotest.check_raises "unreachable receiver"
     (Failure "Spt: receiver 2 unreachable") (fun () ->
       ignore (Mctree.Spt.source_rooted g ~root:0 ~receivers:[ 2 ]))
@@ -228,7 +221,7 @@ let test_incremental_join () =
 let test_incremental_join_first_member () =
   let g = grid () in
   let t = Mctree.Incremental.join g Mctree.Tree.empty 4 in
-  check Alcotest.int "no edges yet" 0 (Mctree.Tree.n_edges t);
+  check Alcotest.int "no edges yet" 0 (n_edges t);
   check Alcotest.bool "terminal recorded" true (Mctree.Tree.is_terminal t 4)
 
 let test_incremental_join_existing_node () =
@@ -236,8 +229,8 @@ let test_incremental_join_existing_node () =
   (* Tree spans 0..3; node 1 is an intermediate switch. *)
   let t = Mctree.Steiner.sph g [ 0; 3 ] in
   let t' = Mctree.Incremental.join g t 1 in
-  check Alcotest.int "no new edges needed" (Mctree.Tree.n_edges t)
-    (Mctree.Tree.n_edges t');
+  check Alcotest.int "no new edges needed" (n_edges t)
+    (n_edges t');
   check Alcotest.bool "terminal added" true (Mctree.Tree.is_terminal t' 1)
 
 let test_incremental_leave () =
@@ -246,7 +239,7 @@ let test_incremental_leave () =
   let t' = Mctree.Incremental.leave g t 4 in
   check Alcotest.bool "valid after leave" true (Mctree.Tree.is_valid_mc_topology g t');
   check Alcotest.bool "branch pruned" false (Mctree.Tree.mem_node t' 4);
-  check Alcotest.int "line tree shrinks" 2 (Mctree.Tree.n_edges t')
+  check Alcotest.int "line tree shrinks" 2 (n_edges t')
 
 let test_incremental_leave_interior () =
   (* Removing an interior member keeps its switch as a relay. *)
@@ -381,7 +374,6 @@ let () =
           Alcotest.test_case "prune" `Quick test_tree_prune;
           Alcotest.test_case "prune keeps terminal leaves" `Quick
             test_tree_prune_keeps_terminal_leaves;
-          Alcotest.test_case "path_between" `Quick test_tree_path_between;
           Alcotest.test_case "cost" `Quick test_tree_cost;
           Alcotest.test_case "equality and compare" `Quick
             test_tree_equality_and_compare;

@@ -15,16 +15,23 @@ let test_stddev () =
   let xs = [ 2.; 4.; 4.; 4.; 5.; 5.; 7.; 9. ] in
   check Alcotest.(float 1e-9) "sample stddev"
     (sqrt (32.0 /. 7.0))
-    (Metrics.Stats.stddev xs);
-  check Alcotest.(float 1e-9) "singleton stddev" 0.0 (Metrics.Stats.stddev [ 3.0 ])
+    (Metrics.Stats.summarize xs).stddev;
+  check Alcotest.(float 1e-9) "singleton stddev" 0.0
+    (Metrics.Stats.summarize [ 3.0 ]).stddev
 
+(* The 95% half-width is the Student-t value for n - 1 degrees of
+   freedom times the standard error. *)
 let test_t_critical () =
-  check Alcotest.(float 1e-3) "df=1" 12.706 (Metrics.Stats.t_critical 1);
-  check Alcotest.(float 1e-3) "df=9 (10 samples)" 2.262 (Metrics.Stats.t_critical 9);
-  check Alcotest.(float 1e-3) "df=30" 2.042 (Metrics.Stats.t_critical 30);
-  check Alcotest.(float 1e-3) "asymptote" 1.96 (Metrics.Stats.t_critical 200);
-  Alcotest.check_raises "df=0" (Invalid_argument "Stats.t_critical: df must be >= 1")
-    (fun () -> ignore (Metrics.Stats.t_critical 0))
+  let t_critical df =
+    let s = Metrics.Stats.summarize (List.init (df + 1) float_of_int) in
+    s.ci95 *. sqrt (float_of_int (df + 1)) /. s.stddev
+  in
+  check Alcotest.(float 1e-3) "df=1" 12.706 (t_critical 1);
+  check Alcotest.(float 1e-3) "df=9 (10 samples)" 2.262 (t_critical 9);
+  check Alcotest.(float 1e-3) "df=30" 2.042 (t_critical 30);
+  check Alcotest.(float 1e-3) "asymptote" 1.96 (t_critical 200);
+  check Alcotest.(float 0.0) "one sample, no interval" 0.0
+    (Metrics.Stats.summarize [ 3.0 ]).ci95
 
 let test_summarize () =
   let s = Metrics.Stats.summarize [ 1.0; 2.0; 3.0 ] in
@@ -82,16 +89,16 @@ let test_nearest_rank () =
 
 let test_registry_counters () =
   let r = Metrics.Registry.create () in
-  check Alcotest.bool "fresh registry is empty" true (Metrics.Registry.is_empty r);
+  check Alcotest.bool "fresh registry is empty" true (Oracle.Registry.is_empty r);
   let a = Metrics.Registry.counter r "a" in
   Metrics.Registry.bump a;
   Metrics.Registry.bump ~by:4 a;
   Metrics.Registry.bump (Metrics.Registry.counter r ~switch:3 "a");
-  check Alcotest.int "aggregate cell" 5 (Metrics.Registry.counter_value r "a");
+  check Alcotest.int "aggregate cell" 5 (Oracle.Registry.counter_value r "a");
   check Alcotest.int "labelled cell is separate" 1
-    (Metrics.Registry.counter_value r ~switch:3 "a");
+    (Oracle.Registry.counter_value r ~switch:3 "a");
   check Alcotest.int "absent counter reads 0" 0
-    (Metrics.Registry.counter_value r "never");
+    (Oracle.Registry.counter_value r "never");
   Alcotest.check_raises "kind clash"
     (Invalid_argument "Metrics.Registry: a is a counter, not a histogram")
     (fun () -> Metrics.Registry.observe r "a" 1.0)
@@ -104,13 +111,13 @@ let test_counter_handles () =
   let r = R.create () in
   let a = R.counter r ~switch:1 "h" and b = R.counter r ~switch:1 "h" in
   let idle = R.counter r "idle" in
-  check Alcotest.bool "creating handles records nothing" true (R.is_empty r);
+  check Alcotest.bool "creating handles records nothing" true (Oracle.Registry.is_empty r);
   R.bump a;
   R.bump ~by:3 b;
   R.bump (R.counter r ~switch:1 "h");
   check Alcotest.int "a handle reads its own count" 1 (R.count a);
   check Alcotest.int "the key sums its handles" 5
-    (R.counter_value r ~switch:1 "h");
+    (Oracle.Registry.counter_value r ~switch:1 "h");
   check
     Alcotest.(list (pair string int))
     "one key per (name, label); no key for an idle handle"
@@ -124,7 +131,7 @@ let test_counter_handles () =
   R.bump per.(2);
   check Alcotest.int "disabled handles count privately" 4 (R.sum per);
   check Alcotest.bool "the disabled registry stays empty" true
-    (R.is_empty R.disabled);
+    (Oracle.Registry.is_empty R.disabled);
   let raised =
     Domain.join
       (Domain.spawn (fun () ->
@@ -146,7 +153,7 @@ let test_histogram_vs_oracle () =
   in
   let r = Metrics.Registry.create () in
   List.iter (fun v -> Metrics.Registry.observe r "h" v) samples;
-  let h = Option.get (Metrics.Registry.histogram_stats r "h") in
+  let h = Option.get (Oracle.Registry.histogram_stats r "h") in
   check Alcotest.int "count" 5000 h.h_count;
   check Alcotest.(float 1e-6) "sum is exact"
     (List.fold_left ( +. ) 0.0 samples)
@@ -165,31 +172,31 @@ let test_histogram_vs_oracle () =
         Alcotest.failf "q=%.2f: histogram %g vs oracle %g (rel err %.3f)" q
           est oracle rel)
     [ (0.50, h.h_p50); (0.90, h.h_p90); (0.99, h.h_p99) ];
-  (* arbitrary quantiles too *)
+  (* A labelled cell on another scale estimates as well. *)
+  let scaled = List.map (fun v -> v *. 1000.0) samples in
+  List.iter (fun v -> Metrics.Registry.observe r ~switch:1 "h" v) scaled;
+  let h1 = Option.get (Oracle.Registry.histogram_stats r ~switch:1 "h") in
   List.iter
-    (fun q ->
-      let est = Option.get (Metrics.Registry.quantile r "h" q) in
-      let oracle = Metrics.Stats.percentile samples (100.0 *. q) in
+    (fun (q, est) ->
+      let oracle = Metrics.Stats.percentile scaled (100.0 *. q) in
       let rel = Float.abs (est -. oracle) /. oracle in
       if rel > 0.10 then
         Alcotest.failf "q=%.2f: %g vs oracle %g (rel err %.3f)" q est oracle rel)
-    [ 0.10; 0.25; 0.75; 0.95 ]
+    [ (0.50, h1.h_p50); (0.90, h1.h_p90); (0.99, h1.h_p99) ]
 
 let test_histogram_edge_cases () =
   let r = Metrics.Registry.create () in
   check Alcotest.bool "missing histogram" true
-    (Metrics.Registry.histogram_stats r "h" = None);
+    (Oracle.Registry.histogram_stats r "h" = None);
   Metrics.Registry.observe r "h" 0.0;
   Metrics.Registry.observe r "h" (-3.0);
   Metrics.Registry.observe r "h" 5.0;
-  let h = Option.get (Metrics.Registry.histogram_stats r "h") in
+  let h = Option.get (Oracle.Registry.histogram_stats r "h") in
   check Alcotest.int "nonpositive samples counted" 3 h.h_count;
   check Alcotest.(float 1e-9) "min" (-3.0) h.h_min;
   check Alcotest.(float 1e-9) "max" 5.0 h.h_max;
   (* quantiles stay clamped into [min, max] *)
-  let q0 = Option.get (Metrics.Registry.quantile r "h" 0.0) in
-  let q1 = Option.get (Metrics.Registry.quantile r "h" 1.0) in
-  check Alcotest.bool "clamped" true (q0 >= -3.0 && q1 <= 5.0)
+  check Alcotest.bool "clamped" true (h.h_p50 >= -3.0 && h.h_p99 <= 5.0)
 
 let test_snapshot_deterministic () =
   let r = Metrics.Registry.create () in
@@ -230,10 +237,13 @@ let test_cell_f_trims () =
 let test_cell_ci () =
   check Alcotest.string "format" "3.0 ± 0.5" (Metrics.Table.cell_ci ~mean:3.0 ~ci:0.5)
 
+(* The table [Table.print] writes, without its final newline. *)
+let render ?align ~headers rows =
+  let out = Oracle.stdout_of (fun () -> Metrics.Table.print ?align ~headers rows) in
+  String.sub out 0 (String.length out - 1)
+
 let test_render_layout () =
-  let out =
-    Metrics.Table.render ~headers:[ "a"; "bb" ] [ [ "1"; "2" ]; [ "10"; "200" ] ]
-  in
+  let out = render ~headers:[ "a"; "bb" ] [ [ "1"; "2" ]; [ "10"; "200" ] ] in
   let lines = String.split_on_char '\n' out in
   check Alcotest.int "header + rule + 2 rows" 4 (List.length lines);
   (* All lines are equally wide. *)
@@ -242,12 +252,12 @@ let test_render_layout () =
     (List.for_all (fun w -> w = List.hd widths) widths)
 
 let test_render_missing_cells () =
-  let out = Metrics.Table.render ~headers:[ "x"; "y"; "z" ] [ [ "1" ] ] in
+  let out = render ~headers:[ "x"; "y"; "z" ] [ [ "1" ] ] in
   check Alcotest.bool "renders" true (String.length out > 0)
 
 let test_render_alignment () =
   let out =
-    Metrics.Table.render
+    render
       ~align:[ Metrics.Table.Left; Metrics.Table.Right ]
       ~headers:[ "name"; "val" ]
       [ [ "ab"; "1" ] ]
@@ -261,26 +271,26 @@ let test_render_alignment () =
 (* ------------------------------------------------------------------ *)
 (* CSV *)
 
+(* The document [Csv.write] leaves in a file. *)
+let csv ~headers rows =
+  Oracle.with_temp_file (fun path ->
+      Metrics.Csv.write ~path ~headers rows;
+      Oracle.read_file path)
+
 let test_csv_escape () =
-  check Alcotest.string "plain" "abc" (Metrics.Csv.escape "abc");
-  check Alcotest.string "comma" "\"a,b\"" (Metrics.Csv.escape "a,b");
-  check Alcotest.string "quote doubled" "\"a\"\"b\"" (Metrics.Csv.escape "a\"b");
-  check Alcotest.string "newline" "\"a\nb\"" (Metrics.Csv.escape "a\nb")
+  let field f = csv ~headers:[ f ] [] in
+  check Alcotest.string "plain" "abc\n" (field "abc");
+  check Alcotest.string "comma" "\"a,b\"\n" (field "a,b");
+  check Alcotest.string "quote doubled" "\"a\"\"b\"\n" (field "a\"b");
+  check Alcotest.string "newline" "\"a\nb\"\n" (field "a\nb")
 
 let test_csv_render () =
-  let out =
-    Metrics.Csv.render ~headers:[ "x"; "y" ] [ [ "1"; "2" ]; [ "3"; "4,5" ] ]
-  in
+  let out = csv ~headers:[ "x"; "y" ] [ [ "1"; "2" ]; [ "3"; "4,5" ] ] in
   check Alcotest.string "document" "x,y\n1,2\n3,\"4,5\"\n" out
 
 let test_csv_write_roundtrip () =
-  let path = Filename.temp_file "dgmc" ".csv" in
-  Metrics.Csv.write ~path ~headers:[ "a" ] [ [ "1" ]; [ "2" ] ];
-  let ic = open_in path in
-  let content = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  Sys.remove path;
-  check Alcotest.string "file content" "a\n1\n2\n" content
+  check Alcotest.string "file content" "a\n1\n2\n"
+    (csv ~headers:[ "a" ] [ [ "1" ]; [ "2" ] ])
 
 let test_owner_domain_guard () =
   let r = Metrics.Registry.create () in
@@ -300,9 +310,9 @@ let test_owner_domain_guard () =
   | `Raised -> ()
   | `No_raise -> Alcotest.fail "cross-domain bump did not raise");
   check Alcotest.int "owner counter survives" 1
-    (Metrics.Registry.counter_value r "ok.from.owner");
+    (Oracle.Registry.counter_value r "ok.from.owner");
   check Alcotest.int "foreign counter absent" 0
-    (Metrics.Registry.counter_value r "bad.from.worker")
+    (Oracle.Registry.counter_value r "bad.from.worker")
 
 let () =
   Alcotest.run "metrics"

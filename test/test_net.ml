@@ -20,7 +20,7 @@ end
        3 -------1.0------- 4
 *)
 let house () =
-  Net.Graph.of_edges 5
+  Oracle.Graph.of_edges 5
     [ (0, 1, 1.0); (1, 2, 1.0); (0, 3, 4.0); (2, 4, 1.0); (3, 4, 1.0) ]
 
 (* ------------------------------------------------------------------ *)
@@ -107,9 +107,9 @@ let test_graph_version () =
 
 let test_graph_equal () =
   let a = house () and b = house () in
-  check Alcotest.bool "equal copies" true (Net.Graph.equal a b);
+  check Alcotest.bool "equal copies" true (Oracle.Graph.equal a b);
   Net.Graph.set_link b 0 1 ~up:false;
-  check Alcotest.bool "state matters" false (Net.Graph.equal a b)
+  check Alcotest.bool "state matters" false (Oracle.Graph.equal a b)
 
 let test_graph_edges_listing () =
   let g = house () in
@@ -144,16 +144,16 @@ let test_union_find () =
 let test_bfs_hops_line () =
   let g = Net.Topo_gen.line 5 in
   check Alcotest.(list int) "hops from 0" [ 0; 1; 2; 3; 4 ]
-    (Array.to_list (Net.Bfs.hops g 0))
+    (Array.to_list (Oracle.Bfs.hops g 0))
 
 let test_bfs_hops_ring () =
   let g = Net.Topo_gen.ring 6 in
   check Alcotest.(list int) "hops wrap" [ 0; 1; 2; 3; 2; 1 ]
-    (Array.to_list (Net.Bfs.hops g 0))
+    (Array.to_list (Oracle.Bfs.hops g 0))
 
 let test_bfs_unreachable () =
-  let g = Net.Graph.of_edges 4 [ (0, 1, 1.0); (2, 3, 1.0) ] in
-  let hops = Net.Bfs.hops g 0 in
+  let g = Oracle.Graph.of_edges 4 [ (0, 1, 1.0); (2, 3, 1.0) ] in
+  let hops = Oracle.Bfs.hops g 0 in
   check Alcotest.int "reachable" 1 hops.(1);
   check Alcotest.bool "unreachable marked" true (hops.(2) = max_int);
   check Alcotest.bool "disconnected" false (Net.Bfs.is_connected g);
@@ -216,35 +216,35 @@ let test_dijkstra_path_valid () =
   for dst = 0 to 39 do
     match Net.Dijkstra.path_of_result r ~src:0 ~dst with
     | Some p ->
-      check Alcotest.bool "path valid" true (Net.Path.is_valid g p);
+      check Alcotest.bool "path valid" true (Oracle.Path.is_valid g p);
       check Alcotest.(float 1e-9) "path cost equals dist" r.dist.(dst)
         (Net.Path.cost g p)
     | None -> Alcotest.fail "connected graph must have a path"
   done
 
 let test_dijkstra_unreachable () =
-  let g = Net.Graph.of_edges 3 [ (0, 1, 1.0) ] in
+  let g = Oracle.Graph.of_edges 3 [ (0, 1, 1.0) ] in
   check Alcotest.bool "infinite" true
-    (Net.Dijkstra.distance g 0 2 = infinity);
+    (Oracle.Dijkstra.distance g 0 2 = infinity);
   check Alcotest.(option (list int)) "no path" None (Net.Dijkstra.path g ~src:0 ~dst:2)
 
 let test_dijkstra_respects_link_state () =
   let g = house () in
-  let before = Net.Dijkstra.distance g 0 1 in
+  let before = Oracle.Dijkstra.distance g 0 1 in
   Net.Graph.set_link g 0 1 ~up:false;
   check Alcotest.bool "detour is longer" true
-    (Net.Dijkstra.distance g 0 1 > before)
+    (Oracle.Dijkstra.distance g 0 1 > before)
 
 let test_dijkstra_reroute_value () =
   (* With 0-1 down the best route is 0-3-4-2-1 = 4 + 1 + 1 + 1. *)
   let g = house () in
   Net.Graph.set_link g 0 1 ~up:false;
-  check Alcotest.(float 0.0) "exact detour cost" 7.0 (Net.Dijkstra.distance g 0 1)
+  check Alcotest.(float 0.0) "exact detour cost" 7.0 (Oracle.Dijkstra.distance g 0 1)
 
 let test_dijkstra_unit_weights_match_bfs () =
   let rng = Sim.Rng.create 31 in
-  let g = Net.Topo_gen.erdos_renyi rng ~n:30 ~min_weight:1.0 ~max_weight:1.0 () in
-  let hops = Net.Bfs.hops g 0 in
+  let g = Oracle.Topo_gen.erdos_renyi rng ~n:30 ~min_weight:1.0 ~max_weight:1.0 () in
+  let hops = Oracle.Bfs.hops g 0 in
   let r = Net.Dijkstra.run g 0 in
   Array.iteri
     (fun v h ->
@@ -256,7 +256,7 @@ let test_dijkstra_unit_weights_match_bfs () =
 let test_dijkstra_all_pairs_symmetric () =
   let rng = Sim.Rng.create 41 in
   let g = Net.Topo_gen.waxman rng ~n:25 () in
-  let d = Net.Dijkstra.all_pairs g in
+  let d = Oracle.Dijkstra.all_pairs g in
   for u = 0 to 24 do
     for v = 0 to 24 do
       check Alcotest.(float 1e-9) "symmetric" d.(u).(v) d.(v).(u)
@@ -306,14 +306,14 @@ let test_mst_house () =
   let g = house () in
   let mst = Net.Mst.kruskal g in
   check Alcotest.int "n-1 edges" 4 (List.length mst);
-  check Alcotest.bool "spans" true (Net.Mst.spans g mst);
-  check Alcotest.(float 0.0) "cost avoids the 4.0 edge" 4.0 (Net.Mst.cost mst)
+  check Alcotest.bool "spans" true (Oracle.Mst.spans g mst);
+  check Alcotest.(float 0.0) "cost avoids the 4.0 edge" 4.0 (Oracle.Mst.cost mst)
 
 let test_mst_disconnected_forest () =
-  let g = Net.Graph.of_edges 4 [ (0, 1, 1.0); (2, 3, 2.0) ] in
+  let g = Oracle.Graph.of_edges 4 [ (0, 1, 1.0); (2, 3, 2.0) ] in
   let mst = Net.Mst.kruskal g in
   check Alcotest.int "forest edges" 2 (List.length mst);
-  check Alcotest.bool "cannot span disconnected" false (Net.Mst.spans g mst)
+  check Alcotest.bool "cannot span disconnected" false (Oracle.Mst.spans g mst)
 
 let test_mst_random_spans () =
   let rng = Sim.Rng.create 51 in
@@ -322,7 +322,7 @@ let test_mst_random_spans () =
     let g = Net.Topo_gen.waxman rng ~n:30 () in
     let mst = Net.Mst.kruskal g in
     check Alcotest.int "tree size" 29 (List.length mst);
-    check Alcotest.bool "spans" true (Net.Mst.spans g mst)
+    check Alcotest.bool "spans" true (Oracle.Mst.spans g mst)
   done
 
 let test_mst_of_matrix () =
@@ -343,7 +343,7 @@ let test_mst_minimality_vs_random_tree () =
      by BFS. *)
   let rng = Sim.Rng.create 61 in
   let g = Net.Topo_gen.waxman rng ~n:25 () in
-  let mst_cost = Net.Mst.cost (Net.Mst.kruskal g) in
+  let mst_cost = Oracle.Mst.cost (Net.Mst.kruskal g) in
   (* BFS tree from node 0. *)
   let r = Net.Dijkstra.run g 0 in
   let bfs_cost = ref 0.0 in
@@ -366,7 +366,7 @@ let test_topo_waxman_connected () =
 let test_topo_waxman_deterministic () =
   let g1 = Net.Topo_gen.waxman (Sim.Rng.create 5) ~n:30 () in
   let g2 = Net.Topo_gen.waxman (Sim.Rng.create 5) ~n:30 () in
-  check Alcotest.bool "same seed, same graph" true (Net.Graph.equal g1 g2)
+  check Alcotest.bool "same seed, same graph" true (Oracle.Graph.equal g1 g2)
 
 let test_topo_waxman_target_degree () =
   List.iter
@@ -387,7 +387,7 @@ let test_topo_waxman_target_degree () =
 let test_topo_erdos_renyi () =
   for seed = 1 to 5 do
     let rng = Sim.Rng.create seed in
-    let g = Net.Topo_gen.erdos_renyi rng ~n:40 () in
+    let g = Oracle.Topo_gen.erdos_renyi rng ~n:40 () in
     check Alcotest.bool "connected" true (Net.Bfs.is_connected g);
     List.iter
       (fun (e : Net.Graph.edge) ->
@@ -432,7 +432,7 @@ let test_topo_invalid () =
 let test_path_operations () =
   let g = house () in
   let p = [ 0; 1; 2; 4 ] in
-  check Alcotest.bool "valid" true (Net.Path.is_valid g p);
+  check Alcotest.bool "valid" true (Oracle.Path.is_valid g p);
   check Alcotest.(float 0.0) "cost" 3.0 (Net.Path.cost g p);
   check Alcotest.int "hops" 3 (Net.Path.hops p);
   check
@@ -441,11 +441,11 @@ let test_path_operations () =
 
 let test_path_invalid_cases () =
   let g = house () in
-  check Alcotest.bool "empty invalid" false (Net.Path.is_valid g []);
-  check Alcotest.bool "singleton valid" true (Net.Path.is_valid g [ 2 ]);
-  check Alcotest.bool "non-edge hop" false (Net.Path.is_valid g [ 0; 4 ]);
+  check Alcotest.bool "empty invalid" false (Oracle.Path.is_valid g []);
+  check Alcotest.bool "singleton valid" true (Oracle.Path.is_valid g [ 2 ]);
+  check Alcotest.bool "non-edge hop" false (Oracle.Path.is_valid g [ 0; 4 ]);
   Net.Graph.set_link g 0 1 ~up:false;
-  check Alcotest.bool "down link invalidates" false (Net.Path.is_valid g [ 0; 1 ])
+  check Alcotest.bool "down link invalidates" false (Oracle.Path.is_valid g [ 0; 1 ])
 
 (* ------------------------------------------------------------------ *)
 (* DOT export *)

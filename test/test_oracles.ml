@@ -88,7 +88,7 @@ let prim_cost g =
 let test_kruskal_vs_prim () =
   for seed = 1 to 15 do
     let g = random_graph seed 30 in
-    let kruskal = Net.Mst.cost (Net.Mst.kruskal g) in
+    let kruskal = Oracle.Mst.cost (Net.Mst.kruskal g) in
     let prim = prim_cost g in
     check Alcotest.(float 1e-9) (Printf.sprintf "seed %d" seed) prim kruskal
   done
@@ -124,7 +124,7 @@ let exact_steiner_cost g terminals =
     if Net.Bfs.is_connected sub then begin
       let mst = Net.Mst.kruskal sub in
       if List.length mst = List.length nodes - 1 then
-        best := Float.min !best (Net.Mst.cost mst)
+        best := Float.min !best (Oracle.Mst.cost mst)
     end
   done;
   !best
@@ -156,7 +156,7 @@ let test_exact_oracle_sanity () =
   (* Two terminals: optimum = shortest path. *)
   let g2 = random_graph 5 8 in
   check Alcotest.(float 1e-9) "two terminals = shortest path"
-    (Net.Dijkstra.distance g2 0 7)
+    (Oracle.Dijkstra.distance g2 0 7)
     (exact_steiner_cost g2 [ 0; 7 ])
 
 (* ------------------------------------------------------------------ *)
@@ -168,7 +168,7 @@ let test_next_hop_decreases_distance () =
      shortest-path forwarding. *)
   for seed = 1 to 8 do
     let g = random_graph seed 20 in
-    let dist = Net.Dijkstra.all_pairs g in
+    let dist = Oracle.Dijkstra.all_pairs g in
     for u = 0 to 19 do
       let r = Net.Dijkstra.run g u in
       for d = 0 to 19 do
@@ -210,7 +210,7 @@ module Map_tree = struct
       adj
 
   let add_edge t u v =
-    if u = v then invalid_arg "Tree.add_edge: self-loop";
+    if u = v then invalid_arg "Tree: self-loop";
     { t with adj = attach u v (attach v u t.adj) }
 
   let remove_edge t u v =
@@ -291,26 +291,6 @@ module Map_tree = struct
              t removable)
     in
     go t
-
-  let path_between t src dst =
-    if not (mem_node t src && mem_node t dst) then None
-    else if src = dst then Some [ src ]
-    else begin
-      let rec search u parent path =
-        if u = dst then Some (List.rev (u :: path))
-        else
-          Int_set.fold
-            (fun v found ->
-              match found with
-              | Some _ -> found
-              | None -> (
-                match parent with
-                | Some p when p = v -> None
-                | _ -> search v (Some u) (u :: path)))
-            (neighbors t u) None
-      in
-      search src None []
-    end
 
   let dfs_order t ~root =
     let visited = ref Int_set.empty in
@@ -423,8 +403,10 @@ let apply_tree act t =
   let module T = Mctree.Tree in
   match act with
   | Of_edges (terminals, edges) -> T.of_edges ~terminals edges
-  | Add_edge (u, v) -> T.add_edge t u v
-  | Remove_edge (u, v) -> T.remove_edge t u v
+  | Add_edge (u, v) -> T.add_path t [ u; v ]
+  | Remove_edge (u, v) ->
+    let lo = Int.min u v and hi = Int.max u v in
+    T.filter_edges (fun a b -> a <> lo || b <> hi) t
   | Add_path p -> T.add_path t p
   | Add_terminal x -> T.add_terminal t x
   | Remove_terminal x -> T.remove_terminal t x
@@ -479,20 +461,14 @@ let tree_distances =
   done;
   Net.Dijkstra.run g 0
 
-let acyclic edges =
-  let uf = Net.Union_find.create tree_nodes in
-  List.for_all (fun (u, v) -> Net.Union_find.union uf u v) edges
-
 (* Every observation of the array tree [t] equals the map-backed [m]'s,
-   node queries over 0-8 included; [path_between] only on a forest,
-   where the map-backed search ends. *)
+   node queries over 0-8 included. *)
 let tree_agrees t m =
   let module T = Mctree.Tree in
   let edges = Map_tree.edges m and range = List.init (tree_nodes + 1) Fun.id in
   List.equal (fun (a, b) (c, d) -> a = c && b = d) (T.edges t) edges
   && List.equal Int.equal (T.terminals t) (Map_tree.terminals m)
   && String.equal (T.fingerprint t) (Map_tree.fingerprint m)
-  && T.n_edges t = List.length edges
   && T.n_terminals t = List.length (Map_tree.terminals m)
   && Bool.equal (T.has_edges t) (Map_tree.has_edges m)
   && Int64.equal
@@ -507,11 +483,7 @@ let tree_agrees t m =
          && T.nearest tree_distances t ~except:x
             = Map_tree.nearest tree_distances m ~except:x
          && List.for_all
-              (fun y ->
-                Bool.equal (T.mem_edge t x y) (Map_tree.mem_edge m x y)
-                && ((not (acyclic edges))
-                   || Option.equal (List.equal Int.equal) (T.path_between t x y)
-                        (Map_tree.path_between m x y)))
+              (fun y -> Bool.equal (T.mem_edge t x y) (Map_tree.mem_edge m x y))
               range)
        range
 
@@ -706,7 +678,7 @@ let reference_sph g terminals =
    roughly a fifth of its links set down. *)
 let differential_graphs () =
   let unit_er seed n =
-    Net.Topo_gen.erdos_renyi (Sim.Rng.create seed) ~n ~min_weight:1.0
+    Oracle.Topo_gen.erdos_renyi (Sim.Rng.create seed) ~n ~min_weight:1.0
       ~max_weight:1.0 ()
   in
   let base =
@@ -821,7 +793,7 @@ let test_tree_compare_allocation_bound () =
       (List.init 101 (fun v -> v))
   in
   let a = build () and b = build () in
-  if a == b || Mctree.Tree.n_edges a <> 100 then
+  if a == b || List.length (Mctree.Tree.edges a) <> 100 then
     Alcotest.fail "expected two distinct 100-edge trees";
   let baseline =
     let before = Gc.minor_words () in
@@ -1335,7 +1307,7 @@ let test_tree_renderer () =
             (List.sort_uniq Int.compare (nodes (2 + Sim.Rng.int rng 20) span))
         | _ ->
           List.fold_left
-            (fun t (u, v) -> if u = v then t else Mctree.Tree.add_edge t u v)
+            (fun t (u, v) -> if u = v then t else Mctree.Tree.add_path t [ u; v ])
             (terminals 6)
             (List.init (Sim.Rng.int rng 25) (fun _ ->
                  (Sim.Rng.int rng span, Sim.Rng.int rng span)))
@@ -1435,7 +1407,7 @@ let test_fade_candidates_vs_search () =
       [
         List.init 10 (fun i -> random_graph (40 + i) (6 + (4 * i)));
         List.init 6 (fun i ->
-            Net.Topo_gen.erdos_renyi (Sim.Rng.create (60 + i)) ~n:(8 + (6 * i)) ());
+            Oracle.Topo_gen.erdos_renyi (Sim.Rng.create (60 + i)) ~n:(8 + (6 * i)) ());
         [
           Net.Topo_gen.ring 9;
           Net.Topo_gen.line 7;
@@ -1443,7 +1415,7 @@ let test_fade_candidates_vs_search () =
           Net.Topo_gen.grid ~rows:3 ~cols:5 ();
           Net.Topo_gen.complete 6;
           Net.Graph.create 1;
-          Net.Graph.of_edges 4 [ (0, 1, 1.0); (2, 3, 1.0) ];
+          Oracle.Graph.of_edges 4 [ (0, 1, 1.0); (2, 3, 1.0) ];
         ];
       ]
   in

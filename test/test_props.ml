@@ -201,14 +201,14 @@ module Dense_stamp : STAMP = struct
 
   let bump t x =
     if x < 0 || x >= Array.length t then
-      invalid_arg "Timestamp.bump: out of range";
+      invalid_arg "Timestamp.bump_owned: out of range";
     let copy = Array.copy t in
     copy.(x) <- copy.(x) + 1;
     copy
 
   let raise_to t x v =
     if x < 0 || x >= Array.length t then
-      invalid_arg "Timestamp.raise_to: out of range";
+      invalid_arg "Timestamp.raise_owned: out of range";
     if v <= t.(x) then t
     else begin
       let copy = Array.copy t in
@@ -380,7 +380,7 @@ end
 
 module Sparse_laws =
   Stamp_laws
-    (Dgmc.Timestamp)
+    (Oracle.Timestamp)
     (struct
       let label = "timestamp"
     end)
@@ -539,8 +539,8 @@ module Observe (T : STAMP) (U : UPDATES with type t = T.t) = struct
     List.concat_map (fun op -> step regs n op :: view regs n) ops
 end
 
-module Sparse_observe = Observe (Dgmc.Timestamp) (Pure (Dgmc.Timestamp))
-module In_place_observe = Observe (Dgmc.Timestamp) (In_place)
+module Sparse_observe = Observe (Oracle.Timestamp) (Pure (Oracle.Timestamp))
+module In_place_observe = Observe (Oracle.Timestamp) (In_place)
 module Dense_observe = Observe (Dense_stamp) (Pure (Dense_stamp))
 
 let prop_sparse_matches_dense_oracle =
@@ -698,7 +698,7 @@ let apply_owner_input rig input =
     let stamp = Array.copy seen and next = 1 + (src mod (owner_n - 1)) in
     stamp.(0) <- max 0 (stamp.(0) - lag);
     stamp.(next) <- stamp.(next) + ahead;
-    let stamp = Dgmc.Timestamp.of_array stamp and mc = owner_mcs.(m) in
+    let stamp = Oracle.Timestamp.of_array stamp and mc = owner_mcs.(m) in
     let lsa =
       match kind with
       | 0 ->
@@ -865,8 +865,8 @@ let prop_spt_matches_dijkstra =
         let t = Mctree.Spt.source_rooted g ~root ~receivers in
         List.for_all
           (fun (receiver, delay) ->
-            Float.abs (delay -. Net.Dijkstra.distance g root receiver) < 1e-9)
-          (Mctree.Spt.receivers_cost g t ~root))
+            Float.abs (delay -. Oracle.Dijkstra.distance g root receiver) < 1e-9)
+          (Oracle.Delivery.delays g t ~root))
 
 let prop_mst_spans_and_sized =
   QCheck2.Test.make ~name:"kruskal yields a spanning tree" ~count:100
@@ -875,7 +875,7 @@ let prop_mst_spans_and_sized =
     (fun (seed, n) ->
       let g = Experiments.Harness.graph_for ~seed ~n in
       let mst = Net.Mst.kruskal g in
-      List.length mst = n - 1 && Net.Mst.spans g mst)
+      List.length mst = n - 1 && Oracle.Mst.spans g mst)
 
 (* ------------------------------------------------------------------ *)
 (* Topology generators against their original loops *)
@@ -990,7 +990,7 @@ module Topo_oracle = struct
 end
 
 let same_graph a b =
-  Net.Graph.equal a b
+  Oracle.Graph.equal a b
   && String.equal (Format.asprintf "%a" Net.Graph.pp a) (Format.asprintf "%a" Net.Graph.pp b)
 
 let oracle_sizes = [ 2; 3; 5; 10; 20; 37; 50; 100; 200; 400 ]
@@ -1010,7 +1010,7 @@ let test_generators_match_oracle () =
              costs O(k n^2): keep them to the smaller sizes. *)
           @ if n <= 100 then [ ("degree 1.0", Some 1.0) ] else []);
         let fast =
-          Net.Topo_gen.erdos_renyi (Sim.Rng.create seed) ~n ~min_weight:1.0
+          Oracle.Topo_gen.erdos_renyi (Sim.Rng.create seed) ~n ~min_weight:1.0
             ~max_weight:1.0 ()
         in
         let slow = Topo_oracle.erdos_renyi_unit (Sim.Rng.create seed) ~n in
@@ -1069,7 +1069,7 @@ let prop_hop_diameter_matches_searches =
           (fun acc src ->
             Array.fold_left
               (fun acc d -> if d <> max_int && d > acc then d else acc)
-              acc (Net.Bfs.hops g src))
+              acc (Oracle.Bfs.hops g src))
           0 (List.init n Fun.id)
       in
       Net.Bfs.hop_diameter g = expected)
@@ -1379,21 +1379,18 @@ let prop_hierarchy_random_churn =
           let s = x mod n in
           if List.mem s !members then begin
             members := List.filter (fun m -> m <> s) !members;
-            Hierarchy.Hmc.leave h ~switch:s mc
+            Oracle.Hmc.leave h ~switch:s mc
           end
           else begin
             members := s :: !members;
-            Hierarchy.Hmc.join h ~switch:s mc Dgmc.Member.Both
+            Oracle.Hmc.join h ~switch:s mc Dgmc.Member.Both
           end;
           (* Quiesce between ops: the hierarchy's gateway control loop is
              eventually consistent, not burst-safe (documented). *)
           Hierarchy.Hmc.run h)
         c.h_ops;
-      match Hierarchy.Hmc.divergence h mc with
-      | [] -> true
-      | reasons ->
-        QCheck2.Test.fail_reportf "%s diverged: %s" (pp_hier c)
-          (String.concat "; " reasons))
+      Hierarchy.Hmc.converged h mc
+      || QCheck2.Test.fail_reportf "%s diverged" (pp_hier c))
 
 let prop_hierarchy_global_tree_valid =
   QCheck2.Test.make ~name:"hierarchy: stitched tree spans the members" ~count:40
@@ -1412,7 +1409,7 @@ let prop_hierarchy_global_tree_valid =
       in
       List.iter
         (fun s ->
-          Hierarchy.Hmc.join h ~switch:s mc Dgmc.Member.Both;
+          Oracle.Hmc.join h ~switch:s mc Dgmc.Member.Both;
           Hierarchy.Hmc.run h)
         members;
       match Hierarchy.Hmc.global_tree h mc with
@@ -1457,17 +1454,17 @@ let enumerate_state_graph scenario =
   let seen = Hashtbl.create 64 in
   let states = ref [] in (* (digest, bound, succs) in discovery order *)
   let queue = Queue.create () in
-  let h0 = Check.Explore.build scenario [] in
+  let h0 = Oracle.Explore.build scenario [] in
   Hashtbl.replace seen (Check.Harness.digest h0) ();
   Queue.add ([], Check.Harness.digest h0) queue;
   while not (Queue.is_empty queue) do
     let prefix, dg = Queue.pop queue in
-    let h = Check.Explore.build scenario prefix in
+    let h = Oracle.Explore.build scenario prefix in
     let bound = Check.Harness.pending_count h in
     let succs =
       List.map
         (fun a ->
-          let h' = Check.Explore.build scenario (prefix @ [ a ]) in
+          let h' = Oracle.Explore.build scenario (prefix @ [ a ]) in
           let d' = Check.Harness.digest h' in
           if not (Hashtbl.mem seen d') then begin
             Hashtbl.replace seen d' ();
@@ -1556,7 +1553,7 @@ let prop_search_finds_iff_explore_finds =
       in
       let _, scenario = search_scenario_of ~config c in
       let guided = Check.Search.forward scenario in
-      let exhaustive = Check.Explore.run scenario in
+      let exhaustive = Oracle.Explore.run scenario in
       let counts (o : Check.Explore.outcome) =
         (o.states, o.transitions, o.terminals)
       in

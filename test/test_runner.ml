@@ -74,7 +74,7 @@ let test_pool_timed_counters () =
 (* ------------------------------------------------------------------ *)
 (* Seed derivation: pure in (master, index), independent of order *)
 
-let drain rng k = List.init k (fun _ -> Sim.Rng.int64 rng)
+let drain rng k = List.init k (fun _ -> Int64.of_int (Sim.Rng.int rng max_int))
 
 let test_rng_derive_is_pure () =
   let a = drain (Sim.Rng.derive ~master:42 ~index:7) 16 in
@@ -164,7 +164,7 @@ let render_outcome (o : Check.Fuzz.outcome) =
   in
   let failure (f : Check.Fuzz.failure) =
     String.concat "|"
-      (Check.Fuzz.repro_line f
+      (Format.asprintf "%a" Check.Fuzz.pp_failure f
       :: string_of_int f.Check.Fuzz.f_shrink_runs
       :: List.map
            (fun e -> Format.asprintf "%a" Workload.Events.pp e)

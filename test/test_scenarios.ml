@@ -30,7 +30,7 @@ let run_scenario file () =
     let monitor = Check.Monitor.attach net in
     Dgmc.Protocol.run net;
     Check.Monitor.check_terminal monitor;
-    Check.Monitor.assert_ok monitor;
+    Oracle.Monitor.assert_ok monitor;
     List.iter
       (fun mc ->
         match Dgmc.Protocol.divergence net mc with

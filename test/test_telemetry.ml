@@ -107,11 +107,77 @@ let entries =
       (0.9, install "b");
     ]
 
+(* The report's [sli] section over [entries], read back from its
+   dgmc-report/1 JSON. *)
+type window = {
+  w_mc : string;
+  w_start : float;
+  w_end : float;
+  w_latency : float;
+  w_anchors : int;
+  w_installs : int;
+  w_control : int;
+}
+
+type dist = { d_count : int; d_mean : float; d_p50 : float; d_p90 : float; d_max : float }
+
+type summary = {
+  s_windows : window list;
+  s_latency : dist;
+  s_control : dist;
+  s_unconverged : int;
+}
+
+let sli ~gap entries =
+  let get conv k j =
+    match Option.bind (Sim.Json.member k j) conv with
+    | Some v -> v
+    | None -> failf "sli: no %s" k
+  in
+  let num = get Sim.Json.to_float and int = get Sim.Json.to_int in
+  let dist j =
+    {
+      d_count = int "count" j;
+      d_mean = num "mean" j;
+      d_p50 = num "p50" j;
+      d_p90 = num "p90" j;
+      d_max = num "max" j;
+    }
+  in
+  let window j =
+    {
+      w_mc = get Sim.Json.to_string "mc" j;
+      w_start = num "start_s" j;
+      w_end = num "end_s" j;
+      w_latency = num "latency_s" j;
+      w_anchors = int "anchors" j;
+      w_installs = int "installs" j;
+      w_control = int "control_msgs" j;
+    }
+  in
+  let archive =
+    { Sim.Trace.a_emitted = List.length entries; a_dropped = 0; a_entries = entries }
+  in
+  match Sim.Json.parse (Report.Run_report.json ~gap archive) with
+  | Error e -> failf "report does not parse: %s" e
+  | Ok report ->
+    let s = get Option.some "sli" report in
+    {
+      s_windows = List.map window (get Sim.Json.to_list "windows" s);
+      s_latency = dist (get Option.some "latency_s" s);
+      s_control = dist (get Option.some "control_msgs" s);
+      s_unconverged = int "unconverged" s;
+    }
+
+let latency w = w.w_latency
+
+let converged w = w.w_installs > 0
+
 let test_sli_windows_oracle () =
-  let ws = (Report.Run_report.sli ~gap:1.0 entries).s_windows in
+  let ws = (sli ~gap:1.0 entries).s_windows in
   check int "three windows" 3 (List.length ws);
   let w mc i =
-    List.nth (List.filter (fun w -> w.Report.Run_report.w_mc = mc) ws) i
+    List.nth (List.filter (fun w -> String.equal w.w_mc mc) ws) i
   in
   let a0 = w "a" 0 in
   check feps "a0 start" 0.0 a0.w_start;
@@ -119,10 +185,10 @@ let test_sli_windows_oracle () =
   check int "a0 anchors" 1 a0.w_anchors;
   check int "a0 installs" 1 a0.w_installs;
   check int "a0 control" 2 a0.w_control;
-  check feps "a0 latency" 0.3 (Report.Run_report.latency a0);
+  check feps "a0 latency" 0.3 (latency a0);
   let a1 = w "a" 1 in
-  check bool "a1 unconverged" false (Report.Run_report.converged a1);
-  check feps "a1 latency" 0.0 (Report.Run_report.latency a1);
+  check bool "a1 unconverged" false (converged a1);
+  check feps "a1 latency" 0.0 (latency a1);
   check int "a1 control" 1 a1.w_control;
   let b0 = w "b" 0 in
   check feps "b0 start (first anchor)" 0.1 b0.w_start;
@@ -131,7 +197,7 @@ let test_sli_windows_oracle () =
   check int "b0 control excludes pre-anchor" 0 b0.w_control
 
 let test_sli_summary_oracle () =
-  let s = Report.Run_report.sli ~gap:1.0 entries in
+  let s = sli ~gap:1.0 entries in
   check int "unconverged count" 1 s.s_unconverged;
   (* Latency over converged windows only: [0.3; 0.8]. *)
   check int "latency count" 2 s.s_latency.d_count;
@@ -152,11 +218,11 @@ let test_sli_of_scripted_run () =
   let entries = Sim.Trace.entries trace in
   (* A gap wider than the whole run keeps each MC in one session, so
      window totals must equal whole-trace totals. *)
-  let t0, t1 = Report.Run_report.span entries in
-  let s = Report.Run_report.sli ~gap:(t1 -. t0 +. 1.0) entries in
+  let t1 = List.fold_left (fun m (e : Sim.Trace.entry) -> Float.max m e.time) 0.0 entries in
+  let s = sli ~gap:(t1 +. 1.0) entries in
   check int "one window per MC" 1 (List.length s.s_windows);
   let w = List.nth s.s_windows 0 in
-  check bool "burst converged" true (Report.Run_report.converged w);
+  check bool "burst converged" true (converged w);
   let installs_in_trace =
     List.length
       (List.filter
@@ -168,7 +234,7 @@ let test_sli_of_scripted_run () =
   in
   check int "window installs = trace installs" installs_in_trace w.w_installs;
   check bool "control messages counted" true (w.w_control > 0);
-  check bool "positive latency" true (Report.Run_report.latency w > 0.0)
+  check bool "positive latency" true (latency w > 0.0)
 
 (* ------------------------------------------------------------------ *)
 (* Phase attribution *)
@@ -214,7 +280,7 @@ let test_phase_unbalanced_leave () =
 
 let test_phase_ambient () =
   let p = Metrics.Phase.create () in
-  let seen = Metrics.Phase.with_ambient p (fun () -> Metrics.Phase.ambient ()) in
+  let seen = Oracle.Phase.with_ambient p (fun () -> Metrics.Phase.ambient ()) in
   check bool "ambient inside with_ambient" true (seen == p);
   check bool "restored after" true
     (Metrics.Phase.ambient () == Metrics.Phase.disabled)
@@ -267,7 +333,7 @@ let test_disabled_registry_any_domain () =
   in
   check (float 0.0) "zero bytes over 1000 records from a worker domain" 0.0
     allocated;
-  check bool "nothing recorded" true (Metrics.Registry.is_empty r)
+  check bool "nothing recorded" true (Oracle.Registry.is_empty r)
 
 (* A trace costs what its payloads cost to build.  On one domain, a
    traced Fig 6 burst (n = 100, seed 1) may allocate at most three times
@@ -302,14 +368,7 @@ let check_wiring_reaches_every_layer () =
   let metrics = Metrics.Registry.create () in
   let faults =
     Faults.Plan.create
-      ~spec:
-        {
-          Faults.Plan.spec_default with
-          drop = 0.2;
-          duplicate = 0.1;
-          reorder = 0.1;
-        }
-      ~seed:3 ()
+      ~spec:(Oracle.Plan.spec "drop=0.2,dup=0.1,reorder=0.1") ~seed:3 ()
   in
   let config =
     { Dgmc.Config.atm_lan with flood_mode = Lsr.Flooding.Reliable }
@@ -328,7 +387,7 @@ let check_wiring_reaches_every_layer () =
       check bool
         (Printf.sprintf "%s records %s events" layer cat)
         true
-        (Sim.Trace.count_category trace cat > 0))
+        (Oracle.Trace.count_category trace cat > 0))
     [
       ("protocol", "flood");
       ("flooding", "forward");
@@ -429,7 +488,7 @@ let check_monitor_writes_to_run_trace () =
     (Check.Monitor.ok monitor);
   check int "one violation note per violation"
     (List.length (Check.Monitor.violations monitor))
-    (Sim.Trace.count_category trace "violation")
+    (Oracle.Trace.count_category trace "violation")
 
 let test_harness_transparency () =
   let plain =
@@ -442,7 +501,7 @@ let test_harness_transparency () =
     let series = Metrics.Series.create ~bucket:1e-3 ~cap:64 () in
     let phase = Metrics.Phase.create () in
     let run =
-      Metrics.Phase.with_ambient phase (fun () ->
+      Oracle.Phase.with_ambient phase (fun () ->
           Experiments.Harness.bursty_run ~trace ~metrics:reg ~series ~seed:5
             ~n:10 ~config:Dgmc.Config.atm_lan ~members:5 ())
     in
@@ -480,11 +539,16 @@ let section ?(cells = [ ("dgmc", 20, 1) ]) name seq =
         cells;
   }
 
+(* The BENCH document [bench/main.exe --json] writes for [sections]. *)
+let document sections =
+  Oracle.with_temp_file (fun path ->
+      Metrics.Bench.write ~path ~meta sections;
+      Oracle.read_file path)
+
 let diff ?(wall_tol = 0.10) baseline candidate =
   match
-    Report.Bench_diff.compare_strings ~wall_tol
-      ~baseline:(Metrics.Bench.to_string ~meta baseline)
-      ~candidate:(Metrics.Bench.to_string ~meta candidate)
+    Report.Bench_diff.compare_strings ~wall_tol ~baseline:(document baseline)
+      ~candidate:(document candidate)
   with
   | Ok outcome -> outcome
   | Error msg -> failf "bench documents failed to parse: %s" msg

