@@ -79,7 +79,9 @@ let unused_arg =
   Arg.(
     value & flag
     & info [ "unused-suppressions" ]
-        ~doc:"Report suppression comments that matched no finding.")
+        ~doc:
+          "Report suppression comments that matched no finding of a rule \
+           that ran.")
 
 let parse_rule_set = function
   | None -> Ok None

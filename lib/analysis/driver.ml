@@ -61,7 +61,15 @@ let analyze ?(enabled = fun _ -> true) paths =
           else true)
         diags
     in
-    List.iter (fun s -> unused := (path, s) :: !unused) (Suppress.unused sup);
+    (* A suppression can match only a rule that ran. *)
+    let ran (s : Suppress.t) =
+      List.exists
+        (fun r -> Option.fold ~none:true ~some:enabled (Rules.of_name r))
+        s.rules
+    in
+    List.iter
+      (fun s -> if ran s then unused := (path, s) :: !unused)
+      (Suppress.unused sup);
     kept
   in
   let raw =

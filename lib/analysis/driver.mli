@@ -8,7 +8,8 @@ type result = {
   suppressed : int;
   files_scanned : int;
   unused_suppressions : (string * Suppress.t) list;
-      (** Suppression comments that matched no finding. *)
+      (** Suppression comments that matched no finding; one whose rules
+          were all disabled is not listed. *)
 }
 
 val run :

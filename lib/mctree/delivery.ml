@@ -17,22 +17,26 @@ let compare_delivery a b =
   | c -> c
 
 (* Walk tree edges outward from [start], excluding [start] itself from the
-   deliveries (the caller decides whether the start node is a recipient). *)
+   deliveries (the caller decides whether the start node is a recipient).
+   Each node is visited once, so an edge set with a cycle ends too; on a
+   tree the only visited neighbour is the parent. *)
 let walk g tree ~start ~base_delay ~base_hops ~prefix_links =
   let deliveries = ref [] in
   let links = ref prefix_links in
-  let rec visit u parent delay hops =
+  let seen = Array.make (Net.Graph.n_nodes g) false in
+  let rec visit u delay hops =
+    seen.(u) <- true;
     if Tree.is_terminal tree u && u <> start then
       deliveries := { receiver = u; delay; hops } :: !deliveries;
     List.iter
       (fun v ->
-        if (match parent with Some p -> p <> v | None -> true) then begin
+        if not seen.(v) then begin
           links := norm u v :: !links;
-          visit v (Some u) (delay +. Net.Graph.weight g u v) (hops + 1)
+          visit v (delay +. Net.Graph.weight g u v) (hops + 1)
         end)
       (Tree.neighbors tree u)
   in
-  visit start None base_delay base_hops;
+  visit start base_delay base_hops;
   (!deliveries, !links)
 
 let multicast g tree ~src =

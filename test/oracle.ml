@@ -115,6 +115,27 @@ module Plan = struct
   let spec text = Result.get_ok (Faults.Plan.spec_of_string text)
 end
 
+module Brute_force = struct
+  (* Membership events at the engine's current time, through the
+     [schedule_*] entry points the figures use; each takes effect at the
+     next [run]. *)
+  let now bf = Sim.Engine.now (Baselines.Brute_force.engine bf)
+
+  let join bf ~switch mc role =
+    Baselines.Brute_force.schedule_join bf ~at:(now bf) ~switch mc role
+
+  let leave bf ~switch mc =
+    Baselines.Brute_force.schedule_leave bf ~at:(now bf) ~switch mc
+end
+
+module Mospf = struct
+  (* A join at the engine's current time, as {!Brute_force.join}. *)
+  let join m ~switch ~group =
+    Baselines.Mospf.schedule_join m
+      ~at:(Sim.Engine.now (Baselines.Mospf.engine m))
+      ~switch ~group
+end
+
 module Hmc = struct
   (* Host events at the engine's current time, through the [schedule_*]
      entry points the programs use; each takes effect at the next

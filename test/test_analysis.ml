@@ -201,7 +201,11 @@ let test_rule_toggle () =
           (String.equal d.rule (Rules.name Rules.Nondet_source)
           || String.equal d.rule "suppression-syntax")
       then Alcotest.failf "disabled rule still fired: %s" d.rule)
-    r.Driver.diags
+    r.Driver.diags;
+  (* The corpus's suppressions of the other rules, the unused
+     poly-compare one included, cannot match here: none is reported. *)
+  Alcotest.(check int) "no unused suppression of a disabled rule" 0
+    (List.length r.Driver.unused_suppressions)
 
 let test_baseline_roundtrip () =
   let r = run_corpus () in

@@ -7,31 +7,13 @@ let mc = Dgmc.Mc_id.make Dgmc.Mc_id.Symmetric 1
 
 let grid33 () = Net.Topo_gen.grid ~rows:3 ~cols:3 ()
 
-(* Membership events at the engine's current time, through the
-   [schedule_*] entry points the figures use; each takes effect at the
-   next [run]. *)
-let bf_join bf ~switch mc role =
-  Baselines.Brute_force.schedule_join bf
-    ~at:(Sim.Engine.now (Baselines.Brute_force.engine bf))
-    ~switch mc role
-
-let bf_leave bf ~switch mc =
-  Baselines.Brute_force.schedule_leave bf
-    ~at:(Sim.Engine.now (Baselines.Brute_force.engine bf))
-    ~switch mc
-
-let mospf_join m ~switch ~group =
-  Baselines.Mospf.schedule_join m
-    ~at:(Sim.Engine.now (Baselines.Mospf.engine m))
-    ~switch ~group
-
 (* ------------------------------------------------------------------ *)
 (* Brute force *)
 
 let test_brute_computations_scale_with_n () =
   let graph = grid33 () in
   let bf = Baselines.Brute_force.create ~graph ~config:Dgmc.Config.atm_lan () in
-  bf_join bf ~switch:0 mc Dgmc.Member.Both;
+  Oracle.Brute_force.join bf ~switch:0 mc Dgmc.Member.Both;
   Baselines.Brute_force.run bf;
   let t = Baselines.Brute_force.totals bf in
   check Alcotest.int "events" 1 t.events;
@@ -61,11 +43,11 @@ let test_brute_converges () =
 let test_brute_leave () =
   let graph = grid33 () in
   let bf = Baselines.Brute_force.create ~graph ~config:Dgmc.Config.atm_lan () in
-  bf_join bf ~switch:0 mc Dgmc.Member.Both;
+  Oracle.Brute_force.join bf ~switch:0 mc Dgmc.Member.Both;
   Baselines.Brute_force.run bf;
-  bf_join bf ~switch:8 mc Dgmc.Member.Both;
+  Oracle.Brute_force.join bf ~switch:8 mc Dgmc.Member.Both;
   Baselines.Brute_force.run bf;
-  bf_leave bf ~switch:8 mc;
+  Oracle.Brute_force.leave bf ~switch:8 mc;
   Baselines.Brute_force.run bf;
   check Alcotest.bool "agreement" true (Baselines.Brute_force.converged bf mc);
   let tree = Option.get (Baselines.Brute_force.topology bf ~switch:4 mc) in
@@ -140,7 +122,7 @@ let test_brute_memo_exact_waxman () =
         joins;
       let members = Dgmc.Member.of_list (List.map (fun (_, s, r) -> (s, r)) joins) in
       let rejoin switch =
-        bf_join bf ~switch mc
+        Oracle.Brute_force.join bf ~switch mc
           (Option.get (Dgmc.Member.role members switch))
       in
       Baselines.Brute_force.run bf;
@@ -170,14 +152,14 @@ let test_brute_memo_exact_waxman () =
 let test_brute_memo_follows_set_link () =
   let graph = grid33 () in
   let bf = Baselines.Brute_force.create ~graph ~config:Dgmc.Config.atm_lan () in
-  bf_join bf ~switch:0 mc Dgmc.Member.Both;
-  bf_join bf ~switch:8 mc Dgmc.Member.Both;
+  Oracle.Brute_force.join bf ~switch:0 mc Dgmc.Member.Both;
+  Oracle.Brute_force.join bf ~switch:8 mc Dgmc.Member.Both;
   Baselines.Brute_force.run bf;
   let before = Option.get (Baselines.Brute_force.topology bf ~switch:4 mc) in
   let u, v = List.hd (Mctree.Tree.edges before) in
   Net.Graph.set_link graph u v ~up:false;
   (* Same member set as before the failure. *)
-  bf_join bf ~switch:0 mc Dgmc.Member.Both;
+  Oracle.Brute_force.join bf ~switch:0 mc Dgmc.Member.Both;
   Baselines.Brute_force.run bf;
   let members = Dgmc.Member.of_list [ (0, Both); (8, Both) ] in
   check_exact ~what:"grid after set_link" graph bf mc members;
@@ -188,13 +170,13 @@ let test_brute_memo_follows_set_link () =
 let test_brute_memo_partition () =
   let graph = grid33 () in
   let bf = Baselines.Brute_force.create ~graph ~config:Dgmc.Config.atm_lan () in
-  List.iter (fun s -> bf_join bf ~switch:s mc Dgmc.Member.Both) [ 0; 2; 6; 8 ];
+  List.iter (fun s -> Oracle.Brute_force.join bf ~switch:s mc Dgmc.Member.Both) [ 0; 2; 6; 8 ];
   Baselines.Brute_force.run bf;
   (* Split off the left column {0, 3, 6}, then one member per side
      re-joins so every switch recomputes the same member set. *)
   List.iter (fun (u, v) -> Net.Graph.set_link graph u v ~up:false) [ (0, 1); (3, 4); (6, 7) ];
-  bf_join bf ~switch:0 mc Dgmc.Member.Both;
-  bf_join bf ~switch:8 mc Dgmc.Member.Both;
+  Oracle.Brute_force.join bf ~switch:0 mc Dgmc.Member.Both;
+  Oracle.Brute_force.join bf ~switch:8 mc Dgmc.Member.Both;
   Baselines.Brute_force.run bf;
   let members = Dgmc.Member.of_list (List.map (fun s -> (s, Dgmc.Member.Both)) [ 0; 2; 6; 8 ]) in
   check_exact ~what:"partitioned grid" graph bf mc members;
@@ -210,8 +192,8 @@ let test_brute_memo_partition () =
 let test_mospf_membership_propagates () =
   let graph = grid33 () in
   let m = Baselines.Mospf.create ~graph ~config:Dgmc.Config.atm_lan () in
-  mospf_join m ~switch:2 ~group:1;
-  mospf_join m ~switch:7 ~group:1;
+  Oracle.Mospf.join m ~switch:2 ~group:1;
+  Oracle.Mospf.join m ~switch:7 ~group:1;
   Baselines.Mospf.run m;
   for sw = 0 to 8 do
     check Alcotest.(list int) "member list at every router" [ 2; 7 ]
@@ -223,8 +205,8 @@ let test_mospf_membership_propagates () =
 let test_mospf_data_driven_computation () =
   let graph = grid33 () in
   let m = Baselines.Mospf.create ~graph ~config:Dgmc.Config.atm_lan () in
-  mospf_join m ~switch:0 ~group:1;
-  mospf_join m ~switch:8 ~group:1;
+  Oracle.Mospf.join m ~switch:0 ~group:1;
+  Oracle.Mospf.join m ~switch:8 ~group:1;
   Baselines.Mospf.run m;
   Baselines.Mospf.send_packet m ~src:0 ~group:1;
   Baselines.Mospf.run m;
@@ -240,8 +222,8 @@ let test_mospf_data_driven_computation () =
 let test_mospf_cache_hit_no_recompute () =
   let graph = grid33 () in
   let m = Baselines.Mospf.create ~graph ~config:Dgmc.Config.atm_lan () in
-  mospf_join m ~switch:0 ~group:1;
-  mospf_join m ~switch:8 ~group:1;
+  Oracle.Mospf.join m ~switch:0 ~group:1;
+  Oracle.Mospf.join m ~switch:8 ~group:1;
   Baselines.Mospf.run m;
   Baselines.Mospf.send_packet m ~src:0 ~group:1;
   Baselines.Mospf.run m;
@@ -254,13 +236,13 @@ let test_mospf_cache_hit_no_recompute () =
 let test_mospf_membership_change_invalidates () =
   let graph = grid33 () in
   let m = Baselines.Mospf.create ~graph ~config:Dgmc.Config.atm_lan () in
-  mospf_join m ~switch:0 ~group:1;
-  mospf_join m ~switch:8 ~group:1;
+  Oracle.Mospf.join m ~switch:0 ~group:1;
+  Oracle.Mospf.join m ~switch:8 ~group:1;
   Baselines.Mospf.run m;
   Baselines.Mospf.send_packet m ~src:0 ~group:1;
   Baselines.Mospf.run m;
   let after_first = (Baselines.Mospf.totals m).computations in
-  mospf_join m ~switch:2 ~group:1;
+  Oracle.Mospf.join m ~switch:2 ~group:1;
   Baselines.Mospf.run m;
   Baselines.Mospf.send_packet m ~src:0 ~group:1;
   Baselines.Mospf.run m;

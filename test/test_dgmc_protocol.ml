@@ -401,7 +401,21 @@ let test_counters_reset () =
   check Alcotest.int "floodings" 0 t.mc_floodings;
   check Alcotest.int "messages" 0 t.messages;
   check Alcotest.bool "clock markers cleared" true
-    (Dgmc.Protocol.convergence_rounds net = None)
+    (Dgmc.Protocol.convergence_rounds net = None);
+  (* The convergence clock restarts at the first event after the reset:
+     a later join of another MC settles in as many rounds as the same
+     join on a fresh network. *)
+  let mc2 = Dgmc.Mc_id.make Dgmc.Mc_id.Symmetric 2 in
+  let join_8 net ~at =
+    Dgmc.Protocol.schedule_join net ~at ~switch:8 mc2 Dgmc.Member.Both;
+    Dgmc.Protocol.run net;
+    Dgmc.Protocol.convergence_rounds net
+  in
+  let fresh = join_8 (make_net (grid33 ())) ~at:0.0 in
+  check Alcotest.bool "a fresh join takes time" true
+    (Option.value ~default:0.0 fresh > 0.0);
+  check Alcotest.(option (float 1e-9)) "measured from the later join" fresh
+    (join_8 net ~at:(Oracle.Protocol.now net +. 5.0))
 
 let test_convergence_rounds_measured () =
   let net = make_net (grid33 ()) in

@@ -328,6 +328,21 @@ let test_delivery_multicast_requires_tree_node () =
     (Failure "Delivery.multicast: sender not on tree") (fun () ->
       ignore (Mctree.Delivery.multicast g t ~src:8))
 
+let test_delivery_multicast_cycle () =
+  (* Not a tree: the triangle 0-1-2 closes a cycle.  The walk still
+     ends, and each terminal receives once. *)
+  let g =
+    Oracle.Graph.of_edges 4
+      [ (0, 1, 1.0); (1, 2, 1.0); (0, 2, 1.0); (2, 3, 1.0) ]
+  in
+  let t =
+    Mctree.Tree.of_edges ~terminals:[ 0; 1; 2; 3 ]
+      [ (0, 1); (1, 2); (0, 2); (2, 3) ]
+  in
+  let report = Mctree.Delivery.multicast g t ~src:0 in
+  check Alcotest.(list int) "each terminal once" [ 1; 2; 3 ]
+    (List.map (fun (d : Mctree.Delivery.delivery) -> d.receiver) report.deliveries)
+
 let test_delivery_two_stage () =
   let g = Net.Topo_gen.line 6 in
   (* Tree spans 0..2; sender at 5 contacts node 2. *)
@@ -418,6 +433,7 @@ let () =
           Alcotest.test_case "multicast" `Quick test_delivery_multicast;
           Alcotest.test_case "sender excluded" `Quick
             test_delivery_multicast_excludes_sender;
+          Alcotest.test_case "cycle ends" `Quick test_delivery_multicast_cycle;
           Alcotest.test_case "off-tree sender rejected" `Quick
             test_delivery_multicast_requires_tree_node;
           Alcotest.test_case "two-stage" `Quick test_delivery_two_stage;
