@@ -24,8 +24,8 @@ type outcome = {
 
 (* The state every walk starts from: the setup injected and settled,
    then the race injected.  A base is only read and copied, but the
-   copies share its graphs' lazy caches, so each domain builds its
-   own. *)
+   copies share its image store (which their link flips add to) and its
+   graphs' lazy caches, so each domain builds its own. *)
 let base scenario =
   let h = Harness.create ~graph:scenario.graph ~config:scenario.config () in
   List.iter (Harness.inject h) scenario.setup;

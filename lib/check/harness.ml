@@ -112,8 +112,8 @@ let connect t =
 let create ~graph ~config () =
   if Option.is_some config.Dgmc.Config.health then
     invalid_arg "Harness.create: the link-health layer is not modelled";
-  (* The switches' boot image and the ground truth the harness mutates
-     are two separate copies of the scenario's graph. *)
+  (* The switches' image store and the ground truth the harness mutates
+     hold two separate copies of the scenario's graph. *)
   let boot = Lsr.Lsdb.boot graph in
   let graph = Net.Graph.copy graph in
   let n = Net.Graph.n_nodes graph in

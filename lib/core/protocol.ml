@@ -213,7 +213,7 @@ let create ~graph ~config ?faults ?engine ?trace ?metrics
   in
   let trace = Sim.Engine.trace engine
   and metrics = Sim.Engine.metrics engine in
-  (* One boot image for the whole run, apart from [graph], which link
+  (* One image store for the whole run, apart from [graph], which link
      events mutate as ground truth. *)
   let boot = Lsr.Lsdb.boot graph in
   let switches =

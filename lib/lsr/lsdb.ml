@@ -8,43 +8,60 @@ module Link_tbl = Hashtbl.Make (struct
   let hash (a, b) = (a * 1000003) lxor b
 end)
 
-type boot = Net.Graph.t
+(* Flipped sets: the sorted keys [lo * n + hi] of the links whose state
+   differs from the root image. *)
+module Flipped = Hashtbl.Make (struct
+  type t = int list
+  let equal = List.equal Int.equal
+  let hash = List.fold_left (fun h k -> (h * 31) + k) 0
+end)
 
-let boot g = Net.Graph.copy g
+type boot = { root : Net.Graph.t; images : Net.Graph.t Flipped.t }
+
+let boot g = { root = Net.Graph.copy g; images = Flipped.create 16 }
 
 type t = {
-  mutable image : Net.Graph.t;
-  mutable shared : bool;
-      (* [image] may be read by another database: the run's boot image
-         before this database flipped a link, or an image a {!copy}
-         shares.  The first flip copies it. *)
+  store : boot;
+  mutable image : Net.Graph.t;  (* [store]'s image of [flipped] *)
+  mutable flipped : int list;
   versions : int Link_tbl.t;
 }
 
-let create boot = { image = boot; shared = true; versions = Link_tbl.create 16 }
+let create store =
+  { store; image = store.root; flipped = []; versions = Link_tbl.create 16 }
 
 let graph t = t.image
 
-(* After a copy neither side owns the image: the first flip on either
-   side copies it. *)
-let copy t =
-  t.shared <- true;
-  { t with versions = Link_tbl.copy t.versions }
+let copy t = { t with versions = Link_tbl.copy t.versions }
 
 let key u v = if u < v then (u, v) else (v, u)
 
 let version t ~u ~v =
   Option.value ~default:0 (Link_tbl.find_opt t.versions (key u v))
 
+let rec toggle (k : int) = function
+  | x :: rest when x < k -> x :: toggle k rest
+  | x :: rest when x = k -> rest
+  | l -> k :: l
+
+(* A published image is never mutated: a flip moves the database to the
+   store's image of its new flipped set, and a miss publishes a copy of
+   the current image with the link flipped. *)
 let apply t { u; v; up; version = ver } =
   if Net.Graph.has_edge t.image u v && ver > version t ~u ~v then begin
-    Link_tbl.replace t.versions (key u v) ver;
+    let lo, hi = key u v in
+    Link_tbl.replace t.versions (lo, hi) ver;
     if not (Bool.equal (Net.Graph.link_is_up t.image u v) up) then begin
-      if t.shared then begin
-        t.image <- Net.Graph.copy t.image;
-        t.shared <- false
-      end;
-      Net.Graph.set_link t.image u v ~up
+      t.flipped <- toggle ((lo * Net.Graph.n_nodes t.image) + hi) t.flipped;
+      t.image <-
+        (match (t.flipped, Flipped.find_opt t.store.images t.flipped) with
+         | [], _ -> t.store.root
+         | _, Some g -> g
+         | set, None ->
+           let g = Net.Graph.copy t.image in
+           Net.Graph.set_link g u v ~up;
+           Flipped.add t.store.images set g;
+           g)
     end
   end
 

@@ -6,13 +6,15 @@
     switch's D-GMC topology computations run against {e its own} image —
     which may briefly lag reality while link events propagate.
 
-    Images are copy-on-write.  A run makes one {!boot} image, a private
-    copy of the ground-truth graph, and every database {!create}d from
-    it reads that one graph (and its sorted adjacency rows) until the
-    first {!apply} that flips a link's state; only then does the
-    database take its own copy.  Setting up n switches therefore costs
-    one graph copy, not n, and a switch that never learns a link change
-    never pays for one.
+    Images are interned per run.  A run makes one {!boot} store, a
+    private copy of the ground-truth graph (the root) plus every image
+    its databases have reached, keyed by the set of links whose state
+    differs from the root.  Databases that know the same link states
+    therefore read one graph, with its sorted adjacency rows and its
+    memoised shortest-path searches ({!Net.Dijkstra.run}).  A published
+    image is never mutated: an {!apply} that flips a link moves the
+    database to another image, taken from the store or, on a miss,
+    copied once from its current one.
 
     Link events are {e versioned}: a link's state changes are totally
     ordered in real time, so the driver stamps the n-th change of a link
@@ -31,38 +33,37 @@ module Link_tbl : Hashtbl.S with type key = int * int
 (** Tables keyed on a link as its ordered [(lo, hi)] endpoint pair. *)
 
 type boot
-(** A boot image: the converged unicast database switches start from.
-    No database mutates it, so one serves every switch of a run, and so
-    do its memoised shortest-path searches ({!Net.Dijkstra.run}).  It is
-    mutable state all the same (its adjacency rows and search memo are
-    filled lazily), so a run must not share it with runs on other
-    domains. *)
+(** A run's image store: the root image and every image a database
+    created or copied from it has reached.  {!apply} adds to it, and the
+    images' adjacency rows and search memo are filled lazily, so a boot,
+    and every database created or copied from it, must stay on one
+    domain.  It keeps every distinct image until the run drops it. *)
 
 val boot : Net.Graph.t -> boot
-(** [boot g] is a private deep copy of [g]: later changes to [g] (the
-    ground truth a simulation mutates) never reach a database. *)
+(** [boot g] is a store whose root is a private deep copy of [g]: later
+    changes to [g] (the ground truth a simulation mutates) never reach a
+    database. *)
 
 type t
 
 val create : boot -> t
-(** A database whose image is the boot image (switches boot with a
-    converged unicast database; every link starts at version 0).  O(1):
-    the image is shared until this database first flips a link. *)
+(** A database whose image is the root (switches boot with a converged
+    unicast database; every link starts at version 0).  O(1). *)
 
 val graph : t -> Net.Graph.t
-(** The switch's current image: the boot image itself until the first
-    flipping {!apply}, a private copy from then on.  Callers must not
-    mutate it, nor hold it across an [apply]. *)
+(** The switch's current image, shared with every database of the same
+    store that knows the same link states: the root itself while no link
+    differs from it.  Callers must not mutate it. *)
 
 val copy : t -> t
 (** An independent database with [t]'s image and versions.  O(links
-    applied): the two share the image copy-on-write, so whichever flips
-    a link first copies it. *)
+    applied): only the versions are copied, and [t] is left as it was. *)
 
 val apply : t -> link_event -> unit
-(** Update the image.  An event that changes a link's state copies a
-    still-shared image first; one that only raises the link's version
-    leaves the image shared.  Unknown links are ignored (robustness against
+(** Update the image.  An event that changes a link's state moves the
+    database to the store's image of its new link states (the root when
+    none differs from it); one that only raises the link's version keeps
+    the image.  Unknown links are ignored (robustness against
     reordered information about links this image never had); events whose
     [version] does not exceed the last applied version for the link are
     ignored (stale or duplicate knowledge). *)

@@ -247,12 +247,78 @@ let test_lsdb_isolated_copy () =
        (fun (e : Lsr.Lsdb.link_event) -> (e.u, e.v, e.up))
        (Lsr.Lsdb.entries a));
   check Alcotest.int "sibling entries" 0 (List.length (Lsr.Lsdb.entries b));
-  (* A private image stays private: the next flip mutates it in place. *)
-  let own = Lsr.Lsdb.graph a in
+  (* Flipping the link back returns to the boot image itself. *)
   Lsr.Lsdb.apply a { u = 0; v = 1; up = true; version = 2 };
-  check Alcotest.bool "private image reused" true (Lsr.Lsdb.graph a == own);
   check Alcotest.bool "flip back applied" true
-    (Net.Graph.link_is_up (Lsr.Lsdb.graph a) 0 1)
+    (Net.Graph.link_is_up (Lsr.Lsdb.graph a) 0 1);
+  check Alcotest.bool "flip back returns the boot image" true
+    (Lsr.Lsdb.graph a == Lsr.Lsdb.graph late)
+
+let distinct_graphs dbs =
+  List.fold_left
+    (fun acc db ->
+      let g = Lsr.Lsdb.graph db in
+      if List.memq g acc then acc else g :: acc)
+    [] dbs
+  |> List.length
+
+(* Images are interned per boot: databases that know the same link
+   states read one graph, and no published graph changes after. *)
+let test_lsdb_interned () =
+  let boot = Lsr.Lsdb.boot (Net.Topo_gen.ring 5) in
+  let down u v : Lsr.Lsdb.link_event = { u; v; up = false; version = 1 } in
+  let a = Lsr.Lsdb.create boot and b = Lsr.Lsdb.create boot in
+  Lsr.Lsdb.apply a (down 0 1);
+  Lsr.Lsdb.apply a (down 2 3);
+  Lsr.Lsdb.apply b (down 3 2);
+  Lsr.Lsdb.apply b (down 1 0);
+  check Alcotest.bool "same flipped set in either order, one graph" true
+    (Lsr.Lsdb.graph a == Lsr.Lsdb.graph b);
+  let shared = Lsr.Lsdb.graph b in
+  (* A copy shares the image; a flip on the copy leaves the source. *)
+  let c = Lsr.Lsdb.copy b in
+  check Alcotest.bool "copy shares the image" true (Lsr.Lsdb.graph c == shared);
+  Lsr.Lsdb.apply c { u = 0; v = 1; up = true; version = 2 };
+  check Alcotest.bool "copy flipped" true
+    (Net.Graph.link_is_up (Lsr.Lsdb.graph c) 0 1);
+  check Alcotest.bool "copy's source keeps its image" true
+    (Lsr.Lsdb.graph b == shared);
+  check Alcotest.int "copy's source keeps its version" 1
+    (Lsr.Lsdb.version b ~u:0 ~v:1);
+  (* A flip by one database never changes what a sibling reads. *)
+  check Alcotest.bool "sibling still reads the link down" false
+    (Net.Graph.link_is_up (Lsr.Lsdb.graph a) 0 1);
+  check Alcotest.bool "shared graph unchanged" false
+    (Net.Graph.link_is_up shared 0 1);
+  check Alcotest.int "shared graph's version unchanged" 1
+    (Net.Graph.version shared);
+  (* The shared graph carries one shortest-path memo for both. *)
+  let ra = Net.Dijkstra.run (Lsr.Lsdb.graph a) 0
+  and rb = Net.Dijkstra.run (Lsr.Lsdb.graph b) 0 in
+  check Alcotest.bool "one physical search result" true
+    (ra.dist == rb.dist && ra.pred == rb.pred);
+  check Alcotest.int "three graphs published" 3
+    (distinct_graphs [ a; b; c; Lsr.Lsdb.create boot ])
+
+(* 100 databases learn the same k link failures, half in forward order
+   and half in reverse: at each step they hold one graph per order, and
+   one graph once they agree. *)
+let test_lsdb_sharing_bound () =
+  let boot = Lsr.Lsdb.boot (Net.Topo_gen.ring 8) in
+  let dbs = List.init 100 (fun _ -> Lsr.Lsdb.create boot) in
+  let links = [ (0, 1); (2, 3); (4, 5); (6, 7); (1, 2) ] in
+  let k = List.length links in
+  List.iteri
+    (fun step _ ->
+      List.iteri
+        (fun i db ->
+          let u, v = List.nth links (if i < 50 then step else k - 1 - step) in
+          Lsr.Lsdb.apply db { u; v; up = false; version = 1 })
+        dbs;
+      let n = distinct_graphs dbs in
+      if n > 2 then Alcotest.failf "step %d: %d distinct graphs" (step + 1) n)
+    links;
+  check Alcotest.int "one graph after the last step" 1 (distinct_graphs dbs)
 
 let test_lsdb_apply () =
   let g = Net.Topo_gen.line 3 in
@@ -358,6 +424,8 @@ let () =
       ( "lsdb",
         [
           Alcotest.test_case "isolated copy" `Quick test_lsdb_isolated_copy;
+          Alcotest.test_case "interned images" `Quick test_lsdb_interned;
+          Alcotest.test_case "sharing bound" `Quick test_lsdb_sharing_bound;
           Alcotest.test_case "apply events" `Quick test_lsdb_apply;
           Alcotest.test_case "version gating" `Quick test_lsdb_version_gating;
           Alcotest.test_case "link clock" `Quick test_lsdb_clock;
