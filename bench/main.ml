@@ -3,78 +3,20 @@
    opening claim, and the CBT trade-off discussion of §5.
 
    Usage: main.exe [fig6] [fig7] [fig8] [compare] [cbt] [ablation] [hierarchy]
-   [extra] [quick] [--domains N] [--json FILE]
+   [extra] [quick] [--domains N]
    With no section argument, everything runs.  [quick] shrinks the seed
    set (3 instead of 10 graphs per size) for a fast smoke run.
    [--domains N] spreads the figure sweeps' (size × seed) cells over N
    OCaml domains via Runner.Pool; every table is byte-identical for any
-   N.  [--json FILE] additionally records per-figure cell timings,
-   speedup vs the sequential estimate, commit/seed metadata and the
-   protocol counters of a pinned registry run — the BENCH_dgmc.json perf
-   trajectory.  Where the time goes, layer by layer, is the ledger's
-   traced table (bench/ledger). *)
+   N.  The repository's performance record, wall time and where it
+   goes layer by layer, is the benchmark ledger (bench/ledger). *)
 
 let quick = ref false
 
 let domains = ref 1
 
-(* The figure seed sets are 1..k; their base names the whole family. *)
-let master_seed = 1
-
 let seeds () =
   if !quick then [ 1; 2; 3 ] else Experiments.Figures.default_seeds
-
-(* ------------------------------------------------------------------ *)
-(* BENCH_dgmc.json accumulation *)
-
-let bench_sections : Metrics.Bench.section list ref = ref []
-
-let record name (t : Experiments.Figures.timing) =
-  bench_sections :=
-    {
-      Metrics.Bench.name;
-      elapsed_s = t.Experiments.Figures.elapsed_s;
-      seq_estimate_s = t.Experiments.Figures.seq_estimate_s;
-      domains = t.Experiments.Figures.domains_used;
-      cells = t.Experiments.Figures.cells;
-    }
-    :: !bench_sections
-
-let read_file path =
-  try Some (In_channel.with_open_text path In_channel.input_all)
-  with Sys_error _ -> None
-
-(* Enough git plumbing to stamp the record without shelling out: HEAD,
-   one level of symbolic ref, packed-refs fallback. *)
-let commit () =
-  match Sys.getenv_opt "DGMC_COMMIT" with
-  | Some c -> c
-  | None -> (
-    match read_file ".git/HEAD" with
-    | None -> "unknown"
-    | Some head -> (
-      let head = String.trim head in
-      match String.length head >= 5 && String.sub head 0 5 = "ref: " with
-      | false -> head
-      | true -> (
-        let r = String.sub head 5 (String.length head - 5) in
-        match read_file (".git/" ^ r) with
-        | Some sha -> String.trim sha
-        | None -> (
-          match read_file ".git/packed-refs" with
-          | None -> "unknown"
-          | Some txt ->
-            let matching =
-              List.find_opt
-                (fun line ->
-                  match String.index_opt line ' ' with
-                  | Some i -> String.sub line (i + 1) (String.length line - i - 1) = r
-                  | None -> false)
-                (String.split_on_char '\n' txt)
-            in
-            (match matching with
-            | Some line -> String.sub line 0 (String.index line ' ')
-            | None -> "unknown")))))
 
 let heading title =
   Printf.printf "\n================================================================\n";
@@ -89,7 +31,6 @@ let print_bursty title note (r : Experiments.Figures.bursty_result) =
 
 let fig6 () =
   let r = Experiments.Figures.fig6 ~domains:!domains ~seeds:(seeds ()) () in
-  record "fig6" r.Experiments.Figures.b_timing;
   print_bursty "Figure 6 - Experiment 1: bursty events, computation dominates"
     "(Tc = 400 us, t_hop = 4 us; 10-member join burst within one flooding \
      diameter;\n mean +/- 95% CI over the random graphs of each size)"
@@ -97,7 +38,6 @@ let fig6 () =
 
 let fig7 () =
   let r = Experiments.Figures.fig7 ~domains:!domains ~seeds:(seeds ()) () in
-  record "fig7" r.Experiments.Figures.b_timing;
   print_bursty "Figure 7 - Experiment 2: bursty events, communication dominates"
     "(Tc = 100 us, t_hop = 5 ms - WAN regime; same workload as Figure 6)"
     r
@@ -108,7 +48,6 @@ let fig8 () =
     "(established 5-member MC; 40 Poisson membership events, mean gap 50 \
      rounds;\n events handled individually => both ratios stay minimal)";
   let r = Experiments.Figures.fig8 ~domains:!domains ~seeds:(seeds ()) () in
-  record "fig8" r.Experiments.Figures.n_timing;
   Metrics.Table.print_table (Experiments.Figures.normal_table r);
   Printf.printf "all runs converged to network-wide agreement: %b\n"
     r.n_all_converged
@@ -122,7 +61,6 @@ let compare () =
   let c =
     Experiments.Figures.compare_protocols ~domains:!domains ~seeds:(seeds ()) ()
   in
-  record "compare" c.Experiments.Figures.c_timing;
   Metrics.Table.print_table (Experiments.Figures.comparison_table c)
 
 let cbt () =
@@ -220,12 +158,11 @@ let extra () =
 
 let usage () =
   prerr_endline
-    "usage: main.exe [SECTION...] [quick] [--domains N] [--json FILE]\n\
+    "usage: main.exe [SECTION...] [quick] [--domains N]\n\
      sections: fig6 fig7 fig8 compare cbt ablation hierarchy extra";
   exit 2
 
 let () =
-  let json = ref None in
   let rec parse = function
     | [] -> []
     | "quick" :: rest ->
@@ -238,10 +175,6 @@ let () =
         parse rest
       | _ -> usage ())
     | [ "--domains" ] -> usage ()
-    | "--json" :: v :: rest ->
-      json := Some v;
-      parse rest
-    | [ "--json" ] -> usage ()
     | a :: rest when String.length a >= 2 && String.sub a 0 2 = "--" -> (
       match String.index_opt a '=' with
       | Some i ->
@@ -263,39 +196,4 @@ let () =
   if want "ablation" then ablation ();
   if want "hierarchy" then hierarchy ();
   if want "extra" then extra ();
-  (match !json with
-  | None -> ()
-  | Some path ->
-    (* The record's [metrics] section: bursty runs on atm_lan, all
-       recording into one registry on this domain.  Seeds 1-4 run as a
-       one-domain timed batch whose per-task stats fill the pool.task_*
-       histograms; one more run at the master seed follows.  Counters
-       ride on simulated time, so they are exact for the seed and the
-       bench differ holds them so. *)
-    let registry = Metrics.Registry.create () in
-    let run seed =
-      ignore
-        (Experiments.Harness.bursty_run ~metrics:registry ~seed ~n:20
-           ~config:Dgmc.Config.atm_lan ~members:10 ())
-    in
-    let timed, _ = Runner.Pool.map_timed ~domains:1 run [ 1; 2; 3; 4 ] in
-    List.iter
-      (fun (t : unit Runner.Pool.timed) ->
-        Metrics.Registry.observe registry "pool.task_wall_s" t.stats.wall_s;
-        Metrics.Registry.observe registry "pool.task_alloc_bytes"
-          t.stats.alloc_bytes)
-      timed;
-    run master_seed;
-    let meta =
-      {
-        Metrics.Bench.commit = commit ();
-        master_seed;
-        domains = !domains;
-        quick = !quick;
-      }
-    in
-    Metrics.Bench.write ~path ~meta
-      ~metrics:(Metrics.Registry.snapshot registry)
-      (List.rev !bench_sections);
-    Printf.printf "bench record written to %s\n" path);
   print_newline ()

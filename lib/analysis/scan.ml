@@ -287,7 +287,7 @@ let pool_entry_points path =
          && String.sub prefix (String.length prefix - 5) 5 = ".Pool")
       || String.starts_with ~prefix:"Runner.Pool" path
     in
-    (pool && List.mem last [ "map"; "map_timed" ])
+    (pool && last = "map")
     || path = "Domain.spawn"
   | None -> false
 

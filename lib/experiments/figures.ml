@@ -3,19 +3,11 @@ type series = {
   points : (int * Metrics.Stats.summary) list;
 }
 
-type timing = {
-  elapsed_s : float;
-  seq_estimate_s : float;
-  domains_used : int;
-  cells : Metrics.Bench.cell list;
-}
-
 type bursty_result = {
   proposals : series;
   floodings : series;
   convergence : series;
   all_converged : bool;
-  b_timing : timing;
 }
 
 let default_sizes = [ 20; 40; 60; 80; 100 ]
@@ -24,53 +16,22 @@ let default_seeds = List.init 10 (fun i -> i + 1)
 
 (* Run one (size × seed) sweep through the domain pool and regroup the
    flat results by size.  Each cell derives all randomness from its own
-   (seed, n), so results are identical for any domain count; only the
-   wall-clock timings vary. *)
-let sweep_cells ?domains ~series_label ~sizes ~seeds run =
+   (seed, n), so results are identical for any domain count. *)
+let sweep_cells ?domains ~sizes ~seeds run =
   let cells =
     List.concat_map (fun n -> List.map (fun seed -> (n, seed)) seeds) sizes
   in
-  let timed, batch =
-    Runner.Pool.map_timed ?domains (fun (n, seed) -> run ~seed ~n) cells
+  let tagged =
+    List.combine cells
+      (Runner.Pool.map ?domains (fun (n, seed) -> run ~seed ~n) cells)
   in
-  let tagged = List.combine cells timed in
-  let by_size =
-    List.map
-      (fun n ->
-        ( n,
-          List.filter_map
-            (fun ((n', _), (t : _ Runner.Pool.timed)) ->
-              if n' = n then Some t.Runner.Pool.value else None)
-            tagged ))
-      sizes
-  in
-  let timing =
-    {
-      elapsed_s = batch.Runner.Pool.elapsed_s;
-      seq_estimate_s = batch.Runner.Pool.seq_estimate_s;
-      domains_used = batch.Runner.Pool.domains;
-      cells =
-        List.map
-          (fun ((n, seed), (t : _ Runner.Pool.timed)) ->
-            {
-              Metrics.Bench.series = series_label;
-              size = n;
-              seed;
-              wall_s = t.Runner.Pool.stats.Runner.Pool.wall_s;
-            })
-          tagged;
-    }
-  in
-  (by_size, timing)
-
-let merge_timings ts =
-  {
-    elapsed_s = List.fold_left (fun a t -> a +. t.elapsed_s) 0.0 ts;
-    seq_estimate_s = List.fold_left (fun a t -> a +. t.seq_estimate_s) 0.0 ts;
-    domains_used =
-      List.fold_left (fun a t -> max a t.domains_used) 1 ts;
-    cells = List.concat_map (fun t -> t.cells) ts;
-  }
+  List.map
+    (fun n ->
+      ( n,
+        List.filter_map
+          (fun ((n', _), r) -> if n' = n then Some r else None)
+          tagged ))
+    sizes
 
 (* One per-run metric of a sweep, reduced per size to mean ± CI. *)
 let series label extract by_size =
@@ -83,9 +44,9 @@ let series label extract by_size =
   }
 
 let bursty ?domains config ~sizes ~seeds ~members =
-  let runs, timing =
-    sweep_cells ?domains ~series_label:"dgmc" ~sizes ~seeds
-      (fun ~seed ~n -> Harness.bursty_run ~seed ~n ~config ~members ())
+  let runs =
+    sweep_cells ?domains ~sizes ~seeds (fun ~seed ~n ->
+        Harness.bursty_run ~seed ~n ~config ~members ())
   in
   {
     proposals =
@@ -100,7 +61,6 @@ let bursty ?domains config ~sizes ~seeds ~members =
       List.for_all
         (fun (_, rs) -> List.for_all (fun r -> r.Harness.converged) rs)
         runs;
-    b_timing = timing;
   }
 
 let fig6 ?domains ?(sizes = default_sizes) ?(seeds = default_seeds)
@@ -115,15 +75,14 @@ type normal_result = {
   n_proposals : series;
   n_floodings : series;
   n_all_converged : bool;
-  n_timing : timing;
 }
 
 let fig8 ?domains ?(sizes = default_sizes) ?(seeds = default_seeds)
     ?(events = 40) ?(gap_rounds = 50.0) () =
   let config = Dgmc.Config.atm_lan in
-  let runs, timing =
-    sweep_cells ?domains ~series_label:"dgmc" ~sizes ~seeds
-      (fun ~seed ~n -> Harness.poisson_run ~seed ~n ~config ~events ~gap_rounds ())
+  let runs =
+    sweep_cells ?domains ~sizes ~seeds (fun ~seed ~n ->
+        Harness.poisson_run ~seed ~n ~config ~events ~gap_rounds ())
   in
   {
     n_proposals =
@@ -134,7 +93,6 @@ let fig8 ?domains ?(sizes = default_sizes) ?(seeds = default_seeds)
       List.for_all
         (fun (_, rs) -> List.for_all (fun r -> r.Harness.converged) rs)
         runs;
-    n_timing = timing;
   }
 
 type comparison = {
@@ -145,18 +103,13 @@ type comparison = {
   dgmc_floodings : series;
   brute_floodings : series;
   mospf_floodings : series;
-  c_timing : timing;
 }
 
 let compare_protocols ?domains ?(sizes = default_sizes)
     ?(seeds = default_seeds) ?(members = 10) ?(sources = 3) () =
   let config = Dgmc.Config.atm_lan in
-  let timings = ref [] in
   let sweep label runner =
-    let per_size, timing =
-      sweep_cells ?domains ~series_label:label ~sizes ~seeds runner
-    in
-    timings := timing :: !timings;
+    let per_size = sweep_cells ?domains ~sizes ~seeds runner in
     ( series label (fun r -> r.Harness.computations_per_event) per_size,
       series label (fun r -> r.Harness.floodings_per_event) per_size )
   in
@@ -179,7 +132,6 @@ let compare_protocols ?domains ?(sizes = default_sizes)
     dgmc_floodings = dgmc_f;
     brute_floodings = brute_f;
     mospf_floodings = mospf_f;
-    c_timing = merge_timings (List.rev !timings);
   }
 
 type cbt_row = {

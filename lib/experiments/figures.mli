@@ -7,34 +7,20 @@
     [dgmc_sim] print and export the same rows under the same headers.
 
     Defaults follow DESIGN.md's reconstruction of the paper's setup:
-    sizes 20–100 step 20, 10 random graphs per size, 10-member bursts. *)
+    sizes 20–100 step 20, 10 random graphs per size, 10-member bursts.
+    Every result is byte-identical for any [?domains]: each cell derives
+    its randomness from its own (seed, size), see {!Runner.Pool}. *)
 
 type series = {
   label : string;
   points : (int * Metrics.Stats.summary) list;  (** (network size, summary). *)
 }
 
-type timing = {
-  elapsed_s : float;  (** Wall clock for the whole sweep. *)
-  seq_estimate_s : float;
-      (** Sum of per-cell wall times — the sequential estimate, so
-          speedup = [seq_estimate_s /. elapsed_s]. *)
-  domains_used : int;
-  cells : Metrics.Bench.cell list;
-      (** One per (sweep × size × seed) cell, as the bench record
-          stores it. *)
-}
-(** Where the time went.  Timings are the only part of a result that is
-    {e not} deterministic; every data series is byte-identical for any
-    [?domains] (each cell derives its randomness from its own (seed,
-    size), see {!Runner.Pool}). *)
-
 type bursty_result = {
   proposals : series;  (** Figure (a): topology computations per event. *)
   floodings : series;  (** Figure (b): flooding operations per event. *)
   convergence : series;  (** Figure (c): convergence time in rounds. *)
   all_converged : bool;  (** Every run reached network-wide agreement. *)
-  b_timing : timing;
 }
 
 val default_sizes : int list
@@ -58,7 +44,6 @@ type normal_result = {
   n_proposals : series;  (** Figure 8(a). *)
   n_floodings : series;  (** Figure 8(b). *)
   n_all_converged : bool;
-  n_timing : timing;
 }
 
 val fig8 :
@@ -80,7 +65,6 @@ type comparison = {
   dgmc_floodings : series;
   brute_floodings : series;
   mospf_floodings : series;
-  c_timing : timing;  (** All three sweeps merged. *)
 }
 
 val compare_protocols :

@@ -212,35 +212,3 @@ let snapshot t =
         (function k, Hist h -> Some (k, stats_of_hist h) | _ -> None)
         cells;
   }
-
-(* ------------------------------------------------------------------ *)
-(* Rendering *)
-
-(* Round-trip float rendering for the JSON snapshot. *)
-let json_num = Jsonf.num
-
-let key_json k =
-  Printf.sprintf {|"name": "%s", "switch": %s|} k.name
-    (match k.switch with Some s -> string_of_int s | None -> "null")
-
-let snapshot_json s =
-  let counter (k, v) = Printf.sprintf "{%s, \"value\": %d}" (key_json k) v in
-  let histo (k, h) =
-    Printf.sprintf
-      "{%s, \"count\": %d, \"sum\": %s, \"min\": %s, \"max\": %s, \"p50\": %s, \
-       \"p90\": %s, \"p99\": %s}"
-      (key_json k) h.h_count (json_num h.h_sum) (json_num h.h_min)
-      (json_num h.h_max) (json_num h.h_p50) (json_num h.h_p90)
-      (json_num h.h_p99)
-  in
-  let list f xs = String.concat ",\n      " (List.map f xs) in
-  Printf.sprintf
-    {|{
-    "counters": [
-      %s
-    ],
-    "histograms": [
-      %s
-    ]
-  }|}
-    (list counter s.counters) (list histo s.histograms)

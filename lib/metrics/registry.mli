@@ -18,12 +18,10 @@
     call ({!observe} or {!bump} on one of its handles) from
     another domain raises [Invalid_argument] naming both domains.  Code
     that records as it runs must run on the owner; work spread over
-    domains returns its results and the owner records them (as
-    [bench/main.exe --json] observes the pool's per-task stats after
-    the batch).
+    domains returns its results and the owner records them.
 
     {!snapshot} ordering is deterministic (sorted by name, then label),
-    so rendered output is stable across runs and domain counts.
+    so it is stable across runs and domain counts.
 
     The discipline mirrors [Sim.Trace]: {!disabled} is a shared registry
     that records nothing, so instrumented code records unconditionally
@@ -78,7 +76,7 @@ type histogram = {
   h_p99 : float;
 }
 
-(** {2 Snapshots and rendering} *)
+(** {2 Snapshots} *)
 
 type key = { name : string; switch : int option }
 
@@ -87,9 +85,7 @@ type snapshot = {
   histograms : (key * histogram) list;
 }
 
+(* dgmc-analyze: allow unused-export — test_telemetry "registry counters
+   pinned" checks every counter the layers record against a fixture *)
 val snapshot : t -> snapshot
 (** Deterministically sorted by (name, label). *)
-
-val snapshot_json : snapshot -> string
-(** A JSON object [{"counters": [...], "histograms": [...]}] — embedded by {!Bench} as the [metrics] section of
-    [dgmc-bench/1]. *)

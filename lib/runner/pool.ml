@@ -1,19 +1,3 @@
-type stats = {
-  task : int;
-  wall_s : float;
-  alloc_bytes : float;
-  domain : int;
-}
-
-type 'a timed = { value : 'a; stats : stats }
-
-type batch = {
-  elapsed_s : float;
-  seq_estimate_s : float;
-  domains : int;
-}
-
-(* ------------------------------------------------------------------ *)
 (* Scheduling: block-per-worker with back-end stealing.
 
    Worker [k] owns the contiguous index block [next, limit); it consumes
@@ -78,38 +62,21 @@ let next_task blocks k =
       blocks;
     if !victim < 0 then None else steal blocks.(!victim)
 
-let run_task f i slot results =
-  (* dgmc-analyze: allow nondet-source — wall-clock timing of task
-     execution; never feeds simulation state *)
-  let t0 = Unix.gettimeofday () in
-  let a0 = Gc.allocated_bytes () in
-  let outcome =
-    match f () with
-    | v -> Ok v
-    | exception exn ->
-      let bt = Printexc.get_raw_backtrace () in
-      Error (exn, bt)
-  in
-  (* dgmc-analyze: allow nondet-source — wall-clock timing measurement *)
-  let wall_s = Unix.gettimeofday () -. t0 in
-  let alloc_bytes = Gc.allocated_bytes () -. a0 in
+let run_task f i results =
   results.(i) <-
-    Some (outcome, { task = i; wall_s; alloc_bytes; domain = slot })
+    Some
+      (match f () with
+      | v -> Ok v
+      | exception exn ->
+        let bt = Printexc.get_raw_backtrace () in
+        Error (exn, bt))
 
-let raise_first results =
-  Array.iter
-    (function
-      | Some (Error (exn, bt), _) -> Printexc.raise_with_backtrace exn bt
-      | Some (Ok _, _) | None -> ())
-    results
-
-let run_batch ?(domains = 1) tasks =
+let map ?(domains = 1) f xs =
+  let tasks = Array.of_list (List.map (fun x () -> f x) xs) in
   let n = Array.length tasks in
-  (* dgmc-analyze: allow nondet-source — wall-clock timing of the batch *)
-  let started = Unix.gettimeofday () in
   let workers = max 1 (min domains n) in
   let results = Array.make n None in
-  if workers <= 1 then Array.iteri (fun i f -> run_task f i 0 results) tasks
+  if workers <= 1 then Array.iteri (fun i f -> run_task f i results) tasks
   else begin
     let blocks =
       Array.init workers (fun k ->
@@ -122,7 +89,7 @@ let run_batch ?(domains = 1) tasks =
       let rec loop () =
         match next_task blocks k with
         | Some i ->
-          run_task tasks.(i) i k results;
+          run_task tasks.(i) i results;
           loop ()
         | None -> ()
       in
@@ -134,27 +101,12 @@ let run_batch ?(domains = 1) tasks =
     worker 0;
     Array.iter Domain.join spawned
   end;
-  raise_first results;
-  let timed =
-    Array.map
-      (function
-        | Some (Ok value, stats) -> { value; stats }
-        | Some (Error _, _) | None -> assert false (* raise_first covered it *))
-      results
-  in
-  (* dgmc-analyze: allow nondet-source — wall-clock timing of the batch *)
-  let elapsed_s = Unix.gettimeofday () -. started in
-  let seq_estimate_s =
-    Array.fold_left (fun acc t -> acc +. t.stats.wall_s) 0.0 timed
-  in
-  (timed, { elapsed_s; seq_estimate_s; domains = workers })
-
-let map ?domains f xs =
-  let tasks = Array.of_list (List.map (fun x () -> f x) xs) in
-  let timed, _ = run_batch ?domains tasks in
-  Array.to_list (Array.map (fun t -> t.value) timed)
-
-let map_timed ?domains f xs =
-  let tasks = Array.of_list (List.map (fun x () -> f x) xs) in
-  let timed, batch = run_batch ?domains tasks in
-  (Array.to_list timed, batch)
+  (* Every task has run; [Array.map] goes in index order, so the
+     lowest-indexed failure is the one raised. *)
+  Array.to_list
+    (Array.map
+       (function
+         | Some (Ok v) -> v
+         | Some (Error (exn, bt)) -> Printexc.raise_with_backtrace exn bt
+         | None -> assert false (* every index is taken exactly once *))
+       results)

@@ -1,8 +1,9 @@
 (** Minimal JSON values: a hand-rolled parser and printing helpers.
 
-    The repo's serialization formats (dgmc-bench/1, dgmc-trace/1) are
-    written by hand; this module is the matching reader, plus the string
-    escaping and float rendering rules the writers share.  It supports
+    The repo's serialization formats (dgmc-trace/1, the run report,
+    dgmc-analyze/1, the ledger's records) are written by hand; this
+    module is the matching reader, plus the string escaping and float
+    rendering rules the writers share.  It supports
     the full JSON grammar (objects, arrays, strings with escapes,
     numbers, booleans, null) — enough to round-trip anything this
     codebase emits, with no external dependency. *)
@@ -19,13 +20,13 @@ val parse : string -> (t, string) result
 (** Parse one complete JSON value; trailing non-whitespace is an error. *)
 
 val escape : string -> string
-(** Escape a string's content for embedding between double quotes
-    ({!Metrics.Jsonf.escape}). *)
+(** Escape a string's content for embedding between double quotes. *)
 
 val number : float -> string
-(** Render a float: integral values without a fraction part, others with
-    17 significant digits so parsing recovers the exact bits.  Non-finite
-    values render as [null] ({!Metrics.Jsonf.num}). *)
+(** Render a float: integral values below 2{^53} without a fraction
+    part, other finite values with 17 significant digits, so parsing
+    recovers the exact bits and the JSON stays byte-diffable.  Non-finite
+    values render as [null]. *)
 
 val member : string -> t -> t option
 (** [member key json] — field lookup on objects, [None] otherwise. *)

@@ -214,17 +214,7 @@ let test_snapshot_deterministic () =
     Alcotest.(list (pair string (option int)))
     "sorted by name then label (aggregate first)"
     [ ("a", None); ("z", None); ("z", Some 1); ("z", Some 2) ]
-    keys;
-  (* snapshot_json is valid JSON with the two arrays *)
-  match Sim.Json.parse (Metrics.Registry.snapshot_json s) with
-  | Error e -> Alcotest.failf "snapshot_json does not parse: %s" e
-  | Ok j ->
-    List.iter
-      (fun k ->
-        match Sim.Json.member k j with
-        | Some (Sim.Json.Arr _) -> ()
-        | _ -> Alcotest.failf "missing %s array" k)
-      [ "counters"; "histograms" ]
+    keys
 
 (* ------------------------------------------------------------------ *)
 (* Table *)

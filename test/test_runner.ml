@@ -46,31 +46,6 @@ let test_pool_propagates_exceptions () =
       | exception Boom 5 -> ())
     [ 1; 4 ]
 
-let test_pool_timed_counters () =
-  let xs = List.init 9 (fun i -> i) in
-  let timed, batch =
-    Runner.Pool.map_timed ~domains:3
-      (fun x ->
-        (* Allocate something measurable. *)
-        Array.length (Array.make (1024 * (x + 1)) 0.0))
-      xs
-  in
-  check Alcotest.int "one stat per task" (List.length xs) (List.length timed);
-  List.iteri
-    (fun i (t : _ Runner.Pool.timed) ->
-      check Alcotest.int "task ids follow submission order" i
-        t.Runner.Pool.stats.Runner.Pool.task;
-      if not (t.Runner.Pool.stats.Runner.Pool.wall_s >= 0.0) then
-        Alcotest.fail "negative wall time";
-      if not (t.Runner.Pool.stats.Runner.Pool.alloc_bytes > 0.0) then
-        Alcotest.fail "no allocation recorded")
-    timed;
-  if not (batch.Runner.Pool.elapsed_s >= 0.0) then
-    Alcotest.fail "negative batch elapsed";
-  if not (batch.Runner.Pool.seq_estimate_s >= 0.0) then
-    Alcotest.fail "negative sequential estimate";
-  check Alcotest.int "domains capped at task count" 3 batch.Runner.Pool.domains
-
 (* ------------------------------------------------------------------ *)
 (* Seed derivation: pure in (master, index), independent of order *)
 
@@ -247,7 +222,6 @@ let () =
           Alcotest.test_case "empty batch" `Quick test_pool_empty_batch;
           Alcotest.test_case "exception propagation" `Quick
             test_pool_propagates_exceptions;
-          Alcotest.test_case "timed counters" `Quick test_pool_timed_counters;
         ] );
       ( "rng",
         [

@@ -1,7 +1,7 @@
 (* Flight-recorder telemetry: Series bucketing against hand-computed
    oracles, SLI sessionization, Phase attribution, zero-cost disabled
    paths, per-domain Registry merging through the pool, and the
-   bench-diff regression gate. *)
+   registry's counters over a fixed set of runs, pinned. *)
 
 open Alcotest
 
@@ -521,99 +521,29 @@ let test_harness_transparency () =
   check_monitor_writes_to_run_trace ()
 
 (* ------------------------------------------------------------------ *)
-(* Bench diff: the regression gate *)
+(* Registry counters: every counter the layers record, pinned *)
 
-let meta =
-  { Metrics.Bench.commit = "test"; master_seed = 1; domains = 2; quick = true }
-
-let section ?(cells = [ ("dgmc", 20, 1) ]) name seq =
-  {
-    Metrics.Bench.name;
-    elapsed_s = seq /. 2.0;
-    seq_estimate_s = seq;
-    domains = 2;
-    cells =
-      List.map
-        (fun (series, size, seed) ->
-          { Metrics.Bench.series; size; seed; wall_s = seq })
-        cells;
-  }
-
-(* The BENCH document [bench/main.exe --json] writes for [sections]. *)
-let document sections =
-  Oracle.with_temp_file (fun path ->
-      Metrics.Bench.write ~path ~meta sections;
-      Oracle.read_file path)
-
-let diff ?(wall_tol = 0.10) baseline candidate =
-  match
-    Report.Bench_diff.compare_strings ~wall_tol ~baseline:(document baseline)
-      ~candidate:(document candidate)
-  with
-  | Ok outcome -> outcome
-  | Error msg -> failf "bench documents failed to parse: %s" msg
-
-let test_bench_diff_self_compare () =
-  let doc = [ section "fig6" 1.0; section "fig7" 2.0 ] in
-  let outcome = diff doc doc in
-  check bool "self-comparison passes" false (Report.Bench_diff.failed outcome)
-
-let test_bench_diff_detects_regression () =
-  let base = [ section "fig6" 1.0; section "fig7" 2.0 ] in
-  let cand = [ section "fig6" 2.0; section "fig7" 4.0 ] in
-  let outcome = diff base cand in
-  check bool "2x wall regression fails the gate" true
-    (Report.Bench_diff.failed outcome);
-  let areas =
-    List.filter_map
-      (fun (f : Report.Bench_diff.finding) ->
-        if f.severity = Report.Bench_diff.Fail then Some f.area else None)
-      outcome.findings
+(* Five bursts (n = 20, atm_lan, 10 members, seeds 1-4 then 1 again)
+   recording into one registry.  Counters ride on simulated time, so
+   each (name, switch) sum is exact; a counter added, dropped or moved
+   by any layer shows as a diff against the fixture. *)
+let test_registry_counters_pinned () =
+  let registry = Metrics.Registry.create () in
+  List.iter
+    (fun seed ->
+      ignore
+        (Experiments.Harness.bursty_run ~metrics:registry ~seed ~n:20
+           ~config:Dgmc.Config.atm_lan ~members:10 ()))
+    [ 1; 2; 3; 4; 1 ];
+  let line ((k : Metrics.Registry.key), v) =
+    Printf.sprintf "%s %s %d" k.name
+      (match k.switch with Some s -> string_of_int s | None -> "-")
+      v
   in
-  check bool "total gated" true (List.mem "total" areas);
-  check bool "each section gated" true
-    (List.mem "section fig6" areas && List.mem "section fig7" areas)
-
-let test_bench_diff_missing_section () =
-  let base = [ section "fig6" 1.0; section "fig7" 2.0 ] in
-  let cand = [ section "fig6" 1.0 ] in
-  let outcome = diff base cand in
-  check bool "missing section is structural" true
-    (Report.Bench_diff.failed outcome);
-  check bool "the right section is named" true
-    (List.exists
-       (fun (f : Report.Bench_diff.finding) ->
-         f.severity = Report.Bench_diff.Fail
-         && f.area = "section fig7"
-         && f.detail = "missing from candidate")
-       outcome.findings)
-
-let test_bench_diff_cell_set_exact () =
-  let base = [ section ~cells:[ ("dgmc", 20, 1); ("dgmc", 20, 2) ] "fig6" 1.0 ] in
-  let cand = [ section ~cells:[ ("dgmc", 20, 1); ("dgmc", 40, 2) ] "fig6" 1.0 ] in
-  check bool "cell identity change fails even inside wall tolerance" true
-    (Report.Bench_diff.failed (diff base cand))
-
-let test_bench_diff_tolerance_boundary () =
-  let base = [ section "fig6" 1.0 ] in
-  let within = [ section "fig6" 1.05 ] in
-  let beyond = [ section "fig6" 1.2 ] in
-  check bool "+5% within a 10% tolerance" false
-    (Report.Bench_diff.failed (diff base within));
-  check bool "+20% beyond a 10% tolerance" true
-    (Report.Bench_diff.failed (diff base beyond));
-  check bool "+20% within a widened tolerance" false
-    (Report.Bench_diff.failed (diff ~wall_tol:0.25 base beyond))
-
-let test_bench_diff_floor_small_section () =
-  check bool "+20% on a 0.02 s section is under the 0.05 s floor" false
-    (Report.Bench_diff.failed
-       (diff [ section "fig6" 0.02 ] [ section "fig6" 0.024 ]))
-
-let test_bench_diff_floor_large_section () =
-  check bool "+20% on a 1 s section is over the 0.05 s floor" true
-    (Report.Bench_diff.failed
-       (diff [ section "fig6" 1.0 ] [ section "fig6" 1.2 ]))
+  check (list string) "counters match fixtures/registry_counters.expected"
+    (String.split_on_char '\n'
+       (String.trim (Oracle.read_file "fixtures/registry_counters.expected")))
+    (List.map line (Metrics.Registry.snapshot registry).counters)
 
 (* ------------------------------------------------------------------ *)
 
@@ -655,21 +585,8 @@ let () =
           test_case "telemetry never changes the run" `Quick
             test_harness_transparency;
         ] );
-      ( "bench-diff",
+      ( "registry",
         [
-          test_case "self-comparison passes" `Quick
-            test_bench_diff_self_compare;
-          test_case "2x regression detected" `Quick
-            test_bench_diff_detects_regression;
-          test_case "missing section fails" `Quick
-            test_bench_diff_missing_section;
-          test_case "cell sets compare exactly" `Quick
-            test_bench_diff_cell_set_exact;
-          test_case "wall tolerance boundary" `Quick
-            test_bench_diff_tolerance_boundary;
-          test_case "wall floor passes a small section" `Quick
-            test_bench_diff_floor_small_section;
-          test_case "wall floor still fails a large section" `Quick
-            test_bench_diff_floor_large_section;
+          test_case "counters pinned" `Quick test_registry_counters_pinned;
         ] );
     ]
