@@ -92,17 +92,29 @@ let trace_file_arg =
            $(b,dgmc_report).  '-' prints the human-readable timeline to \
            stdout instead.")
 
+(* A category no trace carries would silently retain nothing: a usage
+   error instead, naming the valid ones. *)
+let trace_category =
+  let parse s =
+    if List.mem s Sim.Trace.categories then Ok s
+    else
+      Error
+        (Printf.sprintf "unknown trace category '%s', expected one of %s" s
+           (String.concat ", " Sim.Trace.categories))
+  in
+  Arg.conv' (parse, Format.pp_print_string)
+
 let trace_cats_arg =
   Arg.(
     value
-    & opt (some (list string)) None
+    & opt (some (list trace_category)) None
     & info [ "trace-cats" ] ~docv:"CATS"
         ~doc:
-          "Comma-separated trace categories to retain (flood, forward, \
-           deliver, drop, compute, proposal, install, fault, crash, \
-           recover, resync, ...).  Default: all.  Filtering affects \
-           retention only; event ids stay globally consistent, so causal \
-           parents in a filtered trace still refer to real events.")
+          ("Comma-separated trace categories to retain, among "
+          ^ String.concat ", " Sim.Trace.categories
+          ^ ".  Default: all.  Filtering affects retention only; event ids \
+             stay globally consistent, so causal parents in a filtered \
+             trace still refer to real events."))
 
 let make_trace ?cap file cats =
   match file with

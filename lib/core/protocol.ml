@@ -85,16 +85,17 @@ type t = {
 (* The [Lsa_originated] event of an LSA: its MC, event and stamp for an
    MC LSA, only the kind of message otherwise. *)
 let originated ~switch ~seq (payload : Switch.payload) =
+  let none = { Sim.Trace.size = 0; nonzero = [||] } in
   let mc, ev, proposal, stamp =
     match payload with
     | Mc m ->
       ( Mc_id.to_string m.Mc_lsa.mc,
         Mc_lsa.event_to_string m.event,
         m.proposal <> None,
-        Timestamp.to_array m.stamp )
-    | Link ev -> ("", (if ev.up then "link-up" else "link-down"), false, [||])
-    | Resync (Resync.Summary _) -> ("", "resync-summary", false, [||])
-    | Resync (Resync.Delta _) -> ("", "resync-delta", false, [||])
+        Timestamp.to_sparse m.stamp )
+    | Link ev -> ("", (if ev.up then "link-up" else "link-down"), false, none)
+    | Resync (Resync.Summary _) -> ("", "resync-summary", false, none)
+    | Resync (Resync.Delta _) -> ("", "resync-delta", false, none)
   in
   Sim.Trace.Lsa_originated { switch; mc; seq; ev; proposal; stamp }
 
@@ -113,7 +114,12 @@ let originate t ~from payload send =
       Sim.Trace.emit t.trace ~time:(Sim.Engine.now t.engine)
         (originated ~switch:from ~seq payload)
     in
-    Sim.Trace.with_context t.trace oid (fun () -> send lsa)
+    let saved = Sim.Trace.set_context t.trace oid in
+    match send lsa with
+    | () -> Sim.Trace.restore_context t.trace saved
+    | exception e ->
+      Sim.Trace.restore_context t.trace saved;
+      raise e
   else send lsa
 
 (* A plain loop, not [List.iter] over a closure capturing [id], so a

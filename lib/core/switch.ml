@@ -266,7 +266,7 @@ let launch t mc (st : Mc_state.t) ~event =
                (match event with
                | Mc_lsa.No_event -> "receive-lsa"
                | ev -> "event:" ^ Mc_lsa.event_to_string ev);
-             r = Timestamp.to_array old_r;
+             r = Timestamp.to_sparse old_r;
            })
     else -1
   in
@@ -290,7 +290,7 @@ let proposal_made t mc (comp : Mc_state.computation) ~withdrawn =
            switch = t.id;
            mc = Mc_id.to_string mc;
            withdrawn;
-           stamp = Timestamp.to_array comp.old_r;
+           stamp = Timestamp.to_sparse comp.old_r;
          })
   else -1
 
@@ -311,9 +311,9 @@ let rec install t (st : Mc_state.t) mc ~stamp ~tree =
             {
               switch = t.id;
               mc = Mc_id.to_string mc;
-              r = Timestamp.to_array st.r;
-              e = Timestamp.to_array st.e;
-              c = Timestamp.to_array stamp;
+              r = Timestamp.to_sparse st.r;
+              e = Timestamp.to_sparse st.e;
+              c = Timestamp.to_sparse stamp;
               members = Member.to_string st.members;
               tree = Mctree.Tree.to_string tree;
             }));
@@ -364,23 +364,30 @@ and event_completion t mc (st : Mc_state.t) (comp : Mc_state.computation) =
       || Config.injects t.config Config.Skip_stale_withdrawal)
   in
   count_completion t ~withdrawn;
-  Sim.Trace.with_context t.trace (proposal_made t mc comp ~withdrawn)
-    (fun () ->
-      if withdrawn then begin
-        (* Lines 11-13: R advanced during the computation — withdraw,
-           but the event itself must still be advertised. *)
-        flood_lsa t mc ~event:comp.event ~proposal:None ~stamp:comp.old_r ();
-        st.flag <- true
-      end
-      else begin
-        (* Lines 7-10: proposal still valid — flood it and adopt it.
-           The member snapshot corresponds to [old_r] (= R, no events
-           arrived during the computation). *)
-        flood_lsa t mc ~event:comp.event ~proposal:(Some comp.proposal)
-          ~members:st.members ~stamp:comp.old_r ();
-        st.flag <- false;
-        install t st mc ~stamp:comp.old_r ~tree:comp.proposal
-      end);
+  let saved =
+    Sim.Trace.set_context t.trace (proposal_made t mc comp ~withdrawn)
+  in
+  (match
+     if withdrawn then begin
+       (* Lines 11-13: R advanced during the computation — withdraw,
+          but the event itself must still be advertised. *)
+       flood_lsa t mc ~event:comp.event ~proposal:None ~stamp:comp.old_r ();
+       st.flag <- true
+     end
+     else begin
+       (* Lines 7-10: proposal still valid — flood it and adopt it.
+          The member snapshot corresponds to [old_r] (= R, no events
+          arrived during the computation). *)
+       flood_lsa t mc ~event:comp.event ~proposal:(Some comp.proposal)
+         ~members:st.members ~stamp:comp.old_r ();
+       st.flag <- false;
+       install t st mc ~stamp:comp.old_r ~tree:comp.proposal
+     end
+   with
+  | () -> Sim.Trace.restore_context t.trace saved
+  | exception e ->
+    Sim.Trace.restore_context t.trace saved;
+    raise e);
   maybe_delete t mc st
 
 (* ------------------------------------------------------------------ *)
@@ -523,15 +530,22 @@ and triggered_completion t mc (st : Mc_state.t) (comp : Mc_state.computation) =
   count_completion t ~withdrawn;
   (* Lines 23-27: still up to date — flood, install, expect no more.
      Lines 28-30: obsolete — withdraw silently. *)
-  if not withdrawn then
-    Sim.Trace.with_context t.trace
-      (proposal_made t mc comp ~withdrawn:false)
-      (fun () ->
-        flood_lsa t mc ~event:Mc_lsa.No_event ~proposal:(Some comp.proposal)
-          ~members:st.members ~stamp:comp.old_r ();
-        st.e <- comp.old_r;
-        st.flag <- false;
-        install t st mc ~stamp:comp.old_r ~tree:comp.proposal);
+  if not withdrawn then begin
+    let saved =
+      Sim.Trace.set_context t.trace (proposal_made t mc comp ~withdrawn:false)
+    in
+    match
+      flood_lsa t mc ~event:Mc_lsa.No_event ~proposal:(Some comp.proposal)
+        ~members:st.members ~stamp:comp.old_r ();
+      st.e <- comp.old_r;
+      st.flag <- false;
+      install t st mc ~stamp:comp.old_r ~tree:comp.proposal
+    with
+    | () -> Sim.Trace.restore_context t.trace saved
+    | exception e ->
+      Sim.Trace.restore_context t.trace saved;
+      raise e
+  end;
   if not (Queue.is_empty st.mailbox) then run_invocation t mc st
   else maybe_delete t mc st
 
@@ -552,7 +566,14 @@ let under_resync t ~peer ?mc f =
            })
     else -1
   in
-  Sim.Trace.with_context t.trace rid f
+  let saved = Sim.Trace.set_context t.trace rid in
+  match f () with
+  | v ->
+    Sim.Trace.restore_context t.trace saved;
+    v
+  | exception e ->
+    Sim.Trace.restore_context t.trace saved;
+    raise e
 
 (* No computation in flight and no LSA outstanding: the precondition
    for re-proposing on state a resynchronisation changed. *)

@@ -195,6 +195,8 @@ let to_array t =
   iter_nonzero (fun x c -> a.(x) <- c) t;
   a
 
+let to_sparse t = { Sim.Trace.size = t.n; nonzero = Array.sub t.pairs 0 t.len }
+
 let pp ppf t =
   Format.fprintf ppf "(%a)"
     (Format.pp_print_seq

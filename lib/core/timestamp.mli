@@ -98,4 +98,8 @@ val iter_nonzero : (int -> int -> unit) -> t -> unit
 val to_array : t -> int array
 (** The dense view, as a fresh array.  O(n). *)
 
+val to_sparse : t -> Sim.Trace.stamp
+(** The stamp as a trace records it: a fresh copy of the positive
+    pairs, in time linear in their number. *)
+
 val pp : Format.formatter -> t -> unit

@@ -294,10 +294,8 @@ let close_transfer t slot =
   Sim.Slots.give_back r.r_ids slot
 
 let dropped t ~src ~dst ~fid lsa reason =
-  ignore
-    (Sim.Trace.emit t.trace ~time:(now t) ~parent:fid
-       (Lsa_dropped
-          { src; dst; origin = lsa.Lsa.origin; seq = lsa.Lsa.seq; reason }))
+  Sim.Trace.drop t.trace ~time:(now t) ~parent:fid ~src ~dst
+    ~origin:lsa.Lsa.origin ~seq:lsa.Lsa.seq reason
 
 (* End the live transfer in [slot] unacknowledged: free it, account
    and leave the trace breadcrumb.  Its tokens go stale with it, so a
@@ -322,15 +320,13 @@ let rec send_data t ~src ~dst ~link ~forward ~retransmit ~parent ~tid lsa =
   if not retransmit then Metrics.Registry.bump t.messages.(src);
   let fid =
     if traced t then
-      Sim.Trace.emit t.trace ~time:(now t)
-        ?parent:(if parent >= 0 then Some parent else None)
-        (Lsa_forwarded
-           { src; dst; origin = lsa.Lsa.origin; seq = lsa.Lsa.seq; retransmit })
+      Sim.Trace.forward t.trace ~time:(now t) ~parent ~src ~dst
+        ~origin:lsa.Lsa.origin ~seq:lsa.Lsa.seq ~retransmit
     else -1
   in
   let kind = if forward then Flooded else Unicast in
   if (not (put t ~kind ~src ~dst ~link ~fid ~tid lsa)) && traced t then
-    dropped t ~src ~dst ~fid lsa "fault";
+    dropped t ~src ~dst ~fid lsa Fault;
   fid
 
 (* The timeout of the transfer [tok] names.  The engine runs it only
@@ -340,7 +336,7 @@ let rec send_data t ~src ~dst ~link ~forward ~retransmit ~parent ~tid lsa =
 and retransmit t tok =
   let r = t.rtx and slot = tok land slot_mask in
   if r.tries.(slot) >= t.rel.max_retries then
-    drop_transfer t slot ~reason:"abandoned"
+    drop_transfer t slot ~reason:Abandoned
   else begin
     let src = r.r_src.(slot) in
     r.tries.(slot) <- r.tries.(slot) + 1;
@@ -392,18 +388,18 @@ and receive t lsa ~link ~at:switch ~from ~forward ~fid ~tid =
   if first_receipt t switch lsa then
     if traced t then begin
       let did =
-        Sim.Trace.emit t.trace ~time:(now t) ~parent:fid
-          (Lsa_delivered
-             {
-               switch;
-               source = from;
-               origin = lsa.Lsa.origin;
-               seq = lsa.Lsa.seq;
-             })
+        Sim.Trace.deliver t.trace ~time:(now t) ~parent:fid ~switch
+          ~source:from ~origin:lsa.Lsa.origin ~seq:lsa.Lsa.seq
       in
-      Sim.Trace.with_context t.trace did (fun () ->
-          t.deliver ~switch lsa;
-          if forward then forward_from t lsa ~at:switch ~from ~parent:did)
+      let saved = Sim.Trace.set_context t.trace did in
+      match
+        t.deliver ~switch lsa;
+        if forward then forward_from t lsa ~at:switch ~from ~parent:did
+      with
+      | () -> Sim.Trace.restore_context t.trace saved
+      | exception e ->
+        Sim.Trace.restore_context t.trace saved;
+        raise e
     end
     else begin
       t.deliver ~switch lsa;
@@ -450,7 +446,7 @@ let arrive t slot =
     if Net.Graph.is_up link then
       receive t lsa ~link ~at:dst ~from:src ~forward:(kind = Flooded) ~fid
         ~tid
-    else if traced t then dropped t ~src ~dst ~fid lsa "link-down"
+    else if traced t then dropped t ~src ~dst ~fid lsa Link_down
 
 let create ~engine ~graph ~t_hop ?(mode = Hop_by_hop)
     ?(reliability = default_reliability) ?transmit ~deliver () =
@@ -591,7 +587,7 @@ let abandon_link t ~src ~dst =
   List.iter
     (fun slot ->
       Sim.Engine.retire t.engine;
-      drop_transfer t slot ~reason:"neighbor-down")
+      drop_transfer t slot ~reason:Neighbor_down)
     slots;
   List.length slots
 

@@ -10,22 +10,47 @@
 
     Protocol code guards every emission with {!enabled}, so the hot path
     costs one branch when tracing is off: no payload is allocated, no id
-    is assigned.  Payloads are built only under that guard, and on hot
-    paths (every install, origination and applied membership event)
+    is assigned.
+
+    {b The store is columns.}  An enabled trace keeps its entries in
+    parallel arrays: ids, parents, kinds and times for every entry,
+    four int payload columns, and one column of boxed {!event}s for the
+    kinds that carry a string or a float.  The columns start empty and
+    grow a chunk of 1,024 entries at a time, without copying, up to
+    [cap]; then they turn into a ring (oldest evicted first, counted by
+    {!dropped}).  The per-copy flood events —
+    forwards, deliveries and drops, most of a traced run's entries —
+    and crashes, recoveries and suppressions live in the int columns
+    alone.  Flooding records them through {!forward}, {!deliver} and
+    {!drop}, which allocate nothing once the columns have grown, and
+    runs a delivery under its context with {!set_context} and
+    {!restore_context}, which allocate nothing either.  {!entries}
+    builds the records back when a trace is read.
+
+    Other payloads are built only under the {!enabled} guard, and on
+    hot paths (every install, origination and applied membership event)
     without [Format]: MC ids, member lists and trees come from their
     types' [to_string] renderers, and a hot note is a concatenated
-    string passed to {!record}.  {!recordf} is for cold paths.  Enabled traces retain at most [cap] entries in a ring
-    buffer (oldest evicted first, counted by {!dropped}).
+    string passed to {!record}.  {!recordf} is for cold paths.
+    Timestamp vectors are {!stamp}s: their nonzero components only,
+    copied from the protocol's own sparse storage, and rendered dense
+    by {!pp_entry} and the JSONL writer.
 
     Traces serialize to JSON Lines under the versioned schema
     [dgmc-trace/1]: a header object followed by one object per entry.
     {!read_jsonl} inverts {!write_jsonl} exactly. *)
 
+(** A timestamp vector of [size] components, stored sparse: [nonzero]
+    interleaves the nonzero components as [[| x0; c0; x1; c1; ... |]]
+    with [x0 < x1 < ...] and every [c] nonzero, so two stamps with the
+    same dense view are equal. *)
+type stamp = { size : int; nonzero : int array }
+
 (** Structured payloads.  Conventions: [switch], [src], [dst], [peer]
     are switch ids; [origin]/[seq] identify an LSA instance network-wide;
     [mc] is the rendered MC identifier ([""] when not MC-specific, e.g.
     link-state LSAs); timestamp vectors ([stamp], [r], [e], [c]) are
-    per-member event counts in member order. *)
+    per-switch event counts, as {!stamp}s. *)
 type event =
   | Lsa_originated of {
       switch : int;
@@ -33,7 +58,7 @@ type event =
       seq : int;
       ev : string;  (** what the LSA announces, e.g. [join]/[leave]/[link-down] *)
       proposal : bool;  (** does the LSA carry a tree proposal? *)
-      stamp : int array;
+      stamp : stamp;
     }
   | Lsa_forwarded of {
       src : int;
@@ -50,19 +75,19 @@ type event =
       seq : int;
       reason : string;  (** [fault], [link-down] or [abandoned] *)
     }
-  | Compute_started of { switch : int; mc : string; trigger : string; r : int array }
+  | Compute_started of { switch : int; mc : string; trigger : string; r : stamp }
   | Proposal_made of {
       switch : int;
       mc : string;
       withdrawn : bool;
-      stamp : int array;
+      stamp : stamp;
     }
   | Topology_installed of {
       switch : int;
       mc : string;
-      r : int array;
-      e : int array;
-      c : int array;
+      r : stamp;
+      e : stamp;
+      c : stamp;
       members : string;
       tree : string;
     }
@@ -107,23 +132,65 @@ val enabled : t -> bool
 val category : event -> string
 (** The event's category: [flood], [forward], [deliver], [drop],
     [compute], [proposal], [install], [fault], [crash], [recover],
-    [resync], or a {!Note}'s own category. *)
+    [resync], [detect], [suppress], or a {!Note}'s own category. *)
+
+val categories : string list
+(** Every category this library's traces carry: each structured
+    event's, then the notes' ([member], [adopt], [mc-delete], [truth],
+    [partition], [violation]; [detect] and [resync] notes share their
+    structured events' names). *)
 
 val emit : t -> time:float -> ?parent:int -> event -> int
 (** Append an event; returns its id, or [-1] if the trace is disabled.
     [parent] defaults to the ambient causal context (see
-    {!with_context}); pass it explicitly when the causing event's id was
+    {!set_context}); pass it explicitly when the causing event's id was
     captured across a scheduling boundary. *)
+
+(** {2 Per-copy flood events}
+
+    [emit] of the matching {!event}, without building it: each writes
+    the int columns only, and allocates nothing once they have grown.
+    A [parent] below 0 stands for the ambient context. *)
+
+type reason =
+  | Fault  (** an injected loss *)
+  | Link_down  (** the link failed while the copy was in flight *)
+  | Abandoned  (** a reliable transfer ran out of retries *)
+  | Neighbor_down
+      (** the health layer declared the neighbor dead (see
+          [Flooding.abandon_link]) *)
+
+val forward :
+  t -> time:float -> parent:int -> src:int -> dst:int -> origin:int ->
+  seq:int -> retransmit:bool -> int
+(** [Lsa_forwarded]; its id, or [-1] if the trace is disabled. *)
+
+val deliver :
+  t -> time:float -> parent:int -> switch:int -> source:int -> origin:int ->
+  seq:int -> int
+(** [Lsa_delivered]; its id, or [-1] if the trace is disabled. *)
+
+val drop :
+  t -> time:float -> parent:int -> src:int -> dst:int -> origin:int ->
+  seq:int -> reason -> unit
+(** [Lsa_dropped], its [reason] field [fault], [link-down], [abandoned]
+    or [neighbor-down]. *)
+
+(** {2 Causal context} *)
 
 val context : t -> int
 (** The ambient causal context: the id new events default their parent
     to, [-1] when none. *)
 
-val with_context : t -> int -> (unit -> 'a) -> 'a
-(** [with_context t id f] runs [f] with the ambient context set to [id]
-    (restored afterwards, also on exceptions).  [id = -1] leaves the
-    context untouched — so wrapping code in a disabled trace's context is
-    free. *)
+val set_context : t -> int -> int
+(** [set_context t id] makes [id] the ambient context and returns the
+    context it replaces, to hand to {!restore_context} when the code
+    that runs under [id] returns or raises.  [id < 0] leaves the
+    context as it is, so a disabled trace's context is never written.
+    Allocates nothing. *)
+
+val restore_context : t -> int -> unit
+(** Put back the context {!set_context} returned. *)
 
 val record : t -> time:float -> category:string -> string -> unit
 (** Record a {!Note} (if the trace is enabled). *)

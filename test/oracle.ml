@@ -318,6 +318,200 @@ module Trace = struct
 
   (* Ids assigned so far, as the capture's header records them. *)
   let emitted t = (Result.get_ok (round_trip t)).a_emitted
+
+  (* A stamp's dense view, and the canonical sparse stamp of a dense
+     vector, written independently of the library's walks. *)
+  let dense (s : Sim.Trace.stamp) =
+    let a = Array.make s.size 0 in
+    for j = 0 to (Array.length s.nonzero / 2) - 1 do
+      a.(s.nonzero.(2 * j)) <- s.nonzero.((2 * j) + 1)
+    done;
+    a
+
+  let sparse a =
+    let nonzero =
+      List.concat
+        (List.mapi (fun i x -> if x = 0 then [] else [ i; x ]) (Array.to_list a))
+    in
+    { Sim.Trace.size = Array.length a; nonzero = Array.of_list nonzero }
+
+  (* The store the columns replaced: one boxed entry record per event in
+     an array that grows geometrically up to [cap], then evicts its
+     oldest entry; and its JSONL writer, stamps rendered dense. *)
+  module Ring = struct
+    type t = {
+      cap : int;
+      cats : string list option;
+      mutable buf : Sim.Trace.entry array;
+      mutable start : int;
+      mutable len : int;
+      mutable next_id : int;
+      mutable evicted : int;
+      mutable ctx : int;
+    }
+
+    let create ~cap ?cats () =
+      {
+        cap;
+        cats;
+        buf = [||];
+        start = 0;
+        len = 0;
+        next_id = 0;
+        evicted = 0;
+        ctx = -1;
+      }
+
+    let retains t ev =
+      match t.cats with
+      | None -> true
+      | Some cats -> List.exists (String.equal (Sim.Trace.category ev)) cats
+
+    let push t e =
+      let capacity = Array.length t.buf in
+      if t.len < t.cap then begin
+        if t.len = capacity then begin
+          let grown = Array.make (min t.cap (max 256 (2 * capacity))) e in
+          Array.blit t.buf 0 grown 0 t.len;
+          t.buf <- grown
+        end;
+        t.buf.(t.len) <- e;
+        t.len <- t.len + 1
+      end
+      else begin
+        t.buf.(t.start) <- e;
+        t.start <- (t.start + 1) mod capacity;
+        t.evicted <- t.evicted + 1
+      end
+
+    let emit t ~time ?parent event =
+      let id = t.next_id in
+      t.next_id <- id + 1;
+      let parent = match parent with Some p -> p | None -> t.ctx in
+      if retains t event then push t { Sim.Trace.id; parent; time; event };
+      id
+
+    let set_context t id =
+      let saved = t.ctx in
+      if id >= 0 then t.ctx <- id;
+      saved
+
+    let restore_context t saved = t.ctx <- saved
+
+    let entries t =
+      List.init t.len (fun i -> t.buf.((t.start + i) mod Array.length t.buf))
+
+    let count t = t.len
+
+    let emitted t = t.next_id
+
+    let dropped t = t.evicted
+
+    let event_fields b (event : Sim.Trace.event) =
+      let int key v = Printf.bprintf b ",\"%s\":%d" key v
+      and str key v = Printf.bprintf b ",\"%s\":\"%s\"" key (Sim.Json.escape v)
+      and bool key v = Printf.bprintf b ",\"%s\":%b" key v
+      and vec key v =
+        Printf.bprintf b ",\"%s\":[%s]" key
+          (String.concat "," (List.map string_of_int (Array.to_list (dense v))))
+      in
+      match event with
+      | Lsa_originated { switch; mc; seq; ev; proposal; stamp } ->
+        str "kind" "lsa-originated";
+        int "switch" switch;
+        str "mc" mc;
+        int "seq" seq;
+        str "ev" ev;
+        bool "proposal" proposal;
+        vec "stamp" stamp
+      | Lsa_forwarded { src; dst; origin; seq; retransmit } ->
+        str "kind" "lsa-forwarded";
+        int "src" src;
+        int "dst" dst;
+        int "origin" origin;
+        int "seq" seq;
+        bool "retransmit" retransmit
+      | Lsa_delivered { switch; source; origin; seq } ->
+        str "kind" "lsa-delivered";
+        int "switch" switch;
+        int "source" source;
+        int "origin" origin;
+        int "seq" seq
+      | Lsa_dropped { src; dst; origin; seq; reason } ->
+        str "kind" "lsa-dropped";
+        int "src" src;
+        int "dst" dst;
+        int "origin" origin;
+        int "seq" seq;
+        str "reason" reason
+      | Compute_started { switch; mc; trigger; r } ->
+        str "kind" "compute-started";
+        int "switch" switch;
+        str "mc" mc;
+        str "trigger" trigger;
+        vec "r" r
+      | Proposal_made { switch; mc; withdrawn; stamp } ->
+        str "kind" "proposal-made";
+        int "switch" switch;
+        str "mc" mc;
+        bool "withdrawn" withdrawn;
+        vec "stamp" stamp
+      | Topology_installed { switch; mc; r; e; c; members; tree } ->
+        str "kind" "topology-installed";
+        int "switch" switch;
+        str "mc" mc;
+        vec "r" r;
+        vec "e" e;
+        vec "c" c;
+        str "members" members;
+        str "tree" tree
+      | Fault_injected { src; dst; fault } ->
+        str "kind" "fault-injected";
+        int "src" src;
+        int "dst" dst;
+        str "fault" fault
+      | Crash { switch } ->
+        str "kind" "crash";
+        int "switch" switch
+      | Recover { switch } ->
+        str "kind" "recover";
+        int "switch" switch
+      | Resync { switch; peer; mc } ->
+        str "kind" "resync";
+        int "switch" switch;
+        int "peer" peer;
+        str "mc" mc
+      | Link_detected { switch; peer; up; latency; spurious } ->
+        str "kind" "link-detected";
+        int "switch" switch;
+        int "peer" peer;
+        bool "up" up;
+        Printf.bprintf b ",\"latency\":%s" (Sim.Json.number latency);
+        bool "spurious" spurious
+      | Link_suppressed { switch; peer; resumed } ->
+        str "kind" "link-suppressed";
+        int "switch" switch;
+        int "peer" peer;
+        bool "resumed" resumed
+      | Note { category; message } ->
+        str "kind" "note";
+        str "cat" category;
+        str "msg" message
+
+    let to_jsonl t =
+      let b = Buffer.create 4096 in
+      Printf.bprintf b
+        "{\"schema\":\"dgmc-trace/1\",\"emitted\":%d,\"dropped\":%d}\n"
+        (emitted t) (dropped t);
+      List.iter
+        (fun (e : Sim.Trace.entry) ->
+          Printf.bprintf b "{\"id\":%d,\"parent\":%d,\"t\":%s" e.id e.parent
+            (Sim.Json.number e.time);
+          event_fields b e.event;
+          Buffer.add_string b "}\n")
+        (entries t);
+      Buffer.contents b
+  end
 end
 
 module Bursty = struct

@@ -1448,6 +1448,208 @@ let test_fade_candidates_vs_search () =
       done)
     graphs
 
+(* ------------------------------------------------------------------ *)
+(* The columnar trace store vs the boxed ring it replaced *)
+
+type trace_op =
+  | Event of { time : float; parent : int option; event : Sim.Trace.event }
+  | Enter of int  (** set the context *)
+  | Leave  (** restore the innermost context set *)
+
+type trace_case = {
+  cap : int;
+  cats : string list option;
+  ops : trace_op list;
+  vectors : int array list;  (** every stamp's dense vector *)
+}
+
+let drop_reasons : (string * Sim.Trace.reason) list =
+  [
+    ("fault", Fault);
+    ("link-down", Link_down);
+    ("abandoned", Abandoned);
+    ("neighbor-down", Neighbor_down);
+  ]
+
+(* A sequence of every event kind, explicit parents and contexts among
+   them, into a ring of 1..64 entries with a random category filter
+   (sometimes naming a category no event has).  Stamps are short dense
+   vectors with zeros, explicit parents are ids that may not exist yet:
+   the store records what it is given. *)
+let trace_case_of_seed seed =
+  let st = Random.State.make [| seed |] in
+  let int n = Random.State.int st n and bool () = Random.State.bool st in
+  let pick l = List.nth l (int (List.length l)) in
+  let vectors = ref [] in
+  let stamp () =
+    let v = Array.init (int 6) (fun _ -> if bool () then 0 else int 5) in
+    vectors := v :: !vectors;
+    Oracle.Trace.sparse v
+  in
+  let str () = pick [ ""; "mc#1(symmetric)"; "say \"hi\"\n"; "join:both" ] in
+  let event () : Sim.Trace.event =
+    match int 14 with
+    | 0 ->
+      Lsa_originated
+        {
+          switch = int 8;
+          mc = str ();
+          seq = int 9;
+          ev = str ();
+          proposal = bool ();
+          stamp = stamp ();
+        }
+    | 1 ->
+      Lsa_forwarded
+        {
+          src = int 8;
+          dst = int 8;
+          origin = int 8;
+          seq = int 9;
+          retransmit = bool ();
+        }
+    | 2 ->
+      Lsa_delivered
+        { switch = int 8; source = int 8; origin = int 8; seq = int 9 }
+    | 3 ->
+      Lsa_dropped
+        {
+          src = int 8;
+          dst = int 8;
+          origin = int 8;
+          seq = int 9;
+          reason = pick ("other" :: List.map fst drop_reasons);
+        }
+    | 4 ->
+      Compute_started
+        { switch = int 8; mc = str (); trigger = str (); r = stamp () }
+    | 5 ->
+      Proposal_made
+        { switch = int 8; mc = str (); withdrawn = bool (); stamp = stamp () }
+    | 6 ->
+      let r = stamp () in
+      let e = stamp () in
+      let c = stamp () in
+      Topology_installed
+        { switch = int 8; mc = str (); r; e; c; members = str (); tree = str () }
+    | 7 -> Fault_injected { src = int 8; dst = int 8; fault = str () }
+    | 8 -> Crash { switch = int 8 }
+    | 9 -> Recover { switch = int 8 }
+    | 10 -> Resync { switch = int 8; peer = int 8; mc = str () }
+    | 11 ->
+      Link_detected
+        {
+          switch = int 8;
+          peer = int 8;
+          up = bool ();
+          latency = Random.State.float st 2.0;
+          spurious = bool ();
+        }
+    | 12 -> Link_suppressed { switch = int 8; peer = int 8; resumed = bool () }
+    | _ -> Note { category = pick [ "member"; "truth"; "n" ]; message = str () }
+  in
+  let cap = 1 + int 64 in
+  let cats =
+    if int 3 = 0 then None
+    else
+      Some
+        (List.filter (fun _ -> bool ()) ("n" :: "nothing" :: Sim.Trace.categories))
+  in
+  let ops =
+    List.init (int 200) (fun _ ->
+        match int 10 with
+        | 0 -> Enter (int 20 - 1)
+        | 1 -> Leave
+        | _ ->
+          let time = Random.State.float st 100.0 in
+          let parent = if bool () then None else Some (int 300) in
+          Event { time; parent; event = event () })
+  in
+  { cap; cats; ops; vectors = !vectors }
+
+(* The same sequence into the ring, into a store through [emit] only,
+   and into a store through the flood emitters where they apply: every
+   id returned, the retained entries and counters, and the JSONL text
+   agree, and the text reads back as the entries. *)
+let prop_trace_store_vs_ring =
+  QCheck2.Test.make ~name:"columnar trace store equals the boxed ring"
+    ~count:300 ~print:string_of_int
+    QCheck2.Gen.(int_bound 1_000_000)
+    (fun seed ->
+      let c = trace_case_of_seed seed in
+      let ring = Oracle.Trace.Ring.create ~cap:c.cap ?cats:c.cats () in
+      let by_emit = Sim.Trace.create ~cap:c.cap ?cats:c.cats () in
+      let by_emitters = Sim.Trace.create ~cap:c.cap ?cats:c.cats () in
+      let saved = Stack.create () in
+      let emitters ~time ?parent (event : Sim.Trace.event) =
+        let p = Option.value parent ~default:(-1) in
+        match event with
+        | Lsa_forwarded { src; dst; origin; seq; retransmit } ->
+          Sim.Trace.forward by_emitters ~time ~parent:p ~src ~dst ~origin ~seq
+            ~retransmit
+        | Lsa_delivered { switch; source; origin; seq } ->
+          Sim.Trace.deliver by_emitters ~time ~parent:p ~switch ~source ~origin
+            ~seq
+        | Lsa_dropped { src; dst; origin; seq; reason }
+          when List.mem_assoc reason drop_reasons ->
+          let id = Oracle.Trace.emitted by_emitters in
+          Sim.Trace.drop by_emitters ~time ~parent:p ~src ~dst ~origin ~seq
+            (List.assoc reason drop_reasons);
+          id
+        | _ -> Sim.Trace.emit by_emitters ~time ?parent event
+      in
+      List.iter
+        (function
+          | Enter id ->
+            Stack.push
+              ( Oracle.Trace.Ring.set_context ring id,
+                Sim.Trace.set_context by_emit id,
+                Sim.Trace.set_context by_emitters id )
+              saved
+          | Leave -> (
+            match Stack.pop_opt saved with
+            | None -> ()
+            | Some (a, b, d) ->
+              Oracle.Trace.Ring.restore_context ring a;
+              Sim.Trace.restore_context by_emit b;
+              Sim.Trace.restore_context by_emitters d)
+          | Event { time; parent; event } ->
+            let want = Oracle.Trace.Ring.emit ring ~time ?parent event in
+            let got = Sim.Trace.emit by_emit ~time ?parent event in
+            let got' = emitters ~time ?parent event in
+            if got <> want || got' <> want then
+              QCheck2.Test.fail_reportf "ids %d and %d, want %d" got got' want)
+        c.ops;
+      let text = Oracle.Trace.Ring.to_jsonl ring in
+      let same what t =
+        if Sim.Trace.entries t <> Oracle.Trace.Ring.entries ring then
+          QCheck2.Test.fail_reportf "%s: entries differ" what;
+        if Sim.Trace.count t <> Oracle.Trace.Ring.count ring then
+          QCheck2.Test.fail_reportf "%s: count differs" what;
+        if Sim.Trace.dropped t <> Oracle.Trace.Ring.dropped ring then
+          QCheck2.Test.fail_reportf "%s: dropped differs" what;
+        if Sim.Trace.context t <> Oracle.Trace.Ring.(ring.ctx) then
+          QCheck2.Test.fail_reportf "%s: context differs" what;
+        Oracle.with_temp_file (fun path ->
+            Sim.Trace.write_jsonl t ~path;
+            let written = Oracle.read_file path in
+            if not (String.equal written text) then
+              QCheck2.Test.fail_reportf "%s: JSONL differs:\n%s\nwant:\n%s"
+                what written text;
+            match Sim.Trace.read_jsonl ~path with
+            | Error e -> QCheck2.Test.fail_reportf "%s: read_jsonl: %s" what e
+            | Ok a ->
+              if a.a_entries <> Sim.Trace.entries t then
+                QCheck2.Test.fail_reportf "%s: read_jsonl differs" what;
+              if a.a_emitted <> Oracle.Trace.Ring.emitted ring then
+                QCheck2.Test.fail_reportf "%s: emitted differs" what)
+      in
+      same "emit" by_emit;
+      same "emitters" by_emitters;
+      List.for_all
+        (fun v -> Oracle.Trace.dense (Oracle.Trace.sparse v) = v)
+        c.vectors)
+
 let () =
   Alcotest.run "oracles"
     [
@@ -1494,6 +1696,7 @@ let () =
           Alcotest.test_case "fade candidates vs connectivity search" `Quick
             test_fade_candidates_vs_search;
         ] );
+      ("trace", [ QCheck_alcotest.to_alcotest prop_trace_store_vs_ring ]);
       ( "steiner",
         [
           Alcotest.test_case "oracle sanity" `Quick test_exact_oracle_sanity;

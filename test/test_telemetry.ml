@@ -77,17 +77,19 @@ let test_series_per_switch_keys () =
 (* Synthetic trace entries, one SLI role each: a local event's
    computation anchors a window, a proposal origination is control
    traffic, an install closes the window. *)
+let empty = { Sim.Trace.size = 0; nonzero = [||] }
+
 let anchor mc =
   Sim.Trace.Compute_started
-    { switch = 0; mc; trigger = "event:join:both"; r = [||] }
+    { switch = 0; mc; trigger = "event:join:both"; r = empty }
 
 let control mc =
   Sim.Trace.Lsa_originated
-    { switch = 0; mc; seq = 0; ev = "none"; proposal = true; stamp = [||] }
+    { switch = 0; mc; seq = 0; ev = "none"; proposal = true; stamp = empty }
 
 let install mc =
   Sim.Trace.Topology_installed
-    { switch = 0; mc; r = [||]; e = [||]; c = [||]; members = ""; tree = "" }
+    { switch = 0; mc; r = empty; e = empty; c = empty; members = ""; tree = "" }
 
 let entries =
   List.mapi
@@ -336,10 +338,17 @@ let test_disabled_registry_any_domain () =
   check bool "nothing recorded" true (Oracle.Registry.is_empty r)
 
 (* A trace costs what its payloads cost to build.  On one domain, a
-   traced Fig 6 burst (n = 100, seed 1) may allocate at most three times
-   the minor words of the same run untraced.  Rendering every install,
-   MC id and membership note through [Format] took 4.4 times; building
-   them with [Buffer] and concatenation takes 1.75. *)
+   traced Fig 6 burst (n = 100, seed 1) may allocate at most twice the
+   minor words of the same run untraced.  Rendering every install, MC
+   id and membership note through [Format] took 4.4 times.  With boxed
+   entry records and dense stamps it took 2.60 times in the dev profile
+   (166,821 -> 434,083 words) and 2.83 in release (146,100 -> 413,362).
+   With the columnar store and sparse stamps it takes 1.56 in dev
+   (166,668 -> 260,506) and 1.64 in release (145,947 -> 239,785).  The
+   columns' chunks are allocated in the major heap, which minor words
+   do not count.  Counting direct major allocations too
+   ([Alloc.words_allocated]), the ratio went from 2.58 to 1.93 in dev
+   and from 2.77 to 2.05 in release. *)
 let test_trace_cost_bound () =
   let words trace =
     let before = Gc.minor_words () in
@@ -353,8 +362,8 @@ let test_trace_cost_bound () =
   let trace = Sim.Trace.create () in
   let traced = words (Some trace) in
   check bool "the run was traced" true (Sim.Trace.count trace > 1000);
-  if traced > 3.0 *. plain then
-    Alcotest.failf "traced run allocated %d minor words, over 3x the %d untraced"
+  if traced > 2.0 *. plain then
+    Alcotest.failf "traced run allocated %d minor words, over 2x the %d untraced"
       (int_of_float traced) (int_of_float plain)
 
 (* ------------------------------------------------------------------ *)
@@ -577,7 +586,7 @@ let () =
             test_disabled_zero_alloc;
           test_case "disabled registry records from any domain" `Quick
             test_disabled_registry_any_domain;
-          test_case "traced burst allocates at most 3x untraced" `Quick
+          test_case "traced burst allocates at most 2x untraced" `Quick
             test_trace_cost_bound;
         ] );
       ( "transparency",

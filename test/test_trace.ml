@@ -6,6 +6,8 @@ let check = Alcotest.check
 
 (* One of each payload variant, exercising every field shape the JSONL
    writer has to carry (arrays, strings with quotes, bools, floats). *)
+let both = { Sim.Trace.size = 2; nonzero = [| 0; 1; 1; 1 |] }
+
 let sample_events : Sim.Trace.event list =
   [
     Lsa_originated
@@ -15,22 +17,22 @@ let sample_events : Sim.Trace.event list =
         seq = 7;
         ev = "join:both";
         proposal = true;
-        stamp = [| 1; 0; 2 |];
+        stamp = { size = 3; nonzero = [| 0; 1; 2; 2 |] };
       };
     Lsa_forwarded { src = 3; dst = 5; origin = 3; seq = 7; retransmit = true };
     Lsa_delivered { switch = 5; source = 3; origin = 3; seq = 7 };
     Lsa_dropped { src = 3; dst = 5; origin = 3; seq = 7; reason = "fault" };
     Compute_started
-      { switch = 5; mc = "mc#1(symmetric)"; trigger = "receive-lsa"; r = [| 1; 1 |] };
+      { switch = 5; mc = "mc#1(symmetric)"; trigger = "receive-lsa"; r = both };
     Proposal_made
-      { switch = 5; mc = "mc#1(symmetric)"; withdrawn = false; stamp = [| 1; 1 |] };
+      { switch = 5; mc = "mc#1(symmetric)"; withdrawn = false; stamp = both };
     Topology_installed
       {
         switch = 5;
         mc = "mc#1(symmetric)";
-        r = [| 1; 1 |];
-        e = [| 1; 1 |];
-        c = [| 1; 1 |];
+        r = both;
+        e = both;
+        c = both;
         members = "{3:both, 5:both}";
         tree = "tree terminals={3, 5} edges=[3-5]";
       };
@@ -161,6 +163,102 @@ let test_disabled_recordf_zero_alloc () =
   check Alcotest.(float 0.0) "zero bytes over 1000 disabled records" 0.0
     allocated
 
+(* Flooding's per-copy events go straight into the int columns: once the
+   columns have grown, a forward and a delivery with its context set
+   and restored allocate nothing.  Same baseline technique as the
+   disabled [recordf] test above. *)
+let test_emitters_zero_alloc () =
+  let copies t n =
+    for seq = 1 to n do
+      let fid =
+        Sim.Trace.forward t ~time:1.0 ~parent:(-1) ~src:1 ~dst:2 ~origin:1
+          ~seq ~retransmit:false
+      in
+      let did =
+        Sim.Trace.deliver t ~time:1.0 ~parent:fid ~switch:2 ~source:1
+          ~origin:1 ~seq
+      in
+      let saved = Sim.Trace.set_context t did in
+      Sim.Trace.restore_context t saved
+    done
+  in
+  (* 6,000 entries grow the columns to the whole 4,096-entry ring. *)
+  let t = Sim.Trace.create ~cap:4096 () in
+  copies t 3000;
+  let baseline =
+    let a = Gc.allocated_bytes () in
+    Gc.allocated_bytes () -. a
+  in
+  let a0 = Gc.allocated_bytes () in
+  copies t 1000;
+  let allocated = Gc.allocated_bytes () -. a0 -. baseline in
+  check Alcotest.(float 0.0) "zero bytes over 1000 copies" 0.0 allocated;
+  check Alcotest.int "context restored" (-1) (Sim.Trace.context t);
+  let t = Sim.Trace.create () in
+  copies t 10;
+  check Alcotest.int "entries retained" 20 (Sim.Trace.count t);
+  match Sim.Trace.entries t with
+  | { event = Lsa_forwarded { seq = 1; _ }; parent = -1; _ }
+    :: { id = 1; event = Lsa_delivered { seq = 1; _ }; parent = 0; _ }
+    :: _ ->
+    ()
+  | _ -> Alcotest.fail "the copies do not read back as forward, delivery"
+
+(* A delivery that raises still leaves the context it found. *)
+let test_delivery_exception_restores_context () =
+  let trace = Sim.Trace.create () in
+  let engine = Sim.Engine.create ~trace () in
+  let deliver ~switch:_ _ = raise Exit in
+  let f =
+    Lsr.Flooding.create ~engine ~graph:(Net.Topo_gen.line 3) ~t_hop:1.0
+      ~deliver ()
+  in
+  let outer =
+    Sim.Trace.emit trace ~time:0.0 (Note { category = "n"; message = "outer" })
+  in
+  let saved = Sim.Trace.set_context trace outer in
+  Lsr.Flooding.flood f (Lsr.Lsa.make ~origin:0 ~seq:0 ());
+  (match Sim.Engine.run engine with
+  | () -> Alcotest.fail "the delivery did not raise"
+  | exception Exit -> ());
+  check Alcotest.int "context restored after the raise" outer
+    (Sim.Trace.context trace);
+  Sim.Trace.restore_context trace saved;
+  check Alcotest.bool "the delivery was traced" true
+    (List.exists
+       (fun (e : Sim.Trace.entry) ->
+         match e.event with Lsa_delivered _ -> true | _ -> false)
+       (Sim.Trace.entries trace))
+
+(* [--trace-cats] accepts exactly {!Sim.Trace.categories}: every
+   category a traced scenario records must be among them. *)
+let test_scenario_categories_accepted () =
+  let dir = List.find Sys.file_exists [ "../scenarios"; "scenarios" ] in
+  let files =
+    List.filter
+      (fun f -> Filename.check_suffix f ".dgmc")
+      (List.sort String.compare (Array.to_list (Sys.readdir dir)))
+  in
+  check Alcotest.int "scenarios" 11 (List.length files);
+  let members = ref 0 in
+  List.iter
+    (fun file ->
+      match Workload.Script.load (Filename.concat dir file) with
+      | Error msg -> Alcotest.failf "%s: %s" file msg
+      | Ok script ->
+        let trace = Sim.Trace.create () in
+        Dgmc.Protocol.run (Workload.Script.build ~trace script);
+        List.iter
+          (fun (e : Sim.Trace.entry) ->
+            let cat = Sim.Trace.category e.event in
+            if String.equal cat "member" then incr members;
+            if not (List.mem cat Sim.Trace.categories) then
+              Alcotest.failf "%s records category %S, which --trace-cats rejects"
+                file cat)
+          (Sim.Trace.entries trace))
+    files;
+  check Alcotest.bool "member notes seen" true (!members > 0)
+
 (* Malformed captures: each fails with the physical line of its first
    bad line and the reason. *)
 let test_of_jsonl_rejects_garbage () =
@@ -230,5 +328,14 @@ let () =
         [
           Alcotest.test_case "disabled recordf allocates nothing" `Quick
             test_disabled_recordf_zero_alloc;
+          Alcotest.test_case "flood emitters allocate nothing" `Quick
+            test_emitters_zero_alloc;
+          Alcotest.test_case "a raising delivery restores the context"
+            `Quick test_delivery_exception_restores_context;
+        ] );
+      ( "categories",
+        [
+          Alcotest.test_case "every scenario category is accepted" `Quick
+            test_scenario_categories_accepted;
         ] );
     ]
