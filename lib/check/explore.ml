@@ -80,7 +80,9 @@ let check_terminal h =
    queue it.  [violations] are the edge's laws or, when those hold and
    nothing is enabled, the terminal laws ([terminal] then says which). *)
 type reached = {
-  prefix : Harness.action list;
+  rev_prefix : Harness.action list;
+      (* The actions that reach it, last first: a successor's is one
+         cons, and it is reversed only where it is replayed. *)
   digest : string;
   key : int list * string;
   enabled : Harness.action list;
@@ -88,15 +90,15 @@ type reached = {
   terminal : bool;
 }
 
-let reach ~order h ~digest ~prefix viols =
+let reach ~order h ~digest ~rev_prefix viols =
   let enabled = Harness.enabled h in
   let terminal_viols =
     if enabled = [] && viols = [] then check_terminal h else []
   in
   {
-    prefix;
+    rev_prefix;
     digest;
-    key = order ~depth:(List.length prefix) ~digest h;
+    key = order ~depth:(List.length rev_prefix) ~digest h;
     enabled;
     violations = viols @ terminal_viols;
     terminal = terminal_viols <> [];
@@ -107,22 +109,23 @@ let reach ~order h ~digest ~prefix viols =
    this wave is [None]: that state's laws held when it was admitted, so
    only the transition counts.  [seen] is only read while a wave's tasks
    run. *)
-let expand ~order ~seen base (prefix, acts) =
-  let parent = rebuild base prefix in
+let expand ~order ~seen base (rev_prefix, acts) =
+  let parent = rebuild base (List.rev rev_prefix) in
   List.map
     (fun act ->
       let h = Harness.copy parent in
       let viols = step h act in
       let digest = Harness.digest h in
       if viols = [] && Hashtbl.mem seen digest then None
-      else Some (reach ~order h ~digest ~prefix:(prefix @ [ act ]) viols))
+      else
+        Some (reach ~order h ~digest ~rev_prefix:(act :: rev_prefix) viols))
     acts
 
 let found_of scenario r viols =
   let trace =
-    match r.prefix with
+    match r.rev_prefix with
     | [] -> [ "(initial state, before any race delivery)" ]
-    | prefix -> render scenario prefix
+    | rev_prefix -> render scenario (List.rev rev_prefix)
   in
   {
     laws =
@@ -130,7 +133,7 @@ let found_of scenario r viols =
         (List.map (fun (v : Invariant.violation) -> v.law) viols);
     message = String.concat "\n" (List.map Dgmc.Terminal.to_string viols);
     trace = (if r.terminal then trace @ [ "(terminal state)" ] else trace);
-    depth = List.length r.prefix;
+    depth = List.length r.rev_prefix;
     state_digest = r.digest;
   }
 
@@ -201,16 +204,18 @@ let walk ~hit ~order ~max_states ~max_depth ?domains scenario =
         incr states;
         if !states > max_states then truncated := true
         else if r.enabled = [] then incr terminals
-        else if List.length r.prefix >= max_depth then truncated := true
+        else if List.length r.rev_prefix >= max_depth then truncated := true
         else
           let prio, tie = r.key in
           frontier :=
-            Frontier.add (prio, tie, !states) (r.prefix, r.enabled) !frontier
+            Frontier.add (prio, tie, !states) (r.rev_prefix, r.enabled)
+              !frontier
       end
   in
   let h0 = base scenario in
   merge
-    (reach ~order h0 ~digest:(Harness.digest h0) ~prefix:[] (check_state h0));
+    (reach ~order h0 ~digest:(Harness.digest h0) ~rev_prefix:[]
+       (check_state h0));
   let rec loop () =
     if !found = None && not (Frontier.is_empty !frontier) then begin
       (* Pop the best wave_size entries... *)

@@ -387,11 +387,7 @@ let create ~graph ~config ?faults ?engine ?trace ?metrics
         else if Net.Graph.link_is_up graph i peer then (0.0, true)
         else (at -. Option.value ~default:0.0 last_change, false)
       in
-      if up then begin
-        Metrics.Registry.bump h.recoveries.(i);
-        Metrics.Registry.observe metrics ~switch:i "health.recovery_latency"
-          latency
-      end
+      if up then Metrics.Registry.bump h.recoveries.(i)
       else begin
         (* Retransmitting into a dead adjacency is pointless; cancel the
            pending state and fire the give-ups exactly once each. *)
@@ -399,9 +395,7 @@ let create ~graph ~config ?faults ?engine ?trace ?metrics
         if spurious then Metrics.Registry.bump h.false_positives.(i)
         else begin
           Metrics.Registry.bump h.detections.(i);
-          h.latencies <- latency :: h.latencies;
-          Metrics.Registry.observe metrics ~switch:i "health.detection_latency"
-            latency
+          h.latencies <- latency :: h.latencies
         end
       end;
       if Sim.Trace.enabled trace then

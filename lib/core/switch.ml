@@ -59,15 +59,6 @@ type output =
   | Changed
   | Start of { timer : timer; delay : float }
 
-(* One in-flight crash-recovery resynchronisation exchange (see
-   [begin_resync]): open until a delta echoing [rs_id] is applied, or a
-   fresh recovery supersedes it.  Immutable, so a copied switch can
-   share it. *)
-type resync_session = {
-  rs_id : int;  (** Session id echoed by deltas (stale deltas ignored). *)
-  rs_started : float;  (** Simulated start time, for the duration SLI. *)
-}
-
 type t = {
   id : int;
   n : int;
@@ -84,7 +75,11 @@ type t = {
           stale (and merged E promises could never be met).  Recreation
           resumes from the tombstone. *)
   mutable sink : output -> unit;
-  mutable resync_session : resync_session option;
+  mutable resync_session : int option;
+      (** The in-flight crash-recovery resynchronisation exchange (see
+          [begin_resync]), by the session id its deltas echo (stale
+          deltas are ignored): open until a delta echoing it is applied,
+          or a fresh recovery supersedes it. *)
   mutable resync_seq : int;  (** Fresh session ids. *)
   mutable compute_seq : int;  (** Fresh computation ids. *)
   counts : counts;
@@ -807,7 +802,7 @@ let receive t lsa =
    withdrawn at completion if the delta moved R under it (Figures 4-5),
    like any other stale one. *)
 
-let resync_state t = Option.map (fun s -> s.rs_id) t.resync_session
+let resync_state t = t.resync_session
 
 let build_summary t session =
   Resync.Summary
@@ -831,11 +826,8 @@ let build_summary t session =
 (* The session [s] ends with its delta applied. *)
 let finish_resync t s =
   t.resync_session <- None;
-  tracef t "resync" "sw%d session %d finished (delta)" t.id s.rs_id;
+  tracef t "resync" "sw%d session %d finished (delta)" t.id s;
   Metrics.Registry.bump t.counts.resyncs_completed;
-  Metrics.Registry.observe (Sim.Engine.metrics t.engine) ~switch:t.id
-    "switch.resync_duration_s"
-    (Sim.Engine.now t.engine -. s.rs_started);
   (* Re-propose wherever the reconciled state demands it: exports set
      the recompute flag but do not trigger while the delta is applied
      (a later export in it could supersede); installs may also
@@ -857,8 +849,7 @@ let begin_resync_impl t =
   (match t.resync_session with
   | Some s ->
     t.resync_session <- None;
-    tracef t "resync" "sw%d restarts resync (session %d superseded)" t.id
-      s.rs_id
+    tracef t "resync" "sw%d restarts resync (session %d superseded)" t.id s
   | None -> ());
   t.resync_seq <- t.resync_seq + 1;
   let sid = t.resync_seq in
@@ -870,8 +861,7 @@ let begin_resync_impl t =
     tracef t "resync" "sw%d recovers with no live neighbors (degraded)" t.id;
     Metrics.Registry.bump t.counts.resyncs_degraded
   | neighbors ->
-    t.resync_session <-
-      Some { rs_id = sid; rs_started = Sim.Engine.now t.engine };
+    t.resync_session <- Some sid;
     let summary = build_summary t sid in
     List.iter
       (fun nb ->
@@ -946,7 +936,7 @@ let receive_resync_impl t msg =
         answer_summary t ~session ~peer links mcs)
   | Resync.Delta { session; origin = peer; links; mcs } -> (
     match t.resync_session with
-    | Some s when s.rs_id = session ->
+    | Some s when s = session ->
       Metrics.Registry.bump t.counts.resync_deltas_applied;
       under_resync t ~peer (fun () ->
           ignore (merge_links t ~source:peer links);

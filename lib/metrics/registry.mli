@@ -1,22 +1,16 @@
-(** Named counters and log-scale histograms with per-switch labels.
+(** Named counters with per-switch labels.
 
-    A registry is a bag of metric cells keyed by [(name, switch)] — the
-    [switch] label is optional, so the same name can exist both as a
-    network-wide aggregate and per switch.  Counters are exact;
-    histograms use geometric buckets with ratio [2^(1/8)] (any
-    quantile is within ~4.4% relative error, exact min/max/sum/count are
-    kept alongside, and quantile estimates are clamped into
-    [\[min, max\]]).
+    A registry is a bag of exact counters keyed by [(name, switch)] —
+    the [switch] label is optional, so the same name can exist both as a
+    network-wide aggregate and per switch.
 
     A layer counts a fact in a {!counter} handle.  A counter's value is
     the count of every handle listed under its key, so two runs
     recording into one registry sum as if they shared one cell.
 
-    Cells are created on first use; using one name with two different
-    metric kinds raises [Invalid_argument].  A registry is {e not}
-    domain-safe and is pinned to the domain that created it: a recording
-    call ({!observe} or {!bump} on one of its handles) from
-    another domain raises [Invalid_argument] naming both domains.  Code
+    A registry is {e not} domain-safe and is pinned to the domain that
+    created it: a {!bump} on one of its handles from another domain
+    raises [Invalid_argument] naming both domains.  Code
     that records as it runs must run on the owner; work spread over
     domains returns its results and the owner records them.
 
@@ -30,17 +24,11 @@
 type t
 
 val disabled : t
-(** A shared registry that drops everything.  {!observe} on it returns
-    before the owner check and allocates nothing, and so does {!bump} on
-    its handles, so it may be recorded into from any domain.  Its
-    {!snapshot} is always empty. *)
+(** A shared registry that drops everything.  {!bump} on its handles
+    allocates nothing and skips the owner check, so they may be bumped
+    from any domain.  Its {!snapshot} is always empty. *)
 
 val create : unit -> t
-
-(** {2 Recording} *)
-
-val observe : t -> ?switch:int -> string -> float -> unit
-(** Add one sample to a histogram. *)
 
 (** {2 Counter handles} *)
 
@@ -64,28 +52,12 @@ val per_switch : t -> int -> string -> counter array
 val sum : counter array -> int
 (** Their counts, added. *)
 
-(** {2 Reading} *)
-
-type histogram = {
-  h_count : int;
-  h_sum : float;
-  h_min : float;
-  h_max : float;
-  h_p50 : float;
-  h_p90 : float;
-  h_p99 : float;
-}
-
 (** {2 Snapshots} *)
 
 type key = { name : string; switch : int option }
 
-type snapshot = {
-  counters : (key * int) list;
-  histograms : (key * histogram) list;
-}
-
 (* dgmc-analyze: allow unused-export — test_telemetry "registry counters
    pinned" checks every counter the layers record against a fixture *)
-val snapshot : t -> snapshot
-(** Deterministically sorted by (name, label). *)
+val snapshot : t -> (key * int) list
+(** Every counter with its value, sorted by name, then label (the
+    unlabelled aggregate first). *)

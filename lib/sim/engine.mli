@@ -7,22 +7,38 @@
     because D-GMC switches only react to message arrivals, local events and
     computation completions.
 
-    The engine is the calendar: it keeps the scheduled entries in its
-    own binary min-heap ordered by (time, insertion order), stored as
-    parallel arrays — the times unboxed in a [Float.Array], the
-    insertion numbers, one array of entries and one of [int] arguments
-    — so placing or moving an entry allocates nothing.  An entry is
-    either a {!schedule}d action, a closure built per call that always
-    runs, or a {!post}ed {!callback}, built once by its owner and run
-    with the [int] each post passes it.  Both kinds share one insertion
-    counter, so ties run in insertion order across them.  Scheduling is
-    O(log n) and {!pending} is O(1).
+    The engine is the calendar.  It keeps the scheduled entries in one
+    store of parallel arrays — the times unboxed in a [Float.Array],
+    the insertion numbers, one array of entries and one of [int]
+    arguments — so placing or moving an entry allocates nothing once
+    the store has grown.  The store holds a binary min-heap ordered by
+    (time, insertion order) and a few FIFO lanes, each keyed by one
+    exact delay.  The paper's timing model charges every hop one fixed
+    [t_hop] and every topology computation one fixed [Tc], so nearly
+    every entry is placed a few fixed delays ahead: a {!post} or
+    {!schedule} whose delay equals a lane's key joins that lane's tail
+    in O(1), and one that finds no such lane re-keys an empty lane to
+    its delay.  Any other delay, and every {!post_at} and
+    {!schedule_at}, goes to the heap in O(log n).
+
+    The lanes are exact.  For a fixed delay [d] the clock never
+    decreases and IEEE addition is monotone, so [now +. d] never
+    decreases, and insertion numbers always increase: each lane is
+    already sorted by (time, insertion order).  {!run} takes the least
+    of the heap root and the lane heads, which is the heap's own order
+    entry for entry.
+
+    An entry is either a {!schedule}d action, a closure built per call
+    that always runs, or a {!post}ed {!callback}, built once by its
+    owner and run with the [int] each post passes it.  Both kinds share
+    one insertion counter, so ties run in insertion order across them.
+    {!pending} is O(1).
 
     No entry is taken back.  An owner that must call off a timer gives
     its callback a liveness check on the [int] argument (typically a
     slot id packed with a generation number the owner bumps) and, when
     it makes a posted timer stale, {!retire}s it at once.  A stale
-    entry stays in the heap until it surfaces and is then dropped
+    entry stays in the calendar until it surfaces and is then dropped
     without a trace: it does not move the clock, count in
     {!events_executed}, use up [run ~max_events]' budget or run the
     probe.
@@ -82,12 +98,12 @@ val post : t -> delay:float -> callback -> int -> unit
     delay], under the same rules for [delay] as {!schedule}
     ([Invalid_argument] otherwise).  A post returns nothing to keep:
     the caller keeps whatever state [arg] names, and calls a post off
-    with [cb]'s liveness check and {!retire}.  Once the calendar's arrays
-    have grown to the run's depth, a post allocates nothing: the time
-    is computed and stored unboxed inside [post], which is inlined into
-    its callers in builds with cross-module inlining (every dune
-    profile but dev, which compiles each module [-opaque]; there a
-    computed [delay] is boxed at the call, two words). *)
+    with [cb]'s liveness check and {!retire}.  Once the calendar's store
+    has grown to the run's depth, a post allocates nothing: the time is
+    computed and stored unboxed inside [post], which is inlined into its
+    callers in builds with cross-module inlining (every dune profile but
+    dev, which compiles each module [-opaque]; there a computed [delay]
+    is boxed at the call, two words). *)
 
 val post_at : t -> time:float -> callback -> int -> unit
 (** [post_at t ~time cb arg] is {!post} at absolute [time], under the

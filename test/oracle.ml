@@ -151,9 +151,7 @@ end
 module Registry = struct
   (* Reads through [snapshot], the registry's one reader. *)
   let is_empty r =
-    match Metrics.Registry.snapshot r with
-    | { counters = []; histograms = [] } -> true
-    | _ -> false
+    Metrics.Registry.snapshot r = []
 
   let find cells ?switch name =
     List.find_map
@@ -165,17 +163,14 @@ module Registry = struct
 
   let counter_value r ?switch name =
     Option.value ~default:0
-      (find (Metrics.Registry.snapshot r).counters ?switch name)
-
-  let histogram_stats r ?switch name =
-    find (Metrics.Registry.snapshot r).histograms ?switch name
+      (find (Metrics.Registry.snapshot r) ?switch name)
 
   (* A counter's cells under every label, added. *)
   let counter_total r name =
     List.fold_left
       (fun acc ((k : Metrics.Registry.key), v) ->
         if String.equal k.name name then acc + v else acc)
-      0 (Metrics.Registry.snapshot r).counters
+      0 (Metrics.Registry.snapshot r)
 end
 
 module Delivery = struct

@@ -148,7 +148,7 @@ let test_detection_within_bound_no_false_positives () =
       List.fold_left
         (fun acc ((k : Metrics.Registry.key), v) ->
           if String.equal k.Metrics.Registry.name name then acc + v else acc)
-        0 snap.Metrics.Registry.counters
+        0 snap
     in
     check Alcotest.bool "hellos counted" true (total "health.hellos_sent" > 0);
     check Alcotest.int "detections mirrored"

@@ -98,6 +98,97 @@ let test_heap_random_sort () =
       (List.rev !order)
   done
 
+(* The calendar's lanes against the order they must keep: posts and
+   scheduled actions at delays drawn from six fixed values (more than
+   the engine has lanes, so entries overflow to the heap and empty lanes
+   are re-keyed), mixed with one-off delays and with [post_at] and
+   [schedule_at] on the same quarter-unit grid, so lane heads tie with
+   the heap root and with each other.  Entries are placed from inside
+   running callbacks, posts are retired at random, and the calendar is
+   drained in [run ~max_events] slices.  Entry [i] is the [i]th placed,
+   so its insertion number is [i]: the execution order must be the
+   stable sort by time of the entries that ran, and [pending] and
+   [events_executed] must be exact after every event and every slice. *)
+let test_lanes_keep_heap_order () =
+  let rng = Rng.create 61 in
+  let fixed = [| 0.0; 0.25; 0.5; 1.0; 1.5; 2.25 |] in
+  let cap = 1500 in
+  for _ = 1 to 30 do
+    let eng = Engine.create () in
+    let at = Array.make cap 0.0
+    and state = Array.make cap Live
+    and retirable = Array.make cap false in
+    let placed = ref 0 and fired = ref 0 and retired = ref 0 in
+    let order = ref [] in
+    let live () = !placed - !fired - !retired in
+    let run = ref ignore in
+    let cb =
+      Engine.callback ~live:(fun i -> state.(i) = Live) (fun i -> !run i)
+    in
+    let place () =
+      if !placed < cap then begin
+        let i = !placed in
+        incr placed;
+        let kind = Rng.int rng 10 in
+        let d =
+          if kind = 6 || kind = 7 then Rng.float rng 2.0
+          else fixed.(Rng.int rng (Array.length fixed))
+        in
+        at.(i) <- Engine.now eng +. d;
+        retirable.(i) <- kind <= 3 || kind = 6 || kind = 8;
+        let action () = !run i in
+        match kind with
+        | 0 | 1 | 2 | 3 | 6 -> Engine.post eng ~delay:d cb i
+        | 4 | 5 | 7 -> Engine.schedule eng ~delay:d action
+        | 8 -> Engine.post_at eng ~time:at.(i) cb i
+        | _ -> Engine.schedule_at eng ~time:at.(i) action
+      end
+    in
+    let retire_random () =
+      let j = Rng.int rng (max 1 !placed) in
+      if j < !placed && state.(j) = Live && retirable.(j) then begin
+        state.(j) <- Retired;
+        incr retired;
+        Engine.retire eng
+      end
+    in
+    (run :=
+       fun i ->
+         if state.(i) <> Live then Alcotest.failf "entry %d ran, but not live" i;
+         if not (Float.equal at.(i) (Engine.now eng)) then
+           Alcotest.failf "entry %d ran off its time" i;
+         state.(i) <- Fired;
+         incr fired;
+         order := i :: !order;
+         for _ = 1 to Rng.int rng 4 do
+           place ()
+         done;
+         if Rng.int rng 3 = 0 then retire_random ());
+    for _ = 1 to 1 + Rng.int rng 100 do
+      place ()
+    done;
+    let exact where =
+      if Engine.pending eng <> live () || Engine.events_executed eng <> !fired
+      then
+        Alcotest.failf "%s: pending %d, executed %d; expected %d, %d" where
+          (Engine.pending eng) (Engine.events_executed eng) (live ()) !fired
+    in
+    Engine.set_probe eng (fun () -> exact "after an event");
+    while Engine.pending eng > 0 do
+      let before = !fired and budget = 1 + Rng.int rng 8 in
+      Engine.run ~max_events:budget eng;
+      exact "after a slice";
+      if live () > 0 then
+        check Alcotest.int "a slice runs its budget" budget (!fired - before)
+    done;
+    let ran =
+      List.filter (fun i -> state.(i) = Fired) (List.init !placed Fun.id)
+    in
+    check Alcotest.(list int) "stable sort by time of the entries that ran"
+      (List.stable_sort (fun i j -> Float.compare at.(i) at.(j)) ran)
+      (List.rev !order)
+  done
+
 (* An owner's timers, as the engine's users keep them: entry [i] is
    posted with token [i] and is live while [live.(i)] holds; [stop]
    calls one off, retiring it only if it has neither run nor been
@@ -333,6 +424,45 @@ let test_post_allocates_nothing () =
   Engine.run eng;
   check Alcotest.int "every post ran with its argument"
     (2 * posts * (posts + 1) / 2)
+    !sum
+
+(* Posts at one repeated delay go to one lane of the calendar: once it
+   has grown, neither the posts nor the run that drains them allocate.
+   The clock moves to the lane's time at the first entry, which boxes
+   it; the drain measured is of the entries after it. *)
+let test_lane_allocates_nothing () =
+  let eng = Engine.create () in
+  let sum = ref 0 in
+  let cb = Engine.callback (fun arg -> sum := !sum + arg) in
+  let posts = 1000 in
+  let delay = ref 1.5 in
+  let post_all () =
+    for i = 1 to posts do
+      Engine.post eng ~delay:!delay cb i
+    done
+  in
+  let drain () =
+    post_all ();
+    Engine.post eng ~delay:!delay cb 0;
+    Engine.run ~max_events:1 eng;
+    Alloc.words_allocated (fun () -> Engine.run eng)
+  in
+  (* Grow the store to the depth measured below. *)
+  ignore (drain ());
+  let w = Alloc.words_allocated post_all /. float_of_int posts in
+  let limit = if Alloc.cross_module_inlining then 0.0 else 2.0 in
+  if w > limit then
+    (* dgmc-analyze: allow float-format — test failure message *)
+    Alcotest.failf
+      "Engine.post to a lane allocated %.2f words per post (limit %.0f)" w
+      limit;
+  Engine.run eng;
+  let drained = drain () in
+  if drained > 0.0 then
+    (* dgmc-analyze: allow float-format — test failure message *)
+    Alcotest.failf "draining a lane allocated %.0f words" drained;
+  check Alcotest.int "every post ran with its argument"
+    (3 * posts * (posts + 1) / 2)
     !sum
 
 (* Posts and scheduled actions draw on one insertion counter: at equal
@@ -693,6 +823,8 @@ let () =
           Alcotest.test_case "ordering" `Quick test_heap_ordering;
           Alcotest.test_case "duplicates" `Quick test_heap_duplicates;
           Alcotest.test_case "random heapsort" `Quick test_heap_random_sort;
+          Alcotest.test_case "lanes keep the heap's order" `Quick
+            test_lanes_keep_heap_order;
         ] );
       ( "event-queue",
         [
@@ -722,6 +854,8 @@ let () =
             test_engine_schedule_at_past;
           Alcotest.test_case "post allocates nothing" `Quick
             test_post_allocates_nothing;
+          Alcotest.test_case "lane posts and drain allocate nothing" `Quick
+            test_lane_allocates_nothing;
           Alcotest.test_case "post and schedule share FIFO ties" `Quick
             test_post_schedule_fifo_ties;
           Alcotest.test_case "cancel frees the action before it surfaces"
