@@ -192,11 +192,12 @@ let state_current t mc st =
 (* MC destruction (paper §3.4): drop the state once the member list is
    empty — guarded so that no promised LSAs, queued LSAs or in-flight
    computations are abandoned, which keeps the timestamp accounting of
-   the remaining switches sound. *)
+   the remaining switches sound.  The emptiness test comes first: it
+   settles most calls without the table lookup. *)
 let maybe_delete t mc (st : Mc_state.t) =
   if
-    state_current t mc st
-    && Member.is_empty st.members
+    Member.is_empty st.members
+    && state_current t mc st
     && Timestamp.geq st.r st.e
     && Queue.is_empty st.mailbox
     && st.event_computations = []
@@ -402,8 +403,17 @@ let supersedes ~stamp ~tree ~held_stamp ~held_tree =
   || (Timestamp.equal stamp held_stamp
      && Mctree.Tree.compare tree held_tree < 0)
 
-(* Lines 4-17: consume one LSA; returns the invocation's candidate
-   proposal, [candidate] or the one [lsa] carries. *)
+(* The invocation's candidate is the accepted LSA itself, whose
+   [proposal] and [stamp] it holds; [no_candidate], which carries no
+   proposal, stands for none.  So accepting a proposal allocates
+   nothing. *)
+let no_candidate =
+  Mc_lsa.make ~src:(-1) ~event:Mc_lsa.No_event
+    ~mc:(Mc_id.make Mc_id.Symmetric (-1))
+    ~stamp:(Timestamp.zero 1) ()
+
+(* Lines 4-17: consume one LSA; returns the invocation's candidate,
+   [candidate] or [lsa]. *)
 let process_lsa t (st : Mc_state.t) (lsa : Mc_lsa.t) candidate =
   let s = lsa.src in
   if Mc_lsa.is_event lsa then begin
@@ -468,12 +478,13 @@ let process_lsa t (st : Mc_state.t) (lsa : Mc_lsa.t) candidate =
   | Some tree when Timestamp.geq lsa.stamp st.e ->
     st.flag <- false;
     let replaces =
-      match candidate with
+      match candidate.Mc_lsa.proposal with
       | None -> true
-      | Some (held_tree, held_stamp) ->
-        supersedes ~stamp:lsa.stamp ~tree ~held_stamp ~held_tree
+      | Some held_tree ->
+        supersedes ~stamp:lsa.stamp ~tree ~held_stamp:candidate.stamp
+          ~held_tree
     in
-    if replaces then Some (tree, lsa.stamp) else candidate
+    if replaces then lsa else candidate
   | Some _ | None ->
     (* The sender's stamp is behind our own event count: it computed (or
        refrained) without knowing our events, so we owe the network a
@@ -492,18 +503,19 @@ let rec drain t (st : Mc_state.t) candidate =
 
 (* Lines 1-2: the candidate proposal is local to one invocation. *)
 let rec run_invocation t mc (st : Mc_state.t) =
-  decide t mc st (drain t st None)
+  decide t mc st (drain t st no_candidate)
 
 (* Line 19 on, once the mailbox is drained: decide whether to compute. *)
-and decide t mc (st : Mc_state.t) candidate =
+and decide t mc (st : Mc_state.t) (candidate : Mc_lsa.t) =
   if st.flag && Timestamp.geq st.r st.e && Timestamp.gt st.r st.c then
     start_triggered t mc st
   else begin
     (* Lines 32-35: adopt an accepted proposal.  A candidate whose stamp
        only ties the installed topology's C replaces it solely when it
        wins the deterministic tie-break ([supersedes]). *)
-    match candidate with
-    | Some (tree, stamp) ->
+    match candidate.proposal with
+    | Some tree ->
+      let stamp = candidate.stamp in
       if supersedes ~stamp ~tree ~held_stamp:st.c ~held_tree:st.topology
       then begin
         Metrics.Registry.bump t.counts.proposals_accepted;
@@ -765,7 +777,7 @@ let detect_link switches (ev : Lsr.Lsdb.link_event) =
 let activate t mc (st : Mc_state.t) lsa =
   match st.triggered with
   | Some _ -> Queue.push lsa st.mailbox
-  | None -> decide t mc st (process_lsa t st lsa None)
+  | None -> decide t mc st (process_lsa t st lsa no_candidate)
 
 let receive t lsa =
   Metrics.Registry.bump t.counts.lsas_received;

@@ -10,18 +10,12 @@ let default_reliability = { rto = 4.0; rto_max = 64.0; max_retries = 10 }
 
 type transmit = src:int -> dst:int -> base_delay:float -> float array -> int
 
-module Int_tbl = Hashtbl.Make (Int)
-
 (* The sequence numbers one switch has not received from one origin
    below its high-water mark: disjoint half-open intervals [lo, hi),
    highest first.  Only a skipped number opens one (reordering, loss, or
    a unicast addressed to another switch), so in-order arrival keeps the
    list empty. *)
 type gaps = No_gap | Gap of { lo : int; hi : int; below : gaps }
-
-(* What one switch has received from one origin: every sequence number
-   below [high] outside [gaps]. *)
-type received = { mutable high : int; mutable gaps : gaps }
 
 (* The reliable transfers awaiting an ack, one slot each in parallel
    arrays with a free list, as in the in-flight table below.  A slot
@@ -90,9 +84,15 @@ type 'a t = {
           into; {!wire} schedules from them before the next call. *)
   deliver : switch:int -> 'a Lsa.t -> unit;
   trace : Sim.Trace.t;
-  seen : received Int_tbl.t;
-      (** Keyed [switch * n + origin]: what each switch has received
-          from each origin it has heard from. *)
+  high : int array array;
+      (** Per origin, per switch: one past the highest sequence number
+          the switch has received from the origin, [0] for none.  An
+          origin's row is made on its first LSA; until then it is the
+          shared [[||]]. *)
+  gaps : gaps array array;
+      (** Per origin, per switch, beside [high]: the numbers below the
+          mark not yet received.  A switch has received from an origin
+          every number below its mark outside its gaps. *)
   rtx : 'a transfers;  (** Reliable mode: the transfers awaiting an ack. *)
   flight : 'a flight;
   mutable arrival : Sim.Engine.callback;
@@ -134,31 +134,30 @@ let rec fill seq = function
   | Gap g -> Gap { g with below = fill seq g.below }
 
 (* Record [lsa] as received at [switch]; [true] on its first receipt
-   there. *)
+   there.  A mark of [0] receives any [seq] as new, opening the gap
+   [[0, seq)]. *)
 let first_receipt t switch lsa =
-  let seq = lsa.Lsa.seq and key = (switch * t.n) + lsa.Lsa.origin in
-  match Int_tbl.find t.seen key with
-  | r ->
-    if seq >= r.high then begin
-      if seq > r.high then
-        r.gaps <- Gap { lo = r.high; hi = seq; below = r.gaps };
-      r.high <- seq + 1;
-      true
-    end
-    else if in_gaps seq r.gaps then begin
-      r.gaps <- fill seq r.gaps;
-      true
-    end
-    else false
-  | exception Not_found ->
-    let gaps =
-      if seq > 0 then Gap { lo = 0; hi = seq; below = No_gap } else No_gap
-    in
-    Int_tbl.add t.seen key { high = seq + 1; gaps };
+  let seq = lsa.Lsa.seq and origin = lsa.Lsa.origin in
+  if Array.length t.high.(origin) = 0 then begin
+    t.high.(origin) <- Array.make t.n 0;
+    t.gaps.(origin) <- Array.make t.n No_gap
+  end;
+  let high = t.high.(origin) and gaps = t.gaps.(origin) in
+  let mark = high.(switch) in
+  if seq >= mark then begin
+    if seq > mark then
+      gaps.(switch) <- Gap { lo = mark; hi = seq; below = gaps.(switch) };
+    high.(switch) <- seq + 1;
     true
+  end
+  else if in_gaps seq gaps.(switch) then begin
+    gaps.(switch) <- fill seq gaps.(switch);
+    true
+  end
+  else false
 
 (* Sequence numbers start at 0 ({!Lsa.Seq}) and origins are switches:
-   the duplicate check's key and intervals rely on both. *)
+   the duplicate check's rows and intervals rely on both. *)
 let check_lsa t fn lsa =
   if lsa.Lsa.origin < 0 || lsa.Lsa.origin >= t.n then
     invalid_arg
@@ -472,7 +471,8 @@ let create ~engine ~graph ~t_hop ?(mode = Hop_by_hop)
       delays = Array.make 2 0.0;
       deliver;
       trace = Sim.Engine.trace engine;
-      seen = Int_tbl.create 64;
+      high = Array.make n [||];
+      gaps = Array.make n [||];
       rtx =
         {
           r_lsa = [||];

@@ -22,17 +22,18 @@
     [transmit] hook the data-message schedule of the two modes is
     identical; the acks ride on top.
 
-    {b Duplicate check.}  Each switch keeps, per origin it has heard
-    from, a high-water mark (one past the highest sequence number
-    received) and the gaps below it: the intervals of numbers not yet
-    received.  A number at or above the mark is new and raises it,
-    opening a gap over any numbers it skipped; a number below it is new
-    only inside a gap, which it splits.  The check is exact under any
-    reordering or duplication, and its state is one small record per
-    (switch, origin) pair plus one interval per run of numbers still
-    missing — in-order arrival opens none — instead of one entry per
-    LSA received.  Sequence numbers must be non-negative, as
-    {!Lsa.Seq} issues them.
+    {b Duplicate check.}  Each switch keeps, per origin, a high-water
+    mark (one past the highest sequence number received, [0] for none)
+    and the gaps below it: the intervals of numbers not yet received.
+    A number at or above the mark is new and raises it, opening a gap
+    over any numbers it skipped; a number below it is new only inside a
+    gap, which it splits.  The check is exact under any reordering or
+    duplication.  Its state is one int and one gap list per (switch,
+    origin) pair, held in two rows per origin (indexed by switch, made
+    on the origin's first LSA), plus one interval per run of numbers
+    still missing — in-order arrival opens none.  A copy's check reads
+    its origin's rows at its switch, with no lookup.  Sequence numbers
+    must be non-negative, as {!Lsa.Seq} issues them.
 
     {b Cost per message.}  A transmission reads the link's state record
     ({!Net.Graph.link}) once when it is sent and checks it at arrival,

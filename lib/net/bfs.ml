@@ -62,10 +62,13 @@ let components g =
   Array.to_list comps
 
 (* The live links as flat adjacency (CSR): [targets.(offsets.(u)) ..
-   targets.(offsets.(u + 1) - 1)] are [u]'s live neighbours.  Each source's
-   search marks the nodes it reaches with its own id in [stamp], so no
-   array is cleared between searches; the last node it dequeues is the
-   farthest. *)
+   targets.(offsets.(u + 1) - 1)] are [u]'s live neighbours.  The
+   searches run [Sys.int_size] sources to a pass, one bit each, level by
+   level: [seen.(v)] holds the bits of the sources that have reached
+   [v], [front.(v)] those that reached it at the last level, and the
+   next level is [(lor of front.(u) over v's neighbours u) land lnot
+   seen.(v)].  A pass lasts as many levels as its sources' largest
+   eccentricity. *)
 let sweep g =
   let n = Graph.n_nodes g in
   let offsets = Array.make (n + 1) 0 in
@@ -80,29 +83,37 @@ let sweep g =
   for u = 0 to n - 1 do
     Graph.iter_neighbors g u push
   done;
-  let stamp = Array.make n (-1) and depth = Array.make n 0 and queue = Array.make n 0 in
-  let best = ref 0 in
-  for src = 0 to n - 1 do
-    stamp.(src) <- src;
-    depth.(src) <- 0;
-    queue.(0) <- src;
-    let head = ref 0 and tail = ref 1 in
-    while !head < !tail do
-      let u = queue.(!head) in
-      incr head;
-      let d = depth.(u) + 1 in
-      for i = offsets.(u) to offsets.(u + 1) - 1 do
-        let v = targets.(i) in
-        if stamp.(v) <> src then begin
-          stamp.(v) <- src;
-          depth.(v) <- d;
-          queue.(!tail) <- v;
-          incr tail
-        end
-      done
+  let seen = Array.make n 0 and front = Array.make n 0 and next = Array.make n 0 in
+  let best = ref 0 and base = ref 0 in
+  while !base < n do
+    Array.fill seen 0 n 0;
+    Array.fill front 0 n 0;
+    for i = 0 to Int.min Sys.int_size (n - !base) - 1 do
+      seen.(!base + i) <- 1 lsl i;
+      front.(!base + i) <- 1 lsl i
     done;
-    let e = depth.(queue.(!tail - 1)) in
-    if e > !best then best := e
+    let levels = ref 0 and moved = ref true in
+    while !moved do
+      moved := false;
+      for v = 0 to n - 1 do
+        let reach = ref 0 in
+        for i = offsets.(v) to offsets.(v + 1) - 1 do
+          reach := !reach lor front.(targets.(i))
+        done;
+        let fresh = !reach land lnot seen.(v) in
+        next.(v) <- fresh;
+        if fresh <> 0 then begin
+          seen.(v) <- seen.(v) lor fresh;
+          moved := true
+        end
+      done;
+      if !moved then begin
+        incr levels;
+        Array.blit next 0 front 0 n
+      end
+    done;
+    if !levels > !best then best := !levels;
+    base := !base + Sys.int_size
   done;
   !best
 

@@ -18,6 +18,7 @@ val components : Graph.t -> int list list
 val hop_diameter : Graph.t -> int
 (** Greatest hop distance between any two mutually reachable nodes; [0]
     for graphs with fewer than two nodes.  Computed once per
-    {!Graph.version} of the graph: an [n]-source search over a flat copy
-    of the live links, then cached until an edge is added or a link
+    {!Graph.version} of the graph: the [n] sources' searches run over a
+    flat copy of the live links, [Sys.int_size] at a time as the bits of
+    an [int], then the result is cached until an edge is added or a link
     flips. *)

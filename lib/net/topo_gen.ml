@@ -137,9 +137,12 @@ let waxman rng ~n ?target_degree () =
     match target_degree with
     | None -> alpha
     | Some degree ->
-      (* Solve  Σ_pairs α·exp(-d/βl) = n·degree/2  for α. *)
+      (* Solve  Σ_pairs α·exp(-d/βl) = n·degree/2  for α.  A plain loop
+         keeps the running sum unboxed; it adds in the pairs' order. *)
       let sum = ref 0.0 in
-      Float.Array.iter (fun d -> sum := !sum +. exp (-.d /. (beta *. l))) dist;
+      for i = 0 to Float.Array.length dist - 1 do
+        sum := !sum +. exp (-.Float.Array.get dist i /. (beta *. l))
+      done;
       if !sum <= 0.0 then alpha
       else Float.min 1.0 (float_of_int n *. degree /. (2.0 *. !sum))
   in

@@ -227,6 +227,104 @@ module Bfs = struct
         (Net.Graph.neighbors g u)
     done;
     dist
+
+  (* The hop diameter by one search per source, the scalar sweep
+     [Net.Bfs.hop_diameter] ran before it searched a word of sources at
+     a time: over a flat copy of the live links (CSR), each source's
+     search marks the nodes it reaches with its own id in [stamp], so no
+     array is cleared between searches; the last node it dequeues is
+     the farthest. *)
+  let hop_diameter g =
+    let n = Net.Graph.n_nodes g in
+    let offsets = Array.make (n + 1) 0 in
+    for u = 0 to n - 1 do
+      offsets.(u + 1) <- offsets.(u) + Net.Graph.degree g u
+    done;
+    let targets = Array.make offsets.(n) 0 and fill = ref 0 in
+    for u = 0 to n - 1 do
+      Net.Graph.iter_neighbors g u (fun v _ ->
+          targets.(!fill) <- v;
+          incr fill)
+    done;
+    let stamp = Array.make n (-1)
+    and depth = Array.make n 0
+    and queue = Array.make n 0 in
+    let best = ref 0 in
+    for src = 0 to n - 1 do
+      stamp.(src) <- src;
+      depth.(src) <- 0;
+      queue.(0) <- src;
+      let head = ref 0 and tail = ref 1 in
+      while !head < !tail do
+        let u = queue.(!head) in
+        incr head;
+        let d = depth.(u) + 1 in
+        for i = offsets.(u) to offsets.(u + 1) - 1 do
+          let v = targets.(i) in
+          if stamp.(v) <> src then begin
+            stamp.(v) <- src;
+            depth.(v) <- d;
+            queue.(!tail) <- v;
+            incr tail
+          end
+        done
+      done;
+      let e = depth.(queue.(!tail - 1)) in
+      if e > !best then best := e
+    done;
+    !best
+end
+
+module Flooding = struct
+  (* The duplicate check [Lsr.Flooding] kept before its per-origin rows:
+     one record per (switch, origin) pair heard from, in a hash table
+     keyed [switch * n + origin].  A switch has received every sequence
+     number below [high] outside [gaps], disjoint half-open intervals
+     [lo, hi), highest first. *)
+  type gaps = No_gap | Gap of { lo : int; hi : int; below : gaps }
+
+  type received = { mutable high : int; mutable gaps : gaps }
+
+  type t = { n : int; seen : (int, received) Hashtbl.t }
+
+  let create n = { n; seen = Hashtbl.create 64 }
+
+  let rec in_gaps seq = function
+    | No_gap -> false
+    | Gap g -> seq < g.hi && (seq >= g.lo || in_gaps seq g.below)
+
+  let rec fill seq = function
+    | No_gap -> No_gap
+    | Gap g when seq >= g.lo ->
+      let below =
+        if seq > g.lo then Gap { lo = g.lo; hi = seq; below = g.below }
+        else g.below
+      in
+      if seq + 1 < g.hi then Gap { lo = seq + 1; hi = g.hi; below } else below
+    | Gap g -> Gap { g with below = fill seq g.below }
+
+  (* Record [(origin, seq)] as received at [switch]; [true] on its first
+     receipt there. *)
+  let first_receipt t ~switch ~origin ~seq =
+    match Hashtbl.find_opt t.seen ((switch * t.n) + origin) with
+    | Some r ->
+      if seq >= r.high then begin
+        if seq > r.high then
+          r.gaps <- Gap { lo = r.high; hi = seq; below = r.gaps };
+        r.high <- seq + 1;
+        true
+      end
+      else if in_gaps seq r.gaps then begin
+        r.gaps <- fill seq r.gaps;
+        true
+      end
+      else false
+    | None ->
+      let gaps =
+        if seq > 0 then Gap { lo = 0; hi = seq; below = No_gap } else No_gap
+      in
+      Hashtbl.add t.seen ((switch * t.n) + origin) { high = seq + 1; gaps };
+      true
 end
 
 module Dijkstra = struct

@@ -124,9 +124,11 @@ let test_mc_state_create_is_constant () =
 (* ReceiveLSA on its common path: one in-order event LSA reaches an idle
    switch whose owned stamps have room.  R and membership_seen are
    raised in place, E adopts the LSA's stamp (it dominates), and the
-   member list copies its one array; what is left is a constant (the
-   measured total is 2 words over the member copy, on OCaml 5.1).  The first LSA is
-   not timed: it gives the state its owned stamps. *)
+   member list copies its one array; the MC keeps members, so the
+   deletion check stops before its table lookup.  What is left is the
+   member copy (the measured total on OCaml 5.1), bounded with 2 words
+   to spare.  The first LSA is not timed: it gives the state its owned
+   stamps. *)
 let test_receive_event_allocation () =
   let module T = Oracle.Timestamp in
   let engine = Sim.Engine.create () in
@@ -150,10 +152,48 @@ let test_receive_event_allocation () =
   let r, e, _ = Option.get (Dgmc.Switch.stamps sw mc) in
   check stamp_t "R counts both" (ts [| 0; 1; 1; 0; 0; 0 |]) r;
   check stamp_t "E adopted the stamp" (ts [| 0; 1; 1; 0; 0; 0 |]) e;
-  let bound = 1 + Dgmc.Member.cardinal members + 4 in
+  let bound = 1 + Dgmc.Member.cardinal members + 2 in
   if w > float_of_int bound then
     Alcotest.failf "an in-order event LSA allocated %d words (bound %d)"
       (int_of_float w) bound
+
+(* ReceiveLSA accepting a proposal as the invocation's candidate and
+   not installing it: the LSA repeats the installed proposal, so its
+   stamp ties C and its tree ties the installed tree.  The candidate is
+   the LSA itself, E and R merge in place, and the snapshot equals the
+   member list, so nothing is allocated, in either dune profile. *)
+let test_receive_candidate_allocation () =
+  let module T = Oracle.Timestamp in
+  let engine = Sim.Engine.create () in
+  let sw =
+    Dgmc.Switch.create ~id:0 ~n:6 ~config:Dgmc.Config.atm_lan ~engine
+      ~boot:(Lsr.Lsdb.boot (Net.Topo_gen.grid ~rows:2 ~cols:3 ()))
+      ()
+  in
+  Dgmc.Switch.connect sw ignore;
+  let mc = Dgmc.Mc_id.make Dgmc.Mc_id.Symmetric 1 in
+  let stamp = [| 0; 1; 0; 0; 0; 0 |] in
+  Dgmc.Switch.deliver sw
+    (Dgmc.Switch.Mc
+       (Dgmc.Mc_lsa.make ~src:1 ~event:(Dgmc.Mc_lsa.Join Dgmc.Member.Both) ~mc
+          ~stamp:(T.of_array stamp) ()));
+  let tree = Mctree.Tree.of_terminals [ 1 ] in
+  let proposal =
+    Dgmc.Switch.Mc
+      (Dgmc.Mc_lsa.make ~src:1 ~event:Dgmc.Mc_lsa.No_event ~mc ~proposal:tree
+         ~members:(Option.get (Dgmc.Switch.members sw mc))
+         ~stamp:(T.of_array stamp) ())
+  in
+  Dgmc.Switch.deliver sw proposal;
+  let accepted () = (Dgmc.Switch.stats sw).proposals_accepted in
+  check Alcotest.int "the first copy is installed" 1 (accepted ());
+  let w = Alloc.words_allocated (fun () -> Dgmc.Switch.deliver sw proposal) in
+  check Alcotest.int "the repeat is not installed" 1 (accepted ());
+  check Alcotest.bool "the tree stays" true
+    (Mctree.Tree.equal tree (Option.get (Dgmc.Switch.topology sw mc)));
+  if w > 0.0 then
+    Alcotest.failf "a candidate not installed allocated %d words (bound 0)"
+      (int_of_float w)
 
 (* qcheck: lattice and partial-order laws. *)
 let stamp_gen =
@@ -544,6 +584,8 @@ let () =
             test_mc_state_create_is_constant;
           Alcotest.test_case "in-order event LSA allocation bound" `Quick
             test_receive_event_allocation;
+          Alcotest.test_case "candidate not installed allocates nothing" `Quick
+            test_receive_candidate_allocation;
           QCheck_alcotest.to_alcotest prop_merge_commutative;
           QCheck_alcotest.to_alcotest prop_merge_associative;
           QCheck_alcotest.to_alcotest prop_merge_idempotent;

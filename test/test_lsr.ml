@@ -124,8 +124,8 @@ let test_flooding_rejects_bad_t_hop () =
            ~deliver:(fun ~switch:_ _ -> ())
            ()))
 
-(* Flooding checks the duplicate key's parts: an origin is a switch and
-   a sequence number is at least 0. *)
+(* Flooding checks what the duplicate check indexes by: an origin is a
+   switch and a sequence number is at least 0. *)
 let test_flooding_rejects_bad_lsa () =
   let g = Net.Topo_gen.line 3 in
   let f =
@@ -142,9 +142,9 @@ let test_flooding_rejects_bad_lsa () =
 
 (* Minor words per message of an untraced flood from every switch of a
    100-switch graph, with no [transmit] hook.  The first flood from each
-   origin is not timed: it creates the per-(switch, origin) duplicate
-   records, the per-link transfer tables and the in-flight table's
-   slots, and grows the calendar, all of which later floods reuse. *)
+   origin is not timed: it makes the origin's duplicate-check rows and
+   the in-flight table's slots, and grows the calendar, all of which
+   later floods reuse. *)
 let flood_words_per_message mode =
   let n = 100 in
   let g = Net.Topo_gen.waxman (Sim.Rng.create 7) ~n ~target_degree:3.5 () in
@@ -200,6 +200,56 @@ let test_flood_hop_allocation () =
     (* dgmc-analyze: allow float-format — test failure message *)
     Alcotest.failf "%.2f minor words per message over %d messages (bound %.0f)"
       words messages bound
+
+(* Words (direct-major included) and messages of the first flood of
+   every origin but origin 0 on the graph of [flood_words_per_message],
+   the floods it leaves untimed.  Origin 0's flood, not counted, grows
+   the in-flight table and the calendar first. *)
+let first_flood_words mode =
+  let n = 100 in
+  let g = Net.Topo_gen.waxman (Sim.Rng.create 7) ~n ~target_degree:3.5 () in
+  let engine = Sim.Engine.create () in
+  let f =
+    Lsr.Flooding.create ~engine ~graph:g ~t_hop:1.0 ~mode
+      ~deliver:(fun ~switch:_ _ -> ())
+      ()
+  in
+  let flood origin =
+    Lsr.Flooding.flood f (Lsr.Lsa.make ~origin ~seq:0 ());
+    Sim.Engine.run engine
+  in
+  flood 0;
+  let sent = Lsr.Flooding.messages_sent f in
+  let words =
+    Alloc.words_allocated (fun () ->
+        for origin = 1 to n - 1 do
+          flood origin
+        done)
+  in
+  (n, words, Lsr.Flooding.messages_sent f - sent)
+
+(* An origin's first flood makes its two duplicate-check rows, one int
+   and one gap list per switch ([n + 1] words each); its messages cost
+   what a later flood's do, the per-message allowance of the bounds
+   above.  A per-receipt record would cost several words per switch on
+   top. *)
+let test_first_flood_allocation () =
+  List.iter
+    (fun (mode, name, allowance) ->
+      let n, words, messages = first_flood_words mode in
+      let rows = (n - 1) * 2 * (n + 1) in
+      let bound = float_of_int rows +. (allowance *. float_of_int messages) in
+      if words > bound then
+        (* dgmc-analyze: allow float-format — test failure message *)
+        Alcotest.failf
+          "%s: %.0f words over %d first floods of %d messages (bound %.0f)"
+          name words (n - 1) messages bound)
+    [
+      ( Lsr.Flooding.Hop_by_hop,
+        "hop-by-hop",
+        if Alloc.cross_module_inlining then 2.0 else 4.0 );
+      (Lsr.Flooding.Reliable, "reliable", 90.0);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Lsdb *)
@@ -420,6 +470,8 @@ let () =
             test_flooding_allocation_bound;
           Alcotest.test_case "flood hop allocation (release)" `Quick
             test_flood_hop_allocation;
+          Alcotest.test_case "first flood allocation bound" `Quick
+            test_first_flood_allocation;
         ] );
       ( "lsdb",
         [

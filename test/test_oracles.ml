@@ -21,7 +21,10 @@
      and the set-free incremental join vs the list-based loops they
      replaced (equal trees, bit-equal costs, the same [Failure]s);
    - the two-array tree vs the map-backed tree it replaced, operation
-     by operation (equal observations, the same [Invalid_argument]s). *)
+     by operation (equal observations, the same [Invalid_argument]s);
+   - the word-parallel hop diameter vs the scalar sweep it replaced, and
+     flooding's per-origin duplicate rows vs the hash table they
+     replaced (the same verdicts). *)
 
 let check = Alcotest.check
 
@@ -1650,6 +1653,123 @@ let prop_trace_store_vs_ring =
         (fun v -> Oracle.Trace.dense (Oracle.Trace.sparse v) = v)
         c.vectors)
 
+(* ------------------------------------------------------------------ *)
+(* Word-parallel hop diameter vs the scalar sweep *)
+
+let sizes_around_the_word = [ 1; 2; 62; 63; 64; 126; 127; 200 ]
+
+(* Random Waxman graphs with a fifth of their links down, so some are
+   disconnected, at the sizes around the word's width and at random
+   sizes up to 120. *)
+let prop_hop_diameter_vs_scalar_sweep =
+  QCheck2.Test.make ~name:"word-parallel hop diameter equals the scalar sweep"
+    ~count:120
+    ~print:(fun (seed, n) -> Printf.sprintf "seed=%d n=%d" seed n)
+    QCheck2.Gen.(
+      pair (int_range 1 10000)
+        (oneof [ oneofl sizes_around_the_word; int_range 2 120 ]))
+    (fun (seed, n) ->
+      let g = random_graph seed n in
+      let rng = Sim.Rng.create (seed + 1) in
+      List.iter
+        (fun (e : Net.Graph.edge) ->
+          if Sim.Rng.int rng 5 = 0 then Net.Graph.set_link g e.u e.v ~up:false)
+        (Net.Graph.edges g);
+      Int.equal (Net.Bfs.hop_diameter g) (Oracle.Bfs.hop_diameter g))
+
+(* A path whose ends are the two highest ids, its one diametral pair:
+   only the last pass of sources finds its diameter. *)
+let path_ending_high n =
+  let rec edges = function
+    | u :: (v :: _ as rest) -> (u, v, 1.0) :: edges rest
+    | [ _ ] | [] -> []
+  in
+  Oracle.Graph.of_edges n
+    (edges (((n - 2) :: List.init (n - 2) Fun.id) @ [ n - 1 ]))
+
+(* Rings, lines, stars, grids, complete graphs and the path above at
+   the same sizes, whole and with one link down. *)
+let test_hop_diameter_shapes () =
+  let shapes n =
+    List.concat
+      [
+        (if n >= 3 then [ ("ring", Net.Topo_gen.ring n) ] else []);
+        (if n >= 2 then
+           [
+             ("line", Net.Topo_gen.line n);
+             ("star", Net.Topo_gen.star n);
+             ("complete", Net.Topo_gen.complete n);
+           ]
+         else []);
+        (if n >= 2 then [ ("path ending high", path_ending_high n) ] else []);
+        [
+          ("grid 1 row", Net.Topo_gen.grid ~rows:1 ~cols:n ());
+          ("grid", Net.Topo_gen.grid ~rows:(max 1 (n / 8)) ~cols:8 ());
+        ];
+      ]
+  in
+  List.iter
+    (fun n ->
+      List.iter
+        (fun (name, g) ->
+          let label = Printf.sprintf "%s, n = %d" name (Net.Graph.n_nodes g) in
+          check Alcotest.int label (Oracle.Bfs.hop_diameter g)
+            (Net.Bfs.hop_diameter g);
+          match Net.Graph.edges g with
+          | [] -> ()
+          | (e : Net.Graph.edge) :: _ ->
+            Net.Graph.set_link g e.u e.v ~up:false;
+            check Alcotest.int (label ^ ", one link down")
+              (Oracle.Bfs.hop_diameter g) (Net.Bfs.hop_diameter g))
+        (shapes n))
+    sizes_around_the_word
+
+(* ------------------------------------------------------------------ *)
+(* Flooding's duplicate rows vs the hash table they replaced *)
+
+(* Unicasts over a complete graph, one at a time: [send] records the
+   LSA at its source, then the copy is delivered at its destination on
+   its first receipt there.  The reference records the same receipts in
+   the same order, and its verdict at the destination must be whether
+   [deliver] ran.  Several origins, and sequence numbers mostly from a
+   small range with a rare far jump, give gaps, reorders, duplicates
+   and [seq = 0]. *)
+let prop_duplicate_rows_vs_table =
+  QCheck2.Test.make ~name:"duplicate rows give the hash table's verdicts"
+    ~count:200
+    ~print:(fun (seed, n) -> Printf.sprintf "seed=%d n=%d" seed n)
+    QCheck2.Gen.(pair (int_range 1 10000) (int_range 2 7))
+    (fun (seed, n) ->
+      let rng = Sim.Rng.create seed in
+      let engine = Sim.Engine.create () in
+      let delivered = ref false in
+      let f =
+        Lsr.Flooding.create ~engine ~graph:(Net.Topo_gen.complete n) ~t_hop:1.0
+          ~deliver:(fun ~switch:_ _ -> delivered := true)
+          ()
+      in
+      let reference = Oracle.Flooding.create n in
+      let origins = 1 + Sim.Rng.int rng (Int.min n 4) in
+      List.for_all
+        (fun _ ->
+          let src = Sim.Rng.int rng n in
+          let dst = (src + 1 + Sim.Rng.int rng (n - 1)) mod n in
+          let origin = Sim.Rng.int rng origins in
+          let seq =
+            if Sim.Rng.int rng 10 = 0 then Sim.Rng.int rng 64
+            else Sim.Rng.int rng 12
+          in
+          ignore
+            (Oracle.Flooding.first_receipt reference ~switch:src ~origin ~seq);
+          let expected =
+            Oracle.Flooding.first_receipt reference ~switch:dst ~origin ~seq
+          in
+          delivered := false;
+          Lsr.Flooding.send f ~src ~dst (Lsr.Lsa.make ~origin ~seq ());
+          Sim.Engine.run engine;
+          Bool.equal !delivered expected)
+        (List.init 300 Fun.id))
+
 let () =
   Alcotest.run "oracles"
     [
@@ -1666,6 +1786,13 @@ let () =
         ] );
       ( "mst",
         [ Alcotest.test_case "kruskal vs prim" `Quick test_kruskal_vs_prim ] );
+      ( "bfs",
+        [
+          Alcotest.test_case "hop diameter on fixed shapes" `Quick
+            test_hop_diameter_shapes;
+          QCheck_alcotest.to_alcotest prop_hop_diameter_vs_scalar_sweep;
+        ] );
+      ("flooding", [ QCheck_alcotest.to_alcotest prop_duplicate_rows_vs_table ]);
       ( "trees",
         [
           Alcotest.test_case "tree compare allocation bound" `Quick
