@@ -1,8 +1,10 @@
 (* dgmc_sim — command-line driver for the D-GMC simulation study.
 
-   Subcommands mirror the paper's evaluation artifacts (fig6/fig7/fig8,
-   compare, cbt) and add single-run and topology-inspection utilities.
-   `dgmc_sim <cmd> --help` documents each. *)
+   The figure subcommands (fig6, fig7, fig8, compare, cbt, ablation,
+   hierarchy, extra) regenerate the paper's evaluation section by
+   section, each under its heading; this is the only program that
+   prints them.  The others are single-run, scenario, topology, fuzzing
+   and search utilities.  `dgmc_sim <cmd> --help` documents each. *)
 
 open Cmdliner
 
@@ -45,19 +47,31 @@ let members_arg =
   let doc = "Members joining in each burst (at most the smallest size)." in
   Arg.(value & opt (int_at_least 1) 10 & info [ "members" ] ~doc)
 
+let domains_arg doc =
+  Arg.(value & opt (int_at_least 1) 1 & info [ "domains" ] ~doc)
+
+let sweep_domains_arg =
+  domains_arg
+    "Spread the sweep over this many OCaml domains (Runner.Pool); the \
+     output is byte-identical for any value."
+
+(* A check across options: [v] above [bound] is a usage error naming
+   [opt]; otherwise the term yields [ok]. *)
+let at_most opt ~what bound v ok =
+  if v <= bound then `Ok ok
+  else
+    `Error
+      ( true,
+        Printf.sprintf "option '%s': must be at most %s (%d), got %d" opt what
+          bound v )
+
 (* A burst cannot hold more members than the smallest network has
    switches. *)
 let sizes_members_arg =
   let check sizes members =
-    let smallest = List.fold_left min max_int sizes in
-    if members <= smallest then `Ok (sizes, members)
-    else
-      `Error
-        ( true,
-          Printf.sprintf
-            "option '--members': must be at most the smallest --sizes value \
-             (%d), got %d"
-            smallest members )
+    at_most "--members" ~what:"the smallest --sizes value"
+      (List.fold_left min max_int sizes)
+      members (sizes, members)
   in
   Term.(ret (const check $ sizes_arg $ members_arg))
 
@@ -69,12 +83,34 @@ let csv_arg =
     & opt (some string) None
     & info [ "csv" ] ~docv:"FILE" ~doc:"Also write the table as CSV to $(docv).")
 
-(* A figure's table, as bench/main prints it, and its CSV export. *)
+(* A figure's table and its CSV export; a file that cannot be written
+   is one located line and exit 123 (an error reported on stderr),
+   after the table. *)
 let print_table ?csv (t : Metrics.Table.t) =
   Metrics.Table.print_table t;
   Option.iter
-    (fun path -> Metrics.Csv.write ~path ~headers:t.headers t.rows)
+    (fun path ->
+      try Metrics.Csv.write ~path ~headers:t.headers t.rows
+      with Sys_error msg ->
+        let prefix = path ^ ": " in
+        let reason =
+          if String.starts_with ~prefix msg then
+            String.sub msg (String.length prefix)
+              (String.length msg - String.length prefix)
+          else msg
+        in
+        Printf.eprintf "dgmc_sim: cannot write %s: %s\n" path reason;
+        exit Cmd.Exit.some_error)
     csv
+
+(* Every figure section opens with a ruled heading and a note on its
+   setup; the sweeps that check agreement close with a footer. *)
+let heading title note =
+  let rule = String.make 64 '=' in
+  Printf.printf "\n%s\n%s\n%s\n%s\n" rule title rule note
+
+let print_converged ok =
+  Printf.printf "all runs converged to network-wide agreement: %b\n" ok
 
 (* ------------------------------------------------------------------ *)
 (* Structured tracing (shared by run / script / fuzz) *)
@@ -139,69 +175,99 @@ let finish_trace trace file =
 (* ------------------------------------------------------------------ *)
 (* fig6 / fig7 *)
 
-let print_bursty csv (r : Experiments.Figures.bursty_result) =
-  print_table ?csv (Experiments.Figures.bursty_table r);
-  Printf.printf "all runs converged: %b\n" r.all_converged
-
 let fig6_cmd =
-  let run (sizes, members) graphs csv =
-    print_bursty csv
-      (Experiments.Figures.fig6 ~sizes ~seeds:(seeds_of graphs) ~members ())
+  let run (sizes, members) graphs domains csv =
+    heading "Figure 6 - Experiment 1: bursty events, computation dominates"
+      (Printf.sprintf
+         "(Tc = 400 us, t_hop = 4 us; %d-member join burst within one flooding \
+          diameter;\n mean +/- 95%% CI over the random graphs of each size)"
+         members);
+    let r =
+      Experiments.Figures.fig6 ~domains ~sizes ~seeds:(seeds_of graphs) ~members ()
+    in
+    print_table ?csv (Experiments.Figures.bursty_table r);
+    print_converged r.all_converged
   in
   Cmd.v
     (Cmd.info "fig6" ~doc:"Experiment 1: bursty events, computation dominates.")
-    Term.(const run $ sizes_members_arg $ seeds_arg $ csv_arg)
+    Term.(const run $ sizes_members_arg $ seeds_arg $ sweep_domains_arg $ csv_arg)
 
 let fig7_cmd =
-  let run (sizes, members) graphs csv =
-    print_bursty csv
-      (Experiments.Figures.fig7 ~sizes ~seeds:(seeds_of graphs) ~members ())
+  let run (sizes, members) graphs domains csv =
+    heading "Figure 7 - Experiment 2: bursty events, communication dominates"
+      "(Tc = 100 us, t_hop = 5 ms - WAN regime; same workload as Figure 6)";
+    let r =
+      Experiments.Figures.fig7 ~domains ~sizes ~seeds:(seeds_of graphs) ~members ()
+    in
+    print_table ?csv (Experiments.Figures.bursty_table r);
+    print_converged r.all_converged
   in
   Cmd.v
     (Cmd.info "fig7" ~doc:"Experiment 2: bursty events, communication dominates.")
-    Term.(const run $ sizes_members_arg $ seeds_arg $ csv_arg)
+    Term.(const run $ sizes_members_arg $ seeds_arg $ sweep_domains_arg $ csv_arg)
 
 (* ------------------------------------------------------------------ *)
 (* fig8 *)
 
 let fig8_cmd =
   let events_arg =
-    Arg.(value & opt int 40 & info [ "events" ] ~doc:"Membership events per run.")
+    Arg.(
+      value & opt (int_at_least 1) 40
+      & info [ "events" ] ~doc:"Membership events per run (at least 1).")
   in
   let gap_arg =
     Arg.(
       value & opt positive_float 50.0
       & info [ "gap" ] ~doc:"Mean inter-event gap, in protocol rounds (positive).")
   in
-  let run sizes graphs events gap_rounds csv =
+  let run sizes graphs domains events gap_rounds csv =
+    heading "Figure 8 - Experiment 3: normal traffic periods"
+      (Printf.sprintf
+         "(established 5-member MC; %d Poisson membership events, mean gap %g \
+          rounds;\n events handled individually => both ratios stay minimal)"
+         events gap_rounds);
     let r =
-      Experiments.Figures.fig8 ~sizes ~seeds:(seeds_of graphs) ~events ~gap_rounds ()
+      Experiments.Figures.fig8 ~domains ~sizes ~seeds:(seeds_of graphs) ~events
+        ~gap_rounds ()
     in
     print_table ?csv (Experiments.Figures.normal_table r);
-    Printf.printf "all runs converged: %b\n" r.n_all_converged
+    print_converged r.n_all_converged
   in
   Cmd.v
     (Cmd.info "fig8" ~doc:"Experiment 3: normal (sparse) traffic periods.")
-    Term.(const run $ sizes_arg $ seeds_arg $ events_arg $ gap_arg $ csv_arg)
+    Term.(
+      const run $ sizes_arg $ seeds_arg $ sweep_domains_arg $ events_arg $ gap_arg
+      $ csv_arg)
 
 (* ------------------------------------------------------------------ *)
 (* compare *)
 
 let compare_cmd =
   let sources_arg =
-    Arg.(value & opt int 3 & info [ "sources" ] ~doc:"Active MOSPF sources.")
+    Arg.(
+      value & opt (int_at_least 1) 3
+      & info [ "sources" ] ~doc:"Active MOSPF sources (1 to --members).")
   in
-  let run (sizes, members) graphs sources =
-    let c =
-      Experiments.Figures.compare_protocols ~sizes ~seeds:(seeds_of graphs)
-        ~members ~sources ()
-    in
-    print_table (Experiments.Figures.comparison_table c)
+  (* MOSPF's sources are drawn from the burst's members. *)
+  let check (sizes, members) sources =
+    at_most "--sources" ~what:"--members" members sources (sizes, members, sources)
+  in
+  let run (sizes, members, sources) graphs domains =
+    heading "Comparison - per-event signaling cost: D-GMC vs brute-force vs MOSPF"
+      "(same bursty workload; brute-force recomputes at every switch per \
+       event;\n MOSPF recomputes at every on-tree router per source after each \
+       change)";
+    print_table
+      (Experiments.Figures.comparison_table
+         (Experiments.Figures.compare_protocols ~domains ~sizes
+            ~seeds:(seeds_of graphs) ~members ~sources ()))
   in
   Cmd.v
     (Cmd.info "compare"
        ~doc:"Per-event cost: D-GMC vs brute-force LSR vs MOSPF.")
-    Term.(const run $ sizes_members_arg $ seeds_arg $ sources_arg)
+    Term.(
+      const run $ ret (const check $ sizes_members_arg $ sources_arg) $ seeds_arg
+      $ sweep_domains_arg)
 
 (* ------------------------------------------------------------------ *)
 (* cbt *)
@@ -211,20 +277,92 @@ let cbt_cmd =
     Arg.(value & opt size 60 & info [ "n" ] ~doc:"Network size (at least 2).")
   in
   let receivers_arg =
-    Arg.(value & opt (int_at_least 1) 12 & info [ "receivers" ] ~doc:"Receiver count.")
+    Arg.(
+      value & opt (int_at_least 1) 12
+      & info [ "receivers" ] ~doc:"Receiver count (at most -n).")
   in
   let senders_arg =
-    Arg.(value & opt int 6 & info [ "senders" ] ~doc:"Off-tree sender count.")
+    Arg.(
+      value & opt (int_at_least 0) 6
+      & info [ "senders" ] ~doc:"Off-tree sender count (at most -n minus --receivers).")
   in
   let seed_arg = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Graph seed.") in
-  let run n receivers senders seed =
+  (* Receivers and senders are distinct switches. *)
+  let check n receivers senders =
+    match at_most "--receivers" ~what:"-n" n receivers () with
+    | `Ok () ->
+      at_most "--senders" ~what:"-n minus --receivers" (n - receivers) senders
+        (n, receivers, senders)
+    | `Error e -> `Error e
+  in
+  let run (n, receivers, senders) seed =
+    heading "CBT trade-off (paper 5) - shared-tree traffic concentration"
+      (Printf.sprintf
+         "(%d switches, %d receivers, %d off-tree senders x 5 packets; shared \
+          trees\n carry every packet on every tree link, per-source trees \
+          spread the load;\n CBT cost/delay depend on a core placement the \
+          network cannot really pick)"
+         n receivers senders);
     print_table
       (Experiments.Figures.cbt_table
          (Experiments.Figures.cbt_comparison ~seed ~n ~receivers ~senders ()))
   in
   Cmd.v
     (Cmd.info "cbt" ~doc:"CBT trade-off: shared-tree traffic concentration.")
-    Term.(const run $ n_arg $ receivers_arg $ senders_arg $ seed_arg)
+    Term.(
+      const run $ ret (const check $ n_arg $ receivers_arg $ senders_arg) $ seed_arg)
+
+(* ------------------------------------------------------------------ *)
+(* ablation *)
+
+let ablation_cmd =
+  let run graphs =
+    let seeds = seeds_of graphs in
+    heading "Ablations - design choices called out in DESIGN.md"
+      "\n[a] incremental updates (paper 3.5) vs from-scratch computation";
+    print_endline
+      "(8-member burst + 20 churn events; tree quality = final cost / fresh KMB)";
+    Metrics.Table.print
+      ~align:[ Metrics.Table.Left ]
+      ~headers:[ "strategy"; "mean cost ratio"; "all converged" ]
+      (List.map
+         (fun (r : Experiments.Ablation.incremental_row) ->
+           [
+             r.label;
+             Metrics.Table.cell_f r.mean_cost_ratio;
+             string_of_bool r.all_converged;
+           ])
+         (Experiments.Ablation.incremental_vs_scratch ~seeds ()));
+    print_endline "\n[b] Steiner heuristic choice (n = 60)";
+    Metrics.Table.print
+      ~align:[ Metrics.Table.Left ]
+      ~headers:[ "heuristic"; "members"; "cost / lower bound" ]
+      (List.map
+         (fun (r : Experiments.Ablation.heuristic_row) ->
+           [
+             r.algo;
+             string_of_int r.members;
+             Metrics.Table.cell_f r.mean_cost_vs_bound;
+           ])
+         (Experiments.Ablation.steiner_heuristics ~seeds ()));
+    print_endline "\n[c] drift threshold for from-scratch recomputation";
+    Metrics.Table.print
+      ~headers:[ "threshold"; "final cost ratio"; "all converged" ]
+      (List.map
+         (fun (r : Experiments.Ablation.drift_row) ->
+           [
+             Metrics.Table.cell_f r.threshold;
+             Metrics.Table.cell_f r.final_cost_ratio;
+             string_of_bool r.d_converged;
+           ])
+         (Experiments.Ablation.drift_threshold ~seeds ()))
+  in
+  Cmd.v
+    (Cmd.info "ablation"
+       ~doc:
+         "Design-choice ablations: incremental vs from-scratch trees, Steiner \
+          heuristic, drift threshold.")
+    Term.(const run $ seeds_arg)
 
 (* ------------------------------------------------------------------ *)
 (* hierarchy *)
@@ -237,18 +375,72 @@ let hierarchy_cmd =
     Arg.(value & opt size 20 & info [ "per-area" ] ~doc:"Switches per area (at least 2).")
   in
   let events_arg =
-    Arg.(value & opt int 20 & info [ "events" ] ~doc:"Membership events.")
+    Arg.(
+      value & opt (int_at_least 1) 20
+      & info [ "events" ] ~doc:"Membership events (at least 1).")
   in
-  let run areas per_area events graphs =
+  let run areas per_area events graphs domains =
+    heading "Hierarchical D-GMC - the paper's scalability extension (2)"
+      (Printf.sprintf
+         "(%d areas x %d switches = %d; %d sparse membership events\n \
+          confined to 3 areas; 'reach' = switches receiving signaling per\n \
+          event: flat D-GMC floods all n switches, the hierarchy floods\n \
+          one area plus the logical level when area membership flips)"
+         areas per_area (areas * per_area) events);
     print_table
       (Experiments.Scale.table
-         (Experiments.Scale.hier_vs_flat ~seeds:(seeds_of graphs) ~areas
+         (Experiments.Scale.hier_vs_flat ~domains ~seeds:(seeds_of graphs) ~areas
             ~per_area ~events ()))
   in
   Cmd.v
     (Cmd.info "hierarchy"
        ~doc:"Hierarchical vs flat D-GMC signaling scope on clustered topologies.")
-    Term.(const run $ areas_arg $ per_area_arg $ events_arg $ seeds_arg)
+    Term.(
+      const run $ areas_arg $ per_area_arg $ events_arg $ seeds_arg
+      $ sweep_domains_arg)
+
+(* ------------------------------------------------------------------ *)
+(* extra *)
+
+let extra_cmd =
+  let run graphs =
+    let seeds = seeds_of graphs in
+    heading "Extension experiments - axes the paper implies but does not sweep"
+      "\n[a] burst-size sensitivity (n = 60, computation-dominated regime)";
+    Metrics.Table.print
+      ~headers:
+        [ "burst"; "proposals/event"; "floodings/event"; "convergence (rounds)"; "ok" ]
+      (List.map
+         (fun (r : Experiments.Extra.burst_row) ->
+           [
+             string_of_int r.members;
+             Experiments.Figures.ci r.proposals_per_event;
+             Experiments.Figures.ci r.floodings_per_event;
+             Experiments.Figures.ci r.convergence_rounds;
+             string_of_bool r.all_converged;
+           ])
+         (Experiments.Extra.burst_size ~seeds ()));
+    print_endline
+      "\n[b] per-MC independence (3.1): k concurrent 6-member bursts, n = 60";
+    Metrics.Table.print
+      ~headers:
+        [ "concurrent MCs"; "computations/event/MC"; "floodings/event/MC"; "ok" ]
+      (List.map
+         (fun (r : Experiments.Extra.independence_row) ->
+           [
+             string_of_int r.mcs;
+             Experiments.Figures.ci r.per_mc_computations;
+             Experiments.Figures.ci r.per_mc_floodings;
+             string_of_bool r.i_all_converged;
+           ])
+         (Experiments.Extra.mc_independence ~seeds ()))
+  in
+  Cmd.v
+    (Cmd.info "extra"
+       ~doc:
+         "Extension experiments: burst-size sensitivity and per-MC \
+          independence.")
+    Term.(const run $ seeds_arg)
 
 (* ------------------------------------------------------------------ *)
 (* run: one scenario, verbose *)
@@ -698,7 +890,9 @@ let default_term =
       & info [ "seed" ] ~doc:"Base seed; iteration $(i,i) fuzzes seed + i.")
   in
   let iterations_arg =
-    Arg.(value & opt int 25 & info [ "iterations" ] ~doc:"Fuzz cases to run.")
+    Arg.(
+      value & opt (int_at_least 1) 25
+      & info [ "iterations" ] ~doc:"Fuzz cases to run (at least 1).")
   in
   let n_max_arg =
     Arg.(
@@ -715,14 +909,11 @@ let default_term =
       & info [ "events-max" ] ~doc:"Upper bound on workload events per case.")
   in
   let domains_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "domains" ]
-          ~doc:
-            "Run fuzz cases on this many OCaml domains (Runner.Pool).  \
-             Each case is a pure function of its seed, so the outcome — \
-             pass/fail counts, counters, shrunk workloads, repro lines — \
-             is byte-identical for any value.")
+    domains_arg
+      "Run fuzz cases on this many OCaml domains (Runner.Pool).  Each case \
+       is a pure function of its seed, so the outcome — pass/fail counts, \
+       counters, shrunk workloads, repro lines — is byte-identical for any \
+       value."
   in
   let verbose_arg =
     Arg.(
@@ -866,6 +1057,7 @@ let () =
     (Cmd.eval
        (Cmd.group ~default:default_term info
           [
-            fig6_cmd; fig7_cmd; fig8_cmd; compare_cmd; cbt_cmd; hierarchy_cmd;
+            fig6_cmd; fig7_cmd; fig8_cmd; compare_cmd; cbt_cmd; ablation_cmd;
+            hierarchy_cmd; extra_cmd;
             run_cmd; script_cmd; topo_cmd;
           ]))

@@ -3,8 +3,8 @@
     Each function reproduces one evaluation artifact as data series —
     mean ± 95% CI over the seed set at each network size, exactly the
     reduction the paper plots.  Each result also has its text table
-    here ({!bursty_table} and friends), so the bench harness and
-    [dgmc_sim] print and export the same rows under the same headers.
+    here ({!bursty_table} and friends), which [dgmc_sim] prints under
+    the section's heading and exports as CSV.
 
     Defaults follow DESIGN.md's reconstruction of the paper's setup:
     sizes 20–100 step 20, 10 random graphs per size, 10-member bursts.
@@ -96,8 +96,8 @@ val cbt_comparison :
 
 (** {1 Tables}
 
-    Headers and rows of each artifact's table, as the bench harness and
-    [dgmc_sim] print them. *)
+    Headers and rows of each artifact's table, as the [dgmc_sim] figure
+    subcommands print them. *)
 
 val ci : Metrics.Stats.summary -> string
 (** A ["mean ± ci95"] cell. *)

@@ -1,6 +1,6 @@
-(** Monospace table rendering for benchmark output.
+(** Monospace table rendering for figure output.
 
-    The benchmark harness prints every figure of the paper as a plain
+    [dgmc_sim] prints every figure of the paper as a plain
     table (one row per x-axis point, one column per series); this keeps
     the output greppable and diffable across runs. *)
 
