@@ -77,6 +77,20 @@ let sizes_members_arg =
 
 let seeds_of count = List.init count (fun i -> i + 1)
 
+(* The two published timing regimes, one converter for [run] and
+   [--search]. *)
+let regimes = [ ("atm", `Atm); ("wan", `Wan) ]
+
+let regime_arg doc =
+  Arg.(value & opt (enum regimes) `Atm & info [ "regime" ] ~doc)
+
+let regime_config = function
+  | `Atm -> Dgmc.Config.atm_lan
+  | `Wan -> Dgmc.Config.wan
+
+(* The command-line name of an [enum] value. *)
+let name_in names v = fst (List.find (fun (_, x) -> x = v) names)
+
 let csv_arg =
   Arg.(
     value
@@ -446,16 +460,14 @@ let extra_cmd =
 (* run: one scenario, verbose *)
 
 let run_cmd =
-  let n_arg = Arg.(value & opt int 40 & info [ "n" ] ~doc:"Network size.") in
+  let n_arg =
+    Arg.(value & opt size 40 & info [ "n" ] ~doc:"Network size (at least 2).")
+  in
   let seed_arg = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Random seed.") in
   let members_arg =
-    Arg.(value & opt int 10 & info [ "members" ] ~doc:"Burst size.")
-  in
-  let regime_arg =
     Arg.(
-      value
-      & opt (enum [ ("atm", `Atm); ("wan", `Wan) ]) `Atm
-      & info [ "regime" ] ~doc:"Timing regime: atm (Tc >> t_hop) or wan.")
+      value & opt (int_at_least 1) 10
+      & info [ "members" ] ~doc:"Burst size (1 to -n; bursty workload only).")
   in
   let workload_arg =
     Arg.(
@@ -463,10 +475,15 @@ let run_cmd =
       & opt (enum [ ("bursty", `Bursty); ("normal", `Normal) ]) `Bursty
       & info [ "workload" ] ~doc:"Event pattern.")
   in
-  let run n seed members regime workload trace_file trace_cats =
-    let config =
-      match regime with `Atm -> Dgmc.Config.atm_lan | `Wan -> Dgmc.Config.wan
-    in
+  (* A burst cannot hold more members than the network has switches; the
+     normal workload draws its own. *)
+  let check n members workload =
+    match workload with
+    | `Bursty -> at_most "--members" ~what:"-n" n members (n, members, workload)
+    | `Normal -> `Ok (n, members, workload)
+  in
+  let run (n, members, workload) seed regime trace_file trace_cats =
+    let config = regime_config regime in
     let trace = make_trace trace_file trace_cats in
     let r =
       match workload with
@@ -491,7 +508,10 @@ let run_cmd =
   Cmd.v
     (Cmd.info "run" ~doc:"One D-GMC simulation run, reported in detail.")
     Term.(
-      const run $ n_arg $ seed_arg $ members_arg $ regime_arg $ workload_arg
+      const run
+      $ ret (const check $ n_arg $ members_arg $ workload_arg)
+      $ seed_arg
+      $ regime_arg "Timing regime: atm (Tc >> t_hop) or wan."
       $ trace_file_arg $ trace_cats_arg)
 
 (* ------------------------------------------------------------------ *)
@@ -665,7 +685,9 @@ let script_cmd =
 (* topo: inspect generated topologies *)
 
 let topo_cmd =
-  let n_arg = Arg.(value & opt int 40 & info [ "n" ] ~doc:"Network size.") in
+  let n_arg =
+    Arg.(value & opt size 40 & info [ "n" ] ~doc:"Network size (at least 2).")
+  in
   let seed_arg = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Random seed.") in
   let dump_arg =
     Arg.(value & flag & info [ "edges" ] ~doc:"Also dump the edge list.")
@@ -699,8 +721,7 @@ let topo_cmd =
    regenerates the identical case, so the captured trace is exactly the
    failing (or passing) run.  Shrinking is skipped — the trace records
    the unshrunk case the repro line names. *)
-let fuzz_traced ~seed ~iterations ~n_max ~mcs_max ~events_max ~health
-    ~trace_file ~trace_cats =
+let fuzz_traced ~seed ~iterations ~health ~trace_file ~trace_cats =
   if iterations <> 1 then begin
     prerr_endline
       "dgmc_sim --fuzz --trace: tracing captures a single case; pass \
@@ -708,7 +729,7 @@ let fuzz_traced ~seed ~iterations ~n_max ~mcs_max ~events_max ~health
     exit 2
   end;
   let trace = make_trace ~cap:200_000 (Some trace_file) trace_cats in
-  let case = Check.Fuzz.case_of_seed ~n_max ~mcs_max ~events_max ~health seed in
+  let case = Check.Fuzz.case_of_seed ~health seed in
   let outcome = Check.Fuzz.run_case ~trace case in
   finish_trace trace (Some trace_file);
   match outcome with
@@ -718,18 +739,12 @@ let fuzz_traced ~seed ~iterations ~n_max ~mcs_max ~events_max ~health
     List.iter (fun p -> Printf.printf "  %s\n" p) problems;
     exit 1
 
-let fuzz_run ~seed ~iterations ~n_max ~mcs_max ~events_max ~health ~domains
-    ~verbose =
+let fuzz_run ~seed ~iterations ~health ~domains ~verbose =
   let progress s =
     if verbose then
-      Format.printf "%a@."
-        Check.Fuzz.pp_case
-        (Check.Fuzz.case_of_seed ~n_max ~mcs_max ~events_max ~health s)
+      Format.printf "%a@." Check.Fuzz.pp_case (Check.Fuzz.case_of_seed ~health s)
   in
-  let o =
-    Check.Fuzz.run ~n_max ~mcs_max ~events_max ~health ~domains ~progress
-      ~seed ~iterations ()
-  in
+  let o = Check.Fuzz.run ~health ~domains ~progress ~seed ~iterations () in
   let agg f = List.fold_left (fun a s -> a + f s) 0 o.Check.Fuzz.o_stats in
   Printf.printf "fuzz: %d/%d cases passed (seeds %d..%d)\n"
     (List.length o.o_stats) iterations seed
@@ -768,52 +783,56 @@ let fuzz_run ~seed ~iterations ~n_max ~mcs_max ~events_max ~health ~domains
    `dgmc_sim --search forward|backward` — the spelling repro lines
    print, so it lives on the default term next to --fuzz. *)
 
+(* The bugs [--inject-bug] re-introduces, by command-line name. *)
+let injectable_bugs =
+  [
+    ("stale-senders", Dgmc.Config.Skip_stale_sender_flag);
+    ("asymmetric-tree", Dgmc.Config.Skip_secondary_senders);
+  ]
+
+(* A converter that keeps each value's spelling, so a repro line prints
+   the option back as it was given. *)
+let spelled parse =
+  Arg.conv'
+    ( (fun s -> Result.map (fun v -> (s, v)) (parse s)),
+      fun ppf (s, _) -> Format.pp_print_string ppf s )
+
+let spelled_opt parse default name doc =
+  Arg.(
+    value
+    & opt (spelled parse) (default, Result.get_ok (parse default))
+    & info [ name ] ~doc)
+
+let search_graph spec =
+  Workload.Script.graph_of_args ~line:0
+    (String.split_on_char ' ' spec |> List.filter (fun s -> s <> ""))
+
+(* MC kind [i] gets id [i + 1]. *)
+let search_mcs spec =
+  let kinds =
+    List.filter_map
+      (fun k ->
+        match String.trim k with
+        | "" -> None
+        | k -> Some (k, Dgmc.Mc_id.kind_of_string k))
+      (String.split_on_char ',' spec)
+  in
+  match List.find_opt (fun (_, kind) -> kind = None) kinds with
+  | Some (k, _) -> Error (Printf.sprintf "unknown MC kind %S" k)
+  | None when kinds = [] -> Error "needs at least one MC kind"
+  | None ->
+    Ok (List.mapi (fun i (_, kind) -> Dgmc.Mc_id.make (Option.get kind) (i + 1)) kinds)
+
+(* Checks across options: forward search needs [--race], and [--race]
+   and [--setup] events name the MCs of [--mcs]. *)
 let search_usage m =
   prerr_endline ("dgmc_sim --search: " ^ m);
   exit 2
 
-let search_main ~mode ~graph_spec ~regime ~mcs_spec ~race ~setup ~target_spec
-    ~max_states ~max_depth ~max_len ~inject_bug ~domains =
-  let graph =
-    let toks =
-      String.split_on_char ' ' graph_spec |> List.filter (fun s -> s <> "")
-    in
-    match Workload.Script.graph_of_args ~line:0 toks with
-    | Ok g -> g
-    | Error m -> search_usage m
-  in
-  let base =
-    match regime with
-    | "atm" -> Dgmc.Config.atm_lan
-    | "wan" -> Dgmc.Config.wan
-    | r -> search_usage (Printf.sprintf "unknown regime %S (atm or wan)" r)
-  in
-  let inject =
-    match inject_bug with
-    | None -> None
-    | Some "stale-senders" -> Some Dgmc.Config.Skip_stale_sender_flag
-    | Some "asymmetric-tree" -> Some Dgmc.Config.Skip_secondary_senders
-    | Some b ->
-      search_usage
-        (Printf.sprintf
-           "unknown bug %S (stale-senders or asymmetric-tree)" b)
-  in
-  let config = { base with Dgmc.Config.inject } in
-  let mcs =
-    String.split_on_char ',' mcs_spec
-    |> List.map String.trim
-    |> List.filter (fun s -> s <> "")
-    |> List.mapi (fun i k ->
-           match Dgmc.Mc_id.kind_of_string k with
-           | Some kind -> Dgmc.Mc_id.make kind (i + 1)
-           | None -> search_usage (Printf.sprintf "unknown MC kind %S" k))
-  in
-  if mcs = [] then search_usage "--mcs needs at least one MC kind";
-  let target =
-    match Check.Search.target_of_string target_spec with
-    | Ok t -> t
-    | Error m -> search_usage m
-  in
+let search_main ~mode ~graph:(graph_spec, graph) ~regime ~mcs:(mcs_spec, mcs)
+    ~race ~setup ~target:(target_spec, target) ~max_states ~max_depth ~max_len
+    ~inject_bug ~domains =
+  let config = { (regime_config regime) with Dgmc.Config.inject = inject_bug } in
   let parse_events what s =
     match Check.Search.events_of_string ~mcs s with
     | Ok evs -> evs
@@ -827,9 +846,9 @@ let search_main ~mode ~graph_spec ~regime ~mcs_spec ~race ~setup ~target_spec
     String.concat ""
       [
         Printf.sprintf "dgmc_sim --search forward --graph %S --regime %s"
-          graph_spec regime;
+          graph_spec (name_in regimes regime);
         (match inject_bug with
-        | Some bug -> " --inject-bug " ^ bug
+        | Some bug -> " --inject-bug " ^ name_in injectable_bugs bug
         | None -> "");
         Printf.sprintf " --mcs %s" mcs_spec;
         (match setup with
@@ -843,7 +862,7 @@ let search_main ~mode ~graph_spec ~regime ~mcs_spec ~race ~setup ~target_spec
       ]
   in
   match mode with
-  | "forward" ->
+  | `Forward ->
     let race =
       match race with
       | None -> search_usage "forward search needs --race \"<events>\""
@@ -859,7 +878,7 @@ let search_main ~mode ~graph_spec ~regime ~mcs_spec ~race ~setup ~target_spec
     | Some _ ->
       Printf.printf "reproduce: %s\n" (repro race);
       exit 1)
-  | "backward" ->
+  | `Backward ->
     let o =
       Check.Search.backward ~target ~max_len ~per_candidate_states:max_states
         ~domains ~graph ~config ~setup ~mcs ()
@@ -871,7 +890,6 @@ let search_main ~mode ~graph_spec ~regime ~mcs_spec ~race ~setup ~target_spec
       Printf.printf
         "no fault sequence up to length %d reproduces the target\n" max_len;
       exit 1)
-  | m -> search_usage (Printf.sprintf "unknown mode %S (forward or backward)" m)
 
 let default_term =
   let fuzz_arg =
@@ -893,20 +911,6 @@ let default_term =
     Arg.(
       value & opt (int_at_least 1) 25
       & info [ "iterations" ] ~doc:"Fuzz cases to run (at least 1).")
-  in
-  let n_max_arg =
-    Arg.(
-      value & opt int 20
-      & info [ "n-max" ] ~doc:"Upper bound on switches per case (min 4).")
-  in
-  let mcs_max_arg =
-    Arg.(
-      value & opt int 3 & info [ "mcs-max" ] ~doc:"Upper bound on MCs per case.")
-  in
-  let events_max_arg =
-    Arg.(
-      value & opt int 20
-      & info [ "events-max" ] ~doc:"Upper bound on workload events per case.")
   in
   let domains_arg =
     domains_arg
@@ -935,7 +939,7 @@ let default_term =
   let search_arg =
     Arg.(
       value
-      & opt (some string) None
+      & opt (some (enum [ ("forward", `Forward); ("backward", `Backward) ])) None
       & info [ "search" ]
           ~doc:
             "Guided fault-scenario search.  $(b,forward): best-first from \
@@ -945,25 +949,14 @@ let default_term =
              any $(b,--domains).")
   in
   let graph_arg =
-    Arg.(
-      value & opt string "ring 4"
-      & info [ "graph" ]
-          ~doc:
-            "Topology for --search, in script-directive syntax (e.g. \
-             $(b,\"ring 6\"), $(b,\"grid 3 3\"), $(b,\"waxman 12 seed=5\")).")
-  in
-  let regime_arg =
-    Arg.(
-      value & opt string "atm"
-      & info [ "regime" ] ~doc:"Parameter regime for --search: atm or wan.")
+    spelled_opt search_graph "ring 4" "graph"
+      "Topology for --search, in script-directive syntax (e.g. $(b,\"ring \
+       6\"), $(b,\"grid 3 3\"), $(b,\"waxman 12 seed=5\"))."
   in
   let search_mcs_arg =
-    Arg.(
-      value & opt string "symmetric"
-      & info [ "mcs" ]
-          ~doc:
-            "Comma-separated MC kinds for --search (symmetric, \
-             receiver-only, asymmetric); kind $(i,i) gets id $(i,i+1).")
+    spelled_opt search_mcs "symmetric" "mcs"
+      "Comma-separated MC kinds for --search (symmetric, receiver-only, \
+       asymmetric); kind $(i,i) gets id $(i,i+1)."
   in
   let race_arg =
     Arg.(
@@ -984,13 +977,10 @@ let default_term =
           ~doc:"Events injected and settled before the race (same syntax).")
   in
   let target_arg =
-    Arg.(
-      value & opt string "any"
-      & info [ "target-invariant" ]
-          ~doc:
-            "Invariant to hunt: a law-name prefix, optionally \
-             $(b,law@kind) (e.g. $(b,agreement), \
-             $(b,terminals-match@asymmetric)); $(b,any) matches all.")
+    spelled_opt Check.Search.target_of_string "any" "target-invariant"
+      "Invariant to hunt: a law-name prefix, optionally $(b,law@kind) (e.g. \
+       $(b,agreement), $(b,terminals-match@asymmetric)); $(b,any) matches \
+       all."
   in
   let max_states_arg =
     Arg.(
@@ -1014,39 +1004,39 @@ let default_term =
   let inject_bug_arg =
     Arg.(
       value
-      & opt (some string) None
+      & opt (some (enum injectable_bugs)) None
       & info [ "inject-bug" ]
           ~doc:
             "Re-inject a historical bug for --search to rediscover: \
              $(b,stale-senders) (no recompute flag on stale senders) or \
              $(b,asymmetric-tree) (secondary senders left off the span).")
   in
-  let run fuzz search seed iterations n_max mcs_max events_max domains verbose
-      health_band graph_spec regime mcs_spec race setup target_spec max_states
-      max_depth max_len inject_bug trace_file trace_cats =
+  let run fuzz search seed iterations domains verbose health_band graph regime
+      mcs race setup target max_states max_depth max_len inject_bug trace_file
+      trace_cats =
     match search with
     | Some mode ->
-      search_main ~mode ~graph_spec ~regime ~mcs_spec ~race ~setup
-        ~target_spec ~max_states ~max_depth ~max_len ~inject_bug ~domains;
+      search_main ~mode ~graph ~regime ~mcs ~race ~setup ~target ~max_states
+        ~max_depth ~max_len ~inject_bug ~domains;
       `Ok ()
     | None ->
       if not fuzz then `Help (`Pager, None)
       else begin
         (match trace_file with
         | Some trace_file ->
-          fuzz_traced ~seed ~iterations ~n_max ~mcs_max ~events_max
-            ~health:health_band ~trace_file ~trace_cats
+          fuzz_traced ~seed ~iterations ~health:health_band ~trace_file
+            ~trace_cats
         | None ->
-          fuzz_run ~seed ~iterations ~n_max ~mcs_max ~events_max
-            ~health:health_band ~domains ~verbose);
+          fuzz_run ~seed ~iterations ~health:health_band ~domains ~verbose);
         `Ok ()
       end
   in
   Term.(
     ret
       (const run $ fuzz_arg $ search_arg $ seed_arg $ iterations_arg
-     $ n_max_arg $ mcs_max_arg $ events_max_arg $ domains_arg $ verbose_arg
-     $ health_band_arg $ graph_arg $ regime_arg $ search_mcs_arg $ race_arg $ setup_arg
+     $ domains_arg $ verbose_arg $ health_band_arg $ graph_arg
+     $ regime_arg "Parameter regime for --search: atm or wan."
+     $ search_mcs_arg $ race_arg $ setup_arg
      $ target_arg $ max_states_arg $ max_depth_arg $ max_len_arg
      $ inject_bug_arg $ trace_file_arg $ trace_cats_arg))
 

@@ -32,7 +32,7 @@ type memo = {
 type t = {
   engine : Sim.Engine.t;
   graph : Net.Graph.t;
-  config : Dgmc.Config.t;  (** With [incremental = false]. *)
+  config : Dgmc.Config.t;
   flooding : membership_lsa Lsr.Flooding.t;
   seqs : Lsr.Lsa.Seq.counter array;
   states : mc_state Dgmc.Mc_id.Tbl.t array;  (** Per switch. *)
@@ -111,7 +111,7 @@ let create ~graph ~config () =
     {
       engine;
       graph;
-      config = { config with Dgmc.Config.incremental = false };
+      config = { config with Dgmc.Config.computation = Scratch };
       flooding;
       seqs = Array.init n (fun _ -> Lsr.Lsa.Seq.create ());
       states;

@@ -41,19 +41,20 @@ type outcome = {
    one retransmission landing after the window closes. *)
 let max_window_hops = 100.0
 
-let default_n_max = 20
+(* Every case has 4..[n_max] switches, 1..[mcs_max] MCs and
+   5..[events_max] workload events (link restorations may add a few). *)
+let n_max = 20
 
-let default_mcs_max = 3
+let mcs_max = 3
 
-let default_events_max = 20
+let events_max = 20
 
-let case_of_seed ?(n_max = default_n_max) ?(mcs_max = default_mcs_max)
-    ?(events_max = default_events_max) ?(health = false) seed =
+let case_of_seed ?(health = false) seed =
   let master = Sim.Rng.create seed in
   let topo_rng = Sim.Rng.split master in
   let fault_rng = Sim.Rng.split master in
   let work_rng = Sim.Rng.split master in
-  let n = Sim.Rng.range topo_rng 4 (max 4 n_max) in
+  let n = Sim.Rng.range topo_rng 4 n_max in
   let graph = Net.Topo_gen.waxman topo_rng ~n ~target_degree:3.5 () in
   let regime, base =
     if Sim.Rng.int work_rng 4 = 0 then ("wan", Dgmc.Config.wan)
@@ -97,7 +98,7 @@ let case_of_seed ?(n_max = default_n_max) ?(mcs_max = default_mcs_max)
     end
     else []
   in
-  let n_mcs = 1 + Sim.Rng.int work_rng (max 1 mcs_max) in
+  let n_mcs = 1 + Sim.Rng.int work_rng mcs_max in
   let mcs =
     List.init n_mcs (fun i ->
         let kind =
@@ -112,7 +113,7 @@ let case_of_seed ?(n_max = default_n_max) ?(mcs_max = default_mcs_max)
      leave targets a current member and every link failure is restored
      (the terminal agreement demanded afterwards is only meaningful on
      the healed network). *)
-  let n_events = Sim.Rng.range work_rng 5 (max 5 events_max) in
+  let n_events = Sim.Rng.range work_rng 5 events_max in
   let shape = ref Workload.Events.empty_shape in
   let join_order = Hashtbl.create 4 in (* mc id -> joins so far *)
   let failed = ref [] in (* (u, v) failed so far, each with its heal *)
@@ -372,8 +373,7 @@ let shrink case problems =
 (* ------------------------------------------------------------------ *)
 (* Batch driver *)
 
-let run ?n_max ?mcs_max ?events_max ?health ?domains ?(progress = ignore)
-    ~seed ~iterations () =
+let run ?health ?domains ?(progress = ignore) ~seed ~iterations () =
   let seeds = List.init iterations (fun i -> seed + i) in
   (* The progress callback fires in seed order before the batch is
      dispatched: worker domains never touch the caller's output stream,
@@ -385,7 +385,7 @@ let run ?n_max ?mcs_max ?events_max ?health ?domains ?(progress = ignore)
   let outcomes =
     Runner.Pool.map ?domains
       (fun case_seed ->
-        let case = case_of_seed ?n_max ?mcs_max ?events_max ?health case_seed in
+        let case = case_of_seed ?health case_seed in
         match run_case case with
         | Ok s -> Ok s
         | Error problems ->

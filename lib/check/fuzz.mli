@@ -59,12 +59,11 @@ type outcome = {
   o_stats : stats list;  (** Per passing iteration, in seed order. *)
 }
 
-val case_of_seed :
-  ?n_max:int -> ?mcs_max:int -> ?events_max:int -> ?health:bool -> int -> case
-(** Generate the case a seed denotes.  [n_max] (default 20) bounds the
-    switch count from above (the minimum is 4), [mcs_max] (default 3)
-    the number of MCs, [events_max] (default 20) the workload length
-    (link restorations may add a few more).
+val case_of_seed : ?health:bool -> int -> case
+(** Generate the case a seed denotes: 4 to 20 switches, 1 to 3 MCs and
+    5 to 20 workload events (link restorations may add a few more).
+    The bounds are fixed, so the seed and the band alone name the case,
+    and the repro line ({!pp_failure}) carries nothing else.
 
     [health] (default [false]) selects the {e health band}: the same
     seed draws the identical topology, workload and message-fault spec
@@ -108,9 +107,6 @@ val shrink : case -> string list -> Workload.Events.t list * int
     Deterministic. *)
 
 val run :
-  ?n_max:int ->
-  ?mcs_max:int ->
-  ?events_max:int ->
   ?health:bool ->
   ?domains:int ->
   ?progress:(int -> unit) ->

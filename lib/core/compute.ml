@@ -51,7 +51,7 @@ let scratch config kind image members ~self =
           Mctree.Spt.source_rooted image ~root:local_root
             ~receivers:(List.filter (fun x -> x <> local_root) reachable))))
 
-let incremental config kind image members ~self current =
+let incremental config kind image members ~self ~drift current =
   let ids = Member.ids members in
   let old_ids = Mctree.Tree.terminals current in
   let leavers = List.filter (fun x -> not (Member.mem members x)) old_ids in
@@ -72,10 +72,7 @@ let incremental config kind image members ~self current =
       if not (Mctree.Tree.is_valid_mc_topology image grown) then
         scratch config kind image members ~self
       else
-        match
-          Mctree.Incremental.recompute
-            ~threshold:config.Config.drift_threshold image grown
-        with
+        match Mctree.Incremental.recompute ~threshold:drift image grown with
         | None -> grown
         | Some fresh -> fresh
     with Failure _ -> scratch config kind image members ~self)
@@ -86,12 +83,10 @@ let topology_impl config kind image members ~self ~current =
     match (kind : Mc_id.kind) with
     | Asymmetric -> scratch config kind image members ~self
     | Symmetric | Receiver_only -> (
-      match current with
-      | Some cur
-        when config.Config.incremental
-             && Mctree.Tree.n_terminals cur > 0 ->
-        incremental config kind image members ~self cur
-      | Some _ | None -> scratch config kind image members ~self)
+      match (config.Config.computation, current) with
+      | Incremental { drift }, Some cur when Mctree.Tree.n_terminals cur > 0 ->
+        incremental config kind image members ~self ~drift cur
+      | (Scratch | Incremental _), _ -> scratch config kind image members ~self)
 
 (* Closure-free phase wrapper; see Net.Dijkstra.run.  The tree-kernel
    phases — mctree and net — appear as child time of [dgmc.compute]. *)

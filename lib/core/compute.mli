@@ -2,15 +2,16 @@
 
     The protocol is independent of the algorithm; this module is the
     single entry point a switch calls when it needs a topology proposal.
-    It chooses between incremental update and from-scratch computation:
+    The config's {!Config.computation} chooses the algorithm:
 
     - asymmetric MCs always get a fresh source-rooted shortest-path tree
       (one Dijkstra — already cheap);
-    - shared trees (symmetric, receiver-only) are updated incrementally
-      — repair dead branches, graft joined members, prune left members —
-      unless the current tree is unusable or has drifted past the
-      configured threshold, in which case the SPH Steiner heuristic
-      ({!Mctree.Steiner.sph}) runs from scratch.
+    - shared trees (symmetric, receiver-only) under
+      [Incremental { drift }] are updated incrementally — repair dead
+      branches, graft joined members, prune left members — unless the
+      current tree is unusable or has drifted past [drift], in which
+      case the SPH Steiner heuristic ({!Mctree.Steiner.sph}) runs from
+      scratch; under [Scratch] SPH always runs from scratch.
 
     When some members are unreachable on the switch's network image (a
     partition, which the paper leaves to future work), the computation

@@ -1,12 +1,13 @@
 type bug = Skip_stale_withdrawal | Skip_stale_sender_flag | Skip_secondary_senders
 
+type computation = Scratch | Incremental of { drift : float }
+
 type t = {
   tc : float;
   t_hop : float;
   flood_mode : Lsr.Flooding.mode;
   reliability : Lsr.Flooding.reliability;
-  incremental : bool;
-  drift_threshold : float;
+  computation : computation;
   inject : bug option;
   health : Health.Config.t option;
 }
@@ -17,8 +18,7 @@ let atm_lan =
     t_hop = 4e-6;
     flood_mode = Lsr.Flooding.Hop_by_hop;
     reliability = Lsr.Flooding.default_reliability;
-    incremental = true;
-    drift_threshold = 1.5;
+    computation = Incremental { drift = 1.5 };
     inject = None;
     health = None;
   }

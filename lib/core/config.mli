@@ -21,6 +21,16 @@
       the protocol fuzzer first found. *)
 type bug = Skip_stale_withdrawal | Skip_stale_sender_flag | Skip_secondary_senders
 
+(** How a switch computes a shared tree (symmetric and receiver-only
+    MCs; asymmetric MCs always get a fresh source-rooted tree, see
+    {!Compute}).  The protocol does not depend on the choice (paper §1).
+    - [Scratch]: every computation runs SPH ({!Mctree.Steiner.sph}).
+    - [Incremental { drift }]: graft joined members, prune left ones and
+      repair dead branches of the current tree (§3.5), and recompute
+      from scratch when the tree's cost exceeds [drift] times a fresh
+      SPH tree's cost (§3.5's "deviates significantly"). *)
+type computation = Scratch | Incremental of { drift : float }
+
 type t = {
   tc : float;  (** Topology-computation latency at a switch (seconds). *)
   t_hop : float;  (** Per-hop LSA transmission time (seconds). *)
@@ -31,15 +41,9 @@ type t = {
   reliability : Lsr.Flooding.reliability;
       (** Reliable-mode parameters handed to {!Lsr.Flooding.create}
           ({!Lsr.Flooding.default_reliability} in every preset). *)
-  incremental : bool;
-      (** Use incremental branch add/remove when possible (§3.5);
-          [false] forces every computation from scratch. *)
-  drift_threshold : float;
-      (** Incrementally maintained trees are recomputed from scratch
-          when their cost exceeds this multiple of a fresh SPH tree's
-          cost (§3.5's "deviates significantly").  From-scratch shared
-          trees (symmetric and receiver-only MCs) are always SPH
-          ({!Mctree.Steiner.sph}). *)
+  computation : computation;
+      (** The tree computation; [Incremental { drift = 1.5 }] in every
+          preset. *)
   inject : bug option;
       (** Fault injection (see {!bug}).  [None] in every preset; never set
           it in a real run. *)

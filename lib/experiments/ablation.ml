@@ -54,7 +54,7 @@ let incremental_vs_scratch ?(seeds = Figures.default_seeds) ?(n = 40)
   [
     run "incremental (drift 1.5)" Dgmc.Config.atm_lan;
     run "from-scratch every event"
-      { Dgmc.Config.atm_lan with incremental = false };
+      { Dgmc.Config.atm_lan with computation = Scratch };
   ]
 
 type heuristic_row = {
@@ -102,7 +102,9 @@ type drift_row = {
 let drift_threshold ?(seeds = Figures.default_seeds) ?(n = 40) () =
   List.map
     (fun threshold ->
-      let config = { Dgmc.Config.atm_lan with drift_threshold = threshold } in
+      let config =
+        { Dgmc.Config.atm_lan with computation = Incremental { drift = threshold } }
+      in
       let results =
         List.map (fun seed -> churn_session ~seed ~n ~churn_events:25 config) seeds
       in

@@ -48,7 +48,7 @@ let hier_vs_flat ?domains ?(seeds = [ 1; 2; 3; 4; 5 ]) ?(areas = 10)
     Runner.Pool.map ?domains
       (fun seed ->
         let rng = Sim.Rng.create (seed * 977) in
-        let graph, partition = Net.Topo_gen.clustered rng ~areas ~per_area () in
+        let graph, partition = Net.Topo_gen.clustered rng ~areas ~per_area in
         let round = Dgmc.Config.round_length config ~graph in
         let gap = 50.0 *. round in
         let plan = schedule (Sim.Rng.create (seed + 4242)) ~partition ~events ~gap in

@@ -162,10 +162,9 @@ let waxman rng ~n ?target_degree () =
   connect_components g ~cost:weight_of ~weight:weight_of;
   g
 
-let clustered rng ~areas ~per_area ?(inter_links = 2) ?(target_degree = 3.5) () =
+let clustered rng ~areas ~per_area =
   if areas < 2 then invalid_arg "Topo_gen.clustered: need at least 2 areas";
   if per_area < 2 then invalid_arg "Topo_gen.clustered: need at least 2 per area";
-  if inter_links < 1 then invalid_arg "Topo_gen.clustered: need inter links";
   let n = areas * per_area in
   let g = Graph.create n in
   let partition =
@@ -173,18 +172,19 @@ let clustered rng ~areas ~per_area ?(inter_links = 2) ?(target_degree = 3.5) () 
   in
   (* Dense Waxman cluster inside each area, ids offset per area. *)
   for a = 0 to areas - 1 do
-    let sub = waxman rng ~n:per_area ~target_degree () in
+    let sub = waxman rng ~n:per_area ~target_degree:3.5 () in
     let base = a * per_area in
     List.iter
       (fun (e : Graph.edge) -> Graph.add_edge g (base + e.u) (base + e.v) ~weight:e.weight)
       (Graph.edges sub)
   done;
-  (* Sparse long links between consecutive areas on a ring. *)
+  (* Sparse long links between consecutive areas on a ring: two per
+     pair. *)
   for a = 0 to areas - 1 do
     let b = (a + 1) mod areas in
     let picked = ref [] in
     let attempts = ref 0 in
-    while List.length !picked < inter_links && !attempts < 100 do
+    while List.length !picked < 2 && !attempts < 100 do
       incr attempts;
       let u = (a * per_area) + Sim.Rng.int rng per_area in
       let v = (b * per_area) + Sim.Rng.int rng per_area in

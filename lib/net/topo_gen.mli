@@ -29,20 +29,14 @@ val waxman :
     which is what the paper's size sweeps need. *)
 
 val clustered :
-  Sim.Rng.t ->
-  areas:int ->
-  per_area:int ->
-  ?inter_links:int ->
-  ?target_degree:float ->
-  unit ->
-  Graph.t * int list array
+  Sim.Rng.t -> areas:int -> per_area:int -> Graph.t * int list array
 (** A two-level topology for hierarchical-routing experiments: [areas]
-    Waxman clusters of [per_area] switches each, joined by
-    [inter_links] (default 2) long links between every pair of adjacent
-    areas on a ring of areas — dense inside, sparse between, like an
-    internetwork of domains.  Node ids are contiguous per area
-    ([area k] owns [k*per_area .. (k+1)*per_area - 1]); the returned
-    array lists each area's switches.  An inter-area link costs [20.0]. *)
+    Waxman clusters of [per_area] switches each (target degree 3.5);
+    each pair of adjacent areas on a ring of areas gets 2 long links —
+    dense inside, sparse between, like an internetwork of domains.  Node
+    ids are contiguous per area ([area k] owns
+    [k*per_area .. (k+1)*per_area - 1]); the returned array lists each
+    area's switches.  An inter-area link costs [20.0]. *)
 
 (* dgmc-analyze: allow unused-export — test_props checks the one-pass
    joining step against the rescan loop under the ties that waxman's

@@ -800,6 +800,48 @@ let test_shrink_keeps_workload_shape () =
           (law_tags problems) (law_tags ps))
     [ (116, false); (27, true) ]
 
+(* The repro contract: a failure's "reproduce:" line names exactly the
+   seed and the band, and those alone regenerate the failing case, byte
+   for byte.  Seed 116 fails the default band's 400-seed sweep
+   (fuzz_sweep.seeds), seed 27 the health band's (health_sweep.seeds). *)
+let test_repro_line_regenerates_case () =
+  List.iter
+    (fun (seed, health) ->
+      let failure =
+        match
+          (Check.Fuzz.run ~health ~seed ~iterations:1 ()).o_failures
+        with
+        | [ f ] -> f
+        | _ -> Alcotest.failf "seed %d no longer fails" seed
+      in
+      let report = Format.asprintf "%a" Check.Fuzz.pp_failure failure in
+      let prefix = "reproduce: " in
+      let repro =
+        match
+          List.find_opt (String.starts_with ~prefix)
+            (String.split_on_char '\n' report)
+        with
+        | Some line ->
+          let k = String.length prefix in
+          String.sub line k (String.length line - k)
+        | None -> Alcotest.failf "seed %d: no reproduce line" seed
+      in
+      let seed', health' =
+        match String.split_on_char ' ' repro with
+        | [ "dgmc_sim"; "--fuzz"; "--seed"; n; "--iterations"; "1" ] ->
+          (int_of_string n, false)
+        | [ "dgmc_sim"; "--fuzz"; "--seed"; n; "--iterations"; "1";
+            "--health-band" ] ->
+          (int_of_string n, true)
+        | _ -> Alcotest.failf "seed %d: unexpected repro line %S" seed repro
+      in
+      let render c = Format.asprintf "%a" Check.Fuzz.pp_case c in
+      Alcotest.(check string)
+        (Printf.sprintf "seed %d's repro line regenerates its case" seed)
+        (render failure.f_case)
+        (render (Check.Fuzz.case_of_seed ~health:health' seed')))
+    [ (116, false); (27, true) ]
+
 (* The generator and the shape judge agree: every generated workload,
    in either band, is well-formed and ends healed. *)
 let test_generated_workloads_well_formed () =
@@ -1087,6 +1129,8 @@ let () =
             test_shrink_keeps_workload_shape;
           Alcotest.test_case "generated workloads are well-formed" `Quick
             test_generated_workloads_well_formed;
+          Alcotest.test_case "repro lines regenerate the failing case" `Quick
+            test_repro_line_regenerates_case;
         ] );
       ( "search",
         [

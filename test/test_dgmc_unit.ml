@@ -443,7 +443,7 @@ let test_compute_incremental_join_used () =
 
 let test_compute_incremental_disabled () =
   let g = Net.Topo_gen.grid ~rows:3 ~cols:3 () in
-  let config = { Dgmc.Config.atm_lan with incremental = false } in
+  let config = { Dgmc.Config.atm_lan with computation = Scratch } in
   let current =
     Dgmc.Compute.topology config Dgmc.Mc_id.Symmetric g
       (members_of [ 0; 4 ] Dgmc.Member.Both)
@@ -546,7 +546,9 @@ let test_compute_past_threshold () =
   let ids = List.init 13 (fun i -> (i * 37) mod 100) in
   let current = Mctree.Steiner.sph g (List.tl ids) in
   let members = members_of ids Dgmc.Member.Both in
-  let config = { Dgmc.Config.atm_lan with drift_threshold = 0.25 } in
+  let config =
+    { Dgmc.Config.atm_lan with computation = Incremental { drift = 0.25 } }
+  in
   let topology current =
     Dgmc.Compute.topology config Dgmc.Mc_id.Symmetric g members
       ~self:(List.hd ids) ~current

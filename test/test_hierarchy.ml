@@ -9,7 +9,7 @@ let assert_converged name h =
 
 let make ?(seed = 5) ?(areas = 4) ?(per_area = 8) () =
   let rng = Sim.Rng.create seed in
-  let graph, partition = Net.Topo_gen.clustered rng ~areas ~per_area () in
+  let graph, partition = Net.Topo_gen.clustered rng ~areas ~per_area in
   (graph, partition, Hierarchy.Hmc.create ~graph ~partition ~config:Dgmc.Config.atm_lan ())
 
 (* ------------------------------------------------------------------ *)
@@ -17,7 +17,7 @@ let make ?(seed = 5) ?(areas = 4) ?(per_area = 8) () =
 
 let test_clustered_shape () =
   let rng = Sim.Rng.create 1 in
-  let graph, partition = Net.Topo_gen.clustered rng ~areas:5 ~per_area:6 () in
+  let graph, partition = Net.Topo_gen.clustered rng ~areas:5 ~per_area:6 in
   check Alcotest.int "nodes" 30 (Net.Graph.n_nodes graph);
   check Alcotest.int "areas" 5 (Array.length partition);
   check Alcotest.bool "connected" true (Net.Bfs.is_connected graph);
@@ -32,7 +32,7 @@ let test_clustered_shape () =
 
 let test_clustered_inter_links () =
   let rng = Sim.Rng.create 2 in
-  let graph, partition = Net.Topo_gen.clustered rng ~areas:3 ~per_area:5 ~inter_links:2 () in
+  let graph, partition = Net.Topo_gen.clustered rng ~areas:3 ~per_area:5 in
   let area_of s = s / 5 in
   let inter =
     List.filter

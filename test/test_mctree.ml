@@ -287,7 +287,11 @@ let test_incremental_drift () =
   in
   check Alcotest.(option tree_t) "detour detected, fresh tree handed back"
     (Some good) (recompute ~threshold:2.0 bad);
-  let threshold = Dgmc.Config.atm_lan.drift_threshold in
+  let threshold =
+    match Dgmc.Config.atm_lan.computation with
+    | Incremental { drift } -> drift
+    | Scratch -> Alcotest.fail "the preset computes incrementally"
+  in
   check Alcotest.(option tree_t) "needs recompute" (Some good)
     (recompute ~threshold bad);
   check Alcotest.(option tree_t) "good tree does not" None

@@ -1367,7 +1367,7 @@ let prop_hierarchy_random_churn =
       let per_area = 6 in
       let rng = Sim.Rng.create c.h_seed in
       let graph, partition =
-        Net.Topo_gen.clustered rng ~areas:c.h_areas ~per_area ()
+        Net.Topo_gen.clustered rng ~areas:c.h_areas ~per_area
       in
       let h =
         Hierarchy.Hmc.create ~graph ~partition ~config:Dgmc.Config.atm_lan ()
@@ -1398,7 +1398,7 @@ let prop_hierarchy_global_tree_valid =
       let per_area = 6 in
       let rng = Sim.Rng.create c.h_seed in
       let graph, partition =
-        Net.Topo_gen.clustered rng ~areas:c.h_areas ~per_area ()
+        Net.Topo_gen.clustered rng ~areas:c.h_areas ~per_area
       in
       let h =
         Hierarchy.Hmc.create ~graph ~partition ~config:Dgmc.Config.atm_lan ()
