@@ -1,8 +1,8 @@
 (** The diagnostic record shared by every dgmc linter.
 
     Both [dgmc_analyze] (OCaml source analysis) and [dgmc_lint]
-    (scenario scripts) emit this shape, so downstream tooling — the CI
-    baseline diff, editors, dashboards — parses one format.  The JSON
+    (scenario scripts) emit this shape, so downstream tooling — CI,
+    editors, dashboards — parses one format.  The JSON
     rendering is one record of the [dgmc-analyze/1] schema. *)
 
 type severity = Error | Warning

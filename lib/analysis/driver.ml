@@ -1,7 +1,5 @@
-type status = New | Baselined
-
 type result = {
-  diags : (Diag.t * status) list;  (* sorted by Diag.compare *)
+  diags : Diag.t list;  (* sorted by Diag.compare *)
   suppressed : int;
   files_scanned : int;
   unused_suppressions : (string * Suppress.t) list;
@@ -34,7 +32,7 @@ let gather suffix paths =
 
 (* ------------------------------------------------------------------ *)
 
-let analyze ?(enabled = fun _ -> true) paths =
+let run ?(enabled = fun _ -> true) paths =
   let files = List.map Scan.load (gather ".ml" paths) in
   let env = Scan.env_of files in
   (* The unused-export rule is the one cross-file pass: interfaces
@@ -81,79 +79,37 @@ let analyze ?(enabled = fun _ -> true) paths =
           keep i.path i.sup (Exports.check callers i))
         interfaces
   in
-  let sorted = List.sort Diag.compare raw in
-  (sorted, !suppressed, List.length files + List.length interfaces, List.rev !unused)
-
-let against_baseline baseline (sorted, suppressed, files_scanned, unused) =
-  (* Findings are sorted, so same (file, rule) groups are contiguous in
-     line order; the first [baseline count] of each group are treated as
-     pre-existing, anything beyond is new. *)
-  let seen = Hashtbl.create 64 in
-  let diags =
-    List.map
-      (fun (d : Diag.t) ->
-        let key = (d.file, d.rule) in
-        let n = 1 + Option.value ~default:0 (Hashtbl.find_opt seen key) in
-        Hashtbl.replace seen key n;
-        let status =
-          if n <= Baseline.count baseline ~file:d.file ~rule:d.rule then
-            Baselined
-          else New
-        in
-        (d, status))
-      sorted
-  in
-  { diags; suppressed; files_scanned; unused_suppressions = unused }
-
-let run ?enabled ~baseline paths =
-  against_baseline baseline (analyze ?enabled paths)
-
-let new_count r =
-  List.length (List.filter (fun (_, s) -> s = New) r.diags)
+  {
+    diags = List.sort Diag.compare raw;
+    suppressed = !suppressed;
+    files_scanned = List.length files + List.length interfaces;
+    unused_suppressions = List.rev !unused;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Rendering *)
 
-let render_human ?(show_baselined = false) r =
+let render_human r =
   let b = Buffer.create 1024 in
-  List.iter
-    (fun ((d : Diag.t), status) ->
-      match status with
-      | New -> Buffer.add_string b (Diag.render d ^ "\n")
-      | Baselined ->
-        if show_baselined then
-          Buffer.add_string b (Diag.render d ^ " [baseline]\n"))
-    r.diags;
-  let news = new_count r in
+  List.iter (fun d -> Buffer.add_string b (Diag.render d ^ "\n")) r.diags;
+  let n = List.length r.diags in
   Buffer.add_string b
-    (Printf.sprintf
-       "%d finding%s (%d new, %d baselined, %d suppressed) in %d files\n"
-       (List.length r.diags)
-       (if List.length r.diags = 1 then "" else "s")
-       news
-       (List.length r.diags - news)
+    (Printf.sprintf "%d finding%s (%d suppressed) in %d files\n" n
+       (if n = 1 then "" else "s")
        r.suppressed r.files_scanned);
   Buffer.contents b
 
 let render_json r =
-  let finding ((d : Diag.t), status) =
-    let record = Diag.json d in
-    (* Splice the status into the shared diagnostic record. *)
-    String.sub record 0 (String.length record - 1)
-    ^ Printf.sprintf {|, "status": "%s"}|}
-        (match status with New -> "new" | Baselined -> "baseline")
-  in
   Printf.sprintf
     {|{
   "schema": "dgmc-analyze/1",
   "kind": "report",
   "files_scanned": %d,
   "suppressed": %d,
-  "new": %d,
   "findings": [
 %s
   ]
 }
 |}
-    r.files_scanned r.suppressed (new_count r)
-    (String.concat ",\n" (List.map (fun f -> "    " ^ finding f) r.diags))
+    r.files_scanned r.suppressed
+    (String.concat ",\n" (List.map (fun d -> "    " ^ Diag.json d) r.diags))

@@ -2,9 +2,8 @@
 
    The scanner works on the Parsetree (compiler-libs), not the typed
    tree: rules are deliberately syntactic approximations, tuned so that
-   every hit is either a true positive, a site worth a written
-   suppression rationale, or a pre-existing finding held in the
-   committed baseline.  See DESIGN.md §5 for the catalogue. *)
+   every hit is either a true positive or a site worth a written
+   suppression rationale.  See DESIGN.md §5 for the catalogue. *)
 
 open Parsetree
 

@@ -2,8 +2,7 @@
 
     Rules are syntactic approximations of the determinism and
     domain-safety contracts documented in DESIGN.md §5: every hit is a
-    true positive, a site worth a written suppression rationale, or a
-    pre-existing finding held in the committed baseline. *)
+    true positive or a site worth a written suppression rationale. *)
 
 type file = {
   path : string;
@@ -40,7 +39,7 @@ val load : string -> file
 val env_of : file list -> env
 
 val check : env -> enabled:(Rules.id -> bool) -> file -> Diag.t list
-(** Raw findings for one file, before suppression and baseline
-    filtering, in source order.  Includes the parse error (if any) and
+(** Raw findings for one file, before suppression filtering, in source
+    order.  Includes the parse error (if any) and
     malformed suppression comments (rule ["suppression-syntax"],
     warnings). *)

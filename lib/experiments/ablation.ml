@@ -39,11 +39,10 @@ let churn_session ~seed ~n ~churn_events config =
     (ratio, converged)
   | Some _ | None -> (1.0, converged)
 
-let incremental_vs_scratch ?(seeds = Figures.default_seeds) ?(n = 40)
-    ?(churn_events = 20) () =
+let incremental_vs_scratch ?(seeds = Figures.default_seeds) ?(n = 40) () =
   let run label config =
     let results =
-      List.map (fun seed -> churn_session ~seed ~n ~churn_events config) seeds
+      List.map (fun seed -> churn_session ~seed ~n ~churn_events:20 config) seeds
     in
     {
       label;

@@ -19,9 +19,9 @@ type incremental_row = {
 }
 
 val incremental_vs_scratch :
-  ?seeds:int list -> ?n:int -> ?churn_events:int -> unit -> incremental_row list
-(** A burst-then-churn workload once with incremental updates and
-    once forcing every computation from scratch. *)
+  ?seeds:int list -> ?n:int -> unit -> incremental_row list
+(** A burst-then-churn workload (20 churn events) once with incremental
+    updates and once forcing every computation from scratch. *)
 
 type heuristic_row = {
   algo : string;

@@ -38,8 +38,8 @@ type independence_row = {
   i_all_converged : bool;
 }
 
-let mc_independence ?(seeds = Figures.default_seeds) ?(n = 60)
-    ?(counts = [ 1; 2; 4; 8 ]) ?(members = 6) () =
+let mc_independence ?(seeds = Figures.default_seeds) ?(n = 60) ?(members = 6)
+    () =
   let config = Dgmc.Config.atm_lan in
   List.map
     (fun k ->
@@ -80,4 +80,4 @@ let mc_independence ?(seeds = Figures.default_seeds) ?(n = 60)
           Metrics.Stats.summarize (List.map (fun (_, f, _) -> f) runs);
         i_all_converged = List.for_all (fun (_, _, ok) -> ok) runs;
       })
-    counts
+    [ 1; 2; 4; 8 ]

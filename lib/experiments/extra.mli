@@ -32,6 +32,6 @@ type independence_row = {
 }
 
 val mc_independence :
-  ?seeds:int list -> ?n:int -> ?counts:int list -> ?members:int -> unit ->
-  independence_row list
-(** Defaults: n = 60, 1/2/4/8 concurrent MCs, 6 members each. *)
+  ?seeds:int list -> ?n:int -> ?members:int -> unit -> independence_row list
+(** One row each for 1, 2, 4 and 8 concurrent MCs.  Defaults: n = 60,
+    6 members each. *)

@@ -14,13 +14,10 @@ val joins :
   mc:Dgmc.Mc_id.t ->
   members:int ->
   window:float ->
-  ?role:(int -> Dgmc.Member.role) ->
-  ?start:float ->
   unit ->
   Events.t list
 (** [joins rng ~n ~mc ~members ~window ()] — [members] distinct switches
     (chosen uniformly among the [n]) join [mc] at independent uniform
-    times in [\[start, start + window)].  [role] maps a switch to its
-    role (default: [Both] for symmetric MCs, [Receiver] for
-    receiver-only, first chosen switch [Sender] and the rest [Receiver]
-    for asymmetric). *)
+    times in [\[0, window)].  Roles follow the MC kind: [Both] for
+    symmetric MCs, [Receiver] for receiver-only, first chosen switch
+    [Sender] and the rest [Receiver] for asymmetric. *)

@@ -1,5 +1,5 @@
 (* lib/analysis end-to-end: the rule engine on the fixture corpus, the
-   suppression and baseline machinery, and the JSON renderings.
+   suppression machinery, and the JSON renderings.
 
    The corpus in analysis_fixtures/ is parsed by the analyzer but never
    compiled (data_only_dirs): each file exercises one rule with positive,
@@ -10,7 +10,6 @@ module Diag = Analysis.Diag
 module Scan = Analysis.Scan
 module Rules = Analysis.Rules
 module Suppress = Analysis.Suppress
-module Baseline = Analysis.Baseline
 module Driver = Analysis.Driver
 
 (* dune runs tests from the stanza's directory, but be tolerant of a
@@ -21,7 +20,7 @@ let fixtures_dir =
 
 let fixture name = Filename.concat fixtures_dir name
 
-(* Raw findings (before suppression / baseline) for one fixture. *)
+(* Raw findings (before suppression) for one fixture. *)
 let raw_diags name =
   let file = Scan.load (fixture name) in
   let env = Scan.env_of [ file ] in
@@ -118,25 +117,24 @@ let test_suppress_malformed () =
     (List.length sc.Suppress.malformed)
 
 (* ------------------------------------------------------------------ *)
-(* Driver over the whole corpus: suppression counts, unused reporting,
-   and the (file, rule) count baseline. *)
+(* Driver over the whole corpus: suppression counts and unused
+   reporting. *)
 
 (* Raw sites across the corpus: 5 nondet + 2 iteration + 4 poly +
    2 float + 3 capture = 16, of which one per rule fixture (5) carries a
    suppression; fixture_suppress.ml adds one suppression-syntax warning
    and one deliberately unused suppression. *)
-let corpus_new = 12
+let corpus_findings = 12
 let corpus_suppressed = 5
 let corpus_files = 7
 
-let run_corpus ?(baseline = Baseline.empty) () =
-  Driver.run ~baseline [ fixtures_dir ]
+let run_corpus () = Driver.run [ fixtures_dir ]
 
 let test_driver_corpus () =
   let r = run_corpus () in
   Alcotest.(check int) "files scanned" corpus_files r.Driver.files_scanned;
   Alcotest.(check int) "suppressed" corpus_suppressed r.Driver.suppressed;
-  Alcotest.(check int) "new findings" corpus_new (Driver.new_count r);
+  Alcotest.(check int) "findings" corpus_findings (List.length r.Driver.diags);
   match r.Driver.unused_suppressions with
   | [ (file, s) ] ->
     Alcotest.(check string) "unused in" (fixture "fixture_suppress.ml") file;
@@ -146,10 +144,10 @@ let test_driver_corpus () =
 
 let test_gather_skips_fixtures () =
   (* The corpus must never leak into a normal repo-wide run. *)
-  let r = Driver.run ~baseline:Baseline.empty [ "." ] in
+  let r = Driver.run [ "." ] in
   Alcotest.(check bool) "found some sources" true (r.Driver.files_scanned > 0);
   List.iter
-    (fun ((d : Diag.t), _) ->
+    (fun (d : Diag.t) ->
       if contains_sub d.file fixtures_dir then
         Alcotest.failf "a run over the tests leaked fixture %s" d.file)
     r.Driver.diags
@@ -179,11 +177,11 @@ let test_unused_export () =
      let e = let module T = Widget in T.shadowed\n\
      let f = let module T = String in T.length\n";
   let enabled r = match r with Rules.Unused_export -> true | _ -> false in
-  let r = Driver.run ~enabled ~baseline:Baseline.empty [ dir ] in
+  let r = Driver.run ~enabled [ dir ] in
   List.iter (fun f -> Sys.remove (Filename.concat dir f)) (Array.to_list (Sys.readdir dir));
   Sys.rmdir dir;
   match r.Driver.diags with
-  | [ ((d : Diag.t), Driver.New) ] ->
+  | [ (d : Diag.t) ] ->
     Alcotest.(check string) "rule" "unused-export" d.rule;
     Alcotest.(check string) "file" (Filename.concat dir "widget.mli") d.file;
     Alcotest.(check int) "line of the unused val" 4 d.line;
@@ -193,9 +191,9 @@ let test_unused_export () =
 
 let test_rule_toggle () =
   let enabled r = match r with Rules.Nondet_source -> true | _ -> false in
-  let r = Driver.run ~enabled ~baseline:Baseline.empty [ fixtures_dir ] in
+  let r = Driver.run ~enabled [ fixtures_dir ] in
   List.iter
-    (fun ((d : Diag.t), _) ->
+    (fun (d : Diag.t) ->
       if
         not
           (String.equal d.rule (Rules.name Rules.Nondet_source)
@@ -207,31 +205,12 @@ let test_rule_toggle () =
   Alcotest.(check int) "no unused suppression of a disabled rule" 0
     (List.length r.Driver.unused_suppressions)
 
-let test_baseline_roundtrip () =
-  let r = run_corpus () in
-  let diags = List.map fst r.Driver.diags in
-  let b = Baseline.of_diags diags in
-  (match
-     Oracle.with_temp_file (fun path ->
-         Baseline.save path b;
-         Baseline.load path)
-   with
-  | Error e -> Alcotest.failf "baseline decode: %s" e
-  | Ok b' ->
-    Alcotest.(check int) "entries survive the round trip" (List.length b)
-      (List.length b'));
-  Alcotest.(check int) "count sees the capture findings" 2
-    (Baseline.count b
-       ~file:(fixture "fixture_capture.ml")
-       ~rule:(Rules.name Rules.Domain_unsafe_capture));
-  let r2 = run_corpus ~baseline:b () in
-  Alcotest.(check int) "clean against its own baseline" 0 (Driver.new_count r2);
-  Alcotest.(check int) "nothing disappeared" (List.length diags)
-    (List.length r2.Driver.diags)
-
+(* Each record of the report is the finding's {!Diag.json}, the record
+   dgmc_lint --json prints, one to a line in finding order. *)
 let test_json_report () =
   let r = run_corpus () in
-  match Sim.Json.parse (Driver.render_json r) with
+  let report = Driver.render_json r in
+  (match Sim.Json.parse report with
   | Error e -> Alcotest.failf "report does not parse: %s" e
   | Ok j ->
     let str k = Option.bind (Sim.Json.member k j) Sim.Json.to_string in
@@ -239,40 +218,37 @@ let test_json_report () =
     Alcotest.(check (option string)) "schema" (Some "dgmc-analyze/1")
       (str "schema");
     Alcotest.(check (option string)) "kind" (Some "report") (str "kind");
-    Alcotest.(check (option int)) "new" (Some corpus_new) (num "new");
     Alcotest.(check (option int)) "suppressed" (Some corpus_suppressed)
       (num "suppressed");
-    (match Option.bind (Sim.Json.member "findings" j) Sim.Json.to_list with
-    | None -> Alcotest.fail "findings array missing"
-    | Some l ->
-      Alcotest.(check int) "one record per finding"
-        (List.length r.Driver.diags) (List.length l);
-      List.iter
-        (fun f ->
-          let field k = Option.bind (Sim.Json.member k f) Sim.Json.to_string in
-          (match field "rule" with
-          | Some _ -> ()
-          | None -> Alcotest.fail "record without rule");
-          (match field "status" with
-          | Some "new" | Some "baseline" -> ()
-          | _ -> Alcotest.fail "record without a valid status");
-          match Option.bind (Sim.Json.member "line" f) Sim.Json.to_int with
-          | Some n when n >= 0 -> ()
-          | _ -> Alcotest.fail "record without a line")
-        l)
+    Alcotest.(check (option int)) "one record per finding"
+      (Some corpus_findings)
+      (Option.map List.length
+         (Option.bind (Sim.Json.member "findings" j) Sim.Json.to_list)));
+  let records =
+    List.filter_map
+      (fun line ->
+        if String.starts_with ~prefix:"    {" line then
+          Some
+            (String.trim
+               (if String.ends_with ~suffix:"," line then
+                  String.sub line 0 (String.length line - 1)
+                else line))
+        else None)
+      (String.split_on_char '\n' report)
+  in
+  Alcotest.(check (list string)) "records are Diag.json"
+    (List.map Diag.json r.Driver.diags)
+    records
 
 (* ------------------------------------------------------------------ *)
-(* Self-check: the committed baseline still covers the real tree.  Runs
-   from the repo root when it is reachable from the test's cwd (dune
-   executes tests under _build); skipped otherwise. *)
+(* Self-check: the real tree is analyzer-clean.  Runs from the repo root
+   when it is reachable from the test's cwd (dune executes tests under
+   _build); skipped otherwise. *)
 
 let find_repo_root () =
   let rec up dir =
     let has f = Sys.file_exists (Filename.concat dir f) in
-    if
-      (not (contains_sub dir "_build"))
-      && has "dgmc-analyze-baseline.json"
-      && has "dune-project" && has "lib"
+    if (not (contains_sub dir "_build")) && has "dune-project" && has "lib"
     then Some dir
     else
       let parent = Filename.dirname dir in
@@ -280,7 +256,7 @@ let find_repo_root () =
   in
   up (Sys.getcwd ())
 
-let test_baseline_self_check () =
+let test_tree_clean () =
   match find_repo_root () with
   | None -> () (* source tree not reachable — nothing to check *)
   | Some root ->
@@ -289,15 +265,12 @@ let test_baseline_self_check () =
       ~finally:(fun () -> Sys.chdir cwd)
       (fun () ->
         Sys.chdir root;
-        match Baseline.load "dgmc-analyze-baseline.json" with
-        | Error e -> Alcotest.failf "committed baseline: %s" e
-        | Ok b ->
-          (* CI's path set: the unused-export rule counts every caller,
-             tests included, so a narrower scan would report the
-             test-only accessors as unused. *)
-          let r = Driver.run ~baseline:b [ "lib"; "bin"; "bench"; "test" ] in
-          Alcotest.(check int) "the tree is analyzer-clean vs the baseline" 0
-            (Driver.new_count r))
+        (* CI's path set: the unused-export rule counts every caller,
+           tests included, so a narrower scan would report the
+           test-only accessors as unused. *)
+        let r = Driver.run [ "lib"; "bin"; "bench"; "test" ] in
+        Alcotest.(check (list string)) "the tree is analyzer-clean" []
+          (List.map Diag.render r.Driver.diags))
 
 (* ------------------------------------------------------------------ *)
 
@@ -334,10 +307,7 @@ let () =
           Alcotest.test_case "unused-export across files" `Quick
             test_unused_export;
           Alcotest.test_case "rule toggling" `Quick test_rule_toggle;
-          Alcotest.test_case "baseline round trip" `Quick
-            test_baseline_roundtrip;
           Alcotest.test_case "json report shape" `Quick test_json_report;
-          Alcotest.test_case "committed baseline self-check" `Quick
-            test_baseline_self_check;
+          Alcotest.test_case "tree is analyzer-clean" `Quick test_tree_clean;
         ] );
     ]

@@ -893,7 +893,7 @@ let test_lint_catches_errors () =
   in
   Alcotest.(check (list int)) "one error per broken line"
     [ 3; 4; 5; 6; 7; 8; 9; 10 ]
-    (List.sort_uniq compare lines)
+    (List.sort_uniq Int.compare lines)
 
 let test_lint_warnings () =
   let text =

@@ -91,7 +91,7 @@ let test_mc_id_reuse_across_incarnations () =
       Dgmc.Protocol.run net;
       assert_converged "incarnation up" net;
       let m = Option.get (Dgmc.Switch.members (Dgmc.Protocol.switch net 1) mc) in
-      check Alcotest.(list int) "members" (List.sort compare members)
+      check Alcotest.(list int) "members" (List.sort Int.compare members)
         (Dgmc.Member.ids m);
       List.iter (fun s -> Dgmc.Protocol.leave net ~switch:s mc) members;
       Dgmc.Protocol.run net;

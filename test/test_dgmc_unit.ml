@@ -299,8 +299,8 @@ let test_member_role_overwrite () =
   let m = Dgmc.Member.join Dgmc.Member.empty 2 Dgmc.Member.Receiver in
   let m = Dgmc.Member.join m 2 Dgmc.Member.Both in
   check Alcotest.int "still one member" 1 (Dgmc.Member.cardinal m);
-  check Alcotest.bool "role updated" true
-    (Dgmc.Member.role m 2 = Some Dgmc.Member.Both)
+  check Alcotest.(option string) "role updated" (Some "both")
+    (Option.map Dgmc.Member.role_to_string (Dgmc.Member.role m 2))
 
 let test_member_equal () =
   let a = Dgmc.Member.of_list [ (1, Dgmc.Member.Both); (2, Dgmc.Member.Sender) ] in

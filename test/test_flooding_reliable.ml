@@ -19,6 +19,12 @@ let make ?reliability ?transmit ?(mode = Lsr.Flooding.Reliable) graph ~t_hop =
   in
   (f, engine, log)
 
+(* Delivery-log order: switch, then origin, then seq. *)
+let compare_delivery (s, (o, q)) (s', (o', q')) =
+  match Int.compare s s' with
+  | 0 -> ( match Int.compare o o' with 0 -> Int.compare q q' | c -> c)
+  | c -> c
+
 (* Transfers abandoned after exhausting their retries, as the engine's
    registry counts them. *)
 let abandoned engine =
@@ -61,7 +67,7 @@ let test_all_delivered_under_loss () =
       for sw = 0 to n - 1 do
         let copies =
           List.length
-            (List.filter (fun (s, id) -> s = sw && id = (origin, seq)) !log)
+            (List.filter (fun (s, (o, q)) -> s = sw && o = origin && q = seq) !log)
         in
         let expected = if sw = origin then 0 else 1 in
         check Alcotest.int
@@ -108,7 +114,7 @@ let test_partitioned_switch_times_out () =
   engine_ref := Some engine;
   Lsr.Flooding.flood f (Lsr.Lsa.make ~origin:0 ~seq:0 ());
   Sim.Engine.run engine;
-  let receivers = List.sort compare (List.map fst !log) in
+  let receivers = List.sort Int.compare (List.map fst !log) in
   check Alcotest.(list int) "reachable switches delivered" [ 1; 2 ] receivers;
   check Alcotest.int "transfer to the dead switch abandoned" 1
     (abandoned engine);
@@ -135,9 +141,9 @@ let test_exactly_once_under_duplication () =
   Sim.Engine.run engine;
   check Alcotest.bool "duplicates injected" true
     ((Faults.Plan.counters plan).Faults.Plan.duplicated > 0);
-  let sorted = List.sort compare !log in
+  let sorted = List.sort compare_delivery !log in
   check Alcotest.bool "exactly once per (switch, lsa)" true
-    (List.length sorted = List.length (List.sort_uniq compare sorted));
+    (List.length sorted = List.length (List.sort_uniq compare_delivery sorted));
   check Alcotest.int "14 deliveries (7 switches x 2 LSAs)" 14
     (List.length sorted)
 
@@ -223,7 +229,7 @@ let test_lossless_reliable_matches_hop_by_hop () =
       (fun origin -> Lsr.Flooding.flood f (Lsr.Lsa.make ~origin ~seq:0 ()))
       [ 0; 5; 9 ];
     Sim.Engine.run engine;
-    (f, engine, List.sort compare !log)
+    (f, engine, List.sort compare_delivery !log)
   in
   let hop, _, hop_log = run Lsr.Flooding.Hop_by_hop in
   let rel, rel_engine, rel_log = run Lsr.Flooding.Reliable in

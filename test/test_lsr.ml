@@ -39,9 +39,9 @@ let test_flooding_reaches_everyone_once () =
   let _, log = flood_once g ~origin:0 ~t_hop:1.0 in
   let receivers = List.map (fun r -> r.switch) log in
   check Alcotest.int "everyone but origin" 7
-    (List.length (List.sort_uniq compare receivers));
+    (List.length (List.sort_uniq Int.compare receivers));
   check Alcotest.int "no duplicates" (List.length receivers)
-    (List.length (List.sort_uniq compare receivers));
+    (List.length (List.sort_uniq Int.compare receivers));
   check Alcotest.bool "origin not delivered" true (not (List.mem 0 receivers))
 
 let test_flooding_arrival_times_are_hops () =
@@ -77,7 +77,7 @@ let test_flooding_partition () =
   let g = Net.Topo_gen.line 5 in
   Net.Graph.set_link g 2 3 ~up:false;
   let _, log = flood_once g ~origin:0 ~t_hop:1.0 in
-  let receivers = List.sort compare (List.map (fun r -> r.switch) log) in
+  let receivers = List.sort Int.compare (List.map (fun r -> r.switch) log) in
   check Alcotest.(list int) "only the near side" [ 1; 2 ] receivers
 
 let test_flooding_link_fails_mid_flood () =

@@ -107,7 +107,7 @@ let assert_valid_topology g terminals tree =
   check Alcotest.bool "is valid MC topology" true
     (Mctree.Tree.is_valid_mc_topology g tree);
   check Alcotest.(list int) "terminal set preserved"
-    (List.sort compare terminals)
+    (List.sort Int.compare terminals)
     (Mctree.Tree.terminals tree)
 
 let test_steiner_two_terminals_is_shortest_path () =
@@ -167,7 +167,7 @@ let test_steiner_random_validity_and_quality () =
         let cost = Mctree.Tree.cost g t in
         (* KMB/SPH guarantee a factor-2 approximation. *)
         if cost > (2.0 *. lb) +. 1e-6 then
-          Alcotest.failf "%s cost %.3f exceeds 2x lower bound %.3f (seed %d)"
+          Alcotest.failf "%s cost %.17g exceeds 2x lower bound %.17g (seed %d)"
             name cost lb seed)
       [ ("kmb", Mctree.Steiner.kmb); ("sph", Mctree.Steiner.sph) ]
   done

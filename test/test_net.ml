@@ -381,7 +381,7 @@ let test_topo_waxman_target_degree () =
       in
       let avg = List.fold_left ( +. ) 0.0 degrees /. 5.0 in
       if avg < 2.3 || avg > 5.0 then
-        Alcotest.failf "degree calibration off at n=%d: %.2f" n avg)
+        Alcotest.failf "degree calibration off at n=%d: %.17g" n avg)
     [ 20; 60; 100 ]
 
 let test_topo_erdos_renyi () =
@@ -392,7 +392,7 @@ let test_topo_erdos_renyi () =
     List.iter
       (fun (e : Net.Graph.edge) ->
         if e.weight < 1.0 || e.weight > 10.0 +. 1e-6 then
-          Alcotest.failf "weight out of range: %f" e.weight)
+          Alcotest.failf "weight out of range: %.17g" e.weight)
       (Net.Graph.edges g)
   done
 

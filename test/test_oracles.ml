@@ -58,7 +58,7 @@ let test_dijkstra_vs_bellman_ford () =
     Array.iteri
       (fun v dv ->
         if Float.abs (dv -. bf.(v)) > 1e-9 then
-          Alcotest.failf "seed %d: dist to %d differs (%f vs %f)" seed v dv bf.(v))
+          Alcotest.failf "seed %d: dist to %d differs (%.17g vs %.17g)" seed v dv bf.(v))
       d
   done
 
@@ -113,7 +113,7 @@ let exact_steiner_cost g terminals =
     let steiner_points =
       List.filteri (fun i _ -> mask land (1 lsl i) <> 0) others
     in
-    let nodes = List.sort compare (terminals @ steiner_points) in
+    let nodes = List.sort Int.compare (terminals @ steiner_points) in
     (* Induced subgraph, relabelled 0..|nodes|-1. *)
     let index = Hashtbl.create 8 in
     List.iteri (fun i v -> Hashtbl.add index v i) nodes;
@@ -138,15 +138,15 @@ let test_heuristics_vs_exact_steiner () =
     let g = random_graph seed 9 in
     let rng = Sim.Rng.create (seed * 31) in
     let terminals = Sim.Rng.sample rng 4 (List.init 9 (fun i -> i)) in
-    let opt = exact_steiner_cost g (List.sort compare terminals) in
+    let opt = exact_steiner_cost g (List.sort Int.compare terminals) in
     List.iter
       (fun (name, algo) ->
         let cost = Mctree.Tree.cost g (algo g terminals) in
         if cost +. 1e-9 < opt then
-          Alcotest.failf "seed %d: %s beat the optimum?! (%f < %f)" seed name
+          Alcotest.failf "seed %d: %s beat the optimum?! (%.17g < %.17g)" seed name
             cost opt;
         if cost > (2.0 *. opt) +. 1e-9 then
-          Alcotest.failf "seed %d: %s exceeded 2x optimum (%f > 2 * %f)" seed
+          Alcotest.failf "seed %d: %s exceeded 2x optimum (%.17g > 2 * %.17g)" seed
             name cost opt)
       [ ("kmb", Mctree.Steiner.kmb); ("sph", Mctree.Steiner.sph) ]
   done

@@ -791,7 +791,7 @@ type tree_case = { g_seed : int; g_n : int; picks : int list }
 
 let pp_tree_case c =
   Printf.sprintf "{g_seed=%d; g_n=%d; %d terminals}" c.g_seed c.g_n
-    (List.length (List.sort_uniq compare c.picks))
+    (List.length (List.sort_uniq Int.compare c.picks))
 
 let tree_case_gen =
   QCheck2.Gen.(
@@ -801,7 +801,7 @@ let tree_case_gen =
          (list_size (int_range 1 8) (int_range 0 100))))
 
 let terminals_of c =
-  List.sort_uniq compare (List.map (fun x -> x mod c.g_n) c.picks)
+  List.sort_uniq Int.compare (List.map (fun x -> x mod c.g_n) c.picks)
 
 let prop_steiner_heuristics_valid =
   QCheck2.Test.make ~name:"steiner heuristics produce valid topologies"
@@ -851,7 +851,7 @@ let prop_incremental_sequence_stays_valid =
               !ok
               && Mctree.Tree.is_valid_mc_topology g !tree
               && Mctree.Tree.terminals !tree
-                 = List.sort compare !members)
+                 = List.sort Int.compare !members)
         (c.picks @ c.picks);
       !ok)
 
@@ -1405,7 +1405,7 @@ let prop_hierarchy_global_tree_valid =
       in
       let n = c.h_areas * per_area in
       let members =
-        List.sort_uniq compare (List.map (fun (_, x) -> x mod n) c.h_ops)
+        List.sort_uniq Int.compare (List.map (fun (_, x) -> x mod n) c.h_ops)
       in
       List.iter
         (fun s ->

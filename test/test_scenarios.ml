@@ -11,7 +11,7 @@ let scenario_dir =
 let scenario_files () =
   Sys.readdir scenario_dir |> Array.to_list
   |> List.filter (fun f -> Filename.check_suffix f ".dgmc")
-  |> List.sort compare
+  |> List.sort String.compare
 
 let run_scenario file () =
   let path = Filename.concat scenario_dir file in

@@ -630,7 +630,7 @@ let test_rng_float_bounds () =
   let r = Rng.create 7 in
   for _ = 1 to 1000 do
     let x = Rng.float r 2.5 in
-    if x < 0.0 || x >= 2.5 then Alcotest.failf "out of bounds: %f" x
+    if x < 0.0 || x >= 2.5 then Alcotest.failf "out of bounds: %.17g" x
   done
 
 let test_rng_range () =
@@ -659,7 +659,7 @@ let test_rng_exponential_mean () =
   done;
   let mean = !sum /. float_of_int n in
   if Float.abs (mean -. 4.0) > 0.2 then
-    Alcotest.failf "exponential mean off: %f" mean
+    Alcotest.failf "exponential mean off: %.17g" mean
 
 let test_rng_sample_distinct () =
   let r = Rng.create 13 in
@@ -667,7 +667,7 @@ let test_rng_sample_distinct () =
   for _ = 1 to 50 do
     let s = Rng.sample r 10 xs in
     check Alcotest.int "sample size" 10 (List.length s);
-    check Alcotest.int "distinct" 10 (List.length (List.sort_uniq compare s));
+    check Alcotest.int "distinct" 10 (List.length (List.sort_uniq Int.compare s));
     List.iter (fun x -> check Alcotest.bool "from population" true (List.mem x xs)) s
   done
 

@@ -72,7 +72,7 @@ let test_jsonl_irregular_times () =
     List.iter2
       (fun (x : Sim.Trace.entry) (y : Sim.Trace.entry) ->
         if x.time <> y.time then
-          Alcotest.failf "time drifted: %.20g vs %.20g" x.time y.time)
+          Alcotest.failf "time drifted: %h vs %h" x.time y.time)
       (Sim.Trace.entries t) a.a_entries
 
 let test_ring_buffer_cap () =
