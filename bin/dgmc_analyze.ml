@@ -74,6 +74,12 @@ let run paths json rules list_rules unused =
     | Ok None -> fun _ -> true
     | Ok (Some l) -> fun r -> List.mem r l
   in
+  let json_oc =
+    match json with
+    | Some "-" -> Some stdout
+    | Some file -> Some (Cli.open_out ~prog:"dgmc_analyze" file)
+    | None -> None
+  in
   let result =
     match Analysis.Driver.run ~enabled paths with
     | r -> r
@@ -81,15 +87,14 @@ let run paths json rules list_rules unused =
       prerr_endline ("dgmc_analyze: " ^ e);
       exit 2
   in
+  Option.iter
+    (fun oc ->
+      output_string oc (Analysis.Driver.render_json result);
+      flush oc)
+    json_oc;
   (match json with
-  | Some "-" -> print_string (Analysis.Driver.render_json result)
-  | Some file ->
-    let oc = open_out file in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () -> output_string oc (Analysis.Driver.render_json result));
-    print_string (Analysis.Driver.render_human result)
-  | None -> print_string (Analysis.Driver.render_human result));
+  | Some "-" -> ()
+  | _ -> print_string (Analysis.Driver.render_human result));
   if unused then
     List.iter
       (fun (file, (s : Analysis.Suppress.t)) ->

@@ -5,7 +5,8 @@
    diagnostic records with [--json] so the same tooling consumes
    analyzer and lint output.
    Exit status: 0 when no file has errors (warnings allowed), 1 when
-   any lint error was found, 2 when a file could not be read. *)
+   any lint error was found, 2 when a file could not be read or the
+   --json file could not be opened. *)
 
 open Cmdliner
 
@@ -60,6 +61,12 @@ let render_doc ~files ~errors ~warnings diags =
 
 let run files quiet json =
   let json_to_stdout = match json with Some "-" -> true | _ -> false in
+  let json_oc =
+    match json with
+    | Some "-" -> Some stdout
+    | Some dst -> Some (Cli.open_out ~prog:"dgmc_lint" dst)
+    | None -> None
+  in
   let n_errors = ref 0 in
   let n_warnings = ref 0 in
   let io_failed = ref false in
@@ -82,20 +89,13 @@ let run files quiet json =
                 print_endline (Workload.Script.render ~file d))
             diags)
     files;
-  (match json with
-  | None -> ()
-  | Some dst ->
-    let doc =
-      render_doc ~files:(List.length files) ~errors:!n_errors
-        ~warnings:!n_warnings !records
-    in
-    if json_to_stdout then print_string doc
-    else begin
-      let oc = open_out dst in
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () -> output_string oc doc)
-    end);
+  Option.iter
+    (fun oc ->
+      output_string oc
+        (render_doc ~files:(List.length files) ~errors:!n_errors
+           ~warnings:!n_warnings !records);
+      flush oc)
+    json_oc;
   if !io_failed then exit 2 else if !n_errors > 0 then exit 1
 
 let () =

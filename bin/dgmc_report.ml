@@ -1,9 +1,10 @@
 (* dgmc_report — the reader of dgmc-trace/1 captures.
 
    By default renders a capture into one run report: the
-   reconfiguration SLIs (convergence-latency and control-cost windows),
-   fault and detection tables, as markdown or dgmc-report/1 JSON.  The
-   analyzer modes answer the questions a diverged or slow run raises:
+   reconfiguration episodes (convergence latency and control cost, read
+   from the installed C stamps), fault and detection tables, as markdown
+   or dgmc-report/2 JSON.  The analyzer modes answer the questions a
+   diverged or slow run raises:
    what happened overall (--summary), how each MC's installed topology
    evolved (--convergence), where a switch's view departed from the
    network's (--divergence), and what caused an event (--chain).  Where
@@ -19,21 +20,11 @@ let trace_arg =
     & info [] ~docv:"TRACE"
         ~doc:"JSONL trace (schema dgmc-trace/1) from dgmc_sim --trace.")
 
-let gap_arg =
-  Arg.(
-    value
-    & opt (some float) None
-    & info [ "gap" ] ~docv:"SECONDS"
-        ~doc:
-          "Sessionization gap for SLI windows, in simulated seconds: \
-           observations on one MC further apart start a new window.  \
-           Defaults to 1/20 of the trace's simulated span.")
-
 let json_arg =
   Arg.(
     value & flag
     & info [ "json" ]
-        ~doc:"Emit the dgmc-report/1 JSON document instead of markdown.")
+        ~doc:"Emit the dgmc-report/2 JSON document instead of markdown.")
 
 let output_arg =
   Arg.(
@@ -76,38 +67,33 @@ let summary_arg =
         ~doc:
           "Event counts by category and switch, per-MC install totals.")
 
-let write output body =
-  match output with
-  | None -> print_string body
-  | Some path ->
-    let oc = open_out path in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () -> output_string oc body)
-
 let fail code msg =
   prerr_endline msg;
   code
 
 let () =
   let doc = "Report on and analyze dgmc-trace/1 causal traces" in
-  let run trace_file gap json output chain_id conv div summ =
+  let run trace_file json output chain_id conv div summ =
     let analyzer = Option.is_some chain_id || conv || div || summ in
     let modes = [ Option.is_some chain_id; conv; div; summ; json ] in
     if List.length (List.filter Fun.id modes) > 1 then
       fail 2
         "dgmc_report: --chain, --convergence, --divergence, --summary and \
          --json are mutually exclusive"
-    else if analyzer && Option.is_some gap then
-      fail 2 "dgmc_report: --gap applies to the run report only"
     else
+      let oc =
+        match output with
+        | None -> stdout
+        | Some path -> Cli.open_out ~prog:"dgmc_report" path
+      in
       match Report.Run_report.load trace_file with
       | Error msg -> fail 2 msg
       | Ok a -> (
         if analyzer && a.a_dropped > 0 then
           prerr_endline ("warning: " ^ Report.Run_report.dropped_note a);
         let emit code body =
-          write output body;
+          output_string oc body;
+          flush oc;
           code
         in
         match chain_id with
@@ -120,23 +106,14 @@ let () =
           let body, diverged = Report.Run_report.divergence a in
           emit (if diverged then 1 else 0) body
         | None when summ -> emit 0 (Report.Run_report.trace_summary a)
-        | None -> (
-          match gap with
-          | Some g when not (Float.is_finite g && g > 0.0) ->
-            fail 2 "dgmc_report: --gap must be positive"
-          | _ ->
-            let gap =
-              match gap with
-              | Some g -> g
-              | None -> Report.Run_report.default_gap a.a_entries
-            in
-            emit 0
-              (if json then Report.Run_report.json ~gap a
-               else Report.Run_report.markdown ~gap a)))
+        | None ->
+          emit 0
+            (if json then Report.Run_report.json a
+             else Report.Run_report.markdown a))
   in
   let term =
     Term.(
-      const run $ trace_arg $ gap_arg $ json_arg $ output_arg $ chain_arg
+      const run $ trace_arg $ json_arg $ output_arg $ chain_arg
       $ convergence_arg $ divergence_arg $ summary_arg)
   in
   exit (Cmd.eval' (Cmd.v (Cmd.info "dgmc_report" ~version:"1.0.0" ~doc) term))

@@ -91,30 +91,25 @@ let regime_config = function
 (* The command-line name of an [enum] value. *)
 let name_in names v = fst (List.find (fun (_, x) -> x = v) names)
 
+(* The CSV file is opened once the other options have checked out,
+   before the sweep: one that cannot be written is one located line
+   and exit 2. *)
 let csv_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "csv" ] ~docv:"FILE" ~doc:"Also write the table as CSV to $(docv).")
+  Term.(
+    const (Option.map (Cli.open_out ~prog:"dgmc_sim"))
+    $ Arg.(
+        value
+        & opt (some string) None
+        & info [ "csv" ] ~docv:"FILE"
+            ~doc:"Also write the table as CSV to $(docv)."))
 
-(* A figure's table and its CSV export; a file that cannot be written
-   is one located line and exit 123 (an error reported on stderr),
-   after the table. *)
+(* A figure's table and its CSV export. *)
 let print_table ?csv (t : Metrics.Table.t) =
   Metrics.Table.print_table t;
   Option.iter
-    (fun path ->
-      try Metrics.Csv.write ~path ~headers:t.headers t.rows
-      with Sys_error msg ->
-        let prefix = path ^ ": " in
-        let reason =
-          if String.starts_with ~prefix msg then
-            String.sub msg (String.length prefix)
-              (String.length msg - String.length prefix)
-          else msg
-        in
-        Printf.eprintf "dgmc_sim: cannot write %s: %s\n" path reason;
-        exit Cmd.Exit.some_error)
+    (fun oc ->
+      Metrics.Csv.write oc ~headers:t.headers t.rows;
+      close_out oc)
     csv
 
 (* Every figure section opens with a ruled heading and a note on its
@@ -166,25 +161,30 @@ let trace_cats_arg =
              stay globally consistent, so causal parents in a filtered \
              trace still refer to real events."))
 
+(* The run's trace, and what writes it out once the run is over.  A
+   JSONL file is opened here, before the run. *)
 let make_trace ?cap file cats =
   match file with
-  | None -> Sim.Trace.disabled
-  | Some _ -> Sim.Trace.create ?cap ?cats ()
-
-let finish_trace trace file =
-  match file with
-  | None -> ()
+  | None -> (Sim.Trace.disabled, ignore)
   | Some "-" ->
-    List.iter
-      (fun e -> Format.printf "%a@." Sim.Trace.pp_entry e)
-      (Sim.Trace.entries trace)
+    let trace = Sim.Trace.create ?cap ?cats () in
+    ( trace,
+      fun () ->
+        List.iter
+          (fun e -> Format.printf "%a@." Sim.Trace.pp_entry e)
+          (Sim.Trace.entries trace) )
   | Some path ->
-    Sim.Trace.write_jsonl trace ~path;
-    Printf.eprintf "trace: %d event(s) written to %s%s\n%!"
-      (Sim.Trace.count trace) path
-      (match Sim.Trace.dropped trace with
-      | 0 -> ""
-      | d -> Printf.sprintf " (%d evicted by the ring buffer)" d)
+    let oc = Cli.open_out ~prog:"dgmc_sim" path in
+    let trace = Sim.Trace.create ?cap ?cats () in
+    ( trace,
+      fun () ->
+        Sim.Trace.write_jsonl trace oc;
+        close_out oc;
+        Printf.eprintf "trace: %d event(s) written to %s%s\n%!"
+          (Sim.Trace.count trace) path
+          (match Sim.Trace.dropped trace with
+          | 0 -> ""
+          | d -> Printf.sprintf " (%d evicted by the ring buffer)" d) )
 
 (* ------------------------------------------------------------------ *)
 (* fig6 / fig7 *)
@@ -486,7 +486,7 @@ let run_cmd =
   in
   let run (n, members, workload) seed regime trace_file trace_cats =
     let config = regime_config regime in
-    let trace = make_trace trace_file trace_cats in
+    let trace, finish_trace = make_trace trace_file trace_cats in
     let r =
       match workload with
       | `Bursty ->
@@ -512,7 +512,7 @@ let run_cmd =
       Printf.printf "convergence:         %.2f rounds\n" c
     | `Bursty, None -> Printf.printf "convergence:         n/a\n");
     Printf.printf "network-wide agreement: %b\n" r.converged;
-    finish_trace trace trace_file;
+    finish_trace ();
     if not r.converged then exit 1
   in
   Cmd.v
@@ -611,12 +611,12 @@ let script_cmd =
             Printf.eprintf "--health: %s\n" msg;
             exit 2)
       in
-      let trace = make_trace trace_file trace_cats in
+      let trace, finish_trace = make_trace trace_file trace_cats in
       let net = Workload.Script.build ~trace script in
       let monitor = if check then Some (Check.Monitor.attach net) else None in
       Dgmc.Protocol.run net;
       Option.iter Check.Monitor.check_terminal monitor;
-      finish_trace trace trace_file;
+      finish_trace ();
       List.iter
         (fun mc ->
           Format.printf "%a: %s@." Dgmc.Mc_id.pp mc
@@ -738,10 +738,12 @@ let fuzz_traced ~seed ~iterations ~health ~trace_file ~trace_cats =
        --iterations 1 (and --seed N for the case to capture).";
     exit 2
   end;
-  let trace = make_trace ~cap:200_000 (Some trace_file) trace_cats in
+  let trace, finish_trace =
+    make_trace ~cap:200_000 (Some trace_file) trace_cats
+  in
   let case = Check.Fuzz.case_of_seed ~health seed in
   let outcome = Check.Fuzz.run_case ~trace case in
-  finish_trace trace (Some trace_file);
+  finish_trace ();
   match outcome with
   | Ok _ -> Printf.printf "fuzz: seed %d passed (1 case)\n" seed
   | Error problems ->

@@ -536,8 +536,10 @@ and triggered_completion t mc (st : Mc_state.t) (comp : Mc_state.computation) =
   in
   count_completion t ~withdrawn;
   (* Lines 23-27: still up to date — flood, install, expect no more.
-     Lines 28-30: obsolete — withdraw silently. *)
-  if not withdrawn then begin
+     Lines 28-30: obsolete — withdraw silently: the computation is
+     recorded, but it floods nothing, so it is no context. *)
+  if withdrawn then ignore (proposal_made t mc comp ~withdrawn:true)
+  else begin
     let saved =
       Sim.Trace.set_context t.trace (proposal_made t mc comp ~withdrawn:false)
     in

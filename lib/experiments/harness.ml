@@ -47,9 +47,9 @@ let bursty_run ?trace ?metrics ?series ~seed ~n ~config ~members () =
   Dgmc.Protocol.run net;
   measure net [ mc ]
 
-let poisson_run ?trace ~seed ~n ~config ~events ~gap_rounds () =
+let poisson_run ?trace ?metrics ~seed ~n ~config ~events ~gap_rounds () =
   let graph = graph_for ~seed ~n in
-  let net = Dgmc.Protocol.create ~graph ~config ?trace () in
+  let net = Dgmc.Protocol.create ~graph ~config ?trace ?metrics () in
   let mc = Dgmc.Mc_id.make Dgmc.Mc_id.Symmetric 1 in
   let rng = Sim.Rng.create (seed lxor 0x2545f491) in
   (* Establish a 5-member MC first; that setup is not measured. *)

@@ -11,7 +11,4 @@ let line fields = String.concat "," (List.map escape fields) ^ "\n"
 let render ~headers rows =
   String.concat "" (line headers :: List.map line rows)
 
-let write ~path ~headers rows =
-  let oc = open_out path in
-  output_string oc (render ~headers rows);
-  close_out oc
+let write oc ~headers rows = output_string oc (render ~headers rows)

@@ -21,14 +21,6 @@ let span entries =
         (fun m (e : Sim.Trace.entry) -> Float.max m e.time)
         first.time entries )
 
-(* With no better knowledge of the workload, call gaps longer than 1/20
-   of the run separate reconfigurations; degenerate spans fall back to
-   one simulated second. *)
-let default_gap entries =
-  let t0, t1 = span entries in
-  let s = (t1 -. t0) /. 20.0 in
-  if s > 0.0 then s else 1.0
-
 (* Occurrences of each key [key_of] finds, sorted by [cmp]. *)
 let tally cmp key_of entries =
   let tbl = Hashtbl.create 16 in
@@ -50,8 +42,8 @@ let category_counts entries =
 
 let dropped_note (a : Sim.Trace.archive) =
   Printf.sprintf
-    "%d event(s) were evicted from the trace ring buffer; counts and SLI \
-     windows below understate the run (raise the trace cap)"
+    "%d event(s) were evicted from the trace ring buffer; counts and \
+     episodes below understate the run (raise the trace cap)"
     a.a_dropped
 
 (* One topology install.  The view — member list and tree — is what
@@ -66,17 +58,18 @@ type history = {
   h_final : install list;
 }
 
+(* Cons [v] onto the list at [k]. *)
+let push tbl k v =
+  Hashtbl.replace tbl k (v :: Option.value ~default:[] (Hashtbl.find_opt tbl k))
+
 let histories entries =
   let by_mc = Hashtbl.create 8 in
   List.iter
     (fun (e : Sim.Trace.entry) ->
       match e.event with
       | Topology_installed { switch; mc; members; tree; _ } ->
-        let i =
+        push by_mc mc
           { i_entry = e; i_switch = switch; i_view = members ^ " " ^ tree }
-        in
-        Hashtbl.replace by_mc mc
-          (i :: Option.value ~default:[] (Hashtbl.find_opt by_mc mc))
       | _ -> ())
     entries;
   Hashtbl.fold (fun mc rev acc -> (mc, List.rev rev) :: acc) by_mc []
@@ -98,103 +91,136 @@ let final_views h =
 let time_g t = Printf.sprintf "%g" t
 
 (* ------------------------------------------------------------------ *)
-(* Reconfiguration SLIs
+(* Reconfiguration episodes (defined in the interface)
 
-   A window is one burst of activity on one MC — anchored by a local
-   membership/link event and closed by the last topology install of the
-   burst — sessionized by a time gap: marks on the same MC closer than
-   [gap] belong to the same window.  From the windows come the paper's
-   dynamics as distributions: convergence latency (anchor to last
-   install) and control cost (control messages per window). *)
+   An event is keyed (MC, x, k), so its [Compute_started] and the bare
+   origination announcing it are one event.  Forwards carry only
+   (origin, seq), so MC-LSA originations are indexed as they pass: a
+   forward always trails its origination in emission order. *)
 
-type mark = Anchor | Control | Install
+type episode = {
+  e_mc : string;
+  e_start : float;
+  e_end : float;  (** The last settle, or the trace's end. *)
+  e_converged : bool;
+  e_events : int;
+  e_installs : int;
+  e_control : int;
+}
 
-(* Each MC's SLI marks, (time, mark) in emission order; MCs by name.
+(* Component [x] of a sparse stamp. *)
+let component (s : Sim.Trace.stamp) x =
+  let rec find i =
+    if i >= Array.length s.nonzero then 0
+    else if s.nonzero.(i) = x then s.nonzero.(i + 1)
+    else find (i + 2)
+  in
+  find 0
 
-   - Anchors are the local membership/link events: a [Compute_started]
-     whose trigger is ["event:<ev>"] (switches tag local triggers that
-     way; remote ones read ["receive-lsa"]), and the matching non-proposal
-     MC-LSA origination that announces the event to the network.
-   - Control cost is every MC-LSA origination plus every per-link copy of
-     one ([Lsa_forwarded], retransmissions included).  Forwards carry
-     only (origin, seq), so originations are indexed as they pass — a
-     forward always trails its origination in emission order.
-   - Installs close windows ([Topology_installed]). *)
-let marks entries =
-  let mc_of = Hashtbl.create 256 and by_mc = Hashtbl.create 8 in
-  let push mc time m =
-    Hashtbl.replace by_mc mc
-      ((time, m) :: Option.value ~default:[] (Hashtbl.find_opt by_mc mc))
+(* One MC's episodes, in time order, from its events [(time, x, k)]
+   sorted by time, its history and the switches down at the end. *)
+let mc_episodes ~t_end ~down ~control h mc events =
+  let installs, finals =
+    match h with Some h -> (h.h_installs, h.h_final) | None -> ([], [])
+  in
+  (* Each live installing switch's installs, in trace order. *)
+  let by_switch = Hashtbl.create 8 in
+  List.iter (fun i -> push by_switch i.i_switch i) (List.rev installs);
+  let live =
+    List.filter_map
+      (fun f ->
+        if Hashtbl.mem down f.i_switch then None
+        else Hashtbl.find_opt by_switch f.i_switch)
+      finals
+  in
+  let covered x k i =
+    match i.i_entry.event with
+    | Topology_installed { c; _ } -> component c x >= k
+    | _ -> false
+  in
+  (* When the event settles, [None] when it never does. *)
+  let settle (t, x, k) =
+    List.fold_left
+      (fun acc is ->
+        match (acc, List.find_opt (covered x k) is) with
+        | Some s, Some i -> Some (Float.max s i.i_entry.time)
+        | _ -> None)
+      (Some t) live
+  in
+  let close (e_start, e_end, e_converged, e_events) =
+    let count ts =
+      List.length (List.filter (fun t -> t >= e_start && t <= e_end) ts)
+    in
+    {
+      e_mc = mc;
+      e_start;
+      e_end;
+      e_converged;
+      e_events;
+      e_installs = count (List.map (fun i -> i.i_entry.time) installs);
+      e_control = count control;
+    }
+  in
+  let step (cur, acc) ((t, _, _) as ev) =
+    let stop, settled =
+      match settle ev with Some s -> (s, true) | None -> (t_end, false)
+    in
+    match cur with
+    | Some (s0, e0, ok, n) when t <= e0 ->
+      (Some (s0, Float.max e0 stop, ok && settled, n + 1), acc)
+    | Some c -> (Some (t, stop, settled, 1), close c :: acc)
+    | None -> (Some (t, stop, settled, 1), acc)
+  in
+  match List.fold_left step (None, []) events with
+  | Some c, acc -> List.rev (close c :: acc)
+  | None, acc -> List.rev acc
+
+(* Every MC's episodes, MCs by name. *)
+let episodes entries =
+  let events = Hashtbl.create 64 and control = Hashtbl.create 8 in
+  let mc_of = Hashtbl.create 256 and down = Hashtbl.create 8 in
+  let event mc x stamp time =
+    let key = (mc, x, component stamp x) in
+    match Hashtbl.find_opt events key with
+    | Some t when t <= time -> ()
+    | _ -> Hashtbl.replace events key time
   in
   List.iter
     (fun (e : Sim.Trace.entry) ->
-      let time = e.time in
       match e.event with
-      | Lsa_originated { switch; mc; seq; ev; proposal; _ } when mc <> "" ->
+      | Lsa_originated { switch; mc; seq; ev; proposal; stamp } when mc <> "" ->
         Hashtbl.replace mc_of (switch, seq) mc;
-        if (not proposal) && ev <> "none" then push mc time Anchor;
-        push mc time Control
-      | Compute_started { mc; trigger; _ }
+        if (not proposal) && ev <> "none" then event mc switch stamp e.time;
+        push control mc e.time
+      | Compute_started { switch; mc; trigger; r }
         when mc <> "" && String.starts_with ~prefix:"event:" trigger ->
-        push mc time Anchor
-      | Lsa_forwarded { origin; seq; _ } -> (
-        match Hashtbl.find_opt mc_of (origin, seq) with
-        | Some mc -> push mc time Control
-        | None -> ())
-      | Topology_installed { mc; _ } when mc <> "" -> push mc time Install
+        event mc switch r e.time
+      | Lsa_forwarded { origin; seq; _ } ->
+        Option.iter
+          (fun mc -> push control mc e.time)
+          (Hashtbl.find_opt mc_of (origin, seq))
+      | Crash { switch } -> Hashtbl.replace down switch ()
+      | Recover { switch } -> Hashtbl.remove down switch
       | _ -> ())
     entries;
-  Hashtbl.fold (fun mc rev acc -> (mc, List.rev rev) :: acc) by_mc []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-type window = {
-  w_mc : string;
-  w_start : float;
-  w_end : float;
-  w_anchors : int;
-  w_installs : int;
-  w_control : int;
-}
-
-let latency w = w.w_end -. w.w_start
-
-let converged w = w.w_installs > 0
-
-(* Split one MC's time-sorted marks into sessions: maximal runs whose
-   consecutive gaps stay under [gap]. *)
-let sessions ~gap ms =
-  match ms with
-  | [] -> []
-  | (t0, _) :: _ ->
-    let flush cur acc = List.rev cur :: acc in
-    let rec walk prev_t cur acc = function
-      | [] -> List.rev (flush cur acc)
-      | ((t, _) as m) :: rest ->
-        if t -. prev_t < gap then walk t (m :: cur) acc rest
-        else walk t [ m ] (flush cur acc) rest
-    in
-    walk t0 [] [] ms
-
-let window_of mc session =
-  match List.find_opt (fun (_, m) -> m = Anchor) session with
-  | None -> None  (* ambient control/install activity with no local event *)
-  | Some (a0, _) ->
-    let within = List.filter (fun (t, _) -> t >= a0) session in
-    let count k = List.length (List.filter (fun (_, m) -> m = k) within) in
-    let w_end =
-      List.fold_left
-        (fun acc (t, m) -> if m = Install then Float.max acc t else acc)
-        a0 within
-    in
-    Some
-      {
-        w_mc = mc;
-        w_start = a0;
-        w_end;
-        w_anchors = count Anchor;
-        w_installs = count Install;
-        w_control = count Control;
-      }
+  let hs = histories entries and t_end = snd (span entries) in
+  let by_time (t1, x1, k1) (t2, x2, k2) =
+    match Float.compare t1 t2 with
+    | 0 -> ( match Int.compare x1 x2 with 0 -> Int.compare k1 k2 | c -> c)
+    | c -> c
+  in
+  Hashtbl.fold (fun (mc, _, _) _ acc -> mc :: acc) events []
+  |> List.sort_uniq String.compare
+  |> List.concat_map (fun mc ->
+         Hashtbl.fold
+           (fun (m, x, k) t acc ->
+             if String.equal m mc then (t, x, k) :: acc else acc)
+           events []
+         |> List.sort by_time
+         |> mc_episodes ~t_end ~down
+              ~control:(Option.value ~default:[] (Hashtbl.find_opt control mc))
+              (List.find_opt (fun h -> String.equal h.h_mc mc) hs)
+              mc)
 
 type dist = {
   d_count : int;
@@ -222,33 +248,15 @@ let dist_of samples =
       d_max = List.fold_left Float.max Float.neg_infinity samples;
     }
 
-type summary = {
-  s_gap : float;
-  s_windows : window list;
-  s_latency : dist;
-  s_control : dist;
-  s_unconverged : int;
-}
+let latency e = e.e_end -. e.e_start
 
-let sli ~gap entries =
-  if not (gap > 0.0 && Float.is_finite gap) then
-    invalid_arg "Run_report.sli: gap must be positive and finite";
-  let ws =
-    List.concat_map
-      (fun (mc, ms) ->
-        List.stable_sort (fun (a, _) (b, _) -> Float.compare a b) ms
-        |> sessions ~gap
-        |> List.filter_map (window_of mc))
-      (marks entries)
-  in
-  let converged_ws = List.filter converged ws in
-  {
-    s_gap = gap;
-    s_windows = ws;
-    s_latency = dist_of (List.map latency converged_ws);
-    s_control = dist_of (List.map (fun w -> float_of_int w.w_control) ws);
-    s_unconverged = List.length (List.filter (fun w -> not (converged w)) ws);
-  }
+(* The latency distribution over the converged episodes, the control
+   distribution over all, and the unconverged count. *)
+let sli es =
+  let converged = List.filter (fun e -> e.e_converged) es in
+  ( dist_of (List.map latency converged),
+    dist_of (List.map (fun e -> float_of_int e.e_control) es),
+    List.length es - List.length converged )
 
 (* ------------------------------------------------------------------ *)
 (* Run report: rendering helpers *)
@@ -341,11 +349,15 @@ let detections entries =
     det_latency = nearest_rank_dist (List.sort Float.compare !lats);
   }
 
+let dist_header =
+  "| figure | n | mean | p50 | p90 | p99 | max |\n\
+   |---|---:|---:|---:|---:|---:|---:|\n"
+
 let dist_row label d =
   Printf.sprintf "| %s | %d | %s | %s | %s | %s | %s |\n" label d.d_count
     (num d.d_mean) (num d.d_p50) (num d.d_p90) (num d.d_p99) (num d.d_max)
 
-let markdown ~gap (a : Sim.Trace.archive) =
+let markdown (a : Sim.Trace.archive) =
   let b = Buffer.create 4096 in
   let out fmt = Printf.ksprintf (Buffer.add_string b) fmt in
   let entries = a.a_entries in
@@ -361,23 +373,22 @@ let markdown ~gap (a : Sim.Trace.archive) =
     List.iter (fun (c, n) -> out "| %s | %d |\n" c n) (category_counts entries);
     out "\n"
   end;
-  let summary = sli ~gap entries in
-  out "## Reconfiguration SLIs (gap = %s s)\n\n" (num gap);
-  out "- windows: %d (%d unconverged)\n\n"
-    (List.length summary.s_windows)
-    summary.s_unconverged;
-  if summary.s_windows <> [] then begin
-    out "| figure | n | mean | p50 | p90 | p99 | max |\n";
-    out "|---|---:|---:|---:|---:|---:|---:|\n";
-    Buffer.add_string b (dist_row "convergence latency (s)" summary.s_latency);
-    Buffer.add_string b (dist_row "control messages" summary.s_control);
-    out "\n| mc | start s | end s | latency s | anchors | installs | control |\n";
+  let es = episodes entries in
+  let lat, control, unconverged = sli es in
+  out "## Reconfiguration episodes\n\n";
+  out "- episodes: %d (%d unconverged)\n\n" (List.length es) unconverged;
+  if es <> [] then begin
+    out "%s%s%s" dist_header (dist_row "convergence latency (s)" lat)
+      (dist_row "control messages" control);
+    out "\n| mc | start s | end s | latency s | events | installs | control |\n";
     out "|---|---:|---:|---:|---:|---:|---:|\n";
     List.iter
-      (fun w ->
-        out "| %s | %s | %s | %s | %d | %d | %d |\n" w.w_mc (num w.w_start)
-          (num w.w_end) (num (latency w)) w.w_anchors w.w_installs w.w_control)
-      summary.s_windows;
+      (fun e ->
+        out "| %s | %s | %s | %s | %d | %d | %d |\n" e.e_mc (num e.e_start)
+          (num e.e_end)
+          (if e.e_converged then num (latency e) else "unconverged")
+          e.e_events e.e_installs e.e_control)
+      es;
     out "\n"
   end;
   (match fault_links entries with
@@ -397,12 +408,8 @@ let markdown ~gap (a : Sim.Trace.archive) =
      out "## Link-health detection\n\n";
      out "- down verdicts: %d true, %d spurious\n" d.det_downs d.det_spurious;
      out "- up (recovery) verdicts: %d\n\n" d.det_ups;
-     if d.det_latency.d_count > 0 then begin
-       out "| figure | n | mean | p50 | p90 | p99 | max |\n";
-       out "|---|---:|---:|---:|---:|---:|---:|\n";
-       Buffer.add_string b (dist_row "detection latency (s)" d.det_latency);
-       out "\n"
-     end
+     if d.det_latency.d_count > 0 then
+       out "%s%s\n" dist_header (dist_row "detection latency (s)" d.det_latency)
    end);
   Buffer.contents b
 
@@ -413,23 +420,23 @@ let dist_json d =
     (Sim.Json.number d.d_p90) (Sim.Json.number d.d_p99)
     (Sim.Json.number d.d_max)
 
-let window_json w =
+let episode_json e =
   Printf.sprintf
-    {|{"mc": "%s", "start_s": %s, "end_s": %s, "latency_s": %s, "anchors": %d, "installs": %d, "control_msgs": %d}|}
-    (Sim.Json.escape w.w_mc) (Sim.Json.number w.w_start)
-    (Sim.Json.number w.w_end)
-    (Sim.Json.number (latency w))
-    w.w_anchors w.w_installs w.w_control
+    {|{"mc": "%s", "start_s": %s, "end_s": %s, "latency_s": %s, "events": %d, "installs": %d, "control_msgs": %d}|}
+    (Sim.Json.escape e.e_mc) (Sim.Json.number e.e_start)
+    (Sim.Json.number e.e_end)
+    (if e.e_converged then Sim.Json.number (latency e) else "null")
+    e.e_events e.e_installs e.e_control
 
-let sli_json s =
+let sli_json es =
+  let lat, control, unconverged = sli es in
   Printf.sprintf
-    "{\"gap_s\": %s, \"unconverged\": %d, \"latency_s\": %s, \"control_msgs\": \
-     %s, \"windows\": [\n      %s\n    ]}"
-    (Sim.Json.number s.s_gap) s.s_unconverged (dist_json s.s_latency)
-    (dist_json s.s_control)
-    (String.concat ",\n      " (List.map window_json s.s_windows))
+    "{\"unconverged\": %d, \"latency_s\": %s, \"control_msgs\": %s, \
+     \"episodes\": [\n      %s\n    ]}"
+    unconverged (dist_json lat) (dist_json control)
+    (String.concat ",\n      " (List.map episode_json es))
 
-let json ~gap (a : Sim.Trace.archive) =
+let json (a : Sim.Trace.archive) =
   let entries = a.a_entries in
   let note =
     if a.a_dropped > 0 then
@@ -459,7 +466,7 @@ let json ~gap (a : Sim.Trace.archive) =
   in
   Printf.sprintf
     {|{
-  "schema": "dgmc-report/1",
+  "schema": "dgmc-report/2",
   "trace": {
     "emitted": %d,
     "retained": %d,
@@ -471,7 +478,7 @@ let json ~gap (a : Sim.Trace.archive) =
 }
 |}
     a.a_emitted (List.length entries) a.a_dropped note
-    (sli_json (sli ~gap entries))
+    (sli_json (episodes entries))
     faults_field detection_field
 
 (* ------------------------------------------------------------------ *)

@@ -1,7 +1,7 @@
 (** The one reader of [dgmc-trace/1] captures.
 
     Every view of a trace is built here and returned as text: the run
-    report ({!markdown}, {!json}) with its reconfiguration SLIs, and the
+    report ({!markdown}, {!json}) with its reconfiguration episodes, and the
     analyzer modes {!trace_summary}, {!convergence}, {!divergence} and
     {!chain}.  They share one loader, one per-category count, one time
     span, one eviction note and one per-MC reduction of topology
@@ -11,48 +11,47 @@ val load : string -> (Sim.Trace.archive, string) result
 (** Read a JSONL capture; [Error] reads ["PATH: line N: reason"] (or
     ["PATH: reason"] when the file cannot be read). *)
 
-val default_gap : Sim.Trace.entry list -> float
-(** Sessionization gap when the caller has none: 1/20 of the trace's
-    simulated span, or [1.0] when the span is degenerate. *)
-
 val dropped_note : Sim.Trace.archive -> string
 (** The warning every view carries when the ring buffer evicted
     events. *)
 
 (** {2 Reconfiguration SLIs}
 
-    Each MC's trace entries are sessionized by a time gap (entries
-    closer than [gap] belong to the same {e window}).  A window must
-    contain an {e anchor} — a [Compute_started] with an
-    ["event:"]-prefixed trigger, or a non-proposal MC-LSA origination
-    announcing an event — and opens at its first anchor.  It closes at
-    its last [Topology_installed] (or at its first anchor when it never
-    converged, with latency [0.]).  Control cost is every MC-LSA
-    origination from the anchor on plus every [Lsa_forwarded] copy of
-    one, retransmissions included.  Entry order is irrelevant except
-    between equal times, which keep it.  The window population yields
-    a convergence-latency distribution over the converged windows and a
-    control-cost distribution over all, with exact p50/p90/p99
-    ({!Metrics.Stats.percentile}).  All inputs are simulated times, so
-    summaries of deterministic runs are byte-identical across domain
-    counts.  [gap] must be positive and finite. *)
+    SLIs come in {e episodes}, read from the installed [C] stamps.  An
+    {e event} is one local membership or link event: an MC, a switch
+    [x] and [x]'s own component [k] of the stamp on its
+    [Compute_started] (trigger ["event:..."]) or on the bare MC-LSA
+    origination that announces it, at the earlier of the two.  It
+    {e settles} at the first time every live installing switch of the
+    MC (one with any install there, not left crashed at the trace's
+    end) has installed a [C] with [C.(x) >= k]; one that never settles
+    is unconverged.  An episode is a maximal set of events whose
+    [time, settled] intervals overlap: its latency runs from its first
+    event to its last settle, and its control cost counts every MC-LSA
+    origination and every [Lsa_forwarded] copy of one inside it (to
+    the trace's end when unconverged).  The latency distribution
+    covers the converged episodes, the control distribution all, both
+    with exact p50/p90/p99 ({!Metrics.Stats.percentile}).  All inputs
+    are simulated times, so reports of deterministic runs are
+    byte-identical across domain counts. *)
 
 (** {2 Run report} *)
 
-val markdown : gap:float -> Sim.Trace.archive -> string
+val markdown : Sim.Trace.archive -> string
 (** The report as markdown: trace inventory (with an eviction warning
-    when the ring buffer dropped events), per-category counts, SLI
-    window and distribution tables, a per-link fault-injection table
+    when the ring buffer dropped events), per-category counts, the
+    episode distributions and table, a per-link fault-injection table
     (from [Fault_injected] events) and a link-health detection-latency
     section (from [Link_detected] events).  Trace-empty sections are
     omitted. *)
 
-val json : gap:float -> Sim.Trace.archive -> string
-(** The same report under schema [dgmc-report/1]: trace counters (plus
+val json : Sim.Trace.archive -> string
+(** The same report under schema [dgmc-report/2]: trace counters (plus
     a machine-readable [note] field if and only if events were
-    evicted), the [sli] summary, [faults_by_link] ([[]] when the trace
-    has no fault events) and [detection] ([null] without link-health
-    events). *)
+    evicted), the [sli] summary with its [episodes] ([latency_s] is
+    [null] for an unconverged one), [faults_by_link] ([[]] when the
+    trace has no fault events) and [detection] ([null] without
+    link-health events). *)
 
 (** {2 Analyzer modes} *)
 

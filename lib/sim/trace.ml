@@ -563,11 +563,7 @@ let to_jsonl t =
   done;
   Buffer.contents b
 
-let write_jsonl t ~path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_jsonl t))
+let write_jsonl t oc = output_string oc (to_jsonl t)
 
 type archive = { a_emitted : int; a_dropped : int; a_entries : entry list }
 

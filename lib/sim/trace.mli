@@ -221,8 +221,8 @@ type archive = { a_emitted : int; a_dropped : int; a_entries : entry list }
     filtered-out and evicted events included) plus entries oldest
     first. *)
 
-val write_jsonl : t -> path:string -> unit
-(** Header line + one JSON object per retained entry. *)
+val write_jsonl : t -> out_channel -> unit
+(** Header line + one JSON object per retained entry, to the channel. *)
 
 val read_jsonl : path:string -> (archive, string) result
 (** Parse what {!write_jsonl} produced; blank lines are skipped.  [Error]

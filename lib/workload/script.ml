@@ -665,7 +665,7 @@ let read_file path =
 
 let load path = Result.bind (read_file path) parse
 
-let build ?trace t =
+let build ?trace ?metrics t =
   (* A scenario with faults needs reliable flooding: the lossless modes
      have no recovery from an injected drop, and the run would diverge
      for reasons that say nothing about the protocol. *)
@@ -681,7 +681,8 @@ let build ?trace t =
     | None -> config
     | Some hc -> { config with Dgmc.Config.health = Some hc }
   in
-  let net = Dgmc.Protocol.create ~graph:t.graph ~config ?faults ?trace () in
+  let net = Dgmc.Protocol.create ~graph:t.graph ~config ?faults ?trace ?metrics ()
+  in
   Events.apply_dgmc net t.events;
   net
 

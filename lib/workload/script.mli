@@ -142,8 +142,9 @@ val load : string -> (t, string) result
     {!lint} reports no error, else the first error in line order as
     ["line N: message"] (a missing [graph] has no line). *)
 
-val build : ?trace:Sim.Trace.t -> t -> Dgmc.Protocol.t
+val build :
+  ?trace:Sim.Trace.t -> ?metrics:Metrics.Registry.t -> t -> Dgmc.Protocol.t
 (** Create the protocol instance and schedule every event {e without}
     running — so callers can attach observers (e.g. [Check.Monitor])
     before the first transition, then [Dgmc.Protocol.run] it.
-    [trace] is forwarded to {!Dgmc.Protocol.create}. *)
+    [trace] and [metrics] are forwarded to {!Dgmc.Protocol.create}. *)

@@ -406,7 +406,7 @@ module Trace = struct
   (* The archive a capture of [t] reads back as. *)
   let round_trip t =
     with_temp_file (fun path ->
-        Sim.Trace.write_jsonl t ~path;
+        Out_channel.with_open_text path (Sim.Trace.write_jsonl t);
         Sim.Trace.read_jsonl ~path)
 
   (* Ids assigned so far, as the capture's header records them. *)

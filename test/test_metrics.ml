@@ -204,7 +204,8 @@ let test_render_alignment () =
 (* The document [Csv.write] leaves in a file. *)
 let csv ~headers rows =
   Oracle.with_temp_file (fun path ->
-      Metrics.Csv.write ~path ~headers rows;
+      Out_channel.with_open_text path (fun oc ->
+          Metrics.Csv.write oc ~headers rows);
       Oracle.read_file path)
 
 let test_csv_escape () =

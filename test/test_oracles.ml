@@ -1634,7 +1634,7 @@ let prop_trace_store_vs_ring =
         if Sim.Trace.context t <> Oracle.Trace.Ring.(ring.ctx) then
           QCheck2.Test.fail_reportf "%s: context differs" what;
         Oracle.with_temp_file (fun path ->
-            Sim.Trace.write_jsonl t ~path;
+            Out_channel.with_open_text path (Sim.Trace.write_jsonl t);
             let written = Oracle.read_file path in
             if not (String.equal written text) then
               QCheck2.Test.fail_reportf "%s: JSONL differs:\n%s\nwant:\n%s"

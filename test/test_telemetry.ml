@@ -1,7 +1,8 @@
 (* Flight-recorder telemetry: Series bucketing against hand-computed
-   oracles, SLI sessionization, Phase attribution, zero-cost disabled
-   paths, per-domain Registry merging through the pool, and the
-   registry's counters over a fixed set of runs, pinned. *)
+   oracles, the run report's reconfiguration episodes, the trace's
+   counts reconciled with the registry's, Phase attribution, zero-cost
+   disabled paths, per-domain Registry merging through the pool, and
+   the registry's counters over a fixed set of runs, pinned. *)
 
 open Alcotest
 
@@ -72,171 +73,194 @@ let test_series_per_switch_keys () =
     "key order" [ None; Some 1; Some 2 ] switches
 
 (* ------------------------------------------------------------------ *)
-(* SLI: sessionization oracle *)
+(* SLI: episode oracle *)
 
-(* Synthetic trace entries, one SLI role each: a local event's
-   computation anchors a window, a proposal origination is control
-   traffic, an install closes the window. *)
-let empty = { Sim.Trace.size = 0; nonzero = [||] }
+(* A dense stamp of four switches, as a trace stamp. *)
+let stamp dense =
+  {
+    Sim.Trace.size = List.length dense;
+    nonzero =
+      Array.concat
+        (List.mapi (fun x c -> if c = 0 then [||] else [| x; c |]) dense);
+  }
 
-let anchor mc =
+let event_computation switch mc r =
   Sim.Trace.Compute_started
-    { switch = 0; mc; trigger = "event:join:both"; r = empty }
+    { switch; mc; trigger = "event:join:both"; r = stamp r }
 
-let control mc =
+let originated ?(ev = "none") switch mc seq s =
   Sim.Trace.Lsa_originated
-    { switch = 0; mc; seq = 0; ev = "none"; proposal = true; stamp = empty }
+    { switch; mc; seq; ev; proposal = ev = "none"; stamp = stamp s }
 
-let install mc =
+let forwarded origin seq =
+  Sim.Trace.Lsa_forwarded
+    { src = origin; dst = origin + 1; origin; seq; retransmit = false }
+
+let installed switch mc c =
   Sim.Trace.Topology_installed
-    { switch = 0; mc; r = empty; e = empty; c = empty; members = ""; tree = "" }
+    { switch; mc; r = stamp c; e = stamp c; c = stamp c; members = "";
+      tree = "" }
 
+(* MC a: switches 0-2 install it.  Event (0, 1) settles at 0.6, when
+   switch 2 finally covers it (its install at 0.45 does not); event
+   (1, 1), computed at 0.5 and announced at 0.52, starts before that
+   and settles at 0.9, when switch 1 covers it: its crash is followed
+   by a recovery, so it stays live.  The two are one episode.  Event
+   (2, 1) at 3.0 is never covered: an unconverged episode to the
+   trace's end, 4.0.  MC b: switches 0 and 3 install it; event (3, 1)
+   settles when switch 0 covers it, since switch 3 crashed for good.
+   b's control before its event and after its episode counts
+   nowhere. *)
 let entries =
   List.mapi
     (fun id (time, event) -> { Sim.Trace.id; parent = -1; time; event })
     [
-      (* MC a: one converged window, then an unconverged one after a gap *)
-      (0.0, anchor "a");
-      (0.1, control "a");
-      (0.2, control "a");
-      (0.3, install "a");
-      (5.0, anchor "a");
-      (5.1, control "a");
-      (* MC b: control before the anchor must not count *)
-      (0.0, control "b");
-      (0.1, anchor "b");
-      (0.5, install "b");
-      (0.9, install "b");
+      (0.0, event_computation 0 "a" [ 1; 0; 0; 0 ]);
+      (0.4, originated 0 "a" 1 [ 1; 0; 0; 0 ]);
+      (0.41, forwarded 0 1);
+      (0.42, installed 0 "a" [ 1; 0; 0; 0 ]);
+      (0.45, installed 2 "a" [ 0; 0; 0; 0 ]);
+      (0.5, event_computation 1 "a" [ 1; 1; 0; 0 ]);
+      (0.5, installed 1 "a" [ 1; 0; 0; 0 ]);
+      (0.52, originated ~ev:"join" 1 "a" 1 [ 1; 1; 0; 0 ]);
+      (0.6, installed 2 "a" [ 1; 0; 0; 0 ]);
+      (0.8, installed 0 "a" [ 1; 1; 0; 0 ]);
+      (0.85, installed 2 "a" [ 1; 1; 0; 0 ]);
+      (0.9, installed 1 "a" [ 1; 1; 0; 0 ]);
+      (1.0, Sim.Trace.Crash { switch = 1 });
+      (1.2, Sim.Trace.Recover { switch = 1 });
+      (1.9, originated 0 "b" 2 [ 0; 0; 0; 0 ]);
+      (2.0, event_computation 3 "b" [ 0; 0; 0; 1 ]);
+      (2.1, installed 3 "b" [ 0; 0; 0; 0 ]);
+      (2.5, Sim.Trace.Crash { switch = 3 });
+      (2.7, installed 0 "b" [ 0; 0; 0; 1 ]);
+      (3.0, originated ~ev:"leave" 2 "a" 1 [ 1; 1; 1; 0 ]);
+      (3.5, forwarded 2 1);
+      (3.6, installed 0 "a" [ 1; 1; 0; 0 ]);
+      (4.0, forwarded 0 2);
     ]
 
-(* The report's [sli] section over [entries], read back from its
-   dgmc-report/1 JSON. *)
-type window = {
-  w_mc : string;
-  w_start : float;
-  w_end : float;
-  w_latency : float;
-  w_anchors : int;
-  w_installs : int;
-  w_control : int;
-}
+(* The report's [sli] section, read back from its dgmc-report/2 JSON. *)
+let get conv k j =
+  match Option.bind (Sim.Json.member k j) conv with
+  | Some v -> v
+  | None -> failf "sli: no %s" k
 
-type dist = { d_count : int; d_mean : float; d_p50 : float; d_p90 : float; d_max : float }
-
-type summary = {
-  s_windows : window list;
-  s_latency : dist;
-  s_control : dist;
-  s_unconverged : int;
-}
-
-let sli ~gap entries =
-  let get conv k j =
-    match Option.bind (Sim.Json.member k j) conv with
-    | Some v -> v
-    | None -> failf "sli: no %s" k
-  in
-  let num = get Sim.Json.to_float and int = get Sim.Json.to_int in
-  let dist j =
-    {
-      d_count = int "count" j;
-      d_mean = num "mean" j;
-      d_p50 = num "p50" j;
-      d_p90 = num "p90" j;
-      d_max = num "max" j;
-    }
-  in
-  let window j =
-    {
-      w_mc = get Sim.Json.to_string "mc" j;
-      w_start = num "start_s" j;
-      w_end = num "end_s" j;
-      w_latency = num "latency_s" j;
-      w_anchors = int "anchors" j;
-      w_installs = int "installs" j;
-      w_control = int "control_msgs" j;
-    }
-  in
+let sli_of entries =
   let archive =
-    { Sim.Trace.a_emitted = List.length entries; a_dropped = 0; a_entries = entries }
-  in
-  match Sim.Json.parse (Report.Run_report.json ~gap archive) with
-  | Error e -> failf "report does not parse: %s" e
-  | Ok report ->
-    let s = get Option.some "sli" report in
     {
-      s_windows = List.map window (get Sim.Json.to_list "windows" s);
-      s_latency = dist (get Option.some "latency_s" s);
-      s_control = dist (get Option.some "control_msgs" s);
-      s_unconverged = int "unconverged" s;
+      Sim.Trace.a_emitted = List.length entries;
+      a_dropped = 0;
+      a_entries = entries;
     }
-
-let latency w = w.w_latency
-
-let converged w = w.w_installs > 0
-
-let test_sli_windows_oracle () =
-  let ws = (sli ~gap:1.0 entries).s_windows in
-  check int "three windows" 3 (List.length ws);
-  let w mc i =
-    List.nth (List.filter (fun w -> String.equal w.w_mc mc) ws) i
   in
-  let a0 = w "a" 0 in
-  check feps "a0 start" 0.0 a0.w_start;
-  check feps "a0 end" 0.3 a0.w_end;
-  check int "a0 anchors" 1 a0.w_anchors;
-  check int "a0 installs" 1 a0.w_installs;
-  check int "a0 control" 2 a0.w_control;
-  check feps "a0 latency" 0.3 (latency a0);
-  let a1 = w "a" 1 in
-  check bool "a1 unconverged" false (converged a1);
-  check feps "a1 latency" 0.0 (latency a1);
-  check int "a1 control" 1 a1.w_control;
-  let b0 = w "b" 0 in
-  check feps "b0 start (first anchor)" 0.1 b0.w_start;
-  check feps "b0 end (last install)" 0.9 b0.w_end;
-  check int "b0 installs" 2 b0.w_installs;
-  check int "b0 control excludes pre-anchor" 0 b0.w_control
+  match Sim.Json.parse (Report.Run_report.json archive) with
+  | Error e -> failf "report does not parse: %s" e
+  | Ok report -> get Option.some "sli" report
 
-let test_sli_summary_oracle () =
-  let s = sli ~gap:1.0 entries in
-  check int "unconverged count" 1 s.s_unconverged;
-  (* Latency over converged windows only: [0.3; 0.8]. *)
-  check int "latency count" 2 s.s_latency.d_count;
-  check feps "latency mean" 0.55 s.s_latency.d_mean;
-  check feps "latency p50 (linear interpolation)" 0.55 s.s_latency.d_p50;
-  check feps "latency p90" 0.75 s.s_latency.d_p90;
-  check feps "latency max" 0.8 s.s_latency.d_max;
-  (* Control over all windows: [2; 1; 0]. *)
-  check int "control count" 3 s.s_control.d_count;
-  check feps "control mean" 1.0 s.s_control.d_mean;
-  check feps "control max" 2.0 s.s_control.d_max
+let test_sli_episode_oracle () =
+  let s = sli_of entries in
+  let num = get Sim.Json.to_float and count = get Sim.Json.to_int in
+  let expected =
+    [
+      ("a", 0.0, 0.9, Some 0.9, 2, 7, 3);
+      ("a", 3.0, 4.0, None, 1, 1, 2);
+      ("b", 2.0, 2.7, Some 0.7, 1, 2, 0);
+    ]
+  and episodes = get Sim.Json.to_list "episodes" s in
+  check int "episodes" (List.length expected) (List.length episodes);
+  List.iteri
+    (fun i ((mc, start, stop, latency, events, installs, control), j) ->
+      let what k = Printf.sprintf "episode %d %s" i k in
+      check string (what "mc") mc (get Sim.Json.to_string "mc" j);
+      check feps (what "start") start (num "start_s" j);
+      check feps (what "end") stop (num "end_s" j);
+      check (option feps) (what "latency (null: unconverged)") latency
+        (Sim.Json.to_float (get Option.some "latency_s" j));
+      check int (what "events") events (count "events" j);
+      check int (what "installs") installs (count "installs" j);
+      check int (what "control") control (count "control_msgs" j))
+    (List.combine expected episodes);
+  check int "unconverged" 1 (count "unconverged" s)
 
-let test_sli_of_scripted_run () =
-  let trace = Sim.Trace.create () in
-  ignore
-    (Experiments.Harness.bursty_run ~trace ~seed:7 ~n:10
-       ~config:Dgmc.Config.atm_lan ~members:5 ());
-  let entries = Sim.Trace.entries trace in
-  (* A gap wider than the whole run keeps each MC in one session, so
-     window totals must equal whole-trace totals. *)
-  let t1 = List.fold_left (fun m (e : Sim.Trace.entry) -> Float.max m e.time) 0.0 entries in
-  let s = sli ~gap:(t1 +. 1.0) entries in
-  check int "one window per MC" 1 (List.length s.s_windows);
-  let w = List.nth s.s_windows 0 in
-  check bool "burst converged" true (converged w);
-  let installs_in_trace =
+let test_sli_episode_summary_oracle () =
+  let s = sli_of entries in
+  let num = get Sim.Json.to_float and count = get Sim.Json.to_int in
+  (* Latency over the converged episodes, [0.9; 0.7]; control over all,
+     [3; 2; 0]. *)
+  let dist k = get Option.some k s in
+  check int "latency count" 2 (count "count" (dist "latency_s"));
+  check feps "latency mean" 0.8 (num "mean" (dist "latency_s"));
+  check feps "latency p50 (linear interpolation)" 0.8
+    (num "p50" (dist "latency_s"));
+  check feps "latency max" 0.9 (num "max" (dist "latency_s"));
+  check int "control count" 3 (count "count" (dist "control_msgs"));
+  check feps "control mean" (5.0 /. 3.0) (num "mean" (dist "control_msgs"));
+  check feps "control max" 3.0 (num "max" (dist "control_msgs"))
+
+(* ------------------------------------------------------------------ *)
+(* Reconciliation: the trace against the registry *)
+
+(* Four counts read from a run's trace alone must equal the registry's
+   counts for the same run: every completed computation is a
+   [Proposal_made], withdrawn ones marked; every MC flooding an
+   [Lsa_originated] with an MC; every install a [Topology_installed]. *)
+let reconcile what trace registry =
+  let count p =
     List.length
       (List.filter
-         (fun (e : Sim.Trace.entry) ->
-           match e.event with
-           | Sim.Trace.Topology_installed i -> i.mc <> ""
-           | _ -> false)
-         entries)
+         (fun (e : Sim.Trace.entry) -> p e.event)
+         (Sim.Trace.entries trace))
   in
-  check int "window installs = trace installs" installs_in_trace w.w_installs;
-  check bool "control messages counted" true (w.w_control > 0);
-  check bool "positive latency" true (latency w > 0.0)
+  let total = Oracle.Registry.counter_total registry in
+  List.iter
+    (fun (name, counter, p) ->
+      check int (what ^ ": " ^ name) (total counter) (count p))
+    [
+      ( "computations", "switch.computations",
+        function Sim.Trace.Proposal_made _ -> true | _ -> false );
+      ( "withdrawals", "switch.computations_withdrawn",
+        function Sim.Trace.Proposal_made p -> p.withdrawn | _ -> false );
+      ( "MC floodings", "protocol.mc_floodings",
+        function Sim.Trace.Lsa_originated o -> o.mc <> "" | _ -> false );
+      ( "installs", "switch.installs",
+        function Sim.Trace.Topology_installed _ -> true | _ -> false );
+    ]
+
+let scenario_dir = List.find Sys.file_exists [ "../scenarios"; "scenarios" ]
+
+let test_reconcile_scenarios () =
+  Sys.readdir scenario_dir |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".dgmc")
+  |> List.sort String.compare
+  |> List.iter (fun file ->
+         match Workload.Script.load (Filename.concat scenario_dir file) with
+         | Error msg -> failf "%s: %s" file msg
+         | Ok script ->
+           let trace = Sim.Trace.create ()
+           and metrics = Metrics.Registry.create () in
+           Dgmc.Protocol.run (Workload.Script.build ~trace ~metrics script);
+           reconcile file trace metrics)
+
+let test_reconcile_figures () =
+  List.iter
+    (fun seed ->
+      let cell name run =
+        let trace = Sim.Trace.create ()
+        and metrics = Metrics.Registry.create () in
+        ignore (run ~trace ~metrics);
+        reconcile (Printf.sprintf "%s seed %d" name seed) trace metrics
+      in
+      let bursty config ~trace ~metrics =
+        Experiments.Harness.bursty_run ~trace ~metrics ~seed ~n:20 ~config
+          ~members:10 ()
+      in
+      cell "fig6" (bursty Dgmc.Config.atm_lan);
+      cell "fig7" (bursty Dgmc.Config.wan);
+      cell "fig8" (fun ~trace ~metrics ->
+          Experiments.Harness.poisson_run ~trace ~metrics ~seed ~n:20
+            ~config:Dgmc.Config.atm_lan ~events:40 ~gap_rounds:50.0 ()))
+    [ 1; 2 ]
 
 (* ------------------------------------------------------------------ *)
 (* Phase attribution *)
@@ -568,9 +592,16 @@ let () =
         ] );
       ( "sli",
         [
-          test_case "window oracle" `Quick test_sli_windows_oracle;
-          test_case "summary oracle" `Quick test_sli_summary_oracle;
-          test_case "scripted run reduction" `Quick test_sli_of_scripted_run;
+          test_case "episode oracle" `Quick test_sli_episode_oracle;
+          test_case "episode summary oracle" `Quick
+            test_sli_episode_summary_oracle;
+        ] );
+      ( "reconcile",
+        [
+          test_case "scenarios: trace counts equal registry" `Quick
+            test_reconcile_scenarios;
+          test_case "figure cells: trace counts equal registry" `Quick
+            test_reconcile_figures;
         ] );
       ( "phase",
         [
