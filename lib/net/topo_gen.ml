@@ -102,6 +102,30 @@ let connect_components g ~cost ~weight =
       first := !last
     done
 
+(* [Float.pow x 2.0], bit for bit, with [pow] called on about one square
+   in ten.  [x *. x] is correctly rounded and glibc's [pow] is within
+   0.54 ulp, so where the exact square [hi + lo] lies within 0.45 ulp of
+   [hi] every other float is over 0.54 ulp away and [pow] must return
+   [hi] too.  A power of two (ulps differ on its two sides), a zero, an
+   [hi] below 2^-969 (where [lo] could underflow), an infinite or a NaN
+   [hi] takes [pow] (EXPERIMENTS.md). *)
+let[@inline] square x =
+  let hi = x *. x in
+  let lo = Float.fma x x (-.hi) in
+  let bits = Int64.bits_of_float hi in
+  let e = Int64.to_int (Int64.shift_right_logical bits 52) in
+  if e > 53
+     && Int64.logand bits 0xF_FFFF_FFFF_FFFFL <> 0L
+     && Float.abs lo < 0.45 *. Int64.float_of_bits (Int64.of_int ((e - 52) lsl 52))
+  then hi
+  else Float.pow x 2.0
+
+(* The distance of points [u < v]: every caller takes this orientation. *)
+let[@inline] distance xs ys u v =
+  sqrt
+    (square (Float.Array.get xs u -. Float.Array.get xs v)
+    +. square (Float.Array.get ys u -. Float.Array.get ys v))
+
 let waxman rng ~n ?target_degree () =
   (* Edge-probability scale, distance decay, and the factor turning
      distances into edge weights. *)
@@ -112,37 +136,34 @@ let waxman rng ~n ?target_degree () =
     Float.Array.set xs i (Sim.Rng.float rng 1.0);
     Float.Array.set ys i (Sim.Rng.float rng 1.0)
   done;
-  (* Every pair's distance, computed once: pair [u < v] sits at [pair u v],
-     so a walk over [u], then [v > u], reads it in order.  The squares stay
-     [Float.pow dx 2.0]: glibc's [pow] is not correctly rounded, and
-     [dx *. dx] differs from it often enough to move edges
-     (EXPERIMENTS.md). *)
+  (* One flat triangle over the pairs: pair [u < v] sits at [pair u v],
+     so a walk over [u], then [v > u], reads it in order.  It holds each
+     pair's distance until the longest is known, then its decay factor
+     [exp (-d / βl)], which the α sum and the edge draws share. *)
   let pair u v = (u * ((2 * n) - u - 1) / 2) + (v - u - 1) in
-  let dist = Float.Array.create (n * (n - 1) / 2) in
+  let decay = Float.Array.create (n * (n - 1) / 2) in
   let l = ref 0.0 in
   for u = 0 to n - 1 do
-    let xu = Float.Array.get xs u and yu = Float.Array.get ys u in
     for v = u + 1 to n - 1 do
-      let d =
-        sqrt
-          (Float.pow (xu -. Float.Array.get xs v) 2.0
-          +. Float.pow (yu -. Float.Array.get ys v) 2.0)
-      in
-      Float.Array.set dist (pair u v) d;
+      let d = distance xs ys u v in
+      Float.Array.set decay (pair u v) d;
       if d > !l then l := d
     done
   done;
   let l = if !l = 0.0 then 1.0 else !l in
+  (* A plain loop keeps the running sum unboxed; it adds in the pairs'
+     order. *)
+  let sum = ref 0.0 in
+  for i = 0 to Float.Array.length decay - 1 do
+    let q = exp (-.Float.Array.get decay i /. (beta *. l)) in
+    Float.Array.set decay i q;
+    sum := !sum +. q
+  done;
   let alpha =
     match target_degree with
     | None -> alpha
     | Some degree ->
-      (* Solve  Σ_pairs α·exp(-d/βl) = n·degree/2  for α.  A plain loop
-         keeps the running sum unboxed; it adds in the pairs' order. *)
-      let sum = ref 0.0 in
-      for i = 0 to Float.Array.length dist - 1 do
-        sum := !sum +. exp (-.Float.Array.get dist i /. (beta *. l))
-      done;
+      (* Solve  Σ_pairs α·exp(-d/βl) = n·degree/2  for α. *)
       if !sum <= 0.0 then alpha
       else Float.min 1.0 (float_of_int n *. degree /. (2.0 *. !sum))
   in
@@ -150,12 +171,11 @@ let waxman rng ~n ?target_degree () =
   (* Weights are distances scaled away from zero: two coincident points
      would otherwise produce a zero-weight edge, which Graph rejects. *)
   let weight_of u v =
-    let d = Float.Array.get dist (if u < v then pair u v else pair v u) in
-    Float.max 1e-6 (scale *. d)
+    Float.max 1e-6 (scale *. distance xs ys (Int.min u v) (Int.max u v))
   in
   for u = 0 to n - 1 do
     for v = u + 1 to n - 1 do
-      let p = alpha *. exp (-.Float.Array.get dist (pair u v) /. (beta *. l)) in
+      let p = alpha *. Float.Array.get decay (pair u v) in
       if Sim.Rng.float rng 1.0 < p then Graph.add_edge g u v ~weight:(weight_of u v)
     done
   done;

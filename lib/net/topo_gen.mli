@@ -38,6 +38,15 @@ val clustered :
     [k*per_area .. (k+1)*per_area - 1]); the returned array lists each
     area's switches.  An inter-area link costs [20.0]. *)
 
+(* dgmc-analyze: allow unused-export — test_props checks that it equals
+   [Float.pow x 2.0] bit for bit, the contract waxman's graphs rest on *)
+val square : float -> float
+(** [Float.pow x 2.0], bit for bit under glibc's [pow] (within 0.54
+    ulp), with [pow] called only where the exact square lies 0.45 ulp or
+    more from [x *. x], or [x *. x] is zero, a power of two, below
+    2{^-969} or not finite: about one square in ten of Waxman's coordinate
+    differences.  Waxman's distances use it. *)
+
 (* dgmc-analyze: allow unused-export — test_props checks the one-pass
    joining step against the rescan loop under the ties that waxman's
    distinct weights never draw *)

@@ -98,11 +98,16 @@ let time_g t = Printf.sprintf "%g" t
    (origin, seq), so MC-LSA originations are indexed as they pass: a
    forward always trails its origination in emission order. *)
 
+(* [Uninstalled]: the trace holds no install of the MC (the install
+   category was filtered out, or the ring evicted it), so nothing can
+   settle and nothing is known. *)
+type outcome = Converged | Unconverged | Uninstalled
+
 type episode = {
   e_mc : string;
   e_start : float;
   e_end : float;  (** The last settle, or the trace's end. *)
-  e_converged : bool;
+  e_outcome : outcome;
   e_events : int;
   e_installs : int;
   e_control : int;
@@ -147,7 +152,7 @@ let mc_episodes ~t_end ~down ~control h mc events =
         | _ -> None)
       (Some t) live
   in
-  let close (e_start, e_end, e_converged, e_events) =
+  let close (e_start, e_end, e_outcome, e_events) =
     let count ts =
       List.length (List.filter (fun t -> t >= e_start && t <= e_end) ts)
     in
@@ -155,7 +160,7 @@ let mc_episodes ~t_end ~down ~control h mc events =
       e_mc = mc;
       e_start;
       e_end;
-      e_converged;
+      e_outcome;
       e_events;
       e_installs = count (List.map (fun i -> i.i_entry.time) installs);
       e_control = count control;
@@ -163,11 +168,15 @@ let mc_episodes ~t_end ~down ~control h mc events =
   in
   let step (cur, acc) ((t, _, _) as ev) =
     let stop, settled =
-      match settle ev with Some s -> (s, true) | None -> (t_end, false)
+      match (h, settle ev) with
+      | None, _ -> (t_end, Uninstalled)
+      | Some _, Some s -> (s, Converged)
+      | Some _, None -> (t_end, Unconverged)
     in
     match cur with
     | Some (s0, e0, ok, n) when t <= e0 ->
-      (Some (s0, Float.max e0 stop, ok && settled, n + 1), acc)
+      let ok = if settled = Converged then ok else settled in
+      (Some (s0, Float.max e0 stop, ok, n + 1), acc)
     | Some c -> (Some (t, stop, settled, 1), close c :: acc)
     | None -> (Some (t, stop, settled, 1), acc)
   in
@@ -253,10 +262,23 @@ let latency e = e.e_end -. e.e_start
 (* The latency distribution over the converged episodes, the control
    distribution over all, and the unconverged count. *)
 let sli es =
-  let converged = List.filter (fun e -> e.e_converged) es in
-  ( dist_of (List.map latency converged),
+  let is o e = e.e_outcome = o in
+  ( dist_of (List.map latency (List.filter (is Converged) es)),
     dist_of (List.map (fun e -> float_of_int e.e_control) es),
-    List.length es - List.length converged )
+    List.length (List.filter (is Unconverged) es) )
+
+(* The warning a report carries when some MC's events have no install
+   to settle against: [None] when every MC has one. *)
+let uninstalled_note (a : Sim.Trace.archive) es =
+  match List.filter (fun e -> e.e_outcome = Uninstalled) es with
+  | [] -> None
+  | blind ->
+    Some
+      (Printf.sprintf
+         "%d episode(s) have events but no install of their MC in the trace \
+          (%d of %d emitted events retained); they are left out of the \
+          latency figures (trace the install category)"
+         (List.length blind) (List.length a.a_entries) a.a_emitted)
 
 (* ------------------------------------------------------------------ *)
 (* Run report: rendering helpers *)
@@ -376,7 +398,9 @@ let markdown (a : Sim.Trace.archive) =
   let es = episodes entries in
   let lat, control, unconverged = sli es in
   out "## Reconfiguration episodes\n\n";
-  out "- episodes: %d (%d unconverged)\n\n" (List.length es) unconverged;
+  out "- episodes: %d (%d unconverged)\n" (List.length es) unconverged;
+  Option.iter (out "- **warning**: %s\n") (uninstalled_note a es);
+  out "\n";
   if es <> [] then begin
     out "%s%s%s" dist_header (dist_row "convergence latency (s)" lat)
       (dist_row "control messages" control);
@@ -386,7 +410,10 @@ let markdown (a : Sim.Trace.archive) =
       (fun e ->
         out "| %s | %s | %s | %s | %d | %d | %d |\n" e.e_mc (num e.e_start)
           (num e.e_end)
-          (if e.e_converged then num (latency e) else "unconverged")
+          (match e.e_outcome with
+          | Converged -> num (latency e)
+          | Unconverged -> "unconverged"
+          | Uninstalled -> "no installs")
           e.e_events e.e_installs e.e_control)
       es;
     out "\n"
@@ -425,15 +452,20 @@ let episode_json e =
     {|{"mc": "%s", "start_s": %s, "end_s": %s, "latency_s": %s, "events": %d, "installs": %d, "control_msgs": %d}|}
     (Sim.Json.escape e.e_mc) (Sim.Json.number e.e_start)
     (Sim.Json.number e.e_end)
-    (if e.e_converged then Sim.Json.number (latency e) else "null")
+    (if e.e_outcome = Converged then Sim.Json.number (latency e) else "null")
     e.e_events e.e_installs e.e_control
 
-let sli_json es =
+let sli_json a es =
   let lat, control, unconverged = sli es in
+  let note =
+    match uninstalled_note a es with
+    | Some n -> Printf.sprintf "\"note\": \"%s\", " (Sim.Json.escape n)
+    | None -> ""
+  in
   Printf.sprintf
-    "{\"unconverged\": %d, \"latency_s\": %s, \"control_msgs\": %s, \
+    "{\"unconverged\": %d, %s\"latency_s\": %s, \"control_msgs\": %s, \
      \"episodes\": [\n      %s\n    ]}"
-    unconverged (dist_json lat) (dist_json control)
+    unconverged note (dist_json lat) (dist_json control)
     (String.concat ",\n      " (List.map episode_json es))
 
 let json (a : Sim.Trace.archive) =
@@ -478,7 +510,7 @@ let json (a : Sim.Trace.archive) =
 }
 |}
     a.a_emitted (List.length entries) a.a_dropped note
-    (sli_json (episodes entries))
+    (sli_json a (episodes entries))
     faults_field detection_field
 
 (* ------------------------------------------------------------------ *)

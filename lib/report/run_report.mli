@@ -31,7 +31,11 @@ val dropped_note : Sim.Trace.archive -> string
     origination and every [Lsa_forwarded] copy of one inside it (to
     the trace's end when unconverged).  The latency distribution
     covers the converged episodes, the control distribution all, both
-    with exact p50/p90/p99 ({!Metrics.Stats.percentile}).  All inputs
+    with exact p50/p90/p99 ({!Metrics.Stats.percentile}).  An MC whose
+    events have no install at all in the trace (its install records
+    were filtered or evicted) cannot settle: its episodes read "no
+    installs", count as neither converged nor unconverged, and the
+    report warns with the retained and emitted counts.  All inputs
     are simulated times, so reports of deterministic runs are
     byte-identical across domain counts. *)
 
@@ -40,7 +44,8 @@ val dropped_note : Sim.Trace.archive -> string
 val markdown : Sim.Trace.archive -> string
 (** The report as markdown: trace inventory (with an eviction warning
     when the ring buffer dropped events), per-category counts, the
-    episode distributions and table, a per-link fault-injection table
+    episode distributions and table (with a warning when some MC has no
+    install), a per-link fault-injection table
     (from [Fault_injected] events) and a link-health detection-latency
     section (from [Link_detected] events).  Trace-empty sections are
     omitted. *)
@@ -49,7 +54,8 @@ val json : Sim.Trace.archive -> string
 (** The same report under schema [dgmc-report/2]: trace counters (plus
     a machine-readable [note] field if and only if events were
     evicted), the [sli] summary with its [episodes] ([latency_s] is
-    [null] for an unconverged one), [faults_by_link] ([[]] when the
+    [null] for an unconverged or install-less one, and a [note] field
+    if and only if some MC has no install), [faults_by_link] ([[]] when the
     trace has no fault events) and [detection] ([null] without
     link-health events). *)
 

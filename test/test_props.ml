@@ -1019,6 +1019,46 @@ let test_generators_match_oracle () =
       oracle_sizes
   done
 
+(* Waxman's squares skip [pow] where [x *. x] must be its result; the
+   graphs stay bit-identical only while every square equals
+   [Float.pow x 2.0].  Checked on the coordinate differences Waxman
+   draws, on the guard's edge cases, and on inputs searched for whose
+   exact square lies 0.40-0.50 ulp from [x *. x], either side of the
+   0.45 ulp cut. *)
+let test_square_is_pow () =
+  let check x =
+    let fast = Net.Topo_gen.square x and slow = Float.pow x 2.0 in
+    if not (Int64.equal (Int64.bits_of_float fast) (Int64.bits_of_float slow)) then
+      Alcotest.failf "square %h = %h, pow = %h" x fast slow
+  in
+  let rng = Sim.Rng.create 1 in
+  for _ = 1 to 1_000_000 do
+    let a = Sim.Rng.float rng 1.0 in
+    check (a -. Sim.Rng.float rng 1.0)
+  done;
+  List.iter check
+    [ 0.0; -0.0; Float.min_float; 4e-324; 1e-160; 1e-300; 1e155; 1e200;
+      Float.max_float; Float.infinity; Float.neg_infinity; Float.nan;
+      Float.succ 1.0; Float.pred 1.0 ];
+  for k = -1074 to 1023 do
+    check (Float.ldexp 1.0 k);
+    check (-.Float.ldexp 1.0 k)
+  done;
+  let below = ref 0 and above = ref 0 in
+  while !below + !above < 20_000 do
+    let x =
+      Float.ldexp (1.0 +. Sim.Rng.float rng 1.0) (Sim.Rng.int rng 960 - 480)
+    in
+    let hi = x *. x in
+    let r = Float.abs (Float.fma x x (-.hi)) /. (Float.succ hi -. hi) in
+    if r >= 0.40 && r <= 0.50 then begin
+      check x;
+      if r < 0.45 then incr below else incr above
+    end
+  done;
+  if !below < 5_000 || !above < 5_000 then
+    Alcotest.failf "band search: %d below 0.45 ulp, %d above" !below !above
+
 (* Small integer costs make ties the rule, so the joining order rests on
    the scan-order tie-break, including pairs whose earlier component
    changes as components merge. *)
@@ -1695,6 +1735,8 @@ let () =
         [
           Alcotest.test_case "generators match the original loops" `Quick
             test_generators_match_oracle;
+          Alcotest.test_case "waxman's square is Float.pow x 2.0" `Quick
+            test_square_is_pow;
           QCheck_alcotest.to_alcotest prop_connect_ties_match_oracle;
           QCheck_alcotest.to_alcotest prop_hop_diameter_matches_searches;
           QCheck_alcotest.to_alcotest prop_search_memo_matches_fresh;
