@@ -15,9 +15,6 @@ let files_arg =
     non_empty & pos_all string []
     & info [] ~docv:"FILE" ~doc:"Scenario script(s) to check.")
 
-let quiet_arg =
-  Arg.(value & flag & info [ "q"; "quiet" ] ~doc:"Suppress warnings.")
-
 let json_arg =
   Arg.(
     value
@@ -59,7 +56,7 @@ let render_doc ~files ~errors ~warnings diags =
     (String.concat ",\n"
        (List.map (fun d -> "    " ^ Analysis.Diag.json d) diags))
 
-let run files quiet json =
+let run files json =
   let json_to_stdout = match json with Some "-" -> true | _ -> false in
   let json_oc =
     match json with
@@ -84,9 +81,7 @@ let run files quiet json =
         records := !records @ List.map (diag_of ~file) diags;
         if not json_to_stdout then
           List.iter
-            (fun (d : Workload.Script.diagnostic) ->
-              if d.severity = Workload.Script.Error || not quiet then
-                print_endline (Workload.Script.render ~file d))
+            (fun d -> print_endline (Workload.Script.render ~file d))
             diags)
     files;
   Option.iter
@@ -101,4 +96,4 @@ let run files quiet json =
 let () =
   let doc = "Lint D-GMC scenario scripts without running them" in
   let info = Cmd.info "dgmc_lint" ~version:"1.0.0" ~doc in
-  exit (Cmd.eval (Cmd.v info Term.(const run $ files_arg $ quiet_arg $ json_arg)))
+  exit (Cmd.eval (Cmd.v info Term.(const run $ files_arg $ json_arg)))

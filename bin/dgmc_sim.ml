@@ -137,37 +137,13 @@ let trace_file_arg =
            $(b,dgmc_report).  '-' prints the human-readable timeline to \
            stdout instead.")
 
-(* A category no trace carries would silently retain nothing: a usage
-   error instead, naming the valid ones. *)
-let trace_category =
-  let parse s =
-    if List.mem s Sim.Trace.categories then Ok s
-    else
-      Error
-        (Printf.sprintf "unknown trace category '%s', expected one of %s" s
-           (String.concat ", " Sim.Trace.categories))
-  in
-  Arg.conv' (parse, Format.pp_print_string)
-
-let trace_cats_arg =
-  Arg.(
-    value
-    & opt (some (list trace_category)) None
-    & info [ "trace-cats" ] ~docv:"CATS"
-        ~doc:
-          ("Comma-separated trace categories to retain, among "
-          ^ String.concat ", " Sim.Trace.categories
-          ^ ".  Default: all.  Filtering affects retention only; event ids \
-             stay globally consistent, so causal parents in a filtered \
-             trace still refer to real events."))
-
 (* The run's trace, and what writes it out once the run is over.  A
    JSONL file is opened here, before the run. *)
-let make_trace ?cap file cats =
+let make_trace ?cap file =
   match file with
   | None -> (Sim.Trace.disabled, ignore)
   | Some "-" ->
-    let trace = Sim.Trace.create ?cap ?cats () in
+    let trace = Sim.Trace.create ?cap () in
     ( trace,
       fun () ->
         List.iter
@@ -175,7 +151,7 @@ let make_trace ?cap file cats =
           (Sim.Trace.entries trace) )
   | Some path ->
     let oc = Cli.open_out ~prog:"dgmc_sim" path in
-    let trace = Sim.Trace.create ?cap ?cats () in
+    let trace = Sim.Trace.create ?cap () in
     ( trace,
       fun () ->
         Sim.Trace.write_jsonl trace oc;
@@ -484,9 +460,9 @@ let run_cmd =
     | `Bursty -> at_most "--members" ~what:"-n" n members (n, members, workload)
     | `Normal -> `Ok (n, members, workload)
   in
-  let run (n, members, workload) seed regime trace_file trace_cats =
+  let run (n, members, workload) seed regime trace_file =
     let config = regime_config regime in
-    let trace, finish_trace = make_trace trace_file trace_cats in
+    let trace, finish_trace = make_trace trace_file in
     let r =
       match workload with
       | `Bursty ->
@@ -522,7 +498,7 @@ let run_cmd =
       $ ret (const check $ n_arg $ members_arg $ workload_arg)
       $ seed_arg
       $ regime_arg "Timing regime: atm (Tc >> t_hop) or wan."
-      $ trace_file_arg $ trace_cats_arg)
+      $ trace_file_arg)
 
 (* ------------------------------------------------------------------ *)
 (* script: run a scenario file *)
@@ -551,7 +527,7 @@ let script_cmd =
       & info [ "faults" ] ~docv:"SPEC"
           ~doc:
             "Run under a fault plan, e.g. 'drop=0.3,dup=0.1,jitter=0.5' \
-             (keys: drop, dup, reorder, jitter, span).  Overrides the \
+             (keys: drop, dup, reorder, jitter).  Overrides the \
              script's own 'faults' directive and switches flooding to the \
              reliable (ack + retransmit) mode.")
   in
@@ -574,8 +550,7 @@ let script_cmd =
              script's own 'health' directive; scripted link events then \
              become ground truth the hello detectors must discover.")
   in
-  let run file trace_file trace_cats dot check faults_spec fault_seed
-      health_spec =
+  let run file trace_file dot check faults_spec fault_seed health_spec =
     match Workload.Script.load file with
     | Error msg ->
       Printf.eprintf "%s: %s\n" file msg;
@@ -611,7 +586,7 @@ let script_cmd =
             Printf.eprintf "--health: %s\n" msg;
             exit 2)
       in
-      let trace, finish_trace = make_trace trace_file trace_cats in
+      let trace, finish_trace = make_trace trace_file in
       let net = Workload.Script.build ~trace script in
       let monitor = if check then Some (Check.Monitor.attach net) else None in
       Dgmc.Protocol.run net;
@@ -688,8 +663,8 @@ let script_cmd =
     (Cmd.info "script"
        ~doc:"Run a scenario file (see lib/workload/script.mli for the format).")
     Term.(
-      const run $ file_arg $ trace_file_arg $ trace_cats_arg $ dot_arg
-      $ check_arg $ faults_arg $ fault_seed_arg $ health_arg)
+      const run $ file_arg $ trace_file_arg $ dot_arg $ check_arg $ faults_arg
+      $ fault_seed_arg $ health_arg)
 
 (* ------------------------------------------------------------------ *)
 (* topo: inspect generated topologies *)
@@ -731,16 +706,14 @@ let topo_cmd =
    regenerates the identical case, so the captured trace is exactly the
    failing (or passing) run.  Shrinking is skipped — the trace records
    the unshrunk case the repro line names. *)
-let fuzz_traced ~seed ~iterations ~health ~trace_file ~trace_cats =
+let fuzz_traced ~seed ~iterations ~health ~trace_file =
   if iterations <> 1 then begin
     prerr_endline
       "dgmc_sim --fuzz --trace: tracing captures a single case; pass \
        --iterations 1 (and --seed N for the case to capture).";
     exit 2
   end;
-  let trace, finish_trace =
-    make_trace ~cap:200_000 (Some trace_file) trace_cats
-  in
+  let trace, finish_trace = make_trace ~cap:200_000 (Some trace_file) in
   let case = Check.Fuzz.case_of_seed ~health seed in
   let outcome = Check.Fuzz.run_case ~trace case in
   finish_trace ();
@@ -842,8 +815,8 @@ let search_usage m =
   exit 2
 
 let search_main ~mode ~graph:(graph_spec, graph) ~regime ~mcs:(mcs_spec, mcs)
-    ~race ~setup ~target:(target_spec, target) ~max_states ~max_depth ~max_len
-    ~inject_bug ~domains =
+    ~race ~setup ~target:(target_spec, target) ~max_states ~max_len ~inject_bug
+    ~domains =
   let config = { (regime_config regime) with Dgmc.Config.inject = inject_bug } in
   let parse_events what s =
     match Check.Search.events_of_string ~mcs s with
@@ -881,9 +854,7 @@ let search_main ~mode ~graph:(graph_spec, graph) ~regime ~mcs:(mcs_spec, mcs)
       | Some s -> parse_events "--race" s
     in
     let scenario = { Check.Explore.graph; config; setup; race } in
-    let o =
-      Check.Search.forward ~target ~max_states ~max_depth ~domains scenario
-    in
+    let o = Check.Search.forward ~target ~max_states ~domains scenario in
     Format.printf "%a@." Check.Search.pp_forward o;
     (match o.found with
     | None -> ()
@@ -999,11 +970,6 @@ let default_term =
             "State bound per forward search (per candidate in backward \
              mode; at least 1).")
   in
-  let max_depth_arg =
-    Arg.(
-      value & opt (int_at_least 1) 10_000
-      & info [ "max-depth" ] ~doc:"Depth bound for forward search (at least 1).")
-  in
   let max_len_arg =
     Arg.(
       value & opt (int_at_least 1) 4
@@ -1021,25 +987,44 @@ let default_term =
              $(b,stale-senders) (no recompute flag on stale senders) or \
              $(b,asymmetric-tree) (secondary senders left off the span).")
   in
+  (* An option of the other mode, or of no mode given, is a usage error
+     naming it, rather than an option the run silently ignores. *)
   let run fuzz search seed iterations domains verbose health_band graph regime
-      mcs race setup target max_states max_depth max_len inject_bug trace_file
-      trace_cats =
+      mcs race setup target max_states max_len inject_bug trace_file =
+    let fuzz_only =
+      [ ("--verbose", verbose); ("--health-band", health_band);
+        ("--trace", trace_file <> None) ]
+    and search_only =
+      [ ("--race", race <> None); ("--setup", setup <> None);
+        ("--inject-bug", inject_bug <> None) ]
+    in
+    let given opts = Option.map fst (List.find_opt snd opts) in
+    let refuse opt why = `Error (true, Printf.sprintf "option '%s': %s" opt why) in
     match search with
-    | Some mode ->
-      search_main ~mode ~graph ~regime ~mcs ~race ~setup ~target ~max_states
-        ~max_depth ~max_len ~inject_bug ~domains;
-      `Ok ()
-    | None ->
-      if not fuzz then `Help (`Pager, None)
-      else begin
+    | Some mode -> (
+      match (given (("--fuzz", fuzz) :: fuzz_only), mode, race) with
+      | Some opt, _, _ -> refuse opt "--search does not take it"
+      | None, `Backward, Some _ ->
+        refuse "--race" "--search backward does not take it"
+      | None, _, _ ->
+        search_main ~mode ~graph ~regime ~mcs ~race ~setup ~target
+          ~max_states ~max_len ~inject_bug ~domains;
+        `Ok ())
+    | None when fuzz -> (
+      match given search_only with
+      | Some opt -> refuse opt "--fuzz does not take it"
+      | None ->
         (match trace_file with
         | Some trace_file ->
           fuzz_traced ~seed ~iterations ~health:health_band ~trace_file
-            ~trace_cats
         | None ->
           fuzz_run ~seed ~iterations ~health:health_band ~domains ~verbose);
-        `Ok ()
-      end
+        `Ok ())
+    | None -> (
+      match (given fuzz_only, given search_only) with
+      | Some opt, _ -> refuse opt "needs --fuzz"
+      | None, Some opt -> refuse opt "needs --search"
+      | None, None -> `Help (`Pager, None))
   in
   Term.(
     ret
@@ -1047,8 +1032,8 @@ let default_term =
      $ domains_arg $ verbose_arg $ health_band_arg $ graph_arg
      $ regime_arg "Parameter regime for --search: atm or wan."
      $ search_mcs_arg $ race_arg $ setup_arg
-     $ target_arg $ max_states_arg $ max_depth_arg $ max_len_arg
-     $ inject_bug_arg $ trace_file_arg $ trace_cats_arg))
+     $ target_arg $ max_states_arg $ max_len_arg
+     $ inject_bug_arg $ trace_file_arg))
 
 let () =
   let doc = "D-GMC multipoint-connection protocol simulation study" in

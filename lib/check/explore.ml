@@ -183,7 +183,7 @@ let base_here scenario =
    state graph is the whole point of this checker; the per-state cost
    is kept down instead: one settled base per domain, and a copy of it
    per popped state and per successor. *)
-let walk ~hit ~order ~max_states ~max_depth ?domains scenario =
+let walk ~hit ~order ~max_states ?domains scenario =
   let seen = Hashtbl.create 4096 in
   let states = ref 0 in
   let transitions = ref 0 in
@@ -204,7 +204,6 @@ let walk ~hit ~order ~max_states ~max_depth ?domains scenario =
         incr states;
         if !states > max_states then truncated := true
         else if r.enabled = [] then incr terminals
-        else if List.length r.rev_prefix >= max_depth then truncated := true
         else
           let prio, tie = r.key in
           frontier :=

@@ -59,7 +59,6 @@ val walk :
   hit:(Invariant.violation -> bool) ->
   order:(depth:int -> digest:string -> Harness.t -> int list * string) ->
   max_states:int ->
-  max_depth:int ->
   ?domains:int ->
   scenario ->
   outcome
@@ -77,7 +76,9 @@ val walk :
     them as pure tasks over a {!Runner.Pool} of [domains] (default 1),
     and merges the edges in wave order.  A state whose violations
     include a [hit] stops the walk; one with only other violations is
-    counted and not expanded.  The wave width does not depend on
+    counted and not expanded.  [max_states] alone bounds the walk: a
+    state admitted at depth [d] has [d] admitted ancestors, so its depth
+    is below the state count.  The wave width does not depend on
     [domains], so the outcome is byte-identical at any domain count.
     [Invalid_argument] if the setup itself cannot settle. *)
 

@@ -69,7 +69,6 @@ let case_of_seed ?(health = false) seed =
       Faults.Plan.drop = Sim.Rng.float fault_rng 0.35;
       duplicate = Sim.Rng.float fault_rng 0.3;
       reorder = Sim.Rng.float fault_rng 0.3;
-      reorder_span = 4.0;
       jitter = Sim.Rng.float fault_rng 1.0;
     }
   in

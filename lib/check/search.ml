@@ -104,10 +104,9 @@ let heuristic ~depth ~digest h =
   let s = score h in
   ([ s.bound; -s.discord; -s.resync_depth; depth ], digest)
 
-let forward ?(target = any) ?(max_states = 50_000) ?(max_depth = 10_000)
-    ?domains scenario =
-  Explore.walk ~hit:(matches target) ~order:heuristic ~max_states ~max_depth
-    ?domains scenario
+let forward ?(target = any) ?(max_states = 50_000) ?domains scenario =
+  Explore.walk ~hit:(matches target) ~order:heuristic ~max_states ?domains
+    scenario
 
 (* ------------------------------------------------------------------ *)
 (* Backward search: minimal fault sequences *)

@@ -61,14 +61,13 @@ val target_of_string : string -> (target, string) result
 val forward :
   ?target:target ->
   ?max_states:int ->
-  ?max_depth:int ->
   ?domains:int ->
   Explore.scenario ->
   Explore.outcome
 (** {!Explore.walk} in best-first order, stopping at the first
     violation that matches [target]; violations off the target count in
     the outcome's [other_violations].  Defaults: [target = any],
-    [max_states = 50_000], [max_depth = 10_000], [domains = 1]. *)
+    [max_states = 50_000], [domains = 1]. *)
 
 (** {1 Backward search} *)
 

@@ -2,12 +2,13 @@ type spec = {
   drop : float;
   duplicate : float;
   reorder : float;
-  reorder_span : float;
   jitter : float;
 }
 
-let spec_default =
-  { drop = 0.0; duplicate = 0.0; reorder = 0.0; reorder_span = 4.0; jitter = 0.0 }
+let spec_default = { drop = 0.0; duplicate = 0.0; reorder = 0.0; jitter = 0.0 }
+
+(* A reordered copy is held back by up to this many base delays. *)
+let reorder_span = 4.0
 
 let check_spec s =
   let prob name v =
@@ -26,14 +27,12 @@ let check_spec s =
   let* () = prob "drop" s.drop in
   let* () = prob "dup" s.duplicate in
   let* () = prob "reorder" s.reorder in
-  let* () = non_neg "span" s.reorder_span in
   let* () = non_neg "jitter" s.jitter in
   Ok s
 
 let spec_of_string text =
   let fields =
     String.split_on_char ',' text
-    |> List.concat_map (String.split_on_char ';')
     |> List.map String.trim
     |> List.filter (fun s -> s <> "")
   in
@@ -49,15 +48,14 @@ let spec_of_string text =
           | Some v ->
             (match key with
             | "drop" -> Ok { spec with drop = v }
-            | "dup" | "duplicate" -> Ok { spec with duplicate = v }
+            | "dup" -> Ok { spec with duplicate = v }
             | "reorder" -> Ok { spec with reorder = v }
             | "jitter" -> Ok { spec with jitter = v }
-            | "span" -> Ok { spec with reorder_span = v }
             | _ ->
               Error
                 (Printf.sprintf
                    "unknown fault key %S (allowed: drop, dup, reorder, \
-                    jitter, span)"
+                    jitter)"
                    key))))
   in
   Result.bind (List.fold_left parse (Ok spec_default) fields) check_spec
@@ -65,8 +63,8 @@ let spec_of_string text =
 let spec_to_string s =
   (* dgmc-analyze: allow float-format — human-readable spec echo; specs are
      short hand-written probabilities, not computed schema values *)
-  Printf.sprintf "drop=%g,dup=%g,reorder=%g,jitter=%g,span=%g" s.drop
-    s.duplicate s.reorder s.jitter s.reorder_span
+  Printf.sprintf "drop=%g,dup=%g,reorder=%g,jitter=%g" s.drop s.duplicate
+    s.reorder s.jitter
 
 let spec_is_transparent s =
   s.drop = 0.0 && s.duplicate = 0.0 && s.reorder = 0.0 && s.jitter = 0.0
@@ -211,11 +209,7 @@ let copy t ~now ~src ~dst ~base_delay delays i =
     else 0.0
   in
   if spec.reorder > 0.0 && Sim.Rng.float t.rng 1.0 < spec.reorder then begin
-    let extra =
-      if spec.reorder_span > 0.0 then
-        Sim.Rng.float t.rng (spec.reorder_span *. base_delay)
-      else 0.0
-    in
+    let extra = Sim.Rng.float t.rng (reorder_span *. base_delay) in
     Metrics.Registry.bump t.counts.reordered;
     if traced t then
       (* dgmc-analyze: allow float-format — human-readable trace label *)

@@ -29,23 +29,20 @@ type spec = {
       (** Probability that a transmission is delivered twice, in
           [[0, 1]].  The copy draws its own jitter/reorder delay. *)
   reorder : float;
-      (** Probability that a copy is held back by an extra delay of up
-          to [reorder_span × base_delay], letting later transmissions
-          overtake it.  In [[0, 1]]. *)
-  reorder_span : float;
-      (** Maximum reordering delay, as a multiple of the base per-hop
-          delay.  Non-negative; default [4.0]. *)
+      (** Probability that a copy is held back by an extra delay drawn
+          uniformly from [[0, 4 × base_delay)], letting later
+          transmissions overtake it.  In [[0, 1]]. *)
   jitter : float;
       (** Every copy gets a uniform extra delay in
           [[0, jitter × base_delay]].  Non-negative. *)
 }
 
 val spec_of_string : string -> (spec, string) result
-(** Parse ["drop=0.3,dup=0.1,reorder=0.2,jitter=0.5,span=4"] — comma- or
-    semicolon-separated [key=value] pairs over the transparent spec
-    (all probabilities and delays zero, [span] 4).  Keys:
-    [drop], [dup], [reorder], [jitter], [span].  Probabilities must lie
-    in [[0, 1]], delays must be non-negative and finite. *)
+(** Parse ["drop=0.3,dup=0.1,reorder=0.2,jitter=0.5"] — comma-separated
+    [key=value] pairs over the transparent spec (all probabilities and
+    delays zero).  Keys: [drop], [dup], [reorder], [jitter].
+    Probabilities must lie in [[0, 1]], the jitter must be non-negative
+    and finite. *)
 
 val spec_to_string : spec -> string
 (** Canonical rendering, re-parseable by {!spec_of_string} — used in
@@ -108,7 +105,7 @@ val transmit :
     as a side effect.
 
     The draws happen in a fixed order — drop, duplicate, then for each
-    copy its jitter, its reorder chance and its reorder span — so the
+    copy its jitter, its reorder chance and its hold-back — so the
     decisions are a function of the seed and the call sequence alone.
     An uninstrumented or untraced plan allocates nothing here where
     {!Sim.Rng.float} is inlined (any build but dune's [dev] profile,

@@ -98,9 +98,8 @@ let time_g t = Printf.sprintf "%g" t
    (origin, seq), so MC-LSA originations are indexed as they pass: a
    forward always trails its origination in emission order. *)
 
-(* [Uninstalled]: the trace holds no install of the MC (the install
-   category was filtered out, or the ring evicted it), so nothing can
-   settle and nothing is known. *)
+(* [Uninstalled]: the trace holds no install of the MC (the ring
+   evicted them), so nothing can settle and nothing is known. *)
 type outcome = Converged | Unconverged | Uninstalled
 
 type episode = {
@@ -679,7 +678,7 @@ let chain (a : Sim.Trace.archive) id =
     Error
       (Printf.sprintf
          "no event #%d in this trace (%d emitted; it may have been evicted \
-          by the ring buffer or filtered by --trace-cats)"
+          by the ring buffer)"
          id a.a_emitted)
   | Some e ->
     let b = Buffer.create 1024 in

@@ -33,11 +33,11 @@ val dropped_note : Sim.Trace.archive -> string
     covers the converged episodes, the control distribution all, both
     with exact p50/p90/p99 ({!Metrics.Stats.percentile}).  An MC whose
     events have no install at all in the trace (its install records
-    were filtered or evicted) cannot settle: its episodes read "no
-    installs", count as neither converged nor unconverged, and the
-    report warns with the retained and emitted counts.  All inputs
-    are simulated times, so reports of deterministic runs are
-    byte-identical across domain counts. *)
+    were evicted) cannot settle: its episodes read "no installs", count
+    as neither converged nor unconverged, and the report warns with the
+    retained and emitted counts.  All inputs are simulated times, so
+    reports of deterministic runs are byte-identical across domain
+    counts. *)
 
 (** {2 Run report} *)
 

@@ -131,8 +131,6 @@ type chunk = {
 type t = {
   on : bool;  (* [false] only for {!disabled} *)
   cap : int;
-  cats : string list option;
-  keep : bool array;  (* Whether [cats] retains each int kind. *)
   mutable chunks : chunk array;
   mutable start : int;
   mutable len : int;
@@ -165,24 +163,10 @@ let category = function
   | Link_suppressed _ -> "suppress"
   | Note n -> n.category
 
-let categories =
-  [
-    "flood"; "forward"; "deliver"; "drop"; "compute"; "proposal"; "install";
-    "fault"; "crash"; "recover"; "resync"; "detect"; "suppress"; "member";
-    "adopt"; "mc-delete"; "truth"; "partition"; "violation";
-  ]
-
-let retains cats event =
-  match cats with
-  | None -> true
-  | Some cats -> List.exists (String.equal (category event)) cats
-
-let make ~on ~cap ~cats =
+let make ~on ~cap =
   {
     on;
     cap;
-    cats;
-    keep = Array.init k_boxed (fun k -> retains cats (int_event k 0 0 0 0));
     chunks = [||];
     start = 0;
     len = 0;
@@ -191,11 +175,11 @@ let make ~on ~cap ~cats =
     ctx = -1;
   }
 
-let create ?(cap = default_cap) ?cats () =
+let create ?(cap = default_cap) () =
   if cap < 1 then invalid_arg "Trace.create: cap must be positive";
-  make ~on:true ~cap ~cats
+  make ~on:true ~cap
 
-let disabled = make ~on:false ~cap:1 ~cats:None
+let disabled = make ~on:false ~cap:1
 
 let enabled t = t.on
 
@@ -230,32 +214,30 @@ let claim t =
     s
   end
 
-(* Assign the next id and, when [keep], retain the entry in a claimed
-   slot.  An int kind passes [vacant] as its [event], which the slot
-   already holds; a boxed one passes zeros as its payload. *)
-let put t ~time ~parent ~keep kind a b c d event =
+(* Assign the next id and retain the entry in a claimed slot.  An int
+   kind passes [vacant] as its [event], which the slot already holds; a
+   boxed one passes zeros as its payload. *)
+let put t ~time ~parent kind a b c d event =
   let id = t.next_id in
   t.next_id <- id + 1;
-  if keep then begin
-    let s = claim t in
-    let ch = t.chunks.(s lsr chunk_bits) and i = s land chunk_mask in
-    ch.ids.(i) <- id;
-    ch.parents.(i) <- parent;
-    ch.kinds.(i) <- kind;
-    Float.Array.set ch.times i time;
-    ch.a.(i) <- a;
-    ch.b.(i) <- b;
-    ch.c.(i) <- c;
-    ch.d.(i) <- d;
-    if kind = k_boxed then ch.boxed.(i) <- event
-  end;
+  let s = claim t in
+  let ch = t.chunks.(s lsr chunk_bits) and i = s land chunk_mask in
+  ch.ids.(i) <- id;
+  ch.parents.(i) <- parent;
+  ch.kinds.(i) <- kind;
+  Float.Array.set ch.times i time;
+  ch.a.(i) <- a;
+  ch.b.(i) <- b;
+  ch.c.(i) <- c;
+  ch.d.(i) <- d;
+  if kind = k_boxed then ch.boxed.(i) <- event;
   id
 
 let put_ints t ~time ~parent kind a b c d =
-  put t ~time ~parent ~keep:t.keep.(kind) kind a b c d vacant
+  put t ~time ~parent kind a b c d vacant
 
 let put_boxed t ~time ~parent event =
-  put t ~time ~parent ~keep:(retains t.cats event) k_boxed 0 0 0 0 event
+  put t ~time ~parent k_boxed 0 0 0 0 event
 
 (* ------------------------------------------------------------------ *)
 (* Emission *)

@@ -116,11 +116,9 @@ type entry = { id : int; parent : int; time : float; event : event }
 
 type t
 
-val create : ?cap:int -> ?cats:string list -> unit -> t
-(** [create ()] retains entries in memory; [cap] bounds them (default
-    [1_000_000], ring-buffer eviction); [cats] restricts {e retention} to
-    the given categories (ids are still assigned to filtered-out events,
-    so causal parents stay meaningful). *)
+val create : ?cap:int -> unit -> t
+(** [create ()] retains every entry in memory until [cap] (default
+    [1_000_000]) are held; past it the oldest is evicted. *)
 
 val disabled : t
 (** A shared trace that drops everything. *)
@@ -133,12 +131,6 @@ val category : event -> string
 (** The event's category: [flood], [forward], [deliver], [drop],
     [compute], [proposal], [install], [fault], [crash], [recover],
     [resync], [detect], [suppress], or a {!Note}'s own category. *)
-
-val categories : string list
-(** Every category this library's traces carry: each structured
-    event's, then the notes' ([member], [adopt], [mc-delete], [truth],
-    [partition], [violation]; [detect] and [resync] notes share their
-    structured events' names). *)
 
 val emit : t -> time:float -> ?parent:int -> event -> int
 (** Append an event; returns its id, or [-1] if the trace is disabled.
@@ -218,8 +210,7 @@ val pp_entry : Format.formatter -> entry -> unit
 
 type archive = { a_emitted : int; a_dropped : int; a_entries : entry list }
 (** A deserialized trace: header counters ([a_emitted]: ids assigned,
-    filtered-out and evicted events included) plus entries oldest
-    first. *)
+    evicted events included) plus entries oldest first. *)
 
 val write_jsonl : t -> out_channel -> unit
 (** Header line + one JSON object per retained entry, to the channel. *)

@@ -261,7 +261,7 @@ let parse_float lineno what s =
 
 let parse_detector lineno s =
   match String.split_on_char ':' s with
-  | [ ("k" | "k-missed"); k ] -> parse_int lineno "detector k" k
+  | [ "k"; k ] -> parse_int lineno "detector k" k
   | _ -> fail lineno "unknown detector %S (use k:<n>)" s
 
 let parse_health lineno opts =

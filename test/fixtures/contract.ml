@@ -1,17 +1,25 @@
 (* The exit-code contract of the three input-reading binaries, over
-   mutated inputs.
+   mutated inputs and option values.
 
      contract.exe SIM LINT REPORT FILE...
 
-   Each [.dgmc] FILE is run, once per line with that line deleted,
-   through [SIM script --check] and [LINT]; each [.jsonl] FILE is cut at
-   three byte offsets (a third of the way in, just after the newline
-   nearest the middle, and one byte short of the end) and each cut is
-   run through every [REPORT] mode.  Every exit code must be one the
-   binary documents (0, 1 or 2 for all three; never 125, the uncaught
-   exception).  Prints, per binary, how many runs ended with each code;
-   a run outside the set is also named on stderr, and the program then
-   exits 1. *)
+   Each [.dgmc] FILE is run through [SIM script --check] and [LINT]
+   once per line with that line deleted, and once per line that has a
+   token with its last token replaced by [x].  Each [.jsonl] FILE is
+   cut at three byte offsets (a third of the way in, just after the
+   newline nearest the middle, and one byte short of the end), and
+   separately has the byte at each of those offsets flipped (every bit
+   inverted); each cut and each flip is run through every [REPORT]
+   mode.  Every numeric option of [SIM] and [REPORT] is run at 0 and at
+   -1, the other options of its command set to small values, on the
+   first [.dgmc] and [.jsonl] FILE.  ([LINT] and dgmc_analyze take no
+   numeric option.)
+
+   Every exit code must be one the binary documents: 0, 1 or 2, and for
+   an option value of [SIM] also 124, the usage error; never 125, the
+   uncaught exception.  Prints, per kind of run, how many runs ended
+   with each code; a run outside the set is also named on stderr, and
+   the program then exits 1. *)
 
 let documented = [ 0; 1; 2 ]
 
@@ -36,7 +44,7 @@ let run prog args =
 let tallies : (string * (int, int) Hashtbl.t) list ref = ref []
 let failed = ref false
 
-let check label ~case prog args =
+let check ?(documented = documented) label ~case prog args =
   let code = run prog args in
   let tbl =
     match List.assoc_opt label !tallies with
@@ -53,18 +61,40 @@ let check label ~case prog args =
       (String.concat " " args) case
   end
 
+(* [line], trimmed, with its last space-separated token replaced by
+   [x]; [None] when it has no token. *)
+let last_token_x line =
+  match List.rev (String.split_on_char ' ' (String.trim line)) with
+  | [] | [ "" ] -> None
+  | _ :: rest -> Some (String.concat " " (List.rev ("x" :: rest)))
+
 let scenario ~sim ~lint path =
   let lines = String.split_on_char '\n' (read_file path) in
+  let through suffix ~case text =
+    let tmp = write_temp ~suffix:".dgmc" text in
+    check ("dgmc_sim script --check" ^ suffix) ~case sim [ "script"; tmp; "--check" ];
+    check ("dgmc_lint" ^ suffix) ~case lint [ tmp ];
+    Sys.remove tmp
+  in
+  (* The last element is what follows the final newline. *)
+  let numbered = List.filteri (fun i _ -> i < List.length lines - 1) lines in
   List.iteri
     (fun i _ ->
       let kept = List.filteri (fun j _ -> j <> i) lines in
-      let tmp = write_temp ~suffix:".dgmc" (String.concat "\n" kept) in
       let case = Printf.sprintf "%s without line %d" (Filename.basename path) (i + 1) in
-      check "dgmc_sim script --check" ~case sim [ "script"; tmp; "--check" ];
-      check "dgmc_lint" ~case lint [ tmp ];
-      Sys.remove tmp)
-    (* The last element is what follows the final newline. *)
-    (List.filteri (fun i _ -> i < List.length lines - 1) lines)
+      through "" ~case (String.concat "\n" kept))
+    numbered;
+  List.iteri
+    (fun i line ->
+      Option.iter
+        (fun mutated ->
+          let case =
+            Printf.sprintf "%s with line %d's last token x" (Filename.basename path) (i + 1)
+          in
+          through ", line mutated" ~case
+            (String.concat "\n" (List.mapi (fun j l -> if j = i then mutated else l) lines)))
+        (last_token_x line))
+    numbered
 
 let modes =
   [ []; [ "--json" ]; [ "--summary" ]; [ "--convergence" ]; [ "--divergence" ];
@@ -78,22 +108,86 @@ let trace ~report path =
     | Some i -> i + 1
     | None -> len / 2
   in
+  let offsets = [ len / 3; clean; len - 1 ] in
+  let through label ~case text =
+    let tmp = write_temp ~suffix:".jsonl" text in
+    List.iter (fun mode -> check label ~case report (tmp :: mode)) modes;
+    Sys.remove tmp
+  in
+  let name = Filename.basename path in
   List.iter
     (fun cut ->
-      let tmp = write_temp ~suffix:".jsonl" (String.sub bytes 0 cut) in
-      let case = Printf.sprintf "%s cut at byte %d of %d" (Filename.basename path) cut len in
-      List.iter (fun mode -> check "dgmc_report" ~case report (tmp :: mode)) modes;
-      Sys.remove tmp)
-    [ len / 3; clean; len - 1 ]
+      through "dgmc_report"
+        ~case:(Printf.sprintf "%s cut at byte %d of %d" name cut len)
+        (String.sub bytes 0 cut))
+    offsets;
+  List.iter
+    (fun at ->
+      through "dgmc_report, byte flipped"
+        ~case:(Printf.sprintf "%s with byte %d of %d flipped" name at len)
+        (String.mapi
+           (fun i c -> if i = at then Char.chr (Char.code c lxor 0xff) else c)
+           bytes))
+    offsets
+
+(* Each command of [SIM] with small values for its numeric options (so
+   an accepted value runs in milliseconds), and which of them to set to
+   0 and -1 in turn; an option is spelled [--name=V], or [-nV] when
+   short. *)
+let sim_commands ~scenario =
+  let fig = [ ("--sizes", "20"); ("--graphs", "1"); ("--domains", "1") ] in
+  [
+    ([ "fig6" ], fig @ [ ("--members", "2") ]);
+    ([ "fig7" ], fig @ [ ("--members", "2") ]);
+    ([ "fig8" ], fig @ [ ("--events", "2"); ("--gap", "5") ]);
+    ([ "compare" ], fig @ [ ("--members", "2"); ("--sources", "1") ]);
+    ([ "cbt" ], [ ("-n", "10"); ("--receivers", "3"); ("--senders", "1"); ("--seed", "1") ]);
+    ([ "ablation" ], [ ("--graphs", "1") ]);
+    ( [ "hierarchy" ],
+      [ ("--graphs", "1"); ("--areas", "2"); ("--per-area", "3"); ("--events", "1");
+        ("--domains", "1") ] );
+    ([ "extra" ], [ ("--graphs", "1") ]);
+    ([ "run" ], [ ("-n", "10"); ("--members", "2"); ("--seed", "1") ]);
+    ([ "script"; scenario ], [ ("--fault-seed", "1") ]);
+    ([ "topo" ], [ ("-n", "10"); ("--seed", "1") ]);
+    ([ "--fuzz" ], [ ("--iterations", "1"); ("--seed", "1"); ("--domains", "1") ]);
+    ( [ "--search"; "forward"; "--graph"; "ring 3"; "--race"; "join 0 mc=1" ],
+      [ ("--max-states", "100"); ("--domains", "1") ] );
+    ([ "--search"; "backward" ], [ ("--max-len", "1"); ("--max-states", "100") ]);
+  ]
+
+let spell (name, v) =
+  if String.length name = 2 then name ^ v else name ^ "=" ^ v
+
+let options ~sim ~report ~scenario ~capture =
+  List.iter
+    (fun (command, opts) ->
+      List.iter
+        (fun (name, _) ->
+          List.iter
+            (fun v ->
+              let args =
+                command
+                @ List.map (fun (n, d) -> spell (n, if n = name then v else d)) opts
+              in
+              check "dgmc_sim options at 0 and -1" ~documented:(124 :: documented)
+                ~case:(String.concat " " args) sim args)
+            [ "0"; "-1" ])
+        opts)
+    (sim_commands ~scenario);
+  List.iter
+    (fun v ->
+      check "dgmc_report options at 0 and -1" ~case:("--chain=" ^ v) report
+        [ capture; "--chain=" ^ v ])
+    [ "0"; "-1" ]
 
 let () =
   match Array.to_list Sys.argv with
   | _ :: sim :: lint :: report :: files ->
-    List.iter
-      (fun f ->
-        if Filename.check_suffix f ".dgmc" then scenario ~sim ~lint f
-        else trace ~report f)
-      files;
+    let dgmc, jsonl = List.partition (fun f -> Filename.check_suffix f ".dgmc") files in
+    List.iter (scenario ~sim ~lint) dgmc;
+    List.iter (trace ~report) jsonl;
+    options ~sim ~report ~scenario:(List.hd dgmc) ~capture:(List.hd jsonl);
     List.iter
       (fun (label, tbl) ->
         let codes = List.sort (fun (a, _) (b, _) -> Int.compare a b) (Hashtbl.fold (fun c n acc -> (c, n) :: acc) tbl []) in

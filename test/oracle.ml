@@ -44,13 +44,13 @@ module Explore = struct
     h
 
   (* The exhaustive check: the walk breadth-first (admission order),
-     every law a hit, bounded at 200_000 states and depth 10_000.  No
+     every law a hit, bounded at 200_000 states.  No
      partial-order reduction: only the harness's interchangeability
      dedup and the canonical-digest dedup of states merge successors. *)
   let run scenario =
     Check.Explore.walk ~hit:(fun _ -> true)
       ~order:(fun ~depth:_ ~digest:_ _ -> ([], ""))
-      ~max_states:200_000 ~max_depth:10_000 scenario
+      ~max_states:200_000 scenario
 end
 
 module Monitor = struct
@@ -434,7 +434,6 @@ module Trace = struct
   module Ring = struct
     type t = {
       cap : int;
-      cats : string list option;
       mutable buf : Sim.Trace.entry array;
       mutable start : int;
       mutable len : int;
@@ -443,10 +442,9 @@ module Trace = struct
       mutable ctx : int;
     }
 
-    let create ~cap ?cats () =
+    let create ~cap =
       {
         cap;
-        cats;
         buf = [||];
         start = 0;
         len = 0;
@@ -454,11 +452,6 @@ module Trace = struct
         evicted = 0;
         ctx = -1;
       }
-
-    let retains t ev =
-      match t.cats with
-      | None -> true
-      | Some cats -> List.exists (String.equal (Sim.Trace.category ev)) cats
 
     let push t e =
       let capacity = Array.length t.buf in
@@ -481,7 +474,7 @@ module Trace = struct
       let id = t.next_id in
       t.next_id <- id + 1;
       let parent = match parent with Some p -> p | None -> t.ctx in
-      if retains t event then push t { Sim.Trace.id; parent; time; event };
+      push t { Sim.Trace.id; parent; time; event };
       id
 
     let set_context t id =

@@ -689,6 +689,35 @@ let test_search_forward_is_guided () =
   Alcotest.(check bool) "guided: well under the exhaustive state count" true
     (o.Check.Explore.states < 200)
 
+(* The state bound alone bounds a walk: a state admitted at depth d
+   has d admitted ancestors, so no walk outgrows [max_states] by going
+   deep.  The link-failure race on ring 3 (CI's forward sweep) is cut
+   short at 100 states and exhaustive at 50,000. *)
+let test_search_bounded_by_states () =
+  let events text =
+    match Check.Search.events_of_string ~mcs:[ mc1 ] text with
+    | Ok evs -> evs
+    | Error m -> Alcotest.failf "rejected %S: %s" text m
+  in
+  let scenario =
+    {
+      Check.Explore.graph = Net.Topo_gen.ring 3;
+      config = Dgmc.Config.atm_lan;
+      setup = events "join 0 mc=1; join 2 mc=1";
+      race = events "join 1 mc=1; linkdown 0 1; linkup 0 1";
+    }
+  in
+  let summary o = Format.asprintf "%a" Check.Search.pp_forward o in
+  let bounded = Check.Search.forward ~max_states:100 scenario in
+  Alcotest.(check bool) "100 states: not complete" false bounded.complete;
+  Alcotest.(check bool) "100 states: reads (bounded)" true
+    (contains (summary bounded) "(bounded)");
+  let whole = Check.Search.forward ~max_states:50_000 scenario in
+  Alcotest.(check bool) "50,000 states: complete" true whole.complete;
+  Alcotest.(check bool) "50,000 states: reads (exhaustive)" true
+    (contains (summary whole) "(exhaustive)");
+  check_counts (254, 772, 1) whole
+
 (* --- shrinker timing minimisation --- *)
 
 let reinject config case =
@@ -997,13 +1026,13 @@ let malformed_corpus =
     ("graph ring 6\nfaults drop", 2, "expected key=value, got \"drop\"");
     ("graph ring 6\nfaults drop=x", 2, "drop: expected a number, got \"x\"");
     ("graph ring 6\nfaults loss=0.1", 2,
-     "unknown fault key \"loss\" (allowed: drop, dup, reorder, jitter, span)");
+     "unknown fault key \"loss\" (allowed: drop, dup, reorder, jitter)");
     ("graph ring 6\nfaults dup=1.5", 2,
      "dup must be a probability in [0, 1], got 1.5");
     ("graph ring 6\nfaults reorder=-0.1", 2,
      "reorder must be a probability in [0, 1], got -0.1");
-    ("graph ring 6\nfaults span=-1", 2,
-     "span must be non-negative and finite, got -1");
+    ("graph ring 6\nfaults span=4", 2,
+     "unknown fault key \"span\" (allowed: drop, dup, reorder, jitter)");
     ("graph ring 6\nfaults jitter=inf", 2,
      "jitter must be non-negative and finite, got inf");
     ("graph ring 6\nfaults drop=0.1 seed=x", 2,
@@ -1017,6 +1046,8 @@ let malformed_corpus =
      "unknown option \"pace-cap\" (allowed: " ^ health_keys ^ ")");
     (decl ^ "health detector=phi:8:4", 3,
      "unknown detector \"phi:8:4\" (use k:<n>)");
+    (decl ^ "health detector=k-missed:3", 3,
+     "unknown detector \"k-missed:3\" (use k:<n>)");
     (decl ^ "health detector=k:x", 3, "detector k: expected an integer, got \"x\"");
     (decl ^ "health period=-1", 3, "time must be non-negative");
     (decl ^ "health grace=soon", 3, "bad time literal \"soon\"");
@@ -1144,6 +1175,8 @@ let () =
             `Quick test_search_forward_is_guided;
           Alcotest.test_case "event syntax is the script's" `Quick
             test_search_event_syntax;
+          Alcotest.test_case "the state bound alone bounds a walk" `Quick
+            test_search_bounded_by_states;
           Alcotest.test_case "shrinker minimises timing (stale-senders)"
             `Slow test_shrink_minimises_timing_stale_senders;
           Alcotest.test_case "shrinker minimises timing (asymmetric-tree)"

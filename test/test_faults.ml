@@ -29,7 +29,6 @@ let lossy_spec =
     Faults.Plan.drop = 0.2;
     duplicate = 0.15;
     reorder = 0.1;
-    reorder_span = 4.0;
     jitter = 0.5;
   }
 
@@ -155,6 +154,36 @@ let test_counters_match_rates () =
     (n - c.dropped + c.duplicated)
     c.delivered
 
+(* Without jitter a reordered copy's delay is the base delay plus its
+   hold-back, drawn from [0, 4 x base delay): over a seeded sample every
+   hold-back lies there, and the largest comes close to the bound. *)
+let test_reorder_hold_back_bounded () =
+  let spec =
+    { Faults.Plan.drop = 0.0; duplicate = 0.0; reorder = 0.5; jitter = 0.0 }
+  in
+  let plan = Faults.Plan.create ~spec ~seed:11 () in
+  let held = ref 0 and widest = ref 0.0 in
+  List.iter
+    (fun base_delay ->
+      for i = 0 to 999 do
+        List.iter
+          (fun d ->
+            let extra = d -. base_delay in
+            if not (extra >= 0.0 && extra < 4.0 *. base_delay) then
+              Alcotest.failf "hold-back %h outside [0, 4 x %h)" extra
+                base_delay;
+            if extra > 0.0 then begin
+              incr held;
+              widest := Float.max !widest (extra /. base_delay)
+            end)
+          (copies plan ~src:0 ~dst:1 ~now:(float_of_int i) ~base_delay)
+      done)
+    [ 1.0; 0.004; 2.5 ];
+  check Alcotest.int "every reordered copy is held back"
+    (Faults.Plan.counters plan).Faults.Plan.reordered !held;
+  check Alcotest.bool "the widest hold-back nears 4 base delays" true
+    (!widest > 3.9)
+
 let test_transparent_plan_is_invisible () =
   let plan = Faults.Plan.create ~seed:1 () in
   for i = 0 to 99 do
@@ -256,11 +285,13 @@ let test_spec_round_trip () =
       Faults.Plan.drop = 0.25;
       duplicate = 0.1;
       reorder = 0.05;
-      reorder_span = 3.0;
       jitter = 0.75;
     }
   in
-  (match Faults.Plan.spec_of_string (Faults.Plan.spec_to_string spec) with
+  let text = Faults.Plan.spec_to_string spec in
+  check Alcotest.string "rendering" "drop=0.25,dup=0.1,reorder=0.05,jitter=0.75"
+    text;
+  (match Faults.Plan.spec_of_string text with
   | Ok spec' -> check Alcotest.bool "round trip" true (spec = spec')
   | Error m -> Alcotest.failf "round trip failed: %s" m);
   (match Faults.Plan.spec_of_string "drop=0.3" with
@@ -272,7 +303,10 @@ let test_spec_round_trip () =
       match Faults.Plan.spec_of_string bad with
       | Ok _ -> Alcotest.failf "accepted bad spec %S" bad
       | Error _ -> ())
-    [ "drop=1.5"; "drop=-0.1"; "jitter=-1"; "banana=1"; "drop" ]
+    [
+      "drop=1.5"; "drop=-0.1"; "jitter=-1"; "banana=1"; "drop"; "span=4";
+      "duplicate=0.1"; "drop=0.1;dup=0.1";
+    ]
 
 let () =
   Alcotest.run "faults"
@@ -289,6 +323,8 @@ let () =
         [
           Alcotest.test_case "counters match configured rates" `Quick
             test_counters_match_rates;
+          Alcotest.test_case "reorder hold-back within 4 base delays" `Quick
+            test_reorder_hold_back_bounded;
           Alcotest.test_case "transparent plan is invisible" `Quick
             test_transparent_plan_is_invisible;
           Alcotest.test_case "untraced transmit allocates nothing" `Quick

@@ -354,7 +354,7 @@ let test_abandon_link_cancels_only_its_link () =
      breadcrumbs: (dst, origin, seq, reason). *)
   let graph = Net.Topo_gen.star 4 in
   let transmit ~src:_ ~dst:_ ~base_delay:_ _ = 0 in
-  let trace = Sim.Trace.create ~cats:[ "drop" ] () in
+  let trace = Sim.Trace.create () in
   let engine =
     Sim.Engine.create ~trace ~metrics:(Metrics.Registry.create ()) ()
   in
@@ -427,7 +427,6 @@ let lossy_flood_words_per_message () =
       Faults.Plan.drop = 0.2;
       duplicate = 0.15;
       reorder = 0.1;
-      reorder_span = 4.0;
       jitter = 0.5;
     }
   in

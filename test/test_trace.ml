@@ -1,5 +1,5 @@
 (* Tests for the structured causal trace (Sim.Trace): JSONL round-trip,
-   ring-buffer bounds, category filtering, causal well-formedness on a
+   ring-buffer bounds, causal well-formedness on a
    real protocol run, and the disabled-trace zero-cost guarantee. *)
 
 let check = Alcotest.check
@@ -87,21 +87,6 @@ let test_ring_buffer_cap () =
   check Alcotest.int "dropped" 6 (Sim.Trace.dropped t);
   check Alcotest.(list int) "newest entries, oldest first" [ 6; 7; 8; 9 ]
     (List.map (fun (e : Sim.Trace.entry) -> e.id) (Sim.Trace.entries t))
-
-let test_category_filter () =
-  let t = Sim.Trace.create ~cats:[ "keep" ] () in
-  let id0 =
-    Sim.Trace.emit t ~time:0.0 (Note { category = "drop"; message = "a" })
-  in
-  let id1 =
-    Sim.Trace.emit t ~time:1.0 (Note { category = "keep"; message = "b" })
-  in
-  (* Ids are assigned to filtered-out events too, so parents in a
-     filtered trace still name real events. *)
-  check Alcotest.int "filtered event still got an id" 0 id0;
-  check Alcotest.int "ids stay globally monotonic" 1 id1;
-  check Alcotest.int "only matching categories retained" 1 (Sim.Trace.count t);
-  check Alcotest.int "emitted counts both" 2 (Oracle.Trace.emitted t)
 
 (* Causal well-formedness on a real run: every retained entry's parent
    is -1 or an earlier, existing event — LSA floods replay as trees. *)
@@ -230,35 +215,6 @@ let test_delivery_exception_restores_context () =
          match e.event with Lsa_delivered _ -> true | _ -> false)
        (Sim.Trace.entries trace))
 
-(* [--trace-cats] accepts exactly {!Sim.Trace.categories}: every
-   category a traced scenario records must be among them. *)
-let test_scenario_categories_accepted () =
-  let dir = List.find Sys.file_exists [ "../scenarios"; "scenarios" ] in
-  let files =
-    List.filter
-      (fun f -> Filename.check_suffix f ".dgmc")
-      (List.sort String.compare (Array.to_list (Sys.readdir dir)))
-  in
-  check Alcotest.int "scenarios" 11 (List.length files);
-  let members = ref 0 in
-  List.iter
-    (fun file ->
-      match Workload.Script.load (Filename.concat dir file) with
-      | Error msg -> Alcotest.failf "%s: %s" file msg
-      | Ok script ->
-        let trace = Sim.Trace.create () in
-        Dgmc.Protocol.run (Workload.Script.build ~trace script);
-        List.iter
-          (fun (e : Sim.Trace.entry) ->
-            let cat = Sim.Trace.category e.event in
-            if String.equal cat "member" then incr members;
-            if not (List.mem cat Sim.Trace.categories) then
-              Alcotest.failf "%s records category %S, which --trace-cats rejects"
-                file cat)
-          (Sim.Trace.entries trace))
-    files;
-  check Alcotest.bool "member notes seen" true (!members > 0)
-
 (* Malformed captures: each fails with the physical line of its first
    bad line and the reason. *)
 let test_of_jsonl_rejects_garbage () =
@@ -315,7 +271,6 @@ let () =
       ( "buffer",
         [
           Alcotest.test_case "ring cap and dropped" `Quick test_ring_buffer_cap;
-          Alcotest.test_case "category filter" `Quick test_category_filter;
         ] );
       ( "causality",
         [
@@ -332,10 +287,5 @@ let () =
             test_emitters_zero_alloc;
           Alcotest.test_case "a raising delivery restores the context"
             `Quick test_delivery_exception_restores_context;
-        ] );
-      ( "categories",
-        [
-          Alcotest.test_case "every scenario category is accepted" `Quick
-            test_scenario_categories_accepted;
         ] );
     ]
