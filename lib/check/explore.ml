@@ -215,8 +215,11 @@ let walk ~hit ~order ~max_states ?domains scenario =
   merge
     (reach ~order h0 ~digest:(Harness.digest h0) ~rev_prefix:[]
        (check_state h0));
+  (* The walk ends at a hit or at the state bound: once [max_states] is
+     passed, nothing more is merged or popped. *)
+  let live () = !found = None && not !truncated in
   let rec loop () =
-    if !found = None && not (Frontier.is_empty !frontier) then begin
+    if live () && not (Frontier.is_empty !frontier) then begin
       (* Pop the best wave_size entries... *)
       let wave = ref [] in
       for _ = 1 to wave_size do
@@ -232,7 +235,7 @@ let walk ~hit ~order ~max_states ?domains scenario =
          enabled) order wins regardless of which domain computed it. *)
       List.iter
         (List.iter (fun r ->
-             if !found = None then begin
+             if live () then begin
                incr transitions;
                Option.iter merge r
              end))

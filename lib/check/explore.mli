@@ -78,7 +78,9 @@ val walk :
     include a [hit] stops the walk; one with only other violations is
     counted and not expanded.  [max_states] alone bounds the walk: a
     state admitted at depth [d] has [d] admitted ancestors, so its depth
-    is below the state count.  The wave width does not depend on
+    is below the state count, and the walk stops at the state that
+    passes the bound, so a truncated walk counts [max_states + 1]
+    states.  The wave width does not depend on
     [domains], so the outcome is byte-identical at any domain count.
     [Invalid_argument] if the setup itself cannot settle. *)
 

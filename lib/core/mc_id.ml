@@ -33,6 +33,14 @@ let kind_of_string = function
   | "asymmetric" -> Some Asymmetric
   | _ -> None
 
-let to_string t = "mc#" ^ string_of_int t.id ^ "(" ^ kind_to_string t.kind ^ ")"
+let to_string t =
+  let kind = kind_to_string t.kind in
+  let b = Bytes.create (5 + Sim.Render.int_width t.id + String.length kind) in
+  let pos = Sim.Render.put_string b 0 "mc#" in
+  let pos = Sim.Render.put_int b pos t.id in
+  Bytes.set b pos '(';
+  let pos = Sim.Render.put_string b (pos + 1) kind in
+  Bytes.set b pos ')';
+  Bytes.unsafe_to_string b
 
 let pp ppf t = Format.pp_print_string ppf (to_string t)

@@ -38,7 +38,8 @@ val kind_of_string : string -> kind option
 
 val to_string : t -> string
 (** The one rendering of an MC: [mc#ID(KIND)], e.g. [mc#3(symmetric)].
-    Built without [Format]: traced runs render it on every emission. *)
+    Written into one [Bytes] of its exact length ({!Sim.Render}):
+    traced runs render it on every emission. *)
 
 val pp : Format.formatter -> t -> unit
 (** Prints {!to_string}. *)

@@ -47,4 +47,17 @@ val is_membership_event : t -> bool
 
 val event_to_string : event -> string
 
+val applies_note : switch:int -> src:int -> seq:int -> event -> string
+(** The trace note of Figure 5's line 8 applying a membership event:
+    ["swI applies EVENT from S seq N"], [EVENT] as {!event_to_string}
+    renders it.  Written into one [Bytes] of its exact length
+    ({!Sim.Render}): traced runs write one per applied event. *)
+
+val skips_note :
+  switch:int -> src:int -> seq:int -> seen:int -> event -> string
+(** The note of a reordered membership event that is counted but not
+    applied, because [seen], at least [seq], of its source's events are
+    applied already: ["swI SKIPS stale EVENT from S seq N (seen M)"],
+    built like {!applies_note}. *)
+
 val pp : Format.formatter -> t -> unit

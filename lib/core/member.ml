@@ -106,17 +106,32 @@ let role_of_string = function
   | "both" -> Some Both
   | _ -> None
 
+(* Entries [i ..]'s rendering, each ["id:role"], with the ", "
+   separators before all but the first. *)
+let rec width t i acc =
+  if i >= Array.length t then acc
+  else
+    let c = t.(i) in
+    width t (i + 1)
+      (acc + Sim.Render.int_width (id_of c) + 1
+      + String.length (role_to_string (decode c))
+      + if i > 0 then 2 else 0)
+
+let rec put_entries b t i pos =
+  if i < Array.length t then begin
+    let pos = if i > 0 then Sim.Render.put_string b pos ", " else pos in
+    let c = t.(i) in
+    let pos = Sim.Render.put_int b pos (id_of c) in
+    Bytes.set b pos ':';
+    let pos = Sim.Render.put_string b (pos + 1) (role_to_string (decode c)) in
+    put_entries b t (i + 1) pos
+  end
+
 let to_string t =
-  let b = Buffer.create (2 + (12 * Array.length t)) in
-  Buffer.add_char b '{';
-  Array.iteri
-    (fun i c ->
-      if i > 0 then Buffer.add_string b ", ";
-      Buffer.add_string b (string_of_int (id_of c));
-      Buffer.add_char b ':';
-      Buffer.add_string b (role_to_string (decode c)))
-    t;
-  Buffer.add_char b '}';
-  Buffer.contents b
+  let b = Bytes.create (width t 0 2) in
+  Bytes.set b 0 '{';
+  put_entries b t 0 1;
+  Bytes.set b (Bytes.length b - 1) '}';
+  Bytes.unsafe_to_string b
 
 let pp ppf t = Format.pp_print_string ppf (to_string t)

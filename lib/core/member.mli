@@ -61,8 +61,9 @@ val role_of_string : string -> role option
 
 val to_string : t -> string
 (** The one rendering of a list: [{id:role, ...}] in ascending id order,
-    e.g. [{1:sender, 4:both}], [{}] when empty.  Built with a [Buffer]
-    and no [Format], because traced runs render a list per install. *)
+    e.g. [{1:sender, 4:both}], [{}] when empty.  Written into one
+    [Bytes] of its exact length ({!Sim.Render}), without [Format] or
+    a [Buffer], because traced runs render a list per install. *)
 
 val pp : Format.formatter -> t -> unit
 (** Prints {!to_string}. *)

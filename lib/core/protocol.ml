@@ -246,12 +246,14 @@ let create ~graph ~config ?faults ?engine ?trace ?metrics
   (* Flight-recorder probe: the calendar depth after every executed
      event.  Installed only when the series is live — the disabled engine
      path stays a single [None] branch — and it only observes, so figure
-     output stays byte-identical with recording on. *)
-  if Metrics.Series.enabled series then
+     output stays byte-identical with recording on.  Its key is resolved
+     once, here; the ring is allocated at the first sample. *)
+  if Metrics.Series.enabled series then begin
+    let depth = Metrics.Series.handle series "engine.queue_depth" in
     Sim.Engine.set_probe engine (fun () ->
-        Metrics.Series.add series ~name:"engine.queue_depth"
-          ~time:(Sim.Engine.now engine)
-          (float_of_int (Sim.Engine.pending engine)));
+        Metrics.Series.record depth ~time:(Sim.Engine.now engine)
+          (float_of_int (Sim.Engine.pending engine)))
+  end;
   let net =
     {
       engine;

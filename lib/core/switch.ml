@@ -146,8 +146,9 @@ let copy t =
     counts = counts t.engine t.id;
   }
 
-(* [tracef] is for cold paths; a hot one builds its message with plain
-   concatenation under a [traced t] guard and records it with [note]. *)
+(* [tracef] is for cold paths; a hot one builds its message with a
+   one-allocation renderer under a [traced t] guard and records it with
+   [note]. *)
 let tracef t category fmt =
   Sim.Trace.recordf t.trace ~time:(Sim.Engine.now t.engine) ~category fmt
 
@@ -431,9 +432,7 @@ let process_lsa t (st : Mc_state.t) (lsa : Mc_lsa.t) candidate =
         st.membership_seen <- Timestamp.raise_owned st.membership_seen s seq;
         if traced t then
           note t "member"
-            ("sw" ^ string_of_int t.id ^ " applies "
-            ^ Mc_lsa.event_to_string lsa.event
-            ^ " from " ^ string_of_int s ^ " seq " ^ string_of_int seq);
+            (Mc_lsa.applies_note ~switch:t.id ~src:s ~seq lsa.event);
         (match lsa.event with
         | Mc_lsa.Join role -> st.members <- Member.join st.members s role
         | Mc_lsa.Leave -> st.members <- Member.leave st.members s
@@ -442,10 +441,9 @@ let process_lsa t (st : Mc_state.t) (lsa : Mc_lsa.t) candidate =
       end
       else if traced t then
         note t "member"
-          ("sw" ^ string_of_int t.id ^ " SKIPS stale "
-          ^ Mc_lsa.event_to_string lsa.event
-          ^ " from " ^ string_of_int s ^ " seq " ^ string_of_int seq
-          ^ " (seen " ^ string_of_int (Timestamp.get st.membership_seen s) ^ ")")
+          (Mc_lsa.skips_note ~switch:t.id ~src:s ~seq
+             ~seen:(Timestamp.get st.membership_seen s)
+             lsa.event)
     end
   end;
   (* Line 10: learn what to expect. *)

@@ -195,7 +195,15 @@ let to_array t =
   iter_nonzero (fun x c -> a.(x) <- c) t;
   a
 
-let to_sparse t = { Sim.Trace.size = t.n; nonzero = Array.sub t.pairs 0 t.len }
+(* A frozen stamp is never written again, so a trace may share its
+   pairs when they are exactly its used slots. *)
+let to_sparse t =
+  {
+    Sim.Trace.size = t.n;
+    nonzero =
+      (if t.frozen && t.len = Array.length t.pairs then t.pairs
+       else Array.sub t.pairs 0 t.len);
+  }
 
 let pp ppf t =
   Format.fprintf ppf "(%a)"

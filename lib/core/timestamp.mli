@@ -99,7 +99,10 @@ val to_array : t -> int array
 (** The dense view, as a fresh array.  O(n). *)
 
 val to_sparse : t -> Sim.Trace.stamp
-(** The stamp as a trace records it: a fresh copy of the positive
-    pairs, in time linear in their number. *)
+(** The stamp as a trace records it: its positive pairs.  A frozen
+    stamp whose storage holds exactly those pairs shares its array,
+    which nothing writes again; any other stamp gives a fresh copy, in
+    time linear in the number of pairs.  Whoever reads the trace must
+    not write a stamp's [nonzero]. *)
 
 val pp : Format.formatter -> t -> unit

@@ -294,40 +294,62 @@ let compare a b =
 
 let equal a b = compare a b = 0
 
-(* The renderers' pieces: [ints] with [sep] between them, and the
-   interleaved [edges] as "u-v" with [sep] between them. *)
-let add_ints b sep ints =
-  Array.iteri
-    (fun i n ->
-      if i > 0 then Buffer.add_string b sep;
-      Buffer.add_string b (string_of_int n))
-    ints
+(* The renderers' pieces, written into one [Bytes] of the exact
+   length: [a]'s entries with [sep] between them, and the interleaved
+   edges [e] as "u-v" with [sep] between them, from entry or pair [i]
+   on.  The widths count every character each writes. *)
+let rec digits a i acc =
+  if i >= Array.length a then acc
+  else digits a (i + 1) (acc + Sim.Render.int_width a.(i))
 
-let add_edges b sep edges =
-  for i = 0 to (Array.length edges / 2) - 1 do
-    if i > 0 then Buffer.add_string b sep;
-    Buffer.add_string b (string_of_int edges.(2 * i));
-    Buffer.add_char b '-';
-    Buffer.add_string b (string_of_int edges.((2 * i) + 1))
-  done
+let ints_width sep a =
+  digits a 0 (String.length sep * Int.max 0 (Array.length a - 1))
+
+let edges_width sep e =
+  let m = Array.length e / 2 in
+  digits e 0 (m + (String.length sep * Int.max 0 (m - 1)))
+
+let rec put_ints b sep a i pos =
+  if i >= Array.length a then pos
+  else
+    let pos = if i > 0 then Sim.Render.put_string b pos sep else pos in
+    put_ints b sep a (i + 1) (Sim.Render.put_int b pos a.(i))
+
+let rec put_edges b sep e i pos =
+  if 2 * i >= Array.length e then pos
+  else
+    let pos = if i > 0 then Sim.Render.put_string b pos sep else pos in
+    let pos = Sim.Render.put_int b pos e.(2 * i) in
+    Bytes.set b pos '-';
+    put_edges b sep e (i + 1) (Sim.Render.put_int b (pos + 1) e.((2 * i) + 1))
 
 let fingerprint t =
-  let b = Buffer.create 48 in
-  Buffer.add_string b "T{";
-  add_edges b "," t.edges;
-  Buffer.add_char b '|';
-  add_ints b "," t.terminals;
-  Buffer.add_char b '}';
-  Buffer.contents b
+  let b =
+    Bytes.create (4 + edges_width "," t.edges + ints_width "," t.terminals)
+  in
+  let pos = Sim.Render.put_string b 0 "T{" in
+  let pos = put_edges b "," t.edges 0 pos in
+  Bytes.set b pos '|';
+  let pos = put_ints b "," t.terminals 0 (pos + 1) in
+  Bytes.set b pos '}';
+  Bytes.unsafe_to_string b
+
+let head = "tree terminals={"
+
+and middle = "} edges=["
 
 let to_string t =
-  let b = Buffer.create 48 in
-  Buffer.add_string b "tree terminals={";
-  add_ints b ", " t.terminals;
-  Buffer.add_string b "} edges=[";
-  add_edges b "; " t.edges;
-  Buffer.add_char b ']';
-  Buffer.contents b
+  let b =
+    Bytes.create
+      (String.length head + String.length middle + 1
+      + ints_width ", " t.terminals + edges_width "; " t.edges)
+  in
+  let pos = Sim.Render.put_string b 0 head in
+  let pos = put_ints b ", " t.terminals 0 pos in
+  let pos = Sim.Render.put_string b pos middle in
+  let pos = put_edges b "; " t.edges 0 pos in
+  Bytes.set b pos ']';
+  Bytes.unsafe_to_string b
 
 (* The rendering sits in a horizontal box, as it always has: a box
    opened past the margin's indentation limit makes an enclosing box

@@ -152,8 +152,9 @@ val equal : t -> t -> bool
 val to_string : t -> string
 (** The one human rendering of a tree:
     ["tree terminals={t1, t2} edges=[u-v; ...]"], terminals and edges
-    ascending.  Read off the two arrays with a [Buffer], without
-    [Format], because traced runs render the tree of every install. *)
+    ascending.  Read off the two arrays into one [Bytes] of its exact
+    length ({!Sim.Render}), without [Format] or a [Buffer], because
+    traced runs render the tree of every install. *)
 
 val pp : Format.formatter -> t -> unit
 (** Prints {!to_string} inside a horizontal box (so, like any box, it

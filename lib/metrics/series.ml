@@ -1,104 +1,122 @@
 (* Ring-buffered, sim-time-bucketed time series: the flight recorder's
    windowed view of a run.  One [series] per (name, switch) key; each
-   holds [cap] pre-allocated buckets of [width] seconds of simulated
-   time, addressed by bucket index modulo [cap] — recording never
-   allocates after the first sample of a key, and old buckets are
-   overwritten (counted, never silently) once the window wraps. *)
+   holds [cap] buckets of [width] seconds of simulated time, addressed
+   by bucket index modulo [cap], and old buckets are overwritten
+   (counted, never silently) once the window wraps.
 
-type bucket = {
-  mutable b_index : int;  (* time bucket held, or [empty_index] *)
-  mutable b_count : int;
-  mutable b_sum : float;
-  mutable b_min : float;
-  mutable b_max : float;
-  mutable b_last : float;
-}
+   A ring is six parallel columns, allocated at the key's first sample:
+   [index] and [count] as [int array]s, the float aggregates as
+   [Float.Array]s, so a sample writes its bucket in place and allocates
+   nothing. *)
 
 let empty_index = min_int
 
 type key = { k_name : string; k_switch : int option }
 
 type series = {
-  ring : bucket array;
-  mutable s_newest : int;  (* largest bucket index seen; [empty_index] fresh *)
-  mutable s_evicted : int;  (* buckets overwritten after the window wrapped *)
-  mutable s_late : int;  (* samples older than the retained window, dropped *)
+  live : bool;  (* false only for the shared handle of [disabled] *)
+  width : float;
+  cap : int;
+  (* Bucket held per slot, or [empty_index]; [[||]] until the first
+     sample, like the other five columns. *)
+  mutable index : int array;
+  mutable count : int array;
+  mutable sum : Float.Array.t;
+  mutable lo : Float.Array.t;
+  mutable hi : Float.Array.t;
+  mutable last : Float.Array.t;
+  mutable newest : int;  (* largest bucket index seen; [empty_index] fresh *)
+  mutable evicted : int;  (* buckets overwritten after the window wrapped *)
+  mutable late : int;  (* samples older than the retained window, dropped *)
 }
+
+type handle = series
 
 type t = {
   on : bool;
-  width : float;
-  cap : int;
+  t_width : float;
+  t_cap : int;
   tbl : (key, series) Hashtbl.t;
 }
 
+let fresh ~live ~width ~cap =
+  {
+    live;
+    width;
+    cap;
+    index = [||];
+    count = [||];
+    sum = Float.Array.create 0;
+    lo = Float.Array.create 0;
+    hi = Float.Array.create 0;
+    last = Float.Array.create 0;
+    newest = empty_index;
+    evicted = 0;
+    late = 0;
+  }
+
+(* Never written: [record] returns on [live = false] first. *)
+let dead = fresh ~live:false ~width:1.0 ~cap:1
+
 let disabled =
-  { on = false; width = 1.0; cap = 1; tbl = Hashtbl.create 1 }
+  { on = false; t_width = 1.0; t_cap = 1; tbl = Hashtbl.create 1 }
 
 let create ?(bucket = 1.0) ?(cap = 512) () =
   if not (bucket > 0.0 && Float.is_finite bucket) then
     invalid_arg "Metrics.Series.create: bucket width must be positive";
   if cap < 1 then invalid_arg "Metrics.Series.create: cap must be >= 1";
-  { on = true; width = bucket; cap; tbl = Hashtbl.create 32 }
+  { on = true; t_width = bucket; t_cap = cap; tbl = Hashtbl.create 32 }
 
 let enabled t = t.on
 
-let bucket_index t time = int_of_float (Float.floor (time /. t.width))
+let handle t ?switch name =
+  if not t.on then dead
+  else
+    let key = { k_name = name; k_switch = switch } in
+    match Hashtbl.find_opt t.tbl key with
+    | Some s -> s
+    | None ->
+      let s = fresh ~live:true ~width:t.t_width ~cap:t.t_cap in
+      Hashtbl.replace t.tbl key s;
+      s
 
-let fresh_series t =
-  {
-    ring =
-      Array.init t.cap (fun _ ->
-          {
-            b_index = empty_index;
-            b_count = 0;
-            b_sum = 0.0;
-            b_min = Float.infinity;
-            b_max = Float.neg_infinity;
-            b_last = 0.0;
-          });
-    s_newest = empty_index;
-    s_evicted = 0;
-    s_late = 0;
-  }
+(* The first sample's columns: every slot empty. *)
+let allocate s =
+  s.index <- Array.make s.cap empty_index;
+  s.count <- Array.make s.cap 0;
+  s.sum <- Float.Array.make s.cap 0.0;
+  s.lo <- Float.Array.make s.cap Float.infinity;
+  s.hi <- Float.Array.make s.cap Float.neg_infinity;
+  s.last <- Float.Array.make s.cap 0.0
 
-let series_of t key =
-  match Hashtbl.find_opt t.tbl key with
-  | Some s -> s
-  | None ->
-    let s = fresh_series t in
-    Hashtbl.replace t.tbl key s;
-    s
-
-let add t ?switch ~name ~time v =
-  if t.on then begin
-    let idx = bucket_index t time in
-    let s = series_of t { k_name = name; k_switch = switch } in
-    if s.s_newest <> empty_index && idx <= s.s_newest - t.cap then
+let[@inline] record s ~time v =
+  if s.live then begin
+    if Array.length s.index = 0 then allocate s;
+    let idx = int_of_float (Float.floor (time /. s.width)) in
+    if s.newest <> empty_index && idx <= s.newest - s.cap then
       (* Older than anything the window can still hold: the slot it
          would land in belongs to a newer bucket.  Count, don't corrupt. *)
-      s.s_late <- s.s_late + 1
+      s.late <- s.late + 1
     else begin
-      let slot = ((idx mod t.cap) + t.cap) mod t.cap in
-      let b = s.ring.(slot) in
-      if b.b_index <> idx then begin
+      let slot = ((idx mod s.cap) + s.cap) mod s.cap in
+      let held = s.index.(slot) in
+      if held <> idx then begin
         (* Within the retained window two distinct indices can never
            share a slot, so a mismatch means the occupant (if any) just
            fell out of the window. *)
-        if b.b_index <> empty_index then s.s_evicted <- s.s_evicted + 1;
-        b.b_index <- idx;
-        b.b_count <- 0;
-        b.b_sum <- 0.0;
-        b.b_min <- Float.infinity;
-        b.b_max <- Float.neg_infinity;
-        b.b_last <- 0.0
+        if held <> empty_index then s.evicted <- s.evicted + 1;
+        s.index.(slot) <- idx;
+        s.count.(slot) <- 0;
+        Float.Array.set s.sum slot 0.0;
+        Float.Array.set s.lo slot Float.infinity;
+        Float.Array.set s.hi slot Float.neg_infinity
       end;
-      b.b_count <- b.b_count + 1;
-      b.b_sum <- b.b_sum +. v;
-      if v < b.b_min then b.b_min <- v;
-      if v > b.b_max then b.b_max <- v;
-      b.b_last <- v;
-      if s.s_newest = empty_index || idx > s.s_newest then s.s_newest <- idx
+      s.count.(slot) <- s.count.(slot) + 1;
+      Float.Array.set s.sum slot (Float.Array.get s.sum slot +. v);
+      if v < Float.Array.get s.lo slot then Float.Array.set s.lo slot v;
+      if v > Float.Array.get s.hi slot then Float.Array.set s.hi slot v;
+      Float.Array.set s.last slot v;
+      if s.newest = empty_index || idx > s.newest then s.newest <- idx
     end
   end
 
@@ -125,39 +143,39 @@ type line = {
 
 let compare_key a b =
   match String.compare a.k_name b.k_name with
-  | 0 -> (
-    match (a.k_switch, b.k_switch) with
-    | None, None -> 0
-    | None, Some _ -> -1
-    | Some _, None -> 1
-    | Some x, Some y -> Int.compare x y)
+  | 0 -> Option.compare Int.compare a.k_switch b.k_switch
   | c -> c
 
-let points_of t s =
-  Array.to_list s.ring
-  |> List.filter_map (fun b ->
-         if b.b_index = empty_index then None
+let points_of s =
+  List.init (Array.length s.index) Fun.id
+  |> List.filter_map (fun i ->
+         let b = s.index.(i) in
+         if b = empty_index then None
          else
            Some
              {
-               p_bucket = b.b_index;
-               p_time = float_of_int b.b_index *. t.width;
-               p_count = b.b_count;
-               p_sum = b.b_sum;
-               p_min = b.b_min;
-               p_max = b.b_max;
-               p_last = b.b_last;
+               p_bucket = b;
+               p_time = float_of_int b *. s.width;
+               p_count = s.count.(i);
+               p_sum = Float.Array.get s.sum i;
+               p_min = Float.Array.get s.lo i;
+               p_max = Float.Array.get s.hi i;
+               p_last = Float.Array.get s.last i;
              })
   |> List.sort (fun a b -> Int.compare a.p_bucket b.p_bucket)
 
+(* A key is listed from its first sample on: a handle never recorded
+   into leaves no line. *)
 let lines t =
-  Hashtbl.fold (fun key s acc -> (key, s) :: acc) t.tbl []
+  Hashtbl.fold
+    (fun key s acc -> if Array.length s.index = 0 then acc else (key, s) :: acc)
+    t.tbl []
   |> List.sort (fun (a, _) (b, _) -> compare_key a b)
   |> List.map (fun (key, s) ->
          {
            l_name = key.k_name;
            l_switch = key.k_switch;
-           l_evicted = s.s_evicted;
-           l_late = s.s_late;
-           l_points = points_of t s;
+           l_evicted = s.evicted;
+           l_late = s.late;
+           l_points = points_of s;
          })

@@ -8,18 +8,21 @@
     rates (count per bucket) or levels (last / max per bucket) as they
     see fit.
 
-    Storage is a pre-allocated ring of [cap] buckets per series,
-    addressed by bucket index modulo [cap]: recording allocates nothing
-    after a key's first sample, old buckets are overwritten once the
-    window wraps (counted per series as [evicted], never silently), and
-    samples older than the retained window are dropped and counted as
-    [late].
+    A recorder resolves its key once into a {!handle} and records
+    through it.  Storage is a ring of [cap] buckets per series,
+    addressed by bucket index modulo [cap] and held as parallel
+    columns (ints for the index and count, unboxed floats for the
+    aggregates), allocated at the key's first sample: recording
+    allocates nothing after that sample, old buckets are overwritten
+    once the window wraps (counted per series as [evicted], never
+    silently), and samples older than the retained window are dropped
+    and counted as [late].
 
     The discipline mirrors [Sim.Trace]: {!disabled} is a shared
     singleton, call sites guard with [if Series.enabled s then ...], and
-    {!add} on a disabled series is one branch with zero allocation.
-    Bucketing uses simulated time only, so recorded contents are
-    byte-identical across [--domains] counts. *)
+    {!record} on a handle of a disabled series is one branch with zero
+    allocation.  Bucketing uses simulated time only, so recorded
+    contents are byte-identical across [--domains] counts. *)
 
 type t
 
@@ -35,8 +38,17 @@ val enabled : t -> bool
 (** [true] unless the series is {!disabled}.  Guard sample construction
     with this so the disabled hot path stays one branch. *)
 
-val add : t -> ?switch:int -> name:string -> time:float -> float -> unit
-(** Record one sample at a simulated time.  No-op on {!disabled}. *)
+type handle
+
+val handle : t -> ?switch:int -> string -> handle
+(** The series [name] (labelled [switch]): every handle on one key
+    records into the same ring.  The series lists a key from its first
+    sample on, so a handle never recorded into leaves no line.  A
+    handle of {!disabled} records nothing. *)
+
+val record : handle -> time:float -> float -> unit
+(** Record one sample at a simulated time.  No-op on a handle of
+    {!disabled}; allocates nothing after the key's first sample. *)
 
 (** {2 Reading} *)
 

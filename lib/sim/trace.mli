@@ -29,12 +29,14 @@
 
     Other payloads are built only under the {!enabled} guard, and on
     hot paths (every install, origination and applied membership event)
-    without [Format]: MC ids, member lists and trees come from their
-    types' [to_string] renderers, and a hot note is a concatenated
-    string passed to {!record}.  {!recordf} is for cold paths.
-    Timestamp vectors are {!stamp}s: their nonzero components only,
-    copied from the protocol's own sparse storage, and rendered dense
-    by {!pp_entry} and the JSONL writer.
+    without [Format]: MC ids, member lists, trees and membership notes
+    come from renderers that each write one [Bytes] of its exact length
+    ({!Render}), and a hot note is such a string passed to {!record}.
+    {!recordf} is for cold paths.  Timestamp vectors are {!stamp}s:
+    their nonzero components only, taken from the protocol's own sparse
+    storage (a frozen stamp's array is shared, not copied, so nothing
+    may write a recorded [nonzero]), and rendered dense by {!pp_entry}
+    and the JSONL writer.
 
     Traces serialize to JSON Lines under the versioned schema
     [dgmc-trace/1]: a header object followed by one object per entry.

@@ -110,6 +110,79 @@ module Timestamp = struct
     freeze !t
 end
 
+(* The trace renderers as they were before each wrote one [Bytes] of
+   its exact length: a [Buffer] or a chain of [^] over [string_of_int]
+   pieces, reaching the values through the public API. *)
+module Member = struct
+  let to_string t =
+    let b = Buffer.create 32 in
+    Buffer.add_char b '{';
+    List.iteri
+      (fun i id ->
+        if i > 0 then Buffer.add_string b ", ";
+        Buffer.add_string b (string_of_int id);
+        Buffer.add_char b ':';
+        Buffer.add_string b
+          (Dgmc.Member.role_to_string (Option.get (Dgmc.Member.role t id))))
+      (Dgmc.Member.ids t);
+    Buffer.add_char b '}';
+    Buffer.contents b
+end
+
+module Tree = struct
+  let add_ints b sep ints =
+    List.iteri
+      (fun i n ->
+        if i > 0 then Buffer.add_string b sep;
+        Buffer.add_string b (string_of_int n))
+      ints
+
+  let add_edges b sep edges =
+    List.iteri
+      (fun i (u, v) ->
+        if i > 0 then Buffer.add_string b sep;
+        Buffer.add_string b (string_of_int u);
+        Buffer.add_char b '-';
+        Buffer.add_string b (string_of_int v))
+      edges
+
+  let to_string t =
+    let b = Buffer.create 48 in
+    Buffer.add_string b "tree terminals={";
+    add_ints b ", " (Mctree.Tree.terminals t);
+    Buffer.add_string b "} edges=[";
+    add_edges b "; " (Mctree.Tree.edges t);
+    Buffer.add_char b ']';
+    Buffer.contents b
+
+  let fingerprint t =
+    let b = Buffer.create 48 in
+    Buffer.add_string b "T{";
+    add_edges b "," (Mctree.Tree.edges t);
+    Buffer.add_char b '|';
+    add_ints b "," (Mctree.Tree.terminals t);
+    Buffer.add_char b '}';
+    Buffer.contents b
+end
+
+module Mc_id = struct
+  let to_string (t : Dgmc.Mc_id.t) =
+    "mc#" ^ string_of_int t.id ^ "(" ^ Dgmc.Mc_id.kind_to_string t.kind ^ ")"
+end
+
+module Mc_lsa = struct
+  let applies_note ~switch ~src ~seq event =
+    "sw" ^ string_of_int switch ^ " applies "
+    ^ Dgmc.Mc_lsa.event_to_string event
+    ^ " from " ^ string_of_int src ^ " seq " ^ string_of_int seq
+
+  let skips_note ~switch ~src ~seq ~seen event =
+    "sw" ^ string_of_int switch ^ " SKIPS stale "
+    ^ Dgmc.Mc_lsa.event_to_string event
+    ^ " from " ^ string_of_int src ^ " seq " ^ string_of_int seq
+    ^ " (seen " ^ string_of_int seen ^ ")"
+end
+
 module Plan = struct
   (* A fault spec from its command-line text, as [--faults] reads it. *)
   let spec text = Result.get_ok (Faults.Plan.spec_of_string text)

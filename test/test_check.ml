@@ -710,6 +710,8 @@ let test_search_bounded_by_states () =
   let summary o = Format.asprintf "%a" Check.Search.pp_forward o in
   let bounded = Check.Search.forward ~max_states:100 scenario in
   Alcotest.(check bool) "100 states: not complete" false bounded.complete;
+  Alcotest.(check bool) "100 states: stops at the bound" true
+    (bounded.states <= 101);
   Alcotest.(check bool) "100 states: reads (bounded)" true
     (contains (summary bounded) "(bounded)");
   let whole = Check.Search.forward ~max_states:50_000 scenario in

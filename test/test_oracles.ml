@@ -9,7 +9,7 @@
    - shortest-path first hops vs the distance-decrease characterisation;
    - the flat-array Dijkstra and memoised SPH vs the boxed-heap kernel
      and quadratic SPH they replaced (exact equality, ties included);
-   - the Buffer-built renderers of member lists, trees, MC ids and
+   - the one-allocation renderers of member lists, trees, MC ids and
      membership notes vs the Format printers they replaced (byte
      equality);
    - the churn generator's one-pass bridge filter vs the per-link

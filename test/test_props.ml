@@ -1386,6 +1386,110 @@ let prop_member_matches_map_model =
       ordered (List.sort M.compare (List.map fst all)))
 
 (* ------------------------------------------------------------------ *)
+(* Trace renderers *)
+
+(* Each renderer that writes one [Bytes] of precomputed length equals
+   the [Buffer] or [^] rendering it replaced ([Oracle]), on empty lists
+   and trees, id 0, negative and extreme ids, and multi-digit ids and
+   counts.  A wrong width shows as a short or overlong string, or as a
+   stray byte where [Bytes.create] left garbage. *)
+type rendered = {
+  members : (int * Dgmc.Member.role) list;
+  terminals : int list;
+  edges : (int * int) list;
+  mc : Dgmc.Mc_id.t;
+  event : Dgmc.Mc_lsa.event;
+  counts : int * int * int * int;  (* switch, src, seq, seen *)
+}
+
+let rendered_gen =
+  QCheck2.Gen.(
+    let count = oneof [ int_range 0 9; int_range 10 99_999; int_range 0 max_int ] in
+    let node span = int_range 0 span in
+    let graph =
+      int_range 0 2 >>= fun scale ->
+      let span = [| 0; 12; 100_000 |].(scale) in
+      pair
+        (list_size (int_range 0 6) (node span))
+        (list_size (int_range 0 12) (pair (node span) (node span)))
+    in
+    let event =
+      oneofl
+        Dgmc.Mc_lsa.
+          [ Join Sender; Join Receiver; Join Both; Leave; Link; No_event ]
+    in
+    let id =
+      oneof
+        [
+          count;
+          oneofl [ -1; -10; min_int; max_int ];
+          int_range (-99_999) (-1);
+        ]
+    in
+    let member =
+      pair
+        (oneof [ int_range 0 9; int_range 10 99_999; int_range 0 (max_int asr 2) ])
+        role_gen
+    in
+    map
+      (fun (members, (terminals, edges), (kind, mc_id), event, counts) ->
+        {
+          members;
+          terminals;
+          edges = List.filter (fun (u, v) -> u <> v) edges;
+          mc = Dgmc.Mc_id.make kind mc_id;
+          event;
+          counts;
+        })
+      (tup5
+         (list_size (int_range 0 8) member)
+         graph
+         (pair
+            (oneofl Dgmc.Mc_id.[ Symmetric; Receiver_only; Asymmetric ])
+            id)
+         event
+         (quad count count count id)))
+
+let prop_renderers_match_oracles =
+  QCheck2.Test.make ~name:"renderers equal the Buffer and ^ oracles" ~count:500
+    ~print:(fun r ->
+      let switch, src, seq, seen = r.counts in
+      Printf.sprintf "members=[%s] terminals=[%s] edges=[%s] %s %s %d %d %d %d"
+        (pp_bindings r.members)
+        (String.concat ";" (List.map string_of_int r.terminals))
+        (String.concat ";"
+           (List.map (fun (u, v) -> Printf.sprintf "%d-%d" u v) r.edges))
+        (Oracle.Mc_id.to_string r.mc)
+        (Dgmc.Mc_lsa.event_to_string r.event)
+        switch src seq seen)
+    rendered_gen
+    (fun r ->
+      let members = Dgmc.Member.of_list r.members
+      and tree = Mctree.Tree.of_edges ~terminals:r.terminals r.edges
+      and switch, src, seq, seen = r.counts in
+      (* [put_int] between two marker bytes writes exactly
+         [int_width n] bytes, those of [string_of_int n]. *)
+      let int_renders n =
+        let w = Sim.Render.int_width n in
+        let b = Bytes.make (w + 2) '.' in
+        Sim.Render.put_int b 1 n = w + 1
+        && String.equal (Bytes.to_string b) ("." ^ string_of_int n ^ ".")
+      in
+      List.for_all int_renders [ switch; src; seq; seen; r.mc.id; min_int; 0 ]
+      && String.equal (Oracle.Member.to_string members)
+           (Dgmc.Member.to_string members)
+      && String.equal (Oracle.Tree.to_string tree) (Mctree.Tree.to_string tree)
+      && String.equal (Oracle.Tree.fingerprint tree)
+           (Mctree.Tree.fingerprint tree)
+      && String.equal (Oracle.Mc_id.to_string r.mc) (Dgmc.Mc_id.to_string r.mc)
+      && String.equal
+           (Oracle.Mc_lsa.applies_note ~switch ~src ~seq r.event)
+           (Dgmc.Mc_lsa.applies_note ~switch ~src ~seq r.event)
+      && String.equal
+           (Oracle.Mc_lsa.skips_note ~switch ~src ~seq ~seen r.event)
+           (Dgmc.Mc_lsa.skips_note ~switch ~src ~seq ~seen r.event))
+
+(* ------------------------------------------------------------------ *)
 (* Hierarchy properties *)
 
 type hier_case = { h_seed : int; h_areas : int; h_ops : (bool * int) list }
@@ -1746,6 +1850,8 @@ let () =
         [ QCheck_alcotest.to_alcotest prop_flooding_covers_connected_graph ] );
       ( "members",
         [ QCheck_alcotest.to_alcotest prop_member_matches_map_model ] );
+      ( "renderers",
+        [ QCheck_alcotest.to_alcotest prop_renderers_match_oracles ] );
       ( "hierarchy",
         [
           QCheck_alcotest.to_alcotest prop_hierarchy_random_churn;
