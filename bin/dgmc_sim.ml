@@ -37,7 +37,7 @@ let size = int_at_least 2
 
 let sizes_arg =
   let doc = "Comma-separated network sizes to sweep (each at least 2)." in
-  Arg.(value & opt (list size) Experiments.Figures.default_sizes & info [ "sizes" ] ~doc)
+  Arg.(value & opt (list size) [ 20; 40; 60; 80; 100 ] & info [ "sizes" ] ~doc)
 
 let seeds_arg =
   let doc = "Number of random graphs (seeds 1..N) per size." in
@@ -77,16 +77,13 @@ let sizes_members_arg =
 
 let seeds_of count = List.init count (fun i -> i + 1)
 
-(* The two published timing regimes, one converter for [run] and
-   [--search]. *)
-let regimes = [ ("atm", `Atm); ("wan", `Wan) ]
-
+(* The two published timing regimes by name, one converter for [run]
+   and [--search]. *)
 let regime_arg doc =
-  Arg.(value & opt (enum regimes) `Atm & info [ "regime" ] ~doc)
+  let names = List.map (fun (name, _) -> (name, name)) Dgmc.Config.regimes in
+  Arg.(value & opt (enum names) "atm" & info [ "regime" ] ~doc)
 
-let regime_config = function
-  | `Atm -> Dgmc.Config.atm_lan
-  | `Wan -> Dgmc.Config.wan
+let regime_config name = List.assoc name Dgmc.Config.regimes
 
 (* The command-line name of an [enum] value. *)
 let name_in names v = fst (List.find (fun (_, x) -> x = v) names)
@@ -173,7 +170,7 @@ let fig6_cmd =
           diameter;\n mean +/- 95%% CI over the random graphs of each size)"
          members);
     let r =
-      Experiments.Figures.fig6 ~domains ~sizes ~seeds:(seeds_of graphs) ~members ()
+      Experiments.Figures.fig6 ~domains ~sizes ~seeds:(seeds_of graphs) ~members
     in
     print_table ?csv (Experiments.Figures.bursty_table r);
     print_converged r.all_converged
@@ -187,7 +184,7 @@ let fig7_cmd =
     heading "Figure 7 - Experiment 2: bursty events, communication dominates"
       "(Tc = 100 us, t_hop = 5 ms - WAN regime; same workload as Figure 6)";
     let r =
-      Experiments.Figures.fig7 ~domains ~sizes ~seeds:(seeds_of graphs) ~members ()
+      Experiments.Figures.fig7 ~domains ~sizes ~seeds:(seeds_of graphs) ~members
     in
     print_table ?csv (Experiments.Figures.bursty_table r);
     print_converged r.all_converged
@@ -220,7 +217,7 @@ let fig8_cmd =
          events gap_rounds);
     let r =
       Experiments.Figures.fig8 ~domains ~sizes ~seeds:(seeds_of graphs) ~events
-        ~gap_rounds ()
+        ~gap_rounds
     in
     print_table ?csv (Experiments.Figures.normal_table r);
     print_converged r.n_all_converged
@@ -252,7 +249,7 @@ let compare_cmd =
     print_table
       (Experiments.Figures.comparison_table
          (Experiments.Figures.compare_protocols ~domains ~sizes
-            ~seeds:(seeds_of graphs) ~members ~sources ()))
+            ~seeds:(seeds_of graphs) ~members ~sources))
   in
   Cmd.v
     (Cmd.info "compare"
@@ -297,7 +294,7 @@ let cbt_cmd =
          n receivers senders);
     print_table
       (Experiments.Figures.cbt_table
-         (Experiments.Figures.cbt_comparison ~seed ~n ~receivers ~senders ()))
+         (Experiments.Figures.cbt_comparison ~seed ~n ~receivers ~senders))
   in
   Cmd.v
     (Cmd.info "cbt" ~doc:"CBT trade-off: shared-tree traffic concentration.")
@@ -324,7 +321,7 @@ let ablation_cmd =
              Metrics.Table.cell_f r.mean_cost_ratio;
              string_of_bool r.all_converged;
            ])
-         (Experiments.Ablation.incremental_vs_scratch ~seeds ()));
+         (Experiments.Ablation.incremental_vs_scratch ~seeds));
     print_endline "\n[b] Steiner heuristic choice (n = 60)";
     Metrics.Table.print
       ~align:[ Metrics.Table.Left ]
@@ -336,7 +333,7 @@ let ablation_cmd =
              string_of_int r.members;
              Metrics.Table.cell_f r.mean_cost_vs_bound;
            ])
-         (Experiments.Ablation.steiner_heuristics ~seeds ()));
+         (Experiments.Ablation.steiner_heuristics ~seeds));
     print_endline "\n[c] drift threshold for from-scratch recomputation";
     Metrics.Table.print
       ~headers:[ "threshold"; "final cost ratio"; "all converged" ]
@@ -347,7 +344,7 @@ let ablation_cmd =
              Metrics.Table.cell_f r.final_cost_ratio;
              string_of_bool r.d_converged;
            ])
-         (Experiments.Ablation.drift_threshold ~seeds ()))
+         (Experiments.Ablation.drift_threshold ~seeds))
   in
   Cmd.v
     (Cmd.info "ablation"
@@ -361,7 +358,10 @@ let ablation_cmd =
 
 let hierarchy_cmd =
   let areas_arg =
-    Arg.(value & opt size 10 & info [ "areas" ] ~doc:"Number of areas (at least 2).")
+    Arg.(
+      value & opt (int_at_least 3) 10
+      & info [ "areas" ]
+          ~doc:"Number of areas (at least 3: the workload uses three).")
   in
   let per_area_arg =
     Arg.(value & opt size 20 & info [ "per-area" ] ~doc:"Switches per area (at least 2).")
@@ -382,7 +382,7 @@ let hierarchy_cmd =
     print_table
       (Experiments.Scale.table
          (Experiments.Scale.hier_vs_flat ~domains ~seeds:(seeds_of graphs) ~areas
-            ~per_area ~events ()))
+            ~per_area ~events))
   in
   Cmd.v
     (Cmd.info "hierarchy"
@@ -411,7 +411,7 @@ let extra_cmd =
              Experiments.Figures.ci r.convergence_rounds;
              string_of_bool r.all_converged;
            ])
-         (Experiments.Extra.burst_size ~seeds ()));
+         (Experiments.Extra.burst_size ~seeds));
     print_endline
       "\n[b] per-MC independence (3.1): k concurrent 6-member bursts, n = 60";
     Metrics.Table.print
@@ -425,7 +425,7 @@ let extra_cmd =
              Experiments.Figures.ci r.per_mc_floodings;
              string_of_bool r.i_all_converged;
            ])
-         (Experiments.Extra.mc_independence ~seeds ()))
+         (Experiments.Extra.mc_independence ~seeds))
   in
   Cmd.v
     (Cmd.info "extra"
@@ -729,7 +729,7 @@ let fuzz_run ~seed ~iterations ~health ~domains ~verbose =
     if verbose then
       Format.printf "%a@." Check.Fuzz.pp_case (Check.Fuzz.case_of_seed ~health s)
   in
-  let o = Check.Fuzz.run ~health ~domains ~progress ~seed ~iterations () in
+  let o = Check.Fuzz.run ~health ~domains ~progress ~seed ~iterations in
   let agg f = List.fold_left (fun a s -> a + f s) 0 o.Check.Fuzz.o_stats in
   Printf.printf "fuzz: %d/%d cases passed (seeds %d..%d)\n"
     (List.length o.o_stats) iterations seed
@@ -809,7 +809,8 @@ let search_mcs spec =
     Ok (List.mapi (fun i (_, kind) -> Dgmc.Mc_id.make (Option.get kind) (i + 1)) kinds)
 
 (* Checks across options: forward search needs [--race], and [--race]
-   and [--setup] events name the MCs of [--mcs]. *)
+   and [--setup] events name the MCs of [--mcs] and the switches and
+   links of [--graph]. *)
 let search_usage m =
   prerr_endline ("dgmc_sim --search: " ^ m);
   exit 2
@@ -818,20 +819,24 @@ let search_main ~mode ~graph:(graph_spec, graph) ~regime ~mcs:(mcs_spec, mcs)
     ~race ~setup ~target:(target_spec, target) ~max_states ~max_len ~inject_bug
     ~domains =
   let config = { (regime_config regime) with Dgmc.Config.inject = inject_bug } in
-  let parse_events what s =
+  let parse_events what ~after s =
     match Check.Search.events_of_string ~mcs s with
-    | Ok evs -> evs
     | Error m -> search_usage (what ^ ": " ^ m)
+    | Ok evs -> (
+      (* Crashes and recovers pair up across the setup and the race. *)
+      match Check.Search.check_events ~graph (after @ evs) with
+      | Ok () -> evs
+      | Error m -> search_usage (what ^ ": " ^ m))
   in
   let setup =
-    match setup with None -> [] | Some s -> parse_events "--setup" s
+    match setup with None -> [] | Some s -> parse_events "--setup" ~after:[] s
   in
   (* A forward repro of [events] under exactly this configuration. *)
   let repro events =
     String.concat ""
       [
         Printf.sprintf "dgmc_sim --search forward --graph %S --regime %s"
-          graph_spec (name_in regimes regime);
+          graph_spec regime;
         (match inject_bug with
         | Some bug -> " --inject-bug " ^ name_in injectable_bugs bug
         | None -> "");
@@ -851,7 +856,7 @@ let search_main ~mode ~graph:(graph_spec, graph) ~regime ~mcs:(mcs_spec, mcs)
     let race =
       match race with
       | None -> search_usage "forward search needs --race \"<events>\""
-      | Some s -> parse_events "--race" s
+      | Some s -> parse_events "--race" ~after:setup s
     in
     let scenario = { Check.Explore.graph; config; setup; race } in
     let o = Check.Search.forward ~target ~max_states ~domains scenario in
@@ -864,7 +869,7 @@ let search_main ~mode ~graph:(graph_spec, graph) ~regime ~mcs:(mcs_spec, mcs)
   | `Backward ->
     let o =
       Check.Search.backward ~target ~max_len ~per_candidate_states:max_states
-        ~domains ~graph ~config ~setup ~mcs ()
+        ~domains ~graph ~config ~setup ~mcs
     in
     Format.printf "%a@." Check.Search.pp_backward o;
     match o.b_found with

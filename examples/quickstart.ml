@@ -18,7 +18,7 @@ let print_tree net mc =
 let () =
   (* A deterministic 12-switch Waxman network. *)
   let rng = Sim.Rng.create 2024 in
-  let graph = Net.Topo_gen.waxman rng ~n:12 ~target_degree:3.5 () in
+  let graph = Net.Topo_gen.waxman rng ~n:12 in
   Format.printf "network: %d switches, %d links, hop diameter %d@.@."
     (Net.Graph.n_nodes graph) (Net.Graph.n_edges graph)
     (Net.Bfs.hop_diameter graph);

@@ -32,7 +32,7 @@ let gather suffix paths =
 
 (* ------------------------------------------------------------------ *)
 
-let run ?(enabled = fun _ -> true) paths =
+let run ~enabled paths =
   let files = List.map Scan.load (gather ".ml" paths) in
   let env = Scan.env_of files in
   (* The unused-export rule is the one cross-file pass: interfaces

@@ -12,9 +12,9 @@ type result = {
           were all disabled is not listed. *)
 }
 
-val run : ?enabled:(Rules.id -> bool) -> string list -> result
+val run : enabled:(Rules.id -> bool) -> string list -> result
 (** Analyze the [.ml] and [.mli] files under the given files and
-    directories; skips [_build], hidden directories, and
+    directories with the [enabled] rules; skips [_build], hidden directories, and
     [analysis_fixtures] (the analyzer's own deliberately-failing test
     corpus). *)
 

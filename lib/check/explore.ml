@@ -183,7 +183,7 @@ let base_here scenario =
    state graph is the whole point of this checker; the per-state cost
    is kept down instead: one settled base per domain, and a copy of it
    per popped state and per successor. *)
-let walk ~hit ~order ~max_states ?domains scenario =
+let walk ~hit ~order ~max_states ~domains scenario =
   let seen = Hashtbl.create 4096 in
   let states = ref 0 in
   let transitions = ref 0 in
@@ -239,7 +239,7 @@ let walk ~hit ~order ~max_states ?domains scenario =
                incr transitions;
                Option.iter merge r
              end))
-        (Runner.Pool.map ?domains
+        (Runner.Pool.map ~domains
            (fun entry -> expand ~order ~seen (base_here scenario) entry)
            (List.rev !wave));
       loop ()

@@ -59,7 +59,7 @@ val walk :
   hit:(Invariant.violation -> bool) ->
   order:(depth:int -> digest:string -> Harness.t -> int list * string) ->
   max_states:int ->
-  ?domains:int ->
+  domains:int ->
   scenario ->
   outcome
 (** The frontier loop.  The harness is deterministic for a fixed action
@@ -73,7 +73,7 @@ val walk :
     A reached state's key is its [order] (priority
     ints compared lexicographically, then the tie string) followed by
     its admission number; the walk pops the 8 smallest keys, expands
-    them as pure tasks over a {!Runner.Pool} of [domains] (default 1),
+    them as pure tasks over a {!Runner.Pool} of [domains],
     and merges the edges in wave order.  A state whose violations
     include a [hit] stops the walk; one with only other violations is
     counted and not expanded.  [max_states] alone bounds the walk: a

@@ -49,18 +49,16 @@ let mcs_max = 3
 
 let events_max = 20
 
-let case_of_seed ?(health = false) seed =
+let case_of_seed ~health seed =
   let master = Sim.Rng.create seed in
   let topo_rng = Sim.Rng.split master in
   let fault_rng = Sim.Rng.split master in
   let work_rng = Sim.Rng.split master in
   let n = Sim.Rng.range topo_rng 4 n_max in
-  let graph = Net.Topo_gen.waxman topo_rng ~n ~target_degree:3.5 () in
-  let regime, base =
-    if Sim.Rng.int work_rng 4 = 0 then ("wan", Dgmc.Config.wan)
-    else ("atm", Dgmc.Config.atm_lan)
-  in
-  let config = { base with Dgmc.Config.flood_mode = Lsr.Flooding.Reliable } in
+  let graph = Net.Topo_gen.waxman topo_rng ~n in
+  let regime = if Sim.Rng.int work_rng 4 = 0 then "wan" else "atm" in
+  let config = List.assoc regime Dgmc.Config.regimes in
+  let config = { config with Dgmc.Config.flood_mode = Lsr.Flooding.Reliable } in
   let t_hop = config.Dgmc.Config.t_hop in
   let round = Dgmc.Config.round_length config ~graph in
   let horizon = 20.0 *. round in
@@ -372,7 +370,7 @@ let shrink case problems =
 (* ------------------------------------------------------------------ *)
 (* Batch driver *)
 
-let run ?health ?domains ?(progress = ignore) ~seed ~iterations () =
+let run ~health ~domains ~progress ~seed ~iterations =
   let seeds = List.init iterations (fun i -> seed + i) in
   (* The progress callback fires in seed order before the batch is
      dispatched: worker domains never touch the caller's output stream,
@@ -382,9 +380,9 @@ let run ?health ?domains ?(progress = ignore) ~seed ~iterations () =
      pure function of its seed, so the per-seed tasks commute and the
      outcome is identical for any domain count. *)
   let outcomes =
-    Runner.Pool.map ?domains
+    Runner.Pool.map ~domains
       (fun case_seed ->
-        let case = case_of_seed ?health case_seed in
+        let case = case_of_seed ~health case_seed in
         match run_case case with
         | Ok s -> Ok s
         | Error problems ->

@@ -59,13 +59,13 @@ type outcome = {
   o_stats : stats list;  (** Per passing iteration, in seed order. *)
 }
 
-val case_of_seed : ?health:bool -> int -> case
+val case_of_seed : health:bool -> int -> case
 (** Generate the case a seed denotes: 4 to 20 switches, 1 to 3 MCs and
     5 to 20 workload events (link restorations may add a few more).
     The bounds are fixed, so the seed and the band alone name the case,
     and the repro line ({!pp_failure}) carries nothing else.
 
-    [health] (default [false]) selects the {e health band}: the same
+    [health] selects the {e health band}: the same
     seed draws the identical topology, workload and message-fault spec
     — the default stream is untouched — and the case is then
     transformed to run with the opt-in link-health layer (default
@@ -107,15 +107,14 @@ val shrink : case -> string list -> Workload.Events.t list * int
     Deterministic. *)
 
 val run :
-  ?health:bool ->
-  ?domains:int ->
-  ?progress:(int -> unit) ->
+  health:bool ->
+  domains:int ->
+  progress:(int -> unit) ->
   seed:int ->
   iterations:int ->
-  unit ->
   outcome
 (** Run cases for seeds [seed .. seed + iterations - 1], shrinking each
-    failure.  [domains] (default 1) spreads the cases over a
+    failure.  [domains] spreads the cases over a
     {!Runner.Pool}; generation, execution and shrinking are pure
     functions of each case's seed, so the outcome — stats, failures,
     shrunk workloads, repro lines — is identical for any domain count.

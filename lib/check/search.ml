@@ -9,8 +9,6 @@
 
 type target = { law : string; kind : Dgmc.Mc_id.kind option }
 
-let any = { law = "any"; kind = None }
-
 let target_of_string s =
   match String.index_opt s '@' with
   | None -> Ok { law = s; kind = None }
@@ -104,8 +102,8 @@ let heuristic ~depth ~digest h =
   let s = score h in
   ([ s.bound; -s.discord; -s.resync_depth; depth ], digest)
 
-let forward ?(target = any) ?(max_states = 50_000) ?domains scenario =
-  Explore.walk ~hit:(matches target) ~order:heuristic ~max_states ?domains
+let forward ~target ~max_states ~domains scenario =
+  Explore.walk ~hit:(matches target) ~order:heuristic ~max_states ~domains
     scenario
 
 (* ------------------------------------------------------------------ *)
@@ -254,9 +252,8 @@ let rec chunks k = function
     let c, rest = take k [] xs in
     c :: chunks k rest
 
-let backward ?(target = any) ?(max_len = 4) ?(per_candidate_states = 20_000)
-    ?domains ~graph ~config
-    ?(setup = ([] : Harness.event list)) ~mcs () =
+let backward ~target ~max_len ~per_candidate_states ~domains ~graph ~config
+    ~setup ~mcs =
   let evaluated = ref 0 in
   let truncated = ref false in
   let found = ref None in
@@ -276,7 +273,7 @@ let backward ?(target = any) ?(max_len = 4) ?(per_candidate_states = 20_000)
       (fun chunk ->
         if !found = None then begin
           let results =
-            Runner.Pool.map ?domains
+            Runner.Pool.map ~domains
               (eval_candidate ~target ~per_candidate_states ~graph ~config
                  ~setup)
               chunk
@@ -348,6 +345,29 @@ let event_to_string = function
 
 let events_to_string events =
   String.concat "; " (List.map event_to_string events)
+
+(* Each event must name switches and links of [graph], and a crash or
+   recover must find its switch up or crashed after the events before
+   it. *)
+let check_events ~graph events =
+  let n = Net.Graph.n_nodes graph in
+  let fail fmt = Printf.ksprintf Result.error fmt in
+  let check st ev =
+    (match ev with
+    | Harness.Action a -> Workload.Script.check_target graph a
+    | Harness.Crash i | Harness.Recover i when i < 0 || i >= n ->
+      fail "switch %d out of range (graph has %d switches)" i n
+    | Harness.Crash i when List.mem i st.crashed ->
+      fail "switch %d is already crashed" i
+    | Harness.Recover i when not (List.mem i st.crashed) ->
+      fail "switch %d is not crashed" i
+    | Harness.Crash _ | Harness.Recover _ -> Ok ())
+    |> Result.map (fun () -> apply_event st ev)
+    |> Result.map_error (Printf.sprintf "%s: %s" (event_to_string ev))
+  in
+  List.fold_left (fun acc ev -> Result.bind acc (fun st -> check st ev))
+    (Ok (initial_wstate [])) events
+  |> Result.map ignore
 
 (* ------------------------------------------------------------------ *)
 (* Reporting *)

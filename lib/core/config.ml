@@ -33,6 +33,8 @@ let injects t bug =
 
 let wan = { atm_lan with tc = 100e-6; t_hop = 5e-3 }
 
+let regimes = [ ("atm", atm_lan); ("wan", wan) ]
+
 let round_length t ~graph =
   Lsr.Flooding.flood_diameter ~graph ~t_hop:t.t_hop +. t.tc
 

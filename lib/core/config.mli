@@ -64,6 +64,11 @@ val wan : t
 (** Experiment-2 regime: communication dominates computation
     ([t_hop = 5 ms], [tc = 100 µs]). *)
 
+val regimes : (string * t) list
+(** The two regimes by name, ["atm"] ({!atm_lan}) then ["wan"]
+    ({!wan}): the spelling of a script's [config] directive, of
+    [dgmc_sim --regime] and of a fuzz case's report. *)
+
 val injects : t -> bug -> bool
 (** [injects t bug] is [t.inject = Some bug]. *)
 

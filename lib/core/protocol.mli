@@ -5,7 +5,7 @@
 
     {[
       let rng = Sim.Rng.create 42 in
-      let g = Net.Topo_gen.waxman rng ~n:40 () in
+      let g = Net.Topo_gen.waxman rng ~n:40 in
       let net = Protocol.create ~graph:g ~config:Config.atm_lan () in
       let mc = Mc_id.make Symmetric 1 in
       Protocol.schedule_join net ~at:0.0 ~switch:3 mc Member.Both;

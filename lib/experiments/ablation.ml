@@ -39,7 +39,8 @@ let churn_session ~seed ~n ~churn_events config =
     (ratio, converged)
   | Some _ | None -> (1.0, converged)
 
-let incremental_vs_scratch ?(seeds = Figures.default_seeds) ?(n = 40) () =
+let incremental_vs_scratch ~seeds =
+  let n = 40 in
   let run label config =
     let results =
       List.map (fun seed -> churn_session ~seed ~n ~churn_events:20 config) seeds
@@ -62,7 +63,8 @@ type heuristic_row = {
   mean_cost_vs_bound : float;
 }
 
-let steiner_heuristics ?(seeds = Figures.default_seeds) ?(n = 60) () =
+let steiner_heuristics ~seeds =
+  let n = 60 in
   List.concat_map
     (fun count ->
       List.map
@@ -98,7 +100,8 @@ type drift_row = {
   d_converged : bool;
 }
 
-let drift_threshold ?(seeds = Figures.default_seeds) ?(n = 40) () =
+let drift_threshold ~seeds =
+  let n = 40 in
   List.map
     (fun threshold ->
       let config =

@@ -18,10 +18,10 @@ type incremental_row = {
   all_converged : bool;
 }
 
-val incremental_vs_scratch :
-  ?seeds:int list -> ?n:int -> unit -> incremental_row list
-(** A burst-then-churn workload (20 churn events) once with incremental
-    updates and once forcing every computation from scratch. *)
+val incremental_vs_scratch : seeds:int list -> incremental_row list
+(** A burst-then-churn workload (n = 40, 20 churn events) once with
+    incremental updates and once forcing every computation from
+    scratch. *)
 
 type heuristic_row = {
   algo : string;
@@ -29,9 +29,10 @@ type heuristic_row = {
   mean_cost_vs_bound : float;  (** Mean cost / Steiner lower bound. *)
 }
 
-val steiner_heuristics : ?seeds:int list -> ?n:int -> unit -> heuristic_row list
-(** KMB vs SPH cost across member-set sizes 5, 10 and 20.  Timing is
-    the ledger's business ([mctree.sph.self_s]), not this figure's. *)
+val steiner_heuristics : seeds:int list -> heuristic_row list
+(** KMB vs SPH cost across member-set sizes 5, 10 and 20 (n = 60).
+    Timing is the ledger's business ([mctree.sph.self_s]), not this
+    figure's. *)
 
 type drift_row = {
   threshold : float;
@@ -39,6 +40,6 @@ type drift_row = {
   d_converged : bool;
 }
 
-val drift_threshold : ?seeds:int list -> ?n:int -> unit -> drift_row list
+val drift_threshold : seeds:int list -> drift_row list
 (** Sweep of the drift threshold (1.05, 1.2, 1.5, 2 and 10) over a
-    churn-heavy session. *)
+    churn-heavy session (n = 40, 25 churn events). *)

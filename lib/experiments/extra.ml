@@ -6,8 +6,10 @@ type burst_row = {
   all_converged : bool;
 }
 
-let burst_size ?(seeds = Figures.default_seeds) ?(n = 60)
-    ?(sizes = [ 2; 5; 10; 20; 30 ]) () =
+(* Both sweeps run on 60-switch graphs. *)
+let n = 60
+
+let burst_size ~seeds =
   let config = Dgmc.Config.atm_lan in
   List.map
     (fun members ->
@@ -29,7 +31,7 @@ let burst_size ?(seeds = Figures.default_seeds) ?(n = 60)
                runs);
         all_converged = List.for_all (fun r -> r.Harness.converged) runs;
       })
-    sizes
+    [ 2; 5; 10; 20; 30 ]
 
 type independence_row = {
   mcs : int;
@@ -38,8 +40,7 @@ type independence_row = {
   i_all_converged : bool;
 }
 
-let mc_independence ?(seeds = Figures.default_seeds) ?(n = 60) ?(members = 6)
-    () =
+let mc_independence ~seeds =
   let config = Dgmc.Config.atm_lan in
   List.map
     (fun k ->
@@ -61,7 +62,7 @@ let mc_independence ?(seeds = Figures.default_seeds) ?(n = 60) ?(members = 6)
             List.iter
               (fun mc ->
                 Workload.Events.apply_dgmc net
-                  (Workload.Bursty.joins rng ~n ~mc ~members ~window ()))
+                  (Workload.Bursty.joins rng ~n ~mc ~members:6 ~window ()))
               mcs;
             Dgmc.Protocol.run net;
             let totals = Dgmc.Protocol.totals net in

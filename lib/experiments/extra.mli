@@ -18,9 +18,8 @@ type burst_row = {
   all_converged : bool;
 }
 
-val burst_size :
-  ?seeds:int list -> ?n:int -> ?sizes:int list -> unit -> burst_row list
-(** Defaults: n = 60, burst sizes 2, 5, 10, 20, 30, seeds 1-10,
+val burst_size : seeds:int list -> burst_row list
+(** One row each for bursts of 2, 5, 10, 20 and 30 members, n = 60,
     computation-dominated regime. *)
 
 type independence_row = {
@@ -31,7 +30,6 @@ type independence_row = {
   i_all_converged : bool;
 }
 
-val mc_independence :
-  ?seeds:int list -> ?n:int -> ?members:int -> unit -> independence_row list
-(** One row each for 1, 2, 4 and 8 concurrent MCs.  Defaults: n = 60,
-    6 members each. *)
+val mc_independence : seeds:int list -> independence_row list
+(** One row each for 1, 2, 4 and 8 concurrent MCs, n = 60, 6 members
+    each. *)

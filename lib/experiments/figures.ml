@@ -10,20 +10,16 @@ type bursty_result = {
   all_converged : bool;
 }
 
-let default_sizes = [ 20; 40; 60; 80; 100 ]
-
-let default_seeds = List.init 10 (fun i -> i + 1)
-
 (* Run one (size × seed) sweep through the domain pool and regroup the
    flat results by size.  Each cell derives all randomness from its own
    (seed, n), so results are identical for any domain count. *)
-let sweep_cells ?domains ~sizes ~seeds run =
+let sweep_cells ~domains ~sizes ~seeds run =
   let cells =
     List.concat_map (fun n -> List.map (fun seed -> (n, seed)) seeds) sizes
   in
   let tagged =
     List.combine cells
-      (Runner.Pool.map ?domains (fun (n, seed) -> run ~seed ~n) cells)
+      (Runner.Pool.map ~domains (fun (n, seed) -> run ~seed ~n) cells)
   in
   List.map
     (fun n ->
@@ -43,9 +39,9 @@ let series label extract by_size =
         by_size;
   }
 
-let bursty ?domains config ~sizes ~seeds ~members =
+let bursty config ~domains ~sizes ~seeds ~members =
   let runs =
-    sweep_cells ?domains ~sizes ~seeds (fun ~seed ~n ->
+    sweep_cells ~domains ~sizes ~seeds (fun ~seed ~n ->
         Harness.bursty_run ~seed ~n ~config ~members ())
   in
   {
@@ -63,13 +59,9 @@ let bursty ?domains config ~sizes ~seeds ~members =
         runs;
   }
 
-let fig6 ?domains ?(sizes = default_sizes) ?(seeds = default_seeds)
-    ?(members = 10) () =
-  bursty ?domains Dgmc.Config.atm_lan ~sizes ~seeds ~members
+let fig6 = bursty Dgmc.Config.atm_lan
 
-let fig7 ?domains ?(sizes = default_sizes) ?(seeds = default_seeds)
-    ?(members = 10) () =
-  bursty ?domains Dgmc.Config.wan ~sizes ~seeds ~members
+let fig7 = bursty Dgmc.Config.wan
 
 type normal_result = {
   n_proposals : series;
@@ -77,11 +69,10 @@ type normal_result = {
   n_all_converged : bool;
 }
 
-let fig8 ?domains ?(sizes = default_sizes) ?(seeds = default_seeds)
-    ?(events = 40) ?(gap_rounds = 50.0) () =
+let fig8 ~domains ~sizes ~seeds ~events ~gap_rounds =
   let config = Dgmc.Config.atm_lan in
   let runs =
-    sweep_cells ?domains ~sizes ~seeds (fun ~seed ~n ->
+    sweep_cells ~domains ~sizes ~seeds (fun ~seed ~n ->
         Harness.poisson_run ~seed ~n ~config ~events ~gap_rounds ())
   in
   {
@@ -105,11 +96,10 @@ type comparison = {
   mospf_floodings : series;
 }
 
-let compare_protocols ?domains ?(sizes = default_sizes)
-    ?(seeds = default_seeds) ?(members = 10) ?(sources = 3) () =
+let compare_protocols ~domains ~sizes ~seeds ~members ~sources =
   let config = Dgmc.Config.atm_lan in
   let sweep label runner =
-    let per_size = sweep_cells ?domains ~sizes ~seeds runner in
+    let per_size = sweep_cells ~domains ~sizes ~seeds runner in
     ( series label (fun r -> r.Harness.computations_per_event) per_size,
       series label (fun r -> r.Harness.floodings_per_event) per_size )
   in
@@ -147,7 +137,7 @@ type cbt_row = {
 (* Packets each sender injects into the tree under test. *)
 let packets_per_sender = 5
 
-let cbt_comparison ?(seed = 1) ?(n = 60) ?(receivers = 12) ?(senders = 6) () =
+let cbt_comparison ~seed ~n ~receivers ~senders =
   let graph = Harness.graph_for ~seed ~n in
   let rng = Sim.Rng.create (seed lxor 0x9e3779b9) in
   let all = List.init n (fun i -> i) in

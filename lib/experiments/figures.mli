@@ -6,10 +6,10 @@
     here ({!bursty_table} and friends), which [dgmc_sim] prints under
     the section's heading and exports as CSV.
 
-    Defaults follow DESIGN.md's reconstruction of the paper's setup:
-    sizes 20–100 step 20, 10 random graphs per size, 10-member bursts.
-    Every result is byte-identical for any [?domains]: each cell derives
-    its randomness from its own (seed, size), see {!Runner.Pool}. *)
+    The sweep parameters are [dgmc_sim]'s to choose (its defaults
+    follow DESIGN.md's reconstruction of the paper's setup).  Every
+    result is byte-identical for any [domains]: each cell derives its
+    randomness from its own (seed, size), see {!Runner.Pool}. *)
 
 type series = {
   label : string;
@@ -23,20 +23,14 @@ type bursty_result = {
   all_converged : bool;  (** Every run reached network-wide agreement. *)
 }
 
-val default_sizes : int list
-
-val default_seeds : int list
-
 val fig6 :
-  ?domains:int ->
-  ?sizes:int list -> ?seeds:int list -> ?members:int -> unit -> bursty_result
-(** Experiment 1: bursty joins, computation-dominated regime
-    ({!Dgmc.Config.atm_lan}).  [domains] (default 1) spreads the
+  domains:int -> sizes:int list -> seeds:int list -> members:int -> bursty_result
+(** Experiment 1: [members]-member join bursts, computation-dominated
+    regime ({!Dgmc.Config.atm_lan}).  [domains] spreads the
     (size × seed) cells over that many OCaml domains. *)
 
 val fig7 :
-  ?domains:int ->
-  ?sizes:int list -> ?seeds:int list -> ?members:int -> unit -> bursty_result
+  domains:int -> sizes:int list -> seeds:int list -> members:int -> bursty_result
 (** Experiment 2: bursty joins, communication-dominated regime
     ({!Dgmc.Config.wan}). *)
 
@@ -47,15 +41,14 @@ type normal_result = {
 }
 
 val fig8 :
-  ?domains:int ->
-  ?sizes:int list ->
-  ?seeds:int list ->
-  ?events:int ->
-  ?gap_rounds:float ->
-  unit ->
+  domains:int ->
+  sizes:int list ->
+  seeds:int list ->
+  events:int ->
+  gap_rounds:float ->
   normal_result
-(** Experiment 3: sparse Poisson membership events (default 40 events,
-    mean gap 50 rounds). *)
+(** Experiment 3: [events] sparse Poisson membership events, mean gap
+    [gap_rounds] rounds. *)
 
 type comparison = {
   c_sizes : int list;
@@ -68,8 +61,8 @@ type comparison = {
 }
 
 val compare_protocols :
-  ?domains:int ->
-  ?sizes:int list -> ?seeds:int list -> ?members:int -> ?sources:int -> unit -> comparison
+  domains:int ->
+  sizes:int list -> seeds:int list -> members:int -> sources:int -> comparison
 (** §4's claim quantified: per-event topology computations and floodings
     for D-GMC vs. the brute-force LSR protocol vs. MOSPF (with the given
     number of active sources) on identical bursty workloads. *)
@@ -88,8 +81,7 @@ type cbt_row = {
   control_messages : int;
 }
 
-val cbt_comparison :
-  ?seed:int -> ?n:int -> ?receivers:int -> ?senders:int -> unit -> cbt_row list
+val cbt_comparison : seed:int -> n:int -> receivers:int -> senders:int -> cbt_row list
 (** §5's CBT trade-off: the D-GMC receiver-only shared tree vs. CBT
     trees under different core placements, loaded with the same batch
     of five packets per off-tree sender. *)

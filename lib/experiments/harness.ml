@@ -10,7 +10,7 @@ type run = {
 
 let graph_for ~seed ~n =
   let rng = Sim.Rng.create ((seed * 7919) + n) in
-  Net.Topo_gen.waxman rng ~n ~target_degree:3.5 ()
+  Net.Topo_gen.waxman rng ~n
 
 let per_event count events =
   if events = 0 then 0.0 else float_of_int count /. float_of_int events

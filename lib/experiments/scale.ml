@@ -38,14 +38,14 @@ let schedule rng ~partition ~events ~gap =
 
 let per_event x events = float_of_int x /. float_of_int events
 
-let hier_vs_flat ?domains ?(seeds = [ 1; 2; 3; 4; 5 ]) ?(areas = 10)
-    ?(per_area = 20) ?(events = 20) () =
+let hier_vs_flat ~domains ~seeds ~areas ~per_area ~events =
+  if areas < 3 then invalid_arg "Scale.hier_vs_flat: the workload needs 3 areas";
   let n = areas * per_area in
   let config = Dgmc.Config.atm_lan in
   (* One task per seed; both protocols run inside the task so the pair
      shares its topology.  Results come back in seed order. *)
   let samples =
-    Runner.Pool.map ?domains
+    Runner.Pool.map ~domains
       (fun seed ->
         let rng = Sim.Rng.create (seed * 977) in
         let graph, partition = Net.Topo_gen.clustered rng ~areas ~per_area in

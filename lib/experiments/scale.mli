@@ -22,16 +22,16 @@ type row = {
 }
 
 val hier_vs_flat :
-  ?domains:int ->
-  ?seeds:int list ->
-  ?areas:int ->
-  ?per_area:int ->
-  ?events:int ->
-  unit ->
+  domains:int ->
+  seeds:int list ->
+  areas:int ->
+  per_area:int ->
+  events:int ->
   row list
-(** Defaults: 10 areas × 20 switches (n = 200), 20 sparse membership
-    events confined to 3 areas, seeds 1-5.  [domains] (default 1) runs
-    one seed per pool task; the rows are identical for any value. *)
+(** [areas] × [per_area] switches, [events] sparse membership events
+    confined to the first 3 areas ([areas] must be at least 3), one
+    clustered graph per seed.  [domains] runs one seed per pool task;
+    the rows are identical for any value. *)
 
 val table : row list -> Metrics.Table.t
 (** The hierarchy table: one left-aligned row per protocol. *)

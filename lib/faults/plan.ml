@@ -117,7 +117,7 @@ type t = {
   mutable sim_trace : Sim.Trace.t;
 }
 
-let create ?(spec = spec_default) ~seed () =
+let create ~spec ~seed () =
   (match check_spec spec with
   | Ok _ -> ()
   | Error m -> invalid_arg ("Faults.Plan.create: " ^ m));

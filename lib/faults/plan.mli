@@ -55,9 +55,9 @@ val spec_is_transparent : spec -> bool
 
 type t
 
-val create : ?spec:spec -> seed:int -> unit -> t
-(** A fresh plan applying [spec] (default the transparent spec) to every
-    link, drawing from a private generator seeded with [seed]. *)
+val create : spec:spec -> seed:int -> unit -> t
+(** A fresh plan applying [spec] to every link, drawing from a private
+    generator seeded with [seed]. *)
 
 val instrument : t -> Sim.Engine.t -> unit
 (** Record into the engine's sinks ({!Sim.Engine.trace} and

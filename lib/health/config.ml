@@ -14,7 +14,7 @@ type t = {
   horizon : float;
 }
 
-let make ~period ?grace ?(detector = 3) ?(reup = 2) ?damping ~horizon () =
+let make ~period ?grace ~detector ?(reup = 2) ?damping ~horizon () =
   let grace = match grace with Some g -> g | None -> period /. 2.0 in
   { period; grace; detector; reup; damping; horizon }
 

@@ -30,14 +30,13 @@ type t = {
 val make :
   period:float ->
   ?grace:float ->
-  ?detector:int ->
+  detector:int ->
   ?reup:int ->
   ?damping:damping ->
   horizon:float ->
   unit ->
   t
-(** Defaults: [grace = period / 2], [detector = 3],
-    [reup = 2], no damping. *)
+(** Defaults: [grace = period / 2], [reup = 2], no damping. *)
 
 val validate : t -> (unit, string) result
 

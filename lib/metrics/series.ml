@@ -1,5 +1,5 @@
 (* Ring-buffered, sim-time-bucketed time series: the flight recorder's
-   windowed view of a run.  One [series] per (name, switch) key; each
+   windowed view of a run.  One [series] per name; each
    holds [cap] buckets of [width] seconds of simulated time, addressed
    by bucket index modulo [cap], and old buckets are overwritten
    (counted, never silently) once the window wraps.
@@ -10,8 +10,6 @@
    nothing. *)
 
 let empty_index = min_int
-
-type key = { k_name : string; k_switch : int option }
 
 type series = {
   live : bool;  (* false only for the shared handle of [disabled] *)
@@ -36,7 +34,7 @@ type t = {
   on : bool;
   t_width : float;
   t_cap : int;
-  tbl : (key, series) Hashtbl.t;
+  tbl : (string, series) Hashtbl.t;
 }
 
 let fresh ~live ~width ~cap =
@@ -69,15 +67,14 @@ let create ?(bucket = 1.0) ?(cap = 512) () =
 
 let enabled t = t.on
 
-let handle t ?switch name =
+let handle t name =
   if not t.on then dead
   else
-    let key = { k_name = name; k_switch = switch } in
-    match Hashtbl.find_opt t.tbl key with
+    match Hashtbl.find_opt t.tbl name with
     | Some s -> s
     | None ->
       let s = fresh ~live:true ~width:t.t_width ~cap:t.t_cap in
-      Hashtbl.replace t.tbl key s;
+      Hashtbl.replace t.tbl name s;
       s
 
 (* The first sample's columns: every slot empty. *)
@@ -135,16 +132,10 @@ type point = {
 
 type line = {
   l_name : string;
-  l_switch : int option;
   l_evicted : int;
   l_late : int;
   l_points : point list;
 }
-
-let compare_key a b =
-  match String.compare a.k_name b.k_name with
-  | 0 -> Option.compare Int.compare a.k_switch b.k_switch
-  | c -> c
 
 let points_of s =
   List.init (Array.length s.index) Fun.id
@@ -170,11 +161,10 @@ let lines t =
   Hashtbl.fold
     (fun key s acc -> if Array.length s.index = 0 then acc else (key, s) :: acc)
     t.tbl []
-  |> List.sort (fun (a, _) (b, _) -> compare_key a b)
-  |> List.map (fun (key, s) ->
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+  |> List.map (fun (name, s) ->
          {
-           l_name = key.k_name;
-           l_switch = key.k_switch;
+           l_name = name;
            l_evicted = s.evicted;
            l_late = s.late;
            l_points = points_of s;

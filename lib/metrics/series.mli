@@ -3,7 +3,7 @@
 
     Where {!Registry} aggregates over a whole run, a [Series.t] keeps
     {e when} things happened: each sample is routed to the bucket
-    [floor (time / bucket)] of its (name, switch) series, and each
+    [floor (time / bucket)] of its named series, and each
     bucket accumulates count / sum / min / max / last.  Consumers derive
     rates (count per bucket) or levels (last / max per bucket) as they
     see fit.
@@ -40,11 +40,11 @@ val enabled : t -> bool
 
 type handle
 
-val handle : t -> ?switch:int -> string -> handle
-(** The series [name] (labelled [switch]): every handle on one key
-    records into the same ring.  The series lists a key from its first
-    sample on, so a handle never recorded into leaves no line.  A
-    handle of {!disabled} records nothing. *)
+val handle : t -> string -> handle
+(** The series [name]: every handle on one name records into the same
+    ring.  The series lists a name from its first sample on, so a
+    handle never recorded into leaves no line.  A handle of {!disabled}
+    records nothing. *)
 
 val record : handle -> time:float -> float -> unit
 (** Record one sample at a simulated time.  No-op on a handle of
@@ -64,12 +64,11 @@ type point = {
 
 type line = {
   l_name : string;
-  l_switch : int option;
   l_evicted : int;  (** Buckets overwritten after the window wrapped. *)
   l_late : int;  (** Samples older than the retained window, dropped. *)
   l_points : point list;  (** Retained buckets, oldest first. *)
 }
 
 val lines : t -> line list
-(** Every series, sorted by (name, switch label) then bucket index —
+(** Every series, sorted by name then bucket index —
     deterministic regardless of insertion order. *)

@@ -126,10 +126,10 @@ let[@inline] distance xs ys u v =
     (square (Float.Array.get xs u -. Float.Array.get xs v)
     +. square (Float.Array.get ys u -. Float.Array.get ys v))
 
-let waxman rng ~n ?target_degree () =
-  (* Edge-probability scale, distance decay, and the factor turning
-     distances into edge weights. *)
-  let alpha = 0.25 and beta = 0.2 and scale = 10.0 in
+let waxman rng ~n =
+  (* Mean degree, distance decay, and the factor turning distances into
+     edge weights. *)
+  let degree = 3.5 and beta = 0.2 and scale = 10.0 in
   if n < 1 then invalid_arg "Topo_gen.waxman: n must be positive";
   let xs = Float.Array.create n and ys = Float.Array.create n in
   for i = 0 to n - 1 do
@@ -159,14 +159,9 @@ let waxman rng ~n ?target_degree () =
     Float.Array.set decay i q;
     sum := !sum +. q
   done;
-  let alpha =
-    match target_degree with
-    | None -> alpha
-    | Some degree ->
-      (* Solve  Σ_pairs α·exp(-d/βl) = n·degree/2  for α. *)
-      if !sum <= 0.0 then alpha
-      else Float.min 1.0 (float_of_int n *. degree /. (2.0 *. !sum))
-  in
+  (* Solve  Σ_pairs α·exp(-d/βl) = n·degree/2  for α; a lone node has
+     no pair and draws no edge. *)
+  let alpha = Float.min 1.0 (float_of_int n *. degree /. (2.0 *. !sum)) in
   let g = Graph.create n in
   (* Weights are distances scaled away from zero: two coincident points
      would otherwise produce a zero-weight edge, which Graph rejects. *)
@@ -192,7 +187,7 @@ let clustered rng ~areas ~per_area =
   in
   (* Dense Waxman cluster inside each area, ids offset per area. *)
   for a = 0 to areas - 1 do
-    let sub = waxman rng ~n:per_area ~target_degree:3.5 () in
+    let sub = waxman rng ~n:per_area in
     let base = a * per_area in
     List.iter
       (fun (e : Graph.edge) -> Graph.add_edge g (base + e.u) (base + e.v) ~weight:e.weight)
@@ -216,10 +211,10 @@ let clustered rng ~areas ~per_area =
   done;
   (g, partition)
 
-let check_weight w = if w <= 0.0 then invalid_arg "Topo_gen: weight must be positive"
+(* Every edge of a regular topology weighs 1. *)
+let weight = 1.0
 
-let ring ?(weight = 1.0) n =
-  check_weight weight;
+let ring n =
   if n < 3 then invalid_arg "Topo_gen.ring: need at least 3 nodes";
   let g = Graph.create n in
   for i = 0 to n - 1 do
@@ -227,8 +222,7 @@ let ring ?(weight = 1.0) n =
   done;
   g
 
-let line ?(weight = 1.0) n =
-  check_weight weight;
+let line n =
   if n < 2 then invalid_arg "Topo_gen.line: need at least 2 nodes";
   let g = Graph.create n in
   for i = 0 to n - 2 do
@@ -236,8 +230,7 @@ let line ?(weight = 1.0) n =
   done;
   g
 
-let star ?(weight = 1.0) n =
-  check_weight weight;
+let star n =
   if n < 2 then invalid_arg "Topo_gen.star: need at least 2 nodes";
   let g = Graph.create n in
   for i = 1 to n - 1 do
@@ -245,8 +238,7 @@ let star ?(weight = 1.0) n =
   done;
   g
 
-let grid ?(weight = 1.0) ~rows ~cols () =
-  check_weight weight;
+let grid ~rows ~cols =
   if rows < 1 || cols < 1 then invalid_arg "Topo_gen.grid: empty grid";
   let g = Graph.create (rows * cols) in
   for r = 0 to rows - 1 do
@@ -258,8 +250,7 @@ let grid ?(weight = 1.0) ~rows ~cols () =
   done;
   g
 
-let complete ?(weight = 1.0) n =
-  check_weight weight;
+let complete n =
   if n < 2 then invalid_arg "Topo_gen.complete: need at least 2 nodes";
   let g = Graph.create n in
   for u = 0 to n - 1 do

@@ -8,25 +8,20 @@
     connected graphs and draw exclusively from the supplied {!Sim.Rng.t},
     so a (generator, seed) pair fully determines the topology. *)
 
-val waxman :
-  Sim.Rng.t ->
-  n:int ->
-  ?target_degree:float ->
-  unit ->
-  Graph.t
+val waxman : Sim.Rng.t -> n:int -> Graph.t
 (** Waxman (1988) random graph: [n] points placed uniformly in the unit
     square; an edge joins [u] and [v] with probability
     [alpha * exp (-d(u,v) / (beta * l))] where [d] is Euclidean distance
     and [l] the maximum pairwise distance.  Edge weight is
     [scale * d(u,v)].  Components are then connected by their closest
     node pairs so the result is always connected.
-    Here [alpha = 0.25], [beta = 0.2] and [scale = 10.0].
+    Here [beta = 0.2] and [scale = 10.0].
 
-    In the plain model the mean degree grows with [n]; passing
-    [target_degree] overrides [alpha] with the value that makes the
-    {e expected} number of edges equal [n * target_degree / 2] for the
-    drawn node placement, keeping graphs of different sizes comparable —
-    which is what the paper's size sweeps need. *)
+    In the plain model (a fixed [alpha]) the mean degree grows with
+    [n]; here [alpha] is the value that makes the {e expected} number
+    of edges equal [n * 3.5 / 2] for the drawn node placement (capped
+    at 1), keeping graphs of different sizes comparable — which is what
+    the paper's size sweeps need. *)
 
 val clustered :
   Sim.Rng.t -> areas:int -> per_area:int -> Graph.t * int list array
@@ -62,18 +57,21 @@ val connect_components :
     One O(n{^2}) pass, then a sort of the [k(k-1)/2] pairs of the [k]
     components; a run of equal costs is rescanned once per edge it adds. *)
 
-val ring : ?weight:float -> int -> Graph.t
-(** Cycle on [n >= 3] nodes; every edge has the given weight
-    (default [1.0]). *)
+(** {1 Regular topologies}
 
-val line : ?weight:float -> int -> Graph.t
+    Every edge weighs [1.0]. *)
+
+val ring : int -> Graph.t
+(** Cycle on [n >= 3] nodes. *)
+
+val line : int -> Graph.t
 (** Path graph on [n >= 2] nodes. *)
 
-val star : ?weight:float -> int -> Graph.t
+val star : int -> Graph.t
 (** Node 0 joined to all others; [n >= 2]. *)
 
-val grid : ?weight:float -> rows:int -> cols:int -> unit -> Graph.t
+val grid : rows:int -> cols:int -> Graph.t
 (** [rows × cols] mesh; node ids are [row * cols + col]. *)
 
-val complete : ?weight:float -> int -> Graph.t
+val complete : int -> Graph.t
 (** Complete graph on [n >= 2] nodes. *)

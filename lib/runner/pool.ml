@@ -71,7 +71,7 @@ let run_task f i results =
         let bt = Printexc.get_raw_backtrace () in
         Error (exn, bt))
 
-let map ?(domains = 1) f xs =
+let map ~domains f xs =
   let tasks = Array.of_list (List.map (fun x () -> f x) xs) in
   let n = Array.length tasks in
   let workers = max 1 (min domains n) in

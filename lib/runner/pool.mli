@@ -22,9 +22,9 @@
     Tasks must not share mutable state.  All protocol state in this
     repository is per-run ([Protocol.create] per task). *)
 
-val map : ?domains:int -> ('a -> 'b) -> 'a list -> 'b list
+val map : domains:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [map ~domains f xs] is [List.map f xs] with the applications spread
-    over [domains] workers; result order follows [xs].  [domains]
-    defaults to [1]; it is capped at the task count.  If any task
+    over [domains] workers; result order follows [xs].  [domains] is
+    capped at the task count.  If any task
     raises, the batch is still drained and the exception of the
     lowest-indexed failing task is re-raised. *)

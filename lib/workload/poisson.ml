@@ -1,4 +1,4 @@
-let membership rng ~n ~mc ~events ~mean_gap ?(initial = []) ?(start = 0.0) () =
+let membership rng ~n ~mc ~events ~mean_gap ~initial ~start () =
   if events < 0 then invalid_arg "Poisson.membership: negative event count";
   if mean_gap <= 0.0 then invalid_arg "Poisson.membership: mean_gap must be positive";
   List.iter

@@ -13,15 +13,16 @@ val membership :
   mc:Dgmc.Mc_id.t ->
   events:int ->
   mean_gap:float ->
-  ?initial:int list ->
-  ?start:float ->
+  initial:int list ->
+  start:float ->
   unit ->
   Events.t list
-(** [membership rng ~n ~mc ~events ~mean_gap ()] — a sequence of
+(** [membership rng ~n ~mc ~events ~mean_gap ~initial ~start ()] — a
+    sequence of
     [events] join/leave events.  The generator tracks the member set:
     each event joins a uniformly chosen non-member or removes a member
     (50/50 when both are possible, forced otherwise, and never removes
     the last member so the MC stays alive for the whole run).
-    [initial] (default [[]]) seeds the member set with switches assumed
-    already joined; they produce join events at time [start] only when
-    the list is non-empty.  Roles follow the MC kind as in {!Bursty}. *)
+    [initial] seeds the member set with switches assumed already
+    joined, each with a join event at time [start]; the generated
+    events follow [start].  Roles follow the MC kind as in {!Bursty}. *)

@@ -50,7 +50,7 @@ let parse_int lineno what s =
 let generate_graph lineno args =
   let num = parse_int lineno "graph size" in
   match args with
-  | [ "waxman"; n ] -> Net.Topo_gen.waxman (Sim.Rng.create 1) ~n:(num n) ~target_degree:3.5 ()
+  | [ "waxman"; n ] -> Net.Topo_gen.waxman (Sim.Rng.create 1) ~n:(num n)
   | "waxman" :: n :: opts ->
     check_opts lineno ~allowed:[ "seed" ] opts;
     let seed =
@@ -58,8 +58,8 @@ let generate_graph lineno args =
       | Some s -> parse_int lineno "seed" s
       | None -> 1
     in
-    Net.Topo_gen.waxman (Sim.Rng.create seed) ~n:(num n) ~target_degree:3.5 ()
-  | [ "grid"; rows; cols ] -> Net.Topo_gen.grid ~rows:(num rows) ~cols:(num cols) ()
+    Net.Topo_gen.waxman (Sim.Rng.create seed) ~n:(num n)
+  | [ "grid"; rows; cols ] -> Net.Topo_gen.grid ~rows:(num rows) ~cols:(num cols)
   | [ "ring"; n ] -> Net.Topo_gen.ring (num n)
   | [ "line"; n ] -> Net.Topo_gen.line (num n)
   | [ "star"; n ] -> Net.Topo_gen.star (num n)
@@ -77,10 +77,13 @@ let parse_graph lineno args =
       (Net.Graph.n_nodes g)
   | g -> g
 
-let parse_config lineno = function
-  | [ "atm" ] -> Dgmc.Config.atm_lan
-  | [ "wan" ] -> Dgmc.Config.wan
-  | args -> fail lineno "config: expected 'atm' or 'wan', got %S" (String.concat " " args)
+let parse_config lineno args =
+  let names = List.map (fun (r, _) -> "'" ^ r ^ "'") Dgmc.Config.regimes in
+  match List.assoc_opt (String.concat " " args) Dgmc.Config.regimes with
+  | Some config -> config
+  | None ->
+    fail lineno "config: expected %s, got %S" (String.concat " or " names)
+      (String.concat " " args)
 
 let default_role = function
   | Dgmc.Mc_id.Symmetric -> Dgmc.Member.Both
@@ -646,13 +649,9 @@ let parse text =
       (if d.line = 0 then d.message
        else Printf.sprintf "line %d: %s" d.line d.message)
 
-let render ?file d =
+let render ~file d =
   let prefix =
-    match (file, d.line) with
-    | Some f, 0 -> f ^ ": "
-    | Some f, l -> Printf.sprintf "%s:%d: " f l
-    | None, 0 -> ""
-    | None, l -> Printf.sprintf "line %d: " l
+    match d.line with 0 -> file ^ ": " | l -> Printf.sprintf "%s:%d: " file l
   in
   Printf.sprintf "%s%s: %s" prefix
     (match d.severity with Error -> "error" | Warning -> "warning")

@@ -94,6 +94,10 @@ val action_to_string : Events.action -> string
     so [action_of_string ~mcs (action_to_string a)] is [Ok a] whenever
     [a]'s MC is in [mcs]. *)
 
+val check_target : Net.Graph.t -> Events.action -> (unit, string) result
+(** [Error] unless a join's or leave's switch is a node of the graph,
+    or a link event's endpoints a link of it. *)
+
 type severity = Error | Warning
 
 type diagnostic = { line : int; severity : severity; message : string }
@@ -131,7 +135,7 @@ val errors : diagnostic list -> int
 
 val warnings : diagnostic list -> int
 
-val render : ?file:string -> diagnostic -> string
+val render : file:string -> diagnostic -> string
 (** ["file:line: error: message"] — the conventional compiler format. *)
 
 val read_file : string -> (string, string) result

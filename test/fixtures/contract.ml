@@ -10,9 +10,11 @@
    newline nearest the middle, and one byte short of the end), and
    separately has the byte at each of those offsets flipped (every bit
    inverted); each cut and each flip is run through every [REPORT]
-   mode.  Every numeric option of [SIM] and [REPORT] is run at 0 and at
-   -1, the other options of its command set to small values, on the
-   first [.dgmc] and [.jsonl] FILE.  ([LINT] and dgmc_analyze take no
+   mode.  Each command of [SIM] is run once at small values of its
+   numeric options, which it must accept (exit 0 or 1), and every
+   numeric option of [SIM] and [REPORT] is run at 0 and at -1, the
+   other options of its command at those small values, on the first
+   [.dgmc] and [.jsonl] FILE.  ([LINT] and dgmc_analyze take no
    numeric option.)
 
    Every exit code must be one the binary documents: 0, 1 or 2, and for
@@ -131,9 +133,9 @@ let trace ~report path =
     offsets
 
 (* Each command of [SIM] with small values for its numeric options (so
-   an accepted value runs in milliseconds), and which of them to set to
-   0 and -1 in turn; an option is spelled [--name=V], or [-nV] when
-   short. *)
+   an accepted value runs in milliseconds), the base values, and which
+   of them to set to 0 and -1 in turn; an option is spelled [--name=V],
+   or [-nV] when short. *)
 let sim_commands ~scenario =
   let fig = [ ("--sizes", "20"); ("--graphs", "1"); ("--domains", "1") ] in
   [
@@ -144,7 +146,7 @@ let sim_commands ~scenario =
     ([ "cbt" ], [ ("-n", "10"); ("--receivers", "3"); ("--senders", "1"); ("--seed", "1") ]);
     ([ "ablation" ], [ ("--graphs", "1") ]);
     ( [ "hierarchy" ],
-      [ ("--graphs", "1"); ("--areas", "2"); ("--per-area", "3"); ("--events", "1");
+      [ ("--graphs", "1"); ("--areas", "3"); ("--per-area", "3"); ("--events", "1");
         ("--domains", "1") ] );
     ([ "extra" ], [ ("--graphs", "1") ]);
     ([ "run" ], [ ("-n", "10"); ("--members", "2"); ("--seed", "1") ]);
@@ -162,6 +164,9 @@ let spell (name, v) =
 let options ~sim ~report ~scenario ~capture =
   List.iter
     (fun (command, opts) ->
+      let args = command @ List.map spell opts in
+      check "dgmc_sim options at base values" ~documented:[ 0; 1 ]
+        ~case:(String.concat " " args) sim args;
       List.iter
         (fun (name, _) ->
           List.iter

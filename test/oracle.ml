@@ -50,7 +50,12 @@ module Explore = struct
   let run scenario =
     Check.Explore.walk ~hit:(fun _ -> true)
       ~order:(fun ~depth:_ ~digest:_ _ -> ([], ""))
-      ~max_states:200_000 scenario
+      ~max_states:200_000 ~domains:1 scenario
+end
+
+module Search = struct
+  (* The target every violation matches. *)
+  let any = { Check.Search.law = "any"; kind = None }
 end
 
 module Monitor = struct
@@ -186,6 +191,9 @@ end
 module Plan = struct
   (* A fault spec from its command-line text, as [--faults] reads it. *)
   let spec text = Result.get_ok (Faults.Plan.spec_of_string text)
+
+  (* The spec that injects nothing. *)
+  let transparent = spec ""
 end
 
 module Brute_force = struct

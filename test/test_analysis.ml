@@ -128,7 +128,7 @@ let corpus_findings = 12
 let corpus_suppressed = 5
 let corpus_files = 7
 
-let run_corpus () = Driver.run [ fixtures_dir ]
+let run_corpus () = Driver.run ~enabled:(fun _ -> true) [ fixtures_dir ]
 
 let test_driver_corpus () =
   let r = run_corpus () in
@@ -144,7 +144,7 @@ let test_driver_corpus () =
 
 let test_gather_skips_fixtures () =
   (* The corpus must never leak into a normal repo-wide run. *)
-  let r = Driver.run [ "." ] in
+  let r = Driver.run ~enabled:(fun _ -> true) [ "." ] in
   Alcotest.(check bool) "found some sources" true (r.Driver.files_scanned > 0);
   List.iter
     (fun (d : Diag.t) ->
@@ -268,7 +268,9 @@ let test_tree_clean () =
         (* CI's path set: the unused-export rule counts every caller,
            tests included, so a narrower scan would report the
            test-only accessors as unused. *)
-        let r = Driver.run [ "lib"; "bin"; "bench"; "test" ] in
+        let r =
+          Driver.run ~enabled:(fun _ -> true) [ "lib"; "bin"; "bench"; "test" ]
+        in
         Alcotest.(check (list string)) "the tree is analyzer-clean" []
           (List.map Diag.render r.Driver.diags))
 

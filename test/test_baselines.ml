@@ -5,7 +5,7 @@ let check = Alcotest.check
 
 let mc = Dgmc.Mc_id.make Dgmc.Mc_id.Symmetric 1
 
-let grid33 () = Net.Topo_gen.grid ~rows:3 ~cols:3 ()
+let grid33 () = Net.Topo_gen.grid ~rows:3 ~cols:3
 
 (* ------------------------------------------------------------------ *)
 (* Brute force *)

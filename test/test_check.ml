@@ -421,7 +421,7 @@ let test_monitor_crash_resync () =
   let config =
     { Dgmc.Config.atm_lan with flood_mode = Lsr.Flooding.Reliable }
   in
-  let plan = Faults.Plan.create ~seed:7 () in
+  let plan = Faults.Plan.create ~spec:Oracle.Plan.transparent ~seed:7 () in
   Faults.Plan.crash_switch plan ~switch:1 ~from_:1e-3 ~until:3e-3;
   let metrics = Metrics.Registry.create () in
   let net = Dgmc.Protocol.create ~graph ~config ~faults:plan ~metrics () in
@@ -500,7 +500,7 @@ let fuzz_regression_seeds = [ 43; 46; 47; 65; 411; 2620; 1782; 3349; 37; 75 ]
 let test_fuzz_regression_seeds () =
   List.iter
     (fun seed ->
-      let case = Check.Fuzz.case_of_seed seed in
+      let case = Check.Fuzz.case_of_seed ~health:false seed in
       match Check.Fuzz.run_case case with
       | Ok stats ->
         Alcotest.(check bool)
@@ -518,10 +518,10 @@ let test_fuzz_case_generation_is_deterministic () =
   let render c = Format.asprintf "%a" Check.Fuzz.pp_case c in
   Alcotest.(check string)
     "same seed renders the same case"
-    (render (Check.Fuzz.case_of_seed seed))
-    (render (Check.Fuzz.case_of_seed seed));
+    (render (Check.Fuzz.case_of_seed ~health:false seed))
+    (render (Check.Fuzz.case_of_seed ~health:false seed));
   let stats () =
-    match Check.Fuzz.run_case (Check.Fuzz.case_of_seed seed) with
+    match Check.Fuzz.run_case (Check.Fuzz.case_of_seed ~health:false seed) with
     | Ok s -> (s.s_totals, s.s_faults, s.s_sweeps)
     | Error ps -> Alcotest.failf "seed %d failed: %s" seed (String.concat "; " ps)
   in
@@ -531,7 +531,7 @@ let test_fuzz_acceptance_case () =
   (* The tentpole's acceptance criterion, pinned: a 20-switch, 3-MC run
      under ~30% loss + duplication + reordering on every link converges
      with zero monitor violations. *)
-  let case = Check.Fuzz.case_of_seed 411 in
+  let case = Check.Fuzz.case_of_seed ~health:false 411 in
   Alcotest.(check int) "20 switches" 20 (Net.Graph.n_nodes case.graph);
   Alcotest.(check int) "3 MCs" 3 (List.length case.mcs);
   Alcotest.(check bool) "at least 30% loss" true
@@ -579,8 +579,9 @@ let event_lines events =
    domain count, and no longer than the fuzzer's shrunk repro. *)
 let backward_rediscovery ~config ~mcs ~expected_lines ~fuzzer_len () =
   let search domains =
-    Check.Search.backward ~max_len:2 ~domains ~graph:(Net.Topo_gen.ring 4)
-      ~config ~mcs ()
+    Check.Search.backward ~target:Oracle.Search.any ~max_len:2
+      ~per_candidate_states:20_000 ~domains ~graph:(Net.Topo_gen.ring 4) ~config
+      ~setup:[] ~mcs
   in
   let b = search 1 in
   (match b.Check.Search.b_found with
@@ -680,7 +681,10 @@ let test_search_forward_is_guided () =
     base_scenario ~config:stale_senders_config ~setup:[]
       ~race:[ join 0; join 2 ] ()
   in
-  let o = Check.Search.forward scenario in
+  let o =
+    Check.Search.forward ~target:Oracle.Search.any ~max_states:50_000 ~domains:1
+      scenario
+  in
   (match o.Check.Explore.found with
   | None -> Alcotest.fail "guided forward search missed the violation"
   | Some f ->
@@ -708,13 +712,17 @@ let test_search_bounded_by_states () =
     }
   in
   let summary o = Format.asprintf "%a" Check.Search.pp_forward o in
-  let bounded = Check.Search.forward ~max_states:100 scenario in
+  let forward max_states =
+    Check.Search.forward ~target:Oracle.Search.any ~max_states ~domains:1
+      scenario
+  in
+  let bounded = forward 100 in
   Alcotest.(check bool) "100 states: not complete" false bounded.complete;
   Alcotest.(check bool) "100 states: stops at the bound" true
     (bounded.states <= 101);
   Alcotest.(check bool) "100 states: reads (bounded)" true
     (contains (summary bounded) "(bounded)");
-  let whole = Check.Search.forward ~max_states:50_000 scenario in
+  let whole = forward 50_000 in
   Alcotest.(check bool) "50,000 states: complete" true whole.complete;
   Alcotest.(check bool) "50,000 states: reads (exhaustive)" true
     (contains (summary whole) "(exhaustive)");
@@ -728,7 +736,7 @@ let reinject config case =
         Dgmc.Config.inject = config.Dgmc.Config.inject } }
 
 let shrink_regression ~seed ~config ~expected_len =
-  let case = reinject config (Check.Fuzz.case_of_seed seed) in
+  let case = reinject config (Check.Fuzz.case_of_seed ~health:false seed) in
   let problems =
     match Check.Fuzz.run_case case with
     | Ok _ -> Alcotest.failf "seed %d no longer fails under the bug" seed
@@ -751,7 +759,7 @@ let test_shrink_minimises_timing_stale_senders () =
   (* Seed 1026 stays green even under the bug — random fault schedules
      miss it, which is exactly why the guided search exists... *)
   (match
-     Check.Fuzz.run_case (reinject stale_senders_config (Check.Fuzz.case_of_seed 1026))
+     Check.Fuzz.run_case (reinject stale_senders_config (Check.Fuzz.case_of_seed ~health:false 1026))
    with
   | Ok _ -> ()
   | Error ps ->
@@ -840,7 +848,9 @@ let test_repro_line_regenerates_case () =
     (fun (seed, health) ->
       let failure =
         match
-          (Check.Fuzz.run ~health ~seed ~iterations:1 ()).o_failures
+          (Check.Fuzz.run ~health ~domains:1 ~progress:ignore ~seed
+             ~iterations:1)
+            .o_failures
         with
         | [ f ] -> f
         | _ -> Alcotest.failf "seed %d no longer fails" seed
@@ -1100,7 +1110,7 @@ let test_harness_rejects_health () =
     {
       Dgmc.Config.atm_lan with
       Dgmc.Config.health =
-        Some (Health.Config.make ~period:0.001 ~horizon:1.0 ());
+        Some (Health.Config.make ~period:0.001 ~detector:3 ~horizon:1.0 ());
     }
   in
   match Check.Harness.create ~graph:(Net.Topo_gen.ring 3) ~config () with

@@ -227,7 +227,7 @@ let test_direct_resync_call () =
 let test_equal_stamp_tiebreak_is_order_independent () =
   (* Feed the same two equal-stamp proposals to two switches in opposite
      orders: both must end on the Tree.compare-minimal one. *)
-  let graph = Net.Topo_gen.grid ~rows:2 ~cols:3 () in
+  let graph = Net.Topo_gen.grid ~rows:2 ~cols:3 in
   let run order =
     let engine = Sim.Engine.create () in
     let sw =

@@ -14,7 +14,7 @@ let assert_converged ?(msg = "network-wide agreement") net mc =
     Alcotest.failf "%s: %s" msg
       (String.concat "; " (Dgmc.Protocol.divergence net mc))
 
-let grid33 () = Net.Topo_gen.grid ~rows:3 ~cols:3 ()
+let grid33 () = Net.Topo_gen.grid ~rows:3 ~cols:3
 
 (* ------------------------------------------------------------------ *)
 (* Creation, single events *)
@@ -262,7 +262,7 @@ let test_link_recovery_floods_but_keeps_topology () =
 let test_figure2_lsa_accounting () =
   (* Figure 2: a link event produces one non-MC LSA per detecting
      endpoint plus one MC LSA per affected connection per detector. *)
-  let graph = Net.Topo_gen.grid ~rows:3 ~cols:3 () in
+  let graph = Net.Topo_gen.grid ~rows:3 ~cols:3 in
   let net = make_net graph in
   let k = 4 in
   let mcs = List.init k (fun i -> Dgmc.Mc_id.make Dgmc.Mc_id.Symmetric (i + 1)) in

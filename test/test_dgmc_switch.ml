@@ -7,7 +7,7 @@ let check = Alcotest.check
 
 let mc = Dgmc.Mc_id.make Dgmc.Mc_id.Symmetric 1
 
-let grid () = Net.Topo_gen.grid ~rows:2 ~cols:3 ()
+let grid () = Net.Topo_gen.grid ~rows:2 ~cols:3
 
 (* A harness around one switch: records every output it emits and, as
    Protocol does, schedules every timer it starts on the engine. *)

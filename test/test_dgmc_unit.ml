@@ -134,7 +134,7 @@ let test_receive_event_allocation () =
   let engine = Sim.Engine.create () in
   let sw =
     Dgmc.Switch.create ~id:0 ~n:6 ~config:Dgmc.Config.atm_lan ~engine
-      ~boot:(Lsr.Lsdb.boot (Net.Topo_gen.grid ~rows:2 ~cols:3 ()))
+      ~boot:(Lsr.Lsdb.boot (Net.Topo_gen.grid ~rows:2 ~cols:3))
       ()
   in
   Dgmc.Switch.connect sw ignore;
@@ -167,7 +167,7 @@ let test_receive_candidate_allocation () =
   let engine = Sim.Engine.create () in
   let sw =
     Dgmc.Switch.create ~id:0 ~n:6 ~config:Dgmc.Config.atm_lan ~engine
-      ~boot:(Lsr.Lsdb.boot (Net.Topo_gen.grid ~rows:2 ~cols:3 ()))
+      ~boot:(Lsr.Lsdb.boot (Net.Topo_gen.grid ~rows:2 ~cols:3))
       ()
   in
   Dgmc.Switch.connect sw ignore;
@@ -382,7 +382,7 @@ let test_config_round_length () =
 let members_of ids role = Dgmc.Member.of_list (List.map (fun x -> (x, role)) ids)
 
 let test_compute_empty_members () =
-  let g = Net.Topo_gen.grid ~rows:3 ~cols:3 () in
+  let g = Net.Topo_gen.grid ~rows:3 ~cols:3 in
   let t =
     Dgmc.Compute.topology Dgmc.Config.atm_lan Dgmc.Mc_id.Symmetric g
       Dgmc.Member.empty ~self:0 ~current:None
@@ -390,7 +390,7 @@ let test_compute_empty_members () =
   check Alcotest.bool "empty tree" true (Mctree.Tree.equal t Mctree.Tree.empty)
 
 let test_compute_symmetric_scratch () =
-  let g = Net.Topo_gen.grid ~rows:3 ~cols:3 () in
+  let g = Net.Topo_gen.grid ~rows:3 ~cols:3 in
   let members = members_of [ 0; 2; 6; 8 ] Dgmc.Member.Both in
   let t =
     Dgmc.Compute.topology Dgmc.Config.atm_lan Dgmc.Mc_id.Symmetric g members
@@ -401,7 +401,7 @@ let test_compute_symmetric_scratch () =
     (Mctree.Tree.equal t (Mctree.Steiner.sph g [ 0; 2; 6; 8 ]))
 
 let test_compute_asymmetric_root () =
-  let g = Net.Topo_gen.grid ~rows:3 ~cols:3 () in
+  let g = Net.Topo_gen.grid ~rows:3 ~cols:3 in
   let members =
     Dgmc.Member.of_list
       [ (5, Dgmc.Member.Sender); (0, Dgmc.Member.Receiver); (7, Dgmc.Member.Receiver) ]
@@ -424,7 +424,7 @@ let test_compute_asymmetric_root () =
    value: the incremental graft keeps the tree 0-1-4 and hangs 3 off 0,
    while SPH from scratch routes through 3. *)
 let test_compute_incremental_join_used () =
-  let g = Net.Topo_gen.grid ~rows:3 ~cols:3 () in
+  let g = Net.Topo_gen.grid ~rows:3 ~cols:3 in
   let current =
     Dgmc.Compute.topology Dgmc.Config.atm_lan Dgmc.Mc_id.Symmetric g
       (members_of [ 0; 4 ] Dgmc.Member.Both)
@@ -442,7 +442,7 @@ let test_compute_incremental_join_used () =
     (Mctree.Tree.terminals t)
 
 let test_compute_incremental_disabled () =
-  let g = Net.Topo_gen.grid ~rows:3 ~cols:3 () in
+  let g = Net.Topo_gen.grid ~rows:3 ~cols:3 in
   let config = { Dgmc.Config.atm_lan with computation = Scratch } in
   let current =
     Dgmc.Compute.topology config Dgmc.Mc_id.Symmetric g
@@ -458,7 +458,7 @@ let test_compute_incremental_disabled () =
     [ (0, 3); (3, 4) ] (Mctree.Tree.edges t)
 
 let test_compute_leave_and_repair () =
-  let g = Net.Topo_gen.grid ~rows:3 ~cols:3 () in
+  let g = Net.Topo_gen.grid ~rows:3 ~cols:3 in
   let members = members_of [ 0; 2; 8 ] Dgmc.Member.Both in
   let current =
     Dgmc.Compute.topology Dgmc.Config.atm_lan Dgmc.Mc_id.Symmetric g members
@@ -501,7 +501,7 @@ let test_compute_partition_fallback () =
    path, so the profiles agree), and the bound is 1.2x that; the
    map-backed tree measured 1,670 and 1,665. *)
 let test_compute_incremental_join_allocation () =
-  let g = Net.Topo_gen.waxman (Sim.Rng.create 7) ~n:100 ~target_degree:3.5 () in
+  let g = Net.Topo_gen.waxman (Sim.Rng.create 7) ~n:100 in
   let ids = List.init 13 (fun i -> (i * 37) mod 100) in
   let joiner = List.hd ids and old_ids = List.tl ids in
   let current = Mctree.Steiner.sph g old_ids in
@@ -527,7 +527,7 @@ let test_compute_incremental_join_allocation () =
    kernel's edge buffer without building a tree measured 730, and the
    list-based attach loop it replaced 5,719.  The bound stays 880. *)
 let test_drift_check_allocation () =
-  let g = Net.Topo_gen.waxman (Sim.Rng.create 7) ~n:100 ~target_degree:3.5 () in
+  let g = Net.Topo_gen.waxman (Sim.Rng.create 7) ~n:100 in
   let tree = Mctree.Steiner.sph g (List.init 13 (fun i -> (i * 37) mod 100)) in
   let drift () = Mctree.Incremental.recompute ~threshold:1.5 g tree in
   check Alcotest.bool "a fresh tree does not drift" true (Option.is_none (drift ()));
@@ -542,7 +542,7 @@ let test_drift_check_allocation () =
    the optimum, so no drift is below 0.5, and a threshold of 0.25 sends
    every incremental computation past it. *)
 let test_compute_past_threshold () =
-  let g = Net.Topo_gen.waxman (Sim.Rng.create 7) ~n:100 ~target_degree:3.5 () in
+  let g = Net.Topo_gen.waxman (Sim.Rng.create 7) ~n:100 in
   let ids = List.init 13 (fun i -> (i * 37) mod 100) in
   let current = Mctree.Steiner.sph g (List.tl ids) in
   let members = members_of ids Dgmc.Member.Both in

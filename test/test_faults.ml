@@ -185,7 +185,7 @@ let test_reorder_hold_back_bounded () =
     (!widest > 3.9)
 
 let test_transparent_plan_is_invisible () =
-  let plan = Faults.Plan.create ~seed:1 () in
+  let plan = Faults.Plan.create ~spec:Oracle.Plan.transparent ~seed:1 () in
   for i = 0 to 99 do
     check
       Alcotest.(list (float 1e-9))
@@ -243,7 +243,7 @@ let test_transmit_allocates_nothing () =
 let lost plan ~src ~dst ~now = copies plan ~src ~dst ~now = []
 
 let test_partition_severs_both_ways () =
-  let plan = Faults.Plan.create ~seed:3 () in
+  let plan = Faults.Plan.create ~spec:Oracle.Plan.transparent ~seed:3 () in
   Faults.Plan.partition plan ~side:[ 0; 1 ] ~from_:10.0 ~until:20.0;
   (* Inside the window: side <-> rest blocked in both directions. *)
   check Alcotest.bool "side -> rest blocked" true
@@ -263,7 +263,7 @@ let test_partition_severs_both_ways () =
     (Faults.Plan.partition_windows plan)
 
 let test_crash_blocks_to_and_from () =
-  let plan = Faults.Plan.create ~seed:3 () in
+  let plan = Faults.Plan.create ~spec:Oracle.Plan.transparent ~seed:3 () in
   Faults.Plan.crash_switch plan ~switch:2 ~from_:5.0 ~until:8.0;
   check Alcotest.bool "to the crashed switch" true
     (lost plan ~src:0 ~dst:2 ~now:6.0);

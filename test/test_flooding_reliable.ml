@@ -35,7 +35,7 @@ let faulty_transmit plan engine ~src ~dst ~base_delay delays =
     delays
 
 let test_all_delivered_under_loss () =
-  let graph = Net.Topo_gen.waxman (Sim.Rng.create 5) ~n:15 ~target_degree:3.5 () in
+  let graph = Net.Topo_gen.waxman (Sim.Rng.create 5) ~n:15 in
   let spec =
     Oracle.Plan.spec "drop=0.3,dup=0.2,reorder=0.2"
   in
@@ -104,7 +104,7 @@ let test_partitioned_switch_times_out () =
      converges, the transfers toward 3 are abandoned, and the engine
      quiesces cleanly. *)
   let graph = Net.Topo_gen.line 4 in
-  let plan = Faults.Plan.create ~seed:2 () in
+  let plan = Faults.Plan.create ~spec:Oracle.Plan.transparent ~seed:2 () in
   Faults.Plan.crash_switch plan ~switch:3 ~from_:0.0 ~until:1e12;
   let engine_ref = ref None in
   let transmit ~src ~dst ~base_delay delays =
@@ -162,7 +162,7 @@ end)
    below its high-water marks.  [deliver] must still fire exactly once
    per (switch, origin, seq), checked against a plain reference set. *)
 let test_exactly_once_under_reordering mode () =
-  let graph = Net.Topo_gen.waxman (Sim.Rng.create 3) ~n:12 ~target_degree:3.5 () in
+  let graph = Net.Topo_gen.waxman (Sim.Rng.create 3) ~n:12 in
   let n = Net.Graph.n_nodes graph in
   let spec =
     Oracle.Plan.spec "dup=0.3,reorder=0.3,jitter=0.5"
@@ -222,7 +222,7 @@ let test_lossless_reliable_matches_hop_by_hop () =
   (* Satellite: counter semantics.  Without faults, Reliable sends
      exactly Hop_by_hop's data messages; its cost is isolated in acks
      (one per received data copy) with zero retransmissions. *)
-  let graph = Net.Topo_gen.waxman (Sim.Rng.create 3) ~n:12 ~target_degree:3.5 () in
+  let graph = Net.Topo_gen.waxman (Sim.Rng.create 3) ~n:12 in
   let run mode =
     let f, engine, log = make graph ~t_hop:1.0 ~mode in
     List.iter
@@ -279,7 +279,7 @@ let test_giveup_once_crash_window_closes_mid_backoff () =
      all when the crash window closes between two backoff attempts (the
      give-up path used to be able to race a late retransmit timer). *)
   let graph = Net.Topo_gen.line 2 in
-  let plan = Faults.Plan.create ~seed:4 () in
+  let plan = Faults.Plan.create ~spec:Oracle.Plan.transparent ~seed:4 () in
   (* rto=4, retries=3: attempts at 0, 4, 12, 28 hop-times; the window
      closes at 20.0, mid-way through the final backoff wait. *)
   Faults.Plan.crash_switch plan ~switch:1 ~from_:0.0 ~until:20.0;
@@ -301,7 +301,7 @@ let test_giveup_once_crash_window_closes_mid_backoff () =
   check Alcotest.int "state aged out" 0 (Lsr.Flooding.pending_retransmits f);
   (* Same schedule against a window outliving every attempt: abandoned
      exactly once, no second count from the abandoned timer. *)
-  let plan2 = Faults.Plan.create ~seed:4 () in
+  let plan2 = Faults.Plan.create ~spec:Oracle.Plan.transparent ~seed:4 () in
   Faults.Plan.crash_switch plan2 ~switch:1 ~from_:0.0 ~until:1e12;
   let engine_ref2 = ref None in
   let transmit2 ~src ~dst ~base_delay delays =
@@ -420,7 +420,7 @@ let test_abandon_link_cancels_only_its_link () =
 let lossy_flood_words_per_message () =
   let n = 100 in
   let graph =
-    Net.Topo_gen.waxman (Sim.Rng.create 7) ~n ~target_degree:3.5 ()
+    Net.Topo_gen.waxman (Sim.Rng.create 7) ~n
   in
   let spec =
     {

@@ -60,7 +60,7 @@ let test_damping_lifecycle () =
 
 let test_config_validation () =
   let ok =
-    Health.Config.make ~period:0.5
+    Health.Config.make ~period:0.5 ~detector:3
       ~damping:
         {
           Health.Config.d_penalty = 1.0;
@@ -104,12 +104,12 @@ let test_config_validation () =
 let mc = Dgmc.Mc_id.make Dgmc.Mc_id.Symmetric 1
 
 let health_cfg ?damping ~horizon () =
-  Health.Config.make ~period:0.0005 ?damping ~horizon ()
+  Health.Config.make ~period:0.0005 ~detector:3 ?damping ~horizon ()
 
 (* A grid conference; the harness downs a link at [t_down] as ground
    truth only, so the detectors must discover it. *)
 let run_detection ?damping () =
-  let graph = Net.Topo_gen.grid ~rows:3 ~cols:3 () in
+  let graph = Net.Topo_gen.grid ~rows:3 ~cols:3 in
   let hc = health_cfg ?damping ~horizon:0.08 () in
   let config = { Dgmc.Config.atm_lan with Dgmc.Config.health = Some hc } in
   let metrics = Metrics.Registry.create () in

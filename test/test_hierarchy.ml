@@ -49,7 +49,7 @@ let test_clustered_inter_links () =
 (* Construction validation *)
 
 let test_create_validation () =
-  let graph = Net.Topo_gen.grid ~rows:2 ~cols:4 () in
+  let graph = Net.Topo_gen.grid ~rows:2 ~cols:4 in
   Alcotest.check_raises "overlap" (Invalid_argument "Hmc: switch 0 in two areas")
     (fun () ->
       ignore
@@ -62,7 +62,7 @@ let test_create_validation () =
         (Hierarchy.Hmc.create ~graph
            ~partition:[| [ 0; 1; 2 ]; [ 4; 5; 6 ] |]
            ~config:Dgmc.Config.atm_lan ()));
-  let hc = Health.Config.make ~period:0.0005 ~horizon:0.08 () in
+  let hc = Health.Config.make ~period:0.0005 ~detector:3 ~horizon:0.08 () in
   Alcotest.check_raises "health layer"
     (Invalid_argument "Hmc.create: the link-health layer is not supported")
     (fun () ->

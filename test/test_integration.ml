@@ -154,7 +154,10 @@ let test_mospf_run_grows_with_sources () =
 (* Figure sweeps (tiny parameterizations) *)
 
 let test_fig6_shape () =
-  let r = Experiments.Figures.fig6 ~sizes:[ 15; 25 ] ~seeds:[ 1; 2 ] () in
+  let r =
+    Experiments.Figures.fig6 ~domains:1 ~sizes:[ 15; 25 ] ~seeds:[ 1; 2 ]
+      ~members:10
+  in
   check Alcotest.bool "all converged" true r.all_converged;
   check Alcotest.int "two points" 2 (List.length r.proposals.points);
   List.iter
@@ -164,11 +167,17 @@ let test_fig6_shape () =
     r.proposals.points
 
 let test_fig7_shape () =
-  let r = Experiments.Figures.fig7 ~sizes:[ 15; 25 ] ~seeds:[ 1; 2 ] () in
+  let r =
+    Experiments.Figures.fig7 ~domains:1 ~sizes:[ 15; 25 ] ~seeds:[ 1; 2 ]
+      ~members:10
+  in
   check Alcotest.bool "all converged" true r.all_converged;
   (* WAN regime: more conflict, more computations than the ATM regime
      (the paper's Experiment 2 observation). *)
-  let atm = Experiments.Figures.fig6 ~sizes:[ 15; 25 ] ~seeds:[ 1; 2 ] () in
+  let atm =
+    Experiments.Figures.fig6 ~domains:1 ~sizes:[ 15; 25 ] ~seeds:[ 1; 2 ]
+      ~members:10
+  in
   let mean_of (s : Experiments.Figures.series) =
     Metrics.Stats.mean (List.map (fun (_, p) -> p.Metrics.Stats.mean) s.points)
   in
@@ -176,7 +185,10 @@ let test_fig7_shape () =
     (mean_of r.proposals > mean_of atm.proposals)
 
 let test_fig8_shape () =
-  let r = Experiments.Figures.fig8 ~sizes:[ 15 ] ~seeds:[ 1; 2 ] ~events:15 () in
+  let r =
+    Experiments.Figures.fig8 ~domains:1 ~sizes:[ 15 ] ~seeds:[ 1; 2 ] ~events:15
+      ~gap_rounds:50.0
+  in
   check Alcotest.bool "converged" true r.n_all_converged;
   List.iter
     (fun (_, (s : Metrics.Stats.summary)) ->
@@ -185,7 +197,8 @@ let test_fig8_shape () =
 
 let test_compare_ordering () =
   let c =
-    Experiments.Figures.compare_protocols ~sizes:[ 20; 40 ] ~seeds:[ 1 ] ()
+    Experiments.Figures.compare_protocols ~domains:1 ~sizes:[ 20; 40 ]
+      ~seeds:[ 1 ] ~members:10 ~sources:3
   in
   List.iter
     (fun n ->
@@ -200,7 +213,7 @@ let test_compare_ordering () =
     c.c_sizes
 
 let test_cbt_comparison_shape () =
-  let rows = Experiments.Figures.cbt_comparison ~seed:2 ~n:40 ~receivers:8 ~senders:4 () in
+  let rows = Experiments.Figures.cbt_comparison ~seed:2 ~n:40 ~receivers:8 ~senders:4 in
   check Alcotest.int "six configurations" 6 (List.length rows);
   let find prefix =
     List.find
@@ -232,7 +245,10 @@ let test_cbt_comparison_shape () =
 (* Extension-experiment harnesses (tiny parameterizations) *)
 
 let test_scale_hierarchy_wins () =
-  let rows = Experiments.Scale.hier_vs_flat ~seeds:[ 1 ] ~areas:4 ~per_area:8 ~events:8 () in
+  let rows =
+    Experiments.Scale.hier_vs_flat ~domains:1 ~seeds:[ 1 ] ~areas:4 ~per_area:8
+      ~events:8
+  in
   match rows with
   | [ flat; hier ] ->
     check Alcotest.string "flat row" "flat" flat.protocol;
@@ -245,8 +261,8 @@ let test_scale_hierarchy_wins () =
   | _ -> Alcotest.fail "expected two rows"
 
 let test_extra_burst_sweep () =
-  let rows = Experiments.Extra.burst_size ~seeds:[ 1; 2 ] ~n:20 ~sizes:[ 2; 6 ] () in
-  check Alcotest.int "two rows" 2 (List.length rows);
+  let rows = Experiments.Extra.burst_size ~seeds:[ 1; 2 ] in
+  check Alcotest.int "five rows" 5 (List.length rows);
   List.iter
     (fun (r : Experiments.Extra.burst_row) ->
       check Alcotest.bool "converged" true r.all_converged;
@@ -256,7 +272,7 @@ let test_extra_burst_sweep () =
 
 let test_extra_independence_flat () =
   let rows =
-    Experiments.Extra.mc_independence ~seeds:[ 1; 2 ] ~n:20 ~members:4 ()
+    Experiments.Extra.mc_independence ~seeds:[ 1; 2 ]
   in
   match rows with
   | [ one; _; _; eight ] ->
@@ -271,7 +287,7 @@ let test_extra_independence_flat () =
 
 let test_ablation_incremental_converges () =
   let rows =
-    Experiments.Ablation.incremental_vs_scratch ~seeds:[ 1 ] ~n:20 ()
+    Experiments.Ablation.incremental_vs_scratch ~seeds:[ 1 ]
   in
   List.iter
     (fun (r : Experiments.Ablation.incremental_row) ->

@@ -147,7 +147,7 @@ let test_flooding_rejects_bad_lsa () =
    later floods reuse. *)
 let flood_words_per_message mode =
   let n = 100 in
-  let g = Net.Topo_gen.waxman (Sim.Rng.create 7) ~n ~target_degree:3.5 () in
+  let g = Net.Topo_gen.waxman (Sim.Rng.create 7) ~n in
   let engine = Sim.Engine.create () in
   let f =
     Lsr.Flooding.create ~engine ~graph:g ~t_hop:1.0 ~mode
@@ -207,7 +207,7 @@ let test_flood_hop_allocation () =
    the in-flight table and the calendar first. *)
 let first_flood_words mode =
   let n = 100 in
-  let g = Net.Topo_gen.waxman (Sim.Rng.create 7) ~n ~target_degree:3.5 () in
+  let g = Net.Topo_gen.waxman (Sim.Rng.create 7) ~n in
   let engine = Sim.Engine.create () in
   let f =
     Lsr.Flooding.create ~engine ~graph:g ~t_hop:1.0 ~mode

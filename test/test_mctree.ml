@@ -9,9 +9,9 @@ let house () =
     [ (0, 1, 1.0); (1, 2, 1.0); (0, 3, 4.0); (2, 4, 1.0); (3, 4, 1.0) ]
 
 (* A 3x3 grid with unit weights; node ids row-major. *)
-let grid () = Net.Topo_gen.grid ~rows:3 ~cols:3 ()
+let grid () = Net.Topo_gen.grid ~rows:3 ~cols:3
 
-let random_graph seed n = Net.Topo_gen.waxman (Sim.Rng.create seed) ~n ~target_degree:3.5 ()
+let random_graph seed n = Net.Topo_gen.waxman (Sim.Rng.create seed) ~n
 
 (* ------------------------------------------------------------------ *)
 (* Tree *)

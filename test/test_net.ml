@@ -211,7 +211,7 @@ let test_dijkstra_path () =
 
 let test_dijkstra_path_valid () =
   let rng = Sim.Rng.create 21 in
-  let g = Net.Topo_gen.waxman rng ~n:40 ~target_degree:3.5 () in
+  let g = Net.Topo_gen.waxman rng ~n:40 in
   let r = Net.Dijkstra.run g 0 in
   for dst = 0 to 39 do
     match Net.Dijkstra.path_of_result r ~src:0 ~dst with
@@ -255,7 +255,7 @@ let test_dijkstra_unit_weights_match_bfs () =
 
 let test_dijkstra_all_pairs_symmetric () =
   let rng = Sim.Rng.create 41 in
-  let g = Net.Topo_gen.waxman rng ~n:25 () in
+  let g = Net.Topo_gen.waxman rng ~n:25 in
   let d = Oracle.Dijkstra.all_pairs g in
   for u = 0 to 24 do
     for v = 0 to 24 do
@@ -271,7 +271,7 @@ let test_dijkstra_all_pairs_symmetric () =
    graph is not mutated while the domains run. *)
 let test_dijkstra_memo_domain_race () =
   let n = 400 in
-  let g = Net.Topo_gen.waxman (Sim.Rng.create 71) ~n () in
+  let g = Net.Topo_gen.waxman (Sim.Rng.create 71) ~n in
   (* Build the cached adjacency rows up front, so only the memo races. *)
   ignore (Net.Graph.n_edges g);
   let edges = Array.of_list (Net.Graph.edges g) in
@@ -319,7 +319,7 @@ let test_mst_random_spans () =
   let rng = Sim.Rng.create 51 in
   for seed = 1 to 10 do
     ignore seed;
-    let g = Net.Topo_gen.waxman rng ~n:30 () in
+    let g = Net.Topo_gen.waxman rng ~n:30 in
     let mst = Net.Mst.kruskal g in
     check Alcotest.int "tree size" 29 (List.length mst);
     check Alcotest.bool "spans" true (Oracle.Mst.spans g mst)
@@ -342,7 +342,7 @@ let test_mst_minimality_vs_random_tree () =
   (* The MST cost never exceeds the cost of a random spanning tree built
      by BFS. *)
   let rng = Sim.Rng.create 61 in
-  let g = Net.Topo_gen.waxman rng ~n:25 () in
+  let g = Net.Topo_gen.waxman rng ~n:25 in
   let mst_cost = Oracle.Mst.cost (Net.Mst.kruskal g) in
   (* BFS tree from node 0. *)
   let r = Net.Dijkstra.run g 0 in
@@ -358,14 +358,14 @@ let test_mst_minimality_vs_random_tree () =
 let test_topo_waxman_connected () =
   for seed = 1 to 10 do
     let rng = Sim.Rng.create seed in
-    let g = Net.Topo_gen.waxman rng ~n:50 () in
+    let g = Net.Topo_gen.waxman rng ~n:50 in
     check Alcotest.bool "connected" true (Net.Bfs.is_connected g);
     check Alcotest.int "node count" 50 (Net.Graph.n_nodes g)
   done
 
 let test_topo_waxman_deterministic () =
-  let g1 = Net.Topo_gen.waxman (Sim.Rng.create 5) ~n:30 () in
-  let g2 = Net.Topo_gen.waxman (Sim.Rng.create 5) ~n:30 () in
+  let g1 = Net.Topo_gen.waxman (Sim.Rng.create 5) ~n:30 in
+  let g2 = Net.Topo_gen.waxman (Sim.Rng.create 5) ~n:30 in
   check Alcotest.bool "same seed, same graph" true (Oracle.Graph.equal g1 g2)
 
 let test_topo_waxman_target_degree () =
@@ -375,7 +375,7 @@ let test_topo_waxman_target_degree () =
         List.map
           (fun seed ->
             let rng = Sim.Rng.create seed in
-            let g = Net.Topo_gen.waxman rng ~n ~target_degree:3.5 () in
+            let g = Net.Topo_gen.waxman rng ~n in
             2.0 *. float_of_int (Net.Graph.n_edges g) /. float_of_int n)
           [ 1; 2; 3; 4; 5 ]
       in
@@ -403,7 +403,7 @@ let test_topo_regular_shapes () =
   check Alcotest.int "complete edges" 15
     (Net.Graph.n_edges (Net.Topo_gen.complete 6));
   check Alcotest.int "grid edges" 12
-    (Net.Graph.n_edges (Net.Topo_gen.grid ~rows:3 ~cols:3 ()));
+    (Net.Graph.n_edges (Net.Topo_gen.grid ~rows:3 ~cols:3));
   List.iter
     (fun g -> check Alcotest.bool "connected" true (Net.Bfs.is_connected g))
     [
@@ -411,11 +411,11 @@ let test_topo_regular_shapes () =
       Net.Topo_gen.line 6;
       Net.Topo_gen.star 6;
       Net.Topo_gen.complete 6;
-      Net.Topo_gen.grid ~rows:3 ~cols:4 ();
+      Net.Topo_gen.grid ~rows:3 ~cols:4;
     ]
 
 let test_topo_grid_structure () =
-  let g = Net.Topo_gen.grid ~rows:2 ~cols:3 () in
+  let g = Net.Topo_gen.grid ~rows:2 ~cols:3 in
   (* 0 1 2 / 3 4 5 *)
   check Alcotest.bool "right neighbor" true (Net.Graph.has_edge g 0 1);
   check Alcotest.bool "down neighbor" true (Net.Graph.has_edge g 1 4);

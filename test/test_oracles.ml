@@ -29,7 +29,7 @@
 let check = Alcotest.check
 
 let random_graph seed n =
-  Net.Topo_gen.waxman (Sim.Rng.create seed) ~n ~target_degree:3.5 ()
+  Net.Topo_gen.waxman (Sim.Rng.create seed) ~n
 
 (* ------------------------------------------------------------------ *)
 (* Bellman-Ford oracle *)
@@ -153,7 +153,7 @@ let test_heuristics_vs_exact_steiner () =
 
 let test_exact_oracle_sanity () =
   (* On the 3x3 grid corners the optimum is known to be 6. *)
-  let g = Net.Topo_gen.grid ~rows:3 ~cols:3 () in
+  let g = Net.Topo_gen.grid ~rows:3 ~cols:3 in
   check Alcotest.(float 1e-9) "grid corners optimum" 6.0
     (exact_steiner_cost g [ 0; 2; 6; 8 ]);
   (* Two terminals: optimum = shortest path. *)
@@ -693,8 +693,8 @@ let differential_graphs () =
         [
           ("ring 8", Net.Topo_gen.ring 8);
           ("ring 11", Net.Topo_gen.ring 11);
-          ("grid 3x4", Net.Topo_gen.grid ~rows:3 ~cols:4 ());
-          ("grid 5x5", Net.Topo_gen.grid ~rows:5 ~cols:5 ());
+          ("grid 3x4", Net.Topo_gen.grid ~rows:3 ~cols:4);
+          ("grid 5x5", Net.Topo_gen.grid ~rows:5 ~cols:5);
           ("complete 7", Net.Topo_gen.complete 7);
         ];
         List.init 6 (fun i ->
@@ -1415,7 +1415,7 @@ let test_fade_candidates_vs_search () =
           Net.Topo_gen.ring 9;
           Net.Topo_gen.line 7;
           Net.Topo_gen.star 6;
-          Net.Topo_gen.grid ~rows:3 ~cols:5 ();
+          Net.Topo_gen.grid ~rows:3 ~cols:5;
           Net.Topo_gen.complete 6;
           Net.Graph.create 1;
           Oracle.Graph.of_edges 4 [ (0, 1, 1.0); (2, 3, 1.0) ];
@@ -1695,8 +1695,8 @@ let test_hop_diameter_shapes () =
          else []);
         (if n >= 2 then [ ("path ending high", path_ending_high n) ] else []);
         [
-          ("grid 1 row", Net.Topo_gen.grid ~rows:1 ~cols:n ());
-          ("grid", Net.Topo_gen.grid ~rows:(max 1 (n / 8)) ~cols:8 ());
+          ("grid 1 row", Net.Topo_gen.grid ~rows:1 ~cols:n);
+          ("grid", Net.Topo_gen.grid ~rows:(max 1 (n / 8)) ~cols:8);
         ];
       ]
   in

@@ -933,8 +933,8 @@ module Topo_oracle = struct
     in
     join ()
 
-  let waxman rng ~n ?target_degree () =
-    let alpha = 0.25 and beta = 0.2 and scale = 10.0 in
+  let waxman rng ~n =
+    let degree = 3.5 and beta = 0.2 and scale = 10.0 in
     let pos = Array.init n (fun _ ->
         let x = Sim.Rng.float rng 1.0 in
         let y = Sim.Rng.float rng 1.0 in
@@ -951,19 +951,13 @@ module Topo_oracle = struct
       done
     done;
     let l = if !l = 0.0 then 1.0 else !l in
-    let alpha =
-      match target_degree with
-      | None -> alpha
-      | Some degree ->
-        let sum = ref 0.0 in
-        for u = 0 to n - 1 do
-          for v = u + 1 to n - 1 do
-            sum := !sum +. exp (-.dist u v /. (beta *. l))
-          done
-        done;
-        if !sum <= 0.0 then alpha
-        else Float.min 1.0 (float_of_int n *. degree /. (2.0 *. !sum))
-    in
+    let sum = ref 0.0 in
+    for u = 0 to n - 1 do
+      for v = u + 1 to n - 1 do
+        sum := !sum +. exp (-.dist u v /. (beta *. l))
+      done
+    done;
+    let alpha = Float.min 1.0 (float_of_int n *. degree /. (2.0 *. !sum)) in
     let g = Net.Graph.create n in
     let weight_of u v = Float.max 1e-6 (scale *. dist u v) in
     for u = 0 to n - 1 do
@@ -999,16 +993,10 @@ let test_generators_match_oracle () =
   for seed = 1 to 60 do
     List.iter
       (fun n ->
-        List.iter
-          (fun (name, target_degree) ->
-            let fast = Net.Topo_gen.waxman (Sim.Rng.create seed) ~n ?target_degree () in
-            let slow = Topo_oracle.waxman (Sim.Rng.create seed) ~n ?target_degree () in
-            if not (same_graph fast slow) then
-              Alcotest.failf "waxman %s differs at seed=%d n=%d" name seed n)
-          ([ ("plain", None); ("degree 3.5", Some 3.5) ]
-          (* Sparse draws leave many components, where the rescan loop
-             costs O(k n^2): keep them to the smaller sizes. *)
-          @ if n <= 100 then [ ("degree 1.0", Some 1.0) ] else []);
+        let fast = Net.Topo_gen.waxman (Sim.Rng.create seed) ~n in
+        let slow = Topo_oracle.waxman (Sim.Rng.create seed) ~n in
+        if not (same_graph fast slow) then
+          Alcotest.failf "waxman differs at seed=%d n=%d" seed n;
         let fast =
           Oracle.Topo_gen.erdos_renyi (Sim.Rng.create seed) ~n ~min_weight:1.0
             ~max_weight:1.0 ()
@@ -1139,7 +1127,7 @@ let prop_search_memo_matches_fresh =
       triple (int_range 1 10000) (int_range 2 30)
         (list_size (int_range 1 12) (int_range 0 9999)))
     (fun (seed, n, steps) ->
-      let g = Net.Topo_gen.waxman (Sim.Rng.create seed) ~n () in
+      let g = Net.Topo_gen.waxman (Sim.Rng.create seed) ~n in
       memo_matches_fresh g
       && List.for_all
            (fun k ->
@@ -1177,7 +1165,7 @@ let prop_search_memo_follows_lsdb_images =
     QCheck2.Gen.(pair (int_range 1 10000) (int_range 3 30))
     (fun (seed, n) ->
       let boot =
-        Lsr.Lsdb.boot (Net.Topo_gen.waxman (Sim.Rng.create seed) ~n ())
+        Lsr.Lsdb.boot (Net.Topo_gen.waxman (Sim.Rng.create seed) ~n)
       in
       let flipper = Lsr.Lsdb.create boot and reader = Lsr.Lsdb.create boot in
       let sources = List.init n Fun.id in
@@ -1696,7 +1684,10 @@ let prop_search_finds_iff_explore_finds =
         else Dgmc.Config.atm_lan
       in
       let _, scenario = search_scenario_of ~config c in
-      let guided = Check.Search.forward scenario in
+      let guided =
+        Check.Search.forward ~target:Oracle.Search.any ~max_states:50_000
+          ~domains:1 scenario
+      in
       let exhaustive = Oracle.Explore.run scenario in
       let counts (o : Check.Explore.outcome) =
         (o.states, o.transitions, o.terminals)
@@ -1728,7 +1719,8 @@ let prop_search_domains_identical =
       let _, scenario = search_scenario_of ~config c in
       let render domains =
         Format.asprintf "%a" Check.Search.pp_forward
-          (Check.Search.forward ~domains scenario)
+          (Check.Search.forward ~target:Oracle.Search.any ~max_states:50_000
+             ~domains scenario)
       in
       let r1 = render 1 in
       String.equal r1 (render 2) && String.equal r1 (render 4))

@@ -97,7 +97,7 @@ let test_fig6_quick_identical_across_domains () =
   let table domains =
     render_bursty
       (Experiments.Figures.fig6 ~domains ~sizes:[ 20; 60; 100 ]
-         ~seeds:[ 1; 2; 3 ] ())
+         ~seeds:[ 1; 2; 3 ] ~members:10)
   in
   let sequential = table 1 in
   List.iter
@@ -118,7 +118,7 @@ let test_hier_vs_flat_identical_across_domains () =
           (hex r.Experiments.Scale.reach_per_event)
           r.Experiments.Scale.converged)
       (Experiments.Scale.hier_vs_flat ~domains ~seeds:[ 1; 2 ] ~areas:4
-         ~per_area:6 ~events:8 ())
+         ~per_area:6 ~events:8)
   in
   check Alcotest.(list string) "hierarchy rows, 1 vs 3 domains" (rows 1) (rows 3)
 
@@ -156,7 +156,9 @@ let test_fuzz_batch_identical_across_domains () =
      counters (any new failure's shrunk workload and repro line would be
      compared too, via [render_outcome]). *)
   let outcome domains =
-    render_outcome (Check.Fuzz.run ~domains ~seed:1020 ~iterations:25 ())
+    render_outcome
+      (Check.Fuzz.run ~health:false ~domains ~progress:ignore ~seed:1020
+         ~iterations:25)
   in
   let sequential = outcome 1 in
   List.iter
@@ -170,8 +172,9 @@ let test_fuzz_progress_order_is_deterministic () =
   let order domains =
     let seen = ref [] in
     ignore
-      (Check.Fuzz.run ~domains ~progress:(fun s -> seen := s :: !seen) ~seed:5
-         ~iterations:8 ());
+      (Check.Fuzz.run ~health:false ~domains
+         ~progress:(fun s -> seen := s :: !seen)
+         ~seed:5 ~iterations:8);
     List.rev !seen
   in
   check Alcotest.(list int) "progress fires in seed order for any domains"
@@ -203,7 +206,7 @@ let pinned_recovery_seeds = [ 1026; 1028; 1031; 1039; 1113 ]
 let test_pinned_recovery_seeds_agree () =
   List.iter
     (fun seed ->
-      let case = Check.Fuzz.case_of_seed seed in
+      let case = Check.Fuzz.case_of_seed ~health:false seed in
       match Check.Fuzz.run_case case with
       | Ok _ -> ()
       | Error problems ->

@@ -59,21 +59,18 @@ let test_series_eviction_and_late () =
   check int "evictor count" 1 b.p_count;
   check feps "evictor sum (late sample dropped)" 7.0 b.p_sum
 
-let test_series_per_switch_keys () =
+let test_series_name_keys () =
   let s = Metrics.Series.create ~bucket:1.0 ~cap:8 () in
   ignore (Metrics.Series.handle s "unused");
-  Metrics.Series.record (Metrics.Series.handle s "x" ~switch:2) ~time:0.0 1.0;
+  Metrics.Series.record (Metrics.Series.handle s "z") ~time:0.0 1.0;
   Metrics.Series.record (Metrics.Series.handle s "x") ~time:0.0 2.0;
-  Metrics.Series.record (Metrics.Series.handle s "x" ~switch:1) ~time:0.0 3.0;
-  (* A second handle on a key records into the same ring. *)
-  Metrics.Series.record (Metrics.Series.handle s "x" ~switch:1) ~time:0.0 4.0;
+  Metrics.Series.record (Metrics.Series.handle s "y") ~time:0.0 3.0;
+  (* A second handle on a name records into the same ring. *)
+  Metrics.Series.record (Metrics.Series.handle s "y") ~time:0.0 4.0;
   let lines = Metrics.Series.lines s in
-  (* Aggregate (no switch) first, then switches ascending; the handle
-     never recorded into lists nothing. *)
-  check
-    (list (option int))
-    "key order" [ None; Some 1; Some 2 ]
-    (List.map (fun (l : Metrics.Series.line) -> l.l_switch) lines);
+  (* Names ascending; the handle never recorded into lists nothing. *)
+  check (list string) "key order" [ "x"; "y"; "z" ]
+    (List.map (fun (l : Metrics.Series.line) -> l.l_name) lines);
   check (list int) "one ring per key" [ 1; 2; 1 ]
     (List.map
        (fun (l : Metrics.Series.line) ->
@@ -95,10 +92,10 @@ let test_series_lines_pinned () =
          ~config:Dgmc.Config.atm_lan ~members:10 ());
     List.concat_map
       (fun (l : Metrics.Series.line) ->
-        Printf.sprintf "bucket %s cap %d %s %s evicted %d late %d" width cap
-          l.l_name
-          (match l.l_switch with Some s -> string_of_int s | None -> "-")
-          l.l_evicted l.l_late
+        (* A series has no switch label: the fixture's fourth column
+           is "-". *)
+        Printf.sprintf "bucket %s cap %d %s - evicted %d late %d" width cap
+          l.l_name l.l_evicted l.l_late
         :: List.map
              (fun (p : Metrics.Series.point) ->
                Printf.sprintf "%d %d %.17g %.17g %.17g %.17g" p.p_bucket
@@ -657,8 +654,8 @@ let () =
           test_case "bucketing oracle" `Quick test_series_bucketing;
           test_case "eviction and late samples" `Quick
             test_series_eviction_and_late;
-          test_case "per-switch keys ordered" `Quick
-            test_series_per_switch_keys;
+          test_case "name keys ordered" `Quick
+            test_series_name_keys;
           test_case "lines pinned" `Quick test_series_lines_pinned;
         ] );
       ( "sli",

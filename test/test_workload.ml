@@ -43,7 +43,7 @@ let test_events_counts_and_span () =
   check Alcotest.int "count" 3 (Workload.Events.count events)
 
 let test_events_apply_dgmc () =
-  let graph = Net.Topo_gen.grid ~rows:3 ~cols:3 () in
+  let graph = Net.Topo_gen.grid ~rows:3 ~cols:3 in
   let net = Dgmc.Protocol.create ~graph ~config:Dgmc.Config.atm_lan () in
   let events =
     [
@@ -145,7 +145,8 @@ let test_bursty_churn_validation () =
 let test_poisson_count_and_order () =
   let rng = Sim.Rng.create 8 in
   let events =
-    Workload.Poisson.membership rng ~n:20 ~mc:mc_sym ~events:30 ~mean_gap:5.0 ()
+    Workload.Poisson.membership rng ~n:20 ~mc:mc_sym ~events:30 ~mean_gap:5.0
+      ~initial:[] ~start:0.0 ()
   in
   check Alcotest.int "requested count" 30 (List.length events);
   let times = List.map (fun (e : Workload.Events.t) -> e.time) events in
@@ -154,7 +155,8 @@ let test_poisson_count_and_order () =
 let test_poisson_membership_never_dies () =
   let rng = Sim.Rng.create 9 in
   let events =
-    Workload.Poisson.membership rng ~n:10 ~mc:mc_sym ~events:200 ~mean_gap:1.0 ()
+    Workload.Poisson.membership rng ~n:10 ~mc:mc_sym ~events:200 ~mean_gap:1.0
+      ~initial:[] ~start:0.0 ()
   in
   (* Replay: the member set must never become empty after the first join. *)
   let members = ref [] in
@@ -174,7 +176,8 @@ let test_poisson_membership_never_dies () =
 let test_poisson_leaves_only_members () =
   let rng = Sim.Rng.create 10 in
   let events =
-    Workload.Poisson.membership rng ~n:8 ~mc:mc_sym ~events:100 ~mean_gap:1.0 ()
+    Workload.Poisson.membership rng ~n:8 ~mc:mc_sym ~events:100 ~mean_gap:1.0
+      ~initial:[] ~start:0.0 ()
   in
   let members = ref [] in
   List.iter
@@ -203,7 +206,8 @@ let test_poisson_initial_seeds () =
 let test_poisson_gap_scale () =
   let rng = Sim.Rng.create 12 in
   let events =
-    Workload.Poisson.membership rng ~n:20 ~mc:mc_sym ~events:300 ~mean_gap:10.0 ()
+    Workload.Poisson.membership rng ~n:20 ~mc:mc_sym ~events:300 ~mean_gap:10.0
+      ~initial:[] ~start:0.0 ()
   in
   let times = List.map (fun (e : Workload.Events.t) -> e.time) events in
   let span =
