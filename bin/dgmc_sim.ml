@@ -196,15 +196,21 @@ let fig7_cmd =
 (* ------------------------------------------------------------------ *)
 (* fig8 *)
 
+(* The normal-traffic workload: fig8's defaults, and what
+   `run --workload normal` runs. *)
+let normal_events = 40
+
+let normal_gap_rounds = 50.0
+
 let fig8_cmd =
   let events_arg =
     Arg.(
-      value & opt (int_at_least 1) 40
+      value & opt (int_at_least 1) normal_events
       & info [ "events" ] ~doc:"Membership events per run (at least 1).")
   in
   let gap_arg =
     Arg.(
-      value & opt positive_float 50.0
+      value & opt positive_float normal_gap_rounds
       & info [ "gap" ] ~doc:"Mean inter-event gap, in protocol rounds (positive).")
   in
   let run sizes graphs domains events gap_rounds csv =
@@ -468,8 +474,8 @@ let run_cmd =
       | `Bursty ->
         Experiments.Harness.bursty_run ~trace ~seed ~n ~config ~members ()
       | `Normal ->
-        Experiments.Harness.poisson_run ~trace ~seed ~n ~config ~events:40
-          ~gap_rounds:50.0 ()
+        Experiments.Harness.poisson_run ~trace ~seed ~n ~config
+          ~events:normal_events ~gap_rounds:normal_gap_rounds ()
     in
     Printf.printf "switches:            %d\n" r.n;
     Printf.printf "events:              %d\n" r.events;

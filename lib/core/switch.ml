@@ -417,17 +417,21 @@ let no_candidate =
    [candidate] or [lsa]. *)
 let process_lsa t (st : Mc_state.t) (lsa : Mc_lsa.t) candidate =
   let s = lsa.src in
+  (* Whether T >= E, decided once: lines 7 and 8 leave E alone, and
+     T >= max(E, T) iff T >= E, so it is also the check against the E
+     that line 10 makes. *)
+  let current = Timestamp.geq lsa.stamp st.e in
   if Mc_lsa.is_event lsa then begin
     (* Line 7: count the event.  The stamp's own component carries the
        event's index at its source, so "raise to" rather than increment —
        equivalent on in-order floods, and robust when knowledge arrived
        in aggregated form (post-partition resynchronisation). *)
-    st.r <- Timestamp.raise_owned st.r s (Timestamp.get lsa.stamp s);
+    let seq = Timestamp.get lsa.stamp s in
+    st.r <- Timestamp.raise_owned st.r s seq;
     (* Line 8: apply membership changes.  T[S] sequences the events of
        switch S, so a reordered stale membership LSA is counted but not
        applied over a newer one. *)
     if Mc_lsa.is_membership_event lsa then begin
-      let seq = Timestamp.get lsa.stamp s in
       if seq > Timestamp.get st.membership_seen s then begin
         st.membership_seen <- Timestamp.raise_owned st.membership_seen s seq;
         if traced t then
@@ -447,13 +451,13 @@ let process_lsa t (st : Mc_state.t) (lsa : Mc_lsa.t) candidate =
     end
   end;
   (* Line 10: learn what to expect. *)
-  st.e <- Timestamp.merge_owned st.e lsa.stamp;
+  st.e <- Timestamp.merge_owned_known st.e lsa.stamp ~covered:current;
   (* Resynchronisation extension: an up-to-date proposal's member-list
      snapshot is authoritative for everything its stamp covers.  This is
      how a switch that missed events across a healed partition catches
      up without replaying them. *)
   (match lsa.members with
-  | Some snapshot when Timestamp.geq lsa.stamp st.e ->
+  | Some snapshot when current ->
     if not (Member.equal st.members snapshot) then begin
       if traced t then
         tracef t "adopt"
@@ -473,7 +477,7 @@ let process_lsa t (st : Mc_state.t) (lsa : Mc_lsa.t) candidate =
      [supersedes] tie-break), or detect that the sender did not know all
      our local events. *)
   match lsa.proposal with
-  | Some tree when Timestamp.geq lsa.stamp st.e ->
+  | Some tree when current ->
     st.flag <- false;
     let replaces =
       match candidate.Mc_lsa.proposal with

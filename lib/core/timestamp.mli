@@ -42,7 +42,19 @@
     in time linear in the number of nonzero components (plus a log
     factor for a single-component lookup) whatever n is.  An operation
     whose result equals one of its arguments may return that argument
-    itself. *)
+    itself.
+
+    {b Cost of a comparison.}  Each stamp also holds the total of its
+    components, which the in-place operations keep current.  A stamp
+    covers another only if its total is at least as large, and equals
+    it only if the totals are equal.  So {!geq}, {!gt} and {!equal}
+    answer in O(1) when both arguments are one stamp or the totals rule
+    the answer out, and walk the pairs once otherwise; {!gt} is one
+    walk, not {!geq} then {!equal}.  {!merge} and {!merge_owned} make
+    such a comparison each way, the second only when the other
+    argument's total is strictly larger.  The record has four fields:
+    the size, the pairs, the used-slot count with the frozen bit folded
+    in, and the total. *)
 
 type t
 
@@ -80,6 +92,15 @@ val merge_owned : t -> t -> t
     [b]; [b], frozen, when [b] covers [a]; otherwise the componentwise
     maximum written into [a] when [a] is owned and has room, else into
     an owned copy.  [b] is never written. *)
+
+val merge_owned_known : t -> t -> covered:bool -> t
+(** [merge_owned_known a b ~covered] is [merge_owned a b] for a caller
+    that has already computed [covered = geq b a], so that comparison
+    is not made again: when [covered] it reads two totals and returns
+    [a] if they tie (the stamps are equal) and [b], frozen, otherwise.
+    ReceiveLSA uses it for line 10, [E = max(E, T)], after deciding
+    [T >= E].  The result is unspecified when [covered] is not
+    [geq b a]. *)
 
 val geq : t -> t -> bool
 (** [geq a b] is the paper's [a >= b]: every component of [a] is at least

@@ -157,6 +157,59 @@ let test_receive_event_allocation () =
     Alcotest.failf "an in-order event LSA allocated %d words (bound %d)"
       (int_of_float w) bound
 
+(* ReceiveLSA on the shape most deliveries of the normal_wan benchmark
+   workload take: an in-order event LSA that carries its sender's
+   proposal and member snapshot (Figure 4 lines 7-10 flood them with the
+   event), reaching an idle switch whose owned stamps have room.  T >= E
+   is decided once and reused: E adopts the stamp, R and membership_seen
+   are raised in place and then already equal it, so the snapshot's
+   merges return them unwritten, and no stamp is copied.  The member
+   list copies its one array for the join, the snapshot equals it and
+   is not adopted, and the proposal is installed.  What is left is the
+   member copy (1 + 2 words) and the closure of the installation's check
+   for a dead incident link: 9 words in both dune profiles on OCaml 5.1,
+   pinned without slack, so a stamp copy (a record and an array, at
+   least 8 words) cannot come back unseen.  The first LSA is not timed:
+   it gives the state its owned stamps and caches the switch's row of
+   links. *)
+let test_receive_event_proposal_allocation () =
+  let module T = Oracle.Timestamp in
+  let engine = Sim.Engine.create () in
+  let sw =
+    Dgmc.Switch.create ~id:0 ~n:6 ~config:Dgmc.Config.atm_lan ~engine
+      ~boot:(Lsr.Lsdb.boot (Net.Topo_gen.grid ~rows:2 ~cols:3))
+      ()
+  in
+  Dgmc.Switch.connect sw ignore;
+  let mc = Dgmc.Mc_id.make Dgmc.Mc_id.Symmetric 1 in
+  let join src ~tree ~members stamp =
+    Dgmc.Switch.Mc
+      (Dgmc.Mc_lsa.make ~src ~event:(Dgmc.Mc_lsa.Join Dgmc.Member.Both) ~mc
+         ~proposal:tree
+         ~members:
+           (Dgmc.Member.of_list
+              (List.map (fun id -> (id, Dgmc.Member.Both)) members))
+         ~stamp:(T.of_array stamp) ())
+  in
+  Dgmc.Switch.deliver sw
+    (join 1 ~tree:(Mctree.Tree.of_terminals [ 1 ]) ~members:[ 1 ]
+       [| 0; 1; 0; 0; 0; 0 |]);
+  let tree = Mctree.Tree.of_edges ~terminals:[ 1; 2 ] [ (1, 2) ] in
+  let second = join 2 ~tree ~members:[ 1; 2 ] [| 0; 1; 1; 0; 0; 0 |] in
+  let w = Alloc.words_allocated (fun () -> Dgmc.Switch.deliver sw second) in
+  check Alcotest.(list int) "both joins applied" [ 1; 2 ]
+    (Dgmc.Member.ids (Option.get (Dgmc.Switch.members sw mc)));
+  check Alcotest.int "both proposals installed" 2
+    (Dgmc.Switch.stats sw).proposals_accepted;
+  check Alcotest.bool "the tree is installed" true
+    (Mctree.Tree.equal tree (Option.get (Dgmc.Switch.topology sw mc)));
+  let r, e, _ = Option.get (Dgmc.Switch.stamps sw mc) in
+  check stamp_t "R counts both" (ts [| 0; 1; 1; 0; 0; 0 |]) r;
+  check stamp_t "E adopted the stamp" (ts [| 0; 1; 1; 0; 0; 0 |]) e;
+  if w > 9.0 then
+    Alcotest.failf "an in-order proposal LSA allocated %d words (bound 9)"
+      (int_of_float w)
+
 (* ReceiveLSA accepting a proposal as the invocation's candidate and
    not installing it: the LSA repeats the installed proposal, so its
    stamp ties C and its tree ties the installed tree.  The candidate is
@@ -586,6 +639,8 @@ let () =
             test_mc_state_create_is_constant;
           Alcotest.test_case "in-order event LSA allocation bound" `Quick
             test_receive_event_allocation;
+          Alcotest.test_case "in-order proposal LSA allocation bound" `Quick
+            test_receive_event_proposal_allocation;
           Alcotest.test_case "candidate not installed allocates nothing" `Quick
             test_receive_candidate_allocation;
           QCheck_alcotest.to_alcotest prop_merge_commutative;

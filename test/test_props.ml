@@ -402,7 +402,10 @@ module Dense_laws =
    and through the in-place ones, where a register is the owner of its
    stamp, a merge into another register or a [Share] freezes the source
    first, and a register left holding a shared stamp must never see it
-   change. *)
+   change.  The observables include [geq], [gt], [equal] and the pure
+   [merge] of every pair, so a total that an in-place writer left stale
+   shows as a wrong comparison; [Shift] makes pairs whose totals tie but
+   whose components differ, and [Share] pairs that are one stamp. *)
 type stamp_op =
   | Bump of int * int  (** register, switch *)
   | Raise of int * int * int  (** register, switch, value *)
@@ -410,6 +413,11 @@ type stamp_op =
   | Load of int * int array  (** [of_array] into a register *)
   | Mismatch of int  (** merge with a stamp one component larger *)
   | Share of int * int  (** destination takes the source's stamp *)
+  | Merge_known of int * int * int
+      (** [Merge] told whether the right stamp covers the left *)
+  | Shift of int * int * int * int
+      (** destination, source, from, to: the source with one count moved
+          between two switches, so the total stays *)
 
 let pp_stamp_op = function
   | Bump (r, x) -> Printf.sprintf "bump r%d %d" r x
@@ -420,6 +428,8 @@ let pp_stamp_op = function
       (String.concat ";" (Array.to_list (Array.map string_of_int a)))
   | Mismatch r -> Printf.sprintf "mismatch r%d" r
   | Share (r, a) -> Printf.sprintf "r%d := r%d" r a
+  | Merge_known (r, a, b) -> Printf.sprintf "r%d := merge_known r%d r%d" r a b
+  | Shift (r, a, x, y) -> Printf.sprintf "r%d := r%d with %d -> %d" r a x y
 
 let stamp_ops_gen =
   QCheck2.Gen.(
@@ -446,6 +456,12 @@ let stamp_ops_gen =
           (1, map2 (fun r a -> Load (r, a)) reg negative);
           (1, map (fun r -> Mismatch r) reg);
           (1, map2 (fun r a -> Share (r, a)) reg reg);
+          (3, map3 (fun r a b -> Merge_known (r, a, b)) reg reg reg);
+          ( 2,
+            map2
+              (fun (r, a) (x, y) -> Shift (r, a, x, y))
+              (pair reg reg)
+              (pair (int_range 0 (n - 1)) (int_range 0 (n - 1))) );
         ]
     in
     map (fun ops -> (n, ops)) (list_size (int_range 1 40) op))
@@ -459,12 +475,14 @@ module type UPDATES = sig
   val bump : t -> int -> t
   val raise_to : t -> int -> int -> t
   val merge : t -> t -> t
+  val merge_known : t -> t -> covered:bool -> t
   val share : t -> t
 end
 
 module Pure (T : STAMP) = struct
   include T
 
+  let merge_known a b ~covered:_ = T.merge a b
   let share = Fun.id
 end
 
@@ -474,6 +492,7 @@ module In_place = struct
   let bump = Dgmc.Timestamp.bump_owned
   let raise_to = Dgmc.Timestamp.raise_owned
   let merge = Dgmc.Timestamp.merge_owned
+  let merge_known = Dgmc.Timestamp.merge_owned_known
   let share = Dgmc.Timestamp.freeze
 end
 
@@ -494,6 +513,17 @@ module Observe (T : STAMP) (U : UPDATES with type t = T.t) = struct
     | Mismatch r ->
       outcome (fun () -> ignore (U.merge regs.(r) (T.zero (n + 1))); "")
     | Share (r, a) -> outcome (fun () -> regs.(r) <- U.share regs.(a); "")
+    | Merge_known (r, a, b) ->
+      let left = if r = a then regs.(a) else U.share regs.(a) in
+      let covered = T.geq regs.(b) left in
+      outcome (fun () -> regs.(r) <- U.merge_known left regs.(b) ~covered; "")
+    | Shift (r, a, x, y) ->
+      let dense = T.to_array regs.(a) in
+      if dense.(x) > 0 then begin
+        dense.(x) <- dense.(x) - 1;
+        dense.(y) <- dense.(y) + 1
+      end;
+      outcome (fun () -> regs.(r) <- T.of_array dense; "")
 
   (* Everything observable about the registers, as text. *)
   let view regs n =
@@ -527,6 +557,7 @@ module Observe (T : STAMP) (U : UPDATES with type t = T.t) = struct
                 string_of_bool (T.geq a b);
                 string_of_bool (T.gt a b);
                 string_of_bool (T.equal a b);
+                Format.asprintf "%a" T.pp (T.merge a b);
               ])
             (Array.to_list regs))
         (Array.to_list regs)
@@ -554,6 +585,27 @@ let prop_sparse_matches_dense_oracle =
       let dense = Dense_observe.run case in
       List.equal String.equal (Sparse_observe.run case) dense
       && List.equal String.equal (In_place_observe.run case) dense)
+
+(* Totals that tie do not make stamps equal: (2,0) and (1,1), each
+   built in place, are concurrent, and every comparison must walk past
+   the totals to say so. *)
+let test_equal_totals_differ () =
+  let module T = Oracle.Timestamp in
+  let check_stamp = Alcotest.(check (array int)) in
+  let two_zero () = T.raise_owned (T.zero 2) 0 2 in
+  let a = two_zero () in
+  let b = T.bump_owned (T.bump_owned (T.zero 2) 0) 1 in
+  Alcotest.(check (list bool))
+    "geq, geq, gt, gt, equal" [ false; false; false; false; false ]
+    [ T.geq a b; T.geq b a; T.gt a b; T.gt b a; T.equal a b ];
+  check_stamp "merge" [| 2; 1 |] (T.to_array (T.merge a b));
+  check_stamp "merge_owned_known" [| 2; 1 |]
+    (T.to_array (T.merge_owned_known (two_zero ()) b ~covered:false));
+  let m = T.merge_owned a b in
+  Alcotest.(check bool) "merge_owned writes in place" true (m == a);
+  check_stamp "merge_owned" [| 2; 1 |] (T.to_array m);
+  Alcotest.(check bool) "the merge now covers b" true (T.gt m b);
+  check_stamp "b is untouched" [| 1; 1 |] (T.to_array b)
 
 (* ------------------------------------------------------------------ *)
 (* Stamp ownership at the switch
@@ -1816,6 +1868,8 @@ let () =
         Sparse_laws.tests
         @ [
             QCheck_alcotest.to_alcotest prop_sparse_matches_dense_oracle;
+            Alcotest.test_case "timestamp: equal totals, different components"
+              `Quick test_equal_totals_differ;
             QCheck_alcotest.to_alcotest prop_handed_out_stamps_never_change;
           ]
         @ Dense_laws.tests );
