@@ -53,7 +53,7 @@ let () =
   (* The same service on CBT, with its core chosen blind (first member)
      versus by an oracle (median). *)
   let run_cbt label core =
-    let cbt = Baselines.Cbt.create ~graph ~core () in
+    let cbt = Baselines.Cbt.create ~graph ~core in
     List.iter (Baselines.Cbt.join cbt) replicas;
     let loads = Hashtbl.create 32 in
     let delays = ref [] in

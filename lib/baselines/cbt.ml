@@ -8,7 +8,7 @@ type t = {
   mutable messages : int;
 }
 
-let create ~graph ~core () =
+let create ~graph ~core =
   if core < 0 || core >= Net.Graph.n_nodes graph then
     invalid_arg "Cbt.create: core out of range";
   {

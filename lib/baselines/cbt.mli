@@ -18,7 +18,7 @@
 
 type t
 
-val create : graph:Net.Graph.t -> core:int -> unit -> t
+val create : graph:Net.Graph.t -> core:int -> t
 (** A fresh group anchored at [core].  The core is on the tree from the
     start (RFC-style primary core). *)
 

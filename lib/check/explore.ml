@@ -27,7 +27,7 @@ type outcome = {
    copies share its image store (which their link flips add to) and its
    graphs' lazy caches, so each domain builds its own. *)
 let base scenario =
-  let h = Harness.create ~graph:scenario.graph ~config:scenario.config () in
+  let h = Harness.create ~graph:scenario.graph ~config:scenario.config in
   List.iter (Harness.inject h) scenario.setup;
   Harness.settle h;
   List.iter (Harness.inject h) scenario.race;

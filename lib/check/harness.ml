@@ -109,7 +109,7 @@ let connect t =
         | Start { timer; delay } -> start t i timer ~delay))
     t.switches
 
-let create ~graph ~config () =
+let create ~graph ~config =
   if Option.is_some config.Dgmc.Config.health then
     invalid_arg "Harness.create: the link-health layer is not modelled";
   (* The switches' image store and the ground truth the harness mutates
@@ -126,7 +126,7 @@ let create ~graph ~config () =
       net_graph = graph;
       switches =
         Array.init n (fun id ->
-            Dgmc.Switch.create ~id ~n ~config ~engine ~boot ());
+            Dgmc.Switch.create ~id ~n ~config ~engine ~boot);
       fps = Array.make n "";
       timers = Array.make n { now = 0.0; due = [] };
       msgs = Hashtbl.create 64;

@@ -70,7 +70,7 @@ type action =
 
 type t
 
-val create : graph:Net.Graph.t -> config:Dgmc.Config.t -> unit -> t
+val create : graph:Net.Graph.t -> config:Dgmc.Config.t -> t
 (** Fresh network; [graph] is copied (the harness owns the ground
     truth).  Raises [Invalid_argument] when [config.health] is set. *)
 

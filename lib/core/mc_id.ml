@@ -22,6 +22,8 @@ module Tbl = Hashtbl.Make (struct
   let hash = hash
 end)
 
+let sorted tbl = List.sort compare (Tbl.fold (fun mc _ l -> mc :: l) tbl [])
+
 let kind_to_string = function
   | Symmetric -> "symmetric"
   | Receiver_only -> "receiver-only"

@@ -31,6 +31,9 @@ module Tbl : Hashtbl.S with type key = t
     and the callers' initial sizes are part of what pinned fixtures
     pin. *)
 
+val sorted : 'a Tbl.t -> t list
+(** The table's MCs in {!compare} order. *)
+
 val kind_to_string : kind -> string
 
 val kind_of_string : string -> kind option

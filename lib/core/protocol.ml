@@ -223,7 +223,7 @@ let create ~graph ~config ?faults ?engine ?trace ?metrics
      events mutate as ground truth. *)
   let boot = Lsr.Lsdb.boot graph in
   let switches =
-    Array.init n (fun id -> Switch.create ~id ~n ~config ~engine ~boot ())
+    Array.init n (fun id -> Switch.create ~id ~n ~config ~engine ~boot)
   in
   let deliver ~switch (lsa : Switch.payload Lsr.Lsa.t) =
     Switch.deliver switches.(switch) lsa.payload

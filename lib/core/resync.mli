@@ -1,31 +1,10 @@
-(** Crash-recovery database resynchronisation messages (extension).
-
-    The paper assumes every LSA reaches every live switch, so it has no
-    recovery story: a switch whose forwarding plane was down for a window
-    silently misses installs and diverges forever.  On recovery a switch
-    therefore runs an OSPF-style database exchange with its live
-    neighbors, handling MC LSAs as they arrive meanwhile (see
-    {!Switch.begin_resync} and DESIGN.md):
-
-    - it unicasts a {!constructor:Summary} of everything it knows — its
-      versioned link-state entries, and per MC its R/E/C vectors plus a
-      compact {!Mctree.Tree.fingerprint} of its installed tree;
-    - each neighbor answers with a {!constructor:Delta} containing only
-      what the summary proves the recoverer is behind on: link entries
-      with newer versions, and full per-MC state exports where the
-      neighbor knows events the summary's R does not cover (or holds a
-      different same-stamp tree);
-    - the recoverer applies the first delta echoing its session and
-      finishes: one up-to-date neighbor carries the full missed history.
-      The session id gates the deltas: an answer to a superseded
-      session, or a second answer, is dropped.
-
-    Messages ride the regular {!Lsr.Flooding} transport in unicast mode
-    ({!Lsr.Flooding.send}), so under faults they get the Reliable mode's
-    ack/retransmit/backoff for free; a message to a dead neighbor is
-    lost without a word to its sender.  A session whose summaries are
-    all lost never finishes, which costs nothing: it defers no LSA and
-    holds no timer, and the next recovery supersedes it. *)
+(** The messages and export rows of the database exchanges
+    ({!Exchange}).  A recovering switch unicasts a {!constructor:Summary}
+    of its link entries and, per MC, its R/E/C vectors and a tree
+    fingerprint; each neighbor answers with a {!constructor:Delta} of
+    what the summary proves it lacks.  Messages ride {!Lsr.Flooding.send},
+    so under faults they get the Reliable mode's retransmission; one to
+    a dead neighbor is lost without a word to its sender. *)
 
 type mc_summary = {
   sum_mc : Mc_id.t;

@@ -15,14 +15,6 @@ type counts = {
   event_lsas_flooded : Metrics.Registry.counter;
   installs : Metrics.Registry.counter;
   lsas_received : Metrics.Registry.counter;
-  resyncs_started : Metrics.Registry.counter;
-  resyncs_completed : Metrics.Registry.counter;
-  resyncs_degraded : Metrics.Registry.counter;
-  resync_summaries_sent : Metrics.Registry.counter;
-  resync_summaries_received : Metrics.Registry.counter;
-  resync_deltas_sent : Metrics.Registry.counter;
-  resync_deltas_applied : Metrics.Registry.counter;
-  resync_stale_deltas : Metrics.Registry.counter;
 }
 
 let counts engine id =
@@ -36,28 +28,9 @@ let counts engine id =
     event_lsas_flooded = counter "switch.event_lsas_flooded";
     installs = counter "switch.installs";
     lsas_received = counter "switch.lsas_received";
-    resyncs_started = counter "switch.resyncs_started";
-    resyncs_completed = counter "switch.resyncs_completed";
-    resyncs_degraded = counter "switch.resyncs_degraded";
-    resync_summaries_sent = counter "switch.resync_summaries_sent";
-    resync_summaries_received = counter "switch.resync_summaries_received";
-    resync_deltas_sent = counter "switch.resync_deltas_sent";
-    resync_deltas_applied = counter "switch.resync_deltas_applied";
-    resync_stale_deltas = counter "switch.resync_stale_deltas";
   }
 
-type payload =
-  | Mc of Mc_lsa.t
-  | Link of Lsr.Lsdb.link_event
-  | Resync of Resync.msg
-
-type timer = Compute of { mc : Mc_id.t; id : int }
-
-type output =
-  | Flood of payload
-  | Send of { peer : int; msg : Resync.msg }
-  | Changed
-  | Start of { timer : timer; delay : float }
+include Switch_io
 
 type t = {
   id : int;
@@ -66,21 +39,9 @@ type t = {
   engine : Sim.Engine.t;
   lsdb : Lsr.Lsdb.t;
   mcs : Mc_state.t Mc_id.Tbl.t;
-  tombstones : (Timestamp.t * Timestamp.t * Timestamp.t) Mc_id.Tbl.t;
-      (** (R, E, membership_seen) captured when an MC's state is deleted.
-          Deletion frees the member list and topology, but event
-          numbering must survive: a leave racing with a remote join can
-          delete state while the MC lives on, and if a recreated state
-          restarted its counters from zero, its events would read as
-          stale (and merged E promises could never be met).  Recreation
-          resumes from the tombstone. *)
+  tombstones : Tombstone.t;
+  exchange : Exchange.t;  (** Over [lsdb], [mcs] and [tombstones]. *)
   mutable sink : output -> unit;
-  mutable resync_session : int option;
-      (** The in-flight crash-recovery resynchronisation exchange (see
-          [begin_resync]), by the session id its deltas echo (stale
-          deltas are ignored): open until a delta echoing it is applied,
-          or a fresh recovery supersedes it. *)
-  mutable resync_seq : int;  (** Fresh session ids. *)
   mutable compute_seq : int;  (** Fresh computation ids. *)
   counts : counts;
   trace : Sim.Trace.t;
@@ -88,18 +49,20 @@ type t = {
 
 let unconnected _ = invalid_arg "Switch: not connected"
 
-let create ~id ~n ~config ~engine ~boot () =
+let create ~id ~n ~config ~engine ~boot =
+  let lsdb = Lsr.Lsdb.create boot
+  and mcs = Mc_id.Tbl.create 8
+  and tombstones = Mc_id.Tbl.create 8 in
   {
     id;
     n;
     config;
     engine;
-    lsdb = Lsr.Lsdb.create boot;
-    mcs = Mc_id.Tbl.create 8;
-    tombstones = Mc_id.Tbl.create 8;
+    lsdb;
+    mcs;
+    tombstones;
+    exchange = Exchange.create ~self:id ~engine ~lsdb ~mcs ~tombstones;
     sink = unconnected;
-    resync_session = None;
-    resync_seq = 0;
     compute_seq = 0;
     counts = counts engine id;
     trace = Sim.Engine.trace engine;
@@ -137,11 +100,14 @@ let copy t =
           mailbox = Queue.copy st.mailbox;
         })
     mcs;
+  let lsdb = Lsr.Lsdb.copy t.lsdb
+  and tombstones = Mc_id.Tbl.copy t.tombstones in
   {
     t with
-    lsdb = Lsr.Lsdb.copy t.lsdb;
+    lsdb;
     mcs;
-    tombstones = Mc_id.Tbl.copy t.tombstones;
+    tombstones;
+    exchange = Exchange.copy t.exchange ~lsdb ~mcs ~tombstones;
     sink = unconnected;
     counts = counts t.engine t.id;
   }
@@ -167,21 +133,14 @@ let emit t ?parent event =
 
 let get_state t mc = Mc_id.Tbl.find_opt t.mcs mc
 
-let mc_ids t =
-  Mc_id.Tbl.fold (fun mc _ acc -> mc :: acc) t.mcs [] |> List.sort Mc_id.compare
+let mc_ids t = Mc_id.sorted t.mcs
 
 let get_or_create t mc =
   match Mc_id.Tbl.find_opt t.mcs mc with
   | Some st -> st
   | None ->
     let st = Mc_state.create ~n:t.n in
-    (* Resume event numbering where the previous incarnation left off. *)
-    (match Mc_id.Tbl.find_opt t.tombstones mc with
-    | Some (r, e, seen) ->
-      st.r <- r;
-      st.e <- Timestamp.merge e r;
-      st.membership_seen <- seen
-    | None -> ());
+    Tombstone.resume t.tombstones mc st;
     Mc_id.Tbl.replace t.mcs mc st;
     st
 
@@ -205,10 +164,7 @@ let maybe_delete t mc (st : Mc_state.t) =
     && st.triggered = None
   then begin
     tracef t "mc-delete" "%a deleted" Mc_id.pp mc;
-    Mc_id.Tbl.replace t.tombstones mc
-      ( Timestamp.freeze st.r,
-        Timestamp.freeze st.e,
-        Timestamp.freeze st.membership_seen );
+    Tombstone.capture t.tombstones mc st;
     Mc_id.Tbl.remove t.mcs mc;
     (* Deletion is a state change observers care about (e.g. hierarchy
        leaders watching the logical level). *)
@@ -227,18 +183,6 @@ let flood_lsa t mc ~event ~proposal ?members ~stamp () =
        (Mc
           (Mc_lsa.make ~src:t.id ~event ~mc ?proposal ?members
              ~stamp:(Timestamp.freeze stamp) ())))
-
-(* A proposal computed before a link failure can be installed after it:
-   the sender never saw the failure, and the usual detection (an incident
-   link goes down while the INSTALLED topology uses it) fires too early
-   to notice.  A switch knows the state of its own incident links
-   authoritatively, so installation is a second detection point; every
-   tree edge has two endpoint switches, which makes incident-only
-   checking sufficient network-wide. *)
-let tree_uses_dead_incident_link t tree =
-  List.exists
-    (fun (v, l) -> (not (Net.Graph.is_up l)) && Mctree.Tree.mem_edge tree t.id v)
-    (Net.Graph.links (Lsr.Lsdb.graph t.lsdb) t.id)
 
 let compute_proposal t (st : Mc_state.t) (mc : Mc_id.t) =
   Compute.topology t.config mc.kind (Lsr.Lsdb.graph t.lsdb) st.members
@@ -315,7 +259,7 @@ let rec install t (st : Mc_state.t) mc ~stamp ~tree =
               tree = Mctree.Tree.to_string tree;
             }));
   t.sink Changed;
-  if tree_uses_dead_incident_link t tree then begin
+  if Redetect.dead_incident_link ~self:t.id (image t) tree then begin
     tracef t "detect" "sw%d installed a tree over a dead incident link" t.id;
     event_handler t mc Mc_lsa.Link
   end
@@ -390,20 +334,6 @@ and event_completion t mc (st : Mc_state.t) (comp : Mc_state.computation) =
 (* ------------------------------------------------------------------ *)
 (* ReceiveLSA (Figure 5) *)
 
-(* Tie-break extension: two switches holding the same event knowledge
-   can legitimately flood different trees under the SAME stamp, because
-   incremental updates (§3.5) are history-dependent.  The paper
-   implicitly assumes deterministic computation; with incremental
-   updates we restore network-wide determinism by preferring, among
-   equal-stamp proposals, the Tree.compare-minimal one — every switch
-   sees every flooded proposal, so every switch settles on the same
-   winner regardless of arrival order.  So a proposal supersedes the
-   held one when its stamp is higher, or equal with a smaller tree. *)
-let supersedes ~stamp ~tree ~held_stamp ~held_tree =
-  Timestamp.gt stamp held_stamp
-  || (Timestamp.equal stamp held_stamp
-     && Mctree.Tree.compare tree held_tree < 0)
-
 (* The invocation's candidate is the accepted LSA itself, whose
    [proposal] and [stamp] it holds; [no_candidate], which carries no
    proposal, stands for none.  So accepting a proposal allocates
@@ -452,30 +382,11 @@ let process_lsa t (st : Mc_state.t) (lsa : Mc_lsa.t) candidate =
   end;
   (* Line 10: learn what to expect. *)
   st.e <- Timestamp.merge_owned_known st.e lsa.stamp ~covered:current;
-  (* Resynchronisation extension: an up-to-date proposal's member-list
-     snapshot is authoritative for everything its stamp covers.  This is
-     how a switch that missed events across a healed partition catches
-     up without replaying them. *)
-  (match lsa.members with
-  | Some snapshot when current ->
-    if not (Member.equal st.members snapshot) then begin
-      if traced t then
-        tracef t "adopt"
-          "sw%d adopts snapshot %s from src %d stamp %s E=%s R=%s (was %s)"
-          t.id (Member.to_string snapshot) lsa.src
-          (Format.asprintf "%a" Timestamp.pp lsa.stamp)
-          (Format.asprintf "%a" Timestamp.pp st.e)
-          (Format.asprintf "%a" Timestamp.pp st.r)
-          (Member.to_string st.members);
-      st.members <- snapshot;
-      t.sink Changed
-    end;
-    st.membership_seen <- Timestamp.merge_owned st.membership_seen lsa.stamp;
-    st.r <- Timestamp.merge_owned st.r lsa.stamp
-  | Some _ | None -> ());
+  if current then
+    Member_snapshot.adopt ~sink:t.sink t.engine ~self:t.id st lsa;
   (* Lines 11-17: accept an up-to-date proposal (the best one by the
-     [supersedes] tie-break), or detect that the sender did not know all
-     our local events. *)
+     tie-break), or detect that the sender did not know all our local
+     events. *)
   match lsa.proposal with
   | Some tree when current ->
     st.flag <- false;
@@ -483,8 +394,8 @@ let process_lsa t (st : Mc_state.t) (lsa : Mc_lsa.t) candidate =
       match candidate.Mc_lsa.proposal with
       | None -> true
       | Some held_tree ->
-        supersedes ~stamp:lsa.stamp ~tree ~held_stamp:candidate.stamp
-          ~held_tree
+        Tiebreak.supersedes ~stamp:lsa.stamp ~tree
+          ~held_stamp:candidate.stamp ~held_tree
     in
     if replaces then lsa else candidate
   | Some _ | None ->
@@ -514,11 +425,13 @@ and decide t mc (st : Mc_state.t) (candidate : Mc_lsa.t) =
   else begin
     (* Lines 32-35: adopt an accepted proposal.  A candidate whose stamp
        only ties the installed topology's C replaces it solely when it
-       wins the deterministic tie-break ([supersedes]). *)
+       wins the deterministic tie-break. *)
     match candidate.proposal with
     | Some tree ->
       let stamp = candidate.stamp in
-      if supersedes ~stamp ~tree ~held_stamp:st.c ~held_tree:st.topology
+      if
+        Tiebreak.supersedes ~stamp ~tree ~held_stamp:st.c
+          ~held_tree:st.topology
       then begin
         Metrics.Registry.bump t.counts.proposals_accepted;
         install t st mc ~stamp ~tree
@@ -561,190 +474,17 @@ and triggered_completion t mc (st : Mc_state.t) (comp : Mc_state.computation) =
   else maybe_delete t mc st
 
 (* ------------------------------------------------------------------ *)
-(* Database resynchronisation (extension; see mli) *)
+(* Database exchanges (extension; see exchange.mli) *)
 
-(* Run [f] under a fresh [Resync] event: per MC, or for a session
-   message when [mc] is absent. *)
-let under_resync t ~peer ?mc f =
-  let rid =
-    if traced t then
-      emit t
-        (Resync
-           {
-             switch = t.id;
-             peer;
-             mc = (match mc with Some mc -> Mc_id.to_string mc | None -> "");
-           })
-    else -1
-  in
-  let saved = Sim.Trace.set_context t.trace rid in
-  match f () with
-  | v ->
-    Sim.Trace.restore_context t.trace saved;
-    v
-  | exception e ->
-    Sim.Trace.restore_context t.trace saved;
-    raise e
+let procs =
+  { Exchange.get_or_create; install; start_triggered; maybe_delete;
+    output = (fun t o -> t.sink o) }
 
-(* No computation in flight and no LSA outstanding: the precondition
-   for re-proposing on state a resynchronisation changed. *)
-let may_repropose (st : Mc_state.t) =
-  st.triggered = None && Timestamp.geq st.r st.e
+let resync t ~peer = Exchange.pull procs t t.exchange ~peer:peer.exchange
 
-(* Re-propose for [mc] under a [Resync] event: raise the flag and start
-   a triggered computation. *)
-let repropose t ~peer mc (st : Mc_state.t) =
-  under_resync t ~peer ~mc (fun () ->
-      st.flag <- true;
-      start_triggered t mc st)
+let begin_resync t = Exchange.recover procs t t.exchange
 
-(* An installed topology is contradicted by the switch's (possibly just
-   merged) image when it is no longer a valid embedded tree or no longer
-   spans exactly the member set. *)
-let topology_stale t (st : Mc_state.t) =
-  (not (Member.is_empty st.members))
-  && (let img = Lsr.Lsdb.graph t.lsdb in
-      (not (Mctree.Tree.is_valid_mc_topology img st.topology))
-      || not
-           (List.equal Int.equal
-              (Mctree.Tree.terminals st.topology)
-              (Member.ids st.members)))
-
-(* Version-gated merge of link entries into the local image.  A link
-   event flooded while this switch was unreachable died at the severed
-   links — flooding only forwards over live links — and nothing re-floods
-   it spontaneously; D-GMC's agreement argument assumes the unicast
-   databases converge (paper §1).  Versioned entries make the merge a
-   per-link max; adopted events are re-flooded under this switch's own
-   origin so switches BEHIND it learn them too (receivers version-gate,
-   so duplicates are no-ops).  Returns whether the image changed. *)
-let merge_links t ~source entries =
-  let changed = ref false in
-  List.iter
-    (fun (ev : Lsr.Lsdb.link_event) ->
-      if ev.version > Lsr.Lsdb.version t.lsdb ~u:ev.u ~v:ev.v then begin
-        Lsr.Lsdb.apply t.lsdb ev;
-        changed := true;
-        tracef t "resync" "sw%d adopts %a from sw%d" t.id
-          Lsr.Lsdb.pp_link_event ev source;
-        t.sink (Flood (Link ev))
-      end)
-    entries;
-  !changed
-
-(* A changed image invalidates installs computed on the old one even for
-   MCs a resynchronisation taught us nothing about.  Re-propose for every
-   MC whose installed topology is contradicted by the merged image;
-   consistent MCs saw nothing new and stay silent, keeping exchanges
-   idempotent. *)
-let revalidate_installs t ~peer =
-  List.iter
-    (fun mc ->
-      match get_state t mc with
-      | Some st when may_repropose st && topology_stale t st ->
-        repropose t ~peer mc st
-      | Some _ | None -> ())
-    (mc_ids t)
-
-(* A switch's state for [mc] as a delta ships it. *)
-let export mc (st : Mc_state.t) =
-  {
-    Resync.exp_mc = mc;
-    exp_r = Timestamp.freeze st.r;
-    exp_e = Timestamp.freeze st.e;
-    exp_c = st.c;
-    exp_members = st.members;
-    exp_membership_seen = Timestamp.freeze st.membership_seen;
-    exp_topology = st.topology;
-  }
-
-(* Everything this switch can export, sorted by MC: its live states,
-   then each tombstone without one, whose surviving event numbering
-   ships with an empty member list and tree — a summary of it lets a
-   neighbor still holding the MC push it back, and a delta of it replays
-   the leaves that emptied the MC. *)
-let exports t =
-  let live = Mc_id.Tbl.fold (fun mc st acc -> export mc st :: acc) t.mcs [] in
-  Mc_id.Tbl.fold
-    (fun mc (r, e, seen) acc ->
-      if Mc_id.Tbl.mem t.mcs mc then acc
-      else
-        {
-          Resync.exp_mc = mc;
-          exp_r = r;
-          exp_e = e;
-          exp_c = Timestamp.zero t.n;
-          exp_members = Member.empty;
-          exp_membership_seen = seen;
-          exp_topology = Mctree.Tree.empty;
-        }
-        :: acc)
-    t.tombstones live
-  |> List.sort (fun a b -> Mc_id.compare a.Resync.exp_mc b.Resync.exp_mc)
-
-(* The one adoption rule of both database exchanges: merge [E], and when
-   the export's [R] teaches something new, run [adopt st k] where [k]
-   merges [R], takes the export's membership where its per-source
-   cursors are newer, installs its topology when based on newer state
-   (same acceptance rule as for received proposals) and sets the
-   recompute flag.  [adopt] lets the pairwise exchange wrap [k] in its
-   trace context and re-propose at once; a delta defers re-proposal to
-   [finish_resync], after its last export. *)
-let apply_export t ~adopt (e : Resync.mc_export) =
-  let st = get_or_create t e.exp_mc in
-  let merged_r = Timestamp.merge st.r e.exp_r in
-  st.e <- Timestamp.merge_owned st.e e.exp_e;
-  if not (Timestamp.equal merged_r st.r) then
-    adopt st (fun () ->
-        (* Merge R before adopting the export's membership cursors: each
-           cursor is covered by the export's R, so observers fired from
-           the loop below never see a cursor ahead of R. *)
-        st.r <- merged_r;
-        (* The export's member entry for source [s] reflects all of
-           [s]'s events up to component [s] of its membership cursor.
-           Only positive cursors can be newer than ours. *)
-        Timestamp.iter_nonzero
-          (fun src peer_seen ->
-            if peer_seen > Timestamp.get st.membership_seen src then begin
-              st.membership_seen <-
-                Timestamp.raise_owned st.membership_seen src peer_seen;
-              (match Member.role e.exp_members src with
-              | Some role -> st.members <- Member.join st.members src role
-              | None -> st.members <- Member.leave st.members src);
-              t.sink Changed
-            end)
-          e.exp_membership_seen;
-        if
-          supersedes ~stamp:e.exp_c ~tree:e.exp_topology ~held_stamp:st.c
-            ~held_tree:st.topology
-        then install t st e.exp_mc ~stamp:e.exp_c ~tree:e.exp_topology;
-        st.flag <- true)
-
-let resync t ~peer =
-  (* Phase 1: merge the peer's link-state image. *)
-  let image_changed =
-    merge_links t ~source:peer.id (Lsr.Lsdb.entries peer.lsdb)
-  in
-  (* Phase 2: merge the peer's per-MC state, as a delta from it would:
-     its tombstones too, so a leave that emptied the MC at the peer
-     while the link was down reaches this side of it. *)
-  List.iter
-    (fun (x : Resync.mc_export) ->
-      let mc = x.exp_mc in
-      apply_export t x ~adopt:(fun st k ->
-          under_resync t ~peer:peer.id ~mc (fun () ->
-              k ();
-              (* Reflood even when the adopted topology already covers R
-                 (R = C): adopting silently would strand every switch
-                 BEHIND this one — they never see what this exchange
-                 learned, and nobody else will re-flood it (the peer's
-                 original flood died at the severed link).  The extra
-                 proposal is idempotent for up-to-date receivers. *)
-              if may_repropose st then start_triggered t mc st)))
-    (exports peer);
-  (* Phase 3: re-propose wherever the merged image contradicts an
-     install (the peer may never have been a member of the MC). *)
-  if image_changed then revalidate_installs t ~peer:peer.id
+let resync_state t = Exchange.session t.exchange
 
 (* ------------------------------------------------------------------ *)
 (* Public entry points *)
@@ -792,193 +532,13 @@ let receive t lsa =
     if Mc_lsa.is_event lsa then activate t mc (get_or_create t mc) lsa
     else
       (* A bare proposal for an MC this switch holds no state for: the MC
-         is already destroyed locally; ignore rather than resurrect.  One
-         with an empty snapshot, up to date with the tombstone's E,
-         agrees the MC is gone and knows every event its stamp covers:
-         the tombstone takes the stamp, so a late copy of a covered join
-         reads as stale instead of re-adding its member. *)
-      match (Mc_id.Tbl.find_opt t.tombstones mc, lsa.members) with
-      | Some (r, e, seen), Some snapshot
-        when Member.is_empty snapshot && Timestamp.geq lsa.stamp e ->
-        Mc_id.Tbl.replace t.tombstones mc
-          ( Timestamp.merge r lsa.stamp,
-            Timestamp.merge e lsa.stamp,
-            Timestamp.merge seen lsa.stamp )
-      | (Some _ | None), _ -> ())
-
-(* ------------------------------------------------------------------ *)
-(* Crash-recovery resynchronisation (see resync.mli and DESIGN.md).
-
-   The paper has no recovery story: it assumes every LSA reaches every
-   live switch.  A switch whose forwarding plane was down for a crash
-   window silently missed floods and would diverge forever.  On recovery
-   it therefore summarises its databases to each live neighbor and
-   applies the first delta that answers.  MC LSAs arriving meanwhile are
-   handled at once: a computation started on partial knowledge is
-   withdrawn at completion if the delta moved R under it (Figures 4-5),
-   like any other stale one. *)
-
-let resync_state t = t.resync_session
-
-let build_summary t session =
-  Resync.Summary
-    {
-      session;
-      origin = t.id;
-      links = Lsr.Lsdb.entries t.lsdb;
-      mcs =
-        List.map
-          (fun (x : Resync.mc_export) ->
-            {
-              Resync.sum_mc = x.exp_mc;
-              sum_r = x.exp_r;
-              sum_e = x.exp_e;
-              sum_c = x.exp_c;
-              sum_tree_fp = Mctree.Tree.fingerprint x.exp_topology;
-            })
-          (exports t);
-    }
-
-(* The session [s] ends with its delta applied. *)
-let finish_resync t s =
-  t.resync_session <- None;
-  tracef t "resync" "sw%d session %d finished (delta)" t.id s;
-  Metrics.Registry.bump t.counts.resyncs_completed;
-  (* Re-propose wherever the reconciled state demands it: exports set
-     the recompute flag but do not trigger while the delta is applied
-     (a later export in it could supersede); installs may also
-     contradict the merged image.  Same idempotence argument as
-     [revalidate_installs]. *)
-  List.iter
-    (fun mc ->
-      match get_state t mc with
-      | Some st ->
-        if may_repropose st && (st.flag || topology_stale t st) then
-          repropose t ~peer:t.id mc st;
-        maybe_delete t mc st
-      | None -> ())
-    (mc_ids t)
-
-let begin_resync_impl t =
-  (* A second crash window can close while an earlier session is still in
-     flight; the fresh recovery supersedes it. *)
-  (match t.resync_session with
-  | Some s ->
-    t.resync_session <- None;
-    tracef t "resync" "sw%d restarts resync (session %d superseded)" t.id s
-  | None -> ());
-  t.resync_seq <- t.resync_seq + 1;
-  let sid = t.resync_seq in
-  Metrics.Registry.bump t.counts.resyncs_started;
-  (* [Net.Graph.neighbors] yields live neighbors only — by this switch's
-     own (possibly stale) image, which is exactly the set it can try. *)
-  match List.map fst (Net.Graph.neighbors (Lsr.Lsdb.graph t.lsdb) t.id) with
-  | [] ->
-    tracef t "resync" "sw%d recovers with no live neighbors (degraded)" t.id;
-    Metrics.Registry.bump t.counts.resyncs_degraded
-  | neighbors ->
-    t.resync_session <- Some sid;
-    let summary = build_summary t sid in
-    List.iter
-      (fun nb ->
-        under_resync t ~peer:nb (fun () ->
-            Metrics.Registry.bump t.counts.resync_summaries_sent;
-            t.sink (Send { peer = nb; msg = summary })))
-      neighbors
-
-let begin_resync t =
-  let ph = Metrics.Phase.ambient () in
-  Metrics.Phase.enter ph "dgmc.resync";
-  match begin_resync_impl t with
-  | () -> Metrics.Phase.leave ph
-  | exception e ->
-    Metrics.Phase.leave ph;
-    raise e
-
-(* Stateless delta responder: ship link entries strictly newer than the
-   summary's and full exports for every MC where this switch knows
-   events the summary's R does not cover (or holds a different
-   same-stamp tree). *)
-let answer_summary t ~session ~peer (sum_links : Lsr.Lsdb.link_event list)
-    (sum_mcs : Resync.mc_summary list) =
-  let summarised_version u v =
-    match
-      List.find_opt
-        (fun (l : Lsr.Lsdb.link_event) -> l.u = u && l.v = v)
-        sum_links
-    with
-    | Some l -> l.version
-    | None -> 0
-  in
-  let links =
-    List.filter
-      (fun (ev : Lsr.Lsdb.link_event) ->
-        ev.version > summarised_version ev.u ev.v)
-      (Lsr.Lsdb.entries t.lsdb)
-  in
-  let summary_of mc =
-    List.find_opt (fun s -> Mc_id.equal s.Resync.sum_mc mc) sum_mcs
-  in
-  let behind (x : Resync.mc_export) =
-    match summary_of x.exp_mc with
-    | None -> true
-    | Some s ->
-      (not (Timestamp.geq s.sum_r x.exp_r))
-      || (not (Timestamp.geq s.sum_e x.exp_e))
-      (* A tombstone compares only R and E. *)
-      || (Mc_id.Tbl.mem t.mcs x.exp_mc
-         && (Timestamp.gt x.exp_c s.sum_c
-            || (Timestamp.equal x.exp_c s.sum_c
-               && not
-                    (String.equal s.sum_tree_fp
-                       (Mctree.Tree.fingerprint x.exp_topology)))))
-  in
-  let mcs = List.filter behind (exports t) in
-  (* Reply even when empty: any delta completes the recoverer's session. *)
-  Metrics.Registry.bump t.counts.resync_deltas_sent;
-  t.sink
-    (Send { peer; msg = Resync.Delta { session; origin = t.id; links; mcs } })
-
-let receive_resync_impl t msg =
-  match msg with
-  | Resync.Summary { session; origin = peer; links; mcs } ->
-    Metrics.Registry.bump t.counts.resync_summaries_received;
-    under_resync t ~peer (fun () ->
-        (* The recoverer's own incident links may have changed during its
-           outage, and their floods died with it: adopt (and re-flood)
-           anything newer its summary proves, then revalidate installs
-           against the merged image — the responder is NOT suspended. *)
-        if merge_links t ~source:peer links then revalidate_installs t ~peer;
-        answer_summary t ~session ~peer links mcs)
-  | Resync.Delta { session; origin = peer; links; mcs } -> (
-    match t.resync_session with
-    | Some s when s = session ->
-      Metrics.Registry.bump t.counts.resync_deltas_applied;
-      under_resync t ~peer (fun () ->
-          ignore (merge_links t ~source:peer links);
-          List.iter (apply_export t ~adopt:(fun _ k -> k ())) mcs);
-      finish_resync t s
-    | Some _ | None ->
-      (* Stale: from a superseded session — it may predate a second
-         outage — or after another neighbor's delta finished the
-         session.  Everything it carries was either applied already or
-         will be re-learned; dropping is safe. *)
-      tracef t "resync" "sw%d drops stale resync delta from sw%d" t.id peer;
-      Metrics.Registry.bump t.counts.resync_stale_deltas)
-
-let receive_resync t msg =
-  let ph = Metrics.Phase.ambient () in
-  Metrics.Phase.enter ph "dgmc.resync";
-  match receive_resync_impl t msg with
-  | () -> Metrics.Phase.leave ph
-  | exception e ->
-    Metrics.Phase.leave ph;
-    raise e
+         is already destroyed locally; ignore rather than resurrect. *)
+      Tombstone.absorb t.tombstones lsa)
 
 let deliver t = function
   | Mc lsa -> receive t lsa
   | Link ev -> Lsr.Lsdb.apply t.lsdb ev
-  | Resync msg -> receive_resync t msg
+  | Resync msg -> Exchange.receive procs t t.exchange msg
 
 (* A computation is found by its id: completing one removes it, so a
    second firing of its timer finds nothing. *)

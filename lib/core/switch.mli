@@ -14,7 +14,13 @@
     through {!fire}.  It never touches a wire or a calendar itself: each
     flood, resync unicast, change signal and timer start is one
     {!output} handed to the sink its driver {!connect}s.  So a switch
-    holds no closure and {!copy} is a structural copy. *)
+    holds no closure and {!copy} is a structural copy.
+
+    This module holds the switch's state, the two entities and the
+    dispatch; each extension beyond the paper is a module joined to them
+    at one named call: {!Tiebreak}, {!Tombstone}, {!Member_snapshot},
+    {!Redetect}, {!Revalidate} and {!Exchange} (both database
+    exchanges). *)
 
 type stats = {
   computations : int;
@@ -25,30 +31,7 @@ type stats = {
   proposals_accepted : int;  (** Received proposals installed. *)
 }
 
-(** What a switch receives: the payload of an {!Lsr.Lsa.t}. *)
-type payload =
-  | Mc of Mc_lsa.t  (** An MC LSA ([F = mc]). *)
-  | Link of Lsr.Lsdb.link_event  (** A non-MC LSA ([F = ¬mc]). *)
-  | Resync of Resync.msg
-      (** A crash-recovery resynchronisation message, unicast between
-          neighbors — never flooded (extension; see {!begin_resync}). *)
-
-(** A timer a switch asks its driver to run: plain data, handed back
-    through {!fire} when due.  A switch never cancels one. *)
-type timer =
-  | Compute of { mc : Mc_id.t; id : int }
-      (** The completion of topology computation [id] for [mc], [Tc]
-          after it started. *)
-
-(** What a switch emits. *)
-type output =
-  | Flood of payload  (** An MC LSA, or a link event detected or adopted. *)
-  | Send of { peer : int; msg : Resync.msg }
-      (** A resynchronisation unicast to a neighbor. *)
-  | Changed  (** A topology, member list or MC state changed. *)
-  | Start of { timer : timer; delay : float }
-      (** Fire [timer] [delay] simulated seconds from now.  Timers due at
-          the same instant fire in start order. *)
+include module type of struct include Switch_io end
 
 type t
 
@@ -58,7 +41,6 @@ val create :
   config:Config.t ->
   engine:Sim.Engine.t ->
   boot:Lsr.Lsdb.boot ->
-  unit ->
   t
 (** [boot] seeds the switch's link-state image ({!Lsr.Lsdb.create}:
     shared with the run's other switches until this one applies a link
@@ -133,60 +115,24 @@ val detect_link : t array -> Lsr.Lsdb.link_event -> unit
 (** {1 Reception} *)
 
 val deliver : t -> payload -> unit
-(** Hand the switch one received payload.  An MC LSA enters the mailbox
-    and triggers a [ReceiveLSA()] invocation unless one is
-    mid-computation, also while a crash-recovery session is open.  A
-    bare proposal for an MC the switch has deleted is ignored, except
-    that one with an empty member snapshot and a stamp at least the
-    tombstone's [E] merges its stamp into the tombstone's [R], [E] and
-    membership cursors ({!tombstones}).  A link event
-    updates the image (version-gated; see {!Lsr.Lsdb.apply}) without
-    running [EventHandler]: only the incident switches {!detect}.  A
-    [Summary] is answered statelessly with a [Delta] of everything the
-    summary proves its origin is behind on (newer link versions are also
-    adopted and re-flooded locally).  A [Delta] is applied only when it
-    echoes the open session's id; anything else — an answer to a
-    superseded session, which may predate a second outage, or one
-    arriving after the session finished — is dropped as stale. *)
+(** Hand the switch one received payload.  An MC LSA triggers a
+    [ReceiveLSA()] invocation, or waits in the mailbox while one is
+    mid-computation; a bare proposal for a deleted MC only reaches
+    {!Tombstone.absorb}.  A link event updates the image (version-gated)
+    without running [EventHandler]: only the incident switches
+    {!detect}.  A resynchronisation message goes to {!Exchange.receive}. *)
 
-(** {1 Database resynchronisation (extension)} *)
+(** {1 Database exchanges (extension)} *)
 
 val resync : t -> peer:t -> unit
-(** Pull the peer switch's knowledge into this switch — the analogue of
-    an OSPF database exchange when an adjacency forms.  Three phases:
-    merge the peer's versioned link-state image (adopted link events are
-    re-flooded as [Flood (Link _)] outputs so switches behind this one
-    learn them too); for every MC the peer tracks or holds a tombstone
-    for, apply the state a
-    {!Resync.Delta} from the peer would carry — the same adoption rule:
-    merge its [R]/[E] vectors, adopt its per-source membership knowledge
-    where newer, adopt its topology where based on newer state — and,
-    when anything new was learned, schedule a topology computation at
-    once whose proposal refloods the reconciled state; finally, if the image changed, re-propose for
-    every MC whose installed topology the merged image contradicts.  The
-    paper leaves network partitioning "for further study"; this is the
-    missing piece that lets the two sides of a healed partition
-    reconverge (see DESIGN.md). *)
-
-(** {1 Crash-recovery resynchronisation (extension)} *)
+(** On link-up: {!Exchange.pull} the peer's knowledge into this switch,
+    which lets the two sides of a healed partition reconverge. *)
 
 val begin_resync : t -> unit
-(** Open a recovery session: unicast a {!Resync.Summary} of this
-    switch's databases (a [Send] output) to every neighbor its image
-    shows live.  MC-LSA handling goes on meanwhile: a computation that
-    starts on partial knowledge is withdrawn at completion once a delta
-    moves [R] under it, as any stale computation is.  The session
-    finishes when the first delta echoing it has been applied; a
-    topology computation is then scheduled for every MC the reconciled
-    state flagged.  It has no deadline: a session whose summaries were
-    all lost stays open, blocking nothing, until a later recovery
-    supersedes it.  With no live neighbors no session opens (a degraded
-    recovery).  Calling this while a session is open supersedes it (the
-    crash recurred). *)
+(** When a crash window closes: {!Exchange.recover}. *)
 
 val resync_state : t -> int option
-(** The open session's id — model-checker state-hash fodder: it decides
-    which delta applies. *)
+(** The open recovery session's id: it decides which delta applies. *)
 
 (** {1 Introspection} *)
 
@@ -206,10 +152,8 @@ val proposal_flag : t -> Mc_id.t -> bool
 
 val tombstones :
   t -> (Mc_id.t * (Timestamp.t * Timestamp.t * Timestamp.t)) list
-(** [(R, E, membership_seen)] kept for each MC whose state this switch
-    has deleted at least once, sorted by MC id, frozen.  Recreating the
-    MC resumes event numbering from it, so it is protocol state even
-    while the MC is gone. *)
+(** The {!Tombstone}s, sorted by MC id: protocol state even while the
+    MC is gone. *)
 
 val quiescent : t -> Mc_id.t -> bool
 (** No pending computations and an empty mailbox for the MC (vacuously

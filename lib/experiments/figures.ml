@@ -206,7 +206,7 @@ let cbt_comparison ~seed ~n ~receivers ~senders =
     { row with tree_cost = total_cost }
   in
   let cbt_with core strategy =
-    let cbt = Baselines.Cbt.create ~graph ~core () in
+    let cbt = Baselines.Cbt.create ~graph ~core in
     List.iter (Baselines.Cbt.join cbt) receiver_set;
     load_run (Baselines.Cbt.tree cbt)
       ~deliver:(fun ~src -> Baselines.Cbt.deliver cbt ~src)

@@ -75,7 +75,7 @@ let hier_vs_flat ~domains ~seeds ~areas ~per_area ~events =
           }
         in
         (* Hierarchical D-GMC on the same topology. *)
-        let hier = Hierarchy.Hmc.create ~graph ~partition ~config () in
+        let hier = Hierarchy.Hmc.create ~graph ~partition ~config in
         List.iter
           (function
             | `Join (at, s) ->

@@ -165,7 +165,7 @@ let schedule_leader_check t a =
 (* ------------------------------------------------------------------ *)
 (* Construction *)
 
-let create ~graph ~partition ~config () =
+let create ~graph ~partition ~config =
   validate_partition graph partition;
   if Option.is_some config.Dgmc.Config.health then
     invalid_arg "Hmc.create: the link-health layer is not supported";

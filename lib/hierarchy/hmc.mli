@@ -48,9 +48,8 @@ val create :
   graph:Net.Graph.t ->
   partition:int list array ->
   config:Dgmc.Config.t ->
-  unit ->
   t
-(** [create ~graph ~partition ~config ()] — [partition.(a)] lists area
+(** [create ~graph ~partition ~config] — [partition.(a)] lists area
     [a]'s switches; areas must be non-empty, disjoint, cover the graph,
     and each induce a connected subgraph.  Every pair of areas used by
     the logical level must be joined by at least one real link; the

@@ -35,7 +35,7 @@ module Explore = struct
      such copy must digest as. *)
   let build (scenario : Check.Explore.scenario) prefix =
     let h =
-      Check.Harness.create ~graph:scenario.graph ~config:scenario.config ()
+      Check.Harness.create ~graph:scenario.graph ~config:scenario.config
     in
     List.iter (Check.Harness.inject h) scenario.setup;
     Check.Harness.settle h;

@@ -254,7 +254,7 @@ let test_mospf_membership_change_invalidates () =
 
 let test_cbt_join_grafts_toward_core () =
   let graph = Net.Topo_gen.line 5 in
-  let cbt = Baselines.Cbt.create ~graph ~core:0 () in
+  let cbt = Baselines.Cbt.create ~graph ~core:0 in
   Baselines.Cbt.join cbt 4;
   let tree = Baselines.Cbt.tree cbt in
   check Alcotest.(list (pair int int)) "whole line grafted"
@@ -265,7 +265,7 @@ let test_cbt_join_grafts_toward_core () =
 
 let test_cbt_join_stops_at_tree () =
   let graph = Net.Topo_gen.line 5 in
-  let cbt = Baselines.Cbt.create ~graph ~core:0 () in
+  let cbt = Baselines.Cbt.create ~graph ~core:0 in
   Baselines.Cbt.join cbt 4;
   let before = Baselines.Cbt.control_messages cbt in
   (* 2 is already an on-tree switch: joining costs nothing on the wire. *)
@@ -278,7 +278,7 @@ let test_cbt_join_stops_at_tree () =
 
 let test_cbt_join_idempotent () =
   let graph = Net.Topo_gen.line 3 in
-  let cbt = Baselines.Cbt.create ~graph ~core:0 () in
+  let cbt = Baselines.Cbt.create ~graph ~core:0 in
   Baselines.Cbt.join cbt 2;
   let msgs = Baselines.Cbt.control_messages cbt in
   Baselines.Cbt.join cbt 2;
@@ -286,7 +286,7 @@ let test_cbt_join_idempotent () =
 
 let test_cbt_deliver_reaches_members () =
   let graph = grid33 () in
-  let cbt = Baselines.Cbt.create ~graph ~core:4 () in
+  let cbt = Baselines.Cbt.create ~graph ~core:4 in
   List.iter (Baselines.Cbt.join cbt) [ 0; 8 ];
   let report = Baselines.Cbt.deliver cbt ~src:2 in
   check Alcotest.(list int) "both members" [ 0; 8 ]
@@ -300,7 +300,7 @@ let test_cbt_deliver_reaches_members () =
 
 let test_cbt_core_unreachable () =
   let graph = Oracle.Graph.of_edges 4 [ (0, 1, 1.0); (2, 3, 1.0) ] in
-  let cbt = Baselines.Cbt.create ~graph ~core:0 () in
+  let cbt = Baselines.Cbt.create ~graph ~core:0 in
   Alcotest.check_raises "join across partition" (Failure "Cbt: core unreachable")
     (fun () -> Baselines.Cbt.join cbt 3)
 

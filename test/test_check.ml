@@ -47,7 +47,7 @@ let test_two_concurrent_joins () =
 let link_failure_race () =
   let graph = Net.Topo_gen.ring 4 in
   let probe =
-    Check.Harness.create ~graph ~config:Dgmc.Config.atm_lan ()
+    Check.Harness.create ~graph ~config:Dgmc.Config.atm_lan
   in
   Check.Harness.inject probe (join 0);
   Check.Harness.inject probe (join 2);
@@ -382,7 +382,7 @@ let test_tree_fingerprint_canonical () =
 let test_fingerprint_renders_tombstones () =
   let h =
     Check.Harness.create ~graph:(Net.Topo_gen.ring 4)
-      ~config:Dgmc.Config.atm_lan ()
+      ~config:Dgmc.Config.atm_lan
   in
   let sw0 = (Check.Harness.switches h).(0) in
   let before = Check.Fingerprint.switch sw0 in
@@ -1113,7 +1113,7 @@ let test_harness_rejects_health () =
         Some (Health.Config.make ~period:0.001 ~detector:3 ~horizon:1.0 ());
     }
   in
-  match Check.Harness.create ~graph:(Net.Topo_gen.ring 3) ~config () with
+  match Check.Harness.create ~graph:(Net.Topo_gen.ring 3) ~config with
   | _ -> Alcotest.fail "a config with health set was accepted"
   | exception Invalid_argument _ -> ()
 

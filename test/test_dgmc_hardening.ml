@@ -209,7 +209,7 @@ let test_direct_resync_call () =
   (* Forge an ignorant peer by resyncing a fresh, isolated switch. *)
   let blank =
     Dgmc.Switch.create ~id:5 ~n:6 ~config:Dgmc.Config.atm_lan
-      ~engine:(Dgmc.Protocol.engine net) ~boot:(Lsr.Lsdb.boot graph) ()
+      ~engine:(Dgmc.Protocol.engine net) ~boot:(Lsr.Lsdb.boot graph)
   in
   Dgmc.Switch.connect blank ignore;
   check Alcotest.bool "blank has no state" true (Dgmc.Switch.members blank mc = None);
@@ -232,7 +232,7 @@ let test_equal_stamp_tiebreak_is_order_independent () =
     let engine = Sim.Engine.create () in
     let sw =
       Dgmc.Switch.create ~id:5 ~n:6 ~config:Dgmc.Config.atm_lan ~engine
-        ~boot:(Lsr.Lsdb.boot graph) ()
+        ~boot:(Lsr.Lsdb.boot graph)
     in
     Dgmc.Switch.connect sw ignore;
     let stamp = Oracle.Timestamp.of_array [| 1; 1; 0; 0; 0; 0 |] in

@@ -21,7 +21,7 @@ let harness ?(id = 5) () =
   let engine = Sim.Engine.create () in
   let sw =
     Dgmc.Switch.create ~id ~n:6 ~config:Dgmc.Config.atm_lan ~engine
-      ~boot:(Lsr.Lsdb.boot (grid ())) ()
+      ~boot:(Lsr.Lsdb.boot (grid ()))
   in
   let outputs = ref [] in
   Dgmc.Switch.connect sw (fun o ->
@@ -359,7 +359,7 @@ let test_stale_membership_not_applied_backwards () =
 
 let unconnected () =
   Dgmc.Switch.create ~id:0 ~n:6 ~config:Dgmc.Config.atm_lan
-    ~engine:(Sim.Engine.create ()) ~boot:(Lsr.Lsdb.boot (grid ())) ()
+    ~engine:(Sim.Engine.create ()) ~boot:(Lsr.Lsdb.boot (grid ()))
 
 let not_connected = Invalid_argument "Switch: not connected"
 
@@ -381,7 +381,7 @@ let test_join_starts_computation_timer () =
   let engine = Sim.Engine.create () in
   let sw =
     Dgmc.Switch.create ~id:5 ~n:6 ~config:Dgmc.Config.atm_lan ~engine
-      ~boot:(Lsr.Lsdb.boot (grid ())) ()
+      ~boot:(Lsr.Lsdb.boot (grid ()))
   in
   let outputs = ref [] in
   Dgmc.Switch.connect sw (fun o -> outputs := o :: !outputs);
@@ -436,6 +436,69 @@ let test_join_starts_computation_timer () =
          && Dgmc.Timestamp.equal c c')
        stamps (Dgmc.Switch.stamps sw mc))
 
+(* ------------------------------------------------------------------ *)
+(* Crash-recovery session gate (Exchange) *)
+
+let test_superseded_session_delta_dropped () =
+  (* Two recoveries in a row: the second supersedes the first, so a
+     delta echoing the first session is stale however much it would
+     teach, and only the second session's delta applies. *)
+  let metrics = Metrics.Registry.create () in
+  let engine = Sim.Engine.create ~metrics () in
+  let sw =
+    Dgmc.Switch.create ~id:5 ~n:6 ~config:Dgmc.Config.atm_lan ~engine
+      ~boot:(Lsr.Lsdb.boot (grid ()))
+  in
+  let sessions = ref [] in
+  Dgmc.Switch.connect sw (function
+    | Send { msg = Dgmc.Resync.Summary { session; _ }; _ } ->
+      sessions := session :: !sessions
+    | Flood _ | Send _ | Changed | Start _ -> ());
+  Dgmc.Switch.begin_resync sw;
+  Dgmc.Switch.begin_resync sw;
+  let first, second =
+    match List.sort_uniq Int.compare !sessions with
+    | [ a; b ] -> (a, b)
+    | l -> Alcotest.failf "expected two sessions, got %d" (List.length l)
+  in
+  let session = Alcotest.(option int) in
+  check session "the second session is open" (Some second)
+    (Dgmc.Switch.resync_state sw);
+  let seen = stamp [ 0; 0; 0; 0; 1; 0 ] in
+  let delta session =
+    Dgmc.Switch.Resync
+      (Dgmc.Resync.Delta
+         {
+           session;
+           origin = 4;
+           links = [];
+           mcs =
+             [
+               {
+                 Dgmc.Resync.exp_mc = mc;
+                 exp_r = seen;
+                 exp_e = seen;
+                 exp_c = seen;
+                 exp_members = Dgmc.Member.of_list [ (4, Dgmc.Member.Both) ];
+                 exp_membership_seen = seen;
+                 exp_topology = Mctree.Tree.of_terminals [ 4 ];
+               };
+             ];
+         })
+  in
+  let count name = Oracle.Registry.counter_value metrics ~switch:5 name in
+  Dgmc.Switch.deliver sw (delta first);
+  check Alcotest.bool "the stale delta taught nothing" true
+    (Option.is_none (Dgmc.Switch.members sw mc));
+  check session "the second session stays open" (Some second)
+    (Dgmc.Switch.resync_state sw);
+  check Alcotest.int "counted stale" 1 (count "switch.resync_stale_deltas");
+  Dgmc.Switch.deliver sw (delta second);
+  check Alcotest.(list int) "the current delta applies" [ 4 ]
+    (Dgmc.Member.ids (Option.get (Dgmc.Switch.members sw mc)));
+  check session "and closes the session" None (Dgmc.Switch.resync_state sw);
+  check Alcotest.int "counted applied" 1 (count "switch.resync_deltas_applied")
+
 let () =
   Alcotest.run "dgmc-switch"
     [
@@ -482,5 +545,10 @@ let () =
             test_detect_requires_sink;
           Alcotest.test_case "a join starts a timer the driver fires" `Quick
             test_join_starts_computation_timer;
+        ] );
+      ( "recovery",
+        [
+          Alcotest.test_case "a superseded session's delta is dropped" `Quick
+            test_superseded_session_delta_dropped;
         ] );
     ]

@@ -10,7 +10,7 @@ let assert_converged name h =
 let make ?(seed = 5) ?(areas = 4) ?(per_area = 8) () =
   let rng = Sim.Rng.create seed in
   let graph, partition = Net.Topo_gen.clustered rng ~areas ~per_area in
-  (graph, partition, Hierarchy.Hmc.create ~graph ~partition ~config:Dgmc.Config.atm_lan ())
+  (graph, partition, Hierarchy.Hmc.create ~graph ~partition ~config:Dgmc.Config.atm_lan)
 
 (* ------------------------------------------------------------------ *)
 (* Clustered topology generator *)
@@ -55,13 +55,13 @@ let test_create_validation () =
       ignore
         (Hierarchy.Hmc.create ~graph
            ~partition:[| [ 0; 1; 2; 3 ]; [ 0; 4; 5; 6 ] |]
-           ~config:Dgmc.Config.atm_lan ()));
+           ~config:Dgmc.Config.atm_lan));
   Alcotest.check_raises "not covering"
     (Invalid_argument "Hmc: partition does not cover the graph") (fun () ->
       ignore
         (Hierarchy.Hmc.create ~graph
            ~partition:[| [ 0; 1; 2 ]; [ 4; 5; 6 ] |]
-           ~config:Dgmc.Config.atm_lan ()));
+           ~config:Dgmc.Config.atm_lan));
   let hc = Health.Config.make ~period:0.0005 ~detector:3 ~horizon:0.08 () in
   Alcotest.check_raises "health layer"
     (Invalid_argument "Hmc.create: the link-health layer is not supported")
@@ -69,8 +69,7 @@ let test_create_validation () =
       ignore
         (Hierarchy.Hmc.create ~graph
            ~partition:[| [ 0; 1; 2; 3 ]; [ 4; 5; 6; 7 ] |]
-           ~config:{ Dgmc.Config.atm_lan with Dgmc.Config.health = Some hc }
-           ()))
+           ~config:{ Dgmc.Config.atm_lan with Dgmc.Config.health = Some hc }))
 
 let test_logical_graph_built () =
   let _, partition, h = make () in

@@ -716,7 +716,6 @@ let fresh_rig () =
   let sw =
     Dgmc.Switch.create ~id:0 ~n:owner_n ~config:Dgmc.Config.atm_lan ~engine
       ~boot:(Lsr.Lsdb.boot (Net.Topo_gen.line owner_n))
-      ()
   in
   let rig =
     {
@@ -1554,7 +1553,7 @@ let prop_hierarchy_random_churn =
         Net.Topo_gen.clustered rng ~areas:c.h_areas ~per_area
       in
       let h =
-        Hierarchy.Hmc.create ~graph ~partition ~config:Dgmc.Config.atm_lan ()
+        Hierarchy.Hmc.create ~graph ~partition ~config:Dgmc.Config.atm_lan
       in
       let n = c.h_areas * per_area in
       let members = ref [] in
@@ -1585,7 +1584,7 @@ let prop_hierarchy_global_tree_valid =
         Net.Topo_gen.clustered rng ~areas:c.h_areas ~per_area
       in
       let h =
-        Hierarchy.Hmc.create ~graph ~partition ~config:Dgmc.Config.atm_lan ()
+        Hierarchy.Hmc.create ~graph ~partition ~config:Dgmc.Config.atm_lan
       in
       let n = c.h_areas * per_area in
       let members =
