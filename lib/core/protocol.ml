@@ -233,10 +233,14 @@ let create ~graph ~config ?faults ?engine ?trace ?metrics
     | None -> None
     | Some plan ->
       Faults.Plan.instrument plan engine;
+      (* A plan with no window and no trace never reads [~now], so the
+         hook leaves the clock unread and unboxed. *)
       Some
         (fun ~src ~dst ~base_delay delays ->
-          Faults.Plan.transmit plan ~src ~dst ~now:(Sim.Engine.now engine)
-            ~base_delay delays)
+          let now =
+            if Faults.Plan.reads_clock plan then Sim.Engine.now engine else 0.0
+          in
+          Faults.Plan.transmit plan ~src ~dst ~now ~base_delay delays)
   in
   let flooding =
     Lsr.Flooding.create ~engine ~graph ~t_hop:config.Config.t_hop
@@ -362,15 +366,20 @@ let create ~graph ~config ?faults ?engine ?trace ?metrics
     (* One hello on the flooding's wire, subject to the same fault plan
        as LSAs: drops, duplication and jitter are exactly the adversities
        the detectors must tolerate.  Arrival is gated on the link being
-       up {e at delivery time}. *)
+       up {e at delivery time}.  Every copy posts the one [arrive]
+       callback with its direction packed as [src * n + peer]. *)
+    let arrive =
+      Sim.Engine.callback (fun key ->
+          let i = key / n and peer = key mod n in
+          if Net.Graph.link_is_up graph i peer then begin
+            Metrics.Registry.bump h.hellos_received.(peer);
+            Health.Hello.on_hello h.agents.(peer) ~from:i
+          end)
+    in
     let send i ~peer =
       Metrics.Registry.bump h.hellos_sent.(i);
       ignore
-        (Lsr.Flooding.wire flooding ~src:i ~dst:peer (fun () ->
-             if Net.Graph.link_is_up graph i peer then begin
-               Metrics.Registry.bump h.hellos_received.(peer);
-               Health.Hello.on_hello h.agents.(peer) ~from:i
-             end))
+        (Lsr.Flooding.wire flooding ~src:i ~dst:peer arrive ((i * n) + peer))
     in
     (* A detector verdict: the switch's belief about an incident link
        changed.  Version the event, judge it against the link's ground

@@ -179,6 +179,11 @@ let rec separated a b now = function
 
 let traced t = Sim.Trace.enabled t.sim_trace
 
+let reads_clock t =
+  match (t.crashes, t.partitions) with
+  | [], [] -> traced t
+  | _ -> true
+
 let emit t ~now ~src ~dst fault =
   ignore
     (Sim.Trace.emit t.sim_trace ~time:now (Fault_injected { src; dst; fault }))

@@ -110,7 +110,17 @@ val transmit :
     An uninstrumented or untraced plan allocates nothing here where
     {!Sim.Rng.float} is inlined (any build but dune's [dev] profile,
     which compiles every module [-opaque]); a fault's trace label is
-    built only when the plan's trace is enabled. *)
+    built only when the plan's trace is enabled.
+
+    [now] is read only while {!reads_clock} holds: to test a crash or
+    partition window, and to time a traced fault.  A plan with neither
+    ignores it, so a caller that asks {!reads_clock} first may pass any
+    time instead of reading its clock, as [Protocol]'s hook passes
+    [0.0]: a jittered run then boxes no clock per transmission. *)
+
+val reads_clock : t -> bool
+(** Whether {!transmit} reads its [now]: the plan has a crash or
+    partition window, or an enabled trace (see {!instrument}). *)
 
 (** {1 Accounting} *)
 

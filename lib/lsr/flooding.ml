@@ -81,7 +81,8 @@ type 'a t = {
   transmit : transmit option;  (** [None]: one copy after [t_hop]. *)
   delays : float array;
       (** The two slots the [transmit] hook writes its copies' delays
-          into; {!wire} schedules from them before the next call. *)
+          into; {!wire} and {!put} post from them before the next
+          call. *)
   deliver : switch:int -> 'a Lsa.t -> unit;
   trace : Sim.Trace.t;
   high : int array array;
@@ -179,14 +180,14 @@ let copies t ~src ~dst =
     1
   | Some transmit -> transmit ~src ~dst ~base_delay:t.t_hop t.delays
 
-(* Schedule [arrive] for every copy of one [src → dst] transmission;
-   [false] when the hook loses them all.  [arrive] reads the link's
-   state itself, so a message in flight over a link that fails is lost,
-   as on a real wire. *)
-let wire t ~src ~dst arrive =
+(* Post [arrive] with [arg] for every copy of one [src → dst]
+   transmission; [false] when the hook loses them all.  [arrive] reads
+   the link's state itself, so a message in flight over a link that
+   fails is lost, as on a real wire. *)
+let wire t ~src ~dst arrive arg =
   let n = copies t ~src ~dst in
   for i = 0 to n - 1 do
-    Sim.Engine.schedule t.engine ~delay:t.delays.(i) arrive
+    Sim.Engine.post t.engine ~delay:t.delays.(i) arrive arg
   done;
   n > 0
 

@@ -159,15 +159,16 @@ val send : 'a t -> src:int -> dst:int -> 'a Lsa.t -> unit
     copy is fire-and-forget.  Either way the sender hears nothing of a
     lost message. *)
 
-val wire : 'a t -> src:int -> dst:int -> (unit -> unit) -> bool
-(** [wire t ~src ~dst arrive] puts one transmission from [src] to [dst]
-    on the wire: [arrive] runs once per copy the [transmit] hook
-    returns, at that copy's delay, or once after [t_hop] without a hook.
-    [false] when the hook loses every copy.  [arrive] must check the
-    link itself: its state at arrival decides whether the copy got
-    through.  The link-health layer's hellos ride it; data and acks
-    take the same path through the in-flight table instead, without a
-    closure per copy. *)
+val wire :
+  'a t -> src:int -> dst:int -> Sim.Engine.callback -> int -> bool
+(** [wire t ~src ~dst arrive arg] puts one transmission from [src] to
+    [dst] on the wire: [arrive] is posted with [arg] once per copy the
+    [transmit] hook returns, at that copy's delay, or once after [t_hop]
+    without a hook.  [false] when the hook loses every copy.  [arrive]
+    must check the link itself: its state at arrival decides whether
+    the copy got through.  The link-health layer's hellos ride it, one
+    callback for all of them; data and acks take the same path through
+    the in-flight table instead. *)
 
 val floods_started : 'a t -> int
 (** Number of {!flood} calls. *)

@@ -1,14 +1,20 @@
-(* The calendar is one store of parallel arrays: slot [i] is
-   [times.(i)], [seqs.(i)], [entries.(i)] and [args.(i)].  Times live
-   unboxed in a [Float.Array], so placing or moving an entry allocates
-   nothing once the store has grown.  The store holds two structures
-   and grows once for both:
+(* The calendar is one store of parallel arrays: times unboxed in a
+   [Float.Array], insertion numbers, entries and [int] arguments.
+   Placing or moving an entry allocates nothing once the store has
+   grown.  The store holds two structures and grows once for both:
 
-   - the heap, a binary min-heap ordered by (time, seq) in slots
-     [0, size), earliest at [0];
+   - the heap, a binary min-heap ordered by (time, seq).  Its keys sit
+     in slots [0, size) of [times] and [seqs] and of [refs], an array
+     of the heap's own, earliest at [0]; a key's [refs] names the slot
+     of [entries] and [args] that holds its payload.  Sifting moves
+     only the three unboxed keys, so it writes no boxed slot and runs
+     no write barrier; a payload stays in its slot until it is popped.
+     Payload slots lie in [0, reach), the free ones chained through
+     [args];
    - a few FIFO lanes, each holding the entries placed at [now +. d]
      for its one delay [d], in blocks carved from the top of the store
-     down to [low].
+     down to [low].  A lane slot holds its key and payload together,
+     since nothing in a lane moves.
 
    For a fixed [d] the clock never decreases and IEEE addition is
    monotone, so [now +. d] never decreases, and insertion numbers always
@@ -16,16 +22,22 @@
    of the heap root and the lane heads is the entry the heap alone would
    surface, entry for entry.
 
-   Slots in [size, low) are free; a slot that has run, or is free,
-   holds [vacant]. *)
+   Slots in [reach, low) are free; a payload slot that has run, or is
+   free, holds [vacant]. *)
 type t = {
   mutable times : Float.Array.t;
   mutable seqs : int array;  (* Insertion order: FIFO among equal times. *)
+  mutable refs : int array;
+      (* A heap key's payload slot.  Not part of the store: the lanes
+         need none, so it grows only when [reach] outgrows it. *)
   mutable entries : entry array;
   mutable args : int array;
-      (* A posted callback's argument; 0 otherwise.  In a block's header
-         slot, the next block of its lane or of the free list. *)
+      (* A posted callback's argument; 0 otherwise.  In a free heap
+         payload slot, the next free one; in a block's header slot, the
+         next block of its lane or of the free list. *)
   mutable size : int;
+  mutable reach : int;  (* One past the highest heap payload slot. *)
+  mutable spare : int;  (* First free heap payload slot; [-1] if none. *)
   mutable low : int;  (* Lowest slot of a carved block. *)
   mutable free : int;  (* First block of the free list; [-1] if none. *)
   keys : Float.Array.t;
@@ -36,10 +48,14 @@ type t = {
   stamp : Float.Array.t;
       (* The time, then the delay, of the entry being placed: written by
          the inlined entry points, so neither crosses a call boxed. *)
+  clock : Float.Array.t;
+      (* The current time, unboxed: entering an entry writes it without
+         allocating. *)
+  mutable shown : float;
+      (* The clock as {!now} last boxed it. *)
   mutable pending : int;
       (* Entries neither run nor retired: exact, so [pending] is O(1). *)
   mutable next_seq : int;
-  mutable clock : float;
   mutable executed : int;
   mutable probe : (unit -> unit) option;
       (* Telemetry hook run after each executed event; [None] (the
@@ -83,9 +99,12 @@ let create ?(trace = Trace.disabled) ?(metrics = Metrics.Registry.disabled) ()
   {
     times = Float.Array.create 0;
     seqs = [||];
+    refs = [||];
     entries = [||];
     args = [||];
     size = 0;
+    reach = 0;
+    spare = -1;
     low = 0;
     free = -1;
     (* A NaN key equals no delay. *)
@@ -93,9 +112,10 @@ let create ?(trace = Trace.disabled) ?(metrics = Metrics.Registry.disabled) ()
     lanes = Array.init lane_count (fun _ -> { head = 0; tail = 0; length = 0 });
     queued = 0;
     stamp = Float.Array.create 2;
+    clock = Float.Array.make 1 0.0;
+    shown = 0.0;
     pending = 0;
     next_seq = 0;
-    clock = 0.0;
     executed = 0;
     probe = None;
     trace;
@@ -106,27 +126,32 @@ let trace t = t.trace
 
 let metrics t = t.metrics
 
-let now t = t.clock
+let[@inline] clock t = Float.Array.unsafe_get t.clock 0
+
+(* The clock boxed at most once per time: [shown] is reused until the
+   clock has moved. *)
+let now t =
+  let c = clock t in
+  if c <> t.shown then t.shown <- c;
+  t.shown
 
 let callback ?live f =
   match live with None -> Posted f | Some live -> Checked { live; run = f }
 
-(* Copy heap slot [src] to slot [dst]. *)
+(* Copy the heap key in slot [src] to slot [dst]. *)
 let[@inline] move t ~src ~dst =
   Float.Array.unsafe_set t.times dst (Float.Array.unsafe_get t.times src);
   t.seqs.(dst) <- t.seqs.(src);
-  t.entries.(dst) <- t.entries.(src);
-  t.args.(dst) <- t.args.(src)
+  t.refs.(dst) <- t.refs.(src)
 
-(* Move the entry at slot [i] up past each parent it precedes.  The
-   moving entry is held in locals while the hole rises, so its time
-   stays unboxed. *)
+(* Move the key in slot [i] up past each parent it precedes.  The
+   moving key is held in locals while the hole rises, so its time stays
+   unboxed. *)
 let sift_up t i =
   let times = t.times and seqs = t.seqs in
   let time = Float.Array.unsafe_get times i
   and seq = seqs.(i)
-  and entry = t.entries.(i)
-  and arg = t.args.(i) in
+  and payload = t.refs.(i) in
   let hole = ref i and rising = ref true in
   while !rising && !hole > 0 do
     let parent = (!hole - 1) / 2 in
@@ -139,18 +164,16 @@ let sift_up t i =
   done;
   Float.Array.unsafe_set times !hole time;
   seqs.(!hole) <- seq;
-  t.entries.(!hole) <- entry;
-  t.args.(!hole) <- arg
+  t.refs.(!hole) <- payload
 
-(* Fill the hole at the root with the entry at slot [size] (the last
+(* Fill the hole at the root with the key in slot [size] (the last
    one, just cut off the heap), moving up the earlier child while it
-   precedes that entry. *)
+   precedes that key. *)
 let sift_down t size =
   let times = t.times and seqs = t.seqs in
   let time = Float.Array.unsafe_get times size
   and seq = seqs.(size)
-  and entry = t.entries.(size)
-  and arg = t.args.(size) in
+  and payload = t.refs.(size) in
   let hole = ref 0 and sinking = ref true in
   while !sinking do
     let left = (2 * !hole) + 1 in
@@ -176,14 +199,13 @@ let sift_down t size =
   done;
   Float.Array.unsafe_set times !hole time;
   seqs.(!hole) <- seq;
-  t.entries.(!hole) <- entry;
-  t.args.(!hole) <- arg
+  t.refs.(!hole) <- payload
 
-(* [a] in an array of [larger] slots, its heap slots kept and its top
+(* [a] in an array of [larger] slots, its heap region kept and its top
    region from [low] moved up by [shift]. *)
 let resized t a larger shift fill =
   let b = Array.make larger fill in
-  Array.blit a 0 b 0 t.size;
+  Array.blit a 0 b 0 t.reach;
   Array.blit a t.low b (t.low + shift) (Array.length a - t.low);
   b
 
@@ -194,7 +216,7 @@ let grow t =
   let larger = max (lane_count * block) (2 * capacity) in
   let shift = larger - capacity in
   let times = Float.Array.create larger in
-  Float.Array.blit t.times 0 times 0 t.size;
+  Float.Array.blit t.times 0 times 0 t.reach;
   Float.Array.blit t.times t.low times (t.low + shift) (capacity - t.low);
   t.times <- times;
   t.seqs <- resized t t.seqs larger shift 0;
@@ -219,7 +241,7 @@ let take_block t =
     k
   end
   else begin
-    while t.low - block < t.size do
+    while t.low - block < t.reach do
       grow t
     done;
     t.low <- t.low - block;
@@ -235,14 +257,37 @@ let[@inline] placed t =
   t.next_seq <- t.next_seq + 1;
   t.pending <- t.pending + 1
 
+(* A free heap payload slot: a spare one, else one past [reach].  The
+   heap holds a key per payload, so its keys fit below [reach] too. *)
+let payload_slot t =
+  if t.spare >= 0 then begin
+    let p = t.spare in
+    t.spare <- t.args.(p);
+    p
+  end
+  else begin
+    if t.reach = t.low then grow t;
+    let p = t.reach in
+    if p = Array.length t.refs then begin
+      (* The heap fits below [low], so the store's capacity is all it
+         can reach until the store grows. *)
+      let refs = Array.make (Array.length t.seqs) 0 in
+      Array.blit t.refs 0 refs 0 t.size;
+      t.refs <- refs
+    end;
+    t.reach <- p + 1;
+    p
+  end
+
 (* Place [entry] and [arg] in the heap at the time in [stamp]. *)
 let push t entry arg =
-  if t.size = t.low then grow t;
+  let p = payload_slot t in
+  t.entries.(p) <- entry;
+  t.args.(p) <- arg;
   let i = t.size in
   Float.Array.unsafe_set t.times i (Float.Array.unsafe_get t.stamp 0);
   t.seqs.(i) <- t.next_seq;
-  t.entries.(i) <- entry;
-  t.args.(i) <- arg;
+  t.refs.(i) <- p;
   sift_up t i;
   t.size <- i + 1;
   placed t
@@ -305,7 +350,7 @@ let place t entry arg =
 let[@inline] stamp_after t ~fn delay =
   if not (Float.is_finite delay) || delay < 0.0 then
     invalid_arg (fn ^ ": delay must be finite and non-negative");
-  let time = t.clock +. delay in
+  let time = clock t +. delay in
   if time = Float.infinity then
     invalid_arg (fn ^ ": now + delay overflows to infinity");
   Float.Array.unsafe_set t.stamp 0 time;
@@ -320,7 +365,7 @@ let[@inline] post t ~delay cb arg =
 let[@inline] stamp_at t ~fn time =
   if not (Float.is_finite time) then
     invalid_arg (fn ^ ": time must be finite");
-  if time < t.clock then invalid_arg (fn ^ ": time is in the past");
+  if time < clock t then invalid_arg (fn ^ ": time is in the past");
   Float.Array.unsafe_set t.stamp 0 time
 
 let[@inline] post_at t ~time cb arg =
@@ -369,6 +414,15 @@ let earliest t =
   done;
   !best
 
+(* Take the root off the heap, its payload in slot [p] given back. *)
+let pop t p =
+  t.entries.(p) <- vacant;
+  t.args.(p) <- t.spare;
+  t.spare <- p;
+  let size = t.size - 1 in
+  t.size <- size;
+  if size > 0 then sift_down t size
+
 (* Take the head, in slot [j], off lane [l], giving back each block it
    leaves. *)
 let advance t l j =
@@ -387,12 +441,11 @@ let advance t l j =
     end
   end
 
-(* Start executing an entry due at [time].  The clock is a boxed field,
-   so [now] returns it without allocating; it is re-boxed only when the
-   time moves, not for each entry at the same time. *)
+(* Start executing an entry due at [time].  The clock is stored
+   unboxed; only {!now} boxes it. *)
 let[@inline] enter t time =
   t.pending <- t.pending - 1;
-  if time <> t.clock then t.clock <- time;
+  Float.Array.unsafe_set t.clock 0 time;
   t.executed <- t.executed + 1
 
 let[@inline] leave t = match t.probe with None -> () | Some probe -> probe ()
@@ -402,16 +455,12 @@ let run ?(max_events = max_int) t =
   while !budget <> 0 && t.size + t.queued > 0 do
     let src = if t.queued = 0 then lane_count else earliest t in
     let j = head_slot t src in
+    (* A lane slot holds its own payload; the heap root's is elsewhere. *)
+    let p = if src = lane_count then t.refs.(0) else j in
     let time = Float.Array.unsafe_get t.times j
-    and entry = t.entries.(j)
-    and arg = t.args.(j) in
-    if src = lane_count then begin
-      let size = t.size - 1 in
-      t.size <- size;
-      if size > 0 then sift_down t size;
-      t.entries.(size) <- vacant
-    end
-    else advance t t.lanes.(src) j;
+    and entry = t.entries.(p)
+    and arg = t.args.(p) in
+    if src = lane_count then pop t p else advance t t.lanes.(src) j;
     match entry with
     | Posted f ->
       enter t time;

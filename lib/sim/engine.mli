@@ -21,6 +21,13 @@
     its delay.  Any other delay, and every {!post_at} and
     {!schedule_at}, goes to the heap in O(log n).
 
+    The heap moves only unboxed keys: a time, an insertion number and
+    the index of the store slot (its payload slot) that holds the entry
+    and its argument.  An entry stays in its payload slot from the push
+    until it is popped, so a sift writes no boxed value and pays no
+    write barrier, and jittered delays, which find no lane, cost a few
+    key moves per level.  Freed payload slots are reused, last first.
+
     The lanes are exact.  For a fixed delay [d] the clock never
     decreases and IEEE addition is monotone, so [now +. d] never
     decreases, and insertion numbers always increase: each lane is
@@ -74,7 +81,11 @@ val metrics : t -> Metrics.Registry.t
 (** The run's registry, as given to {!create}. *)
 
 val now : t -> float
-(** Current virtual time. *)
+(** Current virtual time.  The engine keeps its clock unboxed, so
+    moving it allocates nothing; [now] boxes it on demand, at most once
+    per time (2 words), and returns that box until the clock moves.  A
+    caller on a per-transmission path that needs no time should not
+    ask (see [Faults.Plan.reads_clock]). *)
 
 val schedule : t -> delay:float -> (unit -> unit) -> unit
 (** [schedule t ~delay f] runs [f] at [now t +. delay].  [delay] must be

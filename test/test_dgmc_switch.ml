@@ -174,6 +174,54 @@ let test_accepts_up_to_date_proposal () =
   let _, _, c = Option.get (Dgmc.Switch.stamps h.sw mc) in
   check Alcotest.int "C adopted" 1 (Dgmc.Timestamp.get c 0)
 
+(* Incremental updates can give two switches with the same knowledge
+   different trees under one stamp (the tie-break extension, [Tiebreak]).
+   Two such proposals reach one switch, in separate invocations and in
+   one mailbox, in both orders: every order installs the same tree, the
+   lesser by [Mctree.Tree.compare].  A switch keeping whichever came
+   first ([supersedes] as [Timestamp.gt]) installs the first. *)
+let test_equal_stamps_tie_break () =
+  let members =
+    Dgmc.Member.of_list [ (0, Dgmc.Member.Both); (1, Dgmc.Member.Both) ]
+  in
+  let s = [ 1; 1; 0; 0; 0; 0 ] in
+  let direct = Mctree.Tree.of_edges ~terminals:[ 0; 1 ] [ (0, 1) ]
+  and around =
+    Mctree.Tree.of_edges ~terminals:[ 0; 1 ] [ (0, 3); (3, 4); (1, 4) ]
+  in
+  let installed ~together first second =
+    let h = harness () in
+    (* The two joins, bare, so the switch holds the MC and expects them. *)
+    receive h.sw (join_lsa ~src:0 ~stamp:(stamp [ 1; 0; 0; 0; 0; 0 ]) ());
+    receive h.sw (join_lsa ~src:1 ~stamp:(stamp s) ());
+    Sim.Engine.run h.engine;
+    let propose src tree =
+      receive h.sw (proposal_lsa ~src ~tree ~members ~stamp:(stamp s) ())
+    in
+    propose 2 first;
+    if not together then Sim.Engine.run h.engine;
+    propose 3 second;
+    Sim.Engine.run h.engine;
+    Dgmc.Switch.topology h.sw mc
+  in
+  let least =
+    if Mctree.Tree.compare direct around < 0 then direct else around
+  in
+  List.iter
+    (fun together ->
+      List.iter
+        (fun (first, second, order) ->
+          let where =
+            Printf.sprintf "%s, %s" order
+              (if together then "one mailbox" else "two invocations")
+          in
+          check Alcotest.bool (where ^ ": the lesser tree installed") true
+            (Option.equal Mctree.Tree.equal
+               (installed ~together first second)
+               (Some least)))
+        [ (direct, around, "direct first"); (around, direct, "around first") ])
+    [ false; true ]
+
 let test_rejects_stale_proposal () =
   (* A proposal whose stamp does not cover everything expected is not
      installed. *)
@@ -521,6 +569,8 @@ let () =
             test_accepts_up_to_date_proposal;
           Alcotest.test_case "rejects stale proposal" `Quick
             test_rejects_stale_proposal;
+          Alcotest.test_case "equal stamps: both orders install one tree"
+            `Quick test_equal_stamps_tie_break;
           Alcotest.test_case "inconsistency triggers proposal" `Quick
             test_inconsistency_triggers_own_proposal;
           Alcotest.test_case "consistent event does not trigger" `Quick

@@ -481,13 +481,70 @@ let test_lossy_flood_copies_allocation () =
    instance's parallel arrays and an index entry in place, its
    retransmit timer is a post of its token, and its ack finds it by the
    token the data copy carried: no record, closure, handle or table
-   bucket per transfer.  What remains is the delivery log, the clock's
-   re-boxing and, in dune's dev profile, each copy's boxed delay and
-   fault draws.  Measured: 10.2 words a message in release, 48.8 in
+   bucket per transfer.  What remains is the delivery log, the clock
+   boxed once per time (this hook asks [Sim.Engine.now] on every
+   transmission) and, in dune's dev profile, each copy's boxed delay
+   and fault draws.  Measured: 10.2 words a message in release, 48.8 in
    dev (50.6 and 86.1 with the transfer record and timer closure). *)
 let test_reliable_transfer_arms_no_closure () =
   check_lossy_flood_words
     ~bound:(if Alloc.cross_module_inlining then 12.0 else 58.0)
+
+(* A reliable flood from every switch of a 100-switch graph through a
+   lossy, jittered plan with no window, its hook shaped as
+   [Protocol]'s: the clock is read only when the plan asks for it
+   ([Faults.Plan.reads_clock]).  Every copy and ack has its own delay,
+   so all of them go through the calendar's heap.  Past the first
+   flood from each origin (which makes the duplicate records and grows
+   the tables) and with a delivery that only counts, a flood allocates
+   nothing per engine event where the engine's posts and the plan's
+   draws are inlined.  The registry is off: its first bump of a handle
+   lists it (about 12 words), and a later round can first retransmit
+   from a switch that never had to.  Before the clock was boxed on demand, with the
+   hook reading it on every transmission, this flood read 1.90 words
+   per event in release, the box of nearly every new time.  In dune's
+   dev profile each copy's delay and each fault draw is boxed at a
+   call: 11.5 words per event. *)
+let test_jittered_flood_allocates_nothing () =
+  let n = 100 in
+  let graph = Net.Topo_gen.waxman (Sim.Rng.create 7) ~n in
+  let spec =
+    { Faults.Plan.drop = 0.2; duplicate = 0.15; reorder = 0.1; jitter = 0.5 }
+  in
+  let plan = Faults.Plan.create ~spec ~seed:7 () in
+  let engine = Sim.Engine.create () in
+  Faults.Plan.instrument plan engine;
+  let transmit ~src ~dst ~base_delay delays =
+    let now =
+      if Faults.Plan.reads_clock plan then Sim.Engine.now engine else 0.0
+    in
+    Faults.Plan.transmit plan ~src ~dst ~now ~base_delay delays
+  in
+  let delivered = ref 0 in
+  let deliver ~switch:_ _ = incr delivered in
+  let f =
+    Lsr.Flooding.create ~engine ~graph ~t_hop:1.0 ~mode:Lsr.Flooding.Reliable
+      ~transmit ~deliver ()
+  in
+  let flood_all lsas =
+    for origin = 0 to n - 1 do
+      Lsr.Flooding.flood f lsas.(origin);
+      Sim.Engine.run engine
+    done
+  in
+  let lsas seq = Array.init n (fun origin -> Lsr.Lsa.make ~origin ~seq ()) in
+  flood_all (lsas 0);
+  let second = lsas 1 and before = Sim.Engine.events_executed engine in
+  let words = Alloc.words_allocated (fun () -> flood_all second) in
+  let events = Sim.Engine.events_executed engine - before in
+  check Alcotest.int "every switch received every flood" (2 * n * (n - 1))
+    !delivered;
+  let per_event = words /. float_of_int events in
+  let bound = if Alloc.cross_module_inlining then 0.0 else 13.0 in
+  if per_event > bound then
+    (* dgmc-analyze: allow float-format — test failure message *)
+    Alcotest.failf "%.2f words per engine event over %d events (bound %.0f)"
+      per_event events bound
 
 (* A transfer's timer names it by slot and generation.  An acked
    transfer's slot is reused by the next one while the acked one's
@@ -657,6 +714,8 @@ let () =
             test_lossy_flood_copies_allocation;
           Alcotest.test_case "reliable transfer arms no closure" `Quick
             test_reliable_transfer_arms_no_closure;
+          Alcotest.test_case "a jittered flood allocates nothing per event"
+            `Quick test_jittered_flood_allocates_nothing;
           Alcotest.test_case "stale retransmit after slot reuse" `Quick
             test_stale_retransmit_after_slot_reuse;
           Alcotest.test_case "a transfer awaiting its ack is not restarted"

@@ -171,8 +171,8 @@ let flood_words_per_message mode =
 (* An untraced hop-by-hop message is posted to the calendar with its
    in-flight slot's id, and forwarding walks the sorted row with a plain
    recursion, so a hop allocates nothing where [Sim.Engine.post] is
-   inlined and its boxed delay in dune's dev profile; the clock is
-   re-boxed when an arrival moves it.  A reliable message's transfer
+   inlined and its boxed delay in dune's dev profile; the engine keeps
+   the clock unboxed, so an arrival that moves it allocates nothing.  A reliable message's transfer
    takes a slot in the transfer table and its retransmit timer is a
    post of the transfer's token; its ack is a posted slot too. *)
 let test_flooding_allocation_bound () =

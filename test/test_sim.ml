@@ -428,8 +428,10 @@ let test_post_allocates_nothing () =
 
 (* Posts at one repeated delay go to one lane of the calendar: once it
    has grown, neither the posts nor the run that drains them allocate.
-   The clock moves to the lane's time at the first entry, which boxes
-   it; the drain measured is of the entries after it. *)
+   The engine keeps its clock unboxed and boxes it only when [now] is
+   asked, so moving the clock to the lane's time at the first entry
+   allocates nothing either: the drain measured is the whole run.  (A
+   clock kept boxed read 2 words here, that first entry's box.) *)
 let test_lane_allocates_nothing () =
   let eng = Engine.create () in
   let sum = ref 0 in
@@ -444,7 +446,6 @@ let test_lane_allocates_nothing () =
   let drain () =
     post_all ();
     Engine.post eng ~delay:!delay cb 0;
-    Engine.run ~max_events:1 eng;
     Alloc.words_allocated (fun () -> Engine.run eng)
   in
   (* Grow the store to the depth measured below. *)
@@ -464,6 +465,51 @@ let test_lane_allocates_nothing () =
   check Alcotest.int "every post ran with its argument"
     (3 * posts * (posts + 1) / 2)
     !sum
+
+(* Posts at distinct random delays, as under a jittered fault plan, find
+   no lane: all of them go through the heap.  Once the store has grown,
+   draining them allocates nothing, as a lane's drain does: sifting
+   moves only unboxed keys and the clock is not boxed per time step.
+   Where [now] is read, it boxes the clock once per time.  Before the
+   clock was kept unboxed this drain read 2 words per event, the box of
+   every new time. *)
+let test_jittered_drain_allocates_nothing () =
+  let eng = Engine.create () in
+  let rng = Rng.create 17 in
+  let sum = ref 0 in
+  let cb = Engine.callback (fun arg -> sum := !sum + arg) in
+  let posts = 1000 in
+  let drain () =
+    for i = 1 to posts do
+      Engine.post eng ~delay:(Rng.float rng 10.0) cb i
+    done;
+    Alloc.words_allocated (fun () -> Engine.run eng)
+  in
+  (* Grow the store to the depth measured below. *)
+  ignore (drain ());
+  let drained = drain () in
+  if drained > 0.0 then
+    (* dgmc-analyze: allow float-format — test failure message *)
+    Alcotest.failf "draining %d jittered posts allocated %.0f words" posts
+      drained;
+  check Alcotest.int "every post ran with its argument"
+    (posts * (posts + 1))
+    !sum;
+  (* Asked three times an event, [now] boxes each new time once: one
+     float, 2 words. *)
+  let asking = Engine.callback (fun _ ->
+      for _ = 1 to 3 do
+        ignore (Sys.opaque_identity (Engine.now eng))
+      done)
+  in
+  for i = 1 to posts do
+    Engine.post eng ~delay:(Rng.float rng 10.0) asking i
+  done;
+  let asked = Alloc.words_allocated (fun () -> Engine.run eng) in
+  if asked > float_of_int (2 * posts) then
+    (* dgmc-analyze: allow float-format — test failure message *)
+    Alcotest.failf "now boxed %.0f words over %d times (limit %d)" asked
+      posts (2 * posts)
 
 (* Posts and scheduled actions draw on one insertion counter: at equal
    times they run in the order they were placed, whichever the kind. *)
@@ -856,6 +902,8 @@ let () =
             test_post_allocates_nothing;
           Alcotest.test_case "lane posts and drain allocate nothing" `Quick
             test_lane_allocates_nothing;
+          Alcotest.test_case "a jittered drain allocates nothing" `Quick
+            test_jittered_drain_allocates_nothing;
           Alcotest.test_case "post and schedule share FIFO ties" `Quick
             test_post_schedule_fifo_ties;
           Alcotest.test_case "cancel frees the action before it surfaces"
