@@ -635,7 +635,7 @@ let script_cmd =
       (match Dgmc.Protocol.health_summary net with
       | None -> ()
       | Some h ->
-        let p99 = Metrics.Stats.nearest_rank h.Dgmc.Protocol.h_latencies 0.99 in
+        let p99 = Metrics.Stats.nearest_rank h.Dgmc.Link_health.h_latencies 0.99 in
         Format.printf
           "health: hellos=%d detections=%d recoveries=%d false-positives=%d \
            flaps=%d suppressed-now=%d@."

@@ -11,38 +11,6 @@ type totals = {
   retransmissions : int;
 }
 
-(* Link-health layer state (opt-in, [Config.health]).  When present,
-   scripted link changes touch ground truth only — the hello agents must
-   discover them, and the declaring switch originates the link LSAs
-   itself. *)
-type health_state = {
-  hc : Health.Config.t;
-  mutable agents : Health.Hello.t array;
-  truth_changed : float Lsr.Lsdb.Link_tbl.t;
-      (* Last ground-truth change instant per link — detection-latency
-         base. *)
-  detections : Metrics.Registry.counter array;
-      (* Per switch: down verdicts matching ground truth. *)
-  recoveries : Metrics.Registry.counter array;  (* up verdicts *)
-  false_positives : Metrics.Registry.counter array;
-  hellos_sent : Metrics.Registry.counter array;
-  hellos_received : Metrics.Registry.counter array;
-  suppressions : Metrics.Registry.counter array;
-  unsuppressions : Metrics.Registry.counter array;
-  mutable latencies : float list;  (* down-detection latencies *)
-}
-
-type health_summary = {
-  h_detections : int;
-  h_recoveries : int;
-  h_false_positives : int;
-  h_latencies : float list;  (** Sorted ascending. *)
-  h_bound : float;
-  h_suppressed : int;
-  h_hellos : int;
-  h_flaps : int;
-}
-
 (* The timers switches have started and that have not fired yet, one
    slot each: the starting switch and its timer.  A slot is taken when
    its timer starts and given back when it fires; the engine runs the
@@ -61,7 +29,7 @@ type t = {
   switches : Switch.t array;
   flooding : Switch.payload Lsr.Flooding.t;
   flood : Switch.payload Lsr.Lsa.t -> unit;  (** The flooding transport. *)
-  mutable health : health_state option;
+  health : Link_health.t option;  (** The opt-in link-health layer. *)
   seqs : Lsr.Lsa.Seq.counter array;
   clock : Lsr.Lsdb.clock;  (** Ground-truth link versions. *)
   truth : Member.t Mc_id.Tbl.t;  (** Ground-truth membership per MC. *)
@@ -79,7 +47,7 @@ type t = {
           first: kept bare so that a signal allocates nothing. *)
   mutable observers : (int -> unit) list;
   timers : timers;
-  mutable due : Sim.Engine.callback;  (** {!fire}, posted with a slot. *)
+  due : Sim.Engine.callback;  (** {!fire}, posted with a slot. *)
 }
 
 (* The [Lsa_originated] event of an LSA: its MC, event and stamp for an
@@ -149,9 +117,8 @@ let take_slot ts ~from timer =
 
 (* A started timer is due: give its slot back, then hand the timer to
    its switch. *)
-let fire t slot =
-  let ts = t.timers in
-  let sw = t.switches.(ts.owner.(slot)) and timer = ts.timer.(slot) in
+let fire switches ts slot =
+  let sw = switches.(ts.owner.(slot)) and timer = ts.timer.(slot) in
   Sim.Slots.give_back ts.ids slot;
   Switch.fire sw timer
 
@@ -190,6 +157,25 @@ let zero =
     retransmissions = 0;
   }
 
+(* The run's engine: a fresh one over [trace] and [metrics], or the
+   one passed in, which brings its own sinks. *)
+let run_engine ?engine ?trace ?metrics series =
+  match (engine, trace, metrics) with
+  | Some _, None, None when Metrics.Series.enabled series ->
+    invalid_arg "Protocol.create: ~engine excludes a live ~series"
+  | Some engine, None, None -> engine
+  | Some _, _, _ ->
+    invalid_arg "Protocol.create: ~engine excludes ~trace and ~metrics"
+  | None, _, _ -> Sim.Engine.create ?trace ?metrics ()
+
+(* The flooding's fault hook.  A plan with no window and no trace never
+   reads [~now], so the hook leaves the clock unread and unboxed. *)
+let fault_hook engine plan ~src ~dst ~base_delay delays =
+  let now =
+    if Faults.Plan.reads_clock plan then Sim.Engine.now engine else 0.0
+  in
+  Faults.Plan.transmit plan ~src ~dst ~now ~base_delay delays
+
 let create ~graph ~config ?faults ?engine ?trace ?metrics
     ?(series = Metrics.Series.disabled) () =
   let n = Net.Graph.n_nodes graph in
@@ -201,24 +187,13 @@ let create ~graph ~config ?faults ?engine ?trace ?metrics
      silence them over links that are up, which the verdicts, judged
      against link ground truth alone, would count as false positives. *)
   (match (config.Config.health, faults) with
-  | Some _, Some plan
-    when Faults.Plan.crash_windows plan <> []
-         || Faults.Plan.partition_windows plan <> [] ->
+  | Some _, Some plan when Faults.Plan.has_windows plan ->
     invalid_arg
       "Protocol.create: the link-health layer excludes crash and partition \
        windows"
   | _ -> ());
-  let engine =
-    match (engine, trace, metrics) with
-    | Some _, None, None when Metrics.Series.enabled series ->
-      invalid_arg "Protocol.create: ~engine excludes a live ~series"
-    | Some engine, None, None -> engine
-    | Some _, _, _ ->
-      invalid_arg "Protocol.create: ~engine excludes ~trace and ~metrics"
-    | None, _, _ -> Sim.Engine.create ?trace ?metrics ()
-  in
-  let trace = Sim.Engine.trace engine
-  and metrics = Sim.Engine.metrics engine in
+  let engine = run_engine ?engine ?trace ?metrics series in
+  let metrics = Sim.Engine.metrics engine in
   (* One image store for the whole run, apart from [graph], which link
      events mutate as ground truth. *)
   let boot = Lsr.Lsdb.boot graph in
@@ -228,24 +203,11 @@ let create ~graph ~config ?faults ?engine ?trace ?metrics
   let deliver ~switch (lsa : Switch.payload Lsr.Lsa.t) =
     Switch.deliver switches.(switch) lsa.payload
   in
-  let transmit =
-    match faults with
-    | None -> None
-    | Some plan ->
-      Faults.Plan.instrument plan engine;
-      (* A plan with no window and no trace never reads [~now], so the
-         hook leaves the clock unread and unboxed. *)
-      Some
-        (fun ~src ~dst ~base_delay delays ->
-          let now =
-            if Faults.Plan.reads_clock plan then Sim.Engine.now engine else 0.0
-          in
-          Faults.Plan.transmit plan ~src ~dst ~now ~base_delay delays)
-  in
   let flooding =
     Lsr.Flooding.create ~engine ~graph ~t_hop:config.Config.t_hop
       ~mode:config.Config.flood_mode ~reliability:config.Config.reliability
-      ?transmit ~deliver ()
+      ?transmit:(Option.map (fault_hook engine) faults)
+      ~deliver ()
   in
   (* Flight-recorder probe: the calendar depth after every executed
      event.  Installed only when the series is live — the disabled engine
@@ -258,6 +220,30 @@ let create ~graph ~config ?faults ?engine ?trace ?metrics
         Metrics.Series.record depth ~time:(Sim.Engine.now engine)
           (float_of_int (Sim.Engine.pending engine)))
   end;
+  (* Crash recovery: at each crash window's close the switch's forwarding
+     plane returns, but every LSA flooded meanwhile is gone for good —
+     the plan dropped deliveries to it and floods from it.  Schedule the
+     resynchronisation exchange at that instant, traced or not (protocol
+     behavior must never depend on tracing); a traced plan then marks
+     its windows. *)
+  Option.iter
+    (fun plan ->
+      List.iter
+        (fun (sw, (_, until)) ->
+          Sim.Engine.schedule_at engine ~time:until (fun () ->
+              Switch.begin_resync switches.(sw)))
+        (Faults.Plan.crash_windows plan);
+      Faults.Plan.instrument plan engine)
+    faults;
+  let clock = Lsr.Lsdb.clock () in
+  let health =
+    Option.map
+      (fun hc ->
+        Link_health.create ~engine ~graph ~config:hc
+          ~t_hop:config.Config.t_hop ~flooding ~clock switches)
+      config.Config.health
+  in
+  let timers = { owner = [||]; timer = [||]; ids = Sim.Slots.create () } in
   let net =
     {
       engine;
@@ -267,11 +253,11 @@ let create ~graph ~config ?faults ?engine ?trace ?metrics
       switches;
       flooding;
       flood = (fun lsa -> Lsr.Flooding.flood flooding lsa);
-      health = None;
+      health;
       seqs = Array.init n (fun _ -> Lsr.Lsa.Seq.create ());
-      clock = Lsr.Lsdb.clock ();
+      clock;
       truth = Mc_id.Tbl.create 8;
-      trace;
+      trace = Sim.Engine.trace engine;
       events = Metrics.Registry.counter metrics "protocol.events";
       mc_floodings = Metrics.Registry.counter metrics "protocol.mc_floodings";
       link_floodings = Metrics.Registry.counter metrics "protocol.link_floodings";
@@ -281,157 +267,11 @@ let create ~graph ~config ?faults ?engine ?trace ?metrics
       first_event = None;
       last_change = neg_infinity;
       observers = [];
-      timers = { owner = [||]; timer = [||]; ids = Sim.Slots.create () };
-      due = Sim.Engine.callback ignore;
+      timers;
+      due = Sim.Engine.callback (fire switches timers);
     }
   in
-  net.due <- Sim.Engine.callback (fire net);
   Array.iteri (fun id sw -> Switch.connect sw (output net ~from:id)) switches;
-  (* Crash recovery: at each crash window's close the switch's forwarding
-     plane returns, but every LSA flooded meanwhile is gone for good —
-     the plan dropped deliveries to it and floods from it.  Schedule the
-     resynchronisation exchange at that instant, traced or not (protocol
-     behavior must never depend on tracing). *)
-  (match faults with
-  | Some plan ->
-    List.iter
-      (fun (sw, (_, until)) ->
-        Sim.Engine.schedule_at engine ~time:until (fun () ->
-            Switch.begin_resync switches.(sw)))
-      (Faults.Plan.crash_windows plan)
-  | None -> ());
-  (* Traced runs get the fault plan's scheduled windows marked on the
-     timeline, so an analyzer can correlate what a switch missed with
-     when it was down.  Scheduled only when tracing: untraced runs must
-     keep a byte-identical event calendar. *)
-  (match faults with
-  | Some plan when Sim.Trace.enabled trace ->
-    let mark ~time event =
-      Sim.Engine.schedule_at engine ~time (fun () ->
-          ignore (Sim.Trace.emit trace ~time event))
-    in
-    List.iter
-      (fun (sw, (from_, until)) ->
-        mark ~time:from_ (Sim.Trace.Crash { switch = sw });
-        mark ~time:until (Sim.Trace.Recover { switch = sw }))
-      (Faults.Plan.crash_windows plan);
-    List.iter
-      (fun (side, (from_, until)) ->
-        let side_str = String.concat "," (List.map string_of_int side) in
-        mark ~time:from_
-          (Sim.Trace.Note
-             {
-               category = "partition";
-               message = Printf.sprintf "partition {%s} begins" side_str;
-             });
-        mark ~time:until
-          (Sim.Trace.Note
-             {
-               category = "partition";
-               message = Printf.sprintf "partition {%s} heals" side_str;
-             }))
-      (Faults.Plan.partition_windows plan)
-  | _ -> ());
-  (* Link-health layer (opt-in).  Hello agents probe every configured
-     adjacency; scripted link changes become ground truth the detectors
-     must discover (see [link_change]). *)
-  (match config.Config.health with
-  | None -> ()
-  | Some hc ->
-    let all_edges = Net.Graph.all_edges graph in
-    let adjacency i =
-      List.filter_map
-        (fun ((e : Net.Graph.edge), _up) ->
-          if e.Net.Graph.u = i then Some e.Net.Graph.v
-          else if e.Net.Graph.v = i then Some e.Net.Graph.u
-          else None)
-        all_edges
-    in
-    let per_switch = Metrics.Registry.per_switch metrics n in
-    let h =
-      {
-        hc;
-        agents = [||];
-        truth_changed = Lsr.Lsdb.Link_tbl.create 16;
-        detections = per_switch "health.detections";
-        recoveries = per_switch "health.recoveries";
-        false_positives = per_switch "health.false_positives";
-        hellos_sent = per_switch "health.hellos_sent";
-        hellos_received = per_switch "health.hellos_received";
-        suppressions = per_switch "health.suppressions";
-        unsuppressions = per_switch "health.unsuppressions";
-        latencies = [];
-      }
-    in
-    (* One hello on the flooding's wire, subject to the same fault plan
-       as LSAs: drops, duplication and jitter are exactly the adversities
-       the detectors must tolerate.  Arrival is gated on the link being
-       up {e at delivery time}.  Every copy posts the one [arrive]
-       callback with its direction packed as [src * n + peer]. *)
-    let arrive =
-      Sim.Engine.callback (fun key ->
-          let i = key / n and peer = key mod n in
-          if Net.Graph.link_is_up graph i peer then begin
-            Metrics.Registry.bump h.hellos_received.(peer);
-            Health.Hello.on_hello h.agents.(peer) ~from:i
-          end)
-    in
-    let send i ~peer =
-      Metrics.Registry.bump h.hellos_sent.(i);
-      ignore
-        (Lsr.Flooding.wire flooding ~src:i ~dst:peer arrive ((i * n) + peer))
-    in
-    (* A detector verdict: the switch's belief about an incident link
-       changed.  Version the event, judge it against the link's ground
-       truth, tell the switch, and originate the link LSA. *)
-    let declare i ~peer ~up =
-      let at = Sim.Engine.now engine in
-      let lo, hi = if i < peer then (i, peer) else (peer, i) in
-      let ev = Lsr.Lsdb.stamp net.clock i peer ~up in
-      let last_change = Lsr.Lsdb.Link_tbl.find_opt h.truth_changed (lo, hi) in
-      let latency, spurious =
-        if up then
-          (* Up verdicts rest on hellos that genuinely arrived; measure
-             recovery latency from the last ground-truth change. *)
-          ( (match last_change with Some since -> at -. since | None -> 0.0),
-            false )
-        else if Net.Graph.link_is_up graph i peer then (0.0, true)
-        else (at -. Option.value ~default:0.0 last_change, false)
-      in
-      if up then Metrics.Registry.bump h.recoveries.(i)
-      else begin
-        (* Retransmitting into a dead adjacency is pointless; cancel the
-           pending state and fire the give-ups exactly once each. *)
-        ignore (Lsr.Flooding.abandon_link flooding ~src:i ~dst:peer);
-        if spurious then Metrics.Registry.bump h.false_positives.(i)
-        else begin
-          Metrics.Registry.bump h.detections.(i);
-          h.latencies <- latency :: h.latencies
-        end
-      end;
-      if Sim.Trace.enabled trace then
-        ignore
-          (Sim.Trace.emit trace ~time:at
-             (Sim.Trace.Link_detected { switch = i; peer; up; latency; spurious }));
-      Switch.detect switches.(i) ev;
-      if up then
-        Sim.Engine.schedule engine ~delay:config.Config.t_hop (fun () ->
-            Switch.resync switches.(i) ~peer:switches.(peer))
-    in
-    h.agents <-
-      Array.init n (fun i ->
-          Health.Hello.create ~engine ~config:hc ~peers:(adjacency i)
-            ~send:(fun ~peer -> send i ~peer)
-            ~declare:(fun ~peer ~up -> declare i ~peer ~up)
-            ~on_suppress:(fun ~peer ~resumed ->
-              Metrics.Registry.bump
-                (if resumed then h.unsuppressions.(i) else h.suppressions.(i));
-              if Sim.Trace.enabled trace then
-                ignore
-                  (Sim.Trace.emit trace ~time:(Sim.Engine.now engine)
-                     (Sim.Trace.Link_suppressed { switch = i; peer; resumed }))));
-    net.health <- Some h;
-    Array.iter Health.Hello.start h.agents);
   net
 
 let engine t = t.engine
@@ -477,24 +317,18 @@ let link_change t u v ~up =
     invalid_arg (Printf.sprintf "Protocol: no link (%d, %d)" u v);
   note_event t;
   Net.Graph.set_link t.graph u v ~up;
-  let lo, hi = if u < v then (u, v) else (v, u) in
   match t.health with
   | Some h ->
     (* Health layer on: the change is ground truth only.  No switch is
-       told, nothing is flooded — the hello agents must discover it, and
-       detection latency is measured from this instant. *)
-    let now = Sim.Engine.now t.engine in
-    Lsr.Lsdb.Link_tbl.replace h.truth_changed (lo, hi) now;
-    if Sim.Trace.enabled t.trace then
-      Sim.Trace.recordf t.trace ~time:now ~category:"truth"
-        "link %d-%d ground truth now %s (detectors must discover it)" lo hi
-        (if up then "up" else "down")
+       told, nothing is flooded — the hello agents must discover it. *)
+    Link_health.link_change h u v ~up
   | None ->
   Switch.detect_link t.switches (Lsr.Lsdb.stamp t.clock u v ~up);
   (* A recovered adjacency triggers an MC database exchange between its
      endpoints (one hop of delay), so the two sides of a healed
      partition reconcile — see Switch.resync. *)
   if up then
+    let lo, hi = if u < v then (u, v) else (v, u) in
     Sim.Engine.schedule t.engine ~delay:t.config.Config.t_hop (fun () ->
         Switch.resync t.switches.(lo) ~peer:t.switches.(hi);
         Switch.resync t.switches.(hi) ~peer:t.switches.(lo))
@@ -563,30 +397,17 @@ let violations t mc =
   @ Terminal.against_truth ~graph:t.graph ~members:(truth_members t mc) mc
       t.switches
 
-(* The links some endpoint's hello agent holds under damping
-   suppression, each once as [(lo, hi)], ascending. *)
-let suppressed_links t =
-  match t.health with
-  | None -> []
-  | Some h ->
-    let links = ref [] in
-    Array.iteri
-      (fun i agent ->
-        List.iter
-          (fun peer -> links := (min i peer, max i peer) :: !links)
-          (Health.Hello.suppressed agent))
-      h.agents;
-    List.sort_uniq
-      (fun (a, b) (c, d) ->
-        match Int.compare a c with 0 -> Int.compare b d | r -> r)
-      !links
-
 let terminal_violations t =
   let truth =
     Mc_id.Tbl.fold (fun mc members acc -> (mc, members) :: acc) t.truth []
   in
   Terminal.check ~graph:t.graph ~truth t.switches
-  @ Terminal.suppress_install ~suppressed:(suppressed_links t) t.switches
+  @ Terminal.suppress_install
+      ~suppressed:
+        (match t.health with
+        | None -> []
+        | Some h -> Link_health.suppressed_links h)
+      t.switches
 
 let divergence t mc = List.map Terminal.to_string (violations t mc)
 
@@ -597,28 +418,4 @@ let agreed_topology t mc =
     Array.find_map (fun sw -> Switch.topology sw mc) t.switches
   else None
 
-(* ------------------------------------------------------------------ *)
-(* Link-health observability *)
-
-let health_summary t =
-  Option.map
-    (fun h ->
-      let suppressed =
-        Array.fold_left
-          (fun acc agent -> acc + List.length (Health.Hello.suppressed agent))
-          0 h.agents
-      in
-      let flaps =
-        Array.fold_left (fun acc a -> acc + Health.Hello.flaps a) 0 h.agents
-      in
-      {
-        h_detections = Metrics.Registry.sum h.detections;
-        h_recoveries = Metrics.Registry.sum h.recoveries;
-        h_false_positives = Metrics.Registry.sum h.false_positives;
-        h_latencies = List.sort Float.compare h.latencies;
-        h_bound = Health.Config.detect_bound h.hc;
-        h_suppressed = suppressed;
-        h_hellos = Metrics.Registry.sum h.hellos_sent;
-        h_flaps = flaps;
-      })
-    t.health
+let health_summary t = Option.map Link_health.summary t.health

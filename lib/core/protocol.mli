@@ -29,22 +29,6 @@ type totals = {
   retransmissions : int;  (** Reliable flooding: data copies retransmitted. *)
 }
 
-type health_summary = {
-  h_detections : int;
-      (** Down verdicts that matched ground truth: the link was down
-          when the verdict was made. *)
-  h_recoveries : int;  (** Up re-declarations. *)
-  h_false_positives : int;
-      (** Down verdicts contradicting ground truth. *)
-  h_latencies : float list;
-      (** Detection latencies of the true down verdicts, sorted
-          ascending. *)
-  h_bound : float;  (** {!Health.Config.detect_bound} of the config. *)
-  h_suppressed : int;  (** Adjacency directions suppressed right now. *)
-  h_hellos : int;  (** Hellos put on the wire. *)
-  h_flaps : int;  (** Down declarations across all agents. *)
-}
-
 type t
 
 val create :
@@ -64,8 +48,12 @@ val create :
     given fault plan — loss, duplication, reordering, jitter, crash and
     partition windows — in the engine's simulated time.  Pair it with
     [config.flood_mode = Reliable], or floods will silently lose LSAs
-    and the network will not converge.  Hellos sense links only, so a
-    plan with a crash or partition window (read here) and
+    and the network will not converge.
+
+    [config.health] attaches the link-health layer ({!Link_health}):
+    hello agents on every switch, and scripted link changes that touch
+    ground truth only.  Hellos sense links only, so a plan with a crash
+    or partition window ({!Faults.Plan.has_windows}) and
     [config.health] together are [Invalid_argument].
 
     [engine] runs the network on an existing calendar instead of a fresh
@@ -82,12 +70,10 @@ val create :
     id, advertised event and R stamp; link LSAs carry ["link-up"] /
     ["link-down"]), and the per-hop forwarding, delivery, protocol
     reaction and eventual [Topology_installed] it causes are chained to
-    it through parent ids.  When a fault plan is present its scheduled
-    crash windows additionally appear as [Crash]/[Recover] marks (and
-    partitions as ["partition"] notes) — these extra trace entries are
-    only scheduled when tracing is on, so untraced runs stay
-    byte-for-byte deterministic.  [metrics] is the registry every layer
-    counts in, under [protocol.*], [switch.*], [flood.*], [faults.*] and
+    it through parent ids.  A traced fault plan also marks its windows
+    ({!Faults.Plan.instrument}), scheduled only when tracing is on, so
+    untraced runs stay byte-for-byte deterministic.  [metrics] is the
+    registry every layer counts in, under [protocol.*], [switch.*], [flood.*], [faults.*] and
     [health.*] names: the counts behind {!totals} are its counter
     handles, so the two never disagree.
 
@@ -170,7 +156,7 @@ val convergence_rounds : t -> float option
     the last {!reset_counters}.  [None] until an event and a change have
     happened. *)
 
-val health_summary : t -> health_summary option
+val health_summary : t -> Link_health.summary option
 (** Aggregated link-health statistics since creation, summed over the
     switches' [health.*] handles; [None] when [Config.health] is unset. *)
 

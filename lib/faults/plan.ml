@@ -131,10 +131,6 @@ let create ~spec ~seed () =
     sim_trace = Sim.Trace.disabled;
   }
 
-let instrument t engine =
-  t.sim_trace <- Sim.Engine.trace engine;
-  t.counts <- counts (Sim.Engine.metrics engine)
-
 let window ~who ~from_ ~until =
   if not (from_ >= 0.0 && until >= from_ && until < infinity) then
     invalid_arg
@@ -179,10 +175,10 @@ let rec separated a b now = function
 
 let traced t = Sim.Trace.enabled t.sim_trace
 
-let reads_clock t =
-  match (t.crashes, t.partitions) with
-  | [], [] -> traced t
-  | _ -> true
+let has_windows t =
+  match (t.crashes, t.partitions) with [], [] -> false | _ -> true
+
+let reads_clock t = has_windows t || traced t
 
 let emit t ~now ~src ~dst fault =
   ignore
@@ -276,12 +272,36 @@ let counters t : counters =
 let crash_windows t =
   List.rev_map (fun (s, w) -> (s, (w.w_from, w.w_until))) t.crashes
 
-let partition_windows t =
-  List.rev_map
+(* Mark every window on the traced engine's timeline, in scheduling
+   order: a crash as [Crash]/[Recover], a partition as a note at each
+   end naming its side, so an analyzer can correlate what a switch
+   missed with when it was cut off. *)
+let mark_windows t engine =
+  let mark ~time event =
+    Sim.Engine.schedule_at engine ~time (fun () ->
+        ignore (Sim.Trace.emit t.sim_trace ~time event))
+  in
+  List.iter
+    (fun (switch, w) ->
+      mark ~time:w.w_from (Crash { switch });
+      mark ~time:w.w_until (Recover { switch }))
+    (List.rev t.crashes);
+  List.iter
     (fun (membership, w) ->
-      let side = ref [] in
-      for s = Array.length membership - 1 downto 0 do
-        if membership.(s) then side := s :: !side
-      done;
-      (!side, (w.w_from, w.w_until)))
-    t.partitions
+      let side =
+        List.init (Array.length membership) Fun.id
+        |> List.filter (fun s -> membership.(s))
+        |> List.map string_of_int |> String.concat ","
+      in
+      let note what =
+        Sim.Trace.Note
+          { category = "partition"; message = "partition {" ^ side ^ "} " ^ what }
+      in
+      mark ~time:w.w_from (note "begins");
+      mark ~time:w.w_until (note "heals"))
+    (List.rev t.partitions)
+
+let instrument t engine =
+  t.sim_trace <- Sim.Engine.trace engine;
+  t.counts <- counts (Sim.Engine.metrics engine);
+  if traced t then mark_windows t engine

@@ -18,7 +18,7 @@
 
     Probabilistic faults (drop/duplicate/reorder/jitter) are memoryless
     and never end; scheduled faults (crashes, partitions) are windows in
-    simulated time ({!crash_windows}, {!partition_windows}): convergence
+    simulated time ({!crash_switch}, {!partition}): convergence
     may be demanded once the last one closes. *)
 
 (** {1 Fault specification} *)
@@ -64,7 +64,13 @@ val instrument : t -> Sim.Engine.t -> unit
     {!Sim.Engine.metrics}): with an enabled trace, every injected fault
     emits a [Fault_injected] event; {!counters} reads the registry's
     [faults.*] handles, which restart at zero here, so instrument a plan
-    before it mediates a transmission, as {!Protocol.create} does. *)
+    before it mediates a transmission.  With an enabled trace it also
+    schedules a mark of every window already added, in scheduling
+    order: a crash as [Crash] and [Recover] events, a partition as a
+    ["partition"] note ["partition {0,1} begins"] and one that
+    ["… heals"].  Untraced, the calendar is left untouched.
+    [Dgmc.Protocol.create] instruments its plan after scheduling each crash
+    window's recovery, so at a shared instant the recovery runs first. *)
 
 val crash_switch : t -> switch:int -> from_:float -> until:float -> unit
 (** The switch is fail-silent during [[from_, until)): every transmission
@@ -77,12 +83,11 @@ val partition : t -> side:int list -> from_:float -> until:float -> unit
     and a switch outside it are blocked in both directions. *)
 
 val crash_windows : t -> (int * (float * float)) list
-(** Scheduled crashes as [(switch, (from, until))], in scheduling order —
-    lets a traced run mark [Crash]/[Recover] events on the timeline. *)
+(** Scheduled crashes as [(switch, (from, until))], in scheduling order
+    — lets a run schedule each switch's recovery at its window's close. *)
 
-val partition_windows : t -> (int list * (float * float)) list
-(** Scheduled partitions as [(side, (from, until))], in scheduling
-    order. *)
+val has_windows : t -> bool
+(** The plan schedules a crash or a partition window. *)
 
 (** {1 Mediating transmissions} *)
 
@@ -119,8 +124,8 @@ val transmit :
     [0.0]: a jittered run then boxes no clock per transmission. *)
 
 val reads_clock : t -> bool
-(** Whether {!transmit} reads its [now]: the plan has a crash or
-    partition window, or an enabled trace (see {!instrument}). *)
+(** Whether {!transmit} reads its [now]: {!has_windows}, or an
+    enabled trace (see {!instrument}). *)
 
 (** {1 Accounting} *)
 

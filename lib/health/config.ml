@@ -1,9 +1,4 @@
-type damping = {
-  d_penalty : float;
-  d_suppress : float;
-  d_reuse : float;
-  d_half_life : float;
-}
+type damping = Damping.config
 
 type t = {
   period : float;
@@ -14,9 +9,8 @@ type t = {
   horizon : float;
 }
 
-let make ~period ?grace ~detector ?(reup = 2) ?damping ~horizon () =
-  let grace = match grace with Some g -> g | None -> period /. 2.0 in
-  { period; grace; detector; reup; damping; horizon }
+let make ~period ~detector ?(reup = 2) ?damping ~horizon () =
+  { period; grace = period /. 2.0; detector; reup; damping; horizon }
 
 let validate t =
   if not (Float.is_finite t.period && t.period > 0.0) then
@@ -30,15 +24,7 @@ let validate t =
   else
     match t.damping with
     | None -> Ok ()
-    | Some d ->
-      Damping.validate
-        {
-          Damping.penalty = d.d_penalty;
-          suppress = d.d_suppress;
-          reuse = d.d_reuse;
-          half_life = d.d_half_life;
-        }
-      |> Result.map_error (fun e -> "health " ^ e)
+    | Some d -> Result.map_error (fun e -> "health " ^ e) (Damping.validate d)
 
 let detect_bound t =
   Detector.max_timeout ~k:t.detector ~period:t.period ~grace:t.grace +. t.period
@@ -53,5 +39,5 @@ let describe t =
     | Some d ->
       (* dgmc-analyze: allow float-format — human-readable config summary *)
       Printf.sprintf " damping(penalty %g suppress %g reuse %g half-life %gs)"
-        d.d_penalty d.d_suppress d.d_reuse d.d_half_life)
+        d.penalty d.suppress d.reuse d.half_life)
     t.horizon

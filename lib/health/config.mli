@@ -7,12 +7,7 @@
     silence, and originate their own link LSAs.  The layer never runs
     under crash or partition windows ([Dgmc.Protocol.create]). *)
 
-type damping = {
-  d_penalty : float;
-  d_suppress : float;
-  d_reuse : float;
-  d_half_life : float;  (** Seconds. *)
-}
+type damping = Damping.config
 
 type t = {
   period : float;  (** Hello period, seconds. *)
@@ -29,14 +24,13 @@ type t = {
 
 val make :
   period:float ->
-  ?grace:float ->
   detector:int ->
   ?reup:int ->
   ?damping:damping ->
   horizon:float ->
   unit ->
   t
-(** Defaults: [grace = period / 2], [reup = 2], no damping. *)
+(** [grace] is [period / 2].  Defaults: [reup = 2], no damping. *)
 
 val validate : t -> (unit, string) result
 

@@ -119,17 +119,7 @@ let create ~engine ~config ~peers ~send ~declare ~on_suppress =
              det =
                Detector.create ~k:config.Config.detector
                  ~period:config.Config.period ~grace:config.Config.grace ~start;
-             damp =
-               Option.map
-                 (fun (d : Config.damping) ->
-                   Damping.create
-                     {
-                       Damping.penalty = d.Config.d_penalty;
-                       suppress = d.Config.d_suppress;
-                       reuse = d.Config.d_reuse;
-                       half_life = d.Config.d_half_life;
-                     })
-                 config.Config.damping;
+             damp = Option.map Damping.create config.Config.damping;
              up = true;
              streak = 0;
              check = -1;

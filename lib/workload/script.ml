@@ -239,10 +239,9 @@ let churn_events ~graph ~round d =
    layer configuration; time-valued options take the same second/round
    literals as [at].  Resolution to a [Health.Config.t] waits until the
    graph and regime (hence round length) and the full event list (hence
-   the default horizon) are known. *)
+   the horizon) are known. *)
 type health_directive = {
   h_period : float * bool;
-  h_grace : (float * bool) option;
   h_detector : int;
   h_reup : int option;
   h_damping : bool;
@@ -250,12 +249,11 @@ type health_directive = {
   h_damp_suppress : float;
   h_damp_reuse : float;
   h_damp_half_life : (float * bool) option;
-  h_horizon : (float * bool) option;
 }
 
 let health_allowed_keys =
-  [ "period"; "grace"; "detector"; "reup"; "damp"; "damp-penalty";
-    "damp-suppress"; "damp-reuse"; "damp-half-life"; "horizon" ]
+  [ "period"; "detector"; "reup"; "damp"; "damp-penalty"; "damp-suppress";
+    "damp-reuse"; "damp-half-life" ]
 
 let parse_float lineno what s =
   match float_of_string_opt s with
@@ -291,7 +289,6 @@ let parse_health lineno opts =
       (match time_opt "period" with
       | Some p -> p
       | None -> (0.5, true) (* half a protocol round *));
-    h_grace = time_opt "grace";
     h_detector =
       (match opt_value opts "detector" with
       | Some s -> parse_detector lineno s
@@ -302,7 +299,6 @@ let parse_health lineno opts =
     h_damp_suppress = float_opt "damp-suppress" 3.0;
     h_damp_reuse = float_opt "damp-reuse" 0.75;
     h_damp_half_life = time_opt "damp-half-life";
-    h_horizon = time_opt "horizon";
   }
 
 (* Resolve round-denominated times, then validate: an invalid value is
@@ -313,10 +309,10 @@ let health_config ~round ~last_event d =
     if d.h_damping then
       Some
         {
-          Health.Config.d_penalty = d.h_damp_penalty;
-          d_suppress = d.h_damp_suppress;
-          d_reuse = d.h_damp_reuse;
-          d_half_life =
+          Health.Damping.penalty = d.h_damp_penalty;
+          suppress = d.h_damp_suppress;
+          reuse = d.h_damp_reuse;
+          half_life =
             (match d.h_damp_half_life with
             | Some hl -> resolve hl
             | None -> 4.0 *. round);
@@ -324,18 +320,14 @@ let health_config ~round ~last_event d =
     else None
   in
   let partial =
-    Health.Config.make ~period:(resolve d.h_period)
-      ?grace:(Option.map resolve d.h_grace) ~detector:d.h_detector
+    Health.Config.make ~period:(resolve d.h_period) ~detector:d.h_detector
       ?reup:d.h_reup ?damping ~horizon:1.0 ()
   in
+  (* Past the last scripted event by three detection bounds plus
+     convergence slack: enough for the slowest discovery (down, or up
+     through reup hellos), then quiescence. *)
   let horizon =
-    match d.h_horizon with
-    | Some hz -> resolve hz
-    | None ->
-      (* Past the last scripted event by three detection bounds plus
-         convergence slack: enough for the slowest discovery (down, or
-         up through reup hellos), then quiescence. *)
-      last_event +. (3.0 *. Health.Config.detect_bound partial) +. (10.0 *. round)
+    last_event +. (3.0 *. Health.Config.detect_bound partial) +. (10.0 *. round)
   in
   let hc = { partial with Health.Config.horizon } in
   Result.map (fun () -> hc) (Health.Config.validate hc)

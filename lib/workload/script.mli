@@ -14,8 +14,8 @@
     faults drop=0.3 dup=0.1 reorder=0.2 jitter=0.5 seed=7
 
     # optional link-health layer: switches detect link events through
-    # hello silence (keys: period grace detector=k:<n> reup damp=on|off
-    # damp-penalty damp-suppress damp-reuse damp-half-life horizon)
+    # hello silence (keys: period detector=k:<n> reup damp=on|off
+    # damp-penalty damp-suppress damp-reuse damp-half-life)
     health period=0.5r detector=k:3 damp=on
 
     # connections: id and type
@@ -36,8 +36,8 @@
     Times with the [r] suffix are multiples of the protocol round
     ([Tf + Tc]) of the scripted graph and regime; [churn]'s [period],
     [start] and [wave-period] take the same literals ([period] defaults
-    to [1r], [wave-period] to [period]), as do [health]'s [period],
-    [grace], [damp-half-life] and [horizon].
+    to [1r], [wave-period] to [period]), as do [health]'s [period] and
+    [damp-half-life].
 
     This module is the one reader of the format: one pass parses each
     line and resolves the lines against the graph and regime; {!lint}
@@ -74,9 +74,9 @@ val health_of_spec :
     denote, given as one string of [key=value] options separated by
     commas or spaces ([""] for every default: [period=0.5r],
     [detector=k:3], no damping).  Round-denominated times resolve
-    against the graph and regime; without a [horizon] the layer stops
-    past the last of [events] by three detection bounds plus ten rounds
-    of convergence slack.  The result is validated: this is how
+    against the graph and regime; the layer stops past the last of
+    [events] by three detection bounds plus ten rounds of convergence
+    slack.  The result is validated: this is how
     {!load} resolves a [health] line, and how the CLI's [--health] and
     the fuzzer's health band build theirs. *)
 

@@ -996,8 +996,8 @@ let test_lint_duplicate_config () =
 (* Malformed scripts: [Script.load] fails with "line N: M", and the
    linter's first error is that same line and message — one parser. *)
 let health_keys =
-  "period, grace, detector, reup, damp, damp-penalty, damp-suppress, \
-   damp-reuse, damp-half-life, horizon"
+  "period, detector, reup, damp, damp-penalty, damp-suppress, damp-reuse, \
+   damp-half-life"
 
 let malformed_corpus =
   let decl = "graph ring 6\nmc 1 symmetric\n" in
@@ -1062,8 +1062,9 @@ let malformed_corpus =
      "unknown detector \"k-missed:3\" (use k:<n>)");
     (decl ^ "health detector=k:x", 3, "detector k: expected an integer, got \"x\"");
     (decl ^ "health period=-1", 3, "time must be non-negative");
-    (decl ^ "health grace=soon", 3, "bad time literal \"soon\"");
-    (decl ^ "health horizon=xr", 3, "bad time literal \"xr\"");
+    (decl ^ "health grace=soon", 3,
+     "unknown option \"grace\" (allowed: " ^ health_keys ^ ")");
+    (decl ^ "health damp-half-life=xr", 3, "bad time literal \"xr\"");
     (decl ^ "health damp-half-life=-2r", 3, "time must be non-negative");
     (decl ^ "health reup=two", 3, "reup: expected an integer, got \"two\"");
     (decl ^ "health damp=yes", 3, "damp: expected on or off, got \"yes\"");

@@ -63,10 +63,10 @@ let test_config_validation () =
     Health.Config.make ~period:0.5 ~detector:3
       ~damping:
         {
-          Health.Config.d_penalty = 1.0;
-          d_suppress = 3.0;
-          d_reuse = 0.75;
-          d_half_life = 4.0;
+          Health.Damping.penalty = 1.0;
+          suppress = 3.0;
+          reuse = 0.75;
+          half_life = 4.0;
         }
       ~horizon:100.0 ()
   in
@@ -89,10 +89,10 @@ let test_config_validation () =
          Health.Config.damping =
            Some
              {
-               Health.Config.d_penalty = 1.0;
-               d_suppress = 0.5;
-               d_reuse = 0.75;
-               d_half_life = 4.0;
+               Health.Damping.penalty = 1.0;
+               suppress = 0.5;
+               reuse = 0.75;
+               half_life = 4.0;
              };
        });
   check Alcotest.bool "non-positive horizon rejected" true
@@ -127,19 +127,19 @@ let test_detection_within_bound_no_false_positives () =
   | None -> Alcotest.fail "health layer not engaged"
   | Some h ->
     check Alcotest.bool "both endpoints detected the failure" true
-      (h.Dgmc.Protocol.h_detections >= 2);
+      (h.Dgmc.Link_health.h_detections >= 2);
     check Alcotest.int "no false positive on a clean schedule" 0
-      h.Dgmc.Protocol.h_false_positives;
+      h.Dgmc.Link_health.h_false_positives;
     check Alcotest.bool "recoveries observed" true
-      (h.Dgmc.Protocol.h_recoveries >= 2);
+      (h.Dgmc.Link_health.h_recoveries >= 2);
     check (Alcotest.float 1e-9) "summary bound matches the config"
-      (Health.Config.detect_bound hc) h.Dgmc.Protocol.h_bound;
+      (Health.Config.detect_bound hc) h.Dgmc.Link_health.h_bound;
     List.iter
       (fun l ->
         check Alcotest.bool "every detection within the configured bound"
           true
-          (l <= h.Dgmc.Protocol.h_bound))
-      h.Dgmc.Protocol.h_latencies;
+          (l <= h.Dgmc.Link_health.h_bound))
+      h.Dgmc.Link_health.h_latencies;
     check Alcotest.bool "the MC reconverged over the detected topology" true
       (Dgmc.Protocol.divergence net mc = []);
     (* Hello traffic is mirrored into the registry. *)
@@ -152,7 +152,7 @@ let test_detection_within_bound_no_false_positives () =
     in
     check Alcotest.bool "hellos counted" true (total "health.hellos_sent" > 0);
     check Alcotest.int "detections mirrored"
-      h.Dgmc.Protocol.h_detections
+      h.Dgmc.Link_health.h_detections
       (total "health.detections")
 
 let test_health_run_deterministic () =
@@ -161,11 +161,11 @@ let test_health_run_deterministic () =
     match Dgmc.Protocol.health_summary net with
     | None -> ""
     | Some h ->
-      Format.asprintf "%d|%d|%d|%d|%a" h.Dgmc.Protocol.h_detections
-        h.Dgmc.Protocol.h_recoveries h.Dgmc.Protocol.h_false_positives
-        h.Dgmc.Protocol.h_hellos
+      Format.asprintf "%d|%d|%d|%d|%a" h.Dgmc.Link_health.h_detections
+        h.Dgmc.Link_health.h_recoveries h.Dgmc.Link_health.h_false_positives
+        h.Dgmc.Link_health.h_hellos
         (Format.pp_print_list Format.pp_print_float)
-        h.Dgmc.Protocol.h_latencies
+        h.Dgmc.Link_health.h_latencies
   in
   let a = digest () and b = digest () in
   check Alcotest.bool "two identical runs, identical health telemetry" true
@@ -217,9 +217,32 @@ let test_health_runs_window_free_plan () =
   match Dgmc.Protocol.health_summary net with
   | None -> Alcotest.fail "health layer not engaged"
   | Some h ->
-    check Alcotest.bool "hellos on the wire" true (h.Dgmc.Protocol.h_hellos > 0);
+    check Alcotest.bool "hellos on the wire" true (h.Dgmc.Link_health.h_hellos > 0);
     check Alcotest.bool "the MC converged" true
       (Dgmc.Protocol.divergence net mc = [])
+
+(* Every registry counter of scenarios/hello_detect.dgmc (damped:
+   detect, flap, suppress, readmit), one [name switch value] line each:
+   the health layer's per-switch hellos, verdicts and suppressions are
+   pinned, not only the summary lines. *)
+let test_health_counters_pinned () =
+  let script =
+    match Workload.Script.load "../scenarios/hello_detect.dgmc" with
+    | Ok s -> s
+    | Error msg -> Alcotest.failf "hello_detect.dgmc: %s" msg
+  in
+  let metrics = Metrics.Registry.create () in
+  Dgmc.Protocol.run (Workload.Script.build ~metrics script);
+  let line ((k : Metrics.Registry.key), v) =
+    Printf.sprintf "%s %s %d" k.name
+      (match k.switch with Some s -> string_of_int s | None -> "-")
+      v
+  in
+  check (Alcotest.list Alcotest.string)
+    "counters match fixtures/health_counters.expected"
+    (String.split_on_char '\n'
+       (String.trim (Oracle.read_file "fixtures/health_counters.expected")))
+    (List.map line (Metrics.Registry.snapshot metrics))
 
 let () =
   Alcotest.run "health"
@@ -251,5 +274,7 @@ let () =
             test_health_rejects_partition_window;
           Alcotest.test_case "runs under a window-free plan" `Quick
             test_health_runs_window_free_plan;
+          Alcotest.test_case "per-switch counters pinned" `Quick
+            test_health_counters_pinned;
         ] );
     ]

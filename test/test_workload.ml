@@ -412,7 +412,7 @@ at 5r linkup 4 5
       check Alcotest.int "reup" 3 hc.Health.Config.reup;
       (match hc.Health.Config.damping with
       | Some d ->
-        check (Alcotest.float 1e-9) "suppress" 2.0 d.Health.Config.d_suppress
+        check (Alcotest.float 1e-9) "suppress" 2.0 d.Health.Damping.suppress
       | None -> Alcotest.fail "damp-* keys must enable damping");
       check Alcotest.bool "derived horizon past the last event" true
         (hc.Health.Config.horizon > 5.0 *. round);
@@ -423,9 +423,9 @@ at 5r linkup 4 5
       | None -> Alcotest.fail "built protocol has no health layer"
       | Some h ->
         check Alcotest.int "no false positive" 0
-          h.Dgmc.Protocol.h_false_positives;
+          h.Dgmc.Link_health.h_false_positives;
         check Alcotest.bool "failure detected" true
-          (h.Dgmc.Protocol.h_detections > 0));
+          (h.Dgmc.Link_health.h_detections > 0));
       List.iter
         (fun mc ->
           if Dgmc.Protocol.divergence net mc <> [] then
@@ -471,14 +471,14 @@ let test_shipped_scenarios_with_detectors () =
         | Some h ->
           check Alcotest.int
             (file ^ ": zero false positives")
-            0 h.Dgmc.Protocol.h_false_positives;
+            0 h.Dgmc.Link_health.h_false_positives;
           List.iter
             (fun l ->
               check Alcotest.bool
                 (file ^ ": detection within bound")
                 true
-                (l <= h.Dgmc.Protocol.h_bound))
-            h.Dgmc.Protocol.h_latencies);
+                (l <= h.Dgmc.Link_health.h_bound))
+            h.Dgmc.Link_health.h_latencies);
         List.iter
           (fun mc ->
             if Dgmc.Protocol.divergence net mc <> [] then
