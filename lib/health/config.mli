@@ -13,7 +13,6 @@ type t = {
   period : float;  (** Hello period, seconds. *)
   grace : float;  (** Transit allowance added to every tolerance, seconds. *)
   detector : int;  (** Consecutive missed hellos before down ([k]). *)
-  reup : int;  (** Consecutive hellos heard before re-declaring up. *)
   damping : damping option;
   horizon : float;
       (** Absolute simulated time after which hello emission (and
@@ -25,12 +24,15 @@ type t = {
 val make :
   period:float ->
   detector:int ->
-  ?reup:int ->
   ?damping:damping ->
   horizon:float ->
   unit ->
   t
-(** [grace] is [period / 2].  Defaults: [reup = 2], no damping. *)
+(** [grace] is [period / 2].  Default: no damping. *)
+
+val reup : int
+(** Consecutive hellos heard on a link believed down before it is
+    declared up again: 2. *)
 
 val validate : t -> (unit, string) result
 

@@ -9,7 +9,7 @@
     for the link — until decay brings the figure back under [reuse].
 
     All arithmetic is over caller-supplied simulated time; the module is
-    deterministic and timer-free (the hello agent polls it at its own
+    deterministic and timer-free (the link-health layer polls it at its own
     deterministic instants). *)
 
 type config = {

@@ -80,8 +80,6 @@ let test_config_validation () =
     (rejected { ok with Health.Config.period = 0.0 });
   check Alcotest.bool "negative grace rejected" true
     (rejected { ok with Health.Config.grace = -1.0 });
-  check Alcotest.bool "reup < 1 rejected" true
-    (rejected { ok with Health.Config.reup = 0 });
   check Alcotest.bool "suppress <= reuse rejected" true
     (rejected
        {
@@ -244,6 +242,54 @@ let test_health_counters_pinned () =
        (String.trim (Oracle.read_file "fixtures/health_counters.expected")))
     (List.map line (Metrics.Registry.snapshot metrics))
 
+(* The damper under message faults: scenarios/hello_detect.dgmc with
+   duplicated, reordered and jittered hellos and LSAs, at fault seeds
+   1-5, under the invariant monitor.  Each seed converges with no
+   violation and no false positive, and its flapping link is suppressed
+   and readmitted once from each end. *)
+let test_damping_under_message_faults () =
+  let script =
+    match Workload.Script.load "../scenarios/hello_detect.dgmc" with
+    | Ok s -> s
+    | Error msg -> Alcotest.failf "hello_detect.dgmc: %s" msg
+  in
+  List.iter
+    (fun fault_seed ->
+      let name what = Printf.sprintf "fault seed %d: %s" fault_seed what in
+      let script =
+        {
+          script with
+          Workload.Script.faults =
+            Some (Oracle.Plan.spec "dup=0.2,reorder=0.3,jitter=0.5");
+          fault_seed;
+        }
+      in
+      let metrics = Metrics.Registry.create () in
+      let net = Workload.Script.build ~metrics script in
+      let monitor = Check.Monitor.attach net in
+      Dgmc.Protocol.run net;
+      Check.Monitor.check_terminal monitor;
+      check (Alcotest.list Alcotest.string) (name "no violations") []
+        (Check.Monitor.violations monitor);
+      check Alcotest.bool (name "converged") true
+        (Dgmc.Protocol.divergence net mc = []);
+      let total counter =
+        List.fold_left
+          (fun acc ((k : Metrics.Registry.key), v) ->
+            if String.equal k.name counter then acc + v else acc)
+          0
+          (Metrics.Registry.snapshot metrics)
+      in
+      check Alcotest.int (name "suppressions") 2 (total "health.suppressions");
+      check Alcotest.int (name "readmissions") 2
+        (total "health.unsuppressions");
+      match Dgmc.Protocol.health_summary net with
+      | None -> Alcotest.fail (name "health layer not engaged")
+      | Some h ->
+        check Alcotest.int (name "false positives") 0
+          h.Dgmc.Link_health.h_false_positives)
+    [ 1; 2; 3; 4; 5 ]
+
 let () =
   Alcotest.run "health"
     [
@@ -276,5 +322,7 @@ let () =
             test_health_runs_window_free_plan;
           Alcotest.test_case "per-switch counters pinned" `Quick
             test_health_counters_pinned;
+          Alcotest.test_case "damping under message faults" `Quick
+            test_damping_under_message_faults;
         ] );
     ]
