@@ -551,7 +551,7 @@ let script_cmd =
       & info [ "health" ] ~docv:"SPEC"
           ~doc:
             "Enable the link-health layer, e.g. \
-             'period=0.5r,detector=k:3,damp=on' (keys as in the script \
+             'period=0.5r,detector=k:3,damp-suppress=2' (keys as in the script \
              'health' directive; pass '' for all defaults).  Overrides the \
              script's own 'health' directive; scripted link events then \
              become ground truth the hello detectors must discover.")
