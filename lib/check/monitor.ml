@@ -52,14 +52,16 @@ let attach net =
      mid-action-safe laws.  A coalesced delay-0 follow-up sweep lands on
      an engine-event boundary, where the full catalogue — R<=E included
      — applies. *)
+  let boundary =
+    Sim.Engine.callback (fun _ ->
+        t.boundary_pending <- false;
+        sweep ~boundary:true t)
+  in
   Dgmc.Protocol.add_observer net (fun _ ->
       sweep ~boundary:false t;
       if not t.boundary_pending then begin
         t.boundary_pending <- true;
-        Sim.Engine.schedule (Dgmc.Protocol.engine net) ~delay:0.0
-          (fun () ->
-            t.boundary_pending <- false;
-            sweep ~boundary:true t)
+        Sim.Engine.post (Dgmc.Protocol.engine net) ~delay:0.0 boundary 0
       end);
   sweep ~boundary:true t;
   t

@@ -8,7 +8,7 @@
 
     Observer callbacks fire {e mid}-action, where [R <= E] does not yet
     hold (see {!Invariant.check_switch}); the monitor therefore checks
-    the mid-action-safe laws synchronously on every change and schedules
+    the mid-action-safe laws synchronously on every change and posts
     a coalesced zero-delay engine event to apply the full catalogue at
     the next action boundary.
 

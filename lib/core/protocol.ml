@@ -11,15 +11,11 @@ type totals = {
   retransmissions : int;
 }
 
-(* The timers switches have started and that have not fired yet, one
-   slot each: the starting switch and its timer.  A slot is taken when
-   its timer starts and given back when it fires; the engine runs the
-   table's one callback with the slot's id. *)
-type timers = {
-  mutable owner : int array;
-  mutable timer : Switch.timer array;
-  ids : Sim.Slots.t;
-}
+(* A scripted input, run at its time through [t.inputs]. *)
+type input =
+  | Join of int * Mc_id.t * Member.role
+  | Leave of int * Mc_id.t
+  | Link of int * int * bool  (** The link's endpoints, up or down. *)
 
 type t = {
   engine : Sim.Engine.t;
@@ -46,8 +42,11 @@ type t = {
       (** The last change signal's time, [neg_infinity] before the
           first: kept bare so that a signal allocates nothing. *)
   mutable observers : (int -> unit) list;
-  timers : timers;
-  due : Sim.Engine.callback;  (** {!fire}, posted with a slot. *)
+  timers : (int * Switch.timer) Sim.Jobs.t;
+      (** The timers switches have started, each with its switch. *)
+  resync : Sim.Engine.callback;
+      (** A recovered link's exchange, posted with [lo * n + hi]. *)
+  inputs : input Sim.Jobs.t;
 }
 
 (* The [Lsa_originated] event of an LSA: its MC, event and stamp for an
@@ -98,30 +97,6 @@ let rec notify id = function
     f id;
     notify id rest
 
-(* A slot holding [from]'s [timer]. *)
-let take_slot ts ~from timer =
-  let slot = Sim.Slots.take ts.ids in
-  if slot = Array.length ts.owner then begin
-    let larger = max 8 (2 * slot) in
-    let extend a fill =
-      let b = Array.make larger fill in
-      Array.blit a 0 b 0 slot;
-      b
-    in
-    ts.owner <- extend ts.owner 0;
-    ts.timer <- extend ts.timer timer
-  end;
-  ts.owner.(slot) <- from;
-  ts.timer.(slot) <- timer;
-  slot
-
-(* A started timer is due: give its slot back, then hand the timer to
-   its switch. *)
-let fire switches ts slot =
-  let sw = switches.(ts.owner.(slot)) and timer = ts.timer.(slot) in
-  Sim.Slots.give_back ts.ids slot;
-  Switch.fire sw timer
-
 (* Carry out one output of switch [from]: count and originate a flood,
    unicast a resynchronisation message, note a change for the
    convergence clock and the observers, or post a timer on the run's
@@ -140,8 +115,7 @@ let output t ~from : Switch.output -> unit = function
   | Changed ->
     t.last_change <- Sim.Engine.now t.engine;
     notify from t.observers
-  | Start { timer; delay } ->
-    Sim.Engine.post t.engine ~delay t.due (take_slot t.timers ~from timer)
+  | Start { timer; delay } -> Sim.Jobs.post t.timers ~delay (from, timer)
 
 let zero =
   {
@@ -175,6 +149,57 @@ let fault_hook engine plan ~src ~dst ~base_delay delays =
     if Faults.Plan.reads_clock plan then Sim.Engine.now engine else 0.0
   in
   Faults.Plan.transmit plan ~src ~dst ~now ~base_delay delays
+
+(* ------------------------------------------------------------------ *)
+(* Event injection *)
+
+let note_event t =
+  Metrics.Registry.bump t.events;
+  if t.first_event = None then t.first_event <- Some (Sim.Engine.now t.engine)
+
+let check_switch t i =
+  if i < 0 || i >= Array.length t.switches then
+    invalid_arg (Printf.sprintf "Protocol: switch %d out of range" i)
+
+let truth_members t mc =
+  Option.value ~default:Member.empty (Mc_id.Tbl.find_opt t.truth mc)
+
+let join t ~switch:i mc role =
+  check_switch t i;
+  note_event t;
+  Mc_id.Tbl.replace t.truth mc (Member.join (truth_members t mc) i role);
+  Switch.host_join t.switches.(i) mc role
+
+let leave t ~switch:i mc =
+  check_switch t i;
+  note_event t;
+  Mc_id.Tbl.replace t.truth mc (Member.leave (truth_members t mc) i);
+  Switch.host_leave t.switches.(i) mc
+
+let link_change t u v ~up =
+  if not (Net.Graph.has_edge t.graph u v) then
+    invalid_arg (Printf.sprintf "Protocol: no link (%d, %d)" u v);
+  note_event t;
+  Net.Graph.set_link t.graph u v ~up;
+  match t.health with
+  | Some h ->
+    (* Health layer on: the change is ground truth only.  No switch is
+       told, nothing is flooded — the hello agents must discover it. *)
+    Link_health.link_change h u v ~up
+  | None ->
+  Switch.detect_link t.switches (Lsr.Lsdb.stamp t.clock u v ~up);
+  (* A recovered adjacency triggers an MC database exchange between its
+     endpoints (one hop of delay), so the two sides of a healed
+     partition reconcile — see Switch.resync. *)
+  if up then
+    let lo, hi = if u < v then (u, v) else (v, u) in
+    Sim.Engine.post t.engine ~delay:t.config.Config.t_hop t.resync
+      ((lo * Array.length t.switches) + hi)
+
+let apply t = function
+  | Join (i, mc, role) -> join t ~switch:i mc role
+  | Leave (i, mc) -> leave t ~switch:i mc
+  | Link (u, v, up) -> link_change t u v ~up
 
 let create ~graph ~config ?faults ?engine ?trace ?metrics
     ?(series = Metrics.Series.disabled) () =
@@ -222,16 +247,18 @@ let create ~graph ~config ?faults ?engine ?trace ?metrics
   end;
   (* Crash recovery: at each crash window's close the switch's forwarding
      plane returns, but every LSA flooded meanwhile is gone for good —
-     the plan dropped deliveries to it and floods from it.  Schedule the
+     the plan dropped deliveries to it and floods from it.  Post the
      resynchronisation exchange at that instant, traced or not (protocol
      behavior must never depend on tracing); a traced plan then marks
      its windows. *)
   Option.iter
     (fun plan ->
+      let recover =
+        Sim.Engine.callback (fun sw -> Switch.begin_resync switches.(sw))
+      in
       List.iter
         (fun (sw, (_, until)) ->
-          Sim.Engine.schedule_at engine ~time:until (fun () ->
-              Switch.begin_resync switches.(sw)))
+          Sim.Engine.post_at engine ~time:until recover sw)
         (Faults.Plan.crash_windows plan);
       Faults.Plan.instrument plan engine)
     faults;
@@ -243,34 +270,46 @@ let create ~graph ~config ?faults ?engine ?trace ?metrics
           ~t_hop:config.Config.t_hop ~flooding ~clock switches)
       config.Config.health
   in
-  let timers = { owner = [||]; timer = [||]; ids = Sim.Slots.create () } in
-  let net =
-    {
-      engine;
-      graph;
-      config;
-      faults;
-      switches;
-      flooding;
-      flood = (fun lsa -> Lsr.Flooding.flood flooding lsa);
-      health;
-      seqs = Array.init n (fun _ -> Lsr.Lsa.Seq.create ());
-      clock;
-      truth = Mc_id.Tbl.create 8;
-      trace = Sim.Engine.trace engine;
-      events = Metrics.Registry.counter metrics "protocol.events";
-      mc_floodings = Metrics.Registry.counter metrics "protocol.mc_floodings";
-      link_floodings = Metrics.Registry.counter metrics "protocol.link_floodings";
-      resync_messages =
-        Metrics.Registry.counter metrics "protocol.resync_messages";
-      baseline = zero;
-      first_event = None;
-      last_change = neg_infinity;
-      observers = [];
-      timers;
-      due = Sim.Engine.callback (fire switches timers);
-    }
+  (* The scripted inputs run against the whole record: a lazy value,
+     forced before any can run. *)
+  let rec net =
+    lazy
+      {
+        engine;
+        graph;
+        config;
+        faults;
+        switches;
+        flooding;
+        flood = (fun lsa -> Lsr.Flooding.flood flooding lsa);
+        health;
+        seqs = Array.init n (fun _ -> Lsr.Lsa.Seq.create ());
+        clock;
+        truth = Mc_id.Tbl.create 8;
+        trace = Sim.Engine.trace engine;
+        events = Metrics.Registry.counter metrics "protocol.events";
+        mc_floodings = Metrics.Registry.counter metrics "protocol.mc_floodings";
+        link_floodings =
+          Metrics.Registry.counter metrics "protocol.link_floodings";
+        resync_messages =
+          Metrics.Registry.counter metrics "protocol.resync_messages";
+        baseline = zero;
+        first_event = None;
+        last_change = neg_infinity;
+        observers = [];
+        timers =
+          Sim.Jobs.create engine (fun (i, timer) ->
+              Switch.fire switches.(i) timer);
+        resync =
+          Sim.Engine.callback (fun key ->
+              let lo = switches.(key / n) and hi = switches.(key mod n) in
+              Switch.resync lo ~peer:hi;
+              Switch.resync hi ~peer:lo);
+        inputs =
+          Sim.Jobs.create engine (fun input -> apply (Lazy.force net) input);
+      }
   in
+  let net = Lazy.force net in
   Array.iteri (fun id sw -> Switch.connect sw (output net ~from:id)) switches;
   net
 
@@ -286,66 +325,17 @@ let n_switches t = Array.length t.switches
 
 let switch t i = t.switches.(i)
 
-(* ------------------------------------------------------------------ *)
-(* Event injection *)
-
-let note_event t =
-  Metrics.Registry.bump t.events;
-  if t.first_event = None then t.first_event <- Some (Sim.Engine.now t.engine)
-
-let check_switch t i =
-  if i < 0 || i >= Array.length t.switches then
-    invalid_arg (Printf.sprintf "Protocol: switch %d out of range" i)
-
-let truth_members t mc =
-  Option.value ~default:Member.empty (Mc_id.Tbl.find_opt t.truth mc)
-
-let join t ~switch:i mc role =
-  check_switch t i;
-  note_event t;
-  Mc_id.Tbl.replace t.truth mc (Member.join (truth_members t mc) i role);
-  Switch.host_join t.switches.(i) mc role
-
-let leave t ~switch:i mc =
-  check_switch t i;
-  note_event t;
-  Mc_id.Tbl.replace t.truth mc (Member.leave (truth_members t mc) i);
-  Switch.host_leave t.switches.(i) mc
-
-let link_change t u v ~up =
-  if not (Net.Graph.has_edge t.graph u v) then
-    invalid_arg (Printf.sprintf "Protocol: no link (%d, %d)" u v);
-  note_event t;
-  Net.Graph.set_link t.graph u v ~up;
-  match t.health with
-  | Some h ->
-    (* Health layer on: the change is ground truth only.  No switch is
-       told, nothing is flooded — the hello agents must discover it. *)
-    Link_health.link_change h u v ~up
-  | None ->
-  Switch.detect_link t.switches (Lsr.Lsdb.stamp t.clock u v ~up);
-  (* A recovered adjacency triggers an MC database exchange between its
-     endpoints (one hop of delay), so the two sides of a healed
-     partition reconcile — see Switch.resync. *)
-  if up then
-    let lo, hi = if u < v then (u, v) else (v, u) in
-    Sim.Engine.schedule t.engine ~delay:t.config.Config.t_hop (fun () ->
-        Switch.resync t.switches.(lo) ~peer:t.switches.(hi);
-        Switch.resync t.switches.(hi) ~peer:t.switches.(lo))
-
 let schedule_join t ~at ~switch:i mc role =
-  Sim.Engine.schedule_at t.engine ~time:at (fun () -> join t ~switch:i mc role)
+  Sim.Jobs.post_at t.inputs ~time:at (Join (i, mc, role))
 
 let schedule_leave t ~at ~switch:i mc =
-  Sim.Engine.schedule_at t.engine ~time:at (fun () -> leave t ~switch:i mc)
+  Sim.Jobs.post_at t.inputs ~time:at (Leave (i, mc))
 
 let schedule_link_down t ~at u v =
-  Sim.Engine.schedule_at t.engine ~time:at (fun () ->
-      link_change t u v ~up:false)
+  Sim.Jobs.post_at t.inputs ~time:at (Link (u, v, false))
 
 let schedule_link_up t ~at u v =
-  Sim.Engine.schedule_at t.engine ~time:at (fun () ->
-      link_change t u v ~up:true)
+  Sim.Jobs.post_at t.inputs ~time:at (Link (u, v, true))
 
 (* ------------------------------------------------------------------ *)
 (* Running and measurements *)

@@ -71,7 +71,7 @@ val create :
     ["link-down"]), and the per-hop forwarding, delivery, protocol
     reaction and eventual [Topology_installed] it causes are chained to
     it through parent ids.  A traced fault plan also marks its windows
-    ({!Faults.Plan.instrument}), scheduled only when tracing is on, so
+    ({!Faults.Plan.instrument}), posted only when tracing is on, so
     untraced runs stay byte-for-byte deterministic.  [metrics] is the
     registry every layer counts in, under [protocol.*], [switch.*], [flood.*], [faults.*] and
     [health.*] names: the counts behind {!totals} are its counter
@@ -95,7 +95,7 @@ val add_observer : t -> (int -> unit) -> unit
     id of the switch that changed.  Used by the runtime invariant
     monitor ([Check.Monitor], which ignores the id) and by
     [Hierarchy.Hmc] to wake an area leader.  Observers must not inject
-    events synchronously; schedule through the engine instead. *)
+    events synchronously; post on the engine instead. *)
 
 val graph : t -> Net.Graph.t
 (** The real (ground-truth) topology. *)

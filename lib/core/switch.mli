@@ -46,7 +46,7 @@ val create :
     shared with the run's other switches until this one applies a link
     change).
     The switch reads [engine]'s clock and records into its sinks
-    ({!Sim.Engine.trace} and {!Sim.Engine.metrics}); it schedules
+    ({!Sim.Engine.trace} and {!Sim.Engine.metrics}); it posts
     nothing on it.
 
     An enabled trace receives structured events for every protocol

@@ -272,14 +272,15 @@ let counters t : counters =
 let crash_windows t =
   List.rev_map (fun (s, w) -> (s, (w.w_from, w.w_until))) t.crashes
 
-(* Mark every window on the traced engine's timeline, in scheduling
+(* Mark every window on the traced engine's timeline, in posting
    order: a crash as [Crash]/[Recover], a partition as a note at each
    end naming its side, so an analyzer can correlate what a switch
-   missed with when it was cut off. *)
+   missed with when it was cut off.  Each mark is posted with its index
+   in [marks]. *)
 let mark_windows t engine =
-  let mark ~time event =
-    Sim.Engine.schedule_at engine ~time (fun () ->
-        ignore (Sim.Trace.emit t.sim_trace ~time event))
+  let marks = ref [] in
+  let mark ~time (event : Sim.Trace.event) =
+    marks := (time, event) :: !marks
   in
   List.iter
     (fun (switch, w) ->
@@ -299,7 +300,14 @@ let mark_windows t engine =
       in
       mark ~time:w.w_from (note "begins");
       mark ~time:w.w_until (note "heals"))
-    (List.rev t.partitions)
+    (List.rev t.partitions);
+  let marks = Array.of_list (List.rev !marks) in
+  let emit =
+    Sim.Engine.callback (fun i ->
+        let time, event = marks.(i) in
+        ignore (Sim.Trace.emit t.sim_trace ~time event))
+  in
+  Array.iteri (fun i (time, _) -> Sim.Engine.post_at engine ~time emit i) marks
 
 let instrument t engine =
   t.sim_trace <- Sim.Engine.trace engine;

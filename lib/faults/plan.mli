@@ -65,11 +65,11 @@ val instrument : t -> Sim.Engine.t -> unit
     emits a [Fault_injected] event; {!counters} reads the registry's
     [faults.*] handles, which restart at zero here, so instrument a plan
     before it mediates a transmission.  With an enabled trace it also
-    schedules a mark of every window already added, in scheduling
+    posts a mark of every window already added, in scheduling
     order: a crash as [Crash] and [Recover] events, a partition as a
     ["partition"] note ["partition {0,1} begins"] and one that
     ["… heals"].  Untraced, the calendar is left untouched.
-    [Dgmc.Protocol.create] instruments its plan after scheduling each crash
+    [Dgmc.Protocol.create] instruments its plan after posting each crash
     window's recovery, so at a shared instant the recovery runs first. *)
 
 val crash_switch : t -> switch:int -> from_:float -> until:float -> unit
@@ -84,7 +84,7 @@ val partition : t -> side:int list -> from_:float -> until:float -> unit
 
 val crash_windows : t -> (int * (float * float)) list
 (** Scheduled crashes as [(switch, (from, until))], in scheduling order
-    — lets a run schedule each switch's recovery at its window's close. *)
+    — lets a run post each switch's recovery at its window's close. *)
 
 val has_windows : t -> bool
 (** The plan schedules a crash or a partition window. *)

@@ -10,6 +10,16 @@ type totals = {
   gateway_instructions : int;
 }
 
+(* What a run posts besides the two levels' own traffic: a scripted
+   join or leave at a switch, a notice to area [a]'s leader that an MC's
+   membership changed there, and a leader's instruction to gateway [g]
+   to join an MC ([true]) or leave it. *)
+type job =
+  | Join of int * Dgmc.Mc_id.t * Dgmc.Member.role
+  | Leave of int * Dgmc.Mc_id.t
+  | Notice of int * Dgmc.Mc_id.t
+  | Instruct of int * Dgmc.Mc_id.t * bool
+
 type t = {
   graph : Net.Graph.t;
   config : Dgmc.Config.t;
@@ -31,6 +41,8 @@ type t = {
   gateways : Int_set.t Dgmc.Mc_id.Tbl.t array;
       (** per area: instructed gateways *)
   check_pending : bool array;
+  jobs : job Sim.Jobs.t;
+  check : Sim.Engine.callback;  (** {!leader_check}, posted with the area. *)
   mutable events : int;
   mutable gateway_instructions : int;
 }
@@ -131,25 +143,13 @@ let leader_check t a =
       if not (Int_set.equal wanted current) then begin
         Dgmc.Mc_id.Tbl.replace t.gateways.(a) mc wanted;
         (* Leader → gateway control messages, one hop of delay each. *)
-        Int_set.iter
-          (fun g ->
-            t.gateway_instructions <- t.gateway_instructions + 1;
-            Sim.Engine.schedule (engine t) ~delay:t.config.Dgmc.Config.t_hop
-              (fun () ->
-                Dgmc.Switch.host_join (Dgmc.Protocol.switch t.intra g) mc
-                  Dgmc.Member.Both))
-          (Int_set.diff wanted current);
-        Int_set.iter
-          (fun g ->
-            t.gateway_instructions <- t.gateway_instructions + 1;
-            Sim.Engine.schedule (engine t) ~delay:t.config.Dgmc.Config.t_hop
-              (fun () ->
-                (* Only withdraw the gateway role if no host at [g] is
-                   a real member. *)
-                if not (Int_set.mem g (members_of t.host_members.(a) mc))
-                then
-                  Dgmc.Switch.host_leave (Dgmc.Protocol.switch t.intra g) mc))
-          (Int_set.diff current wanted)
+        let instruct join g =
+          t.gateway_instructions <- t.gateway_instructions + 1;
+          Sim.Jobs.post t.jobs ~delay:t.config.Dgmc.Config.t_hop
+            (Instruct (g, mc, join))
+        in
+        Int_set.iter (instruct true) (Int_set.diff wanted current);
+        Int_set.iter (instruct false) (Int_set.diff current wanted)
       end)
     t.registry
 
@@ -158,9 +158,63 @@ let leader_check t a =
 let schedule_leader_check t a =
   if not t.check_pending.(a) then begin
     t.check_pending.(a) <- true;
-    Sim.Engine.schedule (engine t) ~delay:t.config.Dgmc.Config.t_hop (fun () ->
-        leader_check t a)
+    Sim.Engine.post (engine t) ~delay:t.config.Dgmc.Config.t_hop t.check a
   end
+
+(* ------------------------------------------------------------------ *)
+(* Host events *)
+
+let logical_membership_update t a mc =
+  let real = members_of t.host_members.(a) mc in
+  let joined =
+    Option.value ~default:false
+      (Dgmc.Mc_id.Tbl.find_opt t.logical_joined.(a) mc)
+  in
+  if (not (Int_set.is_empty real)) && not joined then begin
+    Dgmc.Mc_id.Tbl.replace t.logical_joined.(a) mc true;
+    Dgmc.Protocol.join t.logical ~switch:a mc Dgmc.Member.Both
+  end
+  else if Int_set.is_empty real && joined then begin
+    Dgmc.Mc_id.Tbl.replace t.logical_joined.(a) mc false;
+    Dgmc.Protocol.leave t.logical ~switch:a mc
+  end
+
+let join t ~switch mc role =
+  if switch < 0 || switch >= Array.length t.area_of then
+    invalid_arg "Hmc.join: switch out of range";
+  t.events <- t.events + 1;
+  Dgmc.Mc_id.Tbl.replace t.registry mc ();
+  let a = t.area_of.(switch) in
+  let real = members_of t.host_members.(a) mc in
+  Dgmc.Mc_id.Tbl.replace t.host_members.(a) mc (Int_set.add switch real);
+  Dgmc.Switch.host_join (Dgmc.Protocol.switch t.intra switch) mc role;
+  (* The ingress switch notifies its leader (one hop). *)
+  Sim.Jobs.post t.jobs ~delay:t.config.Dgmc.Config.t_hop (Notice (a, mc))
+
+let leave t ~switch mc =
+  if switch < 0 || switch >= Array.length t.area_of then
+    invalid_arg "Hmc.leave: switch out of range";
+  t.events <- t.events + 1;
+  let a = t.area_of.(switch) in
+  let real = members_of t.host_members.(a) mc in
+  Dgmc.Mc_id.Tbl.replace t.host_members.(a) mc (Int_set.remove switch real);
+  (* The switch stays in the MC if it still serves as a gateway. *)
+  let gw = members_of t.gateways.(a) mc in
+  if not (Int_set.mem switch gw) then
+    Dgmc.Switch.host_leave (Dgmc.Protocol.switch t.intra switch) mc;
+  Sim.Jobs.post t.jobs ~delay:t.config.Dgmc.Config.t_hop (Notice (a, mc))
+
+let run_job t = function
+  | Join (switch, mc, role) -> join t ~switch mc role
+  | Leave (switch, mc) -> leave t ~switch mc
+  | Notice (a, mc) -> logical_membership_update t a mc
+  | Instruct (g, mc, true) ->
+    Dgmc.Switch.host_join (Dgmc.Protocol.switch t.intra g) mc Dgmc.Member.Both
+  | Instruct (g, mc, false) ->
+    (* Only withdraw the gateway role if no host at [g] is a real
+       member. *)
+    if not (Int_set.mem g (members_of t.host_members.(t.area_of.(g)) mc)) then
+      Dgmc.Switch.host_leave (Dgmc.Protocol.switch t.intra g) mc
 
 (* ------------------------------------------------------------------ *)
 (* Construction *)
@@ -195,77 +249,40 @@ let create ~graph ~partition ~config =
       ~config:{ config with t_hop = 3.0 *. config.Dgmc.Config.t_hop }
       ~engine:(Dgmc.Protocol.engine intra) ()
   in
-  let t =
-    {
-      graph;
-      config;
-      partition;
-      area_of;
-      intra;
-      logical;
-      edge_map;
-      registry = Dgmc.Mc_id.Tbl.create 4;
-      host_members = Array.init k (fun _ -> Dgmc.Mc_id.Tbl.create 4);
-      logical_joined = Array.init k (fun _ -> Dgmc.Mc_id.Tbl.create 4);
-      gateways = Array.init k (fun _ -> Dgmc.Mc_id.Tbl.create 4);
-      check_pending = Array.make k false;
-      events = 0;
-      gateway_instructions = 0;
-    }
+  (* The jobs and leader checks run against the whole record: a lazy
+     value, forced before any can run. *)
+  let rec t =
+    lazy
+      {
+        graph;
+        config;
+        partition;
+        area_of;
+        intra;
+        logical;
+        edge_map;
+        registry = Dgmc.Mc_id.Tbl.create 4;
+        host_members = Array.init k (fun _ -> Dgmc.Mc_id.Tbl.create 4);
+        logical_joined = Array.init k (fun _ -> Dgmc.Mc_id.Tbl.create 4);
+        gateways = Array.init k (fun _ -> Dgmc.Mc_id.Tbl.create 4);
+        check_pending = Array.make k false;
+        jobs =
+          Sim.Jobs.create (Dgmc.Protocol.engine intra) (fun job ->
+              run_job (Lazy.force t) job);
+        check = Sim.Engine.callback (fun a -> leader_check (Lazy.force t) a);
+        events = 0;
+        gateway_instructions = 0;
+      }
   in
+  let t = Lazy.force t in
   Dgmc.Protocol.add_observer logical (schedule_leader_check t);
   t
 
-(* ------------------------------------------------------------------ *)
-(* Host events *)
-
-let logical_membership_update t a mc =
-  let real = members_of t.host_members.(a) mc in
-  let joined =
-    Option.value ~default:false
-      (Dgmc.Mc_id.Tbl.find_opt t.logical_joined.(a) mc)
-  in
-  if (not (Int_set.is_empty real)) && not joined then begin
-    Dgmc.Mc_id.Tbl.replace t.logical_joined.(a) mc true;
-    Dgmc.Protocol.join t.logical ~switch:a mc Dgmc.Member.Both
-  end
-  else if Int_set.is_empty real && joined then begin
-    Dgmc.Mc_id.Tbl.replace t.logical_joined.(a) mc false;
-    Dgmc.Protocol.leave t.logical ~switch:a mc
-  end
-
-let join t ~switch mc role =
-  if switch < 0 || switch >= Array.length t.area_of then
-    invalid_arg "Hmc.join: switch out of range";
-  t.events <- t.events + 1;
-  Dgmc.Mc_id.Tbl.replace t.registry mc ();
-  let a = t.area_of.(switch) in
-  let real = members_of t.host_members.(a) mc in
-  Dgmc.Mc_id.Tbl.replace t.host_members.(a) mc (Int_set.add switch real);
-  Dgmc.Switch.host_join (Dgmc.Protocol.switch t.intra switch) mc role;
-  (* The ingress switch notifies its leader (one hop). *)
-  Sim.Engine.schedule (engine t) ~delay:t.config.Dgmc.Config.t_hop (fun () ->
-      logical_membership_update t a mc)
-
-let leave t ~switch mc =
-  if switch < 0 || switch >= Array.length t.area_of then
-    invalid_arg "Hmc.leave: switch out of range";
-  t.events <- t.events + 1;
-  let a = t.area_of.(switch) in
-  let real = members_of t.host_members.(a) mc in
-  Dgmc.Mc_id.Tbl.replace t.host_members.(a) mc (Int_set.remove switch real);
-  (* The switch stays in the MC if it still serves as a gateway. *)
-  let gw = members_of t.gateways.(a) mc in
-  if not (Int_set.mem switch gw) then
-    Dgmc.Switch.host_leave (Dgmc.Protocol.switch t.intra switch) mc;
-  Sim.Engine.schedule (engine t) ~delay:t.config.Dgmc.Config.t_hop (fun () ->
-      logical_membership_update t a mc)
-
 let schedule_join t ~at ~switch mc role =
-  Sim.Engine.schedule_at (engine t) ~time:at (fun () -> join t ~switch mc role)
+  Sim.Jobs.post_at t.jobs ~time:at (Join (switch, mc, role))
 
 let schedule_leave t ~at ~switch mc =
-  Sim.Engine.schedule_at (engine t) ~time:at (fun () -> leave t ~switch mc)
+  Sim.Jobs.post_at t.jobs ~time:at (Leave (switch, mc))
 
 let run t = Dgmc.Protocol.run t.intra
 

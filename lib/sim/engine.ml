@@ -73,18 +73,14 @@ type t = {
    holds no block. *)
 and lane = { mutable head : int; mutable tail : int; mutable length : int }
 
-(* What a slot runs.  A [Posted] callback is built once by its owner
-   and shared by every slot that posts it; a [Checked] one also carries
-   its owner's liveness check, asked when the slot surfaces.  A
-   [Scheduled] action is built per call. *)
-and entry =
-  | Posted of (int -> unit)
-  | Checked of { live : int -> bool; run : int -> unit }
-  | Scheduled of (unit -> unit)
+(* What a slot runs: a callback built once by its owner and shared by
+   every slot that posts it, with the owner's liveness check, if any,
+   asked when the slot surfaces. *)
+and entry = { live : (int -> bool) option; run : int -> unit }
 
 type callback = entry
 
-let vacant = Posted ignore
+let vacant = { live = None; run = ignore }
 
 (* Enough for the fixed delays of a run: the hop, the computation time
    and the odd timer. *)
@@ -135,8 +131,7 @@ let now t =
   if c <> t.shown then t.shown <- c;
   t.shown
 
-let callback ?live f =
-  match live with None -> Posted f | Some live -> Checked { live; run = f }
+let callback ?live run = { live; run }
 
 (* Copy the heap key in slot [src] to slot [dst]. *)
 let[@inline] move t ~src ~dst =
@@ -343,46 +338,31 @@ let place t entry arg =
     placed t
   end
 
-(* Write [now +. delay], checked as {!schedule} documents, and [delay]
-   into [stamp]; [fn] names the entry point in the error.  Inlined into
-   each entry point (and, with them, into their callers where the build
-   allows it), so neither float is boxed to cross a call. *)
-let[@inline] stamp_after t ~fn delay =
+(* The time and the delay are written into [stamp] here, unboxed:
+   [post] and [post_at] are inlined into their callers where the build
+   allows it, so neither float is boxed to cross a call. *)
+let[@inline] post t ~delay cb arg =
   if not (Float.is_finite delay) || delay < 0.0 then
-    invalid_arg (fn ^ ": delay must be finite and non-negative");
+    invalid_arg "Engine.post: delay must be finite and non-negative";
   let time = clock t +. delay in
   if time = Float.infinity then
-    invalid_arg (fn ^ ": now + delay overflows to infinity");
+    invalid_arg "Engine.post: now + delay overflows to infinity";
   Float.Array.unsafe_set t.stamp 0 time;
-  Float.Array.unsafe_set t.stamp 1 delay
-
-let[@inline] post t ~delay cb arg =
-  stamp_after t ~fn:"Engine.post" delay;
+  Float.Array.unsafe_set t.stamp 1 delay;
   place t cb arg
 
-(* Write absolute [time], checked as {!schedule_at} documents, into
-   [stamp]. *)
-let[@inline] stamp_at t ~fn time =
-  if not (Float.is_finite time) then
-    invalid_arg (fn ^ ": time must be finite");
-  if time < clock t then invalid_arg (fn ^ ": time is in the past");
-  Float.Array.unsafe_set t.stamp 0 time
-
 let[@inline] post_at t ~time cb arg =
-  stamp_at t ~fn:"Engine.post_at" time;
+  if not (Float.is_finite time) then
+    invalid_arg "Engine.post_at: time must be finite";
+  if time < clock t then invalid_arg "Engine.post_at: time is in the past";
+  Float.Array.unsafe_set t.stamp 0 time;
   push t cb arg
 
 let retire t =
   if t.pending = 0 then invalid_arg "Engine.retire: nothing is pending";
   t.pending <- t.pending - 1
 
-let[@inline] schedule t ~delay f =
-  stamp_after t ~fn:"Engine.schedule" delay;
-  place t (Scheduled f) 0
-
-let schedule_at t ~time f =
-  stamp_at t ~fn:"Engine.schedule_at" time;
-  push t (Scheduled f) 0
+let schedule t ~delay f = post t ~delay (callback (fun _ -> f ())) 0
 
 let pending t = t.pending
 
@@ -461,23 +441,11 @@ let run ?(max_events = max_int) t =
     and entry = t.entries.(p)
     and arg = t.args.(p) in
     if src = lane_count then pop t p else advance t t.lanes.(src) j;
-    match entry with
-    | Posted f ->
+    (* A stale entry was retired by its owner: it leaves no trace. *)
+    if match entry.live with None -> true | Some live -> live arg then begin
       enter t time;
-      f arg;
+      entry.run arg;
       leave t;
       decr budget
-    | Checked c ->
-      (* A stale entry was retired by its owner: it leaves no trace. *)
-      if c.live arg then begin
-        enter t time;
-        c.run arg;
-        leave t;
-        decr budget
-      end
-    | Scheduled f ->
-      enter t time;
-      f ();
-      leave t;
-      decr budget
+    end
   done

@@ -1,9 +1,9 @@
 (** Discrete-event simulation engine.
 
-    The engine advances a virtual clock by executing scheduled thunks in
+    The engine advances a virtual clock by running posted callbacks in
     time order (FIFO among equal times).  It replaces the CSIM package the
     paper's study used: protocol entities are modelled as callbacks that
-    schedule further work, rather than as coroutines, which is sufficient
+    post further work, rather than as coroutines, which is sufficient
     because D-GMC switches only react to message arrivals, local events and
     computation completions.
 
@@ -15,11 +15,10 @@
     (time, insertion order) and a few FIFO lanes, each keyed by one
     exact delay.  The paper's timing model charges every hop one fixed
     [t_hop] and every topology computation one fixed [Tc], so nearly
-    every entry is placed a few fixed delays ahead: a {!post} or
-    {!schedule} whose delay equals a lane's key joins that lane's tail
-    in O(1), and one that finds no such lane re-keys an empty lane to
-    its delay.  Any other delay, and every {!post_at} and
-    {!schedule_at}, goes to the heap in O(log n).
+    every entry is placed a few fixed delays ahead: a {!post} whose
+    delay equals a lane's key joins that lane's tail in O(1), and one
+    that finds no such lane re-keys an empty lane to its delay.  Any
+    other delay, and every {!post_at}, goes to the heap in O(log n).
 
     The heap moves only unboxed keys: a time, an insertion number and
     the index of the store slot (its payload slot) that holds the entry
@@ -35,11 +34,10 @@
     of the heap root and the lane heads, which is the heap's own order
     entry for entry.
 
-    An entry is either a {!schedule}d action, a closure built per call
-    that always runs, or a {!post}ed {!callback}, built once by its
-    owner and run with the [int] each post passes it.  Both kinds share
-    one insertion counter, so ties run in insertion order across them.
-    {!pending} is O(1).
+    Every entry is a {!post}ed {!callback}, built once by its owner
+    and run with the [int] each post passes it; one insertion counter
+    orders ties.  An owner whose timers carry data posts them through a
+    {!Jobs} table.  {!pending} is O(1).
 
     No entry is taken back.  An owner that must call off a timer gives
     its callback a liveness check on the [int] argument (typically a
@@ -58,7 +56,8 @@
     Typical use:
     {[
       let eng = Engine.create () in
-      Engine.schedule eng ~delay:1.0 (fun () -> ...);
+      let tick = Engine.callback (fun i -> ...) in
+      Engine.post eng ~delay:1.0 tick 0;
       Engine.run eng
     ]} *)
 
@@ -72,7 +71,7 @@ type callback
 val create : ?trace:Trace.t -> ?metrics:Metrics.Registry.t -> unit -> t
 (** A fresh engine with clock at [0.0].  [trace] and [metrics] (default
     {!Trace.disabled} and {!Metrics.Registry.disabled}) are the run's
-    sinks: everything scheduled on this engine records into them. *)
+    sinks: everything posted on this engine records into them. *)
 
 val trace : t -> Trace.t
 (** The run's trace, as given to {!create}. *)
@@ -87,27 +86,17 @@ val now : t -> float
     caller on a per-transmission path that needs no time should not
     ask (see [Faults.Plan.reads_clock]). *)
 
-val schedule : t -> delay:float -> (unit -> unit) -> unit
-(** [schedule t ~delay f] runs [f] at [now t +. delay].  [delay] must be
-    non-negative and finite, and so must the sum; otherwise raises
-    [Invalid_argument].  The entry costs [f]'s closure and two words. *)
-
-val schedule_at : t -> time:float -> (unit -> unit) -> unit
-(** [schedule_at t ~time f] runs [f] at absolute [time], which must be
-    finite and not in the engine's past; otherwise raises
-    [Invalid_argument]. *)
-
 val callback : ?live:(int -> bool) -> (int -> unit) -> callback
-(** [callback ?live f] wraps [f] for {!post}.  It allocates two words
-    (three with [live]); build one per owner, not per post.  With
+(** [callback ?live f] wraps [f] for {!post}.  It allocates three
+    words (five with [live]); build one per owner, not per post.  With
     [live], an entry whose argument [live] rejects when it surfaces is
     stale: [f] does not run and the entry leaves no trace (see the
     header).  Its owner must {!retire} it when it makes it stale. *)
 
 val post : t -> delay:float -> callback -> int -> unit
 (** [post t ~delay cb arg] runs [cb]'s function on [arg] at [now t +.
-    delay], under the same rules for [delay] as {!schedule}
-    ([Invalid_argument] otherwise).  A post returns nothing to keep:
+    delay].  [delay] must be non-negative and finite, and so must the
+    sum; otherwise raises [Invalid_argument].  A post returns nothing to keep:
     the caller keeps whatever state [arg] names, and calls a post off
     with [cb]'s liveness check and {!retire}.  Once the calendar's store
     has grown to the run's depth, a post allocates nothing: the time is
@@ -117,8 +106,15 @@ val post : t -> delay:float -> callback -> int -> unit
     is boxed at the call, two words). *)
 
 val post_at : t -> time:float -> callback -> int -> unit
-(** [post_at t ~time cb arg] is {!post} at absolute [time], under the
-    rules of {!schedule_at}. *)
+(** [post_at t ~time cb arg] is {!post} at absolute [time], which must
+    be finite and not in the engine's past; otherwise raises
+    [Invalid_argument]. *)
+
+val schedule : t -> delay:float -> (unit -> unit) -> unit
+(** [schedule t ~delay f] is a one-shot post: it builds a callback
+    around [f] and posts it once, under {!post}'s rules.  The benchmark
+    ledger's hold model places its entries this way; an owner builds
+    its callbacks once instead. *)
 
 val retire : t -> unit
 (** [retire t] tells the engine that its caller has just made one of
@@ -128,24 +124,23 @@ val retire : t -> unit
     [Invalid_argument] when nothing is pending. *)
 
 val pending : t -> int
-(** Number of entries still to run: posts and scheduled actions neither
-    run nor retired.  O(1). *)
+(** Number of posts neither run nor retired.  O(1). *)
 
 val events_executed : t -> int
-(** Total number of entries executed since creation, posts included;
-    a stale entry is not counted. *)
+(** Total number of entries executed since creation; a stale entry is
+    not counted. *)
 
 val run : ?max_events:int -> t -> unit
-(** Execute scheduled actions and posts in order until the calendar
-    drains or [max_events] of them have run.  The clock is left at the last
-    executed action's time. *)
+(** Execute posts in order until the calendar drains or [max_events]
+    of them have run.  The clock is left at the last executed post's
+    time. *)
 
 val set_probe : t -> (unit -> unit) -> unit
 (** Install a telemetry probe invoked after every executed event, with
     the clock still at that event's time.  At most one probe is
     installed (a second call replaces the first); with none installed
     the per-event cost is a single pattern-match branch.  The probe
-    observes — it must not schedule, post or retire events, and a probe
+    observes — it must not post or retire events, and a probe
     that raises aborts the run. *)
 
 val clear_probe : t -> unit

@@ -1,8 +1,8 @@
 (** Slot ids for an owner's parallel arrays, with a free list.
 
     An owner that keeps its records as columns of parallel arrays — the
-    flooding layer's copies in flight and reliable transfers, the
-    protocol's started timers — takes an id for each new record and
+    flooding layer's copies in flight and reliable transfers, a
+    {!Jobs} table's pending jobs — takes an id for each new record and
     gives it back when the record ends.  Ids given back are reused last
     first, so the owner's arrays stay as deep as the most records live
     at once.  Taking and giving back allocate nothing once the free list

@@ -8,16 +8,15 @@ let check = Alcotest.check
 (* The calendar: the engine's heap order and its queue semantics,
    through the Engine API. *)
 
-(* Schedule one action per time, each logging its tag and the clock;
-   run; return the log in execution order. *)
+(* Post one entry per time, each logging its tag and the clock; run;
+   return the log in execution order. *)
 let run_log eng tagged =
   let log = ref [] in
-  List.iter
-    (fun (time, tag) ->
-      ignore
-        (Engine.schedule_at eng ~time (fun () ->
-             log := (Engine.now eng, tag) :: !log)))
-    tagged;
+  let tags = Array.of_list (List.map snd tagged) in
+  let cb =
+    Engine.callback (fun i -> log := (Engine.now eng, tags.(i)) :: !log)
+  in
+  List.iteri (fun i (time, _) -> Engine.post_at eng ~time cb i) tagged;
   Engine.run eng;
   List.rev !log
 
@@ -99,11 +98,11 @@ let test_heap_random_sort () =
   done
 
 (* The calendar's lanes against the order they must keep: posts and
-   scheduled actions at delays drawn from six fixed values (more than
-   the engine has lanes, so entries overflow to the heap and empty lanes
-   are re-keyed), mixed with one-off delays and with [post_at] and
-   [schedule_at] on the same quarter-unit grid, so lane heads tie with
-   the heap root and with each other.  Entries are placed from inside
+   one-shot [schedule]s at delays drawn from six fixed values (more
+   than the engine has lanes, so entries overflow to the heap and empty
+   lanes are re-keyed), mixed with one-off delays and with [post_at] on
+   the same quarter-unit grid, so lane heads tie with the heap root and
+   with each other.  Entries are placed from inside
    running callbacks, posts are retired at random, and the calendar is
    drained in [run ~max_events] slices.  Entry [i] is the [i]th placed,
    so its insertion number is [i]: the execution order must be the
@@ -140,8 +139,7 @@ let test_lanes_keep_heap_order () =
         match kind with
         | 0 | 1 | 2 | 3 | 6 -> Engine.post eng ~delay:d cb i
         | 4 | 5 | 7 -> Engine.schedule eng ~delay:d action
-        | 8 -> Engine.post_at eng ~time:at.(i) cb i
-        | _ -> Engine.schedule_at eng ~time:at.(i) action
+        | _ -> Engine.post_at eng ~time:at.(i) cb i
       end
     in
     let retire_random () =
@@ -283,8 +281,8 @@ let test_queue_rejects_nan () =
   List.iter
     (fun time ->
       Alcotest.check_raises "non-finite time"
-        (Invalid_argument "Engine.schedule_at: time must be finite") (fun () ->
-          ignore (Engine.schedule_at eng ~time ignore)))
+        (Invalid_argument "Engine.post_at: time must be finite") (fun () ->
+          Engine.post_at eng ~time (Engine.callback ignore) 0))
     [ Float.nan; Float.infinity ];
   check Alcotest.int "nothing scheduled" 0 (Engine.pending eng)
 
@@ -373,28 +371,30 @@ let test_stale_entry_leaves_no_trace () =
 let test_engine_rejects_negative_delay () =
   let eng = Engine.create () in
   Alcotest.check_raises "negative delay"
-    (Invalid_argument "Engine.schedule: delay must be finite and non-negative")
-    (fun () -> ignore (Engine.schedule eng ~delay:(-1.0) (fun () -> ())))
+    (Invalid_argument "Engine.post: delay must be finite and non-negative")
+    (fun () -> Engine.post eng ~delay:(-1.0) (Engine.callback ignore) 0)
 
 let test_engine_delay_overflow () =
   (* A finite delay whose sum with the clock overflows to infinity.  The
      clock must be large enough for the sum to round up past
      [max_float]. *)
   let eng = Engine.create () in
-  ignore (Engine.schedule_at eng ~time:1e300 ignore);
+  let cb = Engine.callback ignore in
+  Engine.post_at eng ~time:1e300 cb 0;
   Engine.run eng;
   Alcotest.check_raises "max_float delay"
-    (Invalid_argument "Engine.schedule: now + delay overflows to infinity")
-    (fun () -> ignore (Engine.schedule eng ~delay:Float.max_float ignore));
+    (Invalid_argument "Engine.post: now + delay overflows to infinity")
+    (fun () -> Engine.post eng ~delay:Float.max_float cb 0);
   check Alcotest.int "nothing scheduled" 0 (Engine.pending eng)
 
-let test_engine_schedule_at_past () =
+let test_engine_post_at_past () =
   let eng = Engine.create () in
-  ignore (Engine.schedule eng ~delay:2.0 (fun () -> ()));
+  let cb = Engine.callback ignore in
+  Engine.post eng ~delay:2.0 cb 0;
   Engine.run eng;
   Alcotest.check_raises "past time"
-    (Invalid_argument "Engine.schedule_at: time is in the past") (fun () ->
-      ignore (Engine.schedule_at eng ~time:1.0 (fun () -> ())))
+    (Invalid_argument "Engine.post_at: time is in the past") (fun () ->
+      Engine.post_at eng ~time:1.0 cb 0)
 
 (* A post places its time unboxed in the calendar and allocates nothing
    once the arrays have grown.  The delays are computed in the loop, as
@@ -511,8 +511,9 @@ let test_jittered_drain_allocates_nothing () =
     Alcotest.failf "now boxed %.0f words over %d times (limit %d)" asked
       posts (2 * posts)
 
-(* Posts and scheduled actions draw on one insertion counter: at equal
-   times they run in the order they were placed, whichever the kind. *)
+(* Posts, whether to a lane or the heap, and one-shot [schedule]s draw
+   on one insertion counter: at equal times they run in the order they
+   were placed. *)
 let test_post_schedule_fifo_ties () =
   let eng = Engine.create () in
   let log = ref [] in
@@ -525,13 +526,15 @@ let test_post_schedule_fifo_ties () =
   Engine.post eng ~delay:0.5 cb 0;
   Engine.post eng ~delay:1.0 cb 2;
   schedule "schedule b" 1.0;
-  ignore
-    (Engine.schedule_at eng ~time:1.0 (fun () ->
-         log := "schedule_at c" :: !log;
-         (* Placed during the run, at the current time: after every
-            entry already due now. *)
-         Engine.post eng ~delay:0.0 cb 4;
-         schedule "schedule d" 0.0));
+  let at_c =
+    Engine.callback (fun _ ->
+        log := "post_at c" :: !log;
+        (* Placed during the run, at the current time: after every
+           entry already due now. *)
+        Engine.post eng ~delay:0.0 cb 4;
+        schedule "schedule d" 0.0)
+  in
+  Engine.post_at eng ~time:1.0 at_c 0;
   Engine.post eng ~delay:1.0 cb 3;
   Engine.run eng;
   check Alcotest.(list string) "insertion order among equal times"
@@ -541,7 +544,7 @@ let test_post_schedule_fifo_ties () =
       "schedule a";
       "post 2";
       "schedule b";
-      "schedule_at c";
+      "post_at c";
       "post 3";
       "post 4";
       "schedule d";
@@ -635,6 +638,85 @@ let test_mixed_counts () =
       (8.0, 0);
     ]
     (List.rev !probed)
+
+(* ------------------------------------------------------------------ *)
+(* Jobs *)
+
+(* A table's [post] and [post_at] place each job as one engine entry,
+   so jobs due at equal times run in the order they were posted,
+   across the lanes and the heap and beside the engine's own posts. *)
+let test_jobs_fifo_ties () =
+  let eng = Engine.create () in
+  let log = ref [] in
+  let jobs = Jobs.create eng (fun tag -> log := tag :: !log) in
+  let cb =
+    Engine.callback (fun i -> log := Printf.sprintf "post %d" i :: !log)
+  in
+  Jobs.post jobs ~delay:1.0 "job a";
+  Jobs.post_at jobs ~time:1.0 "job_at b";
+  Engine.post eng ~delay:1.0 cb 0;
+  Jobs.post jobs ~delay:0.5 "job early";
+  Engine.post_at eng ~time:1.0 cb 1;
+  Jobs.post_at jobs ~time:1.0 "job_at c";
+  Jobs.post jobs ~delay:1.0 "job d";
+  Engine.run eng;
+  check Alcotest.(list string) "posting order among equal times"
+    [
+      "job early"; "job a"; "job_at b"; "post 0"; "post 1"; "job_at c";
+      "job d";
+    ]
+    (List.rev !log)
+
+(* Jobs posted before the run and from inside running jobs, at random
+   delays and times: each is handed back exactly once, at its time, and
+   the table grows no deeper than the most jobs pending at once. *)
+let test_jobs_once_and_depth () =
+  let rng = Rng.create 76 in
+  for _ = 1 to 20 do
+    let eng = Engine.create () in
+    let cap = 600 in
+    let at = Array.make cap 0.0 and ran = Array.make cap 0 in
+    let posted = ref 0 and done_ = ref 0 and most = ref 0 in
+    let post_one = ref ignore in
+    let jobs =
+      Jobs.create eng (fun i ->
+          if not (Float.equal at.(i) (Engine.now eng)) then
+            Alcotest.failf "job %d ran off its time" i;
+          ran.(i) <- ran.(i) + 1;
+          incr done_;
+          for _ = 1 to Rng.int rng 3 do
+            !post_one ()
+          done)
+    in
+    (post_one :=
+       fun () ->
+         if !posted < cap then begin
+           let i = !posted in
+           incr posted;
+           if Rng.bool rng then begin
+             let delay = float_of_int (Rng.int rng 4) in
+             at.(i) <- Engine.now eng +. delay;
+             Jobs.post jobs ~delay i
+           end
+           else begin
+             at.(i) <- Engine.now eng +. Rng.float rng 3.0;
+             Jobs.post_at jobs ~time:at.(i) i
+           end;
+           most := max !most (!posted - !done_)
+         end);
+    for _ = 1 to 1 + Rng.int rng 40 do
+      !post_one ()
+    done;
+    Engine.run eng;
+    Array.iteri
+      (fun i n ->
+        if i < !posted && n <> 1 then
+          Alcotest.failf "job %d handed back %d times" i n)
+      ran;
+    if Jobs.depth jobs > !most then
+      Alcotest.failf "depth %d, but at most %d jobs pending" (Jobs.depth jobs)
+        !most
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Slots *)
@@ -896,8 +978,8 @@ let () =
             test_engine_rejects_negative_delay;
           Alcotest.test_case "delay overflow rejected" `Quick
             test_engine_delay_overflow;
-          Alcotest.test_case "schedule_at in the past" `Quick
-            test_engine_schedule_at_past;
+          Alcotest.test_case "post_at in the past" `Quick
+            test_engine_post_at_past;
           Alcotest.test_case "post allocates nothing" `Quick
             test_post_allocates_nothing;
           Alcotest.test_case "lane posts and drain allocate nothing" `Quick
@@ -912,6 +994,13 @@ let () =
             test_run_action_freed;
           Alcotest.test_case "pending and events_executed, mixed kinds" `Quick
             test_mixed_counts;
+        ] );
+      ( "jobs",
+        [
+          Alcotest.test_case "equal times run in posting order" `Quick
+            test_jobs_fifo_ties;
+          Alcotest.test_case "each job once, depth bounded" `Quick
+            test_jobs_once_and_depth;
         ] );
       ( "slots",
         [
