@@ -1,10 +1,13 @@
-module Int_set = Set.Make (Int)
-
 type membership_lsa = { src : int; group : int; change : [ `Join | `Leave ] }
 
-type router = {
-  members : (int, Int_set.t) Hashtbl.t;  (** group → member switches *)
-  cache : (int * int, Mctree.Tree.t) Hashtbl.t;  (** (src, group) → SPT *)
+(* A router's view of one group: its members, one byte per switch
+   ('\001' for a member) set and cleared in place, and the source trees
+   it has cached for the group, by source.  [trees] is [[||]] until the
+   router's first computation for the group, and again once a
+   membership change flushes them. *)
+type group_state = {
+  members : Bytes.t;
+  mutable trees : Mctree.Tree.t option array;
 }
 
 type totals = {
@@ -15,12 +18,21 @@ type totals = {
   packets_forwarded : int;
 }
 
-(* What a run posts besides its floods: a scripted membership change,
-   a datagram reaching [router] from [parent], and the end of
-   [router]'s computation of the (src, group) tree the datagram
-   missed. *)
-type job = Change of membership_lsa | Hop of packet | Miss of packet
-and packet = { src : int; group : int; router : int; parent : int option }
+(* A datagram of [group] from [src] reaching [router] from [parent]
+   ([-1] at the source). *)
+type packet = { src : int; group : int; router : int; parent : int }
+
+(* Source trees already computed on graph version [version].  A
+   source-rooted tree is a function of the graph, the source and the
+   receivers alone, so a tree is keyed by the computing router's member
+   row with the source's byte set to '\002' (receivers minus the
+   source, and the source).  [key] is the scratch row a lookup is built
+   in.  Entries live until the graph version moves. *)
+type memo = {
+  mutable version : int;
+  trees : (Bytes.t, Mctree.Tree.t) Hashtbl.t;
+  key : Bytes.t;
+}
 
 type t = {
   engine : Sim.Engine.t;
@@ -28,91 +40,127 @@ type t = {
   config : Dgmc.Config.t;
   flooding : membership_lsa Lsr.Flooding.t;
   seqs : Lsr.Lsa.Seq.counter array;
-  routers : router array;
-  jobs : job Sim.Jobs.t;
+  routers : (int, group_state) Hashtbl.t array;  (** Per router, by group. *)
+  inputs : membership_lsa Sim.Jobs.t;  (** Scripted changes. *)
+  hops : packet Sim.Jobs.t;  (** Datagrams reaching a router. *)
+  misses : packet Sim.Jobs.t;
+      (** Datagrams whose router's computation of their tree completes. *)
+  memo : memo;
   mutable events : int;
   mutable computations : int;
   mutable packets_forwarded : int;
 }
 
-let members_of router group =
-  Option.value ~default:Int_set.empty (Hashtbl.find_opt router.members group)
+let group_state t router group =
+  let groups = t.routers.(router) in
+  match Hashtbl.find groups group with
+  | g -> g
+  | exception Not_found ->
+    let g = { members = Bytes.make (Bytes.length t.memo.key) '\000'; trees = [||] } in
+    Hashtbl.replace groups group g;
+    g
 
-let apply_membership router { src; group; change } =
-  let current = members_of router group in
-  let updated =
-    match change with
-    | `Join -> Int_set.add src current
-    | `Leave -> Int_set.remove src current
-  in
-  Hashtbl.replace router.members group updated;
-  (* A membership change invalidates every cached entry of the group:
+(* The members in row [members], ascending, [except] left out. *)
+let member_list members ~except =
+  let acc = ref [] in
+  for i = Bytes.length members - 1 downto 0 do
+    if i <> except && Bytes.get members i = '\001' then acc := i :: !acc
+  done;
+  !acc
+
+let learn t router { src; group; change } =
+  let g = group_state t router group in
+  Bytes.set g.members src (match change with `Join -> '\001' | `Leave -> '\000');
+  (* A membership change invalidates every cached tree of the group:
      the next datagram recomputes (RFC 1584 behaviour). *)
-  Hashtbl.filter_map_inplace
-    (fun (_, g) tree -> if Int.equal g group then None else Some tree)
-    router.cache
+  g.trees <- [||]
 
-let forward t tree { src; group; router; parent } =
-  if Mctree.Tree.mem_node tree router then
-    List.iter
-      (fun child ->
-        if (match parent with Some p -> p <> child | None -> true) then begin
-          t.packets_forwarded <- t.packets_forwarded + 1;
-          Sim.Jobs.post t.jobs ~delay:t.config.Dgmc.Config.t_hop
-            (Hop { src; group; router = child; parent = Some router })
-        end)
-      (Mctree.Tree.neighbors tree router)
-
-let run_job t = function
-  | Change lsa ->
-    t.events <- t.events + 1;
-    apply_membership t.routers.(lsa.src) lsa;
-    let seq = Lsr.Lsa.Seq.next t.seqs.(lsa.src) in
-    Lsr.Flooding.flood t.flooding (Lsr.Lsa.make ~origin:lsa.src ~seq lsa)
-  | Hop p -> (
-    match Hashtbl.find_opt t.routers.(p.router).cache (p.src, p.group) with
-    | Some tree -> forward t tree p
-    | None ->
-      (* Cache miss: the datagram waits while the router computes the
-         source-rooted tree — the paper's on-demand, data-driven model. *)
-      Sim.Jobs.post t.jobs ~delay:t.config.Dgmc.Config.tc (Miss p))
-  | Miss ({ src; group; router; _ } as p) ->
-    t.computations <- t.computations + 1;
-    (* The source-rooted tree as THIS router currently sees the group. *)
-    let receivers = Int_set.elements (members_of t.routers.(router) group) in
+(* The tree rooted at [src] over the receivers of row [members]. *)
+let source_tree t src members =
+  let memo = t.memo in
+  let version = Net.Graph.version t.graph in
+  if version <> memo.version then begin
+    Hashtbl.reset memo.trees;
+    memo.version <- version
+  end;
+  Bytes.blit members 0 memo.key 0 (Bytes.length members);
+  Bytes.set memo.key src '\002';
+  match Hashtbl.find memo.trees memo.key with
+  | tree -> tree
+  | exception Not_found ->
     let tree =
       Mctree.Spt.source_rooted t.graph ~root:src
-        ~receivers:(List.filter (fun x -> x <> src) receivers)
+        ~receivers:(member_list members ~except:src)
     in
-    Hashtbl.replace t.routers.(router).cache (src, group) tree;
-    forward t tree p
+    Hashtbl.replace memo.trees (Bytes.copy memo.key) tree;
+    tree
+
+let rec send_on t p = function
+  | [] -> ()
+  | child :: rest ->
+    if child <> p.parent then begin
+      t.packets_forwarded <- t.packets_forwarded + 1;
+      Sim.Jobs.post t.hops ~delay:t.config.Dgmc.Config.t_hop
+        { p with router = child; parent = p.router }
+    end;
+    send_on t p rest
+
+let forward t tree p =
+  if Mctree.Tree.mem_node tree p.router then
+    send_on t p (Mctree.Tree.neighbors tree p.router)
+
+let hop t p =
+  let g = group_state t p.router p.group in
+  match if Array.length g.trees = 0 then None else g.trees.(p.src) with
+  | Some tree -> forward t tree p
+  | None ->
+    (* Cache miss: the datagram waits while the router computes the
+       source-rooted tree — the paper's on-demand, data-driven model. *)
+    Sim.Jobs.post t.misses ~delay:t.config.Dgmc.Config.tc p
+
+(* Every router that misses computes the source-rooted tree as it
+   currently sees the group, and [tc] and [computations] charge it in
+   full.  The simulator itself computes each (graph version, source,
+   receivers) tree once and hands every router that shared tree. *)
+let computed t p =
+  t.computations <- t.computations + 1;
+  let g = group_state t p.router p.group in
+  let tree = source_tree t p.src g.members in
+  if Array.length g.trees = 0 then g.trees <- Array.make (Bytes.length g.members) None;
+  g.trees.(p.src) <- Some tree;
+  forward t tree p
+
+(* A scripted membership change at switch [src]: learnt there, then
+   flooded as the LSA it is. *)
+let local_event t (lsa : membership_lsa) =
+  t.events <- t.events + 1;
+  learn t lsa.src lsa;
+  let seq = Lsr.Lsa.Seq.next t.seqs.(lsa.src) in
+  Lsr.Flooding.flood t.flooding (Lsr.Lsa.make ~origin:lsa.src ~seq lsa)
 
 let create ~graph ~config () =
   let n = Net.Graph.n_nodes graph in
   if n < 2 then invalid_arg "Mospf.create: need at least 2 switches";
   let engine = Sim.Engine.create () in
-  let routers =
-    Array.init n (fun _ -> { members = Hashtbl.create 4; cache = Hashtbl.create 8 })
-  in
-  let deliver ~switch (lsa : membership_lsa Lsr.Lsa.t) =
-    apply_membership routers.(switch) lsa.payload
-  in
-  let flooding =
-    Lsr.Flooding.create ~engine ~graph ~t_hop:config.Dgmc.Config.t_hop
-      ~mode:config.Dgmc.Config.flood_mode ~deliver ()
-  in
-  (* The jobs run against the whole record: a lazy value, forced
-     before any can run. *)
+  (* Deliveries and jobs run against the whole record: a lazy value,
+     forced before any can run. *)
   let rec t =
     lazy
       {
         engine;
         graph;
         config;
-        flooding;
+        flooding =
+          Lsr.Flooding.create ~engine ~graph ~t_hop:config.Dgmc.Config.t_hop
+            ~mode:config.Dgmc.Config.flood_mode
+            ~deliver:(fun ~switch lsa -> learn (Lazy.force t) switch lsa.payload)
+            ();
         seqs = Array.init n (fun _ -> Lsr.Lsa.Seq.create ());
-        routers;
-        jobs = Sim.Jobs.create engine (fun job -> run_job (Lazy.force t) job);
+        routers = Array.init n (fun _ -> Hashtbl.create 4);
+        inputs = Sim.Jobs.create engine (fun lsa -> local_event (Lazy.force t) lsa);
+        hops = Sim.Jobs.create engine (fun p -> hop (Lazy.force t) p);
+        misses = Sim.Jobs.create engine (fun p -> computed (Lazy.force t) p);
+        memo = { version = -1; trees = Hashtbl.create 16; key = Bytes.make n '\000' };
         events = 0;
         computations = 0;
         packets_forwarded = 0;
@@ -123,15 +171,12 @@ let create ~graph ~config () =
 let engine t = t.engine
 
 let schedule_join t ~at ~switch ~group =
-  Sim.Jobs.post_at t.jobs ~time:at
-    (Change { src = switch; group; change = `Join })
+  Sim.Jobs.post_at t.inputs ~time:at { src = switch; group; change = `Join }
 
 let schedule_leave t ~at ~switch ~group =
-  Sim.Jobs.post_at t.jobs ~time:at
-    (Change { src = switch; group; change = `Leave })
+  Sim.Jobs.post_at t.inputs ~time:at { src = switch; group; change = `Leave }
 
-let send_packet t ~src ~group =
-  run_job t (Hop { src; group; router = src; parent = None })
+let send_packet t ~src ~group = hop t { src; group; router = src; parent = -1 }
 
 let run t = Sim.Engine.run t.engine
 
@@ -145,4 +190,6 @@ let totals t =
   }
 
 let members t ~switch ~group =
-  Int_set.elements (members_of t.routers.(switch) group)
+  match Hashtbl.find_opt t.routers.(switch) group with
+  | Some g -> member_list g.members ~except:(-1)
+  | None -> []

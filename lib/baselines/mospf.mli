@@ -16,7 +16,12 @@
     - receiver-only delivery cannot be triggered by senders (a packet
       must already flow), and QoS negotiation before data flow is
       impossible — modelled here by computation happening only inside
-      {!send_packet}. *)
+      {!send_packet}.
+
+    Every router that misses waits [tc] and is charged one computation,
+    in full.  The simulator itself computes each (graph version, source,
+    receivers) tree once and hands every router that shared tree: a
+    source-rooted tree reads nothing of the router computing it. *)
 
 type t
 

@@ -42,8 +42,8 @@ type t = {
       (** The last change signal's time, [neg_infinity] before the
           first: kept bare so that a signal allocates nothing. *)
   mutable observers : (int -> unit) list;
-  timers : (int * Switch.timer) Sim.Jobs.t;
-      (** The timers switches have started, each with its switch. *)
+  timers : Switch.timer Sim.Jobs.t;
+      (** The timers switches have started, each naming its switch. *)
   resync : Sim.Engine.callback;
       (** A recovered link's exchange, posted with [lo * n + hi]. *)
   inputs : input Sim.Jobs.t;
@@ -115,7 +115,7 @@ let output t ~from : Switch.output -> unit = function
   | Changed ->
     t.last_change <- Sim.Engine.now t.engine;
     notify from t.observers
-  | Start { timer; delay } -> Sim.Jobs.post t.timers ~delay (from, timer)
+  | Start { timer; delay } -> Sim.Jobs.post t.timers ~delay timer
 
 let zero =
   {
@@ -298,8 +298,8 @@ let create ~graph ~config ?faults ?engine ?trace ?metrics
         last_change = neg_infinity;
         observers = [];
         timers =
-          Sim.Jobs.create engine (fun (i, timer) ->
-              Switch.fire switches.(i) timer);
+          Sim.Jobs.create engine (fun (Switch.Compute { switch; _ } as timer) ->
+              Switch.fire switches.(switch) timer);
         resync =
           Sim.Engine.callback (fun key ->
               let lo = switches.(key / n) and hi = switches.(key mod n) in

@@ -213,7 +213,7 @@ let launch t mc (st : Mc_state.t) ~event =
   in
   t.compute_seq <- t.compute_seq + 1;
   let id = t.compute_seq in
-  t.sink (Start { timer = Compute { mc; id }; delay = t.config.tc });
+  t.sink (Start { timer = Compute { switch = t.id; mc; id }; delay = t.config.tc });
   { Mc_state.id; old_r; event; proposal; trace_id }
 
 (* Count a completed computation, and whether it was withdrawn stale. *)
@@ -543,7 +543,7 @@ let deliver t = function
 (* A computation is found by its id: completing one removes it, so a
    second firing of its timer finds nothing. *)
 let fire t = function
-  | Compute { mc; id } -> (
+  | Compute { mc; id; _ } -> (
     match get_state t mc with
     | None -> ()
     | Some st -> (

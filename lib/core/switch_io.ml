@@ -11,9 +11,9 @@ type payload =
 (** A timer a switch asks its driver to run: plain data, handed back
     through {!Switch.fire} when due.  A switch never cancels one. *)
 type timer =
-  | Compute of { mc : Mc_id.t; id : int }
+  | Compute of { switch : int; mc : Mc_id.t; id : int }
       (** The completion of topology computation [id] for [mc], [Tc]
-          after it started. *)
+          after switch [switch] started it. *)
 
 (** What a switch emits. *)
 type output =

@@ -210,11 +210,13 @@ module Brute_force = struct
 end
 
 module Mospf = struct
-  (* A join at the engine's current time, as {!Brute_force.join}. *)
-  let join m ~switch ~group =
-    Baselines.Mospf.schedule_join m
-      ~at:(Sim.Engine.now (Baselines.Mospf.engine m))
-      ~switch ~group
+  (* Membership events at the engine's current time, as
+     {!Brute_force.join} and {!Brute_force.leave}. *)
+  let now m = Sim.Engine.now (Baselines.Mospf.engine m)
+
+  let join m ~switch ~group = Baselines.Mospf.schedule_join m ~at:(now m) ~switch ~group
+
+  let leave m ~switch ~group = Baselines.Mospf.schedule_leave m ~at:(now m) ~switch ~group
 end
 
 module Hmc = struct

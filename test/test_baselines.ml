@@ -249,6 +249,82 @@ let test_mospf_membership_change_invalidates () =
   check Alcotest.bool "caches flushed => recomputation" true
     ((Baselines.Mospf.totals m).computations > after_first)
 
+let test_mospf_leave () =
+  let graph = grid33 () in
+  let m = Baselines.Mospf.create ~graph ~config:Dgmc.Config.atm_lan () in
+  Oracle.Mospf.join m ~switch:2 ~group:1;
+  Oracle.Mospf.join m ~switch:7 ~group:1;
+  Baselines.Mospf.run m;
+  Oracle.Mospf.leave m ~switch:2 ~group:1;
+  Baselines.Mospf.run m;
+  for sw = 0 to 8 do
+    check Alcotest.(list int) "member list at every router" [ 7 ]
+      (Baselines.Mospf.members m ~switch:sw ~group:1)
+  done;
+  (* With 2 gone, 7's tree is 7 alone: one computation, nothing sent.
+     The tree that still reached 2 would have edges to forward on. *)
+  Baselines.Mospf.send_packet m ~src:7 ~group:1;
+  Baselines.Mospf.run m;
+  let t = Baselines.Mospf.totals m in
+  check Alcotest.int "one computation" 1 t.computations;
+  check Alcotest.int "no packet forwarded" 0 t.packets_forwarded;
+  check Alcotest.bool "a tree with 2 has edges" true
+    (Mctree.Tree.has_edges (Mctree.Spt.source_rooted graph ~root:7 ~receivers:[ 2 ]))
+
+(* The simulator computes each (graph version, source, receivers) tree
+   once and shares it.  One datagram per source makes every router on
+   the source's tree compute once and forward once per tree edge, so
+   the totals follow from trees computed here, without the simulator. *)
+let test_mospf_memo_exact_waxman () =
+  let config = Dgmc.Config.atm_lan and group = 1 in
+  List.iter
+    (fun (seed, n) ->
+      let what = Printf.sprintf "seed %d, n=%d" seed n in
+      let graph = Experiments.Harness.graph_for ~seed ~n in
+      let m = Baselines.Mospf.create ~graph ~config () in
+      let window = Lsr.Flooding.flood_diameter ~graph ~t_hop:config.t_hop in
+      let members =
+        Workload.Bursty.joins (Sim.Rng.create seed) ~n ~mc ~members:10 ~window ()
+        |> List.filter_map (fun (e : Workload.Events.t) ->
+               match e.action with
+               | Workload.Events.Join { switch; _ } ->
+                 Baselines.Mospf.schedule_join m ~at:e.time ~switch ~group;
+                 Some switch
+               | _ -> None)
+        |> List.sort_uniq Int.compare
+      in
+      Baselines.Mospf.run m;
+      let trees () =
+        List.map
+          (fun src ->
+            Mctree.Spt.source_rooted graph ~root:src
+              ~receivers:(List.filter (fun r -> r <> src) members))
+          members
+      in
+      (* Sends one datagram per source and checks the totals' growth
+         against [trees]. *)
+      let send_and_check ~what trees =
+        let before = Baselines.Mospf.totals m in
+        List.iter (fun src -> Baselines.Mospf.send_packet m ~src ~group) members;
+        Baselines.Mospf.run m;
+        let after = Baselines.Mospf.totals m in
+        let edges = List.fold_left (fun acc t -> acc + List.length (Mctree.Tree.edges t)) 0 trees in
+        check Alcotest.int (what ^ ": computations")
+          (edges + List.length trees)
+          (after.computations - before.computations);
+        check Alcotest.int (what ^ ": packets forwarded") edges
+          (after.packets_forwarded - before.packets_forwarded)
+      in
+      let burst = trees () in
+      send_and_check ~what:(what ^ ", burst") burst;
+      (* A tree link fails and a member re-joins: every router flushes
+         its caches and the member set repeats, on a new graph version. *)
+      cut_tree_link graph (List.hd burst);
+      Oracle.Mospf.join m ~switch:(List.hd members) ~group;
+      Baselines.Mospf.run m;
+      send_and_check ~what:(what ^ ", after a link failure") (trees ()))
+    [ (1, 20); (2, 40); (3, 60); (4, 30); (5, 50) ]
+
 (* ------------------------------------------------------------------ *)
 (* CBT *)
 
@@ -364,6 +440,9 @@ let () =
           Alcotest.test_case "cache hits" `Quick test_mospf_cache_hit_no_recompute;
           Alcotest.test_case "invalidation on change" `Quick
             test_mospf_membership_change_invalidates;
+          Alcotest.test_case "leave" `Quick test_mospf_leave;
+          Alcotest.test_case "shared trees exact on Waxman graphs" `Quick
+            test_mospf_memo_exact_waxman;
         ] );
       ( "cbt",
         [
